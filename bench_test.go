@@ -11,6 +11,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/arrayot"
@@ -26,6 +28,7 @@ import (
 	"repro/internal/replset"
 	"repro/internal/tla"
 	"repro/internal/tlatext"
+	"repro/internal/trace"
 )
 
 // BenchmarkE7ModelCheck regenerates §4.2.3's state-space comparison: the
@@ -594,6 +597,69 @@ func BenchmarkParallelTrace(b *testing.B) {
 				}
 				b.ReportMetric(float64(rep.Events), "events")
 			}
+		})
+	}
+}
+
+// unhinted hides an observation's ActionHints from the trace checker, which
+// then runs the plain frontier method on it.
+type unhinted struct {
+	tla.Observation[raftmongo.State]
+}
+
+// BenchmarkGuidedTrace is the long trace as a repeatable measurement: the
+// rollback-fuzzer default run (8,400 steps, seed 7, followers synced before
+// writes) checked against RaftMongo V2 with the events' action labels
+// guiding the expansion, and again with the labels stripped. events/sec is
+// the number a user feels; successors/event is the work the hint removes.
+// The unguided half takes tens of seconds per pass.
+func BenchmarkGuidedTrace(b *testing.B) {
+	fcfg := fuzzer.DefaultRollbackConfig()
+	fcfg.SyncBeforeWrites = true
+	events, err := mbtc.RunTraced(replset.Config{Nodes: 3, Seed: fcfg.Seed}, func(c *replset.Cluster) error {
+		_, ferr := fuzzer.FuzzRollback(fcfg, c)
+		return ferr
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	processed, err := trace.Process(3, events, trace.ProcessOptions{FillOplogPrefixes: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	guided := mbtc.ObservationsFromProcessed(3, events, processed)
+	unguided := make([]tla.Observation[raftmongo.State], len(guided))
+	for i, o := range guided {
+		unguided[i] = unhinted{o}
+	}
+
+	var successors atomic.Int64
+	spec := *raftmongo.SpecV2(mbtc.CheckConfig(3))
+	spec.Actions = slices.Clone(spec.Actions)
+	for i := range spec.Actions {
+		next := spec.Actions[i].Next
+		spec.Actions[i].Next = func(s raftmongo.State) []raftmongo.State {
+			out := next(s)
+			successors.Add(int64(len(out)))
+			return out
+		}
+	}
+	for _, bench := range []struct {
+		name string
+		obs  []tla.Observation[raftmongo.State]
+	}{{"guided", guided}, {"unguided", unguided}} {
+		b.Run(bench.name, func(b *testing.B) {
+			b.ReportAllocs()
+			successors.Store(0)
+			for i := 0; i < b.N; i++ {
+				res, cerr := tla.CheckTraceWith(&spec, bench.obs, tla.TraceOptions{})
+				if cerr != nil || !res.OK {
+					b.Fatalf("res=%+v err=%v", res, cerr)
+				}
+			}
+			n := float64(b.N) * float64(len(events))
+			b.ReportMetric(n/b.Elapsed().Seconds(), "events/sec")
+			b.ReportMetric(float64(successors.Load())/n, "successors/event")
 		})
 	}
 }

@@ -183,6 +183,7 @@ func run(ctx context.Context, scenarioName, specVariant string, fuzz bool, steps
 	}
 	fmt.Printf("%s against RaftMongo %s: %d trace events, %d oplog prefix fills, max frontier %d\n",
 		label, specVariant, rep.Events, rep.PrefixFills, rep.MaxFrontier)
+	fmt.Println(rep.GuidedSummary())
 	if rep.OK {
 		fmt.Println("MBTC PASS: the trace is a behaviour of the specification")
 		return nil

@@ -205,6 +205,7 @@ func checkTrace(nodes int, bufs []*bytes.Buffer, specVar string, topts tla.Trace
 	}
 	fmt.Printf("trace check against RaftMongo %s: %d events, %d oplog prefix fills, max frontier %d\n",
 		specVar, crep.Events, crep.PrefixFills, crep.MaxFrontier)
+	fmt.Println(crep.GuidedSummary())
 	if crep.OK {
 		fmt.Println("MBTC PASS: the trace is a behaviour of the specification")
 		return nil

@@ -505,10 +505,14 @@ func (s *Supervisor) Cancel(id string) error {
 		cancel(errUserCancel)
 		return nil
 	default:
+		// Persist, then publish, both under j.mu: the worker's pop reads
+		// the state under the same lock, so it cannot start the job in
+		// between, and no client sees "canceled" before a restart would
+		// honour it.
+		s.persistTerminal(j.id, persistedResult{State: JobCanceled, Attempts: j.attempts, Error: errUserCancel.Error()})
 		j.state = JobCanceled
 		j.errMsg = errUserCancel.Error()
 		j.mu.Unlock()
-		s.persistTerminal(j)
 		s.cfg.Logf("checkd: job %s canceled before running", id)
 		return nil
 	}
@@ -643,33 +647,42 @@ func (s *Supervisor) hasCheckpoint(j *job) bool {
 // persistTerminal writes the job's result.json. Persistence failure is
 // logged, not fatal: the in-memory record still serves the API, and the
 // worst case after a crash is re-running a finished job.
-func (s *Supervisor) persistTerminal(j *job) {
-	j.mu.Lock()
-	pr := persistedResult{State: j.state, Attempts: j.attempts, Error: j.errMsg, Outcome: j.outcome}
-	j.mu.Unlock()
-	if err := os.MkdirAll(s.jobDir(j.id), 0o755); err != nil {
-		s.cfg.Logf("checkd: persisting result of %s: %v", j.id, err)
+func (s *Supervisor) persistTerminal(id string, pr persistedResult) {
+	if err := os.MkdirAll(s.jobDir(id), 0o755); err != nil {
+		s.cfg.Logf("checkd: persisting result of %s: %v", id, err)
 		return
 	}
-	if err := writeJSON(filepath.Join(s.jobDir(j.id), "result.json"), &pr); err != nil {
-		s.cfg.Logf("checkd: persisting result of %s: %v", j.id, err)
+	if err := writeJSON(filepath.Join(s.jobDir(id), "result.json"), &pr); err != nil {
+		s.cfg.Logf("checkd: persisting result of %s: %v", id, err)
 	}
 }
 
-// complete moves the job to a terminal state and persists it; done
-// outcomes also enter the verdict cache.
+// complete moves the job to a terminal state. The order is the contract a
+// client polling the job relies on: result.json is written, a done outcome
+// enters the verdict cache and the lifecycle counter moves before the
+// terminal state becomes visible, so whoever sees "done" can fetch the
+// result from a restarted process and resubmit into a cache hit. Only the
+// job's own worker calls it, so nothing else writes the job in between.
+//
+// The other ways out of "running" keep the same order: Cancel of a queued
+// job persists before it publishes, and a drain parks a job only after the
+// engine has written the checkpoint the next startup resumes from. A retry
+// publishes nothing — the job stays "running" across attempts.
 func (s *Supervisor) complete(j *job, state JobState, out *Outcome, errMsg string) {
+	j.mu.Lock()
+	attempts := j.attempts
+	j.mu.Unlock()
+	s.persistTerminal(j.id, persistedResult{State: state, Attempts: attempts, Error: errMsg, Outcome: out})
+	if state == JobDone && out != nil {
+		s.cache.put(j.fp, out)
+	}
+	s.mCompleted[state].Inc()
 	j.mu.Lock()
 	j.state = state
 	j.outcome = out
 	j.errMsg = errMsg
 	j.cancel = nil
 	j.mu.Unlock()
-	s.persistTerminal(j)
-	s.mCompleted[state].Inc()
-	if state == JobDone && out != nil {
-		s.cache.put(j.fp, out)
-	}
 	s.cfg.Logf("checkd: job %s %s%s", j.id, state, suffixIf(errMsg))
 }
 
@@ -712,20 +725,27 @@ func (s *Supervisor) runJob(j *job) {
 		}
 	}
 
+	// One cancelable context for the whole run, not one per attempt: a
+	// cancel or a drain that arrives between attempts, during the retry
+	// backoff, must stop the next attempt too (the engine sees an
+	// already-canceled context at its first poll).
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	j.mu.Lock()
+	j.cancel = cancel
+	j.mu.Unlock()
+
 	for attempt := 1; ; attempt++ {
 		if !deadline.IsZero() && !deadline.After(s.cfg.Now()) {
 			s.complete(j, JobFailed, nil, "deadline exceeded before attempt "+fmt.Sprint(attempt))
 			return
 		}
-		ctx, cancel := context.WithCancelCause(context.Background())
 		j.mu.Lock()
 		j.attempts = attempt
-		j.cancel = cancel
 		j.mu.Unlock()
 
 		resume := s.hasCheckpoint(j)
 		out, err := s.attempt(runner, s.buildOptions(j, ctx, deadline, resume))
-		cancel(nil)
 
 		switch {
 		case err == nil:

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -442,3 +443,117 @@ type atomic64 struct {
 
 func (a *atomic64) add(d int64) { a.mu.Lock(); a.v += d; a.mu.Unlock() }
 func (a *atomic64) load() int64 { a.mu.Lock(); defer a.mu.Unlock(); return a.v }
+
+// TestDoneIsPublishedAfterResultAndCache is the submit/poll/resubmit loop a
+// client runs, polled as fast as the API allows so the test lands in any
+// window between a job turning "done" and the rest of its completion: the
+// moment "done" is visible, result.json exists, the lifecycle counter has
+// moved and an identical submission is a verdict-cache hit. It also covers
+// the queued-cancel path: "canceled" is visible only once persisted.
+// Stable under -race -count=200.
+func TestDoneIsPublishedAfterResultAndCache(t *testing.T) {
+	s := newTestSup(t, nil)
+	done := s.Metrics().Counter(`checkd_jobs_completed_total{state="done"}`)
+	for i := 1; i <= 12; i++ {
+		req := JobRequest{Spec: "slow", Config: SpecParams{Nodes: i}}
+		res, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(30 * time.Second); ; runtime.Gosched() {
+			st, err := s.Status(res.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State == JobDone {
+				break
+			}
+			if st.State.Terminal() || time.Now().After(deadline) {
+				t.Fatalf("job %s is %q (err %q), want done", res.ID, st.State, st.Error)
+			}
+		}
+		if _, err := os.Stat(filepath.Join(s.cfg.Root, res.ID, "result.json")); err != nil {
+			t.Fatalf("job %d is done but its result is not durable: %v", i, err)
+		}
+		if got := done.Value(); got != int64(i) {
+			t.Fatalf("job %d is done but the done counter reads %d", i, got)
+		}
+		hit, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit.Cached {
+			t.Fatalf("job %d is done but an identical submission missed the verdict cache", i)
+		}
+	}
+
+	// Fill both workers with jobs slow enough to still be running, queue
+	// one more behind them and cancel it there.
+	for i := 0; i < 2; i++ {
+		if _, err := s.Submit(JobRequest{Spec: "slow", Config: SpecParams{Nodes: 30 + i, MaxTerm: 200}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queued, err := s.Submit(JobRequest{Spec: "slow", Config: SpecParams{Nodes: 40}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled := make(chan error, 1)
+	go func() { canceled <- s.Cancel(queued.ID) }()
+	for deadline := time.Now().Add(30 * time.Second); ; runtime.Gosched() {
+		st, err := s.Status(queued.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == JobCanceled {
+			break
+		}
+		if st.State != JobQueued || time.Now().After(deadline) {
+			t.Fatalf("job %s is %q, want queued then canceled", queued.ID, st.State)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(s.cfg.Root, queued.ID, "result.json")); err != nil {
+		t.Fatalf("job is canceled but a restart would run it: %v", err)
+	}
+	if err := <-canceled; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCancelAndDrainDuringBackoffAreNotLost: between a failed attempt and
+// its retry the job is "running" with no engine attached. A cancel or a
+// drain issued then must still stop the retry, not be swallowed. The job is
+// big enough that a retry nobody stopped would still be running long after
+// the request went out.
+func TestCancelAndDrainDuringBackoffAreNotLost(t *testing.T) {
+	for name, tc := range map[string]struct {
+		stop func(s *Supervisor, id string) error
+		want JobState
+	}{
+		"cancel": {func(s *Supervisor, id string) error { return s.Cancel(id) }, JobCanceled},
+		// Drain waits for the workers, and the worker is in this Sleep.
+		"drain": {func(s *Supervisor, _ string) error { go s.Drain(); return nil }, JobInterrupted},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var s *Supervisor
+			id := make(chan string, 1)
+			s = newTestSup(t, func(c *Config) {
+				c.Sleep = func(time.Duration) {
+					if err := tc.stop(s, <-id); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+			crashyRemaining.Store(1)
+			defer crashyRemaining.Store(0)
+			res, err := s.Submit(JobRequest{Spec: "crashy", Config: SpecParams{Nodes: 400}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			id <- res.ID
+			if final := waitJob(t, s, res.ID, tc.want); final.Attempts != 2 {
+				t.Fatalf("attempts = %d, want 2 (the retry starts and is stopped)", final.Attempts)
+			}
+		})
+	}
+}

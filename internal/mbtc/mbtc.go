@@ -36,6 +36,41 @@ type NodeObs struct {
 	// LeaderExclusive asserts every other node is a follower; set for
 	// Leader events, per the processing script's assumption.
 	LeaderExclusive bool
+	// Actions names the specification actions the event's own action label
+	// corresponds to (specActions); nil when the label says nothing. It
+	// narrows the checker's search and is never part of the match.
+	Actions []string
+}
+
+// ActionHints implements tla.GuidedObservation.
+func (o NodeObs) ActionHints() []string { return o.Actions }
+
+// specActions is the one place that relates the action label of an
+// implementation trace event (replset's traceEvent call sites) to the
+// RaftMongo actions that can produce the event. Both variants' names are
+// listed; the checker ignores the ones the spec in hand does not declare,
+// and a row none of whose names it declares means "any action".
+//
+// The "any" rows are the §4.2.2 discrepancies. "Term": V1 has one global
+// term and no gossip action, so an UpdateTermThroughHeartbeat event has no
+// V1 counterpart and is left to full expansion (where it diverges, as the
+// paper found). The same discrepancy folds the implementation's two ways
+// of learning a commit point into V1's single LearnCommitPoint. A label
+// this table does not know — another instrumentation point, a hand-edited
+// log, the empty string — is "any" as well. "Copying the oplog" and "two
+// leaders" need no row: a prefix-filled initial-sync event is still one
+// (multi-entry) AppendOplog, and a second leader diverges under every
+// action.
+var specActions = map[string][]string{
+	"AppendOplog":                   {"AppendOplog"},
+	"RollbackOplog":                 {"RollbackOplog"},
+	"BecomePrimaryByMagic":          {"BecomePrimaryByMagic"},
+	"Stepdown":                      {"Stepdown"},
+	"ClientWrite":                   {"ClientWrite"},
+	"AdvanceCommitPoint":            {"AdvanceCommitPoint"},
+	"UpdateTermThroughHeartbeat":    {"UpdateTermThroughHeartbeat"},
+	"LearnCommitPointWithTermCheck": {"LearnCommitPointWithTermCheck", "LearnCommitPoint"},
+	"LearnCommitPointFromSyncSourceNeverBeyondLastApplied": {"LearnCommitPointFromSyncSourceNeverBeyondLastApplied", "LearnCommitPoint"},
 }
 
 // Matches implements tla.Observation for raftmongo.State.
@@ -96,6 +131,7 @@ func ObservationsFromProcessed(nodes int, events []trace.Event, res *trace.Proce
 			CommitPoint:     st.CommitPoints[e.Node],
 			Oplog:           append([]int(nil), st.Oplogs[e.Node]...),
 			LeaderExclusive: e.Role == "Leader",
+			Actions:         specActions[e.Action],
 		})
 	}
 	return obs
@@ -111,12 +147,27 @@ type Report struct {
 	FailedEvent   string // the event that diverged, when !OK
 	MaxFrontier   int
 	StatesVisited []int // frontier sizes per step
+	// GuidedSteps, HintFallbacks and Rechecked are the checker's account of
+	// how far the events' action labels carried it (tla.TraceResult): steps
+	// expanded by the labelled action only, those of them re-expanded in
+	// full because the label matched nothing, and whether a guided
+	// divergence made it check the whole trace again unguided — in which
+	// case every other field describes that unguided run.
+	GuidedSteps   int
+	HintFallbacks int
+	Rechecked     bool
 	// Interrupted reports that the checker stopped early because
 	// TraceOptions.Context was canceled (or its deadline passed): Checked
 	// observations were matched before the stop and the trace did not
 	// diverge — it was not finished. The companion error wraps
 	// tla.ErrInterrupted.
 	Interrupted bool
+}
+
+// GuidedSummary is the one-line account of the guidance the CLIs print
+// under their frontier line (and CI greps for).
+func (r *Report) GuidedSummary() string {
+	return fmt.Sprintf("guided: %d steps, %d hint fallbacks, rechecked=%v", r.GuidedSteps, r.HintFallbacks, r.Rechecked)
 }
 
 // CheckEvents runs the post-processor and the trace checker over merged
@@ -141,7 +192,12 @@ func CheckEventsOpts(nodes int, events []trace.Event, spec *tla.Spec[raftmongo.S
 	if err != nil {
 		return nil, fmt.Errorf("mbtc: post-processing: %w", err)
 	}
-	obs := ObservationsFromProcessed(nodes, events, processed)
+	return checkObservations(events, processed, ObservationsFromProcessed(nodes, events, processed), spec, topts)
+}
+
+// checkObservations runs the trace checker over obs (the observations of
+// events, one initial observation first) and folds its result into a Report.
+func checkObservations(events []trace.Event, processed *trace.ProcessResult, obs []tla.Observation[raftmongo.State], spec *tla.Spec[raftmongo.State], topts tla.TraceOptions) (*Report, error) {
 	res, checkErr := tla.CheckTraceWith(spec, obs, topts)
 	if res == nil { // rejected before exploring anything (invalid options)
 		return nil, checkErr
@@ -153,6 +209,9 @@ func CheckEventsOpts(nodes int, events []trace.Event, spec *tla.Spec[raftmongo.S
 		OK:            res.OK,
 		FailedStep:    res.FailedStep,
 		StatesVisited: res.FrontierSizes,
+		GuidedSteps:   res.GuidedSteps,
+		HintFallbacks: res.HintFallbacks,
+		Rechecked:     res.Rechecked,
 		Interrupted:   res.Interrupted,
 	}
 	for _, n := range res.FrontierSizes {

@@ -60,6 +60,9 @@ func TestTwoLeadersDivergenceGolden(t *testing.T) {
 	if rep.OK {
 		t.Fatal("the two-leader scenario must diverge from the one-leader specification")
 	}
+	if !rep.Rechecked {
+		t.Fatal("a divergence must be confirmed by the unguided checker before it is reported")
+	}
 	got := fmt.Sprintf("scenario: %s\nevents: %d\nchecked: %d\nfailed step: %d\nfailed event: %s\nmax frontier: %d\n",
 		sc.Name, rep.Events, rep.Checked, rep.FailedStep, rep.FailedEvent, rep.MaxFrontier)
 	compareGolden(t, "two_leaders_divergence.golden", got)

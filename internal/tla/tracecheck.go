@@ -2,7 +2,9 @@ package tla
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -20,6 +22,24 @@ import (
 type Observation[S State] interface {
 	Matches(s S) bool
 	String() string
+}
+
+// GuidedObservation is an Observation that also says which specification
+// actions could have produced it — a trace event usually records the name
+// of the transition that fired, and expanding only that action instead of
+// every action of the spec is most of the cost of a step saved.
+//
+// The hint is advice, never evidence: see CheckTraceWith for how a wrong or
+// over-narrow hint is caught. An observation type that has nothing to say
+// simply does not implement the interface.
+type GuidedObservation[S State] interface {
+	Observation[S]
+	// ActionHints returns the names of the spec actions (Action.Name) that
+	// could have produced the observation. nil means any action. Names the
+	// spec does not declare are ignored, so one hint can serve several
+	// variants of a spec; a hint none of whose names the spec declares
+	// means any action.
+	ActionHints() []string
 }
 
 // FullObservation adapts a complete state into an Observation that matches
@@ -50,6 +70,18 @@ type TraceResult struct {
 	// Explanations[i] is the sorted set of action names that could have
 	// produced observation i+1 from some state in frontier i (diagnostics).
 	Explanations [][]string
+	// GuidedSteps is the number of observations that carried a usable hint
+	// (GuidedObservation) and were first expanded with the hinted actions
+	// only. 0 means the run was the plain frontier method throughout.
+	GuidedSteps int
+	// HintFallbacks counts the guided steps whose hinted actions matched
+	// nothing and that were expanded again with every action.
+	HintFallbacks int
+	// Rechecked reports that the guided run ended in divergence and the
+	// trace was therefore checked again with every hint ignored; every
+	// other field except GuidedSteps and HintFallbacks (kept from the
+	// guided attempt) then describes that unguided run.
+	Rechecked bool
 	// Interrupted reports that the run stopped early because
 	// TraceOptions.Context was canceled: Steps observations were matched
 	// before the stop, OK is false, and the companion error wraps
@@ -126,6 +158,12 @@ func (o TraceOptions) Validate() error {
 // stutterAction is the explanation recorded for a stuttering match.
 const stutterAction = "<stutter>"
 
+// inlineFrontier is the frontier width below which an observation is
+// advanced on the calling goroutine even when Workers > 1: expanding a
+// handful of states costs less than handing them to a pool and waiting.
+// Guided traces spend most steps here (mean frontier ~1.2).
+const inlineFrontier = 4
+
 // CheckTrace decides whether the observed trace is a behaviour of spec,
 // using the direct frontier method: the set of specification states
 // consistent with the trace prefix is advanced one observation at a time.
@@ -146,18 +184,19 @@ func CheckTraceStuttering[S State](spec *Spec[S], trace []Observation[S]) (*Trac
 	return CheckTraceWith(spec, trace, TraceOptions{Stuttering: true})
 }
 
-// frontierChunk is the matched successors produced by one worker from one
-// contiguous slice of the frontier.
-type frontierChunk[S State] struct {
-	states []S
-	keys   []string
-	acts   map[string]bool
-}
-
 // CheckTraceWith is the configurable entry point behind CheckTrace and
 // CheckTraceStuttering: the frontier advance for each observation is split
 // across opts.Workers goroutines, and the per-worker matches are merged
 // into the deduplicated next frontier.
+//
+// Observations that implement GuidedObservation restrict their step to the
+// actions they name. That can only shrink the frontier, so a pass is still
+// a real behaviour of spec; the two ways a wrong hint could produce a
+// false alarm are both closed. A hinted step that matches nothing is
+// expanded again with every action (TraceResult.HintFallbacks), and a
+// guided run that still diverges is discarded and the trace checked again
+// from observation 0 with every hint ignored (TraceResult.Rechecked), so a
+// reported divergence is always the unguided checker's.
 //
 // Frontier deduplication takes the BinaryState fast path when the spec
 // state implements it, but never applies Spec.SymmetryVisitor: observations name
@@ -168,29 +207,99 @@ func CheckTraceWith[S State](spec *Spec[S], trace []Observation[S], opts TraceOp
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	res := &TraceResult{FailedStep: -1}
 	if len(trace) == 0 {
-		res.OK = true
-		return res, nil
+		return &TraceResult{FailedStep: -1, OK: true}, nil
 	}
 	st := newStopper(opts.Context, opts.Deadline, nil)
 	defer st.close()
-	workers := resolveWorkers(opts.Workers)
-	cod := newCodec(&Spec[S]{}, false) // symmetry-free codec: binary fast path only
-	// Per-worker codec clones persist across observations; index 0 is the
-	// merge goroutine's own codec (also the single inline worker's).
-	wcods := make([]*codec[S], workers)
-	wcods[0] = cod
-	for w := 1; w < workers; w++ {
-		wcods[w] = cod.clone()
+	tc := newTraceChecker(spec, opts, st)
+	res, err := tc.run(trace, true)
+	var te *TraceError
+	if errors.As(err, &te) && res.GuidedSteps > 0 {
+		guided := res
+		res, err = tc.run(trace, false)
+		res.GuidedSteps, res.HintFallbacks, res.Rechecked = guided.GuidedSteps, guided.HintFallbacks, true
 	}
+	return res, err
+}
 
-	var frontier []S
-	seen := make(map[string]bool)
-	for _, s := range spec.Init() {
+// frontierChunk is the matched successors produced by one worker from one
+// contiguous slice of the frontier. Its buffers are reused from one
+// observation to the next.
+type frontierChunk[S State] struct {
+	states []S
+	keys   []string
+	acts   []bool // indexed like traceChecker.names
+}
+
+// traceChecker is the state of one CheckTraceWith call: everything the
+// per-observation advance would otherwise allocate afresh.
+type traceChecker[S State] struct {
+	spec *Spec[S]
+	opts TraceOptions
+	st   *stopper
+	// wcods are per-worker codec clones and locals the per-worker dedup
+	// sets; index 0 belongs to the calling goroutine (also the single
+	// inline worker).
+	wcods  []*codec[S]
+	locals []map[string]bool
+	chunks []frontierChunk[S]
+	seen   map[string]bool // merge dedup across chunks
+	// names[i] is spec.Actions[i].Name, with stutterAction appended;
+	// sorted lists the same indices in name order, the order explanations
+	// are reported in.
+	names    []string
+	sorted   []int
+	actIndex map[string]int
+	allActs  []int
+	hintActs []int // scratch: the resolved hint of the current step
+	lastProg time.Time
+}
+
+func newTraceChecker[S State](spec *Spec[S], opts TraceOptions, st *stopper) *traceChecker[S] {
+	workers := resolveWorkers(opts.Workers)
+	n := len(spec.Actions)
+	tc := &traceChecker[S]{
+		spec: spec, opts: opts, st: st,
+		wcods:    make([]*codec[S], workers),
+		locals:   make([]map[string]bool, workers),
+		seen:     make(map[string]bool),
+		names:    make([]string, n+1),
+		sorted:   make([]int, n+1),
+		actIndex: make(map[string]int, n),
+		allActs:  make([]int, n),
+	}
+	tc.wcods[0] = newCodec(&Spec[S]{}, false) // symmetry-free codec: binary fast path only
+	for w := range tc.wcods {
+		if w > 0 {
+			tc.wcods[w] = tc.wcods[0].clone()
+		}
+		tc.locals[w] = make(map[string]bool)
+	}
+	for i, a := range spec.Actions {
+		tc.names[i], tc.allActs[i], tc.actIndex[a.Name] = a.Name, i, i
+	}
+	tc.names[n] = stutterAction
+	for i := range tc.sorted {
+		tc.sorted[i] = i
+	}
+	sort.SliceStable(tc.sorted, func(i, j int) bool { return tc.names[tc.sorted[i]] < tc.names[tc.sorted[j]] })
+	if opts.Progress != nil && opts.ProgressEvery > 0 {
+		tc.lastProg = time.Now()
+	}
+	return tc
+}
+
+// run checks the whole trace once, honouring hints when guided is set.
+func (tc *traceChecker[S]) run(trace []Observation[S], guided bool) (*TraceResult, error) {
+	res := &TraceResult{FailedStep: -1}
+	var frontier, spare []S
+	cod := tc.wcods[0]
+	clear(tc.seen)
+	for _, s := range tc.spec.Init() {
 		if trace[0].Matches(s) {
-			if enc := cod.canonical(s); !seen[string(enc)] {
-				seen[string(enc)] = true
+			if enc := cod.canonical(s); !tc.seen[string(enc)] {
+				tc.seen[string(enc)] = true
 				frontier = append(frontier, s)
 			}
 		}
@@ -200,53 +309,47 @@ func CheckTraceWith[S State](spec *Spec[S], trace []Observation[S], opts TraceOp
 		return res, &TraceError{Step: 0, Obs: trace[0].String()}
 	}
 	res.Steps = 1
-	res.FrontierSizes = append(res.FrontierSizes, len(frontier))
-
-	var lastProg time.Time
-	if opts.Progress != nil && opts.ProgressEvery > 0 {
-		lastProg = time.Now()
+	res.FrontierSizes = append(make([]int, 0, len(trace)), len(frontier))
+	if len(trace) > 1 {
+		res.Explanations = make([][]string, 0, len(trace)-1)
 	}
+
 	for i := 1; i < len(trace); i++ {
-		if st.stopped() {
+		if tc.st.stopped() {
 			res.Interrupted = true
-			return res, st.err()
+			return res, tc.st.err()
 		}
 		// Time-based progress, checked between observations on the merge
 		// goroutine: one clock read per observation when enabled, zero
 		// concurrency with the frontier advance.
-		if opts.Progress != nil && opts.ProgressEvery > 0 {
-			if now := time.Now(); now.Sub(lastProg) >= opts.ProgressEvery {
-				lastProg = now
-				opts.Progress(TraceProgress{Step: i, Total: len(trace), Frontier: len(frontier)})
+		if tc.opts.Progress != nil && tc.opts.ProgressEvery > 0 {
+			if now := time.Now(); now.Sub(tc.lastProg) >= tc.opts.ProgressEvery {
+				tc.lastProg = now
+				tc.opts.Progress(TraceProgress{Step: i, Total: len(trace), Frontier: len(frontier)})
 			}
 		}
-		chunks := advanceFrontier(spec, wcods, frontier, trace[i], opts.Stuttering)
-
-		next := frontier[:0:0]
-		clear(seen)
-		actSet := make(map[string]bool)
-		for _, ch := range chunks {
-			for j, s := range ch.states {
-				if k := ch.keys[j]; !seen[k] {
-					seen[k] = true
-					next = append(next, s)
-				}
-			}
-			for a := range ch.acts {
-				actSet[a] = true
-			}
+		var hint []int
+		if guided {
+			hint = tc.resolveHint(trace[i])
+		}
+		acts := tc.allActs
+		if hint != nil {
+			acts = hint
+			res.GuidedSteps++
+		}
+		next, explanation := tc.advance(frontier, trace[i], acts, spare[:0])
+		if len(next) == 0 && hint != nil {
+			// The label lied, or the state the named action starts from was
+			// pruned by an earlier hint: try everything before giving up.
+			res.HintFallbacks++
+			next, explanation = tc.advance(frontier, trace[i], tc.allActs, next)
 		}
 		if len(next) == 0 {
 			res.FailedStep = i
 			return res, &TraceError{Step: i, Obs: trace[i].String()}
 		}
-		acts := make([]string, 0, len(actSet))
-		for a := range actSet {
-			acts = append(acts, a)
-		}
-		sort.Strings(acts)
-		res.Explanations = append(res.Explanations, acts)
-		frontier = next
+		res.Explanations = append(res.Explanations, explanation)
+		frontier, spare = next, frontier
 		res.Steps++
 		res.FrontierSizes = append(res.FrontierSizes, len(frontier))
 	}
@@ -254,39 +357,102 @@ func CheckTraceWith[S State](spec *Spec[S], trace []Observation[S], opts TraceOp
 	return res, nil
 }
 
-// advanceFrontier computes, in parallel, every successor (and, with
-// stuttering, every unchanged frontier state) consistent with obs. Chunks
-// come back in frontier order so the merged next frontier is deterministic.
-func advanceFrontier[S State](spec *Spec[S], wcods []*codec[S], frontier []S, obs Observation[S], stuttering bool) []frontierChunk[S] {
-	plan := planChunks(len(frontier), len(wcods))
-	chunks := make([]frontierChunk[S], plan.nChunks)
-	plan.run(func(w, c, lo, hi int) {
-		wcod := wcods[w]
-		ch := frontierChunk[S]{acts: make(map[string]bool)}
-		local := make(map[string]bool)
-		add := func(s S, act string) {
-			ch.acts[act] = true
-			enc := wcod.canonical(s)
-			if !local[string(enc)] { // no alloc on the duplicate path
-				k := string(enc)
-				local[k] = true
-				ch.states = append(ch.states, s)
-				ch.keys = append(ch.keys, k)
-			}
+// resolveHint returns the indices of the spec actions obs names, or nil
+// when the step is to be expanded in full: obs carries no hint, or none of
+// the names it gives is an action of this spec. The result aliases scratch
+// that the next call overwrites.
+func (tc *traceChecker[S]) resolveHint(obs Observation[S]) []int {
+	g, ok := obs.(GuidedObservation[S])
+	if !ok {
+		return nil
+	}
+	tc.hintActs = tc.hintActs[:0]
+	for _, name := range g.ActionHints() {
+		if a, ok := tc.actIndex[name]; ok && !slices.Contains(tc.hintActs, a) {
+			tc.hintActs = append(tc.hintActs, a)
 		}
-		for _, s := range frontier[lo:hi] {
-			if stuttering && obs.Matches(s) {
-				add(s, stutterAction)
-			}
-			for _, a := range spec.Actions {
-				for _, succ := range a.Next(s) {
-					if obs.Matches(succ) {
-						add(succ, a.Name)
-					}
+	}
+	if len(tc.hintActs) == 0 || len(tc.hintActs) == len(tc.allActs) {
+		return nil
+	}
+	return tc.hintActs
+}
+
+// advance appends to next the deduplicated successors of frontier, by the
+// given actions (and, with stuttering, the unchanged frontier states), that
+// are consistent with obs, and returns them with the sorted set of action
+// names that produced them. Chunks are merged in frontier order so the next
+// frontier is the same at any worker count.
+func (tc *traceChecker[S]) advance(frontier []S, obs Observation[S], acts []int, next []S) ([]S, []string) {
+	workers := len(tc.wcods)
+	if len(frontier) < inlineFrontier {
+		workers = 1
+	}
+	plan := planChunks(len(frontier), workers)
+	for len(tc.chunks) < plan.nChunks {
+		tc.chunks = append(tc.chunks, frontierChunk[S]{acts: make([]bool, len(tc.names))})
+	}
+	plan.run(func(w, c, lo, hi int) {
+		tc.expand(tc.wcods[w], tc.locals[w], &tc.chunks[c], frontier[lo:hi], obs, acts)
+	})
+
+	chunks := tc.chunks[:plan.nChunks]
+	if len(chunks) == 1 { // already deduplicated by its worker
+		next = append(next, chunks[0].states...)
+	} else {
+		clear(tc.seen)
+		for i := range chunks {
+			ch := &chunks[i]
+			for j, s := range ch.states {
+				if k := ch.keys[j]; !tc.seen[k] {
+					tc.seen[k] = true
+					next = append(next, s)
 				}
 			}
 		}
-		chunks[c] = ch
-	})
-	return chunks
+	}
+	if len(next) == 0 {
+		return next, nil
+	}
+	var explanation []string
+	for _, a := range tc.sorted {
+		hit := false
+		for i := range chunks {
+			hit = hit || chunks[i].acts[a]
+		}
+		if n := len(explanation); hit && (n == 0 || explanation[n-1] != tc.names[a]) {
+			explanation = append(explanation, tc.names[a])
+		}
+	}
+	return next, explanation
+}
+
+// expand fills ch with the matches of one contiguous part of the frontier.
+// Dedup is exact: the key is the state's full encoding, not a fingerprint.
+func (tc *traceChecker[S]) expand(cod *codec[S], local map[string]bool, ch *frontierChunk[S], part []S, obs Observation[S], acts []int) {
+	clear(local)
+	clear(ch.acts)
+	ch.states, ch.keys = ch.states[:0], ch.keys[:0]
+	add := func(s S, act int) {
+		ch.acts[act] = true
+		enc := cod.canonical(s)
+		if !local[string(enc)] { // no alloc on the duplicate path
+			k := string(enc)
+			local[k] = true
+			ch.states = append(ch.states, s)
+			ch.keys = append(ch.keys, k)
+		}
+	}
+	for _, s := range part {
+		if tc.opts.Stuttering && obs.Matches(s) {
+			add(s, len(tc.names)-1)
+		}
+		for _, a := range acts {
+			for _, succ := range tc.spec.Actions[a].Next(s) {
+				if obs.Matches(succ) {
+					add(succ, a)
+				}
+			}
+		}
+	}
 }
