@@ -106,7 +106,7 @@ func BenchmarkE8PresslerVsDirect(b *testing.B) {
 func BenchmarkE10Generate(b *testing.B) {
 	dir := b.TempDir()
 	for i := 0; i < b.N; i++ {
-		cases, _, err := mbtcg.Generate(arrayot.DefaultConfig(), filepath.Join(dir, "g.dot"))
+		cases, _, err := mbtcg.GenerateResult(arrayot.DefaultConfig(), filepath.Join(dir, "g.dot"), tla.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func BenchmarkE10Generate(b *testing.B) {
 // 86/86=100%; our faithful transcription has 72 branch outcomes).
 func BenchmarkE10Coverage(b *testing.B) {
 	dir := b.TempDir()
-	cases, _, err := mbtcg.Generate(arrayot.DefaultConfig(), filepath.Join(dir, "g.dot"))
+	cases, _, err := mbtcg.GenerateResult(arrayot.DefaultConfig(), filepath.Join(dir, "g.dot"), tla.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func BenchmarkE10Coverage(b *testing.B) {
 // all generated cases against the independent Go engine.
 func BenchmarkE12Parity(b *testing.B) {
 	dir := b.TempDir()
-	cases, _, err := mbtcg.Generate(arrayot.DefaultConfig(), filepath.Join(dir, "g.dot"))
+	cases, _, err := mbtcg.GenerateResult(arrayot.DefaultConfig(), filepath.Join(dir, "g.dot"), tla.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func BenchmarkE1Pipeline(b *testing.B) {
 		return nil
 	}
 	for i := 0; i < b.N; i++ {
-		rep, _, err := mbtc.Pipeline(replset.Config{Nodes: 3, Seed: 1}, workload, raftmongo.SpecV2(mbtc.CheckConfig(3)))
+		rep, _, err := mbtc.PipelineOpts(replset.Config{Nodes: 3, Seed: 1}, workload, raftmongo.SpecV2(mbtc.CheckConfig(3)), tla.TraceOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -382,12 +382,15 @@ func BenchmarkParallelCheckEncoding(b *testing.B) {
 	}
 	var binBytes, keyBytes int64
 	encLen := func(id int) (bin, key int64) {
-		return int64(len(pre.Graph.States[id].AppendBinary(nil))), int64(len(pre.Graph.Keys[id]))
+		return int64(len(pre.Graph.StateAt(id).AppendBinary(nil))), int64(len(pre.Graph.KeyAt(id)))
 	}
-	for _, e := range pre.Graph.Edges {
+	if err := pre.Graph.ForEachEdge(func(e tla.Edge) error {
 		bin, key := encLen(e.To)
 		binBytes += bin
 		keyBytes += key
+		return nil
+	}); err != nil {
+		b.Fatal(err)
 	}
 	for _, id := range pre.Graph.Inits {
 		bin, key := encLen(id)
@@ -588,7 +591,7 @@ func BenchmarkParallelTrace(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("replset-fuzz/workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, cerr := mbtc.CheckEventsWith(3, events, spec, w)
+				rep, cerr := mbtc.CheckEventsOpts(3, events, spec, tla.TraceOptions{Workers: w})
 				if cerr != nil {
 					b.Fatal(cerr)
 				}

@@ -258,7 +258,7 @@ func check[S tla.State](spec *tla.Spec[S], opts tla.Options) (*tla.Result[S], er
 		fmt.Fprintln(os.Stderr, "minitlc: warning: a persistent I/O failure disabled disk spilling; results are exact but -mem-budget was not honoured (DegradedMemory)")
 	}
 	if res != nil && opts.Schedule == tla.ScheduleWorkSteal && res.Schedule != tla.ScheduleWorkSteal {
-		fmt.Fprintf(os.Stderr, "minitlc: warning: -schedule worksteal was downgraded to %s (bounded depth, memory budgets, store plugs, and checkpoint/resume are level-synchronized)\n", res.Schedule)
+		fmt.Fprintf(os.Stderr, "minitlc: warning: -schedule worksteal was downgraded to %s (bounded depth, memory budgets and checkpoint/resume are level-synchronized)\n", res.Schedule)
 	}
 	if res != nil && opts.PartialOrder && !res.PartialOrder {
 		fmt.Fprintln(os.Stderr, "minitlc: note: -por requested but this spec declares no transition independence; the run was unpruned")

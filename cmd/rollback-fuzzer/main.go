@@ -4,13 +4,13 @@
 // one log file per node, as each mongod writes its own. With -check the
 // captured trace is additionally merged and model-based trace-checked
 // against the RaftMongo specification (the Figure 1 pipeline's checking
-// half, in-process), with the same engine knobs the other CLIs take:
-// -workers, -symmetry and -mem-budget.
+// half, in-process), with the trace checker's knobs mbtc takes: -workers,
+// -deadline and -progress-every.
 //
 // Usage:
 //
 //	rollback-fuzzer [-steps 8400] [-seed 7] [-nodes 3] [-out dir] [-flawed] [-sync-before-writes] \
-//	                [-check] [-spec v2] [-workers N] [-symmetry] [-por] [-mem-budget BYTES] [-schedule MODE] [-arena] [-deadline DUR] [-progress-every DUR]
+//	                [-check] [-spec v2] [-workers N] [-deadline DUR] [-progress-every DUR]
 package main
 
 import (
@@ -46,11 +46,6 @@ func main() {
 		check     = flag.Bool("check", false, "trace-check the captured run against the RaftMongo specification")
 		specVar   = flag.String("spec", "v2", "specification variant for -check: v1 (global term) or v2 (gossiped terms)")
 		workers   = flag.Int("workers", 0, "trace-checker worker goroutines for -check (0 = GOMAXPROCS, 1 = sequential)")
-		symmetry  = flag.Bool("symmetry", false, "declare node ids interchangeable on the specification (note: trace checking ignores symmetry)")
-		por       = flag.Bool("por", false, "ample-set partial-order reduction (accepted for CLI uniformity; trace checking must keep every state consistent with the trace prefix)")
-		memBudget = flag.Int64("mem-budget", 0, "visited-set spill budget (accepted for CLI uniformity; trace checking keeps its frontier resident)")
-		schedule  = flag.String("schedule", "levelsync", "exploration schedule: levelsync/level-sync or worksteal/work-steal (accepted for CLI uniformity; trace checking advances one observation at a time)")
-		arena     = flag.Bool("arena", false, "encoded-state retention arena (accepted for CLI uniformity; trace checking retains only the live frontier)")
 		deadline  = flag.Duration("deadline", 0, "wall-clock bound on the trace check, e.g. 90s or 10m (0 = none); over-deadline checks stop like an interrupt, with partial results")
 		progEvery = flag.Duration("progress-every", 0, "print a one-line trace-checking status (step, frontier) to stderr this often, e.g. 5s (0 = off); applies to -check")
 	)
@@ -59,13 +54,13 @@ func main() {
 	// itself is short); a second one kills the process normally.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *steps, *seed, *nodes, *outDir, *flawed, *syncFirst, *check, *specVar, *workers, *symmetry, *por, *memBudget, *schedule, *arena, *deadline, *progEvery); err != nil {
+	if err := run(ctx, *steps, *seed, *nodes, *outDir, *flawed, *syncFirst, *check, *specVar, *workers, *deadline, *progEvery); err != nil {
 		fmt.Fprintln(os.Stderr, "rollback-fuzzer:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, steps int, seed int64, nodes int, outDir string, flawed, syncFirst, check bool, specVar string, workers int, symmetry, por bool, memBudget int64, schedule string, arena bool, deadline, progEvery time.Duration) error {
+func run(ctx context.Context, steps int, seed int64, nodes int, outDir string, flawed, syncFirst, check bool, specVar string, workers int, deadline, progEvery time.Duration) error {
 	topts := tla.TraceOptions{Workers: workers, Context: ctx}
 	if deadline > 0 {
 		topts.Deadline = time.Now().Add(deadline)
@@ -76,30 +71,6 @@ func run(ctx context.Context, steps int, seed int64, nodes int, outDir string, f
 	}
 	if err := topts.Validate(); err != nil {
 		return err
-	}
-	if sched, err := tla.ParseSchedule(schedule); err != nil {
-		return err
-	} else if sched != tla.ScheduleLevelSync {
-		fmt.Fprintln(os.Stderr, "rollback-fuzzer: warning: -schedule worksteal was downgraded: trace checking advances one observation at a time; -schedule applies to full exploration (minitlc, mbtcg) only")
-	}
-	if symmetry {
-		// Accepted for CLI uniformity with minitlc/mbtc/mbtcg, but the
-		// frontier method cannot use it: observations name concrete nodes,
-		// so symmetric-but-distinct frontier states must stay distinct.
-		fmt.Fprintln(os.Stderr, "rollback-fuzzer: note: trace checking ignores symmetry (observations name concrete nodes)")
-	}
-	if por {
-		// Accepted for CLI uniformity with minitlc: pruning successors
-		// would discard frontier states the next observation might need.
-		fmt.Fprintln(os.Stderr, "rollback-fuzzer: note: trace checking explores only trace-consistent states; -por applies to full exploration (minitlc) only")
-	}
-	if memBudget != 0 {
-		fmt.Fprintln(os.Stderr, "rollback-fuzzer: note: trace checking keeps its frontier in memory; -mem-budget has no effect")
-	}
-	if arena {
-		// Accepted for CLI uniformity with minitlc/mbtcg: the frontier
-		// method retains only the live frontier plus its explanation spine.
-		fmt.Fprintln(os.Stderr, "rollback-fuzzer: note: trace checking retains only the live frontier; -arena has no effect")
 	}
 	cfg := replset.Config{
 		Nodes:                   nodes,

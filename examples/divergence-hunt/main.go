@@ -10,10 +10,10 @@ import (
 	"path/filepath"
 
 	"repro/internal/arrayot"
-	"repro/internal/core"
 	"repro/internal/mbtcg"
 	"repro/internal/ot"
 	"repro/internal/otgo"
+	"repro/internal/tla"
 )
 
 // mutation wraps the independent engine and corrupts one aspect of its
@@ -80,20 +80,20 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	cases, _, err := core.GenerateOTTests(arrayot.DefaultConfig(), filepath.Join(dir, "g.dot"))
+	cases, _, err := mbtcg.GenerateResult(arrayot.DefaultConfig(), filepath.Join(dir, "g.dot"), tla.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("generated %d conformance cases\n\n", len(cases))
 
-	if ms := core.RunOTTests(cases, otgo.Engine{}); len(ms) != 0 {
+	if ms := mbtcg.RunAll(cases, otgo.Engine{}); len(ms) != 0 {
 		log.Fatalf("clean engine failed: %s", ms[0])
 	}
 	fmt.Println("unmutated engine: all cases pass")
 
 	caught := 0
 	for _, m := range mutations {
-		ms := core.RunOTTests(cases, mutant{m: m})
+		ms := mbtcg.RunAll(cases, mutant{m: m})
 		status := "MISSED"
 		if len(ms) > 0 {
 			status = fmt.Sprintf("caught by %d case failures (first: %s)", len(ms), firstCase(ms))

@@ -9,10 +9,10 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/mbtc"
 	"repro/internal/raftmongo"
 	"repro/internal/replset"
+	"repro/internal/tla"
 )
 
 func main() {
@@ -54,7 +54,7 @@ func main() {
 	cfg := replset.Config{Nodes: 3, Seed: 1}
 
 	// Against the rewritten specification (V2, gossiped terms): PASS.
-	repV2, events, err := core.ReplicaSetPipeline(cfg, workload, raftmongo.SpecV2(mbtc.CheckConfig(3)))
+	repV2, events, err := mbtc.PipelineOpts(cfg, workload, raftmongo.SpecV2(mbtc.CheckConfig(3)), tla.TraceOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func main() {
 	// the partitioned node observes an older term than the new leader,
 	// which a global term cannot represent. This is the discrepancy that
 	// cost the paper's authors a 252-line specification rewrite.
-	repV1, err := mbtc.CheckEvents(3, events, raftmongo.SpecV1(mbtc.CheckConfig(3)))
+	repV1, err := mbtc.CheckEventsOpts(3, events, raftmongo.SpecV1(mbtc.CheckConfig(3)), tla.TraceOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func main() {
 			break
 		}
 	}
-	repBug, err := mbtc.CheckEvents(3, events, raftmongo.SpecV2(mbtc.CheckConfig(3)))
+	repBug, err := mbtc.CheckEventsOpts(3, events, raftmongo.SpecV2(mbtc.CheckConfig(3)), tla.TraceOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/arrayot"
-	"repro/internal/core"
 	"repro/internal/coverage"
 	"repro/internal/fuzzer"
 	"repro/internal/mbtcg"
@@ -29,18 +28,18 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	// Generate: model check, dump DOT, parse, extract cases.
-	cases, distinct, err := core.GenerateOTTests(arrayot.DefaultConfig(), filepath.Join(dir, "array_ot.dot"))
+	cases, res, err := mbtcg.GenerateResult(arrayot.DefaultConfig(), filepath.Join(dir, "array_ot.dot"), tla.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("array_ot model checked: %d distinct states, %d generated cases (paper: 4,913)\n",
-		distinct, len(cases))
+		res.Distinct, len(cases))
 
 	// Conformance: both implementations pass every case.
-	if ms := core.RunOTTests(cases, ot.NewTransformer(nil, false)); len(ms) != 0 {
+	if ms := mbtcg.RunAll(cases, ot.NewTransformer(nil, false)); len(ms) != 0 {
 		log.Fatalf("reference failed: %s", ms[0])
 	}
-	if ms := core.RunOTTests(cases, otgo.Engine{}); len(ms) != 0 {
+	if ms := mbtcg.RunAll(cases, otgo.Engine{}); len(ms) != 0 {
 		log.Fatalf("independent failed: %s", ms[0])
 	}
 	fmt.Println("reference and independent implementations pass all generated cases (parity)")
@@ -66,7 +65,7 @@ func main() {
 	fuzzReg := coverage.NewRegistry()
 	frep := fuzzer.FuzzTransform(fuzzer.DefaultTransformConfig(), ot.NewTransformer(fuzzReg, false))
 	genReg := coverage.NewRegistry()
-	if ms := core.RunOTTests(cases, ot.NewTransformer(genReg, false)); len(ms) != 0 {
+	if ms := mbtcg.RunAll(cases, ot.NewTransformer(genReg, false)); len(ms) != 0 {
 		log.Fatal(ms[0])
 	}
 	fmt.Println("\nbranch coverage of the array merge rules (paper: 21% / 92% / 100%):")
@@ -80,7 +79,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := core.EmitOTTestFile(f, "generated", "repro/internal/ot", cases); err != nil {
+	if err := mbtcg.EmitGoTests(f, "generated", "repro/internal/ot", cases); err != nil {
 		log.Fatal(err)
 	}
 	f.Close()

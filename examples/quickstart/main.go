@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/raftmongo"
 	"repro/internal/tla"
 )
@@ -15,7 +14,7 @@ func main() {
 	// 1. Model-check the RaftMongo specification under a small bound:
 	//    every reachable state satisfies the safety invariants.
 	cfg := raftmongo.Config{Nodes: 3, MaxTerm: 2, MaxLogLen: 2}
-	res, err := core.CheckSpec(raftmongo.SpecV2(cfg), tla.Options{})
+	res, err := tla.Check(raftmongo.SpecV2(cfg), tla.Options{})
 	if err != nil {
 		log.Fatalf("model checking failed: %v", err)
 	}
@@ -35,7 +34,7 @@ func main() {
 		tla.FullObservation[raftmongo.State]{Want: s2},
 		tla.FullObservation[raftmongo.State]{Want: s3},
 	}
-	tr, err := core.TraceCheck(spec, trace)
+	tr, err := tla.CheckTrace(spec, trace)
 	if err != nil {
 		log.Fatalf("trace check: %v", err)
 	}
@@ -46,7 +45,7 @@ func main() {
 	bad := trace[:2]
 	bogus := s3
 	bad = append(bad, tla.FullObservation[raftmongo.State]{Want: bogus})
-	if _, err := core.TraceCheck(spec, bad); err != nil {
+	if _, err := tla.CheckTrace(spec, bad); err != nil {
 		fmt.Printf("corrupted trace rejected: %v\n", err)
 	}
 }

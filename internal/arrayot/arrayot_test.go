@@ -49,7 +49,7 @@ func TestModelChecksClean(t *testing.T) {
 	t.Logf("array_ot: %d distinct states, %d terminal", res.Distinct, len(term))
 	// Every terminal state is fully consistent.
 	for _, id := range term[:50] {
-		s := res.Graph.States[id]
+		s := res.Graph.StateAt(id)
 		if !s.Net.Converged() {
 			t.Fatalf("terminal state %d not converged", id)
 		}

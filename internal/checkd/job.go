@@ -75,7 +75,7 @@ func (r JobRequest) fingerprint() uint64 {
 }
 
 // ProgressInfo is the streamed view of a running job, derived from the
-// engine's per-level Options.Progress callbacks.
+// engine's time-based Options.Progress callbacks (Config.ProgressEvery).
 type ProgressInfo struct {
 	Distinct     int     `json:"distinct"`
 	Transitions  int     `json:"transitions"`

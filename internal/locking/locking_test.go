@@ -1,8 +1,8 @@
 package locking
 
 import (
+	"bytes"
 	"errors"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -177,7 +177,11 @@ func TestParallelCheckerAgrees(t *testing.T) {
 				actors, par.Distinct, par.Transitions, par.Depth, par.Terminal,
 				seq.Distinct, seq.Transitions, seq.Depth, seq.Terminal)
 		}
-		if !reflect.DeepEqual(par.Graph.Keys, seq.Graph.Keys) || !reflect.DeepEqual(par.Graph.Edges, seq.Graph.Edges) {
+		var seqDOT, parDOT bytes.Buffer
+		if err := errors.Join(seq.Graph.WriteDOT(&seqDOT, "Locking"), par.Graph.WriteDOT(&parDOT, "Locking")); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(parDOT.Bytes(), seqDOT.Bytes()) {
 			t.Fatalf("actors=%d: recorded graphs differ", actors)
 		}
 	}

@@ -110,7 +110,7 @@ func TestGuidedMatchesUnguidedOnFuzzerTraces(t *testing.T) {
 			unguided := checkUnguided(t, 3, events, spec, 2)
 			var first *Report
 			for _, w := range []int{1, 2, 4} {
-				guided, err := CheckEventsWith(3, events, spec, w)
+				guided, err := CheckEventsOpts(3, events, spec, tla.TraceOptions{Workers: w})
 				if err != nil {
 					t.Fatalf("%s workers %d: %v", label, w, err)
 				}
@@ -143,7 +143,7 @@ func TestGuidedKeepsEveryScenarioVerdict(t *testing.T) {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}
 		for _, spec := range []*tla.Spec[raftmongo.State]{raftmongo.SpecV1(CheckConfig(sc.Nodes)), raftmongo.SpecV2(CheckConfig(sc.Nodes))} {
-			guided, err := CheckEventsWith(sc.Nodes, events, spec, 2)
+			guided, err := CheckEventsOpts(sc.Nodes, events, spec, tla.TraceOptions{Workers: 2})
 			if err != nil {
 				t.Fatalf("%s: %v", sc.Name, err)
 			}
@@ -158,7 +158,7 @@ func TestGuidedKeepsEveryScenarioVerdict(t *testing.T) {
 func TestGuidedSurvivesAdversarialLabels(t *testing.T) {
 	events := fuzzTrace(t, 7, 300, true)
 	spec := raftmongo.SpecV2(CheckConfig(3))
-	honest, err := CheckEventsWith(3, events, spec, 2)
+	honest, err := CheckEventsOpts(3, events, spec, tla.TraceOptions{Workers: 2})
 	if err != nil || !honest.OK || honest.HintFallbacks != 0 {
 		t.Fatalf("the honest trace must pass without fallbacks: %+v, %v", honest, err)
 	}
@@ -182,7 +182,7 @@ func TestGuidedSurvivesAdversarialLabels(t *testing.T) {
 		"permuted": relabel(func(i int) string { return events[perm[i]].Action }),
 		"random":   relabel(func(int) string { return labels[rng.Intn(len(labels))] }),
 	} {
-		rep, err := CheckEventsWith(3, lying, spec, 2)
+		rep, err := CheckEventsOpts(3, lying, spec, tla.TraceOptions{Workers: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -202,14 +202,14 @@ func TestGuidedSurvivesAdversarialLabels(t *testing.T) {
 		}
 		return events[i].Action
 	})
-	rep, err := CheckEventsWith(3, blank, spec, 2)
+	rep, err := CheckEventsOpts(3, blank, spec, tla.TraceOptions{Workers: 2})
 	if err != nil || !rep.OK {
 		t.Fatalf("partly unlabelled trace: %+v, %v", rep, err)
 	}
 	if want := len(events) - (len(events)+2)/3; rep.GuidedSteps != want || rep.HintFallbacks != 0 {
 		t.Errorf("partly unlabelled trace: %d guided steps, %d fallbacks; want %d and 0", rep.GuidedSteps, rep.HintFallbacks, want)
 	}
-	rep, err = CheckEventsWith(3, relabel(func(int) string { return "" }), spec, 2)
+	rep, err = CheckEventsOpts(3, relabel(func(int) string { return "" }), spec, tla.TraceOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestGuidedDegradesOnASpecLackingTheAction(t *testing.T) {
 		t.Fatal("the scenario produced no UpdateTermThroughHeartbeat event")
 	}
 	spec := raftmongo.SpecV1(CheckConfig(sc.Nodes))
-	rep, err := CheckEventsWith(sc.Nodes, events, spec, 1)
+	rep, err := CheckEventsOpts(sc.Nodes, events, spec, tla.TraceOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

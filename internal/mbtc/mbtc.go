@@ -170,23 +170,12 @@ func (r *Report) GuidedSummary() string {
 	return fmt.Sprintf("guided: %d steps, %d hint fallbacks, rechecked=%v", r.GuidedSteps, r.HintFallbacks, r.Rechecked)
 }
 
-// CheckEvents runs the post-processor and the trace checker over merged
-// events against the given specification variant, with the default
-// (GOMAXPROCS) worker count.
-func CheckEvents(nodes int, events []trace.Event, spec *tla.Spec[raftmongo.State]) (*Report, error) {
-	return CheckEventsWith(nodes, events, spec, 0)
-}
-
-// CheckEventsWith is CheckEvents with an explicit checker worker count
-// (0 = GOMAXPROCS, 1 = sequential).
-func CheckEventsWith(nodes int, events []trace.Event, spec *tla.Spec[raftmongo.State], workers int) (*Report, error) {
-	return CheckEventsOpts(nodes, events, spec, tla.TraceOptions{Workers: workers})
-}
-
-// CheckEventsOpts is CheckEvents with full trace-checker options — the
-// hook the CLIs thread their engine knobs through. Options the frontier
-// method cannot honour (symmetry: observations name concrete nodes) do
-// not exist on TraceOptions by construction.
+// CheckEventsOpts runs the post-processor and the trace checker over merged
+// events against the given specification variant. topts are the
+// trace-checker options — worker count, cancellation, progress; the zero
+// value checks with GOMAXPROCS workers. Options the frontier method cannot
+// honour (symmetry: observations name concrete nodes) do not exist on
+// TraceOptions by construction.
 func CheckEventsOpts(nodes int, events []trace.Event, spec *tla.Spec[raftmongo.State], topts tla.TraceOptions) (*Report, error) {
 	processed, err := trace.Process(nodes, events, trace.ProcessOptions{FillOplogPrefixes: true})
 	if err != nil {
@@ -269,24 +258,14 @@ func RunTraced(cfg replset.Config, workload func(*replset.Cluster) error) ([]tra
 	return trace.Merge(streams)
 }
 
-// Pipeline runs a traced workload end to end: construct a traced cluster,
-// run the workload, collect and merge the logs, post-process, and check
-// against the spec. It returns the report plus the merged events (for the
-// Trace-module path of package tlatext).
-func Pipeline(cfg replset.Config, workload func(*replset.Cluster) error, spec *tla.Spec[raftmongo.State]) (*Report, []trace.Event, error) {
-	return PipelineWith(cfg, workload, spec, 0)
-}
-
-// PipelineWith is Pipeline with an explicit checker worker count
-// (0 = GOMAXPROCS, 1 = sequential).
-func PipelineWith(cfg replset.Config, workload func(*replset.Cluster) error, spec *tla.Spec[raftmongo.State], workers int) (*Report, []trace.Event, error) {
-	return PipelineOpts(cfg, workload, spec, tla.TraceOptions{Workers: workers})
-}
-
-// PipelineOpts is Pipeline with full trace-checker options — the hook the
-// CLIs thread cancellation (TraceOptions.Context wired to SIGINT/SIGTERM)
-// and deadlines through. The workload itself is not cancelable — replica-set
-// runs are short — only the checking half is.
+// PipelineOpts runs a traced workload end to end: construct a traced
+// cluster, run the workload, collect and merge the logs, post-process, and
+// check against the spec. It returns the report plus the merged events (for
+// the Trace-module path of package tlatext). topts are the trace-checker
+// options, as for CheckEventsOpts — the hook the CLIs thread cancellation
+// (TraceOptions.Context wired to SIGINT/SIGTERM) and deadlines through. The
+// workload itself is not cancelable — replica-set runs are short — only the
+// checking half is.
 func PipelineOpts(cfg replset.Config, workload func(*replset.Cluster) error, spec *tla.Spec[raftmongo.State], topts tla.TraceOptions) (*Report, []trace.Event, error) {
 	merged, err := RunTraced(cfg, workload)
 	if err != nil {

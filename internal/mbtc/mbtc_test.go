@@ -8,44 +8,49 @@ import (
 	"repro/internal/raftmongo"
 	"repro/internal/replset"
 	"repro/internal/scenarios"
+	"repro/internal/tla"
 )
 
 // TestPipelineCleanScenarioPasses is experiment E1: the full MBTC pipeline
 // — traced run, log merge, post-processing, trace check — passes for a
-// simple conforming workload against the rewritten (V2) specification.
+// simple conforming workload (an election, then one or two replicated and
+// gossiped writes) against the rewritten (V2) specification.
 func TestPipelineCleanScenarioPasses(t *testing.T) {
-	rep, events, err := Pipeline(
-		replset.Config{Nodes: 3, Seed: 1},
-		func(c *replset.Cluster) error {
-			if _, err := c.Election(0); err != nil {
-				return err
-			}
-			for i := 0; i < 2; i++ {
-				if err := c.ClientWrite(0); err != nil {
+	for _, writes := range []int{1, 2} {
+		rep, events, err := PipelineOpts(
+			replset.Config{Nodes: 3, Seed: 1},
+			func(c *replset.Cluster) error {
+				if _, err := c.Election(0); err != nil {
 					return err
 				}
-				if err := c.ReplicateAll(); err != nil {
-					return err
+				for i := 0; i < writes; i++ {
+					if err := c.ClientWrite(0); err != nil {
+						return err
+					}
+					if err := c.ReplicateAll(); err != nil {
+						return err
+					}
+					if err := c.GossipRound(); err != nil {
+						return err
+					}
 				}
-				if err := c.GossipRound(); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		raftmongo.SpecV2(CheckConfig(3)),
-	)
-	if err != nil {
-		t.Fatal(err)
+				return nil
+			},
+			raftmongo.SpecV2(CheckConfig(3)),
+			tla.TraceOptions{},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK {
+			t.Fatalf("%d writes: trace diverged at step %d (%s); frontier sizes %v",
+				writes, rep.FailedStep, rep.FailedEvent, rep.StatesVisited)
+		}
+		if rep.Events == 0 || len(events) != rep.Events {
+			t.Fatalf("%d writes: events = %d", writes, rep.Events)
+		}
+		t.Logf("%d writes: checked %d events, max frontier %d", writes, rep.Events, rep.MaxFrontier)
 	}
-	if !rep.OK {
-		t.Fatalf("trace diverged at step %d (%s); frontier sizes %v",
-			rep.FailedStep, rep.FailedEvent, rep.StatesVisited)
-	}
-	if rep.Events == 0 || len(events) != rep.Events {
-		t.Fatalf("events = %d", rep.Events)
-	}
-	t.Logf("checked %d events, max frontier %d", rep.Events, rep.MaxFrontier)
 }
 
 // TestAllTracingCompatibleScenariosCheck runs every handwritten scenario
@@ -54,10 +59,11 @@ func TestAllTracingCompatibleScenariosCheck(t *testing.T) {
 	for _, sc := range scenarios.TracingCompatible() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			rep, _, err := Pipeline(
+			rep, _, err := PipelineOpts(
 				replset.Config{Nodes: sc.Nodes, Arbiters: sc.Arbiters, Seed: 1},
 				sc.Run,
 				raftmongo.SpecV2(CheckConfig(sc.Nodes)),
+				tla.TraceOptions{},
 			)
 			if err != nil {
 				t.Fatal(err)
@@ -83,10 +89,11 @@ func TestDiscrepancyArbiters(t *testing.T) {
 		}
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			_, _, err := Pipeline(
+			_, _, err := PipelineOpts(
 				replset.Config{Nodes: sc.Nodes, Arbiters: sc.Arbiters, Seed: 1},
 				sc.Run,
 				raftmongo.SpecV2(CheckConfig(sc.Nodes)),
+				tla.TraceOptions{},
 			)
 			if err == nil || !strings.Contains(err.Error(), "arbiter crashed") {
 				t.Fatalf("err = %v, want arbiter crash", err)
@@ -116,10 +123,11 @@ func TestDiscrepancyTwoLeaders(t *testing.T) {
 	if sc.Run == nil {
 		t.Fatal("scenario missing")
 	}
-	rep, _, err := Pipeline(
+	rep, _, err := PipelineOpts(
 		replset.Config{Nodes: sc.Nodes, Seed: 1},
 		sc.Run,
 		raftmongo.SpecV2(CheckConfig(sc.Nodes)),
+		tla.TraceOptions{},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +149,7 @@ func TestDiscrepancyInitialSyncQuorum(t *testing.T) {
 		cfg := fuzzer.DefaultRollbackConfig()
 		cfg.Steps = 120
 		cfg.SyncBeforeWrites = sync
-		rep, _, err := Pipeline(
+		rep, _, err := PipelineOpts(
 			replset.Config{
 				Nodes:                   3,
 				Seed:                    cfg.Seed,
@@ -153,6 +161,7 @@ func TestDiscrepancyInitialSyncQuorum(t *testing.T) {
 				return ferr
 			},
 			raftmongo.SpecV2(CheckConfig(3)),
+			tla.TraceOptions{},
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -212,14 +221,14 @@ func TestDiscrepancyTermGossip(t *testing.T) {
 		}
 		return c.GossipRound()
 	}
-	repV2, events, err := Pipeline(replset.Config{Nodes: 3, Seed: 1}, workload, raftmongo.SpecV2(CheckConfig(3)))
+	repV2, events, err := PipelineOpts(replset.Config{Nodes: 3, Seed: 1}, workload, raftmongo.SpecV2(CheckConfig(3)), tla.TraceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !repV2.OK {
 		t.Fatalf("V2 diverged at step %d (%s)", repV2.FailedStep, repV2.FailedEvent)
 	}
-	repV1, err := CheckEvents(3, events, raftmongo.SpecV1(CheckConfig(3)))
+	repV1, err := CheckEventsOpts(3, events, raftmongo.SpecV1(CheckConfig(3)), tla.TraceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +243,7 @@ func TestDiscrepancyTermGossip(t *testing.T) {
 // truncated oplogs; with prefix filling (solution 4) the trace checks, and
 // the fills are counted.
 func TestDiscrepancyOplogCopy(t *testing.T) {
-	rep, _, err := Pipeline(
+	rep, _, err := PipelineOpts(
 		replset.Config{Nodes: 3, Seed: 1, RecentOnlyInitialSync: true},
 		func(c *replset.Cluster) error {
 			// Node 2 is down before any writes, so the trace never pins
@@ -263,6 +272,7 @@ func TestDiscrepancyOplogCopy(t *testing.T) {
 			return c.GossipRound()
 		},
 		raftmongo.SpecV2(CheckConfig(3)),
+		tla.TraceOptions{},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +292,7 @@ func TestDiscrepancyOplogCopy(t *testing.T) {
 func TestSeededTranscriptionBugCaught(t *testing.T) {
 	// Simulate the bug by post-editing the trace: the leader claims a
 	// commit point one entry beyond what the majority replicated.
-	_, events, err := Pipeline(
+	_, events, err := PipelineOpts(
 		replset.Config{Nodes: 3, Seed: 1},
 		func(c *replset.Cluster) error {
 			if _, err := c.Election(0); err != nil {
@@ -297,6 +307,7 @@ func TestSeededTranscriptionBugCaught(t *testing.T) {
 			return c.GossipRound()
 		},
 		raftmongo.SpecV2(CheckConfig(3)),
+		tla.TraceOptions{},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +323,7 @@ func TestSeededTranscriptionBugCaught(t *testing.T) {
 	if !mutated {
 		t.Fatal("no AdvanceCommitPoint event to corrupt")
 	}
-	rep, err := CheckEvents(3, events, raftmongo.SpecV2(CheckConfig(3)))
+	rep, err := CheckEventsOpts(3, events, raftmongo.SpecV2(CheckConfig(3)), tla.TraceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,8 +339,8 @@ func TestSeededTranscriptionBugCaught(t *testing.T) {
 func TestEventVolumes(t *testing.T) {
 	totalScenario := 0
 	for _, sc := range scenarios.TracingCompatible() {
-		_, events, err := Pipeline(replset.Config{Nodes: sc.Nodes, Arbiters: sc.Arbiters, Seed: 1}, sc.Run,
-			raftmongo.SpecV2(CheckConfig(sc.Nodes)))
+		_, events, err := PipelineOpts(replset.Config{Nodes: sc.Nodes, Arbiters: sc.Arbiters, Seed: 1}, sc.Run,
+			raftmongo.SpecV2(CheckConfig(sc.Nodes)), tla.TraceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

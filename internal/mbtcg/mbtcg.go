@@ -43,48 +43,29 @@ type TestCase struct {
 	Final []int
 }
 
-// Generate model-checks the specification for cfg, writes the state graph
-// as DOT to dotPath (creating the file), parses it back, and extracts the
-// generated test cases. It returns the cases sorted by name and the number
-// of distinct states explored.
-func Generate(cfg arrayot.Config, dotPath string) ([]TestCase, int, error) {
-	return GenerateWith(cfg, dotPath, 0)
-}
-
-// GenerateWith is Generate with an explicit model-checker worker count
-// (0 = GOMAXPROCS, 1 = sequential). The generated cases are identical at
-// any worker count: the parallel checker records the same graph.
-func GenerateWith(cfg arrayot.Config, dotPath string, workers int) ([]TestCase, int, error) {
-	return GenerateOpts(cfg, dotPath, tla.Options{Workers: workers})
-}
-
-// GenerateOpts is Generate with full checker options — worker count,
-// memory budget, store plugs. RecordGraph is forced on: the pipeline is
-// the graph dump. The cases are identical under every option combination
-// the engine accepts; a MemoryBudgetBytes lets the model-checking half run
-// in bounded memory, spilling fingerprint shards to disk.
-func GenerateOpts(cfg arrayot.Config, dotPath string, opts tla.Options) ([]TestCase, int, error) {
-	cases, res, err := GenerateResult(cfg, dotPath, opts)
-	if err != nil {
-		return nil, 0, err
-	}
-	return cases, res.Distinct, nil
-}
-
-// GenerateResult is GenerateOpts returning the full checker Result
-// alongside the cases, so callers can inspect the effective schedule,
-// counters, or violation. With opts.StateArena the graph is served from
-// the checker's retained-state arena — under a MemoryBudgetBytes it spills
-// to disk, so the generation pipeline runs on state graphs that never fit
-// in RAM (arrayot.State implements tla.BinaryDecoder). The graph is closed
-// before returning: the DOT file is the pipeline's hand-off artifact.
+// GenerateResult model-checks the specification for cfg, writes the state
+// graph as DOT to dotPath (creating the file), parses it back, and extracts
+// the generated test cases, sorted by name. The full checker Result rides
+// along, so callers can inspect the counters, the effective schedule, or
+// the violation. opts are the checker options — worker count, schedule,
+// memory budget; RecordGraph is forced on: the pipeline is the graph dump.
+// The cases are identical under every option combination the engine
+// accepts. With opts.StateArena the graph is served from the checker's
+// retained-state arena — under a MemoryBudgetBytes it spills to disk, so
+// the generation pipeline runs on state graphs that never fit in RAM
+// (arrayot.State implements tla.BinaryDecoder). The graph is closed before
+// returning, on every path: the DOT file is the pipeline's hand-off
+// artifact.
 func GenerateResult(cfg arrayot.Config, dotPath string, opts tla.Options) ([]TestCase, *tla.Result[arrayot.State], error) {
 	opts.RecordGraph = true
 	res, err := tla.Check(arrayot.Spec(cfg), opts)
+	if res != nil && res.Graph != nil {
+		// A violating run keeps its arena-backed graph; release it too.
+		defer res.Graph.Close()
+	}
 	if err != nil {
 		return nil, res, fmt.Errorf("mbtcg: model checking failed: %w", err)
 	}
-	defer res.Graph.Close()
 	f, err := os.Create(dotPath)
 	if err != nil {
 		return nil, res, err

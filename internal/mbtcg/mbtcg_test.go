@@ -25,11 +25,11 @@ func generate(t *testing.T) []TestCase {
 		return defaultCases
 	}
 	dot := filepath.Join(t.TempDir(), "array_ot.dot")
-	cases, distinct, err := Generate(arrayot.DefaultConfig(), dot)
+	cases, res, err := GenerateResult(arrayot.DefaultConfig(), dot, tla.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if distinct == 0 {
+	if res.Distinct == 0 {
 		t.Fatal("no states explored")
 	}
 	defaultCases = cases
@@ -44,7 +44,7 @@ func TestGenerateArenaSpilled(t *testing.T) {
 	cfg := arrayot.Config{Initial: []int{1, 2, 3}, Clients: 2, OpsPerClient: 1, Transformer: ot.NewTransformer(nil, false)}
 	dir := t.TempDir()
 	liveDot := filepath.Join(dir, "live.dot")
-	want, _, err := GenerateOpts(cfg, liveDot, tla.Options{})
+	want, _, err := GenerateResult(cfg, liveDot, tla.Options{})
 	if err != nil {
 		t.Fatalf("live: %v", err)
 	}
@@ -251,14 +251,29 @@ func TestGenerateWritesDOTFile(t *testing.T) {
 		OpsPerClient: 1,
 		Transformer:  ot.NewTransformer(nil, false),
 	}
-	cases, _, err := Generate(cfg, dot)
+	cases, res, err := GenerateResult(cfg, dot, tla.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 1-element array: 1 set + 2 inserts + 0 moves + 1 erase + 1 clear = 5
 	// ops per client; 5² = 25 cases.
-	if len(cases) != 25 {
-		t.Fatalf("cases = %d, want 25", len(cases))
+	if res.Distinct == 0 || len(cases) != 25 {
+		t.Fatalf("distinct = %d, cases = %d, want 25", res.Distinct, len(cases))
+	}
+	// The small configuration end to end: both implementations pass the
+	// cases and the emitted file has its test function.
+	if ms := RunAll(cases, ot.NewTransformer(nil, false)); len(ms) != 0 {
+		t.Fatalf("reference mismatches: %v", ms[0])
+	}
+	if ms := RunAll(cases, otgo.Engine{}); len(ms) != 0 {
+		t.Fatalf("independent mismatches: %v", ms[0])
+	}
+	var buf bytes.Buffer
+	if err := EmitGoTests(&buf, "gen", "repro/internal/ot", cases); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "func TestGenerated(t *testing.T)") {
+		t.Fatal("emitted file malformed")
 	}
 	info, err := os.Stat(dot)
 	if err != nil {
@@ -274,16 +289,16 @@ func TestGenerateWritesDOTFile(t *testing.T) {
 // model checker ran sequentially or with a worker pool.
 func TestGenerateWithWorkersDeterministic(t *testing.T) {
 	dir := t.TempDir()
-	seqCases, seqDistinct, err := GenerateWith(arrayot.DefaultConfig(), filepath.Join(dir, "seq.dot"), 1)
+	seqCases, seq, err := GenerateResult(arrayot.DefaultConfig(), filepath.Join(dir, "seq.dot"), tla.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parCases, parDistinct, err := GenerateWith(arrayot.DefaultConfig(), filepath.Join(dir, "par.dot"), 4)
+	parCases, par, err := GenerateResult(arrayot.DefaultConfig(), filepath.Join(dir, "par.dot"), tla.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seqDistinct != parDistinct {
-		t.Fatalf("distinct states: sequential %d, parallel %d", seqDistinct, parDistinct)
+	if seq.Distinct != par.Distinct {
+		t.Fatalf("distinct states: sequential %d, parallel %d", seq.Distinct, par.Distinct)
 	}
 	if !reflect.DeepEqual(seqCases, parCases) {
 		t.Fatalf("generated cases differ: %d sequential vs %d parallel", len(seqCases), len(parCases))

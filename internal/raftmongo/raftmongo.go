@@ -420,7 +420,7 @@ func oneLeaderPerTerm(s State) error {
 
 // CommitPointsEqual reports whether every node agrees on the commit point —
 // the target of the paper's temporal property that the commit point is
-// eventually propagated (checked via tla.CheckEventually in the tests).
+// eventually propagated (checked via tla.CheckEventuallyWithin in the tests).
 func CommitPointsEqual(s State) bool {
 	for i := 1; i < s.NumNodes(); i++ {
 		if s.CommitPoints[i] != s.CommitPoints[0] {

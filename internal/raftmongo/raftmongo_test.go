@@ -1,7 +1,9 @@
 package raftmongo
 
 import (
-	"reflect"
+	"bytes"
+	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -81,7 +83,7 @@ func TestCommitPointEventuallyPropagated(t *testing.T) {
 		// states (term or log length past the bound) are recorded but
 		// never expanded, so they trivially reach nothing.
 		if w := tla.CheckEventuallyWithin(res.Graph, CommitPointsEqual, cfg.constraint); w != -1 {
-			t.Errorf("%s: state %q cannot reach commit-point agreement", name, res.Graph.Keys[w])
+			t.Errorf("%s: state %q cannot reach commit-point agreement", name, res.Graph.KeyAt(w))
 		}
 	}
 }
@@ -101,7 +103,8 @@ func TestCommittedWritesSurviveRollback(t *testing.T) {
 	// while having diverged): the combination must still satisfy the
 	// invariant, i.e. the committed entry is on a majority.
 	foundCommit := false
-	for _, s := range res.Graph.States {
+	for id := 0; id < res.Graph.Len(); id++ {
+		s := res.Graph.StateAt(id)
 		for i := range s.Roles {
 			if !s.CommitPoints[i].IsNull() {
 				foundCommit = true
@@ -112,14 +115,7 @@ func TestCommittedWritesSurviveRollback(t *testing.T) {
 		t.Fatal("state space contains no committed writes; config too small")
 	}
 	// Rollback must appear as an explored action.
-	sawRollback := false
-	for _, e := range res.Graph.Edges {
-		if e.Action == "RollbackOplog" {
-			sawRollback = true
-			break
-		}
-	}
-	if !sawRollback {
+	if !slices.Contains(res.Graph.ActionNames(), "RollbackOplog") {
 		t.Error("no RollbackOplog transitions explored")
 	}
 }
@@ -302,7 +298,8 @@ func TestLogMatchingPropertyHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range res.Graph.States {
+	for id := 0; id < res.Graph.Len(); id++ {
+		s := res.Graph.StateAt(id)
 		n := s.NumNodes()
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
@@ -378,11 +375,12 @@ func TestParallelCheckerAgrees(t *testing.T) {
 					name, w, par.Distinct, par.Transitions, par.Depth, par.Terminal,
 					seq.Distinct, seq.Transitions, seq.Depth, seq.Terminal)
 			}
-			if !reflect.DeepEqual(par.Graph.Keys, seq.Graph.Keys) {
-				t.Fatalf("%s workers=%d: graph keys differ", name, w)
+			var seqDOT, parDOT bytes.Buffer
+			if err := errors.Join(seq.Graph.WriteDOT(&seqDOT, name), par.Graph.WriteDOT(&parDOT, name)); err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(par.Graph.Edges, seq.Graph.Edges) {
-				t.Fatalf("%s workers=%d: graph edges differ", name, w)
+			if !bytes.Equal(parDOT.Bytes(), seqDOT.Bytes()) {
+				t.Fatalf("%s workers=%d: recorded graphs differ", name, w)
 			}
 		}
 	}

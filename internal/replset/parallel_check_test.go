@@ -10,6 +10,7 @@ import (
 	"repro/internal/mbtc"
 	"repro/internal/raftmongo"
 	"repro/internal/replset"
+	"repro/internal/tla"
 )
 
 // TestTraceCheckParallelAgrees runs one deterministic replica-set workload
@@ -39,7 +40,7 @@ func TestTraceCheckParallelAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := raftmongo.SpecV2(mbtc.CheckConfig(3))
-	want, err := mbtc.CheckEventsWith(3, events, spec, 1)
+	want, err := mbtc.CheckEventsOpts(3, events, spec, tla.TraceOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestTraceCheckParallelAgrees(t *testing.T) {
 		t.Fatalf("sequential check rejected the trace: %+v", want)
 	}
 	for _, w := range []int{2, 4, 8} {
-		got, err := mbtc.CheckEventsWith(3, events, spec, w)
+		got, err := mbtc.CheckEventsOpts(3, events, spec, tla.TraceOptions{Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/mbtc"
 	"repro/internal/raftmongo"
 	"repro/internal/replset"
+	"repro/internal/tla"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -53,7 +54,7 @@ func TestTwoLeadersDivergenceGolden(t *testing.T) {
 		t.Fatal("scenario two_leaders_across_partition missing from the catalogue")
 	}
 	cfg := replset.Config{Nodes: sc.Nodes, Arbiters: sc.Arbiters, Seed: 1}
-	rep, _, err := mbtc.PipelineWith(cfg, sc.Run, raftmongo.SpecV2(mbtc.CheckConfig(sc.Nodes)), 1)
+	rep, _, err := mbtc.PipelineOpts(cfg, sc.Run, raftmongo.SpecV2(mbtc.CheckConfig(sc.Nodes)), tla.TraceOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/mbtc"
 	"repro/internal/raftmongo"
 	"repro/internal/replset"
+	"repro/internal/tla"
 )
 
 // TestScenariosCheckParallelAgrees runs a few tracing-compatible scenarios
@@ -21,11 +22,11 @@ func TestScenariosCheckParallelAgrees(t *testing.T) {
 	for _, sc := range compatible[:3] {
 		cfg := replset.Config{Nodes: sc.Nodes, Arbiters: sc.Arbiters, Seed: 1}
 		spec := raftmongo.SpecV2(mbtc.CheckConfig(sc.Nodes))
-		want, _, err := mbtc.PipelineWith(cfg, sc.Run, spec, 1)
+		want, _, err := mbtc.PipelineOpts(cfg, sc.Run, spec, tla.TraceOptions{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s sequential: %v", sc.Name, err)
 		}
-		got, _, err := mbtc.PipelineWith(cfg, sc.Run, spec, 4)
+		got, _, err := mbtc.PipelineOpts(cfg, sc.Run, spec, tla.TraceOptions{Workers: 4})
 		if err != nil {
 			t.Fatalf("%s workers=4: %v", sc.Name, err)
 		}

@@ -429,7 +429,7 @@ func (r *retainer[S]) add(s S, enc []byte, parent int, act string, depth int) er
 }
 
 // addEdge records one graph edge into the arena's edge segments (arena
-// graph mode only; live mode appends to Graph.Edges directly).
+// graph mode only; live mode appends to Graph.edges directly).
 func (r *retainer[S]) addEdge(from int, act string, to int) error {
 	return r.arena.addEdge(from, r.actIdx[act], to)
 }

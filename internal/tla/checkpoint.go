@@ -167,14 +167,10 @@ func (o Options) Fingerprint() uint64 { return optionsFingerprint(o) }
 // writeCheckpoint seals the run's state at a level boundary into ck's
 // directory as a fresh generation. On any failure this generation's files
 // are removed and the previous checkpoint stays valid.
-func writeCheckpoint[S State](ck *checkpointer, spec *Spec[S], opts Options, ret *retainer[S], vs VisitedStore, res *Result[S], frontier []int, level int) (string, error) {
+func writeCheckpoint[S State](ck *checkpointer, spec *Spec[S], opts Options, ret *retainer[S], vs visitedStore, res *Result[S], frontier []int, level int) (string, error) {
 	a := ret.arena
 	if a == nil {
 		return "", errors.New("tla: checkpoint requires the state arena")
-	}
-	cv, ok := vs.(checkpointVisited)
-	if !ok {
-		return "", fmt.Errorf("tla: visited store %T cannot be checkpointed", vs)
 	}
 	fsys := ck.fsys
 	if err := ck.em.retry("checkpoint", func() error { return fsys.MkdirAll(ck.dir) }); err != nil {
@@ -211,7 +207,7 @@ func writeCheckpoint[S State](ck *checkpointer, spec *Spec[S], opts Options, ret
 		files = append(files, edgesName)
 	}
 
-	runs, err := cv.snapshotRuns(fsys, ck.dir, prefix)
+	runs, err := vs.snapshotRuns(fsys, ck.dir, prefix)
 	if err != nil {
 		cleanup()
 		return "", err
@@ -642,7 +638,7 @@ func reconstructStates[S State](spec *Spec[S], cod *codec[S], ret *retainer[S], 
 // against the spec and options, seeds the counters, arena and visited
 // store, and re-enqueues the frontier with reconstructed live values.
 // Returns the BFS level the resumed loop continues from.
-func resumeRun[S State](spec *Spec[S], opts Options, cod *codec[S], ret *retainer[S], vs VisitedStore, fr FrontierStore, res *Result[S], ck *checkpointer) (int, error) {
+func resumeRun[S State](spec *Spec[S], opts Options, cod *codec[S], ret *retainer[S], vs visitedStore, fr *levelFrontier, res *Result[S], ck *checkpointer) (int, error) {
 	fsys := resolveFS(opts.FS)
 	dir := opts.ResumeFrom
 	m, err := readManifest(fsys, dir)
@@ -664,10 +660,6 @@ func resumeRun[S State](spec *Spec[S], opts Options, cod *codec[S], ret *retaine
 			return 0, fmt.Errorf("%w: action table mismatch at %d: %q vs %q", ErrBadCheckpoint, i, name, ret.acts[i])
 		}
 	}
-	cv, ok := vs.(checkpointVisited)
-	if !ok {
-		return 0, fmt.Errorf("tla: visited store %T cannot adopt a checkpoint", vs)
-	}
 	if ret.arena.recordEdges && m.EdgesFile == "" {
 		return 0, fmt.Errorf("%w: checkpoint predates arena edge recording, so RecordGraph cannot be served from it; resume without RecordGraph, or re-run the checkpointing run with it", ErrBadCheckpoint)
 	}
@@ -681,7 +673,7 @@ func resumeRun[S State](spec *Spec[S], opts Options, cod *codec[S], ret *retaine
 	if err := restoreArena(ret.arena, fsys, dir, m); err != nil {
 		return 0, err
 	}
-	if err := cv.adoptRuns(fsys, dir, m.VisitedRuns); err != nil {
+	if err := vs.adoptRuns(fsys, dir, m.VisitedRuns); err != nil {
 		return 0, err
 	}
 	// Rebind the decoder to a real initial state before reconstruction (see

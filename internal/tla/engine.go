@@ -10,9 +10,8 @@ import (
 )
 
 // The exploration engine is a level-synchronized BFS in the style of TLC's
-// multi-worker mode, parameterized by a VisitedStore (deduplication) and a
-// FrontierStore (pending work) — see store.go. Each level alternates two
-// phases:
+// multi-worker mode, parameterized by a visitedStore (deduplication) — see
+// store.go. Each level alternates two phases:
 //
 //   - Expansion (parallel): the frontier is cut into contiguous chunks and
 //     a pool of workers expands them, computing every successor's canonical
@@ -39,7 +38,7 @@ import (
 type candidate[S State] struct {
 	succ  S
 	act   string
-	entry *VisitedEntry
+	entry *visitedEntry
 }
 
 // chunkOut is the ordered output of expanding one contiguous frontier chunk.
@@ -139,8 +138,9 @@ func (p chunkPlan) run(fn func(worker, chunk, lo, hi int)) {
 // runEngine is the unified level-synchronized exploration loop behind
 // Check: one implementation for every worker count and store combination.
 // (ScheduleWorkSteal runs the barrier-free loop in schedule.go instead.)
-func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStore, fr FrontierStore, em *engineMetrics) (res *Result[S], err error) {
+func runEngine[S State](spec *Spec[S], opts Options, workers int, vs visitedStore, em *engineMetrics) (res *Result[S], err error) {
 	res = &Result[S]{Spec: spec.Name}
+	fr := newLevelFrontier()
 	if opts.RecordGraph {
 		res.Graph = &Graph[S]{}
 	}
@@ -298,7 +298,7 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 	// id assignment, retention (live values, or arena encodings under
 	// Options.StateArena), depth and graph bookkeeping, invariant checks,
 	// constraint and depth bounds. Runs on the merge goroutine only.
-	addState := func(s S, e *VisitedEntry, parent int, act string, depth int) (*Violation[S], error) {
+	addState := func(s S, e *visitedEntry, parent int, act string, depth int) (*Violation[S], error) {
 		id := ret.len()
 		if opts.MaxStates > 0 && id >= opts.MaxStates {
 			return nil, ErrStateLimit
@@ -321,8 +321,8 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 			res.Depth = depth
 		}
 		if res.Graph != nil && !arenaGraph {
-			res.Graph.States = append(res.Graph.States, s)
-			res.Graph.Keys = append(res.Graph.Keys, s.Key())
+			res.Graph.states = append(res.Graph.states, s)
+			res.Graph.keys = append(res.Graph.keys, s.Key())
 		}
 		for _, inv := range spec.Invariants {
 			mg.enter(opInvariant, inv.Name, id)
@@ -417,19 +417,13 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 	// steady exploration stops allocating candidate storage once the
 	// widest level has grown them.
 	var pool chunkPool[S]
-	// Time-based progress: the merge goroutine publishes each level
-	// boundary's snapshot into snap, and a dedicated ticker goroutine
-	// delivers it to Options.Progress every ProgressEvery. The per-level
-	// delivery below is disabled then, so Progress never runs concurrently
-	// with itself.
+	// Progress: the merge goroutine publishes each level boundary's
+	// snapshot into snap, and a dedicated ticker goroutine delivers it to
+	// Options.Progress every ProgressEvery.
 	var snap *progressSnap
-	if opts.ProgressEvery > 0 {
+	if opts.Progress != nil && opts.ProgressEvery > 0 {
 		snap = &progressSnap{}
-		ticker := startProgressTicker(opts.ProgressEvery, func() {
-			if opts.Progress != nil {
-				opts.Progress(snap.load())
-			}
-		})
+		ticker := startProgressTicker(opts.ProgressEvery, func() { opts.Progress(snap.load()) })
 		defer ticker.stop()
 	}
 	// report publishes one snapshot at a level boundary. It runs on the
@@ -437,7 +431,7 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 	// sums the visited store's sealed runs and the arena's spill file, both
 	// of which only grow on this goroutine too.
 	report := func(frontier []int, level int) {
-		if opts.Progress == nil && snap == nil && em == nil {
+		if snap == nil && em == nil {
 			return
 		}
 		p := Progress{
@@ -461,9 +455,6 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 			snap.store(p)
 		}
 		em.journalLevel(p)
-		if opts.Progress != nil && opts.ProgressEvery == 0 {
-			opts.Progress(p)
-		}
 	}
 	for {
 		frontier := fr.NextLevel()
@@ -518,7 +509,7 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 						return nil, aerr
 					}
 				} else {
-					res.Graph.Edges = append(res.Graph.Edges, Edge{From: id, Action: c.act, To: sid})
+					res.Graph.edges = append(res.Graph.edges, Edge{From: id, Action: c.act, To: sid})
 				}
 			}
 			return viol, nil
@@ -687,7 +678,7 @@ func (p *chunkPool[S]) free(outs []chunkOut[S]) {
 // satisfies the cycle proviso and whether the deferred remainder is
 // processed or skipped — so POR results stay deterministic across worker
 // counts just like everything else on this path.
-func expandFrontier[S State](spec *Spec[S], wcods []*codec[S], ret *retainer[S], frontier []int, vs VisitedStore, pool *chunkPool[S], ctl *runControl, porScr []porScratch[S], em *engineMetrics) []chunkOut[S] {
+func expandFrontier[S State](spec *Spec[S], wcods []*codec[S], ret *retainer[S], frontier []int, vs visitedStore, pool *chunkPool[S], ctl *runControl, porScr []porScratch[S], em *engineMetrics) []chunkOut[S] {
 	plan := planChunks(len(frontier), len(wcods))
 	outs := make([]chunkOut[S], plan.nChunks)
 	pool.seed(outs)
@@ -809,6 +800,6 @@ type porScratch[S State] struct {
 	planner *porPlanner[S]
 	succs   []S
 	acts    []int
-	entries []*VisitedEntry // level-sync only: pre-choice claims
+	entries []*visitedEntry // level-sync only: pre-choice claims
 	fresh   []bool          // per successor: claimed with no id yet
 }

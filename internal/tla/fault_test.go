@@ -243,53 +243,6 @@ func TestDelayFaults(t *testing.T) {
 	})
 }
 
-// TestProgressCallback pins the Options.Progress contract: per-level
-// snapshots on the merge goroutine with monotonic counters, a frontier
-// width that drains to zero, and nonzero spill pressure once the budget
-// forces runs to disk.
-func TestProgressCallback(t *testing.T) {
-	var snaps []Progress
-	opts := Options{
-		Workers:           4,
-		MemoryBudgetBytes: 1,
-		StateArena:        true,
-		Progress:          func(p Progress) { snaps = append(snaps, p) },
-	}
-	res, err := Check(counterSpec(24), opts)
-	if err != nil {
-		t.Fatalf("run failed: %v", err)
-	}
-	if len(snaps) < 2 {
-		t.Fatalf("got %d progress snapshots, want one per BFS level", len(snaps))
-	}
-	var maxSpill int64
-	for i, p := range snaps {
-		if p.Level != i {
-			t.Fatalf("snapshot %d reports level %d", i, p.Level)
-		}
-		if i > 0 {
-			prev := snaps[i-1]
-			if p.Distinct < prev.Distinct || p.Transitions < prev.Transitions || p.Depth < prev.Depth {
-				t.Fatalf("counters regressed between snapshots %d and %d: %+v -> %+v", i-1, i, prev, p)
-			}
-		}
-		if p.SpillBytes > maxSpill {
-			maxSpill = p.SpillBytes
-		}
-	}
-	last := snaps[len(snaps)-1]
-	if last.Frontier != 0 {
-		t.Fatalf("final snapshot still has %d frontier states", last.Frontier)
-	}
-	if last.Distinct != res.Distinct || last.Transitions != res.Transitions || last.Depth != res.Depth {
-		t.Fatalf("final snapshot %+v disagrees with the result %d/%d/%d",
-			last, res.Distinct, res.Transitions, res.Depth)
-	}
-	if maxSpill == 0 {
-		t.Fatal("a budget-1 spilled run never reported spill pressure")
-	}
-}
-
 // recordingFS records every temp file and directory the engine creates, so
 // the leak test can assert they are all gone after the run — however the
 // run ended.

@@ -194,7 +194,7 @@ func TestGuidedStepStillAdmitsStuttering(t *testing.T) {
 	if _, err := CheckTrace(spec, trace); err == nil {
 		t.Fatal("strict checker should reject stuttering, hinted or not")
 	}
-	res, err := CheckTraceStuttering(spec, trace)
+	res, err := CheckTraceWith(spec, trace, TraceOptions{Stuttering: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,9 +164,7 @@ func TestOptionsValidateRobustness(t *testing.T) {
 		{CheckpointEvery: 3},  // no CheckpointDir
 		{CheckpointDir: "ck"}, // no StateArena
 		{ResumeFrom: "ck"},    // no StateArena
-		{CheckpointDir: "ck", StateArena: true, CollisionFree: true},           // no fingerprints to persist
-		{CheckpointDir: "ck", StateArena: true, Visited: newMemVisited(false)}, // plugged store
-		{ResumeFrom: "ck", StateArena: true, Frontier: newLevelFrontier()},
+		{CheckpointDir: "ck", StateArena: true, CollisionFree: true}, // no fingerprints to persist
 	}
 	for _, opts := range bad {
 		if err := opts.Validate(); !errors.Is(err, ErrInvalidOptions) {

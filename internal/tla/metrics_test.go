@@ -102,6 +102,28 @@ func TestMetricsSpillBytesMatchResult(t *testing.T) {
 	}
 }
 
+// journalRecord is one decoded line of a run journal.
+type journalRecord struct {
+	V      int            `json:"v"`
+	Seq    int64          `json:"seq"`
+	TSMS   int64          `json:"ts_ms"`
+	Event  string         `json:"event"`
+	Fields map[string]any `json:"fields"`
+}
+
+func readJournal(t *testing.T, buf *bytes.Buffer) []journalRecord {
+	t.Helper()
+	var recs []journalRecord
+	for i, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var r journalRecord
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		recs = append(recs, r)
+	}
+	return recs
+}
+
 // TestJournalGolden locks the journal's shape for a deterministic
 // level-synchronized run: the event sequence, the per-event field sets,
 // and the monotone seq/ts_ms invariants — the stability consumers key
@@ -112,21 +134,7 @@ func TestJournalGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type record struct {
-		V      int            `json:"v"`
-		Seq    int64          `json:"seq"`
-		TSMS   int64          `json:"ts_ms"`
-		Event  string         `json:"event"`
-		Fields map[string]any `json:"fields"`
-	}
-	var recs []record
-	for i, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var r record
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			t.Fatalf("line %d: %v", i, err)
-		}
-		recs = append(recs, r)
-	}
+	recs := readJournal(t, &buf)
 	// counterSpec(3) explores levels 0..6 (A+B from 0 to 6) plus the empty
 	// level that ends the run, so: run_start, 8 level events, run_end.
 	wantEvents := []string{"run_start", "level", "level", "level", "level", "level", "level", "level", "level", "run_end"}
@@ -184,72 +192,123 @@ func TestJournalViolationVerdict(t *testing.T) {
 	if res == nil || res.Violation == nil {
 		t.Fatalf("tripwire spec did not violate (err=%v)", err)
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	var last struct {
-		Event  string         `json:"event"`
-		Fields map[string]any `json:"fields"`
-	}
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
-		t.Fatal(err)
-	}
+	recs := readJournal(t, &buf)
+	last := recs[len(recs)-1]
 	if last.Event != "run_end" || last.Fields["verdict"] != "violation" {
 		t.Fatalf("last record = %s %v, want run_end/violation", last.Event, last.Fields)
 	}
 }
 
-// TestProgressEveryWorkSteal pins the satellite fix: a work-stealing run
-// with ProgressEvery set delivers periodic Progress snapshots — previously
-// ScheduleWorkSteal never fired Progress at all. The final stop()-driven
-// delivery guarantees at least one callback even on a fast run.
-func TestProgressEveryWorkSteal(t *testing.T) {
-	var calls atomic.Int64
-	var lastDistinct atomic.Int64
-	res, err := Check(gridSpec(4, 6, -1), Options{
-		Schedule:      ScheduleWorkSteal,
-		ProgressEvery: time.Millisecond,
-		Progress: func(p Progress) {
-			calls.Add(1)
-			lastDistinct.Store(int64(p.Distinct))
-		},
+// TestProgressCallback pins what a level boundary reports — the journal's
+// "level" events: the level index is the event's position, the counters are
+// monotone, the width drains to zero, the last event agrees with the
+// Result, and spill pressure is nonzero once the budget forces runs to disk.
+func TestProgressCallback(t *testing.T) {
+	var buf bytes.Buffer
+	res, err := Check(counterSpec(24), Options{
+		Workers:           4,
+		MemoryBudgetBytes: 1,
+		StateArena:        true,
+		JournalWriter:     &buf,
 	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("run failed: %v", err)
 	}
-	if res.Schedule != ScheduleWorkSteal {
-		t.Fatalf("schedule downgraded to %s", res.Schedule)
+	var levels []map[string]any
+	for _, r := range readJournal(t, &buf) {
+		if r.Event == "level" {
+			levels = append(levels, r.Fields)
+		}
 	}
-	if calls.Load() == 0 {
-		t.Fatal("ProgressEvery fired no Progress callbacks under work-stealing")
+	if len(levels) < 2 {
+		t.Fatalf("got %d level events, want one per BFS level", len(levels))
 	}
-	if got := lastDistinct.Load(); got != int64(res.Distinct) {
-		t.Fatalf("final progress snapshot distinct = %d, Result.Distinct = %d", got, res.Distinct)
+	num := func(f map[string]any, key string) int { return int(f[key].(float64)) }
+	maxSpill := 0
+	for i, f := range levels {
+		if num(f, "level") != i {
+			t.Fatalf("level event %d reports level %d", i, num(f, "level"))
+		}
+		if i > 0 {
+			prev := levels[i-1]
+			for _, key := range []string{"distinct", "transitions", "depth"} {
+				if num(f, key) < num(prev, key) {
+					t.Fatalf("%s regressed between level events %d and %d: %v -> %v", key, i-1, i, prev, f)
+				}
+			}
+		}
+		if sb := num(f, "spill_bytes"); sb > maxSpill {
+			maxSpill = sb
+		}
+	}
+	last := levels[len(levels)-1]
+	if num(last, "width") != 0 {
+		t.Fatalf("final level event still has %d frontier states", num(last, "width"))
+	}
+	if num(last, "distinct") != res.Distinct || num(last, "transitions") != res.Transitions || num(last, "depth") != res.Depth {
+		t.Fatalf("final level event %v disagrees with the result %d/%d/%d",
+			last, res.Distinct, res.Transitions, res.Depth)
+	}
+	if maxSpill == 0 {
+		t.Fatal("a budget-1 spilled run never reported spill pressure")
 	}
 }
 
-// TestProgressEveryLevelSyncSuppressesPerLevel checks the delivery-contract
-// switch: with ProgressEvery set, the per-level path is disabled, so every
-// delivery comes from the timer goroutine (at most once per period plus the
-// final flush) instead of once per level.
+// TestProgressEveryWorkSteal pins time-based Progress under both
+// schedules: a run with ProgressEvery set delivers snapshots, and the final
+// stop()-driven delivery — which guarantees at least one callback even on a
+// fast run — carries the Result's own count.
+func TestProgressEveryWorkSteal(t *testing.T) {
+	for _, sched := range []Schedule{ScheduleWorkSteal, ScheduleLevelSync} {
+		t.Run(sched.String(), func(t *testing.T) {
+			var calls atomic.Int64
+			var lastDistinct atomic.Int64
+			res, err := Check(gridSpec(4, 6, -1), Options{
+				Schedule:      sched,
+				ProgressEvery: time.Millisecond,
+				Progress: func(p Progress) {
+					calls.Add(1)
+					lastDistinct.Store(int64(p.Distinct))
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Schedule != sched {
+				t.Fatalf("schedule resolved to %s", res.Schedule)
+			}
+			if calls.Load() == 0 {
+				t.Fatal("ProgressEvery fired no Progress callbacks")
+			}
+			if got := lastDistinct.Load(); got != int64(res.Distinct) {
+				t.Fatalf("final progress snapshot distinct = %d, Result.Distinct = %d", got, res.Distinct)
+			}
+		})
+	}
+}
+
+// TestProgressEveryLevelSyncSuppressesPerLevel checks that level boundaries
+// deliver nothing themselves: every delivery comes from the timer goroutine
+// (at most once per period plus the final flush), so a period longer than
+// the run means exactly one, and no period means none.
 func TestProgressEveryLevelSyncSuppressesPerLevel(t *testing.T) {
-	var timed atomic.Int64
-	res, err := Check(counterSpec(80), Options{
-		ProgressEvery: time.Hour, // only the final stop() flush can fire
-		Progress:      func(Progress) { timed.Add(1) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := timed.Load(); got != 1 {
-		t.Fatalf("got %d deliveries, want exactly the final flush", got)
-	}
-	var perLevel atomic.Int64
-	if _, err := Check(counterSpec(80), Options{
-		Progress: func(Progress) { perLevel.Add(1) },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := perLevel.Load(); got < int64(res.Depth) {
-		t.Fatalf("per-level delivery fired %d times over %d levels", got, res.Depth)
+	for _, tc := range []struct {
+		every time.Duration
+		want  int64
+	}{
+		{time.Hour, 1}, // only the final stop() flush can fire
+		{0, 0},
+	} {
+		var calls atomic.Int64
+		if _, err := Check(counterSpec(80), Options{
+			ProgressEvery: tc.every,
+			Progress:      func(Progress) { calls.Add(1) },
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := calls.Load(); got != tc.want {
+			t.Fatalf("ProgressEvery %s: got %d deliveries, want %d", tc.every, got, tc.want)
+		}
 	}
 }
 

@@ -52,11 +52,11 @@ func assertResultsEqual[S State](t *testing.T, label string, want, got *Result[S
 		t.Fatalf("%s: graph nilness differs", label)
 	}
 	if want.Graph != nil {
-		if !reflect.DeepEqual(got.Graph.Keys, want.Graph.Keys) {
-			t.Fatalf("%s: graph keys differ:\n got  %v\n want %v", label, got.Graph.Keys, want.Graph.Keys)
+		if !reflect.DeepEqual(got.Graph.keys, want.Graph.keys) {
+			t.Fatalf("%s: graph keys differ:\n got  %v\n want %v", label, got.Graph.keys, want.Graph.keys)
 		}
-		if !reflect.DeepEqual(got.Graph.Edges, want.Graph.Edges) {
-			t.Fatalf("%s: graph edges differ (got %d, want %d)", label, len(got.Graph.Edges), len(want.Graph.Edges))
+		if !reflect.DeepEqual(got.Graph.edges, want.Graph.edges) {
+			t.Fatalf("%s: graph edges differ (got %d, want %d)", label, len(got.Graph.edges), len(want.Graph.edges))
 		}
 		if !reflect.DeepEqual(got.Graph.Inits, want.Graph.Inits) {
 			t.Fatalf("%s: graph inits %v, want %v", label, got.Graph.Inits, want.Graph.Inits)

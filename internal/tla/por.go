@@ -57,7 +57,7 @@ import "repro/internal/obs"
 // behaviour but not necessarily a shortest one. What it does not preserve:
 // Distinct, Transitions, Depth, ConstraintCuts and the recorded graph all
 // describe the reduced space — smaller by construction (Distinct never
-// exceeds the unpruned run's). Liveness checking (CheckEventually*) needs
+// exceeds the unpruned run's). Liveness checking (CheckEventuallyWithin) needs
 // the full edge set and must run without POR.
 
 // Independence is a spec's partial-order-reduction declaration

@@ -246,23 +246,12 @@ func TestPORWithoutDeclarationIsNoOp(t *testing.T) {
 	}
 }
 
-// TestPORValidate pins the option combinations POR rejects up front: the
-// cycle proviso is implemented against the built-in claim-then-assign
-// visited protocol (plugged stores can't honor it), and MaxDepth would cut
-// a different state set than the unpruned run once deferral moves
-// interleavings to other depths.
+// TestPORValidate pins the option combination POR rejects up front:
+// MaxDepth would cut a different state set than the unpruned run once
+// deferral moves interleavings to other depths.
 func TestPORValidate(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"plugged visited", Options{PartialOrder: true, Visited: newMemVisited(false)}},
-		{"plugged frontier", Options{PartialOrder: true, Frontier: newLevelFrontier()}},
-		{"max depth", Options{PartialOrder: true, MaxDepth: 3}},
-	} {
-		if err := tc.opts.Validate(); !errors.Is(err, ErrInvalidOptions) {
-			t.Fatalf("%s: Validate = %v, want ErrInvalidOptions", tc.name, err)
-		}
+	if err := (Options{PartialOrder: true, MaxDepth: 3}).Validate(); !errors.Is(err, ErrInvalidOptions) {
+		t.Fatalf("max depth: Validate = %v, want ErrInvalidOptions", err)
 	}
 	// The combinations POR explicitly supports must stay valid.
 	for _, opts := range []Options{

@@ -36,8 +36,8 @@ import (
 // recorded graph lists states and edges in nondeterministic order.
 // Because a depth bound needs true BFS depths to cut the same states,
 // MaxDepth runs fall back to level-sync, as do runs using the
-// level-synchronized spilling visited store (MemoryBudgetBytes) or
-// caller-plugged stores — see Options.effectiveSchedule.
+// level-synchronized spilling visited store (MemoryBudgetBytes) and
+// checkpointing runs — see Options.effectiveSchedule.
 //
 // Under work-stealing, Invariants and Constraint are called from worker
 // goroutines (the level-synchronized engine calls them on the merge
@@ -82,16 +82,15 @@ func ParseSchedule(name string) (Schedule, error) {
 // effectiveSchedule resolves the schedule Check actually runs. Work-steal
 // falls back to level-sync when the options demand level semantics:
 // MaxDepth needs true BFS depths to cut the same states, the spilling
-// visited store (MemoryBudgetBytes) resolves lookups once per level,
-// caller-plugged stores implement the level protocol, and checkpoints are
-// sealed at level boundaries, which a barrier-free run does not have. The
-// fallback is documented on Options.Schedule; results are correct either
-// way.
+// visited store (MemoryBudgetBytes) resolves lookups once per level, and
+// checkpoints are sealed at level boundaries, which a barrier-free run does
+// not have. The fallback is documented on Options.Schedule; results are
+// correct either way.
 func (o Options) effectiveSchedule() Schedule {
 	if o.Schedule != ScheduleWorkSteal {
 		return ScheduleLevelSync
 	}
-	if o.MaxDepth > 0 || o.MemoryBudgetBytes > 0 || o.Visited != nil || o.Frontier != nil || o.checkpointing() {
+	if o.MaxDepth > 0 || o.MemoryBudgetBytes > 0 || o.checkpointing() {
 		return ScheduleLevelSync
 	}
 	return ScheduleWorkSteal
@@ -382,8 +381,8 @@ func (w *wsWorker[S]) alloc() int {
 	// or stop releases it right after registration.
 	e.ret.retainLive(id, w.regS)
 	if e.res.Graph != nil && !e.arenaGraph {
-		e.res.Graph.States = append(e.res.Graph.States, w.regS)
-		e.res.Graph.Keys = append(e.res.Graph.Keys, w.regS.Key())
+		e.res.Graph.states = append(e.res.Graph.states, w.regS)
+		e.res.Graph.keys = append(e.res.Graph.keys, w.regS.Key())
 	}
 	if e.snap != nil {
 		e.snap.distinct.Add(1)
@@ -818,7 +817,7 @@ func runWorkSteal[S State](spec *Spec[S], opts Options, workers int, em *engineM
 			res.Depth = w.maxDepth
 		}
 		if res.Graph != nil {
-			res.Graph.Edges = append(res.Graph.Edges, w.edges...)
+			res.Graph.edges = append(res.Graph.edges, w.edges...)
 		}
 	}
 	res.Distinct = ret.len()

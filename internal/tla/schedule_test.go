@@ -190,16 +190,16 @@ func TestWorkStealGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Graph.States) != len(want.Graph.States) || len(got.Graph.Edges) != len(want.Graph.Edges) {
+	if len(got.Graph.states) != len(want.Graph.states) || len(got.Graph.edges) != len(want.Graph.edges) {
 		t.Fatalf("graph sizes differ: got %d states/%d edges, want %d/%d",
-			len(got.Graph.States), len(got.Graph.Edges), len(want.Graph.States), len(want.Graph.Edges))
+			len(got.Graph.states), len(got.Graph.edges), len(want.Graph.states), len(want.Graph.edges))
 	}
-	keyOf := func(g *Graph[counterState], id int) string { return g.Keys[id] }
+	keyOf := func(g *Graph[counterState], id int) string { return g.keys[id] }
 	wantEdges := map[string]int{}
-	for _, e := range want.Graph.Edges {
+	for _, e := range want.Graph.edges {
 		wantEdges[keyOf(want.Graph, e.From)+"|"+e.Action+"|"+keyOf(want.Graph, e.To)]++
 	}
-	for _, e := range got.Graph.Edges {
+	for _, e := range got.Graph.edges {
 		k := keyOf(got.Graph, e.From) + "|" + e.Action + "|" + keyOf(got.Graph, e.To)
 		wantEdges[k]--
 		if wantEdges[k] < 0 {
@@ -214,19 +214,19 @@ func TestWorkStealGraph(t *testing.T) {
 	if len(got.Graph.Inits) != len(want.Graph.Inits) {
 		t.Fatalf("inits differ: %d vs %d", len(got.Graph.Inits), len(want.Graph.Inits))
 	}
-	// CheckEventually is order-independent; it must agree on the recorded
-	// graph regardless of schedule.
+	// CheckEventuallyWithin is order-independent; it must agree on the
+	// recorded graph regardless of schedule.
 	p := func(s counterState) bool { return s.A == 10 && s.B == 10 }
-	if w, g := CheckEventually(want.Graph, p), CheckEventually(got.Graph, p); (w == -1) != (g == -1) {
-		t.Fatalf("CheckEventually disagrees across schedules: levelsync=%d worksteal=%d", w, g)
+	if w, g := CheckEventuallyWithin(want.Graph, p, nil), CheckEventuallyWithin(got.Graph, p, nil); (w == -1) != (g == -1) {
+		t.Fatalf("CheckEventuallyWithin disagrees across schedules: levelsync=%d worksteal=%d", w, g)
 	}
 }
 
 // TestWorkStealFallsBack pins the documented level-sync fallbacks: depth
-// bounds, the spilling visited store, and caller-plugged stores all need
-// level semantics, so Check must run them level-synchronized — observable
-// through the exact level-sync results (which work-stealing could only
-// reproduce by accident, e.g. the exact BFS Depth on a depth-bounded run).
+// bounds and the spilling visited store need level semantics, so Check
+// must run them level-synchronized — observable through the exact
+// level-sync results (which work-stealing could only reproduce by
+// accident, e.g. the exact BFS Depth on a depth-bounded run).
 func TestWorkStealFallsBack(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -234,21 +234,12 @@ func TestWorkStealFallsBack(t *testing.T) {
 	}{
 		{"maxdepth", Options{Schedule: ScheduleWorkSteal, MaxDepth: 3, RecordGraph: true}},
 		{"membudget", Options{Schedule: ScheduleWorkSteal, MemoryBudgetBytes: 1, RecordGraph: true}},
-		{"visited", Options{Schedule: ScheduleWorkSteal, Visited: newMemVisited(true), RecordGraph: true}},
-		{"frontier", Options{Schedule: ScheduleWorkSteal, Frontier: &countingFrontier{}, RecordGraph: true}},
 	} {
 		if got := tc.opts.effectiveSchedule(); got != ScheduleLevelSync {
 			t.Fatalf("%s: effectiveSchedule = %v, want the level-sync fallback", tc.name, got)
 		}
 		lsOpts := tc.opts
 		lsOpts.Schedule = ScheduleLevelSync
-		lsOpts.Visited, lsOpts.Frontier = nil, nil
-		if tc.name == "visited" {
-			lsOpts.Visited = newMemVisited(true)
-		}
-		if tc.name == "frontier" {
-			lsOpts.Frontier = &countingFrontier{}
-		}
 		want, wantErr := Check(counterSpec(12), lsOpts)
 		got, gotErr := Check(counterSpec(12), tc.opts)
 		assertResultsEqual(t, "fallback-"+tc.name, want, got, wantErr, gotErr)

@@ -12,7 +12,7 @@ import (
 	"time"
 )
 
-// spillVisited is the disk-spilling VisitedStore: TLC's answer to state
+// spillVisited is the disk-spilling visitedStore: TLC's answer to state
 // spaces whose fingerprint set outgrows RAM, transcribed to the engine's
 // level-synchronized protocol. Resident fingerprints live in the same
 // sharded maps as memVisited; when EndLevel finds the resident set over
@@ -58,7 +58,7 @@ const spillRecSize = 16
 
 type spillShard struct {
 	mu   sync.Mutex
-	byFP map[uint64]*VisitedEntry
+	byFP map[uint64]*visitedEntry
 	// fresh are the entries created since the last ResolveLevel: the
 	// claims that may yet turn out to be duplicates of spilled
 	// fingerprints.
@@ -67,7 +67,7 @@ type spillShard struct {
 
 type spillFresh struct {
 	fp uint64
-	e  *VisitedEntry
+	e  *visitedEntry
 }
 
 // spillCompactAfter is the sealed-run fan-in the store tolerates: once
@@ -96,7 +96,7 @@ type spillVisited struct {
 func newSpillVisited(budget int64, fsys FS, em *engineMetrics) *spillVisited {
 	vs := &spillVisited{budget: budget, fsys: resolveFS(fsys), em: em}
 	for i := range vs.shards {
-		vs.shards[i].byFP = make(map[uint64]*VisitedEntry)
+		vs.shards[i].byFP = make(map[uint64]*visitedEntry)
 	}
 	return vs
 }
@@ -116,16 +116,16 @@ func (vs *spillVisited) residentBytes() int64 {
 	return int64(vs.resident) * spillBytesPerEntry
 }
 
-// Claim implements VisitedStore. A fingerprint absent from the resident
+// Claim implements visitedStore. A fingerprint absent from the resident
 // maps gets a provisional ID -1 entry even if it was spilled earlier;
 // ResolveLevel settles the question before the merge needs the answer.
-func (vs *spillVisited) Claim(enc []byte) *VisitedEntry {
+func (vs *spillVisited) Claim(enc []byte) *visitedEntry {
 	fp := fingerprint(enc)
 	sh := &vs.shards[fp&(visitedShards-1)]
 	sh.mu.Lock()
 	e := sh.byFP[fp]
 	if e == nil {
-		e = &VisitedEntry{ID: -1}
+		e = &visitedEntry{ID: -1}
 		sh.byFP[fp] = e
 		sh.fresh = append(sh.fresh, spillFresh{fp: fp, e: e})
 	}
@@ -222,7 +222,7 @@ func readRecsFile(fsys FS, path string, fn func(spillRec) error) error {
 // clearResident drops the shard maps after their contents were sealed.
 func (vs *spillVisited) clearResident() {
 	for i := range vs.shards {
-		vs.shards[i].byFP = make(map[uint64]*VisitedEntry)
+		vs.shards[i].byFP = make(map[uint64]*visitedEntry)
 	}
 	vs.resident = 0
 }

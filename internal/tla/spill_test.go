@@ -17,8 +17,6 @@ func TestOptionsValidate(t *testing.T) {
 		{MaxDepth: -2},
 		{MemoryBudgetBytes: -1},
 		{MemoryBudgetBytes: 1 << 20, CollisionFree: true},
-		{MemoryBudgetBytes: 1 << 20, Visited: newMemVisited(false)},
-		{CollisionFree: true, Visited: newMemVisited(true)},
 		{Schedule: Schedule(7)},
 		{Schedule: Schedule(-1)},
 	}
@@ -35,7 +33,6 @@ func TestOptionsValidate(t *testing.T) {
 		{Workers: 0, MaxStates: 0, MaxDepth: 0},
 		{Workers: 4, CollisionFree: true},
 		{MemoryBudgetBytes: 1},
-		{Visited: newMemVisited(true)},
 		{Schedule: ScheduleWorkSteal},
 		{Schedule: ScheduleWorkSteal, CollisionFree: true},
 		{StateArena: true},
@@ -94,15 +91,16 @@ func TestSpillMatchesMemoryStore(t *testing.T) {
 	}
 }
 
-// TestSpillStoreSealsAndRevives drives the spilling store through the
-// plugged-in Options.Visited seam and inspects it directly: a forced-spill
-// exploration must actually seal runs on disk, reproduce the resident
-// result exactly, and remove its spill directory on Close.
+// TestSpillStoreSealsAndRevives hands runEngine a spilling store it can
+// inspect afterwards: a forced-spill exploration must actually seal runs on
+// disk, reproduce the resident result exactly, and remove its spill
+// directory on Close.
 func TestSpillStoreSealsAndRevives(t *testing.T) {
 	st := newSpillVisited(1, nil, nil)
-	want, wantErr := Check(counterSpec(15), Options{RecordGraph: true, Workers: 2})
-	got, gotErr := Check(counterSpec(15), Options{RecordGraph: true, Workers: 2, Visited: st})
-	assertResultsEqual(t, "plugged-spill", want, got, wantErr, gotErr)
+	opts := Options{RecordGraph: true, Workers: 2}
+	want, wantErr := Check(counterSpec(15), opts)
+	got, gotErr := runEngine(counterSpec(15), opts, opts.Workers, st, nil)
+	assertResultsEqual(t, "inspected-spill", want, got, wantErr, gotErr)
 	if len(st.runs) == 0 {
 		t.Fatal("one-byte budget explored the space without sealing a single run — the spill path never engaged")
 	}
@@ -174,7 +172,7 @@ func TestSpillRunCompaction(t *testing.T) {
 	st := newSpillVisited(1, nil, nil)
 	defer st.Close()
 
-	entries := map[string]*VisitedEntry{}
+	entries := map[string]*visitedEntry{}
 	nextID := 0
 	// Drive spillCompactAfter+1 levels, each sealing one single-claim run;
 	// the final EndLevel must compact. Re-claim key "dup" every level so
@@ -205,7 +203,7 @@ func TestSpillRunCompaction(t *testing.T) {
 	}
 	// Every spilled fingerprint must revive with its original id through
 	// the compacted run.
-	revived := map[string]*VisitedEntry{}
+	revived := map[string]*visitedEntry{}
 	for key := range entries {
 		revived[key] = st.Claim([]byte(key))
 	}
@@ -225,29 +223,6 @@ func TestSpillRunCompaction(t *testing.T) {
 	}
 	if want := int64(len(entries) * spillRecSize); fi.Size() != want {
 		t.Fatalf("compacted run is %d bytes, want %d (%d distinct records)", fi.Size(), want, len(entries))
-	}
-}
-
-// countingFrontier wraps the default frontier to prove the FrontierStore
-// seam carries the whole exploration when plugged in via Options.Frontier.
-type countingFrontier struct {
-	levelFrontier
-	pushes, levels int
-}
-
-func (f *countingFrontier) Push(id int) { f.pushes++; f.levelFrontier.Push(id) }
-func (f *countingFrontier) NextLevel() []int {
-	f.levels++
-	return f.levelFrontier.NextLevel()
-}
-
-func TestCustomFrontierStore(t *testing.T) {
-	fr := &countingFrontier{}
-	want, wantErr := Check(counterSpec(10), Options{RecordGraph: true})
-	got, gotErr := Check(counterSpec(10), Options{RecordGraph: true, Frontier: fr})
-	assertResultsEqual(t, "custom-frontier", want, got, wantErr, gotErr)
-	if fr.pushes == 0 || fr.levels == 0 {
-		t.Fatalf("plugged-in frontier saw %d pushes over %d levels — the engine bypassed it", fr.pushes, fr.levels)
 	}
 }
 

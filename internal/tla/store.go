@@ -7,20 +7,19 @@ import (
 	"sync"
 )
 
-// This file defines the two small interfaces the exploration engine is
-// parameterized by — the VisitedStore (deduplication) and the FrontierStore
-// (pending work) — together with their default implementations. The engine
-// itself (engine.go) is store-agnostic: the in-memory sharded fingerprint
-// map, the collision-free full-encoding map, and the disk-spilling store
-// (spill.go) all run under the identical expansion/merge loop, which is how
-// the sequential oracle, the parallel checker, and the bounded-memory
-// checker stay byte-for-byte comparable.
+// This file defines the visitedStore interface the level-synchronized engine
+// deduplicates through, its in-memory implementations, and the engine's
+// pending-work queue. The engine itself (engine.go) is store-agnostic: the
+// in-memory sharded fingerprint map, the collision-free full-encoding map,
+// and the disk-spilling store (spill.go) all run under the identical
+// expansion/merge loop, which is how the sequential oracle, the parallel
+// checker, and the bounded-memory checker stay byte-for-byte comparable.
 
-// VisitedEntry is a store's ticket for one canonical encoding. The engine
+// visitedEntry is a store's ticket for one canonical encoding. The engine
 // assigns ID during the deterministic merge phase; a store may persist and
 // later restore the assignment (the spilling store writes (fingerprint, ID)
 // records to its sorted runs).
-type VisitedEntry struct {
+type visitedEntry struct {
 	// ID is the state's dense id, or -1 while the encoding is only
 	// claimed: a successor seen this level whose canonical position is
 	// decided during the merge, or a fingerprint spilled to disk that has
@@ -28,8 +27,8 @@ type VisitedEntry struct {
 	ID int
 }
 
-// VisitedStore is the deduplication half of the exploration engine: it maps
-// canonical state encodings to VisitedEntry tickets. The engine drives it
+// visitedStore is the deduplication half of the exploration engine: it maps
+// canonical state encodings to visitedEntry tickets. The engine drives it
 // in level-synchronized strokes:
 //
 //   - Claim is called concurrently by expansion workers (and by the merge
@@ -45,34 +44,26 @@ type VisitedEntry struct {
 //     stores enforce memory budgets here (the spilling store seals
 //     over-budget shards into a sorted run).
 //   - Close releases any resources (temp files) when the run finishes.
-//
-// Options.Visited plugs in a custom implementation; the engine then never
-// calls Close on it (the caller owns its lifecycle).
-type VisitedStore interface {
-	Claim(enc []byte) *VisitedEntry
+//   - snapshotRuns and adoptRuns are the checkpoint/resume half:
+//     snapshotRuns seals the store's dedup state into sorted run files
+//     under dir (names returned relative to dir, store unmodified), and
+//     adoptRuns restores a previous snapshot into a fresh store.
+type visitedStore interface {
+	Claim(enc []byte) *visitedEntry
 	ResolveLevel() error
 	EndLevel() error
 	Close() error
+	snapshotRuns(fsys FS, dir, prefix string) ([]string, error)
+	adoptRuns(fsys FS, srcDir string, names []string) error
 }
 
-// FrontierStore is the pending-work half of the level-synchronized
-// exploration engine: the discovered-but-unexpanded state ids. The engine
-// Pushes ids from the merge goroutine only, and drains one BFS level at a
-// time with NextLevel; an empty level ends the exploration. The default
-// implementation is a level-synchronized queue; the interface is the seam
-// for prioritized or instrumented frontiers (Options.Frontier). The
-// work-stealing scheduler (Options.Schedule, schedule.go) does not flow
-// through this interface — its per-worker deques have no level structure
-// to drain, which is the point.
-type FrontierStore interface {
-	Push(id int)
-	NextLevel() []int
-}
-
-// levelFrontier is the default FrontierStore: a double-buffered
-// level-synchronized queue. NextLevel hands out the accumulated level and
-// recycles the previously handed-out slice for the next one, so a steady
-// exploration allocates no frontier storage after the widest level.
+// levelFrontier is the level-synchronized engine's pending work — the
+// discovered-but-unexpanded state ids — as a double-buffered queue. The
+// engine Pushes ids from the merge goroutine only and drains one BFS level
+// at a time: NextLevel hands out the accumulated level and recycles the
+// previously handed-out slice for the next one, so a steady exploration
+// allocates no frontier storage after the widest level. An empty level ends
+// the exploration.
 type levelFrontier struct {
 	cur, next []int
 }
@@ -93,8 +84,8 @@ const visitedShards = 64
 
 type memShard struct {
 	mu    sync.Mutex
-	byFP  map[uint64]*VisitedEntry // fingerprint mode
-	byKey map[string]*VisitedEntry // collision-free mode
+	byFP  map[uint64]*visitedEntry // fingerprint mode
+	byKey map[string]*visitedEntry // collision-free mode
 }
 
 // memVisited is the in-memory sharded visited store. Workers claim
@@ -113,9 +104,9 @@ func newMemVisited(collisionFree bool) *memVisited {
 	vs := &memVisited{collisionFree: collisionFree}
 	for i := range vs.shards {
 		if collisionFree {
-			vs.shards[i].byKey = make(map[string]*VisitedEntry)
+			vs.shards[i].byKey = make(map[string]*visitedEntry)
 		} else {
-			vs.shards[i].byFP = make(map[uint64]*VisitedEntry)
+			vs.shards[i].byFP = make(map[uint64]*visitedEntry)
 		}
 	}
 	return vs
@@ -129,21 +120,21 @@ func newMemVisited(collisionFree bool) *memVisited {
 // claimants of the same encoding get the same entry. Which goroutine
 // creates an entry is racy, but immaterial: ids are assigned only during
 // the sequential merge, in deterministic order.
-func (vs *memVisited) Claim(enc []byte) *VisitedEntry {
+func (vs *memVisited) Claim(enc []byte) *visitedEntry {
 	fp := fingerprint(enc)
 	sh := &vs.shards[fp&(visitedShards-1)]
 	sh.mu.Lock()
-	var e *VisitedEntry
+	var e *visitedEntry
 	if vs.collisionFree {
 		e = sh.byKey[string(enc)] // no alloc: map lookup by converted []byte
 		if e == nil {
-			e = &VisitedEntry{ID: -1}
+			e = &visitedEntry{ID: -1}
 			sh.byKey[string(enc)] = e
 		}
 	} else {
 		e = sh.byFP[fp]
 		if e == nil {
-			e = &VisitedEntry{ID: -1}
+			e = &visitedEntry{ID: -1}
 			sh.byFP[fp] = e
 		}
 	}
@@ -196,7 +187,7 @@ func (vs *memVisited) adoptRuns(fsys FS, srcDir string, names []string) error {
 			return readRecsFile(fsys, filepath.Join(srcDir, name), func(rec spillRec) error {
 				sh := &vs.shards[rec.fp&(visitedShards-1)]
 				if sh.byFP[rec.fp] == nil {
-					sh.byFP[rec.fp] = &VisitedEntry{ID: int(rec.id)}
+					sh.byFP[rec.fp] = &visitedEntry{ID: int(rec.id)}
 				}
 				return nil
 			})
@@ -208,17 +199,6 @@ func (vs *memVisited) adoptRuns(fsys FS, srcDir string, names []string) error {
 	return nil
 }
 
-// checkpointVisited is the optional interface a visited store implements
-// to participate in checkpoint/resume: snapshotRuns seals the store's
-// dedup state into sorted run files under dir (names returned relative to
-// dir, store unmodified), and adoptRuns restores a previous snapshot into
-// a fresh store. Both built-in fingerprint stores implement it; a plugged
-// Options.Visited need not (Options.Validate rejects that combination).
-type checkpointVisited interface {
-	snapshotRuns(fsys FS, dir, prefix string) ([]string, error)
-	adoptRuns(fsys FS, srcDir string, names []string) error
-}
-
 // newVisitedStore selects the visited store for a validated Options:
 // the spilling fingerprint store when a memory budget is set, the
 // collision-free map when exactness is demanded (explicitly, or implicitly
@@ -226,7 +206,7 @@ type checkpointVisited interface {
 // otherwise. A checkpointing run forces fingerprint mode even for the
 // sequential oracle — checkpoints persist (fingerprint, id) records, which
 // a full-encoding map cannot be rebuilt from.
-func newVisitedStore(opts Options, workers int, em *engineMetrics) VisitedStore {
+func newVisitedStore(opts Options, workers int, em *engineMetrics) visitedStore {
 	if opts.MemoryBudgetBytes > 0 {
 		return newSpillVisited(opts.MemoryBudgetBytes, opts.FS, em)
 	}

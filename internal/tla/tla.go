@@ -47,8 +47,10 @@ type State interface {
 // Next from multiple goroutines concurrently while expanding a frontier.
 // Next must therefore be pure up to shared state: reading captured
 // configuration is fine, mutating captured caches or globals is not.
-// Invariants and the state Constraint, by contrast, always run on the
-// single merge goroutine.
+// Invariants and the state Constraint run on the single merge goroutine of
+// a level-synchronized run, but on the worker goroutines under
+// ScheduleWorkSteal (see Options.Schedule), so they must not mutate shared
+// state either.
 type Action[S State] struct {
 	Name string
 	Next func(S) []S
@@ -121,26 +123,27 @@ type Edge struct {
 // Graph is the reachable-state graph recorded during checking. States are
 // numbered densely in BFS discovery order.
 //
-// The graph has two representations behind one API. In live mode (the
-// default under Options.RecordGraph) the exported slices hold everything:
-// States[i] is state i, Keys[i] its canonical key, Edges the transitions.
-// In arena mode (RecordGraph + StateArena on a BinaryDecoder spec) the
-// slices stay empty except Inits, and states and edges are served lazily
-// from the retained-state arena — resident segments or the spill file —
-// so a graph larger than memory is still fully traversable. Consumers
-// should therefore use the accessors (Len, NumEdges, StateAt, KeyAt,
-// ForEachEdge) rather than the slices; an arena-mode graph owns the
-// arena's spill file, and the caller releases it with Close when done.
+// The graph has two representations behind one API: the accessors Len,
+// NumEdges, StateAt, KeyAt and ForEachEdge. In live mode (the default
+// under Options.RecordGraph) states, keys and edges are held in memory. In
+// arena mode (RecordGraph + StateArena on a BinaryDecoder spec) they are
+// served lazily from the retained-state arena — resident segments or the
+// spill file — so a graph larger than memory is still fully traversable;
+// an arena-mode graph owns the arena's spill file, and the caller releases
+// it with Close when done.
 //
 // Arena-mode accessors that cannot return an error (StateAt, KeyAt, and
 // the traversals built on them) panic if a spilled segment has become
 // unreadable — reconstruction reads are required reads, exactly as in
 // counterexample reconstruction, and a silent wrong answer is worse.
 type Graph[S State] struct {
-	States []S
-	Keys   []string
-	Edges  []Edge
-	Inits  []int
+	Inits []int
+
+	// live mode: states[i] is state i, keys[i] its canonical key, edges the
+	// transitions; all empty in arena mode.
+	states []S
+	keys   []string
+	edges  []Edge
 
 	// arena mode: the run's retainer (holding the arena) and a codec with
 	// the bound decoder; nil in live mode.
@@ -156,7 +159,7 @@ func (g *Graph[S]) Len() int {
 	if g.ret != nil {
 		return g.ret.arena.len()
 	}
-	return len(g.States)
+	return len(g.states)
 }
 
 // NumEdges returns the number of recorded transitions.
@@ -164,7 +167,7 @@ func (g *Graph[S]) NumEdges() int {
 	if g.ret != nil {
 		return g.ret.arena.edgeCount
 	}
-	return len(g.Edges)
+	return len(g.edges)
 }
 
 // StateAt returns state id — from the slice in live mode, decoded from its
@@ -178,7 +181,7 @@ func (g *Graph[S]) StateAt(id int) S {
 		}
 		return s
 	}
-	return g.States[id]
+	return g.states[id]
 }
 
 // KeyAt returns the canonical key of state id.
@@ -186,7 +189,7 @@ func (g *Graph[S]) KeyAt(id int) string {
 	if g.ret != nil {
 		return g.StateAt(id).Key()
 	}
-	return g.Keys[id]
+	return g.keys[id]
 }
 
 // ForEachEdge streams every recorded edge to fn in recorded order,
@@ -198,7 +201,7 @@ func (g *Graph[S]) ForEachEdge(fn func(Edge) error) error {
 			return fn(Edge{From: from, Action: g.ret.acts[act], To: to})
 		})
 	}
-	for _, e := range g.Edges {
+	for _, e := range g.edges {
 		if err := fn(e); err != nil {
 			return err
 		}
@@ -262,7 +265,7 @@ type Options struct {
 	// level semantics fall back to level-sync: MaxDepth > 0 (a depth bound
 	// needs true BFS depths to cut the same states), MemoryBudgetBytes > 0
 	// (the spilling visited store resolves lookups once per level), and
-	// caller-plugged Visited/Frontier stores.
+	// checkpoint/resume (checkpoints are sealed at level boundaries).
 	Schedule Schedule
 	// StateArena retains discovered states as canonical encodings in an
 	// append-only arena — parent links and ~24 bytes of metadata per state
@@ -291,10 +294,8 @@ type Options struct {
 	// whether pruning was actually active. Composes with SymmetryVisitor,
 	// both schedules, StateArena and MemoryBudgetBytes; rejected with
 	// MaxDepth (a depth bound cuts deferred interleavings differently
-	// from the unpruned run) and with plugged-in Visited/Frontier stores
-	// (the cycle proviso needs the built-in claim protocol). Liveness
-	// checking needs the full edge set: run CheckEventually* on graphs
-	// recorded without POR.
+	// from the unpruned run). Liveness checking needs the full edge set:
+	// run CheckEventuallyWithin on graphs recorded without POR.
 	PartialOrder bool
 	// CollisionFree makes the parallel path deduplicate on full canonical
 	// keys instead of 64-bit fingerprints, trading memory and speed for
@@ -324,18 +325,6 @@ type Options struct {
 	// oracle — and is therefore rejected alongside CollisionFree, whose
 	// full-encoding keys are memory-resident by definition.
 	MemoryBudgetBytes int64
-	// Visited, when non-nil, plugs in a caller-supplied VisitedStore,
-	// overriding the selection the options above imply (CollisionFree
-	// and MemoryBudgetBytes describe the built-in stores and are
-	// rejected alongside a plug-in). The engine does not Close a
-	// plugged-in store — its lifecycle belongs to the caller — but a
-	// store carries one run's dense-id assignments, so every Check call
-	// needs a freshly constructed store; reusing one yields bogus
-	// results.
-	Visited VisitedStore
-	// Frontier, when non-nil, plugs in a caller-supplied FrontierStore in
-	// place of the default level-synchronized queue.
-	Frontier FrontierStore
 	// Context, when non-nil, cancels the run cooperatively: both
 	// schedulers poll it at their stop points (the level-synchronized
 	// loop between levels and between frontier states, the work-stealing
@@ -365,9 +354,9 @@ type Options struct {
 	// continues where it stopped, with verdict and counts identical to an
 	// uninterrupted run. Requires StateArena (the parent-chain replay
 	// that reconstructs the frontier's live states) and fingerprint
-	// deduplication (rejected alongside CollisionFree and plugged-in
-	// stores); checkpointed runs are level-synchronized, so
-	// ScheduleWorkSteal falls back to ScheduleLevelSync.
+	// deduplication (rejected alongside CollisionFree); checkpointed runs
+	// are level-synchronized, so ScheduleWorkSteal falls back to
+	// ScheduleLevelSync.
 	CheckpointDir string
 	// CheckpointEvery checkpoints every N completed BFS levels in
 	// addition to checkpoint-on-interrupt (0 = only on interrupt).
@@ -386,28 +375,19 @@ type Options struct {
 	// the CLIs use to persist the flag configuration a resumed process
 	// needs to rebuild the identical spec.
 	CheckpointMeta map[string]string
-	// Progress, when non-nil, is called with a snapshot of the exploration
-	// so far — the hook a long-lived server (cmd/checkd) streams to
-	// clients. Its delivery contract depends on ProgressEvery:
-	//
-	// With ProgressEvery zero, Progress fires at every BFS level boundary
-	// of a level-synchronized run, on the merge goroutine between levels —
-	// so it must not block for long, must not call back into the engine,
-	// and needs no internal locking of its own. The work-stealing schedule
-	// has no level structure and, on this path, reports nothing at all.
-	//
-	// With ProgressEvery > 0, the level-boundary path is disabled and
-	// Progress instead fires on a wall-clock ticker under BOTH schedules —
-	// the supported way to observe a ScheduleWorkSteal run. The callback
-	// then runs on a dedicated timer goroutine concurrent with the
-	// exploration (never with itself), so it must be safe to run off the
-	// merge goroutine.
+	// Progress, when non-nil together with ProgressEvery, receives periodic
+	// snapshots of the exploration so far — the hook a long-lived server
+	// (cmd/checkd) streams to clients. It fires at most once per
+	// ProgressEvery, plus one final flush when the run ends, under both
+	// schedules. The callback runs on a dedicated timer goroutine
+	// concurrent with the exploration (never with itself), so it must be
+	// safe to run off the merge goroutine. Under level-sync the snapshot is
+	// the last completed level boundary (every boundary is also a "level"
+	// event of the journal); under work-stealing it is a live read of the
+	// engine's atomic counters.
 	Progress func(Progress)
-	// ProgressEvery, when positive, switches Progress to time-based
-	// delivery: a snapshot roughly every ProgressEvery, scheduler-agnostic
-	// (see Progress for the threading contract). Under level-sync the
-	// snapshot is the last completed level boundary; under work-stealing
-	// it is a live read of the engine's atomic counters.
+	// ProgressEvery is the minimum interval between Progress deliveries.
+	// Zero disables progress (Progress is then never called).
 	ProgressEvery time.Duration
 	// Metrics, when non-nil, is the run's metrics registry: the engine
 	// resolves counters, gauges and histograms from it at run start (see
@@ -429,9 +409,8 @@ type Options struct {
 }
 
 // Progress is one Options.Progress snapshot: the counters of an in-flight
-// run — at a BFS level boundary (the default delivery), or at a wall-clock
-// tick when ProgressEvery is set. Under work-stealing, Level stays 0 and
-// Frontier is the number of pending deque items rather than a level width.
+// run at a wall-clock tick. Under work-stealing, Level stays 0 and Frontier
+// is the number of pending deque items rather than a level width.
 type Progress struct {
 	Distinct    int   // distinct states found so far
 	Transitions int   // transitions examined so far
@@ -472,10 +451,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: negative MemoryBudgetBytes %d (0 means fully resident)", ErrInvalidOptions, o.MemoryBudgetBytes)
 	case o.MemoryBudgetBytes > 0 && o.CollisionFree:
 		return fmt.Errorf("%w: MemoryBudgetBytes requires fingerprint deduplication, but CollisionFree keys the visited set on full encodings, which are memory-resident by definition", ErrInvalidOptions)
-	case o.MemoryBudgetBytes > 0 && o.Visited != nil:
-		return fmt.Errorf("%w: MemoryBudgetBytes selects the spilling store and Visited plugs in another; set one", ErrInvalidOptions)
-	case o.CollisionFree && o.Visited != nil:
-		return fmt.Errorf("%w: CollisionFree selects the full-encoding store and Visited plugs in another; set one", ErrInvalidOptions)
 	case o.Schedule < ScheduleLevelSync || o.Schedule > ScheduleWorkSteal:
 		return fmt.Errorf("%w: unknown Schedule %d (ScheduleLevelSync, ScheduleWorkSteal)", ErrInvalidOptions, o.Schedule)
 	case !o.Deadline.IsZero() && !o.Deadline.After(time.Now()):
@@ -488,14 +463,10 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: checkpoint/resume needs StateArena: the arena's parent chains and stored encodings are what reconstruct the frontier's live states on resume", ErrInvalidOptions)
 	case o.checkpointing() && o.CollisionFree:
 		return fmt.Errorf("%w: checkpoints persist 64-bit fingerprints; CollisionFree keys the visited set on full encodings, which are not persisted", ErrInvalidOptions)
-	case o.checkpointing() && (o.Visited != nil || o.Frontier != nil):
-		return fmt.Errorf("%w: checkpoint/resume drives the built-in stores; plugged-in Visited/Frontier stores own their lifecycle and cannot be sealed", ErrInvalidOptions)
-	case o.PartialOrder && (o.Visited != nil || o.Frontier != nil):
-		return fmt.Errorf("%w: PartialOrder's cycle proviso needs the built-in claim-then-assign visited protocol; plugged-in Visited/Frontier stores cannot honor it", ErrInvalidOptions)
 	case o.PartialOrder && o.MaxDepth > 0:
 		return fmt.Errorf("%w: PartialOrder changes the depth at which deferred interleavings are explored, so MaxDepth would cut a different state set than the unpruned run; bound with MaxStates instead", ErrInvalidOptions)
 	case o.ProgressEvery < 0:
-		return fmt.Errorf("%w: negative ProgressEvery %s (0 means per-level Progress delivery)", ErrInvalidOptions, o.ProgressEvery)
+		return fmt.Errorf("%w: negative ProgressEvery %s (0 means no Progress delivery)", ErrInvalidOptions, o.ProgressEvery)
 	}
 	return nil
 }
@@ -559,8 +530,8 @@ type Result[S State] struct {
 	// Schedule is the exploration schedule the run actually used. It can
 	// differ from Options.Schedule: ScheduleWorkSteal silently falls back
 	// to ScheduleLevelSync for runs that need level semantics (MaxDepth,
-	// MemoryBudgetBytes, plugged-in stores, checkpointing) — callers that
-	// requested work-stealing should compare and tell the user.
+	// MemoryBudgetBytes, checkpointing) — callers that requested
+	// work-stealing should compare and tell the user.
 	Schedule Schedule
 	// PartialOrder reports that ample-set pruning was actually active:
 	// Options.PartialOrder was set AND the spec declared Independence. A
@@ -591,11 +562,11 @@ type stateEntry struct {
 // One engine serves every configuration: Options selects the worker count
 // (0 resolves to GOMAXPROCS; 1 is the sequential oracle, which dedups on
 // full encodings and is therefore always collision-free unless
-// MemoryBudgetBytes engages the spilling fingerprint store), the
+// MemoryBudgetBytes engages the spilling fingerprint store) and the
 // scheduling mode (Schedule — the default level-synchronized loop, or the
-// barrier-free work-stealing loop), and the visited/frontier stores.
-// Level-synchronized results are identical at every worker count and under
-// every store, modulo fingerprint collisions (see CollisionFree);
+// barrier-free work-stealing loop). Level-synchronized results are
+// identical at every worker count and under every visited store the
+// options imply, modulo fingerprint collisions (see CollisionFree);
 // work-stealing preserves verdicts and counts but not order — see
 // Options.Schedule.
 func Check[S State](spec *Spec[S], opts Options) (*Result[S], error) {
@@ -616,16 +587,9 @@ func Check[S State](spec *Spec[S], opts Options) (*Result[S], error) {
 	if eff == ScheduleWorkSteal {
 		res, err = runWorkSteal(spec, opts, workers, em)
 	} else {
-		vs := opts.Visited
-		if vs == nil {
-			vs = newVisitedStore(opts, workers, em)
-			defer vs.Close()
-		}
-		fr := opts.Frontier
-		if fr == nil {
-			fr = newLevelFrontier()
-		}
-		res, err = runEngine(spec, opts, workers, vs, fr, em)
+		vs := newVisitedStore(opts, workers, em)
+		defer vs.Close()
+		res, err = runEngine(spec, opts, workers, vs, em)
 	}
 	if res != nil {
 		res.Schedule = eff
@@ -726,20 +690,18 @@ func (g *Graph[S]) adjacency() [][]Edge {
 	return g.adj
 }
 
-// CheckEventually verifies the temporal property "from every reachable
-// state, a state satisfying p is reachable" — the finite-state analogue of
-// the paper's liveness property that the commit point is eventually
-// propagated (under fairness, a behaviour cannot get stuck forever in
-// states from which no p-state is reachable). It returns the id of a
-// witness state that cannot reach any p-state, or -1 if the property holds.
-func CheckEventually[S State](g *Graph[S], p func(S) bool) int {
-	return CheckEventuallyWithin(g, p, nil)
-}
-
-// CheckEventuallyWithin is CheckEventually restricted to states satisfying
-// within — normally the spec's state constraint. States on the constraint
-// boundary are recorded but never expanded, so they trivially cannot reach
-// anything; TLC likewise evaluates liveness only inside the constraint.
+// CheckEventuallyWithin verifies the temporal property "from every
+// reachable state, a state satisfying p is reachable" — the finite-state
+// analogue of the paper's liveness property that the commit point is
+// eventually propagated (under fairness, a behaviour cannot get stuck
+// forever in states from which no p-state is reachable). It returns the id
+// of a witness state that cannot reach any p-state, or -1 if the property
+// holds.
+//
+// A non-nil within restricts the witnesses to states satisfying it —
+// normally the spec's state constraint. States on the constraint boundary
+// are recorded but never expanded, so they trivially cannot reach anything;
+// TLC likewise evaluates liveness only inside the constraint.
 func CheckEventuallyWithin[S State](g *Graph[S], p func(S) bool, within func(S) bool) int {
 	n := g.Len()
 	canReach := make([]bool, n)

@@ -147,8 +147,8 @@ func TestGraphRecording(t *testing.T) {
 	if g == nil {
 		t.Fatal("no graph recorded")
 	}
-	if len(g.States) != res.Distinct {
-		t.Errorf("graph states = %d, distinct = %d", len(g.States), res.Distinct)
+	if len(g.states) != res.Distinct {
+		t.Errorf("graph states = %d, distinct = %d", len(g.states), res.Distinct)
 	}
 	if len(g.Inits) != 1 || g.Inits[0] != 0 {
 		t.Errorf("inits = %v", g.Inits)
@@ -157,7 +157,7 @@ func TestGraphRecording(t *testing.T) {
 	if len(term) != 1 {
 		t.Fatalf("terminal states = %v, want exactly one", term)
 	}
-	if got := g.States[term[0]]; got.A != 2 || got.B != 2 {
+	if got := g.states[term[0]]; got.A != 2 || got.B != 2 {
 		t.Errorf("terminal state = %+v, want (2,2)", got)
 	}
 	path := g.PathTo(term[0])
@@ -179,17 +179,17 @@ func TestCheckEventually(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every behaviour can reach the absorbing state (3,3).
-	if w := CheckEventually(res.Graph, func(s counterState) bool { return s.A == 3 && s.B == 3 }); w != -1 {
-		t.Errorf("eventually (3,3) failed, witness %v", res.Graph.States[w])
+	if w := CheckEventuallyWithin(res.Graph, func(s counterState) bool { return s.A == 3 && s.B == 3 }, nil); w != -1 {
+		t.Errorf("eventually (3,3) failed, witness %v", res.Graph.states[w])
 	}
 	// But "eventually B > A" is unreachable, so every state is a witness.
-	if w := CheckEventually(res.Graph, func(s counterState) bool { return s.B > s.A }); w == -1 {
+	if w := CheckEventuallyWithin(res.Graph, func(s counterState) bool { return s.B > s.A }, nil); w == -1 {
 		t.Error("impossible eventually-property reported as holding")
 	}
 	// "Eventually A >= 2" fails for no state: all states can still bump A?
 	// No: states with A == 3 have A >= 2 themselves. States are their own
 	// witnesses when p already holds.
-	if w := CheckEventually(res.Graph, func(s counterState) bool { return s.A >= 2 || s.B <= s.A }); w != -1 {
+	if w := CheckEventuallyWithin(res.Graph, func(s counterState) bool { return s.A >= 2 || s.B <= s.A }, nil); w != -1 {
 		t.Errorf("tautology failed at %d", w)
 	}
 }
@@ -298,7 +298,7 @@ func TestCheckTraceStuttering(t *testing.T) {
 	if _, err := CheckTrace(spec, trace); err == nil {
 		t.Fatal("strict checker should reject stuttering")
 	}
-	res, err := CheckTraceStuttering(spec, trace)
+	res, err := CheckTraceWith(spec, trace, TraceOptions{Stuttering: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,14 +334,14 @@ func TestWriteParseDOTRoundTrip(t *testing.T) {
 	if len(dg.Labels) != res.Distinct {
 		t.Errorf("parsed %d nodes, want %d", len(dg.Labels), res.Distinct)
 	}
-	if len(dg.Edges) != len(res.Graph.Edges) {
-		t.Errorf("parsed %d edges, want %d", len(dg.Edges), len(res.Graph.Edges))
+	if len(dg.Edges) != len(res.Graph.edges) {
+		t.Errorf("parsed %d edges, want %d", len(dg.Edges), len(res.Graph.edges))
 	}
 	if len(dg.Inits) != 1 || dg.Labels[dg.Inits[0]] != "0/0" {
 		t.Errorf("inits = %v", dg.Inits)
 	}
 	// Labels must round-trip exactly.
-	for id, key := range res.Graph.Keys {
+	for id, key := range res.Graph.keys {
 		if dg.Labels[id] != key {
 			t.Errorf("node %d label = %q, want %q", id, dg.Labels[id], key)
 		}
@@ -482,13 +482,13 @@ func TestCheckTraceStutteringBadInitial(t *testing.T) {
 	trace := []Observation[counterState]{
 		FullObservation[counterState]{counterState{2, 2}},
 	}
-	res, err := CheckTraceStuttering(spec, trace)
+	res, err := CheckTraceWith(spec, trace, TraceOptions{Stuttering: true})
 	var te *TraceError
 	if !errors.As(err, &te) || te.Step != 0 || res.FailedStep != 0 {
 		t.Fatalf("err=%v res=%+v", err, res)
 	}
 	// Empty traces are trivially behaviours under stuttering too.
-	if res, err := CheckTraceStuttering(spec, nil); err != nil || !res.OK {
+	if res, err := CheckTraceWith(spec, nil, TraceOptions{Stuttering: true}); err != nil || !res.OK {
 		t.Fatalf("empty: res=%+v err=%v", res, err)
 	}
 }
@@ -499,7 +499,7 @@ func TestCheckTraceStutteringDivergence(t *testing.T) {
 		FullObservation[counterState]{counterState{0, 0}},
 		FullObservation[counterState]{counterState{2, 1}}, // unreachable in one step even with stutter
 	}
-	res, err := CheckTraceStuttering(spec, trace)
+	res, err := CheckTraceWith(spec, trace, TraceOptions{Stuttering: true})
 	var te *TraceError
 	if !errors.As(err, &te) || te.Step != 1 || res.FailedStep != 1 {
 		t.Fatalf("err=%v res=%+v", err, res)

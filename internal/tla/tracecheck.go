@@ -177,17 +177,9 @@ func CheckTrace[S State](spec *Spec[S], trace []Observation[S]) (*TraceResult, e
 	return CheckTraceWith(spec, trace, TraceOptions{})
 }
 
-// CheckTraceStuttering is CheckTrace with stuttering allowed: an observation
-// may also be matched by taking no action, provided it is consistent with a
-// state already in the frontier.
-func CheckTraceStuttering[S State](spec *Spec[S], trace []Observation[S]) (*TraceResult, error) {
-	return CheckTraceWith(spec, trace, TraceOptions{Stuttering: true})
-}
-
-// CheckTraceWith is the configurable entry point behind CheckTrace and
-// CheckTraceStuttering: the frontier advance for each observation is split
-// across opts.Workers goroutines, and the per-worker matches are merged
-// into the deduplicated next frontier.
+// CheckTraceWith is CheckTrace with options: the frontier advance for each
+// observation is split across opts.Workers goroutines, and the per-worker
+// matches are merged into the deduplicated next frontier.
 //
 // Observations that implement GuidedObservation restrict their step to the
 // actions they name. That can only shrink the frontier, so a pass is still

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"sync"
 
@@ -98,24 +97,6 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
-	}
-	return out, nil
-}
-
-// ReadEventFiles reads and decodes each named log file.
-func ReadEventFiles(paths []string) ([][]Event, error) {
-	var out [][]Event
-	for _, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			return nil, err
-		}
-		evs, err := ReadEvents(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p, err)
-		}
-		out = append(out, evs)
 	}
 	return out, nil
 }
