@@ -362,8 +362,9 @@ func BenchmarkObservedCheck(b *testing.B) {
 // BenchmarkParallelCheckEncoding isolates the byte-packed-state win on the
 // replica-set spec: the same exploration with the BinaryState fast path
 // (the default — states are fingerprinted straight from their byte
-// encoding) against Options.ForceKeyEncoding (every successor builds its
-// canonical Key() string first, the pre-BinaryState behaviour). Allocation
+// encoding) against the spec's key-only twin (keyOnlySpec: every successor
+// builds its canonical Key() string first, the pre-BinaryState
+// behaviour). Allocation
 // counts are the headline: the binary path must allocate strictly less
 // per run (TestBinaryEncodingAllocatesLess pins the direction; this
 // benchmark carries the magnitude). SetBytes carries the volume of
@@ -399,19 +400,22 @@ func BenchmarkParallelCheckEncoding(b *testing.B) {
 	}
 	for _, enc := range []struct {
 		name  string
-		force bool
+		check func(tla.Options) (counts, error)
 		total int64
-	}{{"binary", false, binBytes}, {"keys", true, keyBytes}} {
+	}{
+		{"binary", func(o tla.Options) (counts, error) { return countsOf(tla.Check(raftmongo.SpecV1(cfg), o)) }, binBytes},
+		{"keys", func(o tla.Options) (counts, error) { return countsOf(tla.Check(keyOnlySpec(raftmongo.SpecV1(cfg)), o)) }, keyBytes},
+	} {
 		for _, w := range []int{1, 4} {
 			b.Run(fmt.Sprintf("replset-v1/%s/workers=%d", enc.name, w), func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(enc.total)
 				for i := 0; i < b.N; i++ {
-					res, err := tla.Check(raftmongo.SpecV1(cfg), tla.Options{Workers: w, ForceKeyEncoding: enc.force})
+					c, err := enc.check(tla.Options{Workers: w})
 					if err != nil {
 						b.Fatal(err)
 					}
-					b.ReportMetric(float64(res.Distinct), "states")
+					b.ReportMetric(float64(c[0]), "states")
 				}
 			})
 		}

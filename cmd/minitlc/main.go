@@ -10,6 +10,11 @@
 // uninterrupted run. -checkpoint-every N additionally seals a checkpoint
 // every N BFS levels, so even a killed process loses at most N levels.
 //
+// A run does what its flags say or is refused before it explores anything:
+// -schedule worksteal with -mem-budget, -checkpoint or -resume, -por on a
+// spec that declares no transition independence, and -liveness with -por
+// are errors, not warnings.
+//
 // Usage:
 //
 //	minitlc -spec raftmongo-v1|raftmongo-v2|arrayot|locking \
@@ -97,9 +102,9 @@ func main() {
 		liveness  = flag.Bool("liveness", false, "check the commit-point-propagation liveness property (raftmongo)")
 		workers   = flag.Int("workers", 0, "checker worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
 		symmetry  = flag.Bool("symmetry", false, "symmetry reduction over interchangeable identities (raftmongo nodes, locking actors)")
-		por       = flag.Bool("por", false, "ample-set partial-order reduction for specs that declare transition independence (raftmongo, locking); composes with -symmetry, both schedules, -arena and -mem-budget")
+		por       = flag.Bool("por", false, "ample-set partial-order reduction for specs that declare transition independence (raftmongo, locking; an error on arrayot and with -liveness); composes with -symmetry, both schedules, -arena and -mem-budget")
 		memBudget = flag.Int64("mem-budget", 0, "approximate visited-set bytes before fingerprint shards spill to sorted runs on disk (0 = fully resident)")
-		schedule  = flag.String("schedule", "levelsync", "exploration schedule: levelsync or level-sync (deterministic BFS, shortest counterexamples), worksteal or work-steal (barrier-free, identical verdicts and counts)")
+		schedule  = flag.String("schedule", "levelsync", "exploration schedule: levelsync or level-sync (deterministic BFS, shortest counterexamples), worksteal or work-steal (barrier-free, identical verdicts and counts; an error with -mem-budget, -checkpoint and -resume)")
 		arena     = flag.Bool("arena", false, "retain discovered states as encoded bytes in an append-only arena instead of live values (cuts retention memory; counterexamples and the -dot/-liveness graph are decoded from the arena)")
 		ckDir     = flag.String("checkpoint", "", "write a resumable checkpoint to this directory on interrupt (and periodically with -checkpoint-every); implies -arena")
 		ckEvery   = flag.Int("checkpoint-every", 0, "additionally checkpoint every N BFS levels (0 = only on interrupt; needs -checkpoint)")
@@ -120,9 +125,17 @@ func main() {
 	cfg := specConfig{specName: *specName, nodes: *nodes, maxTerm: *maxTerm, maxLog: *maxLog, actors: *actors, symmetry: *symmetry, por: *por}
 	if err := run(ctx, cfg, *dotPath, *liveness, *workers, *memBudget, *schedule, *arena, *ckDir, *ckEvery, *resume, *deadline, *progEvery, *journal); err != nil {
 		fmt.Fprintln(os.Stderr, "minitlc:", err)
+		if errors.Is(err, errUsage) {
+			flag.Usage()
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
+
+// errUsage marks flag combinations minitlc refuses, which exit 2 like the
+// flag package's own usage errors.
+var errUsage = errors.New("usage")
 
 func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, workers int, memBudget int64, schedule string, arena bool, ckDir string, ckEvery int, resume string, deadline time.Duration, progEvery time.Duration, journal string) error {
 	sched, err := tla.ParseSchedule(schedule)
@@ -147,16 +160,11 @@ func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, wor
 		fmt.Printf("resuming %s from %s: %d distinct states, %d transitions, depth %d, %d levels\n",
 			info.Spec, resume, info.Distinct, info.Transitions, info.Depth, info.Levels)
 	}
-	if (ckDir != "" || resume != "") && !arena {
-		arena = true
-		fmt.Fprintln(os.Stderr, "minitlc: note: checkpoint/resume stores states in the encoding arena; -arena enabled")
-	}
 	if cfg.por && liveness {
 		// CheckEventuallyWithin walks the recorded graph; POR records only
 		// the reduced edge set, which under-approximates reachability from
 		// intermediate states and can produce bogus liveness verdicts.
-		cfg.por = false
-		fmt.Fprintln(os.Stderr, "minitlc: note: -liveness needs the full state graph; -por disabled for this run")
+		return fmt.Errorf("%w: -liveness needs the full state graph, which -por prunes; drop one of the two", errUsage)
 	}
 	opts := tla.Options{
 		RecordGraph:       dotPath != "" || liveness,
@@ -257,13 +265,7 @@ func check[S tla.State](spec *tla.Spec[S], opts tla.Options) (*tla.Result[S], er
 	if res != nil && res.DegradedMemory {
 		fmt.Fprintln(os.Stderr, "minitlc: warning: a persistent I/O failure disabled disk spilling; results are exact but -mem-budget was not honoured (DegradedMemory)")
 	}
-	if res != nil && opts.Schedule == tla.ScheduleWorkSteal && res.Schedule != tla.ScheduleWorkSteal {
-		fmt.Fprintf(os.Stderr, "minitlc: warning: -schedule worksteal was downgraded to %s (bounded depth, memory budgets and checkpoint/resume are level-synchronized)\n", res.Schedule)
-	}
-	if res != nil && opts.PartialOrder && !res.PartialOrder {
-		fmt.Fprintln(os.Stderr, "minitlc: note: -por requested but this spec declares no transition independence; the run was unpruned")
-	}
-	if res != nil && res.PartialOrder {
+	if res != nil && opts.PartialOrder {
 		fmt.Printf("partial-order reduction: %d ample states, %d transitions deferred\n", res.AmpleStates, res.DeferredTransitions)
 	}
 	if err != nil {

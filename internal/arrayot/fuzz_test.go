@@ -94,8 +94,8 @@ func FuzzBinaryKeyAgreement(f *testing.F) {
 		}
 		// Arena round-trip on the same corpus: a one-state spec checked
 		// under StateArena with a one-byte budget spills the encoding to
-		// disk and reconstructs the counterexample by replay — the
-		// replayed state must be semantically identical to the original.
+		// disk and decodes the counterexample back — the decoded state
+		// must be semantically identical to the original.
 		spec := &tla.Spec[State]{
 			Name: "arena-round-trip",
 			Init: func() []State { return []State{a} },

@@ -27,14 +27,17 @@ import (
 //	MaxStates hit             job done, verdict "state-limit"
 //	spec panic (ErrSpecPanic) job failed permanently — rerunning a buggy
 //	                          spec callback cannot help
-//	invalid options           job failed permanently
+//	invalid options           job failed permanently (also the spec-dependent
+//	                          ones, e.g. partial_order on a spec that
+//	                          declares no independence)
 //	transient I/O fault       retried inside the engine (retryIO); only a
 //	                          fault that exhausts those retries surfaces
 //	persistent I/O fault,     attempt failed: retry from the last
 //	runner crash (panic)      checkpoint with capped exponential backoff
 //	                          + jitter, at most MaxAttempts attempts
 //	persistent fault on an    engine degrades per DegradedMemory; the
-//	optional spill write      outcome reports it, the job completes
+//	optional spill write      outcome reports it (across resumes too), the
+//	                          job completes
 //	bad checkpoint on resume  checkpoint discarded, job restarted fresh
 //	user cancel (DELETE)      job canceled, checkpoint removed
 //	drain (SIGTERM)           job checkpointed and parked "interrupted";
@@ -380,7 +383,6 @@ func (s *Supervisor) validateRequest(req JobRequest) (JobRequest, error) {
 	probe := req.shapingOptions()
 	probe.Workers = req.Options.Workers
 	probe.MemoryBudgetBytes = req.Options.MemBudgetBytes
-	probe.StateArena = true
 	probe.CheckpointDir = "pending"
 	probe.CheckpointEvery = s.cfg.CheckpointEvery
 	if err := probe.Validate(); err != nil {
@@ -593,8 +595,7 @@ func (s *Supervisor) buildOptions(j *job, ctx context.Context, deadline time.Tim
 	opts := j.req.shapingOptions()
 	opts.Workers = j.req.Options.Workers
 	opts.MemoryBudgetBytes = budget
-	opts.StateArena = true
-	opts.CheckpointDir = s.ckDir(j.id)
+	opts.CheckpointDir = s.ckDir(j.id) // implies the state arena
 	opts.CheckpointEvery = s.cfg.CheckpointEvery
 	opts.FS = s.cfg.FS
 	opts.Context = ctx

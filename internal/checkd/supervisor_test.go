@@ -181,7 +181,8 @@ func TestRunnerCrashExhaustsAttempts(t *testing.T) {
 
 // TestSpecPanicFailsPermanently: a panic inside the spec's own callbacks is
 // a spec bug — the engine captures it as ErrSpecPanic and the supervisor
-// must not burn retries replaying it.
+// must not burn retries replaying it. A spec-dependent options error is
+// permanent the same way.
 func TestSpecPanicFailsPermanently(t *testing.T) {
 	s := newTestSup(t, nil)
 	res, err := s.Submit(JobRequest{Spec: "panicky", Config: SpecParams{Nodes: 8}})
@@ -194,6 +195,21 @@ func TestSpecPanicFailsPermanently(t *testing.T) {
 	}
 	if !strings.Contains(final.Error, "panic") || !strings.Contains(final.Error, "Explode") {
 		t.Fatalf("error = %q, want the structured panic trace naming the invariant", final.Error)
+	}
+
+	// Options the spec cannot serve are just as permanent: array_ot
+	// declares no independence, so partial_order is refused by the engine
+	// on the first attempt and never retried.
+	res, err = s.Submit(JobRequest{Spec: "arrayot", Options: JobOptions{PartialOrder: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final = waitJob(t, s, res.ID, JobFailed)
+	if final.Attempts != 1 {
+		t.Fatalf("attempts = %d, want 1 (no retry of invalid options)", final.Attempts)
+	}
+	if !strings.Contains(final.Error, tla.ErrInvalidOptions.Error()) || !strings.Contains(final.Error, "PartialOrder") {
+		t.Fatalf("error = %q, want the options error naming PartialOrder", final.Error)
 	}
 }
 

@@ -1,6 +1,7 @@
 package checkd
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -22,10 +23,27 @@ import (
 // Test specs fall through normalizeParams verbatim, so Nodes/MaxTerm are
 // free knobs and distinct configurations get distinct cache fingerprints.
 
-// ctrState mirrors the tla package's toy counter state.
+// ctrState mirrors the tla package's toy counter state, decoder included:
+// every job runs under the state arena its checkpoints imply.
 type ctrState struct{ A, B int }
 
 func (s ctrState) Key() string { return fmt.Sprintf("%d/%d", s.A, s.B) }
+
+func (s ctrState) AppendBinary(buf []byte) []byte {
+	return binary.AppendVarint(binary.AppendVarint(buf, int64(s.A)), int64(s.B))
+}
+
+func (ctrState) DecodeBinary(enc []byte) (ctrState, error) {
+	a, n := binary.Varint(enc)
+	if n <= 0 {
+		return ctrState{}, fmt.Errorf("ctrState: decode: bad A in %x", enc)
+	}
+	b, m := binary.Varint(enc[n:])
+	if m <= 0 || n+m != len(enc) {
+		return ctrState{}, fmt.Errorf("ctrState: decode: bad B in %x", enc)
+	}
+	return ctrState{int(a), int(b)}, nil
+}
 
 // ctrSpec counts A up to max and B up to A: (max+1)(max+2)/2 distinct
 // states, depth 2·max, one terminal state — fully predictable counters.
@@ -121,7 +139,6 @@ func oracleOutcome(t *testing.T, spec string, p SpecParams) *Outcome {
 		t.Fatal(err)
 	}
 	out, err := run(norm)(tla.Options{
-		StateArena:      true,
 		CheckpointDir:   t.TempDir(),
 		CheckpointEvery: 4,
 	})

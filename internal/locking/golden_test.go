@@ -65,20 +65,17 @@ func TestCompatibilityViolationGolden(t *testing.T) {
 	compareGolden(t, "compatibility_violation.golden", formatViolation(res.Violation))
 }
 
-// TestCompatibilityViolationArenaPaths pins the arena's two counterexample
-// reconstruction paths to the same golden trace: decode-based (SpecState
-// implements tla.BinaryDecoder, so states are rebuilt straight from their
-// spilled encodings) and replay-based (ForceKeyEncoding disables the
-// binary codec, so the arena falls back to replaying actions from the
-// initial state). Both must render byte-identically to the golden file —
-// lifting the reconstruction strategy out of the observable behaviour.
+// TestCompatibilityViolationArenaPaths pins the arena's counterexample
+// reconstruction to the same golden trace: SpecState implements
+// tla.BinaryDecoder, so states are decoded straight from their spilled
+// encodings and must render byte-identically to the golden file — lifting
+// the retention strategy out of the observable behaviour.
 func TestCompatibilityViolationArenaPaths(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		opts tla.Options
 	}{
 		{"decode", tla.Options{StateArena: true, MemoryBudgetBytes: 1}},
-		{"replay", tla.Options{StateArena: true, MemoryBudgetBytes: 1, ForceKeyEncoding: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			res, err := tla.Check(Spec(SpecConfig{Actors: 2, OmitCompatibilityCheck: true}), mode.opts)

@@ -23,9 +23,8 @@ import "repro/internal/tla"
 // joint state — two actors holding incompatible modes at once — that
 // release-pruning can skip: defer actor b's incompatible acquire past
 // actor a's ample release and the violating combination never
-// materializes. Returning nil keeps Options.PartialOrder a warned no-op
-// for that config (Result.PartialOrder reports false), preserving the
-// golden verdict bit-for-bit.
+// materializes. Returning nil makes tla.Check refuse Options.PartialOrder
+// for that config, so the golden verdict is only ever reported unpruned.
 //
 // Both hooks are permutation-equivariant (rows are compared pointwise and
 // the action filter is position-independent), so the declaration composes

@@ -39,36 +39,37 @@ func TestPORMatchesOracle(t *testing.T) {
 					return spec
 				}
 				want, wantErr := tla.Check(build(), tla.Options{Workers: 1})
-				for _, schedule := range []tla.Schedule{tla.ScheduleLevelSync, tla.ScheduleWorkSteal} {
-					for _, budget := range []int64{0, 1} {
-						desc := fmt.Sprintf("actors=%d/symmetric=%v/tripwire=%v/%s/budget=%d", actors, symmetric, tripwire, schedule, budget)
-						got, gotErr := tla.Check(build(), tla.Options{
-							Workers:           4,
-							Schedule:          schedule,
-							MemoryBudgetBytes: budget,
-							PartialOrder:      true,
-						})
-						if !got.PartialOrder {
-							t.Fatalf("%s: POR requested on a declaring spec but Result.PartialOrder is false", desc)
+				// Work-stealing has no BFS levels, so it takes no memory
+				// budget: three cells, not the full 2x2 grid.
+				for _, cell := range []struct {
+					schedule tla.Schedule
+					budget   int64
+				}{{tla.ScheduleLevelSync, 0}, {tla.ScheduleLevelSync, 1}, {tla.ScheduleWorkSteal, 0}} {
+					schedule, budget := cell.schedule, cell.budget
+					desc := fmt.Sprintf("actors=%d/symmetric=%v/tripwire=%v/%s/budget=%d", actors, symmetric, tripwire, schedule, budget)
+					got, gotErr := tla.Check(build(), tla.Options{
+						Workers:           4,
+						Schedule:          schedule,
+						MemoryBudgetBytes: budget,
+						PartialOrder:      true,
+					})
+					if errors.Is(wantErr, tla.ErrInvariantViolated) != errors.Is(gotErr, tla.ErrInvariantViolated) {
+						t.Fatalf("%s: verdicts differ: oracle err=%v por err=%v", desc, wantErr, gotErr)
+					}
+					if wantErr != nil {
+						if want.Violation.Invariant != got.Violation.Invariant {
+							t.Fatalf("%s: violated invariants differ: %s vs %s", desc, want.Violation.Invariant, got.Violation.Invariant)
 						}
-						if errors.Is(wantErr, tla.ErrInvariantViolated) != errors.Is(gotErr, tla.ErrInvariantViolated) {
-							t.Fatalf("%s: verdicts differ: oracle err=%v por err=%v", desc, wantErr, gotErr)
-						}
-						if wantErr != nil {
-							if want.Violation.Invariant != got.Violation.Invariant {
-								t.Fatalf("%s: violated invariants differ: %s vs %s", desc, want.Violation.Invariant, got.Violation.Invariant)
-							}
-							continue
-						}
-						if gotErr != nil {
-							t.Fatalf("%s: por err=%v on a clean spec", desc, gotErr)
-						}
-						if got.Distinct > want.Distinct {
-							t.Fatalf("%s: POR explored more states than the oracle: %d > %d", desc, got.Distinct, want.Distinct)
-						}
-						if got.Terminal != want.Terminal {
-							t.Fatalf("%s: terminal counts differ: oracle=%d por=%d", desc, want.Terminal, got.Terminal)
-						}
+						continue
+					}
+					if gotErr != nil {
+						t.Fatalf("%s: por err=%v on a clean spec", desc, gotErr)
+					}
+					if got.Distinct > want.Distinct {
+						t.Fatalf("%s: POR explored more states than the oracle: %d > %d", desc, got.Distinct, want.Distinct)
+					}
+					if got.Terminal != want.Terminal {
+						t.Fatalf("%s: terminal counts differ: oracle=%d por=%d", desc, want.Terminal, got.Terminal)
 					}
 				}
 			}
@@ -78,23 +79,18 @@ func TestPORMatchesOracle(t *testing.T) {
 
 // TestPORGoldenConfigDeclinesPruning pins the config gate: the broken lock
 // manager (OmitCompatibilityCheck) must not declare independence, so a
-// PartialOrder run on it is a no-op that still reports the exact golden
-// Compatibility violation. This is the case where release-pruning would be
-// unsound — the violating state is a joint holding reachable only through
-// a deferred acquire — and the declaration's job is to refuse, not to try.
+// PartialOrder run on it is refused before exploring anything. This is the
+// case where release-pruning would be unsound — the violating state is a
+// joint holding reachable only through a deferred acquire — and the
+// declaration's job is to refuse, not to try.
 func TestPORGoldenConfigDeclinesPruning(t *testing.T) {
 	cfg := SpecConfig{Actors: 2, OmitCompatibilityCheck: true}
 	if Independence(cfg) != nil {
 		t.Fatal("OmitCompatibilityCheck config must not declare independence")
 	}
-	res, err := tla.Check(Spec(cfg), tla.Options{PartialOrder: true})
-	if err == nil || res.Violation == nil {
-		t.Fatalf("the broken lock manager must violate Compatibility, got err=%v", err)
+	if _, err := tla.Check(Spec(cfg), tla.Options{PartialOrder: true}); !errors.Is(err, tla.ErrInvalidOptions) {
+		t.Fatalf("PartialOrder on the non-declaring config: err = %v, want ErrInvalidOptions", err)
 	}
-	if res.PartialOrder {
-		t.Fatal("Result.PartialOrder must report false on a non-declaring spec")
-	}
-	compareGolden(t, "compatibility_violation.golden", formatViolation(res.Violation))
 }
 
 // TestPORReduction records the locking spec's cut — which is essentially

@@ -46,8 +46,7 @@ type TestCase struct {
 // GenerateResult model-checks the specification for cfg, writes the state
 // graph as DOT to dotPath (creating the file), parses it back, and extracts
 // the generated test cases, sorted by name. The full checker Result rides
-// along, so callers can inspect the counters, the effective schedule, or
-// the violation. opts are the checker options — worker count, schedule,
+// along, so callers can inspect the counters or the violation. opts are the checker options — worker count, schedule,
 // memory budget; RecordGraph is forced on: the pipeline is the graph dump.
 // The cases are identical under every option combination the engine
 // accepts. With opts.StateArena the graph is served from the checker's

@@ -62,9 +62,9 @@ func assertEncodingAgreement(t *testing.T, a, b State) {
 // assertArenaRoundTrip pushes a state through the retained-state arena end
 // to end: a one-state spec checked under Options.StateArena (with a
 // one-byte budget, so the encoding is spilled to disk and read back) whose
-// invariant always fails, forcing the arena's replay-based counterexample
-// reconstruction. The replayed state must be semantically identical to the
-// original — encode → arena → decode == original, riding the fuzz corpus.
+// invariant always fails, forcing the arena's counterexample decoding. The
+// decoded state must be semantically identical to the original — encode →
+// arena → decode == original, riding the fuzz corpus.
 func assertArenaRoundTrip(t *testing.T, s State) {
 	t.Helper()
 	spec := &tla.Spec[State]{

@@ -1,7 +1,6 @@
 package tla
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
@@ -25,25 +24,23 @@ import (
 // temp file and read back on demand, so the visited set AND trace storage
 // both respect the budget.
 //
-// Counterexample reconstruction prefers a decode over a replay: when the
-// spec state implements BinaryDecoder, the arena walks the violating
-// state's parent chain and decodes each stored encoding directly. Specs
-// without a decoder fall back to the replay — re-execute the recorded
-// action at each step and select the successor whose encoding matches the
-// stored bytes. Either way the arena stores each state's plain encoding —
-// not the orbit-canonical one the visited store dedups on — because the
-// plain encoding identifies the exact state explored (encodings agree
-// with Key() by contract), so the reconstructed trace is byte-identical
-// to what live retention would have reported, even under symmetry
-// reduction, and storing it costs one AppendBinary per distinct state
-// instead of an orbit scan.
+// Decoding is the only way stored bytes turn back into states: the arena
+// requires a spec state implementing BinaryDecoder (Check rejects it
+// otherwise), and a counterexample is reconstructed by walking the
+// violating state's parent chain and decoding each stored encoding. The
+// arena stores each state's plain encoding — not the orbit-canonical one
+// the visited store dedups on — because the plain encoding identifies the
+// exact state explored (encodings agree with Key() by contract), so the
+// reconstructed trace is byte-identical to what live retention would have
+// reported, even under symmetry reduction, and storing it costs one
+// AppendBinary per distinct state instead of an orbit scan.
 //
-// With a decoder available the arena also doubles as the state graph's
-// backing store (Options.RecordGraph + Options.StateArena): graph edges
-// (parent id, action index, child id) are appended to their own segment
-// list as fixed-width records, spilled to the same temp file under the
-// same budget, and Result.Graph serves states and edges lazily from the
-// arena instead of retaining live values — see Graph.
+// The arena also doubles as the state graph's backing store
+// (Options.RecordGraph + Options.StateArena): graph edges (parent id,
+// action index, child id) are appended to their own segment list as
+// fixed-width records, spilled to the same temp file under the same
+// budget, and Result.Graph serves states and edges lazily from the arena
+// instead of retaining live values — see Graph.
 
 // arenaSegBytes is the target size of one arena segment. Segments are
 // sealed when full (or when a budget flush forces it) and become the unit
@@ -369,9 +366,10 @@ func (a *stateArena) close() error {
 // retainer owns discovered-state retention for one checking run, behind
 // one concrete type with two modes. Live mode (the default) keeps every
 // state and its bookkeeping entry in memory, exactly as the engine always
-// has. Arena mode (Options.StateArena) keeps canonical encodings and
-// parent links in a stateArena and live S values only for states awaiting
-// expansion (retainLive/release bracket the window).
+// has. Arena mode (Options.StateArena, implied by checkpointing) keeps
+// canonical encodings and parent links in a stateArena and live S values
+// only for states awaiting expansion (retainLive/release bracket the
+// window).
 type retainer[S State] struct {
 	arena  *stateArena
 	acts   []string // interned action names; acts[0] is the initial-state ""
@@ -391,7 +389,7 @@ type retainer[S State] struct {
 }
 
 func newRetainer[S State](spec *Spec[S], opts Options, em *engineMetrics) *retainer[S] {
-	if !opts.StateArena {
+	if !opts.arena() {
 		return &retainer[S]{}
 	}
 	r := &retainer[S]{
@@ -479,15 +477,12 @@ func (r *retainer[S]) releaseAll(ids []int) {
 }
 
 // trace reconstructs the initial-state-to-id trace and its action labels.
-// Live mode walks the retained states. Arena mode decodes each stored
-// encoding on the parent chain when the spec implements BinaryDecoder;
-// otherwise it replays the recorded actions from the matching initial
-// state, selecting at every step the successor whose plain encoding equals
-// the stored bytes (see the file comment). Both reconstructions are exact —
-// the trace equals the live-mode one byte for byte. cod must be a codec no
-// expansion worker is using — the merge goroutine's, or any codec after
-// the workers joined.
-func (r *retainer[S]) trace(spec *Spec[S], cod *codec[S], id int) ([]S, []string, error) {
+// Live mode walks the retained states; arena mode decodes each stored
+// encoding on the parent chain. The reconstruction is exact — the trace
+// equals the live-mode one byte for byte (see the file comment). cod must
+// be a codec no expansion worker is using — the merge goroutine's, or any
+// codec after the workers joined.
+func (r *retainer[S]) trace(cod *codec[S], id int) ([]S, []string, error) {
 	if r.arena == nil {
 		trace, acts := rebuildTrace(r.entries, r.states, id)
 		return trace, acts, nil
@@ -496,80 +491,24 @@ func (r *retainer[S]) trace(spec *Spec[S], cod *codec[S], id int) ([]S, []string
 	for i := id; i >= 0; i = int(r.arena.meta[i].parent) {
 		rev = append(rev, i)
 	}
-	if cod.dec != nil {
-		var enc []byte
-		trace := make([]S, 0, len(rev))
-		acts := make([]string, 0, len(rev)-1)
-		for i := len(rev) - 1; i >= 0; i-- {
-			sid := rev[i]
-			var err error
-			enc, err = r.arena.encoding(sid, enc[:0])
-			if err != nil {
-				return nil, nil, err
-			}
-			s, err := cod.dec(enc)
-			if err != nil {
-				return nil, nil, fmt.Errorf("tla: arena decode: state %d: %w", sid, err)
-			}
-			if i < len(rev)-1 {
-				acts = append(acts, r.acts[r.arena.meta[sid].act])
-			}
-			trace = append(trace, s)
-		}
-		return trace, acts, nil
-	}
-	var target, cand []byte
 	trace := make([]S, 0, len(rev))
 	acts := make([]string, 0, len(rev)-1)
-	var cur S
 	for i := len(rev) - 1; i >= 0; i-- {
 		sid := rev[i]
-		var err error
-		// encoding copies, so target is reusable across steps and safe to
-		// hold while the candidate encodings churn through cand.
-		target, err = r.arena.encoding(sid, target[:0])
+		s, err := r.decodeState(cod, sid)
 		if err != nil {
 			return nil, nil, err
 		}
-		found := false
-		if i == len(rev)-1 {
-			for _, s := range spec.Init() {
-				if cand = cod.encode(s, cand[:0]); bytes.Equal(cand, target) {
-					cur, found = s, true
-					break
-				}
-			}
-			if !found {
-				return nil, nil, fmt.Errorf("tla: arena replay: no initial state matches the stored encoding of state %d", sid)
-			}
-		} else {
-			actName := r.acts[r.arena.meta[sid].act]
-			for _, a := range spec.Actions {
-				if a.Name != actName {
-					continue
-				}
-				for _, succ := range a.Next(cur) {
-					if cand = cod.encode(succ, cand[:0]); bytes.Equal(cand, target) {
-						cur, found = succ, true
-						break
-					}
-				}
-				if found {
-					break
-				}
-			}
-			if !found {
-				return nil, nil, fmt.Errorf("tla: arena replay: no %s-successor matches the stored encoding of state %d", actName, sid)
-			}
-			acts = append(acts, actName)
+		if i < len(rev)-1 {
+			acts = append(acts, r.acts[r.arena.meta[sid].act])
 		}
-		trace = append(trace, cur)
+		trace = append(trace, s)
 	}
 	return trace, acts, nil
 }
 
-// decodeState reconstructs one state from its stored encoding (arena mode
-// with a bound decoder only). The lazy Graph serves StateAt/KeyAt from it.
+// decodeState reconstructs state id from its stored encoding (arena mode
+// only). Traces and the lazy Graph's StateAt/KeyAt are served from it.
 func (r *retainer[S]) decodeState(cod *codec[S], id int) (S, error) {
 	var zero S
 	enc, err := r.arena.encoding(id, nil)

@@ -12,11 +12,10 @@ import (
 )
 
 // Arena-backed state graph tests. The contract under test (arena.go,
-// engine.go, dot.go, checkpoint.go): with a BinaryDecoder spec state,
-// StateArena+RecordGraph serves Result.Graph from the arena's append-only
-// segments — resident or spilled — and the graph is indistinguishable from
-// a live RecordGraph run's: same nodes, same keys, same edges, byte-
-// identical DOT output.
+// engine.go, dot.go, checkpoint.go): StateArena+RecordGraph serves
+// Result.Graph from the arena's append-only segments — resident or
+// spilled — and the graph is indistinguishable from a live RecordGraph
+// run's: same nodes, same keys, same edges, byte-identical DOT output.
 
 // dotBytes renders g as DOT, failing the test on error.
 func dotBytes[S State](t *testing.T, g *Graph[S], name string) []byte {
@@ -120,9 +119,6 @@ func TestArenaGraphWorkSteal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("worksteal: %v", err)
 	}
-	if got.Schedule != ScheduleWorkSteal {
-		t.Fatalf("Schedule = %v, want worksteal to run as requested", got.Schedule)
-	}
 	if got.Graph.Len() != want.Graph.Len() {
 		t.Fatalf("worksteal graph = %d nodes, want %d", got.Graph.Len(), want.Graph.Len())
 	}
@@ -145,9 +141,9 @@ func TestArenaGraphWorkSteal(t *testing.T) {
 	}
 }
 
-// TestArenaDecodeTrace: a violation under StateArena with a BinaryDecoder
-// state reconstructs its counterexample by decoding arena encodings, and
-// the trace equals the live run's action-replay-free retention.
+// TestArenaDecodeTrace: a violation under StateArena reconstructs its
+// counterexample by decoding arena encodings, and the trace equals the
+// live run's.
 func TestArenaDecodeTrace(t *testing.T) {
 	mk := func() *Spec[binState] {
 		spec := binSpec(25, false)
@@ -178,39 +174,6 @@ func TestArenaDecodeTrace(t *testing.T) {
 	for i := range want.Violation.TraceActs {
 		if got.Violation.TraceActs[i] != want.Violation.TraceActs[i] {
 			t.Fatalf("trace act %d: %q, want %q", i, got.Violation.TraceActs[i], want.Violation.TraceActs[i])
-		}
-	}
-}
-
-// TestResultSchedule pins Result.Schedule: the schedule the run actually
-// used — worksteal when it can run, the documented level-sync downgrade
-// when an option forces it.
-func TestResultSchedule(t *testing.T) {
-	res, err := Check(counterSpec(5), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Schedule != ScheduleLevelSync {
-		t.Fatalf("default Schedule = %v, want levelsync", res.Schedule)
-	}
-	res, err = Check(counterSpec(5), Options{Schedule: ScheduleWorkSteal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Schedule != ScheduleWorkSteal {
-		t.Fatalf("Schedule = %v, want worksteal", res.Schedule)
-	}
-	for _, opts := range []Options{
-		{Schedule: ScheduleWorkSteal, MaxDepth: 3},
-		{Schedule: ScheduleWorkSteal, MemoryBudgetBytes: 1},
-		{Schedule: ScheduleWorkSteal, CheckpointDir: t.TempDir(), StateArena: true},
-	} {
-		res, err = Check(counterSpec(5), opts)
-		if err != nil {
-			t.Fatalf("%+v: %v", opts, err)
-		}
-		if res.Schedule != ScheduleLevelSync {
-			t.Fatalf("%+v: Schedule = %v, want the levelsync downgrade", opts, res.Schedule)
 		}
 	}
 }

@@ -107,9 +107,8 @@ func TestArenaSpillFileLifecycle(t *testing.T) {
 }
 
 // assertArenaAgrees cross-checks Options.StateArena against live
-// retention: identical counters and — where both report traces — the
-// trace contract (live mode: byte-identical; arena mode without symmetry:
-// also byte-identical, since the replay matches injective encodings).
+// retention: identical counters and — where both report traces — a
+// byte-identical trace, since the decoded encodings are injective.
 func assertArenaAgrees[S State](t *testing.T, label string, spec *Spec[S], opts Options) {
 	t.Helper()
 	want, wantErr := Check(spec, opts)
@@ -141,7 +140,7 @@ func assertArenaAgrees[S State](t *testing.T, label string, spec *Spec[S], opts 
 			}
 			for i := range wk {
 				if wk[i] != gk[i] {
-					t.Fatalf("%s: replayed trace diverges at %d: %s vs %s", desc, i, gk[i], wk[i])
+					t.Fatalf("%s: decoded trace diverges at %d: %s vs %s", desc, i, gk[i], wk[i])
 				}
 			}
 		}
@@ -151,7 +150,7 @@ func assertArenaAgrees[S State](t *testing.T, label string, spec *Spec[S], opts 
 // TestArenaMatchesLiveRetention is the engine-level arena cross-check:
 // level-synchronized explorations with encoded retention (resident and
 // forced-to-disk) must be observationally identical to live retention —
-// counters, verdicts, and replayed counterexample traces — at several
+// counters, verdicts, and decoded counterexample traces — at several
 // worker counts, on the hand-written and randomized spec families.
 func TestArenaMatchesLiveRetention(t *testing.T) {
 	for _, w := range []int{1, 4} {
@@ -172,13 +171,13 @@ func TestArenaMatchesLiveRetention(t *testing.T) {
 	assertArenaAgrees(t, "counter-bounded", counterSpec(40), Options{MaxStates: 100, MaxDepth: 9})
 
 	for seed := int64(0); seed < 8; seed++ {
-		assertArenaAgrees(t, fmt.Sprintf("random-%d", seed), randomSpec(seed), Options{Workers: 4})
+		assertArenaAgrees(t, fmt.Sprintf("random-%d", seed), randomSpecOf[randBinState](seed), Options{Workers: 4})
 	}
 }
 
 // TestArenaUnderWorkSteal composes the two tentpole features: encoded
 // retention under the barrier-free scheduler must preserve counts and
-// produce replayable counterexamples.
+// produce counterexamples that are real behaviours.
 func TestArenaUnderWorkSteal(t *testing.T) {
 	spec := counterSpec(12)
 	assertWorkStealAgrees(t, "arena-worksteal", spec, Options{StateArena: true})
@@ -200,9 +199,9 @@ func TestArenaUnderWorkSteal(t *testing.T) {
 	assertTraceIsBehaviour(t, "arena-worksteal-violation", viol, res.Violation)
 }
 
-// TestArenaSymmetryTrace pins the exact-replay property under symmetry
+// TestArenaSymmetryTrace pins the exact-decode property under symmetry
 // reduction: the arena stores plain (not orbit-canonical) encodings, so
-// the replayed counterexample is byte-identical to live retention's even
+// the decoded counterexample is byte-identical to live retention's even
 // though the visited set dedups on orbit representatives.
 func TestArenaSymmetryTrace(t *testing.T) {
 	mk := func() *Spec[binState] {
@@ -225,40 +224,10 @@ func TestArenaSymmetryTrace(t *testing.T) {
 	}
 	wk, gk := traceKeys(want.Violation.Trace), traceKeys(got.Violation.Trace)
 	if !reflect.DeepEqual(gk, wk) {
-		t.Fatalf("replayed trace differs from live retention under symmetry:\n got  %v\n want %v", gk, wk)
+		t.Fatalf("decoded trace differs from live retention under symmetry:\n got  %v\n want %v", gk, wk)
 	}
 	if !reflect.DeepEqual(got.Violation.TraceActs, want.Violation.TraceActs) {
-		t.Fatalf("replayed acts differ: %v vs %v", got.Violation.TraceActs, want.Violation.TraceActs)
+		t.Fatalf("decoded acts differ: %v vs %v", got.Violation.TraceActs, want.Violation.TraceActs)
 	}
 	assertTraceIsBehaviour(t, "arena-symmetry", mk(), got.Violation)
-}
-
-// TestArenaGraphWithoutDecoder pins the fallback for spec states with no
-// BinaryDecoder: StateArena+RecordGraph is accepted, the graph just falls
-// back to live retention of its columns (counterState implements neither
-// BinaryState nor BinaryDecoder) and matches a plain RecordGraph run —
-// while checkpointing, which cannot persist live values, rejects the
-// combination with a precise error.
-func TestArenaGraphWithoutDecoder(t *testing.T) {
-	want, err := Check(counterSpec(3), Options{RecordGraph: true})
-	if err != nil {
-		t.Fatalf("live: %v", err)
-	}
-	got, err := Check(counterSpec(3), Options{StateArena: true, RecordGraph: true})
-	if err != nil {
-		t.Fatalf("StateArena+RecordGraph = %v, want fallback to a live graph", err)
-	}
-	if got.Graph == nil || got.Graph.Len() != want.Graph.Len() || got.Graph.NumEdges() != want.Graph.NumEdges() {
-		t.Fatalf("fallback graph = %v, want %d nodes %d edges", got.Graph, want.Graph.Len(), want.Graph.NumEdges())
-	}
-	for id := 0; id < want.Graph.Len(); id++ {
-		if got.Graph.KeyAt(id) != want.Graph.KeyAt(id) {
-			t.Fatalf("node %d key = %q, want %q", id, got.Graph.KeyAt(id), want.Graph.KeyAt(id))
-		}
-	}
-
-	_, err = Check(counterSpec(3), Options{StateArena: true, RecordGraph: true, CheckpointDir: t.TempDir()})
-	if !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("checkpointing graph without a decoder = %v, want ErrInvalidOptions", err)
-	}
 }

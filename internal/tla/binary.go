@@ -26,12 +26,10 @@ type BinaryState interface {
 
 // BinaryDecoder is the optional inverse of BinaryState: a spec state that
 // can reconstruct a state value from an encoding AppendBinary produced.
-// When a specification's state type implements it (alongside BinaryState),
-// the retained-state arena reconstructs states directly from their stored
-// encodings — counterexamples, checkpoint resume, and the arena-backed
-// state graph all decode instead of replaying the action sequence — and
-// Options.StateArena composes with Options.RecordGraph (see Graph).
-// Specs without a decoder keep the replay-based reconstruction.
+// The retained-state arena (Options.StateArena, implied by checkpointing)
+// requires it alongside BinaryState: counterexamples, checkpoint resume and
+// the arena-backed state graph (see Graph) are all decoded from the stored
+// encodings, and Check rejects the arena for a state that cannot decode.
 //
 // The contract mirrors BinaryState's: for every state s of the
 // specification, DecodeBinary(s.AppendBinary(nil)) must return a state
@@ -108,8 +106,8 @@ func Permutations(n int, visit func(perm []int)) {
 // grown to the state size; codecs are therefore per-goroutine (workers
 // clone, and each clone gets its own enumerator from the spec's factory).
 type codec[S State] struct {
-	bin        func(S, []byte) []byte  // non-nil iff S implements BinaryState (and it is not disabled)
-	dec        func([]byte) (S, error) // non-nil iff S also implements BinaryDecoder (and bin is active)
+	bin        func(S, []byte) []byte  // non-nil iff S implements BinaryState
+	dec        func([]byte) (S, error) // non-nil iff S also implements BinaryDecoder
 	symFactory func() OrbitVisitor[S]  // non-nil iff the spec declares symmetry; per-clone source of sym
 	sym        OrbitVisitor[S]         // this goroutine's orbit enumerator
 	visit      func(S)                 // pre-bound orbit-minimization step, allocated once per codec
@@ -123,12 +121,10 @@ type codec[S State] struct {
 // the zero-value receiver here and rebound to a real initial state by
 // bindDecoder before the engine first decodes — decoders that need
 // configuration off the receiver (arrayot's transformer) get it then.
-// ForceKeyEncoding disables the decoder along with the encoding: the arena
-// then stores Key() bytes, which only the replay can resolve.
-func newCodec[S State](spec *Spec[S], forceKeys bool) *codec[S] {
+func newCodec[S State](spec *Spec[S]) *codec[S] {
 	c := &codec[S]{symFactory: spec.SymmetryVisitor}
 	var zero S
-	if _, ok := any(zero).(BinaryState); ok && !forceKeys {
+	if _, ok := any(zero).(BinaryState); ok {
 		c.bin = func(s S, buf []byte) []byte { return any(s).(BinaryState).AppendBinary(buf) }
 		c.bindDecoder(zero)
 	}

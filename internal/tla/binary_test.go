@@ -153,25 +153,18 @@ func TestPermutations(t *testing.T) {
 }
 
 // TestCodecSelectsBinaryPath pins the codec's dispatch: BinaryState
-// implementations get the byte-packed encoder, ForceKeyEncoding and
-// non-implementing states fall back to Key() bytes.
+// implementations get the byte-packed encoder, non-implementing states
+// fall back to Key() bytes.
 func TestCodecSelectsBinaryPath(t *testing.T) {
 	s := binState{A: 300, B: 7}
-	c := newCodec(binSpec(5, false), false)
+	c := newCodec(binSpec(5, false))
 	if c.bin == nil {
 		t.Fatal("BinaryState implementation not detected")
 	}
 	if !bytes.Equal(c.encode(s, nil), s.AppendBinary(nil)) {
 		t.Fatal("binary codec does not encode via AppendBinary")
 	}
-	forced := newCodec(binSpec(5, false), true)
-	if forced.bin != nil {
-		t.Fatal("ForceKeyEncoding must disable the fast path")
-	}
-	if string(forced.encode(s, nil)) != s.Key() {
-		t.Fatalf("forced codec encoded %q, want the Key bytes %q", forced.encode(s, nil), s.Key())
-	}
-	kc := newCodec(&Spec[randState]{}, false)
+	kc := newCodec(&Spec[randState]{})
 	if kc.bin != nil {
 		t.Fatal("states without AppendBinary must key on Key()")
 	}
@@ -184,7 +177,7 @@ func TestCodecSelectsBinaryPath(t *testing.T) {
 // member of an orbit maps to the lexicographically smallest encoding in
 // the orbit, including through a cloned (fresh-scratch) codec.
 func TestCanonicalIsOrbitMinimal(t *testing.T) {
-	c := newCodec(binSpec(5, true), false)
+	c := newCodec(binSpec(5, true))
 	hi := binState{A: 9, B: 2}
 	lo := binState{A: 2, B: 9}
 	want := lo.AppendBinary(nil)
@@ -200,10 +193,45 @@ func TestCanonicalIsOrbitMinimal(t *testing.T) {
 		t.Fatalf("cloned codec canonical(%v) = %x, want %x", hi, got, want)
 	}
 	// Without a symmetry set, canonical is just the encoding.
-	plain := newCodec(binSpec(5, false), false)
+	plain := newCodec(binSpec(5, false))
 	if got := plain.canonical(hi); !bytes.Equal(got, hi.AppendBinary(nil)) {
 		t.Fatalf("symmetry-free canonical(%v) = %x", hi, got)
 	}
+}
+
+// keyOnly holds a spec state as a field and forwards only Key, hiding any
+// AppendBinary/DecodeBinary: the checker must dedup it on Key() strings.
+type keyOnly[S State] struct{ s S }
+
+func (k keyOnly[S]) Key() string { return k.s.Key() }
+
+// keyOnlySpec wraps spec (without symmetry or independence) in keyOnly:
+// the same state space, explored through the Key encoding path.
+func keyOnlySpec[S State](spec *Spec[S]) *Spec[keyOnly[S]] {
+	wrap := func(ss []S) []keyOnly[S] {
+		if len(ss) == 0 {
+			return nil
+		}
+		out := make([]keyOnly[S], len(ss))
+		for i, s := range ss {
+			out[i] = keyOnly[S]{s}
+		}
+		return out
+	}
+	init := spec.Init
+	k := &Spec[keyOnly[S]]{Name: spec.Name, Init: func() []keyOnly[S] { return wrap(init()) }}
+	for _, a := range spec.Actions {
+		next := a.Next
+		k.Actions = append(k.Actions, Action[keyOnly[S]]{Name: a.Name, Next: func(s keyOnly[S]) []keyOnly[S] { return wrap(next(s.s)) }})
+	}
+	for _, inv := range spec.Invariants {
+		check := inv.Check
+		k.Invariants = append(k.Invariants, Invariant[keyOnly[S]]{Name: inv.Name, Check: func(s keyOnly[S]) error { return check(s.s) }})
+	}
+	if c := spec.Constraint; c != nil {
+		k.Constraint = func(s keyOnly[S]) bool { return c(s.s) }
+	}
+	return k
 }
 
 // TestBinaryAndKeyPathsAgree checks the two dedup encodings are
@@ -228,9 +256,7 @@ func TestBinaryAndKeyPathsAgree(t *testing.T) {
 		{Workers: 4, RecordGraph: true},
 		{Workers: 4, RecordGraph: true, CollisionFree: true},
 	} {
-		keyOpts := opts
-		keyOpts.ForceKeyEncoding = true
-		want, wantErr := Check(mkSpec(), keyOpts)
+		want, wantErr := Check(keyOnlySpec(mkSpec()), opts)
 		got, gotErr := Check(mkSpec(), opts)
 		assertResultsEqual(t, fmt.Sprintf("binary-vs-keys/%+v", opts), want, got, wantErr, gotErr)
 	}

@@ -2,7 +2,6 @@ package tla
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -36,18 +35,15 @@ import (
 // prefix and removes the superseded generation only after its manifest
 // rename succeeded.
 //
-// Resume (Options.ResumeFrom) restores the counters, the arena, and the
-// visited runs, then reconstructs the frontier's live states from their
-// stored encodings: decoded directly when the spec state implements
-// BinaryDecoder, otherwise by replaying each one's parent chain — the
-// stored parent id + action name + encoding bytes identify the state by
-// re-executing the recorded action and matching encodings, the same exact
-// replay the arena's counterexample reconstruction uses. The checkpoint
-// directory itself is never modified by a resume, so one checkpoint can
-// seed any number of runs. A checkpointed RecordGraph run also restores
-// its edge records, so the resumed run's graph covers the whole
-// exploration; resuming a graph run from a manifest written before edge
-// recording existed is rejected with ErrBadCheckpoint.
+// Resume (Options.ResumeFrom) restores the counters (the degraded-memory
+// flag included), the arena, and the visited runs, then decodes the
+// frontier's live states from their stored encodings — checkpointing
+// implies the arena, which requires a BinaryDecoder spec state. The
+// checkpoint directory itself is never modified by a resume, so one
+// checkpoint can seed any number of runs. A checkpointed RecordGraph run
+// also restores its edge records, so the resumed run's graph covers the
+// whole exploration; resuming a graph run from a manifest written before
+// edge recording existed is rejected with ErrBadCheckpoint.
 //
 // Because the engine checkpoints only level boundaries (a mid-expansion
 // interrupt discards the level's candidates, whose side effects are
@@ -150,9 +146,12 @@ func specFingerprint[S State](spec *Spec[S]) uint64 {
 // between the checkpointing and the resuming run without affecting the
 // result, so they are deliberately not hashed. PartialOrder is: a pruned
 // run's frontier and visited set describe the reduced space, and resuming
-// them unpruned (or vice versa) would silently explore neither space.
+// them unpruned (or vice versa) would silently explore neither space. The
+// constant forcekey=false is the retired ForceKeyEncoding option's slot,
+// kept so checkpoints and verdict caches written before its removal keep
+// their fingerprints.
 func optionsFingerprint(o Options) uint64 {
-	return fnv1a64([]byte(fmt.Sprintf("maxstates=%d;maxdepth=%d;forcekey=%t;por=%t", o.MaxStates, o.MaxDepth, o.ForceKeyEncoding, o.PartialOrder)))
+	return fnv1a64([]byte(fmt.Sprintf("maxstates=%d;maxdepth=%d;forcekey=false;por=%t", o.MaxStates, o.MaxDepth, o.PartialOrder)))
 }
 
 // Fingerprint hashes the result-shaping options — the exact hash checkpoint
@@ -168,10 +167,7 @@ func (o Options) Fingerprint() uint64 { return optionsFingerprint(o) }
 // directory as a fresh generation. On any failure this generation's files
 // are removed and the previous checkpoint stays valid.
 func writeCheckpoint[S State](ck *checkpointer, spec *Spec[S], opts Options, ret *retainer[S], vs visitedStore, res *Result[S], frontier []int, level int) (string, error) {
-	a := ret.arena
-	if a == nil {
-		return "", errors.New("tla: checkpoint requires the state arena")
-	}
+	a := ret.arena // checkpointing implies the arena
 	fsys := ck.fsys
 	if err := ck.em.retry("checkpoint", func() error { return fsys.MkdirAll(ck.dir) }); err != nil {
 		return "", err
@@ -538,100 +534,27 @@ func copyIntoSpill(a *stateArena, fsys FS, dir, name string, dstOff, length int6
 }
 
 // reconstructStates rebuilds the live S values of the checkpointed
-// frontier. With a bound decoder each state is decoded straight from its
-// stored encoding — no parent chain, no replay. Otherwise it falls back to
-// memoized parent-chain replay: a state's parent is reconstructed first
-// (cache-hit for shared ancestors), the recorded action is re-executed,
-// and the successor whose plain encoding matches the stored bytes is the
-// state — exact, because encodings identify states by contract. Runs spec
-// callbacks; the caller brackets it with a guard.
-func reconstructStates[S State](spec *Spec[S], cod *codec[S], ret *retainer[S], ids []int) (map[int]S, error) {
-	cache := make(map[int]S, len(ids))
-	if cod.dec != nil {
-		var enc []byte
-		for _, id := range ids {
-			if id < 0 || id >= len(ret.arena.meta) {
-				return nil, fmt.Errorf("%w: frontier references state %d of %d", ErrBadCheckpoint, id, len(ret.arena.meta))
-			}
-			var err error
-			enc, err = ret.arena.encoding(id, enc[:0])
-			if err != nil {
-				return nil, err
-			}
-			s, err := cod.dec(enc)
-			if err != nil {
-				return nil, fmt.Errorf("%w: decoding state %d: %v", ErrBadCheckpoint, id, err)
-			}
-			cache[id] = s
-		}
-		return cache, nil
-	}
-	var target, cand []byte
-	var rec func(id int) (S, error)
-	rec = func(id int) (S, error) {
-		var zero S
-		if s, ok := cache[id]; ok {
-			return s, nil
-		}
+// frontier, decoding each state straight from its stored encoding. Runs
+// spec callbacks; the caller brackets it with a guard.
+func reconstructStates[S State](cod *codec[S], ret *retainer[S], ids []int) (map[int]S, error) {
+	states := make(map[int]S, len(ids))
+	var enc []byte
+	for _, id := range ids {
 		if id < 0 || id >= len(ret.arena.meta) {
-			return zero, fmt.Errorf("%w: frontier references state %d of %d", ErrBadCheckpoint, id, len(ret.arena.meta))
-		}
-		m := ret.arena.meta[id]
-		var parent S
-		if m.parent >= 0 {
-			// Recurse before touching the shared scratch buffers.
-			p, err := rec(int(m.parent))
-			if err != nil {
-				return zero, err
-			}
-			parent = p
+			return nil, fmt.Errorf("%w: frontier references state %d of %d", ErrBadCheckpoint, id, len(ret.arena.meta))
 		}
 		var err error
-		target, err = ret.arena.encoding(id, target[:0])
+		enc, err = ret.arena.encoding(id, enc[:0])
 		if err != nil {
-			return zero, err
-		}
-		var cur S
-		found := false
-		if m.parent < 0 {
-			for _, s := range spec.Init() {
-				if cand = cod.encode(s, cand[:0]); bytes.Equal(cand, target) {
-					cur, found = s, true
-					break
-				}
-			}
-		} else {
-			if int(m.act) >= len(ret.acts) {
-				return zero, fmt.Errorf("%w: state %d records unknown action index %d", ErrBadCheckpoint, id, m.act)
-			}
-			actName := ret.acts[m.act]
-			for _, a := range spec.Actions {
-				if a.Name != actName {
-					continue
-				}
-				for _, succ := range a.Next(parent) {
-					if cand = cod.encode(succ, cand[:0]); bytes.Equal(cand, target) {
-						cur, found = succ, true
-						break
-					}
-				}
-				if found {
-					break
-				}
-			}
-		}
-		if !found {
-			return zero, fmt.Errorf("%w: no state matches the stored encoding of state %d (spec changed since the checkpoint?)", ErrBadCheckpoint, id)
-		}
-		cache[id] = cur
-		return cur, nil
-	}
-	for _, id := range ids {
-		if _, err := rec(id); err != nil {
 			return nil, err
 		}
+		s, err := cod.dec(enc)
+		if err != nil {
+			return nil, fmt.Errorf("%w: decoding state %d: %v", ErrBadCheckpoint, id, err)
+		}
+		states[id] = s
 	}
-	return cache, nil
+	return states, nil
 }
 
 // resumeRun restores a checkpoint into a fresh run: validates the manifest
@@ -651,7 +574,7 @@ func resumeRun[S State](spec *Spec[S], opts Options, cod *codec[S], ret *retaine
 	case m.SpecFP != fmt.Sprintf("%016x", specFingerprint(spec)):
 		return 0, fmt.Errorf("%w: spec %q changed shape since the checkpoint (actions/invariants/constraint/symmetry differ)", ErrBadCheckpoint, spec.Name)
 	case m.OptionsFP != fmt.Sprintf("%016x", optionsFingerprint(opts)):
-		return 0, fmt.Errorf("%w: MaxStates/MaxDepth/ForceKeyEncoding differ from the checkpointing run", ErrBadCheckpoint)
+		return 0, fmt.Errorf("%w: MaxStates/MaxDepth/PartialOrder differ from the checkpointing run", ErrBadCheckpoint)
 	case len(m.Actions) != len(ret.acts):
 		return 0, fmt.Errorf("%w: checkpoint interned %d action names, this spec %d", ErrBadCheckpoint, len(m.Actions), len(ret.acts))
 	}
@@ -667,6 +590,9 @@ func resumeRun[S State](spec *Spec[S], opts Options, cod *codec[S], ret *retaine
 	res.Depth = m.Depth
 	res.Terminal = m.Terminal
 	res.ConstraintCuts = m.ConstraintCuts
+	// A run that degraded before the checkpoint stays degraded: the
+	// finalize defer only ever sets the flag, so later hops keep it too.
+	res.DegradedMemory = m.Degraded
 	if res.Graph != nil {
 		res.Graph.Inits = append([]int(nil), m.Inits...)
 	}
@@ -677,12 +603,11 @@ func resumeRun[S State](spec *Spec[S], opts Options, cod *codec[S], ret *retaine
 		return 0, err
 	}
 	// Rebind the decoder to a real initial state before reconstruction (see
-	// BinaryDecoder); the replay fallback calls Init anyway, so the extra
-	// call costs a decoding spec nothing it wasn't already paying.
+	// BinaryDecoder).
 	if inits := spec.Init(); len(inits) > 0 {
 		cod.bindDecoder(inits[0])
 	}
-	states, err := reconstructStates(spec, cod, ret, m.Frontier)
+	states, err := reconstructStates(cod, ret, m.Frontier)
 	if err != nil {
 		return 0, err
 	}

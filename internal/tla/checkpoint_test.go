@@ -87,6 +87,31 @@ func TestCheckpointResumeMatchesOracle(t *testing.T) {
 		t.Fatal("resumed run still reports Interrupted")
 	}
 	assertSameOutcome(t, "resume", res, oracle)
+
+	// A run that degraded before the interrupt (every arena segment write
+	// fails with ENOSPC) records it in the manifest, and the resumed run —
+	// fault-free itself — must keep reporting it.
+	ddir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ffs := NewFaultFS(nil)
+	ffs.Inject(Fault{Op: FaultWrite, Path: "tla-arena-", Err: syscall.ENOSPC})
+	dopts := ckOpts()
+	dopts.Context, dopts.CheckpointDir, dopts.FS = ctx, ddir, ffs
+	dres, err := Check(cancelingSpec(counterSpec(max), cancel, 600), dopts)
+	if !errors.Is(err, ErrInterrupted) || !dres.DegradedMemory {
+		t.Fatalf("degrading run: err = %v, DegradedMemory = %v, want an interrupted degraded run", err, dres.DegradedMemory)
+	}
+	ropts := ckOpts()
+	ropts.ResumeFrom = ddir
+	rres, err := Check(counterSpec(max), ropts)
+	if err != nil {
+		t.Fatalf("resuming the degraded run: %v", err)
+	}
+	if !rres.DegradedMemory {
+		t.Fatal("the resumed run lost the DegradedMemory of the run it continues")
+	}
+	assertSameOutcome(t, "degraded-resume", rres, oracle)
 }
 
 // TestMultiHopResume interrupts, resumes, interrupts again — each hop

@@ -140,17 +140,6 @@ func (d *DOTGraph) Terminal() []int {
 	return out
 }
 
-// Successors returns d's outgoing edges from id.
-func (d *DOTGraph) Successors(id int) []Edge {
-	var out []Edge
-	for _, e := range d.Edges {
-		if e.From == id {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // ParseDOT reads a DOT file in the dialect produced by WriteDOT (a subset of
 // the TLC dump dialect): node lines `N [label="...",...];` and edge lines
 // `N -> M [label="..."];`. It is a line-oriented parser, as the paper's

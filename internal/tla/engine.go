@@ -145,7 +145,7 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs visitedStor
 		res.Graph = &Graph[S]{}
 	}
 
-	cod := newCodec(spec, opts.ForceKeyEncoding)
+	cod := newCodec(spec)
 	// Per-worker codec clones persist across BFS levels: scratch buffers
 	// and symmetry scratch states grow once, not once per level. Index 0
 	// is the merge goroutine's own codec (also the single inline worker's).
@@ -156,11 +156,7 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs visitedStor
 	}
 	ret := newRetainer(spec, opts, em)
 
-	// Partial-order reduction resolves here: the run must ask and the spec
-	// must declare. Result.PartialOrder reports the resolution so CLIs can
-	// warn about a request that had nothing to act on.
 	ind := activeIndependence(spec, opts)
-	res.PartialOrder = ind != nil
 	var porScr []porScratch[S]
 	if ind != nil {
 		porScr = make([]porScratch[S], workers)
@@ -169,17 +165,10 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs visitedStor
 		}
 	}
 
-	// A checkpointed graph must be arena-backed: live graph columns are not
-	// persisted, so a resumed run could never rebuild them without a
-	// decoder. Validate cannot see S, so the check lives here.
-	if opts.checkpointing() && opts.RecordGraph && cod.dec == nil {
-		return res, fmt.Errorf("%w: RecordGraph with checkpoint/resume needs the arena-backed graph, which requires the spec state to implement BinaryDecoder (and not ForceKeyEncoding)", ErrInvalidOptions)
-	}
-	// Arena-backed graph: with a decoder available, graph states and edges
-	// live in the arena (spilling under the budget with everything else)
-	// and Result.Graph serves them lazily. Without a decoder the graph
-	// falls back to live retention of its columns — correct, but resident.
-	arenaGraph := opts.RecordGraph && ret.arena != nil && cod.dec != nil
+	// Arena-backed graph: graph states and edges live in the arena
+	// (spilling under the budget with everything else) and Result.Graph
+	// serves them lazily.
+	arenaGraph := opts.RecordGraph && ret.arena != nil
 	if arenaGraph {
 		ret.arena.recordEdges = true
 		ret.graphOwned = true
@@ -217,7 +206,7 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs visitedStor
 		if r := recover(); r != nil {
 			pi := mg.capture(r) // re-panics on engine bugs (guard unarmed)
 			res.Violation = nil
-			err = specPanicError(spec, cod, ret, pi)
+			err = specPanicError(cod, ret, pi)
 		}
 	}()
 	// Worker-counter attribution for the merge phase: the deltas of
@@ -329,7 +318,7 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs visitedStor
 			ierr := inv.Check(s)
 			mg.exit()
 			if ierr != nil {
-				trace, acts, terr := safeTrace(spec, cod, ret, id)
+				trace, acts, terr := safeTrace(cod, ret, id)
 				if terr != nil {
 					return nil, terr
 				}
@@ -357,10 +346,9 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs visitedStor
 	if opts.ResumeFrom != "" {
 		// A resumed run restores the checkpoint instead of registering
 		// initial states: counters, arena, visited runs, and the frontier's
-		// live values (reconstructed by parent-chain replay, which runs
-		// spec callbacks — the guard attributes a panic there to the
-		// replay).
-		mg.enter(opNext, "(resume replay)", -1)
+		// live values (decoded from their stored encodings, which runs spec
+		// callbacks — the guard attributes a panic there to the encoding).
+		mg.enter(opEncode, "", -1)
 		lvl, rerr := resumeRun(spec, opts, cod, ret, vs, fr, res, ck)
 		mg.exit()
 		if rerr != nil {
@@ -477,7 +465,7 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs visitedStor
 		}
 		outs := expandFrontier(spec, wcods, ret, frontier, vs, &pool, &ctl, porScr, em)
 		if pi := ctl.takePanic(); pi != nil {
-			return res, specPanicError(spec, cod, ret, pi)
+			return res, specPanicError(cod, ret, pi)
 		}
 		if st.stopped() {
 			// Mid-expansion stop: the level's candidates are discarded —

@@ -161,10 +161,8 @@ func TestOptionsValidateRobustness(t *testing.T) {
 	bad := []Options{
 		{Deadline: past},
 		{CheckpointEvery: -1},
-		{CheckpointEvery: 3},  // no CheckpointDir
-		{CheckpointDir: "ck"}, // no StateArena
-		{ResumeFrom: "ck"},    // no StateArena
-		{CheckpointDir: "ck", StateArena: true, CollisionFree: true}, // no fingerprints to persist
+		{CheckpointEvery: 3},                       // no CheckpointDir
+		{CheckpointDir: "ck", CollisionFree: true}, // no fingerprints to persist
 	}
 	for _, opts := range bad {
 		if err := opts.Validate(); !errors.Is(err, ErrInvalidOptions) {
@@ -177,7 +175,7 @@ func TestOptionsValidateRobustness(t *testing.T) {
 	good := []Options{
 		{Deadline: time.Now().Add(time.Hour)},
 		{Context: context.Background()},
-		{CheckpointDir: t.TempDir(), StateArena: true},
+		{CheckpointDir: t.TempDir()}, // implies StateArena
 		{CheckpointDir: t.TempDir(), StateArena: true, CheckpointEvery: 5, MemoryBudgetBytes: 1},
 	}
 	for _, opts := range good {
@@ -187,14 +185,5 @@ func TestOptionsValidateRobustness(t *testing.T) {
 	}
 	if err := (TraceOptions{Deadline: past}).Validate(); !errors.Is(err, ErrInvalidOptions) {
 		t.Fatalf("TraceOptions.Validate(past deadline) = %v, want ErrInvalidOptions", err)
-	}
-}
-
-// TestWorkStealFallsBackForCheckpointing: checkpoints are sealed at level
-// boundaries, so a checkpointing run must resolve to level-sync.
-func TestWorkStealFallsBackForCheckpointing(t *testing.T) {
-	o := Options{Schedule: ScheduleWorkSteal, StateArena: true, CheckpointDir: "ck"}
-	if got := o.effectiveSchedule(); got != ScheduleLevelSync {
-		t.Fatalf("effectiveSchedule = %v, want level-sync fallback for checkpointing", got)
 	}
 }

@@ -143,27 +143,27 @@ func (c *runControl) takePanic() *panicInfo {
 }
 
 // safeTrace rebuilds the trace to state id, converting a panic raised
-// during the reconstruction into an error. Arena-mode traces replay spec
-// actions (arena.go), so a deterministic panic in Next would otherwise
-// re-fire while reporting the very failure it caused.
-func safeTrace[S State](spec *Spec[S], cod *codec[S], ret *retainer[S], id int) (trace []S, acts []string, err error) {
+// during the reconstruction into an error. Arena-mode traces run the
+// spec's DecodeBinary (arena.go), so a deterministic panic in the encoding
+// would otherwise re-fire while reporting the very failure it caused.
+func safeTrace[S State](cod *codec[S], ret *retainer[S], id int) (trace []S, acts []string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			trace, acts = nil, nil
-			err = fmt.Errorf("%w: and panicked again during counterexample replay: %v", ErrSpecPanic, r)
+			err = fmt.Errorf("%w: and panicked again during counterexample decoding: %v", ErrSpecPanic, r)
 		}
 	}()
-	return ret.trace(spec, cod, id)
+	return ret.trace(cod, id)
 }
 
 // specPanicError converts a captured panic into the structured *SpecPanic
 // verdict, decoding the trace to the offending state when one is known.
-// Trace reconstruction failures (including a replay re-panic) degrade to
+// Trace reconstruction failures (including a decode re-panic) degrade to
 // an empty trace — the panic diagnosis survives regardless.
-func specPanicError[S State](spec *Spec[S], cod *codec[S], ret *retainer[S], pi *panicInfo) error {
+func specPanicError[S State](cod *codec[S], ret *retainer[S], pi *panicInfo) error {
 	sp := &SpecPanic[S]{Op: opString(pi.kind, pi.name), Value: pi.value, Stack: pi.stack}
 	if pi.id >= 0 && pi.id < ret.len() {
-		if trace, acts, err := safeTrace(spec, cod, ret, pi.id); err == nil {
+		if trace, acts, err := safeTrace(cod, ret, pi.id); err == nil {
 			sp.Trace, sp.TraceActs = trace, acts
 		}
 	}

@@ -90,17 +90,14 @@ type Independence[S State] struct {
 	Safe func(s S, p int) bool
 }
 
-// activeIndependence resolves whether a run prunes: Options.PartialOrder
-// must ask for it and the spec must carry a complete declaration. A POR
-// request on a spec without one is a silent no-op at this layer —
-// Result.PartialOrder reports the resolution, and the CLIs warn, exactly
-// like the work-steal downgrade.
+// activeIndependence returns the declaration a run prunes with, nil unless
+// Options.PartialOrder asks for pruning. Check has already rejected a
+// request on a spec without a complete declaration.
 func activeIndependence[S State](spec *Spec[S], opts Options) *Independence[S] {
-	ind := spec.Independence
-	if !opts.PartialOrder || ind == nil || ind.Procs == nil || ind.Owner == nil {
+	if !opts.PartialOrder {
 		return nil
 	}
-	return ind
+	return spec.Independence
 }
 
 // porPlanner is one worker's ample-set selection scratch. Each worker owns

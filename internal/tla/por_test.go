@@ -89,9 +89,6 @@ func TestPORGridReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !por.PartialOrder {
-		t.Fatal("Result.PartialOrder = false on a declaring spec")
-	}
 	t.Logf("grid 4x4: full=%d por=%d (%.1fx, %d ample states)",
 		full.Distinct, por.Distinct, float64(full.Distinct)/float64(por.Distinct), por.AmpleStates)
 	if full.Distinct != 5*5*5*5 {
@@ -225,30 +222,11 @@ func TestPORDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestPORWithoutDeclarationIsNoOp pins the resolution contract: requesting
-// PartialOrder on a spec with no Independence declaration runs the plain
-// engine — identical counters, Result.PartialOrder false (the bit the CLIs
-// key their "requested but inactive" warning on).
-func TestPORWithoutDeclarationIsNoOp(t *testing.T) {
-	plain, err := Check(counterSpec(6), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	por, err := Check(counterSpec(6), Options{PartialOrder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if por.PartialOrder {
-		t.Fatal("Result.PartialOrder = true without a declaration")
-	}
-	if por.Distinct != plain.Distinct || por.Transitions != plain.Transitions || por.AmpleStates != 0 {
-		t.Fatalf("no-op POR changed results: %+v vs %+v", por, plain)
-	}
-}
-
 // TestPORValidate pins the option combination POR rejects up front:
 // MaxDepth would cut a different state set than the unpruned run once
-// deferral moves interleavings to other depths.
+// deferral moves interleavings to other depths. (The spec-dependent
+// rejection — no Independence declaration — is a row of
+// TestOptionsRejectedBeforeExploring.)
 func TestPORValidate(t *testing.T) {
 	if err := (Options{PartialOrder: true, MaxDepth: 3}).Validate(); !errors.Is(err, ErrInvalidOptions) {
 		t.Fatalf("max depth: Validate = %v, want ErrInvalidOptions", err)

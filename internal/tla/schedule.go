@@ -35,9 +35,9 @@ import (
 // the deepest discovery depth (an upper bound on the BFS depth), and a
 // recorded graph lists states and edges in nondeterministic order.
 // Because a depth bound needs true BFS depths to cut the same states,
-// MaxDepth runs fall back to level-sync, as do runs using the
-// level-synchronized spilling visited store (MemoryBudgetBytes) and
-// checkpointing runs — see Options.effectiveSchedule.
+// Options.Validate rejects work-stealing with MaxDepth, as it does with
+// the level-synchronized spilling visited store (MemoryBudgetBytes) and
+// with checkpointing, whose checkpoints are sealed at level boundaries.
 //
 // Under work-stealing, Invariants and Constraint are called from worker
 // goroutines (the level-synchronized engine calls them on the merge
@@ -54,7 +54,7 @@ const (
 	// ScheduleWorkSteal is the barrier-free mode: per-worker steal-half
 	// deques and claim-on-insert deduplication. Identical verdicts and
 	// state counts, nondeterministic order; see the file comment for the
-	// exact contract and the fallbacks.
+	// exact contract and the options it rejects.
 	ScheduleWorkSteal
 )
 
@@ -77,23 +77,6 @@ func ParseSchedule(name string) (Schedule, error) {
 		return ScheduleWorkSteal, nil
 	}
 	return 0, fmt.Errorf("%w: unknown schedule %q (levelsync or level-sync, worksteal or work-steal)", ErrInvalidOptions, name)
-}
-
-// effectiveSchedule resolves the schedule Check actually runs. Work-steal
-// falls back to level-sync when the options demand level semantics:
-// MaxDepth needs true BFS depths to cut the same states, the spilling
-// visited store (MemoryBudgetBytes) resolves lookups once per level, and
-// checkpoints are sealed at level boundaries, which a barrier-free run does
-// not have. The fallback is documented on Options.Schedule; results are
-// correct either way.
-func (o Options) effectiveSchedule() Schedule {
-	if o.Schedule != ScheduleWorkSteal {
-		return ScheduleLevelSync
-	}
-	if o.MaxDepth > 0 || o.MemoryBudgetBytes > 0 || o.checkpointing() {
-		return ScheduleLevelSync
-	}
-	return ScheduleWorkSteal
 }
 
 // wsItem is one unit of pending work: a discovered state awaiting
@@ -264,8 +247,8 @@ type wsEngine[S State] struct {
 	// cannot.
 	porStatus []uint8
 	// arenaGraph marks that the recorded graph is arena-backed (RecordGraph
-	// + StateArena + a bound decoder): alloc skips the live state columns
-	// and expand records edges into the arena under mu.
+	// + StateArena): alloc skips the live state columns and expand records
+	// edges into the arena under mu.
 	arenaGraph bool
 	// violID/violInv/violErr record the first invariant violation; the
 	// trace is reconstructed after the workers join.
@@ -694,8 +677,8 @@ func runWorkSteal[S State](spec *Spec[S], opts Options, workers int, em *engineM
 		deques: make([]wsDeque, workers),
 		em:     em,
 	}
-	cod := newCodec(spec, opts.ForceKeyEncoding)
-	if opts.RecordGraph && ret.arena != nil && cod.dec != nil {
+	cod := newCodec(spec)
+	if opts.RecordGraph && ret.arena != nil {
 		// Arena-backed graph, as in the level-sync engine; work-steal
 		// appends edges from many workers, so From order is
 		// nondeterministic and WriteDOT will materialize-and-sort.
@@ -714,7 +697,6 @@ func runWorkSteal[S State](spec *Spec[S], opts Options, workers int, em *engineM
 		}
 	}()
 	ind := activeIndependence(spec, opts)
-	res.PartialOrder = ind != nil
 	ws := make([]*wsWorker[S], workers)
 	for i := range ws {
 		wcod := cod
@@ -829,7 +811,7 @@ func runWorkSteal[S State](spec *Spec[S], opts Options, workers int, em *engineM
 	// verdict and wins; then a recovered spec panic; then ErrStateLimit or
 	// an I/O failure; then the interruption, with the partial counters.
 	if e.violErr != nil {
-		trace, acts, terr := safeTrace(spec, cod, ret, e.violID)
+		trace, acts, terr := safeTrace(cod, ret, e.violID)
 		if terr != nil {
 			return res, terr
 		}
@@ -837,7 +819,7 @@ func runWorkSteal[S State](spec *Spec[S], opts Options, workers int, em *engineM
 		return res, res.Violation
 	}
 	if e.pi != nil {
-		return res, specPanicError(spec, cod, ret, e.pi)
+		return res, specPanicError(cod, ret, e.pi)
 	}
 	if e.runErr != nil {
 		return res, e.runErr

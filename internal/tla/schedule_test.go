@@ -222,33 +222,6 @@ func TestWorkStealGraph(t *testing.T) {
 	}
 }
 
-// TestWorkStealFallsBack pins the documented level-sync fallbacks: depth
-// bounds and the spilling visited store need level semantics, so Check
-// must run them level-synchronized — observable through the exact
-// level-sync results (which work-stealing could only reproduce by
-// accident, e.g. the exact BFS Depth on a depth-bounded run).
-func TestWorkStealFallsBack(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"maxdepth", Options{Schedule: ScheduleWorkSteal, MaxDepth: 3, RecordGraph: true}},
-		{"membudget", Options{Schedule: ScheduleWorkSteal, MemoryBudgetBytes: 1, RecordGraph: true}},
-	} {
-		if got := tc.opts.effectiveSchedule(); got != ScheduleLevelSync {
-			t.Fatalf("%s: effectiveSchedule = %v, want the level-sync fallback", tc.name, got)
-		}
-		lsOpts := tc.opts
-		lsOpts.Schedule = ScheduleLevelSync
-		want, wantErr := Check(counterSpec(12), lsOpts)
-		got, gotErr := Check(counterSpec(12), tc.opts)
-		assertResultsEqual(t, "fallback-"+tc.name, want, got, wantErr, gotErr)
-	}
-	if got := (Options{Schedule: ScheduleWorkSteal}).effectiveSchedule(); got != ScheduleWorkSteal {
-		t.Fatalf("unconstrained work-steal resolved to %v", got)
-	}
-}
-
 func TestScheduleStringAndParse(t *testing.T) {
 	for _, tc := range []struct {
 		in   string

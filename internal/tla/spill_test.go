@@ -50,6 +50,75 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
+// checkExplores runs Check on spec and reports whether it got as far as
+// calling Init — the first step of every exploration, fresh or resumed.
+func checkExplores[S State](spec *Spec[S], opts Options) (bool, error) {
+	explored := false
+	init := spec.Init
+	spec.Init = func() []S {
+		explored = true
+		return init()
+	}
+	_, err := Check(spec, opts)
+	return explored, err
+}
+
+// TestOptionsRejectedBeforeExploring pins every option combination the
+// engine used to reinterpret silently — a work-steal run downgraded to
+// level-sync, a POR request ignored on a spec without a declaration, the
+// arena replaying actions for a state it cannot decode. Each must now be
+// an ErrInvalidOptions from Check before a single state is explored.
+func TestOptionsRejectedBeforeExploring(t *testing.T) {
+	incomplete := func() *Spec[gridState] {
+		spec := gridSpec(2, 2, -1)
+		spec.Independence.Procs = nil
+		return spec
+	}
+	randomKeyed := func() *Spec[randState] { return randomSpec(1) }
+	for _, tc := range []struct {
+		name string
+		run  func() (bool, error)
+	}{
+		{"worksteal-MaxDepth", func() (bool, error) {
+			return checkExplores(counterSpec(5), Options{Schedule: ScheduleWorkSteal, MaxDepth: 3})
+		}},
+		{"worksteal-MemoryBudgetBytes", func() (bool, error) {
+			return checkExplores(counterSpec(5), Options{Schedule: ScheduleWorkSteal, MemoryBudgetBytes: 1})
+		}},
+		{"worksteal-CheckpointDir", func() (bool, error) {
+			return checkExplores(counterSpec(5), Options{Schedule: ScheduleWorkSteal, CheckpointDir: t.TempDir()})
+		}},
+		{"worksteal-ResumeFrom", func() (bool, error) {
+			return checkExplores(counterSpec(5), Options{Schedule: ScheduleWorkSteal, ResumeFrom: t.TempDir()})
+		}},
+		{"PartialOrder-no-Independence", func() (bool, error) {
+			return checkExplores(counterSpec(5), Options{PartialOrder: true})
+		}},
+		{"PartialOrder-nil-Procs", func() (bool, error) {
+			return checkExplores(incomplete(), Options{PartialOrder: true})
+		}},
+		{"StateArena-key-only", func() (bool, error) {
+			return checkExplores(randomKeyed(), Options{StateArena: true})
+		}},
+		{"CheckpointDir-key-only", func() (bool, error) {
+			return checkExplores(randomKeyed(), Options{CheckpointDir: t.TempDir()})
+		}},
+		{"StateArena-RecordGraph-key-only", func() (bool, error) {
+			return checkExplores(randomKeyed(), Options{StateArena: true, RecordGraph: true})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			explored, err := tc.run()
+			if !errors.Is(err, ErrInvalidOptions) {
+				t.Fatalf("err = %v, want ErrInvalidOptions", err)
+			}
+			if explored {
+				t.Fatal("the run explored states before rejecting its options")
+			}
+		})
+	}
+}
+
 // TestSpillMatchesMemoryStore is the engine-level cross-check of the
 // disk-spilling visited store: with a one-byte budget (every level seals a
 // run, every later level merge-joins against the accumulated runs) the

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -126,7 +125,7 @@ type Edge struct {
 // The graph has two representations behind one API: the accessors Len,
 // NumEdges, StateAt, KeyAt and ForEachEdge. In live mode (the default
 // under Options.RecordGraph) states, keys and edges are held in memory. In
-// arena mode (RecordGraph + StateArena on a BinaryDecoder spec) they are
+// arena mode (RecordGraph + StateArena) they are
 // served lazily from the retained-state arena — resident segments or the
 // spill file — so a graph larger than memory is still fully traversable;
 // an arena-mode graph owns the arena's spill file, and the caller releases
@@ -149,9 +148,6 @@ type Graph[S State] struct {
 	// the bound decoder; nil in live mode.
 	ret *retainer[S]
 	cod *codec[S]
-
-	adjOnce sync.Once
-	adj     [][]Edge
 }
 
 // Len returns the number of states in the graph.
@@ -220,24 +216,13 @@ func (g *Graph[S]) Close() error {
 	return g.ret.arena.close()
 }
 
-// Successors returns the outgoing edges of state id, in recorded order.
-// The adjacency index is built once, on first use; callers must not append
-// further edges after querying.
-func (g *Graph[S]) Successors(id int) []Edge {
-	if id < 0 || id >= g.Len() {
-		return nil
-	}
-	return g.adjacency()[id]
-}
-
 // Options configures a model-checking run.
 type Options struct {
 	// RecordGraph records every state and edge so the Result carries a
 	// Graph. Required for DOT export, liveness checking and MBTCG. Alone
 	// it retains live states and edges in memory; combined with StateArena
-	// on a spec whose state implements BinaryDecoder, the graph is instead
-	// served lazily from the arena's (possibly disk-spilled) segments —
-	// see Graph.
+	// the graph is instead served lazily from the arena's (possibly
+	// disk-spilled) segments — see Graph.
 	RecordGraph bool
 	// MaxStates aborts exploration after this many distinct states
 	// (0 = unlimited). The checker returns ErrStateLimit.
@@ -261,11 +246,12 @@ type Options struct {
 	// shortest, Result.Depth is an upper bound on the BFS depth, and a
 	// recorded graph lists states and edges in nondeterministic order.
 	// Under work-stealing, Invariants and Constraint are called from
-	// worker goroutines and must not mutate shared state. Runs that need
-	// level semantics fall back to level-sync: MaxDepth > 0 (a depth bound
-	// needs true BFS depths to cut the same states), MemoryBudgetBytes > 0
+	// worker goroutines and must not mutate shared state. Options that
+	// need level semantics are rejected with it: MaxDepth (a depth bound
+	// needs true BFS depths to cut the same states), MemoryBudgetBytes
 	// (the spilling visited store resolves lookups once per level), and
-	// checkpoint/resume (checkpoints are sealed at level boundaries).
+	// CheckpointDir/ResumeFrom (checkpoints are sealed at level
+	// boundaries).
 	Schedule Schedule
 	// StateArena retains discovered states as canonical encodings in an
 	// append-only arena — parent links and ~24 bytes of metadata per state
@@ -275,27 +261,26 @@ type Options struct {
 	// knob that bounds trace-storage memory the way the fingerprint set
 	// bounds deduplication memory. With MemoryBudgetBytes set, sealed
 	// arena segments spill to disk under the same budget, so the visited
-	// set and trace storage both respect it. Counterexamples are
-	// reconstructed from the stored encodings — decoded directly when the
-	// state implements BinaryDecoder, replayed through the recorded
-	// actions otherwise; the arena stores each state's plain encoding,
-	// which identifies the exact state explored, so the reconstructed
-	// trace is byte-identical to live retention's — including under
-	// symmetry reduction. Combined with RecordGraph on a BinaryDecoder
-	// spec, the arena also backs the state graph (see Graph); without a
-	// decoder the graph falls back to live retention of its states.
+	// set and trace storage both respect it. The arena needs a spec state
+	// that implements BinaryState and BinaryDecoder — Check rejects it
+	// otherwise — and every stored state is decoded back: counterexamples,
+	// the resumed frontier, and with RecordGraph the state graph itself
+	// (see Graph). The arena stores each state's plain encoding, which
+	// identifies the exact state explored, so the reconstructed trace is
+	// byte-identical to live retention's — including under symmetry
+	// reduction. CheckpointDir and ResumeFrom imply it.
 	StateArena bool
 	// PartialOrder enables ample-set partial-order reduction (-por on the
 	// CLIs) for specs that declare Independence: per expanded state the
 	// engine explores only one eligible process's transitions when the
 	// soundness conditions hold, deferring the rest (see por.go for the
-	// conditions and exactly what is preserved). On a spec without a
-	// declaration the flag is a no-op — Result.PartialOrder reports
-	// whether pruning was actually active. Composes with SymmetryVisitor,
-	// both schedules, StateArena and MemoryBudgetBytes; rejected with
-	// MaxDepth (a depth bound cuts deferred interleavings differently
-	// from the unpruned run). Liveness checking needs the full edge set:
-	// run CheckEventuallyWithin on graphs recorded without POR.
+	// conditions and exactly what is preserved). Check rejects it on a
+	// spec whose Independence is missing or lacks Procs or Owner.
+	// Composes with SymmetryVisitor, both schedules, StateArena and
+	// MemoryBudgetBytes; rejected with MaxDepth (a depth bound cuts
+	// deferred interleavings differently from the unpruned run). Liveness
+	// checking needs the full edge set: run CheckEventuallyWithin on
+	// graphs recorded without POR.
 	PartialOrder bool
 	// CollisionFree makes the parallel path deduplicate on full canonical
 	// keys instead of 64-bit fingerprints, trading memory and speed for
@@ -307,12 +292,6 @@ type Options struct {
 	// set it for parallel runs whose verdict must be exact rather than
 	// exact-with-probability-1.
 	CollisionFree bool
-	// ForceKeyEncoding makes the checker ignore a BinaryState
-	// implementation and dedup on canonical Key() strings as if the spec
-	// had none. It exists as the baseline for the byte-packed-encoding
-	// benchmarks and as a debugging aid when an AppendBinary
-	// implementation is suspected of violating the Key-agreement contract.
-	ForceKeyEncoding bool
 	// MemoryBudgetBytes bounds the visited set's resident memory
 	// (approximately — the engine charges a fixed estimate per resident
 	// fingerprint). When set, the engine dedups on a disk-spilling
@@ -352,11 +331,10 @@ type Options struct {
 	// — the engine seals the current spill runs and arena segments into
 	// this directory with a manifest, and a later run with ResumeFrom
 	// continues where it stopped, with verdict and counts identical to an
-	// uninterrupted run. Requires StateArena (the parent-chain replay
-	// that reconstructs the frontier's live states) and fingerprint
-	// deduplication (rejected alongside CollisionFree); checkpointed runs
-	// are level-synchronized, so ScheduleWorkSteal falls back to
-	// ScheduleLevelSync.
+	// uninterrupted run. Implies StateArena (the stored encodings are what
+	// the resumed frontier is decoded from) and needs fingerprint
+	// deduplication (rejected alongside CollisionFree) and level
+	// boundaries (rejected alongside ScheduleWorkSteal).
 	CheckpointDir string
 	// CheckpointEvery checkpoints every N completed BFS levels in
 	// addition to checkpoint-on-interrupt (0 = only on interrupt).
@@ -364,11 +342,11 @@ type Options struct {
 	CheckpointEvery int
 	// ResumeFrom continues a checkpointed run from the given directory.
 	// The spec (name, action and invariant names) and the result-shaping
-	// options (MaxStates, MaxDepth, ForceKeyEncoding) must match the
+	// options (MaxStates, MaxDepth, PartialOrder) must match the
 	// checkpointing run; mismatches are rejected with ErrBadCheckpoint.
 	// The checkpoint directory itself is never modified, so one
-	// checkpoint can be resumed any number of times. Subject to the same
-	// option constraints as CheckpointDir.
+	// checkpoint can be resumed any number of times. Implies StateArena
+	// and is subject to the same option constraints as CheckpointDir.
 	ResumeFrom string
 	// CheckpointMeta is an opaque caller blob stored verbatim in the
 	// checkpoint manifest and surfaced by ReadCheckpointInfo — the hook
@@ -430,6 +408,12 @@ func (o Options) checkpointing() bool {
 	return o.CheckpointDir != "" || o.ResumeFrom != ""
 }
 
+// arena reports whether the run retains states in the encoding arena:
+// asked for with StateArena, or implied by checkpointing.
+func (o Options) arena() bool {
+	return o.StateArena || o.checkpointing()
+}
+
 // ErrInvalidOptions is the named error every Options (and TraceOptions)
 // validation failure wraps: errors.Is(err, ErrInvalidOptions) reports that
 // a checking run was rejected before exploring anything, with the detail in
@@ -437,8 +421,9 @@ func (o Options) checkpointing() bool {
 var ErrInvalidOptions = errors.New("tla: invalid options")
 
 // Validate rejects option combinations the engine would otherwise have to
-// silently reinterpret. Check calls it first; callers constructing options
-// from external input (CLI flags) can call it early for a better error.
+// silently reinterpret. Check calls it first and then rejects the
+// combinations that depend on the spec; callers constructing options from
+// external input (CLI flags) can call it early for a better error.
 func (o Options) Validate() error {
 	switch {
 	case o.Workers < 0:
@@ -453,14 +438,14 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: MemoryBudgetBytes requires fingerprint deduplication, but CollisionFree keys the visited set on full encodings, which are memory-resident by definition", ErrInvalidOptions)
 	case o.Schedule < ScheduleLevelSync || o.Schedule > ScheduleWorkSteal:
 		return fmt.Errorf("%w: unknown Schedule %d (ScheduleLevelSync, ScheduleWorkSteal)", ErrInvalidOptions, o.Schedule)
+	case o.Schedule == ScheduleWorkSteal && (o.MaxDepth > 0 || o.MemoryBudgetBytes > 0 || o.checkpointing()):
+		return fmt.Errorf("%w: ScheduleWorkSteal has no BFS levels, which MaxDepth (true BFS depths), MemoryBudgetBytes (one merge-join per level) and CheckpointDir/ResumeFrom (level-boundary checkpoints) need; use ScheduleLevelSync", ErrInvalidOptions)
 	case !o.Deadline.IsZero() && !o.Deadline.After(time.Now()):
 		return fmt.Errorf("%w: Deadline %s is in the past", ErrInvalidOptions, o.Deadline.Format(time.RFC3339))
 	case o.CheckpointEvery < 0:
 		return fmt.Errorf("%w: negative CheckpointEvery %d (0 means checkpoint only on interrupt)", ErrInvalidOptions, o.CheckpointEvery)
 	case o.CheckpointEvery > 0 && o.CheckpointDir == "":
 		return fmt.Errorf("%w: CheckpointEvery needs a CheckpointDir to write to", ErrInvalidOptions)
-	case o.checkpointing() && !o.StateArena:
-		return fmt.Errorf("%w: checkpoint/resume needs StateArena: the arena's parent chains and stored encodings are what reconstruct the frontier's live states on resume", ErrInvalidOptions)
 	case o.checkpointing() && o.CollisionFree:
 		return fmt.Errorf("%w: checkpoints persist 64-bit fingerprints; CollisionFree keys the visited set on full encodings, which are not persisted", ErrInvalidOptions)
 	case o.PartialOrder && o.MaxDepth > 0:
@@ -527,17 +512,6 @@ type Result[S State] struct {
 	// wrote (empty when none was written); `minitlc -resume` or
 	// Options.ResumeFrom continues from it.
 	CheckpointPath string
-	// Schedule is the exploration schedule the run actually used. It can
-	// differ from Options.Schedule: ScheduleWorkSteal silently falls back
-	// to ScheduleLevelSync for runs that need level semantics (MaxDepth,
-	// MemoryBudgetBytes, checkpointing) — callers that requested
-	// work-stealing should compare and tell the user.
-	Schedule Schedule
-	// PartialOrder reports that ample-set pruning was actually active:
-	// Options.PartialOrder was set AND the spec declared Independence. A
-	// caller that requested POR on a spec without a declaration should
-	// compare and tell the user, like the work-steal downgrade.
-	PartialOrder bool
 	// AmpleStates counts expanded states at which an ample subset was
 	// kept (some successors deferred); DeferredTransitions counts the
 	// transitions those prunes skipped. Together with Distinct they are
@@ -569,6 +543,13 @@ type stateEntry struct {
 // options imply, modulo fingerprint collisions (see CollisionFree);
 // work-stealing preserves verdicts and counts but not order — see
 // Options.Schedule.
+//
+// Every run does what its options say or is rejected before exploring
+// anything: Validate rejects the combinations that are invalid for any
+// spec, and Check then rejects those the spec cannot serve — PartialOrder
+// without a complete Independence declaration, and arena retention
+// (StateArena, CheckpointDir, ResumeFrom) on a state that does not
+// implement BinaryState and BinaryDecoder.
 func Check[S State](spec *Spec[S], opts Options) (*Result[S], error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -576,15 +557,25 @@ func Check[S State](spec *Spec[S], opts Options) (*Result[S], error) {
 	if spec.Init == nil {
 		return nil, errNoInit
 	}
+	if ind := spec.Independence; opts.PartialOrder && (ind == nil || ind.Procs == nil || ind.Owner == nil) {
+		return nil, fmt.Errorf("%w: PartialOrder needs spec %s to declare Independence with Procs and Owner", ErrInvalidOptions, spec.Name)
+	}
+	if opts.arena() {
+		var zero S
+		_, enc := any(zero).(BinaryState)
+		_, dec := any(zero).(BinaryDecoder[S])
+		if !enc || !dec {
+			return nil, fmt.Errorf("%w: StateArena (implied by CheckpointDir and ResumeFrom) stores states as encodings and decodes them back, so the state of spec %s must implement BinaryState and BinaryDecoder", ErrInvalidOptions, spec.Name)
+		}
+	}
 	workers := resolveWorkers(opts.Workers)
-	eff := opts.effectiveSchedule()
 	em := newEngineMetrics(opts, workers)
-	em.journalStart(spec.Name, eff, workers, opts.PartialOrder && spec.Independence != nil)
+	em.journalStart(spec.Name, opts.Schedule, workers, opts.PartialOrder)
 	var (
 		res *Result[S]
 		err error
 	)
-	if eff == ScheduleWorkSteal {
+	if opts.Schedule == ScheduleWorkSteal {
 		res, err = runWorkSteal(spec, opts, workers, em)
 	} else {
 		vs := newVisitedStore(opts, workers, em)
@@ -592,7 +583,6 @@ func Check[S State](spec *Spec[S], opts Options) (*Result[S], error) {
 		res, err = runEngine(spec, opts, workers, vs, em)
 	}
 	if res != nil {
-		res.Schedule = eff
 		em.journalEnd(coreOf(res), err)
 	}
 	return res, err
@@ -633,61 +623,6 @@ func (g *Graph[S]) TerminalStates() []int {
 		}
 	}
 	return out
-}
-
-// PathTo returns one shortest path (state ids) from an initial state to the
-// given state id, or nil if unreachable. The graph records BFS order, so
-// parent-following via edges is reconstructed by a fresh BFS here.
-func (g *Graph[S]) PathTo(id int) []int {
-	parent := make([]int, g.Len())
-	for i := range parent {
-		parent[i] = -2 // unvisited
-	}
-	var queue []int
-	for _, i := range g.Inits {
-		parent[i] = -1
-		queue = append(queue, i)
-	}
-	adj := g.adjacency()
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur == id {
-			var rev []int
-			for i := id; i >= 0; i = parent[i] {
-				rev = append(rev, i)
-			}
-			path := make([]int, 0, len(rev))
-			for i := len(rev) - 1; i >= 0; i-- {
-				path = append(path, rev[i])
-			}
-			return path
-		}
-		for _, e := range adj[cur] {
-			if parent[e.To] == -2 {
-				parent[e.To] = cur
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return nil
-}
-
-// adjacency returns the per-state outgoing-edge index, building it lazily
-// on first use (one O(E) pass instead of a rescan per Successors call). In
-// arena mode the index materializes every edge in memory — callers that
-// can stream should prefer ForEachEdge.
-func (g *Graph[S]) adjacency() [][]Edge {
-	g.adjOnce.Do(func() {
-		g.adj = make([][]Edge, g.Len())
-		if err := g.ForEachEdge(func(e Edge) error {
-			g.adj[e.From] = append(g.adj[e.From], e)
-			return nil
-		}); err != nil {
-			panic(err)
-		}
-	})
-	return g.adj
 }
 
 // CheckEventuallyWithin verifies the temporal property "from every

@@ -2,6 +2,7 @@ package tla
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -10,10 +11,27 @@ import (
 )
 
 // counterState is a toy spec state: a bounded counter pair. It gives the
-// checker a small, fully-understood state space to verify against.
+// checker a small, fully-understood state space to verify against. It
+// encodes and decodes itself (two varints), so it runs under the arena.
 type counterState struct{ A, B int }
 
 func (s counterState) Key() string { return fmt.Sprintf("%d/%d", s.A, s.B) }
+
+func (s counterState) AppendBinary(buf []byte) []byte {
+	return binary.AppendVarint(binary.AppendVarint(buf, int64(s.A)), int64(s.B))
+}
+
+func (counterState) DecodeBinary(enc []byte) (counterState, error) {
+	a, n := binary.Varint(enc)
+	if n <= 0 {
+		return counterState{}, fmt.Errorf("counterState: decode: bad A in %x", enc)
+	}
+	b, m := binary.Varint(enc[n:])
+	if m <= 0 || n+m != len(enc) {
+		return counterState{}, fmt.Errorf("counterState: decode: bad B in %x", enc)
+	}
+	return counterState{int(a), int(b)}, nil
+}
 
 // counterSpec counts A up to max, and B up to A. Reachable states: all
 // (a, b) with 0 <= b <= a <= max.
@@ -160,12 +178,23 @@ func TestGraphRecording(t *testing.T) {
 	if got := g.states[term[0]]; got.A != 2 || got.B != 2 {
 		t.Errorf("terminal state = %+v, want (2,2)", got)
 	}
-	path := g.PathTo(term[0])
-	if len(path) != 5 { // 4 steps from (0,0) to (2,2)
-		t.Errorf("path length = %d, want 5", len(path))
+	// Edges are recorded in BFS order, so the first edge reaching a state
+	// gives its shortest distance from the initial state.
+	dist := make([]int, g.Len())
+	for i := range dist {
+		dist[i] = -1
 	}
-	if path[0] != 0 || path[len(path)-1] != term[0] {
-		t.Errorf("path endpoints wrong: %v", path)
+	dist[g.Inits[0]] = 0
+	if err := g.ForEachEdge(func(e Edge) error {
+		if dist[e.To] < 0 {
+			dist[e.To] = dist[e.From] + 1
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if dist[term[0]] != 4 { // 4 steps from (0,0) to (2,2)
+		t.Errorf("shortest path to the terminal state = %d steps, want 4", dist[term[0]])
 	}
 	names := g.ActionNames()
 	if len(names) != 2 || names[0] != "IncA" || names[1] != "IncB" {
@@ -455,7 +484,15 @@ func TestGraphSuccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	succs := res.Graph.Successors(0) // (0,0) -> only IncA
+	var succs []Edge // (0,0) -> only IncA
+	if err := res.Graph.ForEachEdge(func(e Edge) error {
+		if e.From == 0 {
+			succs = append(succs, e)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if len(succs) != 1 || succs[0].Action != "IncA" {
 		t.Fatalf("successors of init = %v", succs)
 	}

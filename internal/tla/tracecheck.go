@@ -261,7 +261,7 @@ func newTraceChecker[S State](spec *Spec[S], opts TraceOptions, st *stopper) *tr
 		actIndex: make(map[string]int, n),
 		allActs:  make([]int, n),
 	}
-	tc.wcods[0] = newCodec(&Spec[S]{}, false) // symmetry-free codec: binary fast path only
+	tc.wcods[0] = newCodec(&Spec[S]{}) // symmetry-free codec: binary fast path only
 	for w := range tc.wcods {
 		if w > 0 {
 			tc.wcods[w] = tc.wcods[0].clone()
