@@ -20,12 +20,35 @@ func (s gridState) Key() string {
 	return fmt.Sprintf("%d/%d/%d/%d", s.vals[0], s.vals[1], s.vals[2], s.vals[3])
 }
 
+// AppendBinary and DecodeBinary let the grid run under the arena. The
+// counter count n is configuration, not state: the decoder recovers it from
+// its receiver, the sample state the engine binds it to.
+func (s gridState) AppendBinary(buf []byte) []byte {
+	return append(buf, byte(s.vals[0]), byte(s.vals[1]), byte(s.vals[2]), byte(s.vals[3]))
+}
+
+func (s gridState) DecodeBinary(enc []byte) (gridState, error) {
+	if len(enc) != 4 {
+		return gridState{}, fmt.Errorf("gridState: decode: length %d, want 4", len(enc))
+	}
+	return gridState{vals: [4]int8{int8(enc[0]), int8(enc[1]), int8(enc[2]), int8(enc[3])}, n: s.n}, nil
+}
+
 // toggleState is the two-process state for TestPORCycleProviso: X toggles
 // on a cycle, Y guards the only invariant violation.
 type toggleState struct{ X, Y int8 }
 
 func (s toggleState) Key() string {
 	return fmt.Sprintf("%d/%d", s.X, s.Y)
+}
+
+func (s toggleState) AppendBinary(buf []byte) []byte { return append(buf, byte(s.X), byte(s.Y)) }
+
+func (toggleState) DecodeBinary(enc []byte) (toggleState, error) {
+	if len(enc) != 2 {
+		return toggleState{}, fmt.Errorf("toggleState: decode: length %d, want 2", len(enc))
+	}
+	return toggleState{X: int8(enc[0]), Y: int8(enc[1])}, nil
 }
 
 // gridSpec builds the n-counter spec with per-counter bound max. Each
@@ -102,6 +125,47 @@ func TestPORGridReduction(t *testing.T) {
 	}
 }
 
+// toggleSpec is the cycle-proviso trap: process 0 toggles X on a 2-cycle
+// (always enabled, always "independent"), and the only invariant violation
+// sits behind process 1's single move SetY.
+func toggleSpec() *Spec[toggleState] {
+	return &Spec[toggleState]{
+		Name: "ToggleCycle",
+		Init: func() []toggleState { return []toggleState{{}} },
+		Actions: []Action[toggleState]{
+			{Name: "Toggle", Next: func(s toggleState) []toggleState {
+				return []toggleState{{X: 1 - s.X, Y: s.Y}}
+			}},
+			{Name: "SetY", Next: func(s toggleState) []toggleState {
+				if s.Y == 1 {
+					return nil
+				}
+				return []toggleState{{X: s.X, Y: 1}}
+			}},
+		},
+		Invariants: []Invariant[toggleState]{
+			{Name: "YNeverSet", Check: func(s toggleState) error {
+				if s.Y == 1 {
+					return fmt.Errorf("y was set")
+				}
+				return nil
+			}},
+		},
+		Independence: &Independence[toggleState]{
+			Procs: func(toggleState) int { return 2 },
+			Owner: func(s, succ toggleState, act int) int {
+				if s.X != succ.X {
+					return 0
+				}
+				if s.Y != succ.Y {
+					return 1
+				}
+				return -1
+			},
+		},
+	}
+}
+
 // TestPORCycleProviso locks the C3 guarantee on a spec built to break a
 // proviso-less reduction: process 0 toggles on a 2-cycle (its moves are
 // always enabled and always "independent"), and the only invariant
@@ -111,49 +175,12 @@ func TestPORGridReduction(t *testing.T) {
 // toggle's successors stop being fresh (after one lap), so the violation
 // must be found — and must match the unpruned oracle's.
 func TestPORCycleProviso(t *testing.T) {
-	build := func() *Spec[toggleState] {
-		return &Spec[toggleState]{
-			Name: "ToggleCycle",
-			Init: func() []toggleState { return []toggleState{{}} },
-			Actions: []Action[toggleState]{
-				{Name: "Toggle", Next: func(s toggleState) []toggleState {
-					return []toggleState{{X: 1 - s.X, Y: s.Y}}
-				}},
-				{Name: "SetY", Next: func(s toggleState) []toggleState {
-					if s.Y == 1 {
-						return nil
-					}
-					return []toggleState{{X: s.X, Y: 1}}
-				}},
-			},
-			Invariants: []Invariant[toggleState]{
-				{Name: "YNeverSet", Check: func(s toggleState) error {
-					if s.Y == 1 {
-						return fmt.Errorf("y was set")
-					}
-					return nil
-				}},
-			},
-			Independence: &Independence[toggleState]{
-				Procs: func(toggleState) int { return 2 },
-				Owner: func(s, succ toggleState, act int) int {
-					if s.X != succ.X {
-						return 0
-					}
-					if s.Y != succ.Y {
-						return 1
-					}
-					return -1
-				},
-			},
-		}
-	}
-	want, wantErr := Check(build(), Options{Workers: 1})
+	want, wantErr := Check(toggleSpec(), Options{Workers: 1})
 	if !errors.Is(wantErr, ErrInvariantViolated) {
 		t.Fatalf("oracle must find the violation, got %v", wantErr)
 	}
 	for _, schedule := range []Schedule{ScheduleLevelSync, ScheduleWorkSteal} {
-		got, gotErr := Check(build(), Options{PartialOrder: true, Schedule: schedule, Workers: 2})
+		got, gotErr := Check(toggleSpec(), Options{PartialOrder: true, Schedule: schedule, Workers: 2})
 		if !errors.Is(gotErr, ErrInvariantViolated) {
 			t.Fatalf("%s: POR lost the violation behind the toggle cycle: %v", schedule, gotErr)
 		}
