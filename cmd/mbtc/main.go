@@ -8,6 +8,9 @@
 //
 //	mbtc -scenario write_3_and_replicate [-spec v2] [-list] [-workers N] [-deadline DUR] [-progress-every DUR]
 //	mbtc -fuzz [-steps 400] [-seed 7] [-sync-before-writes] [-flawed]
+//
+// Exit status: 0 on MBTC PASS (or a clean interrupt), 1 on MBTC FAIL (after
+// the report) and on run errors, 2 on usage errors.
 package main
 
 import (
@@ -60,10 +63,16 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, *scenarioName, *specVariant, *fuzz, *steps, *seed, *syncFirst, *flawed, *workers, *deadline, *progEvery); err != nil {
-		fmt.Fprintln(os.Stderr, "mbtc:", err)
+		if !errors.Is(err, errFailed) {
+			fmt.Fprintln(os.Stderr, "mbtc:", err)
+		}
 		os.Exit(1)
 	}
 }
+
+// errFailed marks a negative verdict: run returns it after printing the
+// report, and main exits 1 without repeating it.
+var errFailed = errors.New("negative verdict")
 
 func run(ctx context.Context, scenarioName, specVariant string, fuzz bool, steps int, seed int64, syncFirst, flawed bool, workers int, deadline, progEvery time.Duration) error {
 	topts := tla.TraceOptions{Workers: workers, Context: ctx}
@@ -150,5 +159,5 @@ func run(ctx context.Context, scenarioName, specVariant string, fuzz bool, steps
 		return nil
 	}
 	fmt.Printf("MBTC FAIL: trace diverges at step %d of %d (%s)\n", rep.FailedStep, rep.Events, rep.FailedEvent)
-	return nil
+	return errFailed
 }

@@ -7,6 +7,10 @@
 // refused before the exploration starts: the spilling visited store needs
 // BFS levels, which the barrier-free schedule does not have.
 //
+// Exit status: 0 when both implementations pass every generated case, 1
+// when either fails one (after the report, -emit and -coverage) and on run
+// errors, 2 on usage errors.
+//
 // Usage:
 //
 //	mbtcg [-dot array_ot.dot] [-emit generated_test.go] [-coverage] [-workers N] [-mem-budget BYTES] \
@@ -15,6 +19,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -52,10 +57,16 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, *dotPath, *emitPath, *withCov, *workers, *memBudget, *schedule, *arena, *deadline, *progEvery, *journal); err != nil {
-		fmt.Fprintln(os.Stderr, "mbtcg:", err)
+		if !errors.Is(err, errFailed) {
+			fmt.Fprintln(os.Stderr, "mbtcg:", err)
+		}
 		os.Exit(1)
 	}
 }
+
+// errFailed marks a negative verdict: run returns it after printing the
+// report, and main exits 1 without repeating it.
+var errFailed = errors.New("negative verdict")
 
 func run(ctx context.Context, dotPath, emitPath string, withCov bool, workers int, memBudget int64, schedule string, arena bool, deadline time.Duration, progEvery time.Duration, journal string) error {
 	sched, err := tla.ParseSchedule(schedule)
@@ -91,12 +102,15 @@ func run(ctx context.Context, dotPath, emitPath string, withCov bool, workers in
 	fmt.Printf("model checked array_ot: %d distinct states; generated %d test cases (paper: 4,913)\n",
 		res.Distinct, len(cases))
 
+	failed := false
 	if ms := mbtcg.RunAll(cases, ot.NewTransformer(nil, false)); len(ms) != 0 {
+		failed = true
 		fmt.Printf("reference implementation FAILED %d cases; first: %s\n", len(ms), ms[0])
 	} else {
 		fmt.Println("reference implementation: all generated cases pass")
 	}
 	if ms := mbtcg.RunAll(cases, otgo.Engine{}); len(ms) != 0 {
+		failed = true
 		fmt.Printf("independent implementation FAILED %d cases; first: %s\n", len(ms), ms[0])
 	} else {
 		fmt.Println("independent implementation: all generated cases pass (C++/Go parity)")
@@ -133,6 +147,9 @@ func run(ctx context.Context, dotPath, emitPath string, withCov bool, workers in
 		fmt.Printf("  %-32s %s\n", fmt.Sprintf("handwritten (%d tests)", len(mbtcg.HandwrittenCases())), handReg.Report())
 		fmt.Printf("  %-32s %s\n", fmt.Sprintf("fuzz-transform (%d execs)", frep.Executions), fuzzReg.Report())
 		fmt.Printf("  %-32s %s\n", fmt.Sprintf("generated (%d cases)", len(cases)), genReg.Report())
+	}
+	if failed {
+		return errFailed
 	}
 	return nil
 }

@@ -15,6 +15,10 @@
 // spec that declares no transition independence, and -liveness with -por
 // are errors, not warnings.
 //
+// Exit status: 0 when the run passes (or was interrupted cleanly), 1 on a
+// negative verdict (an invariant violation or a liveness failure, after the
+// report and any -dot dump) and on run errors, 2 on usage errors.
+//
 // Usage:
 //
 //	minitlc -spec raftmongo-v1|raftmongo-v2|arrayot|locking \
@@ -124,6 +128,9 @@ func main() {
 
 	cfg := specConfig{specName: *specName, nodes: *nodes, maxTerm: *maxTerm, maxLog: *maxLog, actors: *actors, symmetry: *symmetry, por: *por}
 	if err := run(ctx, cfg, *dotPath, *liveness, *workers, *memBudget, *schedule, *arena, *ckDir, *ckEvery, *resume, *deadline, *progEvery, *journal); err != nil {
+		if errors.Is(err, errFailed) {
+			os.Exit(1) // the report is already on stdout
+		}
 		fmt.Fprintln(os.Stderr, "minitlc:", err)
 		if errors.Is(err, errUsage) {
 			flag.Usage()
@@ -136,6 +143,19 @@ func main() {
 // errUsage marks flag combinations minitlc refuses, which exit 2 like the
 // flag package's own usage errors.
 var errUsage = errors.New("usage")
+
+// errFailed marks a negative verdict: run returns it after printing the
+// report and writing any -dot dump, and main exits 1 without repeating it.
+var errFailed = errors.New("negative verdict")
+
+// verdict is run's return for a completed check: dump's error, else
+// errFailed when the verdict is negative.
+func verdict(dumpErr error, failed bool) error {
+	if dumpErr == nil && failed {
+		return errFailed
+	}
+	return dumpErr
+}
 
 func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, workers int, memBudget int64, schedule string, arena bool, ckDir string, ckEvery int, resume string, deadline time.Duration, progEvery time.Duration, journal string) error {
 	sched, err := tla.ParseSchedule(schedule)
@@ -216,6 +236,7 @@ func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, wor
 		if res.Interrupted {
 			return nil
 		}
+		failed := res.Violation != nil
 		if liveness {
 			w := tla.CheckEventuallyWithin(res.Graph, raftmongo.CommitPointsEqual, func(s raftmongo.State) bool {
 				return rcfg.Nodes == s.NumNodes() && withinBounds(rcfg, s)
@@ -224,9 +245,10 @@ func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, wor
 				fmt.Println("liveness: commit point is eventually propagated — OK")
 			} else {
 				fmt.Printf("liveness FAILED: state %q cannot reach agreement\n", res.Graph.KeyAt(w))
+				failed = true
 			}
 		}
-		return dump(res.Graph, dotPath, spec.Name)
+		return verdict(dump(res.Graph, dotPath, spec.Name), failed)
 	case "arrayot":
 		if cfg.symmetry {
 			fmt.Fprintln(os.Stderr, "minitlc: note: array_ot has no symmetric identities (clients act in ID order); -symmetry has no effect")
@@ -238,13 +260,13 @@ func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, wor
 		if res.Graph != nil {
 			fmt.Printf("terminal states (generated test cases): %d\n", len(res.Graph.TerminalStates()))
 		}
-		return dump(res.Graph, dotPath, "array_ot")
+		return verdict(dump(res.Graph, dotPath, "array_ot"), res.Violation != nil)
 	case "locking":
 		res, err := check(locking.Spec(locking.SpecConfig{Actors: cfg.actors, Symmetric: cfg.symmetry}), opts)
 		if err != nil || res.Interrupted {
 			return err
 		}
-		return dump(res.Graph, dotPath, "Locking")
+		return verdict(dump(res.Graph, dotPath, "Locking"), res.Violation != nil)
 	}
 	return fmt.Errorf("unknown spec %q", cfg.specName)
 }
@@ -318,8 +340,13 @@ func dump[S tla.State](g *tla.Graph[S], path, name string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	if err := g.WriteDOT(f, name); err != nil {
+		f.Close()
+		return err
+	}
+	// A write the OS deferred can fail at close (ENOSPC, quota): the file
+	// is truncated and must not be reported as written.
+	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("state graph written to %s (%d nodes, %d edges)\n", path, g.Len(), g.NumEdges())

@@ -11,6 +11,10 @@
 //
 //	rollback-fuzzer [-steps 8400] [-seed 7] [-nodes 3] [-out dir] [-flawed] [-sync-before-writes] \
 //	                [-check] [-spec v2] [-workers N] [-deadline DUR] [-progress-every DUR]
+//
+// Exit status: 0 when the run completes (and, with -check, on MBTC PASS or
+// a clean interrupt), 1 on MBTC FAIL (after the report) and on run errors,
+// 2 on usage errors.
 package main
 
 import (
@@ -55,10 +59,16 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, *steps, *seed, *nodes, *outDir, *flawed, *syncFirst, *check, *specVar, *workers, *deadline, *progEvery); err != nil {
-		fmt.Fprintln(os.Stderr, "rollback-fuzzer:", err)
+		if !errors.Is(err, errFailed) {
+			fmt.Fprintln(os.Stderr, "rollback-fuzzer:", err)
+		}
 		os.Exit(1)
 	}
 }
+
+// errFailed marks a negative verdict: run returns it after printing the
+// report, and main exits 1 without repeating it.
+var errFailed = errors.New("negative verdict")
 
 func run(ctx context.Context, steps int, seed int64, nodes int, outDir string, flawed, syncFirst, check bool, specVar string, workers int, deadline, progEvery time.Duration) error {
 	topts := tla.TraceOptions{Workers: workers, Context: ctx}
@@ -182,5 +192,5 @@ func checkTrace(nodes int, bufs []*bytes.Buffer, specVar string, topts tla.Trace
 		return nil
 	}
 	fmt.Printf("MBTC FAIL: trace diverges at step %d of %d (%s)\n", crep.FailedStep, crep.Events, crep.FailedEvent)
-	return nil
+	return errFailed
 }

@@ -22,9 +22,9 @@ import (
 //	g000000-arena.edges    the arena's graph-edge records (RecordGraph
 //	                       runs only): fixed 10-byte (from, action, to)
 //	                       rows in append order, segment by segment
-//	g000000-visited-*      sorted (fingerprint, id) runs — the visited set,
-//	                       in the spill store's run format regardless of
-//	                       which built-in store produced it
+//	g000000-visited-*      sorted (fingerprint, id) runs — the fingerprint
+//	                       store's resident set and its sealed runs, in
+//	                       the format it spills in
 //	MANIFEST.json          counters, the frontier's ids, fingerprints of
 //	                       the spec and options, and the file list
 //

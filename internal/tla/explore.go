@@ -1,0 +1,347 @@
+package tla
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+// The exploration core both schedulers drive. Check runs one of two thin
+// drivers — the level-synchronized loop (engine.go: chunk plan, merge
+// replay) or the work-stealing loop (schedule.go: deques, steal-half) — and
+// everything the two would otherwise each implement lives here once:
+//
+//   - successor generation: one expander per worker runs the guarded Next
+//     loop and, under partial-order reduction, orders the successors
+//     ample-first (the only scheduler-specific input is the freshness
+//     predicate: level-sync claims, work-stealing probes);
+//   - first-sight registration: install (the MaxStates bound, the arena's
+//     plain encoding, retention, the live graph's state columns) and
+//     verdict (invariants, then the constraint);
+//   - edge recording into the live or the arena-backed graph;
+//   - the run lifecycle: Result, retainer and codecs, arena-graph wiring,
+//     stopper, progress ticker, Init registration, and one finish that
+//     turns the run's outcome into (Result, error).
+
+// explorer is one checking run's state shared by both drivers.
+type explorer[S State] struct {
+	spec *Spec[S]
+	opts Options
+	res  *Result[S]
+	ret  *retainer[S]
+	cod  *codec[S] // worker 0's codec: the merge, trace and graph decoder
+	em   *engineMetrics
+	xs   []*expander[S] // one per worker
+
+	// arenaGraph marks that the recorded graph is arena-backed (RecordGraph
+	// + StateArena): states and edges go to the arena, not Graph's slices.
+	arenaGraph bool
+
+	st     *stopper
+	snap   *progressSnap // non-nil iff a ProgressEvery ticker runs
+	ticker *progressTicker
+
+	runControl
+}
+
+// runControl is a run's shared stop flag and its outcome: the first
+// terminal condition — an invariant violation, a recovered spec panic or a
+// run error — wins, stops the workers, and is turned into the verdict by
+// explorer.finish. The stopper sets stop too: one flag serves every cause.
+type runControl struct {
+	stop atomic.Bool
+	mu   sync.Mutex
+	pi   *panicInfo
+	// violID/violInv/violErr record the first invariant violation; the
+	// trace is reconstructed by finish.
+	violID      int
+	violInv     string
+	violErr     error
+	runErr      error // ErrStateLimit, an I/O failure, a failed checkpoint
+	interrupted bool  // the driver wound down on the stopper
+}
+
+func (c *runControl) recordPanic(pi *panicInfo) {
+	c.mu.Lock()
+	if c.pi == nil {
+		c.pi = pi
+	}
+	c.mu.Unlock()
+	c.stop.Store(true)
+}
+
+// fail records err as the run's outcome unless a violation or an earlier
+// error came first, and stops the workers.
+func (c *runControl) fail(err error) {
+	c.mu.Lock()
+	if c.runErr == nil && c.violErr == nil {
+		c.runErr = err
+	}
+	c.mu.Unlock()
+	c.stop.Store(true)
+}
+
+// violate records the violation of invariant inv at state id unless a
+// violation or an error came first, and stops the workers.
+func (c *runControl) violate(id int, inv string, err error) {
+	c.mu.Lock()
+	if c.violErr == nil && c.runErr == nil {
+		c.violID, c.violInv, c.violErr = id, inv, err
+	}
+	c.mu.Unlock()
+	c.stop.Store(true)
+}
+
+// recoverSpec, deferred by every goroutine that runs spec callbacks, parks
+// a panic raised inside one (g armed) as the run's panic; any other panic
+// is an engine bug and re-panics.
+func (c *runControl) recoverSpec(g *specGuard) {
+	if r := recover(); r != nil {
+		c.recordPanic(g.capture(r))
+	}
+}
+
+// newExplorer sets up a run: the Result, the retainer, one expander (codec
+// clone, spec guard, POR planner) per worker, the arena-backed graph when
+// asked for, and the stopper.
+func newExplorer[S State](spec *Spec[S], opts Options, workers int, em *engineMetrics) *explorer[S] {
+	r := &explorer[S]{spec: spec, opts: opts, res: &Result[S]{Spec: spec.Name}, ret: newRetainer(spec, opts, em), em: em}
+	r.cod = newCodec(spec)
+	ind := activeIndependence(spec, opts)
+	r.xs = make([]*expander[S], workers)
+	for w := range r.xs {
+		r.xs[w] = &expander[S]{spec: spec, cod: r.cod, planner: newPORPlanner(ind, em)}
+		if w > 0 {
+			r.xs[w].cod = r.cod.clone()
+		}
+	}
+	if opts.RecordGraph {
+		r.res.Graph = &Graph[S]{}
+		if r.ret.arena != nil {
+			r.arenaGraph = true
+			r.ret.arena.recordEdges = true
+			r.ret.graphOwned = true
+			r.res.Graph.ret = r.ret
+			r.res.Graph.cod = r.cod
+		}
+	}
+	r.st = opts.newStopper(func() { r.stop.Store(true) })
+	return r
+}
+
+// startProgress starts the ProgressEvery ticker, if configured. Each tick
+// loads the snapshot the driver maintains, lets live (non-nil under
+// work-stealing) fill in what only a live read knows, and delivers it to
+// Options.Progress; close stops the ticker with one final delivery.
+func (r *explorer[S]) startProgress(live func(*Progress)) {
+	if r.opts.ProgressEvery <= 0 {
+		return
+	}
+	r.snap = &progressSnap{}
+	r.ticker = startProgressTicker(r.opts.ProgressEvery, func() {
+		p := r.snap.load()
+		if live != nil {
+			live(&p)
+		}
+		if r.opts.Progress != nil {
+			r.opts.Progress(p)
+		}
+	})
+}
+
+// close is the run's teardown, deferred by both drivers with the error the
+// run returns: the final progress delivery; then a run that failed without
+// a violation discards its arena-backed graph so the spill file is not
+// leaked behind a result nobody will traverse (a violation keeps it: callers
+// dump it alongside the counterexample); then the retainer's spill file,
+// honouring that ownership verdict; then the stopper's watcher.
+func (r *explorer[S]) close(err error) {
+	r.ticker.stop()
+	if r.arenaGraph && err != nil && r.res.Violation == nil {
+		r.ret.graphOwned = false
+		r.res.Graph = nil
+	}
+	r.ret.close()
+	r.st.close()
+}
+
+// finish settles the Result after the driver returned and every worker
+// joined. Precedence: a found violation is a complete verdict and wins;
+// then a recovered spec panic; then the run error; then the interruption,
+// with the partial counters.
+func (r *explorer[S]) finish() (*Result[S], error) {
+	res := r.res
+	res.Distinct = r.ret.len()
+	if r.ret.degradedMemory() {
+		res.DegradedMemory = true
+	}
+	switch {
+	case r.violErr != nil:
+		trace, acts, err := safeTrace(r.cod, r.ret, r.violID)
+		if err != nil {
+			return res, err
+		}
+		res.Violation = &Violation[S]{Invariant: r.violInv, Err: r.violErr, Trace: trace, TraceActs: acts}
+		return res, res.Violation
+	case r.pi != nil:
+		return res, specPanicError(r.cod, r.ret, r.pi)
+	case r.runErr != nil:
+		return res, r.runErr
+	case r.interrupted:
+		res.Interrupted = true
+		return res, r.st.err()
+	}
+	return res, nil
+}
+
+// registerInits calls Init under x's guard, rebinds the run's decoder to a
+// real initial state (decoders may carry run configuration the zero value
+// lacks — see BinaryDecoder), and registers each initial state through reg,
+// recording the graph's Inits, until reg reports the run over.
+func (r *explorer[S]) registerInits(x *expander[S], reg func(S) (id int, more bool)) {
+	x.g.enter(opInit, "", -1)
+	inits := r.spec.Init()
+	x.g.exit()
+	if len(inits) > 0 {
+		r.cod.bindDecoder(inits[0])
+	}
+	for _, s := range inits {
+		id, more := reg(s)
+		if r.res.Graph != nil && id >= 0 {
+			r.res.Graph.Inits = append(r.res.Graph.Inits, id)
+		}
+		if !more {
+			return
+		}
+	}
+}
+
+// install registers a first-sighted state and returns its dense id:
+// the MaxStates bound, the arena's plain encoding (not the orbit-canonical
+// one the visited store deduplicated on), retention, and the live graph's
+// state columns. Single-owner — the level-sync merge goroutine, or a
+// work-stealing worker holding the registration lock.
+func (r *explorer[S]) install(x *expander[S], s S, parent int, act string, depth int) (int, error) {
+	id := r.ret.len()
+	if r.opts.MaxStates > 0 && id >= r.opts.MaxStates {
+		return -1, ErrStateLimit
+	}
+	var enc []byte
+	if r.ret.arena != nil {
+		x.g.enter(opEncode, act, -1)
+		x.plain = x.cod.encode(s, x.plain[:0])
+		x.g.exit()
+		enc = x.plain
+	}
+	if err := r.ret.add(s, enc, parent, act, depth); err != nil {
+		return -1, err
+	}
+	if r.res.Graph != nil && !r.arenaGraph {
+		r.res.Graph.states = append(r.res.Graph.states, s)
+		r.res.Graph.keys = append(r.res.Graph.keys, s.Key())
+	}
+	return id, nil
+}
+
+// verdict checks a first-sighted state's invariants, then its constraint.
+// A violation becomes the run's outcome and is reported as !ok; otherwise
+// within says whether the state's successors may be explored.
+func (r *explorer[S]) verdict(x *expander[S], s S, id int) (ok, within bool) {
+	for _, inv := range r.spec.Invariants {
+		x.g.enter(opInvariant, inv.Name, id)
+		err := inv.Check(s)
+		x.g.exit()
+		if err != nil {
+			r.violate(id, inv.Name, err)
+			return false, false
+		}
+	}
+	x.g.enter(opConstraint, "", id)
+	within = r.spec.Constraint == nil || r.spec.Constraint(s)
+	x.g.exit()
+	return true, within
+}
+
+// recordEdge records one transition of the graph: into the arena under an
+// arena-backed graph (callers serialize as for install), else onto edges.
+func (r *explorer[S]) recordEdge(edges *[]Edge, from int, act string, to int) error {
+	if r.arenaGraph {
+		return r.ret.addEdge(from, act, to)
+	}
+	*edges = append(*edges, Edge{From: from, Action: act, To: to})
+	return nil
+}
+
+// expander is one worker's successor generator. Like the codec it owns, it
+// persists for the whole run and is used by one goroutine at a time; its
+// buffers grow to the widest fan-out once and are reused.
+type expander[S State] struct {
+	spec    *Spec[S]
+	cod     *codec[S]
+	g       specGuard      // which spec callback this worker is inside
+	planner *porPlanner[S] // nil without partial-order reduction
+
+	// see, when non-nil, is shown every successor's canonical encoding and
+	// reports whether the visited store has not seen it yet: level-sync
+	// claims it (always set), work-stealing probes it (POR only). A method
+	// value bound once per worker, never a closure per successor.
+	see func(enc []byte) bool
+
+	succs []S
+	acts  []int  // per successor: index into spec.Actions
+	fresh []bool // per successor: see's verdict
+	order []int  // emission order: indices into succs, ample first
+	plain []byte // install's plain-encoding scratch
+}
+
+// expand generates every successor of state s (id) into x.succs and fills
+// x.order with the order to process them in. It returns the successor
+// count n and, when partial-order reduction prunes the state, the number k
+// of ample successors heading x.order — the driver explores the deferred
+// x.order[k:] only if the cycle proviso (see por.go) rejects the ample
+// set; k is -1 when the state is fully expanded.
+func (x *expander[S]) expand(s S, id int) (n, k int) {
+	x.succs, x.acts, x.order = x.succs[:0], x.acts[:0], x.order[:0]
+	for ai := range x.spec.Actions {
+		a := &x.spec.Actions[ai]
+		x.g.enter(opNext, a.Name, id)
+		succs := a.Next(s)
+		x.g.exit()
+		for _, succ := range succs {
+			x.succs = append(x.succs, succ)
+			x.acts = append(x.acts, ai)
+		}
+	}
+	n = len(x.succs)
+	if x.see != nil {
+		x.fresh = x.fresh[:0]
+		for t := range x.succs {
+			x.g.enter(opEncode, x.actName(t), id)
+			enc := x.cod.canonical(x.succs[t])
+			x.g.exit()
+			x.fresh = append(x.fresh, x.see(enc))
+		}
+	}
+	if x.planner != nil {
+		if proc := x.planner.choose(s, x.succs, x.acts, x.fresh, &x.g); proc >= 0 {
+			for t, o := range x.planner.owners {
+				if o == proc {
+					x.order = append(x.order, t)
+				}
+			}
+			k = len(x.order)
+			for t, o := range x.planner.owners {
+				if o != proc {
+					x.order = append(x.order, t)
+				}
+			}
+			return n, k
+		}
+	}
+	for t := 0; t < n; t++ {
+		x.order = append(x.order, t)
+	}
+	return n, -1
+}
+
+// actName is the action name of successor t.
+func (x *expander[S]) actName(t int) string { return x.spec.Actions[x.acts[t]].Name }

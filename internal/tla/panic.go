@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 )
 
 // Panic isolation: a specification is user code, and a buggy Next, a
@@ -115,31 +113,6 @@ func (g *specGuard) capture(r any) *panicInfo {
 		panic(r)
 	}
 	return &panicInfo{kind: g.kind, name: g.name, id: g.id, value: r, stack: string(debug.Stack())}
-}
-
-// runControl is the shared stop-and-first-fault channel of one level-sync
-// run: expansion workers poll stop between states, and the first recovered
-// panic is parked here for the merge goroutine to convert after the join.
-// The stopper (interrupt.go) sets stop too — one flag serves both causes.
-type runControl struct {
-	stop atomic.Bool
-	mu   sync.Mutex
-	pi   *panicInfo
-}
-
-func (c *runControl) recordPanic(pi *panicInfo) {
-	c.mu.Lock()
-	if c.pi == nil {
-		c.pi = pi
-	}
-	c.mu.Unlock()
-	c.stop.Store(true)
-}
-
-func (c *runControl) takePanic() *panicInfo {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pi
 }
 
 // safeTrace rebuilds the trace to state id, converting a panic raised

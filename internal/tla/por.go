@@ -36,11 +36,21 @@ import "repro/internal/obs"
 //     here stays enabled there (C1), where it is either explored or
 //     deferred again to a still-later witness; the chain's expansion
 //     times strictly increase, so on a finite graph it ends at a fully
-//     expanded state and no transition is ignored forever. The check is
-//     exact in the deterministic level-sync merge (witness = discovered
-//     this merge and not constraint-cut) and conservatively race-safe
-//     under work-stealing (witness = queued, expansion not started, in
-//     one engine-lock snapshot).
+//     expanded state and no transition is ignored forever. An ample
+//     successor closing a cycle (back-, same-level or self-loop) is
+//     harmless as long as another one is the witness; if none is — every
+//     ample successor already expanded, expanding, or cut — the pruning is
+//     abandoned. Both drivers generate the full successor set, order it
+//     ample-first (expander.expand) and explore the ample head before
+//     deciding. Under level-sync the decision is the merge's, where
+//     discovery order is total, and exact: the witness is an ample
+//     successor first discovered during this very merge (id at or past
+//     the merge's watermark) and enqueued (neither constraint- nor
+//     depth-cut), so it joins the next level. Under work-stealing it is
+//     conservatively race-safe: the witness is an ample successor queued
+//     and not yet expanding (porQueued) in one snapshot under the
+//     registration lock; a state whose constraint verdict is still pending
+//     on another worker, or whose expansion started, cannot be it.
 //
 // Declaration-carried (the Independence hooks' contract):
 //
@@ -141,7 +151,10 @@ func newPORPlanner[S State](ind *Independence[S], em *engineMetrics) *porPlanner
 // -1 and the caller saves the doomed attempt. This is what makes the
 // reduction bite on confluent specs, where many states funnel into the
 // same successor and a freshness-blind pick keeps electing a cluster whose
-// lone successor was visited levels ago.
+// lone successor was visited levels ago. Level-sync's freshness is a claim
+// with no id yet, which only this level's merge can resolve — a certain
+// witness unless cut; work-stealing's is an unclaimed probe, a prediction
+// that may go stale before the proviso check decides.
 func (p *porPlanner[S]) choose(s S, succs []S, acts []int, fresh []bool, g *specGuard) int {
 	total := len(succs)
 	if total < 2 {

@@ -12,12 +12,12 @@ import (
 	"time"
 )
 
-// spillVisited is the disk-spilling visitedStore: TLC's answer to state
-// spaces whose fingerprint set outgrows RAM, transcribed to the engine's
-// level-synchronized protocol. Resident fingerprints live in the same
-// sharded maps as memVisited; when EndLevel finds the resident set over
-// the configured budget, every (fingerprint, id) pair is sorted and sealed
-// into an immutable run file, and the maps are dropped.
+// spillVisited is the fingerprint visitedStore: TLC's fingerprint set,
+// transcribed to the engine's level-synchronized protocol. Fingerprints live
+// in sharded resident maps; without a memory budget that is all there is —
+// a store that never seals. With one, when EndLevel finds the resident set
+// over the budget, every (fingerprint, id) pair is sorted and sealed into an
+// immutable run file, and the maps are dropped.
 //
 // Lookups against sealed runs are deferred — merge-on-lookup, once per
 // level: Claim optimistically creates an ID -1 entry for any fingerprint
@@ -41,6 +41,51 @@ import (
 // the id); collision-free full-encoding dedup is memory-resident by
 // definition, which Options.Validate enforces.
 
+// visitedShard is one lock stripe of a sharded visited map — the one
+// resident shard type of every store: entries keyed on 64-bit fingerprints
+// (the fingerprint store, and work-stealing by default) or, collision-free,
+// on full encodings (memVisited, and work-stealing at Workers == 1). V is
+// the level-sync ticket or the work-stealing dense id.
+type visitedShard[V any] struct {
+	mu    sync.Mutex
+	byFP  map[uint64]V
+	byKey map[string]V
+	// fresh are the fingerprint store's entries created since the last
+	// ResolveLevel under a budget: the claims that may yet turn out to be
+	// duplicates of spilled fingerprints.
+	fresh []spillFresh
+}
+
+// init makes the shard's map for its store's mode.
+func (sh *visitedShard[V]) init(collisionFree bool) {
+	if collisionFree {
+		sh.byKey = make(map[string]V)
+	} else {
+		sh.byFP = make(map[uint64]V)
+	}
+}
+
+// get looks enc (with fingerprint fp) up in whichever map the shard keeps.
+// Callers hold sh.mu.
+func (sh *visitedShard[V]) get(fp uint64, enc []byte) (V, bool) {
+	if sh.byKey != nil {
+		v, ok := sh.byKey[string(enc)] // no alloc: map lookup by converted []byte
+		return v, ok
+	}
+	v, ok := sh.byFP[fp]
+	return v, ok
+}
+
+// put inserts enc's entry, copying enc to a string key in keyed mode.
+// Callers hold sh.mu.
+func (sh *visitedShard[V]) put(fp uint64, enc []byte, v V) {
+	if sh.byKey != nil {
+		sh.byKey[string(enc)] = v
+	} else {
+		sh.byFP[fp] = v
+	}
+}
+
 // spillBytesPerEntry is the budget accounting charge per resident
 // fingerprint: entry struct + map key/value + amortized bucket overhead.
 // It is an estimate — the budget bounds the order of magnitude, not the
@@ -56,15 +101,6 @@ type spillRec struct {
 
 const spillRecSize = 16
 
-type spillShard struct {
-	mu   sync.Mutex
-	byFP map[uint64]*visitedEntry
-	// fresh are the entries created since the last ResolveLevel: the
-	// claims that may yet turn out to be duplicates of spilled
-	// fingerprints.
-	fresh []spillFresh
-}
-
 type spillFresh struct {
 	fp uint64
 	e  *visitedEntry
@@ -77,7 +113,7 @@ type spillFresh struct {
 const spillCompactAfter = 8
 
 type spillVisited struct {
-	budget   int64
+	budget   int64 // 0 = never seal
 	fsys     FS
 	em       *engineMetrics // nil-safe observability sink
 	dir      string         // temp dir holding the runs; created on first spill
@@ -86,7 +122,7 @@ type spillVisited struct {
 	resident int            // fingerprints currently held in the shard maps
 	sealed   int64          // bytes of sealed run files currently on disk
 	degraded bool           // a persistent spill-write failure switched the store to hold-resident
-	shards   [visitedShards]spillShard
+	shards   [visitedShards]visitedShard[*visitedEntry]
 
 	// scratch for ResolveLevel/EndLevel, reused across levels.
 	freshBuf []spillFresh
@@ -96,7 +132,7 @@ type spillVisited struct {
 func newSpillVisited(budget int64, fsys FS, em *engineMetrics) *spillVisited {
 	vs := &spillVisited{budget: budget, fsys: resolveFS(fsys), em: em}
 	for i := range vs.shards {
-		vs.shards[i].byFP = make(map[uint64]*visitedEntry)
+		vs.shards[i].init(false)
 	}
 	return vs
 }
@@ -111,7 +147,8 @@ func (vs *spillVisited) degradedMemory() bool { return vs.degraded }
 func (vs *spillVisited) spilledBytes() int64 { return vs.sealed }
 
 // residentBytes reports the budget charge of the resident fingerprint set —
-// the visited set's half of Progress.ResidentBytes. Merge goroutine only.
+// the visited set's half of Progress.ResidentBytes; 0 without a budget,
+// which tracks none. Merge goroutine only.
 func (vs *spillVisited) residentBytes() int64 {
 	return int64(vs.resident) * spillBytesPerEntry
 }
@@ -119,6 +156,7 @@ func (vs *spillVisited) residentBytes() int64 {
 // Claim implements visitedStore. A fingerprint absent from the resident
 // maps gets a provisional ID -1 entry even if it was spilled earlier;
 // ResolveLevel settles the question before the merge needs the answer.
+// Safe for concurrent use, like memVisited.Claim.
 func (vs *spillVisited) Claim(enc []byte) *visitedEntry {
 	fp := fingerprint(enc)
 	sh := &vs.shards[fp&(visitedShards-1)]
@@ -127,7 +165,9 @@ func (vs *spillVisited) Claim(enc []byte) *visitedEntry {
 	if e == nil {
 		e = &visitedEntry{ID: -1}
 		sh.byFP[fp] = e
-		sh.fresh = append(sh.fresh, spillFresh{fp: fp, e: e})
+		if vs.budget > 0 {
+			sh.fresh = append(sh.fresh, spillFresh{fp: fp, e: e})
+		}
 	}
 	sh.mu.Unlock()
 	return e
@@ -222,7 +262,7 @@ func readRecsFile(fsys FS, path string, fn func(spillRec) error) error {
 // clearResident drops the shard maps after their contents were sealed.
 func (vs *spillVisited) clearResident() {
 	for i := range vs.shards {
-		vs.shards[i].byFP = make(map[uint64]*visitedEntry)
+		vs.shards[i].init(false)
 	}
 	vs.resident = 0
 }
@@ -243,7 +283,7 @@ func (vs *spillVisited) EndLevel() error {
 	for i := range vs.shards {
 		vs.shards[i].fresh = vs.shards[i].fresh[:0]
 	}
-	if vs.degraded || int64(vs.resident)*spillBytesPerEntry <= vs.budget {
+	if vs.budget == 0 || vs.degraded || int64(vs.resident)*spillBytesPerEntry <= vs.budget {
 		return nil
 	}
 	recs := vs.recBuf[:0]
@@ -491,11 +531,30 @@ func (vs *spillVisited) snapshotRuns(fsys FS, dir, prefix string) ([]string, err
 	return names, nil
 }
 
-// adoptRuns restores a checkpoint's visited runs: each file is copied into
-// the store's own temp dir (the checkpoint stays immutable) and registered
-// as a sealed run, so the first resumed level's merge-join restores every
-// persisted id.
+// adoptRuns restores a checkpoint's visited runs. Without a budget every
+// persisted (fingerprint, id) pair becomes a resident entry with its id
+// already assigned, so the resumed run never merge-joins. Under a budget
+// each file is copied into the store's own temp dir (the checkpoint stays
+// immutable) and registered as a sealed run, so the first resumed level's
+// merge-join restores every persisted id.
 func (vs *spillVisited) adoptRuns(fsys FS, srcDir string, names []string) error {
+	if vs.budget == 0 {
+		for _, name := range names {
+			err := vs.em.retry("checkpoint", func() error {
+				return readRecsFile(fsys, filepath.Join(srcDir, name), func(rec spillRec) error {
+					sh := &vs.shards[rec.fp&(visitedShards-1)]
+					if sh.byFP[rec.fp] == nil {
+						sh.byFP[rec.fp] = &visitedEntry{ID: int(rec.id)}
+					}
+					return nil
+				})
+			})
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	if len(names) == 0 {
 		return nil
 	}

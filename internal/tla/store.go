@@ -1,19 +1,16 @@
 package tla
 
-import (
-	"errors"
-	"path/filepath"
-	"sort"
-	"sync"
-)
+import "errors"
 
 // This file defines the visitedStore interface the level-synchronized engine
-// deduplicates through, its in-memory implementations, and the engine's
-// pending-work queue. The engine itself (engine.go) is store-agnostic: the
-// in-memory sharded fingerprint map, the collision-free full-encoding map,
-// and the disk-spilling store (spill.go) all run under the identical
-// expansion/merge loop, which is how the sequential oracle, the parallel
-// checker, and the bounded-memory checker stay byte-for-byte comparable.
+// deduplicates through, its collision-free implementation, and the engine's
+// pending-work queue. There are two stores: the fingerprint store
+// (spillVisited, spill.go) — resident sharded maps that, under a memory
+// budget, seal into sorted runs on disk — and the collision-free keyed store
+// below. The engine itself (engine.go) is store-agnostic: both run under the
+// identical expansion/merge loop, which is how the sequential oracle, the
+// parallel checker, and the bounded-memory checker stay byte-for-byte
+// comparable.
 
 // visitedEntry is a store's ticket for one canonical encoding. The engine
 // assigns ID during the deterministic merge phase; a store may persist and
@@ -27,9 +24,11 @@ type visitedEntry struct {
 	ID int
 }
 
-// visitedStore is the deduplication half of the exploration engine: it maps
-// canonical state encodings to visitedEntry tickets. The engine drives it
-// in level-synchronized strokes:
+// visitedStore is the level-synchronized deduplication half of the
+// exploration engine: it maps canonical state encodings to visitedEntry
+// tickets. Two implementations: the fingerprint store (spillVisited, with
+// optional spilling under a budget) and the collision-free keyed store
+// (memVisited). The engine drives it in level-synchronized strokes:
 //
 //   - Claim is called concurrently by expansion workers (and by the merge
 //     goroutine for initial states). The first claim of an encoding creates
@@ -47,7 +46,9 @@ type visitedEntry struct {
 //   - snapshotRuns and adoptRuns are the checkpoint/resume half:
 //     snapshotRuns seals the store's dedup state into sorted run files
 //     under dir (names returned relative to dir, store unmodified), and
-//     adoptRuns restores a previous snapshot into a fresh store.
+//     adoptRuns restores a previous snapshot into a fresh store. Only the
+//     fingerprint store can: checkpoints persist fingerprints, which is why
+//     Options.Validate rejects checkpointing with CollisionFree.
 type visitedStore interface {
 	Claim(enc []byte) *visitedEntry
 	ResolveLevel() error
@@ -82,61 +83,39 @@ func (f *levelFrontier) NextLevel() []int {
 // fingerprint.
 const visitedShards = 64
 
-type memShard struct {
-	mu    sync.Mutex
-	byFP  map[uint64]*visitedEntry // fingerprint mode
-	byKey map[string]*visitedEntry // collision-free mode
-}
-
-// memVisited is the in-memory sharded visited store. Workers claim
-// fingerprints concurrently under per-shard mutexes while expanding a
-// frontier; the merge phase (single goroutine, after all workers joined)
-// assigns ids without locking. In collision-free mode the shard maps key on
-// full canonical encodings instead of 64-bit fingerprints — always the case
-// for the sequential oracle (Workers == 1), which must never be subject to
-// fingerprint collisions.
+// memVisited is the collision-free keyed store: the shard maps key on full
+// canonical encodings instead of 64-bit fingerprints (the fingerprint only
+// picks the shard) — always the case for the sequential oracle (Workers ==
+// 1, no budget, no checkpoint), which must never be subject to fingerprint
+// collisions, and for any run with Options.CollisionFree. Workers claim
+// concurrently under per-shard mutexes while expanding a frontier; the merge
+// phase (single goroutine, after all workers joined) assigns ids without
+// locking.
 type memVisited struct {
-	collisionFree bool
-	shards        [visitedShards]memShard
+	shards [visitedShards]visitedShard[*visitedEntry]
 }
 
-func newMemVisited(collisionFree bool) *memVisited {
-	vs := &memVisited{collisionFree: collisionFree}
+func newMemVisited() *memVisited {
+	vs := &memVisited{}
 	for i := range vs.shards {
-		if collisionFree {
-			vs.shards[i].byKey = make(map[string]*visitedEntry)
-		} else {
-			vs.shards[i].byFP = make(map[uint64]*visitedEntry)
-		}
+		vs.shards[i].init(true)
 	}
 	return vs
 }
 
 // Claim returns the entry for the canonical encoding enc, creating it (with
-// ID -1) if it was never seen. The fingerprint selects the shard in both
-// modes; collision-free mode additionally keys the shard map on the full
-// encoding, copying it to a string only when inserting a new entry. Safe
-// for concurrent use; the first claimant creates the entry, later
-// claimants of the same encoding get the same entry. Which goroutine
-// creates an entry is racy, but immaterial: ids are assigned only during
-// the sequential merge, in deterministic order.
+// ID -1) if it was never seen, copying enc to a string key only then. Safe
+// for concurrent use; the first claimant creates the entry, later claimants
+// of the same encoding get the same entry. Which goroutine creates an entry
+// is racy, but immaterial: ids are assigned only during the sequential
+// merge, in deterministic order.
 func (vs *memVisited) Claim(enc []byte) *visitedEntry {
-	fp := fingerprint(enc)
-	sh := &vs.shards[fp&(visitedShards-1)]
+	sh := &vs.shards[fingerprint(enc)&(visitedShards-1)]
 	sh.mu.Lock()
-	var e *visitedEntry
-	if vs.collisionFree {
-		e = sh.byKey[string(enc)] // no alloc: map lookup by converted []byte
-		if e == nil {
-			e = &visitedEntry{ID: -1}
-			sh.byKey[string(enc)] = e
-		}
-	} else {
-		e = sh.byFP[fp]
-		if e == nil {
-			e = &visitedEntry{ID: -1}
-			sh.byFP[fp] = e
-		}
+	e := sh.byKey[string(enc)] // no alloc: map lookup by converted []byte
+	if e == nil {
+		e = &visitedEntry{ID: -1}
+		sh.byKey[string(enc)] = e
 	}
 	sh.mu.Unlock()
 	return e
@@ -146,69 +125,24 @@ func (vs *memVisited) ResolveLevel() error { return nil }
 func (vs *memVisited) EndLevel() error     { return nil }
 func (vs *memVisited) Close() error        { return nil }
 
-// snapshotRuns persists the fingerprint map as one sorted run file in dir,
-// in the same 16-byte (fingerprint, id) record format the spilling store
-// seals, so a checkpoint's visited set is store-agnostic on disk. Only
-// entries with assigned ids are persisted; an ID -1 claim belongs to a
-// level whose merge never ran, and the resume re-discovers it.
-func (vs *memVisited) snapshotRuns(fsys FS, dir, prefix string) ([]string, error) {
-	if vs.collisionFree {
-		return nil, errors.New("tla: collision-free visited store cannot be checkpointed")
-	}
-	recs := []spillRec{}
-	for i := range vs.shards {
-		for fp, e := range vs.shards[i].byFP {
-			if e.ID >= 0 {
-				recs = append(recs, spillRec{fp: fp, id: int64(e.ID)})
-			}
-		}
-	}
-	if len(recs) == 0 {
-		return nil, nil
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].fp < recs[j].fp })
-	name := prefix + "visited-resident"
-	if err := retryIO(func() error { return writeRecsFile(fsys, filepath.Join(dir, name), recs) }); err != nil {
-		return nil, err
-	}
-	return []string{name}, nil
+var errKeyedCheckpoint = errors.New("tla: the collision-free visited store cannot be checkpointed")
+
+func (vs *memVisited) snapshotRuns(FS, string, string) ([]string, error) {
+	return nil, errKeyedCheckpoint
 }
 
-// adoptRuns loads a checkpoint's visited runs straight into the shard maps
-// — the in-memory store has no merge-on-lookup phase to defer to, so every
-// persisted (fingerprint, id) pair becomes a resident entry with its id
-// already assigned.
-func (vs *memVisited) adoptRuns(fsys FS, srcDir string, names []string) error {
-	if vs.collisionFree {
-		return errors.New("tla: collision-free visited store cannot adopt a checkpoint")
-	}
-	for _, name := range names {
-		err := retryIO(func() error {
-			return readRecsFile(fsys, filepath.Join(srcDir, name), func(rec spillRec) error {
-				sh := &vs.shards[rec.fp&(visitedShards-1)]
-				if sh.byFP[rec.fp] == nil {
-					sh.byFP[rec.fp] = &visitedEntry{ID: int(rec.id)}
-				}
-				return nil
-			})
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (vs *memVisited) adoptRuns(FS, string, []string) error { return errKeyedCheckpoint }
 
-// newVisitedStore selects the visited store for a validated Options:
-// the spilling fingerprint store when a memory budget is set, the
-// collision-free map when exactness is demanded (explicitly, or implicitly
-// by the sequential oracle path), and the sharded fingerprint map
-// otherwise. A checkpointing run forces fingerprint mode even for the
-// sequential oracle — checkpoints persist (fingerprint, id) records, which
-// a full-encoding map cannot be rebuilt from.
+// newVisitedStore selects the visited store for a validated Options: the
+// collision-free keyed store when exactness is demanded (explicitly, or
+// implicitly by the sequential oracle path), and the fingerprint store
+// otherwise — spilling when a memory budget is set. A budget or a
+// checkpoint forces fingerprints even for the sequential oracle: both
+// persist (fingerprint, id) records, which a keyed map cannot be rebuilt
+// from.
 func newVisitedStore(opts Options, workers int, em *engineMetrics) visitedStore {
-	if opts.MemoryBudgetBytes > 0 {
-		return newSpillVisited(opts.MemoryBudgetBytes, opts.FS, em)
+	if opts.CollisionFree || (workers == 1 && opts.MemoryBudgetBytes == 0 && !opts.checkpointing()) {
+		return newMemVisited()
 	}
-	return newMemVisited(opts.CollisionFree || (workers == 1 && !opts.checkpointing()))
+	return newSpillVisited(opts.MemoryBudgetBytes, opts.FS, em)
 }
