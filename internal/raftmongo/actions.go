@@ -1,10 +1,52 @@
 package raftmongo
 
+import "slices"
+
 // This file implements the named state transitions of RaftMongo.tla, shared
 // between the V1 and V2 spec variants. Every function enumerates all
 // successors of a state via one action, across all nodes (and source nodes,
 // for the gossip actions), exactly as a TLA+ action quantified over the
 // server set.
+//
+// States are immutable (see State): a successor is a shallow copy of its
+// parent that replaces only the slices the action changes, so unchanged
+// slices — and oplogs, through full slice expressions whose capacity ends
+// at their length — are shared with the parent and between siblings.
+
+// emit appends successor c to an action's result, allocating the result
+// at the first successor with room for max of them, so an action that
+// produces several successors sizes its slice once instead of regrowing it.
+func emit(out []State, max int, c State) []State {
+	if out == nil {
+		out = make([]State, 0, max)
+	}
+	return append(out, c)
+}
+
+// withOplog returns s with node i's oplog replaced by log: a fresh outer
+// Oplogs array, every other node's log shared with s.
+func (s State) withOplog(i int, log []int) State {
+	logs := slices.Clone(s.Oplogs)
+	logs[i] = log
+	s.Oplogs = logs
+	return s
+}
+
+// withCommitPoint returns s with node i's commit point replaced by cp.
+func (s State) withCommitPoint(i int, cp CommitPoint) State {
+	cps := slices.Clone(s.CommitPoints)
+	cps[i] = cp
+	s.CommitPoints = cps
+	return s
+}
+
+// withFollower returns s with node i's role set to Follower.
+func (s State) withFollower(i int) State {
+	roles := slices.Clone(s.Roles)
+	roles[i] = Follower
+	s.Roles = roles
+	return s
+}
 
 // appendOplog: node i receives entries from any node j that is strictly
 // ahead and whose oplog extends i's. The MongoDB Server uses a pull
@@ -13,6 +55,10 @@ package raftmongo
 // specification models initial sync as copying the leader's entire oplog
 // at once, which is what makes the post-processor's prefix filling
 // (solution 4) produce checkable traces.
+//
+// Because i's log is a prefix of j's, i's new log is exactly j's first k
+// entries: the successor shares j's backing array, capped at k so a later
+// append to it copies.
 func appendOplog(s State) []State {
 	var out []State
 	n := s.NumNodes()
@@ -22,9 +68,7 @@ func appendOplog(s State) []State {
 				continue
 			}
 			for k := len(s.Oplogs[i]) + 1; k <= len(s.Oplogs[j]); k++ {
-				c := s.clone()
-				c.Oplogs[i] = append(c.Oplogs[i], s.Oplogs[j][len(s.Oplogs[i]):k]...)
-				out = append(out, c)
+				out = emit(out, n*(n-1), s.withOplog(i, s.Oplogs[j][:k:k]))
 			}
 		}
 	}
@@ -52,33 +96,35 @@ func rollbackOplog(s State) []State {
 		if !canRollback {
 			continue
 		}
-		c := s.clone()
-		c.Oplogs[i] = c.Oplogs[i][:len(c.Oplogs[i])-1]
-		out = append(out, c)
+		l := len(s.Oplogs[i]) - 1
+		out = emit(out, n, s.withOplog(i, s.Oplogs[i][:l:l]))
 	}
 	return out
 }
 
-// quorums enumerates every majority subset of {0..n-1} containing node i.
-func quorums(n, i int) [][]int {
-	var out [][]int
-	need := Majority(n)
-	var rec func(start int, cur []int)
-	rec = func(start int, cur []int) {
-		if len(cur) >= need {
-			out = append(out, append([]int(nil), cur...))
-		}
-		if len(cur) == n {
-			return
-		}
-		for j := start; j < n; j++ {
-			if j == i {
-				continue
-			}
-			rec(j+1, append(cur, j))
+// quorums enumerates, for every node i of an n-node set, every majority
+// subset of {0..n-1} containing i: quorums(n)[i] lists i first, then the
+// other members in increasing order, and the subsets in depth-first order.
+// They depend only on n, so the spec constructors compute them once.
+func quorums(n int) [][][]int {
+	out := make([][][]int, n)
+	for i := range out {
+		out[i] = appendQuorums(nil, []int{i}, 0, n, i)
+	}
+	return out
+}
+
+// appendQuorums appends to out every majority that extends cur (which
+// holds candidate i) with members drawn from {start..n-1} \ {i}.
+func appendQuorums(out [][]int, cur []int, start, n, i int) [][]int {
+	if len(cur) >= Majority(n) {
+		out = append(out, slices.Clone(cur))
+	}
+	for j := start; j < n; j++ {
+		if j != i {
+			out = appendQuorums(out, append(cur, j), j+1, n, i)
 		}
 	}
-	rec(0, []int{i})
 	return out
 }
 
@@ -102,11 +148,17 @@ func quorums(n, i int) [][]int {
 // Both variants keep the original specification's simplifying assumption of
 // at most one leader at a time (§4.2.2 "Two leaders"): on election, every
 // other node reverts to follower.
-func becomePrimaryByMagic(s State, globalTerm bool) []State {
+//
+// qs is quorums(n) for the state's node count n. Every successor electing
+// node i shares one Roles slice, and in V1 one Terms slice too: the new
+// term does not depend on the quorum.
+func becomePrimaryByMagic(s State, qs [][][]int, globalTerm bool) []State {
 	var out []State
 	n := s.NumNodes()
 	for i := 0; i < n; i++ {
-		for _, q := range quorums(n, i) {
+		var roles []Role
+		var globalTerms []int
+		for _, q := range qs[i] {
 			eligible := true
 			for _, j := range q {
 				if s.logAhead(j, i) {
@@ -117,16 +169,21 @@ func becomePrimaryByMagic(s State, globalTerm bool) []State {
 			if !eligible {
 				continue
 			}
-			c := s.clone()
-			for j := range c.Roles {
-				c.Roles[j] = Follower
+			if roles == nil {
+				roles = make([]Role, n) // all Follower
+				roles[i] = Leader
 			}
-			c.Roles[i] = Leader
+			c := s
+			c.Roles = roles
 			if globalTerm {
-				newTerm := s.maxTerm() + 1
-				for j := range c.Terms {
-					c.Terms[j] = newTerm
+				if globalTerms == nil {
+					globalTerms = make([]int, n)
+					newTerm := s.maxTerm() + 1
+					for j := range globalTerms {
+						globalTerms[j] = newTerm
+					}
 				}
+				c.Terms = globalTerms
 			} else {
 				newTerm := 0
 				for _, j := range q {
@@ -135,11 +192,12 @@ func becomePrimaryByMagic(s State, globalTerm bool) []State {
 					}
 				}
 				newTerm++
+				c.Terms = slices.Clone(s.Terms)
 				for _, j := range q {
 					c.Terms[j] = newTerm
 				}
 			}
-			out = append(out, c)
+			out = emit(out, n*len(qs[i]), c)
 		}
 	}
 	return out
@@ -152,24 +210,23 @@ func stepdown(s State) []State {
 		if r != Leader {
 			continue
 		}
-		c := s.clone()
-		c.Roles[i] = Follower
-		out = append(out, c)
+		out = emit(out, len(s.Roles), s.withFollower(i))
 	}
 	return out
 }
 
 // clientWrite: a leader executes a write, appending an entry stamped with
-// its current term to its own oplog.
+// its current term to its own oplog. The log is capped at its length before
+// the append, so the new entry always lands in a fresh array and never in
+// spare capacity another state's log may share.
 func clientWrite(s State) []State {
 	var out []State
 	for i, r := range s.Roles {
 		if r != Leader {
 			continue
 		}
-		c := s.clone()
-		c.Oplogs[i] = append(c.Oplogs[i], s.Terms[i])
-		out = append(out, c)
+		log := s.Oplogs[i]
+		out = emit(out, len(s.Roles), s.withOplog(i, append(log[:len(log):len(log)], s.Terms[i])))
 	}
 	return out
 }
@@ -208,9 +265,7 @@ func advanceCommitPoint(s State) []State {
 		if best == s.CommitPoints[i] {
 			continue
 		}
-		c := s.clone()
-		c.CommitPoints[i] = best
-		out = append(out, c)
+		out = emit(out, n, s.withCommitPoint(i, best))
 	}
 	return out
 }
@@ -226,9 +281,7 @@ func learnCommitPointV1(s State) []State {
 			if i == j || !s.CommitPoints[i].Before(s.CommitPoints[j]) {
 				continue
 			}
-			c := s.clone()
-			c.CommitPoints[i] = s.CommitPoints[j]
-			out = append(out, c)
+			out = emit(out, n*(n-1), s.withCommitPoint(i, s.CommitPoints[j]))
 		}
 	}
 	return out
@@ -245,12 +298,13 @@ func updateTermThroughHeartbeat(s State) []State {
 			if i == j || s.Terms[j] <= s.Terms[i] {
 				continue
 			}
-			c := s.clone()
-			c.Terms[i] = s.Terms[j]
-			if c.Roles[i] == Leader {
-				c.Roles[i] = Follower
+			c := s
+			if s.Roles[i] == Leader {
+				c = s.withFollower(i)
 			}
-			out = append(out, c)
+			c.Terms = slices.Clone(s.Terms)
+			c.Terms[i] = s.Terms[j]
+			out = emit(out, n*(n-1), c)
 		}
 	}
 	return out
@@ -270,9 +324,7 @@ func learnCommitPointWithTermCheck(s State) []State {
 			if s.CommitPoints[j].Term > s.Terms[i] {
 				continue
 			}
-			c := s.clone()
-			c.CommitPoints[i] = s.CommitPoints[j]
-			out = append(out, c)
+			out = emit(out, n*(n-1), s.withCommitPoint(i, s.CommitPoints[j]))
 		}
 	}
 	return out
@@ -301,9 +353,7 @@ func learnCommitPointFromSyncSource(s State) []State {
 			if !s.CommitPoints[i].Before(learned) {
 				continue
 			}
-			c := s.clone()
-			c.CommitPoints[i] = learned
-			out = append(out, c)
+			out = emit(out, n*(n-1), s.withCommitPoint(i, learned))
 		}
 	}
 	return out

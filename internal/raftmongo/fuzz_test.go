@@ -3,6 +3,7 @@ package raftmongo
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/tla"
@@ -47,6 +48,22 @@ func stateFrom(r *fuzzReader, n int) State {
 		s.Oplogs[i] = log
 	}
 	return s
+}
+
+// deepCopy returns a copy of s that shares no backing array with it and
+// whose oplogs have no spare capacity.
+func deepCopy(s State) State {
+	c := State{
+		Roles:        slices.Clone(s.Roles),
+		Terms:        slices.Clone(s.Terms),
+		CommitPoints: slices.Clone(s.CommitPoints),
+		Oplogs:       make([][]int, len(s.Oplogs)),
+	}
+	for i, log := range s.Oplogs {
+		c.Oplogs[i] = make([]int, len(log))
+		copy(c.Oplogs[i], log)
+	}
+	return c
 }
 
 func assertEncodingAgreement(t *testing.T, a, b State) {
@@ -123,7 +140,8 @@ func FuzzDecodeBinaryRoundTrip(f *testing.F) {
 // means the checker's fast path merges (or splits) states the semantic
 // identity would not — exactly the silent-wrong-answer class of bug the
 // fuzzer exists to catch. The same corpus feeds the retained-state
-// arena's round-trip property.
+// arena's round-trip property and the successor immutability check
+// (TestSuccessorsNeverMutate).
 func FuzzBinaryKeyAgreement(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 2, 0, 1, 2, 3, 0, 1})
@@ -136,7 +154,10 @@ func FuzzBinaryKeyAgreement(f *testing.F) {
 		assertEncodingAgreement(t, a, b)
 		// The equal direction, on distinct backing arrays: a deep copy
 		// must encode identically under both schemes.
-		assertEncodingAgreement(t, a, a.clone())
+		assertEncodingAgreement(t, a, deepCopy(a))
 		assertArenaRoundTrip(t, a)
+		specs := bothSpecs(Config{Nodes: n, MaxTerm: 3, MaxLogLen: 3})
+		assertSuccessorsNeverMutate(t, specs, a)
+		assertSuccessorsNeverMutate(t, specs, withSpareCapacity(a))
 	})
 }

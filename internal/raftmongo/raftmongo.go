@@ -78,6 +78,13 @@ func (c CommitPoint) String() string {
 // State is a replica-set state: per-node role, term, commit point, and
 // oplog. An oplog is the sequence of terms of its entries (entry index is
 // the position). In V1 all Terms entries are equal (the global term).
+//
+// States are immutable values. An action builds a successor as a shallow
+// copy of its parent that replaces only the slices it changes, so
+// successors share every unchanged slice — and oplog backing arrays — with
+// their parent and with each other. Nothing may write into a state's
+// slices once it exists; code that needs a modified state allocates the
+// slices it changes.
 type State struct {
 	Roles        []Role
 	Terms        []int
@@ -257,24 +264,6 @@ func permuteNodes(s State, perm []int) State {
 		t.Oplogs[p] = s.Oplogs[i]
 	}
 	return t
-}
-
-// clone returns a deep copy; actions mutate the copy.
-func (s State) clone() State {
-	n := s.NumNodes()
-	c := State{
-		Roles:        make([]Role, n),
-		Terms:        make([]int, n),
-		CommitPoints: make([]CommitPoint, n),
-		Oplogs:       make([][]int, n),
-	}
-	copy(c.Roles, s.Roles)
-	copy(c.Terms, s.Terms)
-	copy(c.CommitPoints, s.CommitPoints)
-	for i, log := range s.Oplogs {
-		c.Oplogs[i] = append([]int(nil), log...)
-	}
-	return c
 }
 
 // LastTerm returns the term of node i's newest oplog entry, 0 if empty.

@@ -121,7 +121,7 @@ func TestCommittedWritesSurviveRollback(t *testing.T) {
 }
 
 func TestQuorums(t *testing.T) {
-	qs := quorums(3, 0)
+	qs := quorums(3)[0]
 	// Majorities of {0,1,2} containing 0: {0,1}, {0,2}, {0,1,2}.
 	if len(qs) != 3 {
 		t.Fatalf("quorums(3,0) = %v", qs)
@@ -140,7 +140,7 @@ func TestQuorums(t *testing.T) {
 			t.Errorf("quorum %v missing candidate", q)
 		}
 	}
-	if got := len(quorums(5, 2)); got != 11 {
+	if got := len(quorums(5)[2]); got != 11 {
 		// Majorities of 5 containing a fixed member: C(4,2)+C(4,3)+C(4,4) = 6+4+1.
 		t.Errorf("quorums(5,2) count = %d, want 11", got)
 	}
@@ -168,39 +168,28 @@ func TestCommitPointOrdering(t *testing.T) {
 func TestKeyDistinguishesStates(t *testing.T) {
 	cfg := smallCfg()
 	s1 := cfg.initState()
-	s2 := s1.clone()
-	if s1.Key() != s2.Key() {
-		t.Error("clone changed the key")
+	if s1.Key() != cfg.initState().Key() {
+		t.Error("equal states key differently")
 	}
+	s2 := cfg.initState()
 	s2.Terms[1] = 2
 	if s1.Key() == s2.Key() {
 		t.Error("key ignores terms")
 	}
-	s3 := s1.clone()
+	s3 := cfg.initState()
 	s3.Oplogs[0] = []int{1}
 	if s1.Key() == s3.Key() {
 		t.Error("key ignores oplogs")
 	}
-	s4 := s1.clone()
+	s4 := cfg.initState()
 	s4.Roles[2] = Leader
 	if s1.Key() == s4.Key() {
 		t.Error("key ignores roles")
 	}
-	s5 := s1.clone()
+	s5 := cfg.initState()
 	s5.CommitPoints[0] = CommitPoint{1, 1}
 	if s1.Key() == s5.Key() {
 		t.Error("key ignores commit points")
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	s := smallCfg().initState()
-	s.Oplogs[0] = []int{1, 2}
-	c := s.clone()
-	c.Oplogs[0][0] = 9
-	c.Roles[1] = Leader
-	if s.Oplogs[0][0] != 1 || s.Roles[1] != Follower {
-		t.Error("clone shares memory with original")
 	}
 }
 
@@ -211,7 +200,7 @@ func TestBecomePrimaryRequiresUpToDateLog(t *testing.T) {
 	s.Oplogs[1] = []int{1}
 	s.Terms = []int{1, 1, 0}
 	// Node 2 (empty log) must not be electable with voters {0,1}: both are ahead.
-	for _, succ := range becomePrimaryByMagic(s, false) {
+	for _, succ := range becomePrimaryByMagic(s, quorums(3), false) {
 		for i, r := range succ.Roles {
 			if r == Leader && i == 2 {
 				t.Errorf("node 2 elected with stale log: %v", succ)
@@ -220,7 +209,7 @@ func TestBecomePrimaryRequiresUpToDateLog(t *testing.T) {
 	}
 	// Node 0 must be electable (voter set {0,2}: node 2 not ahead).
 	elected0 := false
-	for _, succ := range becomePrimaryByMagic(s, false) {
+	for _, succ := range becomePrimaryByMagic(s, quorums(3), false) {
 		if succ.Roles[0] == Leader {
 			elected0 = true
 		}
@@ -329,8 +318,9 @@ func TestQuickQuorumOverlap(t *testing.T) {
 	f := func(n8, i8, j8 uint8) bool {
 		n := int(n8%5) + 1
 		i, j := int(i8)%n, int(j8)%n
-		for _, qa := range quorums(n, i) {
-			for _, qb := range quorums(n, j) {
+		qs := quorums(n)
+		for _, qa := range qs[i] {
+			for _, qb := range qs[j] {
 				overlap := false
 				for _, a := range qa {
 					for _, b := range qb {

@@ -8,13 +8,14 @@ import "repro/internal/tla"
 // point. This is the variant whose state space the paper reports as 42,034
 // states, model-checked in 2 seconds.
 func SpecV1(cfg Config) *tla.Spec[State] {
+	qs := quorums(cfg.Nodes)
 	return &tla.Spec[State]{
 		Name: "RaftMongoV1",
 		Init: func() []State { return []State{cfg.initState()} },
 		Actions: []tla.Action[State]{
 			{Name: "AppendOplog", Next: appendOplog},
 			{Name: "RollbackOplog", Next: rollbackOplog},
-			{Name: "BecomePrimaryByMagic", Next: func(s State) []State { return becomePrimaryByMagic(s, true) }},
+			{Name: "BecomePrimaryByMagic", Next: func(s State) []State { return becomePrimaryByMagic(s, qs, true) }},
 			{Name: "Stepdown", Next: stepdown},
 			{Name: "ClientWrite", Next: clientWrite},
 			{Name: "AdvanceCommitPoint", Next: advanceCommitPoint},
@@ -37,13 +38,14 @@ func SpecV1(cfg Config) *tla.Spec[State] {
 // of 345 lines of TLA+ and grew the state space to 371,368 states,
 // model-checked in 14 minutes (experiment E7).
 func SpecV2(cfg Config) *tla.Spec[State] {
+	qs := quorums(cfg.Nodes)
 	return &tla.Spec[State]{
 		Name: "RaftMongoV2",
 		Init: func() []State { return []State{cfg.initState()} },
 		Actions: []tla.Action[State]{
 			{Name: "AppendOplog", Next: appendOplog},
 			{Name: "RollbackOplog", Next: rollbackOplog},
-			{Name: "BecomePrimaryByMagic", Next: func(s State) []State { return becomePrimaryByMagic(s, false) }},
+			{Name: "BecomePrimaryByMagic", Next: func(s State) []State { return becomePrimaryByMagic(s, qs, false) }},
 			{Name: "Stepdown", Next: stepdown},
 			{Name: "ClientWrite", Next: clientWrite},
 			{Name: "AdvanceCommitPoint", Next: advanceCommitPoint},

@@ -101,12 +101,14 @@ func Permutations(n int, visit func(perm []int)) {
 
 // codec is the state-encoding strategy of one checking run: how a state is
 // turned into the byte string the visited store dedups on. It carries two
-// scratch buffers (plus the worker's orbit enumerator and one pre-bound
-// visit closure) so the hot path allocates nothing once the buffers have
-// grown to the state size; codecs are therefore per-goroutine (workers
-// clone, and each clone gets its own enumerator from the spec's factory).
+// scratch buffers and the state slot its encoder is bound to (plus the
+// worker's orbit enumerator and one pre-bound visit closure) so the hot
+// path allocates nothing once the buffers have grown to the state size;
+// codecs are therefore per-goroutine (workers clone, and each clone gets
+// its own slot and its own enumerator from the spec's factory).
 type codec[S State] struct {
-	bin        func(S, []byte) []byte  // non-nil iff S implements BinaryState
+	bin        BinaryState             // non-nil iff S implements BinaryState; see bindBinary
+	slot       *S                      // the state bin encodes, when bin is bound through a pointer
 	dec        func([]byte) (S, error) // non-nil iff S also implements BinaryDecoder
 	symFactory func() OrbitVisitor[S]  // non-nil iff the spec declares symmetry; per-clone source of sym
 	sym        OrbitVisitor[S]         // this goroutine's orbit enumerator
@@ -116,20 +118,35 @@ type codec[S State] struct {
 }
 
 // newCodec builds the codec for spec under opts. The BinaryState check is
-// performed once, on the zero value of S, so the per-state cost is one
-// interface conversion rather than a type switch. The decoder is bound to
-// the zero-value receiver here and rebound to a real initial state by
+// performed once, when bindBinary binds the encoder. The decoder is bound
+// to the zero-value receiver here and rebound to a real initial state by
 // bindDecoder before the engine first decodes — decoders that need
 // configuration off the receiver (arrayot's transformer) get it then.
 func newCodec[S State](spec *Spec[S]) *codec[S] {
 	c := &codec[S]{symFactory: spec.SymmetryVisitor}
+	c.bindBinary()
 	var zero S
-	if _, ok := any(zero).(BinaryState); ok {
-		c.bin = func(s S, buf []byte) []byte { return any(s).(BinaryState).AppendBinary(buf) }
-		c.bindDecoder(zero)
-	}
+	c.bindDecoder(zero)
 	c.bindOrbit()
 	return c
+}
+
+// bindBinary binds this codec's AppendBinary, when S implements
+// BinaryState. Converting a state value to an interface allocates unless S
+// is pointer-shaped, so the encoder is bound once to a pointer to a
+// per-codec slot (a pointer's method set includes the value methods):
+// encode copies the state into the slot and encodes through it, allocating
+// nothing. Only when *S has no such method — S is itself a pointer type,
+// whose interface conversion is free — is each state converted directly.
+func (c *codec[S]) bindBinary() {
+	slot := new(S)
+	if b, ok := any(slot).(BinaryState); ok {
+		c.bin, c.slot = b, slot
+		return
+	}
+	if b, ok := any(*slot).(BinaryState); ok {
+		c.bin = b
+	}
 }
 
 // bindDecoder (re)binds the codec's decode function to sample's receiver,
@@ -161,19 +178,28 @@ func (c *codec[S]) bindOrbit() {
 	}
 }
 
-// clone returns a codec with fresh scratch buffers and its own orbit
-// enumerator, for use by another goroutine.
+// clone returns a codec with fresh scratch buffers, its own encoder slot
+// and its own orbit enumerator, for use by another goroutine.
 func (c *codec[S]) clone() *codec[S] {
-	n := &codec[S]{bin: c.bin, dec: c.dec, symFactory: c.symFactory}
+	n := &codec[S]{dec: c.dec, symFactory: c.symFactory}
+	n.bindBinary()
 	n.bindOrbit()
 	return n
 }
 
 // encode appends the dedup encoding of s to buf: the byte-packed encoding
-// on the fast path, the Key() bytes otherwise.
+// on the fast path, the Key() bytes otherwise. The slot is zeroed after
+// use so the codec does not keep the last state it encoded alive.
 func (c *codec[S]) encode(s S, buf []byte) []byte {
-	if c.bin != nil {
-		return c.bin(s, buf)
+	switch {
+	case c.slot != nil:
+		*c.slot = s
+		buf = c.bin.AppendBinary(buf)
+		var zero S
+		*c.slot = zero
+		return buf
+	case c.bin != nil:
+		return any(s).(BinaryState).AppendBinary(buf)
 	}
 	return append(buf, s.Key()...)
 }

@@ -171,6 +171,50 @@ func TestCodecSelectsBinaryPath(t *testing.T) {
 	if got := string(kc.encode(randState(9), nil)); got != "9" {
 		t.Fatalf("key codec encoded %q, want \"9\"", got)
 	}
+	pc := newCodec(&Spec[*ptrState]{})
+	if pc.bin == nil || pc.slot != nil {
+		t.Fatal("a pointer state must be encoded directly, without a slot")
+	}
+	if !bytes.Equal(pc.encode(&ptrState{s}, nil), s.AppendBinary(nil)) {
+		t.Fatal("pointer codec does not encode via AppendBinary")
+	}
+}
+
+// ptrState is a state whose methods have pointer receivers, so the spec's
+// state type is *ptrState.
+type ptrState struct{ s binState }
+
+func (p *ptrState) Key() string                    { return p.s.Key() }
+func (p *ptrState) AppendBinary(buf []byte) []byte { return p.s.AppendBinary(buf) }
+
+// TestEncodeDoesNotAllocate pins the codec's allocation contract: once its
+// scratch buffers have grown, encoding a non-pointer BinaryState and
+// canonicalizing it, with and without symmetry, allocates nothing. Boxing
+// the state into the BinaryState interface on every call would cost one
+// allocation per encoding (binState is 4 bytes: Go boxes it without
+// allocating only for values below 256, hence the large counters here).
+func TestEncodeDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	s := binState{A: 300, B: 700}
+	for name, c := range map[string]*codec[binState]{
+		"plain":     newCodec(binSpec(5, false)),
+		"symmetric": newCodec(binSpecVisitor(5)),
+		"clone":     newCodec(binSpecVisitor(5)).clone(),
+	} {
+		var buf []byte
+		c.canonical(s) // grow the scratch buffers
+		if got := testing.AllocsPerRun(100, func() { buf = c.encode(s, buf[:0]) }); got != 0 {
+			t.Errorf("%s: encode allocates %.1f times per call", name, got)
+		}
+		if got := testing.AllocsPerRun(100, func() { c.canonical(s) }); got != 0 {
+			t.Errorf("%s: canonical allocates %.1f times per call", name, got)
+		}
+		if c.slot == nil || *c.slot != (binState{}) {
+			t.Errorf("%s: the encoder slot is unbound or keeps the last state", name)
+		}
+	}
 }
 
 // TestCanonicalIsOrbitMinimal pins the symmetry canonicalization: every

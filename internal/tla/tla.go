@@ -42,6 +42,10 @@ type State interface {
 // enabled. Actions correspond one-to-one with the named transitions of the
 // TLA+ specification being transcribed.
 //
+// Successors may share memory with s and with each other; nothing may
+// mutate a state after Next returns it — not the spec, not the checker,
+// not an observer.
+//
 // Unless Options.Workers (or TraceOptions.Workers) is 1, the checker calls
 // Next from multiple goroutines concurrently while expanding a frontier.
 // Next must therefore be pure up to shared state: reading captured
