@@ -101,7 +101,11 @@ func TestKillDashNineRecoversToOracleVerdict(t *testing.T) {
 
 	// -checkpoint-every 1 maximises checkpoint cadence so the kill window
 	// is wide; the contract bounds lost work to one checkpoint interval.
-	proc := startCheckd(t, bin, root, "-checkpoint-every", "1", "-max-concurrent", "1")
+	// The whole check takes under a second on a fast host, so progress is
+	// published every 20ms (default 1s) for the poll below to see the run
+	// mid-flight rather than already done.
+	proc := startCheckd(t, bin, root, "-checkpoint-every", "1", "-max-concurrent", "1",
+		"-progress-every", "20ms")
 	defer func() {
 		proc.cmd.Process.Kill()
 		proc.cmd.Wait()
@@ -203,7 +207,9 @@ func TestDrainParksRunningJobAcrossRestart(t *testing.T) {
 		t.Fatalf("building checkd: %v", err)
 	}
 	root := t.TempDir()
-	proc := startCheckd(t, bin, root, "-checkpoint-every", "1")
+	// Fast progress, as in TestKillDashNineRecoversToOracleVerdict: the
+	// drain must land while the job is still running.
+	proc := startCheckd(t, bin, root, "-checkpoint-every", "1", "-progress-every", "20ms")
 	defer func() {
 		proc.cmd.Process.Kill()
 		proc.cmd.Wait()

@@ -59,7 +59,7 @@ func GenerateResult(cfg arrayot.Config, dotPath string, opts tla.Options) ([]Tes
 	opts.RecordGraph = true
 	res, err := tla.Check(arrayot.Spec(cfg), opts)
 	if res != nil && res.Graph != nil {
-		// A violating run keeps its arena-backed graph; release it too.
+		// A violating run keeps its graph (and any spill file); release it too.
 		defer res.Graph.Close()
 	}
 	if err != nil {

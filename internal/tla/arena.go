@@ -3,6 +3,7 @@ package tla
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -35,12 +36,14 @@ import (
 // reported, even under symmetry reduction, and storing it costs one
 // AppendBinary per distinct state instead of an orbit scan.
 //
-// The arena also doubles as the state graph's backing store
-// (Options.RecordGraph + Options.StateArena): graph edges (parent id,
-// action index, child id) are appended to their own segment list as
-// fixed-width records, spilled to the same temp file under the same
-// budget, and Result.Graph serves states and edges lazily from the arena
-// instead of retaining live values — see Graph.
+// The arena's parent links are also the only retained-state table of a run
+// without StateArena (live mode): every run keeps one arenaMeta record per
+// state, and live mode merely stores no encoding beside it, keeping the
+// state's value in memory instead (see retainer). A recorded graph
+// (Options.RecordGraph) appends its edges (parent id, action index, child
+// id) to the arena's own segment list as fixed-width records in either
+// mode, spilled to the same temp file under the same budget, and
+// Result.Graph is a view of the retainer — see Graph.
 
 // arenaSegBytes is the target size of one arena segment. Segments are
 // sealed when full (or when a budget flush forces it) and become the unit
@@ -48,7 +51,8 @@ import (
 const arenaSegBytes = 1 << 20
 
 // arenaMeta is the fixed-size per-state record: the parent link and where
-// the state's canonical encoding lives.
+// the state's canonical encoding lives (n is 0, and seg and off unused, when
+// no encoding is stored — always in live mode).
 type arenaMeta struct {
 	parent int32  // parent state id, -1 for initial states
 	depth  int32  // discovery depth (BFS depth under level-sync)
@@ -58,9 +62,9 @@ type arenaMeta struct {
 	n      uint32 // encoding length
 }
 
-// arenaSeg is one sealed or in-progress run of encoding bytes. Resident
-// segments hold their bytes in buf; spilled segments record where in the
-// arena's temp file the same bytes live.
+// arenaSeg is one sealed or in-progress run of encoding or edge bytes.
+// Resident segments hold their bytes in buf; spilled segments record where
+// in the arena's temp file the same bytes live.
 type arenaSeg struct {
 	buf     []byte
 	fileOff int64
@@ -68,7 +72,7 @@ type arenaSeg struct {
 	spilled bool
 }
 
-// stateArena is the append-only encoded-state store. It is single-owner:
+// stateArena is the append-only retained-state store. It is single-owner:
 // the level-synchronized engine touches it from the merge goroutine only,
 // and the work-stealing engine serializes access under its registration
 // lock.
@@ -77,8 +81,9 @@ type stateArena struct {
 	fsys     FS
 	em       *engineMetrics // nil-safe observability sink
 	meta     []arenaMeta
-	segs     []arenaSeg
-	resident int64 // encoding + edge bytes currently held in memory
+	segs     []arenaSeg // encodings (arena mode only)
+	edgeSegs []arenaSeg // a recorded graph's fixed arenaEdgeBytes edge records
+	resident int64      // encoding + edge bytes currently held in memory
 	file     File
 	fileSize int64
 	degraded bool // a persistent spill-write failure switched to live retention of segments
@@ -88,14 +93,9 @@ type stateArena struct {
 	// volume from outside the registration lock.
 	spilledAtomic atomic.Int64
 
-	// Edge recording (Options.RecordGraph + Options.StateArena): graph
-	// edges live in their own segment list of fixed arenaEdgeBytes records,
-	// sharing the resident budget and the spill file with the encodings.
-	recordEdges bool
-	edgeSegs    []arenaSeg
-	edgeCount   int
-	lastFrom    int  // highest From appended so far; -1 before the first edge
-	edgesMono   bool // From values arrived in nondecreasing order (level-sync)
+	edgeCount int
+	lastFrom  int  // highest From appended so far; -1 before the first edge
+	edgesMono bool // From values arrived in nondecreasing order (level-sync)
 }
 
 func newStateArena(budget int64, fsys FS, em *engineMetrics) *stateArena {
@@ -108,67 +108,68 @@ const arenaEdgeBytes = 10
 
 func (a *stateArena) len() int { return len(a.meta) }
 
-// add appends one state's canonical encoding and parent link. The caller's
-// id for the record is the arena's current length before the call; enc is
-// copied, so it may alias a codec's scratch buffer.
-func (a *stateArena) add(enc []byte, parent int, act uint16, depth int) error {
-	if len(a.segs) == 0 || a.segs[len(a.segs)-1].spilled ||
-		a.segs[len(a.segs)-1].size+len(enc) > arenaSegBytes {
-		a.segs = append(a.segs, arenaSeg{buf: make([]byte, 0, segCap(len(enc)))})
+// add appends one state's parent link and, when enc is non-empty, its
+// canonical encoding. The caller's id for the record is the arena's current
+// length before the call; enc is copied, so it may alias a codec's scratch
+// buffer.
+func (a *stateArena) add(enc []byte, parent int, act uint16, depth int) (err error) {
+	m := arenaMeta{parent: int32(parent), depth: int32(depth), act: act, n: uint32(len(enc))}
+	if len(enc) > 0 {
+		m.seg, m.off, err = a.appendSeg(&a.segs, enc)
 	}
-	seg := &a.segs[len(a.segs)-1]
-	off := seg.size
-	seg.buf = append(seg.buf, enc...)
-	seg.size += len(enc)
-	a.resident += int64(len(enc))
-	a.meta = append(a.meta, arenaMeta{
-		parent: int32(parent),
-		depth:  int32(depth),
-		act:    act,
-		seg:    uint32(len(a.segs) - 1),
-		off:    uint32(off),
-		n:      uint32(len(enc)),
-	})
-	if a.budget > 0 && a.resident > a.budget {
-		return a.flush()
-	}
-	return nil
-}
-
-// segCap sizes a fresh segment: the standard arenaSegBytes, or exactly the
-// oversized encoding that would never fit one.
-func segCap(need int) int {
-	if need > arenaSegBytes {
-		return need
-	}
-	return arenaSegBytes
+	a.meta = append(a.meta, m)
+	return err
 }
 
 // addEdge appends one graph edge as a fixed-width record. Edge bytes count
 // against the same resident budget as encodings and spill with them.
 func (a *stateArena) addEdge(from int, act uint16, to int) error {
-	if len(a.edgeSegs) == 0 || a.edgeSegs[len(a.edgeSegs)-1].spilled ||
-		a.edgeSegs[len(a.edgeSegs)-1].size+arenaEdgeBytes > arenaSegBytes {
-		a.edgeSegs = append(a.edgeSegs, arenaSeg{buf: make([]byte, 0, arenaSegBytes)})
-	}
-	seg := &a.edgeSegs[len(a.edgeSegs)-1]
 	var rec [arenaEdgeBytes]byte
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(from))
 	binary.LittleEndian.PutUint16(rec[4:6], act)
 	binary.LittleEndian.PutUint32(rec[6:10], uint32(to))
-	seg.buf = append(seg.buf, rec[:]...)
-	seg.size += arenaEdgeBytes
-	a.resident += arenaEdgeBytes
 	a.edgeCount++
 	if from < a.lastFrom {
 		a.edgesMono = false
 	} else {
 		a.lastFrom = from
 	}
-	if a.budget > 0 && a.resident > a.budget {
-		return a.flush()
+	_, _, err := a.appendSeg(&a.edgeSegs, rec[:])
+	return err
+}
+
+// appendSeg appends rec to the tail of the segment list *segs — opening a
+// fresh segment when there is none, the tail has spilled, or rec would
+// overflow it — charges it to the resident bytes, and spills every
+// resident segment once they exceed the budget. It returns the segment
+// index and offset rec landed at.
+func (a *stateArena) appendSeg(segs *[]arenaSeg, rec []byte) (seg, off uint32, err error) {
+	l := *segs
+	if n := len(l); n == 0 || l[n-1].spilled || l[n-1].size+len(rec) > arenaSegBytes {
+		l = append(l, arenaSeg{buf: make([]byte, 0, a.segCap(len(rec)))})
+		*segs = l
 	}
-	return nil
+	tail := &l[len(l)-1]
+	seg, off = uint32(len(l)-1), uint32(tail.size)
+	tail.buf = append(tail.buf, rec...)
+	tail.size += len(rec)
+	a.resident += int64(len(rec))
+	if a.budget > 0 && a.resident > a.budget {
+		err = a.flush()
+	}
+	return seg, off, err
+}
+
+// segCap sizes a fresh segment opened by a need-byte record: arenaSegBytes,
+// or twice a smaller budget — the segment spills as soon as the resident
+// bytes pass the budget, so it only outgrows that by a record larger than
+// the budget — and never less than the record itself.
+func (a *stateArena) segCap(need int) int {
+	c := arenaSegBytes
+	if a.budget > 0 && 2*a.budget < int64(c) {
+		c = int(2 * a.budget)
+	}
+	return max(c, need)
 }
 
 // forEachEdge streams every recorded edge, in append order, to fn. Resident
@@ -179,15 +180,13 @@ func (a *stateArena) forEachEdge(fn func(from int, act uint16, to int) error) er
 	var buf []byte
 	for i := range a.edgeSegs {
 		seg := &a.edgeSegs[i]
-		var b []byte
+		b := seg.buf
 		if seg.spilled {
 			var err error
-			if buf, err = a.edgeSegBytes(i, buf[:0]); err != nil {
+			if buf, err = a.readSeg(seg, 0, seg.size, buf[:0]); err != nil {
 				return err
 			}
 			b = buf
-		} else {
-			b = seg.buf[:seg.size]
 		}
 		for off := 0; off+arenaEdgeBytes <= len(b); off += arenaEdgeBytes {
 			from := int(binary.LittleEndian.Uint32(b[off : off+4]))
@@ -201,26 +200,25 @@ func (a *stateArena) forEachEdge(fn func(from int, act uint16, to int) error) er
 	return nil
 }
 
-// edgeSegBytes appends the full byte run of edge segment i to buf — the
-// edge-list analogue of segBytes, used by forEachEdge and checkpointing.
-func (a *stateArena) edgeSegBytes(i int, buf []byte) ([]byte, error) {
-	seg := &a.edgeSegs[i]
+// readSeg appends the n bytes at offset off of seg to buf and returns the
+// extended slice: copied from memory for a resident segment, read back
+// from the spill file otherwise — always a copy, never an alias of arena
+// bytes, so callers may reuse one buffer across reads. A spilled read is
+// required reading — traces, graphs and checkpoints are built from it — so
+// transient errors retry and persistent ones fail explicitly rather than
+// risk a wrong answer.
+func (a *stateArena) readSeg(seg *arenaSeg, off, n int, buf []byte) ([]byte, error) {
 	if !seg.spilled {
-		return append(buf, seg.buf[:seg.size]...), nil
+		return append(buf, seg.buf[off:off+n]...), nil
 	}
 	lo := len(buf)
-	if cap(buf) < lo+seg.size {
-		grown := make([]byte, lo, lo+seg.size)
-		copy(grown, buf)
-		buf = grown
-	}
-	buf = buf[:lo+seg.size]
+	buf = slices.Grow(buf, n)[:lo+n]
 	err := a.em.retry("arena", func() error {
-		_, rerr := a.file.ReadAt(buf[lo:], seg.fileOff)
+		_, rerr := a.file.ReadAt(buf[lo:], seg.fileOff+int64(off))
 		return rerr
 	})
 	if err != nil {
-		return nil, fmt.Errorf("tla: reading spilled arena edge segment: %w", err)
+		return nil, fmt.Errorf("tla: reading spilled arena segment: %w", err)
 	}
 	return buf, nil
 }
@@ -282,10 +280,6 @@ func (a *stateArena) flush() error {
 	return nil
 }
 
-// degradedMemory reports whether a persistent spill failure forced the
-// arena to retain segments in memory (Result.DegradedMemory).
-func (a *stateArena) degradedMemory() bool { return a.degraded }
-
 // residentBytes reports the encoding and edge bytes currently held in
 // memory — the arena's half of Progress.ResidentBytes. Owner goroutine
 // only, like add/flush.
@@ -297,58 +291,13 @@ func (a *stateArena) residentBytes() int64 { return a.resident }
 func (a *stateArena) spilledBytesAtomic() int64 { return a.spilledAtomic.Load() }
 
 // encoding appends state id's canonical encoding to buf and returns the
-// extended slice — always a copy, never an alias of a resident segment,
-// so callers may reuse one buffer across reads without risking a later
-// read scribbling over live arena bytes.
+// extended slice (a copy; see readSeg).
 func (a *stateArena) encoding(id int, buf []byte) ([]byte, error) {
 	m := a.meta[id]
-	seg := &a.segs[m.seg]
-	if !seg.spilled {
-		return append(buf, seg.buf[m.off:m.off+m.n]...), nil
+	if m.n == 0 {
+		return buf, nil
 	}
-	lo := len(buf)
-	if cap(buf) < lo+int(m.n) {
-		grown := make([]byte, lo, lo+int(m.n))
-		copy(grown, buf)
-		buf = grown
-	}
-	buf = buf[:lo+int(m.n)]
-	// A spilled encoding is required reading — traces and checkpoints are
-	// built from it — so transient errors retry and persistent ones fail
-	// explicitly rather than risk a wrong answer.
-	err := a.em.retry("arena", func() error {
-		_, rerr := a.file.ReadAt(buf[lo:], seg.fileOff+int64(m.off))
-		return rerr
-	})
-	if err != nil {
-		return nil, fmt.Errorf("tla: reading spilled arena segment: %w", err)
-	}
-	return buf, nil
-}
-
-// segBytes appends the full byte run of segment i to buf — from memory for
-// resident segments, from the spill file otherwise. Checkpointing uses it
-// to stream the arena's encodings out in segment order.
-func (a *stateArena) segBytes(i int, buf []byte) ([]byte, error) {
-	seg := &a.segs[i]
-	if !seg.spilled {
-		return append(buf, seg.buf[:seg.size]...), nil
-	}
-	lo := len(buf)
-	if cap(buf) < lo+seg.size {
-		grown := make([]byte, lo, lo+seg.size)
-		copy(grown, buf)
-		buf = grown
-	}
-	buf = buf[:lo+seg.size]
-	err := a.em.retry("arena", func() error {
-		_, rerr := a.file.ReadAt(buf[lo:], seg.fileOff)
-		return rerr
-	})
-	if err != nil {
-		return nil, fmt.Errorf("tla: reading spilled arena segment: %w", err)
-	}
-	return buf, nil
+	return a.readSeg(&a.segs[m.seg], int(m.off), int(m.n), buf)
 }
 
 // close releases the spill file, if any.
@@ -363,40 +312,39 @@ func (a *stateArena) close() error {
 	return a.fsys.Remove(name)
 }
 
-// retainer owns discovered-state retention for one checking run, behind
-// one concrete type with two modes. Live mode (the default) keeps every
-// state and its bookkeeping entry in memory, exactly as the engine always
-// has. Arena mode (Options.StateArena, implied by checkpointing) keeps
-// canonical encodings and parent links in a stateArena and live S values
-// only for states awaiting expansion (retainLive/release bracket the
-// window).
+// retainer owns discovered-state retention for one checking run: the
+// arena's link table (parent, depth, action) for every state, and each
+// state's value in one of two modes. Live mode (the default) keeps every
+// value in states and stores no encoding. Arena mode (Options.StateArena,
+// implied by checkpointing) stores each state's canonical encoding in the
+// arena and keeps live values only for the states awaiting expansion
+// (retainLive/release bracket the window). The modes differ only in where
+// a value comes from: stateOf for the expansion window, stateAt for every
+// other read.
 type retainer[S State] struct {
 	arena  *stateArena
 	acts   []string // interned action names; acts[0] is the initial-state ""
 	actIdx map[string]uint16
 
-	// graphOwned marks that Result.Graph serves lazily from the arena: the
+	// graphOwned marks that Result.Graph is a view of this retainer: the
 	// graph, not the retainer, then owns the arena's spill file, and
 	// Graph.Close releases it instead of retainer.close.
 	graphOwned bool
 
-	// live mode
-	states  []S
-	entries []stateEntry
-
-	// arena mode: the unexpanded window
-	live map[int]S
+	decode bool      // arena mode: values are decoded from stored encodings
+	states []S       // live mode: every state's value, by id
+	window map[int]S // arena mode: the values of states awaiting expansion
 }
 
 func newRetainer[S State](spec *Spec[S], opts Options, em *engineMetrics) *retainer[S] {
-	if !opts.arena() {
-		return &retainer[S]{}
-	}
 	r := &retainer[S]{
 		arena:  newStateArena(opts.MemoryBudgetBytes, opts.FS, em),
 		acts:   []string{""},
 		actIdx: map[string]uint16{"": 0},
-		live:   map[int]S{},
+		decode: opts.arena(),
+	}
+	if r.decode {
+		r.window = map[int]S{}
 	}
 	for _, a := range spec.Actions {
 		if _, ok := r.actIdx[a.Name]; !ok {
@@ -407,27 +355,20 @@ func newRetainer[S State](spec *Spec[S], opts Options, em *engineMetrics) *retai
 	return r
 }
 
-func (r *retainer[S]) len() int {
-	if r.arena != nil {
-		return r.arena.len()
-	}
-	return len(r.states)
-}
+func (r *retainer[S]) len() int { return r.arena.len() }
 
 // add records one newly discovered state. In arena mode enc must be the
 // state's plain encoding — codec.encode, not the orbit-canonical form —
-// and is copied; in live mode enc is unused.
+// and is copied; live mode keeps s and ignores enc.
 func (r *retainer[S]) add(s S, enc []byte, parent int, act string, depth int) error {
-	if r.arena != nil {
-		return r.arena.add(enc, parent, r.actIdx[act], depth)
+	if !r.decode {
+		r.states = append(r.states, s)
+		enc = nil
 	}
-	r.states = append(r.states, s)
-	r.entries = append(r.entries, stateEntry{id: len(r.states) - 1, parent: parent, act: act, depth: depth})
-	return nil
+	return r.arena.add(enc, parent, r.actIdx[act], depth)
 }
 
-// addEdge records one graph edge into the arena's edge segments (arena
-// graph mode only; live mode appends to Graph.edges directly).
+// addEdge records one graph edge into the arena's edge segments.
 func (r *retainer[S]) addEdge(from int, act string, to int) error {
 	return r.arena.addEdge(from, r.actIdx[act], to)
 }
@@ -435,8 +376,8 @@ func (r *retainer[S]) addEdge(from int, act string, to int) error {
 // retainLive parks a live value for a state the engine will expand later.
 // Live mode retains everything already; arena mode adds it to the window.
 func (r *retainer[S]) retainLive(id int, s S) {
-	if r.arena != nil {
-		r.live[id] = s
+	if r.decode {
+		r.window[id] = s
 	}
 }
 
@@ -445,71 +386,41 @@ func (r *retainer[S]) retainLive(id int, s S) {
 // level-synchronized expansion phase); the work-stealing engine serializes
 // calls under its registration lock instead.
 func (r *retainer[S]) stateOf(id int) S {
-	if r.arena != nil {
-		return r.live[id]
+	if r.decode {
+		return r.window[id]
 	}
 	return r.states[id]
 }
 
-func (r *retainer[S]) depthOf(id int) int {
-	if r.arena != nil {
-		return int(r.arena.meta[id].depth)
-	}
-	return r.entries[id].depth
-}
+func (r *retainer[S]) depthOf(id int) int { return int(r.arena.meta[id].depth) }
 
 // release drops the live value of an expanded state (arena mode; live mode
 // retains by design).
 func (r *retainer[S]) release(id int) {
-	if r.arena != nil {
-		delete(r.live, id)
+	if r.decode {
+		delete(r.window, id)
 	}
 }
 
 // releaseAll drops the live values of a fully expanded frontier.
 func (r *retainer[S]) releaseAll(ids []int) {
-	if r.arena == nil {
+	if !r.decode {
 		return
 	}
 	for _, id := range ids {
-		delete(r.live, id)
+		delete(r.window, id)
 	}
 }
 
-// trace reconstructs the initial-state-to-id trace and its action labels.
-// Live mode walks the retained states; arena mode decodes each stored
-// encoding on the parent chain. The reconstruction is exact — the trace
-// equals the live-mode one byte for byte (see the file comment). cod must
-// be a codec no expansion worker is using — the merge goroutine's, or any
-// codec after the workers joined.
-func (r *retainer[S]) trace(cod *codec[S], id int) ([]S, []string, error) {
-	if r.arena == nil {
-		trace, acts := rebuildTrace(r.entries, r.states, id)
-		return trace, acts, nil
+// stateAt returns the value of state id: the retained value in live mode,
+// a decode of its stored encoding in arena mode. Counterexamples and the
+// graph's StateAt are served from it; the decode is exact (see the file
+// comment). cod must be a codec no expansion worker is using — the merge
+// goroutine's, or any codec after the workers joined.
+func (r *retainer[S]) stateAt(cod *codec[S], id int) (S, error) {
+	if !r.decode {
+		return r.states[id], nil
 	}
-	var rev []int
-	for i := id; i >= 0; i = int(r.arena.meta[i].parent) {
-		rev = append(rev, i)
-	}
-	trace := make([]S, 0, len(rev))
-	acts := make([]string, 0, len(rev)-1)
-	for i := len(rev) - 1; i >= 0; i-- {
-		sid := rev[i]
-		s, err := r.decodeState(cod, sid)
-		if err != nil {
-			return nil, nil, err
-		}
-		if i < len(rev)-1 {
-			acts = append(acts, r.acts[r.arena.meta[sid].act])
-		}
-		trace = append(trace, s)
-	}
-	return trace, acts, nil
-}
-
-// decodeState reconstructs state id from its stored encoding (arena mode
-// only). Traces and the lazy Graph's StateAt/KeyAt are served from it.
-func (r *retainer[S]) decodeState(cod *codec[S], id int) (S, error) {
 	var zero S
 	enc, err := r.arena.encoding(id, nil)
 	if err != nil {
@@ -522,16 +433,37 @@ func (r *retainer[S]) decodeState(cod *codec[S], id int) (S, error) {
 	return s, nil
 }
 
+// trace reconstructs the initial-state-to-id trace and its action labels by
+// walking the parent links and reading each state on the chain.
+func (r *retainer[S]) trace(cod *codec[S], id int) ([]S, []string, error) {
+	var rev []int
+	for i := id; i >= 0; i = int(r.arena.meta[i].parent) {
+		rev = append(rev, i)
+	}
+	trace := make([]S, 0, len(rev))
+	acts := make([]string, 0, len(rev)-1)
+	for i := len(rev) - 1; i >= 0; i-- {
+		sid := rev[i]
+		s, err := r.stateAt(cod, sid)
+		if err != nil {
+			return nil, nil, err
+		}
+		if i < len(rev)-1 {
+			acts = append(acts, r.acts[r.arena.meta[sid].act])
+		}
+		trace = append(trace, s)
+	}
+	return trace, acts, nil
+}
+
 // degradedMemory reports whether the arena had to fall back to in-memory
 // retention after a persistent spill failure.
-func (r *retainer[S]) degradedMemory() bool {
-	return r.arena != nil && r.arena.degraded
-}
+func (r *retainer[S]) degradedMemory() bool { return r.arena.degraded }
 
 // close releases the arena's spill file, if any — unless the arena now
 // backs Result.Graph, whose Close owns that release.
 func (r *retainer[S]) close() error {
-	if r.arena == nil || r.graphOwned {
+	if r.graphOwned {
 		return nil
 	}
 	return r.arena.close()

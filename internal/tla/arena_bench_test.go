@@ -90,19 +90,15 @@ func mkHeavyState(i int) heavyState {
 	return s
 }
 
-// BenchmarkArenaRetention measures what the retained-state arena is for:
-// the heap bytes one discovered state costs to retain until the end of a
-// run, live S values (the default) against arena encodings
-// (Options.StateArena). The retained-B/state metric is heap growth across
-// retaining 50k states, measured between forced GCs with the retention
-// still referenced; arena mode must come in severalfold under live mode
-// on this slice-heavy state.
-// BenchmarkArenaGraph measures the arena-native state graph: states and
-// edges recorded straight into the arena's append-only segments, resident
-// or spilling under a tight memory budget. Reported per variant: edge
-// recording throughput (edges/sec) and the heap bytes one state retains
-// with graph recording on (retained-B/state) — the number that must stay
-// flat as the graph grows, since edges live in segments, not the heap.
+// BenchmarkArenaGraph measures graph recording: states retained and edges
+// recorded into the arena's append-only edge segments, resident or
+// spilling under a tight memory budget, with states retained as arena
+// encodings (resident, spill) or as live values (live, live-spill — the
+// default retention, whose graph is the same edge segments beside the
+// states slice). Reported per variant: edge recording throughput
+// (edges/sec) and the heap bytes one state retains with graph recording on
+// (retained-B/state) — the number that must stay flat as the graph grows,
+// since edges live in segments, not the heap.
 func BenchmarkArenaGraph(b *testing.B) {
 	const n = 50000
 	spec := &Spec[heavyState]{
@@ -111,16 +107,16 @@ func BenchmarkArenaGraph(b *testing.B) {
 	}
 	for _, mode := range []struct {
 		name   string
+		arena  bool
 		budget int64
-	}{{"resident", 0}, {"spill", 1 << 16}} {
+	}{{"resident", true, 0}, {"spill", true, 1 << 16}, {"live", false, 0}, {"live-spill", false, 1 << 16}} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var before, after runtime.MemStats
 				runtime.GC()
 				runtime.ReadMemStats(&before)
-				ret := newRetainer(spec, Options{StateArena: true, MemoryBudgetBytes: mode.budget}, nil)
-				ret.arena.recordEdges = true
+				ret := newRetainer(spec, Options{StateArena: mode.arena, MemoryBudgetBytes: mode.budget}, nil)
 				var encBuf []byte
 				for j := 0; j < n; j++ {
 					s := mkHeavyState(j)
@@ -147,6 +143,13 @@ func BenchmarkArenaGraph(b *testing.B) {
 	}
 }
 
+// BenchmarkArenaRetention measures what the retained-state arena is for:
+// the heap bytes one discovered state costs to retain until the end of a
+// run, live S values (the default) against arena encodings
+// (Options.StateArena). The retained-B/state metric is heap growth across
+// retaining 50k states, measured between forced GCs with the retention
+// still referenced; arena mode must come in severalfold under live mode
+// on this slice-heavy state.
 func BenchmarkArenaRetention(b *testing.B) {
 	const n = 50000
 	spec := &Spec[heavyState]{

@@ -44,10 +44,12 @@ func cancelAfter[S State](spec *Spec[S], cancel context.CancelFunc, after int64)
 	return spec
 }
 
-// TestArenaGraphMatchesResident is the headline property: a
-// StateArena+RecordGraph run — resident, and spilled to disk under a
-// one-byte memory budget — produces a graph byte-identical in DOT form to
-// a plain live RecordGraph run, at one and at four workers.
+// TestArenaGraphMatchesResident is the headline property: a RecordGraph
+// run whose retained storage spills to disk under a one-byte memory budget
+// — the edges alone under live retention, encodings and edges under
+// StateArena — or keeps the arena resident produces a graph byte-identical
+// in DOT form to a plain resident RecordGraph run, at one and at four
+// workers.
 func TestArenaGraphMatchesResident(t *testing.T) {
 	const max = 25
 	for _, w := range []int{1, 4} {
@@ -56,10 +58,13 @@ func TestArenaGraphMatchesResident(t *testing.T) {
 			t.Fatalf("workers=%d live: %v", w, err)
 		}
 		wantDOT := dotBytes(t, want.Graph, "bincounter")
-		for _, budget := range []int64{0, 1} {
-			label := fmt.Sprintf("workers=%d/budget=%d", w, budget)
+		for _, mode := range []struct {
+			arena  bool
+			budget int64
+		}{{true, 0}, {true, 1}, {false, 1}} {
+			label := fmt.Sprintf("workers=%d/arena=%t/budget=%d", w, mode.arena, mode.budget)
 			got, err := Check(binSpec(max, false), Options{
-				RecordGraph: true, Workers: w, StateArena: true, MemoryBudgetBytes: budget,
+				RecordGraph: true, Workers: w, StateArena: mode.arena, MemoryBudgetBytes: mode.budget,
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -77,7 +82,7 @@ func TestArenaGraphMatchesResident(t *testing.T) {
 				}
 			}
 			if gotDOT := dotBytes(t, got.Graph, "bincounter"); !bytes.Equal(gotDOT, wantDOT) {
-				t.Fatalf("%s: arena DOT differs from the live run's", label)
+				t.Fatalf("%s: DOT differs from the resident run's", label)
 			}
 			if err := got.Graph.Close(); err != nil {
 				t.Fatalf("%s: Close: %v", label, err)

@@ -28,8 +28,9 @@ type BinaryState interface {
 // can reconstruct a state value from an encoding AppendBinary produced.
 // The retained-state arena (Options.StateArena, implied by checkpointing)
 // requires it alongside BinaryState: counterexamples, checkpoint resume and
-// the arena-backed state graph (see Graph) are all decoded from the stored
-// encodings, and Check rejects the arena for a state that cannot decode.
+// the recorded state graph's states (see Graph) are all decoded from the
+// stored encodings, and Check rejects the arena for a state that cannot
+// decode.
 //
 // The contract mirrors BinaryState's: for every state s of the
 // specification, DecodeBinary(s.AppendBinary(nil)) must return a state

@@ -147,11 +147,11 @@ func specFingerprint[S State](spec *Spec[S]) uint64 {
 // result, so they are deliberately not hashed. PartialOrder is: a pruned
 // run's frontier and visited set describe the reduced space, and resuming
 // them unpruned (or vice versa) would silently explore neither space. The
-// constant forcekey=false is the retired ForceKeyEncoding option's slot,
-// kept so checkpoints and verdict caches written before its removal keep
-// their fingerprints.
+// constants maxdepth=0 and forcekey=false are the slots of the retired
+// MaxDepth and ForceKeyEncoding options, kept so checkpoints and verdict
+// caches written before their removal keep their fingerprints.
 func optionsFingerprint(o Options) uint64 {
-	return fnv1a64([]byte(fmt.Sprintf("maxstates=%d;maxdepth=%d;forcekey=false;por=%t", o.MaxStates, o.MaxDepth, o.PartialOrder)))
+	return fnv1a64([]byte(fmt.Sprintf("maxstates=%d;maxdepth=0;forcekey=false;por=%t", o.MaxStates, o.PartialOrder)))
 }
 
 // Fingerprint hashes the result-shaping options — the exact hash checkpoint
@@ -187,16 +187,16 @@ func writeCheckpoint[S State](ck *checkpointer, spec *Spec[S], opts Options, ret
 	files = append(files, metaName)
 
 	dataName := prefix + "arena.data"
-	if err := ck.em.retry("checkpoint", func() error { return writeArenaData(fsys, filepath.Join(ck.dir, dataName), a) }); err != nil {
+	if err := ck.em.retry("checkpoint", func() error { return writeArenaSegs(fsys, filepath.Join(ck.dir, dataName), a, a.segs) }); err != nil {
 		cleanup()
 		return "", err
 	}
 	files = append(files, dataName)
 
 	var edgesName string
-	if a.recordEdges {
+	if res.Graph != nil {
 		edgesName = prefix + "arena.edges"
-		if err := ck.em.retry("checkpoint", func() error { return writeArenaEdges(fsys, filepath.Join(ck.dir, edgesName), a) }); err != nil {
+		if err := ck.em.retry("checkpoint", func() error { return writeArenaSegs(fsys, filepath.Join(ck.dir, edgesName), a, a.edgeSegs) }); err != nil {
 			cleanup()
 			return "", err
 		}
@@ -210,14 +210,6 @@ func writeCheckpoint[S State](ck *checkpointer, spec *Spec[S], opts Options, ret
 	}
 	files = append(files, runs...)
 
-	segSizes := make([]int, len(a.segs))
-	for i := range a.segs {
-		segSizes[i] = a.segs[i].size
-	}
-	edgeSegSizes := make([]int, len(a.edgeSegs))
-	for i := range a.edgeSegs {
-		edgeSegSizes[i] = a.edgeSegs[i].size
-	}
 	m := ckManifest{
 		Version:        ckVersion,
 		Spec:           spec.Name,
@@ -234,21 +226,19 @@ func writeCheckpoint[S State](ck *checkpointer, spec *Spec[S], opts Options, ret
 		Degraded:       res.DegradedMemory || ret.degradedMemory(),
 		Frontier:       append([]int(nil), frontier...),
 		Actions:        append([]string(nil), ret.acts...),
-		SegSizes:       segSizes,
+		SegSizes:       segSizes(a.segs),
 		MetaFile:       metaName,
 		DataFile:       dataName,
 		VisitedRuns:    runs,
 		Files:          files,
 	}
-	if a.recordEdges {
-		m.EdgeSegSizes = edgeSegSizes
+	if res.Graph != nil {
+		m.EdgeSegSizes = segSizes(a.edgeSegs)
 		m.EdgesFile = edgesName
 		m.EdgeCount = a.edgeCount
 		m.EdgesMono = a.edgesMono
 		m.EdgeLastFrom = a.lastFrom
-		if res.Graph != nil {
-			m.Inits = append([]int(nil), res.Graph.Inits...)
-		}
+		m.Inits = append([]int(nil), res.Graph.Inits...)
 	}
 	blob, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
@@ -334,38 +324,19 @@ func readArenaMeta(fsys FS, path string) ([]arenaMeta, error) {
 	return meta, nil
 }
 
-// writeArenaData streams every arena segment's bytes, in segment order,
-// into one file; the manifest's SegSizes delimit them on the way back in.
-func writeArenaData(fsys FS, path string, a *stateArena) error {
-	f, err := fsys.Create(path)
-	if err != nil {
-		return err
+// segSizes lists the byte sizes of a segment list, in order.
+func segSizes(segs []arenaSeg) []int {
+	sizes := make([]int, len(segs))
+	for i := range segs {
+		sizes[i] = segs[i].size
 	}
-	fail := func(err error) error {
-		f.Close()
-		fsys.Remove(path)
-		return err
-	}
-	var scratch []byte
-	for i := range a.segs {
-		scratch, err = a.segBytes(i, scratch[:0])
-		if err != nil {
-			return fail(err)
-		}
-		if _, err := f.Write(scratch); err != nil {
-			return fail(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(path)
-		return err
-	}
-	return nil
+	return sizes
 }
 
-// writeArenaEdges streams every edge segment's records, in segment order,
-// into one file; the manifest's EdgeSegSizes delimit them on the way back.
-func writeArenaEdges(fsys FS, path string, a *stateArena) error {
+// writeArenaSegs streams the bytes of one of a's segment lists — the
+// encodings or the edge records — in segment order into one file; the
+// manifest's SegSizes or EdgeSegSizes delimit them on the way back in.
+func writeArenaSegs(fsys FS, path string, a *stateArena, segs []arenaSeg) error {
 	f, err := fsys.Create(path)
 	if err != nil {
 		return err
@@ -376,8 +347,8 @@ func writeArenaEdges(fsys FS, path string, a *stateArena) error {
 		return err
 	}
 	var scratch []byte
-	for i := range a.edgeSegs {
-		scratch, err = a.edgeSegBytes(i, scratch[:0])
+	for i := range segs {
+		scratch, err = a.readSeg(&segs[i], 0, segs[i].size, scratch[:0])
 		if err != nil {
 			return fail(err)
 		}
@@ -448,7 +419,7 @@ func ReadCheckpointInfo(dir string) (*CheckpointInfo, error) {
 // directory is never written to by a resume), with every segment marked
 // spilled at its cumulative offset. The copies run in fixed chunks at
 // explicit offsets so transient read faults retry idempotently.
-func restoreArena(a *stateArena, fsys FS, dir string, m *ckManifest) error {
+func restoreArena(a *stateArena, fsys FS, dir string, m *ckManifest, graph bool) error {
 	meta, err := readArenaMeta(fsys, filepath.Join(dir, m.MetaFile))
 	if err != nil {
 		return err
@@ -463,7 +434,7 @@ func restoreArena(a *stateArena, fsys FS, dir string, m *ckManifest) error {
 		dataTotal += int64(sz)
 	}
 	edgeTotal := int64(0)
-	if a.recordEdges && m.EdgesFile != "" {
+	if graph {
 		for _, sz := range m.EdgeSegSizes {
 			a.edgeSegs = append(a.edgeSegs, arenaSeg{fileOff: dataTotal + edgeTotal, size: sz, spilled: true})
 			edgeTotal += int64(sz)
@@ -574,7 +545,7 @@ func resumeRun[S State](spec *Spec[S], opts Options, cod *codec[S], ret *retaine
 	case m.SpecFP != fmt.Sprintf("%016x", specFingerprint(spec)):
 		return 0, fmt.Errorf("%w: spec %q changed shape since the checkpoint (actions/invariants/constraint/symmetry differ)", ErrBadCheckpoint, spec.Name)
 	case m.OptionsFP != fmt.Sprintf("%016x", optionsFingerprint(opts)):
-		return 0, fmt.Errorf("%w: MaxStates/MaxDepth/PartialOrder differ from the checkpointing run", ErrBadCheckpoint)
+		return 0, fmt.Errorf("%w: MaxStates/PartialOrder differ from the checkpointing run", ErrBadCheckpoint)
 	case len(m.Actions) != len(ret.acts):
 		return 0, fmt.Errorf("%w: checkpoint interned %d action names, this spec %d", ErrBadCheckpoint, len(m.Actions), len(ret.acts))
 	}
@@ -583,7 +554,7 @@ func resumeRun[S State](spec *Spec[S], opts Options, cod *codec[S], ret *retaine
 			return 0, fmt.Errorf("%w: action table mismatch at %d: %q vs %q", ErrBadCheckpoint, i, name, ret.acts[i])
 		}
 	}
-	if ret.arena.recordEdges && m.EdgesFile == "" {
+	if res.Graph != nil && m.EdgesFile == "" {
 		return 0, fmt.Errorf("%w: checkpoint predates arena edge recording, so RecordGraph cannot be served from it; resume without RecordGraph, or re-run the checkpointing run with it", ErrBadCheckpoint)
 	}
 	res.Transitions = m.Transitions
@@ -596,7 +567,7 @@ func resumeRun[S State](spec *Spec[S], opts Options, cod *codec[S], ret *retaine
 	if res.Graph != nil {
 		res.Graph.Inits = append([]int(nil), m.Inits...)
 	}
-	if err := restoreArena(ret.arena, fsys, dir, m); err != nil {
+	if err := restoreArena(ret.arena, fsys, dir, m, res.Graph != nil); err != nil {
 		return 0, err
 	}
 	if err := vs.adoptRuns(fsys, dir, m.VisitedRuns); err != nil {

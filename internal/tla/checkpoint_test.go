@@ -360,3 +360,13 @@ func TestCheckpointSequentialWorker(t *testing.T) {
 	}
 	assertSameOutcome(t, "sequential", rres, oracle)
 }
+
+// TestOptionsFingerprintStable pins the options hash checkpoint manifests
+// and verdict caches are keyed on: retiring an option must keep its slot in
+// the hashed text, so checkpoints and cached verdicts written before stay
+// valid.
+func TestOptionsFingerprintStable(t *testing.T) {
+	if got := fmt.Sprintf("%016x", Options{}.Fingerprint()); got != "80c9dbd03255416a" {
+		t.Fatalf("Options{}.Fingerprint() = %s, want 80c9dbd03255416a", got)
+	}
+}

@@ -2,8 +2,10 @@ package tla
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,8 +18,8 @@ import (
 // preserving the paper's TLC → DOT file → Golang generator boundary.
 //
 // Edges are emitted in deterministic (From, To, Action) order, so the same
-// exploration yields byte-identical output whether the graph is live or
-// arena-backed, resident or spilled.
+// exploration yields byte-identical output whether its states are live or
+// decoded from the arena, its segments resident or spilled.
 func (g *Graph[S]) WriteDOT(w io.Writer, name string) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "strict digraph %s {\n", dotID(name))
@@ -40,57 +42,47 @@ func (g *Graph[S]) WriteDOT(w io.Writer, name string) error {
 	return bw.Flush()
 }
 
-// writeDOTEdges emits the edges in (From, To, Action) order. An
-// arena-backed graph whose edges were recorded with nondecreasing From
-// (level-sync: frontier ids ascend across levels) streams one From-block at
-// a time — sorting each contiguous block by (To, Action) is exactly the
-// global order, without ever materializing the full edge list. Otherwise —
-// live graphs, or work-steal arena graphs — the list is materialized and
-// sorted whole.
+// writeDOTEdges emits the edges in (From, To, Action) order. A graph
+// whose edges were recorded with nondecreasing From (every level-sync run:
+// frontier ids ascend across levels) streams one From-block at a time —
+// sorting each contiguous block by (To, Action) is exactly the global
+// order, without ever materializing the full edge list. A work-stealing
+// graph's list is materialized and sorted whole.
 func (g *Graph[S]) writeDOTEdges(bw *bufio.Writer) error {
-	less := func(edges []Edge, i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		if edges[i].To != edges[j].To {
-			return edges[i].To < edges[j].To
-		}
-		return edges[i].Action < edges[j].Action
-	}
 	emit := func(edges []Edge) {
+		slices.SortFunc(edges, compareEdges)
 		for _, e := range edges {
 			fmt.Fprintf(bw, "  %d -> %d [label=%s];\n", e.From, e.To, strconv.Quote(e.Action))
 		}
 	}
-	if g.ret != nil && g.ret.arena.edgesMono {
-		var block []Edge
-		cur := -1
-		if err := g.ForEachEdge(func(e Edge) error {
-			if e.From != cur && len(block) > 0 {
-				sort.Slice(block, func(i, j int) bool { return less(block, i, j) })
-				emit(block)
-				block = block[:0]
-			}
-			cur = e.From
-			block = append(block, e)
-			return nil
-		}); err != nil {
-			return err
-		}
-		sort.Slice(block, func(i, j int) bool { return less(block, i, j) })
-		emit(block)
-		return nil
+	mono := g.ret.arena.edgesMono
+	var block []Edge
+	if !mono {
+		block = make([]Edge, 0, g.NumEdges())
 	}
-	edges := make([]Edge, 0, g.NumEdges())
 	if err := g.ForEachEdge(func(e Edge) error {
-		edges = append(edges, e)
+		if mono && len(block) > 0 && e.From != block[0].From {
+			emit(block)
+			block = block[:0]
+		}
+		block = append(block, e)
 		return nil
 	}); err != nil {
 		return err
 	}
-	sort.Slice(edges, func(i, j int) bool { return less(edges, i, j) })
-	emit(edges)
+	emit(block)
 	return nil
+}
+
+// compareEdges orders edges by (From, To, Action), the DOT dump's order.
+func compareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.From, b.From); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.To, b.To); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Action, b.Action)
 }
 
 func dotID(s string) string {

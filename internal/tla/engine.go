@@ -25,7 +25,7 @@ import (
 //   - Merge (sequential): candidate successors are replayed in exactly
 //     frontier order, then emission order, assigning dense ids through the
 //     core's install and verdict steps, recording graph edges, and applying
-//     the MaxDepth bound and the POR cycle proviso.
+//     the POR cycle proviso.
 //
 // Between the phases the store's ResolveLevel hook runs (the spilling
 // store's merge-on-lookup against its disk runs), and after the merge
@@ -148,7 +148,7 @@ type levelSync[S State] struct {
 	// levelBase/levelCut support the POR cycle proviso: levelBase is the id
 	// watermark when the current level's merge began, and levelCut[id -
 	// levelBase] marks the states discovered this merge that were NOT
-	// enqueued (constraint- or depth-cut).
+	// enqueued (constraint-cut).
 	levelBase int
 	levelCut  []bool
 
@@ -306,9 +306,9 @@ func (l *levelSync[S]) registerInit(s S) (int, bool) {
 }
 
 // add registers a first-sighted successor during the merge: install,
-// verdict, and — inside the constraint and the depth bound — the next
-// level's frontier. false ends the run (the outcome is recorded); e.ID is
-// set unless the registration itself failed.
+// verdict, and — inside the constraint — the next level's frontier. false
+// ends the run (the outcome is recorded); e.ID is set unless the
+// registration itself failed.
 func (l *levelSync[S]) add(s S, e *visitedEntry, parent int, act string, depth int) bool {
 	x := l.xs[0]
 	id, err := l.install(x, s, parent, act, depth)
@@ -327,13 +327,12 @@ func (l *levelSync[S]) add(s S, e *visitedEntry, parent int, act string, depth i
 	if !within {
 		l.res.ConstraintCuts++
 	}
-	pushed := within && (l.opts.MaxDepth == 0 || depth < l.opts.MaxDepth)
-	if pushed {
+	if within {
 		l.ret.retainLive(id, s)
 		l.fr.Push(id)
 	}
 	if x.planner != nil {
-		l.levelCut = append(l.levelCut, !pushed)
+		l.levelCut = append(l.levelCut, !within)
 	}
 	return true
 }
@@ -387,10 +386,8 @@ func (l *levelSync[S]) report(frontier []int, level int) {
 	if rb, ok := l.vs.(interface{ residentBytes() int64 }); ok {
 		p.ResidentBytes += rb.residentBytes()
 	}
-	if l.ret.arena != nil {
-		p.SpillBytes += l.ret.arena.fileSize
-		p.ResidentBytes += l.ret.arena.residentBytes()
-	}
+	p.SpillBytes += l.ret.arena.fileSize
+	p.ResidentBytes += l.ret.arena.residentBytes()
 	if l.snap != nil {
 		l.snap.store(p)
 	}
@@ -513,7 +510,7 @@ func (l *levelSync[S]) doCand(c candidate[S], id, depth int) bool {
 		return false
 	}
 	if l.res.Graph != nil {
-		if err := l.recordEdge(&l.res.Graph.edges, id, c.act, c.entry.ID); err != nil {
+		if err := l.ret.addEdge(id, c.act, c.entry.ID); err != nil {
 			l.fail(err)
 			return false
 		}

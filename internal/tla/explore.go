@@ -15,10 +15,9 @@ import (
 //     ample-first (the only scheduler-specific input is the freshness
 //     predicate: level-sync claims, work-stealing probes);
 //   - first-sight registration: install (the MaxStates bound, the arena's
-//     plain encoding, retention, the live graph's state columns) and
-//     verdict (invariants, then the constraint);
-//   - edge recording into the live or the arena-backed graph;
-//   - the run lifecycle: Result, retainer and codecs, arena-graph wiring,
+//     plain encoding, retention) and verdict (invariants, then the
+//     constraint);
+//   - the run lifecycle: Result, retainer and codecs, the graph view,
 //     stopper, progress ticker, Init registration, and one finish that
 //     turns the run's outcome into (Result, error).
 
@@ -31,10 +30,6 @@ type explorer[S State] struct {
 	cod  *codec[S] // worker 0's codec: the merge, trace and graph decoder
 	em   *engineMetrics
 	xs   []*expander[S] // one per worker
-
-	// arenaGraph marks that the recorded graph is arena-backed (RecordGraph
-	// + StateArena): states and edges go to the arena, not Graph's slices.
-	arenaGraph bool
 
 	st     *stopper
 	snap   *progressSnap // non-nil iff a ProgressEvery ticker runs
@@ -101,8 +96,8 @@ func (c *runControl) recoverSpec(g *specGuard) {
 }
 
 // newExplorer sets up a run: the Result, the retainer, one expander (codec
-// clone, spec guard, POR planner) per worker, the arena-backed graph when
-// asked for, and the stopper.
+// clone, spec guard, POR planner) per worker, the graph view when asked
+// for, and the stopper.
 func newExplorer[S State](spec *Spec[S], opts Options, workers int, em *engineMetrics) *explorer[S] {
 	r := &explorer[S]{spec: spec, opts: opts, res: &Result[S]{Spec: spec.Name}, ret: newRetainer(spec, opts, em), em: em}
 	r.cod = newCodec(spec)
@@ -115,14 +110,8 @@ func newExplorer[S State](spec *Spec[S], opts Options, workers int, em *engineMe
 		}
 	}
 	if opts.RecordGraph {
-		r.res.Graph = &Graph[S]{}
-		if r.ret.arena != nil {
-			r.arenaGraph = true
-			r.ret.arena.recordEdges = true
-			r.ret.graphOwned = true
-			r.res.Graph.ret = r.ret
-			r.res.Graph.cod = r.cod
-		}
+		r.res.Graph = &Graph[S]{ret: r.ret, cod: r.cod}
+		r.ret.graphOwned = true
 	}
 	r.st = opts.newStopper(func() { r.stop.Store(true) })
 	return r
@@ -150,13 +139,13 @@ func (r *explorer[S]) startProgress(live func(*Progress)) {
 
 // close is the run's teardown, deferred by both drivers with the error the
 // run returns: the final progress delivery; then a run that failed without
-// a violation discards its arena-backed graph so the spill file is not
-// leaked behind a result nobody will traverse (a violation keeps it: callers
-// dump it alongside the counterexample); then the retainer's spill file,
-// honouring that ownership verdict; then the stopper's watcher.
+// a violation discards its graph so the spill file is not leaked behind a
+// result nobody will traverse (a violation keeps it: callers dump it
+// alongside the counterexample); then the retainer's spill file, honouring
+// that ownership verdict; then the stopper's watcher.
 func (r *explorer[S]) close(err error) {
 	r.ticker.stop()
-	if r.arenaGraph && err != nil && r.res.Violation == nil {
+	if r.res.Graph != nil && err != nil && r.res.Violation == nil {
 		r.ret.graphOwned = false
 		r.res.Graph = nil
 	}
@@ -217,16 +206,16 @@ func (r *explorer[S]) registerInits(x *expander[S], reg func(S) (id int, more bo
 
 // install registers a first-sighted state and returns its dense id:
 // the MaxStates bound, the arena's plain encoding (not the orbit-canonical
-// one the visited store deduplicated on), retention, and the live graph's
-// state columns. Single-owner — the level-sync merge goroutine, or a
-// work-stealing worker holding the registration lock.
+// one the visited store deduplicated on), and retention. Single-owner — the
+// level-sync merge goroutine, or a work-stealing worker holding the
+// registration lock.
 func (r *explorer[S]) install(x *expander[S], s S, parent int, act string, depth int) (int, error) {
 	id := r.ret.len()
 	if r.opts.MaxStates > 0 && id >= r.opts.MaxStates {
 		return -1, ErrStateLimit
 	}
 	var enc []byte
-	if r.ret.arena != nil {
+	if r.ret.decode {
 		x.g.enter(opEncode, act, -1)
 		x.plain = x.cod.encode(s, x.plain[:0])
 		x.g.exit()
@@ -234,10 +223,6 @@ func (r *explorer[S]) install(x *expander[S], s S, parent int, act string, depth
 	}
 	if err := r.ret.add(s, enc, parent, act, depth); err != nil {
 		return -1, err
-	}
-	if r.res.Graph != nil && !r.arenaGraph {
-		r.res.Graph.states = append(r.res.Graph.states, s)
-		r.res.Graph.keys = append(r.res.Graph.keys, s.Key())
 	}
 	return id, nil
 }
@@ -259,16 +244,6 @@ func (r *explorer[S]) verdict(x *expander[S], s S, id int) (ok, within bool) {
 	within = r.spec.Constraint == nil || r.spec.Constraint(s)
 	x.g.exit()
 	return true, within
-}
-
-// recordEdge records one transition of the graph: into the arena under an
-// arena-backed graph (callers serialize as for install), else onto edges.
-func (r *explorer[S]) recordEdge(edges *[]Edge, from int, act string, to int) error {
-	if r.arenaGraph {
-		return r.ret.addEdge(from, act, to)
-	}
-	*edges = append(*edges, Edge{From: from, Action: act, To: to})
-	return nil
 }
 
 // expander is one worker's successor generator. Like the codec it owns, it

@@ -279,8 +279,10 @@ func (r *recordingFS) created() []string {
 }
 
 // TestNoTempFileLeaks runs the disk-backed stores through every exit path —
-// clean completion, degradation, interruption, a spec panic — and asserts
-// the engine removed every temp file and directory it created.
+// clean completion, degradation, interruption, a spec panic, and with a
+// live-retention graph the state limit and a violation whose graph the
+// caller closes — and asserts every temp file and directory created was
+// removed.
 func TestNoTempFileLeaks(t *testing.T) {
 	scenarios := []struct {
 		name string
@@ -313,6 +315,50 @@ func TestNoTempFileLeaks(t *testing.T) {
 				return fmt.Errorf("expected a recovered spec panic, got %v", err)
 			}
 			return nil
+		}},
+		// Live retention with a recorded graph: the graph's edges spill under
+		// the budget, and only a violation hands the spill file to the caller.
+		{"live-graph-state-limited", func(fsys FS) error {
+			res, err := Check(counterSpec(20), Options{Workers: 4, MemoryBudgetBytes: 1, RecordGraph: true, MaxStates: 100, FS: fsys})
+			if !errors.Is(err, ErrStateLimit) || res.Graph != nil {
+				return fmt.Errorf("expected ErrStateLimit and no graph, got %v (graph %v)", err, res.Graph != nil)
+			}
+			return nil
+		}},
+		{"live-graph-interrupted", func(fsys FS) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			spec := cancelingSpec(unboundedSpec(), cancel, 800)
+			_, err := Check(spec, Options{Workers: 4, MemoryBudgetBytes: 1, RecordGraph: true, FS: fsys, Context: ctx})
+			if !errors.Is(err, ErrInterrupted) {
+				return fmt.Errorf("expected an interrupted run, got %v", err)
+			}
+			return nil
+		}},
+		{"live-graph-spec-panic", func(fsys FS) error {
+			_, err := Check(explodingSpec(12, counterState{A: 6, B: 3}),
+				Options{Workers: 4, MemoryBudgetBytes: 1, RecordGraph: true, FS: fsys})
+			if !errors.Is(err, ErrSpecPanic) {
+				return fmt.Errorf("expected a recovered spec panic, got %v", err)
+			}
+			return nil
+		}},
+		{"live-graph-violation-closed", func(fsys FS) error {
+			spec := counterSpec(8)
+			spec.Invariants = append(spec.Invariants, Invariant[counterState]{
+				Name: "ANeverFive",
+				Check: func(s counterState) error {
+					if s.A == 5 {
+						return errors.New("A reached 5")
+					}
+					return nil
+				},
+			})
+			res, err := Check(spec, Options{Workers: 4, MemoryBudgetBytes: 1, RecordGraph: true, FS: fsys})
+			if !errors.Is(err, ErrInvariantViolated) || res.Graph == nil {
+				return fmt.Errorf("expected a violation with its graph, got %v", err)
+			}
+			return res.Graph.Close()
 		}},
 	}
 	for _, sc := range scenarios {

@@ -53,17 +53,48 @@ func assertResultsEqual[S, T State](t *testing.T, label string, want *Result[S],
 	if (want.Graph == nil) != (got.Graph == nil) {
 		t.Fatalf("%s: graph nilness differs", label)
 	}
+	if failedWithGraph(want, wantErr) || failedWithGraph(got, gotErr) {
+		t.Fatalf("%s: a run that failed without a violation returned a graph (err %v / %v)", label, wantErr, gotErr)
+	}
 	if want.Graph != nil {
-		if !reflect.DeepEqual(got.Graph.keys, want.Graph.keys) {
-			t.Fatalf("%s: graph keys differ:\n got  %v\n want %v", label, got.Graph.keys, want.Graph.keys)
+		if gk, wk := graphKeys(got.Graph), graphKeys(want.Graph); !reflect.DeepEqual(gk, wk) {
+			t.Fatalf("%s: graph keys differ:\n got  %v\n want %v", label, gk, wk)
 		}
-		if !reflect.DeepEqual(got.Graph.edges, want.Graph.edges) {
-			t.Fatalf("%s: graph edges differ (got %d, want %d)", label, len(got.Graph.edges), len(want.Graph.edges))
+		if ge, we := graphEdges(t, got.Graph), graphEdges(t, want.Graph); !reflect.DeepEqual(ge, we) {
+			t.Fatalf("%s: graph edges differ (got %d, want %d)", label, len(ge), len(we))
 		}
 		if !reflect.DeepEqual(got.Graph.Inits, want.Graph.Inits) {
 			t.Fatalf("%s: graph inits %v, want %v", label, got.Graph.Inits, want.Graph.Inits)
 		}
 	}
+}
+
+// failedWithGraph reports a breach of the failed-run rule: a run that
+// ended in an error other than a violation must return no graph.
+func failedWithGraph[S State](res *Result[S], err error) bool {
+	return err != nil && res.Violation == nil && res.Graph != nil
+}
+
+// graphKeys lists the keys of g's states in id order.
+func graphKeys[S State](g *Graph[S]) []string {
+	out := make([]string, g.Len())
+	for id := range out {
+		out[id] = g.KeyAt(id)
+	}
+	return out
+}
+
+// graphEdges lists g's edges in recorded order.
+func graphEdges[S State](t *testing.T, g *Graph[S]) []Edge {
+	t.Helper()
+	var out []Edge
+	if err := g.ForEachEdge(func(e Edge) error {
+		out = append(out, e)
+		return nil
+	}); err != nil {
+		t.Fatalf("ForEachEdge: %v", err)
+	}
+	return out
 }
 
 func traceKeys[S State](trace []S) []string {
@@ -96,8 +127,7 @@ func TestParallelMatchesSequentialCounter(t *testing.T) {
 }
 
 func TestParallelMatchesSequentialBounds(t *testing.T) {
-	crossCheck(t, "maxdepth", counterSpec(10), Options{MaxDepth: 3, RecordGraph: true})
-	crossCheck(t, "maxstates", counterSpec(1000), Options{MaxStates: 50})
+	crossCheck(t, "maxstates", counterSpec(1000), Options{MaxStates: 50, RecordGraph: true})
 	constrained := counterSpec(100)
 	constrained.Constraint = func(s counterState) bool { return s.A <= 4 }
 	crossCheck(t, "constraint", constrained, Options{RecordGraph: true})
@@ -237,7 +267,7 @@ func TestParallelRandomizedCrossCheck(t *testing.T) {
 		spec := randomSpec(seed)
 		crossCheck(t, spec.Name, spec, Options{})
 		crossCheck(t, spec.Name+"-graph", spec, Options{RecordGraph: true})
-		crossCheck(t, spec.Name+"-bounded", spec, Options{MaxStates: 500, MaxDepth: 6, RecordGraph: true})
+		crossCheck(t, spec.Name+"-bounded", spec, Options{MaxStates: 500, RecordGraph: true})
 	}
 }
 

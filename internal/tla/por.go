@@ -45,8 +45,8 @@ import "repro/internal/obs"
 //     deciding. Under level-sync the decision is the merge's, where
 //     discovery order is total, and exact: the witness is an ample
 //     successor first discovered during this very merge (id at or past
-//     the merge's watermark) and enqueued (neither constraint- nor
-//     depth-cut), so it joins the next level. Under work-stealing it is
+//     the merge's watermark) and enqueued (not constraint-cut), so it
+//     joins the next level. Under work-stealing it is
 //     conservatively race-safe: the witness is an ample successor queued
 //     and not yet expanding (porQueued) in one snapshot under the
 //     registration lock; a state whose constraint verdict is still pending

@@ -249,16 +249,10 @@ func TestPORDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestPORValidate pins the option combination POR rejects up front:
-// MaxDepth would cut a different state set than the unpruned run once
-// deferral moves interleavings to other depths. (The spec-dependent
-// rejection — no Independence declaration — is a row of
-// TestOptionsRejectedBeforeExploring.)
+// TestPORValidate pins that POR composes: every combination it supports
+// passes Validate. (The spec-dependent rejection — no Independence
+// declaration — is a row of TestOptionsRejectedBeforeExploring.)
 func TestPORValidate(t *testing.T) {
-	if err := (Options{PartialOrder: true, MaxDepth: 3}).Validate(); !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("max depth: Validate = %v, want ErrInvalidOptions", err)
-	}
-	// The combinations POR explicitly supports must stay valid.
 	for _, opts := range []Options{
 		{PartialOrder: true},
 		{PartialOrder: true, MemoryBudgetBytes: 1 << 20},

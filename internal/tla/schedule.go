@@ -36,10 +36,9 @@ import (
 // a real trace but not necessarily a shortest one, Result.Depth reports
 // the deepest discovery depth (an upper bound on the BFS depth), and a
 // recorded graph lists states and edges in nondeterministic order.
-// Because a depth bound needs true BFS depths to cut the same states,
-// Options.Validate rejects work-stealing with MaxDepth, as it does with
-// the level-synchronized spilling visited store (MemoryBudgetBytes) and
-// with checkpointing, whose checkpoints are sealed at level boundaries.
+// Options.Validate rejects work-stealing with the level-synchronized
+// spilling visited store (MemoryBudgetBytes) and with checkpointing, whose
+// checkpoints are sealed at level boundaries.
 //
 // Under work-stealing, Invariants and Constraint are called from worker
 // goroutines (the level-synchronized engine calls them on the merge
@@ -207,8 +206,8 @@ type wsEngine[S State] struct {
 	vs *wsVisited
 
 	// mu guards registration: the retainer (id assignment, arena append,
-	// live window), the recorded graph's state columns (or arena edges) and
-	// porStatus. Duplicate claims never take it.
+	// live window, graph edges) and porStatus. Duplicate claims never take
+	// it.
 	mu sync.Mutex
 	// porStatus[id] is state id's expansion status, grown in alloc (ids
 	// are dense) and maintained only under POR. The queue proviso reads it
@@ -253,7 +252,6 @@ type wsWorker[S State] struct {
 	transitions, terminal, cuts int
 	ampleStates, deferred       int
 	maxDepth                    int
-	edges                       []Edge
 
 	// obs handles, resolved once at worker creation (nil when the run is
 	// uninstrumented): incremented exactly where transitions and distinct
@@ -404,13 +402,9 @@ func (w *wsWorker[S]) doSucc(it wsItem, t int) (int, bool) {
 		return sid, false
 	}
 	if e.res.Graph != nil {
-		if e.arenaGraph {
-			e.mu.Lock()
-		}
-		err := e.recordEdge(&w.edges, it.id, act, sid)
-		if e.arenaGraph {
-			e.mu.Unlock()
-		}
+		e.mu.Lock()
+		err := e.ret.addEdge(it.id, act, sid)
+		e.mu.Unlock()
 		if err != nil {
 			e.fail(err)
 			return sid, false
@@ -494,9 +488,7 @@ func runWorkSteal[S State](spec *Spec[S], opts Options, workers int, em *engineM
 	// arena's spill volume and journals an epoch.
 	e.startProgress(func(p *Progress) {
 		p.Frontier = int(e.pending.Load())
-		if e.ret.arena != nil {
-			p.SpillBytes = e.ret.arena.spilledBytesAtomic()
-		}
+		p.SpillBytes = e.ret.arena.spilledBytesAtomic()
 		em.setDequePending(int64(p.Frontier))
 		em.journalEpoch(*p)
 	})
@@ -533,9 +525,6 @@ func runWorkSteal[S State](spec *Spec[S], opts Options, workers int, em *engineM
 		e.res.DeferredTransitions += w.deferred
 		if w.maxDepth > e.res.Depth {
 			e.res.Depth = w.maxDepth
-		}
-		if e.res.Graph != nil {
-			e.res.Graph.edges = append(e.res.Graph.edges, w.edges...)
 		}
 	}
 	e.interrupted = e.st.stopped()

@@ -190,17 +190,15 @@ func TestWorkStealGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Graph.states) != len(want.Graph.states) || len(got.Graph.edges) != len(want.Graph.edges) {
+	if got.Graph.Len() != want.Graph.Len() || got.Graph.NumEdges() != want.Graph.NumEdges() {
 		t.Fatalf("graph sizes differ: got %d states/%d edges, want %d/%d",
-			len(got.Graph.states), len(got.Graph.edges), len(want.Graph.states), len(want.Graph.edges))
+			got.Graph.Len(), got.Graph.NumEdges(), want.Graph.Len(), want.Graph.NumEdges())
 	}
-	keyOf := func(g *Graph[counterState], id int) string { return g.keys[id] }
 	wantEdges := map[string]int{}
-	for _, e := range want.Graph.edges {
-		wantEdges[keyOf(want.Graph, e.From)+"|"+e.Action+"|"+keyOf(want.Graph, e.To)]++
+	for _, k := range keyEdges(t, want.Graph) {
+		wantEdges[k]++
 	}
-	for _, e := range got.Graph.edges {
-		k := keyOf(got.Graph, e.From) + "|" + e.Action + "|" + keyOf(got.Graph, e.To)
+	for _, k := range keyEdges(t, got.Graph) {
 		wantEdges[k]--
 		if wantEdges[k] < 0 {
 			t.Fatalf("work-steal graph has extra edge %s", k)

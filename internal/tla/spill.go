@@ -205,56 +205,35 @@ func (vs *spillVisited) ResolveLevel() error {
 
 // mergeJoinRun streams the sorted run once, advancing through the sorted
 // fresh claims in lockstep and restoring the id of every match that is
-// still unassigned.
+// still unassigned; it stops reading once the claims are exhausted.
 func mergeJoinRun(fsys FS, path string, fresh []spillFresh) error {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-	var buf [spillRecSize]byte
 	i := 0
-	for i < len(fresh) {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return fmt.Errorf("tla: reading spill run %s: %w", path, err)
-		}
-		fp := binary.LittleEndian.Uint64(buf[:8])
-		for i < len(fresh) && fresh[i].fp < fp {
+	return readRecsFile(fsys, path, func(rec spillRec) bool {
+		for i < len(fresh) && fresh[i].fp < rec.fp {
 			i++
 		}
-		if i < len(fresh) && fresh[i].fp == fp && fresh[i].e.ID < 0 {
-			fresh[i].e.ID = int(int64(binary.LittleEndian.Uint64(buf[8:])))
+		if i < len(fresh) && fresh[i].fp == rec.fp && fresh[i].e.ID < 0 {
+			fresh[i].e.ID = int(rec.id)
 		}
-	}
-	return nil
+		return i < len(fresh)
+	})
 }
 
-// readRecsFile streams every 16-byte record of one sealed run through fn.
-func readRecsFile(fsys FS, path string, fn func(spillRec) error) error {
+// readRecsFile streams the records of one sealed run through fn until the
+// run ends or fn returns false.
+func readRecsFile(fsys FS, path string, fn func(spillRec) bool) error {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-	var buf [spillRecSize]byte
+	rr := newRunReader(f, path, "")
 	for {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return fmt.Errorf("tla: reading spill run %s: %w", path, err)
-		}
-		rec := spillRec{
-			fp: binary.LittleEndian.Uint64(buf[:8]),
-			id: int64(binary.LittleEndian.Uint64(buf[8:])),
-		}
-		if err := fn(rec); err != nil {
+		if err := rr.advance(); err != nil || rr.eof {
 			return err
+		}
+		if !fn(rr.cur) {
+			return nil
 		}
 	}
 }
@@ -358,17 +337,14 @@ func writeRecsFile(fsys FS, path string, recs []spillRec) error {
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriterSize(f, 1<<16)
-	var buf [spillRecSize]byte
+	w := newRunWriter(f)
 	fail := func(err error) error {
 		f.Close()
 		fsys.Remove(path)
 		return err
 	}
 	for _, rec := range recs {
-		binary.LittleEndian.PutUint64(buf[:8], rec.fp)
-		binary.LittleEndian.PutUint64(buf[8:], uint64(rec.id))
-		if _, err := w.Write(buf[:]); err != nil {
+		if err := w.write(rec); err != nil {
 			return fail(err)
 		}
 	}
@@ -382,28 +358,55 @@ func writeRecsFile(fsys FS, path string, recs []spillRec) error {
 	return nil
 }
 
-// runReader streams one sorted run during compaction.
+// runReader decodes the 16-byte records of one sorted run, one per
+// advance: the only reader of the run format.
 type runReader struct {
-	f   File
-	r   *bufio.Reader
-	cur spillRec
-	eof bool
+	f    File
+	r    *bufio.Reader
+	path string
+	note string // appended to the path in read errors
+	buf  [spillRecSize]byte
+	cur  spillRec
+	eof  bool
 }
 
+func newRunReader(f File, path, note string) *runReader {
+	return &runReader{f: f, r: bufio.NewReaderSize(f, 1<<16), path: path, note: note}
+}
+
+// advance decodes the next record into cur, or sets eof at the end of the
+// run; a torn trailing record is an error.
 func (rr *runReader) advance() error {
-	var buf [spillRecSize]byte
-	if _, err := io.ReadFull(rr.r, buf[:]); err != nil {
+	if _, err := io.ReadFull(rr.r, rr.buf[:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			rr.eof = true
 			return nil
 		}
-		return fmt.Errorf("tla: reading spill run %s during compaction: %w", rr.f.Name(), err)
+		return fmt.Errorf("tla: reading spill run %s%s: %w", rr.path, rr.note, err)
 	}
 	rr.cur = spillRec{
-		fp: binary.LittleEndian.Uint64(buf[:8]),
-		id: int64(binary.LittleEndian.Uint64(buf[8:])),
+		fp: binary.LittleEndian.Uint64(rr.buf[:8]),
+		id: int64(binary.LittleEndian.Uint64(rr.buf[8:])),
 	}
 	return nil
+}
+
+// runWriter encodes records into a run file through its buffer: the only
+// writer of the run format. Callers Flush it when done.
+type runWriter struct {
+	*bufio.Writer
+	buf [spillRecSize]byte
+}
+
+func newRunWriter(f File) *runWriter {
+	return &runWriter{Writer: bufio.NewWriterSize(f, 1<<16)}
+}
+
+func (rw *runWriter) write(rec spillRec) error {
+	binary.LittleEndian.PutUint64(rw.buf[:8], rec.fp)
+	binary.LittleEndian.PutUint64(rw.buf[8:], uint64(rec.id))
+	_, err := rw.Write(rw.buf[:])
+	return err
 }
 
 // compactRuns streaming-merges every sealed run into one sorted run and
@@ -426,7 +429,7 @@ func (vs *spillVisited) compactRuns() error {
 			closeAll()
 			return err
 		}
-		rr := &runReader{f: f, r: bufio.NewReaderSize(f, 1<<16)}
+		rr := newRunReader(f, path, " during compaction")
 		readers = append(readers, rr)
 		if err := rr.advance(); err != nil {
 			closeAll()
@@ -446,8 +449,7 @@ func (vs *spillVisited) compactRuns() error {
 		vs.fsys.Remove(path)
 		return err
 	}
-	w := bufio.NewWriterSize(out, 1<<16)
-	var buf [spillRecSize]byte
+	w := newRunWriter(out)
 	var written int64
 	// The fan-in is bounded by spillCompactAfter+1, so a linear min-scan
 	// per record beats the bookkeeping of a heap.
@@ -462,9 +464,7 @@ func (vs *spillVisited) compactRuns() error {
 			break
 		}
 		rec := min.cur
-		binary.LittleEndian.PutUint64(buf[:8], rec.fp)
-		binary.LittleEndian.PutUint64(buf[8:], uint64(rec.id))
-		if _, err := w.Write(buf[:]); err != nil {
+		if err := w.write(rec); err != nil {
 			return fail(err)
 		}
 		written++
@@ -541,12 +541,12 @@ func (vs *spillVisited) adoptRuns(fsys FS, srcDir string, names []string) error 
 	if vs.budget == 0 {
 		for _, name := range names {
 			err := vs.em.retry("checkpoint", func() error {
-				return readRecsFile(fsys, filepath.Join(srcDir, name), func(rec spillRec) error {
+				return readRecsFile(fsys, filepath.Join(srcDir, name), func(rec spillRec) bool {
 					sh := &vs.shards[rec.fp&(visitedShards-1)]
 					if sh.byFP[rec.fp] == nil {
 						sh.byFP[rec.fp] = &visitedEntry{ID: int(rec.id)}
 					}
-					return nil
+					return true
 				})
 			})
 			if err != nil {

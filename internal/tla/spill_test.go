@@ -14,7 +14,6 @@ func TestOptionsValidate(t *testing.T) {
 	bad := []Options{
 		{Workers: -1},
 		{MaxStates: -5},
-		{MaxDepth: -2},
 		{MemoryBudgetBytes: -1},
 		{MemoryBudgetBytes: 1 << 20, CollisionFree: true},
 		{Schedule: Schedule(7)},
@@ -30,7 +29,7 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	good := []Options{
 		{},
-		{Workers: 0, MaxStates: 0, MaxDepth: 0},
+		{Workers: 0, MaxStates: 0},
 		{Workers: 4, CollisionFree: true},
 		{MemoryBudgetBytes: 1},
 		{Schedule: ScheduleWorkSteal},
@@ -79,9 +78,6 @@ func TestOptionsRejectedBeforeExploring(t *testing.T) {
 		name string
 		run  func() (bool, error)
 	}{
-		{"worksteal-MaxDepth", func() (bool, error) {
-			return checkExplores(counterSpec(5), Options{Schedule: ScheduleWorkSteal, MaxDepth: 3})
-		}},
 		{"worksteal-MemoryBudgetBytes", func() (bool, error) {
 			return checkExplores(counterSpec(5), Options{Schedule: ScheduleWorkSteal, MemoryBudgetBytes: 1})
 		}},
@@ -135,10 +131,11 @@ func TestSpillMatchesMemoryStore(t *testing.T) {
 			sopts.MemoryBudgetBytes = 1
 			got, gotErr := Check(spec, sopts)
 			assertResultsEqual(t, fmt.Sprintf("%s/workers=%d", label, w), want, got, wantErr, gotErr)
+			closeGraph(t, got)
 		}
 	}
 	check("counter", counterSpec(12), Options{RecordGraph: true})
-	check("counter-bounded", counterSpec(40), Options{MaxStates: 100, MaxDepth: 9, RecordGraph: true})
+	check("counter-bounded", counterSpec(40), Options{MaxStates: 100, RecordGraph: true})
 
 	viol := counterSpec(8)
 	viol.Invariants = append(viol.Invariants, Invariant[counterState]{
@@ -157,6 +154,18 @@ func TestSpillMatchesMemoryStore(t *testing.T) {
 		want, wantErr := Check(spec, Options{RecordGraph: true})
 		got, gotErr := Check(spec, Options{RecordGraph: true, Workers: 4, MemoryBudgetBytes: 1})
 		assertResultsEqual(t, spec.Name+"-spill", want, got, wantErr, gotErr)
+		closeGraph(t, got)
+	}
+}
+
+// closeGraph releases the spill file of res's graph, if any: under a
+// budget a recorded graph's edges spill, and the graph owns the file.
+func closeGraph[S State](t *testing.T, res *Result[S]) {
+	t.Helper()
+	if res != nil && res.Graph != nil {
+		if err := res.Graph.Close(); err != nil {
+			t.Fatalf("Graph.Close: %v", err)
+		}
 	}
 }
 

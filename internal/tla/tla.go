@@ -28,8 +28,10 @@ import (
 
 // State is implemented by specification states. Key returns a canonical
 // encoding of the state: two states are identical if and only if their keys
-// are equal. The checker deduplicates on keys (or, on the parallel path,
-// on 64-bit fingerprints of them — see Options.CollisionFree).
+// are equal. The checker deduplicates on a byte encoding of each state —
+// its AppendBinary encoding when the state implements BinaryState, else its
+// key — either on the full encoding or on a 64-bit fingerprint of it (see
+// Options.CollisionFree).
 //
 // Unless Options.Workers is 1, Key is called from multiple goroutines
 // concurrently (on distinct states) and must not mutate shared state.
@@ -126,94 +128,60 @@ type Edge struct {
 // Graph is the reachable-state graph recorded during checking. States are
 // numbered densely in BFS discovery order.
 //
-// The graph has two representations behind one API: the accessors Len,
-// NumEdges, StateAt, KeyAt and ForEachEdge. In live mode (the default
-// under Options.RecordGraph) states, keys and edges are held in memory. In
-// arena mode (RecordGraph + StateArena) they are
-// served lazily from the retained-state arena — resident segments or the
-// spill file — so a graph larger than memory is still fully traversable;
-// an arena-mode graph owns the arena's spill file, and the caller releases
-// it with Close when done.
+// A graph is a view of the run's retained states: the accessors Len,
+// NumEdges, StateAt, KeyAt and ForEachEdge read the same link table and
+// edge segments whatever the options. Edges are fixed-width records in
+// append-only segments that spill to a temp file under
+// Options.MemoryBudgetBytes, so a graph larger than memory is still fully
+// traversable. States come from memory by default, or — under
+// Options.StateArena — are decoded on demand from their stored encodings,
+// resident or spilled. A graph owns the run's spill file, if any, and the
+// caller releases it with Close when done.
 //
-// Arena-mode accessors that cannot return an error (StateAt, KeyAt, and
-// the traversals built on them) panic if a spilled segment has become
+// Accessors that cannot return an error (StateAt, KeyAt, and the
+// traversals built on them) panic if a spilled segment has become
 // unreadable — reconstruction reads are required reads, exactly as in
 // counterexample reconstruction, and a silent wrong answer is worse.
 type Graph[S State] struct {
 	Inits []int
 
-	// live mode: states[i] is state i, keys[i] its canonical key, edges the
-	// transitions; all empty in arena mode.
-	states []S
-	keys   []string
-	edges  []Edge
-
-	// arena mode: the run's retainer (holding the arena) and a codec with
-	// the bound decoder; nil in live mode.
-	ret *retainer[S]
-	cod *codec[S]
+	ret *retainer[S] // the run's retained states and edges
+	cod *codec[S]    // a codec with the bound decoder (arena mode)
 }
 
 // Len returns the number of states in the graph.
-func (g *Graph[S]) Len() int {
-	if g.ret != nil {
-		return g.ret.arena.len()
-	}
-	return len(g.states)
-}
+func (g *Graph[S]) Len() int { return g.ret.len() }
 
 // NumEdges returns the number of recorded transitions.
-func (g *Graph[S]) NumEdges() int {
-	if g.ret != nil {
-		return g.ret.arena.edgeCount
-	}
-	return len(g.edges)
-}
+func (g *Graph[S]) NumEdges() int { return g.ret.arena.edgeCount }
 
-// StateAt returns state id — from the slice in live mode, decoded from its
-// stored encoding in arena mode (panicking on an arena read failure; see
-// the type comment).
+// StateAt returns state id (panicking on an arena read failure; see the
+// type comment).
 func (g *Graph[S]) StateAt(id int) S {
-	if g.ret != nil {
-		s, err := g.ret.decodeState(g.cod, id)
-		if err != nil {
-			panic(err)
-		}
-		return s
+	s, err := g.ret.stateAt(g.cod, id)
+	if err != nil {
+		panic(err)
 	}
-	return g.states[id]
+	return s
 }
 
 // KeyAt returns the canonical key of state id.
-func (g *Graph[S]) KeyAt(id int) string {
-	if g.ret != nil {
-		return g.StateAt(id).Key()
-	}
-	return g.keys[id]
-}
+func (g *Graph[S]) KeyAt(id int) string { return g.StateAt(id).Key() }
 
 // ForEachEdge streams every recorded edge to fn in recorded order,
-// stopping at the first error. In arena mode edges are read back segment
-// by segment, so the full edge list is never materialized.
+// stopping at the first error. Edges are read back segment by segment, so
+// the full edge list is never materialized.
 func (g *Graph[S]) ForEachEdge(fn func(Edge) error) error {
-	if g.ret != nil {
-		return g.ret.arena.forEachEdge(func(from int, act uint16, to int) error {
-			return fn(Edge{From: from, Action: g.ret.acts[act], To: to})
-		})
-	}
-	for _, e := range g.edges {
-		if err := fn(e); err != nil {
-			return err
-		}
-	}
-	return nil
+	return g.ret.arena.forEachEdge(func(from int, act uint16, to int) error {
+		return fn(Edge{From: from, Action: g.ret.acts[act], To: to})
+	})
 }
 
-// Close releases the arena spill file an arena-mode graph owns. Live-mode
-// graphs hold no resources; Close is then a no-op. After Close, accessors
-// may fail on spilled data — close only when done with the graph.
+// Close releases the spill file the graph owns, if any; a second Close is
+// a no-op. After Close, accessors may fail on spilled data — close only
+// when done with the graph.
 func (g *Graph[S]) Close() error {
-	if g.ret == nil || !g.ret.graphOwned {
+	if !g.ret.graphOwned {
 		return nil
 	}
 	g.ret.graphOwned = false
@@ -222,17 +190,20 @@ func (g *Graph[S]) Close() error {
 
 // Options configures a model-checking run.
 type Options struct {
-	// RecordGraph records every state and edge so the Result carries a
-	// Graph. Required for DOT export, liveness checking and MBTCG. Alone
-	// it retains live states and edges in memory; combined with StateArena
-	// the graph is instead served lazily from the arena's (possibly
-	// disk-spilled) segments — see Graph.
+	// RecordGraph records every edge so the Result carries a Graph over
+	// the run's retained states. Required for DOT export, liveness checking
+	// and MBTCG. Edges are fixed-width records in append-only segments,
+	// which spill to disk under MemoryBudgetBytes; states are the retained
+	// live values, or with StateArena decoded from the arena on demand —
+	// see Graph. A run that completes, or finds a violation, returns its
+	// graph (a violation's ends at the violating state, for dumping beside
+	// the counterexample); a run that fails otherwise — ErrStateLimit, an
+	// interruption, a spec panic, an I/O error — returns none and releases
+	// its spill file.
 	RecordGraph bool
 	// MaxStates aborts exploration after this many distinct states
 	// (0 = unlimited). The checker returns ErrStateLimit.
 	MaxStates int
-	// MaxDepth bounds the BFS depth (0 = unlimited).
-	MaxDepth int
 	// Workers is the number of goroutines expanding the frontier, TLC's
 	// -workers. 0 means GOMAXPROCS; 1 selects the sequential reference
 	// path. The parallel path is level-synchronized and produces results
@@ -251,9 +222,8 @@ type Options struct {
 	// recorded graph lists states and edges in nondeterministic order.
 	// Under work-stealing, Invariants and Constraint are called from
 	// worker goroutines and must not mutate shared state. Options that
-	// need level semantics are rejected with it: MaxDepth (a depth bound
-	// needs true BFS depths to cut the same states), MemoryBudgetBytes
-	// (the spilling visited store resolves lookups once per level), and
+	// need level semantics are rejected with it: MemoryBudgetBytes (the
+	// spilling visited store resolves lookups once per level) and
 	// CheckpointDir/ResumeFrom (checkpoints are sealed at level
 	// boundaries).
 	Schedule Schedule
@@ -272,7 +242,9 @@ type Options struct {
 	// (see Graph). The arena stores each state's plain encoding, which
 	// identifies the exact state explored, so the reconstructed trace is
 	// byte-identical to live retention's — including under symmetry
-	// reduction. CheckpointDir and ResumeFrom imply it.
+	// reduction. Without StateArena the run keeps the same parent links and
+	// edge records, with live values in place of encodings.
+	// CheckpointDir and ResumeFrom imply it.
 	StateArena bool
 	// PartialOrder enables ample-set partial-order reduction (-por on the
 	// CLIs) for specs that declare Independence: per expanded state the
@@ -281,10 +253,8 @@ type Options struct {
 	// conditions and exactly what is preserved). Check rejects it on a
 	// spec whose Independence is missing or lacks Procs or Owner.
 	// Composes with SymmetryVisitor, both schedules, StateArena and
-	// MemoryBudgetBytes; rejected with MaxDepth (a depth bound cuts
-	// deferred interleavings differently from the unpruned run). Liveness
-	// checking needs the full edge set: run CheckEventuallyWithin on
-	// graphs recorded without POR.
+	// MemoryBudgetBytes. Liveness checking needs the full edge set: run
+	// CheckEventuallyWithin on graphs recorded without POR.
 	PartialOrder bool
 	// CollisionFree makes the parallel path deduplicate on full canonical
 	// keys instead of 64-bit fingerprints, trading memory and speed for
@@ -292,16 +262,20 @@ type Options struct {
 	// story: at N reachable states the chance any two collide is about
 	// N²/2⁶⁵ — around 3·10⁻⁸ for a million states — and a collision can
 	// silently prune a subtree, masking a violation). The sequential path
-	// (Workers == 1) is always collision-free regardless of this flag;
-	// set it for parallel runs whose verdict must be exact rather than
-	// exact-with-probability-1.
+	// (Workers == 1) is collision-free without this flag, unless
+	// MemoryBudgetBytes or checkpointing forces fingerprints (both are
+	// rejected alongside CollisionFree); set it for parallel runs whose
+	// verdict must be exact rather than exact-with-probability-1.
 	CollisionFree bool
 	// MemoryBudgetBytes bounds the visited set's resident memory
 	// (approximately — the engine charges a fixed estimate per resident
 	// fingerprint). When set, the engine dedups on a disk-spilling
 	// fingerprint store: shards past the budget are sealed into sorted
 	// runs on disk and consulted by one merge-join per BFS level, TLC's
-	// external-memory fingerprint set. 0 keeps everything resident.
+	// external-memory fingerprint set. The same budget bounds the resident
+	// segments of retained-state storage: StateArena's encodings and a
+	// recorded graph's edges (with or without StateArena) spill to a temp
+	// file past it. 0 keeps everything resident.
 	//
 	// The budget implies fingerprint deduplication at every worker count —
 	// including Workers == 1, which is otherwise the always-collision-free
@@ -346,7 +320,7 @@ type Options struct {
 	CheckpointEvery int
 	// ResumeFrom continues a checkpointed run from the given directory.
 	// The spec (name, action and invariant names) and the result-shaping
-	// options (MaxStates, MaxDepth, PartialOrder) must match the
+	// options (MaxStates, PartialOrder) must match the
 	// checkpointing run; mismatches are rejected with ErrBadCheckpoint.
 	// The checkpoint directory itself is never modified, so one
 	// checkpoint can be resumed any number of times. Implies StateArena
@@ -401,9 +375,10 @@ type Progress struct {
 	Frontier    int   // states awaiting expansion (level width, or pending deque items)
 	SpillBytes  int64 // bytes of visited runs + arena segments on disk (spill pressure)
 	// ResidentBytes estimates the memory charged against
-	// Options.MemoryBudgetBytes (resident visited fingerprints plus
-	// resident arena segments); 0 when no budget-tracking store is active.
-	// Budget minus this is the run's headroom before the next spill.
+	// Options.MemoryBudgetBytes: resident visited fingerprints (tracked
+	// only under a budget) plus resident arena segments — StateArena
+	// encodings and a recorded graph's edges, tracked in every run. Budget
+	// minus this is the run's headroom before the next spill.
 	ResidentBytes int64
 }
 
@@ -434,16 +409,14 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: negative Workers %d (0 means GOMAXPROCS, 1 the sequential oracle)", ErrInvalidOptions, o.Workers)
 	case o.MaxStates < 0:
 		return fmt.Errorf("%w: negative MaxStates %d (0 means unlimited)", ErrInvalidOptions, o.MaxStates)
-	case o.MaxDepth < 0:
-		return fmt.Errorf("%w: negative MaxDepth %d (0 means unlimited)", ErrInvalidOptions, o.MaxDepth)
 	case o.MemoryBudgetBytes < 0:
 		return fmt.Errorf("%w: negative MemoryBudgetBytes %d (0 means fully resident)", ErrInvalidOptions, o.MemoryBudgetBytes)
 	case o.MemoryBudgetBytes > 0 && o.CollisionFree:
 		return fmt.Errorf("%w: MemoryBudgetBytes requires fingerprint deduplication, but CollisionFree keys the visited set on full encodings, which are memory-resident by definition", ErrInvalidOptions)
 	case o.Schedule < ScheduleLevelSync || o.Schedule > ScheduleWorkSteal:
 		return fmt.Errorf("%w: unknown Schedule %d (ScheduleLevelSync, ScheduleWorkSteal)", ErrInvalidOptions, o.Schedule)
-	case o.Schedule == ScheduleWorkSteal && (o.MaxDepth > 0 || o.MemoryBudgetBytes > 0 || o.checkpointing()):
-		return fmt.Errorf("%w: ScheduleWorkSteal has no BFS levels, which MaxDepth (true BFS depths), MemoryBudgetBytes (one merge-join per level) and CheckpointDir/ResumeFrom (level-boundary checkpoints) need; use ScheduleLevelSync", ErrInvalidOptions)
+	case o.Schedule == ScheduleWorkSteal && (o.MemoryBudgetBytes > 0 || o.checkpointing()):
+		return fmt.Errorf("%w: ScheduleWorkSteal has no BFS levels, which MemoryBudgetBytes (one merge-join per level) and CheckpointDir/ResumeFrom (level-boundary checkpoints) need; use ScheduleLevelSync", ErrInvalidOptions)
 	case !o.Deadline.IsZero() && !o.Deadline.After(time.Now()):
 		return fmt.Errorf("%w: Deadline %s is in the past", ErrInvalidOptions, o.Deadline.Format(time.RFC3339))
 	case o.CheckpointEvery < 0:
@@ -452,8 +425,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: CheckpointEvery needs a CheckpointDir to write to", ErrInvalidOptions)
 	case o.checkpointing() && o.CollisionFree:
 		return fmt.Errorf("%w: checkpoints persist 64-bit fingerprints; CollisionFree keys the visited set on full encodings, which are not persisted", ErrInvalidOptions)
-	case o.PartialOrder && o.MaxDepth > 0:
-		return fmt.Errorf("%w: PartialOrder changes the depth at which deferred interleavings are explored, so MaxDepth would cut a different state set than the unpruned run; bound with MaxStates instead", ErrInvalidOptions)
 	case o.ProgressEvery < 0:
 		return fmt.Errorf("%w: negative ProgressEvery %s (0 means no Progress delivery)", ErrInvalidOptions, o.ProgressEvery)
 	}
@@ -498,7 +469,7 @@ type Result[S State] struct {
 	Depth          int // maximum BFS depth reached
 	Terminal       int // states with no enabled action (deadlocks, or completed behaviours)
 	Violation      *Violation[S]
-	Graph          *Graph[S] // non-nil iff Options.RecordGraph
+	Graph          *Graph[S] // under Options.RecordGraph, unless the run failed without a violation
 	ConstraintCuts int       // states whose successors were skipped by the constraint
 	// Interrupted reports that the run stopped early because
 	// Options.Context was canceled or Options.Deadline passed; the
@@ -523,13 +494,6 @@ type Result[S State] struct {
 	// unpruned run.
 	AmpleStates         int
 	DeferredTransitions int
-}
-
-type stateEntry struct {
-	id     int
-	parent int // -1 for initial states
-	act    string
-	depth  int
 }
 
 // Check explores the reachable states of spec breadth-first and returns a
@@ -590,22 +554,6 @@ func Check[S State](spec *Spec[S], opts Options) (*Result[S], error) {
 		em.journalEnd(coreOf(res), err)
 	}
 	return res, err
-}
-
-func rebuildTrace[S State](entries []stateEntry, states []S, id int) ([]S, []string) {
-	var rev []int
-	for i := id; i >= 0; i = entries[i].parent {
-		rev = append(rev, i)
-	}
-	trace := make([]S, 0, len(rev))
-	acts := make([]string, 0, len(rev)-1)
-	for i := len(rev) - 1; i >= 0; i-- {
-		trace = append(trace, states[rev[i]])
-		if i > 0 {
-			acts = append(acts, entries[rev[i-1]].act)
-		}
-	}
-	return trace, acts
 }
 
 // TerminalStates returns the ids of states with no outgoing edges in g.

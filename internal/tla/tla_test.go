@@ -165,8 +165,8 @@ func TestGraphRecording(t *testing.T) {
 	if g == nil {
 		t.Fatal("no graph recorded")
 	}
-	if len(g.states) != res.Distinct {
-		t.Errorf("graph states = %d, distinct = %d", len(g.states), res.Distinct)
+	if g.Len() != res.Distinct {
+		t.Errorf("graph states = %d, distinct = %d", g.Len(), res.Distinct)
 	}
 	if len(g.Inits) != 1 || g.Inits[0] != 0 {
 		t.Errorf("inits = %v", g.Inits)
@@ -175,7 +175,7 @@ func TestGraphRecording(t *testing.T) {
 	if len(term) != 1 {
 		t.Fatalf("terminal states = %v, want exactly one", term)
 	}
-	if got := g.states[term[0]]; got.A != 2 || got.B != 2 {
+	if got := g.StateAt(term[0]); got.A != 2 || got.B != 2 {
 		t.Errorf("terminal state = %+v, want (2,2)", got)
 	}
 	// Edges are recorded in BFS order, so the first edge reaching a state
@@ -209,7 +209,7 @@ func TestCheckEventually(t *testing.T) {
 	}
 	// Every behaviour can reach the absorbing state (3,3).
 	if w := CheckEventuallyWithin(res.Graph, func(s counterState) bool { return s.A == 3 && s.B == 3 }, nil); w != -1 {
-		t.Errorf("eventually (3,3) failed, witness %v", res.Graph.states[w])
+		t.Errorf("eventually (3,3) failed, witness %v", res.Graph.StateAt(w))
 	}
 	// But "eventually B > A" is unreachable, so every state is a witness.
 	if w := CheckEventuallyWithin(res.Graph, func(s counterState) bool { return s.B > s.A }, nil); w == -1 {
@@ -363,15 +363,15 @@ func TestWriteParseDOTRoundTrip(t *testing.T) {
 	if len(dg.Labels) != res.Distinct {
 		t.Errorf("parsed %d nodes, want %d", len(dg.Labels), res.Distinct)
 	}
-	if len(dg.Edges) != len(res.Graph.edges) {
-		t.Errorf("parsed %d edges, want %d", len(dg.Edges), len(res.Graph.edges))
+	if len(dg.Edges) != res.Graph.NumEdges() {
+		t.Errorf("parsed %d edges, want %d", len(dg.Edges), res.Graph.NumEdges())
 	}
 	if len(dg.Inits) != 1 || dg.Labels[dg.Inits[0]] != "0/0" {
 		t.Errorf("inits = %v", dg.Inits)
 	}
 	// Labels must round-trip exactly.
-	for id, key := range res.Graph.keys {
-		if dg.Labels[id] != key {
+	for id := 0; id < res.Graph.Len(); id++ {
+		if key := res.Graph.KeyAt(id); dg.Labels[id] != key {
 			t.Errorf("node %d label = %q, want %q", id, dg.Labels[id], key)
 		}
 	}
@@ -546,18 +546,5 @@ func TestCheckTraceStutteringDivergence(t *testing.T) {
 func TestCheckNoInit(t *testing.T) {
 	if _, err := Check(&Spec[counterState]{Name: "empty"}, Options{}); err == nil {
 		t.Fatal("expected error for spec without Init")
-	}
-}
-
-func TestMaxDepth(t *testing.T) {
-	res, err := Check(counterSpec(10), Options{MaxDepth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Depth > 2+1 { // states at depth<=2 expanded; discovered states may sit at depth 3
-		t.Errorf("depth = %d", res.Depth)
-	}
-	if res.Distinct >= 66 {
-		t.Errorf("depth bound did not bound the space: %d", res.Distinct)
 	}
 }
