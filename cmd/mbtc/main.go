@@ -75,10 +75,12 @@ func main() {
 var errFailed = errors.New("negative verdict")
 
 func run(ctx context.Context, scenarioName, specVariant string, fuzz bool, steps int, seed int64, syncFirst, flawed bool, workers int, deadline, progEvery time.Duration) error {
-	topts := tla.TraceOptions{Workers: workers, Context: ctx}
 	if deadline > 0 {
-		topts.Deadline = time.Now().Add(deadline)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, deadline)
+		defer cancel()
 	}
+	topts := tla.TraceOptions{Workers: workers, Context: ctx}
 	if progEvery > 0 {
 		topts.Progress = cliobs.NewPrinter(os.Stderr, "mbtc", 0).ObserveTrace
 		topts.ProgressEvery = progEvery

@@ -4,7 +4,7 @@
 // state (4,913 under the paper's configuration), runs the cases against
 // both the reference and the independent OT implementation, and prints the
 // branch-coverage table of §5.2. -schedule worksteal with -mem-budget is
-// refused before the exploration starts: the spilling visited store needs
+// refused before the exploration starts: the spilling visited set needs
 // BFS levels, which the barrier-free schedule does not have.
 //
 // Exit status: 0 when both implementations pass every generated case, 1
@@ -73,10 +73,12 @@ func run(ctx context.Context, dotPath, emitPath string, withCov bool, workers in
 	if err != nil {
 		return err
 	}
-	opts := tla.Options{Workers: workers, MemoryBudgetBytes: memBudget, Schedule: sched, StateArena: arena, Context: ctx}
 	if deadline > 0 {
-		opts.Deadline = time.Now().Add(deadline)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, deadline)
+		defer cancel()
 	}
+	opts := tla.Options{Workers: workers, MemoryBudgetBytes: memBudget, Schedule: sched, StateArena: arena, Context: ctx}
 	if progEvery > 0 {
 		opts.Progress = cliobs.NewPrinter(os.Stderr, "mbtcg", memBudget).Observe
 		opts.ProgressEvery = progEvery

@@ -186,6 +186,11 @@ func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, wor
 		// intermediate states and can produce bogus liveness verdicts.
 		return fmt.Errorf("%w: -liveness needs the full state graph, which -por prunes; drop one of the two", errUsage)
 	}
+	if deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, deadline)
+		defer cancel()
+	}
 	opts := tla.Options{
 		RecordGraph:       dotPath != "" || liveness,
 		Workers:           workers,
@@ -198,9 +203,6 @@ func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, wor
 		CheckpointEvery:   ckEvery,
 		ResumeFrom:        resume,
 		CheckpointMeta:    cfg.meta(),
-	}
-	if deadline > 0 {
-		opts.Deadline = time.Now().Add(deadline)
 	}
 	if progEvery > 0 {
 		// Status goes to stderr only: stdout (verdict, DOT announcements)

@@ -587,7 +587,7 @@ func (s *Supervisor) worker() {
 }
 
 // buildOptions assembles the engine options for one attempt.
-func (s *Supervisor) buildOptions(j *job, ctx context.Context, deadline time.Time, resume bool) tla.Options {
+func (s *Supervisor) buildOptions(j *job, ctx context.Context, resume bool) tla.Options {
 	budget := j.req.Options.MemBudgetBytes
 	if budget == 0 {
 		budget = s.cfg.MemBudgetPerJob
@@ -599,7 +599,6 @@ func (s *Supervisor) buildOptions(j *job, ctx context.Context, deadline time.Tim
 	opts.CheckpointEvery = s.cfg.CheckpointEvery
 	opts.FS = s.cfg.FS
 	opts.Context = ctx
-	opts.Deadline = deadline
 	opts.CheckpointMeta = map[string]string{"job_id": j.id, "spec": j.req.Spec}
 	// Time-based progress (not the level-boundary callback): states/sec
 	// stays live under both engine schedulers.
@@ -735,6 +734,11 @@ func (s *Supervisor) runJob(j *job) {
 	j.mu.Lock()
 	j.cancel = cancel
 	j.mu.Unlock()
+	if !deadline.IsZero() {
+		var stop context.CancelFunc
+		ctx, stop = context.WithDeadline(ctx, deadline)
+		defer stop()
+	}
 
 	for attempt := 1; ; attempt++ {
 		if !deadline.IsZero() && !deadline.After(s.cfg.Now()) {
@@ -746,7 +750,7 @@ func (s *Supervisor) runJob(j *job) {
 		j.mu.Unlock()
 
 		resume := s.hasCheckpoint(j)
-		out, err := s.attempt(runner, s.buildOptions(j, ctx, deadline, resume))
+		out, err := s.attempt(runner, s.buildOptions(j, ctx, resume))
 
 		switch {
 		case err == nil:

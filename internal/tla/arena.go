@@ -30,7 +30,7 @@ import (
 // otherwise), and a counterexample is reconstructed by walking the
 // violating state's parent chain and decoding each stored encoding. The
 // arena stores each state's plain encoding — not the orbit-canonical one
-// the visited store dedups on — because the plain encoding identifies the
+// the visited set dedups on — because the plain encoding identifies the
 // exact state explored (encodings agree with Key() by contract), so the
 // reconstructed trace is byte-identical to what live retention would have
 // reported, even under symmetry reduction, and storing it costs one

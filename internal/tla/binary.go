@@ -101,7 +101,7 @@ func Permutations(n int, visit func(perm []int)) {
 }
 
 // codec is the state-encoding strategy of one checking run: how a state is
-// turned into the byte string the visited store dedups on. It carries two
+// turned into the byte string the visited set dedups on. It carries two
 // scratch buffers and the state slot its encoder is bound to (plus the
 // worker's orbit enumerator and one pre-bound visit closure) so the hot
 // path allocates nothing once the buffers have grown to the state size;
@@ -205,7 +205,7 @@ func (c *codec[S]) encode(s S, buf []byte) []byte {
 	return append(buf, s.Key()...)
 }
 
-// canonical returns the encoding the visited store dedups s under: without
+// canonical returns the encoding the visited set dedups s under: without
 // symmetry, encode(s); with symmetry, the lexicographically smallest
 // encoding across s's orbit — so every member of an orbit maps to the same
 // fingerprint and the checker explores one representative per orbit, TLC's

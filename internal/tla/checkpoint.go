@@ -166,7 +166,7 @@ func (o Options) Fingerprint() uint64 { return optionsFingerprint(o) }
 // writeCheckpoint seals the run's state at a level boundary into ck's
 // directory as a fresh generation. On any failure this generation's files
 // are removed and the previous checkpoint stays valid.
-func writeCheckpoint[S State](ck *checkpointer, spec *Spec[S], opts Options, ret *retainer[S], vs visitedStore, res *Result[S], frontier []int, level int) (string, error) {
+func writeCheckpoint[S State](ck *checkpointer, spec *Spec[S], opts Options, ret *retainer[S], vs *visitedSet, res *Result[S], frontier []int, level int) (string, error) {
 	a := ret.arena // checkpointing implies the arena
 	fsys := ck.fsys
 	if err := ck.em.retry("checkpoint", func() error { return fsys.MkdirAll(ck.dir) }); err != nil {
@@ -530,9 +530,9 @@ func reconstructStates[S State](cod *codec[S], ret *retainer[S], ids []int) (map
 
 // resumeRun restores a checkpoint into a fresh run: validates the manifest
 // against the spec and options, seeds the counters, arena and visited
-// store, and re-enqueues the frontier with reconstructed live values.
+// set, and re-enqueues the frontier with reconstructed live values.
 // Returns the BFS level the resumed loop continues from.
-func resumeRun[S State](spec *Spec[S], opts Options, cod *codec[S], ret *retainer[S], vs visitedStore, fr *levelFrontier, res *Result[S], ck *checkpointer) (int, error) {
+func resumeRun[S State](spec *Spec[S], opts Options, cod *codec[S], ret *retainer[S], vs *visitedSet, fr *levelFrontier, res *Result[S], ck *checkpointer) (int, error) {
 	fsys := resolveFS(opts.FS)
 	dir := opts.ResumeFrom
 	m, err := readManifest(fsys, dir)

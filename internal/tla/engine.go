@@ -11,42 +11,58 @@ import (
 
 // The level-synchronized driver: a BFS in the style of TLC's multi-worker
 // mode over the shared exploration core (explore.go), deduplicating through
-// a visitedStore (store.go). Each level alternates two phases:
+// the visited set (store.go). Each level alternates two phases:
 //
 //   - Expansion (parallel): the frontier is cut into contiguous chunks and
-//     a pool of workers expands them through their expanders, whose
-//     freshness predicate claims every successor's canonical encoding in the
-//     visited store. The expensive work — Next, encoding, symmetry
-//     canonicalization, hashing — all happens here, concurrently. At
-//     Workers == 1 the same code runs inline on one chunk: the sequential
-//     oracle is the engine at its narrowest setting, not a separate
-//     implementation.
+//     a pool of workers expands them through their expanders, which probe
+//     every successor's canonical encoding in the visited set. The
+//     expensive work — Next, encoding, symmetry canonicalization, hashing —
+//     all happens here, concurrently; nothing inserts. At Workers == 1 the
+//     same code runs inline on one chunk: the sequential oracle is the
+//     engine at its narrowest setting, not a separate implementation.
 //
 //   - Merge (sequential): candidate successors are replayed in exactly
-//     frontier order, then emission order, assigning dense ids through the
-//     core's install and verdict steps, recording graph edges, and applying
-//     the POR cycle proviso.
+//     frontier order, then emission order, claiming each probe miss —
+//     the claim assigns the dense id through the core's install, the
+//     verdict follows — recording graph edges, and applying the POR cycle
+//     proviso. A state first seen twice in one level is found by its own
+//     earlier claim.
 //
-// Between the phases the store's ResolveLevel hook runs (the spilling
-// store's merge-on-lookup against its disk runs), and after the merge
-// EndLevel enforces memory budgets. Because ids, invariant checks and
-// early exits are all resolved during the deterministic merge, the
-// engine's Result — counters, recorded graph, and shortest counterexample
-// — is identical at every worker count and under every store (modulo
-// fingerprint collisions, which Options.CollisionFree rules out).
+// Between the phases ResolveLevel restores the misses that were spilled to
+// disk (merge-on-lookup, spill.go), and after the merge EndLevel enforces
+// the memory budget. Because ids, invariant checks and early exits are all
+// resolved during the deterministic merge, the engine's Result — counters,
+// recorded graph, and shortest counterexample — is identical at every
+// worker count and in every visited-set mode (modulo fingerprint
+// collisions, which Options.CollisionFree rules out).
 
-// candidate is one successor produced during expansion, awaiting the merge.
+// candidate is one successor produced during expansion, awaiting the merge:
+// a probe hit keeps only its id, a miss (id ^i, the chunk's i-th miss) the
+// successor itself.
 type candidate[S State] struct {
-	succ  S
-	act   string
-	entry *visitedEntry
+	succ S
+	act  string
+	id   int
 }
 
-// chunkOut is the ordered output of expanding one contiguous frontier chunk.
+// chunkOut is the ordered output of expanding one contiguous frontier
+// chunk. Its buffers are reused by the same chunk index at the next level.
 type chunkOut[S State] struct {
 	worker int // the worker that expanded the chunk (metrics attribution)
 	cands  []candidate[S]
 	states []expanded // per frontier state of the chunk
+	misses []miss     // the chunk's probe misses, in expansion order
+	keys   []byte     // keyed mode: the misses' encodings, back to back
+}
+
+// miss returns the fingerprint and (keyed mode) encoding of the chunk's
+// i-th probe miss.
+func (o *chunkOut[S]) miss(i int) (uint64, []byte) {
+	lo := 0
+	if i > 0 {
+		lo = o.misses[i-1].end
+	}
+	return o.misses[i].fp, o.keys[lo:o.misses[i].end]
 }
 
 // expanded is one frontier state's share of a chunk's candidates: n
@@ -136,14 +152,23 @@ func (p chunkPlan) run(fn func(worker, chunk, lo, hi int)) {
 }
 
 // levelSync is one level-synchronized run: the shared core plus the
-// visited store, the frontier, and the merge's bookkeeping.
+// visited set, the frontier, and the merge's bookkeeping.
 type levelSync[S State] struct {
 	*explorer[S]
-	vs     visitedStore
-	fr     *levelFrontier
-	claims []claimer // per worker: the expander's freshness predicate
-	pool   chunkPool[S]
-	ck     *checkpointer
+	vs      *visitedSet
+	fr      *levelFrontier
+	outs    []chunkOut[S] // per chunk; the backing array keeps every buffer
+	missFPs []uint64      // ResolveLevel's input, reused across levels
+	ck      *checkpointer
+
+	// reg is the registration the merge's claim is making; allocFn, the
+	// method value alloc bound once, installs it inside the claim.
+	reg struct {
+		s             S
+		parent, depth int
+		act           string
+	}
+	allocFn func() int
 
 	// levelBase/levelCut support the POR cycle proviso: levelBase is the id
 	// watermark when the current level's merge began, and levelCut[id -
@@ -164,30 +189,15 @@ type levelSync[S State] struct {
 	}
 }
 
-// claimer is a level-sync worker's freshness predicate: it claims each
-// successor in the visited store and keeps the entries, indexed like the
-// expander's successors, for the chunk's candidates.
-type claimer struct {
-	vs      visitedStore
-	entries []*visitedEntry
-}
-
-func (c *claimer) claim(enc []byte) bool {
-	e := c.vs.Claim(enc)
-	c.entries = append(c.entries, e)
-	return e.ID < 0
-}
-
 // runEngine is the level-synchronized driver behind Check: one
-// implementation for every worker count and store combination.
+// implementation for every worker count and visited-set mode.
 // (ScheduleWorkSteal runs the barrier-free driver in schedule.go instead.)
-func runEngine[S State](spec *Spec[S], opts Options, workers int, vs visitedStore, em *engineMetrics) (res *Result[S], err error) {
+func runEngine[S State](spec *Spec[S], opts Options, workers int, vs *visitedSet, em *engineMetrics) (res *Result[S], err error) {
 	l := &levelSync[S]{explorer: newExplorer(spec, opts, workers, em), vs: vs, fr: newLevelFrontier()}
 	defer func() { l.close(err) }()
-	l.claims = make([]claimer, workers)
-	for w, x := range l.xs {
-		l.claims[w].vs = vs
-		x.see = l.claims[w].claim
+	l.allocFn = l.alloc
+	for _, x := range l.xs {
+		x.vs = vs
 	}
 	if opts.CheckpointDir != "" {
 		l.ck = newCheckpointer(opts)
@@ -201,7 +211,7 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs visitedStor
 		l.explore()
 	}()
 	l.flushAttr()
-	if d, ok := vs.(interface{ degradedMemory() bool }); ok && d.degradedMemory() {
+	if vs.degraded {
 		l.res.DegradedMemory = true
 	}
 	return l.finish()
@@ -272,14 +282,26 @@ func (l *levelSync[S]) explore() {
 			l.interrupt(frontier, level)
 			return
 		}
-		if err := l.vs.ResolveLevel(); err != nil {
-			l.fail(err)
-			return
+		if len(l.vs.runs) > 0 {
+			fps := l.missFPs[:0]
+			for i := range outs {
+				for _, m := range outs[i].misses {
+					fps = append(fps, m.fp)
+				}
+			}
+			l.missFPs = fps
+			if err := l.vs.ResolveLevel(fps); err != nil {
+				l.fail(err)
+				return
+			}
 		}
 		if !l.merge(frontier, outs) {
 			return
 		}
-		l.pool.free(outs)
+		for i := range outs {
+			// A reused buffer must not pin this level's successor states.
+			clear(outs[i].cands)
+		}
 		// The level's frontier states are fully expanded: the arena drops
 		// their live values (live retention keeps everything by design).
 		l.ret.releaseAll(frontier)
@@ -290,33 +312,43 @@ func (l *levelSync[S]) explore() {
 	}
 }
 
-// registerInit claims one initial state on the merge goroutine and
-// registers it on first sight.
+// registerInit registers one initial state on the merge goroutine.
 func (l *levelSync[S]) registerInit(s S) (int, bool) {
 	x := l.xs[0]
 	x.g.enter(opEncode, "", -1)
 	enc := x.cod.canonical(s)
 	x.g.exit()
-	e := l.vs.Claim(enc)
-	if e.ID >= 0 {
-		return e.ID, true
-	}
-	more := l.add(s, e, -1, "", 0)
-	return e.ID, more
+	return l.register(s, fingerprint(enc), enc, -1, "", 0)
 }
 
-// add registers a first-sighted successor during the merge: install,
-// verdict, and — inside the constraint — the next level's frontier. false
-// ends the run (the outcome is recorded); e.ID is set unless the
-// registration itself failed.
-func (l *levelSync[S]) add(s S, e *visitedEntry, parent int, act string, depth int) bool {
-	x := l.xs[0]
-	id, err := l.install(x, s, parent, act, depth)
+// register claims s (canonical encoding enc, fingerprint fp) on the merge
+// goroutine and admits it on first sight. It returns the state's id (-1
+// when the registration itself failed) and false when the run is over (the
+// outcome is recorded).
+func (l *levelSync[S]) register(s S, fp uint64, enc []byte, parent int, act string, depth int) (int, bool) {
+	l.reg.s, l.reg.parent, l.reg.act, l.reg.depth = s, parent, act, depth
+	id, isNew := l.vs.claim(fp, enc, l.allocFn)
+	if !isNew {
+		return id, id >= 0
+	}
+	return id, l.admit(s, id, depth)
+}
+
+// alloc installs the pending registration inside the visited set's claim.
+func (l *levelSync[S]) alloc() int {
+	id, err := l.install(l.xs[0], l.reg.s, l.reg.parent, l.reg.act, l.reg.depth)
 	if err != nil {
 		l.fail(err)
-		return false
+		return -1
 	}
-	e.ID = id
+	return id
+}
+
+// admit settles a newly claimed state: verdict and — inside the constraint
+// — the next level's frontier. false ends the run (the outcome is
+// recorded).
+func (l *levelSync[S]) admit(s S, id, depth int) bool {
+	x := l.xs[0]
 	if depth > l.res.Depth {
 		l.res.Depth = depth
 	}
@@ -324,12 +356,11 @@ func (l *levelSync[S]) add(s S, e *visitedEntry, parent int, act string, depth i
 	if !ok {
 		return false
 	}
-	if !within {
-		l.res.ConstraintCuts++
-	}
 	if within {
 		l.ret.retainLive(id, s)
 		l.fr.Push(id)
+	} else {
+		l.res.ConstraintCuts++
 	}
 	if x.planner != nil {
 		l.levelCut = append(l.levelCut, !within)
@@ -367,27 +398,21 @@ func (l *levelSync[S]) checkpoint(frontier []int, level int) (string, error) {
 
 // report publishes one level boundary's snapshot to the progress ticker and
 // the journal. It runs on the merge goroutine, so the counters it reads are
-// settled; spill pressure sums the visited store's sealed runs and the
+// settled; spill pressure sums the visited set's sealed runs and the
 // arena's spill file, both of which only grow on this goroutine too.
 func (l *levelSync[S]) report(frontier []int, level int) {
 	if l.snap == nil && l.em == nil {
 		return
 	}
 	p := Progress{
-		Distinct:    l.ret.len(),
-		Transitions: l.res.Transitions,
-		Depth:       l.res.Depth,
-		Level:       level,
-		Frontier:    len(frontier),
+		Distinct:      l.ret.len(),
+		Transitions:   l.res.Transitions,
+		Depth:         l.res.Depth,
+		Level:         level,
+		Frontier:      len(frontier),
+		SpillBytes:    l.vs.sealed + l.ret.arena.fileSize,
+		ResidentBytes: l.vs.residentBytes() + l.ret.arena.residentBytes(),
 	}
-	if sb, ok := l.vs.(interface{ spilledBytes() int64 }); ok {
-		p.SpillBytes += sb.spilledBytes()
-	}
-	if rb, ok := l.vs.(interface{ residentBytes() int64 }); ok {
-		p.ResidentBytes += rb.residentBytes()
-	}
-	p.SpillBytes += l.ret.arena.fileSize
-	p.ResidentBytes += l.ret.arena.residentBytes()
 	if l.snap != nil {
 		l.snap.store(p)
 	}
@@ -396,18 +421,18 @@ func (l *levelSync[S]) report(frontier []int, level int) {
 
 // expandLevel expands every frontier state, in parallel across workers,
 // returning per-chunk candidate lists in frontier order. Each worker's
-// expander claims every successor's canonical encoding in the visited
-// store, so the merge performs no encoding or hashing at all. Successors
-// already resident with an assigned id (stable for the whole expansion
-// phase) keep only {act, entry} — the merge needs neither the state nor its
-// encoding to record the duplicate edge, and dropping them keeps per-level
-// buffering near the fingerprint set's 8-bytes-per-state promise.
-// Successors whose entry is still unassigned keep the state: they are
-// either genuinely new or, under the spilling store, duplicates that
-// ResolveLevel will settle before the merge looks.
+// expander probes every successor's canonical encoding in the visited set,
+// so the merge performs no encoding or hashing at all. A hit (its id is
+// stable for the whole expansion phase) keeps only {act, id} — the merge
+// needs neither the state nor its encoding to record the duplicate edge,
+// and dropping them keeps per-level buffering near the fingerprint set's
+// 8-bytes-per-state promise. A miss keeps the state and lands in the
+// chunk's miss table (fingerprint, and the encoding in keyed mode): it is
+// genuinely new, first seen twice this level, or, under a budget, a
+// spilled duplicate that ResolveLevel restores before the merge claims it.
 //
 // Under partial-order reduction the expander orders each state's
-// successors ample-first, choosing on claim freshness; workers only
+// successors ample-first, choosing on probe misses; workers only
 // propose, and the merge — the one place discovery order exists — decides
 // whether the ample set satisfies the cycle proviso, so POR results stay
 // deterministic across worker counts like everything else on this path.
@@ -417,22 +442,25 @@ func (l *levelSync[S]) report(frontier []int, level int) {
 // phase's cancellation point — instead of taking the process down.
 func (l *levelSync[S]) expandLevel(frontier []int) []chunkOut[S] {
 	plan := planChunks(len(frontier), len(l.xs))
-	outs := make([]chunkOut[S], plan.nChunks)
-	l.pool.seed(outs)
+	if n := plan.nChunks - cap(l.outs); n > 0 {
+		l.outs = append(l.outs[:cap(l.outs)], make([]chunkOut[S], n)...)
+	}
+	outs := l.outs[:plan.nChunks]
 	plan.run(func(w, c, lo, hi int) {
-		x, cl := l.xs[w], &l.claims[w]
+		x, out := l.xs[w], &outs[c]
 		defer l.recoverSpec(&x.g)
-		out := outs[c] // recycled buffers (or nil), length 0
 		out.worker = w
+		out.cands, out.states = out.cands[:0], out.states[:0]
+		// The chunk's miss table is the expander's to append to.
+		x.misses, x.keys = out.misses[:0], out.keys[:0]
 		for _, id := range frontier[lo:hi] {
 			if l.stop.Load() {
 				break
 			}
-			cl.entries = cl.entries[:0]
 			n, k := x.expand(l.ret.stateOf(id), id)
 			for _, t := range x.order {
-				cand := candidate[S]{act: x.actName(t), entry: cl.entries[t]}
-				if cand.entry.ID < 0 {
+				cand := candidate[S]{act: x.actName(t), id: x.ids[t]}
+				if cand.id < 0 {
 					cand.succ = x.succs[t]
 				}
 				out.cands = append(out.cands, cand)
@@ -440,7 +468,7 @@ func (l *levelSync[S]) expandLevel(frontier []int) []chunkOut[S] {
 			out.states = append(out.states, expanded{n: n, k: k})
 			l.em.observeFanout(n)
 		}
-		outs[c] = out
+		out.misses, out.keys = x.misses, x.keys
 	})
 	return outs
 }
@@ -476,10 +504,11 @@ func (l *levelSync[S]) merge(frontier []int, outs []chunkOut[S]) bool {
 			// first discovered during this very merge and enqueued.
 			witness := false
 			for _, c := range cands[:k] {
-				if !l.doCand(c, id, depth) {
+				sid, more := l.doCand(out, c, id, depth)
+				if !more {
 					return false
 				}
-				if sid := c.entry.ID; st.k >= 0 && sid >= l.levelBase && !l.levelCut[sid-l.levelBase] {
+				if st.k >= 0 && sid >= l.levelBase && !l.levelCut[sid-l.levelBase] {
 					witness = true
 				}
 			}
@@ -490,7 +519,7 @@ func (l *levelSync[S]) merge(frontier []int, outs []chunkOut[S]) bool {
 				continue
 			}
 			for _, c := range cands[k:] {
-				if !l.doCand(c, id, depth) {
+				if _, more := l.doCand(out, c, id, depth); !more {
 					return false
 				}
 			}
@@ -501,21 +530,25 @@ func (l *levelSync[S]) merge(frontier []int, outs []chunkOut[S]) bool {
 }
 
 // doCand is one candidate's full treatment in the merge: the transition
-// count, first-sight registration, and the edge — recorded even into a
-// violating state, so a violation's graph ends at it. false ends the run.
-func (l *levelSync[S]) doCand(c candidate[S], id, depth int) bool {
+// count, the claim of a probe miss, and the edge — recorded even into a
+// violating state, so a violation's graph ends at it. It returns the
+// successor's id, and false when the run is over.
+func (l *levelSync[S]) doCand(out *chunkOut[S], c candidate[S], id, depth int) (int, bool) {
 	l.res.Transitions++
-	more := c.entry.ID >= 0 || l.add(c.succ, c.entry, id, c.act, depth+1)
-	if c.entry.ID < 0 {
-		return false
-	}
-	if l.res.Graph != nil {
-		if err := l.ret.addEdge(id, c.act, c.entry.ID); err != nil {
-			l.fail(err)
-			return false
+	sid, more := c.id, true
+	if sid < 0 {
+		fp, key := out.miss(^sid)
+		if sid, more = l.register(c.succ, fp, key, id, c.act, depth+1); sid < 0 {
+			return sid, false
 		}
 	}
-	return more
+	if l.res.Graph != nil {
+		if err := l.ret.addEdge(id, c.act, sid); err != nil {
+			l.fail(err)
+			return sid, false
+		}
+	}
+	return sid, more
 }
 
 // flushAttr credits the replayed chunk's counter deltas to its worker.
@@ -525,43 +558,4 @@ func (l *levelSync[S]) flushAttr() {
 	}
 	l.em.addWorker(l.attr.worker, int64(l.res.Transitions-l.attr.expBase), int64(l.ret.len()-l.attr.claimBase))
 	l.attr.active = false
-}
-
-// chunkPool recycles chunk output buffers between BFS levels. It is only
-// touched on the merge goroutine: buffers are handed to chunks before the
-// workers start and reclaimed after the merge consumed them.
-type chunkPool[S State] struct {
-	cands  [][]candidate[S]
-	states [][]expanded
-}
-
-// seed pre-assigns recycled buffers to the level's chunk outputs.
-func (p *chunkPool[S]) seed(outs []chunkOut[S]) {
-	for i := range outs {
-		if n := len(p.cands); n > 0 {
-			outs[i].cands = p.cands[n-1]
-			p.cands = p.cands[:n-1]
-		}
-		if n := len(p.states); n > 0 {
-			outs[i].states = p.states[n-1]
-			p.states = p.states[:n-1]
-		}
-	}
-}
-
-// free reclaims the level's buffers after the merge replayed them. The
-// candidate slots are zeroed first: a recycled backing array must not pin
-// the previous level's duplicate successor states (new states live on in
-// the retainer regardless, but in-level and spill-revived duplicates would
-// otherwise stay reachable until overwritten).
-func (p *chunkPool[S]) free(outs []chunkOut[S]) {
-	for i := range outs {
-		if outs[i].cands != nil {
-			clear(outs[i].cands)
-			p.cands = append(p.cands, outs[i].cands[:0])
-		}
-		if outs[i].states != nil {
-			p.states = append(p.states, outs[i].states[:0])
-		}
-	}
 }

@@ -12,8 +12,7 @@ import (
 //
 //   - successor generation: one expander per worker runs the guarded Next
 //     loop and, under partial-order reduction, orders the successors
-//     ample-first (the only scheduler-specific input is the freshness
-//     predicate: level-sync claims, work-stealing probes);
+//     ample-first, on the visited set's probe misses;
 //   - first-sight registration: install (the MaxStates bound, the arena's
 //     plain encoding, retention) and verdict (invariants, then the
 //     constraint);
@@ -113,7 +112,7 @@ func newExplorer[S State](spec *Spec[S], opts Options, workers int, em *engineMe
 		r.res.Graph = &Graph[S]{ret: r.ret, cod: r.cod}
 		r.ret.graphOwned = true
 	}
-	r.st = opts.newStopper(func() { r.stop.Store(true) })
+	r.st = newStopper(opts.Context, func() { r.stop.Store(true) })
 	return r
 }
 
@@ -206,7 +205,7 @@ func (r *explorer[S]) registerInits(x *expander[S], reg func(S) (id int, more bo
 
 // install registers a first-sighted state and returns its dense id:
 // the MaxStates bound, the arena's plain encoding (not the orbit-canonical
-// one the visited store deduplicated on), and retention. Single-owner — the
+// one the visited set deduplicates on), and retention. Single-owner — the
 // level-sync merge goroutine, or a work-stealing worker holding the
 // registration lock.
 func (r *explorer[S]) install(x *expander[S], s S, parent int, act string, depth int) (int, error) {
@@ -255,17 +254,28 @@ type expander[S State] struct {
 	g       specGuard      // which spec callback this worker is inside
 	planner *porPlanner[S] // nil without partial-order reduction
 
-	// see, when non-nil, is shown every successor's canonical encoding and
-	// reports whether the visited store has not seen it yet: level-sync
-	// claims it (always set), work-stealing probes it (POR only). A method
-	// value bound once per worker, never a closure per successor.
-	see func(enc []byte) bool
+	// vs, when non-nil, is probed for every successor's canonical encoding
+	// (level-sync always, work-stealing under POR): ids[t] is successor t's
+	// id on a hit, and ^i on a miss, the i-th entry expand appends to misses
+	// (and, keyed, its encoding to keys) — buffers the driver owns and
+	// resets.
+	vs     *visitedSet
+	ids    []int
+	misses []miss
+	keys   []byte
 
 	succs []S
 	acts  []int  // per successor: index into spec.Actions
-	fresh []bool // per successor: see's verdict
 	order []int  // emission order: indices into succs, ample first
 	plain []byte // install's plain-encoding scratch
+}
+
+// miss is a successor the probe did not find: its fingerprint and, keyed,
+// the end of its encoding in the key buffer alongside (it starts where the
+// previous miss's ends).
+type miss struct {
+	fp  uint64
+	end int
 }
 
 // expand generates every successor of state s (id) into x.succs and fills
@@ -287,17 +297,26 @@ func (x *expander[S]) expand(s S, id int) (n, k int) {
 		}
 	}
 	n = len(x.succs)
-	if x.see != nil {
-		x.fresh = x.fresh[:0]
+	if x.vs != nil {
+		x.ids = x.ids[:0]
 		for t := range x.succs {
 			x.g.enter(opEncode, x.actName(t), id)
 			enc := x.cod.canonical(x.succs[t])
 			x.g.exit()
-			x.fresh = append(x.fresh, x.see(enc))
+			fp := fingerprint(enc)
+			sid, ok := x.vs.probe(fp, enc)
+			if !ok {
+				sid = ^len(x.misses)
+				if x.vs.keyed {
+					x.keys = append(x.keys, enc...)
+				}
+				x.misses = append(x.misses, miss{fp: fp, end: len(x.keys)})
+			}
+			x.ids = append(x.ids, sid)
 		}
 	}
 	if x.planner != nil {
-		if proc := x.planner.choose(s, x.succs, x.acts, x.fresh, &x.g); proc >= 0 {
+		if proc := x.planner.choose(s, x.succs, x.acts, x.ids, &x.g); proc >= 0 {
 			for t, o := range x.planner.owners {
 				if o == proc {
 					x.order = append(x.order, t)

@@ -1,6 +1,6 @@
 package tla
 
-// The engine's visited stores deduplicate states on 64-bit fingerprints of
+// The engine's visited set deduplicates states on 64-bit fingerprints of
 // their canonical encodings, as TLC does: storing 8 bytes per state instead
 // of the full encoding keeps the visited set small and its probes cheap.
 // The price is a vanishing probability of a hash collision silently merging
@@ -31,7 +31,7 @@ func fnv1a64(b []byte) uint64 {
 var fingerprint = fnv1a64
 
 // FingerprintBytes hashes b with the checker's fingerprint function — the
-// same FNV-1a the visited stores and checkpoint manifests use. Exported so
+// same FNV-1a the visited set and checkpoint manifests use. Exported so
 // callers composing identities on top of the checker (checkd's verdict
 // cache keys spec name + config alongside Options.Fingerprint) hash with
 // the machinery already trusted for state identity.

@@ -6,11 +6,10 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Cancellation and deadlines: a multi-hour exploration must be stoppable —
-// by a ^C, a CI job timeout, or Options.Deadline — and an interrupted run
+// Cancellation: a multi-hour exploration must be stoppable — by a ^C, a CI
+// job timeout, or a context deadline — and an interrupted run
 // must return what it found (Result.Interrupted with the states, depth and
 // counters so far, plus a checkpoint when Options.CheckpointDir is set)
 // instead of nothing. Both schedulers poll a single atomic stop flag at
@@ -20,46 +19,30 @@ import (
 
 // ErrInterrupted is the named error an interrupted run wraps:
 // errors.Is(err, ErrInterrupted) reports that Options.Context was canceled
-// or Options.Deadline passed, and the Result still carries the partial
+// or its deadline passed, and the Result still carries the partial
 // exploration (Result.Interrupted is set).
 var ErrInterrupted = errors.New("tla: run interrupted")
 
-// stopper adapts Options.Context and Options.Deadline to the engines'
-// cooperative stop flags. A watcher goroutine arms the flag (and an
-// optional engine-side notify hook) the moment the context fires; close
-// releases the watcher. A nil *stopper (no context, no deadline) is valid
-// and never stops, so the hot paths pay one nil-check when cancellation is
-// not configured.
+// stopper adapts a run's Context to the engines' cooperative stop flags. A
+// watcher goroutine arms the flag (and an optional engine-side notify hook)
+// the moment the context fires; close releases the watcher. A nil *stopper
+// (no context) is valid and never stops, so the hot paths pay one
+// nil-check when cancellation is not configured.
 type stopper struct {
-	fired  atomic.Bool
-	mu     sync.Mutex
-	cause  error
-	cancel context.CancelFunc
-	done   chan struct{}
+	fired atomic.Bool
+	mu    sync.Mutex
+	cause error
+	done  chan struct{}
 }
 
-// newStopper builds the run's stopper, arming notify (and its own fired
-// flag) when the configured context or deadline fires. Returns nil when
-// the options configure neither.
-func (o Options) newStopper(notify func()) *stopper {
-	return newStopper(o.Context, o.Deadline, notify)
-}
-
-// newStopper is the shared constructor behind Options.newStopper and the
-// trace checker's TraceOptions.Context support.
-func newStopper(pctx context.Context, deadline time.Time, notify func()) *stopper {
-	if pctx == nil && deadline.IsZero() {
+// newStopper builds the stopper for ctx (Options.Context or
+// TraceOptions.Context), arming notify (and its own fired flag) when ctx
+// fires. Returns nil for a nil ctx.
+func newStopper(ctx context.Context, notify func()) *stopper {
+	if ctx == nil {
 		return nil
 	}
-	ctx := pctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cancel := context.CancelFunc(func() {})
-	if !deadline.IsZero() {
-		ctx, cancel = context.WithDeadline(ctx, deadline)
-	}
-	st := &stopper{cancel: cancel, done: make(chan struct{})}
+	st := &stopper{done: make(chan struct{})}
 	fire := func() {
 		st.mu.Lock()
 		st.cause = context.Cause(ctx)
@@ -90,13 +73,11 @@ func newStopper(pctx context.Context, deadline time.Time, notify func()) *stoppe
 // stopped reports whether the run should wind down.
 func (st *stopper) stopped() bool { return st != nil && st.fired.Load() }
 
-// close releases the watcher goroutine and the deadline timer.
+// close releases the watcher goroutine.
 func (st *stopper) close() {
-	if st == nil {
-		return
+	if st != nil {
+		close(st.done)
 	}
-	close(st.done)
-	st.cancel()
 }
 
 // err is the error an interrupted run returns: ErrInterrupted, annotated

@@ -82,12 +82,17 @@ func TestPreCanceledContext(t *testing.T) {
 }
 
 // TestDeadlineInterrupts bounds an unbounded exploration in wall-clock
-// time; the interruption error names the deadline cause.
+// time through a context deadline; the interruption error names the
+// deadline cause. A deadline already past stops the run at its first poll.
 func TestDeadlineInterrupts(t *testing.T) {
-	res, err := Check(unboundedSpec(), Options{Workers: 2, Deadline: time.Now().Add(30 * time.Millisecond)})
-	assertInterrupted(t, "deadline", res, err)
-	if !errors.Is(err, ErrInterrupted) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("deadline interruption err = %v, want it to wrap both ErrInterrupted and DeadlineExceeded", err)
+	for _, d := range []time.Duration{30 * time.Millisecond, -time.Hour} {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		res, err := Check(unboundedSpec(), Options{Workers: 2, Context: ctx})
+		cancel()
+		assertInterrupted(t, fmt.Sprintf("deadline %s", d), res, err)
+		if !errors.Is(err, ErrInterrupted) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("deadline %s: err = %v, want it to wrap both ErrInterrupted and DeadlineExceeded", d, err)
+		}
 	}
 }
 
@@ -154,12 +159,10 @@ func TestTraceCheckInterrupts(t *testing.T) {
 }
 
 // TestOptionsValidateRobustness extends the Validate contract to the
-// robustness options: deadlines in the past and inconsistent checkpoint
-// configurations are rejected up front with ErrInvalidOptions.
+// robustness options: inconsistent checkpoint configurations are rejected
+// up front with ErrInvalidOptions.
 func TestOptionsValidateRobustness(t *testing.T) {
-	past := time.Now().Add(-time.Hour)
 	bad := []Options{
-		{Deadline: past},
 		{CheckpointEvery: -1},
 		{CheckpointEvery: 3},                       // no CheckpointDir
 		{CheckpointDir: "ck", CollisionFree: true}, // no fingerprints to persist
@@ -173,7 +176,6 @@ func TestOptionsValidateRobustness(t *testing.T) {
 		}
 	}
 	good := []Options{
-		{Deadline: time.Now().Add(time.Hour)},
 		{Context: context.Background()},
 		{CheckpointDir: t.TempDir()}, // implies StateArena
 		{CheckpointDir: t.TempDir(), StateArena: true, CheckpointEvery: 5, MemoryBudgetBytes: 1},
@@ -182,8 +184,5 @@ func TestOptionsValidateRobustness(t *testing.T) {
 		if err := opts.Validate(); err != nil {
 			t.Fatalf("Validate(%+v) = %v, want nil", opts, err)
 		}
-	}
-	if err := (TraceOptions{Deadline: past}).Validate(); !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("TraceOptions.Validate(past deadline) = %v, want ErrInvalidOptions", err)
 	}
 }

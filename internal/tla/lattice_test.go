@@ -11,7 +11,8 @@ import (
 
 // The option lattice: every combination of the run-shaping options that
 // decide how the engine explores — worker count, schedule, partial-order
-// reduction, arena retention, memory budget, graph recording and symmetry —
+// reduction, arena retention, memory budget, graph recording, collision-free
+// deduplication and symmetry —
 // run against small generated specs with and without a planted violation.
 // A combination is either rejected with ErrInvalidOptions before Init runs
 // or it agrees with the Workers=1 level-sync oracle:
@@ -54,7 +55,7 @@ func runLattice[S State](t *testing.T, build func(sym bool) *Spec[S], opts Optio
 	_, enc := any(zero).(BinaryState)
 	_, dec := any(zero).(BinaryDecoder[S])
 	var run latticeRun
-	run.expectBad = (opts.Schedule == ScheduleWorkSteal && opts.MemoryBudgetBytes > 0) ||
+	run.expectBad = (opts.MemoryBudgetBytes > 0 && (opts.Schedule == ScheduleWorkSteal || opts.CollisionFree)) ||
 		(opts.PartialOrder && spec.Independence == nil) ||
 		(opts.StateArena && !(enc && dec))
 	init := spec.Init
@@ -320,7 +321,7 @@ func TestOptionLattice(t *testing.T) {
 }
 
 // latticeOptions enumerates Workers {1,2,4} × Schedule × PartialOrder ×
-// StateArena × MemoryBudgetBytes {0,1} × RecordGraph.
+// StateArena × MemoryBudgetBytes {0,1} × RecordGraph × CollisionFree.
 func latticeOptions() []Options {
 	var out []Options
 	for _, w := range []int{1, 2, 4} {
@@ -329,8 +330,10 @@ func latticeOptions() []Options {
 				for _, arena := range []bool{false, true} {
 					for _, budget := range []int64{0, 1} {
 						for _, graph := range []bool{false, true} {
-							out = append(out, Options{Workers: w, Schedule: sched, PartialOrder: por,
-								StateArena: arena, MemoryBudgetBytes: budget, RecordGraph: graph})
+							for _, exact := range []bool{false, true} {
+								out = append(out, Options{Workers: w, Schedule: sched, PartialOrder: por,
+									StateArena: arena, MemoryBudgetBytes: budget, RecordGraph: graph, CollisionFree: exact})
+							}
 						}
 					}
 				}
@@ -341,6 +344,6 @@ func latticeOptions() []Options {
 }
 
 func latticeLabel(o Options) string {
-	return fmt.Sprintf("workers=%d %s por=%t arena=%t budget=%d graph=%t",
-		o.Workers, o.Schedule, o.PartialOrder, o.StateArena, o.MemoryBudgetBytes, o.RecordGraph)
+	return fmt.Sprintf("workers=%d %s por=%t arena=%t budget=%d graph=%t collision-free=%t",
+		o.Workers, o.Schedule, o.PartialOrder, o.StateArena, o.MemoryBudgetBytes, o.RecordGraph, o.CollisionFree)
 }

@@ -143,19 +143,19 @@ func newPORPlanner[S State](ind *Independence[S], em *engineMetrics) *porPlanner
 // ties. g guards the declaration's hooks — they are spec code, recovered
 // like Next and the encoders.
 //
-// fresh, when non-nil, marks per transition whether its successor is not
-// yet known to the visited store — the caller's prediction of the cycle
-// proviso. A process none of whose successors is fresh is certain to fail
-// the proviso (every ample successor already expanded or expanding), so it
-// is skipped; if no eligible process has a fresh successor, choose returns
-// -1 and the caller saves the doomed attempt. This is what makes the
+// ids holds per transition the visited set's probe answer, negative on a
+// miss: a fresh successor, the caller's prediction of the cycle proviso. A
+// process none of whose successors is fresh is certain to fail the proviso
+// (every ample successor already expanded or expanding), so it is
+// skipped; if no eligible process has a fresh successor, choose returns -1
+// and the caller saves the doomed attempt. This is what makes the
 // reduction bite on confluent specs, where many states funnel into the
 // same successor and a freshness-blind pick keeps electing a cluster whose
-// lone successor was visited levels ago. Level-sync's freshness is a claim
-// with no id yet, which only this level's merge can resolve — a certain
-// witness unless cut; work-stealing's is an unclaimed probe, a prediction
-// that may go stale before the proviso check decides.
-func (p *porPlanner[S]) choose(s S, succs []S, acts []int, fresh []bool, g *specGuard) int {
+// lone successor was visited levels ago. Under level-sync a miss has no id
+// before this level, so this level's merge claims it — a certain witness
+// unless cut; under work-stealing it is a prediction that may go stale
+// before the proviso check decides.
+func (p *porPlanner[S]) choose(s S, succs []S, acts []int, ids []int, g *specGuard) int {
 	total := len(succs)
 	if total < 2 {
 		return -1 // pruning a single transition is a no-op
@@ -196,14 +196,10 @@ func (p *porPlanner[S]) choose(s S, succs []S, acts []int, fresh []bool, g *spec
 		p.hasFresh = make([]bool, n)
 	}
 	p.hasFresh = p.hasFresh[:n]
-	for i := 0; i < n; i++ {
-		p.hasFresh[i] = fresh == nil // no prediction: every process may pass
-	}
-	if fresh != nil {
-		for t := 0; t < total; t++ {
-			if p.owners[t] >= 0 && fresh[t] {
-				p.hasFresh[p.owners[t]] = true
-			}
+	clear(p.hasFresh)
+	for t := 0; t < total; t++ {
+		if p.owners[t] >= 0 && ids[t] < 0 {
+			p.hasFresh[p.owners[t]] = true
 		}
 	}
 	best := -1

@@ -22,11 +22,11 @@ import (
 // of pending states: it pushes and pops at the bottom (LIFO, keeping the
 // working set hot and small) and, when empty, steals the oldest half of a
 // victim's deque (FIFO from the top — the shallowest states, which head
-// the largest unexplored subtrees). Deduplication switches from the
-// two-phase claim/merge protocol to claim-on-insert: a sharded locked map
-// assigns the dense state id at first insertion — the core's install runs
-// inside the claim, under the registration lock — so there is no merge
-// phase, no candidate buffering, and no level to synchronize.
+// the largest unexplored subtrees). Each successor is claimed in the
+// visited set as it is registered: the claim assigns the dense state id at
+// first insertion — the core's install runs inside it, under the
+// registration lock — so there is no merge phase, no candidate buffering,
+// and no level to synchronize.
 //
 // What is preserved: verdicts (violation or not, ErrStateLimit or not),
 // distinct-state counts, transition and terminal counts on runs that
@@ -36,8 +36,8 @@ import (
 // a real trace but not necessarily a shortest one, Result.Depth reports
 // the deepest discovery depth (an upper bound on the BFS depth), and a
 // recorded graph lists states and edges in nondeterministic order.
-// Options.Validate rejects work-stealing with the level-synchronized
-// spilling visited store (MemoryBudgetBytes) and with checkpointing, whose
+// Options.Validate rejects work-stealing with a memory budget (the visited
+// set spills at level boundaries) and with checkpointing, whose
 // checkpoints are sealed at level boundaries.
 //
 // Under work-stealing, Invariants and Constraint are called from worker
@@ -144,66 +144,11 @@ func (d *wsDeque) stealHalf(buf *[]wsItem) int {
 	return n
 }
 
-// wsVisited is the work-stealing deduplicator: encodings map directly to
-// dense state ids, assigned at first insertion under the shard lock — the
-// claim-on-insert replacement for the level-synchronized claim/merge
-// split. Like the level-sync stores it dedups on 64-bit fingerprints by
-// default and on full encodings in collision-free mode (always at
-// Workers == 1).
-type wsVisited struct {
-	collisionFree bool
-	shards        [visitedShards]visitedShard[int]
-}
-
-func newWSVisited(collisionFree bool) *wsVisited {
-	vs := &wsVisited{collisionFree: collisionFree}
-	for i := range vs.shards {
-		vs.shards[i].init(collisionFree)
-	}
-	return vs
-}
-
-// claim resolves enc to its dense state id, inserting on first sight.
-// alloc runs under the shard lock, exactly once per distinct encoding, to
-// register the state and assign its id; a negative id from alloc refuses
-// the insert (state limit or stop) and leaves the encoding unclaimed.
-func (vs *wsVisited) claim(enc []byte, alloc func() int) (id int, isNew bool) {
-	fp := fingerprint(enc)
-	sh := &vs.shards[fp&(visitedShards-1)]
-	sh.mu.Lock()
-	// Unlock by defer, not explicitly: alloc runs spec encoding code under
-	// this lock (arena mode), and a recovered spec panic must release the
-	// shard on unwind or the drain would deadlock on it.
-	defer sh.mu.Unlock()
-	if id, ok := sh.get(fp, enc); ok {
-		return id, false
-	}
-	if id = alloc(); id >= 0 {
-		sh.put(fp, enc, id)
-	}
-	return id, id >= 0
-}
-
-// unseen reports whether enc is not yet claimed, without claiming it: the
-// work-stealing expanders' freshness predicate under POR. The answer can go
-// stale the moment the shard unlocks — it only steers the ample choice (a
-// successor no one has claimed yet will, once registered, almost certainly
-// be the queued witness the cycle proviso needs); the porStatus snapshot at
-// decision time remains the enforcement.
-func (vs *wsVisited) unseen(enc []byte) bool {
-	fp := fingerprint(enc)
-	sh := &vs.shards[fp&(visitedShards-1)]
-	sh.mu.Lock()
-	_, ok := sh.get(fp, enc)
-	sh.mu.Unlock()
-	return !ok
-}
-
-// wsEngine is one work-stealing run: the shared core plus the deduplicator,
+// wsEngine is one work-stealing run: the shared core plus the visited set,
 // the registration lock and the deques.
 type wsEngine[S State] struct {
 	*explorer[S]
-	vs *wsVisited
+	vs *visitedSet
 
 	// mu guards registration: the retainer (id assignment, arena append,
 	// live window, graph edges) and porStatus. Duplicate claims never take
@@ -293,7 +238,7 @@ func (w *wsWorker[S]) register(s S, parent int, act string, depth int) int {
 	enc := x.cod.canonical(s)
 	x.g.exit()
 	w.regS, w.regParent, w.regAct, w.regDepth = s, parent, act, depth
-	id, isNew := e.vs.claim(enc, w.allocFn)
+	id, isNew := e.vs.claim(fingerprint(enc), enc, w.allocFn)
 	if !isNew {
 		return id
 	}
@@ -341,6 +286,7 @@ func (w *wsWorker[S]) expand(it wsItem) {
 		e.porStatus[it.id] = porDone
 	}
 	e.mu.Unlock()
+	x.misses, x.keys = x.misses[:0], x.keys[:0] // only level-sync claims the misses
 	n, k := x.expand(s, it.id)
 	if n == 0 {
 		w.terminal++
@@ -465,10 +411,10 @@ func (w *wsWorker[S]) trySteal() (wsItem, bool) {
 
 // runWorkSteal is the barrier-free driver behind Options.Schedule ==
 // ScheduleWorkSteal.
-func runWorkSteal[S State](spec *Spec[S], opts Options, workers int, em *engineMetrics) (res *Result[S], err error) {
+func runWorkSteal[S State](spec *Spec[S], opts Options, workers int, vs *visitedSet, em *engineMetrics) (res *Result[S], err error) {
 	e := &wsEngine[S]{
 		explorer: newExplorer(spec, opts, workers, em),
-		vs:       newWSVisited(opts.CollisionFree || workers == 1),
+		vs:       vs,
 		deques:   make([]wsDeque, workers),
 	}
 	defer func() { e.close(err) }()
@@ -477,7 +423,9 @@ func runWorkSteal[S State](spec *Spec[S], opts Options, workers int, em *engineM
 		w := &wsWorker[S]{e: e, x: x, idx: i, deque: &e.deques[i], mExp: em.workerExpansion(i), mClaims: em.workerClaim(i)}
 		w.allocFn = w.alloc
 		if x.planner != nil {
-			x.see = e.vs.unseen
+			// The ample choice steers on probe misses, a prediction that can
+			// go stale; the porStatus snapshot enforces the proviso.
+			x.vs = vs
 		}
 		ws[i] = w
 	}

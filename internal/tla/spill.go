@@ -2,94 +2,49 @@ package tla
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
-	"sort"
-	"sync"
+	"slices"
 	"time"
 )
 
-// spillVisited is the fingerprint visitedStore: TLC's fingerprint set,
-// transcribed to the engine's level-synchronized protocol. Fingerprints live
-// in sharded resident maps; without a memory budget that is all there is —
-// a store that never seals. With one, when EndLevel finds the resident set
+// The visited set's spill half: TLC's external-memory fingerprint set,
+// transcribed to the level-synchronized engine. Without a memory budget the
+// set never seals. With one, when EndLevel finds the resident fingerprints
 // over the budget, every (fingerprint, id) pair is sorted and sealed into an
 // immutable run file, and the maps are dropped.
 //
 // Lookups against sealed runs are deferred — merge-on-lookup, once per
-// level: Claim optimistically creates an ID -1 entry for any fingerprint
-// not resident, remembering it on the shard's fresh list, and ResolveLevel
-// merge-joins the level's sorted fresh claims against each sorted run,
-// restoring the spilled ID of the ones that were seen before. The merge
-// phase then treats them as the duplicates they are, with graph edges
-// pointing at the correct dense id. One sequential pass over the runs per
-// BFS level, zero random disk reads — the classic external-memory
-// trade the paper credits TLC's engineering with.
+// level: the expansion's probes see only the resident maps, and
+// ResolveLevel merge-joins the level's sorted probe misses against each
+// sorted run, restoring every spilled (fingerprint, id) it finds into the
+// resident maps. The merge's claims then find those states as the
+// duplicates they are, with graph edges pointing at the correct dense id.
+// One sequential pass over the runs per BFS level, zero random disk reads —
+// the classic external-memory trade the paper credits TLC's engineering
+// with.
 //
 // All I/O flows through the run's FS seam (fs.go) with the engine's fault
 // contract: transient errors are retried with capped backoff; a persistent
-// failure to *write* a run (ENOSPC at the seal) degrades the store — the
-// resident set is held in memory, over budget, under Result.DegradedMemory
-// — because spilling is memory relief, not correctness; a persistent
-// failure to *read* a sealed run fails the run explicitly, because the
-// dedup information in it is load-bearing for the verdict.
+// failure to *write* a run (ENOSPC at the seal) degrades the set — the
+// resident fingerprints are held in memory, over budget, under
+// Result.DegradedMemory — because spilling is memory relief, not
+// correctness; a persistent failure to *read* a sealed run fails the run
+// explicitly, because the dedup information in it is load-bearing for the
+// verdict.
 //
-// The store dedups fingerprints only (8 bytes of identity, 16 on disk with
-// the id); collision-free full-encoding dedup is memory-resident by
-// definition, which Options.Validate enforces.
-
-// visitedShard is one lock stripe of a sharded visited map — the one
-// resident shard type of every store: entries keyed on 64-bit fingerprints
-// (the fingerprint store, and work-stealing by default) or, collision-free,
-// on full encodings (memVisited, and work-stealing at Workers == 1). V is
-// the level-sync ticket or the work-stealing dense id.
-type visitedShard[V any] struct {
-	mu    sync.Mutex
-	byFP  map[uint64]V
-	byKey map[string]V
-	// fresh are the fingerprint store's entries created since the last
-	// ResolveLevel under a budget: the claims that may yet turn out to be
-	// duplicates of spilled fingerprints.
-	fresh []spillFresh
-}
-
-// init makes the shard's map for its store's mode.
-func (sh *visitedShard[V]) init(collisionFree bool) {
-	if collisionFree {
-		sh.byKey = make(map[string]V)
-	} else {
-		sh.byFP = make(map[uint64]V)
-	}
-}
-
-// get looks enc (with fingerprint fp) up in whichever map the shard keeps.
-// Callers hold sh.mu.
-func (sh *visitedShard[V]) get(fp uint64, enc []byte) (V, bool) {
-	if sh.byKey != nil {
-		v, ok := sh.byKey[string(enc)] // no alloc: map lookup by converted []byte
-		return v, ok
-	}
-	v, ok := sh.byFP[fp]
-	return v, ok
-}
-
-// put inserts enc's entry, copying enc to a string key in keyed mode.
-// Callers hold sh.mu.
-func (sh *visitedShard[V]) put(fp uint64, enc []byte, v V) {
-	if sh.byKey != nil {
-		sh.byKey[string(enc)] = v
-	} else {
-		sh.byFP[fp] = v
-	}
-}
+// Only fingerprints spill (8 bytes of identity, 16 on disk with the id);
+// collision-free full-encoding dedup is memory-resident by definition,
+// which Options.Validate enforces.
 
 // spillBytesPerEntry is the budget accounting charge per resident
-// fingerprint: entry struct + map key/value + amortized bucket overhead.
-// It is an estimate — the budget bounds the order of magnitude, not the
-// byte — and a constant so forced-spill tests are deterministic.
+// fingerprint: map key/value plus amortized table overhead. It is an
+// estimate — the budget bounds the order of magnitude, not the byte — and a
+// constant so forced-spill tests are deterministic.
 const spillBytesPerEntry = 48
 
 // spillRec is one on-disk record: a fingerprint and its assigned dense id,
@@ -101,101 +56,43 @@ type spillRec struct {
 
 const spillRecSize = 16
 
-type spillFresh struct {
-	fp uint64
-	e  *visitedEntry
-}
-
-// spillCompactAfter is the sealed-run fan-in the store tolerates: once
-// more runs than this accumulate, EndLevel merges them all into one
-// sorted run, so a long spilled exploration pays a bounded merge-join per
-// BFS level instead of one join per run ever sealed.
+// spillCompactAfter is the sealed-run fan-in the set tolerates: once more
+// runs than this accumulate, EndLevel merges them all into one sorted run,
+// so a long spilled exploration pays a bounded merge-join per BFS level
+// instead of one join per run ever sealed.
 const spillCompactAfter = 8
 
-type spillVisited struct {
-	budget   int64 // 0 = never seal
-	fsys     FS
-	em       *engineMetrics // nil-safe observability sink
-	dir      string         // temp dir holding the runs; created on first spill
-	runs     []string       // paths of sealed sorted run files, oldest first
-	seq      int            // run file name sequence (survives compaction)
-	resident int            // fingerprints currently held in the shard maps
-	sealed   int64          // bytes of sealed run files currently on disk
-	degraded bool           // a persistent spill-write failure switched the store to hold-resident
-	shards   [visitedShards]visitedShard[*visitedEntry]
-
-	// scratch for ResolveLevel/EndLevel, reused across levels.
-	freshBuf []spillFresh
-	recBuf   []spillRec
-}
-
-func newSpillVisited(budget int64, fsys FS, em *engineMetrics) *spillVisited {
-	vs := &spillVisited{budget: budget, fsys: resolveFS(fsys), em: em}
-	for i := range vs.shards {
-		vs.shards[i].init(false)
-	}
-	return vs
-}
-
-// degradedMemory reports whether a persistent spill failure forced the
-// store to hold its resident set over budget (Result.DegradedMemory).
-func (vs *spillVisited) degradedMemory() bool { return vs.degraded }
-
-// spilledBytes reports the bytes of sealed runs on disk — the visited
-// set's half of Progress.SpillBytes. Merge goroutine only, like the seal
-// and compaction paths that maintain it.
-func (vs *spillVisited) spilledBytes() int64 { return vs.sealed }
-
-// residentBytes reports the budget charge of the resident fingerprint set —
+// residentBytes reports the budget charge of the resident fingerprints —
 // the visited set's half of Progress.ResidentBytes; 0 without a budget,
 // which tracks none. Merge goroutine only.
-func (vs *spillVisited) residentBytes() int64 {
-	return int64(vs.resident) * spillBytesPerEntry
+func (vs *visitedSet) residentBytes() int64 {
+	if vs.budget == 0 {
+		return 0
+	}
+	return int64(vs.resident()) * spillBytesPerEntry
 }
 
-// Claim implements visitedStore. A fingerprint absent from the resident
-// maps gets a provisional ID -1 entry even if it was spilled earlier;
-// ResolveLevel settles the question before the merge needs the answer.
-// Safe for concurrent use, like memVisited.Claim.
-func (vs *spillVisited) Claim(enc []byte) *visitedEntry {
-	fp := fingerprint(enc)
-	sh := &vs.shards[fp&(visitedShards-1)]
-	sh.mu.Lock()
-	e := sh.byFP[fp]
-	if e == nil {
-		e = &visitedEntry{ID: -1}
-		sh.byFP[fp] = e
-		if vs.budget > 0 {
-			sh.fresh = append(sh.fresh, spillFresh{fp: fp, e: e})
-		}
-	}
-	sh.mu.Unlock()
-	return e
+// restore makes a persisted (fingerprint, id) record resident again.
+// Merge goroutine only, with no claim in flight.
+func (vs *visitedSet) restore(rec spillRec) {
+	vs.shards[rec.fp&(visitedShards-1)].byFP[rec.fp] = int(rec.id)
 }
 
-// ResolveLevel merge-joins this level's fresh claims against every sealed
-// run, restoring the dense id of fingerprints that were spilled. Runs on
-// the merge goroutine; no locks needed (all workers have joined). A
-// transient read error retries the whole run's join — the join is
-// idempotent (an entry's ID is only ever restored once, and to the same
-// value) — and a persistent one fails the run: the sealed dedup records
-// are load-bearing, and skipping them could silently prune the space.
-func (vs *spillVisited) ResolveLevel() error {
-	fresh := vs.freshBuf[:0]
-	for i := range vs.shards {
-		sh := &vs.shards[i]
-		fresh = append(fresh, sh.fresh...)
-		sh.fresh = sh.fresh[:0]
-	}
-	vs.freshBuf = fresh
-	vs.resident += len(fresh)
-	if len(fresh) == 0 || len(vs.runs) == 0 {
+// ResolveLevel merge-joins the level's probe misses (fingerprints, sorted
+// here in place) against every sealed run and restores each spilled one it
+// finds. Runs on the merge goroutine after all workers joined and before
+// the merge claims the misses. A transient read error retries the whole
+// run's join — restoring is idempotent — and a persistent one fails the
+// run: the sealed dedup records are load-bearing, and skipping them could
+// silently prune the space.
+func (vs *visitedSet) ResolveLevel(misses []uint64) error {
+	if len(misses) == 0 || len(vs.runs) == 0 {
 		return nil
 	}
 	start := time.Now()
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i].fp < fresh[j].fp })
+	slices.Sort(misses)
 	for _, run := range vs.runs {
-		if err := vs.em.retry("spill", func() error { return mergeJoinRun(vs.fsys, run, fresh) }); err != nil {
+		if err := vs.em.retry("spill", func() error { return vs.mergeJoinRun(run, misses) }); err != nil {
 			return err
 		}
 	}
@@ -204,18 +101,18 @@ func (vs *spillVisited) ResolveLevel() error {
 }
 
 // mergeJoinRun streams the sorted run once, advancing through the sorted
-// fresh claims in lockstep and restoring the id of every match that is
-// still unassigned; it stops reading once the claims are exhausted.
-func mergeJoinRun(fsys FS, path string, fresh []spillFresh) error {
+// misses in lockstep and restoring every match; it stops reading once the
+// misses are exhausted.
+func (vs *visitedSet) mergeJoinRun(path string, misses []uint64) error {
 	i := 0
-	return readRecsFile(fsys, path, func(rec spillRec) bool {
-		for i < len(fresh) && fresh[i].fp < rec.fp {
+	return readRecsFile(vs.fsys, path, func(rec spillRec) bool {
+		for i < len(misses) && misses[i] < rec.fp {
 			i++
 		}
-		if i < len(fresh) && fresh[i].fp == rec.fp && fresh[i].e.ID < 0 {
-			fresh[i].e.ID = int(rec.id)
+		if i < len(misses) && misses[i] == rec.fp {
+			vs.restore(rec)
 		}
-		return i < len(fresh)
+		return i < len(misses)
 	})
 }
 
@@ -238,47 +135,36 @@ func readRecsFile(fsys FS, path string, fn func(spillRec) bool) error {
 	}
 }
 
-// clearResident drops the shard maps after their contents were sealed.
-func (vs *spillVisited) clearResident() {
+// residentRecs appends every resident (fingerprint, id) pair to recs,
+// sorted by fingerprint.
+func (vs *visitedSet) residentRecs(recs []spillRec) []spillRec {
 	for i := range vs.shards {
-		vs.shards[i].init(false)
-	}
-	vs.resident = 0
-}
-
-// EndLevel enforces the memory budget after the merge assigned ids: when
-// the resident set charges past the budget, every resident (fingerprint,
-// id) pair is sorted into a new sealed run and the maps are dropped.
-// Revived duplicates may be written to more than one run; they carry the
-// same id everywhere, so merge-join correctness is unaffected.
-//
-// A persistent failure to seal the run (ENOSPC is the canonical case)
-// degrades the store instead of failing the checking run: the resident
-// maps are kept — deduplication stays exact, memory use exceeds the
-// budget — the degradation is reported via Result.DegradedMemory, and a
-// best-effort compaction trims the sealed-run fan-in it can no longer
-// grow past.
-func (vs *spillVisited) EndLevel() error {
-	for i := range vs.shards {
-		vs.shards[i].fresh = vs.shards[i].fresh[:0]
-	}
-	if vs.budget == 0 || vs.degraded || int64(vs.resident)*spillBytesPerEntry <= vs.budget {
-		return nil
-	}
-	recs := vs.recBuf[:0]
-	for i := range vs.shards {
-		for fp, e := range vs.shards[i].byFP {
-			if e.ID >= 0 { // defensive: never persist an unassigned claim
-				recs = append(recs, spillRec{fp: fp, id: int64(e.ID)})
-			}
+		for fp, id := range vs.shards[i].byFP {
+			recs = append(recs, spillRec{fp: fp, id: int64(id)})
 		}
 	}
-	vs.recBuf = recs[:0]
-	if len(recs) == 0 {
-		vs.clearResident()
+	slices.SortFunc(recs, func(a, b spillRec) int { return cmp.Compare(a.fp, b.fp) })
+	return recs
+}
+
+// EndLevel enforces the memory budget after the merge claimed the level's
+// new states: when the resident fingerprints charge past the budget, every
+// resident (fingerprint, id) pair is sorted into a new sealed run and the
+// maps are dropped. Restored duplicates may be written to more than one
+// run; they carry the same id everywhere, so merge-join correctness is
+// unaffected.
+//
+// A persistent failure to seal the run (ENOSPC is the canonical case)
+// degrades the set instead of failing the checking run: the resident maps
+// are kept — deduplication stays exact, memory use exceeds the budget — the
+// degradation is reported via Result.DegradedMemory, and a best-effort
+// compaction trims the sealed-run fan-in it can no longer grow past.
+func (vs *visitedSet) EndLevel() error {
+	if vs.budget == 0 || vs.degraded || vs.residentBytes() <= vs.budget {
 		return nil
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].fp < recs[j].fp })
+	recs := vs.residentRecs(vs.recBuf[:0])
+	vs.recBuf = recs[:0]
 	if err := vs.writeRun(recs); err != nil {
 		vs.degraded = true
 		vs.em.onDegrade("spill")
@@ -298,8 +184,8 @@ func (vs *spillVisited) EndLevel() error {
 	return nil
 }
 
-// ensureDir creates the store's temp directory on first use.
-func (vs *spillVisited) ensureDir() error {
+// ensureDir creates the set's temp directory on first use.
+func (vs *visitedSet) ensureDir() error {
 	if vs.dir != "" {
 		return nil
 	}
@@ -313,7 +199,7 @@ func (vs *spillVisited) ensureDir() error {
 	})
 }
 
-func (vs *spillVisited) writeRun(recs []spillRec) error {
+func (vs *visitedSet) writeRun(recs []spillRec) error {
 	if err := vs.ensureDir(); err != nil {
 		return err
 	}
@@ -416,7 +302,7 @@ func (rw *runWriter) write(rec spillRec) error {
 // kept. Runs on the merge goroutine, between levels. On failure the
 // partial output is removed and the original runs are left sealed and
 // registered — callers treat compaction as optional.
-func (vs *spillVisited) compactRuns() error {
+func (vs *visitedSet) compactRuns() error {
 	readers := make([]*runReader, 0, len(vs.runs))
 	closeAll := func() {
 		for _, rr := range readers {
@@ -498,23 +384,16 @@ func (vs *spillVisited) compactRuns() error {
 	return nil
 }
 
-// snapshotRuns seals the store's state into dir for a checkpoint: the
+// snapshotRuns seals the set's state into dir for a checkpoint: the
 // resident (fingerprint, id) pairs become one fresh sorted run, and every
 // sealed run is copied verbatim. Returns the file names (relative to dir).
-// The store itself is not modified — a checkpoint must not perturb the run
-// it snapshots.
-func (vs *spillVisited) snapshotRuns(fsys FS, dir, prefix string) ([]string, error) {
+// The set itself is not modified — a checkpoint must not perturb the run it
+// snapshots.
+func (vs *visitedSet) snapshotRuns(fsys FS, dir, prefix string) ([]string, error) {
 	var names []string
-	recs := []spillRec{}
-	for i := range vs.shards {
-		for fp, e := range vs.shards[i].byFP {
-			if e.ID >= 0 {
-				recs = append(recs, spillRec{fp: fp, id: int64(e.ID)})
-			}
-		}
-	}
+	recs := vs.residentRecs(vs.recBuf[:0])
+	vs.recBuf = recs[:0]
 	if len(recs) > 0 {
-		sort.Slice(recs, func(i, j int) bool { return recs[i].fp < recs[j].fp })
 		name := prefix + "visited-resident"
 		if err := vs.em.retry("checkpoint", func() error { return writeRecsFile(fsys, filepath.Join(dir, name), recs) }); err != nil {
 			return nil, err
@@ -532,20 +411,17 @@ func (vs *spillVisited) snapshotRuns(fsys FS, dir, prefix string) ([]string, err
 }
 
 // adoptRuns restores a checkpoint's visited runs. Without a budget every
-// persisted (fingerprint, id) pair becomes a resident entry with its id
-// already assigned, so the resumed run never merge-joins. Under a budget
-// each file is copied into the store's own temp dir (the checkpoint stays
+// persisted (fingerprint, id) pair becomes resident again (a fingerprint in
+// several files carries the same id in each), so the resumed run never
+// merge-joins. Under a budget each file is copied into the set's own temp dir (the checkpoint stays
 // immutable) and registered as a sealed run, so the first resumed level's
 // merge-join restores every persisted id.
-func (vs *spillVisited) adoptRuns(fsys FS, srcDir string, names []string) error {
+func (vs *visitedSet) adoptRuns(fsys FS, srcDir string, names []string) error {
 	if vs.budget == 0 {
 		for _, name := range names {
 			err := vs.em.retry("checkpoint", func() error {
 				return readRecsFile(fsys, filepath.Join(srcDir, name), func(rec spillRec) bool {
-					sh := &vs.shards[rec.fp&(visitedShards-1)]
-					if sh.byFP[rec.fp] == nil {
-						sh.byFP[rec.fp] = &visitedEntry{ID: int(rec.id)}
-					}
+					vs.restore(rec)
 					return true
 				})
 			})
@@ -573,7 +449,7 @@ func (vs *spillVisited) adoptRuns(fsys FS, srcDir string, names []string) error 
 }
 
 // Close removes the spill directory and every sealed run.
-func (vs *spillVisited) Close() error {
+func (vs *visitedSet) Close() error {
 	if vs.dir == "" {
 		return nil
 	}

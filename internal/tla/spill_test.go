@@ -169,13 +169,13 @@ func closeGraph[S State](t *testing.T, res *Result[S]) {
 	}
 }
 
-// TestSpillStoreSealsAndRevives hands runEngine a spilling store it can
-// inspect afterwards: a forced-spill exploration must actually seal runs on
-// disk, reproduce the resident result exactly, and remove its spill
+// TestSpillStoreSealsAndRevives hands runEngine a spilling visited set it
+// can inspect afterwards: a forced-spill exploration must actually seal runs
+// on disk, reproduce the resident result exactly, and remove its spill
 // directory on Close.
 func TestSpillStoreSealsAndRevives(t *testing.T) {
-	st := newSpillVisited(1, nil, nil)
 	opts := Options{RecordGraph: true, Workers: 2}
+	st := newVisitedSet(Options{MemoryBudgetBytes: 1}, opts.Workers, nil)
 	want, wantErr := Check(counterSpec(15), opts)
 	got, gotErr := runEngine(counterSpec(15), opts, opts.Workers, st, nil)
 	assertResultsEqual(t, "inspected-spill", want, got, wantErr, gotErr)
@@ -197,48 +197,49 @@ func TestSpillStoreSealsAndRevives(t *testing.T) {
 	}
 }
 
-// TestSpillStoreProtocol exercises the store's claim/resolve/seal cycle
-// directly, without the engine: a spilled fingerprint must be revived with
-// its original id by the next level's merge-on-lookup, and an unseen one
-// must stay unassigned.
+// allocID returns a claim callback that assigns id.
+func allocID(id int) func() int { return func() int { return id } }
+
+// TestSpillStoreProtocol exercises the visited set's probe/claim/resolve/
+// seal cycle directly, without the engine: a spilled fingerprint must be
+// revived with its original id by the next level's merge-on-lookup, and an
+// unseen one must stay unknown.
 func TestSpillStoreProtocol(t *testing.T) {
-	st := newSpillVisited(1, nil, nil)
+	st := newVisitedSet(Options{MemoryBudgetBytes: 1}, 2, nil)
 	defer st.Close()
 
-	a := st.Claim([]byte("a"))
-	if a.ID != -1 {
-		t.Fatalf("fresh claim ID = %d, want -1", a.ID)
+	a, b := []byte("a"), []byte("b")
+	fa, fb := fingerprint(a), fingerprint(b)
+	if _, ok := st.probe(fa, a); ok {
+		t.Fatal("probe of an unseen encoding hit")
 	}
-	if again := st.Claim([]byte("a")); again != a {
-		t.Fatal("re-claim within a level must return the same entry")
+	if id, isNew := st.claim(fa, a, allocID(7)); id != 7 || !isNew {
+		t.Fatalf("first claim = (%d, %t), want (7, true)", id, isNew)
 	}
-	if err := st.ResolveLevel(); err != nil {
+	if id, isNew := st.claim(fa, a, allocID(8)); id != 7 || isNew {
+		t.Fatalf("re-claim = (%d, %t), want the first claim's (7, false)", id, isNew)
+	}
+	if err := st.ResolveLevel([]uint64{fa}); err != nil {
 		t.Fatal(err)
 	}
-	if a.ID != -1 {
-		t.Fatalf("resolve with no runs set ID = %d", a.ID)
-	}
-	a.ID = 7 // the merge phase's assignment
 	if err := st.EndLevel(); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.runs) != 1 {
-		t.Fatalf("over-budget EndLevel sealed %d runs, want 1", len(st.runs))
+	if len(st.runs) != 1 || st.resident() != 0 {
+		t.Fatalf("over-budget EndLevel left %d runs and %d resident ids, want 1 and 0", len(st.runs), st.resident())
 	}
 
-	revived := st.Claim([]byte("a"))
-	if revived == a {
-		t.Fatal("claim after spill returned the evicted entry")
+	if _, ok := st.probe(fa, a); ok {
+		t.Fatal("probe after the seal hit a fingerprint that is only on disk")
 	}
-	fresh := st.Claim([]byte("b"))
-	if err := st.ResolveLevel(); err != nil {
+	if err := st.ResolveLevel([]uint64{fb, fa}); err != nil {
 		t.Fatal(err)
 	}
-	if revived.ID != 7 {
-		t.Fatalf("revived ID = %d, want the spilled 7", revived.ID)
+	if id, ok := st.probe(fa, a); !ok || id != 7 {
+		t.Fatalf("revived probe = (%d, %t), want the spilled (7, true)", id, ok)
 	}
-	if fresh.ID != -1 {
-		t.Fatalf("unseen fingerprint resolved to ID %d, want -1", fresh.ID)
+	if id, ok := st.probe(fb, b); ok {
+		t.Fatalf("unseen fingerprint resolved to id %d", id)
 	}
 }
 
@@ -247,50 +248,50 @@ func TestSpillStoreProtocol(t *testing.T) {
 // into one, previously spilled ids still revive through the compacted
 // run, and duplicate fingerprints across runs collapse to one record.
 func TestSpillRunCompaction(t *testing.T) {
-	st := newSpillVisited(1, nil, nil)
+	st := newVisitedSet(Options{MemoryBudgetBytes: 1}, 2, nil)
 	defer st.Close()
 
-	entries := map[string]*visitedEntry{}
+	ids := map[string]int{}
 	nextID := 0
-	// Drive spillCompactAfter+1 levels, each sealing one single-claim run;
-	// the final EndLevel must compact. Re-claim key "dup" every level so
-	// the same fingerprint lands in every run with the same id.
+	alloc := func() int { nextID++; return nextID - 1 }
+	// Drive spillCompactAfter+1 levels, each sealing one run; the final
+	// EndLevel must compact. Key "dup" is claimed every level, so the same
+	// fingerprint lands in every run with the same id.
 	for level := 0; level <= spillCompactAfter; level++ {
-		key := fmt.Sprintf("key-%d", level)
-		e := st.Claim([]byte(key))
-		dup := st.Claim([]byte("dup"))
-		if err := st.ResolveLevel(); err != nil {
+		keys := []string{fmt.Sprintf("key-%d", level), "dup"}
+		var misses []uint64
+		for _, key := range keys {
+			misses = append(misses, fingerprint([]byte(key)))
+		}
+		if err := st.ResolveLevel(misses); err != nil {
 			t.Fatal(err)
 		}
-		if e.ID < 0 {
-			e.ID = nextID
-			nextID++
-			entries[key] = e
-		}
-		if dup.ID < 0 {
-			dup.ID = nextID
-			nextID++
-			entries["dup"] = dup
+		for _, key := range keys {
+			id, _ := st.claim(fingerprint([]byte(key)), []byte(key), alloc)
+			if prev, ok := ids[key]; ok && prev != id {
+				t.Fatalf("level %d: %s claimed as id %d, spilled as %d", level, key, id, prev)
+			}
+			ids[key] = id
 		}
 		if err := st.EndLevel(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if len(st.runs) != 1 {
-		t.Fatalf("after %d over-budget levels the store holds %d runs, want 1 compacted", spillCompactAfter+1, len(st.runs))
+		t.Fatalf("after %d over-budget levels the set holds %d runs, want 1 compacted", spillCompactAfter+1, len(st.runs))
 	}
 	// Every spilled fingerprint must revive with its original id through
 	// the compacted run.
-	revived := map[string]*visitedEntry{}
-	for key := range entries {
-		revived[key] = st.Claim([]byte(key))
+	var misses []uint64
+	for key := range ids {
+		misses = append(misses, fingerprint([]byte(key)))
 	}
-	if err := st.ResolveLevel(); err != nil {
+	if err := st.ResolveLevel(misses); err != nil {
 		t.Fatal(err)
 	}
-	for key, want := range entries {
-		if got := revived[key]; got.ID != want.ID {
-			t.Fatalf("key %s revived with id %d through the compacted run, want %d", key, got.ID, want.ID)
+	for key, want := range ids {
+		if got, ok := st.probe(fingerprint([]byte(key)), []byte(key)); !ok || got != want {
+			t.Fatalf("key %s revived as (%d, %t) through the compacted run, want id %d", key, got, ok, want)
 		}
 	}
 	// The compacted run holds each fingerprint once: its record count is
@@ -299,8 +300,29 @@ func TestSpillRunCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(len(entries) * spillRecSize); fi.Size() != want {
-		t.Fatalf("compacted run is %d bytes, want %d (%d distinct records)", fi.Size(), want, len(entries))
+	if want := int64(len(ids) * spillRecSize); fi.Size() != want {
+		t.Fatalf("compacted run is %d bytes, want %d (%d distinct records)", fi.Size(), want, len(ids))
+	}
+}
+
+// TestClaimDoesNotAllocate pins the visited set's pointer-free maps: a
+// claim of a fresh fingerprint allocates nothing beyond amortized map
+// growth.
+func TestClaimDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	vs := newVisitedSet(Options{Workers: 2}, 2, nil)
+	next := 0
+	alloc := func() int { next++; return next - 1 }
+	const perRun = 4096
+	avg := testing.AllocsPerRun(10, func() {
+		for i := 0; i < perRun; i++ {
+			vs.claim(uint64(next)*0x9e3779b97f4a7c15, nil, alloc)
+		}
+	})
+	if perClaim := avg / perRun; perClaim >= 0.5 {
+		t.Fatalf("claiming a fresh fingerprint allocates %.2f times on average, want < 0.5", perClaim)
 	}
 }
 

@@ -1,62 +1,19 @@
 package tla
 
-import "errors"
+import "sync"
 
-// This file defines the visitedStore interface the level-synchronized engine
-// deduplicates through, its collision-free implementation, and the engine's
-// pending-work queue. There are two stores: the fingerprint store
-// (spillVisited, spill.go) — resident sharded maps that, under a memory
-// budget, seal into sorted runs on disk — and the collision-free keyed store
-// below. The engine itself (engine.go) is store-agnostic: both run under the
-// identical expansion/merge loop, which is how the sequential oracle, the
-// parallel checker, and the bounded-memory checker stay byte-for-byte
-// comparable.
-
-// visitedEntry is a store's ticket for one canonical encoding. The engine
-// assigns ID during the deterministic merge phase; a store may persist and
-// later restore the assignment (the spilling store writes (fingerprint, ID)
-// records to its sorted runs).
-type visitedEntry struct {
-	// ID is the state's dense id, or -1 while the encoding is only
-	// claimed: a successor seen this level whose canonical position is
-	// decided during the merge, or a fingerprint spilled to disk that has
-	// not yet been matched by ResolveLevel.
-	ID int
-}
-
-// visitedStore is the level-synchronized deduplication half of the
-// exploration engine: it maps canonical state encodings to visitedEntry
-// tickets. Two implementations: the fingerprint store (spillVisited, with
-// optional spilling under a budget) and the collision-free keyed store
-// (memVisited). The engine drives it in level-synchronized strokes:
-//
-//   - Claim is called concurrently by expansion workers (and by the merge
-//     goroutine for initial states). The first claim of an encoding creates
-//     the entry with ID -1; every later claim of the same encoding must
-//     return the same entry. The encoding slice is only valid during the
-//     call — stores must copy what they keep.
-//   - ResolveLevel runs on the merge goroutine after all workers joined and
-//     before the merge replays the level's candidates. Stores that defer
-//     part of their lookup (the spilling store's merge-on-lookup against
-//     its disk runs) restore previously assigned IDs here.
-//   - EndLevel runs after the merge assigned IDs to the level's new states;
-//     stores enforce memory budgets here (the spilling store seals
-//     over-budget shards into a sorted run).
-//   - Close releases any resources (temp files) when the run finishes.
-//   - snapshotRuns and adoptRuns are the checkpoint/resume half:
-//     snapshotRuns seals the store's dedup state into sorted run files
-//     under dir (names returned relative to dir, store unmodified), and
-//     adoptRuns restores a previous snapshot into a fresh store. Only the
-//     fingerprint store can: checkpoints persist fingerprints, which is why
-//     Options.Validate rejects checkpointing with CollisionFree.
-type visitedStore interface {
-	Claim(enc []byte) *visitedEntry
-	ResolveLevel() error
-	EndLevel() error
-	Close() error
-	snapshotRuns(fsys FS, dir, prefix string) ([]string, error)
-	adoptRuns(fsys FS, srcDir string, names []string) error
-}
+// This file defines the engine's one visited set and the level-synchronized
+// engine's pending-work queue. Both schedules deduplicate through the same
+// two visitedSet methods: probe, a read-only lookup, and claim, the only
+// insert, which assigns the dense state id on first sight. Work-stealing
+// claims each successor as it registers it (schedule.go). The
+// level-synchronized engine (engine.go) probes every successor during its
+// parallel expansion — nothing inserts then, so a miss means "no id before
+// this level" — and claims the misses during its sequential merge, in
+// deterministic order: that is how the sequential oracle, the parallel
+// checker and the bounded-memory checker stay byte-for-byte comparable.
+// Under a memory budget the fingerprint set seals into sorted runs on disk
+// between levels (spill.go).
 
 // levelFrontier is the level-synchronized engine's pending work — the
 // discovered-but-unexpanded state ids — as a double-buffered queue. The
@@ -79,70 +36,121 @@ func (f *levelFrontier) NextLevel() []int {
 }
 
 // visitedShards is the number of independently locked shards of the
-// visited stores. A power of two so the shard index is a mask of the
+// visited set. A power of two so the shard index is a mask of the
 // fingerprint.
 const visitedShards = 64
 
-// memVisited is the collision-free keyed store: the shard maps key on full
-// canonical encodings instead of 64-bit fingerprints (the fingerprint only
-// picks the shard) — always the case for the sequential oracle (Workers ==
-// 1, no budget, no checkpoint), which must never be subject to fingerprint
-// collisions, and for any run with Options.CollisionFree. Workers claim
-// concurrently under per-shard mutexes while expanding a frontier; the merge
-// phase (single goroutine, after all workers joined) assigns ids without
-// locking.
-type memVisited struct {
-	shards [visitedShards]visitedShard[*visitedEntry]
+// visitedSet maps canonical state encodings to dense state ids: TLC's
+// fingerprint set, sharded into independently locked maps that hold no
+// pointers. It keys on 64-bit fingerprints by default and, keyed, on full
+// encodings (the fingerprint then only picks the shard) — always for the
+// sequential oracle (Workers == 1 without a budget or checkpoint, which
+// persist fingerprints), so it is never subject to fingerprint collisions,
+// and for any run with Options.CollisionFree. The fields after shards are
+// the fingerprint mode's spill state (spill.go), touched only on the
+// level-sync merge goroutine.
+type visitedSet struct {
+	keyed  bool
+	shards [visitedShards]visitedShard
+
+	budget   int64 // 0 = never seal
+	fsys     FS
+	em       *engineMetrics // nil-safe observability sink
+	dir      string         // temp dir holding the runs; created on first spill
+	runs     []string       // paths of sealed sorted run files, oldest first
+	seq      int            // run file name sequence (survives compaction)
+	sealed   int64          // bytes of sealed run files currently on disk
+	degraded bool           // a persistent spill-write failure switched the set to hold-resident
+	recBuf   []spillRec     // EndLevel's scratch, reused across levels
 }
 
-func newMemVisited() *memVisited {
-	vs := &memVisited{}
-	for i := range vs.shards {
-		vs.shards[i].init(true)
+// visitedShard is one lock stripe of the visited set; exactly one of its
+// maps is in use, per the set's mode.
+type visitedShard struct {
+	mu    sync.Mutex
+	byFP  map[uint64]int
+	byKey map[string]int
+}
+
+// newVisitedSet builds the visited set for a validated Options. A budget or
+// a checkpoint forces fingerprints even for the sequential oracle: both
+// persist (fingerprint, id) records, which a keyed map cannot be rebuilt
+// from (Validate rejects either alongside CollisionFree).
+func newVisitedSet(opts Options, workers int, em *engineMetrics) *visitedSet {
+	vs := &visitedSet{
+		keyed:  opts.CollisionFree || (workers == 1 && opts.MemoryBudgetBytes == 0 && !opts.checkpointing()),
+		budget: opts.MemoryBudgetBytes,
+		fsys:   resolveFS(opts.FS),
+		em:     em,
 	}
+	vs.clearResident()
 	return vs
 }
 
-// Claim returns the entry for the canonical encoding enc, creating it (with
-// ID -1) if it was never seen, copying enc to a string key only then. Safe
-// for concurrent use; the first claimant creates the entry, later claimants
-// of the same encoding get the same entry. Which goroutine creates an entry
-// is racy, but immaterial: ids are assigned only during the sequential
-// merge, in deterministic order.
-func (vs *memVisited) Claim(enc []byte) *visitedEntry {
-	sh := &vs.shards[fingerprint(enc)&(visitedShards-1)]
+// clearResident makes every shard's map anew, empty: at construction, and
+// after a seal moved the resident fingerprints to disk.
+func (vs *visitedSet) clearResident() {
+	for i := range vs.shards {
+		if vs.keyed {
+			vs.shards[i].byKey = make(map[string]int)
+		} else {
+			vs.shards[i].byFP = make(map[uint64]int)
+		}
+	}
+}
+
+// probe looks enc (with fingerprint fp) up without inserting it. Safe for
+// concurrent use.
+func (vs *visitedSet) probe(fp uint64, enc []byte) (id int, ok bool) {
+	sh := &vs.shards[fp&(visitedShards-1)]
 	sh.mu.Lock()
-	e := sh.byKey[string(enc)] // no alloc: map lookup by converted []byte
-	if e == nil {
-		e = &visitedEntry{ID: -1}
-		sh.byKey[string(enc)] = e
-	}
+	id, ok = sh.get(fp, enc)
 	sh.mu.Unlock()
-	return e
+	return id, ok
 }
 
-func (vs *memVisited) ResolveLevel() error { return nil }
-func (vs *memVisited) EndLevel() error     { return nil }
-func (vs *memVisited) Close() error        { return nil }
-
-var errKeyedCheckpoint = errors.New("tla: the collision-free visited store cannot be checkpointed")
-
-func (vs *memVisited) snapshotRuns(FS, string, string) ([]string, error) {
-	return nil, errKeyedCheckpoint
-}
-
-func (vs *memVisited) adoptRuns(FS, string, []string) error { return errKeyedCheckpoint }
-
-// newVisitedStore selects the visited store for a validated Options: the
-// collision-free keyed store when exactness is demanded (explicitly, or
-// implicitly by the sequential oracle path), and the fingerprint store
-// otherwise — spilling when a memory budget is set. A budget or a
-// checkpoint forces fingerprints even for the sequential oracle: both
-// persist (fingerprint, id) records, which a keyed map cannot be rebuilt
-// from.
-func newVisitedStore(opts Options, workers int, em *engineMetrics) visitedStore {
-	if opts.CollisionFree || (workers == 1 && opts.MemoryBudgetBytes == 0 && !opts.checkpointing()) {
-		return newMemVisited()
+// claim resolves enc (with fingerprint fp) to its dense state id, inserting
+// on first sight — the visited set's only insert. alloc runs under the
+// shard lock, exactly once per distinct encoding, to register the state and
+// assign its id; a negative id from alloc refuses the insert (state limit,
+// failure or stop) and leaves the encoding unclaimed. Safe for concurrent
+// use. In keyed mode enc is copied to a string key only on insert.
+func (vs *visitedSet) claim(fp uint64, enc []byte, alloc func() int) (id int, isNew bool) {
+	sh := &vs.shards[fp&(visitedShards-1)]
+	sh.mu.Lock()
+	// Unlock by defer, not explicitly: alloc runs spec encoding code under
+	// this lock (arena mode), and a recovered spec panic must release the
+	// shard on unwind or the drain would deadlock on it.
+	defer sh.mu.Unlock()
+	if id, ok := sh.get(fp, enc); ok {
+		return id, false
 	}
-	return newSpillVisited(opts.MemoryBudgetBytes, opts.FS, em)
+	if id = alloc(); id >= 0 {
+		if sh.byKey != nil {
+			sh.byKey[string(enc)] = id
+		} else {
+			sh.byFP[fp] = id
+		}
+	}
+	return id, id >= 0
+}
+
+// get looks enc up in whichever map the shard keeps. Callers hold sh.mu.
+func (sh *visitedShard) get(fp uint64, enc []byte) (int, bool) {
+	if sh.byKey != nil {
+		id, ok := sh.byKey[string(enc)] // no alloc: map lookup by converted []byte
+		return id, ok
+	}
+	id, ok := sh.byFP[fp]
+	return id, ok
+}
+
+// resident counts the ids held in the shard maps. Callers exclude
+// concurrent claims (the level-sync merge goroutine, between levels).
+func (vs *visitedSet) resident() int {
+	n := 0
+	for i := range vs.shards {
+		n += len(vs.shards[i].byFP) + len(vs.shards[i].byKey)
+	}
+	return n
 }

@@ -223,7 +223,7 @@ type Options struct {
 	// Under work-stealing, Invariants and Constraint are called from
 	// worker goroutines and must not mutate shared state. Options that
 	// need level semantics are rejected with it: MemoryBudgetBytes (the
-	// spilling visited store resolves lookups once per level) and
+	// spilling visited set resolves lookups once per level) and
 	// CheckpointDir/ResumeFrom (checkpoints are sealed at level
 	// boundaries).
 	Schedule Schedule
@@ -288,13 +288,9 @@ type Options struct {
 	// loop on every worker iteration) and an interrupted run returns the
 	// partial Result (Interrupted set, states/depth/counters so far)
 	// under an error wrapping ErrInterrupted — plus a checkpoint when
-	// CheckpointDir is set. The CLIs wire SIGINT/SIGTERM here.
+	// CheckpointDir is set. A context deadline bounds the run in wall-clock
+	// time. The CLIs wire SIGINT/SIGTERM and -deadline here.
 	Context context.Context
-	// Deadline, when non-zero, bounds the run in wall-clock time: past
-	// it, the run winds down exactly as a canceled Context does. A
-	// deadline already in the past is rejected by Validate. Composes with
-	// Context (whichever fires first stops the run).
-	Deadline time.Time
 	// FS routes the engine's durable I/O — spill runs, arena segments,
 	// checkpoints — through an injectable filesystem seam. nil selects
 	// the real filesystem (OSFS); tests plug in a FaultFS to exercise the
@@ -305,7 +301,7 @@ type Options struct {
 	// fail the run explicitly).
 	FS FS
 	// CheckpointDir, when non-empty, makes the run durable: on
-	// interruption (Context/Deadline) — and every CheckpointEvery levels
+	// interruption (Context) — and every CheckpointEvery levels
 	// — the engine seals the current spill runs and arena segments into
 	// this directory with a manifest, and a later run with ResumeFrom
 	// continues where it stopped, with verdict and counts identical to an
@@ -417,8 +413,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: unknown Schedule %d (ScheduleLevelSync, ScheduleWorkSteal)", ErrInvalidOptions, o.Schedule)
 	case o.Schedule == ScheduleWorkSteal && (o.MemoryBudgetBytes > 0 || o.checkpointing()):
 		return fmt.Errorf("%w: ScheduleWorkSteal has no BFS levels, which MemoryBudgetBytes (one merge-join per level) and CheckpointDir/ResumeFrom (level-boundary checkpoints) need; use ScheduleLevelSync", ErrInvalidOptions)
-	case !o.Deadline.IsZero() && !o.Deadline.After(time.Now()):
-		return fmt.Errorf("%w: Deadline %s is in the past", ErrInvalidOptions, o.Deadline.Format(time.RFC3339))
 	case o.CheckpointEvery < 0:
 		return fmt.Errorf("%w: negative CheckpointEvery %d (0 means checkpoint only on interrupt)", ErrInvalidOptions, o.CheckpointEvery)
 	case o.CheckpointEvery > 0 && o.CheckpointDir == "":
@@ -472,7 +466,7 @@ type Result[S State] struct {
 	Graph          *Graph[S] // under Options.RecordGraph, unless the run failed without a violation
 	ConstraintCuts int       // states whose successors were skipped by the constraint
 	// Interrupted reports that the run stopped early because
-	// Options.Context was canceled or Options.Deadline passed; the
+	// Options.Context was canceled or its deadline passed; the
 	// counters above describe the partial exploration. The companion
 	// error wraps ErrInterrupted. A counterexample is never reported by
 	// an interrupted run — absence of a Violation means "none found so
@@ -504,10 +498,10 @@ type Result[S State] struct {
 // One engine serves every configuration: Options selects the worker count
 // (0 resolves to GOMAXPROCS; 1 is the sequential oracle, which dedups on
 // full encodings and is therefore always collision-free unless
-// MemoryBudgetBytes engages the spilling fingerprint store) and the
+// MemoryBudgetBytes engages the spilling fingerprint set) and the
 // scheduling mode (Schedule — the default level-synchronized loop, or the
 // barrier-free work-stealing loop). Level-synchronized results are
-// identical at every worker count and under every visited store the
+// identical at every worker count and in every visited-set mode the
 // options imply, modulo fingerprint collisions (see CollisionFree);
 // work-stealing preserves verdicts and counts but not order — see
 // Options.Schedule.
@@ -543,11 +537,11 @@ func Check[S State](spec *Spec[S], opts Options) (*Result[S], error) {
 		res *Result[S]
 		err error
 	)
+	vs := newVisitedSet(opts, workers, em)
+	defer vs.Close()
 	if opts.Schedule == ScheduleWorkSteal {
-		res, err = runWorkSteal(spec, opts, workers, em)
+		res, err = runWorkSteal(spec, opts, workers, vs, em)
 	} else {
-		vs := newVisitedStore(opts, workers, em)
-		defer vs.Close()
 		res, err = runEngine(spec, opts, workers, vs, em)
 	}
 	if res != nil {

@@ -114,11 +114,8 @@ type TraceOptions struct {
 	// Context, when non-nil, cancels the run cooperatively: the frontier
 	// advance checks it between observations and returns the partial
 	// TraceResult (Interrupted set) with an error wrapping ErrInterrupted.
-	// The CLIs wire SIGINT/SIGTERM here.
+	// The CLIs wire SIGINT/SIGTERM and -deadline here.
 	Context context.Context
-	// Deadline, when set, bounds the run in wall-clock time, composed with
-	// Context exactly as Options.Deadline is.
-	Deadline time.Time
 	// Progress, when non-nil together with ProgressEvery, receives periodic
 	// snapshots of the advance. It is called from the merge goroutine
 	// between observations — never concurrently with itself or with the
@@ -147,8 +144,6 @@ func (o TraceOptions) Validate() error {
 	switch {
 	case o.Workers < 0:
 		return fmt.Errorf("%w: negative Workers %d (0 means GOMAXPROCS, 1 is sequential)", ErrInvalidOptions, o.Workers)
-	case !o.Deadline.IsZero() && !o.Deadline.After(time.Now()):
-		return fmt.Errorf("%w: Deadline %s is in the past", ErrInvalidOptions, o.Deadline.Format(time.RFC3339))
 	case o.ProgressEvery < 0:
 		return fmt.Errorf("%w: negative ProgressEvery %s", ErrInvalidOptions, o.ProgressEvery)
 	}
@@ -202,7 +197,7 @@ func CheckTraceWith[S State](spec *Spec[S], trace []Observation[S], opts TraceOp
 	if len(trace) == 0 {
 		return &TraceResult{FailedStep: -1, OK: true}, nil
 	}
-	st := newStopper(opts.Context, opts.Deadline, nil)
+	st := newStopper(opts.Context, nil)
 	defer st.close()
 	tc := newTraceChecker(spec, opts, st)
 	res, err := tc.run(trace, true)
