@@ -101,8 +101,10 @@ func BenchmarkE8PresslerVsDirect(b *testing.B) {
 }
 
 // BenchmarkE10Generate regenerates §5.2's headline: the MBTCG pipeline
-// (model check → DOT dump → parse → extract) produces 4,913 test cases
-// under the paper's configuration.
+// (model check → DOT dump → cases extracted from the checker's graph)
+// produces 4,913 test cases under the paper's configuration. The dump is
+// written but never parsed back; mbtcg.FromDOT, the import path, is
+// pinned to the same cases by the package's tests.
 func BenchmarkE10Generate(b *testing.B) {
 	dir := b.TempDir()
 	for i := 0; i < b.N; i++ {

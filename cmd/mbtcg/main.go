@@ -1,7 +1,7 @@
 // Command mbtcg runs the model-based test-case generation pipeline of the
 // paper's §5: it model-checks the array_ot specification, dumps the state
-// graph to a DOT file, parses it back, derives one test case per terminal
-// state (4,913 under the paper's configuration), runs the cases against
+// graph to a DOT file, derives one test case per terminal state of the
+// checker's graph (4,913 under the paper's configuration), runs the cases against
 // both the reference and the independent OT implementation, and prints the
 // branch-coverage table of §5.2. -schedule worksteal with -mem-budget is
 // refused before the exploration starts: the spilling visited set needs

@@ -27,7 +27,7 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// Generate: model check, dump DOT, parse, extract cases.
+	// Generate: model check, dump DOT, extract cases from the state graph.
 	cases, res, err := mbtcg.GenerateResult(arrayot.DefaultConfig(), filepath.Join(dir, "array_ot.dot"), tla.Options{})
 	if err != nil {
 		log.Fatal(err)

@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"repro/internal/ot"
 	"repro/internal/tla"
@@ -70,7 +71,8 @@ type State struct {
 	MergeErr  string
 }
 
-// dto is the canonical serializable form of a State; Key marshals it.
+// dto is the canonical serializable form of a State: Key appends exactly
+// the bytes json.Marshal produces for it, and ParseKey unmarshals it.
 type dto struct {
 	ServerLog   []opDTO       `json:"sl"`
 	ServerState []int         `json:"ss"`
@@ -90,49 +92,110 @@ type opDTO struct {
 	MT int   `json:"mt"`
 }
 
-func toDTO(o ot.Op) opDTO {
-	return opDTO{K: uint8(o.Kind), N: o.Ndx, T: o.To, V: o.Value, MP: o.Meta.Peer, MT: o.Meta.Timestamp}
-}
-
-// FromDTO converts a serialized operation back to an ot.Op.
+// toOp converts a serialized operation back to an ot.Op.
 func (d opDTO) toOp() ot.Op {
 	return ot.Op{Kind: ot.Kind(d.K), Ndx: d.N, To: d.T, Value: d.V, Meta: ot.Meta{Peer: d.MP, Timestamp: d.MT}}
 }
 
-func opsToDTO(ops []ot.Op) []opDTO {
-	out := make([]opDTO, len(ops))
-	for i, o := range ops {
-		out[i] = toDTO(o)
+// Key implements tla.State: the canonical encoding is the JSON of the
+// state's dto, which is what the DOT dump's node labels carry and ParseKey
+// decodes — just as the paper's Golang generator parsed TLC's
+// pretty-printed states. It appends the bytes json.Marshal would produce,
+// field by field, reading the deployment through its copy-free View: an
+// operation log is always an array; an empty server or client array, a
+// nil Performed and a zero-client network's per-client lists are null;
+// MergeErr is present only when non-empty, and then marshalled by
+// encoding/json, for its escaping.
+func (s State) Key() string {
+	var scratch [1024]byte
+	v := s.Net.View()
+	buf := append(scratch[:0], `{"sl":`...)
+	buf = appendOpsJSON(buf, v.ServerLog)
+	buf = appendIntsJSON(append(buf, `,"ss":`...), nilIfEmpty(v.ServerState))
+	buf = append(buf, `,"cl":`...)
+	buf = appendPerClient(buf, len(v.ClientLog), func(buf []byte, c int) []byte { return appendOpsJSON(buf, v.ClientLog[c]) })
+	buf = append(buf, `,"cs":`...)
+	buf = appendPerClient(buf, len(v.ClientState), func(buf []byte, c int) []byte { return appendIntsJSON(buf, nilIfEmpty(v.ClientState[c])) })
+	buf = append(buf, `,"p":`...)
+	buf = appendPerClient(buf, len(v.Progress), func(buf []byte, c int) []byte {
+		buf = strconv.AppendInt(append(buf, `{"ServerVersion":`...), int64(v.Progress[c].ServerVersion), 10)
+		buf = strconv.AppendInt(append(buf, `,"ClientVersion":`...), int64(v.Progress[c].ClientVersion), 10)
+		return append(buf, '}')
+	})
+	buf = appendIntsJSON(append(buf, `,"n":`...), s.Performed)
+	if s.MergeErr != "" {
+		e, err := json.Marshal(s.MergeErr)
+		if err != nil {
+			panic(fmt.Sprintf("arrayot: unserializable merge error: %v", err))
+		}
+		buf = append(append(buf, `,"e":`...), e...)
 	}
-	return out
+	return string(append(buf, '}'))
 }
 
-// Key implements tla.State: the canonical encoding is JSON, which the
-// MBTCG pipeline parses back out of the DOT dump's node labels — just as
-// the paper's Golang generator parsed TLC's pretty-printed states.
-func (s State) Key() string {
-	d := dto{
-		ServerLog:   opsToDTO(s.Net.ServerHistory()),
-		ServerState: s.Net.ServerState(),
-		Performed:   s.Performed,
-		MergeErr:    s.MergeErr,
+// nilIfEmpty returns xs as the deployment's copying getters do, which the
+// key has always marshalled: nil when empty.
+func nilIfEmpty(xs []int) []int {
+	if len(xs) == 0 {
+		return nil
 	}
-	for c := 0; c < s.Net.NumClients(); c++ {
-		d.ClientLogs = append(d.ClientLogs, opsToDTO(s.Net.ClientHistory(c)))
-		d.ClientState = append(d.ClientState, s.Net.ClientState(c))
-		d.Progress = append(d.Progress, s.Net.ClientProgress(c))
+	return xs
+}
+
+// appendPerClient appends a JSON array of one element per client, each
+// appended by elem; with no clients it is null, as a nil slice marshals.
+func appendPerClient(buf []byte, n int, elem func([]byte, int) []byte) []byte {
+	if n == 0 {
+		return append(buf, "null"...)
 	}
-	b, err := json.Marshal(d)
-	if err != nil {
-		panic(fmt.Sprintf("arrayot: unserializable state: %v", err))
+	buf = append(buf, '[')
+	for c := 0; c < n; c++ {
+		if c > 0 {
+			buf = append(buf, ',')
+		}
+		buf = elem(buf, c)
 	}
-	return string(b)
+	return append(buf, ']')
+}
+
+// appendIntsJSON appends xs as json.Marshal does: null when nil.
+func appendIntsJSON(buf []byte, xs []int) []byte {
+	if xs == nil {
+		return append(buf, "null"...)
+	}
+	buf = append(buf, '[')
+	for i, x := range xs {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, int64(x), 10)
+	}
+	return append(buf, ']')
+}
+
+// appendOpsJSON appends ops as json.Marshal does for their []opDTO, which
+// is never nil: an empty log is [].
+func appendOpsJSON(buf []byte, ops []ot.Op) []byte {
+	buf = append(buf, '[')
+	for i, o := range ops {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendUint(append(buf, `{"k":`...), uint64(uint8(o.Kind)), 10)
+		buf = strconv.AppendInt(append(buf, `,"n":`...), int64(o.Ndx), 10)
+		buf = strconv.AppendInt(append(buf, `,"t":`...), int64(o.To), 10)
+		buf = strconv.AppendInt(append(buf, `,"v":`...), int64(o.Value), 10)
+		buf = strconv.AppendInt(append(buf, `,"mp":`...), int64(o.Meta.Peer), 10)
+		buf = strconv.AppendInt(append(buf, `,"mt":`...), int64(o.Meta.Timestamp), 10)
+		buf = append(buf, '}')
+	}
+	return append(buf, ']')
 }
 
 // AppendBinary implements tla.BinaryState: the checker dedups on this
 // compact encoding instead of marshalling the JSON key per successor
 // (json.Marshal dominated the exploration profile). The JSON Key() remains
-// the semantic identity the DOT dump carries and ParseKey decodes; the two
+// the semantic identity a DOT dump carries and ParseKey decodes; the two
 // encode exactly the same fields, so their equalities agree.
 func (s State) AppendBinary(buf []byte) []byte {
 	buf = s.Net.AppendBinary(buf)

@@ -65,9 +65,11 @@ func FuzzDecodeBinaryRoundTrip(f *testing.F) {
 
 // FuzzBinaryKeyAgreement enforces the tla.BinaryState contract on
 // reachable array_ot states: the byte-packed encoding and the JSON Key()
-// must induce the same equality. States are generated by random walks
-// through the specification itself, so every log, progress vector and
-// merge outcome the checker can encounter is in scope.
+// must induce the same equality, and Key() must be byte-identical to
+// json.Marshal of the state's dto and decode back through ParseKey.
+// States are generated by random walks through the specification itself,
+// so every log, progress vector and merge outcome the checker can
+// encounter is in scope.
 func FuzzBinaryKeyAgreement(f *testing.F) {
 	f.Add([]byte{}, []byte{0})
 	f.Add([]byte{0, 1, 2, 3}, []byte{0, 1, 2, 3})
@@ -81,6 +83,8 @@ func FuzzBinaryKeyAgreement(f *testing.F) {
 		}
 		a, a2 := walk(c1), walk(c1)
 		b := walk(c2)
+		checkKey(t, a)
+		checkKey(t, b)
 		// Replaying the same choices must reach the same state under both
 		// encodings.
 		if !bytes.Equal(a.AppendBinary(nil), a2.AppendBinary(nil)) || a.Key() != a2.Key() {

@@ -1,8 +1,11 @@
 // Package mbtcg implements model-based test-case generation (§5): it runs
 // the model checker over the array_ot specification, dumps the reachable
-// state graph to a GraphViz DOT file, parses the file back (preserving the
-// paper's TLC → DOT → Golang-generator pipeline boundary), and extracts one
-// test case per terminal state. Each test case carries:
+// state graph to a GraphViz DOT file (the artifact the paper's TLC run
+// produced), and extracts one test case per terminal state straight from
+// the checker's recorded graph. FromDOT is the other entry: it parses a
+// DOT dump — ours or one produced by TLC — back into the same cases,
+// keeping the paper's TLC → DOT → Golang-generator boundary testable. Each
+// test case carries:
 //
 //  1. the initial array,
 //  2. the operations each client performed,
@@ -44,17 +47,19 @@ type TestCase struct {
 }
 
 // GenerateResult model-checks the specification for cfg, writes the state
-// graph as DOT to dotPath (creating the file), parses it back, and extracts
-// the generated test cases, sorted by name. The full checker Result rides
-// along, so callers can inspect the counters or the violation. opts are the checker options — worker count, schedule,
-// memory budget; RecordGraph is forced on: the pipeline is the graph dump.
-// The cases are identical under every option combination the engine
-// accepts. With opts.StateArena the graph is served from the checker's
-// retained-state arena — under a MemoryBudgetBytes it spills to disk, so
-// the generation pipeline runs on state graphs that never fit in RAM
-// (arrayot.State implements tla.BinaryDecoder). The graph is closed before
-// returning, on every path: the DOT file is the pipeline's hand-off
-// artifact.
+// graph as DOT to dotPath (creating the file), and extracts the generated
+// test cases from the checker's graph, sorted by name — one pass over the
+// graph, which never re-reads the file it wrote; the cases equal what
+// FromDOT extracts from that file. The full checker Result rides along, so
+// callers can inspect the counters or the violation. opts are the checker
+// options — worker count, schedule, memory budget; RecordGraph is forced
+// on: the pipeline is the graph dump. The cases are identical under every
+// option combination the engine accepts. With opts.StateArena the graph is
+// served from the checker's retained-state arena — under a
+// MemoryBudgetBytes it spills to disk, so the generation pipeline runs on
+// state graphs that never fit in RAM (arrayot.State implements
+// tla.BinaryDecoder). The graph is closed before returning, on every path:
+// the DOT file is the pipeline's export artifact.
 func GenerateResult(cfg arrayot.Config, dotPath string, opts tla.Options) ([]TestCase, *tla.Result[arrayot.State], error) {
 	opts.RecordGraph = true
 	res, err := tla.Check(arrayot.Spec(cfg), opts)
@@ -76,20 +81,25 @@ func GenerateResult(cfg arrayot.Config, dotPath string, opts tla.Options) ([]Tes
 	if err := f.Close(); err != nil {
 		return nil, res, err
 	}
-	rf, err := os.Open(dotPath)
-	if err != nil {
-		return nil, res, err
+	g := res.Graph
+	terminals := g.TerminalStates()
+	cases := make([]TestCase, 0, len(terminals))
+	for _, id := range terminals {
+		s := g.StateAt(id)
+		v := s.Net.View()
+		tc, err := caseFromState(v.ClientLog, s.Performed, v.ServerState, cfg.Initial)
+		if err != nil {
+			return nil, res, fmt.Errorf("mbtcg: state %d: %w", id, err)
+		}
+		cases = append(cases, tc)
 	}
-	defer rf.Close()
-	cases, err := FromDOT(rf, cfg.Initial)
-	if err != nil {
-		return nil, res, err
-	}
+	sortCases(cases)
 	return cases, res, nil
 }
 
 // FromDOT parses a DOT state-graph dump of the array_ot specification and
-// extracts one test case per terminal (fully synchronized) state.
+// extracts one test case per terminal (fully synchronized) state: the
+// import path for a dump written elsewhere, such as by TLC.
 func FromDOT(r io.Reader, initial []int) ([]TestCase, error) {
 	dg, err := tla.ParseDOT(r)
 	if err != nil {
@@ -101,36 +111,44 @@ func FromDOT(r io.Reader, initial []int) ([]TestCase, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mbtcg: node %d: %w", id, err)
 		}
-		tc, err := caseFromState(ps, initial)
+		tc, err := caseFromState(ps.ClientLogs, ps.Performed, ps.ServerState, initial)
 		if err != nil {
 			return nil, fmt.Errorf("mbtcg: node %d: %w", id, err)
 		}
 		cases = append(cases, tc)
 	}
-	sort.Slice(cases, func(i, j int) bool { return cases[i].Name < cases[j].Name })
+	sortCases(cases)
 	return cases, nil
 }
 
-func caseFromState(ps *arrayot.ParsedState, initial []int) (TestCase, error) {
+func sortCases(cases []TestCase) {
+	sort.Slice(cases, func(i, j int) bool { return cases[i].Name < cases[j].Name })
+}
+
+// caseFromState builds the test case of one terminal state from its client
+// logs, the number of operations each client performed, and the server's
+// final array. The case copies what it keeps.
+func caseFromState(clientLogs [][]ot.Op, performed, final, initial []int) (TestCase, error) {
 	tc := TestCase{
 		Initial: append([]int(nil), initial...),
-		Final:   append([]int(nil), ps.ServerState...),
+		Final:   append([]int(nil), final...),
 	}
-	var nameParts []string
-	for c, log := range ps.ClientLogs {
+	if len(performed) != len(clientLogs) {
+		return tc, fmt.Errorf("%d clients but %d performed counts", len(clientLogs), len(performed))
+	}
+	tc.ClientOps = make([]ot.Op, 0, len(clientLogs))
+	tc.Downloaded = make([][]ot.Op, 0, len(clientLogs))
+	nameParts := make([]string, 0, len(clientLogs))
+	for c, log := range clientLogs {
 		if len(log) == 0 {
 			return tc, fmt.Errorf("client %d performed no operation", c)
 		}
-		own := log[:ps.Performed[c]]
-		if len(own) != ps.Performed[c] {
-			return tc, fmt.Errorf("client %d log too short", c)
+		if performed[c] != 1 {
+			return tc, fmt.Errorf("client %d performed %d ops, generator expects 1", c, performed[c])
 		}
-		if len(own) != 1 {
-			return tc, fmt.Errorf("client %d performed %d ops, generator expects 1", c, len(own))
-		}
-		tc.ClientOps = append(tc.ClientOps, own[0])
-		tc.Downloaded = append(tc.Downloaded, append([]ot.Op(nil), log[len(own):]...))
-		nameParts = append(nameParts, opToken(own[0]))
+		tc.ClientOps = append(tc.ClientOps, log[0])
+		tc.Downloaded = append(tc.Downloaded, append([]ot.Op(nil), log[1:]...))
+		nameParts = append(nameParts, opToken(log[0]))
 	}
 	tc.Name = "Transform_" + strings.Join(nameParts, "__")
 	return tc, nil

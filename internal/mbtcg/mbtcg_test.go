@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -70,6 +72,24 @@ func TestGenerateArenaSpilled(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("arena cases differ from the live run's (%d vs %d)", len(got), len(want))
 	}
+	if fromDOT := readCases(t, arenaDot, cfg.Initial); !reflect.DeepEqual(got, fromDOT) {
+		t.Fatalf("arena cases differ from FromDOT of the dump (%d vs %d)", len(got), len(fromDOT))
+	}
+}
+
+// readCases runs the import path, FromDOT, on a dump GenerateResult wrote.
+func readCases(t *testing.T, dotPath string, initial []int) []TestCase {
+	t.Helper()
+	f, err := os.Open(dotPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	cases, err := FromDOT(f, initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cases
 }
 
 // TestGeneratedCount is experiment E10's headline: the pipeline generates
@@ -243,6 +263,34 @@ func TestFromDOTRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestFromDOTReadsTLCStyleDump: the import path reads a dump in TLC's
+// shape — graph attributes, negative fingerprint node ids, extra edge
+// attributes, and a non-terminal state labelled with a TLC record whose
+// text contains "|->" — and extracts the same case the graph path does.
+func TestFromDOTReadsTLCStyleDump(t *testing.T) {
+	cfg := arrayot.Config{Initial: []int{1}, Clients: 2, OpsPerClient: 1, Transformer: ot.NewTransformer(nil, false)}
+	want, _, err := GenerateResult(cfg, filepath.Join(t.TempDir(), "g.dot"), tla.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tla.Check(arrayot.Spec(cfg), tla.Options{RecordGraph: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Graph.Close()
+	dump := "strict digraph DiskGraph {\nnodesep=0.35\n" +
+		`-7 [label="/\\ progress = [c1 |-> 0, c2 |-> 0]",style=filled];` + "\n" +
+		`-7 -> 42 [label="ClientOp",color="2",fontcolor="2"];` + "\n" +
+		"42 [label=" + strconv.Quote(res.Graph.KeyAt(res.Graph.TerminalStates()[0])) + "];\n}\n"
+	got, err := FromDOT(strings.NewReader(dump), cfg.Initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !slices.ContainsFunc(want, func(tc TestCase) bool { return reflect.DeepEqual(tc, got[0]) }) {
+		t.Fatalf("FromDOT of the TLC-style dump = %+v, want one of the graph's cases", got)
+	}
+}
+
 func TestGenerateWritesDOTFile(t *testing.T) {
 	dot := filepath.Join(t.TempDir(), "out.dot")
 	cfg := arrayot.Config{
@@ -286,21 +334,34 @@ func TestGenerateWritesDOTFile(t *testing.T) {
 
 // TestGenerateWithWorkersDeterministic: the generated test-case corpus —
 // derived from the recorded state graph — must be identical whether the
-// model checker ran sequentially or with a worker pool.
+// model checker ran sequentially or with a worker pool, and at each worker
+// count equal to what the import path, FromDOT, extracts from the DOT file
+// the same run wrote: all 4,913 cases, whichever way they are read.
 func TestGenerateWithWorkersDeterministic(t *testing.T) {
 	dir := t.TempDir()
-	seqCases, seq, err := GenerateResult(arrayot.DefaultConfig(), filepath.Join(dir, "seq.dot"), tla.Options{Workers: 1})
+	cfg := arrayot.DefaultConfig()
+	seqDot, parDot := filepath.Join(dir, "seq.dot"), filepath.Join(dir, "par.dot")
+	seqCases, seq, err := GenerateResult(cfg, seqDot, tla.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parCases, par, err := GenerateResult(arrayot.DefaultConfig(), filepath.Join(dir, "par.dot"), tla.Options{Workers: 4})
+	parCases, par, err := GenerateResult(cfg, parDot, tla.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq.Distinct != par.Distinct {
 		t.Fatalf("distinct states: sequential %d, parallel %d", seq.Distinct, par.Distinct)
 	}
+	if len(seqCases) != 4913 {
+		t.Fatalf("%d cases from the graph, want 4913", len(seqCases))
+	}
 	if !reflect.DeepEqual(seqCases, parCases) {
 		t.Fatalf("generated cases differ: %d sequential vs %d parallel", len(seqCases), len(parCases))
+	}
+	if fromDOT := readCases(t, seqDot, cfg.Initial); !reflect.DeepEqual(seqCases, fromDOT) {
+		t.Fatalf("sequential: graph cases differ from FromDOT of the dump (%d vs %d)", len(seqCases), len(fromDOT))
+	}
+	if fromDOT := readCases(t, parDot, cfg.Initial); !reflect.DeepEqual(parCases, fromDOT) {
+		t.Fatalf("parallel: graph cases differ from FromDOT of the dump (%d vs %d)", len(parCases), len(fromDOT))
 	}
 }

@@ -106,6 +106,25 @@ func (n *Network) ServerHistory() []Op {
 	return append([]Op(nil), n.serverLog...)
 }
 
+// View is a deployment's state without copies: its slices alias the
+// Network's and must not be modified. An empty array or log may be nil or
+// empty here, where the copying getters always return nil.
+type View struct {
+	ServerLog   []Op
+	ServerState []int
+	ClientLog   [][]Op
+	ClientState [][]int
+	Progress    []Progress
+}
+
+// View returns the deployment's state without copying it, for readers
+// that encode or copy what they need themselves — arrayot.State's key
+// encoder and the MBTCG case extractor — and would otherwise pay a copy
+// per getter call.
+func (n *Network) View() View {
+	return View{n.serverLog, n.serverState, n.clientLog, n.clientState, n.progress}
+}
+
 // AppendBinary appends a compact, uniquely decodable encoding of the whole
 // deployment — logs, states, progress — to buf and returns the extended
 // slice. Unlike the exported getters it copies nothing; it exists so

@@ -9,8 +9,8 @@ import "bytes"
 // directly, bypassing Key() string construction entirely on the hot path —
 // the allocation-heavy fmt/sort work every Key() implementation pays per
 // successor. Key() remains the semantic identity: it is still what the
-// recorded Graph carries, what counterexamples print, and what the DOT
-// round-trip parses.
+// recorded Graph carries, what counterexamples print, and what a DOT dump
+// labels its nodes with.
 //
 // The encoding must agree with Key(): for any two states of the same
 // specification, bytes.Equal(a.AppendBinary(nil), b.AppendBinary(nil)) must

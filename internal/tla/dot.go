@@ -14,45 +14,56 @@ import (
 // WriteDOT renders the state graph in GraphViz DOT format, matching the
 // structure of TLC's -dump dot output: one node per distinct state, labelled
 // with the state's canonical key, and one edge per transition, labelled with
-// the action name. The MBTCG pipeline parses this file back (package mbtcg),
-// preserving the paper's TLC → DOT file → Golang generator boundary.
+// the action name. It is the graph's export format: ParseDOT reads it (and
+// TLC-style dumps) back, but the MBTCG pipeline (package mbtcg) builds its
+// cases from the Graph itself and writes this file only as its artifact.
 //
 // Edges are emitted in deterministic (From, To, Action) order, so the same
 // exploration yields byte-identical output whether its states are live or
-// decoded from the arena, its segments resident or spilled.
+// decoded from the arena, its segments resident or spilled. Every line is
+// built by appending into one reused buffer, so a node costs only what its
+// KeyAt costs and an edge costs no allocation.
 func (g *Graph[S]) WriteDOT(w io.Writer, name string) error {
+	// bufio.Writer errors are sticky: the final Flush reports any of them.
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "strict digraph %s {\n", dotID(name))
-	inits := make(map[int]bool, len(g.Inits))
+	bw.WriteString("strict digraph " + dotID(name) + " {\n")
+	line := make([]byte, 0, 1024)
+	n := g.Len()
+	inits := make([]bool, n)
 	for _, id := range g.Inits {
 		inits[id] = true
 	}
-	n := g.Len()
 	for id := 0; id < n; id++ {
-		attrs := fmt.Sprintf("label=%s", strconv.Quote(g.KeyAt(id)))
+		line = strconv.AppendInt(append(line[:0], "  "...), int64(id), 10)
+		line = appendDOTQuote(append(line, " [label="...), g.KeyAt(id))
 		if inits[id] {
-			attrs += ",style=filled"
+			line = append(line, ",style=filled"...)
 		}
-		fmt.Fprintf(bw, "  %d [%s];\n", id, attrs)
+		line = append(line, "];\n"...)
+		bw.Write(line)
 	}
-	if err := g.writeDOTEdges(bw); err != nil {
+	if err := g.writeDOTEdges(bw, line); err != nil {
 		return err
 	}
-	fmt.Fprintln(bw, "}")
+	bw.WriteString("}\n")
 	return bw.Flush()
 }
 
-// writeDOTEdges emits the edges in (From, To, Action) order. A graph
-// whose edges were recorded with nondecreasing From (every level-sync run:
-// frontier ids ascend across levels) streams one From-block at a time —
-// sorting each contiguous block by (To, Action) is exactly the global
-// order, without ever materializing the full edge list. A work-stealing
-// graph's list is materialized and sorted whole.
-func (g *Graph[S]) writeDOTEdges(bw *bufio.Writer) error {
+// writeDOTEdges emits the edges in (From, To, Action) order, building each
+// line in line's storage. A graph whose edges were recorded with
+// nondecreasing From (every level-sync run: frontier ids ascend across
+// levels) streams one From-block at a time — sorting each contiguous
+// block by (To, Action) is exactly the global order, without ever
+// materializing the full edge list. A work-stealing graph's list is
+// materialized and sorted whole.
+func (g *Graph[S]) writeDOTEdges(bw *bufio.Writer, line []byte) error {
 	emit := func(edges []Edge) {
 		slices.SortFunc(edges, compareEdges)
 		for _, e := range edges {
-			fmt.Fprintf(bw, "  %d -> %d [label=%s];\n", e.From, e.To, strconv.Quote(e.Action))
+			line = strconv.AppendInt(append(line[:0], "  "...), int64(e.From), 10)
+			line = strconv.AppendInt(append(line, " -> "...), int64(e.To), 10)
+			line = append(appendDOTQuote(append(line, " [label="...), e.Action), "];\n"...)
+			bw.Write(line)
 		}
 	}
 	mono := g.ret.arena.edgesMono
@@ -72,6 +83,26 @@ func (g *Graph[S]) writeDOTEdges(bw *bufio.Writer) error {
 	}
 	emit(block)
 	return nil
+}
+
+// appendDOTQuote appends s as a double-quoted string, byte-identical to
+// strconv.AppendQuote. A label of printable ASCII (0x20–0x7E) — every key
+// the bundled specs produce — needs only its '"' and '\\' escaped; on the
+// first other byte the whole string goes through strconv.AppendQuote.
+func appendDOTQuote(buf []byte, s string) []byte {
+	n := len(buf)
+	buf = append(buf, '"')
+	start := 0
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c > 0x7e:
+			return strconv.AppendQuote(buf[:n], s)
+		case c == '"' || c == '\\':
+			buf = append(append(buf, s[start:i]...), '\\')
+			start = i
+		}
+	}
+	return append(append(buf, s[start:]...), '"')
 }
 
 // compareEdges orders edges by (From, To, Action), the DOT dump's order.
@@ -134,8 +165,11 @@ func (d *DOTGraph) Terminal() []int {
 
 // ParseDOT reads a DOT file in the dialect produced by WriteDOT (a subset of
 // the TLC dump dialect): node lines `N [label="...",...];` and edge lines
-// `N -> M [label="..."];`. It is a line-oriented parser, as the paper's
-// generator was; it does not aim to parse arbitrary DOT.
+// `N -> M [label="..."];`. A line is an edge when its tokens before the
+// first '[' contain "->", so a label such as TLC's `/\\ f = [n1 |-> 0]`
+// stays a node label; a node is initial when style=filled appears among
+// its attributes outside the quoted label. It is a line-oriented parser,
+// as the paper's generator was; it does not aim to parse arbitrary DOT.
 func ParseDOT(r io.Reader) (*DOTGraph, error) {
 	g := &DOTGraph{Labels: make(map[int]string)}
 	sc := bufio.NewScanner(r)
@@ -148,38 +182,40 @@ func ParseDOT(r io.Reader) (*DOTGraph, error) {
 			continue
 		}
 		line = strings.TrimSuffix(line, ";")
-		if i := strings.Index(line, "->"); i >= 0 {
-			from, err := strconv.Atoi(strings.TrimSpace(line[:i]))
+		head, attrs, hasAttrs := line, "", false
+		if j := strings.IndexByte(line, '['); j >= 0 {
+			head, attrs, hasAttrs = line[:j], line[j:], true
+		}
+		if from, to, isEdge := strings.Cut(head, "->"); isEdge {
+			src, err := strconv.Atoi(strings.TrimSpace(from))
 			if err != nil {
 				return nil, fmt.Errorf("tla: dot line %d: bad edge source: %v", lineno, err)
 			}
-			rest := strings.TrimSpace(line[i+2:])
-			j := strings.Index(rest, "[")
-			if j < 0 {
+			if !hasAttrs {
 				return nil, fmt.Errorf("tla: dot line %d: edge without attributes", lineno)
 			}
-			to, err := strconv.Atoi(strings.TrimSpace(rest[:j]))
+			dst, err := strconv.Atoi(strings.TrimSpace(to))
 			if err != nil {
 				return nil, fmt.Errorf("tla: dot line %d: bad edge target: %v", lineno, err)
 			}
-			label, err := dotLabel(rest[j:])
+			label, _, err := dotLabel(attrs)
 			if err != nil {
 				return nil, fmt.Errorf("tla: dot line %d: %v", lineno, err)
 			}
-			g.Edges = append(g.Edges, Edge{From: from, Action: label, To: to})
+			g.Edges = append(g.Edges, Edge{From: src, Action: label, To: dst})
 			continue
 		}
-		if j := strings.Index(line, "["); j >= 0 {
-			id, err := strconv.Atoi(strings.TrimSpace(line[:j]))
+		if hasAttrs {
+			id, err := strconv.Atoi(strings.TrimSpace(head))
 			if err != nil {
 				continue // not a node line (e.g. graph attribute)
 			}
-			label, err := dotLabel(line[j:])
+			label, others, err := dotLabel(attrs)
 			if err != nil {
 				return nil, fmt.Errorf("tla: dot line %d: %v", lineno, err)
 			}
 			g.Labels[id] = label
-			if strings.Contains(line[j:], "style=filled") {
+			if strings.Contains(others, "style=filled") {
 				g.Inits = append(g.Inits, id)
 			}
 		}
@@ -191,15 +227,17 @@ func ParseDOT(r io.Reader) (*DOTGraph, error) {
 }
 
 // dotLabel extracts the quoted label value from an attribute list like
-// `[label="...",style=filled]`.
-func dotLabel(attrs string) (string, error) {
+// `[label="...",style=filled]`, and returns the list's other attributes —
+// the text before `label=` and after the label's closing quote — so that
+// no attribute is ever read out of the label text.
+func dotLabel(attrs string) (label, others string, err error) {
 	i := strings.Index(attrs, "label=")
 	if i < 0 {
-		return "", fmt.Errorf("no label attribute in %q", attrs)
+		return "", "", fmt.Errorf("no label attribute in %q", attrs)
 	}
 	rest := attrs[i+len("label="):]
 	if len(rest) == 0 || rest[0] != '"' {
-		return "", fmt.Errorf("label not quoted in %q", attrs)
+		return "", "", fmt.Errorf("label not quoted in %q", attrs)
 	}
 	// Find the closing quote, honouring backslash escapes.
 	for j := 1; j < len(rest); j++ {
@@ -207,8 +245,9 @@ func dotLabel(attrs string) (string, error) {
 		case '\\':
 			j++
 		case '"':
-			return strconv.Unquote(rest[:j+1])
+			label, err := strconv.Unquote(rest[:j+1])
+			return label, attrs[:i] + rest[j+1:], err
 		}
 	}
-	return "", fmt.Errorf("unterminated label in %q", attrs)
+	return "", "", fmt.Errorf("unterminated label in %q", attrs)
 }

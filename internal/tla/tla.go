@@ -4,8 +4,9 @@
 // plus named actions (guarded transition relations), and the checker
 // exhaustively explores the reachable state space by breadth-first search,
 // verifying invariants at every state and optionally recording the full
-// state graph for export to GraphViz DOT (which the MBTCG pipeline parses,
-// exactly as the paper's Golang generator parsed TLC's DOT dump).
+// state graph, from which the MBTCG pipeline derives its test cases and
+// which exports to GraphViz DOT in the shape of TLC's dump (ParseDOT reads
+// such a dump back, as the paper's Golang generator parsed TLC's).
 //
 // The package also implements direct trace checking (the "frontier method"):
 // given a sequence of observed states — possibly partial — it decides
