@@ -431,9 +431,9 @@ func BenchmarkParallelCheckEncoding(b *testing.B) {
 // and allocs/state the canonicalizer-API acceptance criterion: the
 // visitor path (symmetry=true, the spec constructors' default) must stay
 // at a flat allocation count per explored state, against a materializing
-// orbit enumeration (symmetry=materializing-orbit, wrapping the reference
-// NodePermutations) whose per-state allocations scale with the n!-1
-// images it builds.
+// orbit enumeration (symmetry=materializing-orbit, visiting s and every
+// image the reference NodePermutations builds) whose per-state allocations
+// scale with the n!-1 images.
 func BenchmarkSymmetryReduction(b *testing.B) {
 	cfg := raftmongo.Config{Nodes: 3, MaxTerm: 2, MaxLogLen: 2}
 	modes := []struct {
@@ -452,6 +452,7 @@ func BenchmarkSymmetryReduction(b *testing.B) {
 			spec := mk(cfg)
 			spec.SymmetryVisitor = func() tla.OrbitVisitor[raftmongo.State] {
 				return func(s raftmongo.State, visit func(raftmongo.State)) {
+					visit(s)
 					for _, img := range raftmongo.NodePermutations(s) {
 						visit(img)
 					}
@@ -484,6 +485,26 @@ func BenchmarkSymmetryReduction(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkSymmetricFourNodes measures symmetry reduction where it pays
+// most: RaftMongo V2 at four nodes (4! = 24 relabellings per orbit), 3
+// terms, oplogs of 3, on two workers. The visitor sorts the node records
+// and hands over one representative, so a state costs one encode however
+// large the orbit.
+func BenchmarkSymmetricFourNodes(b *testing.B) {
+	cfg := raftmongo.Config{Nodes: 4, MaxTerm: 3, MaxLogLen: 3, Symmetric: true}
+	var states int64
+	for i := 0; i < b.N; i++ {
+		res, err := tla.Check(raftmongo.SpecV2(cfg), tla.Options{Workers: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		states += int64(res.Distinct)
+		b.ReportMetric(float64(res.Distinct), "states")
+		b.ReportMetric(float64(res.Transitions), "transitions")
+	}
+	reportStatesPerSec(b, states)
 }
 
 // BenchmarkPORReduction measures ample-set partial-order reduction on the

@@ -105,7 +105,7 @@ func main() {
 		dotPath   = flag.String("dot", "", "write the state graph as DOT to this file")
 		liveness  = flag.Bool("liveness", false, "check the commit-point-propagation liveness property (raftmongo)")
 		workers   = flag.Int("workers", 0, "checker worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
-		symmetry  = flag.Bool("symmetry", false, "symmetry reduction over interchangeable identities (raftmongo nodes, locking actors)")
+		symmetry  = flag.Bool("symmetry", false, "symmetry reduction over interchangeable identities (raftmongo nodes, locking actors; a usage error on arrayot)")
 		por       = flag.Bool("por", false, "ample-set partial-order reduction for specs that declare transition independence (raftmongo, locking; an error on arrayot and with -liveness); composes with -symmetry, both schedules, -arena and -mem-budget")
 		memBudget = flag.Int64("mem-budget", 0, "approximate visited-set bytes before fingerprint shards spill to sorted runs on disk (0 = fully resident)")
 		schedule  = flag.String("schedule", "levelsync", "exploration schedule: levelsync or level-sync (deterministic BFS, shortest counterexamples), worksteal or work-steal (barrier-free, identical verdicts and counts; an error with -mem-budget, -checkpoint and -resume)")
@@ -186,6 +186,9 @@ func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, wor
 		// intermediate states and can produce bogus liveness verdicts.
 		return fmt.Errorf("%w: -liveness needs the full state graph, which -por prunes; drop one of the two", errUsage)
 	}
+	if cfg.symmetry && cfg.specName == "arrayot" {
+		return fmt.Errorf("%w: -symmetry: array_ot has no symmetric identities (clients act in ID order)", errUsage)
+	}
 	if deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, deadline)
@@ -252,9 +255,6 @@ func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, wor
 		}
 		return verdict(dump(res.Graph, dotPath, spec.Name), failed)
 	case "arrayot":
-		if cfg.symmetry {
-			fmt.Fprintln(os.Stderr, "minitlc: note: array_ot has no symmetric identities (clients act in ID order); -symmetry has no effect")
-		}
 		res, err := check(arrayot.Spec(arrayot.DefaultConfig()), opts)
 		if err != nil || res.Interrupted {
 			return err

@@ -1,0 +1,18 @@
+package main
+
+import (
+	"context"
+	"errors"
+	"testing"
+)
+
+// TestArrayOTSymmetryIsAUsageError: array_ot declares no symmetry, so
+// -symmetry on it is refused as a usage error (exit 2) before anything is
+// explored, instead of being ignored.
+func TestArrayOTSymmetryIsAUsageError(t *testing.T) {
+	cfg := specConfig{specName: "arrayot", symmetry: true}
+	err := run(context.Background(), cfg, "", false, 1, 0, "levelsync", false, "", 0, "", 0, 0, "")
+	if !errors.Is(err, errUsage) {
+		t.Fatalf("run = %v, want a usage error", err)
+	}
+}

@@ -93,9 +93,9 @@ func TestBinaryEncodingAllocatesLess(t *testing.T) {
 // canonicalizer API: on the symmetric replica-set spec, a full exploration
 // through the orbit-visitor path (one scratch state per worker, images
 // encoded in place) must allocate strictly less than the identical
-// exploration through a materializing enumeration that builds n!-1
-// permuted states per successor encoded (raftmongo.NodePermutations, the
-// reference implementation the visitor is property-tested against). The
+// exploration through a materializing enumeration that visits s and the
+// n!-1 permuted states built per successor encoded
+// (raftmongo.NodePermutations, the oracle the visitor is tested against). The
 // gap is structural — the materializing path's per-state allocations scale
 // with the orbit, the visitor's do not — but the assertion stays
 // directional, leaving the magnitude to BenchmarkSymmetryReduction.
@@ -109,6 +109,7 @@ func TestSymmetryVisitorAllocatesLess(t *testing.T) {
 			if materializing {
 				spec.SymmetryVisitor = func() tla.OrbitVisitor[raftmongo.State] {
 					return func(s raftmongo.State, visit func(raftmongo.State)) {
+						visit(s)
 						for _, img := range raftmongo.NodePermutations(s) {
 							visit(img)
 						}

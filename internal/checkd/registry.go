@@ -161,6 +161,9 @@ func normalizeParams(spec string, p SpecParams) (SpecParams, error) {
 		out.OmitCompatibilityCheck = p.OmitCompatibilityCheck
 	case "arrayot":
 		// The paper's fixed configuration; no knobs exposed.
+		if p.Symmetry {
+			return out, fmt.Errorf("%w: array_ot declares no symmetry (clients act in ID order)", tla.ErrInvalidOptions)
+		}
 	default:
 		// Specs registered by tests take their params verbatim.
 		out = p

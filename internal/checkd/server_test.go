@@ -3,11 +3,15 @@ package checkd
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/tla"
 )
 
 // doJSON issues one request against the test server and decodes the JSON
@@ -184,5 +188,25 @@ func TestHTTPQueueFull(t *testing.T) {
 	}
 	if code := doJSON(t, srv, "DELETE", fmt.Sprintf("/jobs/%s", running.ID), nil, nil); code != http.StatusNoContent {
 		t.Fatalf("DELETE = %d", code)
+	}
+}
+
+// TestArrayOTSymmetryRefused: array_ot declares no symmetry, so a job
+// asking for it is refused at admission (ErrInvalidOptions, HTTP 400)
+// rather than normalised into the unreduced job.
+func TestArrayOTSymmetryRefused(t *testing.T) {
+	s := newTestSup(t, nil)
+	req := JobRequest{Spec: "arrayot", Config: SpecParams{Symmetry: true}}
+	if _, err := s.Submit(req); !errors.Is(err, tla.ErrInvalidOptions) {
+		t.Fatalf("Submit = %v, want ErrInvalidOptions", err)
+	}
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+	var apiErr map[string]string
+	if code := doJSON(t, srv, "POST", "/jobs", req, &apiErr); code != http.StatusBadRequest {
+		t.Fatalf("POST /jobs = %d, want 400", code)
+	}
+	if !strings.Contains(apiErr["error"], "symmetry") {
+		t.Fatalf("400 body %q does not name the symmetry option", apiErr["error"])
 	}
 }

@@ -1,6 +1,7 @@
 package locking
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -80,41 +81,64 @@ func (s SpecState) DecodeBinary(enc []byte) (SpecState, error) {
 }
 
 // ActorOrbits is the spec's symmetry declaration
-// (tla.Spec.SymmetryVisitor): each call returns a fresh per-worker
-// enumerator that visits the orbit of a state under every non-identity
-// permutation of the actors. With three hierarchy levels per actor a
-// permutation just reorders the rows of Held, so every image is built in
-// one scratch state the enumerator reuses — the images are only encoded,
-// never retained.
+// (tla.Spec.SymmetryVisitor): each call returns a fresh per-worker visitor
+// that hands the codec the orbit's representative and nothing else. An
+// actor permutation just reorders the rows of Held, and every row encodes
+// to three bytes, so the least encoding in the orbit has the rows in
+// encoded-byte order: the visitor insertion-sorts the actor indices with
+// compareRows and visits s itself when it is already sorted, otherwise the
+// sorted image built in one scratch state it reuses — images are only
+// encoded, never retained.
 func ActorOrbits() tla.OrbitVisitor[SpecState] {
 	var (
 		scratch SpecState
-		perms   tla.Permuter
-		cur     SpecState // state being enumerated, parked for apply
-		emit    func(SpecState)
+		order   []int
 	)
-	// apply is bound once: the per-state hot path allocates no closures.
-	apply := func(perm []int) {
-		for i, p := range perm {
-			scratch.Held[p] = cur.Held[i]
-		}
-		emit(scratch)
-	}
 	return func(s SpecState, visit func(SpecState)) {
 		n := len(s.Held)
-		if len(scratch.Held) != n {
+		if len(order) != n {
+			order = make([]int, n)
 			scratch.Held = make([][3]int8, n)
 		}
-		cur, emit = s, visit
-		perms.Visit(n, apply)
+		for i := range order {
+			order[i] = i
+		}
+		moved := false
+		for i := 1; i < n; i++ {
+			for j := i; j > 0 && compareRows(s.Held[order[j-1]], s.Held[order[j]]) > 0; j-- {
+				order[j-1], order[j] = order[j], order[j-1]
+				moved = true
+			}
+		}
+		if !moved {
+			visit(s)
+			return
+		}
+		for k, i := range order {
+			scratch.Held[k] = s.Held[i]
+		}
+		visit(scratch)
 	}
 }
 
-// ActorPermutations is the materializing predecessor of ActorOrbits: the
-// orbit of s as (actors!)-1 freshly allocated states.
+// compareRows orders two rows of Held as bytes.Compare orders their
+// AppendBinary bytes, mode plus one per level.
+func compareRows(a, b [3]int8) int {
+	for l := range a {
+		if c := cmp.Compare(byte(a[l]+1), byte(b[l]+1)); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// ActorPermutations is the brute-force orbit of s: its (actors!)-1 images
+// under the non-identity actor permutations, as freshly allocated states.
+// Its least encoding, s's own included, is the representative ActorOrbits
+// visits.
 //
 // Deprecated: use ActorOrbits (Spec already does); this remains only as
-// the reference implementation the visitor is property-tested against.
+// the oracle the visitor is tested against.
 func ActorPermutations(s SpecState) []SpecState {
 	n := len(s.Held)
 	var out []SpecState

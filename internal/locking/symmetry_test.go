@@ -1,35 +1,44 @@
 package locking
 
 import (
+	"bytes"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/tla"
 )
 
-// TestActorOrbitsMatchesPermutations is the migration property test: the
-// scratch-reusing orbit visitor must visit exactly the images the
-// deprecated materializing ActorPermutations allocates, in the same order,
-// on randomized holdings of 2..4 actors.
-func TestActorOrbitsMatchesPermutations(t *testing.T) {
+// TestActorOrbitsVisitOrbitMinimum checks ActorOrbits against the
+// brute-force oracle on random holdings of 2..5 actors: applied as the
+// checker's codec applies it — the least encoding among the visited
+// states, s's own when none is visited — the visitor must give the least
+// encoding over s and its ActorPermutations images, and visit just once.
+func TestActorOrbitsVisitOrbitMinimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	visit := ActorOrbits()
-	for i := 0; i < 200; i++ {
-		s := SpecState{Held: make([][3]int8, 2+rng.Intn(3))}
+	for i := 0; i < 300; i++ {
+		s := SpecState{Held: make([][3]int8, 2+rng.Intn(4))}
 		for a := range s.Held {
 			for lvl := 0; lvl < 3; lvl++ {
 				s.Held[a][lvl] = int8(rng.Intn(6) - 1)
 			}
 		}
-		var want []string
+		want := s.AppendBinary(nil)
 		for _, img := range ActorPermutations(s) {
-			want = append(want, img.Key())
+			if enc := img.AppendBinary(nil); bytes.Compare(enc, want) < 0 {
+				want = enc
+			}
 		}
-		var got []string
-		visit(s, func(img SpecState) { got = append(got, img.Key()) })
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("case %d (%s): visitor orbit %v, want %v", i, s.Key(), got, want)
+		var got []byte
+		visits := 0
+		visit(s, func(img SpecState) {
+			if enc := img.AppendBinary(nil); visits == 0 || bytes.Compare(enc, got) < 0 {
+				got = enc
+			}
+			visits++
+		})
+		if visits != 1 || !bytes.Equal(got, want) {
+			t.Fatalf("case %d (%s): %d visits, least %x; want 1 visit, the orbit minimum %x", i, s.Key(), visits, got, want)
 		}
 	}
 }

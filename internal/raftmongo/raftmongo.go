@@ -24,6 +24,7 @@
 package raftmongo
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -195,31 +196,25 @@ func (s State) DecodeBinary(enc []byte) (State, error) {
 // node ids are interchangeable — Init treats all nodes identically, every
 // action quantifies over all nodes, and oplog entries carry terms, never
 // node ids — so relabelling nodes maps behaviours to behaviours. Each call
-// returns a fresh per-worker enumerator that visits the n!-1 non-identity
-// images of a state, building every image in one scratch state it reuses
-// across calls (oplogs are aliased, not copied: images are only encoded,
-// never retained or mutated), so symmetric exploration allocates nothing
-// per state beyond the scratch's one-time growth.
+// returns a fresh per-worker visitor that hands the codec the orbit's
+// representative and nothing else. A node's AppendBinary record is
+// self-delimiting, so no record is a prefix of another, and the least
+// encoding in the orbit is the one with the records in bytes.Compare
+// order: the visitor insertion-sorts the node indices with compareNodes,
+// which orders records exactly that way, and visits s itself when it is
+// already sorted, otherwise the sorted image built in one scratch state
+// reused across calls (oplogs are aliased, not copied: images are only
+// encoded, never retained or mutated). One encode per state, no
+// allocation beyond the scratch's one-time growth.
 func NodeOrbits() tla.OrbitVisitor[State] {
 	var (
 		scratch State
-		perms   tla.Permuter
-		cur     State // state being enumerated, parked for apply
-		emit    func(State)
+		order   []int
 	)
-	// apply is bound once: the per-state hot path allocates no closures.
-	apply := func(perm []int) {
-		for i, p := range perm {
-			scratch.Roles[p] = cur.Roles[i]
-			scratch.Terms[p] = cur.Terms[i]
-			scratch.CommitPoints[p] = cur.CommitPoints[i]
-			scratch.Oplogs[p] = cur.Oplogs[i]
-		}
-		emit(scratch)
-	}
 	return func(s State, visit func(State)) {
 		n := s.NumNodes()
-		if len(scratch.Roles) != n {
+		if len(order) != n {
+			order = make([]int, n)
 			scratch = State{
 				Roles:        make([]Role, n),
 				Terms:        make([]int, n),
@@ -227,17 +222,80 @@ func NodeOrbits() tla.OrbitVisitor[State] {
 				Oplogs:       make([][]int, n),
 			}
 		}
-		cur, emit = s, visit
-		perms.Visit(n, apply)
+		for i := range order {
+			order[i] = i
+		}
+		moved := false
+		for i := 1; i < n; i++ {
+			for j := i; j > 0 && compareNodes(s, order[j-1], order[j]) > 0; j-- {
+				order[j-1], order[j] = order[j], order[j-1]
+				moved = true
+			}
+		}
+		if !moved {
+			visit(s)
+			return
+		}
+		for k, i := range order {
+			scratch.Roles[k] = s.Roles[i]
+			scratch.Terms[k] = s.Terms[i]
+			scratch.CommitPoints[k] = s.CommitPoints[i]
+			scratch.Oplogs[k] = s.Oplogs[i]
+		}
+		visit(scratch)
 	}
 }
 
-// NodePermutations is the materializing predecessor of NodeOrbits: the
-// orbit of s as n!-1 freshly allocated permuted states.
+// compareNodes orders nodes i and j of s as bytes.Compare orders their
+// AppendBinary records: role byte, then term, commit point, oplog length
+// and entries, each as its uvarint bytes.
+func compareNodes(s State, i, j int) int {
+	if c := cmp.Compare(s.Roles[i], s.Roles[j]); c != 0 {
+		return c
+	}
+	if c := compareUvarint(uint64(s.Terms[i]), uint64(s.Terms[j])); c != 0 {
+		return c
+	}
+	ci, cj := s.CommitPoints[i], s.CommitPoints[j]
+	if c := compareUvarint(uint64(ci.Term), uint64(cj.Term)); c != 0 {
+		return c
+	}
+	if c := compareUvarint(uint64(ci.Index), uint64(cj.Index)); c != 0 {
+		return c
+	}
+	li, lj := s.Oplogs[i], s.Oplogs[j]
+	if c := compareUvarint(uint64(len(li)), uint64(len(lj))); c != 0 {
+		return c
+	}
+	for k := range li {
+		if c := compareUvarint(uint64(li[k]), uint64(lj[k])); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// compareUvarint orders a and b as bytes.Compare orders their
+// binary.AppendUvarint encodings. Those are little-endian 7-bit groups
+// with a continuation bit, so the order is numeric only while either value
+// is below 128; above, the low groups decide first.
+func compareUvarint(a, b uint64) int {
+	for a >= 0x80 && b >= 0x80 {
+		if c := cmp.Compare(a&0x7f, b&0x7f); c != 0 {
+			return c
+		}
+		a, b = a>>7, b>>7
+	}
+	return cmp.Compare(a, b)
+}
+
+// NodePermutations is the brute-force orbit of s: its n!-1 images under
+// the non-identity node permutations, as freshly allocated states. Its
+// least encoding, s's own included, is the representative NodeOrbits
+// visits.
 //
 // Deprecated: use NodeOrbits (the spec constructors already do); this
-// remains only as the reference implementation the visitor is property-
-// tested against.
+// remains only as the oracle the visitor is tested against.
 func NodePermutations(s State) []State {
 	var out []State
 	tla.Permutations(s.NumNodes(), func(perm []int) {
@@ -327,7 +385,7 @@ type Config struct {
 	Symmetric bool
 }
 
-// symmetry returns the spec's per-worker orbit-enumerator factory per the
+// symmetry returns the spec's per-worker orbit-visitor factory per the
 // config.
 func (c Config) symmetry() func() tla.OrbitVisitor[State] {
 	if !c.Symmetric {

@@ -2,59 +2,10 @@ package raftmongo
 
 import (
 	"fmt"
-	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/tla"
 )
-
-// randomState builds a bounded random replica-set state for the visitor
-// property test.
-func randomState(rng *rand.Rand, nodes int) State {
-	s := State{
-		Roles:        make([]Role, nodes),
-		Terms:        make([]int, nodes),
-		CommitPoints: make([]CommitPoint, nodes),
-		Oplogs:       make([][]int, nodes),
-	}
-	for i := 0; i < nodes; i++ {
-		if rng.Intn(4) == 0 {
-			s.Roles[i] = Leader
-		}
-		s.Terms[i] = rng.Intn(4)
-		if rng.Intn(2) == 0 {
-			s.CommitPoints[i] = CommitPoint{Term: 1 + rng.Intn(3), Index: 1 + rng.Intn(3)}
-		}
-		log := make([]int, rng.Intn(4))
-		for j := range log {
-			log[j] = 1 + rng.Intn(3)
-		}
-		s.Oplogs[i] = log
-	}
-	return s
-}
-
-// TestNodeOrbitsMatchesPermutations is the migration property test: the
-// scratch-reusing orbit visitor must visit exactly the images the
-// deprecated materializing NodePermutations allocates, in the same order,
-// on randomized states of 2..4 nodes.
-func TestNodeOrbitsMatchesPermutations(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	visit := NodeOrbits()
-	for i := 0; i < 200; i++ {
-		s := randomState(rng, 2+rng.Intn(3))
-		want := make([]string, 0, 5)
-		for _, img := range NodePermutations(s) {
-			want = append(want, img.Key())
-		}
-		got := make([]string, 0, len(want))
-		visit(s, func(img State) { got = append(got, img.Key()) })
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("case %d (%s): visitor orbit %v, want %v", i, s.Key(), got, want)
-		}
-	}
-}
 
 // TestSpillReproducesInMemoryRun is the acceptance check for the
 // disk-spilling fingerprint store on the paper's replica-set spec: a

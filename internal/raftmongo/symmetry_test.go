@@ -1,6 +1,8 @@
 package raftmongo
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -98,4 +100,187 @@ func TestSymmetryReductionSound(t *testing.T) {
 			t.Fatalf("%s: counterexample lengths differ: %d vs %d", desc, len(fv.Trace)-1, len(rv.Trace)-1)
 		}
 	}
+}
+
+// randomState builds a bounded random replica-set state for the visitor
+// property test.
+func randomState(rng *rand.Rand, nodes int) State {
+	s := State{
+		Roles:        make([]Role, nodes),
+		Terms:        make([]int, nodes),
+		CommitPoints: make([]CommitPoint, nodes),
+		Oplogs:       make([][]int, nodes),
+	}
+	for i := 0; i < nodes; i++ {
+		if rng.Intn(4) == 0 {
+			s.Roles[i] = Leader
+		}
+		s.Terms[i] = rng.Intn(4)
+		if rng.Intn(2) == 0 {
+			s.CommitPoints[i] = CommitPoint{Term: 1 + rng.Intn(3), Index: 1 + rng.Intn(3)}
+		}
+		log := make([]int, rng.Intn(4))
+		for j := range log {
+			log[j] = 1 + rng.Intn(3)
+		}
+		s.Oplogs[i] = log
+	}
+	return s
+}
+
+// orbitMinimum is the brute-force oracle of symmetry reduction: the least
+// encoding among s and its NodePermutations images.
+func orbitMinimum(s State) []byte {
+	least := s.AppendBinary(nil)
+	for _, img := range NodePermutations(s) {
+		if enc := img.AppendBinary(nil); bytes.Compare(enc, least) < 0 {
+			least = enc
+		}
+	}
+	return least
+}
+
+// assertVisitsOrbitMinimum applies v to s as the checker's codec does —
+// keeping the least encoding among the visited states, s's own when none
+// is visited — and requires the result to be the oracle's orbit minimum,
+// reached by visiting exactly one state.
+func assertVisitsOrbitMinimum(t *testing.T, v tla.OrbitVisitor[State], s State) {
+	t.Helper()
+	var got []byte
+	visits := 0
+	v(s, func(img State) {
+		if enc := img.AppendBinary(nil); visits == 0 || bytes.Compare(enc, got) < 0 {
+			got = enc
+		}
+		visits++
+	})
+	if visits != 1 {
+		t.Fatalf("%s: NodeOrbits visited %d states, want exactly the representative", s.Key(), visits)
+	}
+	if want := orbitMinimum(s); !bytes.Equal(got, want) {
+		t.Fatalf("%s: NodeOrbits visited %x, want the orbit minimum %x", s.Key(), got, want)
+	}
+}
+
+// TestNodeOrbitsVisitOrbitMinimum: on randomized states of 2..5 nodes,
+// the one state NodeOrbits visits has the least encoding in the orbit.
+func TestNodeOrbitsVisitOrbitMinimum(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	visit := NodeOrbits()
+	for i := 0; i < 300; i++ {
+		assertVisitsOrbitMinimum(t, visit, randomState(rng, 2+rng.Intn(4)))
+	}
+}
+
+// TestNodeOrbitsCanonicalExhaustive checks the sorted representative
+// against the oracle on every state of unreduced V2 at (3,2,2), then the
+// quotient the checker builds from it: a symmetric run must explore
+// exactly one state of every orbit the unreduced space reaches.
+func TestNodeOrbitsCanonicalExhaustive(t *testing.T) {
+	cfg := Config{Nodes: 3, MaxTerm: 2, MaxLogLen: 2}
+	full, err := tla.Check(SpecV2(cfg), tla.Options{RecordGraph: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Distinct != 30498 {
+		t.Fatalf("unreduced V2 at (3,2,2) has %d states, want 30498", full.Distinct)
+	}
+	visit := NodeOrbits()
+	orbits := map[string]bool{}
+	for id := 0; id < full.Graph.Len(); id++ {
+		s := full.Graph.StateAt(id)
+		assertVisitsOrbitMinimum(t, visit, s)
+		orbits[string(orbitMinimum(s))] = true
+	}
+	cfg.Symmetric = true
+	red, err := tla.Check(SpecV2(cfg), tla.Options{RecordGraph: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if red.Graph.Len() != len(orbits) {
+		t.Fatalf("symmetric run explored %d states, want one per orbit: %d", red.Graph.Len(), len(orbits))
+	}
+	for id := 0; id < red.Graph.Len(); id++ {
+		least := string(orbitMinimum(red.Graph.StateAt(id)))
+		if !orbits[least] {
+			t.Fatalf("symmetric run explored %s twice or outside the unreduced space", red.Graph.KeyAt(id))
+		}
+		delete(orbits, least)
+	}
+}
+
+// FuzzNodeOrbitsCanonical checks NodeOrbits against the oracle on
+// arbitrary states whose terms, commit points and oplog entries reach 128
+// and beyond: there uvarint byte order and numeric order part ways, and
+// only the byte order gives the least encoding.
+func FuzzNodeOrbitsCanonical(f *testing.F) {
+	f.Add([]byte{})
+	// Two followers with terms 129 and 256: numerically in order, but
+	// 256's uvarint (80 02) sorts before 129's (81 01).
+	f.Add([]byte{1, 0, 5, 0, 0, 0, 0, 7, 0, 0, 0})
+	// Three nodes tied up to their oplogs, which differ in an entry
+	// beyond 127.
+	f.Add([]byte{2, 1, 4, 4, 4, 2, 9, 8, 1, 4, 4, 4, 2, 8, 9, 1, 4, 4, 4, 1, 8})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := &fuzzReader{data: data}
+		n := 1 + r.intn(5)
+		// A small pool of values on both sides of each uvarint byte
+		// boundary, so equal and near-equal fields across nodes are common.
+		pool := []int{0, 1, 2, 127, 128, 129, 255, 256, 16383, 16384}
+		val := func() int { return pool[r.intn(len(pool))] }
+		s := State{
+			Roles:        make([]Role, n),
+			Terms:        make([]int, n),
+			CommitPoints: make([]CommitPoint, n),
+			Oplogs:       make([][]int, n),
+		}
+		for i := 0; i < n; i++ {
+			s.Roles[i] = Role(r.intn(2))
+			s.Terms[i] = val()
+			s.CommitPoints[i] = CommitPoint{Term: val(), Index: val()}
+			log := make([]int, r.intn(4))
+			for j := range log {
+				log[j] = val()
+			}
+			s.Oplogs[i] = log
+		}
+		assertVisitsOrbitMinimum(t, NodeOrbits(), s)
+	})
+}
+
+// TestCompareUvarintMatchesBytes: compareUvarint orders values exactly as
+// bytes.Compare orders their uvarint encodings, across the byte
+// boundaries where that order stops being numeric.
+func TestCompareUvarintMatchesBytes(t *testing.T) {
+	vals := []uint64{0, 1, 126, 127, 128, 129, 255, 256, 300, 16383, 16384, 16385, 1 << 21, 1<<63 + 5, ^uint64(0)}
+	for _, a := range vals {
+		for _, b := range vals {
+			want := bytes.Compare(binary.AppendUvarint(nil, a), binary.AppendUvarint(nil, b))
+			if got := compareUvarint(a, b); got != want {
+				t.Errorf("compareUvarint(%d, %d) = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+}
+
+// TestNodeOrbitsDoesNotAllocate pins the visitor's cost once its scratch
+// has grown: sorting and building the representative allocate nothing,
+// for a state already in order and for one that is not.
+func TestNodeOrbitsDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	visit := NodeOrbits()
+	var sink State
+	keep := func(s State) { sink = s }
+	for _, s := range []State{
+		{Roles: []Role{Follower, Follower, Leader}, Terms: []int{1, 2, 2}, CommitPoints: make([]CommitPoint, 3), Oplogs: [][]int{{1}, {1, 2}, {1, 2}}},
+		{Roles: []Role{Leader, Follower, Follower}, Terms: []int{2, 2, 1}, CommitPoints: make([]CommitPoint, 3), Oplogs: [][]int{{1, 2}, {1, 2}, {1}}},
+	} {
+		visit(s, keep) // grow the scratch
+		if got := testing.AllocsPerRun(100, func() { visit(s, keep) }); got != 0 {
+			t.Errorf("%s: NodeOrbits allocates %.1f times per call", s.Key(), got)
+		}
+	}
+	_ = sink
 }

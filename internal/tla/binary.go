@@ -49,28 +49,16 @@ type BinaryDecoder[S State] interface {
 	DecodeBinary(enc []byte) (S, error)
 }
 
-// Permuter enumerates non-identity permutations, reusing its internal
-// buffers across calls: the per-enumeration allocations of the plain
-// Permutations function, amortized to zero. An OrbitVisitor closure keeps
-// one Permuter next to its scratch state — a Permuter, like the visitor
-// owning it, must not be shared between goroutines. The zero value is
-// ready to use.
-type Permuter struct {
-	perm, c []int
-}
-
-// Visit calls visit with every non-identity permutation of {0, …, n-1},
-// each exactly once (Heap's algorithm; (n!)-1 calls). perm is reused
-// between calls and enumerations; visit must not retain it.
-func (p *Permuter) Visit(n int, visit func(perm []int)) {
-	if cap(p.perm) < n {
-		p.perm = make([]int, n)
-		p.c = make([]int, n)
-	}
-	perm, c := p.perm[:n], p.c[:n]
+// Permutations calls visit with every non-identity permutation of
+// {0, …, n-1}, each exactly once (Heap's algorithm; (n!)-1 calls). perm is
+// reused between calls; visit must not retain it. It is the brute-force
+// enumeration of a symmetry orbit over fully interchangeable identities:
+// the oracle a spec's OrbitVisitor is tested against, never the checker's
+// hot path.
+func Permutations(n int, visit func(perm []int)) {
+	perm, c := make([]int, n), make([]int, n)
 	for i := range perm {
 		perm[i] = i
-		c[i] = 0
 	}
 	for i := 0; i < n; {
 		if c[i] < i {
@@ -89,32 +77,22 @@ func (p *Permuter) Visit(n int, visit func(perm []int)) {
 	}
 }
 
-// Permutations calls visit with every non-identity permutation of
-// {0, …, n-1}, each exactly once. It is the enumeration under every
-// symmetry orbit over fully interchangeable identities: a spec maps each
-// permutation to the state with its identity-indexed variables relabelled.
-// It allocates its scratch per call — orbit visitors on the checker's hot
-// path hold a Permuter instead.
-func Permutations(n int, visit func(perm []int)) {
-	var p Permuter
-	p.Visit(n, visit)
-}
-
 // codec is the state-encoding strategy of one checking run: how a state is
 // turned into the byte string the visited set dedups on. It carries two
 // scratch buffers and the state slot its encoder is bound to (plus the
-// worker's orbit enumerator and one pre-bound visit closure) so the hot
-// path allocates nothing once the buffers have grown to the state size;
-// codecs are therefore per-goroutine (workers clone, and each clone gets
-// its own slot and its own enumerator from the spec's factory).
+// worker's orbit visitor and one pre-bound visit closure) so the hot path
+// allocates nothing once the buffers have grown to the state size; codecs
+// are therefore per-goroutine (workers clone, and each clone gets its own
+// slot and its own visitor from the spec's factory).
 type codec[S State] struct {
 	bin        BinaryState             // non-nil iff S implements BinaryState; see bindBinary
 	slot       *S                      // the state bin encodes, when bin is bound through a pointer
 	dec        func([]byte) (S, error) // non-nil iff S also implements BinaryDecoder
 	symFactory func() OrbitVisitor[S]  // non-nil iff the spec declares symmetry; per-clone source of sym
-	sym        OrbitVisitor[S]         // this goroutine's orbit enumerator
+	sym        OrbitVisitor[S]         // this goroutine's orbit visitor
 	visit      func(S)                 // pre-bound orbit-minimization step, allocated once per codec
-	a          []byte                  // scratch: current canonical (orbit-minimal) encoding
+	visited    bool                    // visit has run since canonical began: a holds a candidate
+	a          []byte                  // scratch: least encoding visited so far
 	b          []byte                  // scratch: orbit-candidate encoding
 }
 
@@ -163,7 +141,7 @@ func (c *codec[S]) bindDecoder(sample S) {
 	}
 }
 
-// bindOrbit instantiates this codec's enumerator and the visit closure it
+// bindOrbit instantiates this codec's visitor and the visit closure it
 // feeds. Binding once here keeps canonical free of per-state closure
 // allocations.
 func (c *codec[S]) bindOrbit() {
@@ -172,6 +150,10 @@ func (c *codec[S]) bindOrbit() {
 	}
 	c.sym = c.symFactory()
 	c.visit = func(t S) {
+		if !c.visited {
+			c.a, c.visited = c.encode(t, c.a[:0]), true
+			return
+		}
 		c.b = c.encode(t, c.b[:0])
 		if bytes.Compare(c.b, c.a) < 0 {
 			c.a, c.b = c.b, c.a
@@ -180,7 +162,7 @@ func (c *codec[S]) bindOrbit() {
 }
 
 // clone returns a codec with fresh scratch buffers, its own encoder slot
-// and its own orbit enumerator, for use by another goroutine.
+// and its own orbit visitor, for use by another goroutine.
 func (c *codec[S]) clone() *codec[S] {
 	n := &codec[S]{dec: c.dec, symFactory: c.symFactory}
 	n.bindBinary()
@@ -209,13 +191,19 @@ func (c *codec[S]) encode(s S, buf []byte) []byte {
 // symmetry, encode(s); with symmetry, the lexicographically smallest
 // encoding across s's orbit — so every member of an orbit maps to the same
 // fingerprint and the checker explores one representative per orbit, TLC's
-// SYMMETRY reduction. The result aliases the codec's scratch buffers and is
-// valid only until the next canonical or encode call on this codec.
+// SYMMETRY reduction. Under symmetry only the states the visitor visits
+// are encoded (the least encoding wins), so a visitor that hands over the
+// orbit's representative alone costs one encode, as without symmetry; a
+// visitor that visits nothing leaves s's own encoding. The result aliases
+// the codec's scratch buffers and is valid only until the next canonical
+// or encode call on this codec.
 func (c *codec[S]) canonical(s S) []byte {
-	c.a = c.encode(s, c.a[:0])
-	if c.sym == nil {
-		return c.a
+	c.visited = false
+	if c.sym != nil {
+		c.sym(s, c.visit)
 	}
-	c.sym(s, c.visit)
+	if !c.visited {
+		c.a = c.encode(s, c.a[:0])
+	}
 	return c.a
 }

@@ -36,10 +36,12 @@ func swapOrbit(s binState) []binState { return []binState{{A: s.B, B: s.A}} }
 
 // materializeOrbit adapts a materializing orbit function into the visitor
 // API — the shape the removed Spec.Symmetry adapter had, kept in tests as
-// the reference semantics.
+// the reference semantics. It visits s and every image, so the visited
+// set contains the orbit's representative whichever member that is.
 func materializeOrbit(orbit func(binState) []binState) func() OrbitVisitor[binState] {
 	return func() OrbitVisitor[binState] {
 		return func(s binState, visit func(binState)) {
+			visit(s)
 			for _, t := range orbit(s) {
 				visit(t)
 			}
@@ -47,11 +49,12 @@ func materializeOrbit(orbit func(binState) []binState) func() OrbitVisitor[binSt
 	}
 }
 
-// swapOrbits is the visitor-shaped equivalent of swapOrbit: one scratch
-// state, reused for every image.
+// swapOrbits is the visitor-shaped equivalent of swapOrbit: s, then its
+// image built in one scratch state reused across calls.
 func swapOrbits() OrbitVisitor[binState] {
 	var scratch binState
 	return func(s binState, visit func(binState)) {
+		visit(s)
 		scratch.A, scratch.B = s.B, s.A
 		visit(scratch)
 	}
@@ -122,7 +125,7 @@ func TestSymmetryVisitorMatchesMaterializingOrbit(t *testing.T) {
 	}
 }
 
-// TestPermutations pins the shared orbit enumeration: (n!)-1 distinct
+// TestPermutations pins the oracle's orbit enumeration: (n!)-1 distinct
 // non-identity permutations, each visited exactly once.
 func TestPermutations(t *testing.T) {
 	for n, want := range map[int]int{0: 0, 1: 0, 2: 1, 3: 5, 4: 23} {
@@ -240,6 +243,36 @@ func TestCanonicalIsOrbitMinimal(t *testing.T) {
 	plain := newCodec(binSpec(5, false))
 	if got := plain.canonical(hi); !bytes.Equal(got, hi.AppendBinary(nil)) {
 		t.Fatalf("symmetry-free canonical(%v) = %x", hi, got)
+	}
+}
+
+// TestCanonicalKeepsLeastVisited pins the codec's side of the
+// OrbitVisitor contract: canonical encodes only what the visitor visits
+// and keeps the least of it, falls back to s's own encoding when nothing
+// is visited, and a cloned codec, with its own visitor, agrees.
+func TestCanonicalKeepsLeastVisited(t *testing.T) {
+	s := binState{A: 5, B: 5}
+	visits := map[binState][]binState{
+		s:                {},
+		{A: 9, B: 2}:     {{A: 7, B: 1}, {A: 2, B: 9}, {A: 3, B: 0}},
+		{A: 300, B: 700}: {{A: 400, B: 1}},
+	}
+	want := map[binState]binState{s: s, {A: 9, B: 2}: {A: 2, B: 9}, {A: 300, B: 700}: {A: 400, B: 1}}
+	spec := binSpec(5, false)
+	spec.SymmetryVisitor = func() OrbitVisitor[binState] {
+		return func(s binState, visit func(binState)) {
+			for _, img := range visits[s] {
+				visit(img)
+			}
+		}
+	}
+	c := newCodec(spec)
+	for _, cod := range []*codec[binState]{c, c.clone()} {
+		for in, rep := range want {
+			if got := cod.canonical(in); !bytes.Equal(got, rep.AppendBinary(nil)) {
+				t.Errorf("canonical(%v) = %x, want %v's encoding %x", in, got, rep, rep.AppendBinary(nil))
+			}
+		}
 	}
 }
 

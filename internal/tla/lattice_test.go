@@ -198,10 +198,10 @@ func latticeGrid(n int, max, tripwire int8) latticeSpec {
 			spec.SymmetryVisitor = identityOrbit[gridState]
 		} else if sym {
 			spec.SymmetryVisitor = func() OrbitVisitor[gridState] {
-				var p Permuter
 				var img gridState
 				return func(s gridState, visit func(gridState)) {
-					p.Visit(int(s.n), func(perm []int) {
+					visit(s)
+					Permutations(int(s.n), func(perm []int) {
 						img = s
 						for i, j := range perm {
 							img.vals[j] = s.vals[i]

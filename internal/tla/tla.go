@@ -69,12 +69,18 @@ type Invariant[S State] struct {
 	Check func(S) error
 }
 
-// OrbitVisitor enumerates the symmetry orbit of a state: it must call
-// visit with every image of s under a non-identity permutation of the
-// interchangeable identifiers (visiting s itself too is harmless). The
-// visitor may build each image in one scratch state it reuses across calls
-// and images — visit only encodes the image and must not retain it — which
-// is what makes symmetric exploration near-allocation-free.
+// OrbitVisitor hands the checker the symmetry orbit of a state, or just
+// the part of it that matters: it must call visit with the orbit's
+// representative — the image of s, s itself included, whose encoding is
+// least — or with any set of images that contains it. The checker keeps
+// the least encoding among the visited states (and s's own when nothing
+// is visited), so a visitor that computes the representative directly,
+// for instance by sorting per-identity records whose encodings order like
+// the records do, visits once, while a brute-force visitor enumerates all
+// permutations and visits s too. The visitor may build each image in one
+// scratch state it reuses across calls and images — visit only encodes the
+// image and must not retain it — which is what makes symmetric exploration
+// allocation-free.
 type OrbitVisitor[S State] func(s S, visit func(S))
 
 // Spec is an executable specification: initial states, actions, invariants,
@@ -93,10 +99,12 @@ type Spec[S State] struct {
 	// SymmetryVisitor, when non-nil, enables symmetry reduction: the
 	// checker dedups each state on the minimal encoding across its orbit,
 	// so only one representative per orbit is explored — an n!-fold
-	// reduction for n fully interchangeable identities. The factory is
-	// invoked once per worker goroutine; the OrbitVisitor it returns is
-	// then owned by that worker, so a scratch state captured in its
-	// closure is reused without synchronization or per-state allocation.
+	// reduction for n fully interchangeable identities. The visitor must
+	// visit that minimal image (see OrbitVisitor); it need not visit any
+	// other. The factory is invoked once per worker goroutine; the
+	// OrbitVisitor it returns is then owned by that worker, so a scratch
+	// state captured in its closure is reused without synchronization or
+	// per-state allocation.
 	//
 	// Soundness requires the permutations to be spec automorphisms: Init,
 	// every Action, every Invariant verdict and the Constraint must be
