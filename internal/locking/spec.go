@@ -162,7 +162,6 @@ var resources = [3]Resource{Global, ReplState, Oplog}
 // top-down (intent modes above, S/X at the leaf) and release bottom-up.
 // The invariants are the MGL safety conditions.
 func Spec(cfg SpecConfig) *tla.Spec[SpecState] {
-	modes := []Mode{IS, IX, S, X}
 	var sym func() tla.OrbitVisitor[SpecState]
 	if cfg.Symmetric {
 		sym = ActorOrbits
@@ -180,54 +179,40 @@ func Spec(cfg SpecConfig) *tla.Spec[SpecState] {
 		},
 		Actions: []tla.Action[SpecState]{
 			{Name: "Acquire", Next: func(s SpecState) []SpecState {
-				var out []SpecState
-				for a := range s.Held {
-					// Next level this actor may acquire: one past its
-					// deepest holding (top-down discipline).
-					lvl := 0
-					for lvl < 3 && s.Held[a][lvl] >= 0 {
-						lvl++
-					}
-					if lvl == 3 {
-						continue
-					}
-					for _, mode := range modes {
-						// Intent discipline: S/X at a level require IS/IX
-						// above, which the top-down rule plus this mode
-						// filter enforce.
-						if lvl < 2 && (mode == S || mode == X) {
-							continue
-						}
-						if lvl > 0 {
-							parent := Mode(s.Held[a][lvl-1])
-							if (mode == X || mode == IX) && parent != IX {
-								continue
-							}
-						}
-						if !cfg.OmitCompatibilityCheck && !grantable(s, a, lvl, mode) {
-							continue
-						}
-						c := s.clone()
-						c.Held[a][lvl] = int8(mode)
-						out = append(out, c)
-					}
+				// Count first, then fill a slice of exactly that length:
+				// every successor is its own clone, so one retained state
+				// pins no dead sibling's rows.
+				n := 0
+				cfg.acquires(s, func(int, int, Mode) { n++ })
+				if n == 0 {
+					return nil
 				}
+				out, i := make([]SpecState, n), 0
+				cfg.acquires(s, func(a, lvl int, mode Mode) {
+					out[i] = s.clone()
+					out[i].Held[a][lvl] = int8(mode)
+					i++
+				})
 				return out
 			}},
 			{Name: "Release", Next: func(s SpecState) []SpecState {
-				var out []SpecState
-				for a := range s.Held {
-					// Release bottom-up: deepest held lock first.
-					lvl := 2
-					for lvl >= 0 && s.Held[a][lvl] < 0 {
-						lvl--
+				// Release bottom-up: deepest held lock first.
+				n := 0
+				for _, h := range s.Held {
+					if deepest(h) >= 0 {
+						n++
 					}
-					if lvl < 0 {
-						continue
+				}
+				if n == 0 {
+					return nil
+				}
+				out, i := make([]SpecState, n), 0
+				for a, h := range s.Held {
+					if lvl := deepest(h); lvl >= 0 {
+						out[i] = s.clone()
+						out[i].Held[a][lvl] = -1
+						i++
 					}
-					c := s.clone()
-					c.Held[a][lvl] = -1
-					out = append(out, c)
 				}
 				return out
 			}},
@@ -260,6 +245,48 @@ func Spec(cfg SpecConfig) *tla.Spec[SpecState] {
 			}},
 		},
 	}
+}
+
+// acquires calls fn for every lock an actor may take next in s: at the
+// level one past its deepest holding (top-down discipline), in a mode the
+// intent discipline allows there and, unless the spec models the buggy
+// manager, compatible with every other actor's holding.
+func (cfg SpecConfig) acquires(s SpecState, fn func(actor, lvl int, mode Mode)) {
+	for a := range s.Held {
+		lvl := 0
+		for lvl < 3 && s.Held[a][lvl] >= 0 {
+			lvl++
+		}
+		if lvl == 3 {
+			continue
+		}
+		for _, mode := range [...]Mode{IS, IX, S, X} {
+			// Intent discipline: S/X at a level require IS/IX above,
+			// which the top-down rule plus this mode filter enforce.
+			if lvl < 2 && (mode == S || mode == X) {
+				continue
+			}
+			if lvl > 0 {
+				parent := Mode(s.Held[a][lvl-1])
+				if (mode == X || mode == IX) && parent != IX {
+					continue
+				}
+			}
+			if !cfg.OmitCompatibilityCheck && !grantable(s, a, lvl, mode) {
+				continue
+			}
+			fn(a, lvl, mode)
+		}
+	}
+}
+
+// deepest is the level of an actor's deepest holding, or -1.
+func deepest(h [3]int8) int {
+	lvl := 2
+	for lvl >= 0 && h[lvl] < 0 {
+		lvl--
+	}
+	return lvl
 }
 
 // grantable checks the compatibility matrix for a new grant in the spec

@@ -15,15 +15,17 @@ import (
 //
 //   - Expansion (parallel): the frontier is cut into contiguous chunks and
 //     a pool of workers expands them through their expanders, which probe
-//     every successor's canonical encoding in the visited set. The
-//     expensive work — Next, encoding, symmetry canonicalization, hashing —
-//     all happens here, concurrently; nothing inserts. At Workers == 1 the
-//     same code runs inline on one chunk: the sequential oracle is the
-//     engine at its narrowest setting, not a separate implementation.
+//     every successor's canonical encoding in the visited set — without a
+//     lock in fingerprint mode. The expensive work — Next, encoding,
+//     symmetry canonicalization, hashing — all happens here, concurrently;
+//     nothing inserts. At Workers == 1 the same code runs inline on one
+//     chunk: the sequential oracle is the engine at its narrowest setting,
+//     not a separate implementation.
 //
-//   - Merge (sequential): candidate successors are replayed in exactly
-//     frontier order, then emission order, claiming each probe miss —
-//     the claim assigns the dense id through the core's install, the
+//   - Merge (sequential): candidate successors, 16-byte {id, action}
+//     records, are replayed in exactly frontier order, then emission
+//     order, claiming each probe miss — the claim of the state waiting in
+//     the chunk's succs assigns the dense id through the core's install, the
 //     verdict follows — recording graph edges, and applying the POR cycle
 //     proviso. A state first seen twice in one level is found by its own
 //     earlier claim.
@@ -36,22 +38,22 @@ import (
 // worker count and in every visited-set mode (modulo fingerprint
 // collisions, which Options.CollisionFree rules out).
 
-// candidate is one successor produced during expansion, awaiting the merge:
-// a probe hit keeps only its id, a miss (id ^i, the chunk's i-th miss) the
-// successor itself.
-type candidate[S State] struct {
-	succ S
-	act  string
-	id   int
+// candidate is one successor produced during expansion, awaiting the
+// merge, in 16 bytes: its action (an index into Spec.Actions) and the
+// probe's answer — the id on a hit, ^i on a miss, whose successor state is
+// the chunk's succs[i].
+type candidate struct {
+	id, act int
 }
 
 // chunkOut is the ordered output of expanding one contiguous frontier
 // chunk. Its buffers are reused by the same chunk index at the next level.
 type chunkOut[S State] struct {
 	worker int // the worker that expanded the chunk (metrics attribution)
-	cands  []candidate[S]
+	cands  []candidate
 	states []expanded // per frontier state of the chunk
-	misses []miss     // the chunk's probe misses, in expansion order
+	misses []miss     // the chunk's probe misses, in probe order
+	succs  []S        // the misses' successor states, in the same order
 	keys   []byte     // keyed mode: the misses' encodings, back to back
 }
 
@@ -300,7 +302,7 @@ func (l *levelSync[S]) explore() {
 		}
 		for i := range outs {
 			// A reused buffer must not pin this level's successor states.
-			clear(outs[i].cands)
+			clear(outs[i].succs)
 		}
 		// The level's frontier states are fully expanded: the arena drops
 		// their live values (live retention keeps everything by design).
@@ -422,14 +424,16 @@ func (l *levelSync[S]) report(frontier []int, level int) {
 // expandLevel expands every frontier state, in parallel across workers,
 // returning per-chunk candidate lists in frontier order. Each worker's
 // expander probes every successor's canonical encoding in the visited set,
-// so the merge performs no encoding or hashing at all. A hit (its id is
-// stable for the whole expansion phase) keeps only {act, id} — the merge
-// needs neither the state nor its encoding to record the duplicate edge,
-// and dropping them keeps per-level buffering near the fingerprint set's
-// 8-bytes-per-state promise. A miss keeps the state and lands in the
-// chunk's miss table (fingerprint, and the encoding in keyed mode): it is
-// genuinely new, first seen twice this level, or, under a budget, a
-// spilled duplicate that ResolveLevel restores before the merge claims it.
+// so the merge performs no encoding or hashing at all. Every successor
+// becomes a 16-byte candidate {id, act}: a hit's id is stable for the whole
+// expansion phase, and the merge needs neither the state nor its encoding
+// to record the duplicate edge, which keeps per-level buffering near the
+// fingerprint set's 8-bytes-per-state promise. A miss lands in the chunk's
+// miss table (fingerprint, and the encoding in keyed mode) and its state
+// in succs, both in probe order — successor order, which under POR is not
+// the candidates' ample-first emission order: it is genuinely new, first
+// seen twice this level, or, under a budget, a spilled duplicate that
+// ResolveLevel restores before the merge claims it.
 //
 // Under partial-order reduction the expander orders each state's
 // successors ample-first, choosing on probe misses; workers only
@@ -450,7 +454,7 @@ func (l *levelSync[S]) expandLevel(frontier []int) []chunkOut[S] {
 		x, out := l.xs[w], &outs[c]
 		defer l.recoverSpec(&x.g)
 		out.worker = w
-		out.cands, out.states = out.cands[:0], out.states[:0]
+		out.cands, out.states, out.succs = out.cands[:0], out.states[:0], out.succs[:0]
 		// The chunk's miss table is the expander's to append to.
 		x.misses, x.keys = out.misses[:0], out.keys[:0]
 		for _, id := range frontier[lo:hi] {
@@ -458,12 +462,13 @@ func (l *levelSync[S]) expandLevel(frontier []int) []chunkOut[S] {
 				break
 			}
 			n, k := x.expand(l.ret.stateOf(id), id)
-			for _, t := range x.order {
-				cand := candidate[S]{act: x.actName(t), id: x.ids[t]}
-				if cand.id < 0 {
-					cand.succ = x.succs[t]
+			for t, sid := range x.ids {
+				if sid < 0 {
+					out.succs = append(out.succs, x.succs[t])
 				}
-				out.cands = append(out.cands, cand)
+			}
+			for _, t := range x.order {
+				out.cands = append(out.cands, candidate{id: x.ids[t], act: x.acts[t]})
 			}
 			out.states = append(out.states, expanded{n: n, k: k})
 			l.em.observeFanout(n)
@@ -533,17 +538,18 @@ func (l *levelSync[S]) merge(frontier []int, outs []chunkOut[S]) bool {
 // count, the claim of a probe miss, and the edge — recorded even into a
 // violating state, so a violation's graph ends at it. It returns the
 // successor's id, and false when the run is over.
-func (l *levelSync[S]) doCand(out *chunkOut[S], c candidate[S], id, depth int) (int, bool) {
+func (l *levelSync[S]) doCand(out *chunkOut[S], c candidate, id, depth int) (int, bool) {
 	l.res.Transitions++
 	sid, more := c.id, true
+	act := l.spec.Actions[c.act].Name
 	if sid < 0 {
 		fp, key := out.miss(^sid)
-		if sid, more = l.register(c.succ, fp, key, id, c.act, depth+1); sid < 0 {
+		if sid, more = l.register(out.succs[^sid], fp, key, id, act, depth+1); sid < 0 {
 			return sid, false
 		}
 	}
 	if l.res.Graph != nil {
-		if err := l.ret.addEdge(id, c.act, sid); err != nil {
+		if err := l.ret.addEdge(id, act, sid); err != nil {
 			l.fail(err)
 			return sid, false
 		}

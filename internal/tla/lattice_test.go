@@ -21,6 +21,8 @@ import (
 //     ending in the violated invariant;
 //   - without POR on a violation-free run, on Distinct, Transitions and
 //     Terminal; with POR, Distinct never exceeds the unpruned count;
+//   - with RecordGraph, against the spec alone: every edge leads to a
+//     successor of its action, and no two ids share a canonical encoding;
 //   - under level-sync, byte-for-byte: the WriteDOT dump and the
 //     counterexample equal those of the Workers=1 level-sync run with the
 //     same reduction settings.
@@ -41,8 +43,9 @@ type latticeRun struct {
 	traceActs  []string
 	dot        []byte
 	initCalls  int
-	expectBad  bool // the combination must be rejected
-	validTrace bool // the counterexample is a behaviour of the spec
+	expectBad  bool   // the combination must be rejected
+	validTrace bool   // the counterexample is a behaviour of the spec
+	unsound    string // why the recorded graph is not the spec's; "" if it is
 }
 
 // runLattice builds spec (with a symmetry visitor when sym), runs Check and
@@ -82,6 +85,7 @@ func runLattice[S State](t *testing.T, build func(sym bool) *Spec[S], opts Optio
 			t.Fatalf("WriteDOT: %v", err)
 		}
 		run.dot = buf.Bytes()
+		run.unsound = graphUnsound(build(sym), res.Graph)
 		if err := res.Graph.Close(); err != nil {
 			t.Fatalf("Graph.Close: %v", err)
 		}
@@ -124,6 +128,44 @@ func isBehaviour[S State](spec *Spec[S], v *Violation[S]) bool {
 		}
 	}
 	return false
+}
+
+// graphUnsound checks a recorded graph against the spec alone, so a merge
+// bug that every worker count shares cannot hide behind the comparison
+// with the Workers=1 oracle: every edge (u, act, v) must lead to a state
+// whose canonical encoding is that of one of act's successors of u, and no
+// two ids may share a canonical encoding. It returns the first breach, or
+// "".
+func graphUnsound[S State](spec *Spec[S], g *Graph[S]) string {
+	cod := newCodec(spec)
+	canon := func(s S) string { return string(cod.canonical(s)) }
+	owner := make(map[string]int, g.Len())
+	for id := 0; id < g.Len(); id++ {
+		k := canon(g.StateAt(id))
+		if prev, ok := owner[k]; ok {
+			return fmt.Sprintf("states %d and %d share a canonical encoding", prev, id)
+		}
+		owner[k] = id
+	}
+	err := g.ForEachEdge(func(e Edge) error {
+		want := canon(g.StateAt(e.To))
+		from := g.StateAt(e.From)
+		for _, a := range spec.Actions {
+			if a.Name != e.Action {
+				continue
+			}
+			for _, succ := range a.Next(from) {
+				if canon(succ) == want {
+					return nil
+				}
+			}
+		}
+		return fmt.Errorf("edge %d -%s-> %d: no %s successor of state %d encodes like state %d", e.From, e.Action, e.To, e.Action, e.From, e.To)
+	})
+	if err != nil {
+		return err.Error()
+	}
+	return ""
 }
 
 // identityOrbit is a symmetry visitor with no non-identity automorphism: it
@@ -218,6 +260,37 @@ func latticeGrid(n int, max, tripwire int8) latticeSpec {
 	}}
 }
 
+// latticeJumpGrid is the POR grid with a second transition of counter 0,
+// a jump by two. Process 0 then owns more transitions than the others, so
+// the planner picks a later process's smaller ample set, and the
+// ample-first emission order differs from the successor order the probe
+// misses are numbered in: the case where a merge pairing a miss with the
+// wrong successor state shows, which the plain grid never reaches.
+func latticeJumpGrid(n int, max int8) latticeSpec {
+	build := func(sym bool) *Spec[gridState] {
+		spec := gridSpec(n, max, -1)
+		spec.Name += "-jump"
+		spec.Actions = append(spec.Actions, Action[gridState]{
+			Name: "Jump0",
+			Next: func(s gridState) []gridState {
+				if s.vals[0]+2 > max {
+					return nil
+				}
+				c := s
+				c.vals[0] += 2
+				return []gridState{c}
+			},
+		})
+		if sym {
+			spec.SymmetryVisitor = identityOrbit[gridState]
+		}
+		return spec
+	}
+	return latticeSpec{name: fmt.Sprintf("grid-jump-%d-%d", n, max), check: func(t *testing.T, opts Options, sym bool) latticeRun {
+		return runLattice(t, build, opts, sym)
+	}}
+}
+
 // latticeToggle is the cycle-proviso trap, with its violation or without.
 func latticeToggle(planted bool) latticeSpec {
 	build := func(sym bool) *Spec[toggleState] {
@@ -250,7 +323,7 @@ func TestOptionLattice(t *testing.T) {
 		specs = append(specs, latticeRandom(seed, false), latticeRandom(seed, true))
 	}
 	specs = append(specs,
-		latticeGrid(3, 2, -1), latticeGrid(3, 3, 2),
+		latticeGrid(3, 2, -1), latticeGrid(3, 3, 2), latticeJumpGrid(3, 3),
 		latticeToggle(false), latticeToggle(true))
 
 	for _, ls := range specs {
@@ -258,6 +331,9 @@ func TestOptionLattice(t *testing.T) {
 			oracle := ls.check(t, Options{Workers: 1, RecordGraph: true}, sym)
 			if oracle.err != nil && !errors.Is(oracle.err, ErrInvariantViolated) {
 				t.Fatalf("%s sym=%t: oracle failed: %v", ls.name, sym, oracle.err)
+			}
+			if oracle.unsound != "" {
+				t.Fatalf("%s sym=%t: oracle graph: %s", ls.name, sym, oracle.unsound)
 			}
 			violated := oracle.err != nil
 			// refs holds the Workers=1 level-sync reference per (POR,
@@ -282,6 +358,9 @@ func TestOptionLattice(t *testing.T) {
 				}
 				if errors.Is(got.err, ErrInvariantViolated) != violated || (got.err != nil && !violated) {
 					t.Fatalf("%s: err = %v, oracle err = %v", label, got.err, oracle.err)
+				}
+				if got.unsound != "" {
+					t.Fatalf("%s: recorded graph: %s", label, got.unsound)
 				}
 				if violated && !got.validTrace {
 					t.Fatalf("%s: counterexample %v via %v is not a behaviour ending in a violation", label, got.traceKeys, got.traceActs)

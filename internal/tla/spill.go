@@ -15,14 +15,15 @@ import (
 // The visited set's spill half: TLC's external-memory fingerprint set,
 // transcribed to the level-synchronized engine. Without a memory budget the
 // set never seals. With one, when EndLevel finds the resident fingerprints
-// over the budget, every (fingerprint, id) pair is sorted and sealed into an
-// immutable run file, and the maps are dropped.
+// over the budget, every (fingerprint, id) pair — the table slots and the
+// fingerprint-0 cells — is sorted and sealed into an immutable run file,
+// and the tables are dropped for fresh minimal ones.
 //
 // Lookups against sealed runs are deferred — merge-on-lookup, once per
-// level: the expansion's probes see only the resident maps, and
+// level: the expansion's probes see only the resident tables, and
 // ResolveLevel merge-joins the level's sorted probe misses against each
 // sorted run, restoring every spilled (fingerprint, id) it finds into the
-// resident maps. The merge's claims then find those states as the
+// resident tables. The merge's claims then find those states as the
 // duplicates they are, with graph edges pointing at the correct dense id.
 // One sequential pass over the runs per BFS level, zero random disk reads —
 // the classic external-memory trade the paper credits TLC's engineering
@@ -42,9 +43,10 @@ import (
 // which Options.Validate enforces.
 
 // spillBytesPerEntry is the budget accounting charge per resident
-// fingerprint: map key/value plus amortized table overhead. It is an
-// estimate — the budget bounds the order of magnitude, not the byte — and a
-// constant so forced-spill tests are deterministic.
+// fingerprint: its 16-byte table slot over a load factor between 3/8 and
+// 3/4, plus the doubling's transient copy. It is an estimate — the budget
+// bounds the order of magnitude, not the byte — and a constant so
+// forced-spill tests are deterministic.
 const spillBytesPerEntry = 48
 
 // spillRec is one on-disk record: a fingerprint and its assigned dense id,
@@ -72,10 +74,14 @@ func (vs *visitedSet) residentBytes() int64 {
 	return int64(vs.resident()) * spillBytesPerEntry
 }
 
-// restore makes a persisted (fingerprint, id) record resident again.
-// Merge goroutine only, with no claim in flight.
+// restore makes a persisted (fingerprint, id) record resident again; a
+// fingerprint already resident keeps its id, which is the same. Merge
+// goroutine only, with no claim in flight.
 func (vs *visitedSet) restore(rec spillRec) {
-	vs.shards[rec.fp&(visitedShards-1)].byFP[rec.fp] = int(rec.id)
+	sh := &vs.shards[rec.fp&(visitedShards-1)]
+	sh.mu.Lock()
+	sh.insert(rec.fp, int(rec.id))
+	sh.mu.Unlock()
 }
 
 // ResolveLevel merge-joins the level's probe misses (fingerprints, sorted
@@ -139,8 +145,15 @@ func readRecsFile(fsys FS, path string, fn func(spillRec) bool) error {
 // sorted by fingerprint.
 func (vs *visitedSet) residentRecs(recs []spillRec) []spillRec {
 	for i := range vs.shards {
-		for fp, id := range vs.shards[i].byFP {
-			recs = append(recs, spillRec{fp: fp, id: int64(id)})
+		sh := &vs.shards[i]
+		if z := sh.zero.Load(); z != 0 {
+			recs = append(recs, spillRec{fp: 0, id: z - 1})
+		}
+		slots := sh.tab.Load().slots
+		for j := range slots {
+			if fp := slots[j].fp.Load(); fp != 0 {
+				recs = append(recs, spillRec{fp: fp, id: slots[j].id.Load()})
+			}
 		}
 	}
 	slices.SortFunc(recs, func(a, b spillRec) int { return cmp.Compare(a.fp, b.fp) })
@@ -150,12 +163,12 @@ func (vs *visitedSet) residentRecs(recs []spillRec) []spillRec {
 // EndLevel enforces the memory budget after the merge claimed the level's
 // new states: when the resident fingerprints charge past the budget, every
 // resident (fingerprint, id) pair is sorted into a new sealed run and the
-// maps are dropped. Restored duplicates may be written to more than one
+// tables are dropped. Restored duplicates may be written to more than one
 // run; they carry the same id everywhere, so merge-join correctness is
 // unaffected.
 //
 // A persistent failure to seal the run (ENOSPC is the canonical case)
-// degrades the set instead of failing the checking run: the resident maps
+// degrades the set instead of failing the checking run: the resident tables
 // are kept — deduplication stays exact, memory use exceeds the budget — the
 // degradation is reported via Result.DegradedMemory, and a best-effort
 // compaction trims the sealed-run fan-in it can no longer grow past.

@@ -305,9 +305,9 @@ func TestSpillRunCompaction(t *testing.T) {
 	}
 }
 
-// TestClaimDoesNotAllocate pins the visited set's pointer-free maps: a
-// claim of a fresh fingerprint allocates nothing beyond amortized map
-// growth.
+// TestClaimDoesNotAllocate pins the visited set's fingerprint tables: a
+// claim of a fresh fingerprint allocates nothing beyond amortized table
+// doubling.
 func TestClaimDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
