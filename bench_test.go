@@ -361,69 +361,6 @@ func BenchmarkObservedCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelCheckEncoding isolates the byte-packed-state win on the
-// replica-set spec: the same exploration with the BinaryState fast path
-// (the default — states are fingerprinted straight from their byte
-// encoding) against the spec's key-only twin (keyOnlySpec: every successor
-// builds its canonical Key() string first, the pre-BinaryState
-// behaviour). Allocation
-// counts are the headline: the binary path must allocate strictly less
-// per run (TestBinaryEncodingAllocatesLess pins the direction; this
-// benchmark carries the magnitude). SetBytes carries the volume of
-// encoding bytes one exploration produces, so the output's MB/s column is
-// encoding throughput and the CI bench-delta stage can compare it.
-func BenchmarkParallelCheckEncoding(b *testing.B) {
-	cfg := raftmongo.Config{Nodes: 3, MaxTerm: 2, MaxLogLen: 2}
-	// One graph-recording pass up front measures how many encoding bytes
-	// (binary or Key) a full exploration pushes through the codec: the
-	// codec encodes every generated successor — one per recorded edge,
-	// duplicates included — plus each initial state, not just the
-	// distinct survivors.
-	pre, err := tla.Check(raftmongo.SpecV1(cfg), tla.Options{RecordGraph: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var binBytes, keyBytes int64
-	encLen := func(id int) (bin, key int64) {
-		return int64(len(pre.Graph.StateAt(id).AppendBinary(nil))), int64(len(pre.Graph.KeyAt(id)))
-	}
-	if err := pre.Graph.ForEachEdge(func(e tla.Edge) error {
-		bin, key := encLen(e.To)
-		binBytes += bin
-		keyBytes += key
-		return nil
-	}); err != nil {
-		b.Fatal(err)
-	}
-	for _, id := range pre.Graph.Inits {
-		bin, key := encLen(id)
-		binBytes += bin
-		keyBytes += key
-	}
-	for _, enc := range []struct {
-		name  string
-		check func(tla.Options) (counts, error)
-		total int64
-	}{
-		{"binary", func(o tla.Options) (counts, error) { return countsOf(tla.Check(raftmongo.SpecV1(cfg), o)) }, binBytes},
-		{"keys", func(o tla.Options) (counts, error) { return countsOf(tla.Check(keyOnlySpec(raftmongo.SpecV1(cfg)), o)) }, keyBytes},
-	} {
-		for _, w := range []int{1, 4} {
-			b.Run(fmt.Sprintf("replset-v1/%s/workers=%d", enc.name, w), func(b *testing.B) {
-				b.ReportAllocs()
-				b.SetBytes(enc.total)
-				for i := 0; i < b.N; i++ {
-					c, err := enc.check(tla.Options{Workers: w})
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(float64(c[0]), "states")
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkSymmetryReduction measures TLC's SYMMETRY clause on the
 // replica-set spec: declaring the node ids interchangeable shrinks the
 // explored space by up to Nodes! (3! = 6 here) with identical verdicts —

@@ -63,6 +63,35 @@ func FuzzDecodeBinaryRoundTrip(f *testing.F) {
 	})
 }
 
+// corruptClientCount is a ten-byte encoding whose client count is a
+// uvarint of about 2.9·10¹¹: sized from it, the deployment's slices
+// exhausted memory before the first client was read.
+var corruptClientCount = []byte("\x00\x00\xa0\xc1\x9d\xcfbQ\xad\x86")
+
+// FuzzDecodeBinaryArbitrary feeds DecodeBinary arbitrary bytes, as a
+// corrupt spilled or checkpointed segment would: it must return an error
+// or a state whose Key and AppendBinary run, never panic or exhaust
+// memory.
+func FuzzDecodeBinaryArbitrary(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(walk([]byte{0, 1, 2, 3}).AppendBinary(nil))
+	f.Add(corruptClientCount)
+	f.Fuzz(func(t *testing.T, enc []byte) {
+		if s, err := (State{}).DecodeBinary(enc); err == nil {
+			_ = s.Key()
+			_ = s.AppendBinary(nil)
+		}
+	})
+}
+
+// TestDecodeBinaryRejectsCorruptClientCount pins the bound on the client
+// count: the corrupt prefix is an error, not an allocation.
+func TestDecodeBinaryRejectsCorruptClientCount(t *testing.T) {
+	if _, err := (State{}).DecodeBinary(corruptClientCount); err == nil {
+		t.Fatal("DecodeBinary accepted a client count larger than its input")
+	}
+}
+
 // FuzzBinaryKeyAgreement enforces the tla.BinaryState contract on
 // reachable array_ot states: the byte-packed encoding and the JSON Key()
 // must induce the same equality, and Key() must be byte-identical to

@@ -78,6 +78,21 @@ func FuzzDecodeBinaryRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzDecodeBinaryArbitrary feeds DecodeBinary arbitrary bytes, as a
+// corrupt spilled or checkpointed segment would: it must return an error
+// or a state whose Key and AppendBinary run, never panic.
+func FuzzDecodeBinaryArbitrary(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 2, 3, 4, 0})
+	f.Add([]byte{5, 0, 0})
+	f.Fuzz(func(t *testing.T, enc []byte) {
+		if s, err := (SpecState{}).DecodeBinary(enc); err == nil {
+			_ = s.Key()
+			_ = s.AppendBinary(nil)
+		}
+	})
+}
+
 // FuzzBinaryKeyAgreement enforces the tla.BinaryState contract on the
 // locking spec state: byte-packed encodings are equal iff Key() strings
 // are, on randomized (including unreachable) states.

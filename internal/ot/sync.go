@@ -172,7 +172,8 @@ func appendIntsBinary(buf []byte, xs []int) []byte {
 // remaining bytes. tr supplies the transformer the encoding omits. The
 // decoded deployment shares nothing with buf, so the caller may reuse the
 // buffer. A malformed encoding — truncated varint, impossible operation
-// kind — returns an error rather than a partial deployment.
+// kind, a count larger than the bytes left — returns an error rather than
+// a partial deployment.
 func DecodeNetworkBinary(tr BatchTransformer, buf []byte) (*Network, []byte, error) {
 	n := &Network{tr: tr}
 	var err error
@@ -185,6 +186,12 @@ func DecodeNetworkBinary(tr BatchTransformer, buf []byte) (*Network, []byte, err
 	numClients, buf, err := decodeUvarint(buf)
 	if err != nil {
 		return nil, nil, err
+	}
+	if numClients > uint64(len(buf)) {
+		// Each client costs at least one byte, as an op does: a larger
+		// count is a corrupt prefix, and sizing three slices from it could
+		// exhaust memory.
+		return nil, nil, fmt.Errorf("ot: decode: client count %d exceeds remaining %d bytes", numClients, len(buf))
 	}
 	n.clientLog = make([][]Op, numClients)
 	n.clientState = make([][]int, numClients)

@@ -134,6 +134,21 @@ func FuzzDecodeBinaryRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzDecodeBinaryArbitrary feeds DecodeBinary arbitrary bytes, as a
+// corrupt spilled or checkpointed segment would: it must return an error
+// or a state whose Key and AppendBinary run, never panic.
+func FuzzDecodeBinaryArbitrary(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(stateFrom(&fuzzReader{data: []byte{3, 1, 2, 0, 1, 2, 3, 0, 1}}, 3).AppendBinary(nil))
+	f.Add([]byte{2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Fuzz(func(t *testing.T, enc []byte) {
+		if s, err := (State{}).DecodeBinary(enc); err == nil {
+			_ = s.Key()
+			_ = s.AppendBinary(nil)
+		}
+	})
+}
+
 // FuzzBinaryKeyAgreement enforces the tla.BinaryState contract on the
 // replica-set spec state: for any two states, the byte-packed encodings
 // are equal if and only if the canonical Key() strings are. A violation

@@ -33,8 +33,10 @@ import (
 // the visited set dedups on — because the plain encoding identifies the
 // exact state explored (encodings agree with Key() by contract), so the
 // reconstructed trace is byte-identical to what live retention would have
-// reported, even under symmetry reduction, and storing it costs one
-// AppendBinary per distinct state instead of an orbit scan.
+// reported, even under symmetry reduction. Without symmetry the plain
+// encoding is the canonical one the expander already computed, stored as
+// is; with it, install pays one more AppendBinary per distinct state
+// instead of an orbit scan.
 //
 // The arena's parent links are also the only retained-state table of a run
 // without StateArena (live mode): every run keeps one arenaMeta record per
@@ -358,8 +360,8 @@ func newRetainer[S State](spec *Spec[S], opts Options, em *engineMetrics) *retai
 func (r *retainer[S]) len() int { return r.arena.len() }
 
 // add records one newly discovered state. In arena mode enc must be the
-// state's plain encoding — codec.encode, not the orbit-canonical form —
-// and is copied; live mode keeps s and ignores enc.
+// state's plain encoding — codec.encode, not an orbit-canonical form that
+// differs from it — and is copied; live mode keeps s and ignores enc.
 func (r *retainer[S]) add(s S, enc []byte, parent int, act string, depth int) error {
 	if !r.decode {
 		r.states = append(r.states, s)

@@ -171,7 +171,7 @@ func TestArenaMatchesLiveRetention(t *testing.T) {
 	assertArenaAgrees(t, "counter-bounded", counterSpec(40), Options{MaxStates: 100})
 
 	for seed := int64(0); seed < 8; seed++ {
-		assertArenaAgrees(t, fmt.Sprintf("random-%d", seed), randomSpecOf[randBinState](seed), Options{Workers: 4})
+		assertArenaAgrees(t, fmt.Sprintf("random-%d", seed), randomSpec(seed), Options{Workers: 4})
 	}
 }
 

@@ -2,15 +2,14 @@ package tla
 
 import "bytes"
 
-// BinaryState is the optional fast path of the checker's deduplication: a
-// spec state that can append a compact byte encoding of itself to a buffer.
-// When a specification's state type implements BinaryState, the checker
-// fingerprints (and, in collision-free mode, dedups) the byte encoding
-// directly, bypassing Key() string construction entirely on the hot path —
-// the allocation-heavy fmt/sort work every Key() implementation pays per
-// successor. Key() remains the semantic identity: it is still what the
-// recorded Graph carries, what counterexamples print, and what a DOT dump
-// labels its nodes with.
+// BinaryState is the byte half of the State contract: a state appends a
+// compact encoding of itself to a buffer, and that encoding is the state's
+// identity wherever the checker compares states. The visited set
+// fingerprints it (and, collision-free, dedups on it), symmetry reduction
+// orders orbit images by it, the arena stores it, and trace checking
+// dedups its frontier on it. Key() is the same identity as a human label:
+// what the recorded Graph's KeyAt, printed counterexamples and a DOT dump
+// show.
 //
 // The encoding must agree with Key(): for any two states of the same
 // specification, bytes.Equal(a.AppendBinary(nil), b.AppendBinary(nil)) must
@@ -20,17 +19,19 @@ import "bytes"
 // states.) AppendBinary must append to buf and return the extended slice,
 // allocating only when buf lacks capacity; like Key, it is called from
 // multiple goroutines on distinct states and must not mutate shared state.
+// State embeds it; the named interface remains for callers that hold a
+// state as an any.
 type BinaryState interface {
 	AppendBinary(buf []byte) []byte
 }
 
 // BinaryDecoder is the optional inverse of BinaryState: a spec state that
 // can reconstruct a state value from an encoding AppendBinary produced.
-// The retained-state arena (Options.StateArena, implied by checkpointing)
-// requires it alongside BinaryState: counterexamples, checkpoint resume and
-// the recorded state graph's states (see Graph) are all decoded from the
-// stored encodings, and Check rejects the arena for a state that cannot
-// decode.
+// Every bundled specification implements it. The retained-state arena
+// (Options.StateArena, implied by checkpointing) requires it:
+// counterexamples, checkpoint resume and the recorded state graph's states
+// (see Graph) are all decoded from the stored encodings, and Check rejects
+// the arena for a state that cannot decode.
 //
 // The contract mirrors BinaryState's: for every state s of the
 // specification, DecodeBinary(s.AppendBinary(nil)) must return a state
@@ -78,16 +79,15 @@ func Permutations(n int, visit func(perm []int)) {
 }
 
 // codec is the state-encoding strategy of one checking run: how a state is
-// turned into the byte string the visited set dedups on. It carries two
-// scratch buffers and the state slot its encoder is bound to (plus the
-// worker's orbit visitor and one pre-bound visit closure) so the hot path
-// allocates nothing once the buffers have grown to the state size; codecs
-// are therefore per-goroutine (workers clone, and each clone gets its own
-// slot and its own visitor from the spec's factory).
+// turned into the byte string the visited set dedups on — its AppendBinary
+// encoding, or under symmetry the least encoding across its orbit. It
+// carries two scratch buffers (plus the worker's orbit visitor and one
+// pre-bound visit closure) so the hot path allocates nothing once the
+// buffers have grown to the state size; codecs are therefore per-goroutine
+// (workers clone, and each clone gets its own visitor from the spec's
+// factory).
 type codec[S State] struct {
-	bin        BinaryState             // non-nil iff S implements BinaryState; see bindBinary
-	slot       *S                      // the state bin encodes, when bin is bound through a pointer
-	dec        func([]byte) (S, error) // non-nil iff S also implements BinaryDecoder
+	dec        func([]byte) (S, error) // non-nil iff S implements BinaryDecoder
 	symFactory func() OrbitVisitor[S]  // non-nil iff the spec declares symmetry; per-clone source of sym
 	sym        OrbitVisitor[S]         // this goroutine's orbit visitor
 	visit      func(S)                 // pre-bound orbit-minimization step, allocated once per codec
@@ -96,36 +96,16 @@ type codec[S State] struct {
 	b          []byte                  // scratch: orbit-candidate encoding
 }
 
-// newCodec builds the codec for spec under opts. The BinaryState check is
-// performed once, when bindBinary binds the encoder. The decoder is bound
-// to the zero-value receiver here and rebound to a real initial state by
+// newCodec builds the codec for spec. The decoder is bound to the
+// zero-value receiver here and rebound to a real initial state by
 // bindDecoder before the engine first decodes — decoders that need
 // configuration off the receiver (arrayot's transformer) get it then.
 func newCodec[S State](spec *Spec[S]) *codec[S] {
 	c := &codec[S]{symFactory: spec.SymmetryVisitor}
-	c.bindBinary()
 	var zero S
 	c.bindDecoder(zero)
 	c.bindOrbit()
 	return c
-}
-
-// bindBinary binds this codec's AppendBinary, when S implements
-// BinaryState. Converting a state value to an interface allocates unless S
-// is pointer-shaped, so the encoder is bound once to a pointer to a
-// per-codec slot (a pointer's method set includes the value methods):
-// encode copies the state into the slot and encodes through it, allocating
-// nothing. Only when *S has no such method — S is itself a pointer type,
-// whose interface conversion is free — is each state converted directly.
-func (c *codec[S]) bindBinary() {
-	slot := new(S)
-	if b, ok := any(slot).(BinaryState); ok {
-		c.bin, c.slot = b, slot
-		return
-	}
-	if b, ok := any(*slot).(BinaryState); ok {
-		c.bin = b
-	}
 }
 
 // bindDecoder (re)binds the codec's decode function to sample's receiver,
@@ -133,9 +113,6 @@ func (c *codec[S]) bindBinary() {
 // state as soon as Init has run, so decoders see the run's configuration
 // rather than the zero value.
 func (c *codec[S]) bindDecoder(sample S) {
-	if c.bin == nil {
-		return
-	}
 	if d, ok := any(sample).(BinaryDecoder[S]); ok {
 		c.dec = d.DecodeBinary
 	}
@@ -161,31 +138,18 @@ func (c *codec[S]) bindOrbit() {
 	}
 }
 
-// clone returns a codec with fresh scratch buffers, its own encoder slot
-// and its own orbit visitor, for use by another goroutine.
+// clone returns a codec with fresh scratch buffers and its own orbit
+// visitor, for use by another goroutine.
 func (c *codec[S]) clone() *codec[S] {
 	n := &codec[S]{dec: c.dec, symFactory: c.symFactory}
-	n.bindBinary()
 	n.bindOrbit()
 	return n
 }
 
-// encode appends the dedup encoding of s to buf: the byte-packed encoding
-// on the fast path, the Key() bytes otherwise. The slot is zeroed after
-// use so the codec does not keep the last state it encoded alive.
-func (c *codec[S]) encode(s S, buf []byte) []byte {
-	switch {
-	case c.slot != nil:
-		*c.slot = s
-		buf = c.bin.AppendBinary(buf)
-		var zero S
-		*c.slot = zero
-		return buf
-	case c.bin != nil:
-		return any(s).(BinaryState).AppendBinary(buf)
-	}
-	return append(buf, s.Key()...)
-}
+// encode appends s's plain encoding to buf. The call goes through the type
+// constraint, not an interface, so a value-shaped state is not boxed and
+// encoding allocates only when buf lacks capacity.
+func (c *codec[S]) encode(s S, buf []byte) []byte { return s.AppendBinary(buf) }
 
 // canonical returns the encoding the visited set dedups s under: without
 // symmetry, encode(s); with symmetry, the lexicographically smallest

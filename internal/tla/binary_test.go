@@ -155,68 +155,75 @@ func TestPermutations(t *testing.T) {
 	}
 }
 
-// TestCodecSelectsBinaryPath pins the codec's dispatch: BinaryState
-// implementations get the byte-packed encoder, non-implementing states
-// fall back to Key() bytes.
+// TestCodecSelectsBinaryPath pins the codec's one encoding path: a
+// value-shaped and a pointer-shaped state are both encoded by their own
+// AppendBinary.
 func TestCodecSelectsBinaryPath(t *testing.T) {
 	s := binState{A: 300, B: 7}
-	c := newCodec(binSpec(5, false))
-	if c.bin == nil {
-		t.Fatal("BinaryState implementation not detected")
+	if !bytes.Equal(newCodec(binSpec(5, false)).encode(s, nil), s.AppendBinary(nil)) {
+		t.Fatal("value codec does not encode via AppendBinary")
 	}
-	if !bytes.Equal(c.encode(s, nil), s.AppendBinary(nil)) {
-		t.Fatal("binary codec does not encode via AppendBinary")
-	}
-	kc := newCodec(&Spec[randState]{})
-	if kc.bin != nil {
-		t.Fatal("states without AppendBinary must key on Key()")
-	}
-	if got := string(kc.encode(randState(9), nil)); got != "9" {
-		t.Fatalf("key codec encoded %q, want \"9\"", got)
-	}
-	pc := newCodec(&Spec[*ptrState]{})
-	if pc.bin == nil || pc.slot != nil {
-		t.Fatal("a pointer state must be encoded directly, without a slot")
-	}
-	if !bytes.Equal(pc.encode(&ptrState{s}, nil), s.AppendBinary(nil)) {
+	if !bytes.Equal(newCodec(&Spec[*ptrState]{}).encode(&ptrState{s}, nil), s.AppendBinary(nil)) {
 		t.Fatal("pointer codec does not encode via AppendBinary")
 	}
 }
 
 // ptrState is a state whose methods have pointer receivers, so the spec's
-// state type is *ptrState.
+// state type is *ptrState. It has no decoder.
 type ptrState struct{ s binState }
 
 func (p *ptrState) Key() string                    { return p.s.Key() }
 func (p *ptrState) AppendBinary(buf []byte) []byte { return p.s.AppendBinary(buf) }
 
+// ptrSwapOrbits is swapOrbits for *ptrState.
+func ptrSwapOrbits() OrbitVisitor[*ptrState] {
+	scratch := &ptrState{}
+	return func(p *ptrState, visit func(*ptrState)) {
+		visit(p)
+		scratch.s.A, scratch.s.B = p.s.B, p.s.A
+		visit(scratch)
+	}
+}
+
 // TestEncodeDoesNotAllocate pins the codec's allocation contract: once its
-// scratch buffers have grown, encoding a non-pointer BinaryState and
-// canonicalizing it, with and without symmetry, allocates nothing. Boxing
-// the state into the BinaryState interface on every call would cost one
-// allocation per encoding (binState is 4 bytes: Go boxes it without
-// allocating only for values below 256, hence the large counters here).
+// scratch buffers have grown, encoding a state and canonicalizing it, with
+// and without symmetry, allocates nothing — for a value-shaped state
+// (binState, which Go could not box without allocating: it is 4 bytes and
+// its counters exceed 255) as for a pointer-shaped one. The codec calls
+// AppendBinary through the type constraint, never through an interface.
 func TestEncodeDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
 	s := binState{A: 300, B: 700}
 	for name, c := range map[string]*codec[binState]{
-		"plain":     newCodec(binSpec(5, false)),
-		"symmetric": newCodec(binSpecVisitor(5)),
-		"clone":     newCodec(binSpecVisitor(5)).clone(),
+		"value/plain":     newCodec(binSpec(5, false)),
+		"value/symmetric": newCodec(binSpecVisitor(5)),
+		"value/clone":     newCodec(binSpecVisitor(5)).clone(),
 	} {
-		var buf []byte
-		c.canonical(s) // grow the scratch buffers
-		if got := testing.AllocsPerRun(100, func() { buf = c.encode(s, buf[:0]) }); got != 0 {
-			t.Errorf("%s: encode allocates %.1f times per call", name, got)
-		}
-		if got := testing.AllocsPerRun(100, func() { c.canonical(s) }); got != 0 {
-			t.Errorf("%s: canonical allocates %.1f times per call", name, got)
-		}
-		if c.slot == nil || *c.slot != (binState{}) {
-			t.Errorf("%s: the encoder slot is unbound or keeps the last state", name)
-		}
+		assertEncodeAllocsNothing(t, name, c, s)
+	}
+	ptrSym := &Spec[*ptrState]{SymmetryVisitor: ptrSwapOrbits}
+	for name, c := range map[string]*codec[*ptrState]{
+		"pointer/plain":     newCodec(&Spec[*ptrState]{}),
+		"pointer/symmetric": newCodec(ptrSym),
+		"pointer/clone":     newCodec(ptrSym).clone(),
+	} {
+		assertEncodeAllocsNothing(t, name, c, &ptrState{s})
+	}
+}
+
+// assertEncodeAllocsNothing warms c on s, then requires encode and
+// canonical of s to allocate nothing.
+func assertEncodeAllocsNothing[S State](t *testing.T, name string, c *codec[S], s S) {
+	t.Helper()
+	var buf []byte
+	c.canonical(s) // grow the scratch buffers
+	if got := testing.AllocsPerRun(100, func() { buf = c.encode(s, buf[:0]) }); got != 0 {
+		t.Errorf("%s: encode allocates %.1f times per call", name, got)
+	}
+	if got := testing.AllocsPerRun(100, func() { c.canonical(s) }); got != 0 {
+		t.Errorf("%s: canonical allocates %.1f times per call", name, got)
 	}
 }
 
@@ -273,69 +280,6 @@ func TestCanonicalKeepsLeastVisited(t *testing.T) {
 				t.Errorf("canonical(%v) = %x, want %v's encoding %x", in, got, rep, rep.AppendBinary(nil))
 			}
 		}
-	}
-}
-
-// keyOnly holds a spec state as a field and forwards only Key, hiding any
-// AppendBinary/DecodeBinary: the checker must dedup it on Key() strings.
-type keyOnly[S State] struct{ s S }
-
-func (k keyOnly[S]) Key() string { return k.s.Key() }
-
-// keyOnlySpec wraps spec (without symmetry or independence) in keyOnly:
-// the same state space, explored through the Key encoding path.
-func keyOnlySpec[S State](spec *Spec[S]) *Spec[keyOnly[S]] {
-	wrap := func(ss []S) []keyOnly[S] {
-		if len(ss) == 0 {
-			return nil
-		}
-		out := make([]keyOnly[S], len(ss))
-		for i, s := range ss {
-			out[i] = keyOnly[S]{s}
-		}
-		return out
-	}
-	init := spec.Init
-	k := &Spec[keyOnly[S]]{Name: spec.Name, Init: func() []keyOnly[S] { return wrap(init()) }}
-	for _, a := range spec.Actions {
-		next := a.Next
-		k.Actions = append(k.Actions, Action[keyOnly[S]]{Name: a.Name, Next: func(s keyOnly[S]) []keyOnly[S] { return wrap(next(s.s)) }})
-	}
-	for _, inv := range spec.Invariants {
-		check := inv.Check
-		k.Invariants = append(k.Invariants, Invariant[keyOnly[S]]{Name: inv.Name, Check: func(s keyOnly[S]) error { return check(s.s) }})
-	}
-	if c := spec.Constraint; c != nil {
-		k.Constraint = func(s keyOnly[S]) bool { return c(s.s) }
-	}
-	return k
-}
-
-// TestBinaryAndKeyPathsAgree checks the two dedup encodings are
-// observationally identical through the whole checker: counters, recorded
-// graph, and counterexample — sequential, parallel, and collision-free.
-func TestBinaryAndKeyPathsAgree(t *testing.T) {
-	mkSpec := func() *Spec[binState] {
-		spec := binSpec(40, false)
-		spec.Invariants = []Invariant[binState]{{
-			Name: "SumBelow60",
-			Check: func(s binState) error {
-				if int(s.A)+int(s.B) >= 60 {
-					return errors.New("sum reached 60")
-				}
-				return nil
-			},
-		}}
-		return spec
-	}
-	for _, opts := range []Options{
-		{Workers: 1, RecordGraph: true},
-		{Workers: 4, RecordGraph: true},
-		{Workers: 4, RecordGraph: true, CollisionFree: true},
-	} {
-		want, wantErr := Check(keyOnlySpec(mkSpec()), opts)
-		got, gotErr := Check(mkSpec(), opts)
-		assertResultsEqual(t, fmt.Sprintf("binary-vs-keys/%+v", opts), want, got, wantErr, gotErr)
 	}
 }
 

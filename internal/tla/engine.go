@@ -54,11 +54,11 @@ type chunkOut[S State] struct {
 	states []expanded // per frontier state of the chunk
 	misses []miss     // the chunk's probe misses, in probe order
 	succs  []S        // the misses' successor states, in the same order
-	keys   []byte     // keyed mode: the misses' encodings, back to back
+	keys   []byte     // the misses' canonical encodings, back to back
 }
 
-// miss returns the fingerprint and (keyed mode) encoding of the chunk's
-// i-th probe miss.
+// miss returns the fingerprint and canonical encoding of the chunk's i-th
+// probe miss.
 func (o *chunkOut[S]) miss(i int) (uint64, []byte) {
 	lo := 0
 	if i > 0 {
@@ -167,6 +167,7 @@ type levelSync[S State] struct {
 	// method value alloc bound once, installs it inside the claim.
 	reg struct {
 		s             S
+		enc           []byte
 		parent, depth int
 		act           string
 	}
@@ -328,7 +329,7 @@ func (l *levelSync[S]) registerInit(s S) (int, bool) {
 // when the registration itself failed) and false when the run is over (the
 // outcome is recorded).
 func (l *levelSync[S]) register(s S, fp uint64, enc []byte, parent int, act string, depth int) (int, bool) {
-	l.reg.s, l.reg.parent, l.reg.act, l.reg.depth = s, parent, act, depth
+	l.reg.s, l.reg.enc, l.reg.parent, l.reg.act, l.reg.depth = s, enc, parent, act, depth
 	id, isNew := l.vs.claim(fp, enc, l.allocFn)
 	if !isNew {
 		return id, id >= 0
@@ -338,7 +339,7 @@ func (l *levelSync[S]) register(s S, fp uint64, enc []byte, parent int, act stri
 
 // alloc installs the pending registration inside the visited set's claim.
 func (l *levelSync[S]) alloc() int {
-	id, err := l.install(l.xs[0], l.reg.s, l.reg.parent, l.reg.act, l.reg.depth)
+	id, err := l.install(l.xs[0], l.reg.s, l.reg.enc, l.reg.parent, l.reg.act, l.reg.depth)
 	if err != nil {
 		l.fail(err)
 		return -1
@@ -424,15 +425,16 @@ func (l *levelSync[S]) report(frontier []int, level int) {
 // expandLevel expands every frontier state, in parallel across workers,
 // returning per-chunk candidate lists in frontier order. Each worker's
 // expander probes every successor's canonical encoding in the visited set,
-// so the merge performs no encoding or hashing at all. Every successor
-// becomes a 16-byte candidate {id, act}: a hit's id is stable for the whole
-// expansion phase, and the merge needs neither the state nor its encoding
-// to record the duplicate edge, which keeps per-level buffering near the
-// fingerprint set's 8-bytes-per-state promise. A miss lands in the chunk's
-// miss table (fingerprint, and the encoding in keyed mode) and its state
-// in succs, both in probe order — successor order, which under POR is not
-// the candidates' ample-first emission order: it is genuinely new, first
-// seen twice this level, or, under a budget, a spilled duplicate that
+// so the merge hashes nothing and encodes a state again only for an arena
+// under symmetry (see install). Every successor becomes a 16-byte
+// candidate {id, act}: a hit's id is stable for the whole expansion phase,
+// and the merge needs neither the state nor its encoding to record the
+// duplicate edge, which keeps per-level buffering near the fingerprint
+// set's 8-bytes-per-state promise. A miss lands in the chunk's miss table
+// (fingerprint and encoding, which install stores as is) and its state in
+// succs, both in probe order — successor order, which under POR is not the
+// candidates' ample-first emission order: it is genuinely new, first seen
+// twice this level, or, under a budget, a spilled duplicate that
 // ResolveLevel restores before the merge claims it.
 //
 // Under partial-order reduction the expander orders each state's
@@ -464,11 +466,11 @@ func (l *levelSync[S]) expandLevel(frontier []int) []chunkOut[S] {
 			n, k := x.expand(l.ret.stateOf(id), id)
 			for t, sid := range x.ids {
 				if sid < 0 {
-					out.succs = append(out.succs, x.succs[t])
+					out.succs = push(out.succs, x.succs[t])
 				}
 			}
 			for _, t := range x.order {
-				out.cands = append(out.cands, candidate{id: x.ids[t], act: x.acts[t]})
+				out.cands = push(out.cands, candidate{id: x.ids[t], act: x.acts[t]})
 			}
 			out.states = append(out.states, expanded{n: n, k: k})
 			l.em.observeFanout(n)

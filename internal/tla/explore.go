@@ -13,9 +13,9 @@ import (
 //   - successor generation: one expander per worker runs the guarded Next
 //     loop and, under partial-order reduction, orders the successors
 //     ample-first, on the visited set's probe misses;
-//   - first-sight registration: install (the MaxStates bound, the arena's
-//     plain encoding, retention) and verdict (invariants, then the
-//     constraint);
+//   - first-sight registration: install (the MaxStates bound, then
+//     retention, storing the encoding deduplication already computed) and
+//     verdict (invariants, then the constraint);
 //   - the run lifecycle: Result, retainer and codecs, the graph view,
 //     stopper, progress ticker, Init registration, and one finish that
 //     turns the run's outcome into (Result, error).
@@ -203,18 +203,19 @@ func (r *explorer[S]) registerInits(x *expander[S], reg func(S) (id int, more bo
 	}
 }
 
-// install registers a first-sighted state and returns its dense id:
-// the MaxStates bound, the arena's plain encoding (not the orbit-canonical
-// one the visited set deduplicates on), and retention. Single-owner — the
-// level-sync merge goroutine, or a work-stealing worker holding the
+// install registers a first-sighted state and returns its dense id: the
+// MaxStates bound, then retention. enc is the state's canonical encoding,
+// which the arena stores as is: without symmetry it is the plain encoding
+// already. Under symmetry it names the orbit, and the arena needs the
+// exact state explored, so only then is s encoded again. Single-owner —
+// the level-sync merge goroutine, or a work-stealing worker holding the
 // registration lock.
-func (r *explorer[S]) install(x *expander[S], s S, parent int, act string, depth int) (int, error) {
+func (r *explorer[S]) install(x *expander[S], s S, enc []byte, parent int, act string, depth int) (int, error) {
 	id := r.ret.len()
 	if r.opts.MaxStates > 0 && id >= r.opts.MaxStates {
 		return -1, ErrStateLimit
 	}
-	var enc []byte
-	if r.ret.decode {
+	if r.ret.decode && x.cod.sym != nil {
 		x.g.enter(opEncode, act, -1)
 		x.plain = x.cod.encode(s, x.plain[:0])
 		x.g.exit()
@@ -257,8 +258,7 @@ type expander[S State] struct {
 	// vs, when non-nil, is probed for every successor's canonical encoding
 	// (level-sync always, work-stealing under POR): ids[t] is successor t's
 	// id on a hit, and ^i on a miss, the i-th entry expand appends to misses
-	// (and, keyed, its encoding to keys) — buffers the driver owns and
-	// resets.
+	// (and its encoding to keys) — buffers the schedule loop owns and resets.
 	vs     *visitedSet
 	ids    []int
 	misses []miss
@@ -267,11 +267,11 @@ type expander[S State] struct {
 	succs []S
 	acts  []int  // per successor: index into spec.Actions
 	order []int  // emission order: indices into succs, ample first
-	plain []byte // install's plain-encoding scratch
+	plain []byte // install's plain-encoding scratch (symmetry only)
 }
 
-// miss is a successor the probe did not find: its fingerprint and, keyed,
-// the end of its encoding in the key buffer alongside (it starts where the
+// miss is a successor the probe did not find: its fingerprint and the end
+// of its encoding in the key buffer alongside (it starts where the
 // previous miss's ends).
 type miss struct {
 	fp  uint64
@@ -307,10 +307,8 @@ func (x *expander[S]) expand(s S, id int) (n, k int) {
 			sid, ok := x.vs.probe(fp, enc)
 			if !ok {
 				sid = ^len(x.misses)
-				if x.vs.keyed {
-					x.keys = append(x.keys, enc...)
-				}
-				x.misses = append(x.misses, miss{fp: fp, end: len(x.keys)})
+				x.keys = push(x.keys, enc...)
+				x.misses = push(x.misses, miss{fp: fp, end: len(x.keys)})
 			}
 			x.ids = append(x.ids, sid)
 		}
@@ -339,3 +337,14 @@ func (x *expander[S]) expand(s S, id int) (n, k int) {
 
 // actName is the action name of successor t.
 func (x *expander[S]) actName(t int) string { return x.spec.Actions[x.acts[t]].Name }
+
+// push appends vs to s, doubling s's capacity when it is full. The
+// level-sync chunk buffers grow once, to the widest level, and are reused
+// after; append grows a large slice by about a quarter at a time, which
+// allocates several times the final size on the way.
+func push[T any](s []T, vs ...T) []T {
+	if n := len(s) + len(vs); n > cap(s) {
+		s = append(make([]T, 0, 2*n), s...)
+	}
+	return append(s, vs...)
+}

@@ -8,9 +8,9 @@ package tla
 // the visited set on full encodings (TLC's -fpmem /
 // collision-probability trade-off, resolved the safe way).
 //
-// The fingerprint function consumes bytes, not strings: specs implementing
-// BinaryState are hashed straight from their byte-packed encoding with no
-// Key() string ever built (see binary.go).
+// The fingerprint function consumes bytes, not strings: states are hashed
+// straight from their AppendBinary encoding with no Key() string ever
+// built (see binary.go).
 
 // fnv1a64 is the FNV-1a hash, the checker's fingerprint function.
 func fnv1a64(b []byte) uint64 {

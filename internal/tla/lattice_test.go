@@ -54,13 +54,11 @@ type latticeRun struct {
 func runLattice[S State](t *testing.T, build func(sym bool) *Spec[S], opts Options, sym bool) latticeRun {
 	t.Helper()
 	spec := build(sym)
-	var zero S
-	_, enc := any(zero).(BinaryState)
-	_, dec := any(zero).(BinaryDecoder[S])
+	_, dec := any(*new(S)).(BinaryDecoder[S])
 	var run latticeRun
 	run.expectBad = (opts.MemoryBudgetBytes > 0 && (opts.Schedule == ScheduleWorkSteal || opts.CollisionFree)) ||
 		(opts.PartialOrder && spec.Independence == nil) ||
-		(opts.StateArena && !(enc && dec))
+		(opts.StateArena && !dec)
 	init := spec.Init
 	spec.Init = func() []S {
 		run.initCalls++
@@ -175,18 +173,18 @@ func identityOrbit[S State]() OrbitVisitor[S] {
 	return func(s S, visit func(S)) { visit(s) }
 }
 
-// latticeRandom is randomSpecOf over randBinState (arena-capable, no
-// Independence declaration), optionally with its invariant re-aimed at a
-// state reached by a short random walk, so the violation is reachable.
+// latticeRandom is randomSpec (arena-capable, no Independence
+// declaration), optionally with its invariant re-aimed at a state reached
+// by a short random walk, so the violation is reachable.
 func latticeRandom(seed int64, planted bool) latticeSpec {
-	build := func(sym bool) *Spec[randBinState] {
-		spec := randomSpecOf[randBinState](seed)
+	build := func(sym bool) *Spec[randState] {
+		spec := randomSpec(seed)
 		if planted {
 			bad := plantedState(spec, seed)
 			spec.Name += "-planted"
-			spec.Invariants = []Invariant[randBinState]{{
+			spec.Invariants = []Invariant[randState]{{
 				Name: "NotPlanted",
-				Check: func(s randBinState) error {
+				Check: func(s randState) error {
 					if s == bad {
 						return fmt.Errorf("reached planted state %d", bad)
 					}
@@ -195,7 +193,7 @@ func latticeRandom(seed int64, planted bool) latticeSpec {
 			}}
 		}
 		if sym {
-			spec.SymmetryVisitor = identityOrbit[randBinState]
+			spec.SymmetryVisitor = identityOrbit[randState]
 		}
 		return spec
 	}
@@ -211,14 +209,14 @@ func latticeRandom(seed int64, planted bool) latticeSpec {
 // plantedState walks up to five random transitions from an initial state,
 // stopping early at a state the constraint cuts (its successors are never
 // explored, but it is still checked), and returns where it ended.
-func plantedState(spec *Spec[randBinState], seed int64) randBinState {
+func plantedState(spec *Spec[randState], seed int64) randState {
 	rng := rand.New(rand.NewSource(seed))
 	s := spec.Init()[0]
 	for step := 0; step < 5; step++ {
 		if spec.Constraint != nil && !spec.Constraint(s) {
 			break
 		}
-		var succs []randBinState
+		var succs []randState
 		for _, a := range spec.Actions {
 			succs = append(succs, a.Next(s)...)
 		}

@@ -146,15 +146,17 @@ func TestSpecPanicInInitAndConstraint(t *testing.T) {
 }
 
 // keyPanicState panics while encoding one specific state — the opEncode
-// guard class (Key/AppendBinary/SymmetryVisitor run inside the codec, on
+// guard class (AppendBinary and SymmetryVisitor run inside the codec, on
 // the expansion hot path).
 type keyPanicState struct{ N int }
 
-func (s keyPanicState) Key() string {
+func (s keyPanicState) Key() string { return fmt.Sprintf("%d", s.N) }
+
+func (s keyPanicState) AppendBinary(buf []byte) []byte {
 	if s.N == 5 {
-		panic("Key() bug at N=5")
+		panic("AppendBinary bug at N=5")
 	}
-	return fmt.Sprintf("%d", s.N)
+	return append(buf, byte(s.N))
 }
 
 func TestSpecPanicInEncoding(t *testing.T) {

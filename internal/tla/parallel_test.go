@@ -11,9 +11,8 @@ import (
 
 // assertResultsEqual fails the test unless two checking runs produced
 // byte-identical observable results: counters, recorded graph, and
-// violation counterexample. The runs may use different state types with
-// the same keys (a spec and its key-only twin).
-func assertResultsEqual[S, T State](t *testing.T, label string, want *Result[S], got *Result[T], wantErr, gotErr error) {
+// violation counterexample.
+func assertResultsEqual[S State](t *testing.T, label string, want, got *Result[S], wantErr, gotErr error) {
 	t.Helper()
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("%s: err = %v, want %v", label, gotErr, wantErr)
@@ -163,27 +162,21 @@ func TestParallelMatchesSequentialViolation(t *testing.T) {
 	}
 }
 
-// randState is an opaque integer state for the randomized cross-check. It
-// is key-only: the randomized specs exercise the Key encoding path.
+// randState is an opaque integer state for the randomized cross-check,
+// encoded as four big-endian bytes.
 type randState uint32
 
 func (s randState) Key() string { return fmt.Sprintf("%d", uint32(s)) }
 
-// randBinState is randState with a byte encoding and decoder, so the
-// randomized specs can also run under the arena.
-type randBinState uint32
-
-func (s randBinState) Key() string { return fmt.Sprintf("%d", uint32(s)) }
-
-func (s randBinState) AppendBinary(buf []byte) []byte {
+func (s randState) AppendBinary(buf []byte) []byte {
 	return binary.BigEndian.AppendUint32(buf, uint32(s))
 }
 
-func (randBinState) DecodeBinary(enc []byte) (randBinState, error) {
+func (randState) DecodeBinary(enc []byte) (randState, error) {
 	if len(enc) != 4 {
-		return 0, fmt.Errorf("randBinState: decode: length %d, want 4", len(enc))
+		return 0, fmt.Errorf("randState: decode: length %d, want 4", len(enc))
 	}
-	return randBinState(binary.BigEndian.Uint32(enc)), nil
+	return randState(binary.BigEndian.Uint32(enc)), nil
 }
 
 // mix is a deterministic integer hash used to derive pseudo-random yet
@@ -203,13 +196,7 @@ func mix(vals ...uint32) uint32 {
 // transition structure is derived from the seed: a few actions, each state
 // having zero to three successors per action, an occasional constraint,
 // and an invariant that trips on a seed-chosen subset of states.
-func randomSpec(seed int64) *Spec[randState] { return randomSpecOf[randState](seed) }
-
-// randomSpecOf is randomSpec over any uint32-backed state type.
-func randomSpecOf[S interface {
-	~uint32
-	State
-}](seed int64) *Spec[S] {
+func randomSpec(seed int64) *Spec[randState] {
 	rng := rand.New(rand.NewSource(seed))
 	space := uint32(rng.Intn(4000) + 100)
 	nActions := rng.Intn(4) + 1
@@ -218,18 +205,18 @@ func randomSpecOf[S interface {
 	badState := uint32(rng.Intn(int(space) * 4)) // often unreachable
 	withConstraint := rng.Intn(2) == 0
 
-	spec := &Spec[S]{
+	spec := &Spec[randState]{
 		Name: fmt.Sprintf("random-%d", seed),
-		Init: func() []S {
-			out := make([]S, nInits)
+		Init: func() []randState {
+			out := make([]randState, nInits)
 			for i := range out {
-				out[i] = S(mix(salt, 0xdead, uint32(i)) % space)
+				out[i] = randState(mix(salt, 0xdead, uint32(i)) % space)
 			}
 			return out
 		},
-		Invariants: []Invariant[S]{{
+		Invariants: []Invariant[randState]{{
 			Name: "NotBad",
-			Check: func(s S) error {
+			Check: func(s randState) error {
 				if uint32(s) == badState {
 					return fmt.Errorf("reached bad state %d", badState)
 				}
@@ -239,21 +226,21 @@ func randomSpecOf[S interface {
 	}
 	for a := 0; a < nActions; a++ {
 		a := a
-		spec.Actions = append(spec.Actions, Action[S]{
+		spec.Actions = append(spec.Actions, Action[randState]{
 			Name: fmt.Sprintf("Act%d", a),
-			Next: func(s S) []S {
+			Next: func(s randState) []randState {
 				h := mix(salt, uint32(a), uint32(s))
 				n := int(h % 4) // 0..3 successors
-				out := make([]S, 0, n)
+				out := make([]randState, 0, n)
 				for i := 0; i < n; i++ {
-					out = append(out, S(mix(salt, uint32(a), uint32(s), uint32(i+1))%space))
+					out = append(out, randState(mix(salt, uint32(a), uint32(s), uint32(i+1))%space))
 				}
 				return out
 			},
 		})
 	}
 	if withConstraint {
-		spec.Constraint = func(s S) bool { return uint32(s)%17 != 3 }
+		spec.Constraint = func(s randState) bool { return uint32(s)%17 != 3 }
 	}
 	return spec
 }

@@ -188,6 +188,7 @@ type wsWorker[S State] struct {
 
 	// pending registration, set before each claim
 	regS      S
+	regEnc    []byte
 	regParent int
 	regAct    string
 	regDepth  int
@@ -212,7 +213,7 @@ func (w *wsWorker[S]) alloc() int {
 	e := w.e
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	id, err := e.install(w.x, w.regS, w.regParent, w.regAct, w.regDepth)
+	id, err := e.install(w.x, w.regS, w.regEnc, w.regParent, w.regAct, w.regDepth)
 	if err != nil {
 		e.fail(err)
 		return -1
@@ -237,7 +238,7 @@ func (w *wsWorker[S]) register(s S, parent int, act string, depth int) int {
 	x.g.enter(opEncode, act, parent)
 	enc := x.cod.canonical(s)
 	x.g.exit()
-	w.regS, w.regParent, w.regAct, w.regDepth = s, parent, act, depth
+	w.regS, w.regEnc, w.regParent, w.regAct, w.regDepth = s, enc, parent, act, depth
 	id, isNew := e.vs.claim(fingerprint(enc), enc, w.allocFn)
 	if !isNew {
 		return id

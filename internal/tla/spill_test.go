@@ -65,7 +65,8 @@ func checkExplores[S State](spec *Spec[S], opts Options) (bool, error) {
 // TestOptionsRejectedBeforeExploring pins every option combination the
 // engine used to reinterpret silently — a work-steal run downgraded to
 // level-sync, a POR request ignored on a spec without a declaration, the
-// arena replaying actions for a state it cannot decode. Each must now be
+// arena replaying actions for a state it cannot decode (the "key-only"
+// rows). Each must now be
 // an ErrInvalidOptions from Check before a single state is explored.
 func TestOptionsRejectedBeforeExploring(t *testing.T) {
 	incomplete := func() *Spec[gridState] {
@@ -73,7 +74,10 @@ func TestOptionsRejectedBeforeExploring(t *testing.T) {
 		spec.Independence.Procs = nil
 		return spec
 	}
-	randomKeyed := func() *Spec[randState] { return randomSpec(1) }
+	// *ptrState encodes but does not decode: the arena cannot retain it.
+	noDecoder := func() *Spec[*ptrState] {
+		return &Spec[*ptrState]{Name: "ptr", Init: func() []*ptrState { return []*ptrState{{}} }}
+	}
 	for _, tc := range []struct {
 		name string
 		run  func() (bool, error)
@@ -94,13 +98,13 @@ func TestOptionsRejectedBeforeExploring(t *testing.T) {
 			return checkExplores(incomplete(), Options{PartialOrder: true})
 		}},
 		{"StateArena-key-only", func() (bool, error) {
-			return checkExplores(randomKeyed(), Options{StateArena: true})
+			return checkExplores(noDecoder(), Options{StateArena: true})
 		}},
 		{"CheckpointDir-key-only", func() (bool, error) {
-			return checkExplores(randomKeyed(), Options{CheckpointDir: t.TempDir()})
+			return checkExplores(noDecoder(), Options{CheckpointDir: t.TempDir()})
 		}},
 		{"StateArena-RecordGraph-key-only", func() (bool, error) {
-			return checkExplores(randomKeyed(), Options{StateArena: true, RecordGraph: true})
+			return checkExplores(noDecoder(), Options{StateArena: true, RecordGraph: true})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -254,8 +254,8 @@ func (vs *visitedSet) claim(fp uint64, enc []byte, alloc func() int) (id int, is
 	}
 	sh.mu.Lock()
 	// Unlock by defer, not explicitly: alloc runs spec encoding code under
-	// this lock (arena mode), and a recovered spec panic must release the
-	// shard on unwind or the drain would deadlock on it.
+	// this lock (an arena under symmetry), and a recovered spec panic must
+	// release the shard on unwind or the drain would deadlock on it.
 	defer sh.mu.Unlock()
 	if vs.keyed {
 		if id, ok := sh.byKey[string(enc)]; ok {

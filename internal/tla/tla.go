@@ -27,17 +27,21 @@ import (
 	"repro/internal/obs"
 )
 
-// State is implemented by specification states. Key returns a canonical
-// encoding of the state: two states are identical if and only if their keys
-// are equal. The checker deduplicates on a byte encoding of each state —
-// its AppendBinary encoding when the state implements BinaryState, else its
-// key — either on the full encoding or on a 64-bit fingerprint of it (see
+// State is implemented by specification states. A state has one identity
+// in two forms: AppendBinary (see BinaryState), the byte encoding the
+// checker deduplicates, fingerprints, orders orbits by and stores, and
+// Key, the same identity as a string — the label DOT dumps, Graph.KeyAt
+// and printed traces carry. Two states are identical if and only if their
+// encodings are equal, and if and only if their keys are. The checker
+// dedups either on the full encoding or on a 64-bit fingerprint of it (see
 // Options.CollisionFree).
 //
-// Unless Options.Workers is 1, Key is called from multiple goroutines
-// concurrently (on distinct states) and must not mutate shared state.
+// Unless Options.Workers is 1, Key and AppendBinary are called from
+// multiple goroutines concurrently (on distinct states) and must not
+// mutate shared state.
 type State interface {
 	Key() string
+	BinaryState
 }
 
 // Action is a named transition relation: Next returns every successor of a
@@ -245,14 +249,16 @@ type Options struct {
 	// bounds deduplication memory. With MemoryBudgetBytes set, sealed
 	// arena segments spill to disk under the same budget, so the visited
 	// set and trace storage both respect it. The arena needs a spec state
-	// that implements BinaryState and BinaryDecoder — Check rejects it
-	// otherwise — and every stored state is decoded back: counterexamples,
-	// the resumed frontier, and with RecordGraph the state graph itself
-	// (see Graph). The arena stores each state's plain encoding, which
-	// identifies the exact state explored, so the reconstructed trace is
-	// byte-identical to live retention's — including under symmetry
-	// reduction. Without StateArena the run keeps the same parent links and
-	// edge records, with live values in place of encodings.
+	// that implements BinaryDecoder — Check rejects it otherwise — and
+	// every stored state is decoded back: counterexamples, the resumed
+	// frontier, and with RecordGraph the state graph itself (see Graph).
+	// The arena stores each state's plain encoding, which identifies the
+	// exact state explored, so the reconstructed trace is byte-identical to
+	// live retention's — including under symmetry reduction. Without
+	// symmetry that is the encoding deduplication already computed, stored
+	// as is; with it, install encodes the state once more. Without
+	// StateArena the run keeps the same parent links and edge records, with
+	// live values in place of encodings.
 	// CheckpointDir and ResumeFrom imply it.
 	StateArena bool
 	// PartialOrder enables ample-set partial-order reduction (-por on the
@@ -520,7 +526,7 @@ type Result[S State] struct {
 // spec, and Check then rejects those the spec cannot serve — PartialOrder
 // without a complete Independence declaration, and arena retention
 // (StateArena, CheckpointDir, ResumeFrom) on a state that does not
-// implement BinaryState and BinaryDecoder.
+// implement BinaryDecoder.
 func Check[S State](spec *Spec[S], opts Options) (*Result[S], error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -531,13 +537,8 @@ func Check[S State](spec *Spec[S], opts Options) (*Result[S], error) {
 	if ind := spec.Independence; opts.PartialOrder && (ind == nil || ind.Procs == nil || ind.Owner == nil) {
 		return nil, fmt.Errorf("%w: PartialOrder needs spec %s to declare Independence with Procs and Owner", ErrInvalidOptions, spec.Name)
 	}
-	if opts.arena() {
-		var zero S
-		_, enc := any(zero).(BinaryState)
-		_, dec := any(zero).(BinaryDecoder[S])
-		if !enc || !dec {
-			return nil, fmt.Errorf("%w: StateArena (implied by CheckpointDir and ResumeFrom) stores states as encodings and decodes them back, so the state of spec %s must implement BinaryState and BinaryDecoder", ErrInvalidOptions, spec.Name)
-		}
+	if _, dec := any(*new(S)).(BinaryDecoder[S]); opts.arena() && !dec {
+		return nil, fmt.Errorf("%w: StateArena (implied by CheckpointDir and ResumeFrom) decodes stored states back, so the state of spec %s must implement BinaryDecoder", ErrInvalidOptions, spec.Name)
 	}
 	workers := resolveWorkers(opts.Workers)
 	em := newEngineMetrics(opts, workers)

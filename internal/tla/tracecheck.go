@@ -1,6 +1,7 @@
 package tla
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -46,8 +47,15 @@ type GuidedObservation[S State] interface {
 // exactly that state.
 type FullObservation[S State] struct{ Want S }
 
-// Matches reports whether s has the same canonical key as the observed state.
-func (o FullObservation[S]) Matches(s S) bool { return s.Key() == o.Want.Key() }
+// Matches reports whether s is the observed state: whether their
+// encodings are equal, which the BinaryState contract makes the same as
+// equal keys, without building two strings. Both encodings share one
+// buffer; it escapes through the generic AppendBinary calls, so a call
+// costs that one allocation.
+func (o FullObservation[S]) Matches(s S) bool {
+	a := s.AppendBinary(make([]byte, 0, 256))
+	return bytes.Equal(a, o.Want.AppendBinary(a[len(a):]))
+}
 
 func (o FullObservation[S]) String() string { return o.Want.Key() }
 
@@ -185,11 +193,10 @@ func CheckTrace[S State](spec *Spec[S], trace []Observation[S]) (*TraceResult, e
 // from observation 0 with every hint ignored (TraceResult.Rechecked), so a
 // reported divergence is always the unguided checker's.
 //
-// Frontier deduplication takes the BinaryState fast path when the spec
-// state implements it, but never applies Spec.SymmetryVisitor: observations name
-// concrete identifiers (this node, that actor), so symmetric-but-distinct
-// frontier states match different future observations and must stay
-// distinct.
+// Frontier deduplication keys on AppendBinary encodings but never applies
+// Spec.SymmetryVisitor: observations name concrete identifiers (this node,
+// that actor), so symmetric-but-distinct frontier states match different
+// future observations and must stay distinct.
 func CheckTraceWith[S State](spec *Spec[S], trace []Observation[S], opts TraceOptions) (*TraceResult, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err

@@ -161,21 +161,3 @@ func cloneState(s raftmongo.State) raftmongo.State {
 	}
 	return c
 }
-
-// Observations adapts a state sequence for the trace checker: each state
-// becomes a full observation.
-func Observations(states []raftmongo.State) []FullStateObs {
-	out := make([]FullStateObs, len(states))
-	for i, s := range states {
-		out[i] = FullStateObs{State: s}
-	}
-	return out
-}
-
-// FullStateObs observes a complete replica-set state.
-type FullStateObs struct{ State raftmongo.State }
-
-// Matches reports whether the spec state equals the observed state.
-func (o FullStateObs) Matches(s raftmongo.State) bool { return s.Key() == o.State.Key() }
-
-func (o FullStateObs) String() string { return o.State.Key() }

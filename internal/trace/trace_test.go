@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/raftmongo"
+	"repro/internal/tla"
 )
 
 func TestWaitNextMillisecondStrictlyIncreases(t *testing.T) {
@@ -221,8 +222,8 @@ func TestReadEventsBadLine(t *testing.T) {
 	}
 }
 
-// TestObservationsAdaptStates: the processed state sequence converts to
-// full-state observations usable with the trace checker directly (the
+// TestObservationsAdaptStates: the processed states serve as
+// tla.FullObservation values, usable with the trace checker directly (the
 // all-variables-logged path, when no refinement is needed).
 func TestObservationsAdaptStates(t *testing.T) {
 	events := []Event{
@@ -233,11 +234,11 @@ func TestObservationsAdaptStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := Observations(res.States)
-	if len(obs) != 3 {
-		t.Fatalf("observations = %d", len(obs))
+	if len(res.States) != 3 {
+		t.Fatalf("states = %d", len(res.States))
 	}
-	for i, o := range obs {
+	for i, s := range res.States {
+		o := tla.FullObservation[raftmongo.State]{Want: s}
 		if !o.Matches(res.States[i]) {
 			t.Fatalf("observation %d does not match its own state", i)
 		}
