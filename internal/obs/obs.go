@@ -211,8 +211,9 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 }
 
 // Histogram returns the histogram registered under name, creating it with
-// the given upper bounds on first use (later calls ignore buckets). The
-// name must be a bare family — no labels.
+// the given upper bounds on first use (later calls ignore buckets). Like a
+// counter's, the name may carry a label set (`family{key="value"}`), which
+// every bucket, sum and count sample of it repeats.
 func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
 	if r == nil {
 		return nil
@@ -246,6 +247,15 @@ func familyOf(name string) string {
 		return name[:i]
 	}
 	return name
+}
+
+// labelsOf returns the label pairs of a sample name, without the braces;
+// "" for a bare name.
+func labelsOf(name string) string {
+	if i := strings.IndexByte(name, '{'); i >= 0 {
+		return strings.TrimSuffix(name[i+1:], "}")
+	}
+	return ""
 }
 
 // injectLabel merges an extra `key="value"` pair into a sample name's label
@@ -342,13 +352,14 @@ func WritePrometheusMulti(w io.Writer, parts []Labeled) error {
 			samples[f] = append(samples[f], regSample{injectLabel(name, extra), formatFloat(fn())})
 		}
 		for name, h := range r.hists {
-			families[name] = "histogram"
-			hs := regHistSnap{extra: extra, bounds: h.bounds, count: h.Count(), sum: h.Sum()}
+			f := familyOf(name)
+			families[f] = "histogram"
+			hs := regHistSnap{extra: joinLabels(extra, labelsOf(name)), bounds: h.bounds, count: h.Count(), sum: h.Sum()}
 			hs.counts = make([]int64, len(h.counts))
 			for i := range h.counts {
 				hs.counts[i] = h.counts[i].Load()
 			}
-			hsnaps[name] = append(hsnaps[name], hs)
+			hsnaps[f] = append(hsnaps[f], hs)
 		}
 		for k, v := range r.help {
 			if _, ok := help[k]; !ok {
@@ -370,7 +381,9 @@ func WritePrometheusMulti(w io.Writer, parts []Labeled) error {
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f, families[f])
 		if families[f] == "histogram" {
-			for _, hs := range hsnaps[f] {
+			snaps := hsnaps[f]
+			sort.Slice(snaps, func(i, j int) bool { return snaps[i].extra < snaps[j].extra })
+			for _, hs := range snaps {
 				cum := int64(0)
 				for i, bound := range hs.bounds {
 					cum += hs.counts[i]

@@ -87,6 +87,33 @@ func TestHistogramObserve(t *testing.T) {
 	}
 }
 
+// TestLabeledHistograms pins histograms of one family told apart by a
+// label set: one HELP/TYPE block, the name's labels on every sample after
+// an injected one and before le, label sets in order.
+func TestLabeledHistograms(t *testing.T) {
+	r := NewRegistry()
+	r.Help("p_seconds", "phases")
+	r.Histogram(`p_seconds{phase="merge"}`, []float64{1}).Observe(2)
+	r.Histogram(`p_seconds{phase="expand"}`, []float64{1}).Observe(0.5)
+	var sb strings.Builder
+	if err := r.WritePrometheusLabeled(&sb, "job", "j"); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP p_seconds phases\n" +
+		"# TYPE p_seconds histogram\n" +
+		"p_seconds_bucket{job=\"j\",phase=\"expand\",le=\"1\"} 1\n" +
+		"p_seconds_bucket{job=\"j\",phase=\"expand\",le=\"+Inf\"} 1\n" +
+		"p_seconds_sum{job=\"j\",phase=\"expand\"} 0.5\n" +
+		"p_seconds_count{job=\"j\",phase=\"expand\"} 1\n" +
+		"p_seconds_bucket{job=\"j\",phase=\"merge\",le=\"1\"} 0\n" +
+		"p_seconds_bucket{job=\"j\",phase=\"merge\",le=\"+Inf\"} 1\n" +
+		"p_seconds_sum{job=\"j\",phase=\"merge\"} 2\n" +
+		"p_seconds_count{job=\"j\",phase=\"merge\"} 1\n"
+	if sb.String() != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", sb.String(), want)
+	}
+}
+
 func TestExpBuckets(t *testing.T) {
 	got := ExpBuckets(1, 2, 4)
 	want := []float64{1, 2, 4, 8}

@@ -75,9 +75,10 @@ type arenaSeg struct {
 }
 
 // stateArena is the append-only retained-state store. It is single-owner:
-// the level-synchronized engine touches it from the merge goroutine only,
-// and the work-stealing engine serializes access under its registration
-// lock.
+// the level-synchronized engine touches it from its driver goroutine —
+// except that its merge's settle pass writes the records of a level's new
+// states, each at its own id, from the workers — and the work-stealing
+// engine serializes access under its registration lock.
 type stateArena struct {
 	budget   int64 // 0 = never spill
 	fsys     FS
@@ -114,18 +115,24 @@ func (a *stateArena) len() int { return len(a.meta) }
 // canonical encoding. The caller's id for the record is the arena's current
 // length before the call; enc is copied, so it may alias a codec's scratch
 // buffer.
-func (a *stateArena) add(enc []byte, parent int, act uint16, depth int) (err error) {
-	m := arenaMeta{parent: int32(parent), depth: int32(depth), act: act, n: uint32(len(enc))}
+func (a *stateArena) add(enc []byte, parent int, act uint16, depth int) {
+	a.meta = append(a.meta, arenaMeta{parent: int32(parent), depth: int32(depth), act: act})
+	a.store(len(a.meta)-1, enc)
+}
+
+// store appends the encoding of state id, whose record exists, and points
+// the record at it; an empty enc stores nothing.
+func (a *stateArena) store(id int, enc []byte) {
 	if len(enc) > 0 {
-		m.seg, m.off, err = a.appendSeg(&a.segs, enc)
+		m := &a.meta[id]
+		m.seg, m.off = a.appendSeg(&a.segs, enc)
+		m.n = uint32(len(enc))
 	}
-	a.meta = append(a.meta, m)
-	return err
 }
 
 // addEdge appends one graph edge as a fixed-width record. Edge bytes count
 // against the same resident budget as encodings and spill with them.
-func (a *stateArena) addEdge(from int, act uint16, to int) error {
+func (a *stateArena) addEdge(from int, act uint16, to int) {
 	var rec [arenaEdgeBytes]byte
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(from))
 	binary.LittleEndian.PutUint16(rec[4:6], act)
@@ -136,8 +143,7 @@ func (a *stateArena) addEdge(from int, act uint16, to int) error {
 	} else {
 		a.lastFrom = from
 	}
-	_, _, err := a.appendSeg(&a.edgeSegs, rec[:])
-	return err
+	a.appendSeg(&a.edgeSegs, rec[:])
 }
 
 // appendSeg appends rec to the tail of the segment list *segs — opening a
@@ -145,7 +151,7 @@ func (a *stateArena) addEdge(from int, act uint16, to int) error {
 // overflow it — charges it to the resident bytes, and spills every
 // resident segment once they exceed the budget. It returns the segment
 // index and offset rec landed at.
-func (a *stateArena) appendSeg(segs *[]arenaSeg, rec []byte) (seg, off uint32, err error) {
+func (a *stateArena) appendSeg(segs *[]arenaSeg, rec []byte) (seg, off uint32) {
 	l := *segs
 	if n := len(l); n == 0 || l[n-1].spilled || l[n-1].size+len(rec) > arenaSegBytes {
 		l = append(l, arenaSeg{buf: make([]byte, 0, a.segCap(len(rec)))})
@@ -157,9 +163,9 @@ func (a *stateArena) appendSeg(segs *[]arenaSeg, rec []byte) (seg, off uint32, e
 	tail.size += len(rec)
 	a.resident += int64(len(rec))
 	if a.budget > 0 && a.resident > a.budget {
-		err = a.flush()
+		a.flush()
 	}
-	return seg, off, err
+	return seg, off
 }
 
 // segCap sizes a fresh segment opened by a need-byte record: arenaSegBytes,
@@ -234,11 +240,11 @@ func (a *stateArena) readSeg(seg *arenaSeg, off, n int, buf []byte) ([]byte, err
 // Spilling is memory relief, not correctness: on a persistent write
 // failure (ENOSPC at the seal) the arena degrades to retaining segments in
 // memory — over budget, reported via Result.DegradedMemory — instead of
-// failing the run. Spilled reads stay valid: fileSize only advances past
-// fully written segments.
-func (a *stateArena) flush() error {
+// failing the run, so appending to the arena never fails. Spilled reads
+// stay valid: fileSize only advances past fully written segments.
+func (a *stateArena) flush() {
 	if a.degraded {
-		return nil
+		return
 	}
 	if a.file == nil {
 		err := a.em.retry("arena", func() error {
@@ -252,7 +258,7 @@ func (a *stateArena) flush() error {
 		if err != nil {
 			a.degraded = true
 			a.em.onDegrade("arena")
-			return nil
+			return
 		}
 	}
 	for _, list := range [][]arenaSeg{a.segs, a.edgeSegs} {
@@ -268,7 +274,7 @@ func (a *stateArena) flush() error {
 			if err != nil {
 				a.degraded = true
 				a.em.onDegrade("arena")
-				return nil
+				return
 			}
 			seg.fileOff = a.fileSize
 			a.fileSize += int64(seg.size)
@@ -279,7 +285,6 @@ func (a *stateArena) flush() error {
 			a.em.onArenaSpill(int64(seg.size))
 		}
 	}
-	return nil
 }
 
 // residentBytes reports the encoding and edge bytes currently held in
@@ -317,16 +322,16 @@ func (a *stateArena) close() error {
 // retainer owns discovered-state retention for one checking run: the
 // arena's link table (parent, depth, action) for every state, and each
 // state's value in one of two modes. Live mode (the default) keeps every
-// value in states and stores no encoding. Arena mode (Options.StateArena,
-// implied by checkpointing) stores each state's canonical encoding in the
-// arena and keeps live values only for the states awaiting expansion
-// (retainLive/release bracket the window). The modes differ only in where
-// a value comes from: stateOf for the expansion window, stateAt for every
-// other read.
+// value in fixed-size pages and stores no encoding. Arena mode
+// (Options.StateArena, implied by checkpointing) stores each state's
+// canonical encoding in the arena and keeps live values only for the
+// states awaiting expansion (retainLive/release bracket the window). The
+// modes differ only in where a value comes from: stateOf for the expansion
+// window, stateAt for every other read.
 type retainer[S State] struct {
 	arena  *stateArena
 	acts   []string // interned action names; acts[0] is the initial-state ""
-	actIdx map[string]uint16
+	actIDs []uint16 // per Spec.Actions index: the interned index into acts
 
 	// graphOwned marks that Result.Graph is a view of this retainer: the
 	// graph, not the retainer, then owns the arena's spill file, and
@@ -334,45 +339,77 @@ type retainer[S State] struct {
 	graphOwned bool
 
 	decode bool      // arena mode: values are decoded from stored encodings
-	states []S       // live mode: every state's value, by id
+	live   pages[S]  // live mode: every state's value, by id
 	window map[int]S // arena mode: the values of states awaiting expansion
+}
+
+// pages is a growable array kept in fixed-size pages of pageSize values:
+// growing allocates a page and copies no earlier value, and distinct
+// indexes below the reserved length may be written concurrently (the
+// level-synchronized merge writes each new state into its page from any
+// worker).
+type pages[T any] [][]T
+
+const (
+	pageBits = 10
+	pageSize = 1 << pageBits
+	pageMask = pageSize - 1
+)
+
+// reserve allocates pages for every index below n.
+func (p *pages[T]) reserve(n int) {
+	for len(*p)<<pageBits < n {
+		*p = append(*p, make([]T, pageSize))
+	}
+}
+
+// at returns the slot of index i, which must be reserved.
+func (p pages[T]) at(i int) *T { return &p[i>>pageBits][i&pageMask] }
+
+// clear zeroes the values below n.
+func (p pages[T]) clear(n int) {
+	for i := 0; i < n; i += pageSize {
+		clear(p[i>>pageBits][:min(pageSize, n-i)])
+	}
 }
 
 func newRetainer[S State](spec *Spec[S], opts Options, em *engineMetrics) *retainer[S] {
 	r := &retainer[S]{
 		arena:  newStateArena(opts.MemoryBudgetBytes, opts.FS, em),
 		acts:   []string{""},
-		actIdx: map[string]uint16{"": 0},
+		actIDs: make([]uint16, len(spec.Actions)),
 		decode: opts.arena(),
 	}
 	if r.decode {
 		r.window = map[int]S{}
 	}
-	for _, a := range spec.Actions {
-		if _, ok := r.actIdx[a.Name]; !ok {
-			r.actIdx[a.Name] = uint16(len(r.acts))
+	interned := map[string]uint16{"": 0} // duplicate names share an index
+	for i, a := range spec.Actions {
+		id, ok := interned[a.Name]
+		if !ok {
+			id = uint16(len(r.acts))
+			interned[a.Name] = id
 			r.acts = append(r.acts, a.Name)
 		}
+		r.actIDs[i] = id
 	}
 	return r
 }
 
 func (r *retainer[S]) len() int { return r.arena.len() }
 
-// add records one newly discovered state. In arena mode enc must be the
-// state's plain encoding — codec.encode, not an orbit-canonical form that
-// differs from it — and is copied; live mode keeps s and ignores enc.
-func (r *retainer[S]) add(s S, enc []byte, parent int, act string, depth int) error {
+// add records one newly discovered state under the next id. In arena mode
+// enc must be the state's plain encoding — codec.encode, not an
+// orbit-canonical form that differs from it — and is copied; live mode
+// keeps s and ignores enc.
+func (r *retainer[S]) add(s S, enc []byte, parent int, act uint16, depth int) {
 	if !r.decode {
-		r.states = append(r.states, s)
+		id := r.len()
+		r.live.reserve(id + 1)
+		*r.live.at(id) = s
 		enc = nil
 	}
-	return r.arena.add(enc, parent, r.actIdx[act], depth)
-}
-
-// addEdge records one graph edge into the arena's edge segments.
-func (r *retainer[S]) addEdge(from int, act string, to int) error {
-	return r.arena.addEdge(from, r.actIdx[act], to)
+	r.arena.add(enc, parent, act, depth)
 }
 
 // retainLive parks a live value for a state the engine will expand later.
@@ -391,7 +428,7 @@ func (r *retainer[S]) stateOf(id int) S {
 	if r.decode {
 		return r.window[id]
 	}
-	return r.states[id]
+	return *r.live.at(id)
 }
 
 func (r *retainer[S]) depthOf(id int) int { return int(r.arena.meta[id].depth) }
@@ -421,7 +458,7 @@ func (r *retainer[S]) releaseAll(ids []int) {
 // goroutine's, or any codec after the workers joined.
 func (r *retainer[S]) stateAt(cod *codec[S], id int) (S, error) {
 	if !r.decode {
-		return r.states[id], nil
+		return *r.live.at(id), nil
 	}
 	var zero S
 	enc, err := r.arena.encoding(id, nil)

@@ -121,13 +121,9 @@ func BenchmarkArenaGraph(b *testing.B) {
 				for j := 0; j < n; j++ {
 					s := mkHeavyState(j)
 					encBuf = s.AppendBinary(encBuf[:0])
-					if err := ret.add(s, encBuf, j-1, "Step", j); err != nil {
-						b.Fatal(err)
-					}
+					ret.add(s, encBuf, j-1, ret.actIDs[0], j)
 					if j > 0 {
-						if err := ret.addEdge(j-1, "Step", j); err != nil {
-							b.Fatal(err)
-						}
+						ret.arena.addEdge(j-1, ret.actIDs[0], j)
 					}
 				}
 				runtime.GC()
@@ -171,9 +167,7 @@ func BenchmarkArenaRetention(b *testing.B) {
 				for j := 0; j < n; j++ {
 					s := mkHeavyState(j)
 					encBuf = s.AppendBinary(encBuf[:0])
-					if err := ret.add(s, encBuf, j-1, "Step", j); err != nil {
-						b.Fatal(err)
-					}
+					ret.add(s, encBuf, j-1, ret.actIDs[0], j)
 				}
 				runtime.GC()
 				runtime.ReadMemStats(&after)

@@ -24,9 +24,7 @@ func TestArenaRoundTrip(t *testing.T) {
 				enc := make([]byte, rng.Intn(64)+1)
 				rng.Read(enc)
 				want = append(want, enc)
-				if err := a.add(enc, i-1, uint16(i%3), i); err != nil {
-					t.Fatal(err)
-				}
+				a.add(enc, i-1, uint16(i%3), i)
 			}
 			if a.len() != len(want) {
 				t.Fatalf("arena holds %d records, want %d", a.len(), len(want))
@@ -59,12 +57,8 @@ func TestArenaOversizedEncoding(t *testing.T) {
 	for _, budget := range []int64{0, 1} {
 		a := newStateArena(budget, nil, nil)
 		big := bytes.Repeat([]byte{0xAB}, arenaSegBytes+17)
-		if err := a.add([]byte("small"), -1, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := a.add(big, 0, 1, 1); err != nil {
-			t.Fatal(err)
-		}
+		a.add([]byte("small"), -1, 0, 0)
+		a.add(big, 0, 1, 1)
 		got, err := a.encoding(1, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -81,9 +75,7 @@ func TestArenaOversizedEncoding(t *testing.T) {
 // run, and close removes it.
 func TestArenaSpillFileLifecycle(t *testing.T) {
 	a := newStateArena(1, nil, nil)
-	if err := a.add([]byte("abc"), -1, 0, 0); err != nil {
-		t.Fatal(err)
-	}
+	a.add([]byte("abc"), -1, 0, 0)
 	if a.file == nil {
 		t.Fatal("one-byte budget did not open a spill file")
 	}

@@ -7,7 +7,7 @@ import (
 
 // The exploration core both schedulers drive. Check runs one of two thin
 // drivers — the level-synchronized loop (engine.go: chunk plan, merge
-// replay) or the work-stealing loop (schedule.go: deques, steal-half) — and
+// passes) or the work-stealing loop (schedule.go: deques, steal-half) — and
 // everything the two would otherwise each implement lives here once:
 //
 //   - successor generation: one expander per worker runs the guarded Next
@@ -15,7 +15,8 @@ import (
 //     ample-first, on the visited set's probe misses;
 //   - first-sight registration: install (the MaxStates bound, then
 //     retention, storing the encoding deduplication already computed) and
-//     verdict (invariants, then the constraint);
+//     verdict (invariants, then the constraint) — which the
+//     level-synchronized merge splits across its passes;
 //   - the run lifecycle: Result, retainer and codecs, the graph view,
 //     stopper, progress ticker, Init registration, and one finish that
 //     turns the run's outcome into (Result, error).
@@ -203,47 +204,50 @@ func (r *explorer[S]) registerInits(x *expander[S], reg func(S) (id int, more bo
 	}
 }
 
-// install registers a first-sighted state and returns its dense id: the
-// MaxStates bound, then retention. enc is the state's canonical encoding,
-// which the arena stores as is: without symmetry it is the plain encoding
-// already. Under symmetry it names the orbit, and the arena needs the
-// exact state explored, so only then is s encoded again. Single-owner —
-// the level-sync merge goroutine, or a work-stealing worker holding the
-// registration lock.
-func (r *explorer[S]) install(x *expander[S], s S, enc []byte, parent int, act string, depth int) (int, error) {
+// install registers a first-sighted state, reached by the action with
+// interned index act (retainer.acts), and returns its dense id: the
+// MaxStates bound, then retention. enc is the state's canonical
+// encoding, which the arena stores as is: without symmetry it is the plain
+// encoding already. Under symmetry it names the orbit, and the arena needs
+// the exact state explored, so only then is s encoded again. Single-owner
+// — the level-sync driver goroutine registering initial states, or a
+// work-stealing worker holding the registration lock.
+func (r *explorer[S]) install(x *expander[S], s S, enc []byte, parent int, act uint16, depth int) (int, error) {
 	id := r.ret.len()
 	if r.opts.MaxStates > 0 && id >= r.opts.MaxStates {
 		return -1, ErrStateLimit
 	}
 	if r.ret.decode && x.cod.sym != nil {
-		x.g.enter(opEncode, act, -1)
+		x.g.enter(opEncode, r.ret.acts[act], -1)
 		x.plain = x.cod.encode(s, x.plain[:0])
 		x.g.exit()
 		enc = x.plain
 	}
-	if err := r.ret.add(s, enc, parent, act, depth); err != nil {
-		return -1, err
-	}
+	r.ret.add(s, enc, parent, act, depth)
 	return id, nil
 }
 
-// verdict checks a first-sighted state's invariants, then its constraint.
-// A violation becomes the run's outcome and is reported as !ok; otherwise
-// within says whether the state's successors may be explored.
-func (r *explorer[S]) verdict(x *expander[S], s S, id int) (ok, within bool) {
-	for _, inv := range r.spec.Invariants {
-		x.g.enter(opInvariant, inv.Name, id)
-		err := inv.Check(s)
+// verdict checks a first-sighted state's invariants, returning the first
+// violated one's name and error, then its constraint: within says whether
+// the state's successors may be explored.
+func (r *explorer[S]) verdict(x *expander[S], s S, id int) (inv string, within bool, err error) {
+	for _, i := range r.spec.Invariants {
+		x.g.enter(opInvariant, i.Name, id)
+		err := i.Check(s)
 		x.g.exit()
 		if err != nil {
-			r.violate(id, inv.Name, err)
-			return false, false
+			return i.Name, false, err
 		}
 	}
+	return "", r.within(x, s, id), nil
+}
+
+// within evaluates the constraint on s; a panic is attributed to state id.
+func (r *explorer[S]) within(x *expander[S], s S, id int) bool {
 	x.g.enter(opConstraint, "", id)
-	within = r.spec.Constraint == nil || r.spec.Constraint(s)
+	ok := r.spec.Constraint == nil || r.spec.Constraint(s)
 	x.g.exit()
-	return true, within
+	return ok
 }
 
 // expander is one worker's successor generator. Like the codec it owns, it
@@ -257,8 +261,9 @@ type expander[S State] struct {
 
 	// vs, when non-nil, is probed for every successor's canonical encoding
 	// (level-sync always, work-stealing under POR): ids[t] is successor t's
-	// id on a hit, and ^i on a miss, the i-th entry expand appends to misses
-	// (and its encoding to keys) — buffers the schedule loop owns and resets.
+	// id on a hit, and ^i on a miss, the i-th entry of misses (its encoding
+	// in keys) — buffers the schedule loop owns and resets. expand appends
+	// an entry per miss.
 	vs     *visitedSet
 	ids    []int
 	misses []miss
@@ -272,10 +277,21 @@ type expander[S State] struct {
 
 // miss is a successor the probe did not find: its fingerprint and the end
 // of its encoding in the key buffer alongside (it starts where the
-// previous miss's ends).
+// previous miss's ends). within is the level-sync merge's: whether the
+// successor is inside the constraint, once evaluated.
 type miss struct {
-	fp  uint64
-	end int
+	fp     uint64
+	end    int32
+	within bool
+}
+
+// missKey returns the encoding of misses[i] in keys.
+func missKey(misses []miss, keys []byte, i int) []byte {
+	lo := int32(0)
+	if i > 0 {
+		lo = misses[i-1].end
+	}
+	return keys[lo:misses[i].end]
 }
 
 // expand generates every successor of state s (id) into x.succs and fills
@@ -306,9 +322,9 @@ func (x *expander[S]) expand(s S, id int) (n, k int) {
 			fp := fingerprint(enc)
 			sid, ok := x.vs.probe(fp, enc)
 			if !ok {
-				sid = ^len(x.misses)
 				x.keys = push(x.keys, enc...)
-				x.misses = push(x.misses, miss{fp: fp, end: len(x.keys)})
+				x.misses = push(x.misses, miss{fp: fp, end: int32(len(x.keys))})
+				sid = ^(len(x.misses) - 1)
 			}
 			x.ids = append(x.ids, sid)
 		}

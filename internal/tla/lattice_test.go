@@ -25,13 +25,18 @@ import (
 //     successor of its action, and no two ids share a canonical encoding;
 //   - under level-sync, byte-for-byte: the WriteDOT dump and the
 //     counterexample equal those of the Workers=1 level-sync run with the
-//     same reduction settings.
+//     same reduction settings;
+//   - under level-sync without POR, and for the oracle itself, against a
+//     textbook BFS independent of the engine (referenceBFS): every counter,
+//     the counterexample, and the recorded graph state by state and edge by
+//     edge.
 
 // latticeSpec is one generated spec of the lattice, built fresh per run (a
 // run wraps Init to count its calls).
 type latticeSpec struct {
 	name  string
 	check func(t *testing.T, opts Options, sym bool) latticeRun
+	ref   func(sym bool) referenceRun
 }
 
 // latticeRun is what one Check call left behind, with the state type
@@ -42,6 +47,9 @@ type latticeRun struct {
 	traceKeys  []string
 	traceActs  []string
 	dot        []byte
+	keys       []string // a recorded graph's KeyAt, by id
+	edges      []Edge   // a recorded graph's edges, in order
+	inits      []int    // a recorded graph's Inits
 	initCalls  int
 	expectBad  bool   // the combination must be rejected
 	validTrace bool   // the counterexample is a behaviour of the spec
@@ -84,6 +92,12 @@ func runLattice[S State](t *testing.T, build func(sym bool) *Spec[S], opts Optio
 		}
 		run.dot = buf.Bytes()
 		run.unsound = graphUnsound(build(sym), res.Graph)
+		run.keys = make([]string, res.Graph.Len())
+		for id := range run.keys {
+			run.keys[id] = res.Graph.KeyAt(id)
+		}
+		run.edges = graphEdges(t, res.Graph)
+		run.inits = res.Graph.Inits
 		if err := res.Graph.Close(); err != nil {
 			t.Fatalf("Graph.Close: %v", err)
 		}
@@ -203,7 +217,7 @@ func latticeRandom(seed int64, planted bool) latticeSpec {
 	}
 	return latticeSpec{name: name, check: func(t *testing.T, opts Options, sym bool) latticeRun {
 		return runLattice(t, build, opts, sym)
-	}}
+	}, ref: func(sym bool) referenceRun { return referenceBFS(build(sym), 0) }}
 }
 
 // plantedState walks up to five random transitions from an initial state,
@@ -255,7 +269,7 @@ func latticeGrid(n int, max, tripwire int8) latticeSpec {
 	}
 	return latticeSpec{name: fmt.Sprintf("grid-%d-%d-trip%d", n, max, tripwire), check: func(t *testing.T, opts Options, sym bool) latticeRun {
 		return runLattice(t, build, opts, sym)
-	}}
+	}, ref: func(sym bool) referenceRun { return referenceBFS(build(sym), 0) }}
 }
 
 // latticeJumpGrid is the POR grid with a second transition of counter 0,
@@ -286,7 +300,7 @@ func latticeJumpGrid(n int, max int8) latticeSpec {
 	}
 	return latticeSpec{name: fmt.Sprintf("grid-jump-%d-%d", n, max), check: func(t *testing.T, opts Options, sym bool) latticeRun {
 		return runLattice(t, build, opts, sym)
-	}}
+	}, ref: func(sym bool) referenceRun { return referenceBFS(build(sym), 0) }}
 }
 
 // latticeToggle is the cycle-proviso trap, with its violation or without.
@@ -303,7 +317,7 @@ func latticeToggle(planted bool) latticeSpec {
 	}
 	return latticeSpec{name: fmt.Sprintf("toggle-planted=%t", planted), check: func(t *testing.T, opts Options, sym bool) latticeRun {
 		return runLattice(t, build, opts, sym)
-	}}
+	}, ref: func(sym bool) referenceRun { return referenceBFS(build(sym), 0) }}
 }
 
 // TestOptionLattice runs every option combination against every lattice
@@ -332,6 +346,10 @@ func TestOptionLattice(t *testing.T) {
 			}
 			if oracle.unsound != "" {
 				t.Fatalf("%s sym=%t: oracle graph: %s", ls.name, sym, oracle.unsound)
+			}
+			ref := ls.ref(sym)
+			if d := referenceMismatch(ref, oracle); d != "" {
+				t.Fatalf("%s sym=%t: oracle vs reference BFS: %s", ls.name, sym, d)
 			}
 			violated := oracle.err != nil
 			// refs holds the Workers=1 level-sync reference per (POR,
@@ -376,21 +394,26 @@ func TestOptionLattice(t *testing.T) {
 				if opts.Schedule != ScheduleLevelSync {
 					continue
 				}
+				if !opts.PartialOrder {
+					if d := referenceMismatch(ref, got); d != "" {
+						t.Fatalf("%s: vs reference BFS: %s", label, d)
+					}
+				}
 				refOpts := Options{Workers: 1, RecordGraph: true, PartialOrder: opts.PartialOrder}
 				if opts.PartialOrder {
 					refOpts.MemoryBudgetBytes = opts.MemoryBudgetBytes
 				}
 				key := [2]bool{refOpts.PartialOrder, refOpts.MemoryBudgetBytes > 0}
-				ref, ok := refs[key]
+				w1, ok := refs[key]
 				if !ok {
-					ref = ls.check(t, refOpts, sym)
-					refs[key] = ref
+					w1 = ls.check(t, refOpts, sym)
+					refs[key] = w1
 				}
-				if !reflect.DeepEqual(got.traceKeys, ref.traceKeys) || !reflect.DeepEqual(got.traceActs, ref.traceActs) {
-					t.Fatalf("%s: counterexample %v via %v, level-sync reference %v via %v", label, got.traceKeys, got.traceActs, ref.traceKeys, ref.traceActs)
+				if !reflect.DeepEqual(got.traceKeys, w1.traceKeys) || !reflect.DeepEqual(got.traceActs, w1.traceActs) {
+					t.Fatalf("%s: counterexample %v via %v, level-sync reference %v via %v", label, got.traceKeys, got.traceActs, w1.traceKeys, w1.traceActs)
 				}
-				if opts.RecordGraph && !bytes.Equal(got.dot, ref.dot) {
-					t.Fatalf("%s: WriteDOT differs from the level-sync reference (%d vs %d bytes)", label, len(got.dot), len(ref.dot))
+				if opts.RecordGraph && !bytes.Equal(got.dot, w1.dot) {
+					t.Fatalf("%s: WriteDOT differs from the level-sync reference (%d vs %d bytes)", label, len(got.dot), len(w1.dot))
 				}
 			}
 		}

@@ -1,0 +1,153 @@
+package tla
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"testing"
+)
+
+// The level-sync merge settles each level in merge order — chunk, frontier
+// position, emission position — with its claim and settle passes running
+// in parallel. These tests pin what must not depend on the chunking: where
+// a violation or the MaxStates limit cuts a level, and which of a state's
+// occurrences (under symmetry, which member of its orbit) is retained.
+
+// cutGrid is the four-counter grid (por_test.go), whose levels are full of
+// states reached from several frontier states — duplicates across chunks —
+// with two invariants that fire at two states of level 4, a constraint
+// that cuts states mid-level, and the POR declaration.
+func cutGrid() *Spec[gridState] {
+	spec := gridSpec(4, 3, -1)
+	for _, bad := range []gridState{{vals: [4]int8{1, 1, 1, 1}, n: 4}, {vals: [4]int8{0, 2, 2, 0}, n: 4}} {
+		spec.Invariants = append(spec.Invariants, Invariant[gridState]{
+			Name: "Not" + bad.Key(),
+			Check: func(s gridState) error {
+				if s == bad {
+					return fmt.Errorf("reached %s", bad.Key())
+				}
+				return nil
+			},
+		})
+	}
+	spec.Constraint = func(s gridState) bool { return s.vals[3] < 2 }
+	return spec
+}
+
+// gridOrbit is the grid's full symmetry: every permutation of the counters,
+// visited by brute force.
+func gridOrbit() OrbitVisitor[gridState] {
+	var img gridState
+	return func(s gridState, visit func(gridState)) {
+		visit(s)
+		Permutations(int(s.n), func(perm []int) {
+			img = s
+			for i, j := range perm {
+				img.vals[j] = s.vals[i]
+			}
+			visit(img)
+		})
+	}
+}
+
+// eraseGrid runs Check on a spec from build and erases the result like the
+// lattice does.
+func eraseGrid(t *testing.T, build func() *Spec[gridState], opts Options) latticeRun {
+	t.Helper()
+	return runLattice(t, func(bool) *Spec[gridState] { return build() }, opts, false)
+}
+
+// TestMergeCutParity lands a violation and the MaxStates limit mid-level —
+// the first violation in discovery order, the limit before, at and after
+// it, and the limit alone in a level without a violation — and requires
+// every worker count, in keyed mode, fingerprint mode and under a budget,
+// to report what a textbook BFS reports: counters, counterexample, and the
+// recorded graph (whose DOT dump must also be byte-identical across worker
+// counts). Under POR, which the reference does not model, the worker counts
+// must agree with each other.
+func TestMergeCutParity(t *testing.T) {
+	clean := referenceBFS(cutGrid(), 0)
+	if clean.violated == "" {
+		t.Fatal("the grid's invariants never fire")
+	}
+	v := clean.distinct - 1 // the first violating state's id
+	limits := []int{0, v - 3, v, v + 1, 22}
+	// Every cut must land mid-level: ids are numbered level by level.
+	noInv := cutGrid()
+	noInv.Invariants = nil
+	depths := referenceBFS(noInv, 0).depths
+	for _, id := range append(limits[1:], v) {
+		if depths[id-1] != depths[id] || depths[id] != depths[id+1] {
+			t.Fatalf("a cut at state %d is not mid-level (depths %v)", id, depths[id-1:id+2])
+		}
+	}
+	modes := []Options{
+		{CollisionFree: true},
+		{},
+		{MemoryBudgetBytes: 1},
+		{MemoryBudgetBytes: 1, StateArena: true},
+	}
+	for _, por := range []bool{false, true} {
+		for _, limit := range limits {
+			for _, mode := range modes {
+				var ref referenceRun
+				if !por {
+					ref = referenceBFS(cutGrid(), limit)
+				}
+				var want latticeRun
+				for _, w := range []int{1, 2, 3, 4, 8} {
+					opts := mode
+					opts.Workers, opts.MaxStates, opts.PartialOrder, opts.RecordGraph = w, limit, por, true
+					label := fmt.Sprintf("por=%t limit=%d %s", por, limit, latticeLabel(opts))
+					got := eraseGrid(t, cutGrid, opts)
+					if got.res == nil {
+						t.Fatalf("%s: no result: %v", label, got.err)
+					}
+					if !por {
+						if d := referenceMismatch(ref, got); d != "" {
+							t.Fatalf("%s: %s", label, d)
+						}
+					}
+					if w == 1 {
+						want = got
+						continue
+					}
+					if g, o := got.res, want.res; g.Distinct != o.Distinct || g.Transitions != o.Transitions || g.Depth != o.Depth ||
+						g.Terminal != o.Terminal || g.ConstraintCuts != o.ConstraintCuts || (got.err == nil) != (want.err == nil) {
+						t.Fatalf("%s: result %+v (err %v), workers=1 %+v (err %v)", label, *g, got.err, *o, want.err)
+					}
+					if !slices.Equal(got.traceKeys, want.traceKeys) || !slices.Equal(got.traceActs, want.traceActs) {
+						t.Fatalf("%s: counterexample %v, workers=1 %v", label, got.traceKeys, want.traceKeys)
+					}
+					if !bytes.Equal(got.dot, want.dot) {
+						t.Fatalf("%s: DOT differs from workers=1 (%d vs %d bytes)", label, len(got.dot), len(want.dot))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSymmetricStatesMatchReferenceBFS: under symmetry the states of one orbit
+// share an identity but not a key, so the member a level retains is the
+// one its merge order reaches first. Graph.StateAt must return it at every
+// worker count, from live values and from arena encodings alike.
+func TestSymmetricStatesMatchReferenceBFS(t *testing.T) {
+	spec := func() *Spec[gridState] {
+		spec := gridSpec(4, 5, -1)
+		spec.SymmetryVisitor = gridOrbit
+		return spec
+	}
+	ref := referenceBFS(spec(), 0)
+	for _, arena := range []bool{false, true} {
+		for _, exact := range []bool{false, true} {
+			for _, w := range []int{1, 2, 3, 4, 8} {
+				opts := Options{Workers: w, StateArena: arena, CollisionFree: exact, RecordGraph: true}
+				got := eraseGrid(t, spec, opts)
+				if d := referenceMismatch(ref, got); d != "" {
+					t.Fatalf("%s: %s", latticeLabel(opts), d)
+				}
+			}
+		}
+	}
+}

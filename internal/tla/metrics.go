@@ -28,7 +28,9 @@ type engineMetrics struct {
 
 	levelWidth    *obs.Histogram
 	fanout        *obs.Histogram
-	mergeDur      *obs.Histogram
+	phaseExpand   *obs.Histogram // per level-sync level: the expansion
+	phaseMerge    *obs.Histogram // per level-sync level: expansion's end to the next level
+	mergeDur      *obs.Histogram // per spill merge-join
 	checkpointDur *obs.Histogram
 
 	steals       *obs.Counter
@@ -80,6 +82,10 @@ func newEngineMetrics(opts Options, workers int) *engineMetrics {
 	m.mergeDur = reg.Histogram("tla_spill_merge_seconds", durBuckets)
 	reg.Help("tla_checkpoint_seconds", "checkpoint write duration")
 	m.checkpointDur = reg.Histogram("tla_checkpoint_seconds", durBuckets)
+	reg.Help("tla_level_phase_seconds", "per BFS level: the parallel expansion, and the merge (spill merge-join, merge passes, budget check)")
+	phaseBuckets := obs.ExpBuckets(0.0001, 10, 6) // 100µs .. 10s
+	m.phaseExpand = reg.Histogram(`tla_level_phase_seconds{phase="expand"}`, phaseBuckets)
+	m.phaseMerge = reg.Histogram(`tla_level_phase_seconds{phase="merge"}`, phaseBuckets)
 
 	reg.Help("tla_steals_total", "successful steal-half operations (work-stealing schedule)")
 	m.steals = reg.Counter("tla_steals_total")
@@ -287,10 +293,16 @@ func (m *engineMetrics) journalStart(spec string, schedule Schedule, workers int
 	})
 }
 
-// journalLevel emits one level event of a level-synchronized run.
-func (m *engineMetrics) journalLevel(p Progress) {
+// journalLevel emits one level event of a level-synchronized run, with the
+// expansion and merge durations of the level that produced its frontier
+// (0, and not observed, for the initial states and a resume's first level).
+func (m *engineMetrics) journalLevel(p Progress, expand, merge time.Duration) {
 	if m == nil {
 		return
+	}
+	if expand > 0 {
+		m.phaseExpand.Observe(expand.Seconds())
+		m.phaseMerge.Observe(merge.Seconds())
 	}
 	m.journal.Emit("level", map[string]any{
 		"level":       p.Level,
@@ -299,6 +311,8 @@ func (m *engineMetrics) journalLevel(p Progress) {
 		"transitions": p.Transitions,
 		"depth":       p.Depth,
 		"spill_bytes": p.SpillBytes,
+		"expand_s":    expand.Seconds(),
+		"merge_s":     merge.Seconds(),
 	})
 }
 
@@ -365,7 +379,7 @@ func coreOf[S State](res *Result[S]) *resultCore {
 }
 
 // progressSnap is the lock-free snapshot a ProgressEvery ticker reads. The
-// level-synchronized merge goroutine stores into it at level boundaries;
+// level-synchronized driver goroutine stores into it at level boundaries;
 // the work-stealing workers update distinct/transitions/depth live.
 type progressSnap struct {
 	distinct    atomic.Int64

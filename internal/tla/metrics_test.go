@@ -143,7 +143,7 @@ func TestJournalGolden(t *testing.T) {
 	}
 	wantFields := map[string][]string{
 		"run_start": {"partial_order", "schedule", "spec", "workers"},
-		"level":     {"depth", "distinct", "level", "spill_bytes", "transitions", "width"},
+		"level":     {"depth", "distinct", "expand_s", "level", "merge_s", "spill_bytes", "transitions", "width"},
 		"run_end":   {"degraded", "depth", "distinct", "transitions", "verdict"},
 	}
 	var prevSeq, prevTS int64

@@ -40,13 +40,15 @@ import "repro/internal/obs"
 //     successor closing a cycle (back-, same-level or self-loop) is
 //     harmless as long as another one is the witness; if none is — every
 //     ample successor already expanded, expanding, or cut — the pruning is
-//     abandoned. Both drivers generate the full successor set, order it
-//     ample-first (expander.expand) and explore the ample head before
-//     deciding. Under level-sync the decision is the merge's, where
-//     discovery order is total, and exact: the witness is an ample
-//     successor first discovered during this very merge (id at or past
-//     the merge's watermark) and enqueued (not constraint-cut), so it
-//     joins the next level. Under work-stealing it is
+//     abandoned. Both drivers generate the full successor set and order it
+//     ample-first (expander.expand). Under level-sync each state decides
+//     in the merge's route pass, on its own and exactly: the witness is
+//     an ample successor new to this level — it missed the probe and was
+//     not restored from disk, so whichever of its occurrences comes first
+//     gives it an id at or past the level's first — and inside the
+//     constraint (which symmetry leaves invariant), so it joins the next
+//     level. Under work-stealing, which explores the ample head before
+//     deciding, it is
 //     conservatively race-safe: the witness is an ample successor queued
 //     and not yet expanding (porQueued) in one snapshot under the
 //     registration lock; a state whose constraint verdict is still pending

@@ -13,8 +13,8 @@ import (
 // This file implements the engine's second driver over the shared
 // exploration core (explore.go). The default
 // level-synchronized loop (engine.go) buys determinism with a per-level
-// barrier: every BFS level ends with all workers joining and one goroutine
-// replaying the level's candidates. On wide-then-narrow state spaces the
+// barrier: every BFS level ends with all workers joining and the level's
+// candidates settled in merge order. On wide-then-narrow state spaces the
 // barrier leaves most workers idle at every level edge — the skew problem
 // of any bulk-synchronous traversal.
 //
@@ -40,9 +40,9 @@ import (
 // set spills at level boundaries) and with checkpointing, whose
 // checkpoints are sealed at level boundaries.
 //
-// Under work-stealing, Invariants and Constraint are called from worker
-// goroutines (the level-synchronized engine calls them on the merge
-// goroutine only); like Next and Key they must not mutate shared state.
+// Under work-stealing, as in the level-synchronized engine's merge,
+// Invariants and Constraint are called from worker goroutines; like Next
+// and Key they must not mutate shared state.
 
 // Schedule selects the exploration engine's scheduling mode.
 type Schedule int
@@ -190,7 +190,7 @@ type wsWorker[S State] struct {
 	regS      S
 	regEnc    []byte
 	regParent int
-	regAct    string
+	regAct    uint16 // interned action index, 0 for an initial state
 	regDepth  int
 
 	ampleIDs []int // the current state's registered ample successor ids
@@ -230,12 +230,13 @@ func (w *wsWorker[S]) alloc() int {
 	return id
 }
 
-// register claims one successor (or initial state): deduplication, and for
-// first sights the core's verdict and the enqueue. Returns the state's id,
-// or -1 when the run is stopping.
-func (w *wsWorker[S]) register(s S, parent int, act string, depth int) int {
+// register claims one successor (or initial state) reached by the action
+// with interned index act: deduplication, and for first sights the core's
+// verdict and the enqueue. Returns the state's id, or -1 when the run is
+// stopping.
+func (w *wsWorker[S]) register(s S, parent int, act uint16, depth int) int {
 	e, x := w.e, w.x
-	x.g.enter(opEncode, act, parent)
+	x.g.enter(opEncode, e.ret.acts[act], parent)
 	enc := x.cod.canonical(s)
 	x.g.exit()
 	w.regS, w.regEnc, w.regParent, w.regAct, w.regDepth = s, enc, parent, act, depth
@@ -250,8 +251,9 @@ func (w *wsWorker[S]) register(s S, parent int, act string, depth int) int {
 	if e.snap != nil {
 		e.snap.maxDepth(depth)
 	}
-	ok, within := e.verdict(x, s, id)
-	if !ok {
+	inv, within, err := e.verdict(x, s, id)
+	if err != nil {
+		e.violate(id, inv, err)
 		return id
 	}
 	if !within {
@@ -338,7 +340,7 @@ func (w *wsWorker[S]) expand(it wsItem) {
 // abandon the state.
 func (w *wsWorker[S]) doSucc(it wsItem, t int) (int, bool) {
 	e := w.e
-	act := w.x.actName(t)
+	act := e.ret.actIDs[w.x.acts[t]]
 	w.transitions++
 	w.mExp.Inc()
 	if e.snap != nil {
@@ -350,12 +352,8 @@ func (w *wsWorker[S]) doSucc(it wsItem, t int) (int, bool) {
 	}
 	if e.res.Graph != nil {
 		e.mu.Lock()
-		err := e.ret.addEdge(it.id, act, sid)
+		e.ret.arena.addEdge(it.id, act, sid)
 		e.mu.Unlock()
-		if err != nil {
-			e.fail(err)
-			return sid, false
-		}
 	}
 	return sid, true
 }
@@ -448,7 +446,7 @@ func runWorkSteal[S State](spec *Spec[S], opts Options, workers int, vs *visited
 	func() {
 		defer e.recoverSpec(&ws[0].x.g)
 		e.registerInits(ws[0].x, func(s S) (int, bool) {
-			id := ws[0].register(s, -1, "", 0)
+			id := ws[0].register(s, -1, 0, 0)
 			return id, id >= 0 && !e.stop.Load()
 		})
 	}()

@@ -86,7 +86,7 @@ func (vs *visitedSet) restore(rec spillRec) {
 
 // ResolveLevel merge-joins the level's probe misses (fingerprints, sorted
 // here in place) against every sealed run and restores each spilled one it
-// finds. Runs on the merge goroutine after all workers joined and before
+// finds. Runs on the driver goroutine after all workers joined and before
 // the merge claims the misses. A transient read error retries the whole
 // run's join — restoring is idempotent — and a persistent one fails the
 // run: the sealed dedup records are load-bearing, and skipping them could
@@ -312,7 +312,7 @@ func (rw *runWriter) write(rec spillRec) error {
 // removes the originals, bounding the per-level merge-join fan-in. A
 // fingerprint appearing in several runs (a revived duplicate re-spilled
 // later) carries the same id everywhere, so only its first occurrence is
-// kept. Runs on the merge goroutine, between levels. On failure the
+// kept. Runs on the driver goroutine, between levels. On failure the
 // partial output is removed and the original runs are left sealed and
 // registered — callers treat compaction as optional.
 func (vs *visitedSet) compactRuns() error {

@@ -8,31 +8,32 @@ import (
 )
 
 // This file defines the engine's one visited set and the level-synchronized
-// engine's pending-work queue. Both schedules deduplicate through the same
-// two visitedSet methods: probe, a read-only lookup, and claim, the only
-// insert, which assigns the dense state id on first sight. Work-stealing
-// claims each successor as it registers it (schedule.go). The
-// level-synchronized engine (engine.go) probes every successor during its
-// parallel expansion — nothing inserts then, so a miss means "no id before
-// this level" — and claims the misses during its sequential merge, in
-// deterministic order: that is how the sequential oracle, the parallel
-// checker and the bounded-memory checker stay byte-for-byte comparable.
+// engine's pending-work queue. Both schedules look states up through
+// probe, a read-only lookup. Work-stealing inserts through claim, safe for
+// concurrent use, which assigns the dense state id on first sight
+// (schedule.go). The level-synchronized engine (engine.go) probes during
+// its parallel expansion — nothing inserts then, so a miss means "no id
+// before this level" — and inserts in its merge, in merge order: a claim
+// pass gives each shard one owner, which inserts a placeholder for each
+// first occurrence (own), and the settle pass publishes the ids over them.
+// That is how the sequential oracle, the parallel checker and the
+// bounded-memory checker stay byte-for-byte comparable.
 //
 // In fingerprint mode each shard is TLC's FPSet in miniature: an
 // open-addressed table of 16-byte {fingerprint, id} slots whose words are
 // atomics, so a probe takes no lock, and a claim of a fingerprint already
 // present — nine successors in ten on a small-state spec — takes none
-// either. Only an insert locks its shard: it rechecks, runs the caller's
-// alloc, and publishes the id before the fingerprint, so a lock-free reader
-// that sees the fingerprint sees its id. Doubling builds a new table under
-// the lock and swaps it in; a reader still walking the old one can only
-// miss, and a claim's miss is rechecked under the lock. Under a memory
-// budget the fingerprint set seals into sorted runs on disk between levels
-// (spill.go).
+// either. Only an insert locks its shard — or, in the merge's claim pass,
+// owns it: it rechecks, runs the caller's alloc, and publishes the id
+// before the fingerprint, so a lock-free reader that sees the fingerprint
+// sees its id. Doubling builds a new table under the lock and swaps it in;
+// a reader still walking the old one can only miss, and a claim's miss is
+// rechecked under the lock. Under a memory budget the fingerprint set
+// seals into sorted runs on disk between levels (spill.go).
 
 // levelFrontier is the level-synchronized engine's pending work — the
 // discovered-but-unexpanded state ids — as a double-buffered queue. The
-// engine Pushes ids from the merge goroutine only and drains one BFS level
+// engine Pushes ids from its driver goroutine only and drains one BFS level
 // at a time: NextLevel hands out the accumulated level and recycles the
 // previously handed-out slice for the next one, so a steady exploration
 // allocates no frontier storage after the widest level. An empty level ends
@@ -63,7 +64,7 @@ const visitedShards = 64
 // budget or checkpoint, which persist fingerprints), so it is never subject
 // to fingerprint collisions, and for any run with Options.CollisionFree.
 // The fields after shards are the fingerprint mode's spill state
-// (spill.go), touched only on the level-sync merge goroutine.
+// (spill.go), touched only on the level-sync driver goroutine.
 type visitedSet struct {
 	keyed  bool
 	shards [visitedShards]visitedShard
@@ -129,16 +130,17 @@ func newFPTable(slots int) *fpTable {
 	return &fpTable{slots: make([]fpSlot, slots), shift: uint(64 - bits.TrailingZeros(uint(slots)))}
 }
 
-// lookup finds fp (non-zero) without a lock.
-func (t *fpTable) lookup(fp uint64) (int, bool) {
+// slot returns fp's (non-zero) slot, or nil when fp is absent, without a
+// lock.
+func (t *fpTable) slot(fp uint64) *fpSlot {
 	mask := uint64(len(t.slots) - 1)
 	for i := (fp * fpMix) >> t.shift; ; i = (i + 1) & mask {
 		s := &t.slots[i]
 		switch s.fp.Load() {
 		case fp:
-			return int(s.id.Load()), true
+			return s
 		case 0:
-			return 0, false
+			return nil
 		}
 	}
 }
@@ -167,11 +169,14 @@ func (sh *shard) lookup(fp uint64) (int, bool) {
 		z := sh.zero.Load()
 		return int(z - 1), z != 0
 	}
-	return sh.tab.Load().lookup(fp)
+	if s := sh.tab.Load().slot(fp); s != nil {
+		return int(s.id.Load()), true
+	}
+	return 0, false
 }
 
 // insert records (fp, id) unless fp is already present, doubling the table
-// at 3/4 load. Callers hold sh.mu.
+// at 3/4 load. Callers hold sh.mu or own the shard.
 func (sh *shard) insert(fp uint64, id int) {
 	if fp == 0 {
 		sh.zero.CompareAndSwap(0, int64(id)+1)
@@ -237,8 +242,14 @@ func (vs *visitedSet) probe(fp uint64, enc []byte) (id int, ok bool) {
 	return id, ok
 }
 
+// has reports whether probe finds enc (with fingerprint fp).
+func (vs *visitedSet) has(fp uint64, enc []byte) bool {
+	_, ok := vs.probe(fp, enc)
+	return ok
+}
+
 // claim resolves enc (with fingerprint fp) to its dense state id, inserting
-// on first sight — the visited set's only insert. A fingerprint already
+// on first sight — work-stealing's insert. A fingerprint already
 // present is found without the shard lock; otherwise, under it, the lookup
 // is repeated and alloc runs, exactly once per distinct encoding, to
 // register the state and assign its id; a negative id from alloc refuses
@@ -274,8 +285,44 @@ func (vs *visitedSet) claim(fp uint64, enc []byte, alloc func() int) (id int, is
 	return id, id >= 0
 }
 
+// own returns the id of enc (with fingerprint fp), or inserts id and
+// reports isNew (keyed: with the map key it stored). The caller owns the
+// shard: nothing else reads or writes it meanwhile.
+func (vs *visitedSet) own(fp uint64, enc []byte, id int) (present int, key string, isNew bool) {
+	sh := &vs.shards[fp&(visitedShards-1)]
+	if vs.keyed {
+		if present, ok := sh.byKey[string(enc)]; ok {
+			return present, "", false
+		}
+		key = string(enc)
+		sh.byKey[key] = id
+		return id, key, true
+	}
+	if present, ok := sh.lookup(fp); ok {
+		return present, "", false
+	}
+	sh.insert(fp, id)
+	return id, "", true
+}
+
+// publish overwrites the id own inserted for fp (keyed: under key). Safe
+// for concurrent use while nothing inserts.
+func (vs *visitedSet) publish(fp uint64, key string, id int) {
+	sh := &vs.shards[fp&(visitedShards-1)]
+	switch {
+	case vs.keyed:
+		sh.mu.Lock()
+		sh.byKey[key] = id
+		sh.mu.Unlock()
+	case fp == 0:
+		sh.zero.Store(int64(id) + 1)
+	default:
+		sh.tab.Load().slot(fp).id.Store(int64(id))
+	}
+}
+
 // resident counts the ids the shards hold. Callers exclude concurrent
-// claims (the level-sync merge goroutine, between levels).
+// inserts (the level-sync driver goroutine, between levels).
 func (vs *visitedSet) resident() int {
 	n := 0
 	for i := range vs.shards {

@@ -57,10 +57,10 @@ type State interface {
 // Next from multiple goroutines concurrently while expanding a frontier.
 // Next must therefore be pure up to shared state: reading captured
 // configuration is fine, mutating captured caches or globals is not.
-// Invariants and the state Constraint run on the single merge goroutine of
-// a level-synchronized run, but on the worker goroutines under
-// ScheduleWorkSteal (see Options.Schedule), so they must not mutate shared
-// state either.
+// Invariants and the state Constraint run on the worker goroutines too —
+// in a level-synchronized run's merge (which checks each new state once,
+// in parallel across chunks), and as states register under
+// ScheduleWorkSteal — so they must not mutate shared state either.
 type Action[S State] struct {
 	Name string
 	Next func(S) []S
@@ -233,7 +233,7 @@ type Options struct {
 	// the level-sync oracle), but a counterexample is not necessarily
 	// shortest, Result.Depth is an upper bound on the BFS depth, and a
 	// recorded graph lists states and edges in nondeterministic order.
-	// Under work-stealing, Invariants and Constraint are called from
+	// Under either schedule, Invariants and Constraint are called from
 	// worker goroutines and must not mutate shared state. Options that
 	// need level semantics are rejected with it: MemoryBudgetBytes (the
 	// spilling visited set resolves lookups once per level) and
@@ -348,7 +348,7 @@ type Options struct {
 	// ProgressEvery, plus one final flush when the run ends, under both
 	// schedules. The callback runs on a dedicated timer goroutine
 	// concurrent with the exploration (never with itself), so it must be
-	// safe to run off the merge goroutine. Under level-sync the snapshot is
+	// safe to run off the engine's goroutines. Under level-sync the snapshot is
 	// the last completed level boundary (every boundary is also a "level"
 	// event of the journal); under work-stealing it is a live read of the
 	// engine's atomic counters.
