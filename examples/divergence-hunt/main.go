@@ -17,7 +17,10 @@ import (
 )
 
 // mutation wraps the independent engine and corrupts one aspect of its
-// output — each is a realistic transcription slip from §5.1.1.
+// output — each is a realistic transcription slip from §5.1.1. A mutation
+// may rewrite the engine's results in place, because otgo.Engine returns
+// fresh slices, never its inputs; and it keeps no state, so mbtcg.RunAll
+// may call it from several goroutines at once.
 type mutation struct {
 	name  string
 	apply func(aOut, bOut []ot.Op) ([]ot.Op, []ot.Op)

@@ -376,7 +376,7 @@ func clientOp(cfg Config, s State) []State {
 		return nil
 	}
 	var out []State
-	for _, op := range EnumClientOps(c, len(s.Net.ClientState(c)), cfg.IncludeSwap) {
+	for _, op := range EnumClientOps(c, len(s.Net.View().ClientState[c]), cfg.IncludeSwap) {
 		net := s.Net.Clone()
 		if err := net.Perform(c, op); err != nil {
 			continue
@@ -401,8 +401,7 @@ func mergeAction(s State) []State {
 		}
 	}
 	for c := 0; c < s.Net.NumClients(); c++ {
-		st, ct := s.Net.Unmerged(c)
-		if len(st) == 0 && len(ct) == 0 {
+		if !s.Net.HasUnmerged(c) {
 			continue
 		}
 		net := s.Net.Clone()
@@ -420,7 +419,7 @@ func merged(s State) bool {
 			return true
 		}
 	}
-	return len(s.Net.ServerHistory()) > 0
+	return len(s.Net.View().ServerLog) > 0
 }
 
 // haveUnmergedOrConsistent is the invariant of Figure 6.

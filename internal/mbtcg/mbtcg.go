@@ -22,8 +22,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/arrayot"
 	"repro/internal/ot"
@@ -200,12 +203,14 @@ func Run(tc TestCase, tr ot.BatchTransformer) []Mismatch {
 	if !n.Converged() {
 		out = append(out, Mismatch{tc.Name, "peers did not converge"})
 	}
-	if got := n.ServerState(); !intsEqual(got, tc.Final) {
+	// The deployment is this call's own: read it through the copy-free
+	// View rather than the copying getters.
+	v := n.View()
+	if got := v.ServerState; !intsEqual(got, tc.Final) {
 		out = append(out, Mismatch{tc.Name, fmt.Sprintf("final array = %v, want %v", got, tc.Final)})
 	}
 	for c := range tc.ClientOps {
-		hist := n.ClientHistory(c)
-		got := hist[1:] // after the client's own single op
+		got := v.ClientLog[c][1:] // after the client's own single op
 		if !opsEqual(got, tc.Downloaded[c]) {
 			out = append(out, Mismatch{tc.Name, fmt.Sprintf("client %d applied %v, want %v", c, got, tc.Downloaded[c])})
 		}
@@ -213,8 +218,62 @@ func Run(tc TestCase, tr ot.BatchTransformer) []Mismatch {
 	return out
 }
 
-// RunAll executes every case, returning all mismatches.
+// runBlock is the number of cases one RunAll goroutine claims at a time.
+const runBlock = 64
+
+// RunAll executes every case, returning all mismatches in case order —
+// exactly what calling Run on each case in turn returns. The cases run on
+// up to GOMAXPROCS goroutines, each claiming blocks of runBlock cases, so
+// tr is called from several goroutines at once and must be safe for that
+// (see ot.BatchTransformer). A panic in one case is re-raised here, once
+// every goroutine has stopped: the panic of the earliest failing block.
 func RunAll(cases []TestCase, tr ot.BatchTransformer) []Mismatch {
+	blocks := (len(cases) + runBlock - 1) / runBlock
+	workers := min(runtime.GOMAXPROCS(0), blocks)
+	if workers <= 1 {
+		return runCases(cases, tr)
+	}
+	type result struct {
+		mismatches []Mismatch
+		panic      any
+	}
+	results := make([]result, blocks)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				b := int(next.Add(1) - 1)
+				if b >= blocks {
+					return
+				}
+				block := cases[b*runBlock : min((b+1)*runBlock, len(cases))]
+				func() {
+					defer func() {
+						if pv := recover(); pv != nil {
+							results[b].panic = pv
+						}
+					}()
+					results[b].mismatches = runCases(block, tr)
+				}()
+			}
+		}()
+	}
+	wg.Wait()
+	var out []Mismatch
+	for _, r := range results {
+		if r.panic != nil {
+			panic(r.panic)
+		}
+		out = append(out, r.mismatches...)
+	}
+	return out
+}
+
+// runCases runs cases in order on the calling goroutine.
+func runCases(cases []TestCase, tr ot.BatchTransformer) []Mismatch {
 	var out []Mismatch
 	for _, tc := range cases {
 		out = append(out, Run(tc, tr)...)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -160,6 +161,61 @@ func (m mutantEngine) TransformLists(as, bs []ot.Op) ([]ot.Op, []ot.Op, error) {
 		}
 	}
 	return aOut, bOut, nil
+}
+
+// TestRunAllMatchesSerialLoop: RunAll, on several goroutines, returns the
+// mismatches a serial loop returns, in the same order — none for the
+// reference transformer, thousands for the seeded mutant — and records the
+// same coverage counts, so the §5.2 coverage table does not depend on how
+// the cases were scheduled.
+func TestRunAllMatchesSerialLoop(t *testing.T) {
+	cases := generate(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+
+	serialReg, parallelReg := coverage.NewRegistry(), coverage.NewRegistry()
+	want := runCases(cases, ot.NewTransformer(serialReg, false))
+	got := RunAll(cases, ot.NewTransformer(parallelReg, false))
+	if len(want) != 0 || len(got) != 0 {
+		t.Fatalf("reference transformer: serial loop %d mismatches, RunAll %d", len(want), len(got))
+	}
+	if s, p := serialReg.Dump(), parallelReg.Dump(); s != p {
+		t.Fatalf("coverage counts differ:\nserial loop:\n%s\nRunAll:\n%s", s, p)
+	}
+
+	want = runCases(cases, mutantEngine{})
+	got = RunAll(cases, mutantEngine{})
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("seeded mutant: RunAll returned %d mismatches, the serial loop %d, or in another order", len(got), len(want))
+	}
+}
+
+// panicAt is a transformer that panics on the deployment whose client 0
+// performed op, and otherwise transforms as otgo does.
+type panicAt struct {
+	otgo.Engine
+	op ot.Op
+}
+
+func (p panicAt) TransformLists(as, bs []ot.Op) ([]ot.Op, []ot.Op, error) {
+	if slices.Contains(as, p.op) || slices.Contains(bs, p.op) {
+		panic("transformer panic")
+	}
+	return p.Engine.TransformLists(as, bs)
+}
+
+// TestRunAllReraisesPanic: a transformer that panics on one case panics
+// RunAll on the caller's goroutine, as the serial loop would, instead of
+// crashing the process from a worker.
+func TestRunAllReraisesPanic(t *testing.T) {
+	cases := generate(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	defer func() {
+		if pv := recover(); pv != "transformer panic" {
+			t.Fatalf("recovered %v, want the transformer's panic", pv)
+		}
+	}()
+	RunAll(cases, panicAt{op: cases[len(cases)/2].ClientOps[0]})
+	t.Fatal("RunAll returned")
 }
 
 // TestCoverageTable reproduces the E10 coverage comparison:

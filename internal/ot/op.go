@@ -146,11 +146,16 @@ func Apply(arr []int, op Op) ([]int, error) {
 		if op.Ndx < 0 || op.Ndx >= n || op.To < 0 || op.To >= n {
 			return nil, fmt.Errorf("%w: %s on array of %d", ErrIndexRange, op, n)
 		}
-		out := append([]int(nil), arr...)
-		v := out[op.Ndx]
-		out = append(out[:op.Ndx], out[op.Ndx+1:]...)
-		rest := append([]int(nil), out[op.To:]...)
-		out = append(append(out[:op.To], v), rest...)
+		// Remove the element at Ndx and reinsert it at To, in one array:
+		// the elements between the two positions shift by one toward Ndx.
+		out := make([]int, n)
+		copy(out, arr)
+		if op.Ndx < op.To {
+			copy(out[op.Ndx:op.To], arr[op.Ndx+1:op.To+1])
+		} else {
+			copy(out[op.To+1:op.Ndx+1], arr[op.To:op.Ndx])
+		}
+		out[op.To] = arr[op.Ndx]
 		return out, nil
 	case KindSwap:
 		if op.Ndx < 0 || op.Ndx >= n || op.To < 0 || op.To >= n {

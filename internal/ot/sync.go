@@ -24,6 +24,15 @@ type Progress struct {
 // other. Both the reference Transformer and the independent otgo engine
 // satisfy it, so a Network can be driven by either implementation — which
 // is how the generated test cases exercise both sides of the parity check.
+//
+// An implementation must be safe for concurrent use: mbtcg.RunAll calls
+// one transformer from several goroutines, and the model checker merges
+// deployments sharing one on every worker. It must not write into as or
+// bs: a Network hands it the tails of logs that cloned deployments share.
+// Its results may alias as or bs — the reference Transformer returns one
+// unchanged when the other is empty — so a wrapper that rewrites results
+// in place may do so only over an implementation that returns fresh
+// slices, as otgo.Engine does.
 type BatchTransformer interface {
 	TransformLists(as, bs []Op) (asOut, bsOut []Op, err error)
 }
@@ -64,21 +73,24 @@ func (n *Network) NumClients() int { return len(n.clientState) }
 // deployment of the same run.
 func (n *Network) Transformer() BatchTransformer { return n.tr }
 
-// Clone returns an independent deep copy of the deployment, sharing only
-// the transformer. Model-checking explores deployments as immutable
-// values; actions clone before mutating.
+// Clone returns an independent copy of the deployment that shares every
+// log and array with n, copy-on-write. Model-checking explores deployments
+// as immutable values; actions clone before mutating. Nothing writes into
+// an array (Apply returns a fresh one) and logs only grow, so sharing is
+// safe once each shared log's capacity is clamped to its length: the
+// clone's first append to it reallocates. Only the three per-client outer
+// slices are copied.
 func (n *Network) Clone() *Network {
 	c := &Network{
 		tr:          n.tr,
-		serverLog:   append([]Op(nil), n.serverLog...),
-		serverState: append([]int(nil), n.serverState...),
+		serverLog:   n.serverLog[:len(n.serverLog):len(n.serverLog)],
+		serverState: n.serverState,
 		clientLog:   make([][]Op, len(n.clientLog)),
-		clientState: make([][]int, len(n.clientState)),
+		clientState: append([][]int(nil), n.clientState...),
 		progress:    append([]Progress(nil), n.progress...),
 	}
-	for i := range n.clientLog {
-		c.clientLog[i] = append([]Op(nil), n.clientLog[i]...)
-		c.clientState[i] = append([]int(nil), n.clientState[i]...)
+	for i, log := range n.clientLog {
+		c.clientLog[i] = log[:len(log):len(log)]
 	}
 	return c
 }
@@ -117,10 +129,17 @@ type View struct {
 	Progress    []Progress
 }
 
+// NetworkFromView builds the deployment whose View is v, driven by tr —
+// the inverse of View. The deployment takes ownership of v's slices, which
+// must describe the same number of clients.
+func NetworkFromView(tr BatchTransformer, v View) *Network {
+	return &Network{tr, v.ServerLog, v.ServerState, v.ClientLog, v.ClientState, v.Progress}
+}
+
 // View returns the deployment's state without copying it, for readers
 // that encode or copy what they need themselves — arrayot.State's key
-// encoder and the MBTCG case extractor — and would otherwise pay a copy
-// per getter call.
+// encoder and actions, MBTCG's case extractor and runner — and would
+// otherwise pay a copy per getter call.
 func (n *Network) View() View {
 	return View{n.serverLog, n.serverState, n.clientLog, n.clientState, n.progress}
 }
@@ -175,12 +194,12 @@ func appendIntsBinary(buf []byte, xs []int) []byte {
 // kind, a count larger than the bytes left — returns an error rather than
 // a partial deployment.
 func DecodeNetworkBinary(tr BatchTransformer, buf []byte) (*Network, []byte, error) {
-	n := &Network{tr: tr}
+	var v View
 	var err error
-	if n.serverLog, buf, err = decodeOpsBinary(buf); err != nil {
+	if v.ServerLog, buf, err = decodeOpsBinary(buf); err != nil {
 		return nil, nil, err
 	}
-	if n.serverState, buf, err = decodeIntsBinary(buf); err != nil {
+	if v.ServerState, buf, err = decodeIntsBinary(buf); err != nil {
 		return nil, nil, err
 	}
 	numClients, buf, err := decodeUvarint(buf)
@@ -193,14 +212,14 @@ func DecodeNetworkBinary(tr BatchTransformer, buf []byte) (*Network, []byte, err
 		// exhaust memory.
 		return nil, nil, fmt.Errorf("ot: decode: client count %d exceeds remaining %d bytes", numClients, len(buf))
 	}
-	n.clientLog = make([][]Op, numClients)
-	n.clientState = make([][]int, numClients)
-	n.progress = make([]Progress, numClients)
+	v.ClientLog = make([][]Op, numClients)
+	v.ClientState = make([][]int, numClients)
+	v.Progress = make([]Progress, numClients)
 	for c := 0; c < int(numClients); c++ {
-		if n.clientLog[c], buf, err = decodeOpsBinary(buf); err != nil {
+		if v.ClientLog[c], buf, err = decodeOpsBinary(buf); err != nil {
 			return nil, nil, err
 		}
-		if n.clientState[c], buf, err = decodeIntsBinary(buf); err != nil {
+		if v.ClientState[c], buf, err = decodeIntsBinary(buf); err != nil {
 			return nil, nil, err
 		}
 		sv, rest, err := decodeUvarint(buf)
@@ -211,10 +230,10 @@ func DecodeNetworkBinary(tr BatchTransformer, buf []byte) (*Network, []byte, err
 		if err != nil {
 			return nil, nil, err
 		}
-		n.progress[c] = Progress{ServerVersion: int(sv), ClientVersion: int(cv)}
+		v.Progress[c] = Progress{ServerVersion: int(sv), ClientVersion: int(cv)}
 		buf = rest2
 	}
-	return n, buf, nil
+	return NetworkFromView(tr, v), buf, nil
 }
 
 func decodeUvarint(buf []byte) (uint64, []byte, error) {
@@ -305,12 +324,27 @@ func (n *Network) Perform(c int, op Op) error {
 	return nil
 }
 
-// Unmerged returns the tails of the server history and client c's history
-// since they last merged — the Unmerged(c) operator of Figure 6.
+// Unmerged returns copies of the tails of the server history and client
+// c's history since they last merged — the Unmerged(c) operator of
+// Figure 6.
 func (n *Network) Unmerged(c int) (serverTail, clientTail []Op) {
+	st, ct := n.unmerged(c)
+	return append([]Op(nil), st...), append([]Op(nil), ct...)
+}
+
+// unmerged returns the tails Unmerged copies, aliasing the logs, their
+// capacity clamped so that no append through them reaches the logs.
+func (n *Network) unmerged(c int) (serverTail, clientTail []Op) {
+	p, sl, cl := n.progress[c], n.serverLog, n.clientLog[c]
+	return sl[p.ServerVersion:len(sl):len(sl)], cl[p.ClientVersion:len(cl):len(cl)]
+}
+
+// HasUnmerged reports whether client c has unmerged changes in either
+// direction — whether either tail of Unmerged(c) is non-empty — without
+// copying them.
+func (n *Network) HasUnmerged(c int) bool {
 	p := n.progress[c]
-	return append([]Op(nil), n.serverLog[p.ServerVersion:]...),
-		append([]Op(nil), n.clientLog[c][p.ClientVersion:]...)
+	return p.ServerVersion < len(n.serverLog) || p.ClientVersion < len(n.clientLog[c])
 }
 
 // Merge performs the MergeAction of the specification for client c: it
@@ -327,7 +361,7 @@ func (n *Network) Unmerged(c int) (serverTail, clientTail []Op) {
 // a conflict rule be exercised (each peer sees the conflicting pair from
 // its own side). Afterwards client c and the server agree.
 func (n *Network) Merge(c int) error {
-	serverTail, clientTail := n.Unmerged(c)
+	serverTail, clientTail := n.unmerged(c)
 	// Server side: rebase the upload across the server history tail.
 	clientT, _, err := n.tr.TransformLists(clientTail, serverTail)
 	if err != nil {
@@ -369,8 +403,7 @@ func (n *Network) SyncAll() (int, error) {
 	for {
 		dirty := false
 		for c := range n.clientState {
-			st, ct := n.Unmerged(c)
-			if len(st) == 0 && len(ct) == 0 {
+			if !n.HasUnmerged(c) {
 				continue
 			}
 			dirty = true
@@ -409,8 +442,7 @@ func (n *Network) Converged() bool {
 // state is identical.
 func (n *Network) HaveUnmergedChangesOrAreConsistent() bool {
 	for c := range n.clientState {
-		st, ct := n.Unmerged(c)
-		if len(st) > 0 || len(ct) > 0 {
+		if n.HasUnmerged(c) {
 			return true
 		}
 	}

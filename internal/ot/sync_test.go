@@ -136,13 +136,94 @@ func TestQuickRandomWorkloadsConverge(t *testing.T) {
 				return false
 			}
 		}
+		if !hasUnmergedAgrees(n) {
+			return false
+		}
 		if _, err := n.SyncAll(); err != nil {
 			return false
 		}
-		return n.Converged() && n.HaveUnmergedChangesOrAreConsistent()
+		return hasUnmergedAgrees(n) && n.Converged() && n.HaveUnmergedChangesOrAreConsistent()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
+	}
+}
+
+// hasUnmergedAgrees reports whether HasUnmerged agrees, for every client,
+// with the copying Unmerged operator it stands in for.
+func hasUnmergedAgrees(n *Network) bool {
+	for c := 0; c < n.NumClients(); c++ {
+		st, ct := n.Unmerged(c)
+		if n.HasUnmerged(c) != (len(st) > 0 || len(ct) > 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCloneIsCopyOnWrite: a clone shares its parent's logs and arrays,
+// yet performing and syncing on sibling clones — with every log of the
+// parent given spare capacity, so that an in-place append would land in
+// memory the parent and every sibling can see — changes neither the
+// parent nor an earlier sibling, and Unmerged still returns copies the
+// caller may overwrite.
+func TestCloneIsCopyOnWrite(t *testing.T) {
+	tr := NewTransformer(nil, false)
+	n := NewNetwork(tr, []int{1, 2, 3}, 3)
+	for c, op := range []Op{Insert(0, 7), Move(0, 2), Erase(1)} {
+		if err := n.Perform(c, op.WithMeta(Meta{Peer: c + 1})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.Merge(0); err != nil {
+		t.Fatal(err)
+	}
+	v := n.View()
+	grow := func(ops []Op) []Op { return append(make([]Op, 0, len(ops)+4), ops...) }
+	spare := View{
+		ServerLog:   grow(v.ServerLog),
+		ServerState: append([]int(nil), v.ServerState...),
+		ClientLog:   make([][]Op, len(v.ClientLog)),
+		ClientState: make([][]int, len(v.ClientState)),
+		Progress:    append([]Progress(nil), v.Progress...),
+	}
+	for c := range v.ClientLog {
+		spare.ClientLog[c] = grow(v.ClientLog[c])
+		spare.ClientState[c] = append([]int(nil), v.ClientState[c]...)
+	}
+	parent := NetworkFromView(tr, spare)
+	enc := string(parent.AppendBinary(nil))
+	if want := string(n.AppendBinary(nil)); enc != want {
+		t.Fatalf("NetworkFromView(View()) encodes %x, want %x", enc, want)
+	}
+	var children []*Network
+	var encs []string
+	for k := 0; k < 6; k++ {
+		child := parent.Clone()
+		if err := child.Perform(k%3, Set(0, 90+k).WithMeta(Meta{Timestamp: k})); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := child.SyncAll(); err != nil {
+			t.Fatal(err)
+		}
+		children, encs = append(children, child), append(encs, string(child.AppendBinary(nil)))
+	}
+	for c := 0; c < parent.NumClients(); c++ {
+		st, ct := parent.Unmerged(c)
+		for i := range st {
+			st[i] = Clear()
+		}
+		for i := range ct {
+			ct[i] = Clear()
+		}
+	}
+	if string(parent.AppendBinary(nil)) != enc {
+		t.Fatal("building the clones, or overwriting Unmerged's tails, changed the parent")
+	}
+	for k, child := range children {
+		if string(child.AppendBinary(nil)) != encs[k] {
+			t.Fatalf("clone %d was changed by a later sibling", k)
+		}
 	}
 }
 

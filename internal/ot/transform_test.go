@@ -231,6 +231,41 @@ func TestApplySemantics(t *testing.T) {
 	}
 }
 
+// TestApplyMoveIsEraseThenInsert pins ArrayMove's single-allocation
+// rewrite to its definition — remove the element at Ndx, then insert it at
+// To — for every move on arrays of up to six elements, and checks that the
+// result is a fresh, exactly sized array.
+func TestApplyMoveIsEraseThenInsert(t *testing.T) {
+	for n := 1; n <= 6; n++ {
+		arr := baseArray(n)
+		for from := 0; from < n; from++ {
+			for to := 0; to < n; to++ {
+				erased, err := Apply(arr, Erase(from))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := Apply(erased, Insert(to, arr[from]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Apply(arr, Move(from, to))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !eq(got, want) || cap(got) != n {
+					t.Errorf("Apply(%v, %s) = %v (cap %d), want %v", arr, Move(from, to), got, cap(got), want)
+				}
+				if !eq(arr, baseArray(n)) {
+					t.Fatalf("%s mutated its input", Move(from, to))
+				}
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Apply([]int{1, 2, 3, 4}, Move(0, 3)) }); allocs > 1 {
+		t.Errorf("Apply(ArrayMove) allocates %.0f times, want 1", allocs)
+	}
+}
+
 // TestBranchDenominator pins the coverage denominator. The paper's C++
 // merge rules compile to 86 LCOV branch outcomes; our faithful Go
 // transcription has 72 (36 conditions × 2 outcomes). The coverage table of

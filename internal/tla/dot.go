@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // WriteDOT renders the state graph in GraphViz DOT format, matching the
@@ -20,33 +21,122 @@ import (
 //
 // Edges are emitted in deterministic (From, To, Action) order, so the same
 // exploration yields byte-identical output whether its states are live or
-// decoded from the arena, its segments resident or spilled. Every line is
-// built by appending into one reused buffer, so a node costs only what its
-// KeyAt costs and an edge costs no allocation.
+// decoded from the arena, its segments resident or spilled. Node lines —
+// KeyAt and quoting, nearly all of the work — are formatted in blocks of
+// dotBlock ids by the run's workers (see writeDOTNodes) and written in id
+// order, so the output does not depend on the worker count either. Every
+// line is built by appending into a reused buffer, so a node costs only
+// what its KeyAt costs and an edge costs no allocation.
 func (g *Graph[S]) WriteDOT(w io.Writer, name string) error {
 	// bufio.Writer errors are sticky: the final Flush reports any of them.
 	bw := bufio.NewWriter(w)
 	bw.WriteString("strict digraph " + dotID(name) + " {\n")
-	line := make([]byte, 0, 1024)
-	n := g.Len()
-	inits := make([]bool, n)
+	inits := make([]bool, g.Len())
 	for _, id := range g.Inits {
 		inits[id] = true
 	}
-	for id := 0; id < n; id++ {
-		line = strconv.AppendInt(append(line[:0], "  "...), int64(id), 10)
-		line = appendDOTQuote(append(line, " [label="...), g.KeyAt(id))
-		if inits[id] {
-			line = append(line, ",style=filled"...)
-		}
-		line = append(line, "];\n"...)
-		bw.Write(line)
-	}
+	line := g.writeDOTNodes(bw, inits)
 	if err := g.writeDOTEdges(bw, line); err != nil {
 		return err
 	}
 	bw.WriteString("}\n")
 	return bw.Flush()
+}
+
+// dotBlock is the number of node lines one worker formats per hand-off:
+// large enough that a hand-off costs nothing next to its KeyAt calls,
+// small enough that a block's buffer stays a few hundred kilobytes.
+const dotBlock = 256
+
+// appendDOTNodes appends the node lines of ids [lo, hi) to buf.
+func (g *Graph[S]) appendDOTNodes(buf []byte, lo, hi int, inits []bool) []byte {
+	for id := lo; id < hi; id++ {
+		buf = strconv.AppendInt(append(buf, "  "...), int64(id), 10)
+		buf = appendDOTQuote(append(buf, " [label="...), g.KeyAt(id))
+		if inits[id] {
+			buf = append(buf, ",style=filled"...)
+		}
+		buf = append(buf, "];\n"...)
+	}
+	return buf
+}
+
+// dotPart is one formatted block of node lines, or the panic a worker
+// recovered while formatting it.
+type dotPart struct {
+	buf   []byte
+	panic any
+}
+
+// writeDOTNodes writes the node lines in id order and returns a buffer
+// the edge lines may reuse. With one worker (the graph of a Workers: 1
+// run, or a graph of one block) it formats and writes inline, line by
+// line. Otherwise worker w formats blocks w, w+workers, w+2·workers, …
+// into its one reused buffer and hands each to the caller, which writes
+// the blocks in order and hands the buffer back: at most one block per
+// worker is in flight. Graph reads are safe from several goroutines once
+// the run has finished. A panic while formatting (an unreadable spilled
+// segment) is re-raised on the caller's goroutine when its block's turn
+// comes, after every worker has stopped.
+func (g *Graph[S]) writeDOTNodes(bw *bufio.Writer, inits []bool) []byte {
+	n := len(inits)
+	blocks := (n + dotBlock - 1) / dotBlock
+	workers := min(g.workers, blocks)
+	if workers <= 1 {
+		line := make([]byte, 0, 1024)
+		for id := 0; id < n; id++ {
+			line = g.appendDOTNodes(line[:0], id, id+1, inits)
+			bw.Write(line)
+		}
+		return line
+	}
+	parts := make([]chan dotPart, workers)
+	back := make([]chan []byte, workers)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() { close(stop); wg.Wait() }()
+	for w := range parts {
+		parts[w], back[w] = make(chan dotPart, 1), make(chan []byte, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, 0, 1024)
+			for b := w; b < blocks; b += workers {
+				part := g.formatDOTBlock(buf[:0], b, inits)
+				select {
+				case parts[w] <- part:
+				case <-stop:
+					return
+				}
+				select {
+				case buf = <-back[w]:
+				case <-stop:
+					return
+				}
+			}
+		}()
+	}
+	for b := 0; b < blocks; b++ {
+		part := <-parts[b%workers]
+		if part.panic != nil {
+			panic(part.panic)
+		}
+		bw.Write(part.buf)
+		back[b%workers] <- part.buf
+	}
+	return nil
+}
+
+// formatDOTBlock formats block b's node lines into buf, recovering a
+// panic into the part so the caller can re-raise it.
+func (g *Graph[S]) formatDOTBlock(buf []byte, b int, inits []bool) (part dotPart) {
+	defer func() {
+		if pv := recover(); pv != nil {
+			part = dotPart{buf: buf, panic: pv}
+		}
+	}()
+	lo := b * dotBlock
+	return dotPart{buf: g.appendDOTNodes(buf, lo, min(lo+dotBlock, len(inits)), inits)}
 }
 
 // writeDOTEdges emits the edges in (From, To, Action) order, building each
@@ -87,22 +177,30 @@ func (g *Graph[S]) writeDOTEdges(bw *bufio.Writer, line []byte) error {
 
 // appendDOTQuote appends s as a double-quoted string, byte-identical to
 // strconv.AppendQuote. A label of printable ASCII (0x20–0x7E) — every key
-// the bundled specs produce — needs only its '"' and '\\' escaped; on the
-// first other byte the whole string goes through strconv.AppendQuote.
+// the bundled specs produce — needs only its '"' and '\\' escaped, which
+// one pass does into a buffer grown once for the worst case (every byte
+// escaped); on the first other byte the whole string goes through
+// strconv.AppendQuote.
 func appendDOTQuote(buf []byte, s string) []byte {
 	n := len(buf)
-	buf = append(buf, '"')
-	start := 0
+	buf = slices.Grow(buf, 2*len(s)+2)
+	out := buf[n : n+2*len(s)+2]
+	out[0] = '"'
+	j := 1
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {
 		case c < 0x20 || c > 0x7e:
 			return strconv.AppendQuote(buf[:n], s)
 		case c == '"' || c == '\\':
-			buf = append(append(buf, s[start:i]...), '\\')
-			start = i
+			out[j], out[j+1] = '\\', c
+			j += 2
+		default:
+			out[j] = c
+			j++
 		}
 	}
-	return append(append(buf, s[start:]...), '"')
+	out[j] = '"'
+	return buf[:n+j+1]
 }
 
 // compareEdges orders edges by (From, To, Action), the DOT dump's order.

@@ -2,7 +2,9 @@ package tla
 
 import (
 	"encoding/binary"
+	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -110,4 +112,139 @@ func TestWriteDOTAllocsPerState(t *testing.T) {
 		t.Fatalf("WriteDOT allocates %.0f times for %d nodes and %d edges, want at most %.0f", allocs, nodes, edges, limit)
 	}
 	t.Logf("WriteDOT: %.0f allocations for %d nodes, %d edges", allocs, nodes, edges)
+}
+
+// quotedState is a grid state with a key that needs escaping: quotes and
+// a backslash on every line and, on every seventh, a non-ASCII byte that
+// sends appendDOTQuote down strconv.AppendQuote. Key panics on the state
+// quotedPanicAt names, if any.
+type quotedState struct{ A, B uint8 }
+
+var quotedPanicAt *quotedState
+
+func (s quotedState) Key() string {
+	if p := quotedPanicAt; p != nil && *p == s {
+		panic("key panic")
+	}
+	k := fmt.Sprintf(`{"a":%d,"b":"\%d"}`, s.A, s.B)
+	if (s.A+s.B)%7 == 0 {
+		k += "é"
+	}
+	return k
+}
+
+func (s quotedState) AppendBinary(buf []byte) []byte { return append(buf, s.A, s.B) }
+
+func (quotedState) DecodeBinary(enc []byte) (quotedState, error) {
+	if len(enc) != 2 {
+		return quotedState{}, fmt.Errorf("quotedState: decode: length %d, want 2", len(enc))
+	}
+	return quotedState{A: enc[0], B: enc[1]}, nil
+}
+
+// quotedGrid is a side×side grid of quotedStates: side² nodes, many
+// dotBlocks of them.
+func quotedGrid(side uint8) *Spec[quotedState] {
+	return &Spec[quotedState]{
+		Name: "quoted",
+		Init: func() []quotedState { return []quotedState{{}} },
+		Actions: []Action[quotedState]{
+			{Name: "IncA", Next: func(s quotedState) []quotedState {
+				if s.A+1 < side {
+					return []quotedState{{A: s.A + 1, B: s.B}}
+				}
+				return nil
+			}},
+			{Name: "IncB", Next: func(s quotedState) []quotedState {
+				if s.B+1 < side {
+					return []quotedState{{A: s.A, B: s.B + 1}}
+				}
+				return nil
+			}},
+		},
+	}
+}
+
+// TestWriteDOTParallelIdentical: the DOT dump is byte-identical whatever
+// the number of workers formatting its node lines, live or from a spilled
+// arena, and equal to a dump written line by line from KeyAt and
+// strconv.Quote.
+func TestWriteDOTParallelIdentical(t *testing.T) {
+	const side = 45 // 2,025 nodes: eight blocks
+	var want string
+	for _, opts := range []Options{
+		{Workers: 1}, {Workers: 2}, {Workers: 3}, {Workers: 8},
+		{Workers: 4, StateArena: true, MemoryBudgetBytes: 1},
+	} {
+		opts.RecordGraph = true
+		res, err := Check(quotedGrid(side), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf strings.Builder
+		err = res.Graph.WriteDOT(&buf, "quoted")
+		if want == "" {
+			want = naiveDOT(t, res.Graph)
+		}
+		res.Graph.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != want {
+			t.Fatalf("%+v: WriteDOT differs from the line-by-line dump (%d vs %d bytes)", opts, buf.Len(), len(want))
+		}
+	}
+}
+
+// naiveDOT writes g as WriteDOT's specification: one fmt line per node and
+// per edge, edges sorted.
+func naiveDOT(t *testing.T, g *Graph[quotedState]) string {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("strict digraph quoted {\n")
+	inits := map[int]bool{}
+	for _, id := range g.Inits {
+		inits[id] = true
+	}
+	for id := 0; id < g.Len(); id++ {
+		style := ""
+		if inits[id] {
+			style = ",style=filled"
+		}
+		fmt.Fprintf(&b, "  %d [label=%s%s];\n", id, strconv.Quote(g.KeyAt(id)), style)
+	}
+	var edges []Edge
+	if err := g.ForEachEdge(func(e Edge) error { edges = append(edges, e); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	slices.SortFunc(edges, compareEdges)
+	for _, e := range edges {
+		fmt.Fprintf(&b, "  %d -> %d [label=%s];\n", e.From, e.To, strconv.Quote(e.Action))
+	}
+	b.WriteString("}\n")
+	return b.String()
+}
+
+// TestWriteDOTReraisesPanic: a KeyAt that panics on one state — as an
+// unreadable spilled segment does — panics WriteDOT on the caller's
+// goroutine at every worker count, not a formatting goroutine, which would
+// take the process down.
+func TestWriteDOTReraisesPanic(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		res, err := Check(quotedGrid(40), Options{Workers: workers, RecordGraph: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			quotedPanicAt = &quotedState{A: 30, B: 20}
+			defer func() {
+				quotedPanicAt = nil
+				if pv := recover(); pv != "key panic" {
+					t.Fatalf("workers %d: recovered %v, want the key's panic", workers, pv)
+				}
+			}()
+			res.Graph.WriteDOT(io.Discard, "quoted")
+			t.Fatalf("workers %d: WriteDOT returned", workers)
+		}()
+	}
 }

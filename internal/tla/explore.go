@@ -110,7 +110,7 @@ func newExplorer[S State](spec *Spec[S], opts Options, workers int, em *engineMe
 		}
 	}
 	if opts.RecordGraph {
-		r.res.Graph = &Graph[S]{ret: r.ret, cod: r.cod}
+		r.res.Graph = &Graph[S]{ret: r.ret, cod: r.cod, workers: workers}
 		r.ret.graphOwned = true
 	}
 	r.st = newStopper(opts.Context, func() { r.stop.Store(true) })

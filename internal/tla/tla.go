@@ -38,7 +38,8 @@ import (
 //
 // Unless Options.Workers is 1, Key and AppendBinary are called from
 // multiple goroutines concurrently (on distinct states) and must not
-// mutate shared state.
+// mutate shared state — during the run, and for Key also in the run's
+// Graph.WriteDOT, which formats node lines on the run's worker count.
 type State interface {
 	Key() string
 	BinaryState
@@ -158,8 +159,9 @@ type Edge struct {
 type Graph[S State] struct {
 	Inits []int
 
-	ret *retainer[S] // the run's retained states and edges
-	cod *codec[S]    // a codec with the bound decoder (arena mode)
+	ret     *retainer[S] // the run's retained states and edges
+	cod     *codec[S]    // a codec with the bound decoder (arena mode)
+	workers int          // the run's resolved Options.Workers: WriteDOT's formatters
 }
 
 // Len returns the number of states in the graph.
