@@ -5,11 +5,11 @@ import "bytes"
 // BinaryState is the byte half of the State contract: a state appends a
 // compact encoding of itself to a buffer, and that encoding is the state's
 // identity wherever the checker compares states. The visited set
-// fingerprints it (and, collision-free, dedups on it), symmetry reduction
-// orders orbit images by it, the arena stores it, and trace checking
-// dedups its frontier on it. Key() is the same identity as a human label:
-// what the recorded Graph's KeyAt, printed counterexamples and a DOT dump
-// show.
+// fingerprints it (and, keyed, compares it on a fingerprint hit), symmetry
+// reduction orders orbit images by it, the arena stores it, and trace
+// checking dedups its frontier on it. Key() is the same identity as a human
+// label: what the recorded Graph's KeyAt, printed counterexamples and a DOT
+// dump show.
 //
 // The encoding must agree with Key(): for any two states of the same
 // specification, bytes.Equal(a.AppendBinary(nil), b.AppendBinary(nil)) must

@@ -271,7 +271,9 @@ func (d *DOTGraph) Terminal() []int {
 func ParseDOT(r io.Reader) (*DOTGraph, error) {
 	g := &DOTGraph{Labels: make(map[int]string)}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
+	// The default buffer, grown on demand for long labels up to 64 MiB a
+	// line: a small dump costs a small buffer.
+	sc.Buffer(nil, 1<<26)
 	lineno := 0
 	for sc.Scan() {
 		lineno++

@@ -1,6 +1,7 @@
 package tla
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -24,6 +25,70 @@ func FuzzAppendDOTQuote(f *testing.F) {
 		got := appendDOTQuote(append([]byte(nil), prefix...), s)
 		if want := string(prefix) + strconv.Quote(s); string(got) != want {
 			t.Fatalf("appendDOTQuote(%q) = %s, want %s", s, got, want)
+		}
+	})
+}
+
+// labelState is a state labelled by any string: its identity is i, its
+// Key the label, so a dump can carry whatever text a fuzzer finds.
+type labelState struct {
+	i     uint8
+	label string
+}
+
+func (s labelState) Key() string { return s.label }
+
+func (s labelState) AppendBinary(buf []byte) []byte { return append(buf, s.i) }
+
+// FuzzParseDOT feeds the parser arbitrary bytes, which must never make it
+// panic, and round-trips a small graph whose labels and action name are
+// fuzzed: whatever WriteDOT writes, ParseDOT must read back to the same
+// labels, initial states and edges.
+func FuzzParseDOT(f *testing.F) {
+	f.Add([]byte(`strict digraph G {
+  0 [label="a\"b",style=filled];
+  1 [label="c\\d"];
+  0 -> 1 [label="Act"];
+}`), `{"a":"\"x"}`, `c\d é`, "Next")
+	f.Add([]byte("0 -> 1 [label=\"\xff\"];\n2 [label=\"\";"), "\xff\xfe", "line\nbreak", "a -> b")
+	f.Add([]byte(`1 [label="/\\ f = [n1 |-> 0]",style=filled];`), "", "style=filled", `"`)
+	f.Fuzz(func(t *testing.T, dump []byte, a, b, act string) {
+		ParseDOT(bytes.NewReader(dump)) // must not panic; errors are fine
+
+		states := []labelState{{0, a}, {1, b}, {2, a + b}}
+		spec := &Spec[labelState]{
+			Name: "labels",
+			Init: func() []labelState { return []labelState{states[0], states[2]} },
+			Actions: []Action[labelState]{{Name: act, Next: func(s labelState) []labelState {
+				return []labelState{states[(s.i+1)%3]}
+			}}},
+		}
+		res, err := Check(spec, Options{Workers: 1, RecordGraph: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Graph.Close()
+		var buf bytes.Buffer
+		if err := res.Graph.WriteDOT(&buf, "labels"); err != nil {
+			t.Fatal(err)
+		}
+		dg, err := ParseDOT(&buf)
+		if err != nil {
+			t.Fatalf("ParseDOT of a WriteDOT dump: %v\n%s", err, buf.Bytes())
+		}
+		if len(dg.Labels) != res.Graph.Len() {
+			t.Fatalf("parsed %d labels, want %d", len(dg.Labels), res.Graph.Len())
+		}
+		for id := 0; id < res.Graph.Len(); id++ {
+			if got, want := dg.Labels[id], res.Graph.KeyAt(id); got != want {
+				t.Fatalf("node %d label = %q, want %q", id, got, want)
+			}
+		}
+		if !slices.Equal(dg.Inits, res.Graph.Inits) {
+			t.Fatalf("inits = %v, want %v", dg.Inits, res.Graph.Inits)
+		}
+		if edges := graphEdges(t, res.Graph); !slices.Equal(dg.Edges, edges) {
+			t.Fatalf("edges = %v, want %v", dg.Edges, edges)
 		}
 	})
 }

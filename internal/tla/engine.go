@@ -195,12 +195,10 @@ type levelSync[S State] struct {
 	ck      *checkpointer
 
 	// Per miss g from each chunk's base: the claim's answer (winner, the
-	// winning miss's placeholder, a restored id), then a winner's id; a
-	// keyed winner's map key. winsBy[c*visitedShards+s]: chunk c's winners
-	// in shard s.
-	missIDs  []int
-	missKeys []string
-	winsBy   []int
+	// winning miss's placeholder, a restored id), then a winner's id.
+	// winsBy[c*visitedShards+s]: chunk c's winners in shard s.
+	missIDs []int
+	winsBy  []int
 
 	// phaseExpand and phaseMerge time the expansion and the merge of the
 	// level that produced the current frontier.
@@ -474,9 +472,6 @@ func (l *levelSync[S]) merge(plan chunkPlan, frontier []int, outs []chunkOut[S])
 		n += len(outs[c].misses)
 	}
 	l.missIDs = resize(l.missIDs, n)
-	if l.vs.keyed {
-		l.missKeys = resize(l.missKeys, n)
-	}
 	l.winsBy = resize(l.winsBy, len(outs)*visitedShards)
 
 	plan.run(func(_, c, _, _ int) { l.route(&outs[c], restored) })
@@ -575,13 +570,10 @@ func (l *levelSync[S]) claimShard(s int, outs []chunkOut[S]) {
 		for _, i := range out.shardMisses(s) {
 			g := out.base + int(i)
 			fp, enc := out.miss(int(i))
-			id, key, isNew := l.vs.own(fp, enc, -2-g)
+			id, isNew := l.vs.own(fp, enc, -2-g)
 			if isNew {
 				id = winner
 				won++
-				if l.vs.keyed {
-					l.missKeys[g] = key
-				}
 			}
 			l.missIDs[g] = id
 		}
@@ -610,11 +602,8 @@ func (l *levelSync[S]) settle(x *expander[S], out *chunkOut[S], fr []int) {
 		}
 		id := out.first + len(out.won)
 		l.missIDs[g] = id
-		var key string
-		if l.vs.keyed {
-			key = l.missKeys[g]
-		}
-		l.vs.publish(out.misses[p.miss].fp, key, id)
+		fp, enc := out.miss(int(p.miss))
+		l.vs.publish(fp, enc, id)
 		out.won = push(out.won, p)
 		if l.opts.MaxStates > 0 && id >= l.opts.MaxStates {
 			return

@@ -4,9 +4,11 @@ package tla
 // their canonical encodings, as TLC does: storing 8 bytes per state instead
 // of the full encoding keeps the visited set small and its probes cheap.
 // The price is a vanishing probability of a hash collision silently merging
-// two distinct states; Options.CollisionFree buys back exactness by keying
-// the visited set on full encodings (TLC's -fpmem /
-// collision-probability trade-off, resolved the safe way).
+// two distinct states; Options.CollisionFree (and the sequential oracle)
+// buys back exactness with the same table, which then also keeps each
+// state's encoding and compares it on every fingerprint hit, so colliding
+// states chain to separate slots (TLC's -fpmem / collision-probability
+// trade-off, resolved the safe way).
 //
 // The fingerprint function consumes bytes, not strings: states are hashed
 // straight from their AppendBinary encoding with no Key() string ever

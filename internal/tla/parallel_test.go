@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -258,33 +259,103 @@ func TestParallelRandomizedCrossCheck(t *testing.T) {
 	}
 }
 
-// TestFingerprintCollisions exercises the CollisionFree escape hatch by
-// substituting a fingerprint function that collides every key.
+// TestFingerprintCollisions substitutes deliberately weak fingerprint
+// functions — every state hashed to 0, every state to one non-zero value,
+// and a hash with two values — and requires keyed deduplication (the
+// sequential oracle, and CollisionFree at any worker count and schedule)
+// to find exactly what a textbook BFS finds: colliding states share a
+// fingerprint chain, never a slot. Fingerprint mode, which trusts the
+// fingerprint, merges every state of one fingerprint into the first.
 func TestFingerprintCollisions(t *testing.T) {
+	weak := []struct {
+		name   string
+		values int // the fingerprints the function can return
+		fp     func([]byte) uint64
+	}{
+		{"zero", 1, func([]byte) uint64 { return 0 }},
+		{"constant", 1, func([]byte) uint64 { return 0x9e3779b97f4a7c15 }},
+		{"two-valued", 2, func(b []byte) uint64 { return fnv1a64(b) & (1 << 40) }},
+	}
+	specs := []latticeSpec{
+		{name: "counter-5", check: func(t *testing.T, opts Options, _ bool) latticeRun {
+			return runLattice(t, func(bool) *Spec[counterState] { return counterSpec(5) }, opts, false)
+		}, ref: func(bool) referenceRun { return referenceBFS(counterSpec(5), 0) }},
+		latticeRandom(22, false), // constraint cuts
+		latticeGrid(3, 3, 2),     // a violation mid-level
+	}
 	orig := fingerprint
-	fingerprint = func([]byte) uint64 { return 0 }
 	defer func() { fingerprint = orig }()
+	for _, w := range weak {
+		fingerprint = w.fp
+		for _, ls := range specs {
+			ref := ls.ref(false)
+			for _, opts := range []Options{
+				{Workers: 1},
+				{Workers: 2, CollisionFree: true},
+				{Workers: 4, CollisionFree: true},
+				{Workers: 4, CollisionFree: true, Schedule: ScheduleWorkSteal},
+			} {
+				opts.RecordGraph = true
+				label := fmt.Sprintf("%s/%s/workers=%d %s", w.name, ls.name, opts.Workers, opts.Schedule)
+				got := ls.check(t, opts, false)
+				if got.unsound != "" {
+					t.Fatalf("%s: recorded graph: %s", label, got.unsound)
+				}
+				if opts.Schedule == ScheduleLevelSync {
+					if d := referenceMismatch(ref, got); d != "" {
+						t.Fatalf("%s: vs reference BFS: %s", label, d)
+					}
+				} else if d := unnumberedMismatch(ref, got); d != "" {
+					t.Fatalf("%s: vs reference BFS: %s", label, d)
+				}
+			}
+			merged := ls.check(t, Options{Workers: 2}, false)
+			if merged.res == nil || merged.res.Distinct > w.values {
+				t.Fatalf("%s/%s: fingerprint mode kept %v distinct states under %d fingerprint values; it must merge them",
+					w.name, ls.name, merged.res, w.values)
+			}
+		}
+	}
+}
 
-	// With every fingerprint identical, the default parallel path merges
-	// every state into the first one discovered: exploration collapses
-	// after the initial state.
-	res, err := Check(counterSpec(5), Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+// unnumberedMismatch compares a work-stealing run, whose ids and depths
+// depend on the interleaving, with the reference: the counters, the states
+// by key and the edges by their endpoints' keys. It returns the first
+// difference, or "".
+func unnumberedMismatch(ref referenceRun, got latticeRun) string {
+	g := got.res
+	if g == nil {
+		return fmt.Sprintf("no result: %v", got.err)
 	}
-	if res.Distinct != 1 {
-		t.Fatalf("with total collisions distinct = %d, want 1 (everything merged)", res.Distinct)
+	if (got.err != nil) != (ref.violated != "") {
+		return fmt.Sprintf("err = %v, reference violation %q", got.err, ref.violated)
 	}
-
-	// CollisionFree falls back to full-key dedup and must deliver exact
-	// results even under the degenerate fingerprint (all keys land in one
-	// shard, correctness is unaffected).
-	want, wantErr := Check(counterSpec(5), Options{Workers: 1, RecordGraph: true})
-	got, gotErr := Check(counterSpec(5), Options{Workers: 4, RecordGraph: true, CollisionFree: true})
-	assertResultsEqual(t, "collision-free", want, got, wantErr, gotErr)
-	if got.Distinct != 21 { // (5+1)(5+2)/2
-		t.Fatalf("collision-free distinct = %d, want 21", got.Distinct)
+	if ref.violated != "" {
+		return "" // which violating state work-stealing reaches first is a race
 	}
+	if g.Distinct != ref.distinct || g.Transitions != ref.transitions || g.Terminal != ref.terminal || g.ConstraintCuts != ref.cuts {
+		return fmt.Sprintf("distinct/transitions/terminal/cuts %d/%d/%d/%d, reference %d/%d/%d/%d",
+			g.Distinct, g.Transitions, g.Terminal, g.ConstraintCuts, ref.distinct, ref.transitions, ref.terminal, ref.cuts)
+	}
+	byKey := func(keys []string, edges []Edge) ([]string, []string) {
+		out := make([]string, len(edges))
+		for i, e := range edges {
+			out[i] = keys[e.From] + " -" + e.Action + "-> " + keys[e.To]
+		}
+		keys = slices.Clone(keys)
+		slices.Sort(keys)
+		slices.Sort(out)
+		return keys, out
+	}
+	gk, ge := byKey(got.keys, got.edges)
+	rk, re := byKey(ref.keys, ref.edges)
+	switch {
+	case !slices.Equal(gk, rk):
+		return fmt.Sprintf("state keys %v, reference %v", gk, rk)
+	case !slices.Equal(ge, re):
+		return fmt.Sprintf("edges %v, reference %v", ge, re)
+	}
+	return ""
 }
 
 func TestParallelNoInit(t *testing.T) {

@@ -15,9 +15,9 @@ import (
 // The visited set's spill half: TLC's external-memory fingerprint set,
 // transcribed to the level-synchronized engine. Without a memory budget the
 // set never seals. With one, when EndLevel finds the resident fingerprints
-// over the budget, every (fingerprint, id) pair — the table slots and the
-// fingerprint-0 cells — is sorted and sealed into an immutable run file,
-// and the tables are dropped for fresh minimal ones.
+// over the budget, every (fingerprint, id) pair of the table slots is
+// sorted and sealed into an immutable run file, and the tables are dropped
+// for fresh minimal ones.
 //
 // Lookups against sealed runs are deferred — merge-on-lookup, once per
 // level: the expansion's probes see only the resident tables, and
@@ -38,9 +38,10 @@ import (
 // explicitly, because the dedup information in it is load-bearing for the
 // verdict.
 //
-// Only fingerprints spill (8 bytes of identity, 16 on disk with the id);
-// collision-free full-encoding dedup is memory-resident by definition,
-// which Options.Validate enforces.
+// Only fingerprints spill (8 bytes of identity, 16 on disk with the id).
+// A keyed table's encodings, which its byte check compares against, stay
+// resident by definition, so Options.Validate refuses a budget alongside
+// CollisionFree, and a budget makes the sequential oracle unkeyed.
 
 // spillBytesPerEntry is the budget accounting charge per resident
 // fingerprint: its 16-byte table slot over a load factor between 3/8 and
@@ -78,9 +79,11 @@ func (vs *visitedSet) residentBytes() int64 {
 // fingerprint already resident keeps its id, which is the same. Merge
 // goroutine only, with no claim in flight.
 func (vs *visitedSet) restore(rec spillRec) {
-	sh := &vs.shards[rec.fp&(visitedShards-1)]
+	sh := vs.shard(rec.fp)
 	sh.mu.Lock()
-	sh.insert(rec.fp, int(rec.id))
+	if _, ok := sh.lookup(rec.fp, nil); !ok {
+		sh.insert(rec.fp, nil, int(rec.id))
+	}
 	sh.mu.Unlock()
 }
 
@@ -145,14 +148,10 @@ func readRecsFile(fsys FS, path string, fn func(spillRec) bool) error {
 // sorted by fingerprint.
 func (vs *visitedSet) residentRecs(recs []spillRec) []spillRec {
 	for i := range vs.shards {
-		sh := &vs.shards[i]
-		if z := sh.zero.Load(); z != 0 {
-			recs = append(recs, spillRec{fp: 0, id: z - 1})
-		}
-		slots := sh.tab.Load().slots
+		slots := vs.shards[i].tab.Load().slots
 		for j := range slots {
-			if fp := slots[j].fp.Load(); fp != 0 {
-				recs = append(recs, spillRec{fp: fp, id: slots[j].id.Load()})
+			if id := slots[j].id.Load(); id != 0 {
+				recs = append(recs, spillRec{fp: slots[j].fp.Load(), id: id - 1})
 			}
 		}
 	}

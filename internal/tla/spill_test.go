@@ -1,6 +1,7 @@
 package tla
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -309,24 +310,29 @@ func TestSpillRunCompaction(t *testing.T) {
 	}
 }
 
-// TestClaimDoesNotAllocate pins the visited set's fingerprint tables: a
-// claim of a fresh fingerprint allocates nothing beyond amortized table
-// doubling.
+// TestClaimDoesNotAllocate pins the visited set's tables: a claim of a
+// fresh state allocates nothing beyond amortized table doubling and, keyed,
+// key storage blocks — the encoding is copied into its shard's storage,
+// not into a string of its own.
 func TestClaimDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	vs := newVisitedSet(Options{Workers: 2}, 2, nil)
-	next := 0
-	alloc := func() int { next++; return next - 1 }
-	const perRun = 4096
-	avg := testing.AllocsPerRun(10, func() {
-		for i := 0; i < perRun; i++ {
-			vs.claim(uint64(next)*0x9e3779b97f4a7c15, nil, alloc)
+	for _, keyed := range []bool{false, true} {
+		vs := newVisitedSet(Options{Workers: 2, CollisionFree: keyed}, 2, nil)
+		next := 0
+		alloc := func() int { next++; return next - 1 }
+		var enc [8]byte
+		const perRun = 4096
+		avg := testing.AllocsPerRun(10, func() {
+			for i := 0; i < perRun; i++ {
+				binary.LittleEndian.PutUint64(enc[:], uint64(next))
+				vs.claim(fingerprint(enc[:]), enc[:], alloc)
+			}
+		})
+		if perClaim := avg / perRun; perClaim >= 0.5 {
+			t.Fatalf("keyed=%t: claiming a fresh state allocates %.2f times on average, want < 0.5", keyed, perClaim)
 		}
-	})
-	if perClaim := avg / perRun; perClaim >= 0.5 {
-		t.Fatalf("claiming a fresh fingerprint allocates %.2f times on average, want < 0.5", perClaim)
 	}
 }
 

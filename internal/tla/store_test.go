@@ -1,17 +1,18 @@
 package tla
 
 import (
+	"encoding/binary"
+	"fmt"
 	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// TestFingerprintZero follows fingerprint 0 — a legal FNV-1a output, which
-// the fingerprint table cannot store in a slot because 0 marks a slot
-// empty — through claim, probe, resident, the EndLevel seal and the
-// ResolveLevel restore, beside a fingerprint of the same shard that does
-// live in the table.
+// TestFingerprintZero follows fingerprint 0 — a legal FNV-1a output, and
+// the value of an empty slot's fingerprint word — through claim, probe,
+// resident, the EndLevel seal and the ResolveLevel restore, beside another
+// fingerprint of the same shard.
 func TestFingerprintZero(t *testing.T) {
 	vs := newVisitedSet(Options{MemoryBudgetBytes: 1}, 2, nil)
 	defer vs.Close()
@@ -71,62 +72,70 @@ func TestFingerprintZero(t *testing.T) {
 }
 
 // TestVisitedSetConcurrentClaims races four goroutines claiming the same
-// fingerprints, from different starting points, through several doublings
-// of every shard's table: each fingerprint's alloc must run exactly once,
-// every goroutine must get the same id for it, the ids must be dense, and
-// every probe after the join must hit.
+// states, from different starting points, through several doublings of
+// every shard's table: each state's alloc must run exactly once, every
+// goroutine must get the same id for it, the ids must be dense, and every
+// probe after the join must hit. Keyed, 32 states share each fingerprint,
+// so the lock-free byte check races the inserts that extend its chain.
 func TestVisitedSetConcurrentClaims(t *testing.T) {
 	const (
 		goroutines = 4
 		n          = 1 << 14 // 256 per shard: four doublings from fpTableMin
 	)
-	vs := newVisitedSet(Options{Workers: goroutines}, goroutines, nil)
-	fps := make([]uint64, n)
-	for i := range fps {
-		fps[i] = uint64(i) * 0xbf58476d1ce4e5b9 // fps[0] is fingerprint 0
-	}
-	allocs := make([]atomic.Int32, n)
-	var next atomic.Int64
-	ids := make([][]int, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		ids[g] = make([]int, n)
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for k := 0; k < n; k++ {
-				i := (k + g*n/goroutines) % n
-				id, _ := vs.claim(fps[i], nil, func() int {
-					allocs[i].Add(1)
-					return int(next.Add(1) - 1)
-				})
-				ids[g][i] = id
+	for _, keyed := range []bool{false, true} {
+		vs := newVisitedSet(Options{Workers: goroutines, CollisionFree: keyed}, goroutines, nil)
+		fps := make([]uint64, n)
+		encs := make([][]byte, n)
+		for i := range fps {
+			fps[i] = uint64(i) * 0xbf58476d1ce4e5b9 // fps[0] is fingerprint 0
+			if keyed {
+				fps[i] = uint64(i%(n/32)) * 0xbf58476d1ce4e5b9
+				encs[i] = []byte(fmt.Sprint(i))
 			}
-		}(g)
-	}
-	wg.Wait()
+		}
+		allocs := make([]atomic.Int32, n)
+		var next atomic.Int64
+		ids := make([][]int, goroutines)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			ids[g] = make([]int, n)
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := 0; k < n; k++ {
+					i := (k + g*n/goroutines) % n
+					id, _ := vs.claim(fps[i], encs[i], func() int {
+						allocs[i].Add(1)
+						return int(next.Add(1) - 1)
+					})
+					ids[g][i] = id
+				}
+			}(g)
+		}
+		wg.Wait()
 
-	seen := make([]bool, n)
-	for i, fp := range fps {
-		if c := allocs[i].Load(); c != 1 {
-			t.Fatalf("fingerprint %#x: alloc ran %d times, want once", fp, c)
-		}
-		id := ids[0][i]
-		for g := 1; g < goroutines; g++ {
-			if ids[g][i] != id {
-				t.Fatalf("fingerprint %#x: goroutine %d got id %d, goroutine 0 got %d", fp, g, ids[g][i], id)
+		seen := make([]bool, n)
+		for i, fp := range fps {
+			if c := allocs[i].Load(); c != 1 {
+				t.Fatalf("keyed=%t, state %d: alloc ran %d times, want once", keyed, i, c)
+			}
+			id := ids[0][i]
+			for g := 1; g < goroutines; g++ {
+				if ids[g][i] != id {
+					t.Fatalf("keyed=%t, state %d: goroutine %d got id %d, goroutine 0 got %d", keyed, i, g, ids[g][i], id)
+				}
+			}
+			if id < 0 || id >= n || seen[id] {
+				t.Fatalf("keyed=%t, state %d: id %d is out of range or shared; ids must be dense", keyed, i, id)
+			}
+			seen[id] = true
+			if got, ok := vs.probe(fp, encs[i]); !ok || got != id {
+				t.Fatalf("keyed=%t: probe of state %d after the join = (%d, %t), want (%d, true)", keyed, i, got, ok, id)
 			}
 		}
-		if id < 0 || id >= n || seen[id] {
-			t.Fatalf("fingerprint %#x: id %d is out of range or shared; ids must be dense", fp, id)
+		if r := vs.resident(); r != n {
+			t.Fatalf("keyed=%t: resident() = %d, want %d", keyed, r, n)
 		}
-		seen[id] = true
-		if got, ok := vs.probe(fp, nil); !ok || got != id {
-			t.Fatalf("probe of fingerprint %#x after the join = (%d, %t), want (%d, true)", fp, got, ok, id)
-		}
-	}
-	if r := vs.resident(); r != n {
-		t.Fatalf("resident() = %d, want %d", r, n)
 	}
 }
 
@@ -152,6 +161,78 @@ func TestProbeDoesNotAllocate(t *testing.T) {
 		})
 		if avg != 0 {
 			t.Fatalf("keyed=%t: %d probes allocate %.1f times, want 0", keyed, len(encs), avg)
+		}
+	}
+}
+
+// TestStoreFingerprintCollisions drives the merge's protocol — own, then
+// publish, then probe — and work-stealing's claim over encodings that share
+// a fingerprint, 0 and a non-zero one, in a keyed set: every encoding must
+// keep its own slot and id, through several doublings of its shard's
+// table, and an unseen encoding with the same fingerprint must miss.
+func TestStoreFingerprintCollisions(t *testing.T) {
+	const n = 100 // 16 → 256 slots: four doublings
+	enc := func(fp uint64, i int) []byte { return []byte(fmt.Sprintf("%x/%d", fp, i)) }
+	for _, fp := range []uint64{0, 0x9e3779b97f4a7c15} {
+		vs := newVisitedSet(Options{Workers: 1}, 1, nil)
+		for i := 0; i < n; i++ {
+			if id, isNew := vs.own(fp, enc(fp, i), -2-i); id != -2-i || !isNew {
+				t.Fatalf("fp %#x: own of encoding %d = (%d, %t), want its placeholder (%d, true)", fp, i, id, isNew, -2-i)
+			}
+		}
+		for i := 0; i < n; i++ {
+			if id, isNew := vs.own(fp, enc(fp, i), -1000); id != -2-i || isNew {
+				t.Fatalf("fp %#x: second own of encoding %d = (%d, %t), want (%d, false)", fp, i, id, isNew, -2-i)
+			}
+		}
+		for i := 0; i < n; i++ {
+			vs.publish(fp, enc(fp, i), 3*i)
+		}
+		for i := 0; i < n; i++ {
+			if id, ok := vs.probe(fp, enc(fp, i)); !ok || id != 3*i {
+				t.Fatalf("fp %#x: probe of encoding %d = (%d, %t), want (%d, true)", fp, i, id, ok, 3*i)
+			}
+		}
+		if _, ok := vs.probe(fp, enc(fp, n)); ok {
+			t.Fatalf("fp %#x: probe of an unseen encoding hit", fp)
+		}
+		for i := n; i < 2*n; i++ {
+			if id, isNew := vs.claim(fp, enc(fp, i), allocID(3*i)); id != 3*i || !isNew {
+				t.Fatalf("fp %#x: claim of encoding %d = (%d, %t), want (%d, true)", fp, i, id, isNew, 3*i)
+			}
+		}
+		for i := 0; i < 2*n; i++ {
+			if id, isNew := vs.claim(fp, enc(fp, i), allocID(-1)); id != 3*i || isNew {
+				t.Fatalf("fp %#x: re-claim of encoding %d = (%d, %t), want (%d, false)", fp, i, id, isNew, 3*i)
+			}
+		}
+		if r := vs.resident(); r != 2*n {
+			t.Fatalf("fp %#x: resident() = %d, want %d", fp, r, 2*n)
+		}
+	}
+}
+
+// TestOwnDoesNotAllocate pins the merge's claim pass: owning a fresh state
+// allocates nothing beyond amortized table doubling and, keyed, key
+// storage blocks.
+func TestOwnDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	for _, keyed := range []bool{false, true} {
+		vs := newVisitedSet(Options{Workers: 2, CollisionFree: keyed}, 2, nil)
+		next := 0
+		var enc [8]byte
+		const perRun = 4096
+		avg := testing.AllocsPerRun(10, func() {
+			for i := 0; i < perRun; i++ {
+				binary.LittleEndian.PutUint64(enc[:], uint64(next))
+				vs.own(fingerprint(enc[:]), enc[:], next)
+				next++
+			}
+		})
+		if perOwn := avg / perRun; perOwn >= 0.5 {
+			t.Fatalf("keyed=%t: owning a fresh state allocates %.2f times on average, want < 0.5", keyed, perOwn)
 		}
 	}
 }

@@ -33,7 +33,8 @@ import (
 // Key, the same identity as a string — the label DOT dumps, Graph.KeyAt
 // and printed traces carry. Two states are identical if and only if their
 // encodings are equal, and if and only if their keys are. The checker
-// dedups either on the full encoding or on a 64-bit fingerprint of it (see
+// dedups on a 64-bit fingerprint of the encoding, comparing the encodings
+// behind a fingerprint hit when it must be exact (see
 // Options.CollisionFree).
 //
 // Unless Options.Workers is 1, Key and AppendBinary are called from
@@ -273,8 +274,10 @@ type Options struct {
 	// MemoryBudgetBytes. Liveness checking needs the full edge set: run
 	// CheckEventuallyWithin on graphs recorded without POR.
 	PartialOrder bool
-	// CollisionFree makes the parallel path deduplicate on full canonical
-	// keys instead of 64-bit fingerprints, trading memory and speed for
+	// CollisionFree makes the parallel path's visited set keyed: besides
+	// each state's 64-bit fingerprint it keeps the canonical encoding and
+	// compares it on every fingerprint hit, so colliding states get
+	// separate slots — memory and a byte comparison per hit traded for
 	// immunity to fingerprint collisions (TLC's collision-probability
 	// story: at N reachable states the chance any two collide is about
 	// N²/2⁶⁵ — around 3·10⁻⁸ for a million states — and a collision can
@@ -297,7 +300,7 @@ type Options struct {
 	// The budget implies fingerprint deduplication at every worker count —
 	// including Workers == 1, which is otherwise the always-collision-free
 	// oracle — and is therefore rejected alongside CollisionFree, whose
-	// full-encoding keys are memory-resident by definition.
+	// stored encodings are memory-resident by definition.
 	MemoryBudgetBytes int64
 	// Context, when non-nil, cancels the run cooperatively: both
 	// schedulers poll it at their stop points (the level-synchronized
@@ -513,9 +516,10 @@ type Result[S State] struct {
 // stops at the first violation, as TLC does by default.
 //
 // One engine serves every configuration: Options selects the worker count
-// (0 resolves to GOMAXPROCS; 1 is the sequential oracle, which dedups on
-// full encodings and is therefore always collision-free unless
-// MemoryBudgetBytes engages the spilling fingerprint set) and the
+// (0 resolves to GOMAXPROCS; 1 is the sequential oracle, whose visited set
+// is keyed — a fingerprint hit counts only if the encodings are equal — and
+// therefore always collision-free unless MemoryBudgetBytes or a checkpoint
+// engages the spilling fingerprint set) and the
 // scheduling mode (Schedule — the default level-synchronized loop, or the
 // barrier-free work-stealing loop). Level-synchronized results are
 // identical at every worker count and in every visited-set mode the
