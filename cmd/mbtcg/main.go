@@ -43,7 +43,7 @@ func main() {
 		emitPath  = flag.String("emit", "", "write the generated cases as a Go test file")
 		withCov   = flag.Bool("coverage", false, "print the §5.2 coverage comparison table")
 		workers   = flag.Int("workers", 0, "model-checker worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
-		memBudget = flag.Int64("mem-budget", 0, "approximate visited-set bytes before fingerprint shards spill to sorted runs on disk (0 = fully resident)")
+		memBudget = flag.Int64("mem-budget", 0, "approximate visited-set bytes before the fingerprints spill to one sorted run on disk (0 = fully resident)")
 		schedule  = flag.String("schedule", "levelsync", "exploration schedule: levelsync or level-sync (deterministic BFS and DOT output), worksteal or work-steal (barrier-free; same cases, nondeterministic graph order; an error with -mem-budget)")
 		arena     = flag.Bool("arena", false, "serve the state graph from the checker's encoded-state arena instead of live values (with -mem-budget it spills to disk, so generation runs on graphs that never fit in RAM)")
 		deadline  = flag.Duration("deadline", 0, "wall-clock bound on the exploration, e.g. 90s or 10m (0 = none); generation needs the complete graph, so an over-deadline run aborts with the partial-state count")

@@ -107,7 +107,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "checker worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
 		symmetry  = flag.Bool("symmetry", false, "symmetry reduction over interchangeable identities (raftmongo nodes, locking actors; a usage error on arrayot)")
 		por       = flag.Bool("por", false, "ample-set partial-order reduction for specs that declare transition independence (raftmongo, locking; an error on arrayot and with -liveness); composes with -symmetry, both schedules, -arena and -mem-budget")
-		memBudget = flag.Int64("mem-budget", 0, "approximate visited-set bytes before fingerprint shards spill to sorted runs on disk (0 = fully resident)")
+		memBudget = flag.Int64("mem-budget", 0, "approximate visited-set bytes before the fingerprints spill to one sorted run on disk (0 = fully resident)")
 		schedule  = flag.String("schedule", "levelsync", "exploration schedule: levelsync or level-sync (deterministic BFS, shortest counterexamples), worksteal or work-steal (barrier-free, identical verdicts and counts; an error with -mem-budget, -checkpoint and -resume)")
 		arena     = flag.Bool("arena", false, "retain discovered states as encoded bytes in an append-only arena instead of live values (cuts retention memory; counterexamples and the -dot/-liveness graph are decoded from the arena)")
 		ckDir     = flag.String("checkpoint", "", "write a resumable checkpoint to this directory on interrupt (and periodically with -checkpoint-every); implies -arena")

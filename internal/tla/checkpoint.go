@@ -22,9 +22,10 @@ import (
 //	g000000-arena.edges    the arena's graph-edge records (RecordGraph
 //	                       runs only): fixed 10-byte (from, action, to)
 //	                       rows in append order, segment by segment
-//	g000000-visited-*      sorted (fingerprint, id) runs — the fingerprint
-//	                       store's resident set and its sealed runs, in
-//	                       the format it spills in
+//	g000000-visited        sorted (fingerprint, id) records, each
+//	                       fingerprint once — the visited set's resident
+//	                       pairs merged with its sealed run, in the format
+//	                       it spills in
 //	MANIFEST.json          counters, the frontier's ids, fingerprints of
 //	                       the spec and options, and the file list
 //
@@ -36,9 +37,11 @@ import (
 // rename succeeded.
 //
 // Resume (Options.ResumeFrom) restores the counters (the degraded-memory
-// flag included), the arena, and the visited runs, then decodes the
-// frontier's live states from their stored encodings — checkpointing
-// implies the arena, which requires a BinaryDecoder spec state. The
+// flag included), the arena, and the visited records, reading every file
+// the manifest lists (checkpoints of earlier releases list several
+// g000000-visited-* files). It then decodes the frontier's live states
+// from their stored encodings — checkpointing implies the arena, which
+// requires a BinaryDecoder spec state. The
 // checkpoint directory itself is never modified by a resume, so one
 // checkpoint can seed any number of runs. A checkpointed RecordGraph run
 // also restores its edge records, so the resumed run's graph covers the

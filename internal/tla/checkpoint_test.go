@@ -2,6 +2,7 @@ package tla
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -227,6 +228,26 @@ func TestResumeValidation(t *testing.T) {
 		t.Fatalf("empty checkpoint dir: err = %v, want ErrBadCheckpoint", err)
 	}
 
+	// Tear a visited file: a cut record is a bad checkpoint at resume, with
+	// or without a budget, not an I/O error of the resumed run.
+	m, err := readManifest(OSFS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vpath := filepath.Join(dir, m.VisitedRuns[0])
+	vblob, err := os.ReadFile(vpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(vpath, vblob[:len(vblob)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int64{0, 1} {
+		if err := resume(counterSpec(max), func(o *Options) { o.MemoryBudgetBytes = budget }); !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("torn visited file, budget %d: err = %v, want ErrBadCheckpoint", budget, err)
+		}
+	}
+
 	// Tear the manifest: half its bytes is invalid JSON, detected as a torn
 	// checkpoint rather than parsed into a half-restored run.
 	mpath := filepath.Join(dir, "MANIFEST.json")
@@ -240,6 +261,105 @@ func TestResumeValidation(t *testing.T) {
 	if err := resume(counterSpec(max), nil); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("torn manifest: err = %v, want ErrBadCheckpoint", err)
 	}
+}
+
+// TestResumeSeveralVisitedFiles resumes a checkpoint shaped like those of
+// earlier releases, whose manifest lists several visited files that share
+// fingerprints: the visited records are split into three overlapping
+// sorted files. It must resume to the uninterrupted counts with and without
+// a budget.
+func TestResumeSeveralVisitedFiles(t *testing.T) {
+	const max = 30
+	oracle, err := Check(counterSpec(max), ckOpts())
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	dir := t.TempDir()
+	interruptedCheckpoint(t, max, dir, 600)
+	m, err := readManifest(OSFS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.VisitedRuns) != 1 {
+		t.Fatalf("checkpoint lists %d visited files, want 1", len(m.VisitedRuns))
+	}
+	blob, err := os.ReadFile(filepath.Join(dir, m.VisitedRuns[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(blob) / spillRecSize
+	if n < 6 {
+		t.Fatalf("checkpoint holds %d visited records, too few to split", n)
+	}
+	parts := map[string][]byte{
+		"g000000-visited-resident": blob[:2*n/3*spillRecSize],
+		"g000000-visited-000000":   blob[n/3*spillRecSize:],
+		"g000000-visited-000001":   blob[n/2*spillRecSize : (n/2+1)*spillRecSize],
+	}
+	m.VisitedRuns = nil
+	for name, part := range parts {
+		if err := os.WriteFile(filepath.Join(dir, name), part, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m.VisitedRuns = append(m.VisitedRuns, name)
+	}
+	sort.Strings(m.VisitedRuns)
+	mblob, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ckManifestName), mblob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int64{0, 1} {
+		// Adopted alone, the files restore every record, each fingerprint
+		// once: resident without a budget, sealed into the run under one.
+		vs := newVisitedSet(Options{MemoryBudgetBytes: budget}, 4, nil)
+		if err := vs.adoptRuns(OSFS, dir, m.VisitedRuns); err != nil {
+			t.Fatalf("budget %d: adoptRuns: %v", budget, err)
+		}
+		wantResident, wantSealed := n, 0
+		if budget > 0 {
+			wantResident, wantSealed = 0, n
+		}
+		if vs.resident() != wantResident || vs.sealed != int64(wantSealed*spillRecSize) {
+			t.Fatalf("budget %d: adopted %d resident records and a %d-byte run, want %d and %d bytes",
+				budget, vs.resident(), vs.sealed, wantResident, wantSealed*spillRecSize)
+		}
+		vs.Close()
+
+		opts := ckOpts()
+		opts.MemoryBudgetBytes = budget
+		opts.ResumeFrom = dir
+		res, err := Check(counterSpec(max), opts)
+		if err != nil {
+			t.Fatalf("budget %d: resume: %v", budget, err)
+		}
+		assertSameOutcome(t, fmt.Sprintf("budget %d", budget), res, oracle)
+	}
+}
+
+// FuzzReadManifest feeds arbitrary bytes to readManifest as MANIFEST.json:
+// it never panics, and every failure wraps ErrBadCheckpoint.
+func FuzzReadManifest(f *testing.F) {
+	f.Add([]byte(`{"version": 1, "spec": "Counter", "frontier": [0], "visited_runs": ["g000000-visited"]}`))
+	f.Add([]byte(`{"version": 2}`))
+	f.Add([]byte(`{"version": 1, "frontier": "x"}`))
+	f.Add([]byte(`{"version"`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, ckManifestName), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := readManifest(OSFS, dir)
+		if err != nil && !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("readManifest failed without ErrBadCheckpoint: %v", err)
+		}
+		if err == nil && m.Version != ckVersion {
+			t.Fatalf("readManifest accepted version %d", m.Version)
+		}
+	})
 }
 
 // dirListing snapshots a directory as "name size" lines.

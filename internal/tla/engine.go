@@ -303,7 +303,7 @@ func (l *levelSync[S]) explore() {
 			return
 		}
 		start = time.Now()
-		if len(l.vs.runs) > 0 {
+		if l.vs.run != "" {
 			fps := l.missFPs[:0]
 			for i := range outs {
 				for _, m := range outs[i].misses {
@@ -397,7 +397,7 @@ func (l *levelSync[S]) checkpoint(frontier []int, level int) (string, error) {
 // the journal, with the phase durations of the level that produced the
 // frontier. It runs on the driver goroutine between levels, so the
 // counters it reads are settled; spill pressure sums the visited set's
-// sealed runs and the arena's spill file, both of which only grow there
+// sealed run and the arena's spill file, both of which only grow there
 // too.
 func (l *levelSync[S]) report(frontier []int, level int) {
 	if l.snap == nil && l.em == nil {
@@ -465,7 +465,7 @@ func (l *levelSync[S]) expandLevel(frontier []int) (chunkPlan, []chunkOut[S]) {
 // merge settles a level in merge order (see the file comment). false ends
 // the run (the outcome is recorded).
 func (l *levelSync[S]) merge(plan chunkPlan, frontier []int, outs []chunkOut[S]) bool {
-	restored := len(l.vs.runs) > 0 // ResolveLevel may have restored misses
+	restored := l.vs.run != "" // ResolveLevel may have restored misses
 	n := 0
 	for c := range outs {
 		outs[c].base = n

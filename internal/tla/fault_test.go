@@ -85,6 +85,17 @@ func TestInjectedFaults(t *testing.T) {
 			faults:  []Fault{{Op: FaultRead, Path: "run-", Err: syscall.EIO}},
 			wantErr: syscall.EIO,
 		},
+		{
+			// A seal merges the resident fingerprints with the old run, so
+			// it reads that run; when the read fails for good the run fails
+			// (a new run without the old records would lose them) and does
+			// not degrade. A one-record run costs a merge-join one or two
+			// reads and a seal two, so the third read of a run file is in
+			// the first seal that reads one: level 1's.
+			name:    "persistent-read-during-seal",
+			faults:  []Fault{{Op: FaultRead, Path: "run-", Err: syscall.EIO, After: 2}},
+			wantErr: syscall.EIO,
+		},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -104,6 +115,9 @@ func TestInjectedFaults(t *testing.T) {
 				}
 				if errors.Is(err, ErrInvariantViolated) {
 					t.Fatalf("an I/O failure surfaced as a violation: %v", err)
+				}
+				if res != nil && res.DegradedMemory {
+					t.Fatalf("a failed read degraded the run before failing it: %v", err)
 				}
 				return
 			}

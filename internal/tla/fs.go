@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the engine's durable-I/O seam. Every byte the checker puts
-// on disk — spill-store runs (spill.go), arena segments (arena.go), and
+// on disk — the spill store's run (spill.go), arena segments (arena.go), and
 // checkpoints (checkpoint.go) — flows through an FS, so tests inject
 // faults (ENOSPC at a segment seal, a transient write error mid-merge, a
 // torn manifest) without touching the real filesystem's behaviour, and the
@@ -32,7 +32,7 @@ import (
 
 // File is the subset of *os.File the engine's durable I/O needs. WriteAt
 // and ReadAt serve the arena's random-access segment file; the sequential
-// Reader/Writer halves serve the spill runs and checkpoints.
+// Reader/Writer halves serve the spill run and checkpoints.
 type File interface {
 	io.Reader
 	io.Writer
@@ -160,29 +160,6 @@ func readFileFS(fsys FS, name string) ([]byte, error) {
 	}
 	defer f.Close()
 	return io.ReadAll(f)
-}
-
-// copyFileFS copies src to dst via fsys, removing a partial dst on failure.
-func copyFileFS(fsys FS, src, dst string) error {
-	in, err := fsys.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := fsys.Create(dst)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		fsys.Remove(dst)
-		return err
-	}
-	if err := out.Close(); err != nil {
-		fsys.Remove(dst)
-		return err
-	}
-	return nil
 }
 
 // FaultOp names the FS operation class a Fault matches.

@@ -37,10 +37,9 @@ type engineMetrics struct {
 	stealFails   *obs.Counter
 	dequePending *obs.Gauge
 
-	runSeals    *obs.Counter
-	mergeJoins  *obs.Counter
-	compactions *obs.Counter
-	spillBytes  *obs.Counter
+	runSeals   *obs.Counter
+	mergeJoins *obs.Counter
+	spillBytes *obs.Counter
 
 	arenaSegSpills    *obs.Counter
 	arenaSpilledBytes *obs.Counter
@@ -78,7 +77,7 @@ func newEngineMetrics(opts Options, workers int) *engineMetrics {
 	reg.Help("tla_successor_fanout", "successors per expanded state")
 	m.fanout = reg.Histogram("tla_successor_fanout", obs.ExpBuckets(1, 2, 9))
 	durBuckets := obs.ExpBuckets(0.001, 10, 5) // 1ms .. 10s
-	reg.Help("tla_spill_merge_seconds", "per-level merge-join of spilled visited runs")
+	reg.Help("tla_spill_merge_seconds", "per-level merge-join against the spilled visited run")
 	m.mergeDur = reg.Histogram("tla_spill_merge_seconds", durBuckets)
 	reg.Help("tla_checkpoint_seconds", "checkpoint write duration")
 	m.checkpointDur = reg.Histogram("tla_checkpoint_seconds", durBuckets)
@@ -94,13 +93,11 @@ func newEngineMetrics(opts Options, workers int) *engineMetrics {
 	reg.Help("tla_deque_pending", "work items pending across all deques (sampled)")
 	m.dequePending = reg.Gauge("tla_deque_pending")
 
-	reg.Help("tla_spill_run_seals_total", "visited-store shards sealed into sorted on-disk runs")
+	reg.Help("tla_spill_run_seals_total", "seals of the resident fingerprints into the visited set's sorted on-disk run")
 	m.runSeals = reg.Counter("tla_spill_run_seals_total")
-	reg.Help("tla_spill_merge_joins_total", "on-disk runs merge-joined against a level's fresh claims")
+	reg.Help("tla_spill_merge_joins_total", "levels whose probe misses were merge-joined against the on-disk run")
 	m.mergeJoins = reg.Counter("tla_spill_merge_joins_total")
-	reg.Help("tla_spill_compactions_total", "multi-run compactions of the spilled visited set")
-	m.compactions = reg.Counter("tla_spill_compactions_total")
-	reg.Help("tla_spill_bytes_sealed_total", "bytes of visited-set runs sealed to disk")
+	reg.Help("tla_spill_bytes_sealed_total", "bytes written by seals: each seal writes the whole merged run")
 	m.spillBytes = reg.Counter("tla_spill_bytes_sealed_total")
 
 	reg.Help("tla_arena_segment_spills_total", "retained-state arena segments written to the spill file")
@@ -186,7 +183,7 @@ func (m *engineMetrics) setDequePending(n int64) {
 	m.dequePending.Set(n)
 }
 
-// onRunSeal records one visited-store shard sealed into an on-disk run.
+// onRunSeal records one seal, which wrote a run of bytes.
 func (m *engineMetrics) onRunSeal(bytes int64) {
 	if m == nil {
 		return
@@ -195,20 +192,13 @@ func (m *engineMetrics) onRunSeal(bytes int64) {
 	m.spillBytes.Add(bytes)
 }
 
-// onMergeJoins records a level's merge-join pass over the sealed runs.
-func (m *engineMetrics) onMergeJoins(runs int, d time.Duration) {
+// onMergeJoin records a level's merge-join against the sealed run.
+func (m *engineMetrics) onMergeJoin(d time.Duration) {
 	if m == nil {
 		return
 	}
-	m.mergeJoins.Add(int64(runs))
+	m.mergeJoins.Inc()
 	m.mergeDur.Observe(d.Seconds())
-}
-
-func (m *engineMetrics) onCompaction() {
-	if m == nil {
-		return
-	}
-	m.compactions.Inc()
 }
 
 // onArenaSpill records one arena segment written to the spill file.

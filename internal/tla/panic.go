@@ -32,7 +32,7 @@ var ErrSpecPanic = errors.New("tla: spec callback panicked")
 // initial state to the state whose processing panicked (empty when the
 // panic preceded any state, e.g. in Init).
 type SpecPanic[S State] struct {
-	Op        string   // the callback: `action "X".Next`, `invariant "I"`, "Init", "Constraint", "state encoding"
+	Op        string   // the callback: `action "X".Next`, `invariant "I"`, "Init", "Constraint", "state encoding"; a trace check appends " at observation N"
 	Value     any      // the recovered panic value
 	Stack     string   // the panicking goroutine's stack
 	Trace     []S      // trace to the offending state; nil when unavailable
@@ -59,6 +59,7 @@ const (
 	opConstraint
 	opEncode       // Key / AppendBinary / SymmetryVisitor during canonicalization
 	opIndependence // Independence.Procs / Owner / Safe during ample selection
+	opMatches      // Observation.Matches while checking a trace
 )
 
 func opString(kind specOp, name string) string {
@@ -75,6 +76,8 @@ func opString(kind specOp, name string) string {
 		return "state encoding (Key/AppendBinary/SymmetryVisitor)"
 	case opIndependence:
 		return "independence declaration (Procs/Owner/Safe)"
+	case opMatches:
+		return "Observation.Matches"
 	}
 	return "spec callback"
 }

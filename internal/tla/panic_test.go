@@ -3,6 +3,8 @@ package tla
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -196,5 +198,67 @@ func TestSpecPanicUnderSpillStore(t *testing.T) {
 	sp := assertSpecPanic(t, "spill", err, `action "Explode"`)
 	if len(sp.Trace) == 0 {
 		t.Fatal("empty trace under the spilling store")
+	}
+}
+
+// panicObs is sumObs whose Matches panics on the states in boom.
+type panicObs struct {
+	sumObs
+	boom []counterState
+}
+
+func (o panicObs) Matches(s counterState) bool {
+	if slices.Contains(o.boom, s) {
+		panic(fmt.Sprintf("boom at %v", s))
+	}
+	return o.sumObs.Matches(s)
+}
+
+// TestSpecPanicInTraceCheck: a trace check whose Next or Matches panics
+// returns a *SpecPanic naming the callback and the observation, with the
+// same result at one worker and at four — from the frontier state that
+// comes first, though several chunks panic — instead of a raw panic or a
+// crashed worker goroutine.
+func TestSpecPanicInTraceCheck(t *testing.T) {
+	// Observations 0..8 pin A+B; the frontier at observation 8 is the five
+	// states (8,0) … (4,4), wide enough for four workers.
+	trace := func(last Observation[counterState]) []Observation[counterState] {
+		var tr []Observation[counterState]
+		for k := 0; k < 9; k++ {
+			tr = append(tr, sumObs(k))
+		}
+		return append(tr, last)
+	}
+	// (8,1) is a successor of frontier states 0 and 1, (5,4) of states 3
+	// and 4: the panic of state 0 wins.
+	matchesBoom := trace(panicObs{9, []counterState{{5, 4}, {8, 1}}})
+	nextBoom := explodingSpec(20, counterState{A: 6, B: 2})
+	for _, tc := range []struct {
+		name  string
+		spec  *Spec[counterState]
+		trace []Observation[counterState]
+		op    string
+		value string
+	}{
+		{"Matches", counterSpec(20), matchesBoom, "Observation.Matches at observation 9", "boom at {8 1}"},
+		{"Next", nextBoom, trace(sumObs(9)), `action "Explode".Next at observation 9`, "boom at {6 2}"},
+	} {
+		var first *TraceResult
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("%s/workers=%d", tc.name, workers)
+			res, err := CheckTraceWith(tc.spec, tc.trace, TraceOptions{Workers: workers})
+			sp := assertSpecPanic(t, label, err, tc.op)
+			if sp.Op != tc.op || sp.Value != tc.value {
+				t.Fatalf("%s: panic %q in %q, want %q in %q", label, sp.Value, sp.Op, tc.value, tc.op)
+			}
+			if res == nil || res.OK || res.Steps != 9 || res.FailedStep != -1 {
+				t.Fatalf("%s: result %+v, want 9 steps matched, not OK, no failed step", label, res)
+			}
+			if first == nil {
+				first = res
+			} else if !reflect.DeepEqual(res, first) {
+				t.Fatalf("%s: result %+v differs from one worker's %+v", label, res, first)
+			}
+		}
 	}
 }

@@ -15,28 +15,29 @@ import (
 // The visited set's spill half: TLC's external-memory fingerprint set,
 // transcribed to the level-synchronized engine. Without a memory budget the
 // set never seals. With one, when EndLevel finds the resident fingerprints
-// over the budget, every (fingerprint, id) pair of the table slots is
-// sorted and sealed into an immutable run file, and the tables are dropped
-// for fresh minimal ones.
+// over the budget, it merges every (fingerprint, id) pair of the table
+// slots, sorted, with the set's one sealed run into a new sorted run file,
+// each fingerprint once, removes the old file, and drops the tables for
+// fresh minimal ones. The set holds at most one run, 16 bytes per distinct
+// spilled fingerprint, as TLC's disk set merges its buffer into one file.
 //
-// Lookups against sealed runs are deferred — merge-on-lookup, once per
-// level: the expansion's probes see only the resident tables, and
-// ResolveLevel merge-joins the level's sorted probe misses against each
-// sorted run, restoring every spilled (fingerprint, id) it finds into the
-// resident tables. The merge's claims then find those states as the
-// duplicates they are, with graph edges pointing at the correct dense id.
-// One sequential pass over the runs per BFS level, zero random disk reads —
-// the classic external-memory trade the paper credits TLC's engineering
-// with.
+// Lookups against the run are deferred — merge-on-lookup, once per level:
+// the expansion's probes see only the resident tables, and ResolveLevel
+// merge-joins the level's sorted probe misses against the sorted run,
+// restoring every spilled (fingerprint, id) it finds into the resident
+// tables. The merge's claims then find those states as the duplicates they
+// are, with graph edges pointing at the correct dense id. One sequential
+// pass over the run per BFS level, zero random disk reads — the classic
+// external-memory trade the paper credits TLC's engineering with.
 //
 // All I/O flows through the run's FS seam (fs.go) with the engine's fault
 // contract: transient errors are retried with capped backoff; a persistent
-// failure to *write* a run (ENOSPC at the seal) degrades the set — the
-// resident fingerprints are held in memory, over budget, under
-// Result.DegradedMemory — because spilling is memory relief, not
-// correctness; a persistent failure to *read* a sealed run fails the run
-// explicitly, because the dedup information in it is load-bearing for the
-// verdict.
+// failure to *write* the new run (ENOSPC at the seal) degrades the set —
+// the old run stays valid, and the resident fingerprints are held in
+// memory, over budget, under Result.DegradedMemory — because spilling is
+// memory relief, not correctness; a persistent failure to *read* the run,
+// in a merge-join or in a seal's merge, fails the run explicitly, because
+// the dedup information in it is load-bearing for the verdict.
 //
 // Only fingerprints spill (8 bytes of identity, 16 on disk with the id).
 // A keyed table's encodings, which its byte check compares against, stay
@@ -59,11 +60,10 @@ type spillRec struct {
 
 const spillRecSize = 16
 
-// spillCompactAfter is the sealed-run fan-in the set tolerates: once more
-// runs than this accumulate, EndLevel merges them all into one sorted run,
-// so a long spilled exploration pays a bounded merge-join per BFS level
-// instead of one join per run ever sealed.
-const spillCompactAfter = 8
+// errReadRun is wrapped by every failure to read a run file, so a seal
+// tells a failed read of the old run (fatal) from a failed write of the
+// new one (degrading).
+var errReadRun = errors.New("tla: reading spill run")
 
 // residentBytes reports the budget charge of the resident fingerprints —
 // the visited set's half of Progress.ResidentBytes; 0 without a budget,
@@ -88,52 +88,46 @@ func (vs *visitedSet) restore(rec spillRec) {
 }
 
 // ResolveLevel merge-joins the level's probe misses (fingerprints, sorted
-// here in place) against every sealed run and restores each spilled one it
-// finds. Runs on the driver goroutine after all workers joined and before
-// the merge claims the misses. A transient read error retries the whole
-// run's join — restoring is idempotent — and a persistent one fails the
-// run: the sealed dedup records are load-bearing, and skipping them could
-// silently prune the space.
+// here in place) against the sealed run and restores each spilled one it
+// finds: one pass over the run that stops once the misses are exhausted.
+// Runs on the driver goroutine after all workers joined and before the
+// merge claims the misses. A transient read error retries the whole join —
+// restoring is idempotent — and a persistent one fails the run: the sealed
+// dedup records are load-bearing, and skipping them could silently prune
+// the space.
 func (vs *visitedSet) ResolveLevel(misses []uint64) error {
-	if len(misses) == 0 || len(vs.runs) == 0 {
+	if len(misses) == 0 || vs.run == "" {
 		return nil
 	}
 	start := time.Now()
 	slices.Sort(misses)
-	for _, run := range vs.runs {
-		if err := vs.em.retry("spill", func() error { return vs.mergeJoinRun(run, misses) }); err != nil {
-			return err
-		}
-	}
-	vs.em.onMergeJoins(len(vs.runs), time.Since(start))
-	return nil
-}
-
-// mergeJoinRun streams the sorted run once, advancing through the sorted
-// misses in lockstep and restoring every match; it stops reading once the
-// misses are exhausted.
-func (vs *visitedSet) mergeJoinRun(path string, misses []uint64) error {
-	i := 0
-	return readRecsFile(vs.fsys, path, func(rec spillRec) bool {
-		for i < len(misses) && misses[i] < rec.fp {
-			i++
-		}
-		if i < len(misses) && misses[i] == rec.fp {
-			vs.restore(rec)
-		}
-		return i < len(misses)
+	err := vs.em.retry("spill", func() error {
+		i := 0
+		return readRecsFile(vs.fsys, vs.run, func(rec spillRec) bool {
+			for i < len(misses) && misses[i] < rec.fp {
+				i++
+			}
+			if i < len(misses) && misses[i] == rec.fp {
+				vs.restore(rec)
+			}
+			return i < len(misses)
+		})
 	})
-}
-
-// readRecsFile streams the records of one sealed run through fn until the
-// run ends or fn returns false.
-func readRecsFile(fsys FS, path string, fn func(spillRec) bool) error {
-	f, err := fsys.Open(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	rr := newRunReader(f, path, "")
+	vs.em.onMergeJoin(time.Since(start))
+	return nil
+}
+
+// readRecsFile streams the records of one run file through fn until the
+// file ends or fn returns false.
+func readRecsFile(fsys FS, path string, fn func(spillRec) bool) error {
+	rr, err := openRun(fsys, path)
+	if err != nil {
+		return err
+	}
+	defer rr.f.Close()
 	for {
 		if err := rr.advance(); err != nil || rr.eof {
 			return err
@@ -160,100 +154,121 @@ func (vs *visitedSet) residentRecs(recs []spillRec) []spillRec {
 }
 
 // EndLevel enforces the memory budget after the merge claimed the level's
-// new states: when the resident fingerprints charge past the budget, every
-// resident (fingerprint, id) pair is sorted into a new sealed run and the
-// tables are dropped. Restored duplicates may be written to more than one
-// run; they carry the same id everywhere, so merge-join correctness is
-// unaffected.
+// new states: when the resident fingerprints charge past the budget, they
+// are merged with the sealed run into a new one (writeRun), the old file is
+// removed and the tables are dropped.
 //
-// A persistent failure to seal the run (ENOSPC is the canonical case)
-// degrades the set instead of failing the checking run: the resident tables
-// are kept — deduplication stays exact, memory use exceeds the budget — the
-// degradation is reported via Result.DegradedMemory, and a best-effort
-// compaction trims the sealed-run fan-in it can no longer grow past.
+// A persistent failure to write the new run (ENOSPC is the canonical case)
+// degrades the set instead of failing the checking run: the old run stays
+// sealed and consulted, the resident tables are kept — deduplication stays
+// exact, memory use exceeds the budget — and the degradation is reported
+// via Result.DegradedMemory. A persistent failure to read the old run fails
+// the checking run.
 func (vs *visitedSet) EndLevel() error {
 	if vs.budget == 0 || vs.degraded || vs.residentBytes() <= vs.budget {
 		return nil
 	}
 	recs := vs.residentRecs(vs.recBuf[:0])
 	vs.recBuf = recs[:0]
-	if err := vs.writeRun(recs); err != nil {
+	var n int64
+	path, err := vs.nextRunPath()
+	if err == nil {
+		err = vs.em.retry("spill", func() (err error) {
+			n, err = vs.writeRun(vs.fsys, path, recs)
+			return err
+		})
+	}
+	switch {
+	case errors.Is(err, errReadRun):
+		return err
+	case err != nil:
 		vs.degraded = true
 		vs.em.onDegrade("spill")
-		if len(vs.runs) > 1 {
-			vs.compactRuns() // best-effort; failure keeps the old runs sealed
-		}
 		return nil
 	}
+	if vs.run != "" {
+		vs.fsys.Remove(vs.run) // best-effort: Close removes the directory
+	}
+	vs.run, vs.sealed = path, n*spillRecSize
+	vs.em.onRunSeal(n * spillRecSize)
 	vs.clearResident()
-	if len(vs.runs) > spillCompactAfter {
-		// Compaction is an optimization: on failure the original runs stay
-		// sealed and consulted — more merge-join fan-in, same answers.
-		if vs.compactRuns() == nil {
-			vs.em.onCompaction()
-		}
-	}
 	return nil
 }
 
-// ensureDir creates the set's temp directory on first use.
-func (vs *visitedSet) ensureDir() error {
-	if vs.dir != "" {
-		return nil
-	}
-	return vs.em.retry("spill", func() error {
-		dir, err := vs.fsys.MkdirTemp("", "tla-spill-")
+// nextRunPath names the next run file, creating the set's temp directory
+// on first use.
+func (vs *visitedSet) nextRunPath() (string, error) {
+	if vs.dir == "" {
+		err := vs.em.retry("spill", func() (err error) {
+			vs.dir, err = vs.fsys.MkdirTemp("", "tla-spill-")
+			return err
+		})
 		if err != nil {
-			return fmt.Errorf("tla: creating spill dir: %w", err)
+			return "", fmt.Errorf("tla: creating spill dir: %w", err)
 		}
-		vs.dir = dir
-		return nil
-	})
-}
-
-func (vs *visitedSet) writeRun(recs []spillRec) error {
-	if err := vs.ensureDir(); err != nil {
-		return err
 	}
-	path := filepath.Join(vs.dir, fmt.Sprintf("run-%06d", vs.seq))
 	vs.seq++
-	// The whole file is rewritten per attempt: a torn write from a failed
-	// attempt is overwritten, never appended to.
-	if err := vs.em.retry("spill", func() error { return writeRecsFile(vs.fsys, path, recs) }); err != nil {
-		return err
-	}
-	vs.runs = append(vs.runs, path)
-	vs.sealed += int64(len(recs)) * spillRecSize
-	vs.em.onRunSeal(int64(len(recs)) * spillRecSize)
-	return nil
+	return filepath.Join(vs.dir, fmt.Sprintf("run-%06d", vs.seq)), nil
 }
 
-// writeRecsFile writes one sorted run file; the partial file is removed on
-// any failure so a retry (or the degraded path) never sees torn records.
-func writeRecsFile(fsys FS, path string, recs []spillRec) error {
+// writeRun writes the sorted union of recs (sorted, each fingerprint once)
+// and the sealed run into a new run file at path on fsys, each fingerprint
+// once — a fingerprint in both carries the same id in both — and returns
+// the records written. It is the one writer of the run format, for a seal
+// and a checkpoint alike, and leaves the set as it is. On failure the
+// partial file is removed, so a retry (or the degraded path) never sees
+// torn records; a failure to read the sealed run wraps errReadRun.
+func (vs *visitedSet) writeRun(fsys FS, path string, recs []spillRec) (n int64, err error) {
+	old := &runReader{eof: true}
+	if vs.run != "" {
+		if old, err = openRun(vs.fsys, vs.run); err != nil {
+			return 0, err
+		}
+		defer old.f.Close()
+		if err := old.advance(); err != nil {
+			return 0, err
+		}
+	}
 	f, err := fsys.Create(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	w := newRunWriter(f)
-	fail := func(err error) error {
-		f.Close()
-		fsys.Remove(path)
-		return err
-	}
-	for _, rec := range recs {
-		if err := w.write(rec); err != nil {
-			return fail(err)
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
+		if err != nil {
+			fsys.Remove(path)
+		}
+	}()
+	w := bufio.NewWriterSize(f, 1<<16)
+	var buf [spillRecSize]byte
+	var last uint64
+	for i := 0; ; {
+		var rec spillRec
+		switch {
+		case i < len(recs) && (old.eof || recs[i].fp <= old.cur.fp):
+			rec = recs[i]
+			i++
+		case !old.eof:
+			rec = old.cur
+			if err := old.advance(); err != nil {
+				return 0, err
+			}
+		default:
+			return n, w.Flush()
+		}
+		if n > 0 && rec.fp == last {
+			continue
+		}
+		binary.LittleEndian.PutUint64(buf[:8], rec.fp)
+		binary.LittleEndian.PutUint64(buf[8:], uint64(rec.id))
+		if _, err := w.Write(buf[:]); err != nil {
+			return 0, err
+		}
+		last = rec.fp
+		n++
 	}
-	if err := w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(path)
-		return err
-	}
-	return nil
 }
 
 // runReader decodes the 16-byte records of one sorted run, one per
@@ -262,14 +277,19 @@ type runReader struct {
 	f    File
 	r    *bufio.Reader
 	path string
-	note string // appended to the path in read errors
 	buf  [spillRecSize]byte
 	cur  spillRec
 	eof  bool
 }
 
-func newRunReader(f File, path, note string) *runReader {
-	return &runReader{f: f, r: bufio.NewReaderSize(f, 1<<16), path: path, note: note}
+// openRun opens the run file at path; every error reading it wraps
+// errReadRun.
+func openRun(fsys FS, path string) (*runReader, error) {
+	f, err := fsys.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("%w %s: %w", errReadRun, path, err)
+	}
+	return &runReader{f: f, r: bufio.NewReaderSize(f, 1<<16), path: path}, nil
 }
 
 // advance decodes the next record into cur, or sets eof at the end of the
@@ -280,7 +300,7 @@ func (rr *runReader) advance() error {
 			rr.eof = true
 			return nil
 		}
-		return fmt.Errorf("tla: reading spill run %s%s: %w", rr.path, rr.note, err)
+		return fmt.Errorf("%w %s: %w", errReadRun, rr.path, err)
 	}
 	rr.cur = spillRec{
 		fp: binary.LittleEndian.Uint64(rr.buf[:8]),
@@ -289,183 +309,58 @@ func (rr *runReader) advance() error {
 	return nil
 }
 
-// runWriter encodes records into a run file through its buffer: the only
-// writer of the run format. Callers Flush it when done.
-type runWriter struct {
-	*bufio.Writer
-	buf [spillRecSize]byte
-}
-
-func newRunWriter(f File) *runWriter {
-	return &runWriter{Writer: bufio.NewWriterSize(f, 1<<16)}
-}
-
-func (rw *runWriter) write(rec spillRec) error {
-	binary.LittleEndian.PutUint64(rw.buf[:8], rec.fp)
-	binary.LittleEndian.PutUint64(rw.buf[8:], uint64(rec.id))
-	_, err := rw.Write(rw.buf[:])
-	return err
-}
-
-// compactRuns streaming-merges every sealed run into one sorted run and
-// removes the originals, bounding the per-level merge-join fan-in. A
-// fingerprint appearing in several runs (a revived duplicate re-spilled
-// later) carries the same id everywhere, so only its first occurrence is
-// kept. Runs on the driver goroutine, between levels. On failure the
-// partial output is removed and the original runs are left sealed and
-// registered — callers treat compaction as optional.
-func (vs *visitedSet) compactRuns() error {
-	readers := make([]*runReader, 0, len(vs.runs))
-	closeAll := func() {
-		for _, rr := range readers {
-			rr.f.Close()
-		}
-	}
-	for _, path := range vs.runs {
-		f, err := vs.fsys.Open(path)
-		if err != nil {
-			closeAll()
-			return err
-		}
-		rr := newRunReader(f, path, " during compaction")
-		readers = append(readers, rr)
-		if err := rr.advance(); err != nil {
-			closeAll()
-			return err
-		}
-	}
-	path := filepath.Join(vs.dir, fmt.Sprintf("run-%06d", vs.seq))
-	vs.seq++
-	out, err := vs.fsys.Create(path)
-	if err != nil {
-		closeAll()
-		return err
-	}
-	fail := func(err error) error {
-		closeAll()
-		out.Close()
-		vs.fsys.Remove(path)
-		return err
-	}
-	w := newRunWriter(out)
-	var written int64
-	// The fan-in is bounded by spillCompactAfter+1, so a linear min-scan
-	// per record beats the bookkeeping of a heap.
-	for {
-		var min *runReader
-		for _, rr := range readers {
-			if !rr.eof && (min == nil || rr.cur.fp < min.cur.fp) {
-				min = rr
-			}
-		}
-		if min == nil {
-			break
-		}
-		rec := min.cur
-		if err := w.write(rec); err != nil {
-			return fail(err)
-		}
-		written++
-		// Consume this fingerprint from every run that carries it.
-		for _, rr := range readers {
-			for !rr.eof && rr.cur.fp == rec.fp {
-				if err := rr.advance(); err != nil {
-					return fail(err)
-				}
-			}
-		}
-	}
-	closeAll()
-	if err := w.Flush(); err != nil {
-		out.Close()
-		vs.fsys.Remove(path)
-		return err
-	}
-	if err := out.Close(); err != nil {
-		vs.fsys.Remove(path)
-		return err
-	}
-	for _, old := range vs.runs {
-		if err := vs.fsys.Remove(old); err != nil {
-			return err
-		}
-	}
-	vs.runs = vs.runs[:0]
-	vs.runs = append(vs.runs, path)
-	vs.sealed = written * spillRecSize
-	return nil
-}
-
-// snapshotRuns seals the set's state into dir for a checkpoint: the
-// resident (fingerprint, id) pairs become one fresh sorted run, and every
-// sealed run is copied verbatim. Returns the file names (relative to dir).
-// The set itself is not modified — a checkpoint must not perturb the run it
-// snapshots.
+// snapshotRuns writes the set into dir for a checkpoint: the union of the
+// resident pairs and the sealed run, through writeRun, as one sorted file
+// of each fingerprint once. Returns the file's name (relative to dir) as
+// the manifest's visited list. The set itself is not modified — a
+// checkpoint must not perturb the run it snapshots.
 func (vs *visitedSet) snapshotRuns(fsys FS, dir, prefix string) ([]string, error) {
-	var names []string
 	recs := vs.residentRecs(vs.recBuf[:0])
 	vs.recBuf = recs[:0]
-	if len(recs) > 0 {
-		name := prefix + "visited-resident"
-		if err := vs.em.retry("checkpoint", func() error { return writeRecsFile(fsys, filepath.Join(dir, name), recs) }); err != nil {
-			return nil, err
-		}
-		names = append(names, name)
+	name := prefix + "visited"
+	err := vs.em.retry("checkpoint", func() error {
+		_, err := vs.writeRun(fsys, filepath.Join(dir, name), recs)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	for i, run := range vs.runs {
-		name := fmt.Sprintf("%svisited-%06d", prefix, i)
-		if err := vs.em.retry("checkpoint", func() error { return copyFileFS(fsys, run, filepath.Join(dir, name)) }); err != nil {
-			return nil, err
-		}
-		names = append(names, name)
-	}
-	return names, nil
+	return []string{name}, nil
 }
 
-// adoptRuns restores a checkpoint's visited runs. Without a budget every
-// persisted (fingerprint, id) pair becomes resident again (a fingerprint in
-// several files carries the same id in each), so the resumed run never
-// merge-joins. Under a budget each file is copied into the set's own temp dir (the checkpoint stays
-// immutable) and registered as a sealed run, so the first resumed level's
-// merge-join restores every persisted id.
+// adoptRuns restores a checkpoint's visited files: every persisted
+// (fingerprint, id) record is read back resident — a fingerprint in
+// several files, as checkpoints of earlier releases list them, carries the
+// same id in each — and EndLevel seals the set whenever it charges past
+// the budget, so without one the resumed set is fully resident and with
+// one it stays within it. A file that cannot be read whole (torn, missing)
+// is a bad checkpoint; a failed seal fails or degrades as in a run.
 func (vs *visitedSet) adoptRuns(fsys FS, srcDir string, names []string) error {
-	if vs.budget == 0 {
-		for _, name := range names {
-			err := vs.em.retry("checkpoint", func() error {
-				return readRecsFile(fsys, filepath.Join(srcDir, name), func(rec spillRec) bool {
-					vs.restore(rec)
-					return true
-				})
-			})
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if len(names) == 0 {
-		return nil
-	}
-	if err := vs.ensureDir(); err != nil {
-		return err
-	}
 	for _, name := range names {
-		dst := filepath.Join(vs.dir, fmt.Sprintf("run-%06d", vs.seq))
-		vs.seq++
-		if err := vs.em.retry("checkpoint", func() error { return copyFileFS(fsys, filepath.Join(srcDir, name), dst) }); err != nil {
-			return err
+		var sealErr error
+		err := vs.em.retry("checkpoint", func() error {
+			return readRecsFile(fsys, filepath.Join(srcDir, name), func(rec spillRec) bool {
+				vs.restore(rec)
+				sealErr = vs.EndLevel()
+				return sealErr == nil
+			})
+		})
+		if sealErr != nil {
+			return sealErr
 		}
-		vs.runs = append(vs.runs, dst)
+		if err != nil {
+			return fmt.Errorf("%w: visited file %s: %v", ErrBadCheckpoint, name, err)
+		}
 	}
 	return nil
 }
 
-// Close removes the spill directory and every sealed run.
+// Close removes the spill directory and the sealed run.
 func (vs *visitedSet) Close() error {
 	if vs.dir == "" {
 		return nil
 	}
 	dir := vs.dir
-	vs.dir, vs.runs = "", nil
+	vs.dir, vs.run = "", ""
 	return vs.fsys.RemoveAll(dir)
 }

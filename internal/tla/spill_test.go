@@ -1,10 +1,13 @@
 package tla
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -184,8 +187,8 @@ func TestSpillStoreSealsAndRevives(t *testing.T) {
 	want, wantErr := Check(counterSpec(15), opts)
 	got, gotErr := runEngine(counterSpec(15), opts, opts.Workers, st, nil)
 	assertResultsEqual(t, "inspected-spill", want, got, wantErr, gotErr)
-	if len(st.runs) == 0 {
-		t.Fatal("one-byte budget explored the space without sealing a single run — the spill path never engaged")
+	if st.run == "" {
+		t.Fatal("one-byte budget explored the space without sealing a run — the spill path never engaged")
 	}
 	dir := st.dir
 	if dir == "" {
@@ -230,8 +233,8 @@ func TestSpillStoreProtocol(t *testing.T) {
 	if err := st.EndLevel(); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.runs) != 1 || st.resident() != 0 {
-		t.Fatalf("over-budget EndLevel left %d runs and %d resident ids, want 1 and 0", len(st.runs), st.resident())
+	if st.run == "" || st.resident() != 0 {
+		t.Fatalf("over-budget EndLevel left run %q and %d resident ids, want a run and 0", st.run, st.resident())
 	}
 
 	if _, ok := st.probe(fa, a); ok {
@@ -248,21 +251,19 @@ func TestSpillStoreProtocol(t *testing.T) {
 	}
 }
 
-// TestSpillRunCompaction pins the run-compaction contract: once more
-// than spillCompactAfter sorted runs accumulate, EndLevel merges them
-// into one, previously spilled ids still revive through the compacted
-// run, and duplicate fingerprints across runs collapse to one record.
-func TestSpillRunCompaction(t *testing.T) {
+// TestSpillSingleRun pins the single-run contract: after every
+// over-budget level the spill directory holds one run file, it lists each
+// spilled fingerprint once, in order — its size is 16 bytes per distinct
+// spilled state, though key "dup" is claimed, revived and resealed every
+// level — and every spilled id revives through it.
+func TestSpillSingleRun(t *testing.T) {
 	st := newVisitedSet(Options{MemoryBudgetBytes: 1}, 2, nil)
 	defer st.Close()
 
 	ids := map[string]int{}
 	nextID := 0
 	alloc := func() int { nextID++; return nextID - 1 }
-	// Drive spillCompactAfter+1 levels, each sealing one run; the final
-	// EndLevel must compact. Key "dup" is claimed every level, so the same
-	// fingerprint lands in every run with the same id.
-	for level := 0; level <= spillCompactAfter; level++ {
+	for level := 0; level < 10; level++ {
 		keys := []string{fmt.Sprintf("key-%d", level), "dup"}
 		var misses []uint64
 		for _, key := range keys {
@@ -281,33 +282,109 @@ func TestSpillRunCompaction(t *testing.T) {
 		if err := st.EndLevel(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if len(st.runs) != 1 {
-		t.Fatalf("after %d over-budget levels the set holds %d runs, want 1 compacted", spillCompactAfter+1, len(st.runs))
-	}
-	// Every spilled fingerprint must revive with its original id through
-	// the compacted run.
-	var misses []uint64
-	for key := range ids {
-		misses = append(misses, fingerprint([]byte(key)))
-	}
-	if err := st.ResolveLevel(misses); err != nil {
-		t.Fatal(err)
-	}
-	for key, want := range ids {
-		if got, ok := st.probe(fingerprint([]byte(key)), []byte(key)); !ok || got != want {
-			t.Fatalf("key %s revived as (%d, %t) through the compacted run, want id %d", key, got, ok, want)
+
+		ents, err := os.ReadDir(st.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) != 1 || filepath.Join(st.dir, ents[0].Name()) != st.run {
+			t.Fatalf("level %d: spill directory holds %d files, want the one run %s", level, len(ents), st.run)
+		}
+		var recs []spillRec
+		if err := readRecsFile(OSFS, st.run, func(r spillRec) bool { recs = append(recs, r); return true }); err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != len(ids) {
+			t.Fatalf("level %d: the run holds %d records, want one per distinct state (%d)", level, len(recs), len(ids))
+		}
+		for i := 1; i < len(recs); i++ {
+			if recs[i-1].fp >= recs[i].fp {
+				t.Fatalf("level %d: run records %d and %d are out of order or repeated", level, i-1, i)
+			}
+		}
+		if st.sealed != int64(len(ids)*spillRecSize) {
+			t.Fatalf("level %d: sealed = %d bytes, want %d", level, st.sealed, len(ids)*spillRecSize)
+		}
+		misses = misses[:0]
+		for key := range ids {
+			misses = append(misses, fingerprint([]byte(key)))
+		}
+		if err := st.ResolveLevel(misses); err != nil {
+			t.Fatal(err)
+		}
+		for key, want := range ids {
+			if got, ok := st.probe(fingerprint([]byte(key)), []byte(key)); !ok || got != want {
+				t.Fatalf("level %d: key %s revived as (%d, %t), want id %d", level, key, got, ok, want)
+			}
 		}
 	}
-	// The compacted run holds each fingerprint once: its record count is
-	// the distinct-claim count, not the sum of the input runs.
-	fi, err := os.Stat(st.runs[0])
-	if err != nil {
-		t.Fatal(err)
+}
+
+// FuzzSpillRun feeds arbitrary bytes to the run reader as a run file: it
+// never panics and fails exactly when the file ends in a torn record. A
+// valid, sorted run merged by writeRun with a set of resident records gives
+// their sorted union, each fingerprint once, the resident record first.
+func FuzzSpillRun(f *testing.F) {
+	rec := func(fp uint64, id int64) []byte {
+		return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, fp), uint64(id))
 	}
-	if want := int64(len(ids) * spillRecSize); fi.Size() != want {
-		t.Fatalf("compacted run is %d bytes, want %d (%d distinct records)", fi.Size(), want, len(ids))
-	}
+	f.Add([]byte{}, []byte{})
+	f.Add(append(rec(1, 10), rec(5, 50)...), binary.LittleEndian.AppendUint64(nil, 5))
+	f.Add(append(rec(0, 0), rec(0, 7)...), []byte{1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(rec(3, 3)[:13], []byte{})
+	f.Fuzz(func(t *testing.T, run, resident []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "run-in")
+		if err := os.WriteFile(path, run, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var recs []spillRec
+		err := readRecsFile(OSFS, path, func(r spillRec) bool { recs = append(recs, r); return true })
+		if torn := len(run)%spillRecSize != 0; torn != (err != nil) || (torn && !errors.Is(err, errReadRun)) {
+			t.Fatalf("%d-byte run: err = %v, want an errReadRun exactly on a torn tail", len(run), err)
+		}
+		if len(recs) != len(run)/spillRecSize {
+			t.Fatalf("%d-byte run decoded %d records", len(run), len(recs))
+		}
+		if err != nil || !slices.IsSortedFunc(recs, func(a, b spillRec) int { return cmp.Compare(a.fp, b.fp) }) {
+			return
+		}
+
+		var res []spillRec // sorted, each fingerprint once, like residentRecs
+		for i := 0; i+8 <= len(resident); i += 8 {
+			res = append(res, spillRec{fp: binary.LittleEndian.Uint64(resident[i:]), id: int64(i)})
+		}
+		slices.SortStableFunc(res, func(a, b spillRec) int { return cmp.Compare(a.fp, b.fp) })
+		res = slices.CompactFunc(res, func(a, b spillRec) bool { return a.fp == b.fp })
+		want := map[uint64]spillRec{}
+		for _, r := range append(slices.Clone(res), recs...) {
+			if _, ok := want[r.fp]; !ok {
+				want[r.fp] = r
+			}
+		}
+
+		vs := &visitedSet{fsys: OSFS, run: path}
+		out := filepath.Join(dir, "run-out")
+		n, err := vs.writeRun(OSFS, out, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []spillRec
+		if err := readRecsFile(OSFS, out, func(r spillRec) bool { got = append(got, r); return true }); err != nil {
+			t.Fatal(err)
+		}
+		if int(n) != len(want) || len(got) != len(want) {
+			t.Fatalf("merged %d records (read back %d), want %d distinct fingerprints", n, len(got), len(want))
+		}
+		for i, r := range got {
+			if i > 0 && got[i-1].fp >= r.fp {
+				t.Fatalf("merged records %d and %d are out of order or repeated", i-1, i)
+			}
+			if want[r.fp] != r {
+				t.Fatalf("merged record %+v, want %+v", r, want[r.fp])
+			}
+		}
+	})
 }
 
 // TestClaimDoesNotAllocate pins the visited set's tables: a claim of a

@@ -28,8 +28,8 @@ import (
 // lock-free reader that sees the id sees its fingerprint. Doubling builds a
 // new table under the lock and swaps it in; a reader still walking the old
 // one can only miss, and a claim's miss is rechecked under the lock. Under
-// a memory budget the fingerprints seal into sorted runs on disk between
-// levels (spill.go).
+// a memory budget the fingerprints seal into one sorted run on disk
+// between levels (spill.go).
 //
 // Keyed, the same table is exact: each shard also keeps every state's
 // canonical encoding once, in append-only blocks, stored before the slot's
@@ -75,10 +75,10 @@ type visitedSet struct {
 	budget   int64 // 0 = never seal
 	fsys     FS
 	em       *engineMetrics // nil-safe observability sink
-	dir      string         // temp dir holding the runs; created on first spill
-	runs     []string       // paths of sealed sorted run files, oldest first
-	seq      int            // run file name sequence (survives compaction)
-	sealed   int64          // bytes of sealed run files currently on disk
+	dir      string         // temp dir holding the run; created on the first seal
+	run      string         // path of the one sealed run file; "" before the first seal
+	seq      int            // run file name sequence
+	sealed   int64          // bytes of the sealed run file
 	degraded bool           // a persistent spill-write failure switched the set to hold-resident
 	recBuf   []spillRec     // EndLevel's scratch, reused across levels
 }

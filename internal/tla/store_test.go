@@ -40,10 +40,10 @@ func TestFingerprintZero(t *testing.T) {
 	if err := vs.EndLevel(); err != nil {
 		t.Fatal(err)
 	}
-	if len(vs.runs) != 1 || vs.resident() != 0 {
-		t.Fatalf("over-budget EndLevel left %d runs and %d resident ids, want 1 and 0", len(vs.runs), vs.resident())
+	if vs.run == "" || vs.resident() != 0 {
+		t.Fatalf("over-budget EndLevel left run %q and %d resident ids, want a run and 0", vs.run, vs.resident())
 	}
-	fi, err := os.Stat(vs.runs[0])
+	fi, err := os.Stat(vs.run)
 	if err != nil {
 		t.Fatal(err)
 	}

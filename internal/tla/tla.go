@@ -290,12 +290,12 @@ type Options struct {
 	// MemoryBudgetBytes bounds the visited set's resident memory
 	// (approximately — the engine charges a fixed estimate per resident
 	// fingerprint). When set, the engine dedups on a disk-spilling
-	// fingerprint store: shards past the budget are sealed into sorted
-	// runs on disk and consulted by one merge-join per BFS level, TLC's
-	// external-memory fingerprint set. The same budget bounds the resident
-	// segments of retained-state storage: StateArena's encodings and a
-	// recorded graph's edges (with or without StateArena) spill to a temp
-	// file past it. 0 keeps everything resident.
+	// fingerprint store: past the budget, the resident fingerprints are
+	// merged into one sorted run on disk, consulted by one merge-join per
+	// BFS level, TLC's external-memory fingerprint set. The same budget
+	// bounds the resident segments of retained-state storage: StateArena's
+	// encodings and a recorded graph's edges (with or without StateArena)
+	// spill to a temp file past it. 0 keeps everything resident.
 	//
 	// The budget implies fingerprint deduplication at every worker count —
 	// including Workers == 1, which is otherwise the always-collision-free
@@ -311,7 +311,7 @@ type Options struct {
 	// CheckpointDir is set. A context deadline bounds the run in wall-clock
 	// time. The CLIs wire SIGINT/SIGTERM and -deadline here.
 	Context context.Context
-	// FS routes the engine's durable I/O — spill runs, arena segments,
+	// FS routes the engine's durable I/O — the spill run, arena segments,
 	// checkpoints — through an injectable filesystem seam. nil selects
 	// the real filesystem (OSFS); tests plug in a FaultFS to exercise the
 	// retry and degradation paths (see fs.go for the fault taxonomy:
@@ -322,7 +322,7 @@ type Options struct {
 	FS FS
 	// CheckpointDir, when non-empty, makes the run durable: on
 	// interruption (Context) — and every CheckpointEvery levels
-	// — the engine seals the current spill runs and arena segments into
+	// — the engine seals the visited set and arena segments into
 	// this directory with a manifest, and a later run with ResumeFrom
 	// continues where it stopped, with verdict and counts identical to an
 	// uninterrupted run. Implies StateArena (the stored encodings are what
@@ -389,7 +389,7 @@ type Progress struct {
 	Depth       int   // maximum BFS depth reached so far
 	Level       int   // fully merged BFS levels
 	Frontier    int   // states awaiting expansion (level width, or pending deque items)
-	SpillBytes  int64 // bytes of visited runs + arena segments on disk (spill pressure)
+	SpillBytes  int64 // bytes of the visited run + arena segments on disk (spill pressure)
 	// ResidentBytes estimates the memory charged against
 	// Options.MemoryBudgetBytes: resident visited fingerprints (tracked
 	// only under a budget) plus resident arena segments — StateArena

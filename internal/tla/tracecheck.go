@@ -223,7 +223,9 @@ func CheckTraceWith[S State](spec *Spec[S], trace []Observation[S], opts TraceOp
 type frontierChunk[S State] struct {
 	states []S
 	keys   []string
-	acts   []bool // indexed like traceChecker.names
+	acts   []bool     // indexed like traceChecker.names
+	g      specGuard  // the spec callback the chunk's expansion is inside
+	pi     *panicInfo // the panic that ended the chunk's expansion, if any
 }
 
 // traceChecker is the state of one CheckTraceWith call: everything the
@@ -331,12 +333,15 @@ func (tc *traceChecker[S]) run(trace []Observation[S], guided bool) (*TraceResul
 			acts = hint
 			res.GuidedSteps++
 		}
-		next, explanation := tc.advance(frontier, trace[i], acts, spare[:0])
-		if len(next) == 0 && hint != nil {
+		next, explanation, pi := tc.advance(frontier, trace[i], acts, spare[:0])
+		if pi == nil && len(next) == 0 && hint != nil {
 			// The label lied, or the state the named action starts from was
 			// pruned by an earlier hint: try everything before giving up.
 			res.HintFallbacks++
-			next, explanation = tc.advance(frontier, trace[i], tc.allActs, next)
+			next, explanation, pi = tc.advance(frontier, trace[i], tc.allActs, next)
+		}
+		if pi != nil {
+			return res, &SpecPanic[S]{Op: fmt.Sprintf("%s at observation %d", opString(pi.kind, pi.name), i), Value: pi.value, Stack: pi.stack}
 		}
 		if len(next) == 0 {
 			res.FailedStep = i
@@ -376,8 +381,10 @@ func (tc *traceChecker[S]) resolveHint(obs Observation[S]) []int {
 // given actions (and, with stuttering, the unchanged frontier states), that
 // are consistent with obs, and returns them with the sorted set of action
 // names that produced them. Chunks are merged in frontier order so the next
-// frontier is the same at any worker count.
-func (tc *traceChecker[S]) advance(frontier []S, obs Observation[S], acts []int, next []S) ([]S, []string) {
+// frontier is the same at any worker count; for the same reason a panic in
+// a spec callback or in obs.Matches is reported from the earliest chunk
+// that raised one, and ends the step.
+func (tc *traceChecker[S]) advance(frontier []S, obs Observation[S], acts []int, next []S) ([]S, []string, *panicInfo) {
 	workers := len(tc.wcods)
 	if len(frontier) < inlineFrontier {
 		workers = 1
@@ -391,6 +398,11 @@ func (tc *traceChecker[S]) advance(frontier []S, obs Observation[S], acts []int,
 	})
 
 	chunks := tc.chunks[:plan.nChunks]
+	for i := range chunks {
+		if chunks[i].pi != nil {
+			return next, nil, chunks[i].pi
+		}
+	}
 	if len(chunks) == 1 { // already deduplicated by its worker
 		next = append(next, chunks[0].states...)
 	} else {
@@ -406,7 +418,7 @@ func (tc *traceChecker[S]) advance(frontier []S, obs Observation[S], acts []int,
 		}
 	}
 	if len(next) == 0 {
-		return next, nil
+		return next, nil, nil
 	}
 	var explanation []string
 	for _, a := range tc.sorted {
@@ -418,18 +430,34 @@ func (tc *traceChecker[S]) advance(frontier []S, obs Observation[S], acts []int,
 			explanation = append(explanation, tc.names[a])
 		}
 	}
-	return next, explanation
+	return next, explanation, nil
 }
 
 // expand fills ch with the matches of one contiguous part of the frontier.
 // Dedup is exact: the key is the state's full encoding, not a fingerprint.
+// A panic in a spec callback or in obs.Matches ends the chunk and is
+// recorded in ch.pi.
 func (tc *traceChecker[S]) expand(cod *codec[S], local map[string]bool, ch *frontierChunk[S], part []S, obs Observation[S], acts []int) {
 	clear(local)
 	clear(ch.acts)
-	ch.states, ch.keys = ch.states[:0], ch.keys[:0]
+	ch.states, ch.keys, ch.pi = ch.states[:0], ch.keys[:0], nil
+	g := &ch.g
+	defer func() {
+		if r := recover(); r != nil {
+			ch.pi = g.capture(r)
+		}
+	}()
+	matches := func(s S) bool {
+		g.enter(opMatches, "", -1)
+		ok := obs.Matches(s)
+		g.exit()
+		return ok
+	}
 	add := func(s S, act int) {
 		ch.acts[act] = true
+		g.enter(opEncode, "", -1)
 		enc := cod.canonical(s)
+		g.exit()
 		if !local[string(enc)] { // no alloc on the duplicate path
 			k := string(enc)
 			local[k] = true
@@ -438,12 +466,15 @@ func (tc *traceChecker[S]) expand(cod *codec[S], local map[string]bool, ch *fron
 		}
 	}
 	for _, s := range part {
-		if tc.opts.Stuttering && obs.Matches(s) {
+		if tc.opts.Stuttering && matches(s) {
 			add(s, len(tc.names)-1)
 		}
 		for _, a := range acts {
-			for _, succ := range tc.spec.Actions[a].Next(s) {
-				if obs.Matches(succ) {
+			g.enter(opNext, tc.names[a], -1)
+			succs := tc.spec.Actions[a].Next(s)
+			g.exit()
+			for _, succ := range succs {
+				if matches(succ) {
 					add(succ, a)
 				}
 			}
