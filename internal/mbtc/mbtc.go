@@ -118,7 +118,8 @@ func (o initObs) String() string { return "initial state" }
 
 // ObservationsFromProcessed converts a processed state sequence plus its
 // source events into checker observations: one initial observation, then
-// one partial observation per event.
+// one partial observation per event. An observation's oplog is the
+// processed state's, shared rather than copied: both are immutable.
 func ObservationsFromProcessed(nodes int, events []trace.Event, res *trace.ProcessResult) []tla.Observation[raftmongo.State] {
 	obs := make([]tla.Observation[raftmongo.State], 0, len(events)+1)
 	obs = append(obs, initObs{nodes: nodes})
@@ -129,7 +130,7 @@ func ObservationsFromProcessed(nodes int, events []trace.Event, res *trace.Proce
 			Role:            st.Roles[e.Node],
 			Term:            st.Terms[e.Node],
 			CommitPoint:     st.CommitPoints[e.Node],
-			Oplog:           append([]int(nil), st.Oplogs[e.Node]...),
+			Oplog:           st.Oplogs[e.Node],
 			LeaderExclusive: e.Role == "Leader",
 			Actions:         specActions[e.Action],
 		})

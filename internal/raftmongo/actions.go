@@ -12,16 +12,12 @@ import "slices"
 // parent that replaces only the slices the action changes, so unchanged
 // slices — and oplogs, through full slice expressions whose capacity ends
 // at their length — are shared with the parent and between siblings.
-
-// emit appends successor c to an action's result, allocating the result
-// at the first successor with room for max of them, so an action that
-// produces several successors sizes its slice once instead of regrowing it.
-func emit(out []State, max int, c State) []State {
-	if out == nil {
-		out = make([]State, 0, max)
-	}
-	return append(out, c)
-}
+//
+// Each action counts its successors before it builds them: it returns nil
+// when there are none, and otherwise allocates its result once, at exactly
+// that length, so the result never regrows and carries no unused capacity.
+// The fill pass emits the successors in the order the count pass visits
+// them, which is the order state ids, DOT dumps and counterexamples rely on.
 
 // withOplog returns s with node i's oplog replaced by log: a fresh outer
 // Oplogs array, every other node's log shared with s.
@@ -58,21 +54,39 @@ func (s State) withFollower(i int) State {
 //
 // Because i's log is a prefix of j's, i's new log is exactly j's first k
 // entries: the successor shares j's backing array, capped at k so a later
-// append to it copies.
+// append to it copies. Each source contributes one successor per entry of
+// the gap, so the result's length is the sum of the gaps.
 func appendOplog(s State) []State {
-	var out []State
 	n := s.NumNodes()
+	count := 0
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if i == j || len(s.Oplogs[j]) <= len(s.Oplogs[i]) || !s.isPrefix(i, j) {
+			if s.canSyncFrom(i, j) {
+				count += len(s.Oplogs[j]) - len(s.Oplogs[i])
+			}
+		}
+	}
+	if count == 0 {
+		return nil
+	}
+	out := make([]State, 0, count)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if !s.canSyncFrom(i, j) {
 				continue
 			}
 			for k := len(s.Oplogs[i]) + 1; k <= len(s.Oplogs[j]); k++ {
-				out = emit(out, n*(n-1), s.withOplog(i, s.Oplogs[j][:k:k]))
+				out = append(out, s.withOplog(i, s.Oplogs[j][:k:k]))
 			}
 		}
 	}
 	return out
+}
+
+// canSyncFrom reports whether node i can fetch entries from node j: j's
+// oplog strictly extends i's.
+func (s State) canSyncFrom(i, j int) bool {
+	return i != j && len(s.Oplogs[j]) > len(s.Oplogs[i]) && s.isPrefix(i, j)
 }
 
 // rollbackOplog: node i removes its newest oplog entry because some node j
@@ -80,26 +94,38 @@ func appendOplog(s State) []State {
 // a prefix of j's). Repeated application removes the whole divergent
 // suffix.
 func rollbackOplog(s State) []State {
-	var out []State
 	n := s.NumNodes()
+	count := 0
 	for i := 0; i < n; i++ {
-		if len(s.Oplogs[i]) == 0 {
-			continue
+		if s.mustRollback(i) {
+			count++
 		}
-		canRollback := false
-		for j := 0; j < n; j++ {
-			if j != i && s.logAhead(j, i) && !s.isPrefix(i, j) {
-				canRollback = true
-				break
-			}
+	}
+	if count == 0 {
+		return nil
+	}
+	out := make([]State, 0, count)
+	for i := 0; i < n; i++ {
+		if s.mustRollback(i) {
+			l := len(s.Oplogs[i]) - 1
+			out = append(out, s.withOplog(i, s.Oplogs[i][:l:l]))
 		}
-		if !canRollback {
-			continue
-		}
-		l := len(s.Oplogs[i]) - 1
-		out = emit(out, n, s.withOplog(i, s.Oplogs[i][:l:l]))
 	}
 	return out
+}
+
+// mustRollback reports whether node i's non-empty oplog has diverged from
+// that of some more up-to-date node.
+func (s State) mustRollback(i int) bool {
+	if len(s.Oplogs[i]) == 0 {
+		return false
+	}
+	for j := range s.Oplogs {
+		if j != i && s.logAhead(j, i) && !s.isPrefix(i, j) {
+			return true
+		}
+	}
+	return false
 }
 
 // quorums enumerates, for every node i of an n-node set, every majority
@@ -153,20 +179,24 @@ func appendQuorums(out [][]int, cur []int, start, n, i int) [][]int {
 // node i shares one Roles slice, and in V1 one Terms slice too: the new
 // term does not depend on the quorum.
 func becomePrimaryByMagic(s State, qs [][][]int, globalTerm bool) []State {
-	var out []State
 	n := s.NumNodes()
+	count := 0
+	for i := 0; i < n; i++ {
+		for _, q := range qs[i] {
+			if s.canElect(i, q) {
+				count++
+			}
+		}
+	}
+	if count == 0 {
+		return nil
+	}
+	out := make([]State, 0, count)
 	for i := 0; i < n; i++ {
 		var roles []Role
 		var globalTerms []int
 		for _, q := range qs[i] {
-			eligible := true
-			for _, j := range q {
-				if s.logAhead(j, i) {
-					eligible = false
-					break
-				}
-			}
-			if !eligible {
+			if !s.canElect(i, q) {
 				continue
 			}
 			if roles == nil {
@@ -197,20 +227,45 @@ func becomePrimaryByMagic(s State, qs [][][]int, globalTerm bool) []State {
 					c.Terms[j] = newTerm
 				}
 			}
-			out = emit(out, n*len(qs[i]), c)
+			out = append(out, c)
 		}
 	}
 	return out
 }
 
+// canElect reports whether quorum q can elect node i: no voter's oplog is
+// more up-to-date than i's.
+func (s State) canElect(i int, q []int) bool {
+	for _, j := range q {
+		if s.logAhead(j, i) {
+			return false
+		}
+	}
+	return true
+}
+
+// leaders returns the number of nodes that believe they are leader.
+func (s State) leaders() int {
+	count := 0
+	for _, r := range s.Roles {
+		if r == Leader {
+			count++
+		}
+	}
+	return count
+}
+
 // stepdown: a leader voluntarily becomes a follower.
 func stepdown(s State) []State {
-	var out []State
+	count := s.leaders()
+	if count == 0 {
+		return nil
+	}
+	out := make([]State, 0, count)
 	for i, r := range s.Roles {
-		if r != Leader {
-			continue
+		if r == Leader {
+			out = append(out, s.withFollower(i))
 		}
-		out = emit(out, len(s.Roles), s.withFollower(i))
 	}
 	return out
 }
@@ -220,13 +275,16 @@ func stepdown(s State) []State {
 // the append, so the new entry always lands in a fresh array and never in
 // spare capacity another state's log may share.
 func clientWrite(s State) []State {
-	var out []State
+	count := s.leaders()
+	if count == 0 {
+		return nil
+	}
+	out := make([]State, 0, count)
 	for i, r := range s.Roles {
-		if r != Leader {
-			continue
+		if r == Leader {
+			log := s.Oplogs[i]
+			out = append(out, s.withOplog(i, append(log[:len(log):len(log)], s.Terms[i])))
 		}
-		log := s.Oplogs[i]
-		out = emit(out, len(s.Roles), s.withOplog(i, append(log[:len(log):len(log)], s.Terms[i])))
 	}
 	return out
 }
@@ -236,52 +294,89 @@ func clientWrite(s State) []State {
 // commit rule, the leader only directly commits entries from its own
 // current term.
 func advanceCommitPoint(s State) []State {
-	var out []State
-	n := s.NumNodes()
-	for i, r := range s.Roles {
-		if r != Leader {
-			continue
+	count := 0
+	for i := range s.Roles {
+		if _, ok := s.committable(i); ok {
+			count++
 		}
-		best := s.CommitPoints[i]
-		for idx := len(s.Oplogs[i]); idx >= 1; idx-- {
-			term := s.Oplogs[i][idx-1]
-			if term != s.Terms[i] {
-				break // older-term entries commit only transitively
-			}
-			have := 0
-			for j := 0; j < n; j++ {
-				if len(s.Oplogs[j]) >= idx && s.Oplogs[j][idx-1] == term {
-					have++
-				}
-			}
-			if have >= Majority(n) {
-				cp := CommitPoint{Term: term, Index: idx}
-				if best.Before(cp) {
-					best = cp
-				}
-				break
-			}
+	}
+	if count == 0 {
+		return nil
+	}
+	out := make([]State, 0, count)
+	for i := range s.Roles {
+		if cp, ok := s.committable(i); ok {
+			out = append(out, s.withCommitPoint(i, cp))
 		}
-		if best == s.CommitPoints[i] {
-			continue
-		}
-		out = emit(out, n, s.withCommitPoint(i, best))
 	}
 	return out
+}
+
+// committable returns the commit point leader i can advance to, and false
+// when i is not a leader or its commit point cannot move.
+func (s State) committable(i int) (CommitPoint, bool) {
+	if s.Roles[i] != Leader {
+		return CommitPoint{}, false
+	}
+	n := s.NumNodes()
+	best := s.CommitPoints[i]
+	for idx := len(s.Oplogs[i]); idx >= 1; idx-- {
+		term := s.Oplogs[i][idx-1]
+		if term != s.Terms[i] {
+			break // older-term entries commit only transitively
+		}
+		have := 0
+		for j := 0; j < n; j++ {
+			if len(s.Oplogs[j]) >= idx && s.Oplogs[j][idx-1] == term {
+				have++
+			}
+		}
+		if have >= Majority(n) {
+			cp := CommitPoint{Term: term, Index: idx}
+			if best.Before(cp) {
+				best = cp
+			}
+			break
+		}
+	}
+	return best, best != s.CommitPoints[i]
 }
 
 // learnCommitPointV1: in the global-term variant, a node simply copies a
 // newer commit point from any node — with a single global term there is
 // nothing to cross-check.
 func learnCommitPointV1(s State) []State {
-	var out []State
+	return learnCommitPoints(s, func(i, j int) (CommitPoint, bool) {
+		return s.CommitPoints[j], s.CommitPoints[i].Before(s.CommitPoints[j])
+	})
+}
+
+// learnCommitPoints builds the successors of a commit-point gossip action:
+// node i adopts the commit point learn(i, j) returns for every ordered pair
+// of distinct nodes for which it returns true.
+func learnCommitPoints(s State, learn func(i, j int) (CommitPoint, bool)) []State {
 	n := s.NumNodes()
+	count := 0
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if i == j || !s.CommitPoints[i].Before(s.CommitPoints[j]) {
-				continue
+			if i != j {
+				if _, ok := learn(i, j); ok {
+					count++
+				}
 			}
-			out = emit(out, n*(n-1), s.withCommitPoint(i, s.CommitPoints[j]))
+		}
+	}
+	if count == 0 {
+		return nil
+	}
+	out := make([]State, 0, count)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				if cp, ok := learn(i, j); ok {
+					out = append(out, s.withCommitPoint(i, cp))
+				}
+			}
 		}
 	}
 	return out
@@ -291,11 +386,22 @@ func learnCommitPointV1(s State) []State {
 // node j. If i believed itself leader, discovering a newer term makes it
 // step down — as in the implementation.
 func updateTermThroughHeartbeat(s State) []State {
-	var out []State
 	n := s.NumNodes()
+	count := 0
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if i == j || s.Terms[j] <= s.Terms[i] {
+			if s.Terms[j] > s.Terms[i] {
+				count++
+			}
+		}
+	}
+	if count == 0 {
+		return nil
+	}
+	out := make([]State, 0, count)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if s.Terms[j] <= s.Terms[i] {
 				continue
 			}
 			c := s
@@ -304,7 +410,7 @@ func updateTermThroughHeartbeat(s State) []State {
 			}
 			c.Terms = slices.Clone(s.Terms)
 			c.Terms[i] = s.Terms[j]
-			out = emit(out, n*(n-1), c)
+			out = append(out, c)
 		}
 	}
 	return out
@@ -314,20 +420,10 @@ func updateTermThroughHeartbeat(s State) []State {
 // only if the commit point's term is not newer than i's own term — a node
 // must not trust a commit point from a term it has not yet heard of.
 func learnCommitPointWithTermCheck(s State) []State {
-	var out []State
-	n := s.NumNodes()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j || !s.CommitPoints[i].Before(s.CommitPoints[j]) {
-				continue
-			}
-			if s.CommitPoints[j].Term > s.Terms[i] {
-				continue
-			}
-			out = emit(out, n*(n-1), s.withCommitPoint(i, s.CommitPoints[j]))
-		}
-	}
-	return out
+	return learnCommitPoints(s, func(i, j int) (CommitPoint, bool) {
+		cp := s.CommitPoints[j]
+		return cp, s.CommitPoints[i].Before(cp) && cp.Term <= s.Terms[i]
+	})
 }
 
 // learnCommitPointFromSyncSourceNeverBeyondLastApplied: node i learns the
@@ -335,26 +431,14 @@ func learnCommitPointWithTermCheck(s State) []State {
 // j's), capped at i's own last applied entry — a node may not advertise a
 // commit point beyond the data it actually has.
 func learnCommitPointFromSyncSource(s State) []State {
-	var out []State
-	n := s.NumNodes()
-	for i := 0; i < n; i++ {
-		if len(s.Oplogs[i]) == 0 {
-			continue
+	return learnCommitPoints(s, func(i, j int) (CommitPoint, bool) {
+		if len(s.Oplogs[i]) == 0 || len(s.Oplogs[j]) < len(s.Oplogs[i]) || !s.isPrefix(i, j) {
+			return CommitPoint{}, false
 		}
-		lastApplied := CommitPoint{Term: s.LastTerm(i), Index: len(s.Oplogs[i])}
-		for j := 0; j < n; j++ {
-			if i == j || !s.isPrefix(i, j) || len(s.Oplogs[j]) < len(s.Oplogs[i]) {
-				continue
-			}
-			learned := s.CommitPoints[j]
-			if lastApplied.Before(learned) {
-				learned = lastApplied
-			}
-			if !s.CommitPoints[i].Before(learned) {
-				continue
-			}
-			out = emit(out, n*(n-1), s.withCommitPoint(i, learned))
+		learned := s.CommitPoints[j]
+		if lastApplied := (CommitPoint{Term: s.LastTerm(i), Index: len(s.Oplogs[i])}); lastApplied.Before(learned) {
+			learned = lastApplied
 		}
-	}
-	return out
+		return learned, s.CommitPoints[i].Before(learned)
+	})
 }

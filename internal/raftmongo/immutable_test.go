@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/tla"
 )
@@ -107,13 +108,81 @@ func TestSuccessorsNeverMutate(t *testing.T) {
 			assertSuccessorsNeverMutate(t, specs, res.Graph.StateAt(id))
 		}
 	}
+	for _, s := range longGapStates() {
+		assertSuccessorsNeverMutate(t, specs, s)
+		assertSuccessorsNeverMutate(t, specs, withSpareCapacity(s))
+	}
 }
 
-// TestNextAllocsPerSuccessor pins the cost of copy-on-write successors:
-// over a fixed sample of reachable states of both variants, every action's
-// Next allocates at most three times per successor it returns. A successor
-// replaces one or two slices of its parent, plus its share of the action's
-// result slice; a deep copy of the state costs 4 + n allocations.
+// longGapStates returns states in which a node trails another by at least
+// twenty entries, so AppendOplog has long runs of successors to build: the
+// reachable states of smallCfg have gaps of at most two.
+func longGapStates() []State {
+	log := func(n int) []int {
+		out := make([]int, n)
+		for k := range out {
+			out[k] = 1 + k/10
+		}
+		return out
+	}
+	long := log(25)
+	return []State{
+		{ // node 0 leads with 25 entries; nodes 1 and 2 trail by 23 and 25
+			Roles:        []Role{Leader, Follower, Follower},
+			Terms:        []int{3, 3, 3},
+			CommitPoints: []CommitPoint{{Term: 1, Index: 2}, {}, {}},
+			Oplogs:       [][]int{long, long[:2:2], {}},
+		},
+		{ // node 1 leads; node 0 trails by 21, node 2 by 22 behind a divergent entry
+			Roles:        []Role{Follower, Leader, Follower},
+			Terms:        []int{2, 3, 1},
+			CommitPoints: []CommitPoint{{Term: 1, Index: 3}, {Term: 3, Index: 24}, {Term: 1, Index: 1}},
+			Oplogs:       [][]int{long[:4:4], log(25), append(log(3), 1, 1)},
+		},
+	}
+}
+
+// freshSlices counts the distinct backing arrays the successors of parent
+// hold that parent does not: the slices an action replaced. Siblings may
+// share a replaced slice (BecomePrimaryByMagic's Roles), which counts once.
+func freshSlices(parent State, succs []State) int {
+	fresh := map[unsafe.Pointer]bool{}
+	for _, c := range succs {
+		for _, p := range arrays(c) {
+			fresh[p] = true
+		}
+	}
+	for _, p := range arrays(parent) {
+		delete(fresh, p)
+	}
+	delete(fresh, nil)
+	return len(fresh)
+}
+
+// arrays lists the backing arrays of s's slices, nil for a slice without.
+func arrays(s State) []unsafe.Pointer {
+	out := []unsafe.Pointer{arrayOf(s.Roles), arrayOf(s.Terms), arrayOf(s.CommitPoints), arrayOf(s.Oplogs)}
+	for _, log := range s.Oplogs {
+		out = append(out, arrayOf(log))
+	}
+	return out
+}
+
+func arrayOf[E any](s []E) unsafe.Pointer {
+	if cap(s) == 0 {
+		return nil
+	}
+	return unsafe.Pointer(unsafe.SliceData(s))
+}
+
+// TestNextAllocsPerSuccessor pins the cost of copy-on-write successors over
+// a fixed sample of reachable states of both variants plus longGapStates.
+// An action with no successors returns nil; otherwise its result is
+// allocated once, at exactly its length (cap == len), and the action
+// allocates nothing else but the slices its successors replace — so it
+// never regrows its result however many successors a long gap yields. That
+// comes to at most three allocations per successor; a deep copy of the
+// state costs 4 + n.
 func TestNextAllocsPerSuccessor(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -128,11 +197,27 @@ func TestNextAllocsPerSuccessor(t *testing.T) {
 		for id := 0; id < res.Graph.Len(); id += 7 {
 			sample = append(sample, res.Graph.StateAt(id))
 		}
-		succs := 0
+		sample = append(sample, longGapStates()...)
+		succs, calls, fresh, longest := 0, 0, 0, 0
 		for _, s := range sample {
-			succs += len(successors([]*tla.Spec[State]{spec}, s))
+			for _, a := range spec.Actions {
+				out := a.Next(s)
+				if len(out) == 0 {
+					if out != nil {
+						t.Errorf("%s: %s returns an empty non-nil result for %s", spec.Name, a.Name, s)
+					}
+					continue
+				}
+				if cap(out) != len(out) {
+					t.Errorf("%s: %s returns %d successors in a result of capacity %d for %s", spec.Name, a.Name, len(out), cap(out), s)
+				}
+				succs += len(out)
+				calls++
+				fresh += freshSlices(s, out)
+				longest = max(longest, len(out))
+			}
 		}
-		allocs := testing.AllocsPerRun(3, func() {
+		allocs := testing.AllocsPerRun(10, func() {
 			for _, s := range sample {
 				for _, a := range spec.Actions {
 					a.Next(s)
@@ -140,9 +225,17 @@ func TestNextAllocsPerSuccessor(t *testing.T) {
 			}
 		})
 		perSucc := allocs / float64(succs)
-		t.Logf("%s: %d states, %d successors, %.2f allocations per successor", spec.Name, len(sample), succs, perSucc)
+		t.Logf("%s: %d states, %d successors (at most %d per call), %d non-empty calls, %d replaced slices, %.0f allocations (%.2f per successor)",
+			spec.Name, len(sample), succs, longest, calls, fresh, allocs, perSucc)
 		if perSucc > maxAllocs {
 			t.Errorf("%s: Next allocates %.2f times per successor, want at most %d", spec.Name, perSucc, maxAllocs)
+		}
+		// One result per non-empty call on top of the replaced slices, and
+		// nothing else: AllocsPerRun floors its mean over ten runs, which
+		// forgives the runtime a stray allocation or nine, but a result
+		// regrown on the long gaps adds several to every run.
+		if want := float64(fresh + calls); allocs > want {
+			t.Errorf("%s: Next allocates %.0f times for %d replaced slices in %d non-empty calls, want at most %.0f", spec.Name, allocs, fresh, calls, want)
 		}
 	}
 }

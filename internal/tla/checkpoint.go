@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"path/filepath"
 )
 
@@ -304,8 +305,14 @@ func writeArenaMeta(fsys FS, path string, meta []arenaMeta) error {
 	return nil
 }
 
+// readArenaMeta loads a checkpoint's per-state meta records. A missing
+// file makes the checkpoint unusable, which no retry can mend, so it is
+// reported as ErrBadCheckpoint; any other read error is left as it is.
 func readArenaMeta(fsys FS, path string) ([]arenaMeta, error) {
 	blob, err := readFileFS(fsys, path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("%w: arena meta file %s: %v", ErrBadCheckpoint, path, err)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -228,6 +228,21 @@ func TestResumeValidation(t *testing.T) {
 		t.Fatalf("empty checkpoint dir: err = %v, want ErrBadCheckpoint", err)
 	}
 
+	// Delete the arena meta file of a second checkpoint: a checkpoint
+	// missing a file is bad, not a transient fault to retry.
+	metaless := t.TempDir()
+	interruptedCheckpoint(t, max, metaless, 200)
+	mm, err := readManifest(OSFS, metaless)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(metaless, mm.MetaFile)); err != nil {
+		t.Fatal(err)
+	}
+	if err := resume(counterSpec(max), func(o *Options) { o.ResumeFrom = metaless }); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("missing arena meta file: err = %v, want ErrBadCheckpoint", err)
+	}
+
 	// Tear a visited file: a cut record is a bad checkpoint at resume, with
 	// or without a budget, not an I/O error of the resumed run.
 	m, err := readManifest(OSFS, dir)

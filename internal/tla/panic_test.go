@@ -214,8 +214,9 @@ func (o panicObs) Matches(s counterState) bool {
 	return o.sumObs.Matches(s)
 }
 
-// TestSpecPanicInTraceCheck: a trace check whose Next or Matches panics
-// returns a *SpecPanic naming the callback and the observation, with the
+// TestSpecPanicInTraceCheck: a trace check whose Init, Next or Matches
+// panics — at the first observation too — returns a *SpecPanic naming the
+// callback and the observation, with the
 // same result at one worker and at four — from the frontier state that
 // comes first, though several chunks panic — instead of a raw panic or a
 // crashed worker goroutine.
@@ -233,15 +234,23 @@ func TestSpecPanicInTraceCheck(t *testing.T) {
 	// and 4: the panic of state 0 wins.
 	matchesBoom := trace(panicObs{9, []counterState{{5, 4}, {8, 1}}})
 	nextBoom := explodingSpec(20, counterState{A: 6, B: 2})
+	// The first observation is checked against the initial states, not a
+	// frontier, and its callbacks are guarded all the same.
+	firstBoom := append([]Observation[counterState]{panicObs{0, []counterState{{0, 0}}}}, trace(sumObs(9))[1:]...)
+	initBoom := counterSpec(20)
+	initBoom.Init = func() []counterState { panic("boom in Init") }
 	for _, tc := range []struct {
 		name  string
 		spec  *Spec[counterState]
 		trace []Observation[counterState]
 		op    string
 		value string
+		steps int
 	}{
-		{"Matches", counterSpec(20), matchesBoom, "Observation.Matches at observation 9", "boom at {8 1}"},
-		{"Next", nextBoom, trace(sumObs(9)), `action "Explode".Next at observation 9`, "boom at {6 2}"},
+		{"Matches", counterSpec(20), matchesBoom, "Observation.Matches at observation 9", "boom at {8 1}", 9},
+		{"Next", nextBoom, trace(sumObs(9)), `action "Explode".Next at observation 9`, "boom at {6 2}", 9},
+		{"FirstMatches", counterSpec(20), firstBoom, "Observation.Matches at observation 0", "boom at {0 0}", 0},
+		{"Init", initBoom, trace(sumObs(9)), "Init at observation 0", "boom in Init", 0},
 	} {
 		var first *TraceResult
 		for _, workers := range []int{1, 4} {
@@ -251,8 +260,8 @@ func TestSpecPanicInTraceCheck(t *testing.T) {
 			if sp.Op != tc.op || sp.Value != tc.value {
 				t.Fatalf("%s: panic %q in %q, want %q in %q", label, sp.Value, sp.Op, tc.value, tc.op)
 			}
-			if res == nil || res.OK || res.Steps != 9 || res.FailedStep != -1 {
-				t.Fatalf("%s: result %+v, want 9 steps matched, not OK, no failed step", label, res)
+			if res == nil || res.OK || res.Steps != tc.steps || res.FailedStep != -1 {
+				t.Fatalf("%s: result %+v, want %d steps matched, not OK, no failed step", label, res, tc.steps)
 			}
 			if first == nil {
 				first = res

@@ -289,17 +289,11 @@ func newTraceChecker[S State](spec *Spec[S], opts TraceOptions, st *stopper) *tr
 // run checks the whole trace once, honouring hints when guided is set.
 func (tc *traceChecker[S]) run(trace []Observation[S], guided bool) (*TraceResult, error) {
 	res := &TraceResult{FailedStep: -1}
-	var frontier, spare []S
-	cod := tc.wcods[0]
-	clear(tc.seen)
-	for _, s := range tc.spec.Init() {
-		if trace[0].Matches(s) {
-			if enc := cod.canonical(s); !tc.seen[string(enc)] {
-				tc.seen[string(enc)] = true
-				frontier = append(frontier, s)
-			}
-		}
+	frontier, pi := tc.initial(trace[0])
+	if pi != nil {
+		return res, tracePanic[S](pi, 0)
 	}
+	var spare []S
 	if len(frontier) == 0 {
 		res.FailedStep = 0
 		return res, &TraceError{Step: 0, Obs: trace[0].String()}
@@ -341,7 +335,7 @@ func (tc *traceChecker[S]) run(trace []Observation[S], guided bool) (*TraceResul
 			next, explanation, pi = tc.advance(frontier, trace[i], tc.allActs, next)
 		}
 		if pi != nil {
-			return res, &SpecPanic[S]{Op: fmt.Sprintf("%s at observation %d", opString(pi.kind, pi.name), i), Value: pi.value, Stack: pi.stack}
+			return res, tracePanic[S](pi, i)
 		}
 		if len(next) == 0 {
 			res.FailedStep = i
@@ -354,6 +348,45 @@ func (tc *traceChecker[S]) run(trace []Observation[S], guided bool) (*TraceResul
 	}
 	res.OK = true
 	return res, nil
+}
+
+// initial returns the deduplicated initial states consistent with obs. Like
+// a later step's advance, it runs Init, obs.Matches and the encoding under
+// a guard and returns a panic in any of them instead of raising it.
+func (tc *traceChecker[S]) initial(obs Observation[S]) (frontier []S, pi *panicInfo) {
+	var g specGuard
+	defer func() {
+		if r := recover(); r != nil {
+			frontier, pi = nil, g.capture(r)
+		}
+	}()
+	cod := tc.wcods[0]
+	clear(tc.seen)
+	g.enter(opInit, "", -1)
+	inits := tc.spec.Init()
+	g.exit()
+	for _, s := range inits {
+		g.enter(opMatches, "", -1)
+		ok := obs.Matches(s)
+		g.exit()
+		if !ok {
+			continue
+		}
+		g.enter(opEncode, "", -1)
+		enc := cod.canonical(s)
+		g.exit()
+		if !tc.seen[string(enc)] {
+			tc.seen[string(enc)] = true
+			frontier = append(frontier, s)
+		}
+	}
+	return frontier, nil
+}
+
+// tracePanic converts a panic captured at observation step into the
+// *SpecPanic verdict, which names the step.
+func tracePanic[S State](pi *panicInfo, step int) error {
+	return &SpecPanic[S]{Op: fmt.Sprintf("%s at observation %d", opString(pi.kind, pi.name), step), Value: pi.value, Stack: pi.stack}
 }
 
 // resolveHint returns the indices of the spec actions obs names, or nil

@@ -78,7 +78,9 @@ func (l *Logger) Count() int {
 	return l.count
 }
 
-// ReadEvents decodes a JSON-lines event stream.
+// ReadEvents decodes a JSON-lines event stream. A line is at most 16 MiB;
+// a line that is longer or is not an event fails the whole stream with an
+// error naming it ("trace: line N: ...").
 func ReadEvents(r io.Reader) ([]Event, error) {
 	var out []Event
 	sc := bufio.NewScanner(r)
@@ -96,7 +98,7 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 		out = append(out, e)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: line %d: %w", line+1, err)
 	}
 	return out, nil
 }

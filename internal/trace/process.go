@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/raftmongo"
 )
@@ -37,9 +38,19 @@ type ProcessResult struct {
 //     reports node N as Leader, N becomes Leader and all others Follower.
 //     If N was Leader and now reports Follower, only N changes.
 //   - term, commitPoint, oplog: N's values are replaced; others keep theirs.
+//
+// Like the specification's own successors, the states are copy-on-write:
+// each replaces node N's oplog and its own small role, term and commit
+// point slices, and shares every other node's oplog with the state before
+// it, so an event costs the length of N's log, not of every log. The
+// States therefore share slices and must be treated as immutable; every
+// oplog is capped at its length, so appending to one copies.
 func Process(nodes int, events []Event, opts ProcessOptions) (*ProcessResult, error) {
 	cur := initialState(nodes)
-	res := &ProcessResult{States: []raftmongo.State{cur}}
+	res := &ProcessResult{
+		States:  append(make([]raftmongo.State, 0, len(events)+1), cur),
+		Actions: make([]string, 0, len(events)),
+	}
 	for i, e := range events {
 		if e.Node < 0 || e.Node >= nodes {
 			return nil, fmt.Errorf("trace: event %d names node %d of %d", i, e.Node, nodes)
@@ -89,26 +100,26 @@ func combine(s raftmongo.State, e Event, opts ProcessOptions) (raftmongo.State, 
 	next.Terms[n] = e.Term
 	next.CommitPoints[n] = e.CommitPoint()
 
-	oplog := append([]int(nil), e.Oplog...)
-	filled := false
+	var prefix []int
 	switch {
-	case e.OplogStart == 1 || (e.OplogStart == 0 && len(oplog) == 0):
+	case e.OplogStart == 1 || (e.OplogStart == 0 && len(e.Oplog) == 0):
 		// Complete oplog reported.
 	case e.OplogStart > 1:
 		if !opts.FillOplogPrefixes {
 			return next, false, fmt.Errorf("node %d reported a truncated oplog (start %d) and prefix filling is disabled", n, e.OplogStart)
 		}
-		prefix, err := findPrefix(s, n, e.OplogStart-1, oplog)
-		if err != nil {
+		var err error
+		if prefix, err = findPrefix(s, n, e.OplogStart-1, e.Oplog); err != nil {
 			return next, false, err
 		}
-		oplog = append(append([]int(nil), prefix...), oplog...)
-		filled = true
 	default:
 		return next, false, fmt.Errorf("node %d event has invalid oplog start %d", n, e.OplogStart)
 	}
+	// One exactly sized copy: the state owns its log, never the event's.
+	oplog := make([]int, len(prefix)+len(e.Oplog))
+	copy(oplog[copy(oplog, prefix):], e.Oplog)
 	next.Oplogs[n] = oplog
-	return next, filled, nil
+	return next, e.OplogStart > 1, nil
 }
 
 // findPrefix locates the missing first `need` oplog entries for node n by
@@ -117,13 +128,14 @@ func combine(s raftmongo.State, e Event, opts ProcessOptions) (raftmongo.State, 
 // "filled in the missing entries while it generated the state sequence" —
 // and inherits its documented risk: a bug here could mask a real
 // transcription bug, which is why PrefixFill events are counted and
-// reported.
+// reported. The prefix is returned as a view of the donor's oplog, not a
+// copy.
 func findPrefix(s raftmongo.State, n, need int, suffix []int) ([]int, error) {
 	// The node's own previous (already filled) oplog is the natural donor:
 	// the hidden prefix cannot have changed while the node rolled back or
 	// appended at the tail.
 	if len(s.Oplogs[n]) >= need {
-		return append([]int(nil), s.Oplogs[n][:need]...), nil
+		return s.Oplogs[n][:need], nil
 	}
 	for j := range s.Oplogs {
 		if j == n {
@@ -143,21 +155,19 @@ func findPrefix(s raftmongo.State, n, need int, suffix []int) ([]int, error) {
 			}
 		}
 		if ok {
-			return append([]int(nil), donor[:need]...), nil
+			return donor[:need], nil
 		}
 	}
 	return nil, fmt.Errorf("no node's oplog can supply the %d missing prefix entries for node %d", need, n)
 }
 
+// cloneState returns a copy of s whose role, term and commit point slices
+// and outer oplog array are its own; the oplogs themselves are shared.
 func cloneState(s raftmongo.State) raftmongo.State {
-	c := raftmongo.State{
-		Roles:        append([]raftmongo.Role(nil), s.Roles...),
-		Terms:        append([]int(nil), s.Terms...),
-		CommitPoints: append([]raftmongo.CommitPoint(nil), s.CommitPoints...),
-		Oplogs:       make([][]int, len(s.Oplogs)),
+	return raftmongo.State{
+		Roles:        slices.Clone(s.Roles),
+		Terms:        slices.Clone(s.Terms),
+		CommitPoints: slices.Clone(s.CommitPoints),
+		Oplogs:       slices.Clone(s.Oplogs),
 	}
-	for i, log := range s.Oplogs {
-		c.Oplogs[i] = append([]int(nil), log...)
-	}
-	return c
 }
