@@ -283,54 +283,12 @@ func reportStatesPerSec(b *testing.B, states int64) {
 	}
 }
 
-// BenchmarkWorkStealCheck compares the two scheduling modes of the
-// exploration engine at matched worker counts: the default
-// level-synchronized BFS (one barrier plus a single-threaded merge per
-// level) against the barrier-free work-stealing loop (per-worker
-// steal-half deques, claim-on-insert deduplication) on the wide
-// replica-set state spaces where level edges idle the most workers. The
-// states/sec metric is the headline; on a multi-core host work-stealing
-// at workers=4 is the configuration the barrier removal pays off in (a
-// single-core container serializes both modes — see README).
-func BenchmarkWorkStealCheck(b *testing.B) {
-	variants := []struct {
-		name string
-		spec func() *tla.Spec[raftmongo.State]
-	}{
-		{"raftmongo-v1-small", func() *tla.Spec[raftmongo.State] {
-			return raftmongo.SpecV1(raftmongo.Config{Nodes: 3, MaxTerm: 2, MaxLogLen: 2})
-		}},
-		{"raftmongo-v2-small", func() *tla.Spec[raftmongo.State] {
-			return raftmongo.SpecV2(raftmongo.Config{Nodes: 3, MaxTerm: 2, MaxLogLen: 2})
-		}},
-	}
-	for _, v := range variants {
-		for _, sched := range []tla.Schedule{tla.ScheduleLevelSync, tla.ScheduleWorkSteal} {
-			for _, w := range []int{1, 4} {
-				b.Run(fmt.Sprintf("%s/schedule=%s/workers=%d", v.name, sched, w), func(b *testing.B) {
-					b.ReportAllocs()
-					var states int64
-					for i := 0; i < b.N; i++ {
-						res, err := tla.Check(v.spec(), tla.Options{Workers: w, Schedule: sched})
-						if err != nil {
-							b.Fatal(err)
-						}
-						states += int64(res.Distinct)
-						b.ReportMetric(float64(res.Distinct), "states")
-					}
-					reportStatesPerSec(b, states)
-				})
-			}
-		}
-	}
-}
-
 // BenchmarkObservedCheck carries the instrumentation-overhead claim of
 // BENCH_10.json: the same exploration the throughput benchmarks pin, run
-// with Options.Metrics off and on, across both schedulers. The metrics=on
-// variants pay every hot-path hook the observability layer installs —
-// per-worker expansion/claim counters, the successor fan-out histogram,
-// steal accounting — so the states/sec delta between paired sub-benchmarks
+// with Options.Metrics off and on. The metrics=on variants pay every
+// hot-path hook the observability layer installs — per-worker
+// expansion/claim counters, the successor fan-out histogram, the level
+// phase histograms — so the states/sec delta between paired sub-benchmarks
 // is the registry's whole tax (acceptance: ≤ 3%). cmd/benchjson measures
 // the same pair with noise-robust interleaved sampling for the pinned
 // number; this benchmark keeps the comparison one `go test -bench` away.
@@ -338,26 +296,24 @@ func BenchmarkObservedCheck(b *testing.B) {
 	spec := func() *tla.Spec[raftmongo.State] {
 		return raftmongo.SpecV2(raftmongo.Config{Nodes: 3, MaxTerm: 2, MaxLogLen: 2})
 	}
-	for _, sched := range []tla.Schedule{tla.ScheduleLevelSync, tla.ScheduleWorkSteal} {
-		for _, metrics := range []bool{false, true} {
-			b.Run(fmt.Sprintf("schedule=%s/metrics=%v", sched, metrics), func(b *testing.B) {
-				b.ReportAllocs()
-				var states int64
-				for i := 0; i < b.N; i++ {
-					opts := tla.Options{Schedule: sched}
-					if metrics {
-						opts.Metrics = obs.NewRegistry()
-					}
-					res, err := tla.Check(spec(), opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					states += int64(res.Distinct)
-					b.ReportMetric(float64(res.Distinct), "states")
+	for _, metrics := range []bool{false, true} {
+		b.Run(fmt.Sprintf("metrics=%v", metrics), func(b *testing.B) {
+			b.ReportAllocs()
+			var states int64
+			for i := 0; i < b.N; i++ {
+				var opts tla.Options
+				if metrics {
+					opts.Metrics = obs.NewRegistry()
 				}
-				reportStatesPerSec(b, states)
-			})
-		}
+				res, err := tla.Check(spec(), opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				states += int64(res.Distinct)
+				b.ReportMetric(float64(res.Distinct), "states")
+			}
+			reportStatesPerSec(b, states)
+		})
 	}
 }
 

@@ -242,10 +242,8 @@ func run(out string, pr int, config string) error {
 }
 
 // benchObsOverhead measures the metrics registry's states/sec tax on the
-// two CI-pinned exploration shapes — the level-synchronized parallel check
-// (BenchmarkParallelCheck) and the work-stealing check
-// (BenchmarkWorkStealCheck) — by running the same spec with Options.Metrics
-// off and on. Repetitions interleave the two modes and each mode keeps its
+// CI-pinned exploration shape — the parallel check (BenchmarkParallelCheck)
+// — by running the same spec with Options.Metrics off and on. Repetitions interleave the two modes and each mode keeps its
 // best wall time, so a background scheduling hiccup cannot masquerade as
 // instrumentation overhead.
 func benchObsOverhead(rcfg raftmongo.Config) ([]benchmark, error) {
@@ -253,17 +251,11 @@ func benchObsOverhead(rcfg raftmongo.Config) ([]benchmark, error) {
 		reps          = 9 // paired samples per shape; the median ratio is reported
 		runsPerSample = 3 // checks per timed sample, amortizing timer/load noise
 	)
-	shapes := []struct {
-		name  string
-		sched tla.Schedule
-	}{
-		{"obs-overhead/levelsync", tla.ScheduleLevelSync},
-		{"obs-overhead/worksteal", tla.ScheduleWorkSteal},
-	}
+	shapes := []struct{ name string }{{"obs-overhead/levelsync"}}
 	var rows []benchmark
 	for _, sh := range shapes {
 		one := func(instrument bool) (int, float64, error) {
-			opts := tla.Options{Schedule: sh.sched}
+			var opts tla.Options
 			if instrument {
 				opts.Metrics = obs.NewRegistry()
 			}

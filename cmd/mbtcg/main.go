@@ -3,9 +3,8 @@
 // graph to a DOT file, derives one test case per terminal state of the
 // checker's graph (4,913 under the paper's configuration), runs the cases against
 // both the reference and the independent OT implementation, and prints the
-// branch-coverage table of §5.2. -schedule worksteal with -mem-budget is
-// refused before the exploration starts: the spilling visited set needs
-// BFS levels, which the barrier-free schedule does not have.
+// branch-coverage table of §5.2. The DOT dump is byte-identical at every
+// -workers count.
 //
 // Exit status: 0 when both implementations pass every generated case, 1
 // when either fails one (after the report, -emit and -coverage) and on run
@@ -14,7 +13,7 @@
 // Usage:
 //
 //	mbtcg [-dot array_ot.dot] [-emit generated_test.go] [-coverage] [-workers N] [-mem-budget BYTES] \
-//	      [-schedule levelsync|worksteal] [-arena] [-deadline DUR] [-progress-every DUR] [-journal FILE]
+//	      [-arena] [-deadline DUR] [-progress-every DUR] [-journal FILE]
 package main
 
 import (
@@ -44,10 +43,9 @@ func main() {
 		withCov   = flag.Bool("coverage", false, "print the §5.2 coverage comparison table")
 		workers   = flag.Int("workers", 0, "model-checker worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
 		memBudget = flag.Int64("mem-budget", 0, "approximate visited-set bytes before the fingerprints spill to one sorted run on disk (0 = fully resident)")
-		schedule  = flag.String("schedule", "levelsync", "exploration schedule: levelsync or level-sync (deterministic BFS and DOT output), worksteal or work-steal (barrier-free; same cases, nondeterministic graph order; an error with -mem-budget)")
 		arena     = flag.Bool("arena", false, "serve the state graph from the checker's encoded-state arena instead of live values (with -mem-budget it spills to disk, so generation runs on graphs that never fit in RAM)")
 		deadline  = flag.Duration("deadline", 0, "wall-clock bound on the exploration, e.g. 90s or 10m (0 = none); generation needs the complete graph, so an over-deadline run aborts with the partial-state count")
-		progEvery = flag.Duration("progress-every", 0, "print a one-line exploration status to stderr this often, e.g. 5s (0 = off); works under both schedules")
+		progEvery = flag.Duration("progress-every", 0, "print a one-line exploration status to stderr this often, e.g. 5s (0 = off)")
 		journal   = flag.String("journal", "", "append the exploration's run journal (JSONL) to this file")
 	)
 	flag.Parse()
@@ -56,7 +54,7 @@ func main() {
 	// pipeline with the partial-state count. A second signal kills normally.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *dotPath, *emitPath, *withCov, *workers, *memBudget, *schedule, *arena, *deadline, *progEvery, *journal); err != nil {
+	if err := run(ctx, *dotPath, *emitPath, *withCov, *workers, *memBudget, *arena, *deadline, *progEvery, *journal); err != nil {
 		if !errors.Is(err, errFailed) {
 			fmt.Fprintln(os.Stderr, "mbtcg:", err)
 		}
@@ -68,17 +66,13 @@ func main() {
 // report, and main exits 1 without repeating it.
 var errFailed = errors.New("negative verdict")
 
-func run(ctx context.Context, dotPath, emitPath string, withCov bool, workers int, memBudget int64, schedule string, arena bool, deadline time.Duration, progEvery time.Duration, journal string) error {
-	sched, err := tla.ParseSchedule(schedule)
-	if err != nil {
-		return err
-	}
+func run(ctx context.Context, dotPath, emitPath string, withCov bool, workers int, memBudget int64, arena bool, deadline time.Duration, progEvery time.Duration, journal string) error {
 	if deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, deadline)
 		defer cancel()
 	}
-	opts := tla.Options{Workers: workers, MemoryBudgetBytes: memBudget, Schedule: sched, StateArena: arena, Context: ctx}
+	opts := tla.Options{Workers: workers, MemoryBudgetBytes: memBudget, StateArena: arena, Context: ctx}
 	if progEvery > 0 {
 		opts.Progress = cliobs.NewPrinter(os.Stderr, "mbtcg", memBudget).Observe
 		opts.ProgressEvery = progEvery
@@ -93,9 +87,6 @@ func run(ctx context.Context, dotPath, emitPath string, withCov bool, workers in
 	}
 	if err := opts.Validate(); err != nil {
 		return err
-	}
-	if sched == tla.ScheduleWorkSteal {
-		fmt.Fprintln(os.Stderr, "mbtcg: note: worksteal generates the same cases but numbers graph states nondeterministically; diff DOT output across runs only under levelsync")
 	}
 	cases, res, err := mbtcg.GenerateResult(arrayot.DefaultConfig(), dotPath, opts)
 	if err != nil {

@@ -11,9 +11,8 @@
 // every N BFS levels, so even a killed process loses at most N levels.
 //
 // A run does what its flags say or is refused before it explores anything:
-// -schedule worksteal with -mem-budget, -checkpoint or -resume, -por on a
-// spec that declares no transition independence, and -liveness with -por
-// are errors, not warnings.
+// -por on a spec that declares no transition independence and -liveness
+// with -por are errors, not warnings.
 //
 // Exit status: 0 when the run passes (or was interrupted cleanly), 1 on a
 // negative verdict (an invariant violation or a liveness failure, after the
@@ -24,8 +23,7 @@
 //	minitlc -spec raftmongo-v1|raftmongo-v2|arrayot|locking \
 //	        [-nodes 3] [-max-term 3] [-max-log 3] [-actors 2] \
 //	        [-dot out.dot] [-liveness] [-workers N] [-symmetry] [-por] [-mem-budget BYTES] \
-//	        [-schedule levelsync|worksteal] [-arena] \
-//	        [-checkpoint DIR] [-checkpoint-every N] [-resume DIR] [-deadline DUR] \
+//	        [-arena] [-checkpoint DIR] [-checkpoint-every N] [-resume DIR] [-deadline DUR] \
 //	        [-progress-every DUR] [-journal FILE]
 package main
 
@@ -106,16 +104,15 @@ func main() {
 		liveness  = flag.Bool("liveness", false, "check the commit-point-propagation liveness property (raftmongo)")
 		workers   = flag.Int("workers", 0, "checker worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
 		symmetry  = flag.Bool("symmetry", false, "symmetry reduction over interchangeable identities (raftmongo nodes, locking actors; a usage error on arrayot)")
-		por       = flag.Bool("por", false, "ample-set partial-order reduction for specs that declare transition independence (raftmongo, locking; an error on arrayot and with -liveness); composes with -symmetry, both schedules, -arena and -mem-budget")
+		por       = flag.Bool("por", false, "ample-set partial-order reduction for specs that declare transition independence (raftmongo, locking; an error on arrayot and with -liveness); composes with -symmetry, -workers, -arena and -mem-budget")
 		memBudget = flag.Int64("mem-budget", 0, "approximate visited-set bytes before the fingerprints spill to one sorted run on disk (0 = fully resident)")
-		schedule  = flag.String("schedule", "levelsync", "exploration schedule: levelsync or level-sync (deterministic BFS, shortest counterexamples), worksteal or work-steal (barrier-free, identical verdicts and counts; an error with -mem-budget, -checkpoint and -resume)")
 		arena     = flag.Bool("arena", false, "retain discovered states as encoded bytes in an append-only arena instead of live values (cuts retention memory; counterexamples and the -dot/-liveness graph are decoded from the arena)")
 		ckDir     = flag.String("checkpoint", "", "write a resumable checkpoint to this directory on interrupt (and periodically with -checkpoint-every); implies -arena")
 		ckEvery   = flag.Int("checkpoint-every", 0, "additionally checkpoint every N BFS levels (0 = only on interrupt; needs -checkpoint)")
 		resume    = flag.String("resume", "", "resume the run checkpointed in this directory (spec flags are restored from the checkpoint); implies -arena and, unless -checkpoint says otherwise, further checkpoints go to the same directory")
 		deadline  = flag.Duration("deadline", 0, "wall-clock bound on the run, e.g. 90s or 10m (0 = none); a run over the deadline stops like an interrupt — partial statistics, and a resumable checkpoint under -checkpoint")
-		progEvery = flag.Duration("progress-every", 0, "print a one-line status to stderr this often, e.g. 5s (0 = off); works under both schedules")
-		journal   = flag.String("journal", "", "append the run journal (JSONL, one event per level/epoch plus checkpoint/retry/degrade/verdict) to this file")
+		progEvery = flag.Duration("progress-every", 0, "print a one-line status to stderr this often, e.g. 5s (0 = off)")
+		journal   = flag.String("journal", "", "append the run journal (JSONL, one event per level plus checkpoint/retry/degrade/verdict) to this file")
 	)
 	flag.Parse()
 
@@ -127,7 +124,7 @@ func main() {
 	defer stop()
 
 	cfg := specConfig{specName: *specName, nodes: *nodes, maxTerm: *maxTerm, maxLog: *maxLog, actors: *actors, symmetry: *symmetry, por: *por}
-	if err := run(ctx, cfg, *dotPath, *liveness, *workers, *memBudget, *schedule, *arena, *ckDir, *ckEvery, *resume, *deadline, *progEvery, *journal); err != nil {
+	if err := run(ctx, cfg, *dotPath, *liveness, *workers, *memBudget, *arena, *ckDir, *ckEvery, *resume, *deadline, *progEvery, *journal); err != nil {
 		if errors.Is(err, errFailed) {
 			os.Exit(1) // the report is already on stdout
 		}
@@ -157,11 +154,7 @@ func verdict(dumpErr error, failed bool) error {
 	return dumpErr
 }
 
-func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, workers int, memBudget int64, schedule string, arena bool, ckDir string, ckEvery int, resume string, deadline time.Duration, progEvery time.Duration, journal string) error {
-	sched, err := tla.ParseSchedule(schedule)
-	if err != nil {
-		return err
-	}
+func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, workers int, memBudget int64, arena bool, ckDir string, ckEvery int, resume string, deadline time.Duration, progEvery time.Duration, journal string) error {
 	if resume != "" {
 		// The checkpoint knows which state space it explored; the resumed
 		// run must rebuild the identical spec, so its metadata overrides
@@ -198,7 +191,6 @@ func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, wor
 		RecordGraph:       dotPath != "" || liveness,
 		Workers:           workers,
 		MemoryBudgetBytes: memBudget,
-		Schedule:          sched,
 		PartialOrder:      cfg.por,
 		StateArena:        arena,
 		Context:           ctx,
@@ -209,7 +201,7 @@ func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, wor
 	}
 	if progEvery > 0 {
 		// Status goes to stderr only: stdout (verdict, DOT announcements)
-		// stays pipeable. Time-based delivery works under both schedules.
+		// stays pipeable.
 		opts.Progress = cliobs.NewPrinter(os.Stderr, "minitlc", memBudget).Observe
 		opts.ProgressEvery = progEvery
 	}
@@ -223,9 +215,6 @@ func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, wor
 	}
 	if err := opts.Validate(); err != nil {
 		return err
-	}
-	if sched == tla.ScheduleWorkSteal && opts.RecordGraph {
-		fmt.Fprintln(os.Stderr, "minitlc: note: worksteal numbers graph states nondeterministically; liveness verdicts are unaffected, but diff DOT output across runs only under levelsync")
 	}
 	switch cfg.specName {
 	case "raftmongo-v1", "raftmongo-v2":

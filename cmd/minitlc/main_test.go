@@ -11,7 +11,7 @@ import (
 // explored, instead of being ignored.
 func TestArrayOTSymmetryIsAUsageError(t *testing.T) {
 	cfg := specConfig{specName: "arrayot", symmetry: true}
-	err := run(context.Background(), cfg, "", false, 1, 0, "levelsync", false, "", 0, "", 0, 0, "")
+	err := run(context.Background(), cfg, "", false, 1, 0, false, "", 0, "", 0, 0, "")
 	if !errors.Is(err, errUsage) {
 		t.Fatalf("run = %v, want a usage error", err)
 	}

@@ -16,68 +16,62 @@ func testConfig() Config {
 	return Config{Initial: []int{1, 2, 3}, Clients: 2, OpsPerClient: 1, Transformer: ot.NewTransformer(nil, false)}
 }
 
-// TestCancelInterruptsBothSchedulers cancels mid-exploration of the
-// array_ot spec on the level-synchronized and the work-stealing scheduler:
-// both must wind down cooperatively with a partial result — the
-// work-stealing loop has no level barrier, so its stop points are its own.
-func TestCancelInterruptsBothSchedulers(t *testing.T) {
-	for _, sched := range []tla.Schedule{tla.ScheduleLevelSync, tla.ScheduleWorkSteal} {
-		ctx, cancel := context.WithCancel(context.Background())
-		spec := Spec(DefaultConfig()) // 5 clients: large enough to interrupt reliably
-		var calls atomic.Int64
-		for i := range spec.Actions {
-			next := spec.Actions[i].Next
-			spec.Actions[i].Next = func(s State) []State {
-				if calls.Add(1) >= 300 {
-					cancel()
-					time.Sleep(2 * time.Millisecond)
-				}
-				return next(s)
+// TestCancelInterrupts cancels mid-exploration of the array_ot spec: the
+// run must wind down cooperatively with a partial result.
+func TestCancelInterrupts(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	spec := Spec(DefaultConfig()) // 5 clients: large enough to interrupt reliably
+	var calls atomic.Int64
+	for i := range spec.Actions {
+		next := spec.Actions[i].Next
+		spec.Actions[i].Next = func(s State) []State {
+			if calls.Add(1) >= 300 {
+				cancel()
+				time.Sleep(2 * time.Millisecond)
 			}
+			return next(s)
 		}
-		res, err := tla.Check(spec, tla.Options{Workers: 4, Schedule: sched, Context: ctx})
-		cancel()
-		if !errors.Is(err, tla.ErrInterrupted) {
-			t.Fatalf("sched=%v: err = %v, want an interrupted run", sched, err)
-		}
-		if !res.Interrupted || res.Distinct == 0 {
-			t.Fatalf("sched=%v: partial result = %+v, want Interrupted with states counted", sched, res)
-		}
+	}
+	res, err := tla.Check(spec, tla.Options{Workers: 4, Context: ctx})
+	cancel()
+	if !errors.Is(err, tla.ErrInterrupted) {
+		t.Fatalf("err = %v, want an interrupted run", err)
+	}
+	if !res.Interrupted || res.Distinct == 0 {
+		t.Fatalf("partial result = %+v, want Interrupted with states counted", res)
 	}
 }
 
 // TestSpecPanicIsolatedOnRealSpec injects a panic into an array_ot action —
-// the repository's heaviest states and encodings — and requires both
-// schedulers to recover it as a structured tla.ErrSpecPanic with a
+// the repository's heaviest states and encodings — and requires the
+// engine to recover it as a structured tla.ErrSpecPanic with a
 // non-empty decoded trace, instead of crashing the worker pool.
 func TestSpecPanicIsolatedOnRealSpec(t *testing.T) {
-	for _, sched := range []tla.Schedule{tla.ScheduleLevelSync, tla.ScheduleWorkSteal} {
-		spec := Spec(testConfig())
-		var calls atomic.Int64
-		i := len(spec.Actions) - 1
-		next := spec.Actions[i].Next
-		spec.Actions[i].Next = func(s State) []State {
-			if calls.Add(1) == 20 {
-				panic("injected spec bug")
-			}
-			return next(s)
+	spec := Spec(testConfig())
+	var calls atomic.Int64
+	i := len(spec.Actions) - 1
+	next := spec.Actions[i].Next
+	spec.Actions[i].Next = func(s State) []State {
+		if calls.Add(1) == 20 {
+			panic("injected spec bug")
 		}
-		res, err := tla.Check(spec, tla.Options{Workers: 4, Schedule: sched})
-		if !errors.Is(err, tla.ErrSpecPanic) {
-			t.Fatalf("sched=%v: err = %v, want a recovered spec panic", sched, err)
-		}
-		var sp *tla.SpecPanic[State]
-		if !errors.As(err, &sp) {
-			t.Fatalf("sched=%v: err type = %T, want *tla.SpecPanic", sched, err)
-		}
-		if len(sp.Trace) == 0 {
-			t.Fatalf("sched=%v: recovered panic carries no trace", sched)
-		}
-		if sp.Stack == "" {
-			t.Fatalf("sched=%v: recovered panic carries no stack", sched)
-		}
-		if res == nil || res.Violation != nil {
-			t.Fatalf("sched=%v: partial result = %+v, want one without a violation", sched, res)
-		}
+		return next(s)
+	}
+	res, err := tla.Check(spec, tla.Options{Workers: 4})
+	if !errors.Is(err, tla.ErrSpecPanic) {
+		t.Fatalf("err = %v, want a recovered spec panic", err)
+	}
+	var sp *tla.SpecPanic[State]
+	if !errors.As(err, &sp) {
+		t.Fatalf("err type = %T, want *tla.SpecPanic", err)
+	}
+	if len(sp.Trace) == 0 {
+		t.Fatalf("recovered panic carries no trace")
+	}
+	if sp.Stack == "" {
+		t.Fatalf("recovered panic carries no stack")
+	}
+	if res == nil || res.Violation != nil {
+		t.Fatalf("partial result = %+v, want one without a violation", res)
 	}
 }

@@ -102,9 +102,9 @@ type Config struct {
 	// jobs that do not set their own (0 = resident).
 	MemBudgetPerJob int64
 	// ProgressEvery is the cadence of each running job's progress
-	// snapshots (default 1s). Time-based progress works under both engine
-	// schedulers — the level-boundary callback never fires under
-	// work-stealing — so this is what keeps states/sec live on every job.
+	// snapshots (default 1s): a clock, not the level boundaries, paces
+	// them, so every job reports at the same rate however long its levels
+	// take.
 	ProgressEvery time.Duration
 	// FS routes the engine's durable I/O; nil = the real filesystem.
 	// Tests plug a tla.FaultFS here to exercise the retry policies.
@@ -600,8 +600,7 @@ func (s *Supervisor) buildOptions(j *job, ctx context.Context, resume bool) tla.
 	opts.FS = s.cfg.FS
 	opts.Context = ctx
 	opts.CheckpointMeta = map[string]string{"job_id": j.id, "spec": j.req.Spec}
-	// Time-based progress (not the level-boundary callback): states/sec
-	// stays live under both engine schedulers.
+	// Time-based progress, paced by ProgressEvery.
 	opts.Progress = func(p tla.Progress) { j.observeProgress(p, s.cfg.Now()) }
 	opts.ProgressEvery = s.cfg.ProgressEvery
 	opts.Metrics = j.registry()

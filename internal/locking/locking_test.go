@@ -123,6 +123,25 @@ func TestSpecThreeActors(t *testing.T) {
 	t.Logf("Locking spec (3 actors): %d states", res.Distinct)
 }
 
+// TestDepthIsExact pins the five-actor space at every worker count: its
+// counts and its BFS depth, which every run reports exactly — the depth of
+// the deepest state's shortest path, not the depth it happened to be
+// discovered at.
+func TestDepthIsExact(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("the five-actor space in -short mode or under the race detector")
+	}
+	for _, w := range []int{1, 2, 4} {
+		res, err := tla.Check(Spec(SpecConfig{Actors: 5}), tla.Options{Workers: w})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if res.Distinct != 296263 || res.Transitions != 2712240 || res.Depth != 15 {
+			t.Fatalf("workers=%d: %d states, %d transitions, depth %d; want 296263, 2712240, 15", w, res.Distinct, res.Transitions, res.Depth)
+		}
+	}
+}
+
 // TestManagerConformsToSpec: random manager histories stay within the
 // specification's reachable safety envelope (a lightweight MBTC at module
 // level — the unit-scale trace-checking the paper's §6 recommends).

@@ -55,7 +55,7 @@ type TestCase struct {
 // graph, which never re-reads the file it wrote; the cases equal what
 // FromDOT extracts from that file. The full checker Result rides along, so
 // callers can inspect the counters or the violation. opts are the checker
-// options — worker count, schedule, memory budget; RecordGraph is forced
+// options — worker count, memory budget; RecordGraph is forced
 // on: the pipeline is the graph dump. The cases are identical under every
 // option combination the engine accepts. With opts.StateArena the graph is
 // served from the checker's retained-state arena — under a

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sync/atomic"
 )
 
 // This file implements the retained-state arena: the answer to the memory
@@ -75,56 +74,61 @@ type arenaSeg struct {
 }
 
 // stateArena is the append-only retained-state store. It is single-owner:
-// the level-synchronized engine touches it from its driver goroutine —
-// except that its merge's settle pass writes the records of a level's new
-// states, each at its own id, from the workers — and the work-stealing
-// engine serializes access under its registration lock.
+// the engine touches it from its driver goroutine — except that its
+// merge's settle pass writes the records of a level's new states, each at
+// its own id, from the workers.
 type stateArena struct {
 	budget   int64 // 0 = never spill
 	fsys     FS
-	em       *engineMetrics // nil-safe observability sink
-	meta     []arenaMeta
-	segs     []arenaSeg // encodings (arena mode only)
-	edgeSegs []arenaSeg // a recorded graph's fixed arenaEdgeBytes edge records
-	resident int64      // encoding + edge bytes currently held in memory
+	em       *engineMetrics   // nil-safe observability sink
+	meta     pages[arenaMeta] // by state id; grown without copying
+	n        int              // the states recorded: meta[:n]
+	segs     []arenaSeg       // encodings (arena mode only)
+	edgeSegs []arenaSeg       // a recorded graph's fixed arenaEdgeBytes edge records
+	resident int64            // encoding + edge bytes currently held in memory
 	file     File
 	fileSize int64
 	degraded bool // a persistent spill-write failure switched to live retention of segments
 
-	// spilledAtomic mirrors fileSize for lock-free readers: the arena is
-	// single-owner, but the work-stealing progress ticker samples spill
-	// volume from outside the registration lock.
-	spilledAtomic atomic.Int64
-
 	edgeCount int
-	lastFrom  int  // highest From appended so far; -1 before the first edge
-	edgesMono bool // From values arrived in nondecreasing order (level-sync)
 }
 
 func newStateArena(budget int64, fsys FS, em *engineMetrics) *stateArena {
-	return &stateArena{budget: budget, fsys: resolveFS(fsys), em: em, lastFrom: -1, edgesMono: true}
+	return &stateArena{budget: budget, fsys: resolveFS(fsys), em: em}
 }
 
 // arenaEdgeBytes is the fixed size of one recorded edge: from uint32,
 // action index uint16, to uint32, all little-endian.
 const arenaEdgeBytes = 10
 
-func (a *stateArena) len() int { return len(a.meta) }
+func (a *stateArena) len() int { return a.n }
+
+// rec returns state id's record.
+func (a *stateArena) rec(id int) *arenaMeta { return a.meta.at(id) }
+
+// setLen makes the arena hold n records, reserving pages for them; the
+// merge's settle pass fills a level's records in place, and the records
+// past a cut are dropped with a shorter n.
+func (a *stateArena) setLen(n int) {
+	a.meta.reserve(n)
+	a.n = n
+}
 
 // add appends one state's parent link and, when enc is non-empty, its
 // canonical encoding. The caller's id for the record is the arena's current
 // length before the call; enc is copied, so it may alias a codec's scratch
 // buffer.
 func (a *stateArena) add(enc []byte, parent int, act uint16, depth int) {
-	a.meta = append(a.meta, arenaMeta{parent: int32(parent), depth: int32(depth), act: act})
-	a.store(len(a.meta)-1, enc)
+	a.setLen(a.n + 1)
+	*a.rec(a.n - 1) = arenaMeta{parent: int32(parent), depth: int32(depth), act: act}
+	a.store(a.n-1, enc)
 }
 
 // store appends the encoding of state id, whose record exists, and points
 // the record at it; an empty enc stores nothing.
 func (a *stateArena) store(id int, enc []byte) {
 	if len(enc) > 0 {
-		m := &a.meta[id]
+		m := a.rec(id)
 		m.seg, m.off = a.appendSeg(&a.segs, enc)
 		m.n = uint32(len(enc))
 	}
@@ -138,11 +142,6 @@ func (a *stateArena) addEdge(from int, act uint16, to int) {
 	binary.LittleEndian.PutUint16(rec[4:6], act)
 	binary.LittleEndian.PutUint32(rec[6:10], uint32(to))
 	a.edgeCount++
-	if from < a.lastFrom {
-		a.edgesMono = false
-	} else {
-		a.lastFrom = from
-	}
 	a.appendSeg(&a.edgeSegs, rec[:])
 }
 
@@ -278,7 +277,6 @@ func (a *stateArena) flush() {
 			}
 			seg.fileOff = a.fileSize
 			a.fileSize += int64(seg.size)
-			a.spilledAtomic.Store(a.fileSize)
 			seg.buf = nil
 			seg.spilled = true
 			a.resident -= int64(seg.size)
@@ -292,15 +290,10 @@ func (a *stateArena) flush() {
 // only, like add/flush.
 func (a *stateArena) residentBytes() int64 { return a.resident }
 
-// spilledBytesAtomic reports the bytes written to the spill file via the
-// lock-free mirror of fileSize — safe from any goroutine, which is what
-// the work-stealing progress ticker needs.
-func (a *stateArena) spilledBytesAtomic() int64 { return a.spilledAtomic.Load() }
-
 // encoding appends state id's canonical encoding to buf and returns the
 // extended slice (a copy; see readSeg).
 func (a *stateArena) encoding(id int, buf []byte) ([]byte, error) {
-	m := a.meta[id]
+	m := *a.rec(id)
 	if m.n == 0 {
 		return buf, nil
 	}
@@ -421,9 +414,8 @@ func (r *retainer[S]) retainLive(id int, s S) {
 }
 
 // stateOf returns the live value of a not-yet-expanded state. Safe for
-// concurrent readers while no add/retainLive/release runs (the
-// level-synchronized expansion phase); the work-stealing engine serializes
-// calls under its registration lock instead.
+// concurrent readers while no add/retainLive/release runs (the expansion
+// phase).
 func (r *retainer[S]) stateOf(id int) S {
 	if r.decode {
 		return r.window[id]
@@ -431,7 +423,7 @@ func (r *retainer[S]) stateOf(id int) S {
 	return *r.live.at(id)
 }
 
-func (r *retainer[S]) depthOf(id int) int { return int(r.arena.meta[id].depth) }
+func (r *retainer[S]) depthOf(id int) int { return int(r.arena.rec(id).depth) }
 
 // release drops the live value of an expanded state (arena mode; live mode
 // retains by design).
@@ -476,7 +468,7 @@ func (r *retainer[S]) stateAt(cod *codec[S], id int) (S, error) {
 // walking the parent links and reading each state on the chain.
 func (r *retainer[S]) trace(cod *codec[S], id int) ([]S, []string, error) {
 	var rev []int
-	for i := id; i >= 0; i = int(r.arena.meta[i].parent) {
+	for i := id; i >= 0; i = int(r.arena.rec(i).parent) {
 		rev = append(rev, i)
 	}
 	trace := make([]S, 0, len(rev))
@@ -488,7 +480,7 @@ func (r *retainer[S]) trace(cod *codec[S], id int) ([]S, []string, error) {
 			return nil, nil, err
 		}
 		if i < len(rev)-1 {
-			acts = append(acts, r.acts[r.arena.meta[sid].act])
+			acts = append(acts, r.acts[r.arena.rec(sid).act])
 		}
 		trace = append(trace, s)
 	}

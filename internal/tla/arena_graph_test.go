@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -91,58 +90,6 @@ func TestArenaGraphMatchesResident(t *testing.T) {
 				t.Fatalf("%s: second Close: %v", label, err)
 			}
 		}
-	}
-}
-
-// keyEdges projects a graph's edges onto state keys — the id-independent
-// form work-steal runs (nondeterministic numbering) are compared in.
-func keyEdges[S State](t *testing.T, g *Graph[S]) []string {
-	t.Helper()
-	var out []string
-	if err := g.ForEachEdge(func(e Edge) error {
-		out = append(out, g.KeyAt(e.From)+" -"+e.Action+"-> "+g.KeyAt(e.To))
-		return nil
-	}); err != nil {
-		t.Fatalf("ForEachEdge: %v", err)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TestArenaGraphWorkSteal: the work-steal schedule records the arena graph
-// too; state numbering is nondeterministic, so the comparison with the
-// level-sync run is on key-projected edges.
-func TestArenaGraphWorkSteal(t *testing.T) {
-	const max = 15
-	want, err := Check(binSpec(max, false), Options{RecordGraph: true})
-	if err != nil {
-		t.Fatalf("levelsync: %v", err)
-	}
-	got, err := Check(binSpec(max, false), Options{
-		RecordGraph: true, StateArena: true, Schedule: ScheduleWorkSteal, Workers: 4,
-	})
-	if err != nil {
-		t.Fatalf("worksteal: %v", err)
-	}
-	if got.Graph.Len() != want.Graph.Len() {
-		t.Fatalf("worksteal graph = %d nodes, want %d", got.Graph.Len(), want.Graph.Len())
-	}
-	gk, wk := keyEdges(t, got.Graph), keyEdges(t, want.Graph)
-	if len(gk) != len(wk) {
-		t.Fatalf("worksteal graph = %d edges, want %d", len(gk), len(wk))
-	}
-	for i := range wk {
-		if gk[i] != wk[i] {
-			t.Fatalf("edge %d: %q, want %q", i, gk[i], wk[i])
-		}
-	}
-	// The DOT renderer must cope with nondecreasing-From being false.
-	var buf bytes.Buffer
-	if err := got.Graph.WriteDOT(&buf, "bincounter"); err != nil {
-		t.Fatalf("WriteDOT: %v", err)
-	}
-	if err := got.Graph.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
 	}
 }
 

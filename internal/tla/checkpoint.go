@@ -97,8 +97,6 @@ type ckManifest struct {
 	EdgeSegSizes []int    `json:"edge_seg_sizes,omitempty"`
 	EdgesFile    string   `json:"edges_file,omitempty"`
 	EdgeCount    int      `json:"edge_count,omitempty"`
-	EdgesMono    bool     `json:"edges_mono,omitempty"`
-	EdgeLastFrom int      `json:"edge_last_from,omitempty"`
 	Inits        []int    `json:"inits,omitempty"`
 	Files        []string `json:"files"`
 }
@@ -146,7 +144,7 @@ func specFingerprint[S State](spec *Spec[S]) uint64 {
 }
 
 // optionsFingerprint hashes the options that change what a run explores or
-// how states are encoded; worker counts, schedules and budgets may differ
+// how states are encoded; worker counts and budgets may differ
 // between the checkpointing and the resuming run without affecting the
 // result, so they are deliberately not hashed. PartialOrder is: a pruned
 // run's frontier and visited set describe the reduced space, and resuming
@@ -161,7 +159,7 @@ func optionsFingerprint(o Options) uint64 {
 // Fingerprint hashes the result-shaping options — the exact hash checkpoint
 // manifests record as options_fp, so two option sets with equal
 // fingerprints produce interchangeable verdicts (and resumable
-// checkpoints) for the same spec. Worker counts, schedules, budgets and
+// checkpoints) for the same spec. Worker counts, budgets and
 // checkpoint paths deliberately do not contribute; see the manifest
 // validation in resumeRun. Exported for verdict caches keyed on
 // (spec, config, options) — see internal/checkd.
@@ -185,7 +183,7 @@ func writeCheckpoint[S State](ck *checkpointer, spec *Spec[S], opts Options, ret
 	}
 
 	metaName := prefix + "arena.meta"
-	if err := ck.em.retry("checkpoint", func() error { return writeArenaMeta(fsys, filepath.Join(ck.dir, metaName), a.meta) }); err != nil {
+	if err := ck.em.retry("checkpoint", func() error { return writeArenaMeta(fsys, filepath.Join(ck.dir, metaName), a) }); err != nil {
 		return "", err
 	}
 	files = append(files, metaName)
@@ -240,8 +238,6 @@ func writeCheckpoint[S State](ck *checkpointer, spec *Spec[S], opts Options, ret
 		m.EdgeSegSizes = segSizes(a.edgeSegs)
 		m.EdgesFile = edgesName
 		m.EdgeCount = a.edgeCount
-		m.EdgesMono = a.edgesMono
-		m.EdgeLastFrom = a.lastFrom
 		m.Inits = append([]int(nil), res.Graph.Inits...)
 	}
 	blob, err := json.MarshalIndent(&m, "", "  ")
@@ -272,7 +268,7 @@ func writeCheckpoint[S State](ck *checkpointer, spec *Spec[S], opts Options, ret
 
 // writeArenaMeta writes the arena's per-state records as fixed-width
 // ckMetaRecSize rows, removing the partial file on any failure.
-func writeArenaMeta(fsys FS, path string, meta []arenaMeta) error {
+func writeArenaMeta(fsys FS, path string, a *stateArena) error {
 	f, err := fsys.Create(path)
 	if err != nil {
 		return err
@@ -284,7 +280,8 @@ func writeArenaMeta(fsys FS, path string, meta []arenaMeta) error {
 	}
 	w := bufio.NewWriterSize(f, 1<<16)
 	var buf [ckMetaRecSize]byte
-	for _, m := range meta {
+	for id := range a.len() {
+		m := a.rec(id)
 		binary.LittleEndian.PutUint32(buf[0:], uint32(m.parent))
 		binary.LittleEndian.PutUint32(buf[4:], uint32(m.depth))
 		binary.LittleEndian.PutUint16(buf[8:], m.act)
@@ -437,7 +434,10 @@ func restoreArena(a *stateArena, fsys FS, dir string, m *ckManifest, graph bool)
 	if len(meta) != m.Distinct {
 		return fmt.Errorf("%w: arena meta holds %d states, manifest says %d", ErrBadCheckpoint, len(meta), m.Distinct)
 	}
-	a.meta = meta
+	a.setLen(len(meta))
+	for id, m := range meta {
+		*a.rec(id) = m
+	}
 	dataTotal := int64(0)
 	for _, sz := range m.SegSizes {
 		a.segs = append(a.segs, arenaSeg{fileOff: dataTotal, size: sz, spilled: true})
@@ -450,8 +450,6 @@ func restoreArena(a *stateArena, fsys FS, dir string, m *ckManifest, graph bool)
 			edgeTotal += int64(sz)
 		}
 		a.edgeCount = m.EdgeCount
-		a.edgesMono = m.EdgesMono
-		a.lastFrom = m.EdgeLastFrom
 	}
 	if dataTotal+edgeTotal == 0 {
 		return nil
@@ -521,8 +519,8 @@ func reconstructStates[S State](cod *codec[S], ret *retainer[S], ids []int) (map
 	states := make(map[int]S, len(ids))
 	var enc []byte
 	for _, id := range ids {
-		if id < 0 || id >= len(ret.arena.meta) {
-			return nil, fmt.Errorf("%w: frontier references state %d of %d", ErrBadCheckpoint, id, len(ret.arena.meta))
+		if id < 0 || id >= ret.arena.len() {
+			return nil, fmt.Errorf("%w: frontier references state %d of %d", ErrBadCheckpoint, id, ret.arena.len())
 		}
 		var err error
 		enc, err = ret.arena.encoding(id, enc[:0])

@@ -140,12 +140,11 @@ func (g *Graph[S]) formatDOTBlock(buf []byte, b int, inits []bool) (part dotPart
 }
 
 // writeDOTEdges emits the edges in (From, To, Action) order, building each
-// line in line's storage. A graph whose edges were recorded with
-// nondecreasing From (every level-sync run: frontier ids ascend across
-// levels) streams one From-block at a time — sorting each contiguous
-// block by (To, Action) is exactly the global order, without ever
-// materializing the full edge list. A work-stealing graph's list is
-// materialized and sorted whole.
+// line in line's storage. Edges are recorded with nondecreasing From — a
+// level expands its frontier in id order, and ids ascend across levels,
+// a resumed run's included — so the list streams one From-block at a
+// time: sorting each contiguous block by (To, Action) is exactly the
+// global order, without ever materializing the full edge list.
 func (g *Graph[S]) writeDOTEdges(bw *bufio.Writer, line []byte) error {
 	emit := func(edges []Edge) {
 		slices.SortFunc(edges, compareEdges)
@@ -156,13 +155,9 @@ func (g *Graph[S]) writeDOTEdges(bw *bufio.Writer, line []byte) error {
 			bw.Write(line)
 		}
 	}
-	mono := g.ret.arena.edgesMono
 	var block []Edge
-	if !mono {
-		block = make([]Edge, 0, g.NumEdges())
-	}
 	if err := g.ForEachEdge(func(e Edge) error {
-		if mono && len(block) > 0 && e.From != block[0].From {
+		if len(block) > 0 && e.From != block[0].From {
 			emit(block)
 			block = block[:0]
 		}

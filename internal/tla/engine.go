@@ -1,10 +1,11 @@
 package tla
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,10 +18,12 @@ import (
 //   - Expansion (parallel): the frontier is cut into contiguous chunks and
 //     a pool of workers expands them, probing every successor's canonical
 //     encoding in the visited set (lock-free with fingerprints) and
-//     recording every successor the probe misses. Next, encoding,
-//     symmetry canonicalization and hashing all happen here; nothing
-//     inserts. At Workers == 1 the same code runs inline on one
-//     chunk: the sequential oracle is the engine at its narrowest setting.
+//     buffering the successors the probe misses — each once per chunk:
+//     a later occurrence of an encoding the chunk already buffered shares
+//     that miss (see chunkOut.addMiss). Next, encoding, symmetry
+//     canonicalization and hashing all happen here; nothing inserts. At
+//     Workers == 1 the same code runs inline on one chunk: the sequential
+//     oracle is the engine at its narrowest setting.
 //
 //   - Merge: passes over the same chunks that settle the level in merge
 //     order — chunk, frontier position, emission position, the order a
@@ -47,8 +50,9 @@ import (
 
 // candidate is one successor awaiting the merge, in 8 bytes: its action
 // (an index into Spec.Actions) and the probe's answer — the id on a hit,
-// ^i on a miss, whose state is the chunk's succs.at(i). (State ids are
-// 32-bit throughout: the arena's links and edge records are too.)
+// ^i on a miss, whose state is the chunk's succs.at(i); several candidates
+// may share a miss. (State ids are 32-bit throughout: the arena's links
+// and edge records are too.)
 type candidate struct {
 	id, act int32
 }
@@ -60,16 +64,15 @@ type chunkOut[S State] struct {
 	lo, hi int // the chunk's range of the frontier
 	cands  []candidate
 	states []expanded // per frontier state of the chunk
-	misses []miss     // probe misses, one per successor, in probe order
+	misses []miss     // probe misses, in merge order, shared ones once
 	succs  pages[S]   // the misses' states, by miss index
-	keys   []byte     // the misses' canonical encodings, back to back
+	keys   []byte     // the misses' canonical encodings, back to back, if kept
 
 	base     int                  // index of misses[0] in levelSync.missIDs
-	order    []pick               // route: the misses to claim, in merge order
-	route    []int32              // route: order's misses grouped by shard
+	route    []int32              // route: the routed misses grouped by shard
 	shardEnd [visitedShards]int32 // route: shard s's end in route
 	first    int                  // settle: the id of the chunk's first winner
-	won      []pick               // settle: the winners numbered, in id order
+	won      []int32              // settle: the winning misses numbered, in id order
 	done     int                  // settle: won[:done] are placed and linked
 	depth    int                  // settle: their depth
 	passed   int                  // settle: won[:passed] passed their verdict
@@ -78,6 +81,34 @@ type chunkOut[S State] struct {
 	violInv  string               // settle: the invariant won[passed] violated,
 	violErr  error                // and how
 	pi       *panicInfo           // settle: the spec panic settling won[passed] raised
+}
+
+// miss is a successor the probe did not find, created by a candidate —
+// the chunk's frontier state src reaching it by the Spec.Actions index act
+// — and shared by the later candidates that reach the same state (see
+// addMiss): its fingerprint and the end of its encoding in the chunk's
+// keys (it starts where the previous miss's ends; nothing is kept when
+// the merge reads no encoding, and sharing then goes by fingerprint, as
+// the visited set's claim does). within is whether the successor is inside
+// the constraint, once evaluated; routed marks the misses of processed
+// candidates, which the merge claims. A miss's first processed candidate
+// is the one that created it, so the routed misses in index order are in
+// merge order.
+type miss struct {
+	fp       uint64
+	end      int32
+	src, act int32
+	within   bool
+	routed   bool
+}
+
+// missKey returns the encoding of misses[i] in keys.
+func missKey(misses []miss, keys []byte, i int) []byte {
+	lo := int32(0)
+	if i > 0 {
+		lo = misses[i-1].end
+	}
+	return keys[lo:misses[i].end]
 }
 
 // miss returns the fingerprint and canonical encoding of probe miss i.
@@ -93,11 +124,6 @@ func (o *chunkOut[S]) shardMisses(s int) []int32 {
 	}
 	return o.route[lo:o.shardEnd[s]]
 }
-
-// pick is a miss the merge claims, from its processed candidate: the miss,
-// the chunk-relative frontier state and the Spec.Actions index of the
-// candidate.
-type pick struct{ miss, src, act int32 }
 
 // expanded is one frontier state's share of a chunk's candidates: n
 // successors, the first k of them ample (-1: not pruned; see
@@ -197,8 +223,8 @@ type levelSync[S State] struct {
 	// Per miss g from each chunk's base: the claim's answer (winner, the
 	// winning miss's placeholder, a restored id), then a winner's id.
 	// winsBy[c*visitedShards+s]: chunk c's winners in shard s.
-	missIDs []int
-	winsBy  []int
+	missIDs []int32
+	winsBy  []int32
 
 	// phaseExpand and phaseMerge time the expansion and the merge of the
 	// level that produced the current frontier.
@@ -210,18 +236,10 @@ const winner = -1
 
 // runEngine is the level-synchronized driver behind Check: one
 // implementation for every worker count and visited-set mode.
-// (ScheduleWorkSteal runs the barrier-free driver in schedule.go instead.)
 func runEngine[S State](spec *Spec[S], opts Options, workers int, vs *visitedSet, em *engineMetrics) (res *Result[S], err error) {
-	l := &levelSync[S]{explorer: newExplorer(spec, opts, workers, em), vs: vs, fr: newLevelFrontier()}
+	l := newLevelSync(spec, opts, workers, vs, em)
 	defer func() { l.close(err) }()
-	for _, x := range l.xs {
-		x.vs = vs
-	}
-	if opts.CheckpointDir != "" {
-		l.ck = newCheckpointer(opts)
-		l.ck.em = em
-	}
-	l.startProgress(nil)
+	l.startProgress()
 	// The driver goroutine runs its spec callbacks (Init, resume decoding)
 	// under worker 0's guard: the inline worker 0 never runs at the same
 	// time.
@@ -233,6 +251,21 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs *visitedSet
 		l.res.DegradedMemory = true
 	}
 	return l.finish()
+}
+
+// newLevelSync sets up a run over the visited set vs: the shared core, the
+// frontier, the checkpointer, and each expander's probe target.
+func newLevelSync[S State](spec *Spec[S], opts Options, workers int, vs *visitedSet, em *engineMetrics) *levelSync[S] {
+	l := &levelSync[S]{explorer: newExplorer(spec, opts, workers, em), vs: vs, fr: newLevelFrontier()}
+	for _, x := range l.xs {
+		x.vs = vs
+		x.keys = vs.keyed || (l.ret.decode && l.cod.sym == nil)
+	}
+	if opts.CheckpointDir != "" {
+		l.ck = newCheckpointer(opts)
+		l.ck.em = em
+	}
+	return l
 }
 
 // explore registers the initial states (or restores a checkpoint) and runs
@@ -345,7 +378,7 @@ func (l *levelSync[S]) registerInit(s S) (int, bool) {
 	if id, ok := l.vs.probe(fp, enc); ok {
 		return id, true
 	}
-	id, err := l.install(x, s, enc, -1, 0, 0)
+	id, err := l.install(x, s, enc)
 	if err != nil {
 		l.fail(err)
 		return -1, false
@@ -421,9 +454,8 @@ func (l *levelSync[S]) report(frontier []int, level int) {
 
 // expandLevel expands every frontier state into per-chunk candidates, in
 // parallel. Each miss lands in the chunk's miss table, its state in succs,
-// in probe order (under POR not the ample-first emission order). A spec
-// panic is parked as the run's panic, which stops the other workers at
-// their next poll.
+// in emission order. A spec panic is parked as the run's panic, which
+// stops the other workers at their next poll.
 func (l *levelSync[S]) expandLevel(frontier []int) (chunkPlan, []chunkOut[S]) {
 	plan := planChunks(len(frontier), len(l.xs))
 	if n := plan.nChunks - cap(l.outs); n > 0 {
@@ -434,32 +466,118 @@ func (l *levelSync[S]) expandLevel(frontier []int) (chunkPlan, []chunkOut[S]) {
 		x, out := l.xs[w], &outs[c]
 		defer l.recoverSpec(&x.g)
 		out.worker, out.lo, out.hi = w, lo, hi
-		out.cands, out.states = out.cands[:0], out.states[:0]
-		x.misses, x.keys = out.misses[:0], out.keys[:0] // the expander appends the chunk's misses
+		out.cands, out.states, out.misses, out.keys = out.cands[:0], out.states[:0], out.misses[:0], out.keys[:0]
+		x.seen.reset()
 		for _, id := range frontier[lo:hi] {
 			if l.stop.Load() {
 				break
 			}
 			n, k := x.expand(l.ret.stateOf(id), id)
-			for t, sid := range x.ids {
-				if sid < 0 {
-					out.succs.reserve(^sid + 1)
-					*out.succs.at(^sid) = x.succs[t]
-				}
-			}
 			for j, t := range x.order {
 				sid := x.ids[t]
-				if j < k && sid < 0 { // the route pass's witness needs an ample miss's constraint
-					x.misses[^sid].within = l.within(x, x.succs[t], id)
+				if sid < 0 {
+					sid = ^out.addMiss(x, t, k < 0 || j < k)
+					if j < k { // the route pass's witness needs an ample miss's constraint
+						out.misses[^sid].within = l.within(x, x.succs[t], id)
+					}
 				}
 				out.cands = push(out.cands, candidate{id: int32(sid), act: int32(x.acts[t])})
 			}
 			out.states = append(out.states, expanded{n: n, k: k})
 			l.em.observeFanout(n)
 		}
-		out.misses, out.keys = x.misses, x.keys
 	})
 	return plan, outs
+}
+
+// addMiss returns the chunk's miss for successor t of x, which missed the
+// probe. A successor the route pass always processes (share: one of a
+// fully expanded state or of an ample head) reuses the chunk's shared miss
+// with its encoding if there is one, and a miss it creates is shared from
+// then on. A deferred successor is processed only if its state's proviso
+// fails, so its miss is its own: a shared miss must hold the concrete
+// state of an occurrence the merge processes, and under symmetry another
+// occurrence of the same orbit can be a different state.
+func (o *chunkOut[S]) addMiss(x *expander[S], t int, share bool) int {
+	fp, enc := x.fps[t], x.enc(t)
+	if !x.keys {
+		enc = nil // kept by nothing, so shared by fingerprint
+	}
+	if share {
+		if i := x.seen.find(o.misses, o.keys, fp, enc); i >= 0 {
+			return i
+		}
+	}
+	i := len(o.misses)
+	o.keys = push(o.keys, enc...)
+	o.misses = push(o.misses, miss{fp: fp, end: int32(len(o.keys)), src: int32(len(o.states)), act: int32(x.acts[t])})
+	o.succs.reserve(i + 1)
+	*o.succs.at(i) = x.succs[t]
+	if share {
+		x.seen.add(o.misses, i)
+	}
+	return i
+}
+
+// missTable indexes the shared misses of the chunk an expander is
+// expanding: open addressing over miss indices, probed by fingerprint and
+// checked by bytes. Each slot carries the generation of the chunk that
+// wrote it, so moving on to the next chunk clears nothing.
+type missTable struct {
+	slots []missSlot
+	gen   uint32
+	n     int
+	shift uint // 64 - log2(len(slots)), as in fpTable
+}
+
+type missSlot struct{ gen, miss uint32 }
+
+// reset empties the table for the next chunk.
+func (t *missTable) reset() {
+	t.n = 0
+	if t.gen++; t.gen == 0 { // wrapped: a stale slot could look current
+		clear(t.slots)
+		t.gen = 1
+	}
+}
+
+// find returns the shared miss with fingerprint fp and encoding enc among
+// misses (encodings in keys), or -1.
+func (t *missTable) find(misses []miss, keys []byte, fp uint64, enc []byte) int {
+	if t.n == 0 {
+		return -1
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := (fp * fpMix) >> t.shift; t.slots[i].gen == t.gen; i = (i + 1) & mask {
+		if m := int(t.slots[i].miss); misses[m].fp == fp && bytes.Equal(missKey(misses, keys, m), enc) {
+			return m
+		}
+	}
+	return -1
+}
+
+// add indexes misses[m], doubling the table at half load.
+func (t *missTable) add(misses []miss, m int) {
+	if 2*(t.n+1) > len(t.slots) {
+		old, size := t.slots, max(2*len(t.slots), 1024)
+		t.slots, t.shift = make([]missSlot, size), uint(64-bits.TrailingZeros(uint(size)))
+		for _, s := range old {
+			if s.gen == t.gen {
+				t.put(misses[s.miss].fp, s.miss)
+			}
+		}
+	}
+	t.put(misses[m].fp, uint32(m))
+	t.n++
+}
+
+func (t *missTable) put(fp uint64, m uint32) {
+	mask := uint64(len(t.slots) - 1)
+	i := (fp * fpMix) >> t.shift
+	for t.slots[i].gen == t.gen {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = missSlot{gen: t.gen, miss: m}
 }
 
 // merge settles a level in merge order (see the file comment). false ends
@@ -485,7 +603,7 @@ func (l *levelSync[S]) merge(plan chunkPlan, frontier []int, outs []chunkOut[S])
 	for c := range outs {
 		outs[c].first = next
 		for _, w := range l.winsBy[c*visitedShards : (c+1)*visitedShards] {
-			next += w
+			next += int(w)
 		}
 	}
 	if l.opts.MaxStates > 0 {
@@ -496,27 +614,28 @@ func (l *levelSync[S]) merge(plan chunkPlan, frontier []int, outs []chunkOut[S])
 	}
 	// settle writes each winner's link record at its id; the tail truncates
 	// the table to the states the level installs.
-	l.ret.arena.meta = slices.Grow(l.ret.arena.meta, next-base)[:next]
+	l.ret.arena.setLen(next)
 	plan.run(func(w, c, lo, hi int) { l.settle(l.xs[w], &outs[c], frontier[lo:hi]) })
 	return l.tail(frontier, outs)
 }
 
-// resize returns s with length n, reallocated only when it lacks the
-// capacity.
+// resize returns s with length n, and its contents only when it had the
+// capacity; otherwise a new slice with room for 2n, so that a buffer sized
+// for each wider level is reallocated a logarithmic number of times.
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, 2*n)
 	}
 	return s[:n]
 }
 
-// route lists, in merge order and then grouped by shard, the misses of
-// chunk out's processed candidates: all of them, or a state's ample head
-// if its cycle proviso (por.go) holds. The witness is an ample miss not
-// restored from disk — new to the level, so it gets an id at or past the
-// level's first — and inside the constraint, so the next level expands it.
+// route marks the misses of chunk out's processed candidates — all of
+// them, or a state's ample head if its cycle proviso (por.go) holds — and
+// lists them grouped by shard, in merge order within each. The witness is
+// an ample miss not restored from disk — new to the level, so it gets an
+// id at or past the level's first — and inside the constraint, so the next
+// level expands it.
 func (l *levelSync[S]) route(out *chunkOut[S], restored bool) {
-	out.order = out.order[:0]
 	ci := 0
 	for si := range out.states {
 		st := &out.states[si]
@@ -539,24 +658,28 @@ func (l *levelSync[S]) route(out *chunkOut[S], restored bool) {
 		}
 		for _, c := range cands {
 			if c.id < 0 {
-				out.order = push(out.order, pick{miss: ^c.id, src: int32(si), act: c.act})
+				out.misses[^c.id].routed = true
 			}
 		}
 	}
 	var start [visitedShards]int32 // a stable counting sort by shard
-	for _, p := range out.order {
-		start[out.misses[p.miss].fp&(visitedShards-1)]++
+	for i := range out.misses {
+		if m := &out.misses[i]; m.routed {
+			start[m.fp&(visitedShards-1)]++
+		}
 	}
 	var sum int32
 	for s, n := range start {
 		start[s], sum = sum, sum+n
 		out.shardEnd[s] = sum
 	}
-	out.route = resize(out.route, len(out.order))
-	for _, p := range out.order {
-		s := out.misses[p.miss].fp & (visitedShards - 1)
-		out.route[start[s]] = p.miss
-		start[s]++
+	out.route = resize(out.route, int(sum))
+	for i := range out.misses {
+		if m := &out.misses[i]; m.routed {
+			s := m.fp & (visitedShards - 1)
+			out.route[start[s]] = int32(i)
+			start[s]++
+		}
 	}
 }
 
@@ -566,7 +689,7 @@ func (l *levelSync[S]) route(out *chunkOut[S], restored bool) {
 func (l *levelSync[S]) claimShard(s int, outs []chunkOut[S]) {
 	for c := range outs {
 		out := &outs[c]
-		won := 0
+		won := int32(0)
 		for _, i := range out.shardMisses(s) {
 			g := out.base + int(i)
 			fp, enc := out.miss(int(i))
@@ -575,7 +698,7 @@ func (l *levelSync[S]) claimShard(s int, outs []chunkOut[S]) {
 				id = winner
 				won++
 			}
-			l.missIDs[g] = id
+			l.missIDs[g] = int32(id)
 		}
 		l.winsBy[c*visitedShards+s] = won
 	}
@@ -595,33 +718,33 @@ func (l *levelSync[S]) settle(x *expander[S], out *chunkOut[S], fr []int) {
 		}
 	}()
 	sym := l.ret.decode && x.cod.sym != nil
-	for _, p := range out.order {
-		g := out.base + int(p.miss)
-		if l.missIDs[g] != winner {
+	for i := range out.misses {
+		m, g := &out.misses[i], out.base+i
+		if !m.routed || l.missIDs[g] != winner {
 			continue
 		}
 		id := out.first + len(out.won)
-		l.missIDs[g] = id
-		fp, enc := out.miss(int(p.miss))
+		l.missIDs[g] = int32(id)
+		fp, enc := out.miss(i)
 		l.vs.publish(fp, enc, id)
-		out.won = push(out.won, p)
+		out.won = push(out.won, int32(i))
 		if l.opts.MaxStates > 0 && id >= l.opts.MaxStates {
 			return
 		}
-		s := *out.succs.at(int(p.miss))
+		s := *out.succs.at(i)
 		if sym {
-			x.g.enter(opEncode, l.spec.Actions[p.act].Name, -1)
+			x.g.enter(opEncode, l.spec.Actions[m.act].Name, -1)
 			out.plain = x.cod.encode(s, out.plain)
 			x.g.exit()
 			out.plainEnd = push(out.plainEnd, len(out.plain))
 		} else if !l.ret.decode {
 			*l.ret.live.at(id) = s
 		}
-		parent := fr[p.src]
+		parent := fr[m.src]
 		out.depth = l.ret.depthOf(parent) + 1
-		l.ret.arena.meta[id] = arenaMeta{parent: int32(parent), depth: int32(out.depth), act: l.ret.actIDs[p.act]}
+		*l.ret.arena.rec(id) = arenaMeta{parent: int32(parent), depth: int32(out.depth), act: l.ret.actIDs[m.act]}
 		out.done++
-		if out.violInv, out.misses[p.miss].within, out.violErr = l.verdict(x, s, id); out.violErr != nil {
+		if out.violInv, m.within, out.violErr = l.verdict(x, s, id); out.violErr != nil {
 			return
 		}
 		out.passed++
@@ -638,7 +761,7 @@ func (l *levelSync[S]) tail(frontier []int, outs []chunkOut[S]) bool {
 	for c := range outs {
 		if o := &outs[c]; o.passed < len(o.won) {
 			cut, cc = o.first+o.passed, c
-			l.ret.arena.meta = l.ret.arena.meta[:o.first+o.done]
+			l.ret.arena.setLen(o.first + o.done)
 			break
 		}
 	}
@@ -648,17 +771,17 @@ func (l *levelSync[S]) tail(frontier []int, outs []chunkOut[S]) bool {
 			l.res.Depth = max(l.res.Depth, o.depth)
 		}
 		lo := 0
-		for j, p := range o.won[:o.done] {
+		for j, i := range o.won[:o.done] {
 			if l.cod.sym != nil && l.ret.decode {
 				l.ret.arena.store(o.first+j, o.plain[lo:o.plainEnd[j]])
 				lo = o.plainEnd[j]
 			} else if l.ret.decode {
-				l.ret.arena.store(o.first+j, missKey(o.misses, o.keys, int(p.miss)))
+				l.ret.arena.store(o.first+j, missKey(o.misses, o.keys, int(i)))
 			}
 		}
-		for j, p := range o.won[:o.passed] {
-			if o.misses[p.miss].within {
-				l.ret.retainLive(o.first+j, *o.succs.at(int(p.miss)))
+		for j, i := range o.won[:o.passed] {
+			if o.misses[i].within {
+				l.ret.retainLive(o.first+j, *o.succs.at(int(i)))
 				l.fr.Push(o.first + j)
 			} else {
 				l.res.ConstraintCuts++
@@ -713,8 +836,8 @@ func (l *levelSync[S]) replay(o *chunkOut[S], fr []int, stop int, edge bool) int
 			}
 			sid := int(c.id)
 			if sid < 0 {
-				if sid = l.missIDs[o.base+int(^c.id)]; sid <= -2 {
-					sid = l.missIDs[-2-sid]
+				if sid = int(l.missIDs[o.base+int(^c.id)]); sid <= -2 {
+					sid = int(l.missIDs[-2-sid])
 				}
 			}
 			n++

@@ -5,23 +5,24 @@ import (
 	"sync/atomic"
 )
 
-// The exploration core both schedulers drive. Check runs one of two thin
-// drivers — the level-synchronized loop (engine.go: chunk plan, merge
-// passes) or the work-stealing loop (schedule.go: deques, steal-half) — and
-// everything the two would otherwise each implement lives here once:
+// The exploration core the level-synchronized driver (engine.go: chunk
+// plan, merge passes) runs on:
 //
 //   - successor generation: one expander per worker runs the guarded Next
-//     loop and, under partial-order reduction, orders the successors
-//     ample-first, on the visited set's probe misses;
+//     loop, probes each successor in the visited set, keeping a miss's
+//     fingerprint and encoding, and orders the successors ample-first
+//     under partial-order reduction (its chunk then buffers each distinct
+//     miss once, engine.go);
 //   - first-sight registration: install (the MaxStates bound, then
-//     retention, storing the encoding deduplication already computed) and
-//     verdict (invariants, then the constraint) — which the
-//     level-synchronized merge splits across its passes;
+//     retention, storing the encoding deduplication already computed) for
+//     initial states, and verdict (invariants, then the constraint), which
+//     the merge also runs for the states each level discovers;
 //   - the run lifecycle: Result, retainer and codecs, the graph view,
 //     stopper, progress ticker, Init registration, and one finish that
 //     turns the run's outcome into (Result, error).
 
-// explorer is one checking run's state shared by both drivers.
+// explorer is one checking run's state shared by the driver and its
+// workers.
 type explorer[S State] struct {
 	spec *Spec[S]
 	opts Options
@@ -118,26 +119,21 @@ func newExplorer[S State](spec *Spec[S], opts Options, workers int, em *engineMe
 }
 
 // startProgress starts the ProgressEvery ticker, if configured. Each tick
-// loads the snapshot the driver maintains, lets live (non-nil under
-// work-stealing) fill in what only a live read knows, and delivers it to
-// Options.Progress; close stops the ticker with one final delivery.
-func (r *explorer[S]) startProgress(live func(*Progress)) {
+// delivers the snapshot the driver keeps to Options.Progress; close stops
+// the ticker with one final delivery.
+func (r *explorer[S]) startProgress() {
 	if r.opts.ProgressEvery <= 0 {
 		return
 	}
 	r.snap = &progressSnap{}
 	r.ticker = startProgressTicker(r.opts.ProgressEvery, func() {
-		p := r.snap.load()
-		if live != nil {
-			live(&p)
-		}
 		if r.opts.Progress != nil {
-			r.opts.Progress(p)
+			r.opts.Progress(r.snap.load())
 		}
 	})
 }
 
-// close is the run's teardown, deferred by both drivers with the error the
+// close is the run's teardown, deferred by the driver with the error the
 // run returns: the final progress delivery; then a run that failed without
 // a violation discards its graph so the spill file is not leaked behind a
 // result nobody will traverse (a violation keeps it: callers dump it
@@ -204,26 +200,24 @@ func (r *explorer[S]) registerInits(x *expander[S], reg func(S) (id int, more bo
 	}
 }
 
-// install registers a first-sighted state, reached by the action with
-// interned index act (retainer.acts), and returns its dense id: the
-// MaxStates bound, then retention. enc is the state's canonical
-// encoding, which the arena stores as is: without symmetry it is the plain
-// encoding already. Under symmetry it names the orbit, and the arena needs
-// the exact state explored, so only then is s encoded again. Single-owner
-// — the level-sync driver goroutine registering initial states, or a
-// work-stealing worker holding the registration lock.
-func (r *explorer[S]) install(x *expander[S], s S, enc []byte, parent int, act uint16, depth int) (int, error) {
+// install registers an initial state and returns its dense id: the
+// MaxStates bound, then retention. enc is the state's canonical encoding,
+// which the arena stores as is: without symmetry it is the plain encoding
+// already. Under symmetry it names the orbit, and the arena needs the
+// exact state explored, so only then is s encoded again. (The merge
+// settles the states each level discovers in its own passes.)
+func (r *explorer[S]) install(x *expander[S], s S, enc []byte) (int, error) {
 	id := r.ret.len()
 	if r.opts.MaxStates > 0 && id >= r.opts.MaxStates {
 		return -1, ErrStateLimit
 	}
 	if r.ret.decode && x.cod.sym != nil {
-		x.g.enter(opEncode, r.ret.acts[act], -1)
+		x.g.enter(opEncode, "", -1)
 		x.plain = x.cod.encode(s, x.plain[:0])
 		x.g.exit()
 		enc = x.plain
 	}
-	r.ret.add(s, enc, parent, act, depth)
+	r.ret.add(s, enc, -1, 0, 0)
 	return id, nil
 }
 
@@ -258,48 +252,28 @@ type expander[S State] struct {
 	cod     *codec[S]
 	g       specGuard      // which spec callback this worker is inside
 	planner *porPlanner[S] // nil without partial-order reduction
-
-	// vs, when non-nil, is probed for every successor's canonical encoding
-	// (level-sync always, work-stealing under POR): ids[t] is successor t's
-	// id on a hit, and ^i on a miss, the i-th entry of misses (its encoding
-	// in keys) — buffers the schedule loop owns and resets. expand appends
-	// an entry per miss.
-	vs     *visitedSet
-	ids    []int
-	misses []miss
-	keys   []byte
+	vs      *visitedSet    // probed for every successor's canonical encoding
+	keys    bool           // the merge reads a miss's encoding, so the chunk keeps it
 
 	succs []S
-	acts  []int  // per successor: index into spec.Actions
-	order []int  // emission order: indices into succs, ample first
-	plain []byte // install's plain-encoding scratch (symmetry only)
+	acts  []int     // per successor: index into spec.Actions
+	ids   []int     // per successor: the probe's id on a hit, -1 on a miss
+	fps   []uint64  // per successor: its encoding's fingerprint
+	ends  []int32   // per successor: where a miss's encoding ends in encs
+	encs  []byte    // the misses' encodings, back to back
+	order []int     // emission order: indices into succs, ample first
+	plain []byte    // install's plain-encoding scratch (symmetry only)
+	seen  missTable // the chunk's shared misses (engine.go)
 }
 
-// miss is a successor the probe did not find: its fingerprint and the end
-// of its encoding in the key buffer alongside (it starts where the
-// previous miss's ends). within is the level-sync merge's: whether the
-// successor is inside the constraint, once evaluated.
-type miss struct {
-	fp     uint64
-	end    int32
-	within bool
-}
-
-// missKey returns the encoding of misses[i] in keys.
-func missKey(misses []miss, keys []byte, i int) []byte {
-	lo := int32(0)
-	if i > 0 {
-		lo = misses[i-1].end
-	}
-	return keys[lo:misses[i].end]
-}
-
-// expand generates every successor of state s (id) into x.succs and fills
-// x.order with the order to process them in. It returns the successor
-// count n and, when partial-order reduction prunes the state, the number k
-// of ample successors heading x.order — the driver explores the deferred
-// x.order[k:] only if the cycle proviso (see por.go) rejects the ample
-// set; k is -1 when the state is fully expanded.
+// expand generates every successor of state s (id) into x.succs, probes
+// each one's canonical encoding in the visited set, keeping a miss's
+// fingerprint and encoding, and fills x.order with the order to process
+// them in. It returns the successor count n and, when partial-order
+// reduction prunes the state, the number k of ample successors heading
+// x.order — the driver explores the deferred x.order[k:] only if the
+// cycle proviso (see por.go) rejects the ample set; k is -1 when the state
+// is fully expanded.
 func (x *expander[S]) expand(s S, id int) (n, k int) {
 	x.succs, x.acts, x.order = x.succs[:0], x.acts[:0], x.order[:0]
 	for ai := range x.spec.Actions {
@@ -313,21 +287,20 @@ func (x *expander[S]) expand(s S, id int) (n, k int) {
 		}
 	}
 	n = len(x.succs)
-	if x.vs != nil {
-		x.ids = x.ids[:0]
-		for t := range x.succs {
-			x.g.enter(opEncode, x.actName(t), id)
-			enc := x.cod.canonical(x.succs[t])
-			x.g.exit()
-			fp := fingerprint(enc)
-			sid, ok := x.vs.probe(fp, enc)
-			if !ok {
-				x.keys = push(x.keys, enc...)
-				x.misses = push(x.misses, miss{fp: fp, end: int32(len(x.keys))})
-				sid = ^(len(x.misses) - 1)
-			}
-			x.ids = append(x.ids, sid)
+	x.ids, x.fps, x.ends, x.encs = x.ids[:0], x.fps[:0], x.ends[:0], x.encs[:0]
+	for t := range x.succs {
+		x.g.enter(opEncode, x.actName(t), id)
+		enc := x.cod.canonical(x.succs[t])
+		x.g.exit()
+		fp := fingerprint(enc)
+		sid, ok := x.vs.probe(fp, enc)
+		if !ok {
+			sid = -1
+			x.encs = append(x.encs, enc...)
 		}
+		x.ids = append(x.ids, sid)
+		x.fps = append(x.fps, fp)
+		x.ends = append(x.ends, int32(len(x.encs)))
 	}
 	if x.planner != nil {
 		if proc := x.planner.choose(s, x.succs, x.acts, x.ids, &x.g); proc >= 0 {
@@ -353,6 +326,15 @@ func (x *expander[S]) expand(s S, id int) (n, k int) {
 
 // actName is the action name of successor t.
 func (x *expander[S]) actName(t int) string { return x.spec.Actions[x.acts[t]].Name }
+
+// enc returns the encoding of successor t, a probe miss.
+func (x *expander[S]) enc(t int) []byte {
+	lo := int32(0)
+	if t > 0 {
+		lo = x.ends[t-1]
+	}
+	return x.encs[lo:x.ends[t]]
+}
 
 // push appends vs to s, doubling s's capacity when it is full. The
 // level-sync chunk buffers grow once, to the widest level, and are reused

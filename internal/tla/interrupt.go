@@ -12,10 +12,9 @@ import (
 // job timeout, or a context deadline — and an interrupted run
 // must return what it found (Result.Interrupted with the states, depth and
 // counters so far, plus a checkpoint when Options.CheckpointDir is set)
-// instead of nothing. Both schedulers poll a single atomic stop flag at
-// cooperative stop points: the level-synchronized loop between levels and
-// between frontier states during expansion, the work-stealing loop on
-// every worker iteration.
+// instead of nothing. The engine polls a single atomic stop flag at
+// cooperative stop points: between levels, and between frontier states
+// during expansion.
 
 // ErrInterrupted is the named error an interrupted run wraps:
 // errors.Is(err, ErrInterrupted) reports that Options.Context was canceled

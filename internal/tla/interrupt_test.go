@@ -51,21 +51,19 @@ func assertInterrupted(t *testing.T, label string, res *Result[counterState], er
 	}
 }
 
-// TestContextCancelInterrupts cancels mid-run, from inside a spec callback,
-// on both schedulers: the run must wind down cooperatively and return the
-// partial counters instead of nothing.
+// TestContextCancelInterrupts cancels mid-run, from inside a spec callback:
+// the run must wind down cooperatively and return the partial counters
+// instead of nothing.
 func TestContextCancelInterrupts(t *testing.T) {
-	for _, sched := range []Schedule{ScheduleLevelSync, ScheduleWorkSteal} {
-		for _, workers := range []int{1, 4} {
-			label := fmt.Sprintf("sched=%v/workers=%d", sched, workers)
-			ctx, cancel := context.WithCancel(context.Background())
-			spec := cancelingSpec(unboundedSpec(), cancel, 500)
-			res, err := Check(spec, Options{Schedule: sched, Workers: workers, Context: ctx})
-			cancel()
-			assertInterrupted(t, label, res, err)
-			if res.Distinct == 0 {
-				t.Fatalf("%s: interrupted run counted no states before the stop", label)
-			}
+	for _, workers := range []int{1, 4} {
+		label := fmt.Sprintf("workers=%d", workers)
+		ctx, cancel := context.WithCancel(context.Background())
+		spec := cancelingSpec(unboundedSpec(), cancel, 500)
+		res, err := Check(spec, Options{Workers: workers, Context: ctx})
+		cancel()
+		assertInterrupted(t, label, res, err)
+		if res.Distinct == 0 {
+			t.Fatalf("%s: interrupted run counted no states before the stop", label)
 		}
 	}
 }
@@ -75,10 +73,8 @@ func TestContextCancelInterrupts(t *testing.T) {
 func TestPreCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, sched := range []Schedule{ScheduleLevelSync, ScheduleWorkSteal} {
-		res, err := Check(unboundedSpec(), Options{Schedule: sched, Context: ctx})
-		assertInterrupted(t, fmt.Sprintf("sched=%v", sched), res, err)
-	}
+	res, err := Check(unboundedSpec(), Options{Context: ctx})
+	assertInterrupted(t, "pre-canceled", res, err)
 }
 
 // TestDeadlineInterrupts bounds an unbounded exploration in wall-clock

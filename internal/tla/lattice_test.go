@@ -10,12 +10,12 @@ import (
 )
 
 // The option lattice: every combination of the run-shaping options that
-// decide how the engine explores — worker count, schedule, partial-order
-// reduction, arena retention, memory budget, graph recording, collision-free
-// deduplication and symmetry —
-// run against small generated specs with and without a planted violation.
-// A combination is either rejected with ErrInvalidOptions before Init runs
-// or it agrees with the Workers=1 level-sync oracle:
+// decide how the engine explores — worker count, partial-order reduction,
+// arena retention, memory budget, graph recording, collision-free
+// deduplication and symmetry — run against small generated specs with and
+// without a planted violation. A combination is either rejected with
+// ErrInvalidOptions before Init runs or it agrees with the Workers=1
+// oracle:
 //
 //   - always on the verdict, with a counterexample that is a real behaviour
 //     ending in the violated invariant;
@@ -23,10 +23,9 @@ import (
 //     Terminal; with POR, Distinct never exceeds the unpruned count;
 //   - with RecordGraph, against the spec alone: every edge leads to a
 //     successor of its action, and no two ids share a canonical encoding;
-//   - under level-sync, byte-for-byte: the WriteDOT dump and the
-//     counterexample equal those of the Workers=1 level-sync run with the
-//     same reduction settings;
-//   - under level-sync without POR, and for the oracle itself, against a
+//   - byte-for-byte: the WriteDOT dump and the counterexample equal those
+//     of the Workers=1 run with the same reduction settings;
+//   - without POR, and for the oracle itself, against a
 //     textbook BFS independent of the engine (referenceBFS): every counter,
 //     the counterexample, and the recorded graph state by state and edge by
 //     edge.
@@ -64,7 +63,7 @@ func runLattice[S State](t *testing.T, build func(sym bool) *Spec[S], opts Optio
 	spec := build(sym)
 	_, dec := any(*new(S)).(BinaryDecoder[S])
 	var run latticeRun
-	run.expectBad = (opts.MemoryBudgetBytes > 0 && (opts.Schedule == ScheduleWorkSteal || opts.CollisionFree)) ||
+	run.expectBad = (opts.MemoryBudgetBytes > 0 && opts.CollisionFree) ||
 		(opts.PartialOrder && spec.Independence == nil) ||
 		(opts.StateArena && !dec)
 	init := spec.Init
@@ -391,9 +390,6 @@ func TestOptionLattice(t *testing.T) {
 				if opts.PartialOrder && !violated && got.res.Distinct > oracle.res.Distinct {
 					t.Fatalf("%s: POR explored %d states, unpruned oracle %d", label, got.res.Distinct, oracle.res.Distinct)
 				}
-				if opts.Schedule != ScheduleLevelSync {
-					continue
-				}
 				if !opts.PartialOrder {
 					if d := referenceMismatch(ref, got); d != "" {
 						t.Fatalf("%s: vs reference BFS: %s", label, d)
@@ -420,20 +416,18 @@ func TestOptionLattice(t *testing.T) {
 	}
 }
 
-// latticeOptions enumerates Workers {1,2,4} × Schedule × PartialOrder ×
-// StateArena × MemoryBudgetBytes {0,1} × RecordGraph × CollisionFree.
+// latticeOptions enumerates Workers {1,2,4} × PartialOrder × StateArena ×
+// MemoryBudgetBytes {0,1} × RecordGraph × CollisionFree.
 func latticeOptions() []Options {
 	var out []Options
 	for _, w := range []int{1, 2, 4} {
-		for _, sched := range []Schedule{ScheduleLevelSync, ScheduleWorkSteal} {
-			for _, por := range []bool{false, true} {
-				for _, arena := range []bool{false, true} {
-					for _, budget := range []int64{0, 1} {
-						for _, graph := range []bool{false, true} {
-							for _, exact := range []bool{false, true} {
-								out = append(out, Options{Workers: w, Schedule: sched, PartialOrder: por,
-									StateArena: arena, MemoryBudgetBytes: budget, RecordGraph: graph, CollisionFree: exact})
-							}
+		for _, por := range []bool{false, true} {
+			for _, arena := range []bool{false, true} {
+				for _, budget := range []int64{0, 1} {
+					for _, graph := range []bool{false, true} {
+						for _, exact := range []bool{false, true} {
+							out = append(out, Options{Workers: w, PartialOrder: por,
+								StateArena: arena, MemoryBudgetBytes: budget, RecordGraph: graph, CollisionFree: exact})
 						}
 					}
 				}
@@ -444,6 +438,6 @@ func latticeOptions() []Options {
 }
 
 func latticeLabel(o Options) string {
-	return fmt.Sprintf("workers=%d %s por=%t arena=%t budget=%d graph=%t collision-free=%t",
-		o.Workers, o.Schedule, o.PartialOrder, o.StateArena, o.MemoryBudgetBytes, o.RecordGraph, o.CollisionFree)
+	return fmt.Sprintf("workers=%d por=%t arena=%t budget=%d graph=%t collision-free=%t",
+		o.Workers, o.PartialOrder, o.StateArena, o.MemoryBudgetBytes, o.RecordGraph, o.CollisionFree)
 }

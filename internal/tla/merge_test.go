@@ -151,3 +151,52 @@ func TestSymmetricStatesMatchReferenceBFS(t *testing.T) {
 		}
 	}
 }
+
+// TestChunkBuffersEachMissOnce drives the levels by hand to look inside
+// the expansion: within a chunk, successors that miss the probe with equal
+// encodings share one buffered miss, so a chunk's misses are pairwise
+// distinct — on the grid, whose states are each reached from several
+// states of the level before. The run must still count what Check counts.
+func TestChunkBuffersEachMissOnce(t *testing.T) {
+	want, err := Check(gridSpec(3, 5, -1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2} {
+		opts := Options{Workers: w, CollisionFree: true}
+		vs := newVisitedSet(opts, w, nil)
+		l := newLevelSync(gridSpec(3, 5, -1), opts, w, vs, nil)
+		l.registerInits(l.xs[0], l.registerInit)
+		candidates, misses := 0, 0
+		for frontier := l.fr.NextLevel(); len(frontier) > 0; frontier = l.fr.NextLevel() {
+			plan, outs := l.expandLevel(frontier)
+			for c := range outs {
+				o := &outs[c]
+				seen := map[string]bool{}
+				for i := range o.misses {
+					key := string(missKey(o.misses, o.keys, i))
+					if seen[key] {
+						t.Fatalf("workers=%d: chunk %d buffers encoding %x twice", w, c, key)
+					}
+					seen[key] = true
+				}
+				for _, cd := range o.cands {
+					if cd.id < 0 {
+						candidates++
+					}
+				}
+				misses += len(o.misses)
+			}
+			if !l.merge(plan, frontier, outs) {
+				t.Fatalf("workers=%d: the merge ended the run", w)
+			}
+		}
+		vs.Close()
+		if w == 1 && misses >= candidates {
+			t.Fatalf("workers=1: %d candidates missed the probe into %d misses; none shared", candidates, misses)
+		}
+		if l.ret.len() != want.Distinct || l.res.Transitions != want.Transitions {
+			t.Fatalf("workers=%d: %d states, %d transitions; Check found %d, %d", w, l.ret.len(), l.res.Transitions, want.Distinct, want.Transitions)
+		}
+	}
+}

@@ -33,10 +33,6 @@ type engineMetrics struct {
 	mergeDur      *obs.Histogram // per spill merge-join
 	checkpointDur *obs.Histogram
 
-	steals       *obs.Counter
-	stealFails   *obs.Counter
-	dequePending *obs.Gauge
-
 	runSeals   *obs.Counter
 	mergeJoins *obs.Counter
 	spillBytes *obs.Counter
@@ -72,7 +68,7 @@ func newEngineMetrics(opts Options, workers int) *engineMetrics {
 		m.workerClaims[w] = reg.Counter(fmt.Sprintf(`tla_worker_claims_total{worker="%d"}`, w))
 	}
 
-	reg.Help("tla_level_width", "states per BFS level (level-synchronized runs)")
+	reg.Help("tla_level_width", "states per BFS level")
 	m.levelWidth = reg.Histogram("tla_level_width", obs.ExpBuckets(1, 2, 21))
 	reg.Help("tla_successor_fanout", "successors per expanded state")
 	m.fanout = reg.Histogram("tla_successor_fanout", obs.ExpBuckets(1, 2, 9))
@@ -85,13 +81,6 @@ func newEngineMetrics(opts Options, workers int) *engineMetrics {
 	phaseBuckets := obs.ExpBuckets(0.0001, 10, 6) // 100µs .. 10s
 	m.phaseExpand = reg.Histogram(`tla_level_phase_seconds{phase="expand"}`, phaseBuckets)
 	m.phaseMerge = reg.Histogram(`tla_level_phase_seconds{phase="merge"}`, phaseBuckets)
-
-	reg.Help("tla_steals_total", "successful steal-half operations (work-stealing schedule)")
-	m.steals = reg.Counter("tla_steals_total")
-	reg.Help("tla_steal_fails_total", "steal attempts that found every victim deque empty")
-	m.stealFails = reg.Counter("tla_steal_fails_total")
-	reg.Help("tla_deque_pending", "work items pending across all deques (sampled)")
-	m.dequePending = reg.Gauge("tla_deque_pending")
 
 	reg.Help("tla_spill_run_seals_total", "seals of the resident fingerprints into the visited set's sorted on-disk run")
 	m.runSeals = reg.Counter("tla_spill_run_seals_total")
@@ -129,22 +118,6 @@ func (m *engineMetrics) addWorker(w int, expansions, claims int64) {
 	m.workerClaims[w].Add(claims)
 }
 
-// workerExpansion / workerClaim return a worker's counter handle (nil when
-// uninstrumented) — the work-stealing loop resolves them per worker once.
-func (m *engineMetrics) workerExpansion(w int) *obs.Counter {
-	if m == nil || m.workerExpansions == nil {
-		return nil
-	}
-	return m.workerExpansions[w]
-}
-
-func (m *engineMetrics) workerClaim(w int) *obs.Counter {
-	if m == nil || m.workerClaims == nil {
-		return nil
-	}
-	return m.workerClaims[w]
-}
-
 func (m *engineMetrics) observeLevelWidth(n int) {
 	if m == nil {
 		return
@@ -157,30 +130,6 @@ func (m *engineMetrics) observeFanout(n int) {
 		return
 	}
 	m.fanout.Observe(float64(n))
-}
-
-// onSteal / onStealFail record one steal-half success or one full sweep of
-// empty victim deques (work-stealing schedule).
-func (m *engineMetrics) onSteal() {
-	if m == nil {
-		return
-	}
-	m.steals.Inc()
-}
-
-func (m *engineMetrics) onStealFail() {
-	if m == nil {
-		return
-	}
-	m.stealFails.Inc()
-}
-
-// setDequePending samples the pending work-item count into the gauge.
-func (m *engineMetrics) setDequePending(n int64) {
-	if m == nil {
-		return
-	}
-	m.dequePending.Set(n)
 }
 
 // onRunSeal records one seal, which wrote a run of bytes.
@@ -271,13 +220,12 @@ func (m *engineMetrics) onCheckpoint(level int, path string, d time.Duration, er
 }
 
 // journalStart emits the run_start event.
-func (m *engineMetrics) journalStart(spec string, schedule Schedule, workers int, por bool) {
+func (m *engineMetrics) journalStart(spec string, workers int, por bool) {
 	if m == nil {
 		return
 	}
 	m.journal.Emit("run_start", map[string]any{
 		"spec":          spec,
-		"schedule":      schedule.String(),
 		"workers":       workers,
 		"partial_order": por,
 	})
@@ -303,20 +251,6 @@ func (m *engineMetrics) journalLevel(p Progress, expand, merge time.Duration) {
 		"spill_bytes": p.SpillBytes,
 		"expand_s":    expand.Seconds(),
 		"merge_s":     merge.Seconds(),
-	})
-}
-
-// journalEpoch emits one ticker epoch of a work-stealing run.
-func (m *engineMetrics) journalEpoch(p Progress) {
-	if m == nil {
-		return
-	}
-	m.journal.Emit("epoch", map[string]any{
-		"distinct":    p.Distinct,
-		"transitions": p.Transitions,
-		"depth":       p.Depth,
-		"pending":     p.Frontier,
-		"spill_bytes": p.SpillBytes,
 	})
 }
 
@@ -348,7 +282,7 @@ func (m *engineMetrics) journalEnd(res *resultCore, err error) {
 	m.journal.Emit("run_end", f)
 }
 
-// resultCore is the scheduler-agnostic slice of a Result the journal's
+// resultCore is the slice of a Result the journal's
 // terminal event needs — Result itself is generic over S.
 type resultCore struct {
 	distinct, transitions, depth int
@@ -369,8 +303,7 @@ func coreOf[S State](res *Result[S]) *resultCore {
 }
 
 // progressSnap is the lock-free snapshot a ProgressEvery ticker reads. The
-// level-synchronized driver goroutine stores into it at level boundaries;
-// the work-stealing workers update distinct/transitions/depth live.
+// driver goroutine stores into it at level boundaries.
 type progressSnap struct {
 	distinct    atomic.Int64
 	transitions atomic.Int64
@@ -400,17 +333,6 @@ func (s *progressSnap) load() Progress {
 		Frontier:      int(s.frontier.Load()),
 		SpillBytes:    s.spillBytes.Load(),
 		ResidentBytes: s.resident.Load(),
-	}
-}
-
-// maxDepth raises the snapshot's depth watermark (work-stealing workers
-// discover depths out of order).
-func (s *progressSnap) maxDepth(d int) {
-	for {
-		cur := s.depth.Load()
-		if int64(d) <= cur || s.depth.CompareAndSwap(cur, int64(d)) {
-			return
-		}
 	}
 }
 

@@ -25,30 +25,26 @@ func sumWorkerCounters(reg *obs.Registry, family string, workers int) int64 {
 
 // TestMetricsMatchResult pins the metrics layer's core consistency claim:
 // summed per-worker expansion counters equal Result.Transitions and summed
-// claim counters equal Result.Distinct, across both schedulers, with and
-// without visited-set spilling, with and without partial-order reduction.
+// claim counters equal Result.Distinct, with and without visited-set
+// spilling, with and without partial-order reduction.
 // Run under -race this also proves the instrumented hot paths are clean.
 func TestMetricsMatchResult(t *testing.T) {
 	const workers = 3
 	cases := []struct {
 		name   string
-		sched  Schedule
 		budget int64
 		por    bool
 	}{
-		{"levelsync", ScheduleLevelSync, 0, false},
-		{"levelsync_spill", ScheduleLevelSync, 1 << 12, false},
-		{"levelsync_por", ScheduleLevelSync, 0, true},
-		{"levelsync_spill_por", ScheduleLevelSync, 1 << 12, true},
-		{"worksteal", ScheduleWorkSteal, 0, false},
-		{"worksteal_por", ScheduleWorkSteal, 0, true},
+		{"levelsync", 0, false},
+		{"levelsync_spill", 1 << 12, false},
+		{"levelsync_por", 0, true},
+		{"levelsync_spill_por", 1 << 12, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
 			res, err := Check(gridSpec(4, 4, -1), Options{
 				Workers:           workers,
-				Schedule:          tc.sched,
 				MemoryBudgetBytes: tc.budget,
 				PartialOrder:      tc.por,
 				Metrics:           reg,
@@ -142,7 +138,7 @@ func TestJournalGolden(t *testing.T) {
 		t.Fatalf("got %d records, want %d:\n%s", len(recs), len(wantEvents), buf.String())
 	}
 	wantFields := map[string][]string{
-		"run_start": {"partial_order", "schedule", "spec", "workers"},
+		"run_start": {"partial_order", "spec", "workers"},
 		"level":     {"depth", "distinct", "expand_s", "level", "merge_s", "spill_bytes", "transitions", "width"},
 		"run_end":   {"degraded", "depth", "distinct", "transitions", "verdict"},
 	}
@@ -254,40 +250,11 @@ func TestProgressCallback(t *testing.T) {
 	}
 }
 
-// TestProgressEveryWorkSteal pins time-based Progress under both
-// schedules: a run with ProgressEvery set delivers snapshots, and the final
-// stop()-driven delivery — which guarantees at least one callback even on a
-// fast run — carries the Result's own count.
-func TestProgressEveryWorkSteal(t *testing.T) {
-	for _, sched := range []Schedule{ScheduleWorkSteal, ScheduleLevelSync} {
-		t.Run(sched.String(), func(t *testing.T) {
-			var calls atomic.Int64
-			var lastDistinct atomic.Int64
-			res, err := Check(gridSpec(4, 6, -1), Options{
-				Schedule:      sched,
-				ProgressEvery: time.Millisecond,
-				Progress: func(p Progress) {
-					calls.Add(1)
-					lastDistinct.Store(int64(p.Distinct))
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if calls.Load() == 0 {
-				t.Fatal("ProgressEvery fired no Progress callbacks")
-			}
-			if got := lastDistinct.Load(); got != int64(res.Distinct) {
-				t.Fatalf("final progress snapshot distinct = %d, Result.Distinct = %d", got, res.Distinct)
-			}
-		})
-	}
-}
-
 // TestProgressEveryLevelSyncSuppressesPerLevel checks that level boundaries
 // deliver nothing themselves: every delivery comes from the timer goroutine
 // (at most once per period plus the final flush), so a period longer than
-// the run means exactly one, and no period means none.
+// the run means exactly one, and no period means none. The final flush
+// carries the Result's own count.
 func TestProgressEveryLevelSyncSuppressesPerLevel(t *testing.T) {
 	for _, tc := range []struct {
 		every time.Duration
@@ -296,15 +263,22 @@ func TestProgressEveryLevelSyncSuppressesPerLevel(t *testing.T) {
 		{time.Hour, 1}, // only the final stop() flush can fire
 		{0, 0},
 	} {
-		var calls atomic.Int64
-		if _, err := Check(counterSpec(80), Options{
+		var calls, last atomic.Int64
+		res, err := Check(counterSpec(80), Options{
 			ProgressEvery: tc.every,
-			Progress:      func(Progress) { calls.Add(1) },
-		}); err != nil {
+			Progress: func(p Progress) {
+				calls.Add(1)
+				last.Store(int64(p.Distinct))
+			},
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 		if got := calls.Load(); got != tc.want {
 			t.Fatalf("ProgressEvery %s: got %d deliveries, want %d", tc.every, got, tc.want)
+		}
+		if got := last.Load(); tc.want > 0 && got != int64(res.Distinct) {
+			t.Fatalf("final progress snapshot distinct = %d, Result.Distinct = %d", got, res.Distinct)
 		}
 	}
 }

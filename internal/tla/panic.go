@@ -10,8 +10,8 @@ import (
 // nil-map write in an invariant, or an out-of-range index in a symmetry
 // visitor must yield a diagnosable verdict — the offending state's decoded
 // trace — not a raw stack trace that takes the whole checker (or the CI
-// build embedding it) down. Both schedulers recover panics raised inside
-// spec callbacks, drain the remaining workers cleanly, and surface the
+// build embedding it) down. The engine recovers panics raised inside spec
+// callbacks, drains the remaining workers cleanly, and surface the
 // failure as a *SpecPanic wrapping ErrSpecPanic.
 //
 // The recovery is deliberately narrow: a specGuard records which spec

@@ -52,45 +52,42 @@ func assertSpecPanic(t *testing.T, label string, err error, opWant string) *Spec
 	return sp
 }
 
-// TestSpecPanicInNext pins the tentpole contract on both schedulers, at
-// several worker counts, with and without the arena: a panicking Next
+// TestSpecPanicInNext pins the tentpole contract at several worker counts, with and without the arena: a panicking Next
 // yields a structured ErrSpecPanic carrying a non-empty decoded trace to
 // the state being expanded — not a crashed process — and the partial
 // Result survives with no Violation.
 func TestSpecPanicInNext(t *testing.T) {
 	at := counterState{A: 3, B: 1} // depth 4: a real trace to decode
-	for _, sched := range []Schedule{ScheduleLevelSync, ScheduleWorkSteal} {
-		for _, workers := range []int{1, 4} {
-			for _, arena := range []bool{false, true} {
-				label := fmt.Sprintf("sched=%v/workers=%d/arena=%v", sched, workers, arena)
-				res, err := Check(explodingSpec(8, at), Options{Schedule: sched, Workers: workers, StateArena: arena})
-				sp := assertSpecPanic(t, label, err, `action "Explode"`)
-				if len(sp.Trace) == 0 {
-					t.Fatalf("%s: recovered panic has an empty trace", label)
-				}
-				if got := sp.Trace[len(sp.Trace)-1]; got != at {
-					t.Fatalf("%s: trace ends at %v, want the expanding state %v", label, got, at)
-				}
-				if len(sp.TraceActs) != len(sp.Trace)-1 {
-					t.Fatalf("%s: %d actions for %d trace states", label, len(sp.TraceActs), len(sp.Trace))
-				}
-				if res == nil {
-					t.Fatalf("%s: no partial result alongside the panic verdict", label)
-				}
-				if res.Violation != nil {
-					t.Fatalf("%s: panic run reports a violation: %v", label, res.Violation)
-				}
-				if res.Distinct == 0 {
-					t.Fatalf("%s: partial result counted no states", label)
-				}
+	for _, workers := range []int{1, 4} {
+		for _, arena := range []bool{false, true} {
+			label := fmt.Sprintf("workers=%d/arena=%v", workers, arena)
+			res, err := Check(explodingSpec(8, at), Options{Workers: workers, StateArena: arena})
+			sp := assertSpecPanic(t, label, err, `action "Explode"`)
+			if len(sp.Trace) == 0 {
+				t.Fatalf("%s: recovered panic has an empty trace", label)
+			}
+			if got := sp.Trace[len(sp.Trace)-1]; got != at {
+				t.Fatalf("%s: trace ends at %v, want the expanding state %v", label, got, at)
+			}
+			if len(sp.TraceActs) != len(sp.Trace)-1 {
+				t.Fatalf("%s: %d actions for %d trace states", label, len(sp.TraceActs), len(sp.Trace))
+			}
+			if res == nil {
+				t.Fatalf("%s: no partial result alongside the panic verdict", label)
+			}
+			if res.Violation != nil {
+				t.Fatalf("%s: panic run reports a violation: %v", label, res.Violation)
+			}
+			if res.Distinct == 0 {
+				t.Fatalf("%s: partial result counted no states", label)
 			}
 		}
 	}
 }
 
-// TestSpecPanicInInvariant covers the merge-goroutine (level-sync) and
-// worker-goroutine (work-steal) invariant paths: the trace must end at the
-// exact state whose invariant check panicked.
+// TestSpecPanicInInvariant covers the invariant path, inline at one worker
+// and in the merge's parallel settle pass at four: the trace must end at
+// the exact state whose invariant check panicked.
 func TestSpecPanicInInvariant(t *testing.T) {
 	at := counterState{A: 2, B: 1}
 	mk := func() *Spec[counterState] {
@@ -107,17 +104,15 @@ func TestSpecPanicInInvariant(t *testing.T) {
 		})
 		return spec
 	}
-	for _, sched := range []Schedule{ScheduleLevelSync, ScheduleWorkSteal} {
-		for _, workers := range []int{1, 4} {
-			label := fmt.Sprintf("sched=%v/workers=%d", sched, workers)
-			_, err := Check(mk(), Options{Schedule: sched, Workers: workers})
-			sp := assertSpecPanic(t, label, err, `invariant "Fragile"`)
-			if len(sp.Trace) == 0 {
-				t.Fatalf("%s: empty trace", label)
-			}
-			if got := sp.Trace[len(sp.Trace)-1]; got != at {
-				t.Fatalf("%s: trace ends at %v, want %v", label, got, at)
-			}
+	for _, workers := range []int{1, 4} {
+		label := fmt.Sprintf("workers=%d", workers)
+		_, err := Check(mk(), Options{Workers: workers})
+		sp := assertSpecPanic(t, label, err, `invariant "Fragile"`)
+		if len(sp.Trace) == 0 {
+			t.Fatalf("%s: empty trace", label)
+		}
+		if got := sp.Trace[len(sp.Trace)-1]; got != at {
+			t.Fatalf("%s: trace ends at %v, want %v", label, got, at)
 		}
 	}
 }
@@ -126,25 +121,23 @@ func TestSpecPanicInInvariant(t *testing.T) {
 // is attributed with an empty trace; a panicking constraint is attributed
 // to the constraint.
 func TestSpecPanicInInitAndConstraint(t *testing.T) {
-	for _, sched := range []Schedule{ScheduleLevelSync, ScheduleWorkSteal} {
-		init := counterSpec(4)
-		init.Init = func() []counterState { panic("no initial states today") }
-		sp := assertSpecPanic(t, fmt.Sprintf("init/sched=%v", sched),
-			func() error { _, err := Check(init, Options{Schedule: sched}); return err }(), "Init")
-		if len(sp.Trace) != 0 {
-			t.Fatalf("init panic decoded a trace of %d states from nothing", len(sp.Trace))
-		}
-
-		cons := counterSpec(4)
-		cons.Constraint = func(s counterState) bool {
-			if s == (counterState{A: 2, B: 0}) {
-				panic("constraint bug")
-			}
-			return true
-		}
-		_, err := Check(cons, Options{Schedule: sched, Workers: 4})
-		assertSpecPanic(t, fmt.Sprintf("constraint/sched=%v", sched), err, "Constraint")
+	init := counterSpec(4)
+	init.Init = func() []counterState { panic("no initial states today") }
+	sp := assertSpecPanic(t, "init",
+		func() error { _, err := Check(init, Options{}); return err }(), "Init")
+	if len(sp.Trace) != 0 {
+		t.Fatalf("init panic decoded a trace of %d states from nothing", len(sp.Trace))
 	}
+
+	cons := counterSpec(4)
+	cons.Constraint = func(s counterState) bool {
+		if s == (counterState{A: 2, B: 0}) {
+			panic("constraint bug")
+		}
+		return true
+	}
+	_, err := Check(cons, Options{Workers: 4})
+	assertSpecPanic(t, "constraint", err, "Constraint")
 }
 
 // keyPanicState panics while encoding one specific state — the opEncode
@@ -174,18 +167,16 @@ func TestSpecPanicInEncoding(t *testing.T) {
 			}},
 		},
 	}
-	for _, sched := range []Schedule{ScheduleLevelSync, ScheduleWorkSteal} {
-		_, err := Check(spec, Options{Schedule: sched, Workers: 2})
-		if !errors.Is(err, ErrSpecPanic) {
-			t.Fatalf("sched=%v: err = %v, want ErrSpecPanic", sched, err)
-		}
-		var sp *SpecPanic[keyPanicState]
-		if !errors.As(err, &sp) {
-			t.Fatalf("sched=%v: err type = %T", sched, err)
-		}
-		if !strings.Contains(sp.Op, "encoding") {
-			t.Fatalf("sched=%v: op = %q, want the encoding class", sched, sp.Op)
-		}
+	_, err := Check(spec, Options{Workers: 2})
+	if !errors.Is(err, ErrSpecPanic) {
+		t.Fatalf("err = %v, want ErrSpecPanic", err)
+	}
+	var sp *SpecPanic[keyPanicState]
+	if !errors.As(err, &sp) {
+		t.Fatalf("err type = %T", err)
+	}
+	if !strings.Contains(sp.Op, "encoding") {
+		t.Fatalf("op = %q, want the encoding class", sp.Op)
 	}
 }
 

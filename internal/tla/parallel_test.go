@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 )
 
@@ -293,19 +292,14 @@ func TestFingerprintCollisions(t *testing.T) {
 				{Workers: 1},
 				{Workers: 2, CollisionFree: true},
 				{Workers: 4, CollisionFree: true},
-				{Workers: 4, CollisionFree: true, Schedule: ScheduleWorkSteal},
 			} {
 				opts.RecordGraph = true
-				label := fmt.Sprintf("%s/%s/workers=%d %s", w.name, ls.name, opts.Workers, opts.Schedule)
+				label := fmt.Sprintf("%s/%s/workers=%d", w.name, ls.name, opts.Workers)
 				got := ls.check(t, opts, false)
 				if got.unsound != "" {
 					t.Fatalf("%s: recorded graph: %s", label, got.unsound)
 				}
-				if opts.Schedule == ScheduleLevelSync {
-					if d := referenceMismatch(ref, got); d != "" {
-						t.Fatalf("%s: vs reference BFS: %s", label, d)
-					}
-				} else if d := unnumberedMismatch(ref, got); d != "" {
+				if d := referenceMismatch(ref, got); d != "" {
 					t.Fatalf("%s: vs reference BFS: %s", label, d)
 				}
 			}
@@ -316,46 +310,6 @@ func TestFingerprintCollisions(t *testing.T) {
 			}
 		}
 	}
-}
-
-// unnumberedMismatch compares a work-stealing run, whose ids and depths
-// depend on the interleaving, with the reference: the counters, the states
-// by key and the edges by their endpoints' keys. It returns the first
-// difference, or "".
-func unnumberedMismatch(ref referenceRun, got latticeRun) string {
-	g := got.res
-	if g == nil {
-		return fmt.Sprintf("no result: %v", got.err)
-	}
-	if (got.err != nil) != (ref.violated != "") {
-		return fmt.Sprintf("err = %v, reference violation %q", got.err, ref.violated)
-	}
-	if ref.violated != "" {
-		return "" // which violating state work-stealing reaches first is a race
-	}
-	if g.Distinct != ref.distinct || g.Transitions != ref.transitions || g.Terminal != ref.terminal || g.ConstraintCuts != ref.cuts {
-		return fmt.Sprintf("distinct/transitions/terminal/cuts %d/%d/%d/%d, reference %d/%d/%d/%d",
-			g.Distinct, g.Transitions, g.Terminal, g.ConstraintCuts, ref.distinct, ref.transitions, ref.terminal, ref.cuts)
-	}
-	byKey := func(keys []string, edges []Edge) ([]string, []string) {
-		out := make([]string, len(edges))
-		for i, e := range edges {
-			out[i] = keys[e.From] + " -" + e.Action + "-> " + keys[e.To]
-		}
-		keys = slices.Clone(keys)
-		slices.Sort(keys)
-		slices.Sort(out)
-		return keys, out
-	}
-	gk, ge := byKey(got.keys, got.edges)
-	rk, re := byKey(ref.keys, ref.edges)
-	switch {
-	case !slices.Equal(gk, rk):
-		return fmt.Sprintf("state keys %v, reference %v", gk, rk)
-	case !slices.Equal(ge, re):
-		return fmt.Sprintf("edges %v, reference %v", ge, re)
-	}
-	return ""
 }
 
 func TestParallelNoInit(t *testing.T) {

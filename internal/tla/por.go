@@ -4,7 +4,7 @@ import "repro/internal/obs"
 
 // Partial-order reduction (ample-set successor pruning), the classic
 // state-space lever that composes with — rather than competes against —
-// symmetry reduction and both scheduling modes.
+// symmetry reduction and every worker count.
 //
 // The idea: when several enabled transitions of a state only interleave
 // independent work of distinct processes, exploring one interleaving is
@@ -41,18 +41,13 @@ import "repro/internal/obs"
 //     harmless as long as another one is the witness; if none is — every
 //     ample successor already expanded, expanding, or cut — the pruning is
 //     abandoned. Both drivers generate the full successor set and order it
-//     ample-first (expander.expand). Under level-sync each state decides
-//     in the merge's route pass, on its own and exactly: the witness is
+//     ample-first (expander.expand), and each state decides in the
+//     merge's route pass, on its own and exactly: the witness is
 //     an ample successor new to this level — it missed the probe and was
 //     not restored from disk, so whichever of its occurrences comes first
 //     gives it an id at or past the level's first — and inside the
 //     constraint (which symmetry leaves invariant), so it joins the next
-//     level. Under work-stealing, which explores the ample head before
-//     deciding, it is
-//     conservatively race-safe: the witness is an ample successor queued
-//     and not yet expanding (porQueued) in one snapshot under the
-//     registration lock; a state whose constraint verdict is still pending
-//     on another worker, or whose expansion started, cannot be it.
+//     level.
 //
 // Declaration-carried (the Independence hooks' contract):
 //
@@ -153,10 +148,8 @@ func newPORPlanner[S State](ind *Independence[S], em *engineMetrics) *porPlanner
 // and the caller saves the doomed attempt. This is what makes the
 // reduction bite on confluent specs, where many states funnel into the
 // same successor and a freshness-blind pick keeps electing a cluster whose
-// lone successor was visited levels ago. Under level-sync a miss has no id
-// before this level, so this level's merge claims it — a certain witness
-// unless cut; under work-stealing it is a prediction that may go stale
-// before the proviso check decides.
+// lone successor was visited levels ago. A miss has no id before this
+// level, so this level's merge claims it — a certain witness unless cut.
 func (p *porPlanner[S]) choose(s S, succs []S, acts []int, ids []int, g *specGuard) int {
 	total := len(succs)
 	if total < 2 {

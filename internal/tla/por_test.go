@@ -179,21 +179,19 @@ func TestPORCycleProviso(t *testing.T) {
 	if !errors.Is(wantErr, ErrInvariantViolated) {
 		t.Fatalf("oracle must find the violation, got %v", wantErr)
 	}
-	for _, schedule := range []Schedule{ScheduleLevelSync, ScheduleWorkSteal} {
-		got, gotErr := Check(toggleSpec(), Options{PartialOrder: true, Schedule: schedule, Workers: 2})
-		if !errors.Is(gotErr, ErrInvariantViolated) {
-			t.Fatalf("%s: POR lost the violation behind the toggle cycle: %v", schedule, gotErr)
-		}
-		if got.Violation.Invariant != want.Violation.Invariant {
-			t.Fatalf("%s: violated %s, oracle violated %s", schedule, got.Violation.Invariant, want.Violation.Invariant)
-		}
+	got, gotErr := Check(toggleSpec(), Options{PartialOrder: true, Workers: 2})
+	if !errors.Is(gotErr, ErrInvariantViolated) {
+		t.Fatalf("POR lost the violation behind the toggle cycle: %v", gotErr)
+	}
+	if got.Violation.Invariant != want.Violation.Invariant {
+		t.Fatalf("violated %s, oracle violated %s", got.Violation.Invariant, want.Violation.Invariant)
 	}
 }
 
 // TestPORRandomizedCrossCheck is the randomized oracle lock at the engine
 // level: random small multi-counter specs — random counter bounds, a
 // random per-process tripwire or none — must produce oracle-identical
-// verdicts under POR across both schedules and spilled visited sets.
+// verdicts under POR across worker counts and spilled visited sets.
 func TestPORRandomizedCrossCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5eed8))
 	for i := 0; i < 25; i++ {
@@ -208,7 +206,6 @@ func TestPORRandomizedCrossCheck(t *testing.T) {
 		for _, opts := range []Options{
 			{PartialOrder: true},
 			{PartialOrder: true, Workers: 4},
-			{PartialOrder: true, Workers: 4, Schedule: ScheduleWorkSteal},
 			{PartialOrder: true, Workers: 2, MemoryBudgetBytes: 1},
 		} {
 			got, gotErr := Check(gridSpec(n, max, tripwire), opts)
@@ -258,10 +255,93 @@ func TestPORValidate(t *testing.T) {
 		{PartialOrder: true, MemoryBudgetBytes: 1 << 20},
 		{PartialOrder: true, CollisionFree: true},
 		{PartialOrder: true, StateArena: true},
-		{PartialOrder: true, Schedule: ScheduleWorkSteal},
 	} {
 		if err := opts.Validate(); err != nil {
 			t.Fatalf("Validate(%+v) = %v, want nil", opts, err)
 		}
 	}
+}
+
+// alternatingGridSpec is the symmetric grid reduced at every other level:
+// the counters are interchangeable, and a process may form an ample set
+// only while the counters' sum is odd. The even levels expand fully, so
+// the odd ones are wide, and their states prune to different processes: a
+// successor one state defers can be, up to symmetry, a successor a later
+// state of the same level explores — one orbit, two concrete states.
+func alternatingGridSpec() *Spec[gridState] {
+	spec := gridSpec(3, 4, -1)
+	spec.Independence.Safe = func(s gridState, p int) bool { return (s.vals[0]+s.vals[1]+s.vals[2])%2 == 1 }
+	spec.SymmetryVisitor = gridOrbit
+	return spec
+}
+
+// TestPORSymmetryKeepsProcessedState pins which concrete state a level
+// installs when a chunk's candidates share a miss: the state of the first
+// occurrence the merge processes, never that of a deferred one the proviso
+// left unexplored. Every retained state must be a real successor, by its
+// recorded action, of its recorded parent — checked on the concrete
+// states, which symmetry does not identify — and the reduced space must be
+// the same at every worker count.
+func TestPORSymmetryKeepsProcessedState(t *testing.T) {
+	var base *Result[gridState]
+	for _, w := range []int{1, 2, 4} {
+		for _, arena := range []bool{false, true} {
+			label := fmt.Sprintf("workers=%d arena=%t", w, arena)
+			res, err := Check(alternatingGridSpec(), Options{Workers: w, PartialOrder: true, StateArena: arena, RecordGraph: true})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if res.AmpleStates == 0 || res.DeferredTransitions == 0 {
+				t.Fatalf("%s: the reduction never pruned (%d ample states)", label, res.AmpleStates)
+			}
+			if d := parentLinksUnreal(alternatingGridSpec(), res.Graph); d != "" {
+				t.Fatalf("%s: %s", label, d)
+			}
+			if base == nil {
+				base = res
+			} else if res.Distinct != base.Distinct || res.Transitions != base.Transitions ||
+				res.AmpleStates != base.AmpleStates || res.DeferredTransitions != base.DeferredTransitions {
+				t.Fatalf("%s: %d/%d/%d/%d, workers=1 %d/%d/%d/%d", label,
+					res.Distinct, res.Transitions, res.AmpleStates, res.DeferredTransitions,
+					base.Distinct, base.Transitions, base.AmpleStates, base.DeferredTransitions)
+			}
+			res.Graph.Close()
+		}
+	}
+}
+
+// parentLinksUnreal checks every retained state of g against its parent
+// link: the link must be an explored transition — an edge of g — and the
+// state, as retained, one of the successors the link's action takes the
+// parent to, compared by Key. It returns the first breach, or "".
+func parentLinksUnreal[S State](spec *Spec[S], g *Graph[S]) string {
+	edges := map[Edge]bool{}
+	if err := g.ForEachEdge(func(e Edge) error {
+		edges[e] = true
+		return nil
+	}); err != nil {
+		return err.Error()
+	}
+	for id := 0; id < g.Len(); id++ {
+		m := g.ret.arena.rec(id)
+		if m.parent < 0 {
+			continue
+		}
+		from, act := int(m.parent), g.ret.acts[m.act]
+		if !edges[Edge{From: from, Action: act, To: id}] {
+			return fmt.Sprintf("state %d links to %d -%s->, a transition the run did not explore", id, from, act)
+		}
+		real := false
+		for _, a := range spec.Actions {
+			if a.Name == act {
+				for _, succ := range a.Next(g.StateAt(from)) {
+					real = real || succ.Key() == g.KeyAt(id)
+				}
+			}
+		}
+		if !real {
+			return fmt.Sprintf("state %d (%s) is no %s successor of its parent %d (%s)", id, g.KeyAt(id), act, from, g.KeyAt(from))
+		}
+	}
+	return ""
 }

@@ -77,14 +77,12 @@ func (vs *visitedSet) residentBytes() int64 {
 
 // restore makes a persisted (fingerprint, id) record resident again; a
 // fingerprint already resident keeps its id, which is the same. Merge
-// goroutine only, with no claim in flight.
+// goroutine only, with no probe in flight.
 func (vs *visitedSet) restore(rec spillRec) {
 	sh := vs.shard(rec.fp)
-	sh.mu.Lock()
 	if _, ok := sh.lookup(rec.fp, nil); !ok {
 		sh.insert(rec.fp, nil, int(rec.id))
 	}
-	sh.mu.Unlock()
 }
 
 // ResolveLevel merge-joins the level's probe misses (fingerprints, sorted

@@ -2,34 +2,27 @@ package tla
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 )
 
-// This file defines the engine's one visited set and the level-synchronized
-// engine's pending-work queue. Both schedules look states up through
-// probe, a read-only lookup. Work-stealing inserts through claim, safe for
-// concurrent use, which assigns the dense state id on first sight
-// (schedule.go). The level-synchronized engine (engine.go) probes during
-// its parallel expansion — nothing inserts then, so a miss means "no id
-// before this level" — and inserts in its merge, in merge order: a claim
-// pass gives each shard one owner, which inserts a placeholder for each
-// first occurrence (own), and the settle pass publishes the ids over them.
-// That is how the sequential oracle, the parallel checker and the
-// bounded-memory checker stay byte-for-byte comparable.
+// This file defines the engine's one visited set and its pending-work
+// queue. The engine (engine.go) probes the set during its parallel
+// expansion — probe is a read-only, lock-free lookup and nothing inserts
+// then, so a miss means "no id before this level" — and inserts in its
+// merge, in merge order: a claim pass gives each shard one owner, which
+// inserts a placeholder for each first occurrence (own), and the settle
+// pass publishes the ids over them. That is how the sequential oracle, the
+// parallel checker and the bounded-memory checker stay byte-for-byte
+// comparable.
 //
 // Each shard is TLC's FPSet in miniature: an open-addressed table of
-// 16-byte {fingerprint, id} slots whose words are atomics, so a probe takes
-// no lock, and a claim of a state already present — nine successors in ten
-// on a small-state spec — takes none either. Only an insert locks its
-// shard — or, in the merge's claim pass, owns it: it rechecks, runs the
-// caller's alloc, and publishes the id after the fingerprint, so a
-// lock-free reader that sees the id sees its fingerprint. Doubling builds a
-// new table under the lock and swaps it in; a reader still walking the old
-// one can only miss, and a claim's miss is rechecked under the lock. Under
-// a memory budget the fingerprints seal into one sorted run on disk
-// between levels (spill.go).
+// 16-byte {fingerprint, id} slots whose words are atomics. Between the
+// expansions that probe it, one goroutine at a time writes a shard — its
+// claim-pass owner, or the driver — storing the fingerprint before the
+// id, so a reader that sees the id sees its fingerprint. Under a memory
+// budget the fingerprints seal into one sorted run on disk between levels
+// (spill.go).
 //
 // Keyed, the same table is exact: each shard also keeps every state's
 // canonical encoding once, in append-only blocks, stored before the slot's
@@ -49,16 +42,16 @@ type levelFrontier struct {
 
 func newLevelFrontier() *levelFrontier { return &levelFrontier{} }
 
-func (f *levelFrontier) Push(id int) { f.next = append(f.next, id) }
+func (f *levelFrontier) Push(id int) { f.next = push(f.next, id) }
 
 func (f *levelFrontier) NextLevel() []int {
 	f.cur, f.next = f.next, f.cur[:0]
 	return f.cur
 }
 
-// visitedShards is the number of independently locked shards of the
-// visited set. A power of two so the shard index is a mask of the
-// fingerprint.
+// visitedShards is the number of shards of the visited set, each with
+// one owner in the merge's claim pass. A power of two so the shard index
+// is a mask of the fingerprint.
 const visitedShards = 64
 
 // visitedSet maps canonical state encodings to dense state ids: TLC's
@@ -83,8 +76,8 @@ type visitedSet struct {
 	recBuf   []spillRec     // EndLevel's scratch, reused across levels
 }
 
-// cacheLine is the padding unit of the shards, so that two workers
-// claiming in neighbouring shards do not contend for one cache line.
+// cacheLine is the padding unit of the shards, so that two claim-pass
+// owners of neighbouring shards do not contend for one cache line.
 const cacheLine = 64
 
 // visitedShard is one shard of the visited set, padded to whole cache
@@ -94,9 +87,9 @@ type visitedShard struct {
 	_ [(cacheLine - unsafe.Sizeof(shard{})%cacheLine) % cacheLine]byte
 }
 
-// shard is one lock stripe of the visited set. Writers hold mu.
+// shard is one stripe of the visited set, written by one goroutine at a
+// time.
 type shard struct {
-	mu    sync.Mutex
 	tab   atomic.Pointer[fpTable]
 	n     int    // states in tab
 	block []byte // keyed: the encodings' current storage block
@@ -112,8 +105,8 @@ type fpSlot struct {
 
 // fpTable is one generation of a shard's fingerprint table: a power of two
 // of slots, probed linearly from the one the fingerprint's multiplicative
-// mix picks. It is written only under the shard lock and, once its doubled
-// successor is swapped in, never again.
+// mix picks. Once its doubled successor is swapped in, it is never
+// written again.
 type fpTable struct {
 	slots []fpSlot
 	keys  []string // keyed only: slots[i]'s encoding, stored before its id
@@ -156,8 +149,8 @@ func (t *fpTable) slot(fp uint64, enc []byte) (*fpSlot, int64) {
 }
 
 // put stores fp with the slot word id (1 + the state id) and, keyed, key
-// in the first empty slot of fp's probe sequence. The caller holds the
-// shard lock, knows the state is absent, and keeps the table below full.
+// in the first empty slot of fp's probe sequence. The caller writes the
+// shard, knows the state is absent, and keeps the table below full.
 func (t *fpTable) put(fp uint64, key string, id int64) {
 	mask := uint64(len(t.slots) - 1)
 	i := (fp * fpMix) >> t.shift
@@ -178,8 +171,7 @@ func (sh *shard) lookup(fp uint64, enc []byte) (int, bool) {
 }
 
 // insert records fp — keyed, fp and a copy of enc — as id, which lookup
-// just missed, doubling the table at 3/4 load. Callers hold sh.mu or own
-// the shard.
+// just missed, doubling the table at 3/4 load. Callers own the shard.
 func (sh *shard) insert(fp uint64, enc []byte, id int) {
 	t := sh.tab.Load()
 	if 4*(sh.n+1) > 3*len(t.slots) {
@@ -237,7 +229,7 @@ func newVisitedSet(opts Options, workers int, em *engineMetrics) *visitedSet {
 
 // clearResident empties every shard, with a fresh minimal table: at
 // construction, and after a seal moved the resident fingerprints to disk.
-// Merge goroutine only, with no probe or claim in flight.
+// Driver goroutine only, with no probe in flight.
 func (vs *visitedSet) clearResident() {
 	for i := range vs.shards {
 		sh := &vs.shards[i]
@@ -259,32 +251,6 @@ func (vs *visitedSet) probe(fp uint64, enc []byte) (id int, ok bool) {
 func (vs *visitedSet) has(fp uint64, enc []byte) bool {
 	_, ok := vs.probe(fp, enc)
 	return ok
-}
-
-// claim resolves enc (with fingerprint fp) to its dense state id, inserting
-// on first sight — work-stealing's insert. A state already present is
-// found without the shard lock; otherwise, under it, the lookup is
-// repeated and alloc runs, exactly once per distinct state, to register
-// the state and assign its id; a negative id from alloc refuses the insert
-// (state limit, failure or stop) and leaves the encoding unclaimed. Safe
-// for concurrent use.
-func (vs *visitedSet) claim(fp uint64, enc []byte, alloc func() int) (id int, isNew bool) {
-	sh := vs.shard(fp)
-	if id, ok := sh.lookup(fp, enc); ok {
-		return id, false
-	}
-	sh.mu.Lock()
-	// Unlock by defer, not explicitly: alloc runs spec encoding code under
-	// this lock (an arena under symmetry), and a recovered spec panic must
-	// release the shard on unwind or the drain would deadlock on it.
-	defer sh.mu.Unlock()
-	if id, ok := sh.lookup(fp, enc); ok {
-		return id, false
-	}
-	if id = alloc(); id >= 0 {
-		sh.insert(fp, enc, id)
-	}
-	return id, id >= 0
 }
 
 // own returns the id of enc (with fingerprint fp), or inserts id and

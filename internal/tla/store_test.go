@@ -10,7 +10,7 @@ import (
 )
 
 // TestFingerprintZero follows fingerprint 0 — a legal FNV-1a output, and
-// the value of an empty slot's fingerprint word — through claim, probe,
+// the value of an empty slot's fingerprint word — through own, probe,
 // resident, the EndLevel seal and the ResolveLevel restore, beside another
 // fingerprint of the same shard.
 func TestFingerprintZero(t *testing.T) {
@@ -21,14 +21,14 @@ func TestFingerprintZero(t *testing.T) {
 	if _, ok := vs.probe(0, nil); ok {
 		t.Fatal("probe of an unclaimed fingerprint 0 hit")
 	}
-	if id, isNew := vs.claim(0, nil, allocID(5)); id != 5 || !isNew {
-		t.Fatalf("first claim of fingerprint 0 = (%d, %t), want (5, true)", id, isNew)
+	if id, isNew := vs.own(0, nil, 5); id != 5 || !isNew {
+		t.Fatalf("first own of fingerprint 0 = (%d, %t), want (5, true)", id, isNew)
 	}
-	if id, isNew := vs.claim(0, nil, allocID(9)); id != 5 || isNew {
-		t.Fatalf("re-claim of fingerprint 0 = (%d, %t), want (5, false)", id, isNew)
+	if id, isNew := vs.own(0, nil, 9); id != 5 || isNew {
+		t.Fatalf("second own of fingerprint 0 = (%d, %t), want (5, false)", id, isNew)
 	}
-	if id, isNew := vs.claim(other, nil, allocID(6)); id != 6 || !isNew {
-		t.Fatalf("claim of fingerprint %d = (%d, %t), want (6, true)", other, id, isNew)
+	if id, isNew := vs.own(other, nil, 6); id != 6 || !isNew {
+		t.Fatalf("own of fingerprint %d = (%d, %t), want (6, true)", other, id, isNew)
 	}
 	if id, ok := vs.probe(0, nil); !ok || id != 5 {
 		t.Fatalf("probe of fingerprint 0 = (%d, %t), want (5, true)", id, ok)
@@ -63,20 +63,20 @@ func TestFingerprintZero(t *testing.T) {
 	if id, ok := vs.probe(other, nil); !ok || id != 6 {
 		t.Fatalf("restored fingerprint %d = (%d, %t), want (6, true)", other, id, ok)
 	}
-	if id, isNew := vs.claim(0, nil, allocID(9)); id != 5 || isNew {
-		t.Fatalf("claim of restored fingerprint 0 = (%d, %t), want (5, false)", id, isNew)
+	if id, isNew := vs.own(0, nil, 9); id != 5 || isNew {
+		t.Fatalf("own of restored fingerprint 0 = (%d, %t), want (5, false)", id, isNew)
 	}
 	if n := vs.resident(); n != 2 {
 		t.Fatalf("resident() after the restore = %d, want 2", n)
 	}
 }
 
-// TestVisitedSetConcurrentClaims races four goroutines claiming the same
-// states, from different starting points, through several doublings of
-// every shard's table: each state's alloc must run exactly once, every
-// goroutine must get the same id for it, the ids must be dense, and every
-// probe after the join must hit. Keyed, 32 states share each fingerprint,
-// so the lock-free byte check races the inserts that extend its chain.
+// TestVisitedSetConcurrentClaims runs the merge's claim pass the way the
+// engine does — four goroutines, each the one owner of every fourth shard —
+// over several doublings of every shard's table: each state's first own
+// must insert its id, a second own must find it, and every probe after the
+// join must hit. Keyed, 32 states share each fingerprint, so colliding
+// states chain to separate slots while the other owners insert.
 func TestVisitedSetConcurrentClaims(t *testing.T) {
 	const (
 		goroutines = 4
@@ -93,44 +93,32 @@ func TestVisitedSetConcurrentClaims(t *testing.T) {
 				encs[i] = []byte(fmt.Sprint(i))
 			}
 		}
-		allocs := make([]atomic.Int32, n)
-		var next atomic.Int64
-		ids := make([][]int, goroutines)
+		var bad atomic.Int64
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
-			ids[g] = make([]int, n)
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				for k := 0; k < n; k++ {
-					i := (k + g*n/goroutines) % n
-					id, _ := vs.claim(fps[i], encs[i], func() int {
-						allocs[i].Add(1)
-						return int(next.Add(1) - 1)
-					})
-					ids[g][i] = id
+				for i := range fps {
+					if int(fps[i]&(visitedShards-1))%goroutines != g {
+						continue
+					}
+					if id, isNew := vs.own(fps[i], encs[i], i); id != i || !isNew {
+						bad.Add(1)
+					}
+					if id, isNew := vs.own(fps[i], encs[i], -1); id != i || isNew {
+						bad.Add(1)
+					}
 				}
 			}(g)
 		}
 		wg.Wait()
-
-		seen := make([]bool, n)
+		if b := bad.Load(); b != 0 {
+			t.Fatalf("keyed=%t: %d owns answered a wrong id or newness", keyed, b)
+		}
 		for i, fp := range fps {
-			if c := allocs[i].Load(); c != 1 {
-				t.Fatalf("keyed=%t, state %d: alloc ran %d times, want once", keyed, i, c)
-			}
-			id := ids[0][i]
-			for g := 1; g < goroutines; g++ {
-				if ids[g][i] != id {
-					t.Fatalf("keyed=%t, state %d: goroutine %d got id %d, goroutine 0 got %d", keyed, i, g, ids[g][i], id)
-				}
-			}
-			if id < 0 || id >= n || seen[id] {
-				t.Fatalf("keyed=%t, state %d: id %d is out of range or shared; ids must be dense", keyed, i, id)
-			}
-			seen[id] = true
-			if got, ok := vs.probe(fp, encs[i]); !ok || got != id {
-				t.Fatalf("keyed=%t: probe of state %d after the join = (%d, %t), want (%d, true)", keyed, i, got, ok, id)
+			if got, ok := vs.probe(fp, encs[i]); !ok || got != i {
+				t.Fatalf("keyed=%t: probe of state %d after the join = (%d, %t), want (%d, true)", keyed, i, got, ok, i)
 			}
 		}
 		if r := vs.resident(); r != n {
@@ -151,7 +139,7 @@ func TestProbeDoesNotAllocate(t *testing.T) {
 		for i := range encs {
 			encs[i] = []byte{byte(i), byte(i >> 8), 'k'}
 			if i%2 == 0 {
-				vs.claim(fingerprint(encs[i]), encs[i], allocID(i))
+				vs.own(fingerprint(encs[i]), encs[i], i)
 			}
 		}
 		avg := testing.AllocsPerRun(10, func() {
@@ -166,8 +154,8 @@ func TestProbeDoesNotAllocate(t *testing.T) {
 }
 
 // TestStoreFingerprintCollisions drives the merge's protocol — own, then
-// publish, then probe — and work-stealing's claim over encodings that share
-// a fingerprint, 0 and a non-zero one, in a keyed set: every encoding must
+// publish, then probe, then own again — over encodings that share a
+// fingerprint, 0 and a non-zero one, in a keyed set: every encoding must
 // keep its own slot and id, through several doublings of its shard's
 // table, and an unseen encoding with the same fingerprint must miss.
 func TestStoreFingerprintCollisions(t *testing.T) {
@@ -197,13 +185,13 @@ func TestStoreFingerprintCollisions(t *testing.T) {
 			t.Fatalf("fp %#x: probe of an unseen encoding hit", fp)
 		}
 		for i := n; i < 2*n; i++ {
-			if id, isNew := vs.claim(fp, enc(fp, i), allocID(3*i)); id != 3*i || !isNew {
-				t.Fatalf("fp %#x: claim of encoding %d = (%d, %t), want (%d, true)", fp, i, id, isNew, 3*i)
+			if id, isNew := vs.own(fp, enc(fp, i), 3*i); id != 3*i || !isNew {
+				t.Fatalf("fp %#x: own of encoding %d = (%d, %t), want (%d, true)", fp, i, id, isNew, 3*i)
 			}
 		}
 		for i := 0; i < 2*n; i++ {
-			if id, isNew := vs.claim(fp, enc(fp, i), allocID(-1)); id != 3*i || isNew {
-				t.Fatalf("fp %#x: re-claim of encoding %d = (%d, %t), want (%d, false)", fp, i, id, isNew, 3*i)
+			if id, isNew := vs.own(fp, enc(fp, i), -1); id != 3*i || isNew {
+				t.Fatalf("fp %#x: re-own of encoding %d = (%d, %t), want (%d, false)", fp, i, id, isNew, 3*i)
 			}
 		}
 		if r := vs.resident(); r != 2*n {

@@ -60,9 +60,8 @@ type State interface {
 // Next must therefore be pure up to shared state: reading captured
 // configuration is fine, mutating captured caches or globals is not.
 // Invariants and the state Constraint run on the worker goroutines too —
-// in a level-synchronized run's merge (which checks each new state once,
-// in parallel across chunks), and as states register under
-// ScheduleWorkSteal — so they must not mutate shared state either.
+// in the merge, which checks each new state once, in parallel across
+// chunks — so they must not mutate shared state either.
 type Action[S State] struct {
 	Name string
 	Next func(S) []S
@@ -224,24 +223,10 @@ type Options struct {
 	// -workers. 0 means GOMAXPROCS; 1 selects the sequential reference
 	// path. The parallel path is level-synchronized and produces results
 	// identical to the sequential path: same counters, same graph, same
-	// shortest counterexample.
+	// shortest counterexample. Invariants and Constraint are called from
+	// worker goroutines and must not mutate shared state.
 	Workers int
-	// Schedule selects the exploration loop (-schedule on the CLIs).
-	// ScheduleLevelSync, the default, is the deterministic
-	// level-synchronized BFS described above. ScheduleWorkSteal drops the
-	// per-level barrier: per-worker steal-half deques and claim-on-insert
-	// deduplication keep every worker busy through wide-then-narrow state
-	// spaces, at the price of exploration order — verdicts, distinct-state
-	// counts and invariant results are identical (cross-checked against
-	// the level-sync oracle), but a counterexample is not necessarily
-	// shortest, Result.Depth is an upper bound on the BFS depth, and a
-	// recorded graph lists states and edges in nondeterministic order.
-	// Under either schedule, Invariants and Constraint are called from
-	// worker goroutines and must not mutate shared state. Options that
-	// need level semantics are rejected with it: MemoryBudgetBytes (the
-	// spilling visited set resolves lookups once per level) and
-	// CheckpointDir/ResumeFrom (checkpoints are sealed at level
-	// boundaries).
+	// Deprecated: Check ignores Schedule; every run is level-synchronized.
 	Schedule Schedule
 	// StateArena retains discovered states as canonical encodings in an
 	// append-only arena — parent links and ~24 bytes of metadata per state
@@ -270,7 +255,7 @@ type Options struct {
 	// soundness conditions hold, deferring the rest (see por.go for the
 	// conditions and exactly what is preserved). Check rejects it on a
 	// spec whose Independence is missing or lacks Procs or Owner.
-	// Composes with SymmetryVisitor, both schedules, StateArena and
+	// Composes with SymmetryVisitor, every worker count, StateArena and
 	// MemoryBudgetBytes. Liveness checking needs the full edge set: run
 	// CheckEventuallyWithin on graphs recorded without POR.
 	PartialOrder bool
@@ -302,10 +287,9 @@ type Options struct {
 	// oracle — and is therefore rejected alongside CollisionFree, whose
 	// stored encodings are memory-resident by definition.
 	MemoryBudgetBytes int64
-	// Context, when non-nil, cancels the run cooperatively: both
-	// schedulers poll it at their stop points (the level-synchronized
-	// loop between levels and between frontier states, the work-stealing
-	// loop on every worker iteration) and an interrupted run returns the
+	// Context, when non-nil, cancels the run cooperatively: the engine
+	// polls it between levels and between frontier states, and an
+	// interrupted run returns the
 	// partial Result (Interrupted set, states/depth/counters so far)
 	// under an error wrapping ErrInterrupted — plus a checkpoint when
 	// CheckpointDir is set. A context deadline bounds the run in wall-clock
@@ -327,8 +311,7 @@ type Options struct {
 	// continues where it stopped, with verdict and counts identical to an
 	// uninterrupted run. Implies StateArena (the stored encodings are what
 	// the resumed frontier is decoded from) and needs fingerprint
-	// deduplication (rejected alongside CollisionFree) and level
-	// boundaries (rejected alongside ScheduleWorkSteal).
+	// deduplication (rejected alongside CollisionFree).
 	CheckpointDir string
 	// CheckpointEvery checkpoints every N completed BFS levels in
 	// addition to checkpoint-on-interrupt (0 = only on interrupt).
@@ -350,13 +333,11 @@ type Options struct {
 	// Progress, when non-nil together with ProgressEvery, receives periodic
 	// snapshots of the exploration so far — the hook a long-lived server
 	// (cmd/checkd) streams to clients. It fires at most once per
-	// ProgressEvery, plus one final flush when the run ends, under both
-	// schedules. The callback runs on a dedicated timer goroutine
-	// concurrent with the exploration (never with itself), so it must be
-	// safe to run off the engine's goroutines. Under level-sync the snapshot is
-	// the last completed level boundary (every boundary is also a "level"
-	// event of the journal); under work-stealing it is a live read of the
-	// engine's atomic counters.
+	// ProgressEvery, plus one final flush when the run ends. The callback
+	// runs on a dedicated timer goroutine concurrent with the exploration
+	// (never with itself), so it must be safe to run off the engine's
+	// goroutines. The snapshot is the last completed level boundary (every
+	// boundary is also a "level" event of the journal).
 	Progress func(Progress)
 	// ProgressEvery is the minimum interval between Progress deliveries.
 	// Zero disables progress (Progress is then never called).
@@ -370,8 +351,7 @@ type Options struct {
 	// instrumentation point.
 	Metrics *obs.Registry
 	// JournalWriter, when non-nil, receives the run journal: JSONL, one
-	// structured event per BFS level (level-sync) or progress epoch
-	// (work-stealing ticker), plus checkpoint, I/O-degradation and
+	// structured event per BFS level, plus checkpoint, I/O-degradation and
 	// terminal-verdict events, each with a schema version, sequence number
 	// and monotone timestamp — enough to reconstruct the run's shape after
 	// the fact. Journal write failures never fail the run. The writer must
@@ -380,15 +360,27 @@ type Options struct {
 	JournalWriter io.Writer
 }
 
+// Schedule named the exploration loop of earlier releases.
+//
+// Deprecated: Check ignores it; every run is level-synchronized.
+type Schedule int
+
+// The two loops of earlier releases.
+//
+// Deprecated: Check ignores Options.Schedule.
+const (
+	ScheduleLevelSync Schedule = iota
+	ScheduleWorkSteal
+)
+
 // Progress is one Options.Progress snapshot: the counters of an in-flight
-// run at a wall-clock tick. Under work-stealing, Level stays 0 and Frontier
-// is the number of pending deque items rather than a level width.
+// run at its last level boundary.
 type Progress struct {
 	Distinct    int   // distinct states found so far
 	Transitions int   // transitions examined so far
 	Depth       int   // maximum BFS depth reached so far
 	Level       int   // fully merged BFS levels
-	Frontier    int   // states awaiting expansion (level width, or pending deque items)
+	Frontier    int   // states awaiting expansion: the width of level Level
 	SpillBytes  int64 // bytes of the visited run + arena segments on disk (spill pressure)
 	// ResidentBytes estimates the memory charged against
 	// Options.MemoryBudgetBytes: resident visited fingerprints (tracked
@@ -429,10 +421,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: negative MemoryBudgetBytes %d (0 means fully resident)", ErrInvalidOptions, o.MemoryBudgetBytes)
 	case o.MemoryBudgetBytes > 0 && o.CollisionFree:
 		return fmt.Errorf("%w: MemoryBudgetBytes requires fingerprint deduplication, but CollisionFree keys the visited set on full encodings, which are memory-resident by definition", ErrInvalidOptions)
-	case o.Schedule < ScheduleLevelSync || o.Schedule > ScheduleWorkSteal:
-		return fmt.Errorf("%w: unknown Schedule %d (ScheduleLevelSync, ScheduleWorkSteal)", ErrInvalidOptions, o.Schedule)
-	case o.Schedule == ScheduleWorkSteal && (o.MemoryBudgetBytes > 0 || o.checkpointing()):
-		return fmt.Errorf("%w: ScheduleWorkSteal has no BFS levels, which MemoryBudgetBytes (one merge-join per level) and CheckpointDir/ResumeFrom (level-boundary checkpoints) need; use ScheduleLevelSync", ErrInvalidOptions)
 	case o.CheckpointEvery < 0:
 		return fmt.Errorf("%w: negative CheckpointEvery %d (0 means checkpoint only on interrupt)", ErrInvalidOptions, o.CheckpointEvery)
 	case o.CheckpointEvery > 0 && o.CheckpointDir == "":
@@ -480,7 +468,7 @@ type Result[S State] struct {
 	Spec           string
 	Distinct       int // distinct states found
 	Transitions    int // state transitions examined (including duplicates)
-	Depth          int // maximum BFS depth reached
+	Depth          int // maximum BFS depth reached: exact, the same at every worker count
 	Terminal       int // states with no enabled action (deadlocks, or completed behaviours)
 	Violation      *Violation[S]
 	Graph          *Graph[S] // under Options.RecordGraph, unless the run failed without a violation
@@ -519,13 +507,9 @@ type Result[S State] struct {
 // (0 resolves to GOMAXPROCS; 1 is the sequential oracle, whose visited set
 // is keyed — a fingerprint hit counts only if the encodings are equal — and
 // therefore always collision-free unless MemoryBudgetBytes or a checkpoint
-// engages the spilling fingerprint set) and the
-// scheduling mode (Schedule — the default level-synchronized loop, or the
-// barrier-free work-stealing loop). Level-synchronized results are
-// identical at every worker count and in every visited-set mode the
-// options imply, modulo fingerprint collisions (see CollisionFree);
-// work-stealing preserves verdicts and counts but not order — see
-// Options.Schedule.
+// engages the spilling fingerprint set). Results are identical at every
+// worker count and in every visited-set mode the options imply, modulo
+// fingerprint collisions (see CollisionFree).
 //
 // Every run does what its options say or is rejected before exploring
 // anything: Validate rejects the combinations that are invalid for any
@@ -548,18 +532,10 @@ func Check[S State](spec *Spec[S], opts Options) (*Result[S], error) {
 	}
 	workers := resolveWorkers(opts.Workers)
 	em := newEngineMetrics(opts, workers)
-	em.journalStart(spec.Name, opts.Schedule, workers, opts.PartialOrder)
-	var (
-		res *Result[S]
-		err error
-	)
+	em.journalStart(spec.Name, workers, opts.PartialOrder)
 	vs := newVisitedSet(opts, workers, em)
 	defer vs.Close()
-	if opts.Schedule == ScheduleWorkSteal {
-		res, err = runWorkSteal(spec, opts, workers, vs, em)
-	} else {
-		res, err = runEngine(spec, opts, workers, vs, em)
-	}
+	res, err := runEngine(spec, opts, workers, vs, em)
 	if res != nil {
 		em.journalEnd(coreOf(res), err)
 	}

@@ -548,3 +548,23 @@ func TestCheckNoInit(t *testing.T) {
 		t.Fatal("expected error for spec without Init")
 	}
 }
+
+// TestInitViolation: an invariant an initial state violates ends the run
+// before any expansion, with a one-state counterexample, at every worker
+// count.
+func TestInitViolation(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		spec := counterSpec(4)
+		spec.Invariants = append(spec.Invariants, Invariant[counterState]{
+			Name:  "NoInit",
+			Check: func(counterState) error { return errors.New("init rejected") },
+		})
+		res, err := Check(spec, Options{Workers: w})
+		if !errors.Is(err, ErrInvariantViolated) {
+			t.Fatalf("workers=%d: err = %v, want an invariant violation at the initial state", w, err)
+		}
+		if len(res.Violation.Trace) != 1 || res.Transitions != 0 {
+			t.Fatalf("workers=%d: trace of %d states after %d transitions, want 1 after 0", w, len(res.Violation.Trace), res.Transitions)
+		}
+	}
+}
