@@ -182,6 +182,9 @@ func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, wor
 	if cfg.symmetry && cfg.specName == "arrayot" {
 		return fmt.Errorf("%w: -symmetry: array_ot has no symmetric identities (clients act in ID order)", errUsage)
 	}
+	if cfg.specName == "locking" && (cfg.actors < 0 || cfg.actors > locking.MaxActors) {
+		return fmt.Errorf("%w: -actors %d: the locking spec takes 0..%d actors", errUsage, cfg.actors, locking.MaxActors)
+	}
 	if deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, deadline)

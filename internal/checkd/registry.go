@@ -159,6 +159,9 @@ func normalizeParams(spec string, p SpecParams) (SpecParams, error) {
 		}
 		out.Symmetry = p.Symmetry
 		out.OmitCompatibilityCheck = p.OmitCompatibilityCheck
+		if out.Actors > locking.MaxActors {
+			return out, fmt.Errorf("%w: actors > %d (locking.MaxActors)", tla.ErrInvalidOptions, locking.MaxActors)
+		}
 	case "arrayot":
 		// The paper's fixed configuration; no knobs exposed.
 		if p.Symmetry {

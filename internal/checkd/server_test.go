@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/locking"
 	"repro/internal/tla"
 )
 
@@ -188,6 +189,27 @@ func TestHTTPQueueFull(t *testing.T) {
 	}
 	if code := doJSON(t, srv, "DELETE", fmt.Sprintf("/jobs/%s", running.ID), nil, nil); code != http.StatusNoContent {
 		t.Fatalf("DELETE = %d", code)
+	}
+}
+
+// TestTooManyActorsRefused: a locking state holds at most
+// locking.MaxActors actors, so a job asking for more is refused at
+// admission (ErrInvalidOptions, HTTP 400) instead of panicking in the
+// spec's constructor.
+func TestTooManyActorsRefused(t *testing.T) {
+	s := newTestSup(t, nil)
+	req := JobRequest{Spec: "locking", Config: SpecParams{Actors: locking.MaxActors + 1}}
+	if _, err := s.Submit(req); !errors.Is(err, tla.ErrInvalidOptions) {
+		t.Fatalf("Submit = %v, want ErrInvalidOptions", err)
+	}
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+	var apiErr map[string]string
+	if code := doJSON(t, srv, "POST", "/jobs", req, &apiErr); code != http.StatusBadRequest {
+		t.Fatalf("POST /jobs = %d, want 400", code)
+	}
+	if !strings.Contains(apiErr["error"], "actors") {
+		t.Fatalf("400 body %q does not name the actors option", apiErr["error"])
 	}
 }
 

@@ -22,7 +22,7 @@ type managerObs struct {
 }
 
 func (o managerObs) Matches(s SpecState) bool {
-	if len(s.Held) != len(o.held) {
+	if int(s.N) != len(o.held) {
 		return false
 	}
 	for a := range o.held {

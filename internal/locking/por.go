@@ -4,10 +4,13 @@ import "repro/internal/tla"
 
 // Independence is the locking spec's partial-order-reduction declaration
 // (tla.Spec.Independence): one process per actor, owning the transitions
-// that change that actor's holdings.
+// that change that actor's holdings. Procs is the state's actor count N,
+// and Owner compares only the rows below it: the padding rows of Held are
+// zero in every state and belong to no process.
 //
 // Only Release transitions are deferrable (SafeAction). Releasing a's
-// deepest lock writes Held[a] alone and reads nothing else; for every
+// deepest lock writes one cell of a's row Held[a] and reads nothing else
+// — the successor is s with that cell cleared; for every
 // other actor it only *relaxes* the compatibility matrix, so no deferred
 // transition is ever disabled by an ample release, and a deferred
 // acquire's grant — decided by the acquirer's own row and the matrix —
@@ -43,10 +46,10 @@ func Independence(cfg SpecConfig) *tla.Independence[SpecState] {
 		return nil
 	}
 	return &tla.Independence[SpecState]{
-		Procs: func(s SpecState) int { return len(s.Held) },
+		Procs: func(s SpecState) int { return int(s.N) },
 		Owner: func(s, succ SpecState, act int) int {
 			owner := -1
-			for a := range s.Held {
+			for a := range int(s.N) {
 				if s.Held[a] != succ.Held[a] {
 					if owner != -1 {
 						return -1 // a transition never writes two actors' rows

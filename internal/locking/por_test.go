@@ -27,7 +27,7 @@ func TestPORMatchesOracle(t *testing.T) {
 						spec.Invariants = append(spec.Invariants, tla.Invariant[SpecState]{
 							Name: "NoExclusiveOplog",
 							Check: func(s SpecState) error {
-								for a := range s.Held {
+								for a := range int(s.N) {
 									if s.Held[a][2] == int8(X) {
 										return fmt.Errorf("actor %d holds X on Oplog", a)
 									}

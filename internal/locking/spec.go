@@ -32,17 +32,25 @@ type SpecConfig struct {
 	OmitCompatibilityCheck bool
 }
 
-// SpecState is a locking specification state: for each actor, the mode it
-// holds on each of the three hierarchy levels (or -1).
+// MaxActors bounds SpecConfig.Actors: SpecState keeps its rows in a
+// fixed array, so a state is a pointer-free value the checker copies
+// instead of allocating, and that the garbage collector never scans.
+const MaxActors = 8
+
+// SpecState is a locking specification state: for each of its N actors,
+// the mode it holds on each of the three hierarchy levels (or -1). Rows at
+// index N and above are always zero, so == on two states is state
+// equality; code reads only Held[:N].
 type SpecState struct {
-	// Held[a][level] is int8(mode) or -1.
-	Held [][3]int8
+	N uint8
+	// Held[a][level] is int8(mode) or -1, for a < N.
+	Held [MaxActors][3]int8
 }
 
 // Key implements tla.State.
 func (s SpecState) Key() string {
 	var b strings.Builder
-	for i, h := range s.Held {
+	for i, h := range s.Held[:s.N] {
 		if i > 0 {
 			b.WriteByte('|')
 		}
@@ -57,7 +65,7 @@ func (s SpecState) Key() string {
 // injective — it agrees with Key() by construction, and
 // FuzzBinaryKeyAgreement checks the agreement on randomized states.
 func (s SpecState) AppendBinary(buf []byte) []byte {
-	for _, h := range s.Held {
+	for _, h := range s.Held[:s.N] {
 		buf = append(buf, byte(h[0]+1), byte(h[1]+1), byte(h[2]+1))
 	}
 	return buf
@@ -65,42 +73,38 @@ func (s SpecState) AppendBinary(buf []byte) []byte {
 
 // DecodeBinary implements tla.BinaryDecoder: the inverse of AppendBinary.
 // Three bytes per actor, each byte mode+1 in 0..4; the actor count is the
-// encoding length over three, so a zero-value receiver works.
+// encoding length over three, at most MaxActors, so a zero-value receiver
+// works.
 func (s SpecState) DecodeBinary(enc []byte) (SpecState, error) {
 	if len(enc)%3 != 0 {
 		return SpecState{}, fmt.Errorf("locking: decode: length %d not a multiple of 3", len(enc))
 	}
-	held := make([][3]int8, len(enc)/3)
+	if len(enc) > 3*MaxActors {
+		return SpecState{}, fmt.Errorf("locking: decode: length %d holds more than MaxActors (%d) actors", len(enc), MaxActors)
+	}
+	out := SpecState{N: uint8(len(enc) / 3)}
 	for i, b := range enc {
 		if b > byte(X)+1 {
 			return SpecState{}, fmt.Errorf("locking: decode: bad mode byte %d at offset %d", b, i)
 		}
-		held[i/3][i%3] = int8(b) - 1
+		out.Held[i/3][i%3] = int8(b) - 1
 	}
-	return SpecState{Held: held}, nil
+	return out, nil
 }
 
 // ActorOrbits is the spec's symmetry declaration
-// (tla.Spec.SymmetryVisitor): each call returns a fresh per-worker visitor
-// that hands the codec the orbit's representative and nothing else. An
-// actor permutation just reorders the rows of Held, and every row encodes
-// to three bytes, so the least encoding in the orbit has the rows in
-// encoded-byte order: the visitor insertion-sorts the actor indices with
-// compareRows and visits s itself when it is already sorted, otherwise the
-// sorted image built in one scratch state it reuses — images are only
-// encoded, never retained.
+// (tla.Spec.SymmetryVisitor): each call returns a visitor that hands the
+// codec the orbit's representative and nothing else. An actor permutation
+// just reorders the rows of Held, and every row encodes to three bytes, so
+// the least encoding in the orbit has the rows in encoded-byte order: the
+// visitor insertion-sorts the actor indices with compareRows and visits s
+// itself when it is already sorted, otherwise the sorted image, a plain
+// value built on the stack.
 func ActorOrbits() tla.OrbitVisitor[SpecState] {
-	var (
-		scratch SpecState
-		order   []int
-	)
 	return func(s SpecState, visit func(SpecState)) {
-		n := len(s.Held)
-		if len(order) != n {
-			order = make([]int, n)
-			scratch.Held = make([][3]int8, n)
-		}
-		for i := range order {
+		var order [MaxActors]int
+		n := int(s.N)
+		for i := range n {
 			order[i] = i
 		}
 		moved := false
@@ -114,10 +118,11 @@ func ActorOrbits() tla.OrbitVisitor[SpecState] {
 			visit(s)
 			return
 		}
-		for k, i := range order {
-			scratch.Held[k] = s.Held[i]
+		img := SpecState{N: s.N}
+		for k, i := range order[:n] {
+			img.Held[k] = s.Held[i]
 		}
-		visit(scratch)
+		visit(img)
 	}
 }
 
@@ -133,27 +138,21 @@ func compareRows(a, b [3]int8) int {
 }
 
 // ActorPermutations is the brute-force orbit of s: its (actors!)-1 images
-// under the non-identity actor permutations, as freshly allocated states.
-// Its least encoding, s's own included, is the representative ActorOrbits
-// visits.
+// under the non-identity actor permutations. Its least encoding, s's own
+// included, is the representative ActorOrbits visits.
 //
 // Deprecated: use ActorOrbits (Spec already does); this remains only as
 // the oracle the visitor is tested against.
 func ActorPermutations(s SpecState) []SpecState {
-	n := len(s.Held)
 	var out []SpecState
-	tla.Permutations(n, func(perm []int) {
-		held := make([][3]int8, n)
+	tla.Permutations(int(s.N), func(perm []int) {
+		img := SpecState{N: s.N}
 		for i, p := range perm {
-			held[p] = s.Held[i]
+			img.Held[p] = s.Held[i]
 		}
-		out = append(out, SpecState{Held: held})
+		out = append(out, img)
 	})
 	return out
-}
-
-func (s SpecState) clone() SpecState {
-	return SpecState{Held: append([][3]int8(nil), s.Held...)}
 }
 
 var resources = [3]Resource{Global, ReplState, Oplog}
@@ -162,6 +161,9 @@ var resources = [3]Resource{Global, ReplState, Oplog}
 // top-down (intent modes above, S/X at the leaf) and release bottom-up.
 // The invariants are the MGL safety conditions.
 func Spec(cfg SpecConfig) *tla.Spec[SpecState] {
+	if cfg.Actors < 0 || cfg.Actors > MaxActors {
+		panic(fmt.Sprintf("locking: SpecConfig.Actors = %d, want 0..MaxActors (%d)", cfg.Actors, MaxActors))
+	}
 	var sym func() tla.OrbitVisitor[SpecState]
 	if cfg.Symmetric {
 		sym = ActorOrbits
@@ -171,17 +173,18 @@ func Spec(cfg SpecConfig) *tla.Spec[SpecState] {
 		SymmetryVisitor: sym,
 		Independence:    Independence(cfg),
 		Init: func() []SpecState {
-			held := make([][3]int8, cfg.Actors)
-			for i := range held {
-				held[i] = [3]int8{-1, -1, -1}
+			s := SpecState{N: uint8(cfg.Actors)}
+			for a := range cfg.Actors {
+				s.Held[a] = [3]int8{-1, -1, -1}
 			}
-			return []SpecState{{Held: held}}
+			return []SpecState{s}
 		},
 		Actions: []tla.Action[SpecState]{
 			{Name: "Acquire", Next: func(s SpecState) []SpecState {
-				// Count first, then fill a slice of exactly that length:
-				// every successor is its own clone, so one retained state
-				// pins no dead sibling's rows.
+				// Count first, then fill a slice of exactly that length.
+				// A successor is a copy of s with one cell changed: states
+				// are values, so the result slice is the call's only
+				// allocation.
 				n := 0
 				cfg.acquires(s, func(int, int, Mode) { n++ })
 				if n == 0 {
@@ -189,7 +192,7 @@ func Spec(cfg SpecConfig) *tla.Spec[SpecState] {
 				}
 				out, i := make([]SpecState, n), 0
 				cfg.acquires(s, func(a, lvl int, mode Mode) {
-					out[i] = s.clone()
+					out[i] = s
 					out[i].Held[a][lvl] = int8(mode)
 					i++
 				})
@@ -198,7 +201,7 @@ func Spec(cfg SpecConfig) *tla.Spec[SpecState] {
 			{Name: "Release", Next: func(s SpecState) []SpecState {
 				// Release bottom-up: deepest held lock first.
 				n := 0
-				for _, h := range s.Held {
+				for _, h := range s.Held[:s.N] {
 					if deepest(h) >= 0 {
 						n++
 					}
@@ -207,9 +210,9 @@ func Spec(cfg SpecConfig) *tla.Spec[SpecState] {
 					return nil
 				}
 				out, i := make([]SpecState, n), 0
-				for a, h := range s.Held {
+				for a, h := range s.Held[:s.N] {
 					if lvl := deepest(h); lvl >= 0 {
-						out[i] = s.clone()
+						out[i] = s
 						out[i].Held[a][lvl] = -1
 						i++
 					}
@@ -219,9 +222,10 @@ func Spec(cfg SpecConfig) *tla.Spec[SpecState] {
 		},
 		Invariants: []tla.Invariant[SpecState]{
 			{Name: "Compatibility", Check: func(s SpecState) error {
+				n := int(s.N)
 				for lvl := 0; lvl < 3; lvl++ {
-					for a := range s.Held {
-						for b := a + 1; b < len(s.Held); b++ {
+					for a := range n {
+						for b := a + 1; b < n; b++ {
 							ma, mb := s.Held[a][lvl], s.Held[b][lvl]
 							if ma >= 0 && mb >= 0 && !Compatible(Mode(ma), Mode(mb)) {
 								return fmt.Errorf("actors %d and %d hold %s/%s on %s",
@@ -233,7 +237,7 @@ func Spec(cfg SpecConfig) *tla.Spec[SpecState] {
 				return nil
 			}},
 			{Name: "IntentAboveLeaf", Check: func(s SpecState) error {
-				for a := range s.Held {
+				for a := range int(s.N) {
 					for lvl := 1; lvl < 3; lvl++ {
 						if s.Held[a][lvl] >= 0 && s.Held[a][lvl-1] < 0 {
 							return fmt.Errorf("actor %d holds %s without a parent intent lock",
@@ -252,7 +256,7 @@ func Spec(cfg SpecConfig) *tla.Spec[SpecState] {
 // intent discipline allows there and, unless the spec models the buggy
 // manager, compatible with every other actor's holding.
 func (cfg SpecConfig) acquires(s SpecState, fn func(actor, lvl int, mode Mode)) {
-	for a := range s.Held {
+	for a := range int(s.N) {
 		lvl := 0
 		for lvl < 3 && s.Held[a][lvl] >= 0 {
 			lvl++
@@ -292,7 +296,7 @@ func deepest(h [3]int8) int {
 // grantable checks the compatibility matrix for a new grant in the spec
 // state, mirroring Manager.TryAcquire.
 func grantable(s SpecState, actor, lvl int, mode Mode) bool {
-	for b := range s.Held {
+	for b := range int(s.N) {
 		if b == actor {
 			continue
 		}

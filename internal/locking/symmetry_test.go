@@ -17,8 +17,8 @@ func TestActorOrbitsVisitOrbitMinimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	visit := ActorOrbits()
 	for i := 0; i < 300; i++ {
-		s := SpecState{Held: make([][3]int8, 2+rng.Intn(4))}
-		for a := range s.Held {
+		s := SpecState{N: uint8(2 + rng.Intn(4))}
+		for a := range int(s.N) {
 			for lvl := 0; lvl < 3; lvl++ {
 				s.Held[a][lvl] = int8(rng.Intn(6) - 1)
 			}

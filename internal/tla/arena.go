@@ -91,6 +91,12 @@ type stateArena struct {
 	degraded bool // a persistent spill-write failure switched to live retention of segments
 
 	edgeCount int
+
+	// segsOut and edgeSegsOut count the leading segments of segs and
+	// edgeSegs known to be spilled. Spilled segments are always a prefix of
+	// each list — flush spills everything resident, and a resume appends
+	// only spilled segments — so flush starts there instead of at 0.
+	segsOut, edgeSegsOut int
 }
 
 func newStateArena(budget int64, fsys FS, em *engineMetrics) *stateArena {
@@ -260,29 +266,38 @@ func (a *stateArena) flush() {
 			return
 		}
 	}
-	for _, list := range [][]arenaSeg{a.segs, a.edgeSegs} {
-		for i := range list {
-			seg := &list[i]
-			if seg.spilled {
-				continue
-			}
-			err := a.em.retry("arena", func() error {
-				_, werr := a.file.WriteAt(seg.buf[:seg.size], a.fileSize)
-				return werr
-			})
-			if err != nil {
-				a.degraded = true
-				a.em.onDegrade("arena")
-				return
-			}
-			seg.fileOff = a.fileSize
-			a.fileSize += int64(seg.size)
-			seg.buf = nil
-			seg.spilled = true
-			a.resident -= int64(seg.size)
-			a.em.onArenaSpill(int64(seg.size))
-		}
+	if a.spill(a.segs, &a.segsOut) {
+		a.spill(a.edgeSegs, &a.edgeSegsOut)
 	}
+}
+
+// spill writes the resident segments of list, from index *out on, to the
+// spill file and advances *out past them, so every segment is looked at
+// once over a run however often flush is called. It reports false when a
+// persistent write failure degraded the arena.
+func (a *stateArena) spill(list []arenaSeg, out *int) bool {
+	for ; *out < len(list); *out++ {
+		seg := &list[*out]
+		if seg.spilled {
+			continue
+		}
+		err := a.em.retry("arena", func() error {
+			_, werr := a.file.WriteAt(seg.buf[:seg.size], a.fileSize)
+			return werr
+		})
+		if err != nil {
+			a.degraded = true
+			a.em.onDegrade("arena")
+			return false
+		}
+		seg.fileOff = a.fileSize
+		a.fileSize += int64(seg.size)
+		seg.buf = nil
+		seg.spilled = true
+		a.resident -= int64(seg.size)
+		a.em.onArenaSpill(int64(seg.size))
+	}
+	return true
 }
 
 // residentBytes reports the encoding and edge bytes currently held in

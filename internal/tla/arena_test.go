@@ -2,6 +2,7 @@ package tla
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -67,6 +68,52 @@ func TestArenaOversizedEncoding(t *testing.T) {
 			t.Fatalf("budget=%d: oversized encoding corrupted (len %d vs %d)", budget, len(got), len(big))
 		}
 		a.close()
+	}
+}
+
+// TestArenaFlushLinear: at a one-byte budget every record is sealed into
+// its own segment and spilled at once, so a run flushes once per record.
+// Each flush must start past the segments already spilled — rescanning
+// the lists from index 0 makes this test quadratic, tens of seconds
+// instead of well under one. Every encoding and edge must read back.
+func TestArenaFlushLinear(t *testing.T) {
+	const n = 100_000
+	a := newStateArena(1, nil, nil)
+	defer a.close()
+	var enc [4]byte
+	for i := range n {
+		binary.LittleEndian.PutUint32(enc[:], uint32(i))
+		a.add(enc[:], i-1, 0, i)
+		if i%10 == 0 {
+			a.addEdge(i, 1, i+1)
+		}
+	}
+	if len(a.segs) != n || a.segsOut != n || a.edgeSegsOut != len(a.edgeSegs) || a.residentBytes() != 0 {
+		t.Fatalf("%d segments, %d known spilled, %d of %d edge segments known spilled, %d bytes resident; want one spilled segment per record and nothing resident",
+			len(a.segs), a.segsOut, a.edgeSegsOut, len(a.edgeSegs), a.residentBytes())
+	}
+	var buf []byte
+	for id := range n {
+		var err error
+		if buf, err = a.encoding(id, buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+		if len(buf) != 4 || binary.LittleEndian.Uint32(buf) != uint32(id) {
+			t.Fatalf("id=%d: read back %x", id, buf)
+		}
+	}
+	edges := 0
+	if err := a.forEachEdge(func(from int, act uint16, to int) error {
+		if from != 10*edges || act != 1 || to != from+1 {
+			return fmt.Errorf("edge %d = (%d, %d, %d)", edges, from, act, to)
+		}
+		edges++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if edges != n/10 {
+		t.Fatalf("read back %d edges, want %d", edges, n/10)
 	}
 }
 
