@@ -32,6 +32,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -102,7 +103,7 @@ func main() {
 		actors    = flag.Int("actors", 2, "actor count (locking)")
 		dotPath   = flag.String("dot", "", "write the state graph as DOT to this file")
 		liveness  = flag.Bool("liveness", false, "check the commit-point-propagation liveness property (raftmongo)")
-		workers   = flag.Int("workers", 0, "checker worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
+		workers   = flag.Int("workers", 0, "checker worker goroutines (0 = GOMAXPROCS); a speed setting only: every count gives the same result")
 		symmetry  = flag.Bool("symmetry", false, "symmetry reduction over interchangeable identities (raftmongo nodes, locking actors; a usage error on arrayot)")
 		por       = flag.Bool("por", false, "ample-set partial-order reduction for specs that declare transition independence (raftmongo, locking; an error on arrayot and with -liveness); composes with -symmetry, -workers, -arena and -mem-budget")
 		memBudget = flag.Int64("mem-budget", 0, "approximate visited-set bytes before the fingerprints spill to one sorted run on disk (0 = fully resident)")
@@ -317,6 +318,11 @@ func check[S tla.State](spec *tla.Spec[S], opts tla.Options) (*tla.Result[S], er
 	}
 	fmt.Printf("%s: %d distinct states, %d transitions, depth %d, %d terminal (%.2fs)\n",
 		spec.Name, res.Distinct, res.Transitions, res.Depth, res.Terminal, elapsed.Seconds())
+	// The visited set trusts 64-bit fingerprints at every worker count, so
+	// print TLC's estimate of what that risks: N distinct states collide
+	// with probability about N²/2⁶⁵.
+	n := float64(res.Distinct)
+	fmt.Printf("fingerprint collision probability (optimistic): %.1e\n", n*n/math.Exp2(65))
 	return res, nil
 }
 

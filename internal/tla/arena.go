@@ -18,8 +18,9 @@ import (
 // arena of canonical encodings plus compact parent links: per state, the
 // encoding bytes (already computed for deduplication) and a fixed
 // ~24-byte record (parent id, action index, depth, encoding location).
-// Live S values are kept only for the unexpanded window — the states a
-// frontier will still expand — and dropped as soon as they are expanded.
+// Live S values stay in the pages live mode keeps them in, but only for the
+// states not yet expanded: once a level is merged, the pages wholly below
+// its first id are cleared and reused.
 // Under Options.MemoryBudgetBytes, sealed arena segments are spilled to a
 // temp file and read back on demand, so the visited set AND trace storage
 // both respect the budget.
@@ -34,7 +35,7 @@ import (
 // reconstructed trace is byte-identical to what live retention would have
 // reported, even under symmetry reduction. Without symmetry the plain
 // encoding is the canonical one the expander already computed, stored as
-// is; with it, install pays one more AppendBinary per distinct state
+// is; with it, the engine pays one more AppendBinary per distinct state
 // instead of an orbit scan.
 //
 // The arena's parent links are also the only retained-state table of a run
@@ -329,13 +330,11 @@ func (a *stateArena) close() error {
 
 // retainer owns discovered-state retention for one checking run: the
 // arena's link table (parent, depth, action) for every state, and each
-// state's value in one of two modes. Live mode (the default) keeps every
-// value in fixed-size pages and stores no encoding. Arena mode
-// (Options.StateArena, implied by checkpointing) stores each state's
-// canonical encoding in the arena and keeps live values only for the
-// states awaiting expansion (retainLive/release bracket the window). The
-// modes differ only in where a value comes from: stateOf for the expansion
-// window, stateAt for every other read.
+// state's value in fixed-size pages. Live mode (the default) keeps every
+// page and stores no encoding. Arena mode (Options.StateArena, implied by
+// checkpointing) stores each state's plain encoding in the arena and drops
+// the pages of expanded states (dropBelow), so it reads a live value only
+// to expand a state (stateOf) and decodes for every other read (stateAt).
 type retainer[S State] struct {
 	arena  *stateArena
 	acts   []string // interned action names; acts[0] is the initial-state ""
@@ -346,9 +345,9 @@ type retainer[S State] struct {
 	// Graph.Close releases it instead of retainer.close.
 	graphOwned bool
 
-	decode bool      // arena mode: values are decoded from stored encodings
-	live   pages[S]  // live mode: every state's value, by id
-	window map[int]S // arena mode: the values of states awaiting expansion
+	decode bool     // arena mode: values are decoded from stored encodings
+	live   pages[S] // values by id; arena mode drops expanded pages (nil)
+	spare  [][]S    // arena mode: dropped pages, cleared, for reserve to reuse
 }
 
 // pages is a growable array kept in fixed-size pages of pageSize values:
@@ -388,9 +387,6 @@ func newRetainer[S State](spec *Spec[S], opts Options, em *engineMetrics) *retai
 		actIDs: make([]uint16, len(spec.Actions)),
 		decode: opts.arena(),
 	}
-	if r.decode {
-		r.window = map[int]S{}
-	}
 	interned := map[string]uint16{"": 0} // duplicate names share an index
 	for i, a := range spec.Actions {
 		id, ok := interned[a.Name]
@@ -406,57 +402,51 @@ func newRetainer[S State](spec *Spec[S], opts Options, em *engineMetrics) *retai
 
 func (r *retainer[S]) len() int { return r.arena.len() }
 
-// add records one newly discovered state under the next id. In arena mode
-// enc must be the state's plain encoding — codec.encode, not an
-// orbit-canonical form that differs from it — and is copied; live mode
-// keeps s and ignores enc.
+// add records one newly discovered state under the next id: its value,
+// its link and, in arena mode, enc — which must then be the state's plain
+// encoding (codec.encode, not an orbit-canonical form that differs from
+// it) and is copied.
 func (r *retainer[S]) add(s S, enc []byte, parent int, act uint16, depth int) {
+	id := r.len()
+	r.reserve(id + 1)
+	*r.live.at(id) = s
 	if !r.decode {
-		id := r.len()
-		r.live.reserve(id + 1)
-		*r.live.at(id) = s
 		enc = nil
 	}
 	r.arena.add(enc, parent, act, depth)
 }
 
-// retainLive parks a live value for a state the engine will expand later.
-// Live mode retains everything already; arena mode adds it to the window.
-func (r *retainer[S]) retainLive(id int, s S) {
-	if r.decode {
-		r.window[id] = s
+// reserve makes room for the values of the ids below n, reusing dropped
+// pages before allocating.
+func (r *retainer[S]) reserve(n int) {
+	for len(r.live)<<pageBits < n {
+		if k := len(r.spare); k > 0 {
+			r.live, r.spare = append(r.live, r.spare[k-1]), r.spare[:k-1]
+		} else {
+			r.live = append(r.live, make([]S, pageSize))
+		}
 	}
 }
 
-// stateOf returns the live value of a not-yet-expanded state. Safe for
-// concurrent readers while no add/retainLive/release runs (the expansion
-// phase).
-func (r *retainer[S]) stateOf(id int) S {
-	if r.decode {
-		return r.window[id]
-	}
-	return *r.live.at(id)
-}
-
-func (r *retainer[S]) depthOf(id int) int { return int(r.arena.rec(id).depth) }
-
-// release drops the live value of an expanded state (arena mode; live mode
-// retains by design).
-func (r *retainer[S]) release(id int) {
-	if r.decode {
-		delete(r.window, id)
-	}
-}
-
-// releaseAll drops the live values of a fully expanded frontier.
-func (r *retainer[S]) releaseAll(ids []int) {
+// dropBelow clears the pages wholly below id and keeps them for reserve:
+// arena mode, once every state below id is expanded (live mode keeps every
+// value by design).
+func (r *retainer[S]) dropBelow(id int) {
 	if !r.decode {
 		return
 	}
-	for _, id := range ids {
-		delete(r.window, id)
+	for i, pg := range r.live[:id>>pageBits] {
+		if pg != nil {
+			clear(pg)
+			r.spare, r.live[i] = append(r.spare, pg), nil
+		}
 	}
 }
+
+// stateOf returns the live value of a state not yet expanded.
+func (r *retainer[S]) stateOf(id int) S { return *r.live.at(id) }
+
+func (r *retainer[S]) depthOf(id int) int { return int(r.arena.rec(id).depth) }
 
 // stateAt returns the value of state id: the retained value in live mode,
 // a decode of its stored encoding in arena mode. Counterexamples and the

@@ -122,6 +122,7 @@ func BenchmarkArenaGraph(b *testing.B) {
 					s := mkHeavyState(j)
 					encBuf = s.AppendBinary(encBuf[:0])
 					ret.add(s, encBuf, j-1, ret.actIDs[0], j)
+					ret.dropBelow(j) // arena mode: as after each merged level
 					if j > 0 {
 						ret.arena.addEdge(j-1, ret.actIDs[0], j)
 					}
@@ -168,6 +169,7 @@ func BenchmarkArenaRetention(b *testing.B) {
 					s := mkHeavyState(j)
 					encBuf = s.AppendBinary(encBuf[:0])
 					ret.add(s, encBuf, j-1, ret.actIDs[0], j)
+					ret.dropBelow(j) // arena mode: as after each merged level
 				}
 				runtime.GC()
 				runtime.ReadMemStats(&after)

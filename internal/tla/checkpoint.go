@@ -9,6 +9,7 @@ import (
 	"io"
 	"io/fs"
 	"path/filepath"
+	"slices"
 )
 
 // Checkpoint/resume: a long exploration sealed to disk at a BFS level
@@ -512,28 +513,37 @@ func copyIntoSpill(a *stateArena, fsys FS, dir, name string, dstOff, length int6
 	return nil
 }
 
-// reconstructStates rebuilds the live S values of the checkpointed
-// frontier, decoding each state straight from its stored encoding. Runs
-// spec callbacks; the caller brackets it with a guard.
-func reconstructStates[S State](cod *codec[S], ret *retainer[S], ids []int) (map[int]S, error) {
-	states := make(map[int]S, len(ids))
+// reconstructStates decodes the live values of the checkpointed frontier
+// ids from their stored encodings into the retainer's pages and queues the
+// ids on fr. The pages below the first of them stay nil, as dropBelow
+// leaves the pages of expanded states. Runs spec callbacks; the caller
+// brackets it with a guard.
+func reconstructStates[S State](cod *codec[S], ret *retainer[S], ids []int, fr *levelFrontier) error {
+	for _, id := range ids {
+		if id < 0 || id >= ret.len() {
+			return fmt.Errorf("%w: frontier references state %d of %d", ErrBadCheckpoint, id, ret.len())
+		}
+	}
+	if len(ids) == 0 {
+		return nil
+	}
+	ret.live = make(pages[S], slices.Min(ids)>>pageBits)
+	ret.reserve(ret.len())
 	var enc []byte
 	for _, id := range ids {
-		if id < 0 || id >= ret.arena.len() {
-			return nil, fmt.Errorf("%w: frontier references state %d of %d", ErrBadCheckpoint, id, ret.arena.len())
-		}
 		var err error
 		enc, err = ret.arena.encoding(id, enc[:0])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s, err := cod.dec(enc)
 		if err != nil {
-			return nil, fmt.Errorf("%w: decoding state %d: %v", ErrBadCheckpoint, id, err)
+			return fmt.Errorf("%w: decoding state %d: %v", ErrBadCheckpoint, id, err)
 		}
-		states[id] = s
+		*ret.live.at(id) = s
+		fr.Push(id)
 	}
-	return states, nil
+	return nil
 }
 
 // resumeRun restores a checkpoint into a fresh run: validates the manifest
@@ -586,13 +596,8 @@ func resumeRun[S State](spec *Spec[S], opts Options, cod *codec[S], ret *retaine
 	if inits := spec.Init(); len(inits) > 0 {
 		cod.bindDecoder(inits[0])
 	}
-	states, err := reconstructStates(cod, ret, m.Frontier)
-	if err != nil {
+	if err := reconstructStates(cod, ret, m.Frontier, fr); err != nil {
 		return 0, err
-	}
-	for _, id := range m.Frontier {
-		ret.retainLive(id, states[id])
-		fr.Push(id)
 	}
 	if ck != nil && ck.dir == dir {
 		// Continuing to checkpoint into the same directory: pick up the

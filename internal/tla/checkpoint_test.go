@@ -329,7 +329,7 @@ func TestResumeSeveralVisitedFiles(t *testing.T) {
 	for _, budget := range []int64{0, 1} {
 		// Adopted alone, the files restore every record, each fingerprint
 		// once: resident without a budget, sealed into the run under one.
-		vs := newVisitedSet(Options{MemoryBudgetBytes: budget}, 4, nil)
+		vs := newVisitedSet(Options{MemoryBudgetBytes: budget}, nil)
 		if err := vs.adoptRuns(OSFS, dir, m.VisitedRuns); err != nil {
 			t.Fatalf("budget %d: adoptRuns: %v", budget, err)
 		}

@@ -11,9 +11,10 @@ import (
 	"time"
 )
 
-// The level-synchronized driver: a BFS in the style of TLC's multi-worker
-// mode over the shared exploration core (explore.go), deduplicating through
-// the visited set (store.go). Each level alternates two phases:
+// The level-synchronized engine: a BFS in the style of TLC's multi-worker
+// mode, expanding with one expander per worker (explore.go) and
+// deduplicating through the visited set (store.go). Each level alternates
+// two phases:
 //
 //   - Expansion (parallel): the frontier is cut into contiguous chunks and
 //     a pool of workers expands them, probing every successor's canonical
@@ -22,8 +23,8 @@ import (
 //     a later occurrence of an encoding the chunk already buffered shares
 //     that miss (see chunkOut.addMiss). Next, encoding, symmetry
 //     canonicalization and hashing all happen here; nothing inserts. At
-//     Workers == 1 the same code runs inline on one chunk: the sequential
-//     oracle is the engine at its narrowest setting.
+//     Workers == 1 the same code runs inline on one chunk, with the same
+//     deduplication: the worker count is only a speed setting.
 //
 //   - Merge: passes over the same chunks that settle the level in merge
 //     order — chunk, frontier position, emission position, the order a
@@ -32,13 +33,14 @@ import (
 //     proviso, and the misses to claim, grouped by shard); claim (per
 //     shard, which the pass owns: the first occurrence of each new state
 //     wins and leaves a placeholder); settle (per chunk: dense ids from a
-//     prefix sum over the chunks' winners, each published over its
-//     placeholder, live values in their pages or an arena's plain
-//     encodings, link records, invariants and the constraint, up to the
-//     chunk's first violation or spec panic); and a short serial tail,
-//     which cuts the level at the first violation, spec panic or MaxStates
-//     limit in merge order and writes arena encodings, the next frontier
-//     and the counters in id order, graph edges in candidate order.
+//     prefix sum over the chunks' winners, live values in their pages and
+//     an arena's plain encodings under symmetry, link records, invariants
+//     and the constraint, up to the chunk's first violation or spec
+//     panic); publish (per shard again: each winner's id over its
+//     placeholder); and a short serial tail, which cuts the level at the
+//     first violation, spec panic or MaxStates limit in merge order and
+//     writes arena encodings, the next frontier and the counters in id
+//     order, graph edges in candidate order.
 //
 // Between the phases ResolveLevel restores the misses that were spilled to
 // disk (merge-on-lookup, spill.go), and after the merge EndLevel enforces
@@ -210,15 +212,28 @@ func (p chunkPlan) run(fn func(worker, chunk, lo, hi int)) {
 	wg.Wait()
 }
 
-// levelSync is one level-synchronized run: the shared core plus the
-// visited set, the frontier, and the merge's bookkeeping.
+// levelSync is one checking run: its Result, retained states and codecs,
+// the visited set, the frontier, one expander per worker, the merge's
+// bookkeeping, and the run's lifecycle — stopper, progress ticker and
+// outcome.
 type levelSync[S State] struct {
-	*explorer[S]
-	vs      *visitedSet
-	fr      *levelFrontier
+	spec *Spec[S]
+	opts Options
+	res  *Result[S]
+	ret  *retainer[S]
+	cod  *codec[S] // worker 0's codec: the merge, trace and graph decoder
+	em   *engineMetrics
+	xs   []*expander[S] // one per worker
+	vs   *visitedSet
+	fr   levelFrontier
+	ck   *checkpointer
+
+	st     *stopper
+	snap   *progressSnap // non-nil iff a ProgressEvery ticker runs
+	ticker *progressTicker
+
 	outs    []chunkOut[S] // per chunk; the backing array keeps every buffer
 	missFPs []uint64      // ResolveLevel's input, reused across levels
-	ck      *checkpointer
 
 	// Per miss g from each chunk's base: the claim's answer (winner, the
 	// winning miss's placeholder, a restored id), then a winner's id.
@@ -229,10 +244,29 @@ type levelSync[S State] struct {
 	// phaseExpand and phaseMerge time the expansion and the merge of the
 	// level that produced the current frontier.
 	phaseExpand, phaseMerge time.Duration
+
+	runControl
 }
 
 // winner marks, in levelSync.missIDs, a miss that won its claim.
 const winner = -1
+
+// levelFrontier is the run's pending work — the discovered-but-unexpanded
+// state ids — as a double-buffered queue. The driver goroutine Pushes ids
+// and drains one BFS level at a time: NextLevel hands out the accumulated
+// level and recycles the previously handed-out slice for the next one, so
+// a steady exploration allocates no frontier storage after the widest
+// level. An empty level ends the exploration.
+type levelFrontier struct {
+	cur, next []int
+}
+
+func (f *levelFrontier) Push(id int) { f.next = push(f.next, id) }
+
+func (f *levelFrontier) NextLevel() []int {
+	f.cur, f.next = f.next, f.cur[:0]
+	return f.cur
+}
 
 // runEngine is the level-synchronized driver behind Check: one
 // implementation for every worker count and visited-set mode.
@@ -253,19 +287,91 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs *visitedSet
 	return l.finish()
 }
 
-// newLevelSync sets up a run over the visited set vs: the shared core, the
-// frontier, the checkpointer, and each expander's probe target.
+// newLevelSync sets up a run over the visited set vs: the Result, the
+// retainer, one expander (codec clone, spec guard, POR planner, probe
+// target) per worker, the graph view when asked for, the checkpointer and
+// the stopper.
 func newLevelSync[S State](spec *Spec[S], opts Options, workers int, vs *visitedSet, em *engineMetrics) *levelSync[S] {
-	l := &levelSync[S]{explorer: newExplorer(spec, opts, workers, em), vs: vs, fr: newLevelFrontier()}
-	for _, x := range l.xs {
-		x.vs = vs
-		x.keys = vs.keyed || (l.ret.decode && l.cod.sym == nil)
+	l := &levelSync[S]{spec: spec, opts: opts, res: &Result[S]{Spec: spec.Name}, ret: newRetainer(spec, opts, em), cod: newCodec(spec), em: em, vs: vs}
+	ind := activeIndependence(spec, opts)
+	keys := vs.keyed || (l.ret.decode && l.cod.sym == nil)
+	l.xs = make([]*expander[S], workers)
+	for w := range l.xs {
+		l.xs[w] = &expander[S]{spec: spec, cod: l.cod, planner: newPORPlanner(ind, em), vs: vs, keys: keys}
+		if w > 0 {
+			l.xs[w].cod = l.cod.clone()
+		}
+	}
+	if opts.RecordGraph {
+		l.res.Graph = &Graph[S]{ret: l.ret, cod: l.cod, workers: workers}
+		l.ret.graphOwned = true
 	}
 	if opts.CheckpointDir != "" {
 		l.ck = newCheckpointer(opts)
 		l.ck.em = em
 	}
+	l.st = newStopper(opts.Context, func() { l.stop.Store(true) })
 	return l
+}
+
+// startProgress starts the ProgressEvery ticker, if configured. Each tick
+// delivers the snapshot the driver keeps to Options.Progress; close stops
+// the ticker with one final delivery.
+func (l *levelSync[S]) startProgress() {
+	if l.opts.ProgressEvery <= 0 {
+		return
+	}
+	l.snap = &progressSnap{}
+	l.ticker = startProgressTicker(l.opts.ProgressEvery, func() {
+		if l.opts.Progress != nil {
+			l.opts.Progress(l.snap.load())
+		}
+	})
+}
+
+// close is the run's teardown, deferred by runEngine with the error the
+// run returns: the final progress delivery; then a run that failed without
+// a violation discards its graph so the spill file is not leaked behind a
+// result nobody will traverse (a violation keeps it: callers dump it
+// alongside the counterexample); then the retainer's spill file, honouring
+// that ownership verdict; then the stopper's watcher.
+func (l *levelSync[S]) close(err error) {
+	l.ticker.stop()
+	if l.res.Graph != nil && err != nil && l.res.Violation == nil {
+		l.ret.graphOwned = false
+		l.res.Graph = nil
+	}
+	l.ret.close()
+	l.st.close()
+}
+
+// finish settles the Result after the driver returned and every worker
+// joined. Precedence: a found violation is a complete verdict and wins;
+// then a recovered spec panic; then the run error; then the interruption,
+// with the partial counters.
+func (l *levelSync[S]) finish() (*Result[S], error) {
+	res := l.res
+	res.Distinct = l.ret.len()
+	if l.ret.degradedMemory() {
+		res.DegradedMemory = true
+	}
+	switch {
+	case l.violErr != nil:
+		trace, acts, err := safeTrace(l.cod, l.ret, l.violID)
+		if err != nil {
+			return res, err
+		}
+		res.Violation = &Violation[S]{Invariant: l.violInv, Err: l.violErr, Trace: trace, TraceActs: acts}
+		return res, res.Violation
+	case l.pi != nil:
+		return res, specPanicError(l.cod, l.ret, l.pi)
+	case l.runErr != nil:
+		return res, l.runErr
+	case l.interrupted:
+		res.Interrupted = true
+		return res, l.st.err()
+	}
+	return res, nil
 }
 
 // explore registers the initial states (or restores a checkpoint) and runs
@@ -279,7 +385,7 @@ func (l *levelSync[S]) explore() {
 		// callbacks — the guard attributes a panic there to the encoding).
 		g := &l.xs[0].g
 		g.enter(opEncode, "", -1)
-		lvl, err := resumeRun(l.spec, l.opts, l.cod, l.ret, l.vs, l.fr, l.res, l.ck)
+		lvl, err := resumeRun(l.spec, l.opts, l.cod, l.ret, l.vs, &l.fr, l.res, l.ck)
 		g.exit()
 		if err != nil {
 			l.fail(err)
@@ -290,8 +396,7 @@ func (l *levelSync[S]) explore() {
 		// identities hold across a resume as well.
 		l.em.addWorker(0, int64(l.res.Transitions), int64(l.ret.len()))
 	} else {
-		l.registerInits(l.xs[0], l.registerInit)
-		if l.violErr != nil || l.runErr != nil {
+		if !l.registerInits() {
 			return
 		}
 		if err := l.vs.EndLevel(); err != nil {
@@ -356,9 +461,6 @@ func (l *levelSync[S]) explore() {
 			// A reused buffer must not pin this level's successor states.
 			outs[i].succs.clear(len(outs[i].misses))
 		}
-		// The level's frontier states are fully expanded: the arena drops
-		// their live values (live retention keeps everything by design).
-		l.ret.releaseAll(frontier)
 		if err := l.vs.EndLevel(); err != nil {
 			l.fail(err)
 			return
@@ -367,35 +469,58 @@ func (l *levelSync[S]) explore() {
 	}
 }
 
-// registerInit registers one initial state, before any worker runs: its id
-// (-1 if refused) and false once the run is over.
-func (l *levelSync[S]) registerInit(s S) (int, bool) {
+// registerInits calls Init under worker 0's guard, rebinds the run's
+// decoder to a real initial state (decoders may carry run configuration
+// the zero value lacks — see BinaryDecoder), and registers each new
+// initial state as the merge settles a level's: the MaxStates bound, the
+// visited set, retention, the verdict, then the frontier. It records the
+// graph's Inits and reports false once the run is over.
+func (l *levelSync[S]) registerInits() bool {
 	x := l.xs[0]
-	x.g.enter(opEncode, "", -1)
-	enc := x.cod.canonical(s)
+	x.g.enter(opInit, "", -1)
+	inits := l.spec.Init()
 	x.g.exit()
-	fp := fingerprint(enc)
-	if id, ok := l.vs.probe(fp, enc); ok {
-		return id, true
+	if len(inits) > 0 {
+		l.cod.bindDecoder(inits[0])
 	}
-	id, err := l.install(x, s, enc)
-	if err != nil {
-		l.fail(err)
-		return -1, false
+	for _, s := range inits {
+		x.g.enter(opEncode, "", -1)
+		enc := x.cod.canonical(s)
+		x.g.exit()
+		fp := fingerprint(enc)
+		id, seen := l.vs.probe(fp, enc)
+		if !seen {
+			if id = l.ret.len(); l.opts.MaxStates > 0 && id >= l.opts.MaxStates {
+				l.fail(ErrStateLimit)
+				return false
+			}
+			l.vs.own(fp, enc, id)
+			if l.ret.decode && x.cod.sym != nil {
+				// The arena stores the exact state explored; under
+				// symmetry enc names its orbit.
+				x.g.enter(opEncode, "", -1)
+				enc = x.cod.encode(s, nil)
+				x.g.exit()
+			}
+			l.ret.add(s, enc, -1, 0, 0)
+		}
+		if l.res.Graph != nil {
+			l.res.Graph.Inits = append(l.res.Graph.Inits, id)
+		}
+		if seen {
+			continue
+		}
+		switch inv, within, err := l.verdict(x, s, id); {
+		case err != nil:
+			l.violate(id, inv, err)
+			return false
+		case within:
+			l.fr.Push(id)
+		default:
+			l.res.ConstraintCuts++
+		}
 	}
-	l.vs.own(fp, enc, id)
-	inv, within, err := l.verdict(x, s, id)
-	switch {
-	case err != nil:
-		l.violate(id, inv, err)
-		return id, false
-	case within:
-		l.ret.retainLive(id, s)
-		l.fr.Push(id)
-	default:
-		l.res.ConstraintCuts++
-	}
-	return id, true
+	return true
 }
 
 // interrupt winds the run down at a level boundary: the partial counters
@@ -593,11 +718,7 @@ func (l *levelSync[S]) merge(plan chunkPlan, frontier []int, outs []chunkOut[S])
 	l.winsBy = resize(l.winsBy, len(outs)*visitedShards)
 
 	plan.run(func(_, c, _, _ int) { l.route(&outs[c], restored) })
-	planChunks(visitedShards, len(l.xs)).run(func(_, _, lo, hi int) {
-		for s := lo; s < hi; s++ {
-			l.claimShard(s, outs)
-		}
-	})
+	l.eachShard(func(s int) { l.claimShard(s, outs) })
 	base := l.ret.len()
 	next := base
 	for c := range outs {
@@ -609,14 +730,27 @@ func (l *levelSync[S]) merge(plan chunkPlan, frontier []int, outs []chunkOut[S])
 	if l.opts.MaxStates > 0 {
 		next = min(next, l.opts.MaxStates)
 	}
-	if !l.ret.decode {
-		l.ret.live.reserve(next)
-	}
-	// settle writes each winner's link record at its id; the tail truncates
-	// the table to the states the level installs.
+	// settle writes each winner's live value and link record at its id;
+	// the tail truncates the table to the states the level installs.
+	l.ret.reserve(next)
 	l.ret.arena.setLen(next)
 	plan.run(func(w, c, lo, hi int) { l.settle(l.xs[w], &outs[c], frontier[lo:hi]) })
-	return l.tail(frontier, outs)
+	l.eachShard(func(s int) { l.publishShard(s, outs, base) })
+	if !l.tail(frontier, outs) {
+		return false
+	}
+	l.ret.dropBelow(base) // every state below the level is expanded
+	return true
+}
+
+// eachShard calls fn for every shard of the visited set, each from one
+// goroutine: the shard's one owner in the pass.
+func (l *levelSync[S]) eachShard(fn func(s int)) {
+	planChunks(visitedShards, len(l.xs)).run(func(_, _, lo, hi int) {
+		for s := lo; s < hi; s++ {
+			fn(s)
+		}
+	})
 }
 
 // resize returns s with length n, and its contents only when it had the
@@ -704,11 +838,27 @@ func (l *levelSync[S]) claimShard(s int, outs []chunkOut[S]) {
 	}
 }
 
-// settle numbers chunk out's winners from out.first, publishes each id
-// over its placeholder, places each winner's live value (an arena under
-// symmetry: its plain encoding), links it to its frontier state in fr, and
-// checks its verdict. It stops at the chunk's cut: the first winner past
-// MaxStates, violating, or panicking.
+// publishShard publishes over their placeholders the ids settle gave
+// shard s's winners — its misses whose id is at or past base, the level's
+// first. A shard owner's pass after settle, like claimShard: a publish
+// scans the slots of fp's probe sequence, which only the shard's owner may
+// write meanwhile.
+func (l *levelSync[S]) publishShard(s int, outs []chunkOut[S], base int) {
+	for c := range outs {
+		out := &outs[c]
+		for _, i := range out.shardMisses(s) {
+			if id := int(l.missIDs[out.base+int(i)]); id >= base {
+				fp, enc := out.miss(int(i))
+				l.vs.publish(fp, enc, id)
+			}
+		}
+	}
+}
+
+// settle numbers chunk out's winners from out.first, places each winner's
+// live value (and, for an arena under symmetry, its plain encoding), links
+// it to its frontier state in fr, and checks its verdict. It stops at the
+// chunk's cut: the first winner past MaxStates, violating, or panicking.
 func (l *levelSync[S]) settle(x *expander[S], out *chunkOut[S], fr []int) {
 	out.won, out.plain, out.plainEnd = out.won[:0], out.plain[:0], out.plainEnd[:0]
 	out.done, out.depth, out.passed, out.violInv, out.violErr, out.pi = 0, 0, 0, "", nil, nil
@@ -725,20 +875,17 @@ func (l *levelSync[S]) settle(x *expander[S], out *chunkOut[S], fr []int) {
 		}
 		id := out.first + len(out.won)
 		l.missIDs[g] = int32(id)
-		fp, enc := out.miss(i)
-		l.vs.publish(fp, enc, id)
 		out.won = push(out.won, int32(i))
 		if l.opts.MaxStates > 0 && id >= l.opts.MaxStates {
 			return
 		}
 		s := *out.succs.at(i)
+		*l.ret.live.at(id) = s
 		if sym {
 			x.g.enter(opEncode, l.spec.Actions[m.act].Name, -1)
 			out.plain = x.cod.encode(s, out.plain)
 			x.g.exit()
 			out.plainEnd = push(out.plainEnd, len(out.plain))
-		} else if !l.ret.decode {
-			*l.ret.live.at(id) = s
 		}
 		parent := fr[m.src]
 		out.depth = l.ret.depthOf(parent) + 1
@@ -746,6 +893,10 @@ func (l *levelSync[S]) settle(x *expander[S], out *chunkOut[S], fr []int) {
 		out.done++
 		if out.violInv, m.within, out.violErr = l.verdict(x, s, id); out.violErr != nil {
 			return
+		}
+		if !m.within && l.ret.decode {
+			var zero S // an arena keeps only the values it will expand
+			*l.ret.live.at(id) = zero
 		}
 		out.passed++
 	}
@@ -781,7 +932,6 @@ func (l *levelSync[S]) tail(frontier []int, outs []chunkOut[S]) bool {
 		}
 		for j, i := range o.won[:o.passed] {
 			if o.misses[i].within {
-				l.ret.retainLive(o.first+j, *o.succs.at(int(i)))
 				l.fr.Push(o.first + j)
 			} else {
 				l.res.ConstraintCuts++

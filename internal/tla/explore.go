@@ -5,44 +5,21 @@ import (
 	"sync/atomic"
 )
 
-// The exploration core the level-synchronized driver (engine.go: chunk
-// plan, merge passes) runs on:
+// Successor generation and first-sight checks for the level-synchronized
+// engine (engine.go: the run, its chunk plan and merge passes):
 //
-//   - successor generation: one expander per worker runs the guarded Next
-//     loop, probes each successor in the visited set, keeping a miss's
-//     fingerprint and encoding, and orders the successors ample-first
-//     under partial-order reduction (its chunk then buffers each distinct
-//     miss once, engine.go);
-//   - first-sight registration: install (the MaxStates bound, then
-//     retention, storing the encoding deduplication already computed) for
-//     initial states, and verdict (invariants, then the constraint), which
-//     the merge also runs for the states each level discovers;
-//   - the run lifecycle: Result, retainer and codecs, the graph view,
-//     stopper, progress ticker, Init registration, and one finish that
-//     turns the run's outcome into (Result, error).
-
-// explorer is one checking run's state shared by the driver and its
-// workers.
-type explorer[S State] struct {
-	spec *Spec[S]
-	opts Options
-	res  *Result[S]
-	ret  *retainer[S]
-	cod  *codec[S] // worker 0's codec: the merge, trace and graph decoder
-	em   *engineMetrics
-	xs   []*expander[S] // one per worker
-
-	st     *stopper
-	snap   *progressSnap // non-nil iff a ProgressEvery ticker runs
-	ticker *progressTicker
-
-	runControl
-}
+//   - one expander per worker runs the guarded Next loop, probes each
+//     successor in the visited set, keeping a miss's fingerprint and
+//     encoding, and orders the successors ample-first under partial-order
+//     reduction (its chunk then buffers each distinct miss once);
+//   - verdict (invariants, then the constraint) judges each state the
+//     first time it is seen, an initial state or one a merge settles;
+//   - runControl holds the run's stop flag and its first terminal outcome.
 
 // runControl is a run's shared stop flag and its outcome: the first
 // terminal condition — an invariant violation, a recovered spec panic or a
 // run error — wins, stops the workers, and is turned into the verdict by
-// explorer.finish. The stopper sets stop too: one flag serves every cause.
+// levelSync.finish. The stopper sets stop too: one flag serves every cause.
 type runControl struct {
 	stop atomic.Bool
 	mu   sync.Mutex
@@ -96,136 +73,11 @@ func (c *runControl) recoverSpec(g *specGuard) {
 	}
 }
 
-// newExplorer sets up a run: the Result, the retainer, one expander (codec
-// clone, spec guard, POR planner) per worker, the graph view when asked
-// for, and the stopper.
-func newExplorer[S State](spec *Spec[S], opts Options, workers int, em *engineMetrics) *explorer[S] {
-	r := &explorer[S]{spec: spec, opts: opts, res: &Result[S]{Spec: spec.Name}, ret: newRetainer(spec, opts, em), em: em}
-	r.cod = newCodec(spec)
-	ind := activeIndependence(spec, opts)
-	r.xs = make([]*expander[S], workers)
-	for w := range r.xs {
-		r.xs[w] = &expander[S]{spec: spec, cod: r.cod, planner: newPORPlanner(ind, em)}
-		if w > 0 {
-			r.xs[w].cod = r.cod.clone()
-		}
-	}
-	if opts.RecordGraph {
-		r.res.Graph = &Graph[S]{ret: r.ret, cod: r.cod, workers: workers}
-		r.ret.graphOwned = true
-	}
-	r.st = newStopper(opts.Context, func() { r.stop.Store(true) })
-	return r
-}
-
-// startProgress starts the ProgressEvery ticker, if configured. Each tick
-// delivers the snapshot the driver keeps to Options.Progress; close stops
-// the ticker with one final delivery.
-func (r *explorer[S]) startProgress() {
-	if r.opts.ProgressEvery <= 0 {
-		return
-	}
-	r.snap = &progressSnap{}
-	r.ticker = startProgressTicker(r.opts.ProgressEvery, func() {
-		if r.opts.Progress != nil {
-			r.opts.Progress(r.snap.load())
-		}
-	})
-}
-
-// close is the run's teardown, deferred by the driver with the error the
-// run returns: the final progress delivery; then a run that failed without
-// a violation discards its graph so the spill file is not leaked behind a
-// result nobody will traverse (a violation keeps it: callers dump it
-// alongside the counterexample); then the retainer's spill file, honouring
-// that ownership verdict; then the stopper's watcher.
-func (r *explorer[S]) close(err error) {
-	r.ticker.stop()
-	if r.res.Graph != nil && err != nil && r.res.Violation == nil {
-		r.ret.graphOwned = false
-		r.res.Graph = nil
-	}
-	r.ret.close()
-	r.st.close()
-}
-
-// finish settles the Result after the driver returned and every worker
-// joined. Precedence: a found violation is a complete verdict and wins;
-// then a recovered spec panic; then the run error; then the interruption,
-// with the partial counters.
-func (r *explorer[S]) finish() (*Result[S], error) {
-	res := r.res
-	res.Distinct = r.ret.len()
-	if r.ret.degradedMemory() {
-		res.DegradedMemory = true
-	}
-	switch {
-	case r.violErr != nil:
-		trace, acts, err := safeTrace(r.cod, r.ret, r.violID)
-		if err != nil {
-			return res, err
-		}
-		res.Violation = &Violation[S]{Invariant: r.violInv, Err: r.violErr, Trace: trace, TraceActs: acts}
-		return res, res.Violation
-	case r.pi != nil:
-		return res, specPanicError(r.cod, r.ret, r.pi)
-	case r.runErr != nil:
-		return res, r.runErr
-	case r.interrupted:
-		res.Interrupted = true
-		return res, r.st.err()
-	}
-	return res, nil
-}
-
-// registerInits calls Init under x's guard, rebinds the run's decoder to a
-// real initial state (decoders may carry run configuration the zero value
-// lacks — see BinaryDecoder), and registers each initial state through reg,
-// recording the graph's Inits, until reg reports the run over.
-func (r *explorer[S]) registerInits(x *expander[S], reg func(S) (id int, more bool)) {
-	x.g.enter(opInit, "", -1)
-	inits := r.spec.Init()
-	x.g.exit()
-	if len(inits) > 0 {
-		r.cod.bindDecoder(inits[0])
-	}
-	for _, s := range inits {
-		id, more := reg(s)
-		if r.res.Graph != nil && id >= 0 {
-			r.res.Graph.Inits = append(r.res.Graph.Inits, id)
-		}
-		if !more {
-			return
-		}
-	}
-}
-
-// install registers an initial state and returns its dense id: the
-// MaxStates bound, then retention. enc is the state's canonical encoding,
-// which the arena stores as is: without symmetry it is the plain encoding
-// already. Under symmetry it names the orbit, and the arena needs the
-// exact state explored, so only then is s encoded again. (The merge
-// settles the states each level discovers in its own passes.)
-func (r *explorer[S]) install(x *expander[S], s S, enc []byte) (int, error) {
-	id := r.ret.len()
-	if r.opts.MaxStates > 0 && id >= r.opts.MaxStates {
-		return -1, ErrStateLimit
-	}
-	if r.ret.decode && x.cod.sym != nil {
-		x.g.enter(opEncode, "", -1)
-		x.plain = x.cod.encode(s, x.plain[:0])
-		x.g.exit()
-		enc = x.plain
-	}
-	r.ret.add(s, enc, -1, 0, 0)
-	return id, nil
-}
-
 // verdict checks a first-sighted state's invariants, returning the first
 // violated one's name and error, then its constraint: within says whether
 // the state's successors may be explored.
-func (r *explorer[S]) verdict(x *expander[S], s S, id int) (inv string, within bool, err error) {
-	for _, i := range r.spec.Invariants {
+func (l *levelSync[S]) verdict(x *expander[S], s S, id int) (inv string, within bool, err error) {
+	for _, i := range l.spec.Invariants {
 		x.g.enter(opInvariant, i.Name, id)
 		err := i.Check(s)
 		x.g.exit()
@@ -233,13 +85,13 @@ func (r *explorer[S]) verdict(x *expander[S], s S, id int) (inv string, within b
 			return i.Name, false, err
 		}
 	}
-	return "", r.within(x, s, id), nil
+	return "", l.within(x, s, id), nil
 }
 
 // within evaluates the constraint on s; a panic is attributed to state id.
-func (r *explorer[S]) within(x *expander[S], s S, id int) bool {
+func (l *levelSync[S]) within(x *expander[S], s S, id int) bool {
 	x.g.enter(opConstraint, "", id)
-	ok := r.spec.Constraint == nil || r.spec.Constraint(s)
+	ok := l.spec.Constraint == nil || l.spec.Constraint(s)
 	x.g.exit()
 	return ok
 }
@@ -262,7 +114,6 @@ type expander[S State] struct {
 	ends  []int32   // per successor: where a miss's encoding ends in encs
 	encs  []byte    // the misses' encodings, back to back
 	order []int     // emission order: indices into succs, ample first
-	plain []byte    // install's plain-encoding scratch (symmetry only)
 	seen  missTable // the chunk's shared misses (engine.go)
 }
 
@@ -271,7 +122,7 @@ type expander[S State] struct {
 // fingerprint and encoding, and fills x.order with the order to process
 // them in. It returns the successor count n and, when partial-order
 // reduction prunes the state, the number k of ample successors heading
-// x.order — the driver explores the deferred x.order[k:] only if the
+// x.order — the merge processes the deferred x.order[k:] only if the
 // cycle proviso (see por.go) rejects the ample set; k is -1 when the state
 // is fully expanded.
 func (x *expander[S]) expand(s S, id int) (n, k int) {

@@ -4,8 +4,8 @@ package tla
 // their canonical encodings, as TLC does: storing 8 bytes per state instead
 // of the full encoding keeps the visited set small and its probes cheap.
 // The price is a vanishing probability of a hash collision silently merging
-// two distinct states; Options.CollisionFree (and the sequential oracle)
-// buys back exactness with the same table, which then also keeps each
+// two distinct states; Options.CollisionFree, at any worker count, buys
+// back exactness with the same table, which then also keeps each
 // state's encoding and compares it on every fingerprint hit, so colliding
 // states chain to separate slots (TLC's -fpmem / collision-probability
 // trade-off, resolved the safe way).

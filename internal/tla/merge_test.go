@@ -164,9 +164,9 @@ func TestChunkBuffersEachMissOnce(t *testing.T) {
 	}
 	for _, w := range []int{1, 2} {
 		opts := Options{Workers: w, CollisionFree: true}
-		vs := newVisitedSet(opts, w, nil)
+		vs := newVisitedSet(opts, nil)
 		l := newLevelSync(gridSpec(3, 5, -1), opts, w, vs, nil)
-		l.registerInits(l.xs[0], l.registerInit)
+		l.registerInits()
 		candidates, misses := 0, 0
 		for frontier := l.fr.NextLevel(); len(frontier) > 0; frontier = l.fr.NextLevel() {
 			plan, outs := l.expandLevel(frontier)

@@ -260,11 +260,11 @@ func TestParallelRandomizedCrossCheck(t *testing.T) {
 
 // TestFingerprintCollisions substitutes deliberately weak fingerprint
 // functions — every state hashed to 0, every state to one non-zero value,
-// and a hash with two values — and requires keyed deduplication (the
-// sequential oracle, and CollisionFree at any worker count and schedule)
-// to find exactly what a textbook BFS finds: colliding states share a
-// fingerprint chain, never a slot. Fingerprint mode, which trusts the
-// fingerprint, merges every state of one fingerprint into the first.
+// and a hash with two values — and requires keyed deduplication
+// (CollisionFree, at any worker count) to find exactly what a textbook BFS
+// finds: colliding states share a fingerprint chain, never a slot.
+// Fingerprint mode, which trusts the fingerprint, merges every state of
+// one fingerprint into the first.
 func TestFingerprintCollisions(t *testing.T) {
 	weak := []struct {
 		name   string
@@ -289,7 +289,7 @@ func TestFingerprintCollisions(t *testing.T) {
 		for _, ls := range specs {
 			ref := ls.ref(false)
 			for _, opts := range []Options{
-				{Workers: 1},
+				{Workers: 1, CollisionFree: true},
 				{Workers: 2, CollisionFree: true},
 				{Workers: 4, CollisionFree: true},
 			} {
@@ -308,6 +308,36 @@ func TestFingerprintCollisions(t *testing.T) {
 				t.Fatalf("%s/%s: fingerprint mode kept %v distinct states under %d fingerprint values; it must merge them",
 					w.name, ls.name, merged.res, w.values)
 			}
+		}
+	}
+}
+
+// TestWorkersDoNotChooseDedup pins that the worker count is only a speed
+// setting: under a fingerprint function with two values, one worker
+// merges colliding states exactly as two workers do, and CollisionFree
+// makes both find the textbook BFS's count.
+func TestWorkersDoNotChooseDedup(t *testing.T) {
+	orig := fingerprint
+	defer func() { fingerprint = orig }()
+	fingerprint = func(b []byte) uint64 { return fnv1a64(b) & (1 << 40) }
+	spec := gridSpec(3, 3, -1)
+	ref := referenceBFS(spec, 0)
+	for _, exact := range []bool{false, true} {
+		var distinct [2]int
+		for i, w := range []int{1, 2} {
+			res, err := Check(spec, Options{Workers: w, CollisionFree: exact})
+			if err != nil {
+				t.Fatal(err)
+			}
+			distinct[i] = res.Distinct
+		}
+		switch {
+		case distinct[0] != distinct[1]:
+			t.Fatalf("CollisionFree=%t: Workers 1 found %d states, Workers 2 %d", exact, distinct[0], distinct[1])
+		case exact && distinct[0] != ref.distinct:
+			t.Fatalf("CollisionFree: %d states, the reference BFS %d", distinct[0], ref.distinct)
+		case !exact && distinct[0] > 2:
+			t.Fatalf("fingerprint mode kept %d states under 2 fingerprint values; it must merge them", distinct[0])
 		}
 	}
 }

@@ -40,7 +40,7 @@ import "repro/internal/obs"
 //     successor closing a cycle (back-, same-level or self-loop) is
 //     harmless as long as another one is the witness; if none is — every
 //     ample successor already expanded, expanding, or cut — the pruning is
-//     abandoned. Both drivers generate the full successor set and order it
+//     abandoned. The engine generates the full successor set and orders it
 //     ample-first (expander.expand), and each state decides in the
 //     merge's route pass, on its own and exactly: the witness is
 //     an ample successor new to this level — it missed the probe and was

@@ -42,7 +42,7 @@ import (
 // Only fingerprints spill (8 bytes of identity, 16 on disk with the id).
 // A keyed table's encodings, which its byte check compares against, stay
 // resident by definition, so Options.Validate refuses a budget alongside
-// CollisionFree, and a budget makes the sequential oracle unkeyed.
+// CollisionFree.
 
 // spillBytesPerEntry is the budget accounting charge per resident
 // fingerprint: its 16-byte table slot over a load factor between 3/8 and
@@ -140,10 +140,9 @@ func readRecsFile(fsys FS, path string, fn func(spillRec) bool) error {
 // sorted by fingerprint.
 func (vs *visitedSet) residentRecs(recs []spillRec) []spillRec {
 	for i := range vs.shards {
-		slots := vs.shards[i].tab.Load().slots
-		for j := range slots {
-			if id := slots[j].id.Load(); id != 0 {
-				recs = append(recs, spillRec{fp: slots[j].fp.Load(), id: id - 1})
+		for _, s := range vs.shards[i].tab.slots {
+			if s.id != 0 {
+				recs = append(recs, spillRec{fp: s.fp, id: s.id - 1})
 			}
 		}
 	}

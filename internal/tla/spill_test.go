@@ -169,7 +169,7 @@ func closeGraph[S State](t *testing.T, res *Result[S]) {
 // directory on Close.
 func TestSpillStoreSealsAndRevives(t *testing.T) {
 	opts := Options{RecordGraph: true, Workers: 2}
-	st := newVisitedSet(Options{MemoryBudgetBytes: 1}, opts.Workers, nil)
+	st := newVisitedSet(Options{MemoryBudgetBytes: 1}, nil)
 	want, wantErr := Check(counterSpec(15), opts)
 	got, gotErr := runEngine(counterSpec(15), opts, opts.Workers, st, nil)
 	assertResultsEqual(t, "inspected-spill", want, got, wantErr, gotErr)
@@ -196,7 +196,7 @@ func TestSpillStoreSealsAndRevives(t *testing.T) {
 // revived with its original id by the next level's merge-on-lookup, and an
 // unseen one must stay unknown.
 func TestSpillStoreProtocol(t *testing.T) {
-	st := newVisitedSet(Options{MemoryBudgetBytes: 1}, 2, nil)
+	st := newVisitedSet(Options{MemoryBudgetBytes: 1}, nil)
 	defer st.Close()
 
 	a, b := []byte("a"), []byte("b")
@@ -240,7 +240,7 @@ func TestSpillStoreProtocol(t *testing.T) {
 // spilled state, though key "dup" is claimed, revived and resealed every
 // level — and every spilled id revives through it.
 func TestSpillSingleRun(t *testing.T) {
-	st := newVisitedSet(Options{MemoryBudgetBytes: 1}, 2, nil)
+	st := newVisitedSet(Options{MemoryBudgetBytes: 1}, nil)
 	defer st.Close()
 
 	ids := map[string]int{}
@@ -380,7 +380,7 @@ func TestClaimDoesNotAllocate(t *testing.T) {
 		t.Skip("the race detector allocates")
 	}
 	for _, keyed := range []bool{false, true} {
-		vs := newVisitedSet(Options{Workers: 2, CollisionFree: keyed}, 2, nil)
+		vs := newVisitedSet(Options{Workers: 2, CollisionFree: keyed}, nil)
 		encs := make([][]byte, 4096)
 		for i := range encs {
 			encs[i] = binary.LittleEndian.AppendUint64(nil, uint64(i))
@@ -400,7 +400,7 @@ func TestClaimDoesNotAllocate(t *testing.T) {
 // TestLevelFrontierRecycles pins the double-buffering contract: the slice
 // handed out by NextLevel stays valid while the next level accumulates.
 func TestLevelFrontierRecycles(t *testing.T) {
-	f := newLevelFrontier()
+	var f levelFrontier
 	f.Push(1)
 	f.Push(2)
 	level := f.NextLevel()

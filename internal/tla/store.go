@@ -2,52 +2,31 @@ package tla
 
 import (
 	"math/bits"
-	"sync/atomic"
 	"unsafe"
 )
 
-// This file defines the engine's one visited set and its pending-work
-// queue. The engine (engine.go) probes the set during its parallel
-// expansion — probe is a read-only, lock-free lookup and nothing inserts
-// then, so a miss means "no id before this level" — and inserts in its
-// merge, in merge order: a claim pass gives each shard one owner, which
-// inserts a placeholder for each first occurrence (own), and the settle
-// pass publishes the ids over them. That is how the sequential oracle, the
-// parallel checker and the bounded-memory checker stay byte-for-byte
+// This file defines the engine's one visited set. The engine (engine.go)
+// probes it during its parallel expansion — probe is a read-only lookup
+// and nothing writes then, so a miss means "no id before this level" —
+// and writes it in its merge, in merge order: a claim pass gives each
+// shard one owner, which inserts a placeholder for each first occurrence
+// (own), and after the settle pass numbers the winners, a publish pass
+// with the same owners writes their ids over the placeholders. That is how
+// every worker count and the bounded-memory checker stay byte-for-byte
 // comparable.
 //
 // Each shard is TLC's FPSet in miniature: an open-addressed table of
-// 16-byte {fingerprint, id} slots whose words are atomics. Between the
-// expansions that probe it, one goroutine at a time writes a shard — its
-// claim-pass owner, or the driver — storing the fingerprint before the
-// id, so a reader that sees the id sees its fingerprint. Under a memory
-// budget the fingerprints seal into one sorted run on disk between levels
+// 16-byte {fingerprint, id} slots. Its words are plain: they are written
+// only by the shard's owner in a claim or publish pass, or by the driver
+// goroutine between levels, and read concurrently only in the expansion
+// and the route pass, when nothing writes. Under a memory budget the
+// fingerprints seal into one sorted run on disk between levels
 // (spill.go).
 //
-// Keyed, the same table is exact: each shard also keeps every state's
-// canonical encoding once, in append-only blocks, stored before the slot's
-// id, and a fingerprint hit counts only if those bytes equal the probed
-// encoding. A colliding state walks on to the next slot and gets its own.
-
-// levelFrontier is the level-synchronized engine's pending work — the
-// discovered-but-unexpanded state ids — as a double-buffered queue. The
-// engine Pushes ids from its driver goroutine only and drains one BFS level
-// at a time: NextLevel hands out the accumulated level and recycles the
-// previously handed-out slice for the next one, so a steady exploration
-// allocates no frontier storage after the widest level. An empty level ends
-// the exploration.
-type levelFrontier struct {
-	cur, next []int
-}
-
-func newLevelFrontier() *levelFrontier { return &levelFrontier{} }
-
-func (f *levelFrontier) Push(id int) { f.next = push(f.next, id) }
-
-func (f *levelFrontier) NextLevel() []int {
-	f.cur, f.next = f.next, f.cur[:0]
-	return f.cur
-}
+// Keyed (Options.CollisionFree), the same table is exact: each shard also
+// keeps every state's canonical encoding once, in append-only blocks, and
+// a fingerprint hit counts only if those bytes equal the probed encoding.
+// A colliding state walks on to the next slot and gets its own.
 
 // visitedShards is the number of shards of the visited set, each with
 // one owner in the merge's claim pass. A power of two so the shard index
@@ -55,12 +34,11 @@ func (f *levelFrontier) NextLevel() []int {
 const visitedShards = 64
 
 // visitedSet maps canonical state encodings to dense state ids: TLC's
-// fingerprint set, sharded by the fingerprint's low bits. Keyed, it also
-// compares the encodings behind a fingerprint hit, so it is never subject
-// to fingerprint collisions — always for the sequential oracle (Workers ==
-// 1 without a budget or checkpoint, which persist fingerprints alone), and
-// for any run with Options.CollisionFree. The fields after shards are the
-// spill state (spill.go), touched only on the level-sync driver goroutine.
+// fingerprint set, sharded by the fingerprint's low bits. Keyed
+// (Options.CollisionFree), it also compares the encodings behind a
+// fingerprint hit, so it is never subject to fingerprint collisions. The
+// fields after shards are the spill state (spill.go), touched only on the
+// driver goroutine.
 type visitedSet struct {
 	keyed  bool
 	shards [visitedShards]visitedShard
@@ -90,26 +68,24 @@ type visitedShard struct {
 // shard is one stripe of the visited set, written by one goroutine at a
 // time.
 type shard struct {
-	tab   atomic.Pointer[fpTable]
+	tab   *fpTable
 	n     int    // states in tab
 	block []byte // keyed: the encodings' current storage block
 }
 
 // fpSlot is one slot of a fingerprint table. id holds 1 + the state id, so
-// 0 marks the slot empty and any fingerprint, 0 included, can be stored;
-// an insert stores fp first, then id.
+// 0 marks the slot empty and any fingerprint, 0 included, can be stored.
 type fpSlot struct {
-	fp atomic.Uint64
-	id atomic.Int64
+	fp uint64
+	id int64
 }
 
 // fpTable is one generation of a shard's fingerprint table: a power of two
 // of slots, probed linearly from the one the fingerprint's multiplicative
-// mix picks. Once its doubled successor is swapped in, it is never
-// written again.
+// mix picks.
 type fpTable struct {
 	slots []fpSlot
-	keys  []string // keyed only: slots[i]'s encoding, stored before its id
+	keys  []string // keyed only: slots[i]'s encoding
 	shift uint     // 64 - log2(len(slots)): the mix's top bits index the slots
 }
 
@@ -132,18 +108,17 @@ func newFPTable(slots int, keyed bool) *fpTable {
 	return t
 }
 
-// slot returns the slot of fp — keyed, of fp and enc — and its id word, or
-// nil when it is absent, without a lock.
-func (t *fpTable) slot(fp uint64, enc []byte) (*fpSlot, int64) {
+// slot returns the slot of fp — keyed, of fp and enc — or nil when it is
+// absent.
+func (t *fpTable) slot(fp uint64, enc []byte) *fpSlot {
 	mask, keys := uint64(len(t.slots)-1), t.keys
 	for i := (fp * fpMix) >> t.shift; ; i = (i + 1) & mask {
 		s := &t.slots[i]
-		v := s.id.Load()
-		if v == 0 {
-			return nil, 0
+		if s.id == 0 {
+			return nil
 		}
-		if s.fp.Load() == fp && (keys == nil || keys[i] == string(enc)) {
-			return s, v
+		if s.fp == fp && (keys == nil || keys[i] == string(enc)) {
+			return s
 		}
 	}
 }
@@ -154,39 +129,39 @@ func (t *fpTable) slot(fp uint64, enc []byte) (*fpSlot, int64) {
 func (t *fpTable) put(fp uint64, key string, id int64) {
 	mask := uint64(len(t.slots) - 1)
 	i := (fp * fpMix) >> t.shift
-	for t.slots[i].id.Load() != 0 {
+	for t.slots[i].id != 0 {
 		i = (i + 1) & mask
 	}
 	if t.keys != nil {
 		t.keys[i] = key
 	}
-	t.slots[i].fp.Store(fp)
-	t.slots[i].id.Store(id)
+	t.slots[i] = fpSlot{fp: fp, id: id}
 }
 
-// lookup finds fp — keyed, fp and enc — without a lock.
+// lookup finds fp — keyed, fp and enc.
 func (sh *shard) lookup(fp uint64, enc []byte) (int, bool) {
-	s, v := sh.tab.Load().slot(fp, enc)
-	return int(v - 1), s != nil
+	if s := sh.tab.slot(fp, enc); s != nil {
+		return int(s.id - 1), true
+	}
+	return 0, false
 }
 
 // insert records fp — keyed, fp and a copy of enc — as id, which lookup
 // just missed, doubling the table at 3/4 load. Callers own the shard.
 func (sh *shard) insert(fp uint64, enc []byte, id int) {
-	t := sh.tab.Load()
+	t := sh.tab
 	if 4*(sh.n+1) > 3*len(t.slots) {
 		grown := newFPTable(2*len(t.slots), t.keys != nil)
-		for i := range t.slots {
-			if v := t.slots[i].id.Load(); v != 0 {
+		for i, s := range t.slots {
+			if s.id != 0 {
 				var key string
 				if t.keys != nil {
 					key = t.keys[i]
 				}
-				grown.put(t.slots[i].fp.Load(), key, v)
+				grown.put(s.fp, key, s.id)
 			}
 		}
-		sh.tab.Store(grown)
-		t = grown
+		sh.tab, t = grown, grown
 	}
 	var key string
 	if t.keys != nil {
@@ -198,8 +173,8 @@ func (sh *shard) insert(fp uint64, enc []byte, id int) {
 
 // keep copies enc into the shard's append-only storage and returns the
 // copy. A block is only ever appended to, so the bytes of a stored key
-// never change — a lock-free reader compares against them — and the keys
-// of a level share a handful of allocations instead of one each.
+// never change, and the keys of a level share a handful of allocations
+// instead of one each.
 func (sh *shard) keep(enc []byte) string {
 	if len(enc) == 0 {
 		return ""
@@ -212,13 +187,13 @@ func (sh *shard) keep(enc []byte) string {
 	return unsafe.String(&sh.block[n], len(enc))
 }
 
-// newVisitedSet builds the visited set for a validated Options. A budget or
-// a checkpoint forces fingerprints even for the sequential oracle: both
-// persist (fingerprint, id) records, from which the encodings cannot be
-// rebuilt (Validate rejects either alongside CollisionFree).
-func newVisitedSet(opts Options, workers int, em *engineMetrics) *visitedSet {
+// newVisitedSet builds the visited set for a validated Options: keyed
+// exactly when CollisionFree asks for it, at any worker count. (Validate
+// rejects CollisionFree alongside a budget or a checkpoint: both persist
+// (fingerprint, id) records, from which the encodings cannot be rebuilt.)
+func newVisitedSet(opts Options, em *engineMetrics) *visitedSet {
 	vs := &visitedSet{
-		keyed:  opts.CollisionFree || (workers == 1 && opts.MemoryBudgetBytes == 0 && !opts.checkpointing()),
+		keyed:  opts.CollisionFree,
 		budget: opts.MemoryBudgetBytes,
 		fsys:   resolveFS(opts.FS),
 		em:     em,
@@ -233,7 +208,7 @@ func newVisitedSet(opts Options, workers int, em *engineMetrics) *visitedSet {
 func (vs *visitedSet) clearResident() {
 	for i := range vs.shards {
 		sh := &vs.shards[i]
-		sh.tab.Store(newFPTable(fpTableMin, vs.keyed))
+		sh.tab = newFPTable(fpTableMin, vs.keyed)
 		sh.n = 0
 	}
 }
@@ -242,7 +217,7 @@ func (vs *visitedSet) clearResident() {
 func (vs *visitedSet) shard(fp uint64) *shard { return &vs.shards[fp&(visitedShards-1)].shard }
 
 // probe looks enc (with fingerprint fp) up without inserting it. Safe for
-// concurrent use, and lock-free.
+// concurrent use while nothing writes the set.
 func (vs *visitedSet) probe(fp uint64, enc []byte) (id int, ok bool) {
 	return vs.shard(fp).lookup(fp, enc)
 }
@@ -266,14 +241,13 @@ func (vs *visitedSet) own(fp uint64, enc []byte, id int) (present int, isNew boo
 }
 
 // publish overwrites the id own inserted for enc (with fingerprint fp).
-// Safe for concurrent use while nothing inserts.
+// The caller owns the shard, as for own.
 func (vs *visitedSet) publish(fp uint64, enc []byte, id int) {
-	s, _ := vs.shard(fp).tab.Load().slot(fp, enc)
-	s.id.Store(int64(id) + 1)
+	vs.shard(fp).tab.slot(fp, enc).id = int64(id) + 1
 }
 
 // resident counts the ids the shards hold. Callers exclude concurrent
-// inserts (the level-sync driver goroutine, between levels).
+// inserts (the driver goroutine, between levels).
 func (vs *visitedSet) resident() int {
 	n := 0
 	for i := range vs.shards {

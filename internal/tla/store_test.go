@@ -14,7 +14,7 @@ import (
 // resident, the EndLevel seal and the ResolveLevel restore, beside another
 // fingerprint of the same shard.
 func TestFingerprintZero(t *testing.T) {
-	vs := newVisitedSet(Options{MemoryBudgetBytes: 1}, 2, nil)
+	vs := newVisitedSet(Options{MemoryBudgetBytes: 1}, nil)
 	defer vs.Close()
 
 	const other = visitedShards // shard 0, like fingerprint 0
@@ -83,7 +83,7 @@ func TestVisitedSetConcurrentClaims(t *testing.T) {
 		n          = 1 << 14 // 256 per shard: four doublings from fpTableMin
 	)
 	for _, keyed := range []bool{false, true} {
-		vs := newVisitedSet(Options{Workers: goroutines, CollisionFree: keyed}, goroutines, nil)
+		vs := newVisitedSet(Options{Workers: goroutines, CollisionFree: keyed}, nil)
 		fps := make([]uint64, n)
 		encs := make([][]byte, n)
 		for i := range fps {
@@ -134,7 +134,7 @@ func TestProbeDoesNotAllocate(t *testing.T) {
 		t.Skip("the race detector allocates")
 	}
 	for _, keyed := range []bool{false, true} {
-		vs := newVisitedSet(Options{Workers: 2, CollisionFree: keyed}, 2, nil)
+		vs := newVisitedSet(Options{Workers: 2, CollisionFree: keyed}, nil)
 		encs := make([][]byte, 512)
 		for i := range encs {
 			encs[i] = []byte{byte(i), byte(i >> 8), 'k'}
@@ -162,7 +162,7 @@ func TestStoreFingerprintCollisions(t *testing.T) {
 	const n = 100 // 16 → 256 slots: four doublings
 	enc := func(fp uint64, i int) []byte { return []byte(fmt.Sprintf("%x/%d", fp, i)) }
 	for _, fp := range []uint64{0, 0x9e3779b97f4a7c15} {
-		vs := newVisitedSet(Options{Workers: 1}, 1, nil)
+		vs := newVisitedSet(Options{CollisionFree: true}, nil)
 		for i := 0; i < n; i++ {
 			if id, isNew := vs.own(fp, enc(fp, i), -2-i); id != -2-i || !isNew {
 				t.Fatalf("fp %#x: own of encoding %d = (%d, %t), want its placeholder (%d, true)", fp, i, id, isNew, -2-i)
@@ -208,7 +208,7 @@ func TestOwnDoesNotAllocate(t *testing.T) {
 		t.Skip("the race detector allocates")
 	}
 	for _, keyed := range []bool{false, true} {
-		vs := newVisitedSet(Options{Workers: 2, CollisionFree: keyed}, 2, nil)
+		vs := newVisitedSet(Options{Workers: 2, CollisionFree: keyed}, nil)
 		next := 0
 		var enc [8]byte
 		const perRun = 4096

@@ -220,11 +220,12 @@ type Options struct {
 	// (0 = unlimited). The checker returns ErrStateLimit.
 	MaxStates int
 	// Workers is the number of goroutines expanding the frontier, TLC's
-	// -workers. 0 means GOMAXPROCS; 1 selects the sequential reference
-	// path. The parallel path is level-synchronized and produces results
-	// identical to the sequential path: same counters, same graph, same
-	// shortest counterexample. Invariants and Constraint are called from
-	// worker goroutines and must not mutate shared state.
+	// -workers; 0 means GOMAXPROCS. It is a speed setting only: the engine
+	// is level-synchronized, and every worker count produces the same
+	// result — same counters, same graph, same shortest counterexample —
+	// with the same deduplication (see CollisionFree). Invariants and
+	// Constraint are called from worker goroutines and must not mutate
+	// shared state.
 	Workers int
 	// Deprecated: Check ignores Schedule; every run is level-synchronized.
 	Schedule Schedule
@@ -244,7 +245,7 @@ type Options struct {
 	// exact state explored, so the reconstructed trace is byte-identical to
 	// live retention's — including under symmetry reduction. Without
 	// symmetry that is the encoding deduplication already computed, stored
-	// as is; with it, install encodes the state once more. Without
+	// as is; with it, the engine encodes the state once more. Without
 	// StateArena the run keeps the same parent links and edge records, with
 	// live values in place of encodings.
 	// CheckpointDir and ResumeFrom imply it.
@@ -259,18 +260,18 @@ type Options struct {
 	// MemoryBudgetBytes. Liveness checking needs the full edge set: run
 	// CheckEventuallyWithin on graphs recorded without POR.
 	PartialOrder bool
-	// CollisionFree makes the parallel path's visited set keyed: besides
-	// each state's 64-bit fingerprint it keeps the canonical encoding and
-	// compares it on every fingerprint hit, so colliding states get
-	// separate slots — memory and a byte comparison per hit traded for
-	// immunity to fingerprint collisions (TLC's collision-probability
-	// story: at N reachable states the chance any two collide is about
-	// N²/2⁶⁵ — around 3·10⁻⁸ for a million states — and a collision can
-	// silently prune a subtree, masking a violation). The sequential path
-	// (Workers == 1) is collision-free without this flag, unless
-	// MemoryBudgetBytes or checkpointing forces fingerprints (both are
-	// rejected alongside CollisionFree); set it for parallel runs whose
-	// verdict must be exact rather than exact-with-probability-1.
+	// CollisionFree makes the visited set keyed: besides each state's
+	// 64-bit fingerprint it keeps the canonical encoding and compares it
+	// on every fingerprint hit, so colliding states get separate slots —
+	// memory and a byte comparison per hit traded for immunity to
+	// fingerprint collisions (TLC's collision-probability story: at N
+	// reachable states the chance any two collide is about N²/2⁶⁵ —
+	// around 3·10⁻⁸ for a million states — and a collision can silently
+	// prune a subtree, masking a violation). It alone decides the
+	// deduplication, at every worker count; without it every run trusts
+	// fingerprints. MemoryBudgetBytes and checkpointing persist
+	// fingerprints alone, so both are rejected alongside it. Set it for
+	// runs whose verdict must be exact rather than exact-with-probability-1.
 	CollisionFree bool
 	// MemoryBudgetBytes bounds the visited set's resident memory
 	// (approximately — the engine charges a fixed estimate per resident
@@ -282,10 +283,9 @@ type Options struct {
 	// encodings and a recorded graph's edges (with or without StateArena)
 	// spill to a temp file past it. 0 keeps everything resident.
 	//
-	// The budget implies fingerprint deduplication at every worker count —
-	// including Workers == 1, which is otherwise the always-collision-free
-	// oracle — and is therefore rejected alongside CollisionFree, whose
-	// stored encodings are memory-resident by definition.
+	// The budget needs fingerprint deduplication, and is therefore
+	// rejected alongside CollisionFree, whose stored encodings are
+	// memory-resident by definition.
 	MemoryBudgetBytes int64
 	// Context, when non-nil, cancels the run cooperatively: the engine
 	// polls it between levels and between frontier states, and an
@@ -414,7 +414,7 @@ var ErrInvalidOptions = errors.New("tla: invalid options")
 func (o Options) Validate() error {
 	switch {
 	case o.Workers < 0:
-		return fmt.Errorf("%w: negative Workers %d (0 means GOMAXPROCS, 1 the sequential oracle)", ErrInvalidOptions, o.Workers)
+		return fmt.Errorf("%w: negative Workers %d (0 means GOMAXPROCS)", ErrInvalidOptions, o.Workers)
 	case o.MaxStates < 0:
 		return fmt.Errorf("%w: negative MaxStates %d (0 means unlimited)", ErrInvalidOptions, o.MaxStates)
 	case o.MemoryBudgetBytes < 0:
@@ -504,12 +504,12 @@ type Result[S State] struct {
 // stops at the first violation, as TLC does by default.
 //
 // One engine serves every configuration: Options selects the worker count
-// (0 resolves to GOMAXPROCS; 1 is the sequential oracle, whose visited set
-// is keyed — a fingerprint hit counts only if the encodings are equal — and
-// therefore always collision-free unless MemoryBudgetBytes or a checkpoint
-// engages the spilling fingerprint set). Results are identical at every
-// worker count and in every visited-set mode the options imply, modulo
-// fingerprint collisions (see CollisionFree).
+// (0 resolves to GOMAXPROCS), a speed setting only, and CollisionFree
+// alone selects the deduplication — a keyed visited set, where a
+// fingerprint hit counts only if the encodings are equal, or fingerprints
+// alone, as TLC does. Results are identical at every worker count and
+// with or without a memory budget, modulo fingerprint collisions (see
+// CollisionFree).
 //
 // Every run does what its options say or is rejected before exploring
 // anything: Validate rejects the combinations that are invalid for any
@@ -533,7 +533,7 @@ func Check[S State](spec *Spec[S], opts Options) (*Result[S], error) {
 	workers := resolveWorkers(opts.Workers)
 	em := newEngineMetrics(opts, workers)
 	em.journalStart(spec.Name, workers, opts.PartialOrder)
-	vs := newVisitedSet(opts, workers, em)
+	vs := newVisitedSet(opts, em)
 	defer vs.Close()
 	res, err := runEngine(spec, opts, workers, vs, em)
 	if res != nil {
