@@ -13,7 +13,7 @@
 // Usage:
 //
 //	mbtcg [-dot array_ot.dot] [-emit generated_test.go] [-coverage] [-workers N] [-mem-budget BYTES] \
-//	      [-arena] [-deadline DUR] [-progress-every DUR] [-journal FILE]
+//	      [-deadline DUR] [-progress-every DUR] [-journal FILE]
 package main
 
 import (
@@ -42,8 +42,7 @@ func main() {
 		emitPath  = flag.String("emit", "", "write the generated cases as a Go test file")
 		withCov   = flag.Bool("coverage", false, "print the §5.2 coverage comparison table")
 		workers   = flag.Int("workers", 0, "model-checker worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
-		memBudget = flag.Int64("mem-budget", 0, "approximate visited-set bytes before the fingerprints spill to one sorted run on disk (0 = fully resident)")
-		arena     = flag.Bool("arena", false, "serve the state graph from the checker's encoded-state arena instead of live values (with -mem-budget it spills to disk, so generation runs on graphs that never fit in RAM)")
+		memBudget = flag.Int64("mem-budget", 0, "approximate visited-set bytes before the fingerprints spill to one sorted run on disk; a budget also serves the state graph from the checker's encoded-state arena, which spills past it, so generation runs on graphs that never fit in RAM (0 = fully resident, live values)")
 		deadline  = flag.Duration("deadline", 0, "wall-clock bound on the exploration, e.g. 90s or 10m (0 = none); generation needs the complete graph, so an over-deadline run aborts with the partial-state count")
 		progEvery = flag.Duration("progress-every", 0, "print a one-line exploration status to stderr this often, e.g. 5s (0 = off)")
 		journal   = flag.String("journal", "", "append the exploration's run journal (JSONL) to this file")
@@ -54,7 +53,7 @@ func main() {
 	// pipeline with the partial-state count. A second signal kills normally.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *dotPath, *emitPath, *withCov, *workers, *memBudget, *arena, *deadline, *progEvery, *journal); err != nil {
+	if err := run(ctx, *dotPath, *emitPath, *withCov, *workers, *memBudget, *deadline, *progEvery, *journal); err != nil {
 		if !errors.Is(err, errFailed) {
 			fmt.Fprintln(os.Stderr, "mbtcg:", err)
 		}
@@ -66,13 +65,13 @@ func main() {
 // report, and main exits 1 without repeating it.
 var errFailed = errors.New("negative verdict")
 
-func run(ctx context.Context, dotPath, emitPath string, withCov bool, workers int, memBudget int64, arena bool, deadline time.Duration, progEvery time.Duration, journal string) error {
+func run(ctx context.Context, dotPath, emitPath string, withCov bool, workers int, memBudget int64, deadline time.Duration, progEvery time.Duration, journal string) error {
 	if deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, deadline)
 		defer cancel()
 	}
-	opts := tla.Options{Workers: workers, MemoryBudgetBytes: memBudget, StateArena: arena, Context: ctx}
+	opts := tla.Options{Workers: workers, MemoryBudgetBytes: memBudget, Context: ctx}
 	if progEvery > 0 {
 		opts.Progress = cliobs.NewPrinter(os.Stderr, "mbtcg", memBudget).Observe
 		opts.ProgressEvery = progEvery

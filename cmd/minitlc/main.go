@@ -23,7 +23,7 @@
 //	minitlc -spec raftmongo-v1|raftmongo-v2|arrayot|locking \
 //	        [-nodes 3] [-max-term 3] [-max-log 3] [-actors 2] \
 //	        [-dot out.dot] [-liveness] [-workers N] [-symmetry] [-por] [-mem-budget BYTES] \
-//	        [-arena] [-checkpoint DIR] [-checkpoint-every N] [-resume DIR] [-deadline DUR] \
+//	        [-checkpoint DIR] [-checkpoint-every N] [-resume DIR] [-deadline DUR] \
 //	        [-progress-every DUR] [-journal FILE]
 package main
 
@@ -105,12 +105,11 @@ func main() {
 		liveness  = flag.Bool("liveness", false, "check the commit-point-propagation liveness property (raftmongo)")
 		workers   = flag.Int("workers", 0, "checker worker goroutines (0 = GOMAXPROCS); a speed setting only: every count gives the same result")
 		symmetry  = flag.Bool("symmetry", false, "symmetry reduction over interchangeable identities (raftmongo nodes, locking actors; a usage error on arrayot)")
-		por       = flag.Bool("por", false, "ample-set partial-order reduction for specs that declare transition independence (raftmongo, locking; an error on arrayot and with -liveness); composes with -symmetry, -workers, -arena and -mem-budget")
-		memBudget = flag.Int64("mem-budget", 0, "approximate visited-set bytes before the fingerprints spill to one sorted run on disk (0 = fully resident)")
-		arena     = flag.Bool("arena", false, "retain discovered states as encoded bytes in an append-only arena instead of live values (cuts retention memory; counterexamples and the -dot/-liveness graph are decoded from the arena)")
-		ckDir     = flag.String("checkpoint", "", "write a resumable checkpoint to this directory on interrupt (and periodically with -checkpoint-every); implies -arena")
+		por       = flag.Bool("por", false, "ample-set partial-order reduction for specs that declare transition independence (raftmongo, locking; an error on arrayot and with -liveness); composes with -symmetry, -workers, -mem-budget and -checkpoint")
+		memBudget = flag.Int64("mem-budget", 0, "approximate visited-set bytes before the fingerprints spill to one sorted run on disk; a budget also keeps discovered states as encoded bytes in an arena whose segments spill past it (0 = fully resident, live values)")
+		ckDir     = flag.String("checkpoint", "", "write a resumable checkpoint to this directory on interrupt (and periodically with -checkpoint-every); retains states in the arena, as -mem-budget does")
 		ckEvery   = flag.Int("checkpoint-every", 0, "additionally checkpoint every N BFS levels (0 = only on interrupt; needs -checkpoint)")
-		resume    = flag.String("resume", "", "resume the run checkpointed in this directory (spec flags are restored from the checkpoint); implies -arena and, unless -checkpoint says otherwise, further checkpoints go to the same directory")
+		resume    = flag.String("resume", "", "resume the run checkpointed in this directory (spec flags are restored from the checkpoint); retains states in the arena and, unless -checkpoint says otherwise, further checkpoints go to the same directory")
 		deadline  = flag.Duration("deadline", 0, "wall-clock bound on the run, e.g. 90s or 10m (0 = none); a run over the deadline stops like an interrupt — partial statistics, and a resumable checkpoint under -checkpoint")
 		progEvery = flag.Duration("progress-every", 0, "print a one-line status to stderr this often, e.g. 5s (0 = off)")
 		journal   = flag.String("journal", "", "append the run journal (JSONL, one event per level plus checkpoint/retry/degrade/verdict) to this file")
@@ -125,7 +124,7 @@ func main() {
 	defer stop()
 
 	cfg := specConfig{specName: *specName, nodes: *nodes, maxTerm: *maxTerm, maxLog: *maxLog, actors: *actors, symmetry: *symmetry, por: *por}
-	if err := run(ctx, cfg, *dotPath, *liveness, *workers, *memBudget, *arena, *ckDir, *ckEvery, *resume, *deadline, *progEvery, *journal); err != nil {
+	if err := run(ctx, cfg, *dotPath, *liveness, *workers, *memBudget, *ckDir, *ckEvery, *resume, *deadline, *progEvery, *journal); err != nil {
 		if errors.Is(err, errFailed) {
 			os.Exit(1) // the report is already on stdout
 		}
@@ -155,7 +154,7 @@ func verdict(dumpErr error, failed bool) error {
 	return dumpErr
 }
 
-func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, workers int, memBudget int64, arena bool, ckDir string, ckEvery int, resume string, deadline time.Duration, progEvery time.Duration, journal string) error {
+func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, workers int, memBudget int64, ckDir string, ckEvery int, resume string, deadline time.Duration, progEvery time.Duration, journal string) error {
 	if resume != "" {
 		// The checkpoint knows which state space it explored; the resumed
 		// run must rebuild the identical spec, so its metadata overrides
@@ -196,7 +195,6 @@ func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, wor
 		Workers:           workers,
 		MemoryBudgetBytes: memBudget,
 		PartialOrder:      cfg.por,
-		StateArena:        arena,
 		Context:           ctx,
 		CheckpointDir:     ckDir,
 		CheckpointEvery:   ckEvery,
@@ -327,7 +325,7 @@ func check[S tla.State](spec *tla.Spec[S], opts tla.Options) (*tla.Result[S], er
 }
 
 // dump writes the state graph as DOT and closes it, releasing any arena
-// spill file backing an -arena graph.
+// spill file backing the graph.
 func dump[S tla.State](g *tla.Graph[S], path, name string) error {
 	if g == nil {
 		return nil

@@ -13,7 +13,7 @@ import (
 // explored, instead of being ignored.
 func TestArrayOTSymmetryIsAUsageError(t *testing.T) {
 	cfg := specConfig{specName: "arrayot", symmetry: true}
-	err := run(context.Background(), cfg, "", false, 1, 0, false, "", 0, "", 0, 0, "")
+	err := run(context.Background(), cfg, "", false, 1, 0, "", 0, "", 0, 0, "")
 	if !errors.Is(err, errUsage) {
 		t.Fatalf("run = %v, want a usage error", err)
 	}
@@ -24,7 +24,7 @@ func TestArrayOTSymmetryIsAUsageError(t *testing.T) {
 // (exit 2) before the spec is built, instead of panicking in it.
 func TestTooManyActorsIsAUsageError(t *testing.T) {
 	cfg := specConfig{specName: "locking", actors: locking.MaxActors + 1}
-	err := run(context.Background(), cfg, "", false, 1, 0, false, "", 0, "", 0, 0, "")
+	err := run(context.Background(), cfg, "", false, 1, 0, "", 0, "", 0, 0, "")
 	if !errors.Is(err, errUsage) {
 		t.Fatalf("run = %v, want a usage error", err)
 	}

@@ -88,7 +88,7 @@ func TestDigests(t *testing.T) {
 			return graphDigest(t, raftmongo.SpecV2(reduced), tla.Options{Workers: w, PartialOrder: true})
 		}},
 		{"locking-3-arena-budget-1", func(t *testing.T, w int) digest {
-			return graphDigest(t, locking.Spec(locking.SpecConfig{Actors: 3}), tla.Options{Workers: w, StateArena: true, MemoryBudgetBytes: 1})
+			return graphDigest(t, locking.Spec(locking.SpecConfig{Actors: 3}), tla.Options{Workers: w, MemoryBudgetBytes: 1})
 		}},
 		{"arrayot-mbtcg", func(t *testing.T, w int) digest {
 			return arrayotDigest(t, tla.Options{Workers: w})

@@ -126,9 +126,9 @@ func FuzzBinaryKeyAgreement(f *testing.F) {
 				binEq, keyEq, a.Key(), b.Key())
 		}
 		// Arena round-trip on the same corpus: a one-state spec checked
-		// under StateArena with a one-byte budget spills the encoding to
-		// disk and decodes the counterexample back — the decoded state
-		// must be semantically identical to the original.
+		// under a one-byte budget spills the encoding to disk and decodes
+		// the counterexample back — the decoded state must be
+		// semantically identical to the original.
 		spec := &tla.Spec[State]{
 			Name: "arena-round-trip",
 			Init: func() []State { return []State{a} },
@@ -137,7 +137,7 @@ func FuzzBinaryKeyAgreement(f *testing.F) {
 				Check: func(State) error { return errors.New("retrieve the trace") },
 			}},
 		}
-		res, err := tla.Check(spec, tla.Options{Workers: 1, StateArena: true, MemoryBudgetBytes: 1})
+		res, err := tla.Check(spec, tla.Options{Workers: 1, MemoryBudgetBytes: 1})
 		if !errors.Is(err, tla.ErrInvariantViolated) {
 			t.Fatalf("arena round-trip check err = %v, want the forced violation", err)
 		}

@@ -75,7 +75,7 @@ func TestCompatibilityViolationArenaPaths(t *testing.T) {
 		name string
 		opts tla.Options
 	}{
-		{"decode", tla.Options{StateArena: true, MemoryBudgetBytes: 1}},
+		{"decode", tla.Options{MemoryBudgetBytes: 1}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			res, err := tla.Check(Spec(SpecConfig{Actors: 2, OmitCompatibilityCheck: true}), mode.opts)

@@ -32,7 +32,7 @@ func TestGenerateViolationErrorIdentity(t *testing.T) {
 		opts tla.Options
 	}{
 		{"resident", tla.Options{Workers: 1}},
-		{"arena-spill", tla.Options{Workers: 1, StateArena: true, MemoryBudgetBytes: 1}},
+		{"arena-spill", tla.Options{Workers: 1, MemoryBudgetBytes: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dot := filepath.Join(t.TempDir(), "g.dot")

@@ -57,11 +57,10 @@ type TestCase struct {
 // callers can inspect the counters or the violation. opts are the checker
 // options — worker count, memory budget; RecordGraph is forced
 // on: the pipeline is the graph dump. The cases are identical under every
-// option combination the engine accepts. With opts.StateArena the graph is
-// served from the checker's retained-state arena — under a
-// MemoryBudgetBytes it spills to disk, so the generation pipeline runs on
-// state graphs that never fit in RAM (arrayot.State implements
-// tla.BinaryDecoder). The graph is closed before returning, on every path:
+// option combination the engine accepts. Under a MemoryBudgetBytes the
+// graph is served from the checker's retained-state arena and spills to
+// disk, so the generation pipeline runs on state graphs that never fit in
+// RAM (arrayot.State implements tla.BinaryDecoder). The graph is closed before returning, on every path:
 // the DOT file is the pipeline's export artifact.
 func GenerateResult(cfg arrayot.Config, dotPath string, opts tla.Options) ([]TestCase, *tla.Result[arrayot.State], error) {
 	opts.RecordGraph = true

@@ -52,7 +52,7 @@ func TestGenerateArenaSpilled(t *testing.T) {
 		t.Fatalf("live: %v", err)
 	}
 	arenaDot := filepath.Join(dir, "arena.dot")
-	got, res, err := GenerateResult(cfg, arenaDot, tla.Options{StateArena: true, MemoryBudgetBytes: 1})
+	got, res, err := GenerateResult(cfg, arenaDot, tla.Options{MemoryBudgetBytes: 1})
 	if err != nil {
 		t.Fatalf("arena: %v", err)
 	}

@@ -77,11 +77,11 @@ func assertEncodingAgreement(t *testing.T, a, b State) {
 }
 
 // assertArenaRoundTrip pushes a state through the retained-state arena end
-// to end: a one-state spec checked under Options.StateArena (with a
-// one-byte budget, so the encoding is spilled to disk and read back) whose
-// invariant always fails, forcing the arena's counterexample decoding. The
-// decoded state must be semantically identical to the original — encode →
-// arena → decode == original, riding the fuzz corpus.
+// to end: a one-state spec checked under a one-byte budget (so the
+// encoding is spilled to disk and read back) whose invariant always fails,
+// forcing the arena's counterexample decoding. The decoded state must be
+// semantically identical to the original — encode → arena → decode ==
+// original, riding the fuzz corpus.
 func assertArenaRoundTrip(t *testing.T, s State) {
 	t.Helper()
 	spec := &tla.Spec[State]{
@@ -92,7 +92,7 @@ func assertArenaRoundTrip(t *testing.T, s State) {
 			Check: func(State) error { return errors.New("retrieve the trace") },
 		}},
 	}
-	res, err := tla.Check(spec, tla.Options{Workers: 1, StateArena: true, MemoryBudgetBytes: 1})
+	res, err := tla.Check(spec, tla.Options{Workers: 1, MemoryBudgetBytes: 1})
 	if !errors.Is(err, tla.ErrInvariantViolated) {
 		t.Fatalf("arena round-trip check err = %v, want the forced violation", err)
 	}

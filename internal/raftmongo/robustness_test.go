@@ -41,7 +41,7 @@ func cancelAfter(spec *tla.Spec[State], cancel context.CancelFunc, n int64) *tla
 func TestInterruptResumeMatchesOracle(t *testing.T) {
 	cfg := Config{Nodes: 3, MaxTerm: 2, MaxLogLen: 2}
 	mkOpts := func() tla.Options {
-		return tla.Options{Workers: 4, MemoryBudgetBytes: 1, StateArena: true}
+		return tla.Options{Workers: 4, MemoryBudgetBytes: 1}
 	}
 	oracle, err := tla.Check(SpecV2(cfg), mkOpts())
 	if err != nil {

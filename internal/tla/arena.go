@@ -14,16 +14,16 @@ import (
 // violation. For slice-heavy spec states that retention, not the visited
 // set, is what caps explorable state spaces.
 //
-// Options.StateArena replaces live retention with an append-only byte
-// arena of canonical encodings plus compact parent links: per state, the
-// encoding bytes (already computed for deduplication) and a fixed
-// ~24-byte record (parent id, action index, depth, encoding location).
-// Live S values stay in the pages live mode keeps them in, but only for the
-// states not yet expanded: once a level is merged, the pages wholly below
-// its first id are cleared and reused.
-// Under Options.MemoryBudgetBytes, sealed arena segments are spilled to a
-// temp file and read back on demand, so the visited set AND trace storage
-// both respect the budget.
+// A run under Options.MemoryBudgetBytes or with checkpoints replaces live
+// retention with an append-only byte arena of plain encodings plus compact
+// parent links: per state, the encoding bytes (already computed for
+// deduplication) and a fixed ~24-byte record (parent id, action index,
+// depth, encoding location). Live S values stay in the pages live mode
+// keeps them in, but only for the states not yet expanded: once a level is
+// merged, the pages wholly below its first id are cleared and reused.
+// Under a budget, sealed arena segments are spilled to a temp file and
+// read back on demand, so the visited set AND trace storage both respect
+// it.
 //
 // Decoding is the only way stored bytes turn back into states: the arena
 // requires a spec state implementing BinaryDecoder (Check rejects it
@@ -39,13 +39,13 @@ import (
 // instead of an orbit scan.
 //
 // The arena's parent links are also the only retained-state table of a run
-// without StateArena (live mode): every run keeps one arenaMeta record per
-// state, and live mode merely stores no encoding beside it, keeping the
-// state's value in memory instead (see retainer). A recorded graph
-// (Options.RecordGraph) appends its edges (parent id, action index, child
-// id) to the arena's own segment list as fixed-width records in either
-// mode, spilled to the same temp file under the same budget, and
-// Result.Graph is a view of the retainer — see Graph.
+// without a budget or checkpoints (live mode): every run keeps one
+// arenaMeta record per state, and live mode merely stores no encoding
+// beside it, keeping the state's value in memory instead (see retainer).
+// A recorded graph (Options.RecordGraph) appends its edges (parent id,
+// action index, child id) to the arena's own segment list as fixed-width
+// records in either mode, spilled to the same temp file under the same
+// budget, and Result.Graph is a view of the retainer — see Graph.
 
 // arenaSegBytes is the target size of one arena segment. Segments are
 // sealed when full (or when a budget flush forces it) and become the unit
@@ -331,10 +331,11 @@ func (a *stateArena) close() error {
 // retainer owns discovered-state retention for one checking run: the
 // arena's link table (parent, depth, action) for every state, and each
 // state's value in fixed-size pages. Live mode (the default) keeps every
-// page and stores no encoding. Arena mode (Options.StateArena, implied by
-// checkpointing) stores each state's plain encoding in the arena and drops
-// the pages of expanded states (dropBelow), so it reads a live value only
-// to expand a state (stateOf) and decodes for every other read (stateAt).
+// page and stores no encoding. Arena mode (a memory budget or checkpoints;
+// see Options.arena) stores each state's plain encoding in the arena and
+// drops the pages of expanded states (dropBelow), so it reads a live value
+// only to expand a state (stateOf) and decodes for every other read
+// (stateAt).
 type retainer[S State] struct {
 	arena  *stateArena
 	acts   []string // interned action names; acts[0] is the initial-state ""

@@ -9,7 +9,7 @@ import (
 
 // heavyState mimics a slice-heavy spec state (the replica-set shape:
 // identity-indexed slices of slices) whose live retention costs far more
-// than its byte encoding — the workload Options.StateArena exists for.
+// than its byte encoding — the workload arena retention exists for.
 type heavyState struct {
 	Roles []byte
 	Terms []int
@@ -91,11 +91,10 @@ func mkHeavyState(i int) heavyState {
 }
 
 // BenchmarkArenaGraph measures graph recording: states retained and edges
-// recorded into the arena's append-only edge segments, resident or
-// spilling under a tight memory budget, with states retained as arena
-// encodings (resident, spill) or as live values (live, live-spill — the
-// default retention, whose graph is the same edge segments beside the
-// states slice). Reported per variant: edge recording throughput
+// recorded into the arena's append-only edge segments, with states
+// retained as arena encodings under a budget (resident: never reached;
+// spill: a tight one) or as live values without one (live — whose graph
+// is the same edge segments beside the live pages). Reported per variant: edge recording throughput
 // (edges/sec) and the heap bytes one state retains with graph recording on
 // (retained-B/state) — the number that must stay flat as the graph grows,
 // since edges live in segments, not the heap.
@@ -107,16 +106,15 @@ func BenchmarkArenaGraph(b *testing.B) {
 	}
 	for _, mode := range []struct {
 		name   string
-		arena  bool
 		budget int64
-	}{{"resident", true, 0}, {"spill", true, 1 << 16}, {"live", false, 0}, {"live-spill", false, 1 << 16}} {
+	}{{"resident", bigBudget}, {"spill", 1 << 16}, {"live", 0}} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var before, after runtime.MemStats
 				runtime.GC()
 				runtime.ReadMemStats(&before)
-				ret := newRetainer(spec, Options{StateArena: mode.arena, MemoryBudgetBytes: mode.budget}, nil)
+				ret := newRetainer(spec, Options{MemoryBudgetBytes: mode.budget}, nil)
 				var encBuf []byte
 				for j := 0; j < n; j++ {
 					s := mkHeavyState(j)
@@ -142,8 +140,8 @@ func BenchmarkArenaGraph(b *testing.B) {
 
 // BenchmarkArenaRetention measures what the retained-state arena is for:
 // the heap bytes one discovered state costs to retain until the end of a
-// run, live S values (the default) against arena encodings
-// (Options.StateArena). The retained-B/state metric is heap growth across
+// run, live S values (the default) against arena encodings (a run under a
+// memory budget). The retained-B/state metric is heap growth across
 // retaining 50k states, measured between forced GCs with the retention
 // still referenced; arena mode must come in severalfold under live mode
 // on this slice-heavy state.
@@ -154,16 +152,16 @@ func BenchmarkArenaRetention(b *testing.B) {
 		Actions: []Action[heavyState]{{Name: "Step"}},
 	}
 	for _, mode := range []struct {
-		name  string
-		arena bool
-	}{{"live", false}, {"arena", true}} {
+		name   string
+		budget int64
+	}{{"live", 0}, {"arena", bigBudget}} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var before, after runtime.MemStats
 				runtime.GC()
 				runtime.ReadMemStats(&before)
-				ret := newRetainer(spec, Options{StateArena: mode.arena}, nil)
+				ret := newRetainer(spec, Options{MemoryBudgetBytes: mode.budget}, nil)
 				var encBuf []byte
 				for j := 0; j < n; j++ {
 					s := mkHeavyState(j)

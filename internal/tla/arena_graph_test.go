@@ -11,7 +11,7 @@ import (
 )
 
 // Arena-backed state graph tests. The contract under test (arena.go,
-// engine.go, dot.go, checkpoint.go): StateArena+RecordGraph serves
+// engine.go, dot.go, checkpoint.go): under a memory budget RecordGraph serves
 // Result.Graph from the arena's append-only segments — resident or
 // spilled — and the graph is indistinguishable from a live RecordGraph
 // run's: same nodes, same keys, same edges, byte-identical DOT output.
@@ -44,11 +44,10 @@ func cancelAfter[S State](spec *Spec[S], cancel context.CancelFunc, after int64)
 }
 
 // TestArenaGraphMatchesResident is the headline property: a RecordGraph
-// run whose retained storage spills to disk under a one-byte memory budget
-// — the edges alone under live retention, encodings and edges under
-// StateArena — or keeps the arena resident produces a graph byte-identical
-// in DOT form to a plain resident RecordGraph run, at one and at four
-// workers.
+// run whose encodings and edges spill to disk under a one-byte memory
+// budget, or stay resident under a budget it never reaches, produces a
+// graph byte-identical in DOT form to a live RecordGraph run, at one and
+// at four workers.
 func TestArenaGraphMatchesResident(t *testing.T) {
 	const max = 25
 	for _, w := range []int{1, 4} {
@@ -57,14 +56,9 @@ func TestArenaGraphMatchesResident(t *testing.T) {
 			t.Fatalf("workers=%d live: %v", w, err)
 		}
 		wantDOT := dotBytes(t, want.Graph, "bincounter")
-		for _, mode := range []struct {
-			arena  bool
-			budget int64
-		}{{true, 0}, {true, 1}, {false, 1}} {
-			label := fmt.Sprintf("workers=%d/arena=%t/budget=%d", w, mode.arena, mode.budget)
-			got, err := Check(binSpec(max, false), Options{
-				RecordGraph: true, Workers: w, StateArena: mode.arena, MemoryBudgetBytes: mode.budget,
-			})
+		for _, budget := range []int64{bigBudget, 1} {
+			label := fmt.Sprintf("workers=%d/budget=%d", w, budget)
+			got, err := Check(binSpec(max, false), Options{RecordGraph: true, Workers: w, MemoryBudgetBytes: budget})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -93,7 +87,7 @@ func TestArenaGraphMatchesResident(t *testing.T) {
 	}
 }
 
-// TestArenaDecodeTrace: a violation under StateArena reconstructs its
+// TestArenaDecodeTrace: a violation under a memory budget reconstructs its
 // counterexample by decoding arena encodings, and the trace equals the
 // live run's.
 func TestArenaDecodeTrace(t *testing.T) {
@@ -111,7 +105,7 @@ func TestArenaDecodeTrace(t *testing.T) {
 		return spec
 	}
 	want, wantErr := Check(mk(), Options{})
-	got, gotErr := Check(mk(), Options{StateArena: true})
+	got, gotErr := Check(mk(), Options{MemoryBudgetBytes: bigBudget})
 	if !errors.Is(wantErr, ErrInvariantViolated) || !errors.Is(gotErr, ErrInvariantViolated) {
 		t.Fatalf("verdicts: live=%v arena=%v, want violations", wantErr, gotErr)
 	}
@@ -132,7 +126,7 @@ func TestArenaDecodeTrace(t *testing.T) {
 
 // ckGraphOpts is the option set the graph-checkpoint tests share.
 func ckGraphOpts() Options {
-	return Options{RecordGraph: true, StateArena: true, MemoryBudgetBytes: 1, Workers: 4}
+	return Options{RecordGraph: true, MemoryBudgetBytes: 1, Workers: 4}
 }
 
 // TestCheckpointArenaGraph: a checkpointing run records its graph into the
@@ -190,7 +184,7 @@ func TestResumeGraphRequiresEdges(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts := Options{StateArena: true, MemoryBudgetBytes: 1, Workers: 4, Context: ctx, CheckpointDir: dir}
+	opts := Options{MemoryBudgetBytes: 1, Workers: 4, Context: ctx, CheckpointDir: dir}
 	if _, err := Check(cancelAfter(binSpec(max, false), cancel, 200), opts); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want an interrupted run", err)
 	}

@@ -145,15 +145,18 @@ func TestArenaSpillFileLifecycle(t *testing.T) {
 	}
 }
 
-// assertArenaAgrees cross-checks Options.StateArena against live
-// retention: identical counters and — where both report traces — a
+// bigBudget is a memory budget no test reaches: it selects arena retention
+// and spills nothing.
+const bigBudget = 1 << 40
+
+// assertArenaAgrees cross-checks arena retention (a memory budget) against
+// live retention: identical counters and — where both report traces — a
 // byte-identical trace, since the decoded encodings are injective.
 func assertArenaAgrees[S State](t *testing.T, label string, spec *Spec[S], opts Options) {
 	t.Helper()
 	want, wantErr := Check(spec, opts)
-	for _, budget := range []int64{0, 1} {
+	for _, budget := range []int64{bigBudget, 1} {
 		aOpts := opts
-		aOpts.StateArena = true
 		aOpts.MemoryBudgetBytes = budget
 		got, gotErr := Check(spec, aOpts)
 		desc := fmt.Sprintf("%s/arena-budget=%d", label, budget)
@@ -233,7 +236,7 @@ func TestArenaSymmetryTrace(t *testing.T) {
 		return spec
 	}
 	want, wantErr := Check(mk(), Options{})
-	got, gotErr := Check(mk(), Options{StateArena: true})
+	got, gotErr := Check(mk(), Options{MemoryBudgetBytes: bigBudget})
 	if !errors.Is(wantErr, ErrInvariantViolated) || !errors.Is(gotErr, ErrInvariantViolated) {
 		t.Fatalf("verdicts: live=%v arena=%v, want violations", wantErr, gotErr)
 	}

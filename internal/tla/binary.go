@@ -28,7 +28,7 @@ type BinaryState interface {
 // BinaryDecoder is the optional inverse of BinaryState: a spec state that
 // can reconstruct a state value from an encoding AppendBinary produced.
 // Every bundled specification implements it. The retained-state arena
-// (Options.StateArena, implied by checkpointing) requires it:
+// (a run under Options.MemoryBudgetBytes or with checkpoints) requires it:
 // counterexamples, checkpoint resume and the recorded state graph's states
 // (see Graph) are all decoded from the stored encodings, and Check rejects
 // the arena for a state that cannot decode.

@@ -422,11 +422,12 @@ func ReadCheckpointInfo(dir string) (*CheckpointInfo, error) {
 }
 
 // restoreArena rebuilds the arena from a checkpoint: the meta records are
-// loaded wholesale and the data file — plus the edges file, when this run
-// records a graph — is copied into a fresh spill file (the checkpoint
-// directory is never written to by a resume), with every segment marked
-// spilled at its cumulative offset. The copies run in fixed chunks at
-// explicit offsets so transient read faults retry idempotently.
+// checked against the manifest and loaded wholesale, and the data file —
+// plus the edges file, when this run records a graph — is copied into a
+// fresh spill file (the checkpoint directory is never written to by a
+// resume), with every segment marked spilled at its cumulative offset. The
+// copies run in fixed chunks at explicit offsets so transient read faults
+// retry idempotently.
 func restoreArena(a *stateArena, fsys FS, dir string, m *ckManifest, graph bool) error {
 	meta, err := readArenaMeta(fsys, filepath.Join(dir, m.MetaFile))
 	if err != nil {
@@ -435,9 +436,19 @@ func restoreArena(a *stateArena, fsys FS, dir string, m *ckManifest, graph bool)
 	if len(meta) != m.Distinct {
 		return fmt.Errorf("%w: arena meta holds %d states, manifest says %d", ErrBadCheckpoint, len(meta), m.Distinct)
 	}
+	if slices.ContainsFunc(m.SegSizes, func(sz int) bool { return sz < 0 }) {
+		return fmt.Errorf("%w: negative arena segment size", ErrBadCheckpoint)
+	}
 	a.setLen(len(meta))
-	for id, m := range meta {
-		*a.rec(id) = m
+	for id, r := range meta {
+		// An encoding must lie inside its segment, a parent must precede
+		// its child, and an action must be one the manifest interned.
+		inSeg := r.n == 0 || int(r.seg) < len(m.SegSizes) && uint64(r.off)+uint64(r.n) <= uint64(m.SegSizes[r.seg])
+		if !inSeg || r.parent < -1 || int(r.parent) >= id || int(r.act) >= len(m.Actions) {
+			return fmt.Errorf("%w: arena meta record %d (parent %d, action %d, %d bytes at segment %d offset %d) does not fit the checkpoint",
+				ErrBadCheckpoint, id, r.parent, r.act, r.n, r.seg, r.off)
+		}
+		*a.rec(id) = r
 	}
 	dataTotal := int64(0)
 	for _, sz := range m.SegSizes {

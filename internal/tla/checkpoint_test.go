@@ -2,11 +2,13 @@ package tla
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"syscall"
 	"testing"
@@ -19,9 +21,9 @@ import (
 // itself is never modified by a resume.
 
 // ckOpts is the option set the checkpoint tests share: parallel, disk-backed
-// stores under a tiny budget, arena retention.
+// stores under a tiny budget, which selects arena retention.
 func ckOpts() Options {
-	return Options{Workers: 4, MemoryBudgetBytes: 1, StateArena: true}
+	return Options{Workers: 4, MemoryBudgetBytes: 1}
 }
 
 // interruptedCheckpoint runs spec-with-cancel-after-n into dir and returns
@@ -243,6 +245,59 @@ func TestResumeValidation(t *testing.T) {
 		t.Fatalf("missing arena meta file: err = %v, want ErrBadCheckpoint", err)
 	}
 
+	// Corrupt one field of every arena meta record of a third checkpoint:
+	// an encoding outside its segment, a parent that does not precede its
+	// child or an action the manifest never interned is a bad checkpoint,
+	// caught before the arena is read.
+	corrupt := t.TempDir()
+	interruptedCheckpoint(t, max, corrupt, 200)
+	cm, err := readManifest(OSFS, corrupt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metaPath := filepath.Join(corrupt, cm.MetaFile)
+	meta, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		field string
+		put   func(rec []byte)
+	}{
+		{"seg", func(rec []byte) { binary.LittleEndian.PutUint32(rec[10:], 0xFFFFFF) }},
+		{"off", func(rec []byte) { binary.LittleEndian.PutUint32(rec[14:], 0x7FFFFFF0) }},
+		{"n", func(rec []byte) { binary.LittleEndian.PutUint32(rec[18:], 0x7FFFFFFF) }},
+		{"parent", func(rec []byte) { binary.LittleEndian.PutUint32(rec[0:], 0x7FFFFFFF) }},
+		{"act", func(rec []byte) { binary.LittleEndian.PutUint16(rec[8:], 0xFFFF) }},
+	} {
+		blob := slices.Clone(meta)
+		for off := 0; off < len(blob); off += ckMetaRecSize {
+			c.put(blob[off:])
+		}
+		if err := os.WriteFile(metaPath, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := resume(counterSpec(max), func(o *Options) { o.ResumeFrom = corrupt }); !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("corrupt arena meta %s: err = %v, want ErrBadCheckpoint", c.field, err)
+		}
+	}
+	// A negative segment size in the manifest would let every record pass
+	// the bounds check above.
+	if err := os.WriteFile(metaPath, meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cm.SegSizes[0] = -1
+	mblob, err := json.Marshal(cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(corrupt, ckManifestName), mblob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := resume(counterSpec(max), func(o *Options) { o.ResumeFrom = corrupt }); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("negative arena segment size: err = %v, want ErrBadCheckpoint", err)
+	}
+
 	// Tear a visited file: a cut record is a bad checkpoint at resume, with
 	// or without a budget, not an I/O error of the resumed run.
 	m, err := readManifest(OSFS, dir)
@@ -377,6 +432,52 @@ func FuzzReadManifest(f *testing.F) {
 	})
 }
 
+// FuzzResumeArenaMeta puts arbitrary bytes in place of a valid checkpoint's
+// arena meta file and resumes: the resume returns nil or an error wrapping
+// ErrBadCheckpoint, and never panics, hangs or reads outside the
+// checkpoint's segments. The spec has no invariant, and a window of its
+// data file decodes, if at all, to counters within its bound, so any
+// resume that passes validation ends in a bounded exploration.
+func FuzzResumeArenaMeta(f *testing.F) {
+	const max = 6
+	spec := func() *Spec[counterState] {
+		spec := counterSpec(max)
+		spec.Invariants = nil
+		return spec
+	}
+	dir := f.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := Options{Workers: 1, MemoryBudgetBytes: 1, Context: ctx, CheckpointDir: dir}
+	if _, err := Check(cancelingSpec(spec(), cancel, 12), opts); !errors.Is(err, ErrInterrupted) {
+		f.Fatalf("err = %v, want an interrupted run", err)
+	}
+	m, err := readManifest(OSFS, dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if len(m.Frontier) == 0 {
+		f.Fatal("the checkpoint has an empty frontier")
+	}
+	metaPath := filepath.Join(dir, m.MetaFile)
+	meta, err := os.ReadFile(metaPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(meta)
+	f.Add(meta[:len(meta)-1])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		if err := os.WriteFile(metaPath, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Check(spec(), Options{Workers: 1, MemoryBudgetBytes: 1, ResumeFrom: dir})
+		if err != nil && !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("resume failed without ErrBadCheckpoint: %v", err)
+		}
+	})
+}
+
 // dirListing snapshots a directory as "name size" lines.
 func dirListing(t *testing.T, dir string) []string {
 	t.Helper()
@@ -482,14 +583,14 @@ func TestCheckpointSequentialWorker(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	spec := cancelingSpec(counterSpec(max), cancel, 80)
-	res, err := Check(spec, Options{Workers: 1, StateArena: true, CheckpointDir: dir, Context: ctx})
+	res, err := Check(spec, Options{Workers: 1, CheckpointDir: dir, Context: ctx})
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want an interrupted run", err)
 	}
 	if res.CheckpointPath != dir {
 		t.Fatalf("no checkpoint written: %+v", res)
 	}
-	rres, err := Check(counterSpec(max), Options{Workers: 1, StateArena: true, ResumeFrom: dir})
+	rres, err := Check(counterSpec(max), Options{Workers: 1, ResumeFrom: dir})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}

@@ -239,7 +239,7 @@ func TestWriteDOTParallelIdentical(t *testing.T) {
 	var want string
 	for _, opts := range []Options{
 		{Workers: 1}, {Workers: 2}, {Workers: 3}, {Workers: 8},
-		{Workers: 4, StateArena: true, MemoryBudgetBytes: 1},
+		{Workers: 4, MemoryBudgetBytes: 1},
 	} {
 		opts.RecordGraph = true
 		res, err := Check(quotedGrid(side), opts)

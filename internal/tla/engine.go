@@ -214,7 +214,7 @@ func (p chunkPlan) run(fn func(worker, chunk, lo, hi int)) {
 
 // levelSync is one checking run: its Result, retained states and codecs,
 // the visited set, the frontier, one expander per worker, the merge's
-// bookkeeping, and the run's lifecycle — stopper, progress ticker and
+// bookkeeping, and the run's lifecycle — stopper, progress pacing and
 // outcome.
 type levelSync[S State] struct {
 	spec *Spec[S]
@@ -228,9 +228,10 @@ type levelSync[S State] struct {
 	fr   levelFrontier
 	ck   *checkpointer
 
-	st     *stopper
-	snap   *progressSnap // non-nil iff a ProgressEvery ticker runs
-	ticker *progressTicker
+	st       *stopper
+	prog     Progress  // the last level boundary's snapshot
+	progSent bool      // prog has been delivered to Options.Progress
+	progAt   time.Time // the last Options.Progress delivery, or the run's start
 
 	outs    []chunkOut[S] // per chunk; the backing array keeps every buffer
 	missFPs []uint64      // ResolveLevel's input, reused across levels
@@ -273,7 +274,6 @@ func (f *levelFrontier) NextLevel() []int {
 func runEngine[S State](spec *Spec[S], opts Options, workers int, vs *visitedSet, em *engineMetrics) (res *Result[S], err error) {
 	l := newLevelSync(spec, opts, workers, vs, em)
 	defer func() { l.close(err) }()
-	l.startProgress()
 	// The driver goroutine runs its spec callbacks (Init, resume decoding)
 	// under worker 0's guard: the inline worker 0 never runs at the same
 	// time.
@@ -292,7 +292,7 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs *visitedSet
 // target) per worker, the graph view when asked for, the checkpointer and
 // the stopper.
 func newLevelSync[S State](spec *Spec[S], opts Options, workers int, vs *visitedSet, em *engineMetrics) *levelSync[S] {
-	l := &levelSync[S]{spec: spec, opts: opts, res: &Result[S]{Spec: spec.Name}, ret: newRetainer(spec, opts, em), cod: newCodec(spec), em: em, vs: vs}
+	l := &levelSync[S]{spec: spec, opts: opts, res: &Result[S]{Spec: spec.Name}, ret: newRetainer(spec, opts, em), cod: newCodec(spec), em: em, vs: vs, progAt: time.Now()}
 	ind := activeIndependence(spec, opts)
 	keys := vs.keyed || (l.ret.decode && l.cod.sym == nil)
 	l.xs = make([]*expander[S], workers)
@@ -314,29 +314,17 @@ func newLevelSync[S State](spec *Spec[S], opts Options, workers int, vs *visited
 	return l
 }
 
-// startProgress starts the ProgressEvery ticker, if configured. Each tick
-// delivers the snapshot the driver keeps to Options.Progress; close stops
-// the ticker with one final delivery.
-func (l *levelSync[S]) startProgress() {
-	if l.opts.ProgressEvery <= 0 {
-		return
-	}
-	l.snap = &progressSnap{}
-	l.ticker = startProgressTicker(l.opts.ProgressEvery, func() {
-		if l.opts.Progress != nil {
-			l.opts.Progress(l.snap.load())
-		}
-	})
-}
-
 // close is the run's teardown, deferred by runEngine with the error the
-// run returns: the final progress delivery; then a run that failed without
-// a violation discards its graph so the spill file is not leaked behind a
-// result nobody will traverse (a violation keeps it: callers dump it
-// alongside the counterexample); then the retainer's spill file, honouring
-// that ownership verdict; then the stopper's watcher.
+// run returns: the final Options.Progress delivery, unless the last level
+// boundary already delivered the same snapshot; then a run that failed
+// without a violation discards its graph so the spill file is not leaked
+// behind a result nobody will traverse (a violation keeps it: callers dump
+// it alongside the counterexample); then the retainer's spill file,
+// honouring that ownership verdict; then the stopper's watcher.
 func (l *levelSync[S]) close(err error) {
-	l.ticker.stop()
+	if l.opts.Progress != nil && l.opts.ProgressEvery > 0 && !l.progSent {
+		l.opts.Progress(l.prog)
+	}
 	if l.res.Graph != nil && err != nil && l.res.Violation == nil {
 		l.ret.graphOwned = false
 		l.res.Graph = nil
@@ -551,17 +539,14 @@ func (l *levelSync[S]) checkpoint(frontier []int, level int) (string, error) {
 	return path, err
 }
 
-// report publishes one level boundary's snapshot to the progress ticker and
-// the journal, with the phase durations of the level that produced the
-// frontier. It runs on the driver goroutine between levels, so the
-// counters it reads are settled; spill pressure sums the visited set's
-// sealed run and the arena's spill file, both of which only grow there
-// too.
+// report publishes one level boundary's snapshot to the journal, with the
+// phase durations of the level that produced the frontier, and to
+// Options.Progress once ProgressEvery has passed since the last delivery.
+// It runs on the driver goroutine between levels, so the counters it reads
+// are settled; spill pressure sums the visited set's sealed run and the
+// arena's spill file, both of which only grow there too.
 func (l *levelSync[S]) report(frontier []int, level int) {
-	if l.snap == nil && l.em == nil {
-		return
-	}
-	p := Progress{
+	l.prog = Progress{
 		Distinct:      l.ret.len(),
 		Transitions:   l.res.Transitions,
 		Depth:         l.res.Depth,
@@ -570,10 +555,12 @@ func (l *levelSync[S]) report(frontier []int, level int) {
 		SpillBytes:    l.vs.sealed + l.ret.arena.fileSize,
 		ResidentBytes: l.vs.residentBytes() + l.ret.arena.residentBytes(),
 	}
-	if l.snap != nil {
-		l.snap.store(p)
+	l.progSent = false
+	if now := time.Now(); l.opts.Progress != nil && l.opts.ProgressEvery > 0 && now.Sub(l.progAt) >= l.opts.ProgressEvery {
+		l.progAt, l.progSent = now, true
+		l.opts.Progress(l.prog)
 	}
-	l.em.journalLevel(p, l.phaseExpand, l.phaseMerge)
+	l.em.journalLevel(l.prog, l.phaseExpand, l.phaseMerge)
 	l.phaseExpand, l.phaseMerge = 0, 0
 }
 

@@ -27,7 +27,7 @@ func transientErr() error { return fmt.Errorf("injected flake: %w", ErrTransient
 // fault-free oracle with the same options.
 func TestInjectedFaults(t *testing.T) {
 	const max = 24 // 325 states over 48 BFS levels: spills every level at budget 1
-	base := Options{Workers: 4, MemoryBudgetBytes: 1, StateArena: true}
+	base := Options{Workers: 4, MemoryBudgetBytes: 1}
 	oracle, err := Check(counterSpec(max), base)
 	if err != nil {
 		t.Fatalf("oracle run failed: %v", err)
@@ -154,13 +154,13 @@ func TestDegradedRunStillFindsViolation(t *testing.T) {
 		})
 		return spec
 	}
-	_, oerr := Check(mk(), Options{Workers: 4, MemoryBudgetBytes: 1, StateArena: true})
+	_, oerr := Check(mk(), Options{Workers: 4, MemoryBudgetBytes: 1})
 	if !errors.Is(oerr, ErrInvariantViolated) {
 		t.Fatalf("oracle: err = %v, want a violation", oerr)
 	}
 	ffs := NewFaultFS(nil)
 	ffs.Inject(Fault{Op: FaultWrite, Err: syscall.ENOSPC}) // every spill write fails
-	res, err := Check(mk(), Options{Workers: 4, MemoryBudgetBytes: 1, StateArena: true, FS: ffs})
+	res, err := Check(mk(), Options{Workers: 4, MemoryBudgetBytes: 1, FS: ffs})
 	if !errors.Is(err, ErrInvariantViolated) {
 		t.Fatalf("degraded: err = %v, want a violation", err)
 	}
@@ -178,7 +178,7 @@ func TestDegradedRunStillFindsViolation(t *testing.T) {
 	}
 	// Disarmed faults stop firing: the same FS serves a clean run again.
 	ffs.Clear()
-	res, err = Check(mk(), Options{Workers: 4, MemoryBudgetBytes: 1, StateArena: true, FS: ffs})
+	res, err = Check(mk(), Options{Workers: 4, MemoryBudgetBytes: 1, FS: ffs})
 	if !errors.Is(err, ErrInvariantViolated) || res.DegradedMemory {
 		t.Fatalf("after Clear: err = %v, DegradedMemory = %v, want a clean violating run", err, res.DegradedMemory)
 	}
@@ -190,7 +190,7 @@ func TestDegradedRunStillFindsViolation(t *testing.T) {
 // fake sleeper here only accumulates the durations it was asked for.
 func TestDelayFaults(t *testing.T) {
 	const max = 24
-	base := Options{Workers: 4, MemoryBudgetBytes: 1, StateArena: true}
+	base := Options{Workers: 4, MemoryBudgetBytes: 1}
 	oracle, err := Check(counterSpec(max), base)
 	if err != nil {
 		t.Fatalf("oracle run failed: %v", err)
@@ -303,20 +303,20 @@ func TestNoTempFileLeaks(t *testing.T) {
 		run  func(fsys FS) error
 	}{
 		{"clean", func(fsys FS) error {
-			_, err := Check(counterSpec(20), Options{Workers: 4, MemoryBudgetBytes: 1, StateArena: true, FS: fsys})
+			_, err := Check(counterSpec(20), Options{Workers: 4, MemoryBudgetBytes: 1, FS: fsys})
 			return err
 		}},
 		{"degraded", func(fsys FS) error {
 			ffs := NewFaultFS(fsys)
 			ffs.Inject(Fault{Op: FaultWrite, Err: syscall.ENOSPC, After: 2})
-			_, err := Check(counterSpec(20), Options{Workers: 4, MemoryBudgetBytes: 1, StateArena: true, FS: ffs})
+			_, err := Check(counterSpec(20), Options{Workers: 4, MemoryBudgetBytes: 1, FS: ffs})
 			return err
 		}},
 		{"interrupted", func(fsys FS) error {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			spec := cancelingSpec(unboundedSpec(), cancel, 800)
-			_, err := Check(spec, Options{Workers: 4, MemoryBudgetBytes: 1, StateArena: true, FS: fsys, Context: ctx})
+			_, err := Check(spec, Options{Workers: 4, MemoryBudgetBytes: 1, FS: fsys, Context: ctx})
 			if !errors.Is(err, ErrInterrupted) {
 				return fmt.Errorf("expected an interrupted run, got %v", err)
 			}
@@ -324,7 +324,7 @@ func TestNoTempFileLeaks(t *testing.T) {
 		}},
 		{"spec-panic", func(fsys FS) error {
 			_, err := Check(explodingSpec(12, counterState{A: 6, B: 3}),
-				Options{Workers: 4, MemoryBudgetBytes: 1, StateArena: true, FS: fsys})
+				Options{Workers: 4, MemoryBudgetBytes: 1, FS: fsys})
 			if !errors.Is(err, ErrSpecPanic) {
 				return fmt.Errorf("expected a recovered spec panic, got %v", err)
 			}

@@ -98,7 +98,7 @@ func TestDeadlineInterrupts(t *testing.T) {
 func TestInterruptUnderSpillAndArena(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	spec := cancelingSpec(unboundedSpec(), cancel, 2000)
-	res, err := Check(spec, Options{Workers: 4, MemoryBudgetBytes: 1, StateArena: true, Context: ctx})
+	res, err := Check(spec, Options{Workers: 4, MemoryBudgetBytes: 1, Context: ctx})
 	cancel()
 	assertInterrupted(t, "spill+arena", res, err)
 	if res.Distinct == 0 {
@@ -173,8 +173,8 @@ func TestOptionsValidateRobustness(t *testing.T) {
 	}
 	good := []Options{
 		{Context: context.Background()},
-		{CheckpointDir: t.TempDir()}, // implies StateArena
-		{CheckpointDir: t.TempDir(), StateArena: true, CheckpointEvery: 5, MemoryBudgetBytes: 1},
+		{CheckpointDir: t.TempDir()}, // arena retention without a budget
+		{CheckpointDir: t.TempDir(), CheckpointEvery: 5, MemoryBudgetBytes: 1},
 	}
 	for _, opts := range good {
 		if err := opts.Validate(); err != nil {

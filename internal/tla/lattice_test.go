@@ -65,7 +65,7 @@ func runLattice[S State](t *testing.T, build func(sym bool) *Spec[S], opts Optio
 	var run latticeRun
 	run.expectBad = (opts.MemoryBudgetBytes > 0 && opts.CollisionFree) ||
 		(opts.PartialOrder && spec.Independence == nil) ||
-		(opts.StateArena && !dec)
+		(opts.MemoryBudgetBytes > 0 && !dec)
 	init := spec.Init
 	spec.Init = func() []S {
 		run.initCalls++
@@ -416,19 +416,18 @@ func TestOptionLattice(t *testing.T) {
 	}
 }
 
-// latticeOptions enumerates Workers {1,2,4} × PartialOrder × StateArena ×
-// MemoryBudgetBytes {0,1} × RecordGraph × CollisionFree.
+// latticeOptions enumerates Workers {1,2,4} × PartialOrder ×
+// MemoryBudgetBytes {0,1} × RecordGraph × CollisionFree. A budget selects
+// arena retention, so budget 0 runs live and budget 1 in the arena.
 func latticeOptions() []Options {
 	var out []Options
 	for _, w := range []int{1, 2, 4} {
 		for _, por := range []bool{false, true} {
-			for _, arena := range []bool{false, true} {
-				for _, budget := range []int64{0, 1} {
-					for _, graph := range []bool{false, true} {
-						for _, exact := range []bool{false, true} {
-							out = append(out, Options{Workers: w, PartialOrder: por,
-								StateArena: arena, MemoryBudgetBytes: budget, RecordGraph: graph, CollisionFree: exact})
-						}
+			for _, budget := range []int64{0, 1} {
+				for _, graph := range []bool{false, true} {
+					for _, exact := range []bool{false, true} {
+						out = append(out, Options{Workers: w, PartialOrder: por,
+							MemoryBudgetBytes: budget, RecordGraph: graph, CollisionFree: exact})
 					}
 				}
 			}
@@ -438,6 +437,6 @@ func latticeOptions() []Options {
 }
 
 func latticeLabel(o Options) string {
-	return fmt.Sprintf("workers=%d por=%t arena=%t budget=%d graph=%t collision-free=%t",
-		o.Workers, o.PartialOrder, o.StateArena, o.MemoryBudgetBytes, o.RecordGraph, o.CollisionFree)
+	return fmt.Sprintf("workers=%d por=%t budget=%d graph=%t collision-free=%t",
+		o.Workers, o.PartialOrder, o.MemoryBudgetBytes, o.RecordGraph, o.CollisionFree)
 }

@@ -84,8 +84,8 @@ func TestMergeCutParity(t *testing.T) {
 	modes := []Options{
 		{CollisionFree: true},
 		{},
+		{MemoryBudgetBytes: bigBudget},
 		{MemoryBudgetBytes: 1},
-		{MemoryBudgetBytes: 1, StateArena: true},
 	}
 	for _, por := range []bool{false, true} {
 		for _, limit := range limits {
@@ -139,14 +139,13 @@ func TestSymmetricStatesMatchReferenceBFS(t *testing.T) {
 		return spec
 	}
 	ref := referenceBFS(spec(), 0)
-	for _, arena := range []bool{false, true} {
-		for _, exact := range []bool{false, true} {
-			for _, w := range []int{1, 2, 3, 4, 8} {
-				opts := Options{Workers: w, StateArena: arena, CollisionFree: exact, RecordGraph: true}
-				got := eraseGrid(t, spec, opts)
-				if d := referenceMismatch(ref, got); d != "" {
-					t.Fatalf("%s: %s", latticeLabel(opts), d)
-				}
+	for _, mode := range []Options{{}, {CollisionFree: true}, {MemoryBudgetBytes: bigBudget}} {
+		for _, w := range []int{1, 2, 3, 4, 8} {
+			opts := mode
+			opts.Workers, opts.RecordGraph = w, true
+			got := eraseGrid(t, spec, opts)
+			if d := referenceMismatch(ref, got); d != "" {
+				t.Fatalf("%s: %s", latticeLabel(opts), d)
 			}
 		}
 	}

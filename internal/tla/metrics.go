@@ -2,8 +2,6 @@ package tla
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -300,76 +298,4 @@ func coreOf[S State](res *Result[S]) *resultCore {
 		interrupted: res.Interrupted,
 		degraded:    res.DegradedMemory,
 	}
-}
-
-// progressSnap is the lock-free snapshot a ProgressEvery ticker reads. The
-// driver goroutine stores into it at level boundaries.
-type progressSnap struct {
-	distinct    atomic.Int64
-	transitions atomic.Int64
-	depth       atomic.Int64
-	level       atomic.Int64
-	frontier    atomic.Int64
-	spillBytes  atomic.Int64
-	resident    atomic.Int64
-}
-
-func (s *progressSnap) store(p Progress) {
-	s.distinct.Store(int64(p.Distinct))
-	s.transitions.Store(int64(p.Transitions))
-	s.depth.Store(int64(p.Depth))
-	s.level.Store(int64(p.Level))
-	s.frontier.Store(int64(p.Frontier))
-	s.spillBytes.Store(p.SpillBytes)
-	s.resident.Store(p.ResidentBytes)
-}
-
-func (s *progressSnap) load() Progress {
-	return Progress{
-		Distinct:      int(s.distinct.Load()),
-		Transitions:   int(s.transitions.Load()),
-		Depth:         int(s.depth.Load()),
-		Level:         int(s.level.Load()),
-		Frontier:      int(s.frontier.Load()),
-		SpillBytes:    s.spillBytes.Load(),
-		ResidentBytes: s.resident.Load(),
-	}
-}
-
-// progressTicker drives time-based Progress delivery. Its goroutine owns
-// every fire() call, so Options.Progress never runs concurrently with
-// itself; stop() fires once more before returning so a run shorter than
-// the period still reports a final snapshot.
-type progressTicker struct {
-	fire func()
-	done chan struct{}
-	wg   sync.WaitGroup
-}
-
-func startProgressTicker(every time.Duration, fire func()) *progressTicker {
-	t := &progressTicker{fire: fire, done: make(chan struct{})}
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				fire()
-			case <-t.done:
-				return
-			}
-		}
-	}()
-	return t
-}
-
-func (t *progressTicker) stop() {
-	if t == nil {
-		return
-	}
-	close(t.done)
-	t.wg.Wait()
-	t.fire()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -204,7 +205,6 @@ func TestProgressCallback(t *testing.T) {
 	res, err := Check(counterSpec(24), Options{
 		Workers:           4,
 		MemoryBudgetBytes: 1,
-		StateArena:        true,
 		JournalWriter:     &buf,
 	})
 	if err != nil {
@@ -250,17 +250,17 @@ func TestProgressCallback(t *testing.T) {
 	}
 }
 
-// TestProgressEveryLevelSyncSuppressesPerLevel checks that level boundaries
-// deliver nothing themselves: every delivery comes from the timer goroutine
-// (at most once per period plus the final flush), so a period longer than
-// the run means exactly one, and no period means none. The final flush
-// carries the Result's own count.
+// TestProgressEveryLevelSyncSuppressesPerLevel checks the pacing: a level
+// boundary delivers only once ProgressEvery has passed since the last
+// delivery, and the run's end delivers the last boundary unless it just
+// did, so a period longer than the run means exactly one delivery, and no
+// period means none. The final delivery carries the Result's own count.
 func TestProgressEveryLevelSyncSuppressesPerLevel(t *testing.T) {
 	for _, tc := range []struct {
 		every time.Duration
 		want  int64
 	}{
-		{time.Hour, 1}, // only the final stop() flush can fire
+		{time.Hour, 1}, // only the delivery at the run's end
 		{0, 0},
 	} {
 		var calls, last atomic.Int64
@@ -280,6 +280,28 @@ func TestProgressEveryLevelSyncSuppressesPerLevel(t *testing.T) {
 		if got := last.Load(); tc.want > 0 && got != int64(res.Distinct) {
 			t.Fatalf("final progress snapshot distinct = %d, Result.Distinct = %d", got, res.Distinct)
 		}
+	}
+}
+
+// TestProgressEndSkipsDeliveredBoundary: with a period every boundary
+// meets, each boundary is delivered once, in level order, and the run's
+// end adds no second copy of the last one.
+func TestProgressEndSkipsDeliveredBoundary(t *testing.T) {
+	var levels []int
+	res, err := Check(counterSpec(10), Options{
+		ProgressEvery: time.Nanosecond,
+		Progress:      func(p Progress) { levels = append(levels, p.Level) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Levels 0..Depth have states; one more boundary finds the frontier empty.
+	want := make([]int, res.Depth+2)
+	for i := range want {
+		want[i] = i
+	}
+	if !slices.Equal(levels, want) {
+		t.Fatalf("delivered levels %v, want %v", levels, want)
 	}
 }
 

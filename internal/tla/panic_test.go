@@ -59,9 +59,9 @@ func assertSpecPanic(t *testing.T, label string, err error, opWant string) *Spec
 func TestSpecPanicInNext(t *testing.T) {
 	at := counterState{A: 3, B: 1} // depth 4: a real trace to decode
 	for _, workers := range []int{1, 4} {
-		for _, arena := range []bool{false, true} {
-			label := fmt.Sprintf("workers=%d/arena=%v", workers, arena)
-			res, err := Check(explodingSpec(8, at), Options{Workers: workers, StateArena: arena})
+		for _, budget := range []int64{0, bigBudget} {
+			label := fmt.Sprintf("workers=%d/budget=%d", workers, budget)
+			res, err := Check(explodingSpec(8, at), Options{Workers: workers, MemoryBudgetBytes: budget})
 			sp := assertSpecPanic(t, label, err, `action "Explode"`)
 			if len(sp.Trace) == 0 {
 				t.Fatalf("%s: recovered panic has an empty trace", label)
@@ -185,7 +185,7 @@ func TestSpecPanicInEncoding(t *testing.T) {
 // state; the store's Close still runs and removes its directory).
 func TestSpecPanicUnderSpillStore(t *testing.T) {
 	_, err := Check(explodingSpec(10, counterState{A: 4, B: 2}),
-		Options{Workers: 4, MemoryBudgetBytes: 1, StateArena: true})
+		Options{Workers: 4, MemoryBudgetBytes: 1})
 	sp := assertSpecPanic(t, "spill", err, `action "Explode"`)
 	if len(sp.Trace) == 0 {
 		t.Fatal("empty trace under the spilling store")

@@ -254,7 +254,7 @@ func TestPORValidate(t *testing.T) {
 		{PartialOrder: true},
 		{PartialOrder: true, MemoryBudgetBytes: 1 << 20},
 		{PartialOrder: true, CollisionFree: true},
-		{PartialOrder: true, StateArena: true},
+		{PartialOrder: true, CheckpointDir: "ck"},
 	} {
 		if err := opts.Validate(); err != nil {
 			t.Fatalf("Validate(%+v) = %v, want nil", opts, err)
@@ -285,9 +285,9 @@ func alternatingGridSpec() *Spec[gridState] {
 func TestPORSymmetryKeepsProcessedState(t *testing.T) {
 	var base *Result[gridState]
 	for _, w := range []int{1, 2, 4} {
-		for _, arena := range []bool{false, true} {
-			label := fmt.Sprintf("workers=%d arena=%t", w, arena)
-			res, err := Check(alternatingGridSpec(), Options{Workers: w, PartialOrder: true, StateArena: arena, RecordGraph: true})
+		for _, budget := range []int64{0, bigBudget} {
+			label := fmt.Sprintf("workers=%d budget=%d", w, budget)
+			res, err := Check(alternatingGridSpec(), Options{Workers: w, PartialOrder: true, MemoryBudgetBytes: budget, RecordGraph: true})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}

@@ -34,8 +34,7 @@ func TestOptionsValidate(t *testing.T) {
 		{Workers: 0, MaxStates: 0},
 		{Workers: 4, CollisionFree: true},
 		{MemoryBudgetBytes: 1},
-		{StateArena: true},
-		{StateArena: true, MemoryBudgetBytes: 1},
+		{CheckpointDir: "ck", MemoryBudgetBytes: 1},
 	}
 	for _, opts := range good {
 		if err := opts.Validate(); err != nil {
@@ -87,14 +86,14 @@ func TestOptionsRejectedBeforeExploring(t *testing.T) {
 		{"PartialOrder-nil-Procs", func() (bool, error) {
 			return checkExplores(incomplete(), Options{PartialOrder: true})
 		}},
-		{"StateArena-key-only", func() (bool, error) {
-			return checkExplores(noDecoder(), Options{StateArena: true})
+		{"MemoryBudgetBytes-key-only", func() (bool, error) {
+			return checkExplores(noDecoder(), Options{MemoryBudgetBytes: 1})
 		}},
 		{"CheckpointDir-key-only", func() (bool, error) {
 			return checkExplores(noDecoder(), Options{CheckpointDir: t.TempDir()})
 		}},
-		{"StateArena-RecordGraph-key-only", func() (bool, error) {
-			return checkExplores(noDecoder(), Options{StateArena: true, RecordGraph: true})
+		{"MemoryBudgetBytes-RecordGraph-key-only", func() (bool, error) {
+			return checkExplores(noDecoder(), Options{MemoryBudgetBytes: 1, RecordGraph: true})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

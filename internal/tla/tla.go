@@ -147,10 +147,10 @@ type Edge struct {
 // edge segments whatever the options. Edges are fixed-width records in
 // append-only segments that spill to a temp file under
 // Options.MemoryBudgetBytes, so a graph larger than memory is still fully
-// traversable. States come from memory by default, or — under
-// Options.StateArena — are decoded on demand from their stored encodings,
-// resident or spilled. A graph owns the run's spill file, if any, and the
-// caller releases it with Close when done.
+// traversable. States come from memory in a run without a memory budget or
+// checkpoints, and otherwise are decoded on demand from their stored
+// encodings in the arena, resident or spilled. A graph owns the run's
+// spill file, if any, and the caller releases it with Close when done.
 //
 // Accessors that cannot return an error (StateAt, KeyAt, and the
 // traversals built on them) panic if a spilled segment has become
@@ -209,12 +209,12 @@ type Options struct {
 	// the run's retained states. Required for DOT export, liveness checking
 	// and MBTCG. Edges are fixed-width records in append-only segments,
 	// which spill to disk under MemoryBudgetBytes; states are the retained
-	// live values, or with StateArena decoded from the arena on demand —
-	// see Graph. A run that completes, or finds a violation, returns its
-	// graph (a violation's ends at the violating state, for dumping beside
-	// the counterexample); a run that fails otherwise — ErrStateLimit, an
-	// interruption, a spec panic, an I/O error — returns none and releases
-	// its spill file.
+	// live values, or under a budget or checkpoints decoded from the arena
+	// on demand — see Graph. A run that completes, or finds a violation,
+	// returns its graph (a violation's ends at the violating state, for
+	// dumping beside the counterexample); a run that fails otherwise —
+	// ErrStateLimit, an interruption, a spec panic, an I/O error — returns
+	// none and releases its spill file.
 	RecordGraph bool
 	// MaxStates aborts exploration after this many distinct states
 	// (0 = unlimited). The checker returns ErrStateLimit.
@@ -229,26 +229,8 @@ type Options struct {
 	Workers int
 	// Deprecated: Check ignores Schedule; every run is level-synchronized.
 	Schedule Schedule
-	// StateArena retains discovered states as canonical encodings in an
-	// append-only arena — parent links and ~24 bytes of metadata per state
-	// plus the encoding bytes — instead of live S values, keeping live
-	// values only for the states still awaiting expansion. For slice-heavy
-	// states this cuts retained bytes per state severalfold; it is the
-	// knob that bounds trace-storage memory the way the fingerprint set
-	// bounds deduplication memory. With MemoryBudgetBytes set, sealed
-	// arena segments spill to disk under the same budget, so the visited
-	// set and trace storage both respect it. The arena needs a spec state
-	// that implements BinaryDecoder — Check rejects it otherwise — and
-	// every stored state is decoded back: counterexamples, the resumed
-	// frontier, and with RecordGraph the state graph itself (see Graph).
-	// The arena stores each state's plain encoding, which identifies the
-	// exact state explored, so the reconstructed trace is byte-identical to
-	// live retention's — including under symmetry reduction. Without
-	// symmetry that is the encoding deduplication already computed, stored
-	// as is; with it, the engine encodes the state once more. Without
-	// StateArena the run keeps the same parent links and edge records, with
-	// live values in place of encodings.
-	// CheckpointDir and ResumeFrom imply it.
+	// Deprecated: Check ignores StateArena. Arena retention follows from
+	// MemoryBudgetBytes and checkpointing; see MemoryBudgetBytes.
 	StateArena bool
 	// PartialOrder enables ample-set partial-order reduction (-por on the
 	// CLIs) for specs that declare Independence: per expanded state the
@@ -256,8 +238,8 @@ type Options struct {
 	// soundness conditions hold, deferring the rest (see por.go for the
 	// conditions and exactly what is preserved). Check rejects it on a
 	// spec whose Independence is missing or lacks Procs or Owner.
-	// Composes with SymmetryVisitor, every worker count, StateArena and
-	// MemoryBudgetBytes. Liveness checking needs the full edge set: run
+	// Composes with SymmetryVisitor, every worker count, MemoryBudgetBytes
+	// and checkpointing. Liveness checking needs the full edge set: run
 	// CheckEventuallyWithin on graphs recorded without POR.
 	PartialOrder bool
 	// CollisionFree makes the visited set keyed: besides each state's
@@ -278,10 +260,20 @@ type Options struct {
 	// fingerprint). When set, the engine dedups on a disk-spilling
 	// fingerprint store: past the budget, the resident fingerprints are
 	// merged into one sorted run on disk, consulted by one merge-join per
-	// BFS level, TLC's external-memory fingerprint set. The same budget
-	// bounds the resident segments of retained-state storage: StateArena's
-	// encodings and a recorded graph's edges (with or without StateArena)
-	// spill to a temp file past it. 0 keeps everything resident.
+	// BFS level, TLC's external-memory fingerprint set.
+	//
+	// A budget also selects arena retention: discovered states are kept as
+	// their plain encodings in an append-only arena — parent links and ~24
+	// bytes of metadata per state plus the encoding bytes — instead of live
+	// values, which are kept only for the states still awaiting expansion.
+	// The arena's sealed segments and a recorded graph's edges spill to a
+	// temp file past the same budget, so the visited set and trace storage
+	// both respect it. Every stored state is decoded back — counterexamples,
+	// the resumed frontier, and with RecordGraph the graph itself — so the
+	// spec state must implement BinaryDecoder (Check rejects the run
+	// otherwise). The plain encoding identifies the exact state explored,
+	// so a counterexample is byte-identical to a live run's, also under
+	// symmetry reduction. 0 keeps everything resident as live values.
 	//
 	// The budget needs fingerprint deduplication, and is therefore
 	// rejected alongside CollisionFree, whose stored encodings are
@@ -309,9 +301,10 @@ type Options struct {
 	// — the engine seals the visited set and arena segments into
 	// this directory with a manifest, and a later run with ResumeFrom
 	// continues where it stopped, with verdict and counts identical to an
-	// uninterrupted run. Implies StateArena (the stored encodings are what
-	// the resumed frontier is decoded from) and needs fingerprint
-	// deduplication (rejected alongside CollisionFree).
+	// uninterrupted run. Retains states in the arena, as a memory budget
+	// does (the stored encodings are what the resumed frontier is decoded
+	// from), and needs fingerprint deduplication (rejected alongside
+	// CollisionFree).
 	CheckpointDir string
 	// CheckpointEvery checkpoints every N completed BFS levels in
 	// addition to checkpoint-on-interrupt (0 = only on interrupt).
@@ -322,8 +315,8 @@ type Options struct {
 	// options (MaxStates, PartialOrder) must match the
 	// checkpointing run; mismatches are rejected with ErrBadCheckpoint.
 	// The checkpoint directory itself is never modified, so one
-	// checkpoint can be resumed any number of times. Implies StateArena
-	// and is subject to the same option constraints as CheckpointDir.
+	// checkpoint can be resumed any number of times. Retains states in the
+	// arena and is subject to the same option constraints as CheckpointDir.
 	ResumeFrom string
 	// CheckpointMeta is an opaque caller blob stored verbatim in the
 	// checkpoint manifest and surfaced by ReadCheckpointInfo — the hook
@@ -332,12 +325,14 @@ type Options struct {
 	CheckpointMeta map[string]string
 	// Progress, when non-nil together with ProgressEvery, receives periodic
 	// snapshots of the exploration so far — the hook a long-lived server
-	// (cmd/checkd) streams to clients. It fires at most once per
-	// ProgressEvery, plus one final flush when the run ends. The callback
-	// runs on a dedicated timer goroutine concurrent with the exploration
-	// (never with itself), so it must be safe to run off the engine's
-	// goroutines. The snapshot is the last completed level boundary (every
-	// boundary is also a "level" event of the journal).
+	// (cmd/checkd) streams to clients. It is called at a level boundary once
+	// ProgressEvery has passed since the last call, and when the run ends
+	// unless that boundary was the last call, each time with the last
+	// completed level boundary (every boundary is also a "level" event of
+	// the journal). It runs on the
+	// engine's driver goroutine between levels, never concurrently with
+	// itself, so a slow callback delays the run; a level longer than
+	// ProgressEvery delivers nothing until it ends.
 	Progress func(Progress)
 	// ProgressEvery is the minimum interval between Progress deliveries.
 	// Zero disables progress (Progress is then never called).
@@ -384,8 +379,9 @@ type Progress struct {
 	SpillBytes  int64 // bytes of the visited run + arena segments on disk (spill pressure)
 	// ResidentBytes estimates the memory charged against
 	// Options.MemoryBudgetBytes: resident visited fingerprints (tracked
-	// only under a budget) plus resident arena segments — StateArena
-	// encodings and a recorded graph's edges, tracked in every run. Budget
+	// only under a budget) plus resident arena segments — the encodings of
+	// a budgeted or checkpointing run and a recorded graph's edges, tracked
+	// in every run. Budget
 	// minus this is the run's headroom before the next spill.
 	ResidentBytes int64
 }
@@ -395,10 +391,10 @@ func (o Options) checkpointing() bool {
 	return o.CheckpointDir != "" || o.ResumeFrom != ""
 }
 
-// arena reports whether the run retains states in the encoding arena:
-// asked for with StateArena, or implied by checkpointing.
+// arena reports whether the run retains states in the encoding arena: a
+// run under a memory budget or with checkpoints does.
 func (o Options) arena() bool {
-	return o.StateArena || o.checkpointing()
+	return o.MemoryBudgetBytes > 0 || o.checkpointing()
 }
 
 // ErrInvalidOptions is the named error every Options (and TraceOptions)
@@ -514,8 +510,8 @@ type Result[S State] struct {
 // Every run does what its options say or is rejected before exploring
 // anything: Validate rejects the combinations that are invalid for any
 // spec, and Check then rejects those the spec cannot serve — PartialOrder
-// without a complete Independence declaration, and arena retention
-// (StateArena, CheckpointDir, ResumeFrom) on a state that does not
+// without a complete Independence declaration, and arena retention (a
+// memory budget, CheckpointDir, ResumeFrom) on a state that does not
 // implement BinaryDecoder.
 func Check[S State](spec *Spec[S], opts Options) (*Result[S], error) {
 	if err := opts.Validate(); err != nil {
@@ -528,7 +524,7 @@ func Check[S State](spec *Spec[S], opts Options) (*Result[S], error) {
 		return nil, fmt.Errorf("%w: PartialOrder needs spec %s to declare Independence with Procs and Owner", ErrInvalidOptions, spec.Name)
 	}
 	if _, dec := any(*new(S)).(BinaryDecoder[S]); opts.arena() && !dec {
-		return nil, fmt.Errorf("%w: StateArena (implied by CheckpointDir and ResumeFrom) decodes stored states back, so the state of spec %s must implement BinaryDecoder", ErrInvalidOptions, spec.Name)
+		return nil, fmt.Errorf("%w: MemoryBudgetBytes, CheckpointDir and ResumeFrom retain states as encodings and decode them back, so the state of spec %s must implement BinaryDecoder", ErrInvalidOptions, spec.Name)
 	}
 	workers := resolveWorkers(opts.Workers)
 	em := newEngineMetrics(opts, workers)
