@@ -133,6 +133,9 @@ func run(ctx context.Context, scenarioName, specVariant string, fuzz bool, steps
 		return fmt.Errorf("need -scenario or -fuzz")
 	}
 
+	if cfg.Nodes > raftmongo.MaxNodes {
+		return fmt.Errorf("%s has %d nodes; the RaftMongo specification checks at most %d (raftmongo.MaxNodes)", label, cfg.Nodes, raftmongo.MaxNodes)
+	}
 	ccfg := mbtc.CheckConfig(cfg.Nodes)
 	var spec *tla.Spec[raftmongo.State]
 	switch specVariant {

@@ -185,6 +185,9 @@ func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, wor
 	if cfg.specName == "locking" && (cfg.actors < 0 || cfg.actors > locking.MaxActors) {
 		return fmt.Errorf("%w: -actors %d: the locking spec takes 0..%d actors", errUsage, cfg.actors, locking.MaxActors)
 	}
+	if (cfg.specName == "raftmongo-v1" || cfg.specName == "raftmongo-v2") && (cfg.nodes < 0 || cfg.nodes > raftmongo.MaxNodes) {
+		return fmt.Errorf("%w: -nodes %d: the raftmongo specs take 0..%d nodes", errUsage, cfg.nodes, raftmongo.MaxNodes)
+	}
 	if deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, deadline)
@@ -266,7 +269,7 @@ func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, wor
 
 func withinBounds(cfg raftmongo.Config, s raftmongo.State) bool {
 	for i := 0; i < s.NumNodes(); i++ {
-		if s.Terms[i] > cfg.MaxTerm || len(s.Oplogs[i]) > cfg.MaxLogLen {
+		if int(s.Terms[i]) > cfg.MaxTerm || s.Oplogs[i].Len() > cfg.MaxLogLen {
 			return false
 		}
 	}

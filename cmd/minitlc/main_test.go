@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/locking"
+	"repro/internal/raftmongo"
 )
 
 // TestArrayOTSymmetryIsAUsageError: array_ot declares no symmetry, so
@@ -27,5 +28,19 @@ func TestTooManyActorsIsAUsageError(t *testing.T) {
 	err := run(context.Background(), cfg, "", false, 1, 0, "", 0, "", 0, 0, "")
 	if !errors.Is(err, errUsage) {
 		t.Fatalf("run = %v, want a usage error", err)
+	}
+}
+
+// TestTooManyNodesIsAUsageError: a raftmongo state holds at most
+// raftmongo.MaxNodes nodes, so -nodes past it is refused as a usage error
+// (exit 2) on both variants before the spec is built, instead of
+// panicking in it.
+func TestTooManyNodesIsAUsageError(t *testing.T) {
+	for _, spec := range []string{"raftmongo-v1", "raftmongo-v2"} {
+		cfg := specConfig{specName: spec, nodes: raftmongo.MaxNodes + 1, maxTerm: 1, maxLog: 1}
+		err := run(context.Background(), cfg, "", false, 1, 0, "", 0, "", 0, 0, "")
+		if !errors.Is(err, errUsage) {
+			t.Fatalf("%s: run = %v, want a usage error", spec, err)
+		}
 	}
 }

@@ -84,6 +84,9 @@ func run(ctx context.Context, steps int, seed int64, nodes int, outDir string, f
 	if err := topts.Validate(); err != nil {
 		return err
 	}
+	if check && nodes > raftmongo.MaxNodes {
+		return fmt.Errorf("-check -nodes %d: the RaftMongo specification checks at most %d nodes (raftmongo.MaxNodes)", nodes, raftmongo.MaxNodes)
+	}
 	cfg := replset.Config{
 		Nodes:                   nodes,
 		Seed:                    seed,

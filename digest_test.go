@@ -2,14 +2,17 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/arrayot"
 	"repro/internal/locking"
@@ -100,7 +103,6 @@ func TestDigests(t *testing.T) {
 			got[fmt.Sprintf("%s/w%d", c.name, w)] = c.run(t, w)
 		}
 	}
-	golden := filepath.Join("testdata", "digests.json")
 	if *update {
 		b, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -109,24 +111,80 @@ func TestDigests(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, append(b, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(goldenDigests, append(b, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	b, err := os.ReadFile(golden)
+	want := readDigests(t)
+	if len(got) != len(want) {
+		t.Errorf("%d digests, %s has %d", len(got), goldenDigests, len(want))
+	}
+	for k, g := range got {
+		if w, ok := want[k]; !ok || g != w {
+			t.Errorf("%s: got %+v, want %+v", k, g, w)
+		}
+	}
+}
+
+// goldenDigests is the file TestDigests pins its digests in.
+var goldenDigests = filepath.Join("testdata", "digests.json")
+
+func readDigests(t *testing.T) map[string]digest {
+	t.Helper()
+	b, err := os.ReadFile(goldenDigests)
 	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
+		t.Fatalf("%v (run TestDigests with -update to create it)", err)
 	}
 	var want map[string]digest
 	if err := json.Unmarshal(b, &want); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Errorf("%d digests, %s has %d", len(got), golden, len(want))
-	}
-	for k, g := range got {
-		if w, ok := want[k]; !ok || g != w {
-			t.Errorf("%s: got %+v, want %+v", k, g, w)
+	return want
+}
+
+// TestResumeDigests stops the raftmongo-v1 digest configuration with a
+// checkpoint after each of its levels (recording the graph, so the
+// checkpoint holds its edges), resumes it with the graph recorded,
+// and requires the DOT dump and counts of the uninterrupted run
+// (TestDigests's raftmongo-v1 entries) at 1 and 2 workers. A resume
+// decodes the checkpointed frontier and serves the graph of a
+// checkpointing run from the arena, so this holds DecodeBinary to the same
+// pin as a fresh run holds AppendBinary.
+func TestResumeDigests(t *testing.T) {
+	small := raftmongo.Config{Nodes: 3, MaxTerm: 2, MaxLogLen: 2}
+	want := readDigests(t)
+	for _, w := range []int{1, 2} {
+		exp, ok := want[fmt.Sprintf("raftmongo-v1/w%d", w)]
+		if !ok {
+			t.Fatalf("%s has no raftmongo-v1/w%d entry", goldenDigests, w)
+		}
+		for level := 1; level < exp.Depth; level++ {
+			dir := t.TempDir()
+			ctx, cancel := context.WithCancel(context.Background())
+			stop := tla.Options{
+				RecordGraph:   true,
+				Workers:       w,
+				Context:       ctx,
+				CheckpointDir: dir,
+				ProgressEvery: time.Nanosecond,
+				Progress: func(p tla.Progress) {
+					if p.Level >= level {
+						cancel()
+						// The engine learns of the cancel from a watcher
+						// goroutine; give it the time to arm the stop
+						// flag the driver polls right after this call.
+						time.Sleep(20 * time.Millisecond)
+					}
+				},
+			}
+			res, err := tla.Check(raftmongo.SpecV1(small), stop)
+			cancel()
+			if !errors.Is(err, tla.ErrInterrupted) || res.CheckpointPath != dir {
+				t.Fatalf("w%d, stop after level %d: err = %v, want an interrupted run checkpointed in %s", w, level, err, dir)
+			}
+			if got := graphDigest(t, raftmongo.SpecV1(small), tla.Options{Workers: w, ResumeFrom: dir}); got != exp {
+				t.Fatalf("w%d, resumed after level %d (%d distinct): got %+v, want %+v", w, level, res.Distinct, got, exp)
+			}
 		}
 	}
 }

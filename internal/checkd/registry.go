@@ -149,8 +149,8 @@ func normalizeParams(spec string, p SpecParams) (SpecParams, error) {
 			out.MaxLog = raftmongo.DefaultConfig.MaxLogLen
 		}
 		out.Symmetry = p.Symmetry
-		if out.Nodes > 5 {
-			return out, fmt.Errorf("%w: nodes > 5 would not terminate in a service context", tla.ErrInvalidOptions)
+		if out.Nodes > raftmongo.MaxNodes {
+			return out, fmt.Errorf("%w: nodes > %d (raftmongo.MaxNodes)", tla.ErrInvalidOptions, raftmongo.MaxNodes)
 		}
 	case "locking":
 		out.Actors = p.Actors

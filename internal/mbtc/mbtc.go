@@ -30,9 +30,9 @@ import (
 type NodeObs struct {
 	Node        int
 	Role        raftmongo.Role
-	Term        int
+	Term        int16
 	CommitPoint raftmongo.CommitPoint
-	Oplog       []int
+	Oplog       raftmongo.Oplog
 	// LeaderExclusive asserts every other node is a follower; set for
 	// Leader events, per the processing script's assumption.
 	LeaderExclusive bool
@@ -79,16 +79,11 @@ func (o NodeObs) Matches(s raftmongo.State) bool {
 	if s.Roles[n] != o.Role || s.Terms[n] != o.Term || s.CommitPoints[n] != o.CommitPoint {
 		return false
 	}
-	if len(s.Oplogs[n]) != len(o.Oplog) {
+	if !s.Oplogs[n].Equal(o.Oplog) {
 		return false
 	}
-	for i, t := range o.Oplog {
-		if s.Oplogs[n][i] != t {
-			return false
-		}
-	}
 	if o.LeaderExclusive {
-		for j, r := range s.Roles {
+		for j, r := range s.Roles[:s.Nodes] {
 			if j != n && r != raftmongo.Follower {
 				return false
 			}
@@ -107,7 +102,7 @@ type initObs struct{ nodes int }
 func (o initObs) Matches(s raftmongo.State) bool {
 	for i := 0; i < o.nodes; i++ {
 		if s.Roles[i] != raftmongo.Follower || s.Terms[i] != 0 ||
-			!s.CommitPoints[i].IsNull() || len(s.Oplogs[i]) != 0 {
+			!s.CommitPoints[i].IsNull() || s.Oplogs[i].Len() != 0 {
 			return false
 		}
 	}
@@ -119,7 +114,8 @@ func (o initObs) String() string { return "initial state" }
 // ObservationsFromProcessed converts a processed state sequence plus its
 // source events into checker observations: one initial observation, then
 // one partial observation per event. An observation's oplog is the
-// processed state's, shared rather than copied: both are immutable.
+// processed state's, shared rather than copied: both are immutable, and
+// Matches compares it with a candidate's entry by entry, no slice built.
 func ObservationsFromProcessed(nodes int, events []trace.Event, res *trace.ProcessResult) []tla.Observation[raftmongo.State] {
 	obs := make([]tla.Observation[raftmongo.State], 0, len(events)+1)
 	obs = append(obs, initObs{nodes: nodes})

@@ -1,6 +1,9 @@
 package raftmongo
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements the named state transitions of RaftMongo.tla, shared
 // between the V1 and V2 spec variants. Every function enumerates all
@@ -8,41 +11,16 @@ import "slices"
 // for the gossip actions), exactly as a TLA+ action quantified over the
 // server set.
 //
-// States are immutable (see State): a successor is a shallow copy of its
-// parent that replaces only the slices the action changes, so unchanged
-// slices — and oplogs, through full slice expressions whose capacity ends
-// at their length — are shared with the parent and between siblings.
+// A successor is a copy of its parent State with the changed fields edited
+// in place; oplogs are immutable lists (see Oplog), so a successor shares
+// every oplog with its parent and only ClientWrite allocates, the one entry
+// it appends.
 //
 // Each action counts its successors before it builds them: it returns nil
 // when there are none, and otherwise allocates its result once, at exactly
 // that length, so the result never regrows and carries no unused capacity.
 // The fill pass emits the successors in the order the count pass visits
 // them, which is the order state ids, DOT dumps and counterexamples rely on.
-
-// withOplog returns s with node i's oplog replaced by log: a fresh outer
-// Oplogs array, every other node's log shared with s.
-func (s State) withOplog(i int, log []int) State {
-	logs := slices.Clone(s.Oplogs)
-	logs[i] = log
-	s.Oplogs = logs
-	return s
-}
-
-// withCommitPoint returns s with node i's commit point replaced by cp.
-func (s State) withCommitPoint(i int, cp CommitPoint) State {
-	cps := slices.Clone(s.CommitPoints)
-	cps[i] = cp
-	s.CommitPoints = cps
-	return s
-}
-
-// withFollower returns s with node i's role set to Follower.
-func (s State) withFollower(i int) State {
-	roles := slices.Clone(s.Roles)
-	roles[i] = Follower
-	s.Roles = roles
-	return s
-}
 
 // appendOplog: node i receives entries from any node j that is strictly
 // ahead and whose oplog extends i's. The MongoDB Server uses a pull
@@ -53,31 +31,38 @@ func (s State) withFollower(i int) State {
 // (solution 4) produce checkable traces.
 //
 // Because i's log is a prefix of j's, i's new log is exactly j's first k
-// entries: the successor shares j's backing array, capped at k so a later
-// append to it copies. Each source contributes one successor per entry of
-// the gap, so the result's length is the sum of the gaps.
+// entries, shared with j. Each source contributes one successor per entry
+// of the gap, so the result's length is the sum of the gaps; a source's
+// successors are filled from the longest down, in one walk back along j's
+// entries.
 func appendOplog(s State) []State {
 	n := s.NumNodes()
 	count := 0
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if s.canSyncFrom(i, j) {
-				count += len(s.Oplogs[j]) - len(s.Oplogs[i])
+				count += s.Oplogs[j].Len() - s.Oplogs[i].Len()
 			}
 		}
 	}
 	if count == 0 {
 		return nil
 	}
-	out := make([]State, 0, count)
+	out := make([]State, count)
+	pos := 0
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if !s.canSyncFrom(i, j) {
 				continue
 			}
-			for k := len(s.Oplogs[i]) + 1; k <= len(s.Oplogs[j]); k++ {
-				out = append(out, s.withOplog(i, s.Oplogs[j][:k:k]))
+			gap := s.Oplogs[j].Len() - s.Oplogs[i].Len()
+			e := s.Oplogs[j].last
+			for k := gap - 1; k >= 0; k-- {
+				out[pos+k] = s
+				out[pos+k].Oplogs[i] = Oplog{e}
+				e = e.prev
 			}
+			pos += gap
 		}
 	}
 	return out
@@ -86,7 +71,7 @@ func appendOplog(s State) []State {
 // canSyncFrom reports whether node i can fetch entries from node j: j's
 // oplog strictly extends i's.
 func (s State) canSyncFrom(i, j int) bool {
-	return i != j && len(s.Oplogs[j]) > len(s.Oplogs[i]) && s.isPrefix(i, j)
+	return i != j && s.Oplogs[j].Len() > s.Oplogs[i].Len() && s.isPrefix(i, j)
 }
 
 // rollbackOplog: node i removes its newest oplog entry because some node j
@@ -107,8 +92,9 @@ func rollbackOplog(s State) []State {
 	out := make([]State, 0, count)
 	for i := 0; i < n; i++ {
 		if s.mustRollback(i) {
-			l := len(s.Oplogs[i]) - 1
-			out = append(out, s.withOplog(i, s.Oplogs[i][:l:l]))
+			c := s
+			c.Oplogs[i] = Oplog{s.Oplogs[i].last.prev}
+			out = append(out, c)
 		}
 	}
 	return out
@@ -117,10 +103,10 @@ func rollbackOplog(s State) []State {
 // mustRollback reports whether node i's non-empty oplog has diverged from
 // that of some more up-to-date node.
 func (s State) mustRollback(i int) bool {
-	if len(s.Oplogs[i]) == 0 {
+	if s.Oplogs[i].Len() == 0 {
 		return false
 	}
-	for j := range s.Oplogs {
+	for j := range s.NumNodes() {
 		if j != i && s.logAhead(j, i) && !s.isPrefix(i, j) {
 			return true
 		}
@@ -175,9 +161,8 @@ func appendQuorums(out [][]int, cur []int, start, n, i int) [][]int {
 // at most one leader at a time (§4.2.2 "Two leaders"): on election, every
 // other node reverts to follower.
 //
-// qs is quorums(n) for the state's node count n. Every successor electing
-// node i shares one Roles slice, and in V1 one Terms slice too: the new
-// term does not depend on the quorum.
+// qs is quorums(n) for the state's node count n. A new term past
+// MaxValue panics, which the checker reports as a spec panic.
 func becomePrimaryByMagic(s State, qs [][][]int, globalTerm bool) []State {
 	n := s.NumNodes()
 	count := 0
@@ -193,44 +178,42 @@ func becomePrimaryByMagic(s State, qs [][][]int, globalTerm bool) []State {
 	}
 	out := make([]State, 0, count)
 	for i := 0; i < n; i++ {
-		var roles []Role
-		var globalTerms []int
 		for _, q := range qs[i] {
 			if !s.canElect(i, q) {
 				continue
 			}
-			if roles == nil {
-				roles = make([]Role, n) // all Follower
-				roles[i] = Leader
-			}
 			c := s
-			c.Roles = roles
+			for j := range n {
+				c.Roles[j] = Follower
+			}
+			c.Roles[i] = Leader
 			if globalTerm {
-				if globalTerms == nil {
-					globalTerms = make([]int, n)
-					newTerm := s.maxTerm() + 1
-					for j := range globalTerms {
-						globalTerms[j] = newTerm
-					}
+				newTerm := nextTerm(s.maxTerm())
+				for j := range n {
+					c.Terms[j] = newTerm
 				}
-				c.Terms = globalTerms
 			} else {
 				newTerm := 0
 				for _, j := range q {
-					if s.Terms[j] > newTerm {
-						newTerm = s.Terms[j]
-					}
+					newTerm = max(newTerm, int(s.Terms[j]))
 				}
-				newTerm++
-				c.Terms = slices.Clone(s.Terms)
+				t := nextTerm(newTerm)
 				for _, j := range q {
-					c.Terms[j] = newTerm
+					c.Terms[j] = t
 				}
 			}
 			out = append(out, c)
 		}
 	}
 	return out
+}
+
+// nextTerm returns t+1, panicking past MaxValue.
+func nextTerm(t int) int16 {
+	if t >= MaxValue {
+		panic(fmt.Sprintf("raftmongo: an election past term %d (MaxValue)", MaxValue))
+	}
+	return int16(t + 1)
 }
 
 // canElect reports whether quorum q can elect node i: no voter's oplog is
@@ -247,7 +230,7 @@ func (s State) canElect(i int, q []int) bool {
 // leaders returns the number of nodes that believe they are leader.
 func (s State) leaders() int {
 	count := 0
-	for _, r := range s.Roles {
+	for _, r := range s.Roles[:s.Nodes] {
 		if r == Leader {
 			count++
 		}
@@ -262,28 +245,30 @@ func stepdown(s State) []State {
 		return nil
 	}
 	out := make([]State, 0, count)
-	for i, r := range s.Roles {
+	for i, r := range s.Roles[:s.Nodes] {
 		if r == Leader {
-			out = append(out, s.withFollower(i))
+			c := s
+			c.Roles[i] = Follower
+			out = append(out, c)
 		}
 	}
 	return out
 }
 
 // clientWrite: a leader executes a write, appending an entry stamped with
-// its current term to its own oplog. The log is capped at its length before
-// the append, so the new entry always lands in a fresh array and never in
-// spare capacity another state's log may share.
+// its current term to its own oplog: the one allocation per successor any
+// action makes.
 func clientWrite(s State) []State {
 	count := s.leaders()
 	if count == 0 {
 		return nil
 	}
 	out := make([]State, 0, count)
-	for i, r := range s.Roles {
+	for i, r := range s.Roles[:s.Nodes] {
 		if r == Leader {
-			log := s.Oplogs[i]
-			out = append(out, s.withOplog(i, append(log[:len(log):len(log)], s.Terms[i])))
+			c := s
+			c.Oplogs[i] = s.Oplogs[i].appendEntry(s.Terms[i])
+			out = append(out, c)
 		}
 	}
 	return out
@@ -295,7 +280,7 @@ func clientWrite(s State) []State {
 // current term.
 func advanceCommitPoint(s State) []State {
 	count := 0
-	for i := range s.Roles {
+	for i := range s.NumNodes() {
 		if _, ok := s.committable(i); ok {
 			count++
 		}
@@ -304,9 +289,11 @@ func advanceCommitPoint(s State) []State {
 		return nil
 	}
 	out := make([]State, 0, count)
-	for i := range s.Roles {
+	for i := range s.NumNodes() {
 		if cp, ok := s.committable(i); ok {
-			out = append(out, s.withCommitPoint(i, cp))
+			c := s
+			c.CommitPoints[i] = cp
+			out = append(out, c)
 		}
 	}
 	return out
@@ -320,19 +307,27 @@ func (s State) committable(i int) (CommitPoint, bool) {
 	}
 	n := s.NumNodes()
 	best := s.CommitPoints[i]
-	for idx := len(s.Oplogs[i]); idx >= 1; idx-- {
-		term := s.Oplogs[i][idx-1]
-		if term != s.Terms[i] {
+	// One cursor per node walks back alongside e, so each oplog is walked
+	// once however many entries of the current term i holds.
+	var at [MaxNodes]*entry
+	for j := range n {
+		at[j] = s.Oplogs[j].last
+	}
+	for e := s.Oplogs[i].last; e != nil; e = e.prev {
+		if e.term != s.Terms[i] {
 			break // older-term entries commit only transitively
 		}
 		have := 0
-		for j := 0; j < n; j++ {
-			if len(s.Oplogs[j]) >= idx && s.Oplogs[j][idx-1] == term {
+		for j := range n {
+			for at[j] != nil && at[j].n > e.n {
+				at[j] = at[j].prev
+			}
+			if at[j] != nil && at[j].n == e.n && at[j].term == e.term {
 				have++
 			}
 		}
 		if have >= Majority(n) {
-			cp := CommitPoint{Term: term, Index: idx}
+			cp := CommitPoint{Term: e.term, Index: e.n}
 			if best.Before(cp) {
 				best = cp
 			}
@@ -374,7 +369,9 @@ func learnCommitPoints(s State, learn func(i, j int) (CommitPoint, bool)) []Stat
 		for j := 0; j < n; j++ {
 			if i != j {
 				if cp, ok := learn(i, j); ok {
-					out = append(out, s.withCommitPoint(i, cp))
+					c := s
+					c.CommitPoints[i] = cp
+					out = append(out, c)
 				}
 			}
 		}
@@ -405,10 +402,7 @@ func updateTermThroughHeartbeat(s State) []State {
 				continue
 			}
 			c := s
-			if s.Roles[i] == Leader {
-				c = s.withFollower(i)
-			}
-			c.Terms = slices.Clone(s.Terms)
+			c.Roles[i] = Follower
 			c.Terms[i] = s.Terms[j]
 			out = append(out, c)
 		}
@@ -432,11 +426,12 @@ func learnCommitPointWithTermCheck(s State) []State {
 // commit point beyond the data it actually has.
 func learnCommitPointFromSyncSource(s State) []State {
 	return learnCommitPoints(s, func(i, j int) (CommitPoint, bool) {
-		if len(s.Oplogs[i]) == 0 || len(s.Oplogs[j]) < len(s.Oplogs[i]) || !s.isPrefix(i, j) {
+		li := s.Oplogs[i]
+		if li.Len() == 0 || !s.isPrefix(i, j) {
 			return CommitPoint{}, false
 		}
 		learned := s.CommitPoints[j]
-		if lastApplied := (CommitPoint{Term: s.LastTerm(i), Index: len(s.Oplogs[i])}); lastApplied.Before(learned) {
+		if lastApplied := (CommitPoint{Term: li.last.term, Index: li.last.n}); lastApplied.Before(learned) {
 			learned = lastApplied
 		}
 		return learned, s.CommitPoints[i].Before(learned)

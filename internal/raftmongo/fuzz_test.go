@@ -2,6 +2,7 @@ package raftmongo
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"slices"
 	"testing"
@@ -29,41 +30,47 @@ func (r *fuzzReader) intn(n int) int { return int(r.next()) % n }
 
 // stateFrom decodes an arbitrary n-node state — not necessarily reachable,
 // which is the point: the BinaryState contract (encoding equality iff Key
-// equality) must hold for any state the checker could ever be handed.
+// equality) must hold for any state the checker could ever be handed. One
+// oplog in eight is long (up to 66 entries), so the list walks of AppendOplog,
+// the codec and the orbit comparison run past the short logs of the
+// bounded configurations.
 func stateFrom(r *fuzzReader, n int) State {
-	s := State{
-		Roles:        make([]Role, n),
-		Terms:        make([]int, n),
-		CommitPoints: make([]CommitPoint, n),
-		Oplogs:       make([][]int, n),
-	}
+	s := NewState(n)
 	for i := 0; i < n; i++ {
 		s.Roles[i] = Role(r.intn(2))
-		s.Terms[i] = r.intn(4)
-		s.CommitPoints[i] = CommitPoint{Term: r.intn(4), Index: r.intn(4)}
-		log := make([]int, r.intn(4))
+		s.Terms[i] = int16(r.intn(4))
+		s.CommitPoints[i] = CommitPoint{Term: int16(r.intn(4)), Index: int16(r.intn(4))}
+		logLen := r.intn(4)
+		if r.intn(8) == 0 {
+			logLen = 3 + r.intn(64)
+		}
+		log := make([]int, logLen)
 		for j := range log {
 			log[j] = r.intn(4)
 		}
-		s.Oplogs[i] = log
+		s.Oplogs[i] = oplogOf(log...)
 	}
 	return s
 }
 
-// deepCopy returns a copy of s that shares no backing array with it and
-// whose oplogs have no spare capacity.
+// oplogOf returns the oplog holding terms, oldest first.
+func oplogOf(terms ...int) Oplog {
+	l, err := Oplog{}.Extend(terms)
+	if err != nil {
+		panic(err)
+	}
+	return l
+}
+
+// equalTerms reports whether l holds exactly terms.
+func equalTerms(l Oplog, terms []int) bool { return slices.Equal(l.Terms(), terms) }
+
+// deepCopy returns a copy of s that shares no oplog entry with it.
 func deepCopy(s State) State {
-	c := State{
-		Roles:        slices.Clone(s.Roles),
-		Terms:        slices.Clone(s.Terms),
-		CommitPoints: slices.Clone(s.CommitPoints),
-		Oplogs:       make([][]int, len(s.Oplogs)),
+	for i := range s.NumNodes() {
+		s.Oplogs[i] = oplogOf(s.Oplogs[i].Terms()...)
 	}
-	for i, log := range s.Oplogs {
-		c.Oplogs[i] = make([]int, len(log))
-		copy(c.Oplogs[i], log)
-	}
-	return c
+	return s
 }
 
 func assertEncodingAgreement(t *testing.T, a, b State) {
@@ -101,18 +108,29 @@ func assertArenaRoundTrip(t *testing.T, s State) {
 	}
 }
 
+// codecSeeds are the fuzz seeds the codec targets share: the first byte
+// picks the node count (1 + b%MaxNodes), so the last two draw four and
+// five nodes, one of them with long oplogs.
+var codecSeeds = [][]byte{
+	{},
+	{2, 1, 2, 0, 1, 2, 3, 0, 1},
+	{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+	{3, 1, 3, 2, 1, 2, 1, 0, 1, 1, 2, 3, 0, 1, 2, 0, 3, 1, 2, 1, 1, 2},
+	{4, 1, 2, 1, 3, 8, 2, 0, 1, 3, 3, 1, 2, 3, 0, 1, 3, 1, 1, 2, 3, 0, 2, 2, 2, 3, 40, 1, 0, 1, 1, 1, 3},
+}
+
 // FuzzDecodeBinaryRoundTrip enforces the tla.BinaryDecoder contract on the
 // replica-set spec state: DecodeBinary∘AppendBinary is the identity on
 // Key(), works on a zero-value receiver, re-encodes byte-identically, and
 // the decoded state shares no memory with the encoding buffer (the arena
 // reuses it).
 func FuzzDecodeBinaryRoundTrip(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{3, 1, 2, 0, 1, 2, 3, 0, 1})
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	for _, seed := range codecSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
-		n := 1 + r.intn(3)
+		n := 1 + r.intn(MaxNodes)
 		s := stateFrom(r, n)
 		enc := s.AppendBinary(nil)
 		dec, err := State{}.DecodeBinary(enc)
@@ -136,17 +154,72 @@ func FuzzDecodeBinaryRoundTrip(f *testing.F) {
 
 // FuzzDecodeBinaryArbitrary feeds DecodeBinary arbitrary bytes, as a
 // corrupt spilled or checkpointed segment would: it must return an error
-// or a state whose Key and AppendBinary run, never panic.
+// or a state whose Key and AppendBinary run, never panic. It must return
+// an error exactly when the bytes hold more than MaxNodes nodes or a
+// number above MaxValue (int16), both of which referenceDecode spots, and
+// a state it returns must survive its own round trip.
 func FuzzDecodeBinaryArbitrary(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(stateFrom(&fuzzReader{data: []byte{3, 1, 2, 0, 1, 2, 3, 0, 1}}, 3).AppendBinary(nil))
+	for _, seed := range codecSeeds {
+		f.Add(seed)
+		r := &fuzzReader{data: seed}
+		f.Add(stateFrom(r, 1+r.intn(MaxNodes)).AppendBinary(nil))
+	}
+	six := NewState(MaxNodes).AppendBinary(nil)
+	f.Add(append(six, 0, 0, 0, 0, 0))                                // a sixth node
+	f.Add([]byte{0, 0x80, 0x80, 0x02, 0, 0, 0})                      // term 32768
+	f.Add([]byte{1, 1, 0xff, 0xff, 0x01, 0, 0})                      // commit-point term 32767
+	f.Add([]byte{1, 1, 1, 0x80, 0x80, 0x02, 0})                      // commit-point index 32768
+	f.Add([]byte{0, 0, 0, 0, 2, 0xff, 0xff, 0x01, 0x80, 0x80, 0x02}) // entry 32768
 	f.Add([]byte{2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, enc []byte) {
-		if s, err := (State{}).DecodeBinary(enc); err == nil {
-			_ = s.Key()
-			_ = s.AppendBinary(nil)
+		s, err := (State{}).DecodeBinary(enc)
+		nodes, valid := referenceDecode(enc)
+		if valid != (err == nil) {
+			t.Fatalf("DecodeBinary(%x) err = %v, want valid=%v (%d nodes)", enc, err, valid, nodes)
+		}
+		if err != nil {
+			return
+		}
+		again, err := (State{}).DecodeBinary(s.AppendBinary(nil))
+		if s.NumNodes() != nodes || err != nil || again.Key() != s.Key() {
+			t.Fatalf("DecodeBinary(%x) = %s (%d nodes, want %d), which round-trips to %s, %v", enc, s.Key(), s.NumNodes(), nodes, again.Key(), err)
 		}
 	})
+}
+
+// referenceDecode walks enc as a sequence of node records the plain way —
+// role byte, four uvarints, then as many uvarint entries as the last said
+// — and reports the node count and whether the encoding is one a State can
+// hold: well-formed, at most MaxNodes nodes, every number at most MaxValue.
+func referenceDecode(enc []byte) (nodes int, ok bool) {
+	next := func() (uint64, bool) {
+		v, k := binary.Uvarint(enc)
+		if k <= 0 {
+			return 0, false
+		}
+		enc = enc[k:]
+		return v, v <= MaxValue
+	}
+	for ; len(enc) > 0; nodes++ {
+		if enc[0] > byte(Leader) || nodes == MaxNodes {
+			return nodes, false
+		}
+		enc = enc[1:]
+		var logLen uint64
+		for range 4 {
+			v, ok := next()
+			if !ok {
+				return nodes, false
+			}
+			logLen = v
+		}
+		for range logLen {
+			if _, ok := next(); !ok {
+				return nodes, false
+			}
+		}
+	}
+	return nodes, true
 }
 
 // FuzzBinaryKeyAgreement enforces the tla.BinaryState contract on the
@@ -158,21 +231,19 @@ func FuzzDecodeBinaryArbitrary(f *testing.F) {
 // arena's round-trip property and the successor immutability check
 // (TestSuccessorsNeverMutate).
 func FuzzBinaryKeyAgreement(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{3, 1, 2, 0, 1, 2, 3, 0, 1})
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	for _, seed := range codecSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
-		n := 1 + r.intn(3)
+		n := 1 + r.intn(MaxNodes)
 		a := stateFrom(r, n)
 		b := stateFrom(r, n)
 		assertEncodingAgreement(t, a, b)
-		// The equal direction, on distinct backing arrays: a deep copy
+		// The equal direction, on distinct oplog entries: a deep copy
 		// must encode identically under both schemes.
 		assertEncodingAgreement(t, a, deepCopy(a))
 		assertArenaRoundTrip(t, a)
-		specs := bothSpecs(Config{Nodes: n, MaxTerm: 3, MaxLogLen: 3})
-		assertSuccessorsNeverMutate(t, specs, a)
-		assertSuccessorsNeverMutate(t, specs, withSpareCapacity(a))
+		assertSuccessorsNeverMutate(t, bothSpecs(Config{Nodes: n, MaxTerm: 3, MaxLogLen: 3}), a)
 	})
 }

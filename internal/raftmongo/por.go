@@ -43,7 +43,7 @@ func Independence() *tla.Independence[State] {
 		Owner: func(s, succ State, act int) int {
 			owner := -1
 			for i := 0; i < s.NumNodes(); i++ {
-				if !logsEqual(s.Oplogs[i], succ.Oplogs[i]) {
+				if !s.Oplogs[i].Equal(succ.Oplogs[i]) {
 					return -1 // log moves read other nodes' logs; never prunable
 				}
 				cpCh := s.CommitPoints[i] != succ.CommitPoints[i]
@@ -73,16 +73,4 @@ func Independence() *tla.Independence[State] {
 			return s.Roles[p/2] != Leader // term/role moves of a leader disable its writes
 		},
 	}
-}
-
-func logsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
 }

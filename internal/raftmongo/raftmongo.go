@@ -27,7 +27,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/tla"
 )
@@ -52,10 +52,10 @@ func (r Role) String() string {
 
 // CommitPoint identifies a majority-committed oplog entry by term and
 // 1-based index. The zero value is the specification's NULL (nothing
-// committed yet).
+// committed yet). Both fields lie in 0..MaxValue.
 type CommitPoint struct {
-	Term  int
-	Index int
+	Term  int16
+	Index int16
 }
 
 // IsNull reports whether the commit point is the specification's NULL.
@@ -76,42 +76,97 @@ func (c CommitPoint) String() string {
 	return fmt.Sprintf("%d.%d", c.Term, c.Index)
 }
 
-// State is a replica-set state: per-node role, term, commit point, and
-// oplog. An oplog is the sequence of terms of its entries (entry index is
-// the position). In V1 all Terms entries are equal (the global term).
+// MaxNodes bounds the replica-set size: a State keeps its per-node
+// variables in fixed arrays, so it is a value an action copies and edits
+// in place instead of allocating. The spec constructors, DecodeBinary,
+// the trace post-processor and the CLIs refuse more nodes.
+const MaxNodes = 5
+
+// State is a replica-set state: for each of its Nodes nodes, role, term,
+// commit point and oplog — the specification's four variables. In V1 all
+// Terms entries are equal (the global term). Entries at index Nodes and
+// above are always zero; code reads only the first Nodes.
 //
-// States are immutable values. An action builds a successor as a shallow
-// copy of its parent that replaces only the slices it changes, so
-// successors share every unchanged slice — and oplog backing arrays — with
-// their parent and with each other. Nothing may write into a state's
-// slices once it exists; code that needs a modified state allocates the
-// slices it changes.
+// A State is a value: an action copies its parent into its result and
+// edits the copied fields. The one shared part is the oplogs, immutable
+// lists (see Oplog) that a successor shares with its parent and its
+// siblings, so a state never needs more than the entries ClientWrite
+// appends.
 type State struct {
-	Roles        []Role
-	Terms        []int
-	CommitPoints []CommitPoint
-	Oplogs       [][]int
+	Nodes        uint8
+	Roles        [MaxNodes]Role
+	Terms        [MaxNodes]int16
+	CommitPoints [MaxNodes]CommitPoint
+	Oplogs       [MaxNodes]Oplog
+}
+
+// NewState returns the specification's initial state for n nodes: every
+// node a follower at term 0 with a NULL commit point and an empty oplog.
+// It panics unless 0 ≤ n ≤ MaxNodes.
+func NewState(n int) State {
+	if n < 0 || n > MaxNodes {
+		panic(fmt.Sprintf("raftmongo: %d nodes, want 0..%d (MaxNodes)", n, MaxNodes))
+	}
+	return State{Nodes: uint8(n)}
+}
+
+// MakeState builds a state from per-node slices of equal length, with
+// the bounds DecodeBinary applies: at most MaxNodes nodes, every term,
+// commit-point field and oplog entry in 0..MaxValue.
+func MakeState(roles []Role, terms []int, cps []CommitPoint, oplogs [][]int) (State, error) {
+	n := len(roles)
+	if len(terms) != n || len(cps) != n || len(oplogs) != n {
+		return State{}, fmt.Errorf("raftmongo: ragged state: %d roles, %d terms, %d commit points, %d oplogs", n, len(terms), len(cps), len(oplogs))
+	}
+	if n > MaxNodes {
+		return State{}, fmt.Errorf("raftmongo: %d nodes, more than MaxNodes (%d)", n, MaxNodes)
+	}
+	s := State{Nodes: uint8(n)}
+	for i := range n {
+		if roles[i] > Leader {
+			return State{}, fmt.Errorf("raftmongo: node %d: bad role %d", i, roles[i])
+		}
+		if cps[i].Term < 0 || cps[i].Index < 0 {
+			return State{}, fmt.Errorf("raftmongo: node %d: negative commit point %d.%d", i, cps[i].Term, cps[i].Index)
+		}
+		term, err := Narrow("term", terms[i])
+		if err != nil {
+			return State{}, fmt.Errorf("node %d: %w", i, err)
+		}
+		log, err := Oplog{}.Extend(oplogs[i])
+		if err != nil {
+			return State{}, fmt.Errorf("node %d: %w", i, err)
+		}
+		s.Roles[i], s.Terms[i], s.CommitPoints[i], s.Oplogs[i] = roles[i], term, cps[i], log
+	}
+	return s, nil
 }
 
 // NumNodes returns the number of nodes in the replica set.
-func (s State) NumNodes() int { return len(s.Roles) }
+func (s State) NumNodes() int { return int(s.Nodes) }
 
 // Key implements tla.State with a canonical encoding.
 func (s State) Key() string {
-	var b strings.Builder
-	for i := range s.Roles {
+	var b []byte
+	var terms [16]int
+	for i := range s.NumNodes() {
 		if i > 0 {
-			b.WriteByte('|')
+			b = append(b, '|')
 		}
-		fmt.Fprintf(&b, "%s,%d,%s,", s.Roles[i], s.Terms[i], s.CommitPoints[i])
-		for j, t := range s.Oplogs[i] {
+		b = append(b, s.Roles[i].String()...)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(s.Terms[i]), 10)
+		b = append(b, ',')
+		b = append(b, s.CommitPoints[i].String()...)
+		b = append(b, ',')
+		for j, t := range s.Oplogs[i].appendTerms(terms[:0]) {
 			if j > 0 {
-				b.WriteByte('.')
+				b = append(b, '.')
 			}
-			fmt.Fprintf(&b, "%d", t)
+			b = strconv.AppendInt(b, int64(t), 10)
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 func (s State) String() string { return s.Key() }
@@ -124,15 +179,12 @@ func (s State) String() string { return s.Key() }
 // encodings are equal iff the states are (FuzzBinaryKeyAgreement enforces
 // this on randomized states).
 func (s State) AppendBinary(buf []byte) []byte {
-	for i := range s.Roles {
+	for i := range s.NumNodes() {
 		buf = append(buf, byte(s.Roles[i]))
 		buf = binary.AppendUvarint(buf, uint64(s.Terms[i]))
 		buf = binary.AppendUvarint(buf, uint64(s.CommitPoints[i].Term))
 		buf = binary.AppendUvarint(buf, uint64(s.CommitPoints[i].Index))
-		buf = binary.AppendUvarint(buf, uint64(len(s.Oplogs[i])))
-		for _, t := range s.Oplogs[i] {
-			buf = binary.AppendUvarint(buf, uint64(t))
-		}
+		buf = s.Oplogs[i].appendBinary(buf)
 	}
 	return buf
 }
@@ -140,54 +192,73 @@ func (s State) AppendBinary(buf []byte) []byte {
 // DecodeBinary implements tla.BinaryDecoder: the inverse of AppendBinary.
 // The per-node encoding is self-delimiting, so the node count is recovered
 // by decoding until the buffer is exhausted — a zero-value receiver works;
-// no run configuration is needed.
+// no run configuration is needed. It refuses more than MaxNodes nodes and
+// any number above MaxValue. A first pass validates the encoding and
+// counts the oplog entries, so the second builds every oplog of the state
+// in one allocation.
 func (s State) DecodeBinary(enc []byte) (State, error) {
 	var out State
-	uvarint := func() (uint64, error) {
+	var logAt [MaxNodes][]byte // each node's oplog entries, still encoded
+	entries := 0
+	node := 0
+	value := func(what string) (int16, error) {
 		v, k := binary.Uvarint(enc)
 		if k <= 0 {
-			return 0, fmt.Errorf("raftmongo: decode: truncated varint at node %d", len(out.Roles))
+			return 0, fmt.Errorf("raftmongo: decode: truncated varint at node %d", node)
 		}
 		enc = enc[k:]
-		return v, nil
+		if v > MaxValue {
+			return 0, fmt.Errorf("raftmongo: decode: node %d: %s %d above MaxValue (%d)", node, what, v, MaxValue)
+		}
+		return int16(v), nil
 	}
-	for len(enc) > 0 {
+	for ; len(enc) > 0; node++ {
+		if node == MaxNodes {
+			return State{}, fmt.Errorf("raftmongo: decode: more than MaxNodes (%d) nodes", MaxNodes)
+		}
 		role := enc[0]
 		if role > byte(Leader) {
-			return State{}, fmt.Errorf("raftmongo: decode: bad role byte %d at node %d", role, len(out.Roles))
+			return State{}, fmt.Errorf("raftmongo: decode: bad role byte %d at node %d", role, node)
 		}
 		enc = enc[1:]
-		term, err := uvarint()
+		out.Roles[node] = Role(role)
+		var err error
+		if out.Terms[node], err = value("term"); err != nil {
+			return State{}, err
+		}
+		if out.CommitPoints[node].Term, err = value("commit-point term"); err != nil {
+			return State{}, err
+		}
+		if out.CommitPoints[node].Index, err = value("commit-point index"); err != nil {
+			return State{}, err
+		}
+		logLen, err := value("oplog length")
 		if err != nil {
 			return State{}, err
 		}
-		cpTerm, err := uvarint()
-		if err != nil {
-			return State{}, err
-		}
-		cpIndex, err := uvarint()
-		if err != nil {
-			return State{}, err
-		}
-		logLen, err := uvarint()
-		if err != nil {
-			return State{}, err
-		}
-		if logLen > uint64(len(enc)) {
+		if int(logLen) > len(enc) {
 			return State{}, fmt.Errorf("raftmongo: decode: oplog length %d exceeds %d remaining bytes", logLen, len(enc))
 		}
-		log := make([]int, logLen)
-		for i := range log {
-			t, err := uvarint()
-			if err != nil {
+		from := enc
+		for range logLen {
+			if _, err := value("oplog entry term"); err != nil {
 				return State{}, err
 			}
-			log[i] = int(t)
 		}
-		out.Roles = append(out.Roles, Role(role))
-		out.Terms = append(out.Terms, int(term))
-		out.CommitPoints = append(out.CommitPoints, CommitPoint{Term: int(cpTerm), Index: int(cpIndex)})
-		out.Oplogs = append(out.Oplogs, log)
+		logAt[node] = from[:len(from)-len(enc)]
+		entries += int(logLen)
+	}
+	out.Nodes = uint8(node)
+	block := make([]entry, entries)
+	for i, log := range logAt[:node] {
+		var prev *entry
+		for n := int16(1); len(log) > 0; n++ {
+			t, k := binary.Uvarint(log)
+			log = log[k:]
+			block[0] = entry{prev: prev, term: int16(t), n: n}
+			prev, block = &block[0], block[1:]
+		}
+		out.Oplogs[i] = Oplog{prev}
 	}
 	return out, nil
 }
@@ -196,33 +267,19 @@ func (s State) DecodeBinary(enc []byte) (State, error) {
 // node ids are interchangeable — Init treats all nodes identically, every
 // action quantifies over all nodes, and oplog entries carry terms, never
 // node ids — so relabelling nodes maps behaviours to behaviours. Each call
-// returns a fresh per-worker visitor that hands the codec the orbit's
-// representative and nothing else. A node's AppendBinary record is
-// self-delimiting, so no record is a prefix of another, and the least
-// encoding in the orbit is the one with the records in bytes.Compare
-// order: the visitor insertion-sorts the node indices with compareNodes,
-// which orders records exactly that way, and visits s itself when it is
-// already sorted, otherwise the sorted image built in one scratch state
-// reused across calls (oplogs are aliased, not copied: images are only
-// encoded, never retained or mutated). One encode per state, no
-// allocation beyond the scratch's one-time growth.
+// returns a visitor that hands the codec the orbit's representative and
+// nothing else. A node's AppendBinary record is self-delimiting, so no
+// record is a prefix of another, and the least encoding in the orbit is
+// the one with the records in bytes.Compare order: the visitor
+// insertion-sorts the node indices with compareNodes, which orders records
+// exactly that way, and visits s itself when it is already sorted,
+// otherwise the sorted image, a plain value built on the stack (oplogs are
+// shared, not copied). One encode per state, no allocation.
 func NodeOrbits() tla.OrbitVisitor[State] {
-	var (
-		scratch State
-		order   []int
-	)
 	return func(s State, visit func(State)) {
+		var order [MaxNodes]int
 		n := s.NumNodes()
-		if len(order) != n {
-			order = make([]int, n)
-			scratch = State{
-				Roles:        make([]Role, n),
-				Terms:        make([]int, n),
-				CommitPoints: make([]CommitPoint, n),
-				Oplogs:       make([][]int, n),
-			}
-		}
-		for i := range order {
+		for i := range n {
 			order[i] = i
 		}
 		moved := false
@@ -236,13 +293,14 @@ func NodeOrbits() tla.OrbitVisitor[State] {
 			visit(s)
 			return
 		}
-		for k, i := range order {
-			scratch.Roles[k] = s.Roles[i]
-			scratch.Terms[k] = s.Terms[i]
-			scratch.CommitPoints[k] = s.CommitPoints[i]
-			scratch.Oplogs[k] = s.Oplogs[i]
+		img := State{Nodes: s.Nodes}
+		for k, i := range order[:n] {
+			img.Roles[k] = s.Roles[i]
+			img.Terms[k] = s.Terms[i]
+			img.CommitPoints[k] = s.CommitPoints[i]
+			img.Oplogs[k] = s.Oplogs[i]
 		}
-		visit(scratch)
+		visit(img)
 	}
 }
 
@@ -264,15 +322,10 @@ func compareNodes(s State, i, j int) int {
 		return c
 	}
 	li, lj := s.Oplogs[i], s.Oplogs[j]
-	if c := compareUvarint(uint64(len(li)), uint64(len(lj))); c != 0 {
+	if c := compareUvarint(uint64(li.Len()), uint64(lj.Len())); c != 0 {
 		return c
 	}
-	for k := range li {
-		if c := compareUvarint(uint64(li[k]), uint64(lj[k])); c != 0 {
-			return c
-		}
-	}
-	return 0
+	return compareEntries(li, lj)
 }
 
 // compareUvarint orders a and b as bytes.Compare orders their
@@ -290,9 +343,8 @@ func compareUvarint(a, b uint64) int {
 }
 
 // NodePermutations is the brute-force orbit of s: its n!-1 images under
-// the non-identity node permutations, as freshly allocated states. Its
-// least encoding, s's own included, is the representative NodeOrbits
-// visits.
+// the non-identity node permutations. Its least encoding, s's own
+// included, is the representative NodeOrbits visits.
 //
 // Deprecated: use NodeOrbits (the spec constructors already do); this
 // remains only as the oracle the visitor is tested against.
@@ -305,16 +357,8 @@ func NodePermutations(s State) []State {
 }
 
 // permuteNodes returns s with node i's variables moved to index perm[i].
-// Oplogs are shared, not copied: permuted states are only encoded and
-// discarded, never mutated.
 func permuteNodes(s State, perm []int) State {
-	n := s.NumNodes()
-	t := State{
-		Roles:        make([]Role, n),
-		Terms:        make([]int, n),
-		CommitPoints: make([]CommitPoint, n),
-		Oplogs:       make([][]int, n),
-	}
+	t := State{Nodes: s.Nodes}
 	for i, p := range perm {
 		t.Roles[p] = s.Roles[i]
 		t.Terms[p] = s.Terms[i]
@@ -325,13 +369,7 @@ func permuteNodes(s State, perm []int) State {
 }
 
 // LastTerm returns the term of node i's newest oplog entry, 0 if empty.
-func (s State) LastTerm(i int) int {
-	log := s.Oplogs[i]
-	if len(log) == 0 {
-		return 0
-	}
-	return log[len(log)-1]
-}
+func (s State) LastTerm(i int) int { return s.Oplogs[i].LastTerm() }
 
 // logAhead reports whether node j's oplog is strictly more up-to-date than
 // node i's, by the Raft comparison: last term, then length.
@@ -340,29 +378,17 @@ func (s State) logAhead(j, i int) bool {
 	if lt != li {
 		return lt > li
 	}
-	return len(s.Oplogs[j]) > len(s.Oplogs[i])
+	return s.Oplogs[j].Len() > s.Oplogs[i].Len()
 }
 
 // isPrefix reports whether node i's oplog is a prefix of node j's.
-func (s State) isPrefix(i, j int) bool {
-	if len(s.Oplogs[i]) > len(s.Oplogs[j]) {
-		return false
-	}
-	for k, t := range s.Oplogs[i] {
-		if s.Oplogs[j][k] != t {
-			return false
-		}
-	}
-	return true
-}
+func (s State) isPrefix(i, j int) bool { return s.Oplogs[i].IsPrefixOf(s.Oplogs[j]) }
 
 // maxTerm returns the largest term known by any node.
 func (s State) maxTerm() int {
 	m := 0
-	for _, t := range s.Terms {
-		if t > m {
-			m = t
-		}
+	for _, t := range s.Terms[:s.Nodes] {
+		m = max(m, int(t))
 	}
 	return m
 }
@@ -398,26 +424,20 @@ func (c Config) symmetry() func() tla.OrbitVisitor[State] {
 // 371,368 distinct states for the rewritten spec under it.
 var DefaultConfig = Config{Nodes: 3, MaxTerm: 3, MaxLogLen: 3}
 
-func (c Config) initState() State {
-	s := State{
-		Roles:        make([]Role, c.Nodes),
-		Terms:        make([]int, c.Nodes),
-		CommitPoints: make([]CommitPoint, c.Nodes),
-		Oplogs:       make([][]int, c.Nodes),
-	}
-	for i := range s.Oplogs {
-		s.Oplogs[i] = []int{}
-	}
-	return s
-}
+// initState is the initial state; through NewState, it panics on more
+// than MaxNodes nodes. Term and oplog bounds may exceed MaxValue (trace
+// checking uses generous ones and applies no constraint): an election or
+// a write that would carry a state past MaxValue panics in the action
+// instead, which the checker reports as a spec panic.
+func (c Config) initState() State { return NewState(c.Nodes) }
 
 // constraint is the TLC state constraint: bounded terms and oplog lengths.
 func (c Config) constraint(s State) bool {
 	if s.maxTerm() > c.MaxTerm {
 		return false
 	}
-	for _, log := range s.Oplogs {
-		if len(log) > c.MaxLogLen {
+	for _, log := range s.Oplogs[:s.Nodes] {
+		if log.Len() > c.MaxLogLen {
 			return false
 		}
 	}
@@ -437,7 +457,7 @@ func commitPointIsCommitted(s State) error {
 		}
 		have := 0
 		for j := 0; j < n; j++ {
-			if len(s.Oplogs[j]) >= cp.Index && s.Oplogs[j][cp.Index-1] == cp.Term {
+			if idx := int(cp.Index); idx >= 1 && s.Oplogs[j].Len() >= idx && s.Oplogs[j].Term(idx) == int(cp.Term) {
 				have++
 			}
 		}
@@ -452,15 +472,15 @@ func commitPointIsCommitted(s State) error {
 // in any term. (V1 additionally assumes at most one leader at a time; see
 // SpecV1.)
 func oneLeaderPerTerm(s State) error {
-	leaders := make(map[int]int)
-	for i, r := range s.Roles {
-		if r != Leader {
+	for i := range s.NumNodes() {
+		if s.Roles[i] != Leader {
 			continue
 		}
-		if j, dup := leaders[s.Terms[i]]; dup {
-			return fmt.Errorf("nodes %d and %d are both leaders in term %d", j, i, s.Terms[i])
+		for j := range i {
+			if s.Roles[j] == Leader && s.Terms[j] == s.Terms[i] {
+				return fmt.Errorf("nodes %d and %d are both leaders in term %d", j, i, s.Terms[i])
+			}
 		}
-		leaders[s.Terms[i]] = i
 	}
 	return nil
 }

@@ -105,7 +105,7 @@ func TestCommittedWritesSurviveRollback(t *testing.T) {
 	foundCommit := false
 	for id := 0; id < res.Graph.Len(); id++ {
 		s := res.Graph.StateAt(id)
-		for i := range s.Roles {
+		for i := range s.NumNodes() {
 			if !s.CommitPoints[i].IsNull() {
 				foundCommit = true
 			}
@@ -177,7 +177,7 @@ func TestKeyDistinguishesStates(t *testing.T) {
 		t.Error("key ignores terms")
 	}
 	s3 := cfg.initState()
-	s3.Oplogs[0] = []int{1}
+	s3.Oplogs[0] = oplogOf(1)
 	if s1.Key() == s3.Key() {
 		t.Error("key ignores oplogs")
 	}
@@ -196,9 +196,9 @@ func TestKeyDistinguishesStates(t *testing.T) {
 func TestBecomePrimaryRequiresUpToDateLog(t *testing.T) {
 	s := smallCfg().initState()
 	// Node 0 has a committed-looking log; nodes 1, 2 are empty.
-	s.Oplogs[0] = []int{1}
-	s.Oplogs[1] = []int{1}
-	s.Terms = []int{1, 1, 0}
+	s.Oplogs[0] = oplogOf(1)
+	s.Oplogs[1] = oplogOf(1)
+	s.Terms = [MaxNodes]int16{1, 1, 0}
 	// Node 2 (empty log) must not be electable with voters {0,1}: both are ahead.
 	for _, succ := range becomePrimaryByMagic(s, quorums(3), false) {
 		for i, r := range succ.Roles {
@@ -222,16 +222,16 @@ func TestBecomePrimaryRequiresUpToDateLog(t *testing.T) {
 func TestAdvanceCommitPointRequiresCurrentTerm(t *testing.T) {
 	s := smallCfg().initState()
 	s.Roles[0] = Leader
-	s.Terms = []int{2, 2, 2}
-	s.Oplogs[0] = []int{1} // entry from an older term, replicated everywhere
-	s.Oplogs[1] = []int{1}
-	s.Oplogs[2] = []int{1}
+	s.Terms = [MaxNodes]int16{2, 2, 2}
+	s.Oplogs[0] = oplogOf(1) // entry from an older term, replicated everywhere
+	s.Oplogs[1] = oplogOf(1)
+	s.Oplogs[2] = oplogOf(1)
 	if succs := advanceCommitPoint(s); len(succs) != 0 {
 		t.Errorf("leader committed an old-term entry directly: %v", succs)
 	}
 	// Once the leader writes in its own term and it replicates, both commit.
-	s.Oplogs[0] = []int{1, 2}
-	s.Oplogs[1] = []int{1, 2}
+	s.Oplogs[0] = oplogOf(1, 2)
+	s.Oplogs[1] = oplogOf(1, 2)
 	succs := advanceCommitPoint(s)
 	if len(succs) != 1 {
 		t.Fatalf("expected one successor, got %d", len(succs))
@@ -244,10 +244,10 @@ func TestAdvanceCommitPointRequiresCurrentTerm(t *testing.T) {
 
 func TestLearnCommitPointTermCheckBlocksFutureTerms(t *testing.T) {
 	s := smallCfg().initState()
-	s.Terms = []int{1, 2, 2}
-	s.Oplogs[0] = []int{2}
-	s.Oplogs[1] = []int{2}
-	s.Oplogs[2] = []int{2}
+	s.Terms = [MaxNodes]int16{1, 2, 2}
+	s.Oplogs[0] = oplogOf(2)
+	s.Oplogs[1] = oplogOf(2)
+	s.Oplogs[2] = oplogOf(2)
 	s.CommitPoints[1] = CommitPoint{Term: 2, Index: 1}
 	for _, succ := range learnCommitPointWithTermCheck(s) {
 		if succ.CommitPoints[0] == (CommitPoint{Term: 2, Index: 1}) {
@@ -258,10 +258,10 @@ func TestLearnCommitPointTermCheckBlocksFutureTerms(t *testing.T) {
 
 func TestLearnFromSyncSourceCapsAtLastApplied(t *testing.T) {
 	s := smallCfg().initState()
-	s.Terms = []int{1, 1, 1}
-	s.Oplogs[0] = []int{1}    // one entry applied
-	s.Oplogs[1] = []int{1, 1} // sync source is ahead
-	s.Oplogs[2] = []int{1, 1}
+	s.Terms = [MaxNodes]int16{1, 1, 1}
+	s.Oplogs[0] = oplogOf(1)    // one entry applied
+	s.Oplogs[1] = oplogOf(1, 1) // sync source is ahead
+	s.Oplogs[2] = oplogOf(1, 1)
 	s.CommitPoints[1] = CommitPoint{Term: 1, Index: 2}
 	var got []CommitPoint
 	for _, succ := range learnCommitPointFromSyncSource(s) {
@@ -292,7 +292,7 @@ func TestLogMatchingPropertyHolds(t *testing.T) {
 		n := s.NumNodes()
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				a, b := s.Oplogs[i], s.Oplogs[j]
+				a, b := s.Oplogs[i].Terms(), s.Oplogs[j].Terms()
 				l := len(a)
 				if len(b) < l {
 					l = len(b)

@@ -6,12 +6,14 @@ import "repro/internal/tla"
 // the election term is one global number all nodes know instantaneously, so
 // there is no term-gossip action and no term check when learning the commit
 // point. This is the variant whose state space the paper reports as 42,034
-// states, model-checked in 2 seconds.
+// states, model-checked in 2 seconds. It panics on more than MaxNodes
+// nodes.
 func SpecV1(cfg Config) *tla.Spec[State] {
+	init := cfg.initState()
 	qs := quorums(cfg.Nodes)
 	return &tla.Spec[State]{
 		Name: "RaftMongoV1",
-		Init: func() []State { return []State{cfg.initState()} },
+		Init: func() []State { return []State{init} },
 		Actions: []tla.Action[State]{
 			{Name: "AppendOplog", Next: appendOplog},
 			{Name: "RollbackOplog", Next: rollbackOplog},
@@ -36,12 +38,14 @@ func SpecV1(cfg Config) *tla.Spec[State] {
 // UpdateTermThroughHeartbeat, and the two commit-point learning actions of
 // the real system are modelled. The paper reports this rewrite changed 252
 // of 345 lines of TLA+ and grew the state space to 371,368 states,
-// model-checked in 14 minutes (experiment E7).
+// model-checked in 14 minutes (experiment E7). It panics on more than
+// MaxNodes nodes.
 func SpecV2(cfg Config) *tla.Spec[State] {
+	init := cfg.initState()
 	qs := quorums(cfg.Nodes)
 	return &tla.Spec[State]{
 		Name: "RaftMongoV2",
-		Init: func() []State { return []State{cfg.initState()} },
+		Init: func() []State { return []State{init} },
 		Actions: []tla.Action[State]{
 			{Name: "AppendOplog", Next: appendOplog},
 			{Name: "RollbackOplog", Next: rollbackOplog},
@@ -69,13 +73,7 @@ func SpecV2(cfg Config) *tla.Spec[State] {
 // leaders, but RaftMongo.tla assumes one, and the paper's authors avoided
 // tests exhibiting two so traces would check.
 func atMostOneLeader(s State) error {
-	count := 0
-	for _, r := range s.Roles {
-		if r == Leader {
-			count++
-		}
-	}
-	if count > 1 {
+	if s.leaders() > 1 {
 		return errTwoLeaders
 	}
 	return nil

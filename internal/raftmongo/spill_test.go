@@ -28,9 +28,9 @@ func TestSpillReproducesInMemoryRun(t *testing.T) {
 						spec.Invariants = append(spec.Invariants, tla.Invariant[State]{
 							Name: "OplogNeverFull",
 							Check: func(s State) error {
-								for n, log := range s.Oplogs {
-									if len(log) >= c.MaxLogLen {
-										return fmt.Errorf("node %d oplog reached %d", n, len(log))
+								for n, log := range s.Oplogs[:s.Nodes] {
+									if log.Len() >= c.MaxLogLen {
+										return fmt.Errorf("node %d oplog reached %d", n, log.Len())
 									}
 								}
 								return nil

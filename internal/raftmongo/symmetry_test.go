@@ -66,9 +66,9 @@ func TestSymmetryReductionSound(t *testing.T) {
 				spec.Invariants = append(spec.Invariants, tla.Invariant[State]{
 					Name: "OplogShorterThanLimit",
 					Check: func(s State) error {
-						for n, log := range s.Oplogs {
-							if len(log) >= lim {
-								return fmt.Errorf("node %d oplog reached length %d", n, len(log))
+						for n, log := range s.Oplogs[:s.Nodes] {
+							if log.Len() >= lim {
+								return fmt.Errorf("node %d oplog reached length %d", n, log.Len())
 							}
 						}
 						return nil
@@ -105,25 +105,20 @@ func TestSymmetryReductionSound(t *testing.T) {
 // randomState builds a bounded random replica-set state for the visitor
 // property test.
 func randomState(rng *rand.Rand, nodes int) State {
-	s := State{
-		Roles:        make([]Role, nodes),
-		Terms:        make([]int, nodes),
-		CommitPoints: make([]CommitPoint, nodes),
-		Oplogs:       make([][]int, nodes),
-	}
+	s := NewState(nodes)
 	for i := 0; i < nodes; i++ {
 		if rng.Intn(4) == 0 {
 			s.Roles[i] = Leader
 		}
-		s.Terms[i] = rng.Intn(4)
+		s.Terms[i] = int16(rng.Intn(4))
 		if rng.Intn(2) == 0 {
-			s.CommitPoints[i] = CommitPoint{Term: 1 + rng.Intn(3), Index: 1 + rng.Intn(3)}
+			s.CommitPoints[i] = CommitPoint{Term: int16(1 + rng.Intn(3)), Index: int16(1 + rng.Intn(3))}
 		}
 		log := make([]int, rng.Intn(4))
 		for j := range log {
 			log[j] = 1 + rng.Intn(3)
 		}
-		s.Oplogs[i] = log
+		s.Oplogs[i] = oplogOf(log...)
 	}
 	return s
 }
@@ -226,23 +221,18 @@ func FuzzNodeOrbitsCanonical(f *testing.F) {
 		n := 1 + r.intn(5)
 		// A small pool of values on both sides of each uvarint byte
 		// boundary, so equal and near-equal fields across nodes are common.
-		pool := []int{0, 1, 2, 127, 128, 129, 255, 256, 16383, 16384}
-		val := func() int { return pool[r.intn(len(pool))] }
-		s := State{
-			Roles:        make([]Role, n),
-			Terms:        make([]int, n),
-			CommitPoints: make([]CommitPoint, n),
-			Oplogs:       make([][]int, n),
-		}
+		pool := []int16{0, 1, 2, 127, 128, 129, 255, 256, 16383, 16384, MaxValue}
+		val := func() int16 { return pool[r.intn(len(pool))] }
+		s := NewState(n)
 		for i := 0; i < n; i++ {
 			s.Roles[i] = Role(r.intn(2))
 			s.Terms[i] = val()
 			s.CommitPoints[i] = CommitPoint{Term: val(), Index: val()}
 			log := make([]int, r.intn(4))
 			for j := range log {
-				log[j] = val()
+				log[j] = int(val())
 			}
-			s.Oplogs[i] = log
+			s.Oplogs[i] = oplogOf(log...)
 		}
 		assertVisitsOrbitMinimum(t, NodeOrbits(), s)
 	})
@@ -263,9 +253,9 @@ func TestCompareUvarintMatchesBytes(t *testing.T) {
 	}
 }
 
-// TestNodeOrbitsDoesNotAllocate pins the visitor's cost once its scratch
-// has grown: sorting and building the representative allocate nothing,
-// for a state already in order and for one that is not.
+// TestNodeOrbitsDoesNotAllocate pins the visitor's cost: sorting and
+// building the representative allocate nothing, for a state already in
+// order and for ones that are not, at three and at MaxNodes nodes.
 func TestNodeOrbitsDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -274,10 +264,10 @@ func TestNodeOrbitsDoesNotAllocate(t *testing.T) {
 	var sink State
 	keep := func(s State) { sink = s }
 	for _, s := range []State{
-		{Roles: []Role{Follower, Follower, Leader}, Terms: []int{1, 2, 2}, CommitPoints: make([]CommitPoint, 3), Oplogs: [][]int{{1}, {1, 2}, {1, 2}}},
-		{Roles: []Role{Leader, Follower, Follower}, Terms: []int{2, 2, 1}, CommitPoints: make([]CommitPoint, 3), Oplogs: [][]int{{1, 2}, {1, 2}, {1}}},
+		{Nodes: 3, Roles: [MaxNodes]Role{Follower, Follower, Leader}, Terms: [MaxNodes]int16{1, 2, 2}, Oplogs: [MaxNodes]Oplog{oplogOf(1), oplogOf(1, 2), oplogOf(1, 2)}},
+		{Nodes: 3, Roles: [MaxNodes]Role{Leader, Follower, Follower}, Terms: [MaxNodes]int16{2, 2, 1}, Oplogs: [MaxNodes]Oplog{oplogOf(1, 2), oplogOf(1, 2), oplogOf(1)}},
+		{Nodes: 5, Terms: [MaxNodes]int16{3, 1, 2, 1, 3}, Oplogs: [MaxNodes]Oplog{oplogOf(1, 2, 3), oplogOf(1), oplogOf(1, 2), oplogOf(1), oplogOf(1, 2, 2)}},
 	} {
-		visit(s, keep) // grow the scratch
 		if got := testing.AllocsPerRun(100, func() { visit(s, keep) }); got != 0 {
 			t.Errorf("%s: NodeOrbits allocates %.1f times per call", s.Key(), got)
 		}

@@ -28,7 +28,6 @@ import (
 	"math/rand"
 
 	"repro/internal/locking"
-	"repro/internal/raftmongo"
 	"repro/internal/trace"
 )
 
@@ -58,6 +57,30 @@ var ErrNotLeader = errors.New("replset: node is not the leader")
 
 // ErrNodeDown is returned for operations on a stopped node.
 var ErrNodeDown = errors.New("replset: node is down")
+
+// CommitPoint is a node's commit point: the term and 1-based index of the
+// newest entry it knows a majority holds; the zero value is NULL. It is
+// the implementation's own, unbounded type: the trace post-processor
+// checks its values against the specification's bounds.
+type CommitPoint struct {
+	Term  int
+	Index int
+}
+
+// Before reports whether c is strictly older than d in (term, index) order.
+func (c CommitPoint) Before(d CommitPoint) bool {
+	if c.Term != d.Term {
+		return c.Term < d.Term
+	}
+	return c.Index < d.Index
+}
+
+func (c CommitPoint) String() string {
+	if c == (CommitPoint{}) {
+		return "NULL"
+	}
+	return fmt.Sprintf("%d.%d", c.Term, c.Index)
+}
 
 // Config parameterizes a cluster.
 type Config struct {
@@ -89,7 +112,7 @@ type Node struct {
 	Role           Role
 	Term           int
 	VotedTerm      int
-	CommitPoint    raftmongo.CommitPoint
+	CommitPoint    CommitPoint
 	SyncSource     int // -1 when none
 	InitialSyncing bool
 

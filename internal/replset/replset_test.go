@@ -6,7 +6,6 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/raftmongo"
 	"repro/internal/trace"
 )
 
@@ -74,7 +73,7 @@ func TestReplicationAndCommitPoint(t *testing.T) {
 	if err != nil || !changed {
 		t.Fatalf("advance: %v %v", changed, err)
 	}
-	want := raftmongo.CommitPoint{Term: 1, Index: 3}
+	want := CommitPoint{Term: 1, Index: 3}
 	if c.Node(0).CommitPoint != want {
 		t.Fatalf("commit point = %v", c.Node(0).CommitPoint)
 	}

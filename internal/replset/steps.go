@@ -2,8 +2,6 @@ package replset
 
 import (
 	"fmt"
-
-	"repro/internal/raftmongo"
 )
 
 // This file implements the protocol steps. The simulator is cooperative:
@@ -145,7 +143,7 @@ func (c *Cluster) Pull(i int) (bool, error) {
 		// Learn the commit point from the sync source, capped at our own
 		// newest applied entry (no term check on this path).
 		learned := src.CommitPoint
-		last := raftmongo.CommitPoint{Term: n.LastTerm(), Index: n.LastIndex()}
+		last := CommitPoint{Term: n.LastTerm(), Index: n.LastIndex()}
 		if last.Before(learned) {
 			learned = last
 		}
@@ -260,7 +258,7 @@ func (c *Cluster) AdvanceCommitPoint(i int) (bool, error) {
 			}
 		}
 		if have >= c.DataMajority() {
-			cp := raftmongo.CommitPoint{Term: term, Index: idx}
+			cp := CommitPoint{Term: term, Index: idx}
 			if best.Before(cp) {
 				best = cp
 			}
@@ -294,7 +292,7 @@ func (c *Cluster) Restart(i int, clean bool) {
 		n.FirstIndex = 1
 		n.snapEntries = nil
 		n.snapFirst = 1
-		n.CommitPoint = raftmongo.CommitPoint{}
+		n.CommitPoint = CommitPoint{}
 	}
 	if len(n.Entries) == 0 {
 		n.InitialSyncing = true
@@ -310,7 +308,7 @@ func (c *Cluster) AddBlankNode(i int) {
 	n.snapEntries = nil
 	n.snapFirst = 1
 	n.InitialSyncing = true
-	n.CommitPoint = raftmongo.CommitPoint{}
+	n.CommitPoint = CommitPoint{}
 }
 
 // GossipRound delivers heartbeats between all reachable pairs and lets the

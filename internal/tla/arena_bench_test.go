@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// heavyState mimics a slice-heavy spec state (the replica-set shape:
-// identity-indexed slices of slices) whose live retention costs far more
-// than its byte encoding — the workload arena retention exists for.
+// heavyState mimics a slice-heavy spec state (identity-indexed slices of
+// slices, the shape replica-set states had before they became fixed-width
+// values) whose live retention costs far more than its byte encoding — the
+// workload arena retention exists for.
 type heavyState struct {
 	Roles []byte
 	Terms []int

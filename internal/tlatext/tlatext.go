@@ -49,9 +49,9 @@ func WriteTraceModule(w io.Writer, states []raftmongo.State) error {
 
 func stateTuple(s raftmongo.State) string {
 	var roles, terms, cps, logs []string
-	for i := range s.Roles {
+	for i := range s.NumNodes() {
 		roles = append(roles, strconv.Quote(s.Roles[i].String()))
-		terms = append(terms, strconv.Itoa(s.Terms[i]))
+		terms = append(terms, strconv.Itoa(int(s.Terms[i])))
 		cp := s.CommitPoints[i]
 		if cp.IsNull() {
 			cps = append(cps, "NULL")
@@ -59,7 +59,7 @@ func stateTuple(s raftmongo.State) string {
 			cps = append(cps, fmt.Sprintf("[term |-> %d, index |-> %d]", cp.Term, cp.Index))
 		}
 		var entries []string
-		for _, t := range s.Oplogs[i] {
+		for _, t := range s.Oplogs[i].Terms() {
 			entries = append(entries, strconv.Itoa(t))
 		}
 		logs = append(logs, "<<"+strings.Join(entries, ", ")+">>")
@@ -158,43 +158,50 @@ func ParseTraceModule(r io.Reader) (*Module, error) {
 	return m, nil
 }
 
-// parseStateTuple parses one <<roles, terms, cps, logs>> tuple.
+// parseStateTuple parses one <<roles, terms, cps, logs>> tuple, with the
+// bounds of raftmongo.MakeState: at most raftmongo.MaxNodes nodes, every
+// number in 0..raftmongo.MaxValue.
 func parseStateTuple(s string) (raftmongo.State, error) {
-	var st raftmongo.State
 	parts, err := splitTupleGroups(s)
 	if err != nil {
-		return st, err
+		return raftmongo.State{}, err
 	}
 	if len(parts) != 4 {
-		return st, fmt.Errorf("state tuple has %d groups, want 4", len(parts))
+		return raftmongo.State{}, fmt.Errorf("state tuple has %d groups, want 4", len(parts))
 	}
+	var (
+		roles []raftmongo.Role
+		terms []int
+		cps   []raftmongo.CommitPoint
+		logs  [][]int
+	)
 	for _, r := range splitTopLevel(parts[0]) {
 		name, err := strconv.Unquote(r)
 		if err != nil {
-			return st, fmt.Errorf("bad role %q: %v", r, err)
+			return raftmongo.State{}, fmt.Errorf("bad role %q: %v", r, err)
 		}
 		switch name {
 		case "Leader":
-			st.Roles = append(st.Roles, raftmongo.Leader)
+			roles = append(roles, raftmongo.Leader)
 		case "Follower":
-			st.Roles = append(st.Roles, raftmongo.Follower)
+			roles = append(roles, raftmongo.Follower)
 		default:
-			return st, fmt.Errorf("unknown role %q", name)
+			return raftmongo.State{}, fmt.Errorf("unknown role %q", name)
 		}
 	}
 	for _, t := range splitTopLevel(parts[1]) {
 		v, err := strconv.Atoi(t)
 		if err != nil {
-			return st, fmt.Errorf("bad term %q", t)
+			return raftmongo.State{}, fmt.Errorf("bad term %q", t)
 		}
-		st.Terms = append(st.Terms, v)
+		terms = append(terms, v)
 	}
 	for _, c := range splitTopLevel(parts[2]) {
 		cp, err := parseCommitPoint(c)
 		if err != nil {
-			return st, err
+			return raftmongo.State{}, err
 		}
-		st.CommitPoints = append(st.CommitPoints, cp)
+		cps = append(cps, cp)
 	}
 	for _, l := range splitTopLevel(parts[3]) {
 		inner := strings.TrimSuffix(strings.TrimPrefix(l, "<<"), ">>")
@@ -203,17 +210,14 @@ func parseStateTuple(s string) (raftmongo.State, error) {
 			for _, e := range strings.Split(inner, ",") {
 				v, err := strconv.Atoi(strings.TrimSpace(e))
 				if err != nil {
-					return st, fmt.Errorf("bad oplog entry %q", e)
+					return raftmongo.State{}, fmt.Errorf("bad oplog entry %q", e)
 				}
 				log = append(log, v)
 			}
 		}
-		st.Oplogs = append(st.Oplogs, log)
+		logs = append(logs, log)
 	}
-	if len(st.Terms) != len(st.Roles) || len(st.CommitPoints) != len(st.Roles) || len(st.Oplogs) != len(st.Roles) {
-		return st, fmt.Errorf("ragged state tuple")
-	}
-	return st, nil
+	return raftmongo.MakeState(roles, terms, cps, logs)
 }
 
 func parseCommitPoint(s string) (raftmongo.CommitPoint, error) {
@@ -225,7 +229,15 @@ func parseCommitPoint(s string) (raftmongo.CommitPoint, error) {
 	if _, err := fmt.Sscanf(s, "[term |-> %d, index |-> %d]", &term, &index); err != nil {
 		return raftmongo.CommitPoint{}, fmt.Errorf("bad commit point %q: %v", s, err)
 	}
-	return raftmongo.CommitPoint{Term: term, Index: index}, nil
+	t, err := raftmongo.Narrow("commit-point term", term)
+	if err != nil {
+		return raftmongo.CommitPoint{}, err
+	}
+	i, err := raftmongo.Narrow("commit-point index", index)
+	if err != nil {
+		return raftmongo.CommitPoint{}, err
+	}
+	return raftmongo.CommitPoint{Term: t, Index: i}, nil
 }
 
 // splitTupleGroups splits `<<<<a>>, <<b>>, <<c>>, <<d>>>>` into the four

@@ -67,18 +67,8 @@ func TestTraceModuleRoundTrip(t *testing.T) {
 func TestTraceModuleFigure4Shape(t *testing.T) {
 	// The Figure 4 example: node 2 takes over as leader in term 2.
 	states := []raftmongo.State{
-		{
-			Roles:        []raftmongo.Role{raftmongo.Leader, raftmongo.Follower, raftmongo.Follower},
-			Terms:        []int{1, 1, 1},
-			CommitPoints: make([]raftmongo.CommitPoint, 3),
-			Oplogs:       [][]int{{}, {}, {}},
-		},
-		{
-			Roles:        []raftmongo.Role{raftmongo.Follower, raftmongo.Leader, raftmongo.Follower},
-			Terms:        []int{1, 2, 1},
-			CommitPoints: make([]raftmongo.CommitPoint, 3),
-			Oplogs:       [][]int{{}, {}, {}},
-		},
+		{Nodes: 3, Roles: [raftmongo.MaxNodes]raftmongo.Role{raftmongo.Leader}, Terms: [raftmongo.MaxNodes]int16{1, 1, 1}},
+		{Nodes: 3, Roles: [raftmongo.MaxNodes]raftmongo.Role{raftmongo.Follower, raftmongo.Leader}, Terms: [raftmongo.MaxNodes]int16{1, 2, 1}},
 	}
 	var buf bytes.Buffer
 	if err := WriteTraceModule(&buf, states); err != nil {
@@ -103,6 +93,11 @@ func TestParseErrors(t *testing.T) {
 		"",
 		"---- MODULE Trace ----\nTrace == <<\n  garbage\n>>\n====",
 		"---- MODULE Trace ----\nTrace == <<\n  <<<<\"Captain\">>, <<1>>, <<NULL>>, <<<<>>>>>>\n>>\n====",
+		// More nodes than raftmongo.MaxNodes, and numbers past raftmongo.MaxValue.
+		"---- MODULE Trace ----\nTrace == <<\n  <<<<" + strings.Repeat("\"Follower\", ", 5) + "\"Follower\">>, <<0, 0, 0, 0, 0, 0>>, <<NULL, NULL, NULL, NULL, NULL, NULL>>, <<<<>>, <<>>, <<>>, <<>>, <<>>, <<>>>>>>\n>>\n====",
+		"---- MODULE Trace ----\nTrace == <<\n  <<<<\"Leader\">>, <<32768>>, <<NULL>>, <<<<>>>>>>\n>>\n====",
+		"---- MODULE Trace ----\nTrace == <<\n  <<<<\"Leader\">>, <<1>>, <<[term |-> 1, index |-> 32768]>>, <<<<1>>>>>>\n>>\n====",
+		"---- MODULE Trace ----\nTrace == <<\n  <<<<\"Leader\">>, <<1>>, <<NULL>>, <<<<1, 32768>>>>>>\n>>\n====",
 	}
 	for _, c := range cases {
 		if _, err := ParseTraceModule(strings.NewReader(c)); err == nil {

@@ -32,9 +32,18 @@ type Event struct {
 	Oplog      []int `json:"oplog"`
 }
 
-// CommitPoint returns the event's commit point as a spec value.
-func (e Event) CommitPoint() raftmongo.CommitPoint {
-	return raftmongo.CommitPoint{Term: e.CommitPointTerm, Index: e.CommitPointIndex}
+// CommitPoint returns the event's commit point as a spec value, or an
+// error when a field lies outside 0..raftmongo.MaxValue.
+func (e Event) CommitPoint() (raftmongo.CommitPoint, error) {
+	term, err := raftmongo.Narrow("commit-point term", e.CommitPointTerm)
+	if err != nil {
+		return raftmongo.CommitPoint{}, err
+	}
+	index, err := raftmongo.Narrow("commit-point index", e.CommitPointIndex)
+	if err != nil {
+		return raftmongo.CommitPoint{}, err
+	}
+	return raftmongo.CommitPoint{Term: term, Index: index}, nil
 }
 
 // Logger writes a node's trace events as JSON lines, one file (or writer)

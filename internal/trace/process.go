@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/raftmongo"
 )
@@ -39,14 +38,20 @@ type ProcessResult struct {
 //     If N was Leader and now reports Follower, only N changes.
 //   - term, commitPoint, oplog: N's values are replaced; others keep theirs.
 //
-// Like the specification's own successors, the states are copy-on-write:
-// each replaces node N's oplog and its own small role, term and commit
-// point slices, and shares every other node's oplog with the state before
-// it, so an event costs the length of N's log, not of every log. The
-// States therefore share slices and must be treated as immutable; every
-// oplog is capped at its length, so appending to one copies.
+// States are values (raftmongo.State) and their oplogs immutable,
+// prefix-shared lists: N's new oplog reuses the longest prefix it has in
+// common with any oplog of the state before it and allocates only the
+// entries past that, so an event that appends or rolls back one entry
+// costs one small allocation or none, not a copy of N's log.
+//
+// Process refuses more than raftmongo.MaxNodes nodes, and events whose
+// term, commit point, oplog entries or oplog length exceed
+// raftmongo.MaxValue.
 func Process(nodes int, events []Event, opts ProcessOptions) (*ProcessResult, error) {
-	cur := initialState(nodes)
+	if nodes < 0 || nodes > raftmongo.MaxNodes {
+		return nil, fmt.Errorf("trace: %d nodes, want 0..%d (raftmongo.MaxNodes)", nodes, raftmongo.MaxNodes)
+	}
+	cur := raftmongo.NewState(nodes)
 	res := &ProcessResult{
 		States:  append(make([]raftmongo.State, 0, len(events)+1), cur),
 		Actions: make([]string, 0, len(events)),
@@ -69,26 +74,13 @@ func Process(nodes int, events []Event, opts ProcessOptions) (*ProcessResult, er
 	return res, nil
 }
 
-func initialState(nodes int) raftmongo.State {
-	s := raftmongo.State{
-		Roles:        make([]raftmongo.Role, nodes),
-		Terms:        make([]int, nodes),
-		CommitPoints: make([]raftmongo.CommitPoint, nodes),
-		Oplogs:       make([][]int, nodes),
-	}
-	for i := range s.Oplogs {
-		s.Oplogs[i] = []int{}
-	}
-	return s
-}
-
 // combine implements the Figure 3 transition S + E -> S'.
 func combine(s raftmongo.State, e Event, opts ProcessOptions) (raftmongo.State, bool, error) {
 	n := e.Node
-	next := cloneState(s)
+	next := s
 	switch e.Role {
 	case "Leader":
-		for i := range next.Roles {
+		for i := range next.NumNodes() {
 			next.Roles[i] = raftmongo.Follower
 		}
 		next.Roles[n] = raftmongo.Leader
@@ -97,10 +89,17 @@ func combine(s raftmongo.State, e Event, opts ProcessOptions) (raftmongo.State, 
 	default:
 		return next, false, fmt.Errorf("unknown role %q", e.Role)
 	}
-	next.Terms[n] = e.Term
-	next.CommitPoints[n] = e.CommitPoint()
+	term, err := raftmongo.Narrow("term", e.Term)
+	if err != nil {
+		return next, false, err
+	}
+	cp, err := e.CommitPoint()
+	if err != nil {
+		return next, false, err
+	}
+	next.Terms[n], next.CommitPoints[n] = term, cp
 
-	var prefix []int
+	var prefix raftmongo.Oplog
 	switch {
 	case e.OplogStart == 1 || (e.OplogStart == 0 && len(e.Oplog) == 0):
 		// Complete oplog reported.
@@ -108,18 +107,32 @@ func combine(s raftmongo.State, e Event, opts ProcessOptions) (raftmongo.State, 
 		if !opts.FillOplogPrefixes {
 			return next, false, fmt.Errorf("node %d reported a truncated oplog (start %d) and prefix filling is disabled", n, e.OplogStart)
 		}
-		var err error
 		if prefix, err = findPrefix(s, n, e.OplogStart-1, e.Oplog); err != nil {
 			return next, false, err
 		}
 	default:
 		return next, false, fmt.Errorf("node %d event has invalid oplog start %d", n, e.OplogStart)
 	}
-	// One exactly sized copy: the state owns its log, never the event's.
-	oplog := make([]int, len(prefix)+len(e.Oplog))
-	copy(oplog[copy(oplog, prefix):], e.Oplog)
-	next.Oplogs[n] = oplog
+	if next.Oplogs[n], err = shareOplog(s, prefix, e.Oplog); err != nil {
+		return next, false, err
+	}
 	return next, e.OplogStart > 1, nil
+}
+
+// shareOplog returns the oplog prefix followed by suffix, built on the
+// longest start of it that some node's oplog in s already holds: only the
+// entries past that are allocated (in one block), and the event's slice is
+// never retained. prefix is empty or a prefix of an oplog in s.
+func shareOplog(s raftmongo.State, prefix raftmongo.Oplog, suffix []int) (raftmongo.Oplog, error) {
+	base, need := prefix, prefix.Len()
+	for _, log := range s.Oplogs[:s.Nodes] {
+		if log.Len() > base.Len() && prefix.IsPrefixOf(log) {
+			if k := need + log.CommonPrefix(need, suffix); k > base.Len() {
+				base = log.Prefix(k)
+			}
+		}
+	}
+	return base.Extend(suffix[base.Len()-need:])
 }
 
 // findPrefix locates the missing first `need` oplog entries for node n by
@@ -130,44 +143,23 @@ func combine(s raftmongo.State, e Event, opts ProcessOptions) (raftmongo.State, 
 // transcription bug, which is why PrefixFill events are counted and
 // reported. The prefix is returned as a view of the donor's oplog, not a
 // copy.
-func findPrefix(s raftmongo.State, n, need int, suffix []int) ([]int, error) {
+func findPrefix(s raftmongo.State, n, need int, suffix []int) (raftmongo.Oplog, error) {
 	// The node's own previous (already filled) oplog is the natural donor:
 	// the hidden prefix cannot have changed while the node rolled back or
 	// appended at the tail.
-	if len(s.Oplogs[n]) >= need {
-		return s.Oplogs[n][:need], nil
+	if own := s.Oplogs[n]; own.Len() >= need {
+		return own.Prefix(need), nil
 	}
-	for j := range s.Oplogs {
-		if j == n {
-			continue
-		}
+	for j := range s.NumNodes() {
 		donor := s.Oplogs[j]
-		if len(donor) < need {
+		if j == n || donor.Len() < need {
 			continue
 		}
 		// The donor's entries after the prefix must agree with the
 		// reported suffix on their overlap.
-		ok := true
-		for k := 0; k < len(suffix) && need+k < len(donor); k++ {
-			if donor[need+k] != suffix[k] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return donor[:need], nil
+		if donor.CommonPrefix(need, suffix) == min(len(suffix), donor.Len()-need) {
+			return donor.Prefix(need), nil
 		}
 	}
-	return nil, fmt.Errorf("no node's oplog can supply the %d missing prefix entries for node %d", need, n)
-}
-
-// cloneState returns a copy of s whose role, term and commit point slices
-// and outer oplog array are its own; the oplogs themselves are shared.
-func cloneState(s raftmongo.State) raftmongo.State {
-	return raftmongo.State{
-		Roles:        slices.Clone(s.Roles),
-		Terms:        slices.Clone(s.Terms),
-		CommitPoints: slices.Clone(s.CommitPoints),
-		Oplogs:       slices.Clone(s.Oplogs),
-	}
+	return raftmongo.Oplog{}, fmt.Errorf("no node's oplog can supply the %d missing prefix entries for node %d", need, n)
 }

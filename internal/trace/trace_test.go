@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -155,8 +156,40 @@ func TestOplogPrefixFill(t *testing.T) {
 		t.Fatalf("prefix fills = %d", res.PrefixFill)
 	}
 	got := res.States[4].Oplogs[1]
-	if len(got) != 2 || got[0] != 1 || got[1] != 1 {
+	if !slices.Equal(got.Terms(), []int{1, 1}) {
 		t.Fatalf("filled oplog = %v", got)
+	}
+}
+
+// TestProcessRefusesOutOfRange: a State holds at most raftmongo.MaxNodes
+// nodes and numbers up to raftmongo.MaxValue, so Process refuses a larger
+// replica set and any event carrying a larger (or negative) term, commit
+// point, oplog entry or oplog length, with an error naming it.
+func TestProcessRefusesOutOfRange(t *testing.T) {
+	if _, err := Process(raftmongo.MaxNodes+1, nil, ProcessOptions{}); err == nil || !strings.Contains(err.Error(), "MaxNodes") {
+		t.Errorf("Process(%d nodes) err = %v, want a MaxNodes refusal", raftmongo.MaxNodes+1, err)
+	}
+	if _, err := Process(raftmongo.MaxNodes, nil, ProcessOptions{}); err != nil {
+		t.Errorf("Process(%d nodes): %v", raftmongo.MaxNodes, err)
+	}
+	ok := Event{Node: 0, Action: "ClientWrite", Role: "Leader", Term: raftmongo.MaxValue, CommitPointTerm: raftmongo.MaxValue,
+		CommitPointIndex: raftmongo.MaxValue, OplogStart: 1, Oplog: []int{raftmongo.MaxValue}}
+	if _, err := Process(3, []Event{ok}, ProcessOptions{}); err != nil {
+		t.Fatalf("an event at MaxValue: %v", err)
+	}
+	for name, bad := range map[string]func(e *Event){
+		"term":               func(e *Event) { e.Term = raftmongo.MaxValue + 1 },
+		"negative term":      func(e *Event) { e.Term = -1 },
+		"commit-point term":  func(e *Event) { e.CommitPointTerm = raftmongo.MaxValue + 1 },
+		"commit-point index": func(e *Event) { e.CommitPointIndex = raftmongo.MaxValue + 1 },
+		"oplog entry term":   func(e *Event) { e.Oplog = []int{1, raftmongo.MaxValue + 1} },
+		"oplog length":       func(e *Event) { e.Oplog = make([]int, raftmongo.MaxValue+1) },
+	} {
+		e := ok
+		bad(&e)
+		if _, err := Process(3, []Event{e}, ProcessOptions{}); err == nil || !strings.Contains(err.Error(), "MaxValue") {
+			t.Errorf("%s: err = %v, want a MaxValue refusal", name, err)
+		}
 	}
 }
 
@@ -206,8 +239,8 @@ func TestEventJSONRoundTrip(t *testing.T) {
 	}
 	got := evs[0]
 	in.Timestamp = ts
-	if got.Node != in.Node || got.Action != in.Action || got.Term != in.Term ||
-		got.CommitPoint() != (raftmongo.CommitPoint{Term: 3, Index: 2}) ||
+	if cp, err := got.CommitPoint(); got.Node != in.Node || got.Action != in.Action || got.Term != in.Term ||
+		err != nil || cp != (raftmongo.CommitPoint{Term: 3, Index: 2}) ||
 		len(got.Oplog) != 2 {
 		t.Fatalf("round trip: %+v", got)
 	}
