@@ -237,9 +237,12 @@ func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, wor
 		}
 		failed := res.Violation != nil
 		if liveness {
-			w := tla.CheckEventuallyWithin(res.Graph, raftmongo.CommitPointsEqual, func(s raftmongo.State) bool {
+			w, err := tla.CheckEventuallyWithin(res.Graph, raftmongo.CommitPointsEqual, func(s raftmongo.State) bool {
 				return rcfg.Nodes == s.NumNodes() && withinBounds(rcfg, s)
 			})
+			if err != nil {
+				return fmt.Errorf("liveness: reading the state graph: %w", err)
+			}
 			if w == -1 {
 				fmt.Println("liveness: commit point is eventually propagated — OK")
 			} else {
@@ -254,7 +257,11 @@ func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, wor
 			return err
 		}
 		if res.Graph != nil {
-			fmt.Printf("terminal states (generated test cases): %d\n", len(res.Graph.TerminalStates()))
+			terminals, err := res.Graph.TerminalStates()
+			if err != nil {
+				return fmt.Errorf("reading the state graph: %w", err)
+			}
+			fmt.Printf("terminal states (generated test cases): %d\n", len(terminals))
 		}
 		return verdict(dump(res.Graph, dotPath, "array_ot"), res.Violation != nil)
 	case "locking":

@@ -170,10 +170,6 @@ func TestResumeDigests(t *testing.T) {
 				Progress: func(p tla.Progress) {
 					if p.Level >= level {
 						cancel()
-						// The engine learns of the cancel from a watcher
-						// goroutine; give it the time to arm the stop
-						// flag the driver polls right after this call.
-						time.Sleep(20 * time.Millisecond)
 					}
 				},
 			}
@@ -182,8 +178,42 @@ func TestResumeDigests(t *testing.T) {
 			if !errors.Is(err, tla.ErrInterrupted) || res.CheckpointPath != dir {
 				t.Fatalf("w%d, stop after level %d: err = %v, want an interrupted run checkpointed in %s", w, level, err, dir)
 			}
+			if info, err := tla.ReadCheckpointInfo(dir); err != nil || info.Levels != level {
+				t.Fatalf("w%d, stop after level %d: checkpoint %+v, %v; want it at level %d", w, level, info, err, level)
+			}
 			if got := graphDigest(t, raftmongo.SpecV1(small), tla.Options{Workers: w, ResumeFrom: dir}); got != exp {
 				t.Fatalf("w%d, resumed after level %d (%d distinct): got %+v, want %+v", w, level, res.Distinct, got, exp)
+			}
+		}
+	}
+}
+
+// TestStopAtLevelIsExact: the engine asks its context at each level
+// boundary, after Progress, so a cancel inside Progress at level k stops the
+// run at level k — its checkpoint records k levels — at any worker count.
+func TestStopAtLevelIsExact(t *testing.T) {
+	small := raftmongo.Config{Nodes: 3, MaxTerm: 2, MaxLogLen: 2}
+	for _, w := range []int{1, 2, 4} {
+		for level := 1; level <= 12; level++ {
+			dir := t.TempDir()
+			ctx, cancel := context.WithCancel(context.Background())
+			_, err := tla.Check(raftmongo.SpecV1(small), tla.Options{
+				Workers:       w,
+				Context:       ctx,
+				CheckpointDir: dir,
+				ProgressEvery: time.Nanosecond,
+				Progress: func(p tla.Progress) {
+					if p.Level >= level {
+						cancel()
+					}
+				},
+			})
+			cancel()
+			if !errors.Is(err, tla.ErrInterrupted) {
+				t.Fatalf("w%d, cancel at level %d: err = %v, want ErrInterrupted", w, level, err)
+			}
+			if info, err := tla.ReadCheckpointInfo(dir); err != nil || info.Levels != level {
+				t.Fatalf("w%d, cancel at level %d: checkpoint %+v, %v; want it at level %d", w, level, info, err, level)
 			}
 		}
 	}

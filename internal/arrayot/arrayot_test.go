@@ -42,7 +42,10 @@ func TestModelChecksClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("invariant violation: %v", err)
 	}
-	term := res.Graph.TerminalStates()
+	term, err := res.Graph.TerminalStates()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(term) != 4913 {
 		t.Fatalf("terminal states = %d, want 4913", len(term))
 	}

@@ -75,7 +75,8 @@ func (r JobRequest) fingerprint() uint64 {
 }
 
 // ProgressInfo is the streamed view of a running job, derived from the
-// engine's time-based Options.Progress callbacks (Config.ProgressEvery).
+// engine's Options.Progress callbacks: delivered at level boundaries, at
+// most once per Config.ProgressEvery.
 type ProgressInfo struct {
 	Distinct     int     `json:"distinct"`
 	Transitions  int     `json:"transitions"`

@@ -101,10 +101,10 @@ type Config struct {
 	// MemBudgetPerJob is the default tla.Options.MemoryBudgetBytes for
 	// jobs that do not set their own (0 = resident).
 	MemBudgetPerJob int64
-	// ProgressEvery is the cadence of each running job's progress
-	// snapshots (default 1s): a clock, not the level boundaries, paces
-	// them, so every job reports at the same rate however long its levels
-	// take.
+	// ProgressEvery is the least interval between each running job's
+	// progress snapshots (default 1s). The engine delivers them only at
+	// level boundaries, so a job whose levels take longer reports once per
+	// level, and one whose levels are shorter at most once per interval.
 	ProgressEvery time.Duration
 	// FS routes the engine's durable I/O; nil = the real filesystem.
 	// Tests plug a tla.FaultFS here to exercise the retry policies.

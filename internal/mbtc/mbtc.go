@@ -15,6 +15,7 @@ package mbtc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 
@@ -209,22 +210,11 @@ func checkObservations(events []trace.Event, processed *trace.ProcessResult, obs
 		e := events[res.FailedStep-1]
 		rep.FailedEvent = fmt.Sprintf("%s by node %d at %v", e.Action, e.Node, e.Timestamp)
 	}
-	if checkErr != nil {
-		var te *tla.TraceError
-		if asTraceError(checkErr, &te) {
-			return rep, nil // divergence is a result, not a pipeline error
-		}
+	var te *tla.TraceError
+	if checkErr != nil && !errors.As(checkErr, &te) {
 		return rep, checkErr
 	}
-	return rep, nil
-}
-
-func asTraceError(err error, target **tla.TraceError) bool {
-	te, ok := err.(*tla.TraceError)
-	if ok {
-		*target = te
-	}
-	return ok
+	return rep, nil // divergence is a result, not a pipeline error
 }
 
 // RunTraced constructs a traced cluster, runs the workload, and returns

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/arrayot"
 	"repro/internal/ot"
@@ -59,5 +60,26 @@ func TestGenerateViolationErrorIdentity(t *testing.T) {
 				t.Fatalf("the run left %d files in TMPDIR (err=%v); first: %v", len(left), err, left)
 			}
 		})
+	}
+}
+
+// TestGenerateReadFaultIsAnError: once the check is done, test generation
+// reads the graph back from its spill file. A persistent read fault there
+// is an error from GenerateResult, not a panic. Options.Progress's final
+// delivery comes after the run's last read, so the fault is armed there.
+func TestGenerateReadFaultIsAnError(t *testing.T) {
+	cfg := arrayot.Config{Initial: []int{1, 2, 3}, Clients: 2, OpsPerClient: 1, Transformer: ot.NewTransformer(nil, false)}
+	fault := errors.New("injected read fault")
+	ffs := tla.NewFaultFS(nil)
+	t.Setenv("TMPDIR", t.TempDir())
+	opts := tla.Options{Workers: 1, MemoryBudgetBytes: 1, FS: ffs, ProgressEvery: time.Hour, Progress: func(tla.Progress) {
+		ffs.Inject(tla.Fault{Op: tla.FaultRead, Err: fault})
+	}}
+	cases, _, err := GenerateResult(cfg, filepath.Join(t.TempDir(), "g.dot"), opts)
+	if !errors.Is(err, fault) || cases != nil {
+		t.Fatalf("GenerateResult = %d cases, %v; want the injected read fault", len(cases), err)
+	}
+	if len(ffs.Fired()) == 0 {
+		t.Fatal("no read reached the fault: the graph was not read from its spill file")
 	}
 }

@@ -72,19 +72,22 @@ func GenerateResult(cfg arrayot.Config, dotPath string, opts tla.Options) ([]Tes
 	if err != nil {
 		return nil, res, fmt.Errorf("mbtcg: model checking failed: %w", err)
 	}
+	g := res.Graph
+	terminals, err := g.TerminalStates()
+	if err != nil {
+		return nil, res, fmt.Errorf("mbtcg: reading the state graph: %w", err)
+	}
 	f, err := os.Create(dotPath)
 	if err != nil {
 		return nil, res, err
 	}
-	if err := res.Graph.WriteDOT(f, "array_ot"); err != nil {
+	if err := g.WriteDOT(f, "array_ot"); err != nil {
 		f.Close()
 		return nil, res, err
 	}
 	if err := f.Close(); err != nil {
 		return nil, res, err
 	}
-	g := res.Graph
-	terminals := g.TerminalStates()
 	cases := make([]TestCase, 0, len(terminals))
 	for _, id := range terminals {
 		s := g.StateAt(id)

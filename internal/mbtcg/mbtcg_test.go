@@ -334,10 +334,14 @@ func TestFromDOTReadsTLCStyleDump(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer res.Graph.Close()
+	term, err := res.Graph.TerminalStates()
+	if err != nil {
+		t.Fatal(err)
+	}
 	dump := "strict digraph DiskGraph {\nnodesep=0.35\n" +
 		`-7 [label="/\\ progress = [c1 |-> 0, c2 |-> 0]",style=filled];` + "\n" +
 		`-7 -> 42 [label="ClientOp",color="2",fontcolor="2"];` + "\n" +
-		"42 [label=" + strconv.Quote(res.Graph.KeyAt(res.Graph.TerminalStates()[0])) + "];\n}\n"
+		"42 [label=" + strconv.Quote(res.Graph.KeyAt(term[0])) + "];\n}\n"
 	got, err := FromDOT(strings.NewReader(dump), cfg.Initial)
 	if err != nil {
 		t.Fatal(err)

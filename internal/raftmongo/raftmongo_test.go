@@ -82,7 +82,9 @@ func TestCommitPointEventuallyPropagated(t *testing.T) {
 		// Liveness is evaluated within the state constraint: boundary
 		// states (term or log length past the bound) are recorded but
 		// never expanded, so they trivially reach nothing.
-		if w := tla.CheckEventuallyWithin(res.Graph, CommitPointsEqual, cfg.constraint); w != -1 {
+		if w, err := tla.CheckEventuallyWithin(res.Graph, CommitPointsEqual, cfg.constraint); err != nil {
+			t.Fatal(err)
+		} else if w != -1 {
 			t.Errorf("%s: state %q cannot reach commit-point agreement", name, res.Graph.KeyAt(w))
 		}
 	}
@@ -115,7 +117,9 @@ func TestCommittedWritesSurviveRollback(t *testing.T) {
 		t.Fatal("state space contains no committed writes; config too small")
 	}
 	// Rollback must appear as an explored action.
-	if !slices.Contains(res.Graph.ActionNames(), "RollbackOplog") {
+	if names, err := res.Graph.ActionNames(); err != nil {
+		t.Fatal(err)
+	} else if !slices.Contains(names, "RollbackOplog") {
 		t.Error("no RollbackOplog transitions explored")
 	}
 }

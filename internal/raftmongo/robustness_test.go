@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/tla"
 )
@@ -21,8 +20,6 @@ func cancelAfter(spec *tla.Spec[State], cancel context.CancelFunc, n int64) *tla
 		spec.Actions[i].Next = func(s State) []State {
 			if calls.Add(1) >= n {
 				cancel()
-				// Let the stop watcher arm before the engine's next poll.
-				time.Sleep(2 * time.Millisecond)
 			}
 			return next(s)
 		}

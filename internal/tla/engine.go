@@ -2,6 +2,8 @@ package tla
 
 import (
 	"bytes"
+	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -214,8 +216,8 @@ func (p chunkPlan) run(fn func(worker, chunk, lo, hi int)) {
 
 // levelSync is one checking run: its Result, retained states and codecs,
 // the visited set, the frontier, one expander per worker, the merge's
-// bookkeeping, and the run's lifecycle — stopper, progress pacing and
-// outcome.
+// bookkeeping, and the run's lifecycle — the context's stop hook, progress
+// pacing and outcome.
 type levelSync[S State] struct {
 	spec *Spec[S]
 	opts Options
@@ -228,10 +230,10 @@ type levelSync[S State] struct {
 	fr   levelFrontier
 	ck   *checkpointer
 
-	st       *stopper
-	prog     Progress  // the last level boundary's snapshot
-	progSent bool      // prog has been delivered to Options.Progress
-	progAt   time.Time // the last Options.Progress delivery, or the run's start
+	release  func() bool // releases the AfterFunc that sets stop when Options.Context fires
+	prog     Progress    // the last level boundary's snapshot
+	progSent bool        // prog has been delivered to Options.Progress
+	progAt   time.Time   // the last Options.Progress delivery, or the run's start
 
 	outs    []chunkOut[S] // per chunk; the backing array keeps every buffer
 	missFPs []uint64      // ResolveLevel's input, reused across levels
@@ -290,7 +292,7 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs *visitedSet
 // newLevelSync sets up a run over the visited set vs: the Result, the
 // retainer, one expander (codec clone, spec guard, POR planner, probe
 // target) per worker, the graph view when asked for, the checkpointer and
-// the stopper.
+// the hook that sets the stop flag when Options.Context fires.
 func newLevelSync[S State](spec *Spec[S], opts Options, workers int, vs *visitedSet, em *engineMetrics) *levelSync[S] {
 	l := &levelSync[S]{spec: spec, opts: opts, res: &Result[S]{Spec: spec.Name}, ret: newRetainer(spec, opts, em), cod: newCodec(spec), em: em, vs: vs, progAt: time.Now()}
 	ind := activeIndependence(spec, opts)
@@ -310,7 +312,7 @@ func newLevelSync[S State](spec *Spec[S], opts Options, workers int, vs *visited
 		l.ck = newCheckpointer(opts)
 		l.ck.em = em
 	}
-	l.st = newStopper(opts.Context, func() { l.stop.Store(true) })
+	l.release = context.AfterFunc(cmp.Or(opts.Context, context.Background()), func() { l.stop.Store(true) })
 	return l
 }
 
@@ -320,7 +322,7 @@ func newLevelSync[S State](spec *Spec[S], opts Options, workers int, vs *visited
 // without a violation discards its graph so the spill file is not leaked
 // behind a result nobody will traverse (a violation keeps it: callers dump
 // it alongside the counterexample); then the retainer's spill file,
-// honouring that ownership verdict; then the stopper's watcher.
+// honouring that ownership verdict; then the context's stop hook.
 func (l *levelSync[S]) close(err error) {
 	if l.opts.Progress != nil && l.opts.ProgressEvery > 0 && !l.progSent {
 		l.opts.Progress(l.prog)
@@ -330,7 +332,7 @@ func (l *levelSync[S]) close(err error) {
 		l.res.Graph = nil
 	}
 	l.ret.close()
-	l.st.close()
+	l.release()
 }
 
 // finish settles the Result after the driver returned and every worker
@@ -357,7 +359,7 @@ func (l *levelSync[S]) finish() (*Result[S], error) {
 		return res, l.runErr
 	case l.interrupted:
 		res.Interrupted = true
-		return res, l.st.err()
+		return res, interruptError(l.opts.Context)
 	}
 	return res, nil
 }
@@ -398,7 +400,7 @@ func (l *levelSync[S]) explore() {
 	for startLevel := level; ; level++ {
 		frontier := l.fr.NextLevel()
 		l.report(frontier, level)
-		if l.st.stopped() {
+		if canceled(l.opts.Context) {
 			l.interrupt(frontier, level)
 			return
 		}
@@ -422,8 +424,8 @@ func (l *levelSync[S]) explore() {
 		if l.pi != nil {
 			return
 		}
-		if l.st.stopped() {
-			// Mid-expansion stop: the level's candidates are discarded —
+		if canceled(l.opts.Context) {
+			// A cancel during the expansion: its candidates are discarded —
 			// no counter moved — and the same frontier checkpoints cleanly.
 			l.interrupt(frontier, level)
 			return
@@ -524,7 +526,7 @@ func (l *levelSync[S]) interrupt(frontier []int, level int) {
 	}
 	path, err := l.checkpoint(frontier, level)
 	if err != nil {
-		l.fail(errors.Join(l.st.err(), fmt.Errorf("tla: writing checkpoint: %w", err)))
+		l.fail(errors.Join(interruptError(l.opts.Context), fmt.Errorf("tla: writing checkpoint: %w", err)))
 		return
 	}
 	l.res.CheckpointPath = path

@@ -19,7 +19,7 @@ import (
 // runControl is a run's shared stop flag and its outcome: the first
 // terminal condition — an invariant violation, a recovered spec panic or a
 // run error — wins, stops the workers, and is turned into the verdict by
-// levelSync.finish. The stopper sets stop too: one flag serves every cause.
+// levelSync.finish. A fired Options.Context sets stop too (context.AfterFunc).
 type runControl struct {
 	stop atomic.Bool
 	mu   sync.Mutex
@@ -30,7 +30,7 @@ type runControl struct {
 	violInv     string
 	violErr     error
 	runErr      error // ErrStateLimit, an I/O failure, a failed checkpoint
-	interrupted bool  // the driver wound down on the stopper
+	interrupted bool  // the driver wound down on a canceled Options.Context
 }
 
 func (c *runControl) recordPanic(pi *panicInfo) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,9 +24,6 @@ func cancelingSpec(spec *Spec[counterState], cancel context.CancelFunc, after in
 		spec.Actions[i].Next = func(s counterState) []counterState {
 			if calls.Add(1) >= after {
 				cancel()
-				// Give the stop watcher time to arm before the engine's next
-				// poll; canceling alone would race it on fast specs.
-				time.Sleep(2 * time.Millisecond)
 			}
 			return next(s)
 		}
@@ -69,7 +67,7 @@ func TestContextCancelInterrupts(t *testing.T) {
 }
 
 // TestPreCanceledContext: a context canceled before Check even starts stops
-// the run at its first poll — synchronously, no watcher race.
+// the run at its first level boundary.
 func TestPreCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -118,9 +116,6 @@ type cancelObs struct {
 func (o cancelObs) Matches(s counterState) bool {
 	if o.calls.Add(1) >= o.after {
 		o.cancel()
-		// Give the stop watcher time to arm before the checker's next
-		// between-observations poll; canceling alone would race it.
-		time.Sleep(2 * time.Millisecond)
 	}
 	return s == o.want
 }
@@ -152,6 +147,64 @@ func TestTraceCheckInterrupts(t *testing.T) {
 	if res.Steps == 0 {
 		t.Fatal("no observations matched before the stop")
 	}
+}
+
+// TestTraceStopAtStepIsExact: the trace checker asks its context between
+// observations, after Progress, so a cancel inside Progress(Step: i) stops
+// the check with exactly i observations matched, at any worker count.
+func TestTraceStopAtStepIsExact(t *testing.T) {
+	spec := counterSpec(1 << 30)
+	trace := make([]Observation[counterState], 12)
+	for i := range trace {
+		trace[i] = full(i, 0)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		for step := 1; step < len(trace); step++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			res, err := CheckTraceWith(spec, trace, TraceOptions{
+				Workers:       workers,
+				Context:       ctx,
+				ProgressEvery: time.Nanosecond,
+				Progress: func(p TraceProgress) {
+					if p.Step >= step {
+						cancel()
+					}
+				},
+			})
+			cancel()
+			if !errors.Is(err, ErrInterrupted) || !res.Interrupted || res.FailedStep != -1 || res.Steps != step {
+				t.Fatalf("workers=%d, cancel at step %d: err = %v, result %+v; want interrupted, FailedStep -1, Steps %d",
+					workers, step, err, res, step)
+			}
+		}
+	}
+}
+
+// TestContextStartsNoGoroutine: a live context costs a run no goroutine.
+// The engine asks ctx.Err() at its boundaries, and the context.AfterFunc
+// that sets its stop flag runs nothing until the context fires. The count
+// is read inside Progress, mid-run, against the count just before Check. A
+// goroutine an earlier test left winding down can only lower it, so the
+// comparison is retried after a pause; a goroutine the run starts fails
+// every try.
+func TestContextStartsNoGoroutine(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var before, during int
+	for try := 0; try < 3; try++ {
+		before, during = runtime.NumGoroutine(), -1
+		opts := Options{Workers: 1, Context: ctx, ProgressEvery: time.Nanosecond, Progress: func(Progress) {
+			during = max(during, runtime.NumGoroutine())
+		}}
+		if _, err := Check(counterSpec(3), opts); err != nil {
+			t.Fatal(err)
+		}
+		if during == before {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("goroutines: %d before Check, %d inside Progress; want no new goroutine", before, during)
 }
 
 // TestOptionsValidateRobustness extends the Validate contract to the

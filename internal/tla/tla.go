@@ -152,8 +152,8 @@ type Edge struct {
 // encodings in the arena, resident or spilled. A graph owns the run's
 // spill file, if any, and the caller releases it with Close when done.
 //
-// Accessors that cannot return an error (StateAt, KeyAt, and the
-// traversals built on them) panic if a spilled segment has become
+// Accessors that cannot return an error (StateAt, KeyAt, and WriteDOT's
+// node lines built on them) panic if a spilled segment has become
 // unreadable — reconstruction reads are required reads, exactly as in
 // counterexample reconstruction, and a silent wrong answer is worse.
 type Graph[S State] struct {
@@ -279,13 +279,13 @@ type Options struct {
 	// rejected alongside CollisionFree, whose stored encodings are
 	// memory-resident by definition.
 	MemoryBudgetBytes int64
-	// Context, when non-nil, cancels the run cooperatively: the engine
-	// polls it between levels and between frontier states, and an
-	// interrupted run returns the
-	// partial Result (Interrupted set, states/depth/counters so far)
-	// under an error wrapping ErrInterrupted — plus a checkpoint when
-	// CheckpointDir is set. A context deadline bounds the run in wall-clock
-	// time. The CLIs wire SIGINT/SIGTERM and -deadline here.
+	// Context, when non-nil, cancels the run cooperatively: the engine asks
+	// it at each level boundary, after any Progress delivery, and a cancel
+	// seen there stops the run at that level; mid-expansion it stops between
+	// frontier states. The run returns the partial Result (Interrupted set)
+	// under an error wrapping ErrInterrupted, plus a checkpoint when
+	// CheckpointDir is set. A deadline bounds the run in wall-clock time;
+	// the CLIs wire SIGINT/SIGTERM and -deadline here.
 	Context context.Context
 	// FS routes the engine's durable I/O — the spill run, arena segments,
 	// checkpoints — through an injectable filesystem seam. nil selects
@@ -538,17 +538,18 @@ func Check[S State](spec *Spec[S], opts Options) (*Result[S], error) {
 	return res, err
 }
 
-// TerminalStates returns the ids of states with no outgoing edges in g.
-// For specs whose constraint halts behaviours (e.g. "every client performed
-// its one operation and merged"), these are the completed behaviours —
-// MBTCG derives one test case per terminal state.
-func (g *Graph[S]) TerminalStates() []int {
+// TerminalStates returns the ids of states with no outgoing edges in g, or
+// the error of an unreadable spilled edge segment. For specs whose
+// constraint halts behaviours (e.g. "every client performed its one
+// operation and merged"), these are the completed behaviours — MBTCG
+// derives one test case per terminal state.
+func (g *Graph[S]) TerminalStates() ([]int, error) {
 	hasOut := make([]bool, g.Len())
 	if err := g.ForEachEdge(func(e Edge) error {
 		hasOut[e.From] = true
 		return nil
 	}); err != nil {
-		panic(err)
+		return nil, err
 	}
 	var out []int
 	for id := range hasOut {
@@ -556,7 +557,7 @@ func (g *Graph[S]) TerminalStates() []int {
 			out = append(out, id)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // CheckEventuallyWithin verifies the temporal property "from every
@@ -565,25 +566,30 @@ func (g *Graph[S]) TerminalStates() []int {
 // eventually propagated (under fairness, a behaviour cannot get stuck
 // forever in states from which no p-state is reachable). It returns the id
 // of a witness state that cannot reach any p-state, or -1 if the property
-// holds.
+// holds; or the error of an unreadable spilled state or edge.
 //
 // A non-nil within restricts the witnesses to states satisfying it —
 // normally the spec's state constraint. States on the constraint boundary
 // are recorded but never expanded, so they trivially cannot reach anything;
 // TLC likewise evaluates liveness only inside the constraint.
-func CheckEventuallyWithin[S State](g *Graph[S], p func(S) bool, within func(S) bool) int {
+func CheckEventuallyWithin[S State](g *Graph[S], p func(S) bool, within func(S) bool) (int, error) {
 	n := g.Len()
-	canReach := make([]bool, n)
+	canReach, inside := make([]bool, n), make([]bool, n)
 	radj := make([][]int, n)
 	if err := g.ForEachEdge(func(e Edge) error {
 		radj[e.To] = append(radj[e.To], e.From)
 		return nil
 	}); err != nil {
-		panic(err)
+		return -1, err
 	}
 	var queue []int
 	for id := 0; id < n; id++ {
-		if p(g.StateAt(id)) {
+		s, err := g.ret.stateAt(g.cod, id)
+		if err != nil {
+			return -1, err
+		}
+		inside[id] = within == nil || within(s)
+		if p(s) {
 			canReach[id] = true
 			queue = append(queue, id)
 		}
@@ -599,26 +605,27 @@ func CheckEventuallyWithin[S State](g *Graph[S], p func(S) bool, within func(S) 
 		}
 	}
 	for id := 0; id < n; id++ {
-		if !canReach[id] && (within == nil || within(g.StateAt(id))) {
-			return id
+		if !canReach[id] && inside[id] {
+			return id, nil
 		}
 	}
-	return -1
+	return -1, nil
 }
 
-// ActionNames returns the sorted set of action names appearing in g's edges.
-func (g *Graph[S]) ActionNames() []string {
+// ActionNames returns the sorted set of action names appearing in g's
+// edges, or the error of an unreadable spilled edge segment.
+func (g *Graph[S]) ActionNames() ([]string, error) {
 	set := make(map[string]bool)
 	if err := g.ForEachEdge(func(e Edge) error {
 		set[e.Action] = true
 		return nil
 	}); err != nil {
-		panic(err)
+		return nil, err
 	}
 	names := make([]string, 0, len(set))
 	for n := range set {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	return names
+	return names, nil
 }

@@ -171,7 +171,10 @@ func TestGraphRecording(t *testing.T) {
 	if len(g.Inits) != 1 || g.Inits[0] != 0 {
 		t.Errorf("inits = %v", g.Inits)
 	}
-	term := g.TerminalStates()
+	term, err := g.TerminalStates()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(term) != 1 {
 		t.Fatalf("terminal states = %v, want exactly one", term)
 	}
@@ -196,7 +199,10 @@ func TestGraphRecording(t *testing.T) {
 	if dist[term[0]] != 4 { // 4 steps from (0,0) to (2,2)
 		t.Errorf("shortest path to the terminal state = %d steps, want 4", dist[term[0]])
 	}
-	names := g.ActionNames()
+	names, err := g.ActionNames()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(names) != 2 || names[0] != "IncA" || names[1] != "IncB" {
 		t.Errorf("action names = %v", names)
 	}
@@ -208,17 +214,25 @@ func TestCheckEventually(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every behaviour can reach the absorbing state (3,3).
-	if w := CheckEventuallyWithin(res.Graph, func(s counterState) bool { return s.A == 3 && s.B == 3 }, nil); w != -1 {
+	eventually := func(p func(counterState) bool) int {
+		t.Helper()
+		w, err := CheckEventuallyWithin(res.Graph, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	if w := eventually(func(s counterState) bool { return s.A == 3 && s.B == 3 }); w != -1 {
 		t.Errorf("eventually (3,3) failed, witness %v", res.Graph.StateAt(w))
 	}
 	// But "eventually B > A" is unreachable, so every state is a witness.
-	if w := CheckEventuallyWithin(res.Graph, func(s counterState) bool { return s.B > s.A }, nil); w == -1 {
+	if w := eventually(func(s counterState) bool { return s.B > s.A }); w == -1 {
 		t.Error("impossible eventually-property reported as holding")
 	}
 	// "Eventually A >= 2" fails for no state: all states can still bump A?
 	// No: states with A == 3 have A >= 2 themselves. States are their own
 	// witnesses when p already holds.
-	if w := CheckEventuallyWithin(res.Graph, func(s counterState) bool { return s.A >= 2 || s.B <= s.A }, nil); w != -1 {
+	if w := eventually(func(s counterState) bool { return s.A >= 2 || s.B <= s.A }); w != -1 {
 		t.Errorf("tautology failed at %d", w)
 	}
 }

@@ -119,9 +119,11 @@ type TraceOptions struct {
 	// are closed under stuttering, so a faithful trace checker must accept
 	// implementation events that changed no modelled variable.
 	Stuttering bool
-	// Context, when non-nil, cancels the run cooperatively: the frontier
-	// advance checks it between observations and returns the partial
-	// TraceResult (Interrupted set) with an error wrapping ErrInterrupted.
+	// Context, when non-nil, cancels the run cooperatively: the checker
+	// asks it between observations, after any Progress delivery, and a
+	// cancel seen there returns the partial TraceResult (Interrupted set,
+	// Steps == i after a cancel inside Progress(Step: i)) with an error
+	// wrapping ErrInterrupted.
 	// The CLIs wire SIGINT/SIGTERM and -deadline here.
 	Context context.Context
 	// Progress, when non-nil together with ProgressEvery, receives periodic
@@ -204,9 +206,7 @@ func CheckTraceWith[S State](spec *Spec[S], trace []Observation[S], opts TraceOp
 	if len(trace) == 0 {
 		return &TraceResult{FailedStep: -1, OK: true}, nil
 	}
-	st := newStopper(opts.Context, nil)
-	defer st.close()
-	tc := newTraceChecker(spec, opts, st)
+	tc := newTraceChecker(spec, opts)
 	res, err := tc.run(trace, true)
 	var te *TraceError
 	if errors.As(err, &te) && res.GuidedSteps > 0 {
@@ -233,7 +233,6 @@ type frontierChunk[S State] struct {
 type traceChecker[S State] struct {
 	spec *Spec[S]
 	opts TraceOptions
-	st   *stopper
 	// wcods are per-worker codec clones and locals the per-worker dedup
 	// sets; index 0 belongs to the calling goroutine (also the single
 	// inline worker).
@@ -252,11 +251,11 @@ type traceChecker[S State] struct {
 	lastProg time.Time
 }
 
-func newTraceChecker[S State](spec *Spec[S], opts TraceOptions, st *stopper) *traceChecker[S] {
+func newTraceChecker[S State](spec *Spec[S], opts TraceOptions) *traceChecker[S] {
 	workers := resolveWorkers(opts.Workers)
 	n := len(spec.Actions)
 	tc := &traceChecker[S]{
-		spec: spec, opts: opts, st: st,
+		spec: spec, opts: opts,
 		wcods:    make([]*codec[S], workers),
 		locals:   make([]map[string]bool, workers),
 		seen:     make(map[string]bool),
@@ -305,10 +304,6 @@ func (tc *traceChecker[S]) run(trace []Observation[S], guided bool) (*TraceResul
 	}
 
 	for i := 1; i < len(trace); i++ {
-		if tc.st.stopped() {
-			res.Interrupted = true
-			return res, tc.st.err()
-		}
 		// Time-based progress, checked between observations on the merge
 		// goroutine: one clock read per observation when enabled, zero
 		// concurrency with the frontier advance.
@@ -317,6 +312,12 @@ func (tc *traceChecker[S]) run(trace []Observation[S], guided bool) (*TraceResul
 				tc.lastProg = now
 				tc.opts.Progress(TraceProgress{Step: i, Total: len(trace), Frontier: len(frontier)})
 			}
+		}
+		// After Progress, so a cancel inside Progress(Step: i) stops here,
+		// with Steps == i.
+		if canceled(tc.opts.Context) {
+			res.Interrupted = true
+			return res, interruptError(tc.opts.Context)
 		}
 		var hint []int
 		if guided {
