@@ -1,0 +1,74 @@
+package arrayot
+
+import (
+	"testing"
+
+	"repro/internal/ot"
+	"repro/internal/tla"
+)
+
+// TestNextAllocsPerSuccessor pins what an array_ot successor costs on a
+// sample of the paper configuration's reachable states. A ClientOp
+// successor is its deployment's one-allocation block, the client's new
+// array (none for a clear), its log and its Performed counts, plus one
+// result slice per call. A MergeAction successor is the block, one array
+// and one log per side that receives a non-empty batch, the result slice,
+// and whatever the transformer itself allocates for the two rebases —
+// measured here on the same tails, since the merge rules are the
+// implementation under test, not the deployment's bookkeeping.
+func TestNextAllocsPerSuccessor(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	cfg := DefaultConfig()
+	spec := Spec(cfg)
+	res, err := tla.Check(spec, tla.Options{RecordGraph: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Graph.Close()
+	clientOpNext, mergeNext := spec.Actions[0].Next, spec.Actions[1].Next
+	var ops, merges int
+	var got, bound float64
+	for id := 0; id < res.Graph.Len(); id += 13 {
+		s := res.Graph.StateAt(id)
+		if succs := clientOpNext(s); len(succs) > 0 {
+			ops++
+			want := float64(1 + 4*len(succs) - 1) // one choice is the clear
+			n := testing.AllocsPerRun(5, func() { clientOpNext(s) })
+			if n > want {
+				t.Fatalf("ClientOp allocates %.0f times for %d successors of %s, want at most %.0f", n, len(succs), s.Key(), want)
+			}
+			got, bound = got+n, bound+want
+		}
+		if len(mergeNext(s)) == 0 {
+			continue
+		}
+		merges++
+		c := 0
+		for !s.Net.HasUnmerged(c) {
+			c++
+		}
+		serverTail, clientTail := s.Net.Unmerged(c)
+		var clientT, serverT []ot.Op
+		transformer := testing.AllocsPerRun(5, func() {
+			clientT, _, _ = cfg.Transformer.TransformLists(clientTail, serverTail)
+			serverT, _, _ = cfg.Transformer.TransformLists(serverTail, clientTail)
+		})
+		want := transformer + 2
+		for _, batch := range [][]ot.Op{clientT, serverT} {
+			if len(batch) > 0 {
+				want += 2
+			}
+		}
+		n := testing.AllocsPerRun(5, func() { mergeNext(s) })
+		if n > want {
+			t.Fatalf("MergeAction allocates %.0f times for %s, want at most %.0f (%.0f of them the transformer's)", n, s.Key(), want, transformer)
+		}
+		got, bound = got+n, bound+want
+	}
+	if ops == 0 || merges == 0 {
+		t.Fatalf("sampled %d ClientOp and %d MergeAction states, want some of each", ops, merges)
+	}
+	t.Logf("%d ClientOp and %d MergeAction states sampled: %.0f allocations, bound %.0f", ops, merges, got, bound)
+}

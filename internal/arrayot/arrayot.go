@@ -333,6 +333,13 @@ func Spec(cfg Config) *tla.Spec[State] {
 	if cfg.Transformer == nil {
 		cfg.Transformer = ot.NewTransformer(nil, false)
 	}
+	// A client performs only before any merge, on its own array, so its
+	// choices depend only on the client and that array's length: at
+	// len(Initial), as every first op is, they are enumerated once here.
+	ops := make([][]ot.Op, cfg.Clients)
+	for c := range ops {
+		ops[c] = EnumClientOps(c, len(cfg.Initial), cfg.IncludeSwap)
+	}
 	return &tla.Spec[State]{
 		Name: "array_ot",
 		Init: func() []State {
@@ -342,7 +349,7 @@ func Spec(cfg Config) *tla.Spec[State] {
 			}}
 		},
 		Actions: []tla.Action[State]{
-			{Name: "ClientOp", Next: func(s State) []State { return clientOp(cfg, s) }},
+			{Name: "ClientOp", Next: func(s State) []State { return clientOp(cfg, ops, s) }},
 			{Name: "MergeAction", Next: func(s State) []State { return mergeAction(s) }},
 		},
 		Invariants: []tla.Invariant[State]{
@@ -356,7 +363,8 @@ func Spec(cfg Config) *tla.Spec[State] {
 // budget performs one of the enumerated operations. Clients act in
 // ascending ID order — the paper's state-space constraint — and only
 // before any merging begins (operations are concurrent by construction).
-func clientOp(cfg Config, s State) []State {
+// initialOps[c] are client c's operations on an array of len(cfg.Initial).
+func clientOp(cfg Config, initialOps [][]ot.Op, s State) []State {
 	if s.MergeErr != "" {
 		return nil
 	}
@@ -375,8 +383,12 @@ func clientOp(cfg Config, s State) []State {
 	if c < 0 {
 		return nil
 	}
-	var out []State
-	for _, op := range EnumClientOps(c, len(s.Net.View().ClientState[c]), cfg.IncludeSwap) {
+	ops := initialOps[c]
+	if n := len(s.Net.View().ClientState[c]); n != len(cfg.Initial) {
+		ops = EnumClientOps(c, n, cfg.IncludeSwap) // a later op of the client's
+	}
+	out := make([]State, 0, len(ops))
+	for _, op := range ops {
 		net := s.Net.Clone()
 		if err := net.Perform(c, op); err != nil {
 			continue

@@ -24,7 +24,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -132,18 +132,19 @@ func sortCases(cases []TestCase) {
 
 // caseFromState builds the test case of one terminal state from its client
 // logs, the number of operations each client performed, and the server's
-// final array. The case copies what it keeps.
+// final array. The case copies what it keeps: Initial and Final into one
+// array, every client's downloaded ops into another, and its name into
+// one buffer.
 func caseFromState(clientLogs [][]ot.Op, performed, final, initial []int) (TestCase, error) {
+	ints := append(append(make([]int, 0, len(initial)+len(final)), initial...), final...)
 	tc := TestCase{
-		Initial: append([]int(nil), initial...),
-		Final:   append([]int(nil), final...),
+		Initial: ints[:len(initial):len(initial)],
+		Final:   ints[len(initial):],
 	}
 	if len(performed) != len(clientLogs) {
 		return tc, fmt.Errorf("%d clients but %d performed counts", len(clientLogs), len(performed))
 	}
-	tc.ClientOps = make([]ot.Op, 0, len(clientLogs))
-	tc.Downloaded = make([][]ot.Op, 0, len(clientLogs))
-	nameParts := make([]string, 0, len(clientLogs))
+	downloads := 0
 	for c, log := range clientLogs {
 		if len(log) == 0 {
 			return tc, fmt.Errorf("client %d performed no operation", c)
@@ -151,31 +152,52 @@ func caseFromState(clientLogs [][]ot.Op, performed, final, initial []int) (TestC
 		if performed[c] != 1 {
 			return tc, fmt.Errorf("client %d performed %d ops, generator expects 1", c, performed[c])
 		}
-		tc.ClientOps = append(tc.ClientOps, log[0])
-		tc.Downloaded = append(tc.Downloaded, append([]ot.Op(nil), log[1:]...))
-		nameParts = append(nameParts, opToken(log[0]))
+		downloads += len(log) - 1
 	}
-	tc.Name = "Transform_" + strings.Join(nameParts, "__")
+	tc.ClientOps = make([]ot.Op, len(clientLogs))
+	tc.Downloaded = make([][]ot.Op, len(clientLogs))
+	ops := make([]ot.Op, 0, downloads)
+	name := append(make([]byte, 0, 64), "Transform_"...)
+	for c, log := range clientLogs {
+		tc.ClientOps[c] = log[0]
+		if tail := log[1:]; len(tail) > 0 {
+			ops = append(ops, tail...)
+			tc.Downloaded[c] = ops[len(ops)-len(tail) : len(ops) : len(ops)]
+		}
+		if c > 0 {
+			name = append(name, "__"...)
+		}
+		name = appendOpToken(name, log[0])
+	}
+	tc.Name = string(name)
 	return tc, nil
 }
 
-// opToken renders an op as an identifier fragment.
-func opToken(o ot.Op) string {
+// appendOpToken appends an op rendered as an identifier fragment.
+func appendOpToken(buf []byte, o ot.Op) []byte {
 	switch o.Kind {
 	case ot.KindSet:
-		return fmt.Sprintf("Set_%d_%d", o.Ndx, o.Value)
+		return appendInts(append(buf, "Set"...), o.Ndx, o.Value)
 	case ot.KindInsert:
-		return fmt.Sprintf("Ins_%d_%d", o.Ndx, o.Value)
+		return appendInts(append(buf, "Ins"...), o.Ndx, o.Value)
 	case ot.KindMove:
-		return fmt.Sprintf("Mov_%d_%d", o.Ndx, o.To)
+		return appendInts(append(buf, "Mov"...), o.Ndx, o.To)
 	case ot.KindSwap:
-		return fmt.Sprintf("Swp_%d_%d", o.Ndx, o.To)
+		return appendInts(append(buf, "Swp"...), o.Ndx, o.To)
 	case ot.KindErase:
-		return fmt.Sprintf("Ers_%d", o.Ndx)
+		return appendInts(append(buf, "Ers"...), o.Ndx)
 	case ot.KindClear:
-		return "Clr"
+		return append(buf, "Clr"...)
 	}
-	return "Unk"
+	return append(buf, "Unk"...)
+}
+
+// appendInts appends each of xs preceded by an underscore.
+func appendInts(buf []byte, xs ...int) []byte {
+	for _, x := range xs {
+		buf = strconv.AppendInt(append(buf, '_'), int64(x), 10)
+	}
+	return buf
 }
 
 // Mismatch describes one divergence between a test case's expectations and

@@ -120,3 +120,58 @@ func FuzzOTTransform(f *testing.F) {
 		}
 	})
 }
+
+// FuzzApplyBatch pins applyBatch, which a merge uses to apply a rebased
+// batch to one fresh array, to its definition: folding Apply over the
+// batch. On any array and any batch — out-of-range indices and unknown
+// kinds included — it returns the fold's array, or fails at the same op
+// with the same error; it never writes into the input array, not even
+// into spare capacity past its length; and every Apply along the fold
+// returns a fresh, exactly sized array.
+func FuzzApplyBatch(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 4, 1, 2, 9, 0, 1, 1, 5, 2, 2, 0, 3, 4, 3, 1})
+	f.Add([]byte{2, 3, 5, 0, 7, 0, 0, 1, 0, 6, 6, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := &fuzzReader{data: data}
+		n := r.intn(6)
+		backing := make([]int, n+4)
+		for i := range backing {
+			backing[i] = 1000 + i
+		}
+		arr := backing[:n]
+		ops := make([]Op, r.intn(7))
+		for i := range ops {
+			// Kind 6 is unknown; indices run from -1 to one past a
+			// seven-element array.
+			ops[i] = Op{Kind: Kind(r.intn(7)), Ndx: r.intn(9) - 1, To: r.intn(9) - 1, Value: r.intn(10)}
+		}
+		want, wantFailed := arr, 0
+		var wantErr error
+		for i, op := range ops {
+			next, err := Apply(want, op)
+			if err != nil {
+				wantFailed, wantErr = i, err
+				break
+			}
+			if cap(next) != len(next) {
+				t.Fatalf("Apply(%v, %s) = %v with capacity %d", want, op, next, cap(next))
+			}
+			want = next
+		}
+		got, failed, err := applyBatch(arr, ops)
+		switch {
+		case (err == nil) != (wantErr == nil):
+			t.Fatalf("applyBatch(%v, %v) error = %v, folding Apply: %v", arr, ops, err, wantErr)
+		case err != nil && (failed != wantFailed || err.Error() != wantErr.Error()):
+			t.Fatalf("applyBatch(%v, %v) fails at op %d with %q, folding Apply at op %d with %q", arr, ops, failed, err, wantFailed, wantErr)
+		case err == nil && !eq(got, want):
+			t.Fatalf("applyBatch(%v, %v) = %v, folding Apply: %v", arr, ops, got, want)
+		}
+		for i, x := range backing {
+			if x != 1000+i {
+				t.Fatalf("applyBatch(%v, %v) wrote %d into the input's memory at %d", arr, ops, x, i)
+			}
+		}
+	})
+}

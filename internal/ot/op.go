@@ -122,71 +122,107 @@ var (
 	ErrIndexRange = errors.New("ot: index out of range")
 )
 
-// Apply applies op to arr and returns the new array. arr is not modified.
+// Apply applies op to arr and returns the new array: a fresh, exactly
+// sized (len == cap) copy of arr with op applied to it in place by
+// applyOwned. arr is not modified.
 func Apply(arr []int, op Op) ([]int, error) {
+	size, keep := len(arr), arr // the copy's capacity and contents
+	switch op.Kind {
+	case KindClear:
+		size, keep = 0, nil
+	case KindInsert:
+		size++
+	}
+	out, err := applyOwned(append(make([]int, 0, size), keep...), op)
+	if err != nil {
+		return nil, err
+	}
+	return out[:len(out):len(out)], nil
+}
+
+// applyOwned applies op to arr in place — arr must be the caller's own,
+// shared with nothing else — and returns the result, which reuses arr's
+// memory: an insert extends it, reallocating only when arr is full. This
+// is the one definition of each operation's semantics; Apply and
+// applyBatch size the copy it works on. On an out-of-range op it returns
+// an error and leaves arr unchanged.
+func applyOwned(arr []int, op Op) ([]int, error) {
 	n := len(arr)
 	switch op.Kind {
 	case KindSet:
 		if op.Ndx < 0 || op.Ndx >= n {
 			return nil, fmt.Errorf("%w: %s on array of %d", ErrIndexRange, op, n)
 		}
-		out := append([]int(nil), arr...)
-		out[op.Ndx] = op.Value
-		return out, nil
+		arr[op.Ndx] = op.Value
+		return arr, nil
 	case KindInsert:
 		if op.Ndx < 0 || op.Ndx > n {
 			return nil, fmt.Errorf("%w: %s on array of %d", ErrIndexRange, op, n)
 		}
-		out := make([]int, 0, n+1)
-		out = append(out, arr[:op.Ndx]...)
-		out = append(out, op.Value)
-		out = append(out, arr[op.Ndx:]...)
-		return out, nil
+		arr = append(arr, 0)
+		copy(arr[op.Ndx+1:], arr[op.Ndx:n])
+		arr[op.Ndx] = op.Value
+		return arr, nil
 	case KindMove:
 		if op.Ndx < 0 || op.Ndx >= n || op.To < 0 || op.To >= n {
 			return nil, fmt.Errorf("%w: %s on array of %d", ErrIndexRange, op, n)
 		}
-		// Remove the element at Ndx and reinsert it at To, in one array:
-		// the elements between the two positions shift by one toward Ndx.
-		out := make([]int, n)
-		copy(out, arr)
+		// Remove the element at Ndx and reinsert it at To: the elements
+		// between the two positions shift by one toward Ndx.
+		v := arr[op.Ndx]
 		if op.Ndx < op.To {
-			copy(out[op.Ndx:op.To], arr[op.Ndx+1:op.To+1])
+			copy(arr[op.Ndx:op.To], arr[op.Ndx+1:op.To+1])
 		} else {
-			copy(out[op.To+1:op.Ndx+1], arr[op.To:op.Ndx])
+			copy(arr[op.To+1:op.Ndx+1], arr[op.To:op.Ndx])
 		}
-		out[op.To] = arr[op.Ndx]
-		return out, nil
+		arr[op.To] = v
+		return arr, nil
 	case KindSwap:
 		if op.Ndx < 0 || op.Ndx >= n || op.To < 0 || op.To >= n {
 			return nil, fmt.Errorf("%w: %s on array of %d", ErrIndexRange, op, n)
 		}
-		out := append([]int(nil), arr...)
-		out[op.Ndx], out[op.To] = out[op.To], out[op.Ndx]
-		return out, nil
+		arr[op.Ndx], arr[op.To] = arr[op.To], arr[op.Ndx]
+		return arr, nil
 	case KindErase:
 		if op.Ndx < 0 || op.Ndx >= n {
 			return nil, fmt.Errorf("%w: %s on array of %d", ErrIndexRange, op, n)
 		}
-		out := make([]int, 0, n-1)
-		out = append(out, arr[:op.Ndx]...)
-		out = append(out, arr[op.Ndx+1:]...)
-		return out, nil
+		copy(arr[op.Ndx:], arr[op.Ndx+1:])
+		return arr[:n-1], nil
 	case KindClear:
-		return []int{}, nil
+		return arr[:0], nil
 	}
 	return nil, fmt.Errorf("ot: unknown operation kind %d", op.Kind)
 }
 
-// ApplyAll applies ops to arr in order.
+// ApplyAll applies ops to arr in order: the fold of Apply, built in one
+// fresh array (see applyBatch). arr is not modified; with no ops it is
+// returned itself.
 func ApplyAll(arr []int, ops []Op) ([]int, error) {
-	cur := arr
-	for _, op := range ops {
-		next, err := Apply(cur, op)
-		if err != nil {
-			return nil, err
-		}
-		cur = next
+	out, _, err := applyBatch(arr, ops)
+	return out, err
+}
+
+// applyBatch applies ops in order to one fresh copy of arr, with room for
+// every insert among them, and returns it; arr is not modified, and with
+// no ops it is returned itself. A failing op stops the batch: applyBatch
+// returns its index and the error Apply returns for it on the array the
+// ops before it produced.
+func applyBatch(arr []int, ops []Op) (out []int, failed int, err error) {
+	if len(ops) == 0 {
+		return arr, 0, nil
 	}
-	return cur, nil
+	size := len(arr)
+	for _, op := range ops {
+		if op.Kind == KindInsert {
+			size++
+		}
+	}
+	out = append(make([]int, 0, size), arr...)
+	for i, op := range ops {
+		if out, err = applyOwned(out, op); err != nil {
+			return nil, i, err
+		}
+	}
+	return out, 0, nil
 }

@@ -39,6 +39,13 @@ type BatchTransformer interface {
 
 // Network is a synchronized Realm deployment: one server and a set of
 // clients. The zero value is not usable; construct with NewNetwork.
+//
+// A deployment is cheap to copy. Its three per-client slices — logs,
+// arrays, progress — live in the same allocation as the Network itself
+// for up to inlineClients clients (see newNetwork), and its logs and
+// arrays are shared copy-on-write between clones: nothing writes into an
+// array a Network holds (each applied op or merged batch builds a fresh
+// one), and logs only grow, through appends that reallocate a shared log.
 type Network struct {
 	tr          BatchTransformer
 	serverLog   []Op
@@ -48,18 +55,52 @@ type Network struct {
 	progress    []Progress
 }
 
-// NewNetwork creates a deployment with the given initial array replicated
-// to the server and all numClients clients.
-func NewNetwork(tr BatchTransformer, initial []int, numClients int) *Network {
-	n := &Network{
-		tr:          tr,
-		serverState: append([]int(nil), initial...),
-		clientLog:   make([][]Op, numClients),
-		clientState: make([][]int, numClients),
-		progress:    make([]Progress, numClients),
+// inlineClients is the number of clients whose per-client slices
+// newNetwork carves out of the Network's own allocation. At three — the
+// paper's configuration — the block is 328 bytes, in the 352-byte size
+// class the four separate allocations it replaces add up to; a fourth
+// client would cross into the next class.
+const inlineClients = 3
+
+// networkBlock is a Network together with the per-client storage of up
+// to inlineClients clients, allocated as one object.
+type networkBlock struct {
+	Network
+	logs   [inlineClients][]Op
+	states [inlineClients][]int
+	prog   [inlineClients]Progress
+}
+
+// newNetwork returns an empty deployment of numClients clients driven by
+// tr: nil logs and arrays, zero progress. Every constructor builds through
+// it, so that up to inlineClients clients cost one allocation.
+func newNetwork(tr BatchTransformer, numClients int) *Network {
+	if numClients > inlineClients {
+		return &Network{
+			tr:          tr,
+			clientLog:   make([][]Op, numClients),
+			clientState: make([][]int, numClients),
+			progress:    make([]Progress, numClients),
+		}
 	}
+	b := &networkBlock{}
+	b.tr = tr
+	b.clientLog = b.logs[:numClients:numClients]
+	b.clientState = b.states[:numClients:numClients]
+	b.progress = b.prog[:numClients:numClients]
+	return &b.Network
+}
+
+// NewNetwork creates a deployment with the given initial array replicated
+// to the server and all numClients clients. The array is copied once and
+// the copy shared by every peer; each peer's first op or merge replaces
+// its array with a fresh one. At up to three clients that is two
+// allocations: the deployment and the copy.
+func NewNetwork(tr BatchTransformer, initial []int, numClients int) *Network {
+	n := newNetwork(tr, numClients)
+	n.serverState = append([]int(nil), initial...)
 	for c := range n.clientState {
-		n.clientState[c] = append([]int(nil), initial...)
+		n.clientState[c] = n.serverState
 	}
 	return n
 }
@@ -76,22 +117,19 @@ func (n *Network) Transformer() BatchTransformer { return n.tr }
 // Clone returns an independent copy of the deployment that shares every
 // log and array with n, copy-on-write. Model-checking explores deployments
 // as immutable values; actions clone before mutating. Nothing writes into
-// an array (Apply returns a fresh one) and logs only grow, so sharing is
-// safe once each shared log's capacity is clamped to its length: the
-// clone's first append to it reallocates. Only the three per-client outer
-// slices are copied.
+// an array and logs only grow, so sharing is safe once each shared log's
+// capacity is clamped to its length: the clone's first append to it
+// reallocates. Only the per-client slices are copied, into the clone's
+// own block: at up to three clients a clone is one allocation.
 func (n *Network) Clone() *Network {
-	c := &Network{
-		tr:          n.tr,
-		serverLog:   n.serverLog[:len(n.serverLog):len(n.serverLog)],
-		serverState: n.serverState,
-		clientLog:   make([][]Op, len(n.clientLog)),
-		clientState: append([][]int(nil), n.clientState...),
-		progress:    append([]Progress(nil), n.progress...),
-	}
+	c := newNetwork(n.tr, len(n.clientLog))
+	c.serverLog = n.serverLog[:len(n.serverLog):len(n.serverLog)]
+	c.serverState = n.serverState
 	for i, log := range n.clientLog {
 		c.clientLog[i] = log[:len(log):len(log)]
 	}
+	copy(c.clientState, n.clientState)
+	copy(c.progress, n.progress)
 	return c
 }
 
@@ -194,12 +232,12 @@ func appendIntsBinary(buf []byte, xs []int) []byte {
 // kind, a count larger than the bytes left — returns an error rather than
 // a partial deployment.
 func DecodeNetworkBinary(tr BatchTransformer, buf []byte) (*Network, []byte, error) {
-	var v View
-	var err error
-	if v.ServerLog, buf, err = decodeOpsBinary(buf); err != nil {
+	serverLog, buf, err := decodeOpsBinary(buf)
+	if err != nil {
 		return nil, nil, err
 	}
-	if v.ServerState, buf, err = decodeIntsBinary(buf); err != nil {
+	serverState, buf, err := decodeIntsBinary(buf)
+	if err != nil {
 		return nil, nil, err
 	}
 	numClients, buf, err := decodeUvarint(buf)
@@ -212,14 +250,13 @@ func DecodeNetworkBinary(tr BatchTransformer, buf []byte) (*Network, []byte, err
 		// exhaust memory.
 		return nil, nil, fmt.Errorf("ot: decode: client count %d exceeds remaining %d bytes", numClients, len(buf))
 	}
-	v.ClientLog = make([][]Op, numClients)
-	v.ClientState = make([][]int, numClients)
-	v.Progress = make([]Progress, numClients)
-	for c := 0; c < int(numClients); c++ {
-		if v.ClientLog[c], buf, err = decodeOpsBinary(buf); err != nil {
+	n := newNetwork(tr, int(numClients))
+	n.serverLog, n.serverState = serverLog, serverState
+	for c := range n.clientLog {
+		if n.clientLog[c], buf, err = decodeOpsBinary(buf); err != nil {
 			return nil, nil, err
 		}
-		if v.ClientState[c], buf, err = decodeIntsBinary(buf); err != nil {
+		if n.clientState[c], buf, err = decodeIntsBinary(buf); err != nil {
 			return nil, nil, err
 		}
 		sv, rest, err := decodeUvarint(buf)
@@ -230,10 +267,10 @@ func DecodeNetworkBinary(tr BatchTransformer, buf []byte) (*Network, []byte, err
 		if err != nil {
 			return nil, nil, err
 		}
-		v.Progress[c] = Progress{ServerVersion: int(sv), ClientVersion: int(cv)}
+		n.progress[c] = Progress{ServerVersion: int(sv), ClientVersion: int(cv)}
 		buf = rest2
 	}
-	return NetworkFromView(tr, v), buf, nil
+	return n, buf, nil
 }
 
 func decodeUvarint(buf []byte) (uint64, []byte, error) {
@@ -372,24 +409,20 @@ func (n *Network) Merge(c int) error {
 	if err != nil {
 		return fmt.Errorf("ot: merge (download) for client %d: %w", c, err)
 	}
-	// Upload: the client's changes, rebased onto the server history.
-	for _, op := range clientT {
-		next, aerr := Apply(n.serverState, op)
-		if aerr != nil {
-			return fmt.Errorf("ot: server apply during merge of client %d: %w", c, aerr)
-		}
-		n.serverState = next
-		n.serverLog = append(n.serverLog, op)
+	// Upload: the client's changes, rebased onto the server history, each
+	// side's batch applied to one fresh array and appended in one go.
+	next, _, err := applyBatch(n.serverState, clientT)
+	if err != nil {
+		return fmt.Errorf("ot: server apply during merge of client %d: %w", c, err)
 	}
+	n.serverState = next
+	n.serverLog = append(n.serverLog, clientT...)
 	// Download: the server's changes, rebased onto the client history.
-	for _, op := range serverT {
-		next, aerr := Apply(n.clientState[c], op)
-		if aerr != nil {
-			return fmt.Errorf("ot: client %d apply during merge: %w", c, aerr)
-		}
-		n.clientState[c] = next
-		n.clientLog[c] = append(n.clientLog[c], op)
+	if next, _, err = applyBatch(n.clientState[c], serverT); err != nil {
+		return fmt.Errorf("ot: client %d apply during merge: %w", c, err)
 	}
+	n.clientState[c] = next
+	n.clientLog[c] = append(n.clientLog[c], serverT...)
 	n.progress[c] = Progress{ServerVersion: len(n.serverLog), ClientVersion: len(n.clientLog[c])}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNetworkBasicSync(t *testing.T) {
@@ -161,14 +162,43 @@ func hasUnmergedAgrees(n *Network) bool {
 	return true
 }
 
-// TestCloneIsCopyOnWrite: a clone shares its parent's logs and arrays,
-// yet performing and syncing on sibling clones — with every log of the
-// parent given spare capacity, so that an in-place append would land in
-// memory the parent and every sibling can see — changes neither the
+// TestCloneIsCopyOnWrite: NewNetwork's peers share one initial array, yet
+// a Perform or a Merge on one client leaves the other clients' and the
+// server's arrays as they were. A clone shares its parent's logs and
+// arrays, yet performing and syncing on sibling clones — with every log of
+// the parent given spare capacity, so that an in-place append would land
+// in memory the parent and every sibling can see — changes neither the
 // parent nor an earlier sibling, and Unmerged still returns copies the
 // caller may overwrite.
 func TestCloneIsCopyOnWrite(t *testing.T) {
 	tr := NewTransformer(nil, false)
+	shared := NewNetwork(tr, []int{1, 2, 3}, 3)
+	unchanged := func(when string, arrays ...[]int) {
+		t.Helper()
+		for _, got := range arrays {
+			if !eq(got, []int{1, 2, 3}) {
+				t.Fatalf("%s changed another peer's array to %v", when, got)
+			}
+		}
+	}
+	if err := shared.Perform(0, Set(0, 9).WithMeta(Meta{Peer: 1})); err != nil {
+		t.Fatal(err)
+	}
+	unchanged("a Perform on client 0", shared.ServerState(), shared.ClientState(1), shared.ClientState(2))
+	if err := shared.Merge(0); err != nil {
+		t.Fatal(err)
+	}
+	unchanged("client 0's merge", shared.ClientState(1), shared.ClientState(2))
+	if err := shared.Perform(2, Erase(1).WithMeta(Meta{Peer: 3})); err != nil {
+		t.Fatal(err)
+	}
+	if err := shared.Merge(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := shared.ClientState(2); !eq(got, []int{1, 3}) {
+		t.Fatalf("client 1's merge changed client 2's array to %v", got)
+	}
+
 	n := NewNetwork(tr, []int{1, 2, 3}, 3)
 	for c, op := range []Op{Insert(0, 7), Move(0, 2), Erase(1)} {
 		if err := n.Perform(c, op.WithMeta(Meta{Peer: c + 1})); err != nil {
@@ -317,5 +347,31 @@ func TestInstrTypeStrings(t *testing.T) {
 	}
 	if InstrSetProperty.IsArray() || !InstrArrayClear.IsArray() {
 		t.Error("IsArray broken")
+	}
+}
+
+// TestNetworkAllocsPerCall pins what a deployment costs to build at the
+// paper's three clients: a clone is its one block (the Network and its
+// per-client slices), and NewNetwork is that block plus the one copy of
+// the initial array every peer shares.
+func TestNetworkAllocsPerCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	tr := NewTransformer(nil, false)
+	initial := []int{1, 2, 3}
+	n := NewNetwork(tr, initial, 3)
+	if err := n.Perform(1, Insert(0, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() { n.Clone() }); got != 1 {
+		t.Errorf("Clone allocates %.1f times, want 1", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { NewNetwork(tr, initial, 3) }); got != 2 {
+		t.Errorf("NewNetwork allocates %.1f times, want 2", got)
+	}
+	// The block replaces four allocations of 144, 80, 80 and 48 bytes.
+	if size := unsafe.Sizeof(networkBlock{}); size > 352 {
+		t.Errorf("a three-client block is %d bytes, past the 352-byte size class", size)
 	}
 }

@@ -22,11 +22,13 @@ import (
 // Edges are emitted in deterministic (From, To, Action) order, so the same
 // exploration yields byte-identical output whether its states are live or
 // decoded from the arena, its segments resident or spilled. Node lines —
-// KeyAt and quoting, nearly all of the work — are formatted in blocks of
-// dotBlock ids by the run's workers (see writeDOTNodes) and written in id
-// order, so the output does not depend on the worker count either. Every
-// line is built by appending into a reused buffer, so a node costs only
-// what its KeyAt costs and an edge costs no allocation.
+// each state's Key and quoting, nearly all of the work — are formatted in
+// blocks of dotBlock ids by the run's workers (see writeDOTNodes) and
+// written in id order, so the output does not depend on the worker count
+// either. Every line is built by appending into a reused buffer, so a
+// node costs only what its state read and Key cost and an edge costs no
+// allocation. A state that cannot be read back (an unreadable spilled
+// segment) is returned as an error.
 func (g *Graph[S]) WriteDOT(w io.Writer, name string) error {
 	// bufio.Writer errors are sticky: the final Flush reports any of them.
 	bw := bufio.NewWriter(w)
@@ -35,7 +37,10 @@ func (g *Graph[S]) WriteDOT(w io.Writer, name string) error {
 	for _, id := range g.Inits {
 		inits[id] = true
 	}
-	line := g.writeDOTNodes(bw, inits)
+	line, err := g.writeDOTNodes(bw, inits)
+	if err != nil {
+		return err
+	}
 	if err := g.writeDOTEdges(bw, line); err != nil {
 		return err
 	}
@@ -44,27 +49,34 @@ func (g *Graph[S]) WriteDOT(w io.Writer, name string) error {
 }
 
 // dotBlock is the number of node lines one worker formats per hand-off:
-// large enough that a hand-off costs nothing next to its KeyAt calls,
+// large enough that a hand-off costs nothing next to its Key calls,
 // small enough that a block's buffer stays a few hundred kilobytes.
 const dotBlock = 256
 
-// appendDOTNodes appends the node lines of ids [lo, hi) to buf.
-func (g *Graph[S]) appendDOTNodes(buf []byte, lo, hi int, inits []bool) []byte {
+// appendDOTNodes appends the node lines of ids [lo, hi) to buf. It reads
+// each state through the retainer, so an unreadable spilled segment is an
+// error, not the panic of KeyAt.
+func (g *Graph[S]) appendDOTNodes(buf []byte, lo, hi int, inits []bool) ([]byte, error) {
 	for id := lo; id < hi; id++ {
+		s, err := g.ret.stateAt(g.cod, id)
+		if err != nil {
+			return buf, err
+		}
 		buf = strconv.AppendInt(append(buf, "  "...), int64(id), 10)
-		buf = appendDOTQuote(append(buf, " [label="...), g.KeyAt(id))
+		buf = appendDOTQuote(append(buf, " [label="...), s.Key())
 		if inits[id] {
 			buf = append(buf, ",style=filled"...)
 		}
 		buf = append(buf, "];\n"...)
 	}
-	return buf
+	return buf, nil
 }
 
-// dotPart is one formatted block of node lines, or the panic a worker
-// recovered while formatting it.
+// dotPart is one formatted block of node lines, or the read error or
+// panic (of the spec's Key) a worker met while formatting it.
 type dotPart struct {
 	buf   []byte
+	err   error
 	panic any
 }
 
@@ -75,20 +87,24 @@ type dotPart struct {
 // into its one reused buffer and hands each to the caller, which writes
 // the blocks in order and hands the buffer back: at most one block per
 // worker is in flight. Graph reads are safe from several goroutines once
-// the run has finished. A panic while formatting (an unreadable spilled
-// segment) is re-raised on the caller's goroutine when its block's turn
-// comes, after every worker has stopped.
-func (g *Graph[S]) writeDOTNodes(bw *bufio.Writer, inits []bool) []byte {
+// the run has finished. A read error (an unreadable spilled segment) is
+// returned, and a panic while formatting (in the spec's Key) re-raised on
+// the caller's goroutine, when its block's turn comes, after every worker
+// has stopped.
+func (g *Graph[S]) writeDOTNodes(bw *bufio.Writer, inits []bool) ([]byte, error) {
 	n := len(inits)
 	blocks := (n + dotBlock - 1) / dotBlock
 	workers := min(g.workers, blocks)
 	if workers <= 1 {
 		line := make([]byte, 0, 1024)
 		for id := 0; id < n; id++ {
-			line = g.appendDOTNodes(line[:0], id, id+1, inits)
+			var err error
+			if line, err = g.appendDOTNodes(line[:0], id, id+1, inits); err != nil {
+				return nil, err
+			}
 			bw.Write(line)
 		}
-		return line
+		return line, nil
 	}
 	parts := make([]chan dotPart, workers)
 	back := make([]chan []byte, workers)
@@ -121,10 +137,13 @@ func (g *Graph[S]) writeDOTNodes(bw *bufio.Writer, inits []bool) []byte {
 		if part.panic != nil {
 			panic(part.panic)
 		}
+		if part.err != nil {
+			return nil, part.err
+		}
 		bw.Write(part.buf)
 		back[b%workers] <- part.buf
 	}
-	return nil
+	return nil, nil
 }
 
 // formatDOTBlock formats block b's node lines into buf, recovering a
@@ -136,7 +155,8 @@ func (g *Graph[S]) formatDOTBlock(buf []byte, b int, inits []bool) (part dotPart
 		}
 	}()
 	lo := b * dotBlock
-	return dotPart{buf: g.appendDOTNodes(buf, lo, min(lo+dotBlock, len(inits)), inits)}
+	buf, err := g.appendDOTNodes(buf, lo, min(lo+dotBlock, len(inits)), inits)
+	return dotPart{buf: buf, err: err}
 }
 
 // writeDOTEdges emits the edges in (From, To, Action) order, building each

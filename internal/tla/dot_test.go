@@ -3,6 +3,7 @@ package tla
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -290,10 +291,9 @@ func naiveDOT(t *testing.T, g *Graph[quotedState]) string {
 	return b.String()
 }
 
-// TestWriteDOTReraisesPanic: a KeyAt that panics on one state — as an
-// unreadable spilled segment does — panics WriteDOT on the caller's
-// goroutine at every worker count, not a formatting goroutine, which would
-// take the process down.
+// TestWriteDOTReraisesPanic: a spec's Key that panics on one state panics
+// WriteDOT on the caller's goroutine at every worker count, not a
+// formatting goroutine, which would take the process down.
 func TestWriteDOTReraisesPanic(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		res, err := Check(quotedGrid(40), Options{Workers: workers, RecordGraph: true})
@@ -311,5 +311,36 @@ func TestWriteDOTReraisesPanic(t *testing.T) {
 			res.Graph.WriteDOT(io.Discard, "quoted")
 			t.Fatalf("workers %d: WriteDOT returned", workers)
 		}()
+	}
+}
+
+// TestWriteDOTReadFaultIsAnError: a spilled graph whose segments can no
+// longer be read makes WriteDOT return the read error, wrapping the
+// injected fault, at one worker and on the block-formatting workers — no
+// panic, on any goroutine.
+func TestWriteDOTReadFaultIsAnError(t *testing.T) {
+	fault := errors.New("injected read fault")
+	for _, workers := range []int{1, 2} {
+		t.Setenv("TMPDIR", t.TempDir())
+		ffs := NewFaultFS(nil)
+		res, err := Check(quotedGrid(40), Options{Workers: workers, RecordGraph: true, MemoryBudgetBytes: 1, FS: ffs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ffs.Inject(Fault{Op: FaultRead, Err: fault})
+		func() {
+			defer res.Graph.Close()
+			defer func() {
+				if pv := recover(); pv != nil {
+					t.Fatalf("workers %d: WriteDOT panicked: %v", workers, pv)
+				}
+			}()
+			if err := res.Graph.WriteDOT(io.Discard, "quoted"); !errors.Is(err, fault) {
+				t.Fatalf("workers %d: WriteDOT = %v, want the injected read fault", workers, err)
+			}
+		}()
+		if len(ffs.Fired()) == 0 {
+			t.Fatalf("workers %d: no read reached the fault: the graph was not read from its spill file", workers)
+		}
 	}
 }

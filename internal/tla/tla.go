@@ -152,10 +152,11 @@ type Edge struct {
 // encodings in the arena, resident or spilled. A graph owns the run's
 // spill file, if any, and the caller releases it with Close when done.
 //
-// Accessors that cannot return an error (StateAt, KeyAt, and WriteDOT's
-// node lines built on them) panic if a spilled segment has become
-// unreadable — reconstruction reads are required reads, exactly as in
-// counterexample reconstruction, and a silent wrong answer is worse.
+// Accessors that cannot return an error (StateAt, KeyAt) panic if a
+// spilled segment has become unreadable — reconstruction reads are
+// required reads, exactly as in counterexample reconstruction, and a
+// silent wrong answer is worse. WriteDOT, ForEachEdge and the traversals
+// return the read error instead.
 type Graph[S State] struct {
 	Inits []int
 
