@@ -142,48 +142,90 @@ func readDigests(t *testing.T) map[string]digest {
 	return want
 }
 
-// TestResumeDigests stops the raftmongo-v1 digest configuration with a
-// checkpoint after each of its levels (recording the graph, so the
-// checkpoint holds its edges), resumes it with the graph recorded,
-// and requires the DOT dump and counts of the uninterrupted run
-// (TestDigests's raftmongo-v1 entries) at 1 and 2 workers. A resume
-// decodes the checkpointed frontier and serves the graph of a
-// checkpointing run from the arena, so this holds DecodeBinary to the same
-// pin as a fresh run holds AppendBinary.
-func TestResumeDigests(t *testing.T) {
+// resumeDigestConfigs are the TestDigests configurations TestResumeDigests
+// checkpoints and resumes, by digest name: raftmongo-v1 fingerprinted and
+// keyed, whose visited set a resume rebuilds from the stored plain
+// encodings as they are, and raftmongo-v2 under POR and symmetry, whose
+// rebuild decodes each stored encoding and canonicalises it.
+func resumeDigestConfigs() []struct {
+	digest string
+	spec   func() *tla.Spec[raftmongo.State]
+	opts   tla.Options
+} {
 	small := raftmongo.Config{Nodes: 3, MaxTerm: 2, MaxLogLen: 2}
+	reduced := small
+	reduced.Symmetric = true
+	v1 := func() *tla.Spec[raftmongo.State] { return raftmongo.SpecV1(small) }
+	v2 := func() *tla.Spec[raftmongo.State] { return raftmongo.SpecV2(reduced) }
+	return []struct {
+		digest string
+		spec   func() *tla.Spec[raftmongo.State]
+		opts   tla.Options
+	}{
+		{"raftmongo-v1", v1, tla.Options{}},
+		{"raftmongo-v1", v1, tla.Options{CollisionFree: true}},
+		{"raftmongo-v2-por-symmetry", v2, tla.Options{PartialOrder: true}},
+	}
+}
+
+// TestResumeDigests stops each resumeDigestConfigs configuration with a
+// checkpoint after each of its levels (recording the graph, so the
+// checkpoint holds its edges), resumes it with the graph recorded, and
+// requires the DOT dump and counts of the uninterrupted run (TestDigests's
+// entries) at 1 and 2 workers. A resume decodes the checkpointed frontier,
+// rebuilds the visited set from the stored encodings and serves the graph
+// of a checkpointing run from the arena, so this holds DecodeBinary and
+// the rebuild to the same pin as a fresh run holds AppendBinary.
+func TestResumeDigests(t *testing.T) {
 	want := readDigests(t)
-	for _, w := range []int{1, 2} {
-		exp, ok := want[fmt.Sprintf("raftmongo-v1/w%d", w)]
-		if !ok {
-			t.Fatalf("%s has no raftmongo-v1/w%d entry", goldenDigests, w)
-		}
-		for level := 1; level < exp.Depth; level++ {
-			dir := t.TempDir()
-			ctx, cancel := context.WithCancel(context.Background())
-			stop := tla.Options{
-				RecordGraph:   true,
-				Workers:       w,
-				Context:       ctx,
-				CheckpointDir: dir,
-				ProgressEvery: time.Nanosecond,
-				Progress: func(p tla.Progress) {
+	for _, c := range resumeDigestConfigs() {
+		for _, w := range []int{1, 2} {
+			exp, ok := want[fmt.Sprintf("%s/w%d", c.digest, w)]
+			if !ok {
+				t.Fatalf("%s has no %s/w%d entry", goldenDigests, c.digest, w)
+			}
+			label := fmt.Sprintf("%s collision-free=%t", c.digest, c.opts.CollisionFree)
+			for level := 1; level < exp.Depth; level++ {
+				dir := t.TempDir()
+				ctx, cancel := context.WithCancel(context.Background())
+				stop := c.opts
+				stop.RecordGraph, stop.Workers, stop.Context, stop.CheckpointDir = true, w, ctx, dir
+				stop.ProgressEvery = time.Nanosecond
+				stop.Progress = func(p tla.Progress) {
 					if p.Level >= level {
 						cancel()
 					}
-				},
+				}
+				res, err := tla.Check(c.spec(), stop)
+				cancel()
+				if !errors.Is(err, tla.ErrInterrupted) || res.CheckpointPath != dir {
+					t.Fatalf("%s w%d, stop after level %d: err = %v, want an interrupted run checkpointed in %s", label, w, level, err, dir)
+				}
+				if info, err := tla.ReadCheckpointInfo(dir); err != nil || info.Levels != level {
+					t.Fatalf("%s w%d, stop after level %d: checkpoint %+v, %v; want it at level %d", label, w, level, info, err, level)
+				}
+				resume := c.opts
+				resume.Workers, resume.ResumeFrom = w, dir
+				if got := graphDigest(t, c.spec(), resume); got != exp {
+					t.Fatalf("%s w%d, resumed after level %d (%d distinct): got %+v, want %+v", label, w, level, res.Distinct, got, exp)
+				}
 			}
-			res, err := tla.Check(raftmongo.SpecV1(small), stop)
-			cancel()
-			if !errors.Is(err, tla.ErrInterrupted) || res.CheckpointPath != dir {
-				t.Fatalf("w%d, stop after level %d: err = %v, want an interrupted run checkpointed in %s", w, level, err, dir)
-			}
-			if info, err := tla.ReadCheckpointInfo(dir); err != nil || info.Levels != level {
-				t.Fatalf("w%d, stop after level %d: checkpoint %+v, %v; want it at level %d", w, level, info, err, level)
-			}
-			if got := graphDigest(t, raftmongo.SpecV1(small), tla.Options{Workers: w, ResumeFrom: dir}); got != exp {
-				t.Fatalf("w%d, resumed after level %d (%d distinct): got %+v, want %+v", w, level, res.Distinct, got, exp)
-			}
+		}
+	}
+}
+
+// TestKeyedSpillDigest runs the raftmongo-v1 digest configuration keyed
+// (CollisionFree) under a one-byte budget, which seals the visited set
+// after every level, so every level's duplicates are found by restoring
+// spilled keys from the arena; the DOT dump and counts must be
+// TestDigests's.
+func TestKeyedSpillDigest(t *testing.T) {
+	small := raftmongo.Config{Nodes: 3, MaxTerm: 2, MaxLogLen: 2}
+	want := readDigests(t)
+	for _, w := range []int{1, 2} {
+		exp := want[fmt.Sprintf("raftmongo-v1/w%d", w)]
+		if got := graphDigest(t, raftmongo.SpecV1(small), tla.Options{Workers: w, CollisionFree: true, MemoryBudgetBytes: 1}); got != exp {
+			t.Fatalf("w%d: got %+v, want %+v", w, got, exp)
 		}
 	}
 }

@@ -10,12 +10,13 @@ import (
 // TestNextAllocsPerSuccessor pins what an array_ot successor costs on a
 // sample of the paper configuration's reachable states. A ClientOp
 // successor is its deployment's one-allocation block, the client's new
-// array (none for a clear), its log and its Performed counts, plus one
-// result slice per call. A MergeAction successor is the block, one array
-// and one log per side that receives a non-empty batch, the result slice,
-// and whatever the transformer itself allocates for the two rebases —
-// measured here on the same tails, since the merge rules are the
-// implementation under test, not the deployment's bookkeeping.
+// array (none for a clear) and its log, plus per call one result slice and
+// the Performed counts every successor shares. A MergeAction successor is
+// the block, one array and one log per side that receives a non-empty
+// batch, the result slice, and whatever the transformer itself allocates
+// for the two rebases — measured here on the same tails, since the merge
+// rules are the implementation under test, not the deployment's
+// bookkeeping.
 func TestNextAllocsPerSuccessor(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -34,7 +35,7 @@ func TestNextAllocsPerSuccessor(t *testing.T) {
 		s := res.Graph.StateAt(id)
 		if succs := clientOpNext(s); len(succs) > 0 {
 			ops++
-			want := float64(1 + 4*len(succs) - 1) // one choice is the clear
+			want := float64(2 + 3*len(succs) - 1) // the result and the shared counts; one choice is the clear
 			n := testing.AllocsPerRun(5, func() { clientOpNext(s) })
 			if n > want {
 				t.Fatalf("ClientOp allocates %.0f times for %d successors of %s, want at most %.0f", n, len(succs), s.Key(), want)

@@ -387,14 +387,15 @@ func clientOp(cfg Config, initialOps [][]ot.Op, s State) []State {
 	if n := len(s.Net.View().ClientState[c]); n != len(cfg.Initial) {
 		ops = EnumClientOps(c, n, cfg.IncludeSwap) // a later op of the client's
 	}
+	// Every successor has the same counts, so they share one slice.
+	perf := append([]int(nil), s.Performed...)
+	perf[c]++
 	out := make([]State, 0, len(ops))
 	for _, op := range ops {
 		net := s.Net.Clone()
 		if err := net.Perform(c, op); err != nil {
 			continue
 		}
-		perf := append([]int(nil), s.Performed...)
-		perf[c]++
 		out = append(out, State{Net: net, Performed: perf})
 	}
 	return out

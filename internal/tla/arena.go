@@ -253,15 +253,7 @@ func (a *stateArena) flush() {
 		return
 	}
 	if a.file == nil {
-		err := a.em.retry("arena", func() error {
-			f, err := a.fsys.CreateTemp("", "tla-arena-")
-			if err != nil {
-				return err
-			}
-			a.file = f
-			return nil
-		})
-		if err != nil {
+		if err := a.createFile("arena"); err != nil {
 			a.degraded = true
 			a.em.onDegrade("arena")
 			return
@@ -270,6 +262,18 @@ func (a *stateArena) flush() {
 	if a.spill(a.segs, &a.segsOut) {
 		a.spill(a.edgeSegs, &a.edgeSegsOut)
 	}
+}
+
+// createFile creates the arena's spill file, retrying transient faults as
+// I/O of subsystem sys.
+func (a *stateArena) createFile(sys string) error {
+	return a.em.retry(sys, func() error {
+		f, err := a.fsys.CreateTemp("", "tla-arena-")
+		if err == nil {
+			a.file = f
+		}
+		return err
+	})
 }
 
 // spill writes the resident segments of list, from index *out on, to the

@@ -171,3 +171,18 @@ func (c *codec[S]) canonical(s S) []byte {
 	}
 	return c.a
 }
+
+// key returns the encoding the visited set dedups a state under, given the
+// plain encoding an arena stores for it: enc itself without symmetry, and
+// with symmetry the canonical encoding of enc's decoded state, which then
+// aliases the codec's scratch buffers as canonical's result does.
+func (c *codec[S]) key(enc []byte) ([]byte, error) {
+	if c.sym == nil {
+		return enc, nil
+	}
+	s, err := c.dec(enc)
+	if err != nil {
+		return nil, err
+	}
+	return c.canonical(s), nil
+}

@@ -24,12 +24,11 @@ import (
 //	g000000-arena.edges    the arena's graph-edge records (RecordGraph
 //	                       runs only): fixed 10-byte (from, action, to)
 //	                       rows in append order, segment by segment
-//	g000000-visited        sorted (fingerprint, id) records, each
-//	                       fingerprint once — the visited set's resident
-//	                       pairs merged with its sealed run, in the format
-//	                       it spills in
 //	MANIFEST.json          counters, the frontier's ids, fingerprints of
 //	                       the spec and options, and the file list
+//
+// The visited set is not written: it is derived state, rebuilt on resume
+// from the arena's encodings, which hold every state.
 //
 // The manifest is written last, to a temp name, and renamed into place:
 // a crash mid-checkpoint leaves the previous manifest (and its generation
@@ -39,16 +38,16 @@ import (
 // rename succeeded.
 //
 // Resume (Options.ResumeFrom) restores the counters (the degraded-memory
-// flag included), the arena, and the visited records, reading every file
-// the manifest lists (checkpoints of earlier releases list several
-// g000000-visited-* files). It then decodes the frontier's live states
-// from their stored encodings — checkpointing implies the arena, which
-// requires a BinaryDecoder spec state. The
-// checkpoint directory itself is never modified by a resume, so one
-// checkpoint can seed any number of runs. A checkpointed RecordGraph run
-// also restores its edge records, so the resumed run's graph covers the
-// whole exploration; resuming a graph run from a manifest written before
-// edge recording existed is rejected with ErrBadCheckpoint.
+// flag included) and the arena, then rebuilds the visited set — each
+// state's stored plain encoding, canonicalised under symmetry, under its
+// id — and decodes the frontier's live states from their encodings
+// (checkpointing implies the arena, which requires a BinaryDecoder spec
+// state). A version-1 manifest also lists g000000-visited files, which are
+// not read. The checkpoint directory itself is never modified by a resume,
+// so one checkpoint can seed any number of runs. A checkpointed
+// RecordGraph run also restores its edge records, so the resumed run's
+// graph covers the whole exploration; resuming a graph run from a manifest
+// written before edge recording existed is rejected with ErrBadCheckpoint.
 //
 // Because the engine checkpoints only level boundaries (a mid-expansion
 // interrupt discards the level's candidates, whose side effects are
@@ -62,8 +61,11 @@ import (
 // files inconsistent with the manifest.
 var ErrBadCheckpoint = errors.New("tla: invalid or incompatible checkpoint")
 
+// ckVersion is the manifest version this build writes: 2 since the visited
+// file went. It reads version 1 too; builds that persisted the visited set
+// reject version 2, where they would resume with an empty set.
 const (
-	ckVersion      = 1
+	ckVersion      = 2
 	ckManifestName = "MANIFEST.json"
 	ckMetaRecSize  = 22 // parent(4) depth(4) act(2) seg(4) off(4) n(4)
 )
@@ -90,11 +92,9 @@ type ckManifest struct {
 	SegSizes       []int             `json:"seg_sizes"`
 	MetaFile       string            `json:"meta_file"`
 	DataFile       string            `json:"data_file"`
-	VisitedRuns    []string          `json:"visited_runs,omitempty"`
 	// Graph-edge records of a RecordGraph run; absent (EdgesFile empty) in
 	// manifests of non-graph runs and in manifests written before edge
-	// recording existed. All new fields are omitempty, so version 1 stays
-	// readable in both directions.
+	// recording existed.
 	EdgeSegSizes []int    `json:"edge_seg_sizes,omitempty"`
 	EdgesFile    string   `json:"edges_file,omitempty"`
 	EdgeCount    int      `json:"edge_count,omitempty"`
@@ -169,7 +169,7 @@ func (o Options) Fingerprint() uint64 { return optionsFingerprint(o) }
 // writeCheckpoint seals the run's state at a level boundary into ck's
 // directory as a fresh generation. On any failure this generation's files
 // are removed and the previous checkpoint stays valid.
-func writeCheckpoint[S State](ck *checkpointer, spec *Spec[S], opts Options, ret *retainer[S], vs *visitedSet, res *Result[S], frontier []int, level int) (string, error) {
+func writeCheckpoint[S State](ck *checkpointer, spec *Spec[S], opts Options, ret *retainer[S], res *Result[S], frontier []int, level int) (string, error) {
 	a := ret.arena // checkpointing implies the arena
 	fsys := ck.fsys
 	if err := ck.em.retry("checkpoint", func() error { return fsys.MkdirAll(ck.dir) }); err != nil {
@@ -206,13 +206,6 @@ func writeCheckpoint[S State](ck *checkpointer, spec *Spec[S], opts Options, ret
 		files = append(files, edgesName)
 	}
 
-	runs, err := vs.snapshotRuns(fsys, ck.dir, prefix)
-	if err != nil {
-		cleanup()
-		return "", err
-	}
-	files = append(files, runs...)
-
 	m := ckManifest{
 		Version:        ckVersion,
 		Spec:           spec.Name,
@@ -232,7 +225,6 @@ func writeCheckpoint[S State](ck *checkpointer, spec *Spec[S], opts Options, ret
 		SegSizes:       segSizes(a.segs),
 		MetaFile:       metaName,
 		DataFile:       dataName,
-		VisitedRuns:    runs,
 		Files:          files,
 	}
 	if res.Graph != nil {
@@ -371,11 +363,12 @@ func writeArenaSegs(fsys FS, path string, a *stateArena, segs []arenaSeg) error 
 	return nil
 }
 
-// readManifest loads and minimally validates dir's manifest. Every failure
-// — missing file, torn JSON, unknown version — wraps ErrBadCheckpoint.
-func readManifest(fsys FS, dir string) (*ckManifest, error) {
+// readManifest loads and minimally validates dir's manifest, retrying
+// transient read faults through em. Every failure — missing file, torn
+// JSON, unknown version — wraps ErrBadCheckpoint.
+func readManifest(fsys FS, em *engineMetrics, dir string) (*ckManifest, error) {
 	var blob []byte
-	err := retryIO(func() error {
+	err := em.retry("checkpoint", func() error {
 		var rerr error
 		blob, rerr = readFileFS(fsys, filepath.Join(dir, ckManifestName))
 		return rerr
@@ -387,8 +380,8 @@ func readManifest(fsys FS, dir string) (*ckManifest, error) {
 	if err := json.Unmarshal(blob, &m); err != nil {
 		return nil, fmt.Errorf("%w: torn or corrupt %s: %v", ErrBadCheckpoint, ckManifestName, err)
 	}
-	if m.Version != ckVersion {
-		return nil, fmt.Errorf("%w: manifest version %d, this build reads %d", ErrBadCheckpoint, m.Version, ckVersion)
+	if m.Version != 1 && m.Version != ckVersion {
+		return nil, fmt.Errorf("%w: manifest version %d, this build reads 1 and %d", ErrBadCheckpoint, m.Version, ckVersion)
 	}
 	return &m, nil
 }
@@ -407,7 +400,7 @@ type CheckpointInfo struct {
 
 // ReadCheckpointInfo summarizes the checkpoint in dir without resuming it.
 func ReadCheckpointInfo(dir string) (*CheckpointInfo, error) {
-	m, err := readManifest(OSFS, dir)
+	m, err := readManifest(OSFS, nil, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -427,7 +420,7 @@ func ReadCheckpointInfo(dir string) (*CheckpointInfo, error) {
 // fresh spill file (the checkpoint directory is never written to by a
 // resume), with every segment marked spilled at its cumulative offset. The
 // copies run in fixed chunks at explicit offsets so transient read faults
-// retry idempotently.
+// retry idempotently, through the arena's metrics sink.
 func restoreArena(a *stateArena, fsys FS, dir string, m *ckManifest, graph bool) error {
 	meta, err := readArenaMeta(fsys, filepath.Join(dir, m.MetaFile))
 	if err != nil {
@@ -466,14 +459,7 @@ func restoreArena(a *stateArena, fsys FS, dir string, m *ckManifest, graph bool)
 	if dataTotal+edgeTotal == 0 {
 		return nil
 	}
-	if err := retryIO(func() error {
-		f, cerr := a.fsys.CreateTemp("", "tla-arena-")
-		if cerr != nil {
-			return cerr
-		}
-		a.file = f
-		return nil
-	}); err != nil {
+	if err := a.createFile("checkpoint"); err != nil {
 		return err
 	}
 	if err := copyIntoSpill(a, fsys, dir, m.DataFile, 0, dataTotal); err != nil {
@@ -505,7 +491,7 @@ func copyIntoSpill(a *stateArena, fsys FS, dir, name string, dstOff, length int6
 		if length-off < n {
 			n = length - off
 		}
-		err := retryIO(func() error {
+		err := a.em.retry("checkpoint", func() error {
 			rn, rerr := src.ReadAt(buf[:n], off)
 			if int64(rn) != n {
 				if rerr == nil || errors.Is(rerr, io.EOF) {
@@ -524,47 +510,78 @@ func copyIntoSpill(a *stateArena, fsys FS, dir, name string, dstOff, length int6
 	return nil
 }
 
-// reconstructStates decodes the live values of the checkpointed frontier
-// ids from their stored encodings into the retainer's pages and queues the
-// ids on fr. The pages below the first of them stay nil, as dropBelow
-// leaves the pages of expanded states. Runs spec callbacks; the caller
-// brackets it with a guard.
-func reconstructStates[S State](cod *codec[S], ret *retainer[S], ids []int, fr *levelFrontier) error {
-	for _, id := range ids {
-		if id < 0 || id >= ret.len() {
-			return fmt.Errorf("%w: frontier references state %d of %d", ErrBadCheckpoint, id, ret.len())
+// restoreStates rebuilds from the restored arena what a checkpoint does
+// not store, reading the encodings one stored segment at a time: the
+// visited set — each state's key (codec.key of its encoding) under its
+// id, sealed by EndLevel after each segment once it charges past a budget,
+// so it is fully resident without one and stays near one — and the live
+// values of the frontier's states, decoded into the retainer's pages (the
+// pages below the first stay nil, as dropBelow leaves the pages of
+// expanded states) and queued on fr in the manifest's order. Two states
+// with one key (one fingerprint, unkeyed) are a bad checkpoint. Runs spec
+// callbacks; the caller brackets it with a guard.
+func restoreStates[S State](cod *codec[S], ret *retainer[S], vs *visitedSet, frontier []int, fr *levelFrontier) error {
+	a := ret.arena
+	want := slices.Clone(frontier) // the frontier's ids left to decode, ascending
+	slices.Sort(want)
+	if len(want) > 0 {
+		if lo, hi := want[0], want[len(want)-1]; lo < 0 || hi >= a.len() {
+			return fmt.Errorf("%w: frontier references states %d..%d of %d", ErrBadCheckpoint, lo, hi, a.len())
 		}
+		ret.live = make(pages[S], want[0]>>pageBits)
+		ret.reserve(a.len())
 	}
-	if len(ids) == 0 {
-		return nil
-	}
-	ret.live = make(pages[S], slices.Min(ids)>>pageBits)
-	ret.reserve(ret.len())
-	var enc []byte
-	for _, id := range ids {
-		var err error
-		enc, err = ret.arena.encoding(id, enc[:0])
-		if err != nil {
-			return err
+	var seg []byte
+	cur := -1 // the segment in seg
+	for id := range a.len() {
+		m := *a.rec(id)
+		var enc []byte
+		if m.n > 0 {
+			if int(m.seg) != cur {
+				if err := vs.EndLevel(); err != nil {
+					return err
+				}
+				var err error
+				if seg, err = a.readSeg(&a.segs[m.seg], 0, a.segs[m.seg].size, seg[:0]); err != nil {
+					return err
+				}
+				cur = int(m.seg)
+			}
+			enc = seg[m.off : m.off+m.n]
 		}
-		s, err := cod.dec(enc)
+		for ; len(want) > 0 && want[0] == id; want = want[1:] {
+			s, err := cod.dec(enc)
+			if err != nil {
+				return fmt.Errorf("%w: decoding state %d: %v", ErrBadCheckpoint, id, err)
+			}
+			*ret.live.at(id) = s
+		}
+		key, err := cod.key(enc)
 		if err != nil {
 			return fmt.Errorf("%w: decoding state %d: %v", ErrBadCheckpoint, id, err)
 		}
-		*ret.live.at(id) = s
+		if prev, isNew := vs.own(fingerprint(key), key, id); !isNew {
+			return fmt.Errorf("%w: states %d and %d have the same key", ErrBadCheckpoint, prev, id)
+		}
+	}
+	for _, id := range frontier {
 		fr.Push(id)
 	}
-	return nil
+	return vs.EndLevel()
 }
 
-// resumeRun restores a checkpoint into a fresh run: validates the manifest
-// against the spec and options, seeds the counters, arena and visited
-// set, and re-enqueues the frontier with reconstructed live values.
-// Returns the BFS level the resumed loop continues from.
-func resumeRun[S State](spec *Spec[S], opts Options, cod *codec[S], ret *retainer[S], vs *visitedSet, fr *levelFrontier, res *Result[S], ck *checkpointer) (int, error) {
-	fsys := resolveFS(opts.FS)
-	dir := opts.ResumeFrom
-	m, err := readManifest(fsys, dir)
+// resume restores the checkpoint at Options.ResumeFrom into the fresh run:
+// validates the manifest against the spec and options, seeds the counters
+// and the arena, rebuilds the visited set, and re-enqueues the frontier
+// with reconstructed live values. Spec callbacks run under worker 0's
+// guard: Init, which rebinds the decoder, as Init, and the rebuild's and
+// the frontier's decoding as state encoding. Returns the BFS level the
+// resumed loop continues from.
+func (l *levelSync[S]) resume() (int, error) {
+	spec, ret, res := l.spec, l.ret, l.res
+	fsys := resolveFS(l.opts.FS)
+	dir := l.opts.ResumeFrom
+	m, err := readManifest(fsys, l.em, dir)
 	if err != nil {
 		return 0, err
 	}
@@ -573,7 +590,7 @@ func resumeRun[S State](spec *Spec[S], opts Options, cod *codec[S], ret *retaine
 		return 0, fmt.Errorf("%w: checkpoint is of spec %q, resuming %q", ErrBadCheckpoint, m.Spec, spec.Name)
 	case m.SpecFP != fmt.Sprintf("%016x", specFingerprint(spec)):
 		return 0, fmt.Errorf("%w: spec %q changed shape since the checkpoint (actions/invariants/constraint/symmetry differ)", ErrBadCheckpoint, spec.Name)
-	case m.OptionsFP != fmt.Sprintf("%016x", optionsFingerprint(opts)):
+	case m.OptionsFP != fmt.Sprintf("%016x", optionsFingerprint(l.opts)):
 		return 0, fmt.Errorf("%w: MaxStates/PartialOrder differ from the checkpointing run", ErrBadCheckpoint)
 	case len(m.Actions) != len(ret.acts):
 		return 0, fmt.Errorf("%w: checkpoint interned %d action names, this spec %d", ErrBadCheckpoint, len(m.Actions), len(ret.acts))
@@ -599,18 +616,22 @@ func resumeRun[S State](spec *Spec[S], opts Options, cod *codec[S], ret *retaine
 	if err := restoreArena(ret.arena, fsys, dir, m, res.Graph != nil); err != nil {
 		return 0, err
 	}
-	if err := vs.adoptRuns(fsys, dir, m.VisitedRuns); err != nil {
+	// Rebind the decoder to a real initial state before decoding anything
+	// (see BinaryDecoder).
+	g := &l.xs[0].g
+	g.enter(opInit, "", -1)
+	inits := spec.Init()
+	g.exit()
+	if len(inits) > 0 {
+		l.cod.bindDecoder(inits[0])
+	}
+	g.enter(opEncode, "", -1)
+	err = restoreStates(l.cod, ret, l.vs, m.Frontier, &l.fr)
+	g.exit()
+	if err != nil {
 		return 0, err
 	}
-	// Rebind the decoder to a real initial state before reconstruction (see
-	// BinaryDecoder).
-	if inits := spec.Init(); len(inits) > 0 {
-		cod.bindDecoder(inits[0])
-	}
-	if err := reconstructStates(cod, ret, m.Frontier, fr); err != nil {
-		return 0, err
-	}
-	if ck != nil && ck.dir == dir {
+	if ck := l.ck; ck != nil && ck.dir == dir {
 		// Continuing to checkpoint into the same directory: pick up the
 		// generation sequence, and let the next write supersede this one.
 		ck.gen = m.Gen + 1

@@ -1,6 +1,7 @@
 package tla
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -10,8 +11,11 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"syscall"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // Checkpoint/resume tests. The contract under test (checkpoint.go): a run
@@ -234,7 +238,7 @@ func TestResumeValidation(t *testing.T) {
 	// missing a file is bad, not a transient fault to retry.
 	metaless := t.TempDir()
 	interruptedCheckpoint(t, max, metaless, 200)
-	mm, err := readManifest(OSFS, metaless)
+	mm, err := readManifest(OSFS, nil, metaless)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +255,7 @@ func TestResumeValidation(t *testing.T) {
 	// caught before the arena is read.
 	corrupt := t.TempDir()
 	interruptedCheckpoint(t, max, corrupt, 200)
-	cm, err := readManifest(OSFS, corrupt)
+	cm, err := readManifest(OSFS, nil, corrupt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,26 +302,6 @@ func TestResumeValidation(t *testing.T) {
 		t.Fatalf("negative arena segment size: err = %v, want ErrBadCheckpoint", err)
 	}
 
-	// Tear a visited file: a cut record is a bad checkpoint at resume, with
-	// or without a budget, not an I/O error of the resumed run.
-	m, err := readManifest(OSFS, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vpath := filepath.Join(dir, m.VisitedRuns[0])
-	vblob, err := os.ReadFile(vpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(vpath, vblob[:len(vblob)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, budget := range []int64{0, 1} {
-		if err := resume(counterSpec(max), func(o *Options) { o.MemoryBudgetBytes = budget }); !errors.Is(err, ErrBadCheckpoint) {
-			t.Fatalf("torn visited file, budget %d: err = %v, want ErrBadCheckpoint", budget, err)
-		}
-	}
-
 	// Tear the manifest: half its bytes is invalid JSON, detected as a torn
 	// checkpoint rather than parsed into a half-restored run.
 	mpath := filepath.Join(dir, "MANIFEST.json")
@@ -333,12 +317,14 @@ func TestResumeValidation(t *testing.T) {
 	}
 }
 
-// TestResumeSeveralVisitedFiles resumes a checkpoint shaped like those of
-// earlier releases, whose manifest lists several visited files that share
-// fingerprints: the visited records are split into three overlapping
-// sorted files. It must resume to the uninterrupted counts with and without
-// a budget.
-func TestResumeSeveralVisitedFiles(t *testing.T) {
+// TestResumeVersion1 resumes a checkpoint shaped like those of earlier
+// releases: a version-1 manifest whose visited_runs list visited files (here
+// torn ones, so reading any of them would fail). This build rebuilds the
+// visited set from the arena and reads none of them, resuming to the
+// uninterrupted counts with and without a budget; a resume that goes on
+// checkpointing into the same directory supersedes the old generation,
+// visited files included, with a version-2 manifest that lists none.
+func TestResumeVersion1(t *testing.T) {
 	const max = 30
 	oracle, err := Check(counterSpec(max), ckOpts())
 	if err != nil {
@@ -346,58 +332,32 @@ func TestResumeSeveralVisitedFiles(t *testing.T) {
 	}
 	dir := t.TempDir()
 	interruptedCheckpoint(t, max, dir, 600)
-	m, err := readManifest(OSFS, dir)
+	mpath := filepath.Join(dir, ckManifestName)
+	blob, err := os.ReadFile(mpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.VisitedRuns) != 1 {
-		t.Fatalf("checkpoint lists %d visited files, want 1", len(m.VisitedRuns))
-	}
-	blob, err := os.ReadFile(filepath.Join(dir, m.VisitedRuns[0]))
-	if err != nil {
+	var m map[string]any
+	if err := json.Unmarshal(blob, &m); err != nil {
 		t.Fatal(err)
 	}
-	n := len(blob) / spillRecSize
-	if n < 6 {
-		t.Fatalf("checkpoint holds %d visited records, too few to split", n)
+	if m["version"] != float64(2) || m["visited_runs"] != nil {
+		t.Fatalf("this build wrote version %v with visited_runs %v, want version 2 and none", m["version"], m["visited_runs"])
 	}
-	parts := map[string][]byte{
-		"g000000-visited-resident": blob[:2*n/3*spillRecSize],
-		"g000000-visited-000000":   blob[n/3*spillRecSize:],
-		"g000000-visited-000001":   blob[n/2*spillRecSize : (n/2+1)*spillRecSize],
-	}
-	m.VisitedRuns = nil
-	for name, part := range parts {
-		if err := os.WriteFile(filepath.Join(dir, name), part, 0o644); err != nil {
+	runs := []any{"g000000-visited-000000", "g000000-visited-000001", "g000000-visited-resident"}
+	for _, name := range runs {
+		if err := os.WriteFile(filepath.Join(dir, name.(string)), []byte("torn"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		m.VisitedRuns = append(m.VisitedRuns, name)
 	}
-	sort.Strings(m.VisitedRuns)
-	mblob, err := json.Marshal(m)
-	if err != nil {
+	m["version"], m["visited_runs"], m["files"] = 1, runs, append(m["files"].([]any), runs...)
+	if blob, err = json.Marshal(m); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, ckManifestName), mblob, 0o644); err != nil {
+	if err := os.WriteFile(mpath, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, budget := range []int64{0, 1} {
-		// Adopted alone, the files restore every record, each fingerprint
-		// once: resident without a budget, sealed into the run under one.
-		vs := newVisitedSet(Options{MemoryBudgetBytes: budget}, nil)
-		if err := vs.adoptRuns(OSFS, dir, m.VisitedRuns); err != nil {
-			t.Fatalf("budget %d: adoptRuns: %v", budget, err)
-		}
-		wantResident, wantSealed := n, 0
-		if budget > 0 {
-			wantResident, wantSealed = 0, n
-		}
-		if vs.resident() != wantResident || vs.sealed != int64(wantSealed*spillRecSize) {
-			t.Fatalf("budget %d: adopted %d resident records and a %d-byte run, want %d and %d bytes",
-				budget, vs.resident(), vs.sealed, wantResident, wantSealed*spillRecSize)
-		}
-		vs.Close()
-
 		opts := ckOpts()
 		opts.MemoryBudgetBytes = budget
 		opts.ResumeFrom = dir
@@ -406,6 +366,26 @@ func TestResumeSeveralVisitedFiles(t *testing.T) {
 			t.Fatalf("budget %d: resume: %v", budget, err)
 		}
 		assertSameOutcome(t, fmt.Sprintf("budget %d", budget), res, oracle)
+	}
+
+	opts := ckOpts()
+	opts.ResumeFrom, opts.CheckpointDir, opts.CheckpointEvery = dir, dir, 1
+	res, err := Check(counterSpec(max), opts)
+	if err != nil {
+		t.Fatalf("resume into the same directory: %v", err)
+	}
+	assertSameOutcome(t, "same directory", res, oracle)
+	nm, err := readManifest(OSFS, nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nm.Version != 2 {
+		t.Fatalf("the superseding checkpoint is version %d, want 2", nm.Version)
+	}
+	for _, f := range dirListing(t, dir) {
+		if strings.Contains(f, "visited") {
+			t.Fatalf("the superseded generation's %s survived", f)
+		}
 	}
 }
 
@@ -417,16 +397,17 @@ func FuzzReadManifest(f *testing.F) {
 	f.Add([]byte(`{"version": 1, "frontier": "x"}`))
 	f.Add([]byte(`{"version"`))
 	f.Add([]byte{})
+	f.Add([]byte(`{"version": 3}`))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, ckManifestName), blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		m, err := readManifest(OSFS, dir)
+		m, err := readManifest(OSFS, nil, dir)
 		if err != nil && !errors.Is(err, ErrBadCheckpoint) {
 			t.Fatalf("readManifest failed without ErrBadCheckpoint: %v", err)
 		}
-		if err == nil && m.Version != ckVersion {
+		if err == nil && m.Version != 1 && m.Version != ckVersion {
 			t.Fatalf("readManifest accepted version %d", m.Version)
 		}
 	})
@@ -452,7 +433,7 @@ func FuzzResumeArenaMeta(f *testing.F) {
 	if _, err := Check(cancelingSpec(spec(), cancel, 12), opts); !errors.Is(err, ErrInterrupted) {
 		f.Fatalf("err = %v, want an interrupted run", err)
 	}
-	m, err := readManifest(OSFS, dir)
+	m, err := readManifest(OSFS, nil, dir)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -605,4 +586,77 @@ func TestOptionsFingerprintStable(t *testing.T) {
 	if got := fmt.Sprintf("%016x", Options{}.Fingerprint()); got != "80c9dbd03255416a" {
 		t.Fatalf("Options{}.Fingerprint() = %s, want 80c9dbd03255416a", got)
 	}
+}
+
+// TestResumeInitPanicIsInit: a resume calls Init to bind the decoder to a
+// real initial state, so a panic in that call is reported as Init's, not
+// as the encoding's that brackets the rebuild and the frontier's decoding.
+func TestResumeInitPanicIsInit(t *testing.T) {
+	const max = 20
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	spec := cancelingSpec(counterSpec(max), cancel, 200)
+	init, calls := spec.Init, 0
+	spec.Init = func() []counterState {
+		if calls++; calls == 2 {
+			panic("Init called twice")
+		}
+		return init()
+	}
+	opts := ckOpts()
+	opts.Context, opts.CheckpointDir = ctx, dir
+	if _, err := Check(spec, opts); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("checkpointing run: err = %v, want an interrupted run", err)
+	}
+	ropts := ckOpts()
+	ropts.ResumeFrom = dir
+	_, err := Check(spec, ropts)
+	var sp *SpecPanic[counterState]
+	if !errors.As(err, &sp) || sp.Op != "Init" {
+		t.Fatalf("resume with a panicking Init: err = %v, want a SpecPanic of Init", err)
+	}
+}
+
+// TestResumeRetriesAreObserved: a transient fault reading the checkpoint's
+// data file during a resume is retried like every other engine I/O — it
+// moves tla_io_retries_total and journals a retry event — and the resumed
+// run still matches the uninterrupted oracle.
+func TestResumeRetriesAreObserved(t *testing.T) {
+	const max = 30
+	oracle, err := Check(counterSpec(max), ckOpts())
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	dir := t.TempDir()
+	interruptedCheckpoint(t, max, dir, 600)
+	ffs := NewFaultFS(nil)
+	ffs.Inject(Fault{Op: FaultRead, Path: "arena.data", Err: transientErr(), Times: 1})
+	reg := obs.NewRegistry()
+	var journal bytes.Buffer
+	opts := ckOpts()
+	opts.ResumeFrom, opts.FS, opts.Metrics, opts.JournalWriter = dir, ffs, reg, &journal
+	res, err := Check(counterSpec(max), opts)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if len(ffs.Fired()) == 0 {
+		t.Fatal("the injected read fault never fired")
+	}
+	if n := reg.Counter("tla_io_retries_total").Value(); n < 1 {
+		t.Fatalf("tla_io_retries_total = %d, want at least 1", n)
+	}
+	retries := 0
+	for _, r := range readJournal(t, &journal) {
+		if r.Event == "retry" {
+			retries++
+			if r.Fields["subsystem"] != "checkpoint" {
+				t.Fatalf("retry event %v, want subsystem checkpoint", r.Fields)
+			}
+		}
+	}
+	if retries != 1 {
+		t.Fatalf("journaled %d retry events, want 1", retries)
+	}
+	assertSameOutcome(t, "retried resume", res, oracle)
 }

@@ -237,6 +237,7 @@ type levelSync[S State] struct {
 
 	outs    []chunkOut[S] // per chunk; the backing array keeps every buffer
 	missFPs []uint64      // ResolveLevel's input, reused across levels
+	keyBuf  []byte        // storedKey's scratch
 
 	// Per miss g from each chunk's base: the claim's answer (winner, the
 	// winning miss's placeholder, a restored id), then a winner's id.
@@ -370,13 +371,9 @@ func (l *levelSync[S]) explore() {
 	level := 0
 	if l.opts.ResumeFrom != "" {
 		// A resumed run restores the checkpoint instead of registering
-		// initial states: counters, arena, visited runs, and the frontier's
-		// live values (decoded from their stored encodings, which runs spec
-		// callbacks — the guard attributes a panic there to the encoding).
-		g := &l.xs[0].g
-		g.enter(opEncode, "", -1)
-		lvl, err := resumeRun(l.spec, l.opts, l.cod, l.ret, l.vs, &l.fr, l.res, l.ck)
-		g.exit()
+		// initial states: counters, arena, the visited set rebuilt from
+		// it, and the frontier's live values.
+		lvl, err := l.resume()
 		if err != nil {
 			l.fail(err)
 			return
@@ -439,7 +436,7 @@ func (l *levelSync[S]) explore() {
 				}
 			}
 			l.missFPs = fps
-			if err := l.vs.ResolveLevel(fps); err != nil {
+			if err := l.vs.ResolveLevel(fps, l.storedKey); err != nil {
 				l.fail(err)
 				return
 			}
@@ -457,6 +454,24 @@ func (l *levelSync[S]) explore() {
 		}
 		l.phaseMerge = time.Since(start)
 	}
+}
+
+// storedKey reads back the key of state id for a keyed ResolveLevel: its
+// encoding in the arena, which a keyed set that seals retains for every
+// state, through codec.key under worker 0's guard.
+func (l *levelSync[S]) storedKey(id int) ([]byte, error) {
+	enc, err := l.ret.arena.encoding(id, l.keyBuf[:0])
+	if err != nil {
+		return nil, err
+	}
+	l.keyBuf = enc
+	l.xs[0].g.enter(opEncode, "", id)
+	key, err := l.cod.key(enc)
+	l.xs[0].g.exit()
+	if err != nil {
+		return nil, fmt.Errorf("tla: arena decode: state %d: %w", id, err)
+	}
+	return key, nil
 }
 
 // registerInits calls Init under worker 0's guard, rebinds the run's
@@ -536,7 +551,7 @@ func (l *levelSync[S]) interrupt(frontier []int, level int) {
 // journal's checkpoint event.
 func (l *levelSync[S]) checkpoint(frontier []int, level int) (string, error) {
 	start := time.Now()
-	path, err := writeCheckpoint(l.ck, l.spec, l.opts, l.ret, l.vs, l.res, frontier, level)
+	path, err := writeCheckpoint(l.ck, l.spec, l.opts, l.ret, l.res, frontier, level)
 	l.em.onCheckpoint(level, path, time.Since(start), err)
 	return path, err
 }

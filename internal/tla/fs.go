@@ -106,17 +106,11 @@ const (
 // retryIO runs op, retrying transient failures with capped exponential
 // backoff. The returned error is the last attempt's: nil, or a persistent
 // error, or a transient one that survived every retry (then treated as
-// persistent by callers).
-func retryIO(op func() error) error {
-	return retryIONotify(op, nil)
-}
-
-// retryIONotify is retryIO with a retry observer: notify (when non-nil)
-// runs once per retried attempt, before the backoff sleep, with the
-// zero-based attempt number and the transient error being retried. It is
-// the seam the observability layer counts I/O retries through without the
-// storage subsystems knowing about metrics.
-func retryIONotify(op func() error, notify func(attempt int, err error)) error {
+// persistent by callers). notify (when non-nil) runs once per retried
+// attempt, before the backoff sleep, with the zero-based attempt number and
+// the transient error being retried: the seam the observability layer
+// counts I/O retries through (engineMetrics.retry, the one caller).
+func retryIO(op func() error, notify func(attempt int, err error)) error {
 	delay := ioBackoffBase
 	for attempt := 0; ; attempt++ {
 		err := op()

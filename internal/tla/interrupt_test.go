@@ -213,8 +213,7 @@ func TestContextStartsNoGoroutine(t *testing.T) {
 func TestOptionsValidateRobustness(t *testing.T) {
 	bad := []Options{
 		{CheckpointEvery: -1},
-		{CheckpointEvery: 3},                       // no CheckpointDir
-		{CheckpointDir: "ck", CollisionFree: true}, // no fingerprints to persist
+		{CheckpointEvery: 3}, // no CheckpointDir
 	}
 	for _, opts := range bad {
 		if err := opts.Validate(); !errors.Is(err, ErrInvalidOptions) {
@@ -228,6 +227,7 @@ func TestOptionsValidateRobustness(t *testing.T) {
 		{Context: context.Background()},
 		{CheckpointDir: t.TempDir()}, // arena retention without a budget
 		{CheckpointDir: t.TempDir(), CheckpointEvery: 5, MemoryBudgetBytes: 1},
+		{CheckpointDir: "ck", CollisionFree: true}, // the keys are rebuilt from the arena
 	}
 	for _, opts := range good {
 		if err := opts.Validate(); err != nil {

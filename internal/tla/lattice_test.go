@@ -63,8 +63,7 @@ func runLattice[S State](t *testing.T, build func(sym bool) *Spec[S], opts Optio
 	spec := build(sym)
 	_, dec := any(*new(S)).(BinaryDecoder[S])
 	var run latticeRun
-	run.expectBad = (opts.MemoryBudgetBytes > 0 && opts.CollisionFree) ||
-		(opts.PartialOrder && spec.Independence == nil) ||
+	run.expectBad = (opts.PartialOrder && spec.Independence == nil) ||
 		(opts.MemoryBudgetBytes > 0 && !dec)
 	init := spec.Init
 	spec.Init = func() []S {

@@ -190,9 +190,9 @@ func (m *engineMetrics) onDegrade(subsystem string) {
 // and journaling each retried attempt for subsystem sys.
 func (m *engineMetrics) retry(sys string, op func() error) error {
 	if m == nil {
-		return retryIO(op)
+		return retryIO(op, nil)
 	}
-	return retryIONotify(op, func(attempt int, err error) {
+	return retryIO(op, func(attempt int, err error) {
 		m.ioRetries.Inc()
 		m.journal.Emit("retry", map[string]any{
 			"subsystem": sys,

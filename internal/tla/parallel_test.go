@@ -261,10 +261,11 @@ func TestParallelRandomizedCrossCheck(t *testing.T) {
 // TestFingerprintCollisions substitutes deliberately weak fingerprint
 // functions — every state hashed to 0, every state to one non-zero value,
 // and a hash with two values — and requires keyed deduplication
-// (CollisionFree, at any worker count) to find exactly what a textbook BFS
-// finds: colliding states share a fingerprint chain, never a slot.
-// Fingerprint mode, which trusts the fingerprint, merges every state of
-// one fingerprint into the first.
+// (CollisionFree, at any worker count, and under a one-byte budget, which
+// spills every level's records and restores the colliding states by their
+// keys) to find exactly what a textbook BFS finds: colliding states share
+// a fingerprint chain, never a slot. Fingerprint mode, which trusts the
+// fingerprint, merges every state of one fingerprint into the first.
 func TestFingerprintCollisions(t *testing.T) {
 	weak := []struct {
 		name   string
@@ -292,9 +293,11 @@ func TestFingerprintCollisions(t *testing.T) {
 				{Workers: 1, CollisionFree: true},
 				{Workers: 2, CollisionFree: true},
 				{Workers: 4, CollisionFree: true},
+				{Workers: 1, CollisionFree: true, MemoryBudgetBytes: 1},
+				{Workers: 2, CollisionFree: true, MemoryBudgetBytes: 1},
 			} {
 				opts.RecordGraph = true
-				label := fmt.Sprintf("%s/%s/workers=%d", w.name, ls.name, opts.Workers)
+				label := fmt.Sprintf("%s/%s/workers=%d/budget=%d", w.name, ls.name, opts.Workers, opts.MemoryBudgetBytes)
 				got := ls.check(t, opts, false)
 				if got.unsound != "" {
 					t.Fatalf("%s: recorded graph: %s", label, got.unsound)

@@ -14,12 +14,12 @@ import (
 
 // The visited set's spill half: TLC's external-memory fingerprint set,
 // transcribed to the level-synchronized engine. Without a memory budget the
-// set never seals. With one, when EndLevel finds the resident fingerprints
-// over the budget, it merges every (fingerprint, id) pair of the table
-// slots, sorted, with the set's one sealed run into a new sorted run file,
-// each fingerprint once, removes the old file, and drops the tables for
-// fresh minimal ones. The set holds at most one run, 16 bytes per distinct
-// spilled fingerprint, as TLC's disk set merges its buffer into one file.
+// set never seals. With one, when EndLevel finds the resident entries over
+// the budget, it merges every (fingerprint, id) pair of the table slots,
+// sorted, with the set's one sealed run into a new sorted run file, each
+// pair once, removes the old file, and drops the tables for fresh minimal
+// ones. The set holds at most one run, 16 bytes per distinct spilled state,
+// as TLC's disk set merges its buffer into one file.
 //
 // Lookups against the run are deferred — merge-on-lookup, once per level:
 // the expansion's probes see only the resident tables, and ResolveLevel
@@ -30,19 +30,22 @@ import (
 // pass over the run per BFS level, zero random disk reads — the classic
 // external-memory trade the paper credits TLC's engineering with.
 //
+// A keyed set (Options.CollisionFree) spills the same records: its keys go
+// with the tables, and a fingerprint holds one record per state that has
+// it, so colliding states keep separate ids. ResolveLevel restores a keyed
+// match with its key, which it reads back by id from the run's arena — a
+// keyed set seals only under a budget, which retains every state's
+// encoding there — so spilled keys are compared in the claim, as resident
+// ones are, and never per probe.
+//
 // All I/O flows through the run's FS seam (fs.go) with the engine's fault
 // contract: transient errors are retried with capped backoff; a persistent
 // failure to *write* the new run (ENOSPC at the seal) degrades the set —
-// the old run stays valid, and the resident fingerprints are held in
-// memory, over budget, under Result.DegradedMemory — because spilling is
-// memory relief, not correctness; a persistent failure to *read* the run,
-// in a merge-join or in a seal's merge, fails the run explicitly, because
-// the dedup information in it is load-bearing for the verdict.
-//
-// Only fingerprints spill (8 bytes of identity, 16 on disk with the id).
-// A keyed table's encodings, which its byte check compares against, stay
-// resident by definition, so Options.Validate refuses a budget alongside
-// CollisionFree.
+// the old run stays valid, and the resident entries are held in memory,
+// over budget, under Result.DegradedMemory — because spilling is memory
+// relief, not correctness; a persistent failure to *read* the run, in a
+// merge-join or in a seal's merge, fails the run explicitly, because the
+// dedup information in it is load-bearing for the verdict.
 
 // spillBytesPerEntry is the budget accounting charge per resident
 // fingerprint: its 16-byte table slot over a load factor between 3/8 and
@@ -65,35 +68,32 @@ const spillRecSize = 16
 // new one (degrading).
 var errReadRun = errors.New("tla: reading spill run")
 
-// residentBytes reports the budget charge of the resident fingerprints —
-// the visited set's half of Progress.ResidentBytes; 0 without a budget,
-// which tracks none. Merge goroutine only.
+// residentBytes reports the budget charge of the resident entries — the
+// visited set's half of Progress.ResidentBytes: spillBytesPerEntry each,
+// plus a keyed set's stored keys; 0 without a budget, which tracks none.
+// Merge goroutine only.
 func (vs *visitedSet) residentBytes() int64 {
 	if vs.budget == 0 {
 		return 0
 	}
-	return int64(vs.resident()) * spillBytesPerEntry
-}
-
-// restore makes a persisted (fingerprint, id) record resident again; a
-// fingerprint already resident keeps its id, which is the same. Merge
-// goroutine only, with no probe in flight.
-func (vs *visitedSet) restore(rec spillRec) {
-	sh := vs.shard(rec.fp)
-	if _, ok := sh.lookup(rec.fp, nil); !ok {
-		sh.insert(rec.fp, nil, int(rec.id))
+	n := int64(0)
+	for i := range vs.shards {
+		sh := &vs.shards[i]
+		n += int64(sh.n)*spillBytesPerEntry + int64(sh.keyBytes)
 	}
+	return n
 }
 
 // ResolveLevel merge-joins the level's probe misses (fingerprints, sorted
-// here in place) against the sealed run and restores each spilled one it
-// finds: one pass over the run that stops once the misses are exhausted.
-// Runs on the driver goroutine after all workers joined and before the
-// merge claims the misses. A transient read error retries the whole join —
+// here in place) against the sealed run and makes each spilled record it
+// finds resident again — keyed, with the key key reads back for its id:
+// one pass over the run that stops once the misses are exhausted. Runs on
+// the driver goroutine after all workers joined and before the merge
+// claims the misses. A transient read error retries the whole join —
 // restoring is idempotent — and a persistent one fails the run: the sealed
 // dedup records are load-bearing, and skipping them could silently prune
 // the space.
-func (vs *visitedSet) ResolveLevel(misses []uint64) error {
+func (vs *visitedSet) ResolveLevel(misses []uint64, key func(id int) ([]byte, error)) error {
 	if len(misses) == 0 || vs.run == "" {
 		return nil
 	}
@@ -101,15 +101,25 @@ func (vs *visitedSet) ResolveLevel(misses []uint64) error {
 	slices.Sort(misses)
 	err := vs.em.retry("spill", func() error {
 		i := 0
-		return readRecsFile(vs.fsys, vs.run, func(rec spillRec) bool {
+		var kerr error
+		rerr := readRecsFile(vs.fsys, vs.run, func(rec spillRec) bool {
 			for i < len(misses) && misses[i] < rec.fp {
 				i++
 			}
 			if i < len(misses) && misses[i] == rec.fp {
-				vs.restore(rec)
+				var enc []byte
+				if vs.keyed {
+					if enc, kerr = key(int(rec.id)); kerr != nil {
+						return false
+					}
+				}
+				if sh := vs.shard(rec.fp); sh.tab.slot(rec.fp, enc) == nil {
+					sh.insert(rec.fp, enc, int(rec.id)) // not restored by an earlier attempt
+				}
 			}
 			return i < len(misses)
 		})
+		return cmp.Or(rerr, kerr)
 	})
 	if err != nil {
 		return err
@@ -137,7 +147,7 @@ func readRecsFile(fsys FS, path string, fn func(spillRec) bool) error {
 }
 
 // residentRecs appends every resident (fingerprint, id) pair to recs,
-// sorted by fingerprint.
+// sorted.
 func (vs *visitedSet) residentRecs(recs []spillRec) []spillRec {
 	for i := range vs.shards {
 		for _, s := range vs.shards[i].tab.slots {
@@ -146,14 +156,19 @@ func (vs *visitedSet) residentRecs(recs []spillRec) []spillRec {
 			}
 		}
 	}
-	slices.SortFunc(recs, func(a, b spillRec) int { return cmp.Compare(a.fp, b.fp) })
+	slices.SortFunc(recs, compareRecs)
 	return recs
 }
 
+// compareRecs orders records by fingerprint, then id: the order of a run.
+func compareRecs(a, b spillRec) int {
+	return cmp.Or(cmp.Compare(a.fp, b.fp), cmp.Compare(a.id, b.id))
+}
+
 // EndLevel enforces the memory budget after the merge claimed the level's
-// new states: when the resident fingerprints charge past the budget, they
-// are merged with the sealed run into a new one (writeRun), the old file is
-// removed and the tables are dropped.
+// new states: when the resident entries charge past the budget, their
+// records are merged with the sealed run into a new one (writeRun), the
+// old file is removed and the tables, keys included, are dropped.
 //
 // A persistent failure to write the new run (ENOSPC is the canonical case)
 // degrades the set instead of failing the checking run: the old run stays
@@ -171,7 +186,7 @@ func (vs *visitedSet) EndLevel() error {
 	path, err := vs.nextRunPath()
 	if err == nil {
 		err = vs.em.retry("spill", func() (err error) {
-			n, err = vs.writeRun(vs.fsys, path, recs)
+			n, err = vs.writeRun(path, recs)
 			return err
 		})
 	}
@@ -208,14 +223,14 @@ func (vs *visitedSet) nextRunPath() (string, error) {
 	return filepath.Join(vs.dir, fmt.Sprintf("run-%06d", vs.seq)), nil
 }
 
-// writeRun writes the sorted union of recs (sorted, each fingerprint once)
-// and the sealed run into a new run file at path on fsys, each fingerprint
-// once — a fingerprint in both carries the same id in both — and returns
-// the records written. It is the one writer of the run format, for a seal
-// and a checkpoint alike, and leaves the set as it is. On failure the
-// partial file is removed, so a retry (or the degraded path) never sees
-// torn records; a failure to read the sealed run wraps errReadRun.
-func (vs *visitedSet) writeRun(fsys FS, path string, recs []spillRec) (n int64, err error) {
+// writeRun writes the sorted union of recs (sorted, each pair once) and
+// the sealed run into a new run file at path, each pair once — a
+// state in both carries the same id in both, and unkeyed a fingerprint has
+// only one id — and returns the records written. It is the one writer of
+// the run format and leaves the set as it is. On failure the partial file
+// is removed, so a retry (or the degraded path) never sees torn records; a
+// failure to read the sealed run wraps errReadRun.
+func (vs *visitedSet) writeRun(path string, recs []spillRec) (n int64, err error) {
 	old := &runReader{eof: true}
 	if vs.run != "" {
 		if old, err = openRun(vs.fsys, vs.run); err != nil {
@@ -226,7 +241,7 @@ func (vs *visitedSet) writeRun(fsys FS, path string, recs []spillRec) (n int64, 
 			return 0, err
 		}
 	}
-	f, err := fsys.Create(path)
+	f, err := vs.fsys.Create(path)
 	if err != nil {
 		return 0, err
 	}
@@ -235,16 +250,16 @@ func (vs *visitedSet) writeRun(fsys FS, path string, recs []spillRec) (n int64, 
 			err = cerr
 		}
 		if err != nil {
-			fsys.Remove(path)
+			vs.fsys.Remove(path)
 		}
 	}()
 	w := bufio.NewWriterSize(f, 1<<16)
 	var buf [spillRecSize]byte
-	var last uint64
+	var last spillRec
 	for i := 0; ; {
 		var rec spillRec
 		switch {
-		case i < len(recs) && (old.eof || recs[i].fp <= old.cur.fp):
+		case i < len(recs) && (old.eof || compareRecs(recs[i], old.cur) <= 0):
 			rec = recs[i]
 			i++
 		case !old.eof:
@@ -255,7 +270,7 @@ func (vs *visitedSet) writeRun(fsys FS, path string, recs []spillRec) (n int64, 
 		default:
 			return n, w.Flush()
 		}
-		if n > 0 && rec.fp == last {
+		if n > 0 && rec == last {
 			continue
 		}
 		binary.LittleEndian.PutUint64(buf[:8], rec.fp)
@@ -263,7 +278,7 @@ func (vs *visitedSet) writeRun(fsys FS, path string, recs []spillRec) (n int64, 
 		if _, err := w.Write(buf[:]); err != nil {
 			return 0, err
 		}
-		last = rec.fp
+		last = rec
 		n++
 	}
 }
@@ -302,52 +317,6 @@ func (rr *runReader) advance() error {
 	rr.cur = spillRec{
 		fp: binary.LittleEndian.Uint64(rr.buf[:8]),
 		id: int64(binary.LittleEndian.Uint64(rr.buf[8:])),
-	}
-	return nil
-}
-
-// snapshotRuns writes the set into dir for a checkpoint: the union of the
-// resident pairs and the sealed run, through writeRun, as one sorted file
-// of each fingerprint once. Returns the file's name (relative to dir) as
-// the manifest's visited list. The set itself is not modified — a
-// checkpoint must not perturb the run it snapshots.
-func (vs *visitedSet) snapshotRuns(fsys FS, dir, prefix string) ([]string, error) {
-	recs := vs.residentRecs(vs.recBuf[:0])
-	vs.recBuf = recs[:0]
-	name := prefix + "visited"
-	err := vs.em.retry("checkpoint", func() error {
-		_, err := vs.writeRun(fsys, filepath.Join(dir, name), recs)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return []string{name}, nil
-}
-
-// adoptRuns restores a checkpoint's visited files: every persisted
-// (fingerprint, id) record is read back resident — a fingerprint in
-// several files, as checkpoints of earlier releases list them, carries the
-// same id in each — and EndLevel seals the set whenever it charges past
-// the budget, so without one the resumed set is fully resident and with
-// one it stays within it. A file that cannot be read whole (torn, missing)
-// is a bad checkpoint; a failed seal fails or degrades as in a run.
-func (vs *visitedSet) adoptRuns(fsys FS, srcDir string, names []string) error {
-	for _, name := range names {
-		var sealErr error
-		err := vs.em.retry("checkpoint", func() error {
-			return readRecsFile(fsys, filepath.Join(srcDir, name), func(rec spillRec) bool {
-				vs.restore(rec)
-				sealErr = vs.EndLevel()
-				return sealErr == nil
-			})
-		})
-		if sealErr != nil {
-			return sealErr
-		}
-		if err != nil {
-			return fmt.Errorf("%w: visited file %s: %v", ErrBadCheckpoint, name, err)
-		}
 	}
 	return nil
 }

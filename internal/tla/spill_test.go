@@ -1,7 +1,6 @@
 package tla
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,7 +18,6 @@ func TestOptionsValidate(t *testing.T) {
 		{Workers: -1},
 		{MaxStates: -5},
 		{MemoryBudgetBytes: -1},
-		{MemoryBudgetBytes: 1 << 20, CollisionFree: true},
 	}
 	for _, opts := range bad {
 		if err := opts.Validate(); !errors.Is(err, ErrInvalidOptions) {
@@ -35,6 +33,7 @@ func TestOptionsValidate(t *testing.T) {
 		{Workers: 4, CollisionFree: true},
 		{MemoryBudgetBytes: 1},
 		{CheckpointDir: "ck", MemoryBudgetBytes: 1},
+		{MemoryBudgetBytes: 1 << 20, CollisionFree: true},
 	}
 	for _, opts := range good {
 		if err := opts.Validate(); err != nil {
@@ -209,7 +208,7 @@ func TestSpillStoreProtocol(t *testing.T) {
 	if id, isNew := st.own(fa, a, 8); id != 7 || isNew {
 		t.Fatalf("second own = (%d, %t), want the first's (7, false)", id, isNew)
 	}
-	if err := st.ResolveLevel([]uint64{fa}); err != nil {
+	if err := st.ResolveLevel([]uint64{fa}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.EndLevel(); err != nil {
@@ -222,7 +221,7 @@ func TestSpillStoreProtocol(t *testing.T) {
 	if _, ok := st.probe(fa, a); ok {
 		t.Fatal("probe after the seal hit a fingerprint that is only on disk")
 	}
-	if err := st.ResolveLevel([]uint64{fb, fa}); err != nil {
+	if err := st.ResolveLevel([]uint64{fb, fa}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if id, ok := st.probe(fa, a); !ok || id != 7 {
@@ -250,7 +249,7 @@ func TestSpillSingleRun(t *testing.T) {
 		for _, key := range keys {
 			misses = append(misses, fingerprint([]byte(key)))
 		}
-		if err := st.ResolveLevel(misses); err != nil {
+		if err := st.ResolveLevel(misses, nil); err != nil {
 			t.Fatal(err)
 		}
 		for _, key := range keys {
@@ -293,7 +292,7 @@ func TestSpillSingleRun(t *testing.T) {
 		for key := range ids {
 			misses = append(misses, fingerprint([]byte(key)))
 		}
-		if err := st.ResolveLevel(misses); err != nil {
+		if err := st.ResolveLevel(misses, nil); err != nil {
 			t.Fatal(err)
 		}
 		for key, want := range ids {
@@ -307,7 +306,7 @@ func TestSpillSingleRun(t *testing.T) {
 // FuzzSpillRun feeds arbitrary bytes to the run reader as a run file: it
 // never panics and fails exactly when the file ends in a torn record. A
 // valid, sorted run merged by writeRun with a set of resident records gives
-// their sorted union, each fingerprint once, the resident record first.
+// their sorted union, each (fingerprint, id) pair once.
 func FuzzSpillRun(f *testing.F) {
 	rec := func(fp uint64, id int64) []byte {
 		return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, fp), uint64(id))
@@ -330,26 +329,23 @@ func FuzzSpillRun(f *testing.F) {
 		if len(recs) != len(run)/spillRecSize {
 			t.Fatalf("%d-byte run decoded %d records", len(run), len(recs))
 		}
-		if err != nil || !slices.IsSortedFunc(recs, func(a, b spillRec) int { return cmp.Compare(a.fp, b.fp) }) {
+		if err != nil || !slices.IsSortedFunc(recs, compareRecs) {
 			return
 		}
 
-		var res []spillRec // sorted, each fingerprint once, like residentRecs
+		var res []spillRec // sorted, each pair once, like residentRecs; ids 0 and 8 recur
 		for i := 0; i+8 <= len(resident); i += 8 {
-			res = append(res, spillRec{fp: binary.LittleEndian.Uint64(resident[i:]), id: int64(i)})
+			res = append(res, spillRec{fp: binary.LittleEndian.Uint64(resident[i:]), id: int64(i % 16)})
 		}
-		slices.SortStableFunc(res, func(a, b spillRec) int { return cmp.Compare(a.fp, b.fp) })
-		res = slices.CompactFunc(res, func(a, b spillRec) bool { return a.fp == b.fp })
-		want := map[uint64]spillRec{}
-		for _, r := range append(slices.Clone(res), recs...) {
-			if _, ok := want[r.fp]; !ok {
-				want[r.fp] = r
-			}
-		}
+		slices.SortFunc(res, compareRecs)
+		res = slices.Compact(res)
+		want := append(slices.Clone(res), recs...)
+		slices.SortFunc(want, compareRecs)
+		want = slices.Compact(want)
 
 		vs := &visitedSet{fsys: OSFS, run: path}
 		out := filepath.Join(dir, "run-out")
-		n, err := vs.writeRun(OSFS, out, res)
+		n, err := vs.writeRun(out, res)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,16 +353,8 @@ func FuzzSpillRun(f *testing.F) {
 		if err := readRecsFile(OSFS, out, func(r spillRec) bool { got = append(got, r); return true }); err != nil {
 			t.Fatal(err)
 		}
-		if int(n) != len(want) || len(got) != len(want) {
-			t.Fatalf("merged %d records (read back %d), want %d distinct fingerprints", n, len(got), len(want))
-		}
-		for i, r := range got {
-			if i > 0 && got[i-1].fp >= r.fp {
-				t.Fatalf("merged records %d and %d are out of order or repeated", i-1, i)
-			}
-			if want[r.fp] != r {
-				t.Fatalf("merged record %+v, want %+v", r, want[r.fp])
-			}
+		if int(n) != len(want) || !slices.Equal(got, want) {
+			t.Fatalf("merged %d records %v, want the %d distinct pairs %v", n, got, len(want), want)
 		}
 	})
 }

@@ -20,8 +20,8 @@ import (
 // only by the shard's owner in a claim or publish pass, or by the driver
 // goroutine between levels, and read concurrently only in the expansion
 // and the route pass, when nothing writes. Under a memory budget the
-// fingerprints seal into one sorted run on disk between levels
-// (spill.go).
+// (fingerprint, id) records seal into one sorted run on disk between
+// levels (spill.go), keyed or not.
 //
 // Keyed (Options.CollisionFree), the same table is exact: each shard also
 // keeps every state's canonical encoding once, in append-only blocks, and
@@ -68,9 +68,10 @@ type visitedShard struct {
 // shard is one stripe of the visited set, written by one goroutine at a
 // time.
 type shard struct {
-	tab   *fpTable
-	n     int    // states in tab
-	block []byte // keyed: the encodings' current storage block
+	tab      *fpTable
+	n        int    // states in tab
+	block    []byte // keyed: the encodings' current storage block
+	keyBytes int    // keyed: the bytes of the keys in tab
 }
 
 // fpSlot is one slot of a fingerprint table. id holds 1 + the state id, so
@@ -184,13 +185,13 @@ func (sh *shard) keep(enc []byte) string {
 	}
 	n := len(sh.block)
 	sh.block = append(sh.block, enc...)
+	sh.keyBytes += len(enc)
 	return unsafe.String(&sh.block[n], len(enc))
 }
 
 // newVisitedSet builds the visited set for a validated Options: keyed
-// exactly when CollisionFree asks for it, at any worker count. (Validate
-// rejects CollisionFree alongside a budget or a checkpoint: both persist
-// (fingerprint, id) records, from which the encodings cannot be rebuilt.)
+// exactly when CollisionFree asks for it, at any worker count, and sealing
+// past MemoryBudgetBytes in either mode.
 func newVisitedSet(opts Options, em *engineMetrics) *visitedSet {
 	vs := &visitedSet{
 		keyed:  opts.CollisionFree,
@@ -202,14 +203,12 @@ func newVisitedSet(opts Options, em *engineMetrics) *visitedSet {
 	return vs
 }
 
-// clearResident empties every shard, with a fresh minimal table: at
-// construction, and after a seal moved the resident fingerprints to disk.
-// Driver goroutine only, with no probe in flight.
+// clearResident empties every shard, with a fresh minimal table and no
+// keys: at construction, and after a seal moved the resident records to
+// disk. Driver goroutine only, with no probe in flight.
 func (vs *visitedSet) clearResident() {
 	for i := range vs.shards {
-		sh := &vs.shards[i]
-		sh.tab = newFPTable(fpTableMin, vs.keyed)
-		sh.n = 0
+		vs.shards[i].shard = shard{tab: newFPTable(fpTableMin, vs.keyed)}
 	}
 }
 
@@ -244,14 +243,4 @@ func (vs *visitedSet) own(fp uint64, enc []byte, id int) (present int, isNew boo
 // The caller owns the shard, as for own.
 func (vs *visitedSet) publish(fp uint64, enc []byte, id int) {
 	vs.shard(fp).tab.slot(fp, enc).id = int64(id) + 1
-}
-
-// resident counts the ids the shards hold. Callers exclude concurrent
-// inserts (the driver goroutine, between levels).
-func (vs *visitedSet) resident() int {
-	n := 0
-	for i := range vs.shards {
-		n += vs.shards[i].n
-	}
-	return n
 }

@@ -2,12 +2,22 @@ package tla
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
+
+// resident counts the ids the shards hold.
+func (vs *visitedSet) resident() int {
+	n := 0
+	for i := range vs.shards {
+		n += vs.shards[i].n
+	}
+	return n
+}
 
 // TestFingerprintZero follows fingerprint 0 — a legal FNV-1a output, and
 // the value of an empty slot's fingerprint word — through own, probe,
@@ -54,7 +64,7 @@ func TestFingerprintZero(t *testing.T) {
 		t.Fatal("probe after the seal hit fingerprint 0, which is only on disk")
 	}
 
-	if err := vs.ResolveLevel([]uint64{other, 0}); err != nil {
+	if err := vs.ResolveLevel([]uint64{other, 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if id, ok := vs.probe(0, nil); !ok || id != 5 {
@@ -68,6 +78,58 @@ func TestFingerprintZero(t *testing.T) {
 	}
 	if n := vs.resident(); n != 2 {
 		t.Fatalf("resident() after the restore = %d, want 2", n)
+	}
+}
+
+// TestKeyedSetSpills seals a keyed set whose states share one fingerprint:
+// the run holds one record per state, the keys go with the tables, and
+// ResolveLevel restores each spilled state with the key it reads back by
+// id, so a claim tells the spilled states apart by their bytes again and a
+// new state with the same fingerprint is new.
+func TestKeyedSetSpills(t *testing.T) {
+	vs := newVisitedSet(Options{MemoryBudgetBytes: 1, CollisionFree: true}, nil)
+	defer vs.Close()
+	const fp = 42
+	keys := map[int]string{3: "a", 4: "b", 8: "c"}
+	for _, id := range []int{3, 4, 8} {
+		if _, isNew := vs.own(fp, []byte(keys[id]), id); !isNew {
+			t.Fatalf("own of %q found a state", keys[id])
+		}
+	}
+	if err := vs.EndLevel(); err != nil {
+		t.Fatal(err)
+	}
+	if vs.run == "" || vs.resident() != 0 || vs.residentBytes() != 0 {
+		t.Fatalf("over-budget EndLevel left run %q, %d resident ids and %d resident bytes, want a run, 0 and 0", vs.run, vs.resident(), vs.residentBytes())
+	}
+	if vs.sealed != 3*spillRecSize {
+		t.Fatalf("sealed run is %d bytes, want one record per state (%d)", vs.sealed, 3*spillRecSize)
+	}
+	var reads []int
+	key := func(id int) ([]byte, error) {
+		reads = append(reads, id)
+		return []byte(keys[id]), nil
+	}
+	if err := vs.ResolveLevel([]uint64{fp + visitedShards, fp}, key); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(reads) != "[3 4 8]" {
+		t.Fatalf("ResolveLevel read the keys of %v, want those of states 3, 4 and 8, once each", reads)
+	}
+	for id, k := range keys {
+		if got, isNew := vs.own(fp, []byte(k), 100); got != id || isNew {
+			t.Fatalf("own of the restored %q = (%d, %t), want (%d, false)", k, got, isNew, id)
+		}
+	}
+	if got, isNew := vs.own(fp, []byte("d"), 9); got != 9 || !isNew {
+		t.Fatalf("own of a new state with a spilled fingerprint = (%d, %t), want (9, true)", got, isNew)
+	}
+	wantErr := errors.New("unreadable")
+	if err := vs.EndLevel(); err != nil {
+		t.Fatal(err)
+	}
+	if err := vs.ResolveLevel([]uint64{fp}, func(int) ([]byte, error) { return nil, wantErr }); !errors.Is(err, wantErr) {
+		t.Fatalf("ResolveLevel with a failing key read = %v, want %v", err, wantErr)
 	}
 }
 

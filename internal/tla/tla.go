@@ -252,16 +252,19 @@ type Options struct {
 	// around 3·10⁻⁸ for a million states — and a collision can silently
 	// prune a subtree, masking a violation). It alone decides the
 	// deduplication, at every worker count; without it every run trusts
-	// fingerprints. MemoryBudgetBytes and checkpointing persist
-	// fingerprints alone, so both are rejected alongside it. Set it for
-	// runs whose verdict must be exact rather than exact-with-probability-1.
+	// fingerprints. It composes with every other option: retention is
+	// decided by MemoryBudgetBytes and checkpointing, as in any run, past a
+	// budget its records spill like fingerprints (a spilled key is read
+	// back from the arena to be compared), and a resume rebuilds its keys
+	// from the checkpointed encodings. Set it for runs whose verdict must
+	// be exact rather than exact-with-probability-1.
 	CollisionFree bool
 	// MemoryBudgetBytes bounds the visited set's resident memory
 	// (approximately — the engine charges a fixed estimate per resident
-	// fingerprint). When set, the engine dedups on a disk-spilling
-	// fingerprint store: past the budget, the resident fingerprints are
-	// merged into one sorted run on disk, consulted by one merge-join per
-	// BFS level, TLC's external-memory fingerprint set.
+	// entry, plus the keys of a CollisionFree set). When set, the visited
+	// set spills to disk: past the budget, its resident (fingerprint, id)
+	// records are merged into one sorted run on disk, consulted by one
+	// merge-join per BFS level, TLC's external-memory fingerprint set.
 	//
 	// A budget also selects arena retention: discovered states are kept as
 	// their plain encodings in an append-only arena — parent links and ~24
@@ -275,10 +278,6 @@ type Options struct {
 	// otherwise). The plain encoding identifies the exact state explored,
 	// so a counterexample is byte-identical to a live run's, also under
 	// symmetry reduction. 0 keeps everything resident as live values.
-	//
-	// The budget needs fingerprint deduplication, and is therefore
-	// rejected alongside CollisionFree, whose stored encodings are
-	// memory-resident by definition.
 	MemoryBudgetBytes int64
 	// Context, when non-nil, cancels the run cooperatively: the engine asks
 	// it at each level boundary, after any Progress delivery, and a cancel
@@ -299,13 +298,12 @@ type Options struct {
 	FS FS
 	// CheckpointDir, when non-empty, makes the run durable: on
 	// interruption (Context) — and every CheckpointEvery levels
-	// — the engine seals the visited set and arena segments into
-	// this directory with a manifest, and a later run with ResumeFrom
-	// continues where it stopped, with verdict and counts identical to an
-	// uninterrupted run. Retains states in the arena, as a memory budget
-	// does (the stored encodings are what the resumed frontier is decoded
-	// from), and needs fingerprint deduplication (rejected alongside
-	// CollisionFree).
+	// — the engine seals the arena's segments into this directory with a
+	// manifest, and a later run with ResumeFrom continues where it
+	// stopped, with verdict and counts identical to an uninterrupted run.
+	// Retains states in the arena, as a memory budget does: the stored
+	// encodings are what the resumed frontier is decoded from and the
+	// visited set, keyed or not, is rebuilt from.
 	CheckpointDir string
 	// CheckpointEvery checkpoints every N completed BFS levels in
 	// addition to checkpoint-on-interrupt (0 = only on interrupt).
@@ -317,7 +315,7 @@ type Options struct {
 	// checkpointing run; mismatches are rejected with ErrBadCheckpoint.
 	// The checkpoint directory itself is never modified, so one
 	// checkpoint can be resumed any number of times. Retains states in the
-	// arena and is subject to the same option constraints as CheckpointDir.
+	// arena, as CheckpointDir does; the visited set is rebuilt from it.
 	ResumeFrom string
 	// CheckpointMeta is an opaque caller blob stored verbatim in the
 	// checkpoint manifest and surfaced by ReadCheckpointInfo — the hook
@@ -387,15 +385,10 @@ type Progress struct {
 	ResidentBytes int64
 }
 
-// checkpointing reports whether the run writes or resumes checkpoints.
-func (o Options) checkpointing() bool {
-	return o.CheckpointDir != "" || o.ResumeFrom != ""
-}
-
 // arena reports whether the run retains states in the encoding arena: a
 // run under a memory budget or with checkpoints does.
 func (o Options) arena() bool {
-	return o.MemoryBudgetBytes > 0 || o.checkpointing()
+	return o.MemoryBudgetBytes > 0 || o.CheckpointDir != "" || o.ResumeFrom != ""
 }
 
 // ErrInvalidOptions is the named error every Options (and TraceOptions)
@@ -416,14 +409,10 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: negative MaxStates %d (0 means unlimited)", ErrInvalidOptions, o.MaxStates)
 	case o.MemoryBudgetBytes < 0:
 		return fmt.Errorf("%w: negative MemoryBudgetBytes %d (0 means fully resident)", ErrInvalidOptions, o.MemoryBudgetBytes)
-	case o.MemoryBudgetBytes > 0 && o.CollisionFree:
-		return fmt.Errorf("%w: MemoryBudgetBytes requires fingerprint deduplication, but CollisionFree keys the visited set on full encodings, which are memory-resident by definition", ErrInvalidOptions)
 	case o.CheckpointEvery < 0:
 		return fmt.Errorf("%w: negative CheckpointEvery %d (0 means checkpoint only on interrupt)", ErrInvalidOptions, o.CheckpointEvery)
 	case o.CheckpointEvery > 0 && o.CheckpointDir == "":
 		return fmt.Errorf("%w: CheckpointEvery needs a CheckpointDir to write to", ErrInvalidOptions)
-	case o.checkpointing() && o.CollisionFree:
-		return fmt.Errorf("%w: checkpoints persist 64-bit fingerprints; CollisionFree keys the visited set on full encodings, which are not persisted", ErrInvalidOptions)
 	case o.ProgressEvery < 0:
 		return fmt.Errorf("%w: negative ProgressEvery %s (0 means no Progress delivery)", ErrInvalidOptions, o.ProgressEvery)
 	}
