@@ -320,6 +320,45 @@ func (a *stateArena) encoding(id int, buf []byte) ([]byte, error) {
 	return a.readSeg(&a.segs[m.seg], int(m.off), int(m.n), buf)
 }
 
+// encodings calls fn(k, enc) with the encoding of state id(k) for each k
+// below n, in order. The ids ascend, so the states whose encodings one
+// segment holds come together, and encodings reads the span of the
+// segment they cover with one readSeg: reading many states back costs a
+// read per segment, not one per state. enc aliases buf, which encodings
+// returns grown, and is valid until fn returns.
+func (a *stateArena) encodings(n int, id func(k int) int, buf []byte, fn func(k int, enc []byte) error) ([]byte, error) {
+	cur, from := -1, 0 // the segment whose span buf holds, from byte from
+	for k := 0; k < n; k++ {
+		m := *a.rec(id(k))
+		var enc []byte
+		if m.n > 0 {
+			if int(m.seg) != cur {
+				lo, hi := m.off, m.off+m.n
+				for j := k + 1; j < n; j++ {
+					next := a.rec(id(j))
+					if next.n == 0 {
+						continue
+					}
+					if next.seg != m.seg {
+						break
+					}
+					lo, hi = min(lo, next.off), max(hi, next.off+next.n)
+				}
+				var err error
+				if buf, err = a.readSeg(&a.segs[m.seg], int(lo), int(hi-lo), buf[:0]); err != nil {
+					return buf, err
+				}
+				cur, from = int(m.seg), int(lo)
+			}
+			enc = buf[int(m.off)-from : int(m.off)-from+int(m.n)]
+		}
+		if err := fn(k, enc); err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
 // close releases the spill file, if any.
 func (a *stateArena) close() error {
 	if a.file == nil {

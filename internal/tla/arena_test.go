@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"sync/atomic"
 	"testing"
 )
 
@@ -49,6 +50,79 @@ func TestArenaRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// readCountingFS counts the ReadAt calls on the files it creates: the
+// arena's reads of spilled segments.
+type readCountingFS struct {
+	FS
+	reads atomic.Int64
+}
+
+func (c *readCountingFS) CreateTemp(dir, pattern string) (File, error) {
+	f, err := c.FS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return readCountingFile{File: f, reads: &c.reads}, nil
+}
+
+type readCountingFile struct {
+	File
+	reads *atomic.Int64
+}
+
+func (f readCountingFile) ReadAt(p []byte, off int64) (int, error) {
+	f.reads.Add(1)
+	return f.File.ReadAt(p, off)
+}
+
+// TestArenaEncodingsReadEachSegmentOnce pins the keyed spill restore's
+// reader: encodings hands back the encoding of every state it is asked
+// for, in order, empty ones included, and reads each spilled segment that
+// holds some of them once, however many of its states it was asked for.
+func TestArenaEncodingsReadEachSegmentOnce(t *testing.T) {
+	fsys := &readCountingFS{FS: OSFS}
+	a := newStateArena(64, fsys, nil) // a segment spills at its ninth 8-byte encoding
+	defer a.close()
+	var want [][]byte
+	for i := 0; i < 100; i++ {
+		enc := binary.LittleEndian.AppendUint64(nil, uint64(i)*0x9e3779b97f4a7c15)
+		if i%17 == 5 {
+			enc = nil
+		}
+		want = append(want, enc)
+		a.add(enc, i-1, 0, i)
+	}
+	var ids []int
+	segs := map[uint32]bool{}
+	for id := 0; id < 100; id += 1 + id%3 {
+		ids = append(ids, id)
+		if m := a.rec(id); m.n > 0 && a.segs[m.seg].spilled {
+			segs[m.seg] = true
+		}
+	}
+	var got []int
+	_, err := a.encodings(len(ids), func(k int) int { return ids[k] }, nil, func(k int, enc []byte) error {
+		if !bytes.Equal(enc, want[ids[k]]) {
+			t.Fatalf("state %d: encoding %x, want %x", ids[k], enc, want[ids[k]])
+		}
+		got = append(got, ids[k])
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, ids) {
+		t.Fatalf("encodings visited %v, want %v", got, ids)
+	}
+	if n := fsys.reads.Load(); n != int64(len(segs)) || n < 2 {
+		t.Fatalf("reading %d states back took %d reads of the spill file, want one per spilled segment (%d)", len(ids), n, len(segs))
+	}
+	wantErr := errors.New("stop")
+	if _, err := a.encodings(len(ids), func(k int) int { return ids[k] }, nil, func(int, []byte) error { return wantErr }); !errors.Is(err, wantErr) {
+		t.Fatalf("encodings with a failing fn = %v, want %v", err, wantErr)
 	}
 }
 

@@ -172,6 +172,16 @@ func (c *codec[S]) canonical(s S) []byte {
 	return c.a
 }
 
+// appendCanonical appends canonical(s) to buf and returns the extended
+// slice. Without symmetry the state appends itself to buf, with no scratch
+// copy in between.
+func (c *codec[S]) appendCanonical(s S, buf []byte) []byte {
+	if c.sym == nil {
+		return c.encode(s, buf)
+	}
+	return append(buf, c.canonical(s)...)
+}
+
 // key returns the encoding the visited set dedups a state under, given the
 // plain encoding an arena stores for it: enc itself without symmetry, and
 // with symmetry the canonical encoding of enc's decoded state, which then

@@ -511,8 +511,8 @@ func copyIntoSpill(a *stateArena, fsys FS, dir, name string, dstOff, length int6
 }
 
 // restoreStates rebuilds from the restored arena what a checkpoint does
-// not store, reading the encodings one stored segment at a time: the
-// visited set — each state's key (codec.key of its encoding) under its
+// not store, reading the encodings one stored segment at a time
+// (stateArena.encodings): the visited set — each state's key (codec.key of its encoding) under its
 // id, sealed by EndLevel after each segment once it charges past a budget,
 // so it is fully resident without one and stays near one — and the live
 // values of the frontier's states, decoded into the retainer's pages (the
@@ -531,23 +531,13 @@ func restoreStates[S State](cod *codec[S], ret *retainer[S], vs *visitedSet, fro
 		ret.live = make(pages[S], want[0]>>pageBits)
 		ret.reserve(a.len())
 	}
-	var seg []byte
-	cur := -1 // the segment in seg
-	for id := range a.len() {
-		m := *a.rec(id)
-		var enc []byte
-		if m.n > 0 {
-			if int(m.seg) != cur {
-				if err := vs.EndLevel(); err != nil {
-					return err
-				}
-				var err error
-				if seg, err = a.readSeg(&a.segs[m.seg], 0, a.segs[m.seg].size, seg[:0]); err != nil {
-					return err
-				}
-				cur = int(m.seg)
+	cur := -1 // the segment of the encodings being restored
+	_, err := a.encodings(a.len(), func(id int) int { return id }, nil, func(id int, enc []byte) error {
+		if m := a.rec(id); m.n > 0 && int(m.seg) != cur {
+			if err := vs.EndLevel(); err != nil {
+				return err
 			}
-			enc = seg[m.off : m.off+m.n]
+			cur = int(m.seg)
 		}
 		for ; len(want) > 0 && want[0] == id; want = want[1:] {
 			s, err := cod.dec(enc)
@@ -563,6 +553,10 @@ func restoreStates[S State](cod *codec[S], ret *retainer[S], vs *visitedSet, fro
 		if prev, isNew := vs.own(fingerprint(key), key, id); !isNew {
 			return fmt.Errorf("%w: states %d and %d have the same key", ErrBadCheckpoint, prev, id)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	for _, id := range frontier {
 		fr.Push(id)

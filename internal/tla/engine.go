@@ -237,7 +237,7 @@ type levelSync[S State] struct {
 
 	outs    []chunkOut[S] // per chunk; the backing array keeps every buffer
 	missFPs []uint64      // ResolveLevel's input, reused across levels
-	keyBuf  []byte        // storedKey's scratch
+	keyBuf  []byte        // storedKeys' scratch
 
 	// Per miss g from each chunk's base: the claim's answer (winner, the
 	// winning miss's placeholder, a restored id), then a winner's id.
@@ -436,7 +436,7 @@ func (l *levelSync[S]) explore() {
 				}
 			}
 			l.missFPs = fps
-			if err := l.vs.ResolveLevel(fps, l.storedKey); err != nil {
+			if err := l.vs.ResolveLevel(fps, l.storedKeys); err != nil {
 				l.fail(err)
 				return
 			}
@@ -456,22 +456,24 @@ func (l *levelSync[S]) explore() {
 	}
 }
 
-// storedKey reads back the key of state id for a keyed ResolveLevel: its
-// encoding in the arena, which a keyed set that seals retains for every
-// state, through codec.key under worker 0's guard.
-func (l *levelSync[S]) storedKey(id int) ([]byte, error) {
-	enc, err := l.ret.arena.encoding(id, l.keyBuf[:0])
-	if err != nil {
-		return nil, err
-	}
-	l.keyBuf = enc
-	l.xs[0].g.enter(opEncode, "", id)
-	key, err := l.cod.key(enc)
-	l.xs[0].g.exit()
-	if err != nil {
-		return nil, fmt.Errorf("tla: arena decode: state %d: %w", id, err)
-	}
-	return key, nil
+// storedKeys is a keyed ResolveLevel's keyReader: the key of each of recs
+// is codec.key, under worker 0's guard, of the state's encoding in the
+// arena, which a keyed set that seals retains for every state, read one
+// segment at a time (stateArena.encodings).
+func (l *levelSync[S]) storedKeys(recs []spillRec, restore func(spillRec, []byte)) error {
+	var err error
+	l.keyBuf, err = l.ret.arena.encodings(len(recs), func(k int) int { return int(recs[k].id) }, l.keyBuf, func(k int, enc []byte) error {
+		id := int(recs[k].id)
+		l.xs[0].g.enter(opEncode, "", id)
+		key, err := l.cod.key(enc)
+		l.xs[0].g.exit()
+		if err != nil {
+			return fmt.Errorf("tla: arena decode: state %d: %w", id, err)
+		}
+		restore(recs[k], key)
+		return nil
+	})
+	return err
 }
 
 // registerInits calls Init under worker 0's guard, rebinds the run's

@@ -8,10 +8,11 @@ import (
 // Successor generation and first-sight checks for the level-synchronized
 // engine (engine.go: the run, its chunk plan and merge passes):
 //
-//   - one expander per worker runs the guarded Next loop, probes each
-//     successor in the visited set, keeping a miss's fingerprint and
-//     encoding, and orders the successors ample-first under partial-order
-//     reduction (its chunk then buffers each distinct miss once);
+//   - one expander per worker runs the guarded Next loop, encodes and
+//     fingerprints every successor of a state, probes them in the visited
+//     set as one batch, and orders the successors ample-first under
+//     partial-order reduction (its chunk then buffers each distinct miss
+//     once);
 //   - verdict (invariants, then the constraint) judges each state the
 //     first time it is seen, an initial state or one a merge settles;
 //   - runControl holds the run's stop flag and its first terminal outcome.
@@ -111,20 +112,22 @@ type expander[S State] struct {
 	acts  []int     // per successor: index into spec.Actions
 	ids   []int     // per successor: the probe's id on a hit, -1 on a miss
 	fps   []uint64  // per successor: its encoding's fingerprint
-	ends  []int32   // per successor: where a miss's encoding ends in encs
-	encs  []byte    // the misses' encodings, back to back
+	ends  []int32   // per successor: where its encoding ends in encs
+	encs  []byte    // the successors' canonical encodings, back to back
+	homes []fpSlot  // probeBatch's gathered home slots
 	order []int     // emission order: indices into succs, ample first
 	seen  missTable // the chunk's shared misses (engine.go)
 }
 
-// expand generates every successor of state s (id) into x.succs, probes
-// each one's canonical encoding in the visited set, keeping a miss's
-// fingerprint and encoding, and fills x.order with the order to process
-// them in. It returns the successor count n and, when partial-order
-// reduction prunes the state, the number k of ample successors heading
-// x.order — the merge processes the deferred x.order[k:] only if the
-// cycle proviso (see por.go) rejects the ample set; k is -1 when the state
-// is fully expanded.
+// expand generates every successor of state s (id) into x.succs, encodes
+// and fingerprints them all into x.encs and x.fps, then probes them in the
+// visited set as one batch into x.ids — gather every home slot, then
+// resolve each successor (visitedSet.probeBatch) — and fills x.order with
+// the order to process them in. It returns the successor count n and,
+// when partial-order reduction prunes the state, the number k of ample
+// successors heading x.order — the merge processes the deferred
+// x.order[k:] only if the cycle proviso (see por.go) rejects the ample
+// set; k is -1 when the state is fully expanded.
 func (x *expander[S]) expand(s S, id int) (n, k int) {
 	x.succs, x.acts, x.order = x.succs[:0], x.acts[:0], x.order[:0]
 	for ai := range x.spec.Actions {
@@ -138,21 +141,16 @@ func (x *expander[S]) expand(s S, id int) (n, k int) {
 		}
 	}
 	n = len(x.succs)
-	x.ids, x.fps, x.ends, x.encs = x.ids[:0], x.fps[:0], x.ends[:0], x.encs[:0]
+	x.fps, x.ends, x.encs = x.fps[:0], x.ends[:0], x.encs[:0]
 	for t := range x.succs {
+		lo := len(x.encs)
 		x.g.enter(opEncode, x.actName(t), id)
-		enc := x.cod.canonical(x.succs[t])
+		x.encs = x.cod.appendCanonical(x.succs[t], x.encs)
 		x.g.exit()
-		fp := fingerprint(enc)
-		sid, ok := x.vs.probe(fp, enc)
-		if !ok {
-			sid = -1
-			x.encs = append(x.encs, enc...)
-		}
-		x.ids = append(x.ids, sid)
-		x.fps = append(x.fps, fp)
+		x.fps = append(x.fps, fingerprint(x.encs[lo:]))
 		x.ends = append(x.ends, int32(len(x.encs)))
 	}
+	x.ids, x.homes = x.vs.probeBatch(x.fps, x.encs, x.ends, x.ids, x.homes)
 	if x.planner != nil {
 		if proc := x.planner.choose(s, x.succs, x.acts, x.ids, &x.g); proc >= 0 {
 			for t, o := range x.planner.owners {
@@ -178,7 +176,7 @@ func (x *expander[S]) expand(s S, id int) (n, k int) {
 // actName is the action name of successor t.
 func (x *expander[S]) actName(t int) string { return x.spec.Actions[x.acts[t]].Name }
 
-// enc returns the encoding of successor t, a probe miss.
+// enc returns the canonical encoding of successor t.
 func (x *expander[S]) enc(t int) []byte {
 	lo := int32(0)
 	if t > 0 {

@@ -35,8 +35,9 @@ import (
 // it, so colliding states keep separate ids. ResolveLevel restores a keyed
 // match with its key, which it reads back by id from the run's arena — a
 // keyed set seals only under a budget, which retains every state's
-// encoding there — so spilled keys are compared in the claim, as resident
-// ones are, and never per probe.
+// encoding there — in id order, one read per arena segment, so spilled
+// keys are compared in the claim, as resident ones are, and never per
+// probe.
 //
 // All I/O flows through the run's FS seam (fs.go) with the engine's fault
 // contract: transient errors are retried with capped backoff; a persistent
@@ -84,43 +85,56 @@ func (vs *visitedSet) residentBytes() int64 {
 	return n
 }
 
+// keyReader reads back the keys of spilled states for a keyed
+// ResolveLevel: it calls restore with each of recs, which ascend by id, and
+// that state's key, in order.
+type keyReader func(recs []spillRec, restore func(rec spillRec, key []byte)) error
+
 // ResolveLevel merge-joins the level's probe misses (fingerprints, sorted
 // here in place) against the sealed run and makes each spilled record it
-// finds resident again — keyed, with the key key reads back for its id:
-// one pass over the run that stops once the misses are exhausted. Runs on
-// the driver goroutine after all workers joined and before the merge
-// claims the misses. A transient read error retries the whole join —
-// restoring is idempotent — and a persistent one fails the run: the sealed
-// dedup records are load-bearing, and skipping them could silently prune
-// the space.
-func (vs *visitedSet) ResolveLevel(misses []uint64, key func(id int) ([]byte, error)) error {
+// finds resident again: one pass over the run that stops once the misses
+// are exhausted. Keyed, it first collects the matched records, sorts them
+// by id and restores each with the key keys reads back for it, so the keys
+// are read in the order the arena stores them. Runs on the driver
+// goroutine after all workers joined and before the merge claims the
+// misses. A transient read error retries the whole join — restoring is
+// idempotent — and a persistent one fails the run: the sealed dedup
+// records are load-bearing, and skipping them could silently prune the
+// space.
+func (vs *visitedSet) ResolveLevel(misses []uint64, keys keyReader) error {
 	if len(misses) == 0 || vs.run == "" {
 		return nil
 	}
 	start := time.Now()
 	slices.Sort(misses)
+	restore := func(rec spillRec, key []byte) {
+		if sh := vs.shard(rec.fp); sh.tab.slot(rec.fp, key) == nil {
+			sh.insert(rec.fp, key, int(rec.id)) // not restored by an earlier attempt
+		}
+	}
+	var matched []spillRec
 	err := vs.em.retry("spill", func() error {
 		i := 0
-		var kerr error
-		rerr := readRecsFile(vs.fsys, vs.run, func(rec spillRec) bool {
+		matched = vs.recBuf[:0]
+		return readRecsFile(vs.fsys, vs.run, func(rec spillRec) bool {
 			for i < len(misses) && misses[i] < rec.fp {
 				i++
 			}
 			if i < len(misses) && misses[i] == rec.fp {
-				var enc []byte
 				if vs.keyed {
-					if enc, kerr = key(int(rec.id)); kerr != nil {
-						return false
-					}
-				}
-				if sh := vs.shard(rec.fp); sh.tab.slot(rec.fp, enc) == nil {
-					sh.insert(rec.fp, enc, int(rec.id)) // not restored by an earlier attempt
+					matched = append(matched, rec)
+				} else {
+					restore(rec, nil)
 				}
 			}
 			return i < len(misses)
 		})
-		return cmp.Or(rerr, kerr)
 	})
+	vs.recBuf = matched[:0]
+	if err == nil && len(matched) > 0 {
+		slices.SortFunc(matched, func(a, b spillRec) int { return cmp.Compare(a.id, b.id) })
+		err = keys(matched, restore)
+	}
 	if err != nil {
 		return err
 	}

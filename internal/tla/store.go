@@ -2,13 +2,14 @@ package tla
 
 import (
 	"math/bits"
+	"slices"
 	"unsafe"
 )
 
 // This file defines the engine's one visited set. The engine (engine.go)
-// probes it during its parallel expansion — probe is a read-only lookup
-// and nothing writes then, so a miss means "no id before this level" —
-// and writes it in its merge, in merge order: a claim pass gives each
+// probes it during its parallel expansion — a read-only lookup, and
+// nothing writes then, so a miss means "no id before this level" — and
+// writes it in its merge, in merge order: a claim pass gives each
 // shard one owner, which inserts a placeholder for each first occurrence
 // (own), and after the settle pass numbers the winners, a publish pass
 // with the same owners writes their ids over the placeholders. That is how
@@ -27,6 +28,13 @@ import (
 // keeps every state's canonical encoding once, in append-only blocks, and
 // a fingerprint hit counts only if those bytes equal the probed encoding.
 // A colliding state walks on to the next slot and gets its own.
+//
+// The expansion probes a state's successors as one batch (probeBatch):
+// it gathers every successor's home slot first, independent loads whose
+// cache misses the processor overlaps, then resolves each successor from
+// its copy, walking on down the table only when the home slot holds
+// another state. The scalar probe serves registerInits and the route
+// pass.
 
 // visitedShards is the number of shards of the visited set, each with
 // one owner in the merge's claim pass. A power of two so the shard index
@@ -51,7 +59,7 @@ type visitedSet struct {
 	seq      int            // run file name sequence
 	sealed   int64          // bytes of the sealed run file
 	degraded bool           // a persistent spill-write failure switched the set to hold-resident
-	recBuf   []spillRec     // EndLevel's scratch, reused across levels
+	recBuf   []spillRec     // EndLevel's and ResolveLevel's scratch, reused across levels
 }
 
 // cacheLine is the padding unit of the shards, so that two claim-pass
@@ -109,11 +117,17 @@ func newFPTable(slots int, keyed bool) *fpTable {
 	return t
 }
 
+// home is the index of fp's first slot, where its linear probe begins.
+func (t *fpTable) home(fp uint64) uint64 { return (fp * fpMix) >> t.shift }
+
 // slot returns the slot of fp — keyed, of fp and enc — or nil when it is
 // absent.
-func (t *fpTable) slot(fp uint64, enc []byte) *fpSlot {
+func (t *fpTable) slot(fp uint64, enc []byte) *fpSlot { return t.scan(t.home(fp), fp, enc) }
+
+// scan is slot's linear probe from slot i on.
+func (t *fpTable) scan(i, fp uint64, enc []byte) *fpSlot {
 	mask, keys := uint64(len(t.slots)-1), t.keys
-	for i := (fp * fpMix) >> t.shift; ; i = (i + 1) & mask {
+	for ; ; i = (i + 1) & mask {
 		s := &t.slots[i]
 		if s.id == 0 {
 			return nil
@@ -129,7 +143,7 @@ func (t *fpTable) slot(fp uint64, enc []byte) *fpSlot {
 // shard, knows the state is absent, and keeps the table below full.
 func (t *fpTable) put(fp uint64, key string, id int64) {
 	mask := uint64(len(t.slots) - 1)
-	i := (fp * fpMix) >> t.shift
+	i := t.home(fp)
 	for t.slots[i].id != 0 {
 		i = (i + 1) & mask
 	}
@@ -219,6 +233,47 @@ func (vs *visitedSet) shard(fp uint64) *shard { return &vs.shards[fp&(visitedSha
 // concurrent use while nothing writes the set.
 func (vs *visitedSet) probe(fp uint64, enc []byte) (id int, ok bool) {
 	return vs.shard(fp).lookup(fp, enc)
+}
+
+// probeBatch answers probe for every successor of one state at once:
+// ids[t] is the id of the successor with fingerprint fps[t] and encoding
+// encs[ends[t-1]:ends[t]] (from 0 for t = 0), or -1 when it is absent. A
+// gather pass first copies each fingerprint's home slot into homes; those
+// loads are independent, so the processor overlaps their cache misses,
+// where probing one successor after another waits out each miss in turn.
+// A resolve pass then decides each successor from its copy: an empty home
+// slot is a miss, a matching one (keyed, with equal bytes) a hit, and any
+// other walks on from the next slot as slot does. Nothing writes the set
+// meanwhile, so the copies are current and the answers are probe's. It
+// returns ids and homes, grown to len(fps) and reused by the caller. Safe
+// for concurrent use while nothing writes the set.
+func (vs *visitedSet) probeBatch(fps []uint64, encs []byte, ends []int32, ids []int, homes []fpSlot) ([]int, []fpSlot) {
+	homes = slices.Grow(homes[:0], len(fps))[:len(fps)]
+	for t, fp := range fps {
+		tab := vs.shard(fp).tab
+		homes[t] = tab.slots[tab.home(fp)]
+	}
+	ids = slices.Grow(ids[:0], len(fps))[:len(fps)]
+	lo := int32(0)
+	for t, fp := range fps {
+		enc := encs[lo:ends[t]]
+		lo = ends[t]
+		h := homes[t]
+		if h.id == 0 {
+			ids[t] = -1
+			continue
+		}
+		tab := vs.shard(fp).tab
+		i := tab.home(fp)
+		if h.fp == fp && (tab.keys == nil || tab.keys[i] == string(enc)) {
+			ids[t] = int(h.id - 1)
+		} else if s := tab.scan((i+1)&uint64(len(tab.slots)-1), fp, enc); s != nil {
+			ids[t] = int(s.id - 1)
+		} else {
+			ids[t] = -1
+		}
+	}
+	return ids, homes
 }
 
 // has reports whether probe finds enc (with fingerprint fp).

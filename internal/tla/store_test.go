@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -106,9 +108,12 @@ func TestKeyedSetSpills(t *testing.T) {
 		t.Fatalf("sealed run is %d bytes, want one record per state (%d)", vs.sealed, 3*spillRecSize)
 	}
 	var reads []int
-	key := func(id int) ([]byte, error) {
-		reads = append(reads, id)
-		return []byte(keys[id]), nil
+	key := func(recs []spillRec, restore func(spillRec, []byte)) error {
+		for _, rec := range recs {
+			reads = append(reads, int(rec.id))
+			restore(rec, []byte(keys[int(rec.id)]))
+		}
+		return nil
 	}
 	if err := vs.ResolveLevel([]uint64{fp + visitedShards, fp}, key); err != nil {
 		t.Fatal(err)
@@ -128,7 +133,7 @@ func TestKeyedSetSpills(t *testing.T) {
 	if err := vs.EndLevel(); err != nil {
 		t.Fatal(err)
 	}
-	if err := vs.ResolveLevel([]uint64{fp}, func(int) ([]byte, error) { return nil, wantErr }); !errors.Is(err, wantErr) {
+	if err := vs.ResolveLevel([]uint64{fp}, func([]spillRec, func(spillRec, []byte)) error { return wantErr }); !errors.Is(err, wantErr) {
 		t.Fatalf("ResolveLevel with a failing key read = %v, want %v", err, wantErr)
 	}
 }
@@ -189,8 +194,9 @@ func TestVisitedSetConcurrentClaims(t *testing.T) {
 	}
 }
 
-// TestProbeDoesNotAllocate pins the expansion's lookup: a probe, hit or
-// miss, allocates nothing in either mode.
+// TestProbeDoesNotAllocate pins the lookups: a probe, hit or miss,
+// allocates nothing in either mode, and neither does the expansion's
+// batched probe once its buffers have grown to the batch.
 func TestProbeDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -198,11 +204,13 @@ func TestProbeDoesNotAllocate(t *testing.T) {
 	for _, keyed := range []bool{false, true} {
 		vs := newVisitedSet(Options{Workers: 2, CollisionFree: keyed}, nil)
 		encs := make([][]byte, 512)
+		var b probeInput
 		for i := range encs {
 			encs[i] = []byte{byte(i), byte(i >> 8), 'k'}
 			if i%2 == 0 {
 				vs.own(fingerprint(encs[i]), encs[i], i)
 			}
+			b.add(fingerprint(encs[i]), encs[i])
 		}
 		avg := testing.AllocsPerRun(10, func() {
 			for _, enc := range encs {
@@ -212,7 +220,228 @@ func TestProbeDoesNotAllocate(t *testing.T) {
 		if avg != 0 {
 			t.Fatalf("keyed=%t: %d probes allocate %.1f times, want 0", keyed, len(encs), avg)
 		}
+		const batch = 9 // about one state's successors
+		var batches []probeInput
+		for lo := 0; lo+batch <= len(b.fps); lo += batch {
+			batches = append(batches, b.slice(lo, lo+batch))
+		}
+		var ids []int
+		var homes []fpSlot
+		ids, homes = vs.probeBatch(batches[0].fps, batches[0].encs, batches[0].ends, ids, homes)
+		avg = testing.AllocsPerRun(10, func() {
+			for _, in := range batches {
+				ids, homes = vs.probeBatch(in.fps, in.encs, in.ends, ids, homes)
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("keyed=%t: %d batched probes of %d allocate %.1f times, want 0", keyed, len(batches), batch, avg)
+		}
 	}
+}
+
+// probeInput lays successors out as an expander does for probeBatch:
+// fingerprints, and encodings back to back with their ends.
+type probeInput struct {
+	fps  []uint64
+	encs []byte
+	ends []int32
+}
+
+func (b *probeInput) add(fp uint64, enc []byte) {
+	b.fps = append(b.fps, fp)
+	b.encs = append(b.encs, enc...)
+	b.ends = append(b.ends, int32(len(b.encs)))
+}
+
+// start is where successor t's encoding starts in encs.
+func (b *probeInput) start(t int) int32 {
+	if t == 0 {
+		return 0
+	}
+	return b.ends[t-1]
+}
+
+// enc returns successor t's encoding.
+func (b *probeInput) enc(t int) []byte { return b.encs[b.start(t):b.ends[t]] }
+
+// slice returns successors lo..hi-1 as a batch of their own.
+func (b *probeInput) slice(lo, hi int) probeInput {
+	from := b.start(lo)
+	out := probeInput{fps: b.fps[lo:hi], encs: b.encs[from:b.start(hi)], ends: make([]int32, 0, hi-lo)}
+	for _, e := range b.ends[lo:hi] {
+		out.ends = append(out.ends, e-from)
+	}
+	return out
+}
+
+// probeClass sorts a lookup by what its linear probe meets: an empty home
+// slot, a hit in the home slot, a hit or a miss further on; wrapped marks
+// a probe that walks past the table's last slot.
+type probeClass struct {
+	emptyHome, homeHit, displacedHit, displacedMiss, wrapped int
+}
+
+func (c *probeClass) observe(vs *visitedSet, fp uint64, enc []byte) {
+	tab := vs.shard(fp).tab
+	mask := uint64(len(tab.slots) - 1)
+	h := tab.home(fp)
+	for i, steps := h, uint64(0); ; i, steps = (i+1)&mask, steps+1 {
+		s := tab.slots[i]
+		hit := s.id != 0 && s.fp == fp && (tab.keys == nil || tab.keys[i] == string(enc))
+		if s.id == 0 || hit {
+			switch {
+			case steps == 0 && !hit:
+				c.emptyHome++
+			case steps == 0:
+				c.homeHit++
+			case hit:
+				c.displacedHit++
+			default:
+				c.displacedMiss++
+			}
+			if h+steps > mask {
+				c.wrapped++
+			}
+			return
+		}
+	}
+}
+
+// checkProbeBatch probes in in batches of random sizes (sometimes all of
+// it at once), reusing the buffers, and fails on any answer that differs
+// from lookup's.
+func checkProbeBatch(t testing.TB, vs *visitedSet, in probeInput, rng *rand.Rand, ids []int, homes []fpSlot) ([]int, []fpSlot) {
+	t.Helper()
+	for lo := 0; lo < len(in.fps); {
+		hi := min(len(in.fps), lo+rng.Intn(13))
+		if rng.Intn(8) == 0 {
+			hi = len(in.fps)
+		}
+		b := in.slice(lo, hi)
+		ids, homes = vs.probeBatch(b.fps, b.encs, b.ends, ids, homes)
+		if len(ids) != hi-lo {
+			t.Fatalf("a batch of %d answered %d ids", hi-lo, len(ids))
+		}
+		for k := lo; k < hi; k++ {
+			want, ok := vs.probe(in.fps[k], in.enc(k))
+			if !ok {
+				want = -1
+			}
+			if got := ids[k-lo]; got != want {
+				t.Fatalf("batched probe of fingerprint %#x, encoding %x = %d, lookup says %d", in.fps[k], in.enc(k), got, want)
+			}
+		}
+		lo = hi
+	}
+	return ids, homes
+}
+
+// homedAt returns a fingerprint of shard 0 whose home slot in tab is i.
+func homedAt(rng *rand.Rand, tab *fpTable, i uint64) uint64 {
+	for {
+		if fp := rng.Uint64() &^ (visitedShards - 1); tab.home(fp) == i {
+			return fp
+		}
+	}
+}
+
+// TestProbeBatchMatchesLookup holds the expansion's batched probe to the
+// scalar lookup over seeded random sets, fingerprinted and keyed: shard
+// 0's table grows from fpTableMin through five doublings and is probed
+// just after each doubling and at 3/4 load, with fingerprint 0,
+// fingerprints homed at the table's last slot (so probe sequences wrap
+// past its end), encodings that share a fingerprint, and absent states
+// beside present ones, so the batches mix hits in the home slot, hits
+// displaced down the probe sequence, empty-home misses and displaced
+// misses. Other shards fill alongside, so a batch spans shards.
+func TestProbeBatchMatchesLookup(t *testing.T) {
+	const maxSlots = fpTableMin << 5
+	type succ struct {
+		fp  uint64
+		enc []byte
+	}
+	for _, keyed := range []bool{false, true} {
+		var seen probeClass
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			vs := newVisitedSet(Options{CollisionFree: keyed}, nil)
+			sh := vs.shard(0)
+			var present []succ
+			own := func(fp uint64, enc []byte) {
+				if _, isNew := vs.own(fp, enc, len(present)); isNew {
+					present = append(present, succ{fp, enc})
+				}
+			}
+			enc := func() []byte { return binary.LittleEndian.AppendUint64(nil, rng.Uint64()) }
+			own(0, enc())
+			var ids []int
+			var homes []fpSlot
+			for sh.n < 3*maxSlots/4 {
+				size := len(sh.tab.slots)
+				fp := rng.Uint64() &^ (visitedShards - 1)
+				switch rng.Intn(8) {
+				case 0:
+					fp = homedAt(rng, sh.tab, uint64(size-1))
+				case 1:
+					fp = present[rng.Intn(len(present))].fp // keyed: another state with a present fingerprint
+				}
+				own(fp, enc())
+				own(rng.Uint64()|1, enc()) // another shard
+				if n := sh.n; n != 3*size/8+1 && n != 3*size/4 {
+					continue
+				}
+				if len(sh.tab.slots) != size {
+					t.Fatalf("keyed=%t: a table of %d slots at %d states", keyed, len(sh.tab.slots), sh.n)
+				}
+				probes := slices.Clone(present)
+				for i := 0; i < 16; i++ {
+					probes = append(probes,
+						succ{rng.Uint64() &^ (visitedShards - 1), enc()},
+						succ{homedAt(rng, sh.tab, uint64(size-1)), enc()},
+						succ{present[rng.Intn(len(present))].fp, enc()}, // keyed: absent
+						succ{0, enc()}) // keyed: absent
+				}
+				rng.Shuffle(len(probes), func(i, j int) { probes[i], probes[j] = probes[j], probes[i] })
+				var in probeInput
+				for _, p := range probes {
+					in.add(p.fp, p.enc)
+					if p.fp&(visitedShards-1) == 0 {
+						seen.observe(vs, p.fp, p.enc)
+					}
+				}
+				ids, homes = checkProbeBatch(t, vs, in, rng, ids, homes)
+			}
+		}
+		if seen.emptyHome == 0 || seen.homeHit == 0 || seen.displacedHit == 0 || seen.displacedMiss == 0 || seen.wrapped == 0 {
+			t.Fatalf("keyed=%t: the batches missed a case: %+v", keyed, seen)
+		}
+	}
+}
+
+// FuzzProbeBatch holds the batched probe to the scalar lookup on sets the
+// input builds: each 3-byte record inserts (odd first byte) or only probes
+// a state whose fingerprint, from the second byte, is one of 128 in each
+// of two shards, and whose encoding is the third byte, so fingerprints
+// collide, tables double and probe sequences run long. After the inserts,
+// every record is probed, keyed and not, in batches of sizes drawn from
+// the input's length.
+func FuzzProbeBatch(f *testing.F) {
+	f.Add([]byte{}, false)
+	f.Add([]byte{1, 0, 0, 0, 0, 1, 1, 0, 2, 0, 2, 0}, true)
+	f.Add([]byte{9, 1, 7, 1, 3, 7, 1, 5, 7, 0, 1, 8, 0, 9, 7}, false)
+	f.Fuzz(func(t *testing.T, data []byte, keyed bool) {
+		vs := newVisitedSet(Options{CollisionFree: keyed}, nil)
+		var in probeInput
+		for i := 0; i+3 <= len(data); i += 3 {
+			fp := uint64(data[i+1]>>1)*visitedShards + uint64(data[i+1]&1)
+			enc := data[i+2 : i+3]
+			if data[i]&1 == 1 {
+				vs.own(fp, enc, i/3)
+			}
+			in.add(fp, enc)
+		}
+		checkProbeBatch(t, vs, in, rand.New(rand.NewSource(int64(len(data)))), nil, nil)
+	})
 }
 
 // TestStoreFingerprintCollisions drives the merge's protocol — own, then
