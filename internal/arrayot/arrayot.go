@@ -100,16 +100,22 @@ func (d opDTO) toOp() ot.Op {
 // Key implements tla.State: the canonical encoding is the JSON of the
 // state's dto, which is what the DOT dump's node labels carry and ParseKey
 // decodes — just as the paper's Golang generator parsed TLC's
-// pretty-printed states. It appends the bytes json.Marshal would produce,
-// field by field, reading the deployment through its copy-free View: an
-// operation log is always an array; an empty server or client array, a
-// nil Performed and a zero-client network's per-client lists are null;
-// MergeErr is present only when non-empty, and then marshalled by
-// encoding/json, for its escaping.
+// pretty-printed states. It is AppendKey's bytes, formatted in a stack
+// buffer, so a key of up to 1 KiB costs one allocation, the string.
 func (s State) Key() string {
 	var scratch [1024]byte
+	return string(s.AppendKey(scratch[:0]))
+}
+
+// AppendKey implements tla.State: it appends the bytes json.Marshal would
+// produce for the state's dto, field by field, reading the deployment
+// through its copy-free View: an operation log is always an array; an
+// empty server or client array, a nil Performed and a zero-client
+// network's per-client lists are null; MergeErr is present only when
+// non-empty, and then marshalled by encoding/json, for its escaping.
+func (s State) AppendKey(buf []byte) []byte {
 	v := s.Net.View()
-	buf := append(scratch[:0], `{"sl":`...)
+	buf = append(buf, `{"sl":`...)
 	buf = appendOpsJSON(buf, v.ServerLog)
 	buf = appendIntsJSON(append(buf, `,"ss":`...), nilIfEmpty(v.ServerState))
 	buf = append(buf, `,"cl":`...)
@@ -130,7 +136,7 @@ func (s State) Key() string {
 		}
 		buf = append(append(buf, `,"e":`...), e...)
 	}
-	return string(append(buf, '}'))
+	return append(buf, '}')
 }
 
 // nilIfEmpty returns xs as the deployment's copying getters do, which the

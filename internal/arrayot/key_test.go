@@ -39,13 +39,18 @@ func opsToDTO(ops []ot.Op) []opDTO {
 	return out
 }
 
-// checkKey fails unless s.Key() is byte-identical to marshalKey(s) and
-// ParseKey decodes it back to s's fields.
+// checkKey fails unless s.Key() is byte-identical to marshalKey(s),
+// s.AppendKey keeps its buffer's prefix and appends exactly Key's bytes,
+// and ParseKey decodes the key back to s's fields.
 func checkKey(t testing.TB, s State) {
 	t.Helper()
 	key := s.Key()
 	if want := marshalKey(s); key != want {
 		t.Fatalf("Key() differs from json.Marshal:\n got  %s\n want %s", key, want)
+	}
+	const prefix = "prefix|"
+	if got := s.AppendKey([]byte(prefix)); string(got) != prefix+key {
+		t.Fatalf("AppendKey(%q) = %s, want the prefix and then Key() %s", prefix, got, key)
 	}
 	p, err := ParseKey(key)
 	if err != nil {
@@ -101,10 +106,10 @@ func TestKeyMatchesMarshalOnEdgeCases(t *testing.T) {
 }
 
 // TestKeyAllocsPerCall pins the key encoder's cost: it reads the
-// deployment through its copy-free View and builds the key in a stack
-// buffer, so a key that fits the buffer costs one allocation, the
-// returned string — a getter that copied a log or an array would add one
-// per field.
+// deployment through its copy-free View, so AppendKey into a buffer with
+// capacity allocates nothing, and Key, which appends into a stack buffer,
+// costs one allocation, the returned string — a getter that copied a log
+// or an array would add one per field.
 func TestKeyAllocsPerCall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -115,5 +120,9 @@ func TestKeyAllocsPerCall(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, func() { _ = s.Key() }); got != 1 {
 		t.Fatalf("Key allocates %.1f times per call, want 1", got)
+	}
+	buf := make([]byte, 0, 1024)
+	if got := testing.AllocsPerRun(100, func() { buf = s.AppendKey(buf[:0]) }); got != 0 {
+		t.Fatalf("AppendKey allocates %.1f times per call into a buffer with capacity, want 0", got)
 	}
 }

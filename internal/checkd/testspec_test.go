@@ -29,6 +29,8 @@ type ctrState struct{ A, B int }
 
 func (s ctrState) Key() string { return fmt.Sprintf("%d/%d", s.A, s.B) }
 
+func (s ctrState) AppendKey(dst []byte) []byte { return append(dst, s.Key()...) }
+
 func (s ctrState) AppendBinary(buf []byte) []byte {
 	return binary.AppendVarint(binary.AppendVarint(buf, int64(s.A)), int64(s.B))
 }

@@ -2,6 +2,8 @@ package locking
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -45,6 +47,25 @@ func assertEncodingAgreement(t *testing.T, a, b SpecState) {
 	if binEq != keyEq || (a == b) != keyEq {
 		t.Fatalf("AppendBinary equality (%v) or == (%v) disagrees with Key equality (%v):\n a = %s\n b = %s",
 			binEq, a == b, keyEq, a.Key(), b.Key())
+	}
+}
+
+// assertAppendKey checks the key half of the State contract on s:
+// AppendKey keeps its buffer's prefix and appends exactly Key's bytes,
+// and those are the bytes fmt formats row by row.
+func assertAppendKey(t *testing.T, s SpecState) {
+	t.Helper()
+	key := s.Key()
+	const prefix = "prefix|"
+	if got := s.AppendKey([]byte(prefix)); string(got) != prefix+key {
+		t.Fatalf("AppendKey(%q) = %s, want the prefix and then Key() %s", prefix, got, key)
+	}
+	rows := make([]string, s.N)
+	for i, h := range s.Held[:s.N] {
+		rows[i] = fmt.Sprintf("%d,%d,%d", h[0], h[1], h[2])
+	}
+	if want := strings.Join(rows, "|"); key != want {
+		t.Fatalf("Key() = %s, want %s", key, want)
 	}
 }
 
@@ -125,7 +146,8 @@ func FuzzDecodeBinaryArbitrary(f *testing.F) {
 // FuzzBinaryKeyAgreement enforces the tla.BinaryState contract on the
 // locking spec state: byte-packed encodings are equal iff Key() strings
 // are, and so are values under ==, on randomized (including unreachable)
-// states and on a state rebuilt from its own encoding.
+// states and on a state rebuilt from its own encoding; each state's
+// AppendKey is held to its Key (assertAppendKey).
 func FuzzBinaryKeyAgreement(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 1, 4, 3, 0, 0, 1})
@@ -135,6 +157,8 @@ func FuzzBinaryKeyAgreement(f *testing.F) {
 		n := 1 + r.intn(4)
 		a := specStateFrom(r, n)
 		b := specStateFrom(r, n)
+		assertAppendKey(t, a)
+		assertAppendKey(t, b)
 		assertEncodingAgreement(t, a, b)
 		rebuilt, err := SpecState{}.DecodeBinary(a.AppendBinary(nil))
 		if err != nil {

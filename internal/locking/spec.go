@@ -3,7 +3,7 @@ package locking
 import (
 	"cmp"
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/tla"
 )
@@ -47,16 +47,25 @@ type SpecState struct {
 	Held [MaxActors][3]int8
 }
 
-// Key implements tla.State.
+// Key implements tla.State: AppendKey's bytes, formatted in a stack
+// buffer.
 func (s SpecState) Key() string {
-	var b strings.Builder
+	var scratch [9 * MaxActors]byte // "-1,-1,-1|" per actor
+	return string(s.AppendKey(scratch[:0]))
+}
+
+// AppendKey implements tla.State: each actor's three holdings, comma
+// separated, actors separated by '|'.
+func (s SpecState) AppendKey(dst []byte) []byte {
 	for i, h := range s.Held[:s.N] {
 		if i > 0 {
-			b.WriteByte('|')
+			dst = append(dst, '|')
 		}
-		fmt.Fprintf(&b, "%d,%d,%d", h[0], h[1], h[2])
+		dst = strconv.AppendInt(dst, int64(h[0]), 10)
+		dst = strconv.AppendInt(append(dst, ','), int64(h[1]), 10)
+		dst = strconv.AppendInt(append(dst, ','), int64(h[2]), 10)
 	}
-	return b.String()
+	return dst
 }
 
 // AppendBinary implements tla.BinaryState: one byte per (actor, level)

@@ -11,10 +11,11 @@ import (
 // for the gossip actions), exactly as a TLA+ action quantified over the
 // server set.
 //
-// A successor is a copy of its parent State with the changed fields edited
-// in place; oplogs are immutable lists (see Oplog), so a successor shares
-// every oplog with its parent and only ClientWrite allocates, the one entry
-// it appends.
+// A successor is a copy of its parent State, appended to the result and
+// edited there, so the 80-byte state is copied once (the helpers take the
+// state by pointer, copying nothing); oplogs are immutable lists (see
+// Oplog), so a successor shares every oplog with its parent and only
+// ClientWrite allocates, the one entry it appends.
 //
 // Each action counts its successors before it builds them: it returns nil
 // when there are none, and otherwise allocates its result once, at exactly
@@ -70,7 +71,7 @@ func appendOplog(s State) []State {
 
 // canSyncFrom reports whether node i can fetch entries from node j: j's
 // oplog strictly extends i's.
-func (s State) canSyncFrom(i, j int) bool {
+func (s *State) canSyncFrom(i, j int) bool {
 	return i != j && s.Oplogs[j].Len() > s.Oplogs[i].Len() && s.isPrefix(i, j)
 }
 
@@ -92,9 +93,9 @@ func rollbackOplog(s State) []State {
 	out := make([]State, 0, count)
 	for i := 0; i < n; i++ {
 		if s.mustRollback(i) {
-			c := s
+			out = append(out, s)
+			c := &out[len(out)-1]
 			c.Oplogs[i] = Oplog{s.Oplogs[i].last.prev}
-			out = append(out, c)
 		}
 	}
 	return out
@@ -102,7 +103,7 @@ func rollbackOplog(s State) []State {
 
 // mustRollback reports whether node i's non-empty oplog has diverged from
 // that of some more up-to-date node.
-func (s State) mustRollback(i int) bool {
+func (s *State) mustRollback(i int) bool {
 	if s.Oplogs[i].Len() == 0 {
 		return false
 	}
@@ -182,7 +183,8 @@ func becomePrimaryByMagic(s State, qs [][][]int, globalTerm bool) []State {
 			if !s.canElect(i, q) {
 				continue
 			}
-			c := s
+			out = append(out, s)
+			c := &out[len(out)-1]
 			for j := range n {
 				c.Roles[j] = Follower
 			}
@@ -202,7 +204,6 @@ func becomePrimaryByMagic(s State, qs [][][]int, globalTerm bool) []State {
 					c.Terms[j] = t
 				}
 			}
-			out = append(out, c)
 		}
 	}
 	return out
@@ -218,7 +219,7 @@ func nextTerm(t int) int16 {
 
 // canElect reports whether quorum q can elect node i: no voter's oplog is
 // more up-to-date than i's.
-func (s State) canElect(i int, q []int) bool {
+func (s *State) canElect(i int, q []int) bool {
 	for _, j := range q {
 		if s.logAhead(j, i) {
 			return false
@@ -228,7 +229,7 @@ func (s State) canElect(i int, q []int) bool {
 }
 
 // leaders returns the number of nodes that believe they are leader.
-func (s State) leaders() int {
+func (s *State) leaders() int {
 	count := 0
 	for _, r := range s.Roles[:s.Nodes] {
 		if r == Leader {
@@ -247,9 +248,9 @@ func stepdown(s State) []State {
 	out := make([]State, 0, count)
 	for i, r := range s.Roles[:s.Nodes] {
 		if r == Leader {
-			c := s
+			out = append(out, s)
+			c := &out[len(out)-1]
 			c.Roles[i] = Follower
-			out = append(out, c)
 		}
 	}
 	return out
@@ -266,9 +267,9 @@ func clientWrite(s State) []State {
 	out := make([]State, 0, count)
 	for i, r := range s.Roles[:s.Nodes] {
 		if r == Leader {
-			c := s
+			out = append(out, s)
+			c := &out[len(out)-1]
 			c.Oplogs[i] = s.Oplogs[i].appendEntry(s.Terms[i])
-			out = append(out, c)
 		}
 	}
 	return out
@@ -291,9 +292,9 @@ func advanceCommitPoint(s State) []State {
 	out := make([]State, 0, count)
 	for i := range s.NumNodes() {
 		if cp, ok := s.committable(i); ok {
-			c := s
+			out = append(out, s)
+			c := &out[len(out)-1]
 			c.CommitPoints[i] = cp
-			out = append(out, c)
 		}
 	}
 	return out
@@ -301,7 +302,7 @@ func advanceCommitPoint(s State) []State {
 
 // committable returns the commit point leader i can advance to, and false
 // when i is not a leader or its commit point cannot move.
-func (s State) committable(i int) (CommitPoint, bool) {
+func (s *State) committable(i int) (CommitPoint, bool) {
 	if s.Roles[i] != Leader {
 		return CommitPoint{}, false
 	}
@@ -341,7 +342,7 @@ func (s State) committable(i int) (CommitPoint, bool) {
 // newer commit point from any node — with a single global term there is
 // nothing to cross-check.
 func learnCommitPointV1(s State) []State {
-	return learnCommitPoints(s, func(i, j int) (CommitPoint, bool) {
+	return learnCommitPoints(&s, func(i, j int) (CommitPoint, bool) {
 		return s.CommitPoints[j], s.CommitPoints[i].Before(s.CommitPoints[j])
 	})
 }
@@ -349,7 +350,7 @@ func learnCommitPointV1(s State) []State {
 // learnCommitPoints builds the successors of a commit-point gossip action:
 // node i adopts the commit point learn(i, j) returns for every ordered pair
 // of distinct nodes for which it returns true.
-func learnCommitPoints(s State, learn func(i, j int) (CommitPoint, bool)) []State {
+func learnCommitPoints(s *State, learn func(i, j int) (CommitPoint, bool)) []State {
 	n := s.NumNodes()
 	count := 0
 	for i := 0; i < n; i++ {
@@ -369,9 +370,9 @@ func learnCommitPoints(s State, learn func(i, j int) (CommitPoint, bool)) []Stat
 		for j := 0; j < n; j++ {
 			if i != j {
 				if cp, ok := learn(i, j); ok {
-					c := s
+					out = append(out, *s)
+					c := &out[len(out)-1]
 					c.CommitPoints[i] = cp
-					out = append(out, c)
 				}
 			}
 		}
@@ -401,10 +402,10 @@ func updateTermThroughHeartbeat(s State) []State {
 			if s.Terms[j] <= s.Terms[i] {
 				continue
 			}
-			c := s
+			out = append(out, s)
+			c := &out[len(out)-1]
 			c.Roles[i] = Follower
 			c.Terms[i] = s.Terms[j]
-			out = append(out, c)
 		}
 	}
 	return out
@@ -414,7 +415,7 @@ func updateTermThroughHeartbeat(s State) []State {
 // only if the commit point's term is not newer than i's own term — a node
 // must not trust a commit point from a term it has not yet heard of.
 func learnCommitPointWithTermCheck(s State) []State {
-	return learnCommitPoints(s, func(i, j int) (CommitPoint, bool) {
+	return learnCommitPoints(&s, func(i, j int) (CommitPoint, bool) {
 		cp := s.CommitPoints[j]
 		return cp, s.CommitPoints[i].Before(cp) && cp.Term <= s.Terms[i]
 	})
@@ -425,7 +426,7 @@ func learnCommitPointWithTermCheck(s State) []State {
 // j's), capped at i's own last applied entry — a node may not advertise a
 // commit point beyond the data it actually has.
 func learnCommitPointFromSyncSource(s State) []State {
-	return learnCommitPoints(s, func(i, j int) (CommitPoint, bool) {
+	return learnCommitPoints(&s, func(i, j int) (CommitPoint, bool) {
 		li := s.Oplogs[i]
 		if li.Len() == 0 || !s.isPrefix(i, j) {
 			return CommitPoint{}, false

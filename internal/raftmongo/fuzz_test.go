@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/tla"
@@ -80,6 +83,33 @@ func assertEncodingAgreement(t *testing.T, a, b State) {
 	if binEq != keyEq {
 		t.Fatalf("AppendBinary equality (%v) disagrees with Key equality (%v):\n a = %s\n b = %s",
 			binEq, keyEq, a.Key(), b.Key())
+	}
+}
+
+// assertAppendKey checks the key half of the State contract on s:
+// AppendKey keeps its buffer's prefix and appends exactly Key's bytes,
+// and those are the bytes fmt formats field by field.
+func assertAppendKey(t *testing.T, s State) {
+	t.Helper()
+	key := s.Key()
+	const prefix = "prefix|"
+	if got := s.AppendKey([]byte(prefix)); string(got) != prefix+key {
+		t.Fatalf("AppendKey(%q) = %s, want the prefix and then Key() %s", prefix, got, key)
+	}
+	nodes := make([]string, s.NumNodes())
+	for i := range nodes {
+		var terms []string
+		for _, term := range s.Oplogs[i].Terms() {
+			terms = append(terms, strconv.Itoa(term))
+		}
+		cp := "NULL"
+		if c := s.CommitPoints[i]; !c.IsNull() {
+			cp = fmt.Sprintf("%d.%d", c.Term, c.Index)
+		}
+		nodes[i] = fmt.Sprintf("%s,%d,%s,%s", s.Roles[i], s.Terms[i], cp, strings.Join(terms, "."))
+	}
+	if want := strings.Join(nodes, "|"); key != want {
+		t.Fatalf("Key() = %s, want %s", key, want)
 	}
 }
 
@@ -229,7 +259,8 @@ func referenceDecode(enc []byte) (nodes int, ok bool) {
 // identity would not — exactly the silent-wrong-answer class of bug the
 // fuzzer exists to catch. The same corpus feeds the retained-state
 // arena's round-trip property and the successor immutability check
-// (TestSuccessorsNeverMutate).
+// (TestSuccessorsNeverMutate), and each state's AppendKey is held to its
+// Key (assertAppendKey).
 func FuzzBinaryKeyAgreement(f *testing.F) {
 	for _, seed := range codecSeeds {
 		f.Add(seed)
@@ -239,6 +270,8 @@ func FuzzBinaryKeyAgreement(f *testing.F) {
 		n := 1 + r.intn(MaxNodes)
 		a := stateFrom(r, n)
 		b := stateFrom(r, n)
+		assertAppendKey(t, a)
+		assertAppendKey(t, b)
 		assertEncodingAgreement(t, a, b)
 		// The equal direction, on distinct oplog entries: a deep copy
 		// must encode identically under both schemes.

@@ -70,10 +70,17 @@ func (c CommitPoint) Before(d CommitPoint) bool {
 }
 
 func (c CommitPoint) String() string {
+	var scratch [16]byte
+	return string(c.appendTo(scratch[:0]))
+}
+
+// appendTo appends c as String formats it: NULL, or term.index.
+func (c CommitPoint) appendTo(dst []byte) []byte {
 	if c.IsNull() {
-		return "NULL"
+		return append(dst, "NULL"...)
 	}
-	return fmt.Sprintf("%d.%d", c.Term, c.Index)
+	dst = strconv.AppendInt(dst, int64(c.Term), 10)
+	return strconv.AppendInt(append(dst, '.'), int64(c.Index), 10)
 }
 
 // MaxNodes bounds the replica-set size: a State keeps its per-node
@@ -145,19 +152,25 @@ func MakeState(roles []Role, terms []int, cps []CommitPoint, oplogs [][]int) (St
 // NumNodes returns the number of nodes in the replica set.
 func (s State) NumNodes() int { return int(s.Nodes) }
 
-// Key implements tla.State with a canonical encoding.
+// Key implements tla.State with a canonical encoding: AppendKey's bytes,
+// formatted in a stack buffer.
 func (s State) Key() string {
-	var b []byte
+	var scratch [256]byte
+	return string(s.AppendKey(scratch[:0]))
+}
+
+// AppendKey implements tla.State: per node its role, term, commit point
+// and oplog terms (joined by '.'), comma separated, nodes separated by
+// '|'.
+func (s State) AppendKey(b []byte) []byte {
 	var terms [16]int
 	for i := range s.NumNodes() {
 		if i > 0 {
 			b = append(b, '|')
 		}
 		b = append(b, s.Roles[i].String()...)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, int64(s.Terms[i]), 10)
-		b = append(b, ',')
-		b = append(b, s.CommitPoints[i].String()...)
+		b = strconv.AppendInt(append(b, ','), int64(s.Terms[i]), 10)
+		b = s.CommitPoints[i].appendTo(append(b, ','))
 		b = append(b, ',')
 		for j, t := range s.Oplogs[i].appendTerms(terms[:0]) {
 			if j > 0 {
@@ -166,7 +179,7 @@ func (s State) Key() string {
 			b = strconv.AppendInt(b, int64(t), 10)
 		}
 	}
-	return string(b)
+	return b
 }
 
 func (s State) String() string { return s.Key() }
@@ -369,11 +382,11 @@ func permuteNodes(s State, perm []int) State {
 }
 
 // LastTerm returns the term of node i's newest oplog entry, 0 if empty.
-func (s State) LastTerm(i int) int { return s.Oplogs[i].LastTerm() }
+func (s *State) LastTerm(i int) int { return s.Oplogs[i].LastTerm() }
 
 // logAhead reports whether node j's oplog is strictly more up-to-date than
 // node i's, by the Raft comparison: last term, then length.
-func (s State) logAhead(j, i int) bool {
+func (s *State) logAhead(j, i int) bool {
 	lt, li := s.LastTerm(j), s.LastTerm(i)
 	if lt != li {
 		return lt > li
@@ -382,10 +395,10 @@ func (s State) logAhead(j, i int) bool {
 }
 
 // isPrefix reports whether node i's oplog is a prefix of node j's.
-func (s State) isPrefix(i, j int) bool { return s.Oplogs[i].IsPrefixOf(s.Oplogs[j]) }
+func (s *State) isPrefix(i, j int) bool { return s.Oplogs[i].IsPrefixOf(s.Oplogs[j]) }
 
 // maxTerm returns the largest term known by any node.
-func (s State) maxTerm() int {
+func (s *State) maxTerm() int {
 	m := 0
 	for _, t := range s.Terms[:s.Nodes] {
 		m = max(m, int(t))

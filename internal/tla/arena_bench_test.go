@@ -21,6 +21,8 @@ func (s heavyState) Key() string {
 	return fmt.Sprintf("%v/%v/%v", s.Roles, s.Terms, s.Logs)
 }
 
+func (s heavyState) AppendKey(dst []byte) []byte { return append(dst, s.Key()...) }
+
 func (s heavyState) AppendBinary(buf []byte) []byte {
 	buf = append(buf, byte(len(s.Roles)))
 	for i := range s.Roles {

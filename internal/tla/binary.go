@@ -9,11 +9,13 @@ import "bytes"
 // reduction orders orbit images by it, the arena stores it, and trace
 // checking dedups its frontier on it. Key() is the same identity as a human
 // label: what the recorded Graph's KeyAt, printed counterexamples and a DOT
-// dump show.
+// dump show (the dump appends it through AppendKey, which writes the same
+// bytes).
 //
 // The encoding must agree with Key(): for any two states of the same
 // specification, bytes.Equal(a.AppendBinary(nil), b.AppendBinary(nil)) must
-// hold if and only if a.Key() == b.Key(). (Length-prefixed or
+// hold if and only if a.Key() == b.Key(), and so if and only if
+// bytes.Equal(a.AppendKey(nil), b.AppendKey(nil)). (Length-prefixed or
 // self-delimiting fields make an encoding injective; the FuzzBinaryKeyAgreement
 // targets in the spec packages enforce the equivalence on randomized
 // states.) AppendBinary must append to buf and return the extended slice,

@@ -16,6 +16,8 @@ type binState struct{ A, B uint16 }
 
 func (s binState) Key() string { return fmt.Sprintf("%d/%d", s.A, s.B) }
 
+func (s binState) AppendKey(dst []byte) []byte { return append(dst, s.Key()...) }
+
 func (s binState) AppendBinary(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, s.A)
 	return binary.BigEndian.AppendUint16(buf, s.B)
@@ -173,6 +175,7 @@ func TestCodecSelectsBinaryPath(t *testing.T) {
 type ptrState struct{ s binState }
 
 func (p *ptrState) Key() string                    { return p.s.Key() }
+func (p *ptrState) AppendKey(dst []byte) []byte    { return p.s.AppendKey(dst) }
 func (p *ptrState) AppendBinary(buf []byte) []byte { return p.s.AppendBinary(buf) }
 
 // ptrSwapOrbits is swapOrbits for *ptrState.

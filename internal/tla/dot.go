@@ -22,13 +22,14 @@ import (
 // Edges are emitted in deterministic (From, To, Action) order, so the same
 // exploration yields byte-identical output whether its states are live or
 // decoded from the arena, its segments resident or spilled. Node lines —
-// each state's Key and quoting, nearly all of the work — are formatted in
+// each state's key and quoting, nearly all of the work — are formatted in
 // blocks of dotBlock ids by the run's workers (see writeDOTNodes) and
 // written in id order, so the output does not depend on the worker count
-// either. Every line is built by appending into a reused buffer, so a
-// node costs only what its state read and Key cost and an edge costs no
-// allocation. A state that cannot be read back (an unreadable spilled
-// segment) is returned as an error.
+// either. Every line is built by appending into a reused buffer, and
+// every node's key by AppendKey into a sibling buffer the formatting
+// goroutine reuses, so a node costs only what its state read costs and an
+// edge costs no allocation. A state that cannot be read back (an
+// unreadable spilled segment) is returned as an error.
 func (g *Graph[S]) WriteDOT(w io.Writer, name string) error {
 	// bufio.Writer errors are sticky: the final Flush reports any of them.
 	bw := bufio.NewWriter(w)
@@ -49,31 +50,33 @@ func (g *Graph[S]) WriteDOT(w io.Writer, name string) error {
 }
 
 // dotBlock is the number of node lines one worker formats per hand-off:
-// large enough that a hand-off costs nothing next to its Key calls,
+// large enough that a hand-off costs nothing next to its AppendKey calls,
 // small enough that a block's buffer stays a few hundred kilobytes.
 const dotBlock = 256
 
-// appendDOTNodes appends the node lines of ids [lo, hi) to buf. It reads
-// each state through the retainer, so an unreadable spilled segment is an
-// error, not the panic of KeyAt.
-func (g *Graph[S]) appendDOTNodes(buf []byte, lo, hi int, inits []bool) ([]byte, error) {
+// appendDOTNodes appends the node lines of ids [lo, hi) to buf, building
+// each state's key in key's storage; it returns both buffers, for the
+// caller to reuse. It reads each state through the retainer, so an
+// unreadable spilled segment is an error, not the panic of KeyAt.
+func (g *Graph[S]) appendDOTNodes(buf, key []byte, lo, hi int, inits []bool) ([]byte, []byte, error) {
 	for id := lo; id < hi; id++ {
 		s, err := g.ret.stateAt(g.cod, id)
 		if err != nil {
-			return buf, err
+			return buf, key, err
 		}
+		key = s.AppendKey(key[:0])
 		buf = strconv.AppendInt(append(buf, "  "...), int64(id), 10)
-		buf = appendDOTQuote(append(buf, " [label="...), s.Key())
+		buf = appendDOTQuote(append(buf, " [label="...), key)
 		if inits[id] {
 			buf = append(buf, ",style=filled"...)
 		}
 		buf = append(buf, "];\n"...)
 	}
-	return buf, nil
+	return buf, key, nil
 }
 
 // dotPart is one formatted block of node lines, or the read error or
-// panic (of the spec's Key) a worker met while formatting it.
+// panic (of the spec's AppendKey) a worker met while formatting it.
 type dotPart struct {
 	buf   []byte
 	err   error
@@ -84,22 +87,22 @@ type dotPart struct {
 // the edge lines may reuse. With one worker (the graph of a Workers: 1
 // run, or a graph of one block) it formats and writes inline, line by
 // line. Otherwise worker w formats blocks w, w+workers, w+2·workers, …
-// into its one reused buffer and hands each to the caller, which writes
-// the blocks in order and hands the buffer back: at most one block per
-// worker is in flight. Graph reads are safe from several goroutines once
-// the run has finished. A read error (an unreadable spilled segment) is
-// returned, and a panic while formatting (in the spec's Key) re-raised on
-// the caller's goroutine, when its block's turn comes, after every worker
-// has stopped.
+// into its one reused line buffer (with its own reused key buffer) and
+// hands each to the caller, which writes the blocks in order and hands
+// the buffer back: at most one block per worker is in flight. Graph reads
+// are safe from several goroutines once the run has finished. A read
+// error (an unreadable spilled segment) is returned, and a panic while
+// formatting (in the spec's AppendKey) re-raised on the caller's
+// goroutine, when its block's turn comes, after every worker has stopped.
 func (g *Graph[S]) writeDOTNodes(bw *bufio.Writer, inits []bool) ([]byte, error) {
 	n := len(inits)
 	blocks := (n + dotBlock - 1) / dotBlock
 	workers := min(g.workers, blocks)
 	if workers <= 1 {
-		line := make([]byte, 0, 1024)
+		line, key := make([]byte, 0, 1024), make([]byte, 0, 1024)
 		for id := 0; id < n; id++ {
 			var err error
-			if line, err = g.appendDOTNodes(line[:0], id, id+1, inits); err != nil {
+			if line, key, err = g.appendDOTNodes(line[:0], key, id, id+1, inits); err != nil {
 				return nil, err
 			}
 			bw.Write(line)
@@ -116,9 +119,10 @@ func (g *Graph[S]) writeDOTNodes(bw *bufio.Writer, inits []bool) ([]byte, error)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := make([]byte, 0, 1024)
+			buf, key := make([]byte, 0, 1024), make([]byte, 0, 1024)
 			for b := w; b < blocks; b += workers {
-				part := g.formatDOTBlock(buf[:0], b, inits)
+				var part dotPart
+				part, key = g.formatDOTBlock(buf[:0], key, b, inits)
 				select {
 				case parts[w] <- part:
 				case <-stop:
@@ -146,17 +150,18 @@ func (g *Graph[S]) writeDOTNodes(bw *bufio.Writer, inits []bool) ([]byte, error)
 	return nil, nil
 }
 
-// formatDOTBlock formats block b's node lines into buf, recovering a
-// panic into the part so the caller can re-raise it.
-func (g *Graph[S]) formatDOTBlock(buf []byte, b int, inits []bool) (part dotPart) {
+// formatDOTBlock formats block b's node lines into buf, with key as the
+// key buffer it returns for reuse, recovering a panic into the part so
+// the caller can re-raise it.
+func (g *Graph[S]) formatDOTBlock(buf, key []byte, b int, inits []bool) (part dotPart, _ []byte) {
 	defer func() {
 		if pv := recover(); pv != nil {
 			part = dotPart{buf: buf, panic: pv}
 		}
 	}()
 	lo := b * dotBlock
-	buf, err := g.appendDOTNodes(buf, lo, min(lo+dotBlock, len(inits)), inits)
-	return dotPart{buf: buf, err: err}
+	buf, key, err := g.appendDOTNodes(buf, key, lo, min(lo+dotBlock, len(inits)), inits)
+	return dotPart{buf: buf, err: err}, key
 }
 
 // writeDOTEdges emits the edges in (From, To, Action) order, building each
@@ -190,13 +195,13 @@ func (g *Graph[S]) writeDOTEdges(bw *bufio.Writer, line []byte) error {
 	return nil
 }
 
-// appendDOTQuote appends s as a double-quoted string, byte-identical to
-// strconv.AppendQuote. A label of printable ASCII (0x20–0x7E) — every key
-// the bundled specs produce — needs only its '"' and '\\' escaped, which
-// one pass does into a buffer grown once for the worst case (every byte
-// escaped); on the first other byte the whole string goes through
-// strconv.AppendQuote.
-func appendDOTQuote(buf []byte, s string) []byte {
+// appendDOTQuote appends s — a node's key bytes or an edge's action
+// name — as a double-quoted string, byte-identical to strconv.AppendQuote.
+// A label of printable ASCII (0x20–0x7E) — every key the bundled specs
+// produce — needs only its '"' and '\\' escaped, which one pass does into
+// a buffer grown once for the worst case (every byte escaped); on the
+// first other byte the whole string goes through strconv.AppendQuote.
+func appendDOTQuote[T string | []byte](buf []byte, s T) []byte {
 	n := len(buf)
 	buf = slices.Grow(buf, 2*len(s)+2)
 	out := buf[n : n+2*len(s)+2]
@@ -205,7 +210,7 @@ func appendDOTQuote(buf []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {
 		case c < 0x20 || c > 0x7e:
-			return strconv.AppendQuote(buf[:n], s)
+			return strconv.AppendQuote(buf[:n], string(s))
 		case c == '"' || c == '\\':
 			out[j], out[j+1] = '\\', c
 			j += 2

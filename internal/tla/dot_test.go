@@ -13,7 +13,8 @@ import (
 )
 
 // FuzzAppendDOTQuote pins the DOT writer's quoting to strconv.Quote byte
-// for byte — the printable-ASCII fast path and the fallback alike.
+// for byte — the printable-ASCII fast path and the fallback alike, for a
+// string (an edge's action) and for bytes (a node's appended key).
 func FuzzAppendDOTQuote(f *testing.F) {
 	for _, s := range []string{
 		"", "plain", `a"b`, `c\d`, `{"sl":[],"e":"x\"y"}`, `/\ f = [n1 |-> 0]`,
@@ -24,8 +25,12 @@ func FuzzAppendDOTQuote(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
 		prefix := []byte("  7 [label=")
 		got := appendDOTQuote(append([]byte(nil), prefix...), s)
-		if want := string(prefix) + strconv.Quote(s); string(got) != want {
+		want := string(prefix) + strconv.Quote(s)
+		if string(got) != want {
 			t.Fatalf("appendDOTQuote(%q) = %s, want %s", s, got, want)
+		}
+		if got := appendDOTQuote(append([]byte(nil), prefix...), []byte(s)); string(got) != want {
+			t.Fatalf("appendDOTQuote([]byte(%q)) = %s, want %s", s, got, want)
 		}
 	})
 }
@@ -38,6 +43,8 @@ type labelState struct {
 }
 
 func (s labelState) Key() string { return s.label }
+
+func (s labelState) AppendKey(dst []byte) []byte { return append(dst, s.label...) }
 
 func (s labelState) AppendBinary(buf []byte) []byte { return append(buf, s.i) }
 
@@ -122,21 +129,23 @@ func TestParseDOTTLCLabels(t *testing.T) {
 	}
 }
 
-// constKeyState is a grid state whose canonical key is one shared
-// constant: the checker dedups on AppendBinary, and the DOT writer's own
-// cost per line is all that WriteDOT allocates.
+// constKeyState is a grid state whose canonical key is one constant,
+// appended without allocating: the checker dedups on AppendBinary, and
+// the DOT writer's own cost is all that WriteDOT allocates.
 type constKeyState struct{ A, B uint16 }
 
 func (constKeyState) Key() string { return "state" }
+
+func (constKeyState) AppendKey(dst []byte) []byte { return append(dst, "state"...) }
 
 func (s constKeyState) AppendBinary(buf []byte) []byte {
 	return binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint16(buf, s.A), s.B)
 }
 
-// TestWriteDOTAllocsPerState pins the append-only DOT writer: beyond a
-// fixed set-up, at most one allocation per node (its key) and none per
-// edge. The grid has about twice as many edges as nodes, so an edge that
-// allocated, or a node that allocated twice, breaks the bound.
+// TestWriteDOTAllocsPerState pins the append-only DOT writer: a fixed
+// set-up and nothing per node or per edge, since every node's key is
+// appended into a reused buffer. The grid has 1,600 nodes and about twice
+// as many edges, so a node or an edge that allocated breaks the bound.
 func TestWriteDOTAllocsPerState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -168,13 +177,13 @@ func TestWriteDOTAllocsPerState(t *testing.T) {
 	if nodes != side*side || edges != 2*side*(side-1) {
 		t.Fatalf("grid has %d nodes and %d edges", nodes, edges)
 	}
-	const setup = 16 // bufio.Writer, line buffer, init marks, edge block
+	const setup = 16 // bufio.Writer, line and key buffers, init marks, edge block
 	allocs := testing.AllocsPerRun(5, func() {
 		if err := res.Graph.WriteDOT(io.Discard, "grid"); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if limit := float64(nodes + setup); allocs > limit {
+	if limit := float64(setup); allocs > limit {
 		t.Fatalf("WriteDOT allocates %.0f times for %d nodes and %d edges, want at most %.0f", allocs, nodes, edges, limit)
 	}
 	t.Logf("WriteDOT: %.0f allocations for %d nodes, %d edges", allocs, nodes, edges)
@@ -182,21 +191,23 @@ func TestWriteDOTAllocsPerState(t *testing.T) {
 
 // quotedState is a grid state with a key that needs escaping: quotes and
 // a backslash on every line and, on every seventh, a non-ASCII byte that
-// sends appendDOTQuote down strconv.AppendQuote. Key panics on the state
-// quotedPanicAt names, if any.
+// sends appendDOTQuote down strconv.AppendQuote. AppendKey (and so Key)
+// panics on the state quotedPanicAt names, if any.
 type quotedState struct{ A, B uint8 }
 
 var quotedPanicAt *quotedState
 
-func (s quotedState) Key() string {
+func (s quotedState) Key() string { return string(s.AppendKey(nil)) }
+
+func (s quotedState) AppendKey(dst []byte) []byte {
 	if p := quotedPanicAt; p != nil && *p == s {
 		panic("key panic")
 	}
-	k := fmt.Sprintf(`{"a":%d,"b":"\%d"}`, s.A, s.B)
+	dst = fmt.Appendf(dst, `{"a":%d,"b":"\%d"}`, s.A, s.B)
 	if (s.A+s.B)%7 == 0 {
-		k += "é"
+		dst = append(dst, "é"...)
 	}
-	return k
+	return dst
 }
 
 func (s quotedState) AppendBinary(buf []byte) []byte { return append(buf, s.A, s.B) }
@@ -291,7 +302,7 @@ func naiveDOT(t *testing.T, g *Graph[quotedState]) string {
 	return b.String()
 }
 
-// TestWriteDOTReraisesPanic: a spec's Key that panics on one state panics
+// TestWriteDOTReraisesPanic: a spec's AppendKey that panics on one state panics
 // WriteDOT on the caller's goroutine at every worker count, not a
 // formatting goroutine, which would take the process down.
 func TestWriteDOTReraisesPanic(t *testing.T) {

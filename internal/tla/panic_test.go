@@ -147,6 +147,8 @@ type keyPanicState struct{ N int }
 
 func (s keyPanicState) Key() string { return fmt.Sprintf("%d", s.N) }
 
+func (s keyPanicState) AppendKey(dst []byte) []byte { return append(dst, s.Key()...) }
+
 func (s keyPanicState) AppendBinary(buf []byte) []byte {
 	if s.N == 5 {
 		panic("AppendBinary bug at N=5")

@@ -168,6 +168,8 @@ type randState uint32
 
 func (s randState) Key() string { return fmt.Sprintf("%d", uint32(s)) }
 
+func (s randState) AppendKey(dst []byte) []byte { return append(dst, s.Key()...) }
+
 func (s randState) AppendBinary(buf []byte) []byte {
 	return binary.BigEndian.AppendUint32(buf, uint32(s))
 }

@@ -20,6 +20,8 @@ func (s gridState) Key() string {
 	return fmt.Sprintf("%d/%d/%d/%d", s.vals[0], s.vals[1], s.vals[2], s.vals[3])
 }
 
+func (s gridState) AppendKey(dst []byte) []byte { return append(dst, s.Key()...) }
+
 // AppendBinary and DecodeBinary let the grid run under the arena. The
 // counter count n is configuration, not state: the decoder recovers it from
 // its receiver, the sample state the engine binds it to.
@@ -41,6 +43,8 @@ type toggleState struct{ X, Y int8 }
 func (s toggleState) Key() string {
 	return fmt.Sprintf("%d/%d", s.X, s.Y)
 }
+
+func (s toggleState) AppendKey(dst []byte) []byte { return append(dst, s.Key()...) }
 
 func (s toggleState) AppendBinary(buf []byte) []byte { return append(buf, byte(s.X), byte(s.Y)) }
 

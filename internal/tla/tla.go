@@ -37,12 +37,20 @@ import (
 // behind a fingerprint hit when it must be exact (see
 // Options.CollisionFree).
 //
-// Unless Options.Workers is 1, Key and AppendBinary are called from
-// multiple goroutines concurrently (on distinct states) and must not
-// mutate shared state — during the run, and for Key also in the run's
-// Graph.WriteDOT, which formats node lines on the run's worker count.
+// AppendKey appends exactly the bytes of Key to dst and returns the
+// extended slice, allocating only when dst lacks capacity: it is how
+// Graph.WriteDOT labels a node without building a string per state. A
+// spec derives one from the other — typically Key is
+// string(s.AppendKey(scratch[:0])) — so the two cannot disagree.
+//
+// Unless Options.Workers is 1, Key, AppendKey and AppendBinary are called
+// from multiple goroutines concurrently (on distinct states) and must not
+// mutate shared state — during the run, and for AppendKey also in the
+// run's Graph.WriteDOT, which formats node lines on the run's worker
+// count.
 type State interface {
 	Key() string
+	AppendKey(dst []byte) []byte
 	BinaryState
 }
 

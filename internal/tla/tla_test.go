@@ -17,6 +17,8 @@ type counterState struct{ A, B int }
 
 func (s counterState) Key() string { return fmt.Sprintf("%d/%d", s.A, s.B) }
 
+func (s counterState) AppendKey(dst []byte) []byte { return append(dst, s.Key()...) }
+
 func (s counterState) AppendBinary(buf []byte) []byte {
 	return binary.AppendVarint(binary.AppendVarint(buf, int64(s.A)), int64(s.B))
 }
