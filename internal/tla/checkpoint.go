@@ -550,7 +550,7 @@ func restoreStates[S State](cod *codec[S], ret *retainer[S], vs *visitedSet, fro
 		if err != nil {
 			return fmt.Errorf("%w: decoding state %d: %v", ErrBadCheckpoint, id, err)
 		}
-		if prev, isNew := vs.own(fingerprint(key), key, id); !isNew {
+		if prev, isNew := vs.own(stateFP(key), key, id); !isNew {
 			return fmt.Errorf("%w: states %d and %d have the same key", ErrBadCheckpoint, prev, id)
 		}
 		return nil

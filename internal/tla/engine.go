@@ -52,10 +52,15 @@ import (
 // visited-set mode (modulo fingerprint collisions, which
 // Options.CollisionFree rules out).
 
-// candidate is one successor awaiting the merge, in 8 bytes: its action
-// (an index into Spec.Actions) and the probe's answer — the id on a hit,
-// ^i on a miss, whose state is the chunk's succs.at(i); several candidates
-// may share a miss. (State ids are 32-bit throughout: the arena's links
+// candidate is one successor awaiting the merge, in 8 bytes: the probe's
+// answer — the id on a hit, ^i on a miss, whose state is the chunk's
+// succs.at(i); several candidates may share a miss — and act. When a graph
+// is recorded every successor is a candidate and act is its action (an
+// index into Spec.Actions), which labels its edge. Otherwise only misses
+// are candidates: nothing reads a hit's id or a miss's action, and act is
+// the number of hits its state emitted since the previous candidate, from
+// which the route and the replay recover each candidate's emission
+// position (see head). (State ids are 32-bit throughout: the arena's links
 // and edge records are too.)
 type candidate struct {
 	id, act int32
@@ -130,9 +135,11 @@ func (o *chunkOut[S]) shardMisses(s int) []int32 {
 }
 
 // expanded is one frontier state's share of a chunk's candidates: n
-// successors, the first k of them ample (-1: not pruned; see
-// expander.expand). The route pass keeps k only when the proviso holds.
-type expanded struct{ n, k int }
+// successors, the first k of them in emission order ample (-1: not pruned;
+// see expander.expand), and c candidates — n when a graph is recorded,
+// else one per miss, whose act counts the hits skipped before it. The
+// route pass keeps k only when the proviso holds.
+type expanded struct{ n, k, c int32 }
 
 // resolveWorkers maps Options.Workers to an effective worker count:
 // 0 means GOMAXPROCS, TLC's default. (Negative counts are rejected by
@@ -300,7 +307,7 @@ func newLevelSync[S State](spec *Spec[S], opts Options, workers int, vs *visited
 	keys := vs.keyed || (l.ret.decode && l.cod.sym == nil)
 	l.xs = make([]*expander[S], workers)
 	for w := range l.xs {
-		l.xs[w] = &expander[S]{spec: spec, cod: l.cod, planner: newPORPlanner(ind, em), vs: vs, keys: keys}
+		l.xs[w] = &expander[S]{spec: spec, cod: l.cod, planner: newPORPlanner(ind, em), vs: vs, keys: keys, graph: opts.RecordGraph}
 		if w > 0 {
 			l.xs[w].cod = l.cod.clone()
 		}
@@ -494,7 +501,7 @@ func (l *levelSync[S]) registerInits() bool {
 		x.g.enter(opEncode, "", -1)
 		enc := x.cod.canonical(s)
 		x.g.exit()
-		fp := fingerprint(enc)
+		fp := stateFP(enc)
 		id, seen := l.vs.probe(fp, enc)
 		if !seen {
 			if id = l.ret.len(); l.opts.MaxStates > 0 && id >= l.opts.MaxStates {
@@ -585,8 +592,10 @@ func (l *levelSync[S]) report(frontier []int, level int) {
 
 // expandLevel expands every frontier state into per-chunk candidates, in
 // parallel. Each miss lands in the chunk's miss table, its state in succs,
-// in emission order. A spec panic is parked as the run's panic, which
-// stops the other workers at their next poll.
+// in emission order; a hit is a candidate only when a graph is recorded,
+// and is otherwise counted in the next candidate's act. A spec panic is
+// parked as the run's panic, which stops the other workers at their next
+// poll.
 func (l *levelSync[S]) expandLevel(frontier []int) (chunkPlan, []chunkOut[S]) {
 	plan := planChunks(len(frontier), len(l.xs))
 	if n := plan.nChunks - cap(l.outs); n > 0 {
@@ -604,17 +613,25 @@ func (l *levelSync[S]) expandLevel(frontier []int) (chunkPlan, []chunkOut[S]) {
 				break
 			}
 			n, k := x.expand(l.ret.stateOf(id), id)
+			c0, hits := len(out.cands), 0
 			for j, t := range x.order {
-				sid := x.ids[t]
+				sid, act := x.ids[t], x.acts[t]
+				if sid >= 0 && !x.graph {
+					hits++
+					continue
+				}
 				if sid < 0 {
 					sid = ^out.addMiss(x, t, k < 0 || j < k)
 					if j < k { // the route pass's witness needs an ample miss's constraint
 						out.misses[^sid].within = l.within(x, x.succs[t], id)
 					}
+					if !x.graph {
+						act, hits = hits, 0
+					}
 				}
-				out.cands = push(out.cands, candidate{id: int32(sid), act: int32(x.acts[t])})
+				out.cands = push(out.cands, candidate{id: int32(sid), act: int32(act)})
 			}
-			out.states = append(out.states, expanded{n: n, k: k})
+			out.states = append(out.states, expanded{n: int32(n), k: int32(k), c: int32(len(out.cands) - c0)})
 			l.em.observeFanout(n)
 		}
 	})
@@ -779,11 +796,11 @@ func (l *levelSync[S]) route(out *chunkOut[S], restored bool) {
 	ci := 0
 	for si := range out.states {
 		st := &out.states[si]
-		cands := out.cands[ci : ci+st.n]
-		ci += st.n
+		cands := out.cands[ci : ci+int(st.c)]
+		ci += int(st.c)
 		if st.k >= 0 {
 			witness := false
-			for _, c := range cands[:st.k] {
+			for _, c := range l.head(cands, int(st.k)) {
 				if c.id < 0 && out.misses[^c.id].within && (!restored || !l.vs.has(out.miss(int(^c.id)))) {
 					witness = true
 					break
@@ -794,7 +811,7 @@ func (l *levelSync[S]) route(out *chunkOut[S], restored bool) {
 			}
 		}
 		if st.k >= 0 {
-			cands = cands[:st.k]
+			cands = l.head(cands, int(st.k))
 		}
 		for _, c := range cands {
 			if c.id < 0 {
@@ -965,52 +982,73 @@ func (l *levelSync[S]) tail(frontier []int, outs []chunkOut[S]) bool {
 	return false
 }
 
+// head returns the candidates among the first k successors a state
+// emitted, given all of its candidates: the first k when a graph is
+// recorded, else those whose emission position, the hits skipped before
+// them included, is below k.
+func (l *levelSync[S]) head(cands []candidate, k int) []candidate {
+	if l.res.Graph != nil {
+		return cands[:k]
+	}
+	pos := 0
+	for j, c := range cands {
+		if pos += int(c.act); pos >= k {
+			return cands[:j]
+		}
+		pos++
+	}
+	return cands
+}
+
 // replay walks chunk o's processed candidates from its frontier states fr
 // in merge order, counting terminal and ample states and recording a
 // graph's edges, up to the first candidate reaching state stop (if >= 0),
 // whose edge it records only when edge is set (a violation's graph ends at
-// the violating state). It returns the transitions walked.
+// the violating state). It returns the transitions walked, the hits
+// before the stop included: without a graph they are counted from the
+// candidates' skip counts, and a state's walk is needed only to find stop.
 func (l *levelSync[S]) replay(o *chunkOut[S], fr []int, stop int, edge bool) int {
 	graph := l.res.Graph != nil
 	n, ci := 0, 0
 	for fi, st := range o.states {
-		cands := o.cands[ci : ci+st.n]
-		ci += st.n
+		cands := o.cands[ci : ci+int(st.c)]
+		ci += int(st.c)
 		if st.n == 0 { // POR prunes expansion, never the terminal verdict
 			l.res.Terminal++
 			continue
 		}
+		proc := int(st.n)
 		if st.k >= 0 {
-			cands = cands[:st.k]
+			proc = int(st.k)
+			cands = l.head(cands, proc)
 		}
-		if !graph && stop < 0 {
-			n += len(cands)
-		}
-		for _, c := range cands {
-			if !graph && stop < 0 {
-				break
-			}
-			sid := int(c.id)
-			if sid < 0 {
-				if sid = int(l.missIDs[o.base+int(^c.id)]); sid <= -2 {
-					sid = int(l.missIDs[-2-sid])
+		if graph || stop >= 0 {
+			pos := 0
+			for _, c := range cands {
+				if !graph {
+					pos += int(c.act)
+				}
+				pos++
+				sid := int(c.id)
+				if sid < 0 {
+					if sid = int(l.missIDs[o.base+int(^c.id)]); sid <= -2 {
+						sid = int(l.missIDs[-2-sid])
+					}
+				}
+				if graph && (sid != stop || edge) {
+					l.ret.arena.addEdge(fr[fi], l.ret.actIDs[c.act], sid)
+				}
+				if sid == stop {
+					return n + pos
 				}
 			}
-			n++
-			if sid == stop && !edge {
-				return n
-			}
-			if graph {
-				l.ret.arena.addEdge(fr[fi], l.ret.actIDs[c.act], sid)
-			}
-			if sid == stop {
-				return n
-			}
 		}
+		n += proc
 		if st.k >= 0 {
+			deferred := int(st.n - st.k)
 			l.res.AmpleStates++
-			l.res.DeferredTransitions += st.n - st.k
-			l.em.onAmple(st.n - st.k)
+			l.res.DeferredTransitions += deferred
+			l.em.onAmple(deferred)
 		}
 	}
 	return n

@@ -107,22 +107,24 @@ type expander[S State] struct {
 	planner *porPlanner[S] // nil without partial-order reduction
 	vs      *visitedSet    // probed for every successor's canonical encoding
 	keys    bool           // the merge reads a miss's encoding, so the chunk keeps it
+	graph   bool           // a graph is recorded: a hit is a candidate, and its id is read
 
 	succs []S
 	acts  []int     // per successor: index into spec.Actions
-	ids   []int     // per successor: the probe's id on a hit, -1 on a miss
-	fps   []uint64  // per successor: its encoding's fingerprint
+	ids   []int     // per successor: -1 on a miss; on a hit the id if graph, else 0
+	fps   []uint64  // per successor: its encoding's fingerprint (stateFP)
 	ends  []int32   // per successor: where its encoding ends in encs
 	encs  []byte    // the successors' canonical encodings, back to back
-	homes []fpSlot  // probeBatch's gathered home slots
+	homes []uint64  // probeBatch's gathered home fingerprint words
 	order []int     // emission order: indices into succs, ample first
 	seen  missTable // the chunk's shared misses (engine.go)
 }
 
 // expand generates every successor of state s (id) into x.succs, encodes
 // and fingerprints them all into x.encs and x.fps, then probes them in the
-// visited set as one batch into x.ids — gather every home slot, then
-// resolve each successor (visitedSet.probeBatch) — and fills x.order with
+// visited set as one batch into x.ids — gather every home fingerprint
+// word, then resolve each successor (visitedSet.probeBatch), reading a
+// hit's id only when a graph is recorded — and fills x.order with
 // the order to process them in. It returns the successor count n and,
 // when partial-order reduction prunes the state, the number k of ample
 // successors heading x.order — the merge processes the deferred
@@ -147,10 +149,10 @@ func (x *expander[S]) expand(s S, id int) (n, k int) {
 		x.g.enter(opEncode, x.actName(t), id)
 		x.encs = x.cod.appendCanonical(x.succs[t], x.encs)
 		x.g.exit()
-		x.fps = append(x.fps, fingerprint(x.encs[lo:]))
+		x.fps = append(x.fps, stateFP(x.encs[lo:]))
 		x.ends = append(x.ends, int32(len(x.encs)))
 	}
-	x.ids, x.homes = x.vs.probeBatch(x.fps, x.encs, x.ends, x.ids, x.homes)
+	x.ids, x.homes = x.vs.probeBatch(x.fps, x.encs, x.ends, x.graph, x.ids, x.homes)
 	if x.planner != nil {
 		if proc := x.planner.choose(s, x.succs, x.acts, x.ids, &x.g); proc >= 0 {
 			for t, o := range x.planner.owners {

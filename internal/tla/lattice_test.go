@@ -23,8 +23,9 @@ import (
 //     Terminal; with POR, Distinct never exceeds the unpruned count;
 //   - with RecordGraph, against the spec alone: every edge leads to a
 //     successor of its action, and no two ids share a canonical encoding;
-//   - byte-for-byte: the WriteDOT dump and the counterexample equal those
-//     of the Workers=1 run with the same reduction settings;
+//   - byte-for-byte: the WriteDOT dump, the counterexample and every
+//     counter equal those of the graph-recording Workers=1 run with the
+//     same reduction settings;
 //   - without POR, and for the oracle itself, against a
 //     textbook BFS independent of the engine (referenceBFS): every counter,
 //     the counterexample, and the recorded graph state by state and edge by
@@ -78,6 +79,7 @@ func runLattice[S State](t *testing.T, build func(sym bool) *Spec[S], opts Optio
 	run.res = &Result[State]{
 		Distinct: res.Distinct, Transitions: res.Transitions, Depth: res.Depth,
 		Terminal: res.Terminal, ConstraintCuts: res.ConstraintCuts,
+		AmpleStates: res.AmpleStates, DeferredTransitions: res.DeferredTransitions,
 	}
 	if v := res.Violation; v != nil {
 		run.traceKeys, run.traceActs = traceKeys(v.Trace), v.TraceActs
@@ -301,6 +303,40 @@ func latticeJumpGrid(n int, max int8) latticeSpec {
 	}, ref: func(sym bool) referenceRun { return referenceBFS(build(sym), 0) }}
 }
 
+// latticeStayGrid is the POR grid with a self-loop per counter, Stay_i,
+// emitted before every increment and owned by counter i. A self-loop is
+// always a probe hit, so each ample set holds a hit ahead of its miss: a
+// run without a graph, which buffers no candidate for a hit, must find
+// the ample head from the misses' skip counts alone.
+func latticeStayGrid(n int, max int8) latticeSpec {
+	build := func(sym bool) *Spec[gridState] {
+		spec := gridSpec(n, max, -1)
+		spec.Name += "-stay"
+		var stays []Action[gridState]
+		for i := 0; i < n; i++ {
+			stays = append(stays, Action[gridState]{
+				Name: fmt.Sprintf("Stay%d", i),
+				Next: func(s gridState) []gridState { return []gridState{s} },
+			})
+		}
+		spec.Actions = append(stays, spec.Actions...)
+		owner := spec.Independence.Owner
+		spec.Independence.Owner = func(s, succ gridState, act int) int {
+			if act < n {
+				return act
+			}
+			return owner(s, succ, act)
+		}
+		if sym {
+			spec.SymmetryVisitor = identityOrbit[gridState]
+		}
+		return spec
+	}
+	return latticeSpec{name: fmt.Sprintf("grid-stay-%d-%d", n, max), check: func(t *testing.T, opts Options, sym bool) latticeRun {
+		return runLattice(t, build, opts, sym)
+	}, ref: func(sym bool) referenceRun { return referenceBFS(build(sym), 0) }}
+}
+
 // latticeToggle is the cycle-proviso trap, with its violation or without.
 func latticeToggle(planted bool) latticeSpec {
 	build := func(sym bool) *Spec[toggleState] {
@@ -333,7 +369,7 @@ func TestOptionLattice(t *testing.T) {
 		specs = append(specs, latticeRandom(seed, false), latticeRandom(seed, true))
 	}
 	specs = append(specs,
-		latticeGrid(3, 2, -1), latticeGrid(3, 3, 2), latticeJumpGrid(3, 3),
+		latticeGrid(3, 2, -1), latticeGrid(3, 3, 2), latticeJumpGrid(3, 3), latticeStayGrid(3, 2),
 		latticeToggle(false), latticeToggle(true))
 
 	for _, ls := range specs {
@@ -406,6 +442,9 @@ func TestOptionLattice(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got.traceKeys, w1.traceKeys) || !reflect.DeepEqual(got.traceActs, w1.traceActs) {
 					t.Fatalf("%s: counterexample %v via %v, level-sync reference %v via %v", label, got.traceKeys, got.traceActs, w1.traceKeys, w1.traceActs)
+				}
+				if g, o := *got.res, *w1.res; g != o {
+					t.Fatalf("%s: result %+v, level-sync reference %+v", label, g, o)
 				}
 				if opts.RecordGraph && !bytes.Equal(got.dot, w1.dot) {
 					t.Fatalf("%s: WriteDOT differs from the level-sync reference (%d vs %d bytes)", label, len(got.dot), len(w1.dot))

@@ -16,9 +16,23 @@ import (
 // cutGrid is the four-counter grid (por_test.go), whose levels are full of
 // states reached from several frontier states — duplicates across chunks —
 // with two invariants that fire at two states of level 4, a constraint
-// that cuts states mid-level, and the POR declaration.
+// that cuts states mid-level, and the POR declaration. A first action, Dec,
+// steps each non-zero counter back: every successor it emits is a state of
+// the level before, so probe hits precede the candidate a level is cut at.
 func cutGrid() *Spec[gridState] {
 	spec := gridSpec(4, 3, -1)
+	dec := Action[gridState]{Name: "Dec", Next: func(s gridState) []gridState {
+		var succs []gridState
+		for i := 0; i < int(s.n); i++ {
+			if s.vals[i] > 0 {
+				c := s
+				c.vals[i]--
+				succs = append(succs, c)
+			}
+		}
+		return succs
+	}}
+	spec.Actions = append([]Action[gridState]{dec}, spec.Actions...)
 	for _, bad := range []gridState{{vals: [4]int8{1, 1, 1, 1}, n: 4}, {vals: [4]int8{0, 2, 2, 0}, n: 4}} {
 		spec.Invariants = append(spec.Invariants, Invariant[gridState]{
 			Name: "Not" + bad.Key(),
@@ -61,10 +75,12 @@ func eraseGrid(t *testing.T, build func() *Spec[gridState], opts Options) lattic
 // the first violation in discovery order, the limit before, at and after
 // it, and the limit alone in a level without a violation — and requires
 // every worker count, in keyed mode, fingerprint mode and under a budget,
-// to report what a textbook BFS reports: counters, counterexample, and the
-// recorded graph (whose DOT dump must also be byte-identical across worker
-// counts). Under POR, which the reference does not model, the worker counts
-// must agree with each other.
+// with and without a recorded graph, to report what a textbook BFS
+// reports: counters, counterexample, and the recorded graph (whose DOT
+// dump must also be byte-identical across worker counts). Without a graph
+// a probe hit is no candidate, so the cut's transition count rests on the
+// misses' skip counts. Under POR, which the reference does not model,
+// every run must agree with the graph-recording Workers=1 run.
 func TestMergeCutParity(t *testing.T) {
 	clean := referenceBFS(cutGrid(), 0)
 	if clean.violated == "" {
@@ -95,32 +111,34 @@ func TestMergeCutParity(t *testing.T) {
 					ref = referenceBFS(cutGrid(), limit)
 				}
 				var want latticeRun
-				for _, w := range []int{1, 2, 3, 4, 8} {
-					opts := mode
-					opts.Workers, opts.MaxStates, opts.PartialOrder, opts.RecordGraph = w, limit, por, true
-					label := fmt.Sprintf("por=%t limit=%d %s", por, limit, latticeLabel(opts))
-					got := eraseGrid(t, cutGrid, opts)
-					if got.res == nil {
-						t.Fatalf("%s: no result: %v", label, got.err)
-					}
-					if !por {
-						if d := referenceMismatch(ref, got); d != "" {
-							t.Fatalf("%s: %s", label, d)
+				for _, graph := range []bool{true, false} {
+					for _, w := range []int{1, 2, 3, 4, 8} {
+						opts := mode
+						opts.Workers, opts.MaxStates, opts.PartialOrder, opts.RecordGraph = w, limit, por, graph
+						label := fmt.Sprintf("por=%t limit=%d %s", por, limit, latticeLabel(opts))
+						got := eraseGrid(t, cutGrid, opts)
+						if got.res == nil {
+							t.Fatalf("%s: no result: %v", label, got.err)
 						}
-					}
-					if w == 1 {
-						want = got
-						continue
-					}
-					if g, o := got.res, want.res; g.Distinct != o.Distinct || g.Transitions != o.Transitions || g.Depth != o.Depth ||
-						g.Terminal != o.Terminal || g.ConstraintCuts != o.ConstraintCuts || (got.err == nil) != (want.err == nil) {
-						t.Fatalf("%s: result %+v (err %v), workers=1 %+v (err %v)", label, *g, got.err, *o, want.err)
-					}
-					if !slices.Equal(got.traceKeys, want.traceKeys) || !slices.Equal(got.traceActs, want.traceActs) {
-						t.Fatalf("%s: counterexample %v, workers=1 %v", label, got.traceKeys, want.traceKeys)
-					}
-					if !bytes.Equal(got.dot, want.dot) {
-						t.Fatalf("%s: DOT differs from workers=1 (%d vs %d bytes)", label, len(got.dot), len(want.dot))
+						if !por {
+							if d := referenceMismatch(ref, got); d != "" {
+								t.Fatalf("%s: %s", label, d)
+							}
+						}
+						if graph && w == 1 {
+							want = got
+							continue
+						}
+						if g, o := got.res, want.res; g.Distinct != o.Distinct || g.Transitions != o.Transitions || g.Depth != o.Depth ||
+							g.Terminal != o.Terminal || g.ConstraintCuts != o.ConstraintCuts || (got.err == nil) != (want.err == nil) {
+							t.Fatalf("%s: result %+v (err %v), graph workers=1 %+v (err %v)", label, *g, got.err, *o, want.err)
+						}
+						if !slices.Equal(got.traceKeys, want.traceKeys) || !slices.Equal(got.traceActs, want.traceActs) {
+							t.Fatalf("%s: counterexample %v, graph workers=1 %v", label, got.traceKeys, want.traceKeys)
+						}
+						if graph && !bytes.Equal(got.dot, want.dot) {
+							t.Fatalf("%s: DOT differs from workers=1 (%d vs %d bytes)", label, len(got.dot), len(want.dot))
+						}
 					}
 				}
 			}

@@ -49,10 +49,12 @@ import (
 // dedup information in it is load-bearing for the verdict.
 
 // spillBytesPerEntry is the budget accounting charge per resident
-// fingerprint: its 16-byte table slot over a load factor between 3/8 and
-// 3/4, plus the doubling's transient copy. It is an estimate — the budget
-// bounds the order of magnitude, not the byte — and a constant so
-// forced-spill tests are deterministic.
+// fingerprint. It was sized for a 16-byte table slot over a load factor
+// between 3/8 and 3/4, plus the doubling's transient copy; a slot is now
+// 12 bytes (a fingerprint word and an id word), but the charge stays 48 so
+// that a given budget seals at the same levels as before: the budget bounds
+// the order of magnitude, not the byte, and a constant keeps forced-spill
+// tests deterministic.
 const spillBytesPerEntry = 48
 
 // spillRec is one on-disk record: a fingerprint and its assigned dense id,
@@ -108,7 +110,7 @@ func (vs *visitedSet) ResolveLevel(misses []uint64, keys keyReader) error {
 	start := time.Now()
 	slices.Sort(misses)
 	restore := func(rec spillRec, key []byte) {
-		if sh := vs.shard(rec.fp); sh.tab.slot(rec.fp, key) == nil {
+		if sh := vs.shard(rec.fp); sh.tab.find(rec.fp, key) < 0 {
 			sh.insert(rec.fp, key, int(rec.id)) // not restored by an earlier attempt
 		}
 	}
@@ -164,9 +166,10 @@ func readRecsFile(fsys FS, path string, fn func(spillRec) bool) error {
 // sorted.
 func (vs *visitedSet) residentRecs(recs []spillRec) []spillRec {
 	for i := range vs.shards {
-		for _, s := range vs.shards[i].tab.slots {
-			if s.id != 0 {
-				recs = append(recs, spillRec{fp: s.fp, id: s.id - 1})
+		tab := &vs.shards[i].tab
+		for j, fp := range tab.fps {
+			if fp != 0 {
+				recs = append(recs, spillRec{fp: fp, id: int64(tab.ids[j])})
 			}
 		}
 	}

@@ -21,29 +21,57 @@ func (vs *visitedSet) resident() int {
 	return n
 }
 
-// TestFingerprintZero follows fingerprint 0 — a legal FNV-1a output, and
-// the value of an empty slot's fingerprint word — through own, probe,
-// resident, the EndLevel seal and the ResolveLevel restore, beside another
+// useFingerprint substitutes fn for the fingerprint function until the
+// test ends.
+func useFingerprint(t testing.TB, fn func([]byte) uint64) {
+	orig := fingerprint
+	fingerprint = fn
+	t.Cleanup(func() { fingerprint = orig })
+}
+
+// prefixFP is a test fingerprint function that lets a test choose each
+// state's fingerprint: an encoding's first 8 bytes, little-endian, as
+// fpEnc lays them out.
+func prefixFP(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
+
+// fpEnc returns an encoding that prefixFP hashes to fp, followed by tail.
+func fpEnc(fp uint64, tail []byte) []byte {
+	return append(binary.LittleEndian.AppendUint64(nil, fp), tail...)
+}
+
+// TestFingerprintZero follows a state whose fingerprint is 0 — a legal
+// FNV-1a output, and the value of an empty slot's fingerprint word —
+// through stateFP, which must not return 0, and then own, probe, resident,
+// the EndLevel seal and the ResolveLevel restore, beside another
 // fingerprint of the same shard.
 func TestFingerprintZero(t *testing.T) {
+	useFingerprint(t, prefixFP)
 	vs := newVisitedSet(Options{MemoryBudgetBytes: 1}, nil)
 	defer vs.Close()
 
-	const other = visitedShards // shard 0, like fingerprint 0
-	if _, ok := vs.probe(0, nil); ok {
-		t.Fatal("probe of an unclaimed fingerprint 0 hit")
+	zero := fpEnc(0, nil)
+	if f := fingerprint(zero); f != 0 {
+		t.Fatalf("the test encoding fingerprints to %#x, want 0", f)
 	}
-	if id, isNew := vs.own(0, nil, 5); id != 5 || !isNew {
-		t.Fatalf("first own of fingerprint 0 = (%d, %t), want (5, true)", id, isNew)
+	fp := stateFP(zero)
+	if fp == 0 {
+		t.Fatal("stateFP returned 0, the empty slot's fingerprint word")
 	}
-	if id, isNew := vs.own(0, nil, 9); id != 5 || isNew {
-		t.Fatalf("second own of fingerprint 0 = (%d, %t), want (5, false)", id, isNew)
+	other := stateFP(fpEnc(fp+visitedShards, nil)) // fp's shard
+	if _, ok := vs.probe(fp, zero); ok {
+		t.Fatal("probe of an unclaimed fingerprint-0 state hit")
+	}
+	if id, isNew := vs.own(fp, zero, 5); id != 5 || !isNew {
+		t.Fatalf("first own of the fingerprint-0 state = (%d, %t), want (5, true)", id, isNew)
+	}
+	if id, isNew := vs.own(stateFP(zero), zero, 9); id != 5 || isNew {
+		t.Fatalf("second own of the fingerprint-0 state = (%d, %t), want (5, false)", id, isNew)
 	}
 	if id, isNew := vs.own(other, nil, 6); id != 6 || !isNew {
 		t.Fatalf("own of fingerprint %d = (%d, %t), want (6, true)", other, id, isNew)
 	}
-	if id, ok := vs.probe(0, nil); !ok || id != 5 {
-		t.Fatalf("probe of fingerprint 0 = (%d, %t), want (5, true)", id, ok)
+	if id, ok := vs.probe(fp, zero); !ok || id != 5 {
+		t.Fatalf("probe of the fingerprint-0 state = (%d, %t), want (5, true)", id, ok)
 	}
 	if n := vs.resident(); n != 2 {
 		t.Fatalf("resident() = %d, want 2", n)
@@ -62,21 +90,21 @@ func TestFingerprintZero(t *testing.T) {
 	if fi.Size() != 2*spillRecSize {
 		t.Fatalf("sealed run is %d bytes, want both records (%d)", fi.Size(), 2*spillRecSize)
 	}
-	if _, ok := vs.probe(0, nil); ok {
-		t.Fatal("probe after the seal hit fingerprint 0, which is only on disk")
+	if _, ok := vs.probe(fp, zero); ok {
+		t.Fatal("probe after the seal hit the fingerprint-0 state, which is only on disk")
 	}
 
-	if err := vs.ResolveLevel([]uint64{other, 0}, nil); err != nil {
+	if err := vs.ResolveLevel([]uint64{other, fp}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if id, ok := vs.probe(0, nil); !ok || id != 5 {
-		t.Fatalf("restored fingerprint 0 = (%d, %t), want (5, true)", id, ok)
+	if id, ok := vs.probe(fp, zero); !ok || id != 5 {
+		t.Fatalf("restored fingerprint-0 state = (%d, %t), want (5, true)", id, ok)
 	}
 	if id, ok := vs.probe(other, nil); !ok || id != 6 {
 		t.Fatalf("restored fingerprint %d = (%d, %t), want (6, true)", other, id, ok)
 	}
-	if id, isNew := vs.own(0, nil, 9); id != 5 || isNew {
-		t.Fatalf("own of restored fingerprint 0 = (%d, %t), want (5, false)", id, isNew)
+	if id, isNew := vs.own(fp, zero, 9); id != 5 || isNew {
+		t.Fatalf("own of the restored fingerprint-0 state = (%d, %t), want (5, false)", id, isNew)
 	}
 	if n := vs.resident(); n != 2 {
 		t.Fatalf("resident() after the restore = %d, want 2", n)
@@ -143,22 +171,24 @@ func TestKeyedSetSpills(t *testing.T) {
 // over several doublings of every shard's table: each state's first own
 // must insert its id, a second own must find it, and every probe after the
 // join must hit. Keyed, 32 states share each fingerprint, so colliding
-// states chain to separate slots while the other owners insert.
+// states chain to separate slots while the other owners insert. The
+// fingerprints come from stateFP, and state 0 fingerprints to 0.
 func TestVisitedSetConcurrentClaims(t *testing.T) {
 	const (
 		goroutines = 4
 		n          = 1 << 14 // 256 per shard: four doublings from fpTableMin
 	)
+	useFingerprint(t, prefixFP)
 	for _, keyed := range []bool{false, true} {
 		vs := newVisitedSet(Options{Workers: goroutines, CollisionFree: keyed}, nil)
 		fps := make([]uint64, n)
 		encs := make([][]byte, n)
 		for i := range fps {
-			fps[i] = uint64(i) * 0xbf58476d1ce4e5b9 // fps[0] is fingerprint 0
+			encs[i] = fpEnc(uint64(i)*0xbf58476d1ce4e5b9, nil)
 			if keyed {
-				fps[i] = uint64(i%(n/32)) * 0xbf58476d1ce4e5b9
-				encs[i] = []byte(fmt.Sprint(i))
+				encs[i] = fpEnc(uint64(i%(n/32))*0xbf58476d1ce4e5b9, []byte(fmt.Sprint(i)))
 			}
+			fps[i] = stateFP(encs[i])
 		}
 		var bad atomic.Int64
 		var wg sync.WaitGroup
@@ -208,13 +238,13 @@ func TestProbeDoesNotAllocate(t *testing.T) {
 		for i := range encs {
 			encs[i] = []byte{byte(i), byte(i >> 8), 'k'}
 			if i%2 == 0 {
-				vs.own(fingerprint(encs[i]), encs[i], i)
+				vs.own(stateFP(encs[i]), encs[i], i)
 			}
-			b.add(fingerprint(encs[i]), encs[i])
+			b.add(stateFP(encs[i]), encs[i])
 		}
 		avg := testing.AllocsPerRun(10, func() {
 			for _, enc := range encs {
-				vs.probe(fingerprint(enc), enc)
+				vs.probe(stateFP(enc), enc)
 			}
 		})
 		if avg != 0 {
@@ -226,15 +256,17 @@ func TestProbeDoesNotAllocate(t *testing.T) {
 			batches = append(batches, b.slice(lo, lo+batch))
 		}
 		var ids []int
-		var homes []fpSlot
-		ids, homes = vs.probeBatch(batches[0].fps, batches[0].encs, batches[0].ends, ids, homes)
-		avg = testing.AllocsPerRun(10, func() {
-			for _, in := range batches {
-				ids, homes = vs.probeBatch(in.fps, in.encs, in.ends, ids, homes)
+		var homes []uint64
+		ids, homes = vs.probeBatch(batches[0].fps, batches[0].encs, batches[0].ends, true, ids, homes)
+		for _, withIDs := range []bool{false, true} {
+			avg = testing.AllocsPerRun(10, func() {
+				for _, in := range batches {
+					ids, homes = vs.probeBatch(in.fps, in.encs, in.ends, withIDs, ids, homes)
+				}
+			})
+			if avg != 0 {
+				t.Fatalf("keyed=%t withIDs=%t: %d batched probes of %d allocate %.1f times, want 0", keyed, withIDs, len(batches), batch, avg)
 			}
-		})
-		if avg != 0 {
-			t.Fatalf("keyed=%t: %d batched probes of %d allocate %.1f times, want 0", keyed, len(batches), batch, avg)
 		}
 	}
 }
@@ -282,13 +314,13 @@ type probeClass struct {
 }
 
 func (c *probeClass) observe(vs *visitedSet, fp uint64, enc []byte) {
-	tab := vs.shard(fp).tab
-	mask := uint64(len(tab.slots) - 1)
+	tab := &vs.shard(fp).tab
+	mask := uint64(len(tab.fps) - 1)
 	h := tab.home(fp)
 	for i, steps := h, uint64(0); ; i, steps = (i+1)&mask, steps+1 {
-		s := tab.slots[i]
-		hit := s.id != 0 && s.fp == fp && (tab.keys == nil || tab.keys[i] == string(enc))
-		if s.id == 0 || hit {
+		f := tab.fps[i]
+		hit := f == fp && (tab.keys == nil || tab.keys[i] == string(enc))
+		if f == 0 || hit {
 			switch {
 			case steps == 0 && !hit:
 				c.emptyHome++
@@ -308,9 +340,10 @@ func (c *probeClass) observe(vs *visitedSet, fp uint64, enc []byte) {
 }
 
 // checkProbeBatch probes in in batches of random sizes (sometimes all of
-// it at once), reusing the buffers, and fails on any answer that differs
-// from lookup's.
-func checkProbeBatch(t testing.TB, vs *visitedSet, in probeInput, rng *rand.Rand, ids []int, homes []fpSlot) ([]int, []fpSlot) {
+// it at once), reusing the buffers, with and without the ids of hits, and
+// fails on any answer that differs from lookup's: the id with ids, and
+// without them -1 on a miss and 0 on a hit.
+func checkProbeBatch(t testing.TB, vs *visitedSet, in probeInput, rng *rand.Rand, ids []int, homes []uint64) ([]int, []uint64) {
 	t.Helper()
 	for lo := 0; lo < len(in.fps); {
 		hi := min(len(in.fps), lo+rng.Intn(13))
@@ -318,17 +351,22 @@ func checkProbeBatch(t testing.TB, vs *visitedSet, in probeInput, rng *rand.Rand
 			hi = len(in.fps)
 		}
 		b := in.slice(lo, hi)
-		ids, homes = vs.probeBatch(b.fps, b.encs, b.ends, ids, homes)
-		if len(ids) != hi-lo {
-			t.Fatalf("a batch of %d answered %d ids", hi-lo, len(ids))
-		}
-		for k := lo; k < hi; k++ {
-			want, ok := vs.probe(in.fps[k], in.enc(k))
-			if !ok {
-				want = -1
+		for _, withIDs := range []bool{false, true} {
+			ids, homes = vs.probeBatch(b.fps, b.encs, b.ends, withIDs, ids, homes)
+			if len(ids) != hi-lo {
+				t.Fatalf("a batch of %d answered %d ids", hi-lo, len(ids))
 			}
-			if got := ids[k-lo]; got != want {
-				t.Fatalf("batched probe of fingerprint %#x, encoding %x = %d, lookup says %d", in.fps[k], in.enc(k), got, want)
+			for k := lo; k < hi; k++ {
+				want, ok := vs.probe(in.fps[k], in.enc(k))
+				switch {
+				case !ok:
+					want = -1
+				case !withIDs:
+					want = 0
+				}
+				if got := ids[k-lo]; got != want {
+					t.Fatalf("batched probe (withIDs=%t) of fingerprint %#x, encoding %x = %d, lookup says %d", withIDs, in.fps[k], in.enc(k), got, want)
+				}
 			}
 		}
 		lo = hi
@@ -348,18 +386,20 @@ func homedAt(rng *rand.Rand, tab *fpTable, i uint64) uint64 {
 // TestProbeBatchMatchesLookup holds the expansion's batched probe to the
 // scalar lookup over seeded random sets, fingerprinted and keyed: shard
 // 0's table grows from fpTableMin through five doublings and is probed
-// just after each doubling and at 3/4 load, with fingerprint 0,
-// fingerprints homed at the table's last slot (so probe sequences wrap
-// past its end), encodings that share a fingerprint, and absent states
-// beside present ones, so the batches mix hits in the home slot, hits
-// displaced down the probe sequence, empty-home misses and displaced
-// misses. Other shards fill alongside, so a batch spans shards.
+// just after each doubling and at 3/4 load, with states that fingerprint
+// to 0, fingerprints homed at the table's last slot (so probe sequences
+// wrap past its end), encodings that share a fingerprint, and absent
+// states beside present ones, so the batches mix hits in the home slot,
+// hits displaced down the probe sequence, empty-home misses and displaced
+// misses. Other shards fill alongside, so a batch spans shards. Every
+// fingerprint is stateFP's.
 func TestProbeBatchMatchesLookup(t *testing.T) {
 	const maxSlots = fpTableMin << 5
 	type succ struct {
 		fp  uint64
 		enc []byte
 	}
+	useFingerprint(t, prefixFP)
 	for _, keyed := range []bool{false, true} {
 		var seen probeClass
 		for seed := int64(1); seed <= 3; seed++ {
@@ -367,39 +407,43 @@ func TestProbeBatchMatchesLookup(t *testing.T) {
 			vs := newVisitedSet(Options{CollisionFree: keyed}, nil)
 			sh := vs.shard(0)
 			var present []succ
-			own := func(fp uint64, enc []byte) {
-				if _, isNew := vs.own(fp, enc, len(present)); isNew {
-					present = append(present, succ{fp, enc})
+			// state returns a state that fingerprints to fp, with a random tail.
+			state := func(fp uint64) succ {
+				enc := fpEnc(fp, binary.LittleEndian.AppendUint64(nil, rng.Uint64()))
+				return succ{stateFP(enc), enc}
+			}
+			own := func(s succ) {
+				if _, isNew := vs.own(s.fp, s.enc, len(present)); isNew {
+					present = append(present, s)
 				}
 			}
-			enc := func() []byte { return binary.LittleEndian.AppendUint64(nil, rng.Uint64()) }
-			own(0, enc())
+			own(state(0))
 			var ids []int
-			var homes []fpSlot
+			var homes []uint64
 			for sh.n < 3*maxSlots/4 {
-				size := len(sh.tab.slots)
+				size := len(sh.tab.fps)
 				fp := rng.Uint64() &^ (visitedShards - 1)
 				switch rng.Intn(8) {
 				case 0:
-					fp = homedAt(rng, sh.tab, uint64(size-1))
+					fp = homedAt(rng, &sh.tab, uint64(size-1))
 				case 1:
 					fp = present[rng.Intn(len(present))].fp // keyed: another state with a present fingerprint
 				}
-				own(fp, enc())
-				own(rng.Uint64()|1, enc()) // another shard
+				own(state(fp))
+				own(state(rng.Uint64() | 1)) // another shard
 				if n := sh.n; n != 3*size/8+1 && n != 3*size/4 {
 					continue
 				}
-				if len(sh.tab.slots) != size {
-					t.Fatalf("keyed=%t: a table of %d slots at %d states", keyed, len(sh.tab.slots), sh.n)
+				if len(sh.tab.fps) != size {
+					t.Fatalf("keyed=%t: a table of %d slots at %d states", keyed, len(sh.tab.fps), sh.n)
 				}
 				probes := slices.Clone(present)
 				for i := 0; i < 16; i++ {
 					probes = append(probes,
-						succ{rng.Uint64() &^ (visitedShards - 1), enc()},
-						succ{homedAt(rng, sh.tab, uint64(size-1)), enc()},
-						succ{present[rng.Intn(len(present))].fp, enc()}, // keyed: absent
-						succ{0, enc()}) // keyed: absent
+						state(rng.Uint64()&^(visitedShards-1)),
+						state(homedAt(rng, &sh.tab, uint64(size-1))),
+						state(present[rng.Intn(len(present))].fp), // keyed: absent
+						state(0)) // keyed: absent
 				}
 				rng.Shuffle(len(probes), func(i, j int) { probes[i], probes[j] = probes[j], probes[i] })
 				var in probeInput
@@ -421,20 +465,22 @@ func TestProbeBatchMatchesLookup(t *testing.T) {
 // FuzzProbeBatch holds the batched probe to the scalar lookup on sets the
 // input builds: each 3-byte record inserts (odd first byte) or only probes
 // a state whose fingerprint, from the second byte, is one of 128 in each
-// of two shards, and whose encoding is the third byte, so fingerprints
-// collide, tables double and probe sequences run long. After the inserts,
-// every record is probed, keyed and not, in batches of sizes drawn from
-// the input's length.
+// of two shards (0 among them, which stateFP makes 1, so the two collide),
+// and whose encoding's tail is the third byte, so fingerprints collide,
+// tables double and probe sequences run long. After the inserts, every
+// record is probed, keyed and not, in batches of sizes drawn from the
+// input's length.
 func FuzzProbeBatch(f *testing.F) {
 	f.Add([]byte{}, false)
 	f.Add([]byte{1, 0, 0, 0, 0, 1, 1, 0, 2, 0, 2, 0}, true)
 	f.Add([]byte{9, 1, 7, 1, 3, 7, 1, 5, 7, 0, 1, 8, 0, 9, 7}, false)
 	f.Fuzz(func(t *testing.T, data []byte, keyed bool) {
+		useFingerprint(t, prefixFP)
 		vs := newVisitedSet(Options{CollisionFree: keyed}, nil)
 		var in probeInput
 		for i := 0; i+3 <= len(data); i += 3 {
-			fp := uint64(data[i+1]>>1)*visitedShards + uint64(data[i+1]&1)
-			enc := data[i+2 : i+3]
+			enc := fpEnc(uint64(data[i+1]>>1)*visitedShards+uint64(data[i+1]&1), data[i+2:i+3])
+			fp := stateFP(enc)
 			if data[i]&1 == 1 {
 				vs.own(fp, enc, i/3)
 			}
@@ -446,13 +492,19 @@ func FuzzProbeBatch(f *testing.F) {
 
 // TestStoreFingerprintCollisions drives the merge's protocol — own, then
 // publish, then probe, then own again — over encodings that share a
-// fingerprint, 0 and a non-zero one, in a keyed set: every encoding must
-// keep its own slot and id, through several doublings of its shard's
-// table, and an unseen encoding with the same fingerprint must miss.
+// fingerprint, 0 and a non-zero one, through stateFP, in a keyed set:
+// every encoding must keep its own slot and id, through several doublings
+// of its shard's table, and an unseen encoding with the same fingerprint
+// must miss.
 func TestStoreFingerprintCollisions(t *testing.T) {
 	const n = 100 // 16 → 256 slots: four doublings
 	enc := func(fp uint64, i int) []byte { return []byte(fmt.Sprintf("%x/%d", fp, i)) }
-	for _, fp := range []uint64{0, 0x9e3779b97f4a7c15} {
+	for _, weak := range []uint64{0, 0x9e3779b97f4a7c15} {
+		useFingerprint(t, func([]byte) uint64 { return weak })
+		fp := stateFP(enc(weak, 0))
+		if fp == 0 {
+			t.Fatal("stateFP returned 0, the empty slot's fingerprint word")
+		}
 		vs := newVisitedSet(Options{CollisionFree: true}, nil)
 		for i := 0; i < n; i++ {
 			if id, isNew := vs.own(fp, enc(fp, i), -2-i); id != -2-i || !isNew {
@@ -491,6 +543,40 @@ func TestStoreFingerprintCollisions(t *testing.T) {
 	}
 }
 
+// TestTableDoublingAllocsPerCall pins what a table generation costs: a
+// doubling allocates the fingerprint and id arrays, and keyed the key
+// array, and nothing else, because the table is a value in its shard; a
+// seal's reset of all 64 shards costs 64 generations. The records survive
+// every doubling.
+func TestTableDoublingAllocsPerCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	for _, keyed := range []bool{false, true} {
+		want := 2.0
+		if keyed {
+			want = 3
+		}
+		vs := newVisitedSet(Options{CollisionFree: keyed}, nil)
+		sh := vs.shard(0)
+		const n = 3 * fpTableMin / 4
+		for i := 0; i < n; i++ {
+			vs.own(uint64(i+1)*visitedShards, []byte{byte(i)}, i)
+		}
+		if got := testing.AllocsPerRun(8, sh.grow); got != want {
+			t.Fatalf("keyed=%t: a doubling allocates %.1f times, want %.0f", keyed, got, want)
+		}
+		for i := 0; i < n; i++ {
+			if id, ok := vs.probe(uint64(i+1)*visitedShards, []byte{byte(i)}); !ok || id != i {
+				t.Fatalf("keyed=%t: state %d after the doublings = (%d, %t)", keyed, i, id, ok)
+			}
+		}
+		if got := testing.AllocsPerRun(2, vs.clearResident); got != visitedShards*want {
+			t.Fatalf("keyed=%t: resetting the shards allocates %.1f times, want %.0f", keyed, got, visitedShards*want)
+		}
+	}
+}
+
 // TestOwnDoesNotAllocate pins the merge's claim pass: owning a fresh state
 // allocates nothing beyond amortized table doubling and, keyed, key
 // storage blocks.
@@ -506,7 +592,7 @@ func TestOwnDoesNotAllocate(t *testing.T) {
 		avg := testing.AllocsPerRun(10, func() {
 			for i := 0; i < perRun; i++ {
 				binary.LittleEndian.PutUint64(enc[:], uint64(next))
-				vs.own(fingerprint(enc[:]), enc[:], next)
+				vs.own(stateFP(enc[:]), enc[:], next)
 				next++
 			}
 		})
