@@ -224,15 +224,16 @@ func BenchmarkE5TraceVolume(b *testing.B) {
 	}
 }
 
-// BenchmarkTransformPair is the micro-benchmark under everything: one
-// merge-rule evaluation.
-func BenchmarkTransformPair(b *testing.B) {
+// BenchmarkTransformLists is the micro-benchmark under everything: one
+// batch rebase, as Network.Merge runs it on each side of a merge — two ops
+// per side through the merge rules, one allocation.
+func BenchmarkTransformLists(b *testing.B) {
 	tr := ot.NewTransformer(nil, false)
-	a := ot.Move(0, 2).WithMeta(ot.Meta{Peer: 1})
-	c := ot.Move(2, 0).WithMeta(ot.Meta{Peer: 2})
+	as := []ot.Op{ot.Move(0, 2).WithMeta(ot.Meta{Peer: 1}), ot.Set(1, 7).WithMeta(ot.Meta{Peer: 1})}
+	bs := []ot.Op{ot.Move(2, 0).WithMeta(ot.Meta{Peer: 2}), ot.Insert(1, 8).WithMeta(ot.Meta{Peer: 2})}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := tr.TransformPair(a, c); err != nil {
+		if _, _, err := tr.TransformLists(as, bs); err != nil {
 			b.Fatal(err)
 		}
 	}

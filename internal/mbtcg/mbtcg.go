@@ -215,7 +215,7 @@ func (m Mismatch) String() string { return m.Case + ": " + m.Detail }
 // It returns the mismatches (empty means the implementation conforms).
 func Run(tc TestCase, tr ot.BatchTransformer) []Mismatch {
 	var out []Mismatch
-	n := ot.NewNetwork(tr, tc.Initial, len(tc.ClientOps))
+	n := ot.NetworkFromView(tr, replayView(tc.Initial, len(tc.ClientOps)))
 	for c, op := range tc.ClientOps {
 		if err := n.Perform(c, op); err != nil {
 			return append(out, Mismatch{tc.Name, fmt.Sprintf("client %d cannot perform %s: %v", c, op, err)})
@@ -240,6 +240,30 @@ func Run(tc TestCase, tr ot.BatchTransformer) []Mismatch {
 		}
 	}
 	return out
+}
+
+// replayView returns the deployment a case of k one-op clients replays on,
+// as the View Run builds it from. Every peer starts from initial itself,
+// uncopied: a deployment never writes into an array it holds. The server's
+// and each client's log are carved from one block of k ops apiece: such a
+// case ends with every log at most k long — the server's holds each
+// client's op once, a client's its own and the others' — so no log grows
+// past its share. Each share's capacity is clamped to k, so an overflow
+// would reallocate, never write into a neighbour.
+func replayView(initial []int, k int) ot.View {
+	ops := make([]ot.Op, (k+1)*k)
+	v := ot.View{
+		ServerLog:   ops[:0:k],
+		ServerState: initial,
+		ClientLog:   make([][]ot.Op, k),
+		ClientState: make([][]int, k),
+		Progress:    make([]ot.Progress, k),
+	}
+	for c := range v.ClientLog {
+		v.ClientLog[c] = ops[(c+1)*k : (c+1)*k : (c+2)*k]
+		v.ClientState[c] = initial
+	}
+	return v
 }
 
 // runBlock is the number of cases one RunAll goroutine claims at a time.

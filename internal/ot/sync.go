@@ -29,10 +29,14 @@ type Progress struct {
 // one transformer from several goroutines, and the model checker merges
 // deployments sharing one on every worker. It must not write into as or
 // bs: a Network hands it the tails of logs that cloned deployments share.
-// Its results may alias as or bs — the reference Transformer returns one
-// unchanged when the other is empty — so a wrapper that rewrites results
-// in place may do so only over an implementation that returns fresh
-// slices, as otgo.Engine does.
+//
+// Both implementations allocate one fresh block per call, which holds
+// both results; a merge rule never emits more than one op per side, so
+// len(as)+len(bs) ops always suffice. The reference Transformer allocates
+// nothing when either side is empty and returns the other side unchanged:
+// its results may alias as or bs. otgo.Engine never returns its inputs
+// (it allocates nothing only when both are empty), so a wrapper that
+// rewrites results in place may do so only over it.
 type BatchTransformer interface {
 	TransformLists(as, bs []Op) (asOut, bsOut []Op, err error)
 }

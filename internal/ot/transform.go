@@ -55,87 +55,99 @@ func (t *Transformer) cond(name string, outcome bool) bool {
 // Either output may be empty (the operation was discarded by conflict
 // resolution) — never longer than one operation in this rule set.
 func (t *Transformer) TransformPair(a, b Op) (aOut, bOut []Op, err error) {
-	if a.Kind == KindSwap || b.Kind == KindSwap {
-		if !t.legacy {
-			return nil, nil, ErrSwapDeprecated
-		}
+	x, xok, y, yok, err := t.pair(a, b)
+	if err != nil {
+		return nil, nil, err
+	}
+	return optional(x, xok), optional(y, yok), nil
+}
+
+// optional returns o as a one-op list when ok, else nil.
+func optional(o Op, ok bool) []Op {
+	if !ok {
+		return nil
+	}
+	return []Op{o}
+}
+
+// pair is TransformPair without slices: each output is an op and a
+// presence bit, false where the rule discarded that side.
+func (t *Transformer) pair(a, b Op) (x Op, xok bool, y Op, yok bool, err error) {
+	if (a.Kind == KindSwap || b.Kind == KindSwap) && !t.legacy {
+		return x, false, y, false, ErrSwapDeprecated
 	}
 	if a.Kind <= b.Kind {
 		return t.merge(a, b)
 	}
-	bOut, aOut, err = t.merge(b, a)
-	return aOut, bOut, err
+	y, yok, x, xok, err = t.merge(b, a)
+	return x, xok, y, yok, err
 }
 
 // merge dispatches with a.Kind <= b.Kind (the canonical order, as in the
 // C++ DEFINE_MERGE macros: 21 rules, the symmetric 15 inferred by the
-// flip in TransformPair).
-func (t *Transformer) merge(a, b Op) ([]Op, []Op, error) {
+// flip in pair).
+func (t *Transformer) merge(a, b Op) (x Op, xok bool, y Op, yok bool, err error) {
 	switch {
 	case a.Kind == KindSet && b.Kind == KindSet:
-		x, y := t.mergeSetSet(a, b)
-		return x, y, nil
+		x, xok, y, yok = t.mergeSetSet(a, b)
 	case a.Kind == KindSet && b.Kind == KindInsert:
-		x, y := t.mergeSetInsert(a, b)
-		return x, y, nil
+		x, xok, y, yok = t.mergeSetInsert(a, b)
 	case a.Kind == KindSet && b.Kind == KindMove:
-		x, y := t.mergeSetMove(a, b)
-		return x, y, nil
+		x, xok, y, yok = t.mergeSetMove(a, b)
 	case a.Kind == KindSet && b.Kind == KindSwap:
-		x, y := t.mergeSetSwap(a, b)
-		return x, y, nil
+		x, xok, y, yok = t.mergeSetSwap(a, b)
 	case a.Kind == KindSet && b.Kind == KindErase:
-		x, y := t.mergeSetErase(a, b)
-		return x, y, nil
+		x, xok, y, yok = t.mergeSetErase(a, b)
 	case a.Kind == KindSet && b.Kind == KindClear:
-		return nil, []Op{b}, nil // SetClear: update of a removed element: discard the set
+		y, yok = b, true // SetClear: update of a removed element: discard the set
 	case a.Kind == KindInsert && b.Kind == KindInsert:
-		x, y := t.mergeInsertInsert(a, b)
-		return x, y, nil
+		x, xok, y, yok = t.mergeInsertInsert(a, b)
 	case a.Kind == KindInsert && b.Kind == KindMove:
-		x, y := t.mergeInsertMove(a, b)
-		return x, y, nil
+		x, xok, y, yok = t.mergeInsertMove(a, b)
 	case a.Kind == KindInsert && b.Kind == KindSwap:
-		x, y := t.mergeInsertSwap(a, b)
-		return x, y, nil
+		x, xok, y, yok = t.mergeInsertSwap(a, b)
 	case a.Kind == KindInsert && b.Kind == KindErase:
-		x, y := t.mergeInsertErase(a, b)
-		return x, y, nil
+		x, xok, y, yok = t.mergeInsertErase(a, b)
 	case a.Kind == KindInsert && b.Kind == KindClear:
-		return nil, []Op{b}, nil // InsertClear: the clear dominates
+		y, yok = b, true // InsertClear: the clear dominates
 	case a.Kind == KindMove && b.Kind == KindMove:
-		x, y := t.mergeMoveMove(a, b)
-		return x, y, nil
+		x, xok, y, yok = t.mergeMoveMove(a, b)
 	case a.Kind == KindMove && b.Kind == KindSwap:
 		return t.mergeMoveSwapLegacy(a, b)
 	case a.Kind == KindMove && b.Kind == KindErase:
-		x, y := t.mergeMoveErase(a, b)
-		return x, y, nil
+		x, xok, y, yok = t.mergeMoveErase(a, b)
 	case a.Kind == KindMove && b.Kind == KindClear:
-		return nil, []Op{b}, nil // MoveClear: nothing left to move
+		y, yok = b, true // MoveClear: nothing left to move
 	case a.Kind == KindSwap && b.Kind == KindSwap:
-		x, y := t.mergeSwapSwap(a, b)
-		return x, y, nil
+		x, xok, y, yok = t.mergeSwapSwap(a, b)
 	case a.Kind == KindSwap && b.Kind == KindErase:
-		x, y := t.mergeSwapErase(a, b)
-		return x, y, nil
+		x, xok, y, yok = t.mergeSwapErase(a, b)
 	case a.Kind == KindSwap && b.Kind == KindClear:
-		return nil, []Op{b}, nil // SwapClear
+		y, yok = b, true // SwapClear
 	case a.Kind == KindErase && b.Kind == KindErase:
-		x, y := t.mergeEraseErase(a, b)
-		return x, y, nil
+		x, xok, y, yok = t.mergeEraseErase(a, b)
 	case a.Kind == KindErase && b.Kind == KindClear:
-		return nil, []Op{b}, nil // EraseClear: already gone
+		y, yok = b, true // EraseClear: already gone
 	case a.Kind == KindClear && b.Kind == KindClear:
-		return nil, nil, nil // ClearClear: both arrays already empty
+		// ClearClear: both arrays already empty
+	default:
+		err = fmt.Errorf("ot: no merge rule for %s/%s", a.Kind, b.Kind)
 	}
-	return nil, nil, fmt.Errorf("ot: no merge rule for %s/%s", a.Kind, b.Kind)
+	return x, xok, y, yok, err
 }
 
 // TransformLists merges two concurrent operation sequences: as' applies
 // after bs, bs' applies after as, and both orders converge. This is the
-// standard inductive lifting of TransformPair to sequences; it is how a
-// peer rebases an incoming batch across its unmerged local history.
+// standard inductive lifting of TransformPair to sequences — the head of
+// as crosses the whole of bs, rewriting it, then the rest of as crosses
+// the rewritten bs — and it is how a peer rebases an incoming batch
+// across its unmerged local history.
+//
+// It allocates one fresh block per call, of len(as)+len(bs) ops, which
+// holds both results: a rule emits at most one op per side, so the sweep
+// rewrites its copy of bs in place. When either side is empty it
+// allocates nothing and returns the other side unchanged — the input
+// itself, which the caller must not write into.
 func (t *Transformer) TransformLists(as, bs []Op) (asOut, bsOut []Op, err error) {
 	if len(as) == 0 {
 		return nil, bs, nil
@@ -143,65 +155,67 @@ func (t *Transformer) TransformLists(as, bs []Op) (asOut, bsOut []Op, err error)
 	if len(bs) == 0 {
 		return as, nil, nil
 	}
-	aHead, aRest := as[0], as[1:]
-	// Transform the single op aHead across the whole of bs.
-	aHeadT, bsT, err := t.transformOpAcross(aHead, bs)
-	if err != nil {
-		return nil, nil, err
+	block := make([]Op, len(as)+len(bs))
+	// asOut's capacity ends where bsOut starts, so an append to it cannot
+	// reach bsOut.
+	asOut, bsOut = block[:0:len(as)], block[len(as):]
+	copy(bsOut, bs)
+	for _, a := range as {
+		alive, kept := true, 0
+		for _, b := range bsOut {
+			if alive {
+				// a crosses b; once a is discarded, the rest of bs passes
+				// unchanged.
+				var bok bool
+				if a, alive, b, bok, err = t.pair(a, b); err != nil {
+					return nil, nil, err
+				}
+				if !bok {
+					continue
+				}
+			}
+			bsOut[kept] = b
+			kept++
+		}
+		bsOut = bsOut[:kept]
+		if alive {
+			asOut = append(asOut, a)
+		}
 	}
-	// The remaining local ops see bs as rewritten by aHead.
-	aRestT, bsOut, err := t.TransformLists(aRest, bsT)
-	if err != nil {
-		return nil, nil, err
-	}
-	return append(aHeadT, aRestT...), bsOut, nil
-}
-
-// transformOpAcross merges one op against a sequence.
-func (t *Transformer) transformOpAcross(a Op, bs []Op) (aOut, bsOut []Op, err error) {
-	if len(bs) == 0 {
-		return []Op{a}, nil, nil
-	}
-	bHead, bRest := bs[0], bs[1:]
-	aT, bHeadT, err := t.TransformPair(a, bHead)
-	if err != nil {
-		return nil, nil, err
-	}
-	// aT (a list) continues across the rest of bs.
-	aOut, bRestT, err := t.TransformLists(aT, bRest)
-	if err != nil {
-		return nil, nil, err
-	}
-	return aOut, append(bHeadT, bRestT...), nil
+	return asOut, bsOut, nil
 }
 
 // ---- the merge rules -------------------------------------------------
 
+// Each rule returns both sides as an op and a presence bit: (a', keep a',
+// b', keep b'). A side whose bit is false was discarded by conflict
+// resolution, and its op is meaningless.
+
 // mergeSetSet: two updates of elements. Same element: conflict, resolved by
 // last-write-wins over (timestamp, peer); the loser is discarded.
-func (t *Transformer) mergeSetSet(a, b Op) ([]Op, []Op) {
+func (t *Transformer) mergeSetSet(a, b Op) (Op, bool, Op, bool) {
 	if t.cond("SetSet.sameNdx", a.Ndx == b.Ndx) {
 		if t.cond("SetSet.aWins", a.Meta.Wins(b.Meta)) {
-			return []Op{a}, nil
+			return a, true, b, false
 		}
-		return nil, []Op{b}
+		return a, false, b, true
 	}
-	return []Op{a}, []Op{b}
+	return a, true, b, true
 }
 
 // mergeSetInsert: an insert at or before the set target shifts it right.
-func (t *Transformer) mergeSetInsert(s, i Op) ([]Op, []Op) {
+func (t *Transformer) mergeSetInsert(s, i Op) (Op, bool, Op, bool) {
 	if t.cond("SetInsert.shifts", i.Ndx <= s.Ndx) {
 		s.Ndx++
 	}
-	return []Op{s}, []Op{i}
+	return s, true, i, true
 }
 
 // mergeSetMove: the set follows its element through the move.
-func (t *Transformer) mergeSetMove(s, m Op) ([]Op, []Op) {
+func (t *Transformer) mergeSetMove(s, m Op) (Op, bool, Op, bool) {
 	if t.cond("SetMove.setOnMoved", s.Ndx == m.Ndx) {
 		s.Ndx = m.To
-		return []Op{s}, []Op{m}
+		return s, true, m, true
 	}
 	q := s.Ndx
 	if t.cond("SetMove.afterFrom", q > m.Ndx) {
@@ -211,54 +225,54 @@ func (t *Transformer) mergeSetMove(s, m Op) ([]Op, []Op) {
 		q++
 	}
 	s.Ndx = q
-	return []Op{s}, []Op{m}
+	return s, true, m, true
 }
 
 // mergeSetSwap: the set follows its element through the swap. (Swap rules
 // are legacy-only and excluded from the coverage denominator, as in the
 // paper's LCOV exclusions.)
-func (t *Transformer) mergeSetSwap(s, w Op) ([]Op, []Op) {
+func (t *Transformer) mergeSetSwap(s, w Op) (Op, bool, Op, bool) {
 	switch s.Ndx {
 	case w.Ndx:
 		s.Ndx = w.To
 	case w.To:
 		s.Ndx = w.Ndx
 	}
-	return []Op{s}, []Op{w}
+	return s, true, w, true
 }
 
 // mergeSetErase: Figure 7/8 of the paper, verbatim. Update of a removed
 // element: discard the ArraySet.
-func (t *Transformer) mergeSetErase(s, e Op) ([]Op, []Op) {
+func (t *Transformer) mergeSetErase(s, e Op) (Op, bool, Op, bool) {
 	if t.cond("SetErase.sameNdx", s.Ndx == e.Ndx) {
 		// CONFLICT: update of a removed element.
 		// RESOLUTION: discard the ArraySet operation.
-		return nil, []Op{e}
+		return s, false, e, true
 	}
 	if t.cond("SetErase.afterErase", s.Ndx > e.Ndx) {
 		s.Ndx--
 	}
-	return []Op{s}, []Op{e}
+	return s, true, e, true
 }
 
 // mergeInsertInsert: inserts at distinct points shift each other; inserts
 // at the same point are ordered by last-write-wins (the winner's element
 // ends up first).
-func (t *Transformer) mergeInsertInsert(a, b Op) ([]Op, []Op) {
+func (t *Transformer) mergeInsertInsert(a, b Op) (Op, bool, Op, bool) {
 	if t.cond("InsIns.aBefore", a.Ndx < b.Ndx) {
 		b.Ndx++
-		return []Op{a}, []Op{b}
+		return a, true, b, true
 	}
 	if t.cond("InsIns.bBefore", a.Ndx > b.Ndx) {
 		a.Ndx++
-		return []Op{a}, []Op{b}
+		return a, true, b, true
 	}
 	if t.cond("InsIns.aWins", a.Meta.Wins(b.Meta)) {
 		b.Ndx++
-		return []Op{a}, []Op{b}
+		return a, true, b, true
 	}
 	a.Ndx++
-	return []Op{a}, []Op{b}
+	return a, true, b, true
 }
 
 // mergeInsertMove: the insertion point denotes the gap after the elements
@@ -266,7 +280,7 @@ func (t *Transformer) mergeInsertInsert(a, b Op) ([]Op, []Op) {
 // up before that gap once the move is applied. The move's source shifts
 // past the insert as an element position, and its destination shifts past
 // the mapped gap.
-func (t *Transformer) mergeInsertMove(i, m Op) ([]Op, []Op) {
+func (t *Transformer) mergeInsertMove(i, m Op) (Op, bool, Op, bool) {
 	// k: non-moved elements originally before the gap.
 	k := i.Ndx
 	if t.cond("InsMove.fromBeforeGap", m.Ndx < i.Ndx) {
@@ -285,30 +299,30 @@ func (t *Transformer) mergeInsertMove(i, m Op) ([]Op, []Op) {
 	}
 	i.Ndx = g
 	m.Ndx, m.To = mf, mt
-	return []Op{i}, []Op{m}
+	return i, true, m, true
 }
 
 // mergeInsertSwap: a swap does not shift positions, so the insertion point
 // is unchanged; the swap's indices shift past the insert.
-func (t *Transformer) mergeInsertSwap(i, w Op) ([]Op, []Op) {
+func (t *Transformer) mergeInsertSwap(i, w Op) (Op, bool, Op, bool) {
 	if w.Ndx >= i.Ndx {
 		w.Ndx++
 	}
 	if w.To >= i.Ndx {
 		w.To++
 	}
-	return []Op{i}, []Op{w}
+	return i, true, w, true
 }
 
 // mergeInsertErase: an erase before the insertion point shifts it left; an
 // erase at or after it is shifted right by the insert.
-func (t *Transformer) mergeInsertErase(i, e Op) ([]Op, []Op) {
+func (t *Transformer) mergeInsertErase(i, e Op) (Op, bool, Op, bool) {
 	if t.cond("InsErase.beforeIns", e.Ndx < i.Ndx) {
 		i.Ndx--
-		return []Op{i}, []Op{e}
+		return i, true, e, true
 	}
 	e.Ndx++
-	return []Op{i}, []Op{e}
+	return i, true, e, true
 }
 
 // mergeMoveMove: the hardest rule. Moves of the same element conflict and
@@ -318,14 +332,14 @@ func (t *Transformer) mergeInsertErase(i, e Op) ([]Op, []Op) {
 // source index maps across the other's removal, and each destination maps
 // across the other's removal and reinsertion — with a last-write-wins
 // ordering when both elements land on the same spot.
-func (t *Transformer) mergeMoveMove(a, b Op) ([]Op, []Op) {
+func (t *Transformer) mergeMoveMove(a, b Op) (Op, bool, Op, bool) {
 	if t.cond("MoveMove.sameFrom", a.Ndx == b.Ndx) {
 		if t.cond("MoveMove.aWins", a.Meta.Wins(b.Meta)) {
 			a.Ndx = b.To
-			return dropNoopMove(t, "MoveMove.winnerNoopA", a), nil
+			return a, keepMove(t, "MoveMove.winnerNoopA", a), b, false
 		}
 		b.Ndx = a.To
-		return nil, dropNoopMove(t, "MoveMove.winnerNoopB", b)
+		return a, false, b, keepMove(t, "MoveMove.winnerNoopB", b)
 	}
 	// Sources map across the other element's removal.
 	ea, eb := a.Ndx, b.Ndx
@@ -361,18 +375,18 @@ func (t *Transformer) mergeMoveMove(a, b Op) ([]Op, []Op) {
 	}
 	a.Ndx, a.To = ea, ia
 	b.Ndx, b.To = eb, ib
-	return dropNoopMove(t, "MoveMove.noopA", a), dropNoopMove(t, "MoveMove.noopB", b)
+	return a, keepMove(t, "MoveMove.noopA", a), b, keepMove(t, "MoveMove.noopB", b)
 }
 
 // mergeMoveErase: erasing the moved element follows it to its destination
 // and cancels the move; otherwise the move is merged as a remove+reinsert
 // pair against the erase.
-func (t *Transformer) mergeMoveErase(m, e Op) ([]Op, []Op) {
+func (t *Transformer) mergeMoveErase(m, e Op) (Op, bool, Op, bool) {
 	if t.cond("MoveErase.erasedMoved", e.Ndx == m.Ndx) {
 		// CONFLICT: the erased element was concurrently moved.
 		// RESOLUTION: erase it at its destination; the move is moot.
 		e.Ndx = m.To
-		return nil, []Op{e}
+		return m, false, e, true
 	}
 	// Removal points shift across each other.
 	em, ee := m.Ndx, e.Ndx
@@ -391,21 +405,21 @@ func (t *Transformer) mergeMoveErase(m, e Op) ([]Op, []Op) {
 	}
 	m.Ndx, m.To = em, im
 	e.Ndx = ee
-	return dropNoopMove(t, "MoveErase.noopMove", m), []Op{e}
+	return m, keepMove(t, "MoveErase.noopMove", m), e, true
 }
 
 // mergeEraseErase: erasing the same element twice needs no further action
 // on either side.
-func (t *Transformer) mergeEraseErase(a, b Op) ([]Op, []Op) {
+func (t *Transformer) mergeEraseErase(a, b Op) (Op, bool, Op, bool) {
 	if t.cond("EraseErase.sameNdx", a.Ndx == b.Ndx) {
-		return nil, nil
+		return a, false, b, false
 	}
 	if t.cond("EraseErase.aAfter", a.Ndx > b.Ndx) {
 		a.Ndx--
-		return []Op{a}, []Op{b}
+		return a, true, b, true
 	}
 	b.Ndx--
-	return []Op{a}, []Op{b}
+	return a, true, b, true
 }
 
 // ---- swap rules (legacy only, outside the coverage denominator) -------
@@ -414,23 +428,23 @@ func (t *Transformer) mergeEraseErase(a, b Op) ([]Op, []Op) {
 // winner's positions mapped through the loser. This rule is best-effort —
 // the impossibility of doing this well is part of why ArraySwap was
 // deprecated.
-func (t *Transformer) mergeSwapSwap(a, b Op) ([]Op, []Op) {
+func (t *Transformer) mergeSwapSwap(a, b Op) (Op, bool, Op, bool) {
 	if (a.Ndx == b.Ndx && a.To == b.To) || (a.Ndx == b.To && a.To == b.Ndx) {
-		return nil, nil
+		return a, false, b, false
 	}
 	if a.Meta.Wins(b.Meta) {
 		a.Ndx = mapPosSwap(a.Ndx, b)
 		a.To = mapPosSwap(a.To, b)
-		return []Op{a}, nil
+		return a, true, b, false
 	}
 	b.Ndx = mapPosSwap(b.Ndx, a)
 	b.To = mapPosSwap(b.To, a)
-	return nil, []Op{b}
+	return a, false, b, true
 }
 
 // mergeSwapErase: erasing one operand of the swap turns the survivor's
 // repositioning into a move; erasing neither maps the indices.
-func (t *Transformer) mergeSwapErase(w, e Op) ([]Op, []Op) {
+func (t *Transformer) mergeSwapErase(w, e Op) (Op, bool, Op, bool) {
 	if e.Ndx == w.Ndx || e.Ndx == w.To {
 		other := w.To
 		if e.Ndx == w.To {
@@ -446,10 +460,7 @@ func (t *Transformer) mergeSwapErase(w, e Op) ([]Op, []Op) {
 			to--
 		}
 		e.Ndx = mapPosSwap(e.Ndx, w)
-		if from == to {
-			return nil, []Op{e}
-		}
-		return []Op{Move(from, to).WithMeta(w.Meta)}, []Op{e}
+		return Move(from, to).WithMeta(w.Meta), from != to, e, true
 	}
 	ePos := mapPosSwap(e.Ndx, w)
 	wn, wt := w.Ndx, w.To
@@ -461,7 +472,7 @@ func (t *Transformer) mergeSwapErase(w, e Op) ([]Op, []Op) {
 	}
 	w.Ndx, w.To = wn, wt
 	e.Ndx = ePos
-	return []Op{w}, []Op{e}
+	return w, true, e, true
 }
 
 // mergeMoveSwapLegacy reproduces §5.1.3: the historical merge rule for
@@ -471,11 +482,11 @@ func (t *Transformer) mergeSwapErase(w, e Op) ([]Op, []Op) {
 // iteration undoes the previous one and the loop never terminates. TLC
 // found this as a StackOverflowError; the reference implementation bounds
 // the loop and reports ErrMergeNontermination.
-func (t *Transformer) mergeMoveSwapLegacy(m, w Op) ([]Op, []Op, error) {
+func (t *Transformer) mergeMoveSwapLegacy(m, w Op) (Op, bool, Op, bool, error) {
 	const maxIterations = 1000
 	for iter := 0; ; iter++ {
 		if iter >= maxIterations {
-			return nil, nil, ErrMergeNontermination
+			return m, false, w, false, ErrMergeNontermination
 		}
 		switch {
 		case m.Ndx == w.Ndx && m.To == w.To:
@@ -491,12 +502,12 @@ func (t *Transformer) mergeMoveSwapLegacy(m, w Op) ([]Op, []Op, error) {
 			continue
 		case m.Ndx == w.Ndx:
 			m.Ndx = w.To
-			return []Op{m}, []Op{w}, nil
+			return m, true, w, true, nil
 		case m.Ndx == w.To:
 			m.Ndx = w.Ndx
-			return []Op{m}, []Op{w}, nil
+			return m, true, w, true, nil
 		default:
-			return []Op{m}, []Op{w}, nil
+			return m, true, w, true, nil
 		}
 	}
 }
@@ -513,13 +524,10 @@ func mapPosSwap(p int, w Op) int {
 	return p
 }
 
-// dropNoopMove discards a move whose endpoints collapsed during
-// transformation.
-func dropNoopMove(t *Transformer, name string, m Op) []Op {
-	if t.cond(name, m.Ndx == m.To) {
-		return nil
-	}
-	return []Op{m}
+// keepMove reports whether a transformed move survives: a move whose
+// endpoints collapsed during transformation is discarded.
+func keepMove(t *Transformer, name string, m Op) bool {
+	return !t.cond(name, m.Ndx == m.To)
 }
 
 // BranchConditions returns the names of every condition in the swap-free

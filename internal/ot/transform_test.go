@@ -343,3 +343,31 @@ func TestOpStringForms(t *testing.T) {
 	}
 	var _ fmt.Stringer = KindSet // Kind implements Stringer
 }
+
+// TestTransformListsAllocsPerCall pins the lifting's allocation contract:
+// with either side empty it returns the other side as it is and allocates
+// nothing; otherwise one block holds both results, whatever the rules
+// discard.
+func TestTransformListsAllocsPerCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	tr := NewTransformer(nil, false)
+	as := []Op{Set(0, 1).WithMeta(Meta{Peer: 1}), Move(0, 2).WithMeta(Meta{Peer: 1})}
+	bs := []Op{Erase(0).WithMeta(Meta{Peer: 2}), Insert(1, 2).WithMeta(Meta{Peer: 2}), Clear().WithMeta(Meta{Peer: 2})}
+	for _, c := range []struct {
+		as, bs []Op
+		want   float64
+	}{
+		{nil, nil, 0},
+		{as, nil, 0},
+		{nil, bs, 0},
+		{as, bs, 1},
+		{bs, as, 1},
+		{as[:1], bs[:1], 1},
+	} {
+		if got := testing.AllocsPerRun(100, func() { tr.TransformLists(c.as, c.bs) }); got != c.want {
+			t.Errorf("TransformLists(%v, %v) allocates %.0f times, want %.0f", c.as, c.bs, got, c.want)
+		}
+	}
+}

@@ -28,89 +28,124 @@ var ErrUnsupported = errors.New("otgo: unsupported operation kind")
 // is ready to use.
 type Engine struct{}
 
-// mergeFunc merges ops x, y with x.Kind <= y.Kind, returning the rewritten
-// lists (x', y') such that both application orders converge.
-type mergeFunc func(x, y ot.Op) (xs, ys []ot.Op)
+// mergeFunc merges ops x, y with x.Kind <= y.Kind, returning each side
+// rewritten (x', y') such that both application orders converge, each with
+// a presence bit that is false where the side was discarded.
+type mergeFunc func(x, y ot.Op) (xo ot.Op, xok bool, yo ot.Op, yok bool)
 
-// ruleKey packs a canonical kind pair.
-type ruleKey struct{ a, b ot.Kind }
+// rules is the dispatch table over the 15 swap-free kind pairs, indexed by
+// the canonical pair [x.Kind][y.Kind] with x.Kind <= y.Kind. Every other
+// entry — a pair with ArraySwap, or a flipped one — is nil.
+var rules = [ot.KindClear + 1][ot.KindClear + 1]mergeFunc{
+	ot.KindSet: {
+		ot.KindSet:    ruleSetSet,
+		ot.KindInsert: ruleSetInsert,
+		ot.KindMove:   ruleSetMove,
+		ot.KindErase:  ruleSetErase,
+		ot.KindClear:  ruleDiscardFirst,
+	},
+	ot.KindInsert: {
+		ot.KindInsert: ruleInsertInsert,
+		ot.KindMove:   ruleInsertMove,
+		ot.KindErase:  ruleInsertErase,
+		ot.KindClear:  ruleDiscardFirst,
+	},
+	ot.KindMove: {
+		ot.KindMove:  ruleMoveMove,
+		ot.KindErase: ruleMoveErase,
+		ot.KindClear: ruleDiscardFirst,
+	},
+	ot.KindErase: {
+		ot.KindErase: ruleEraseErase,
+		ot.KindClear: ruleDiscardFirst,
+	},
+	ot.KindClear: {
+		ot.KindClear: ruleDiscardBoth,
+	},
+}
 
-// rules is the dispatch table over the 15 swap-free kind pairs.
-var rules = map[ruleKey]mergeFunc{
-	{ot.KindSet, ot.KindSet}:       ruleSetSet,
-	{ot.KindSet, ot.KindInsert}:    ruleSetInsert,
-	{ot.KindSet, ot.KindMove}:      ruleSetMove,
-	{ot.KindSet, ot.KindErase}:     ruleSetErase,
-	{ot.KindSet, ot.KindClear}:     ruleDiscardFirst,
-	{ot.KindInsert, ot.KindInsert}: ruleInsertInsert,
-	{ot.KindInsert, ot.KindMove}:   ruleInsertMove,
-	{ot.KindInsert, ot.KindErase}:  ruleInsertErase,
-	{ot.KindInsert, ot.KindClear}:  ruleDiscardFirst,
-	{ot.KindMove, ot.KindMove}:     ruleMoveMove,
-	{ot.KindMove, ot.KindErase}:    ruleMoveErase,
-	{ot.KindMove, ot.KindClear}:    ruleDiscardFirst,
-	{ot.KindErase, ot.KindErase}:   ruleEraseErase,
-	{ot.KindErase, ot.KindClear}:   ruleDiscardFirst,
-	{ot.KindClear, ot.KindClear}:   ruleDiscardBoth,
+// rule returns the table entry for the canonical pair (x, y), nil for a
+// pair without a rule, a kind outside the table included.
+func rule(x, y ot.Kind) mergeFunc {
+	if int(x) >= len(rules) || int(y) >= len(rules) {
+		return nil
+	}
+	return rules[x][y]
 }
 
 // Transform merges two concurrent operations, returning a' (to apply after
 // b) and b' (to apply after a).
 func (Engine) Transform(a, b ot.Op) (aOut, bOut []ot.Op, err error) {
-	if a.Kind == ot.KindSwap || b.Kind == ot.KindSwap {
-		return nil, nil, fmt.Errorf("%w: ArraySwap", ErrUnsupported)
+	x, xok, y, yok, err := transform(a, b)
+	if err != nil {
+		return nil, nil, err
 	}
-	if a.Kind <= b.Kind {
-		f, ok := rules[ruleKey{a.Kind, b.Kind}]
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: %s/%s", ErrUnsupported, a.Kind, b.Kind)
-		}
-		aOut, bOut = f(a, b)
-		return aOut, bOut, nil
+	if xok {
+		aOut = []ot.Op{x}
 	}
-	f, ok := rules[ruleKey{b.Kind, a.Kind}]
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s/%s", ErrUnsupported, b.Kind, a.Kind)
+	if yok {
+		bOut = []ot.Op{y}
 	}
-	bOut, aOut = f(b, a)
 	return aOut, bOut, nil
 }
 
-// TransformBatches merges two concurrent operation sequences, the server's
-// rebase primitive. Implemented iteratively (where the reference uses
-// recursion): each local operation sweeps across the remote batch,
-// rewriting it in place. All rules produce at most one operation per side,
-// which the sweep relies on and enforces.
-func (e Engine) TransformBatches(as, bs []ot.Op) (asOut, bsOut []ot.Op, err error) {
-	bsCur := append([]ot.Op(nil), bs...)
-	for _, a := range as {
-		alive := true
-		var bsNext []ot.Op
-		for _, b := range bsCur {
-			if !alive {
-				bsNext = append(bsNext, b)
-				continue
-			}
-			aT, bT, terr := e.Transform(a, b)
-			if terr != nil {
-				return nil, nil, terr
-			}
-			if len(aT) > 1 || len(bT) > 1 {
-				return nil, nil, fmt.Errorf("otgo: rule expanded %s/%s; batch sweep requires 0/1 outputs", a.Kind, b.Kind)
-			}
-			bsNext = append(bsNext, bT...)
-			if len(aT) == 0 {
-				alive = false
-			} else {
-				a = aT[0]
-			}
+// transform is Transform without slices: a' and b' each with a presence
+// bit.
+func transform(a, b ot.Op) (x ot.Op, xok bool, y ot.Op, yok bool, err error) {
+	if a.Kind == ot.KindSwap || b.Kind == ot.KindSwap {
+		return x, false, y, false, fmt.Errorf("%w: ArraySwap", ErrUnsupported)
+	}
+	if a.Kind <= b.Kind {
+		f := rule(a.Kind, b.Kind)
+		if f == nil {
+			return x, false, y, false, fmt.Errorf("%w: %s/%s", ErrUnsupported, a.Kind, b.Kind)
 		}
+		x, xok, y, yok = f(a, b)
+		return x, xok, y, yok, nil
+	}
+	f := rule(b.Kind, a.Kind)
+	if f == nil {
+		return x, false, y, false, fmt.Errorf("%w: %s/%s", ErrUnsupported, b.Kind, a.Kind)
+	}
+	y, yok, x, xok = f(b, a)
+	return x, xok, y, yok, nil
+}
+
+// TransformBatches merges two concurrent operation sequences, the server's
+// rebase primitive: each local operation sweeps across the remote batch,
+// rewriting it in place, until a rule discards it. Every rule produces at
+// most one operation per side, so both results fit in one fresh block of
+// len(as)+len(bs) operations, the call's only allocation (none when both
+// sides are empty). The results never alias as or bs, so a caller may
+// rewrite them in place.
+func (Engine) TransformBatches(as, bs []ot.Op) (asOut, bsOut []ot.Op, err error) {
+	if len(as) == 0 && len(bs) == 0 {
+		return nil, nil, nil
+	}
+	block := make([]ot.Op, len(as)+len(bs))
+	asOut, bsOut = block[:0:len(as)], block[len(as):]
+	copy(bsOut, bs)
+	for _, a := range as {
+		alive, n := true, 0
+		for _, b := range bsOut {
+			if alive {
+				var bok bool
+				if a, alive, b, bok, err = transform(a, b); err != nil {
+					return nil, nil, err
+				}
+				if !bok {
+					continue
+				}
+			}
+			bsOut[n] = b
+			n++
+		}
+		bsOut = bsOut[:n]
 		if alive {
 			asOut = append(asOut, a)
 		}
-		bsCur = bsNext
 	}
-	return asOut, bsCur, nil
+	return asOut, bsOut, nil
 }
 
 // TransformLists adapts TransformBatches to the ot.BatchTransformer
@@ -121,50 +156,45 @@ func (e Engine) TransformLists(as, bs []ot.Op) ([]ot.Op, []ot.Op, error) {
 
 // ---- the merge rules, table entries -----------------------------------
 
-func ruleDiscardFirst(x, y ot.Op) ([]ot.Op, []ot.Op) { return nil, []ot.Op{y} }
+func ruleDiscardFirst(x, y ot.Op) (ot.Op, bool, ot.Op, bool) { return x, false, y, true }
 
-func ruleDiscardBoth(x, y ot.Op) ([]ot.Op, []ot.Op) { return nil, nil }
+func ruleDiscardBoth(x, y ot.Op) (ot.Op, bool, ot.Op, bool) { return x, false, y, false }
 
-func ruleSetSet(a, b ot.Op) ([]ot.Op, []ot.Op) {
+func ruleSetSet(a, b ot.Op) (ot.Op, bool, ot.Op, bool) {
 	if a.Ndx != b.Ndx {
-		return one(a), one(b)
+		return a, true, b, true
 	}
-	if a.Meta.Wins(b.Meta) {
-		return one(a), nil
-	}
-	return nil, one(b)
+	wins := a.Meta.Wins(b.Meta)
+	return a, wins, b, !wins
 }
 
-func ruleSetInsert(s, i ot.Op) ([]ot.Op, []ot.Op) {
+func ruleSetInsert(s, i ot.Op) (ot.Op, bool, ot.Op, bool) {
 	s.Ndx = posAfterInsert(s.Ndx, i.Ndx)
-	return one(s), one(i)
+	return s, true, i, true
 }
 
-func ruleSetMove(s, m ot.Op) ([]ot.Op, []ot.Op) {
+func ruleSetMove(s, m ot.Op) (ot.Op, bool, ot.Op, bool) {
 	s.Ndx = posAfterMove(s.Ndx, m.Ndx, m.To)
-	return one(s), one(m)
+	return s, true, m, true
 }
 
-func ruleSetErase(s, e ot.Op) ([]ot.Op, []ot.Op) {
+func ruleSetErase(s, e ot.Op) (ot.Op, bool, ot.Op, bool) {
 	p, gone := posAfterErase(s.Ndx, e.Ndx)
-	if gone {
-		return nil, one(e)
-	}
 	s.Ndx = p
-	return one(s), one(e)
+	return s, !gone, e, true
 }
 
-func ruleInsertInsert(a, b ot.Op) ([]ot.Op, []ot.Op) {
+func ruleInsertInsert(a, b ot.Op) (ot.Op, bool, ot.Op, bool) {
 	switch {
 	case a.Ndx < b.Ndx, a.Ndx == b.Ndx && a.Meta.Wins(b.Meta):
 		b.Ndx++
 	default:
 		a.Ndx++
 	}
-	return one(a), one(b)
+	return a, true, b, true
 }
 
-func ruleInsertMove(i, m ot.Op) ([]ot.Op, []ot.Op) {
+func ruleInsertMove(i, m ot.Op) (ot.Op, bool, ot.Op, bool) {
 	g := gapAfterMove(i.Ndx, m.Ndx, m.To)
 	if m.Ndx >= i.Ndx {
 		m.Ndx++
@@ -173,28 +203,28 @@ func ruleInsertMove(i, m ot.Op) ([]ot.Op, []ot.Op) {
 		m.To++
 	}
 	i.Ndx = g
-	return one(i), one(m)
+	return i, true, m, true
 }
 
-func ruleInsertErase(i, e ot.Op) ([]ot.Op, []ot.Op) {
+func ruleInsertErase(i, e ot.Op) (ot.Op, bool, ot.Op, bool) {
 	if e.Ndx < i.Ndx {
 		i.Ndx--
 	} else {
 		e.Ndx++
 	}
-	return one(i), one(e)
+	return i, true, e, true
 }
 
-func ruleMoveMove(a, b ot.Op) ([]ot.Op, []ot.Op) {
+func ruleMoveMove(a, b ot.Op) (ot.Op, bool, ot.Op, bool) {
 	if a.Ndx == b.Ndx {
 		// Same element: last write wins, re-targeted from the loser's
 		// destination.
 		if a.Meta.Wins(b.Meta) {
 			a.Ndx = b.To
-			return moveOrNothing(a), nil
+			return a, isMove(a), b, false
 		}
 		b.Ndx = a.To
-		return nil, moveOrNothing(b)
+		return a, false, b, isMove(b)
 	}
 	ra, ia := decompose(a)
 	rb, ib := decompose(b)
@@ -221,13 +251,13 @@ func ruleMoveMove(a, b ot.Op) ([]ot.Op, []ot.Op) {
 	}
 	a.Ndx, a.To = ra2, ia
 	b.Ndx, b.To = rb2, ib
-	return moveOrNothing(a), moveOrNothing(b)
+	return a, isMove(a), b, isMove(b)
 }
 
-func ruleMoveErase(m, e ot.Op) ([]ot.Op, []ot.Op) {
+func ruleMoveErase(m, e ot.Op) (ot.Op, bool, ot.Op, bool) {
 	if e.Ndx == m.Ndx {
 		e.Ndx = m.To
-		return nil, one(e)
+		return m, false, e, true
 	}
 	rm, im := decompose(m)
 	rm2, _ := posAfterErase(rm, e.Ndx)
@@ -239,17 +269,17 @@ func ruleMoveErase(m, e ot.Op) ([]ot.Op, []ot.Op) {
 	}
 	m.Ndx, m.To = rm2, im
 	e.Ndx = ee
-	return moveOrNothing(m), one(e)
+	return m, isMove(m), e, true
 }
 
-func ruleEraseErase(a, b ot.Op) ([]ot.Op, []ot.Op) {
+func ruleEraseErase(a, b ot.Op) (ot.Op, bool, ot.Op, bool) {
 	if a.Ndx == b.Ndx {
-		return nil, nil
+		return a, false, b, false
 	}
 	pa, _ := posAfterErase(a.Ndx, b.Ndx)
 	pb, _ := posAfterErase(b.Ndx, a.Ndx)
 	a.Ndx, b.Ndx = pa, pb
-	return one(a), one(b)
+	return a, true, b, true
 }
 
 // ---- index vocabulary ---------------------------------------------------
@@ -304,11 +334,6 @@ func gapAfterMove(p, from, to int) int {
 // decompose splits a move into its removal index and reinsertion point.
 func decompose(m ot.Op) (removal, reinsertion int) { return m.Ndx, m.To }
 
-func one(o ot.Op) []ot.Op { return []ot.Op{o} }
-
-func moveOrNothing(m ot.Op) []ot.Op {
-	if m.Ndx == m.To {
-		return nil
-	}
-	return one(m)
-}
+// isMove reports whether a transformed move still moves its element: one
+// whose endpoints collapsed is discarded.
+func isMove(m ot.Op) bool { return m.Ndx != m.To }

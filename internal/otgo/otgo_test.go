@@ -145,6 +145,66 @@ func TestBatchesMatchReferenceLists(t *testing.T) {
 	}
 }
 
+// TestTransformBatchesAllocsPerCall pins the sweep's allocation contract:
+// nothing with both sides empty, otherwise one block for both results —
+// with one side empty too, since the results never alias the inputs.
+func TestTransformBatchesAllocsPerCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	var eng Engine
+	as := []ot.Op{ot.Set(0, 1).WithMeta(ot.Meta{Peer: 1}), ot.Move(0, 2).WithMeta(ot.Meta{Peer: 1})}
+	bs := []ot.Op{ot.Erase(0).WithMeta(ot.Meta{Peer: 2}), ot.Insert(1, 2).WithMeta(ot.Meta{Peer: 2}), ot.Clear().WithMeta(ot.Meta{Peer: 2})}
+	for _, c := range []struct {
+		as, bs []ot.Op
+		want   float64
+	}{
+		{nil, nil, 0},
+		{as, nil, 1},
+		{nil, bs, 1},
+		{as, bs, 1},
+		{bs, as, 1},
+		{as[:1], bs[:1], 1},
+	} {
+		if got := testing.AllocsPerRun(100, func() { eng.TransformBatches(c.as, c.bs) }); got != c.want {
+			t.Errorf("TransformBatches(%v, %v) allocates %.0f times, want %.0f", c.as, c.bs, got, c.want)
+		}
+	}
+}
+
+// TestTransformBatchesNeverAliasesInputs: a caller may rewrite the results
+// in place, as examples/divergence-hunt's mutants do, without touching the
+// batches it passed in — with either side empty too — and appending to
+// one result never reaches the other.
+func TestTransformBatchesNeverAliasesInputs(t *testing.T) {
+	var eng Engine
+	ops := enumOps(2, 1)
+	batches := [][]ot.Op{nil, ops[:1], ops[2:4], {ops[5], ops[1], ops[len(ops)-1]}}
+	for _, as := range batches {
+		for _, bs := range batches {
+			asCopy, bsCopy := append([]ot.Op(nil), as...), append([]ot.Op(nil), bs...)
+			asOut, bsOut, err := eng.TransformBatches(as, bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range asOut {
+				asOut[i].Ndx += 100
+			}
+			for i := range bsOut {
+				bsOut[i].To += 100
+			}
+			if !opsEqual(as, asCopy) || !opsEqual(bs, bsCopy) {
+				t.Fatalf("rewriting the results of TransformBatches(%v, %v) changed the inputs to (%v, %v)", asCopy, bsCopy, as, bs)
+			}
+			bsBefore := append([]ot.Op(nil), bsOut...)
+			_ = append(asOut, make([]ot.Op, len(as)+len(bs))...)
+			if !opsEqual(bsOut, bsBefore) {
+				t.Fatalf("appending to asOut of TransformBatches(%v, %v) wrote into bsOut", asCopy, bsCopy)
+			}
+		}
+	}
+}
+
 func TestSwapUnsupported(t *testing.T) {
 	var eng Engine
 	if _, _, err := eng.Transform(ot.Swap(0, 1), ot.Set(0, 1)); !errors.Is(err, ErrUnsupported) {
@@ -155,6 +215,19 @@ func TestSwapUnsupported(t *testing.T) {
 	}
 	if _, _, err := eng.TransformBatches([]ot.Op{ot.Swap(0, 1)}, []ot.Op{ot.Set(0, 1)}); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("batches err = %v, want ErrUnsupported", err)
+	}
+	// A kind outside the rule table is unsupported too, on either side and
+	// in either canonical position, not an index out of range.
+	for _, k := range []ot.Kind{ot.KindClear + 1, 255} {
+		for _, other := range []ot.Op{ot.Set(0, 1), ot.Clear()} {
+			unknown := ot.Op{Kind: k}
+			if _, _, err := eng.Transform(unknown, other); !errors.Is(err, ErrUnsupported) {
+				t.Fatalf("Transform(%s, %s) err = %v, want ErrUnsupported", unknown, other, err)
+			}
+			if _, _, err := eng.Transform(other, unknown); !errors.Is(err, ErrUnsupported) {
+				t.Fatalf("Transform(%s, %s) err = %v, want ErrUnsupported", other, unknown, err)
+			}
+		}
 	}
 }
 
