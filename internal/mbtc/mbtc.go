@@ -117,12 +117,15 @@ func (o initObs) String() string { return "initial state" }
 // one partial observation per event. An observation's oplog is the
 // processed state's, shared rather than copied: both are immutable, and
 // Matches compares it with a candidate's entry by entry, no slice built.
+// The NodeObs values live in one block and the observations point into
+// it, so the call makes two allocations whatever the event count.
 func ObservationsFromProcessed(nodes int, events []trace.Event, res *trace.ProcessResult) []tla.Observation[raftmongo.State] {
 	obs := make([]tla.Observation[raftmongo.State], 0, len(events)+1)
 	obs = append(obs, initObs{nodes: nodes})
+	nobs := make([]NodeObs, len(events))
 	for i, e := range events {
 		st := res.States[i+1]
-		obs = append(obs, NodeObs{
+		nobs[i] = NodeObs{
 			Node:            e.Node,
 			Role:            st.Roles[e.Node],
 			Term:            st.Terms[e.Node],
@@ -130,7 +133,8 @@ func ObservationsFromProcessed(nodes int, events []trace.Event, res *trace.Proce
 			Oplog:           st.Oplogs[e.Node],
 			LeaderExclusive: e.Role == "Leader",
 			Actions:         specActions[e.Action],
-		})
+		}
+		obs = append(obs, &nobs[i])
 	}
 	return obs
 }

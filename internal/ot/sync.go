@@ -413,22 +413,36 @@ func (n *Network) Merge(c int) error {
 	if err != nil {
 		return fmt.Errorf("ot: merge (download) for client %d: %w", c, err)
 	}
-	// Upload: the client's changes, rebased onto the server history, each
-	// side's batch applied to one fresh array and appended in one go.
-	next, _, err := applyBatch(n.serverState, clientT)
+	// Each side's batch is applied to one fresh array; nothing changes
+	// until both have applied, so an error leaves the deployment as it was.
+	serverNext, _, err := applyBatch(n.serverState, clientT)
 	if err != nil {
 		return fmt.Errorf("ot: server apply during merge of client %d: %w", c, err)
 	}
-	n.serverState = next
-	n.serverLog = append(n.serverLog, clientT...)
-	// Download: the server's changes, rebased onto the client history.
-	if next, _, err = applyBatch(n.clientState[c], serverT); err != nil {
+	clientNext, _, err := applyBatch(n.clientState[c], serverT)
+	if err != nil {
 		return fmt.Errorf("ot: client %d apply during merge: %w", c, err)
 	}
-	n.clientState[c] = next
-	n.clientLog[c] = append(n.clientLog[c], serverT...)
+	n.serverState, n.clientState[c] = serverNext, clientNext
+	n.serverLog, n.clientLog[c] = appendLogs(n.serverLog, clientT, n.clientLog[c], serverT)
 	n.progress[c] = Progress{ServerVersion: len(n.serverLog), ClientVersion: len(n.clientLog[c])}
 	return nil
+}
+
+// appendLogs returns a+as and b+bs. When neither a nor b has room for its
+// batch — a deployment the model check explores is a Clone, whose logs
+// are clamped — the two results share one new block, each with its
+// capacity clamped to its length, so that a later append to one can never
+// write into the other. Otherwise each is a plain append.
+func appendLogs(a, as, b, bs []Op) ([]Op, []Op) {
+	if len(as) <= cap(a)-len(a) || len(bs) <= cap(b)-len(b) {
+		return append(a, as...), append(b, bs...)
+	}
+	na, nb := len(a)+len(as), len(b)+len(bs)
+	block := make([]Op, 0, na+nb)
+	a = append(append(block, a...), as...)[:na:na]
+	b = append(append(block[na:na], b...), bs...)
+	return a, b[:nb:nb]
 }
 
 // SyncAll merges every client repeatedly until no client has unmerged

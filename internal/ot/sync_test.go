@@ -1,6 +1,7 @@
 package ot
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -373,5 +374,63 @@ func TestNetworkAllocsPerCall(t *testing.T) {
 	// The block replaces four allocations of 144, 80, 80 and 48 bytes.
 	if size := unsafe.Sizeof(networkBlock{}); size > 352 {
 		t.Errorf("a three-client block is %d bytes, past the 352-byte size class", size)
+	}
+}
+
+// corruptDownload is a transformer whose every second batch — a merge's
+// download, the server's ops rebased for the client — erases an index no
+// array has, so the merge's client-side apply fails after the server side
+// has applied.
+type corruptDownload struct {
+	BatchTransformer
+	calls int
+}
+
+func (c *corruptDownload) TransformLists(as, bs []Op) ([]Op, []Op, error) {
+	asOut, bsOut, err := c.BatchTransformer.TransformLists(as, bs)
+	if c.calls++; c.calls%2 == 0 && len(asOut) > 0 {
+		asOut = append(asOut[:len(asOut):len(asOut)], Erase(100))
+	}
+	return asOut, bsOut, err
+}
+
+// TestMergeLogsStayApart: a merge of a clone, whose logs have no room,
+// appends both logs into one block, the server's clamped so that growing
+// it again leaves the client's log as it was; and a merge whose client
+// side fails to apply changes nothing, the server side included.
+func TestMergeLogsStayApart(t *testing.T) {
+	tr := NewTransformer(nil, false)
+	parent := NewNetwork(tr, []int{1, 2, 3}, 2)
+	for c, op := range []Op{Set(0, 9), Erase(1)} {
+		if err := parent.Perform(c, op.WithMeta(Meta{Peer: c + 1})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := parent.Merge(1); err != nil { // the server log gains client 1's erase
+		t.Fatal(err)
+	}
+	n := parent.Clone()
+	if err := n.Merge(0); err != nil { // both directions non-empty
+		t.Fatal(err)
+	}
+	clientLog := n.ClientHistory(0)
+	if err := n.Perform(1, Insert(0, 5).WithMeta(Meta{Peer: 2})); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Merge(1); err != nil { // appends to the server log
+		t.Fatal(err)
+	}
+	if got := n.ClientHistory(0); !slices.Equal(got, clientLog) {
+		t.Fatalf("growing the server log changed client 0's log from %v to %v", clientLog, got)
+	}
+
+	bad := parent.Clone()
+	bad.tr = &corruptDownload{BatchTransformer: tr}
+	before := string(bad.AppendBinary(nil))
+	if err := bad.Merge(0); err == nil || !strings.Contains(err.Error(), "client 0 apply during merge") {
+		t.Fatalf("merge with a corrupt download: err = %v, want the client-side apply error", err)
+	}
+	if after := string(bad.AppendBinary(nil)); after != before {
+		t.Fatalf("a failed merge changed the deployment: %x, was %x", after, before)
 	}
 }

@@ -102,7 +102,8 @@ type chunkOut[S State] struct {
 // the constraint, once evaluated; routed marks the misses of processed
 // candidates, which the merge claims. A miss's first processed candidate
 // is the one that created it, so the routed misses in index order are in
-// merge order.
+// merge order. The trace checker's frontier chunks (tracecheck.go) keep
+// their matches' encodings in the same shape, fp and end alone.
 type miss struct {
 	fp       uint64
 	end      int32
@@ -185,21 +186,14 @@ func planChunks(n, workers int) chunkPlan {
 // callers collect per-chunk results into a slice and reassemble them in
 // deterministic chunk order.
 func (p chunkPlan) run(fn func(worker, chunk, lo, hi int)) {
-	doChunk := func(w, c int) {
-		lo := c * p.chunkSize
-		hi := lo + p.chunkSize
-		if hi > p.n {
-			hi = p.n
-		}
-		fn(w, c, lo, hi)
-	}
 	// Inline only when there is nothing to share: a single chunk would
 	// serialize anyway, and one worker means no pool. Small frontiers with
 	// expensive Next/Key/Matches (typical of trace checking) still profit
 	// from a handful of goroutines.
 	if p.workers == 1 || p.nChunks == 1 {
 		for c := 0; c < p.nChunks; c++ {
-			doChunk(0, c)
+			lo, hi := p.bounds(c)
+			fn(0, c, lo, hi)
 		}
 		return
 	}
@@ -214,11 +208,18 @@ func (p chunkPlan) run(fn func(worker, chunk, lo, hi int)) {
 				if c >= p.nChunks {
 					return
 				}
-				doChunk(w, c)
+				lo, hi := p.bounds(c)
+				fn(w, c, lo, hi)
 			}
 		}(w)
 	}
 	wg.Wait()
+}
+
+// bounds returns the item range [lo, hi) of chunk c.
+func (p chunkPlan) bounds(c int) (lo, hi int) {
+	lo = c * p.chunkSize
+	return lo, min(lo+p.chunkSize, p.n)
 }
 
 // levelSync is one checking run: its Result, retained states and codecs,
@@ -668,8 +669,9 @@ func (o *chunkOut[S]) addMiss(x *expander[S], t int, share bool) int {
 }
 
 // missTable indexes the shared misses of the chunk an expander is
-// expanding: open addressing over miss indices, probed by fingerprint and
-// checked by bytes. Each slot carries the generation of the chunk that
+// expanding — and a trace check's matches, per chunk and across chunks —
+// open addressing over miss indices, probed by fingerprint and checked by
+// bytes. Each slot carries the generation of the chunk that
 // wrote it, so moving on to the next chunk clears nothing.
 type missTable struct {
 	slots []missSlot

@@ -28,7 +28,7 @@ func explodingSpec(max int, at counterState) *Spec[counterState] {
 
 // assertSpecPanic asserts that err is a recovered spec panic whose Op
 // mentions opWant, and returns the structured SpecPanic.
-func assertSpecPanic(t *testing.T, label string, err error, opWant string) *SpecPanic[counterState] {
+func assertSpecPanic[S State](t *testing.T, label string, err error, opWant string) *SpecPanic[S] {
 	t.Helper()
 	if err == nil {
 		t.Fatalf("%s: run succeeded, want a recovered spec panic", label)
@@ -36,7 +36,7 @@ func assertSpecPanic(t *testing.T, label string, err error, opWant string) *Spec
 	if !errors.Is(err, ErrSpecPanic) {
 		t.Fatalf("%s: err = %v, want errors.Is(ErrSpecPanic)", label, err)
 	}
-	var sp *SpecPanic[counterState]
+	var sp *SpecPanic[S]
 	if !errors.As(err, &sp) {
 		t.Fatalf("%s: err type = %T, want *SpecPanic", label, err)
 	}
@@ -62,7 +62,7 @@ func TestSpecPanicInNext(t *testing.T) {
 		for _, budget := range []int64{0, bigBudget} {
 			label := fmt.Sprintf("workers=%d/budget=%d", workers, budget)
 			res, err := Check(explodingSpec(8, at), Options{Workers: workers, MemoryBudgetBytes: budget})
-			sp := assertSpecPanic(t, label, err, `action "Explode"`)
+			sp := assertSpecPanic[counterState](t, label, err, `action "Explode"`)
 			if len(sp.Trace) == 0 {
 				t.Fatalf("%s: recovered panic has an empty trace", label)
 			}
@@ -107,7 +107,7 @@ func TestSpecPanicInInvariant(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		label := fmt.Sprintf("workers=%d", workers)
 		_, err := Check(mk(), Options{Workers: workers})
-		sp := assertSpecPanic(t, label, err, `invariant "Fragile"`)
+		sp := assertSpecPanic[counterState](t, label, err, `invariant "Fragile"`)
 		if len(sp.Trace) == 0 {
 			t.Fatalf("%s: empty trace", label)
 		}
@@ -123,7 +123,7 @@ func TestSpecPanicInInvariant(t *testing.T) {
 func TestSpecPanicInInitAndConstraint(t *testing.T) {
 	init := counterSpec(4)
 	init.Init = func() []counterState { panic("no initial states today") }
-	sp := assertSpecPanic(t, "init",
+	sp := assertSpecPanic[counterState](t, "init",
 		func() error { _, err := Check(init, Options{}); return err }(), "Init")
 	if len(sp.Trace) != 0 {
 		t.Fatalf("init panic decoded a trace of %d states from nothing", len(sp.Trace))
@@ -137,7 +137,7 @@ func TestSpecPanicInInitAndConstraint(t *testing.T) {
 		return true
 	}
 	_, err := Check(cons, Options{Workers: 4})
-	assertSpecPanic(t, "constraint", err, "Constraint")
+	assertSpecPanic[counterState](t, "constraint", err, "Constraint")
 }
 
 // keyPanicState panics while encoding one specific state — the opEncode
@@ -188,7 +188,7 @@ func TestSpecPanicInEncoding(t *testing.T) {
 func TestSpecPanicUnderSpillStore(t *testing.T) {
 	_, err := Check(explodingSpec(10, counterState{A: 4, B: 2}),
 		Options{Workers: 4, MemoryBudgetBytes: 1})
-	sp := assertSpecPanic(t, "spill", err, `action "Explode"`)
+	sp := assertSpecPanic[counterState](t, "spill", err, `action "Explode"`)
 	if len(sp.Trace) == 0 {
 		t.Fatal("empty trace under the spilling store")
 	}
@@ -207,12 +207,12 @@ func (o panicObs) Matches(s counterState) bool {
 	return o.sumObs.Matches(s)
 }
 
-// TestSpecPanicInTraceCheck: a trace check whose Init, Next or Matches
-// panics — at the first observation too — returns a *SpecPanic naming the
-// callback and the observation, with the
-// same result at one worker and at four — from the frontier state that
-// comes first, though several chunks panic — instead of a raw panic or a
-// crashed worker goroutine.
+// TestSpecPanicInTraceCheck: a trace check whose Init, Next, Matches or
+// AppendBinary panics — at the first observation too — returns a
+// *SpecPanic naming the callback and the observation, with the same result
+// at one worker and at four — from the frontier state that comes first,
+// though several chunks panic — instead of a raw panic or a crashed worker
+// goroutine.
 func TestSpecPanicInTraceCheck(t *testing.T) {
 	// Observations 0..8 pin A+B; the frontier at observation 8 is the five
 	// states (8,0) … (4,4), wide enough for four workers.
@@ -245,22 +245,66 @@ func TestSpecPanicInTraceCheck(t *testing.T) {
 		{"FirstMatches", counterSpec(20), firstBoom, "Observation.Matches at observation 0", "boom at {0 0}", 0},
 		{"Init", initBoom, trace(sumObs(9)), "Init at observation 0", "boom in Init", 0},
 	} {
-		var first *TraceResult
-		for _, workers := range []int{1, 4} {
-			label := fmt.Sprintf("%s/workers=%d", tc.name, workers)
-			res, err := CheckTraceWith(tc.spec, tc.trace, TraceOptions{Workers: workers})
-			sp := assertSpecPanic(t, label, err, tc.op)
-			if sp.Op != tc.op || sp.Value != tc.value {
-				t.Fatalf("%s: panic %q in %q, want %q in %q", label, sp.Value, sp.Op, tc.value, tc.op)
-			}
-			if res == nil || res.OK || res.Steps != tc.steps || res.FailedStep != -1 {
-				t.Fatalf("%s: result %+v, want %d steps matched, not OK, no failed step", label, res, tc.steps)
-			}
-			if first == nil {
-				first = res
-			} else if !reflect.DeepEqual(res, first) {
-				t.Fatalf("%s: result %+v differs from one worker's %+v", label, res, first)
-			}
+		tracePanicsAlike(t, tc.name, tc.spec, tc.trace, tc.op, tc.value, tc.steps)
+	}
+	// Every state of step 1 panics when encoded, and a state is encoded
+	// only to break a tie. From five lanes, four workers make five chunks:
+	// lane 0's two successors are two matches in one chunk, which encodes
+	// them; lanes 0 and 1 stepping are one match in each of two chunks,
+	// whose lone matches are encoded for the merge, also when lane 2's
+	// chunk then panics in Matches, since one worker meets the tie first.
+	// Either way the first match's encoding panics, as at one worker. A
+	// Matches panic on lane 1 comes before lane 2's step makes a tie, so it
+	// is the step's panic, and lane 0's lone match is never encoded.
+	const encoding = "state encoding (Key/AppendBinary/SymmetryVisitor) at observation 1"
+	lanes := laneSpec([]int{0, 1, 2, 3, 4}, 1)
+	for _, tc := range []struct {
+		name      string
+		obs       Observation[laneState]
+		op, value string
+	}{
+		{"EncodeTwoInOneChunk", laneObs{1, []int{0, 10}}, encoding, "AppendBinary bug at 1/0"},
+		{"EncodeOneInEachOfTwoChunks", laneObs{1, []int{0, 1}}, encoding, "AppendBinary bug at 1/0"},
+		{"EncodeBeforeALaterPanic", panicLaneObs{laneObs{1, []int{0, 1}}, 2}, encoding, "AppendBinary bug at 1/0"},
+		{"PanicBeforeATie", panicLaneObs{laneObs{1, []int{0, 2}}, 1}, "Observation.Matches at observation 1", "boom on lane 1"},
+	} {
+		tracePanicsAlike(t, tc.name, lanes, []Observation[laneState]{laneObs{0, nil}, tc.obs}, tc.op, tc.value, 1)
+	}
+}
+
+// panicLaneObs is laneObs whose Matches panics on lane boom.
+type panicLaneObs struct {
+	laneObs
+	boom int
+}
+
+func (o panicLaneObs) Matches(s laneState) bool {
+	if s.L == o.boom {
+		panic(fmt.Sprintf("boom on lane %d", o.boom))
+	}
+	return o.laneObs.Matches(s)
+}
+
+// tracePanicsAlike checks trace against spec at one worker and at four and
+// requires each run to end in the same *SpecPanic, raised in op with
+// value, after steps matched observations.
+func tracePanicsAlike[S State](t *testing.T, name string, spec *Spec[S], trace []Observation[S], op, value string, steps int) {
+	t.Helper()
+	var first *TraceResult
+	for _, workers := range []int{1, 4} {
+		label := fmt.Sprintf("%s/workers=%d", name, workers)
+		res, err := CheckTraceWith(spec, trace, TraceOptions{Workers: workers})
+		sp := assertSpecPanic[S](t, label, err, op)
+		if sp.Op != op || sp.Value != value {
+			t.Fatalf("%s: panic %q in %q, want %q in %q", label, sp.Value, sp.Op, value, op)
+		}
+		if res == nil || res.OK || res.Steps != steps || res.FailedStep != -1 {
+			t.Fatalf("%s: result %+v, want %d steps matched, not OK, no failed step", label, res, steps)
+		}
+		if first == nil {
+			first = res
+		} else if !reflect.DeepEqual(res, first) {
+			t.Fatalf("%s: result %+v differs from one worker's %+v", label, res, first)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"sort"
 	"time"
@@ -195,10 +196,16 @@ func CheckTrace[S State](spec *Spec[S], trace []Observation[S]) (*TraceResult, e
 // from observation 0 with every hint ignored (TraceResult.Rechecked), so a
 // reported divergence is always the unguided checker's.
 //
-// Frontier deduplication keys on AppendBinary encodings but never applies
+// Frontier deduplication is exact: matches are told apart by their
+// AppendBinary encodings, indexed by hash in the engine's chunk table
+// (missTable) and compared byte for byte. It never applies
 // Spec.SymmetryVisitor: observations name concrete identifiers (this node,
 // that actor), so symmetric-but-distinct frontier states match different
-// future observations and must stay distinct.
+// future observations and must stay distinct. A state is encoded only to
+// break a tie: a step, or the initial observation, that matches a single
+// state (the usual case of a guided trace) encodes nothing, so
+// AppendBinary runs, and can panic, only when an observation matches two
+// states or more, where Check encodes every state it reaches.
 func CheckTraceWith[S State](spec *Spec[S], trace []Observation[S], opts TraceOptions) (*TraceResult, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -218,28 +225,122 @@ func CheckTraceWith[S State](spec *Spec[S], trace []Observation[S], opts TraceOp
 }
 
 // frontierChunk is the matched successors produced by one worker from one
-// contiguous slice of the frontier. Its buffers are reused from one
-// observation to the next.
+// contiguous slice of the frontier, each distinct state once. The first
+// match is kept unencoded; a second one encodes both, and from then on
+// every match is encoded into keys, back to back, its (hash, end) record
+// appended to misses — so misses is empty or describes states entry for
+// entry — and indexed in the worker's missTable (engine.go). Its buffers
+// are reused from one observation to the next.
 type frontierChunk[S State] struct {
 	states []S
-	keys   []string
+	misses []miss // fp (dedupHash) and end only
+	keys   []byte
 	acts   []bool     // indexed like traceChecker.names
 	g      specGuard  // the spec callback the chunk's expansion is inside
 	pi     *panicInfo // the panic that ended the chunk's expansion, if any
 }
 
+// reset empties the chunk for the next observation.
+func (ch *frontierChunk[S]) reset() {
+	ch.states, ch.misses, ch.keys, ch.pi = ch.states[:0], ch.misses[:0], ch.keys[:0], nil
+	clear(ch.acts)
+}
+
+// matches reports whether s is consistent with obs, under the guard.
+func (ch *frontierChunk[S]) matches(obs Observation[S], s S) bool {
+	ch.g.enter(opMatches, "", -1)
+	ok := obs.Matches(s)
+	ch.g.exit()
+	return ok
+}
+
+// add keeps s unless the chunk already holds an equal state. t indexes the
+// chunk's encodings.
+func (ch *frontierChunk[S]) add(s S, t *missTable) {
+	if len(ch.states) == 0 {
+		ch.states = append(ch.states, s)
+		return
+	}
+	if len(ch.misses) == 0 { // a tie to break
+		ch.encodeFirst(t)
+	}
+	if lo, fp := ch.appendEncoding(s); ch.keep(lo, fp, t) {
+		ch.states = append(ch.states, s)
+	}
+}
+
+// encodeFirst encodes the chunk's first match, kept unencoded so far, and
+// indexes it in t, which it resets.
+func (ch *frontierChunk[S]) encodeFirst(t *missTable) {
+	t.reset()
+	lo, fp := ch.appendEncoding(ch.states[0])
+	ch.keep(lo, fp, t)
+}
+
+// encodeLone encodes the chunk's lone match, if it has one, for the merge.
+// A panic in the encoding becomes the chunk's panic, replacing any its
+// expansion met after that match.
+func (ch *frontierChunk[S]) encodeLone(t *missTable) {
+	if len(ch.states) != 1 || len(ch.misses) > 0 {
+		return
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			ch.pi = ch.g.capture(r)
+		}
+	}()
+	ch.encodeFirst(t)
+}
+
+// appendEncoding appends s's encoding to keys, under the guard, and
+// returns where it starts and its hash.
+func (ch *frontierChunk[S]) appendEncoding(s S) (lo int, fp uint64) {
+	lo = len(ch.keys)
+	ch.g.enter(opEncode, "", -1)
+	ch.keys = s.AppendBinary(ch.keys)
+	ch.g.exit()
+	return lo, dedupHash(ch.keys[lo:])
+}
+
+// keep reports whether the encoding at keys[lo:], whose hash is fp, is new
+// to t. A new one gets its record and is indexed; a known one is cut off
+// again.
+func (ch *frontierChunk[S]) keep(lo int, fp uint64, t *missTable) bool {
+	enc := ch.keys[lo:]
+	if t.find(ch.misses, ch.keys, fp, enc) >= 0 {
+		ch.keys = ch.keys[:lo]
+		return false
+	}
+	ch.misses = append(ch.misses, miss{fp: fp, end: int32(len(ch.keys))})
+	t.add(ch.misses, len(ch.misses)-1)
+	return true
+}
+
+// dedupSeed seeds dedupHash.
+var dedupSeed = maphash.MakeSeed()
+
+// dedupHash is the trace dedup's hash of an encoding: the runtime's memory
+// hash, several times faster on the long encodings of a trace's states
+// than the engine's fingerprint function, whose stable values a checkpoint
+// keeps and this dedup has no use for — a hash hit is confirmed byte for
+// byte.
+func dedupHash(enc []byte) uint64 { return maphash.Bytes(dedupSeed, enc) }
+
 // traceChecker is the state of one CheckTraceWith call: everything the
-// per-observation advance would otherwise allocate afresh.
+// per-observation advance would otherwise allocate afresh. Frontier dedup
+// builds no string: each chunk, and the cross-chunk merge, keeps its
+// matches' encodings in one reused byte buffer, indexed by hash in a
+// missTable and compared byte for byte, and encodes only to break a tie.
 type traceChecker[S State] struct {
 	spec *Spec[S]
 	opts TraceOptions
-	// wcods are per-worker codec clones and locals the per-worker dedup
-	// sets; index 0 belongs to the calling goroutine (also the single
-	// inline worker).
-	wcods  []*codec[S]
-	locals []map[string]bool
+	// tables are the per-worker chunk tables; index 0 belongs to the
+	// calling goroutine (also the single inline worker). merged (its keys
+	// and misses) and seen are the cross-chunk merge's buffers and table.
+	tables []missTable
 	chunks []frontierChunk[S]
-	seen   map[string]bool // merge dedup across chunks
+	merged frontierChunk[S]
+	seen   missTable
 	// names[i] is spec.Actions[i].Name, with stutterAction appended;
 	// sorted lists the same indices in name order, the order explanations
 	// are reported in.
@@ -247,29 +348,21 @@ type traceChecker[S State] struct {
 	sorted   []int
 	actIndex map[string]int
 	allActs  []int
-	hintActs []int // scratch: the resolved hint of the current step
+	hintActs []int    // scratch: the resolved hint of the current step
+	slab     []string // the current run's explanations, back to back
 	lastProg time.Time
 }
 
 func newTraceChecker[S State](spec *Spec[S], opts TraceOptions) *traceChecker[S] {
-	workers := resolveWorkers(opts.Workers)
 	n := len(spec.Actions)
 	tc := &traceChecker[S]{
 		spec: spec, opts: opts,
-		wcods:    make([]*codec[S], workers),
-		locals:   make([]map[string]bool, workers),
-		seen:     make(map[string]bool),
+		tables:   make([]missTable, resolveWorkers(opts.Workers)),
+		chunks:   []frontierChunk[S]{{acts: make([]bool, n+1)}},
 		names:    make([]string, n+1),
 		sorted:   make([]int, n+1),
 		actIndex: make(map[string]int, n),
 		allActs:  make([]int, n),
-	}
-	tc.wcods[0] = newCodec(&Spec[S]{}) // symmetry-free codec: binary fast path only
-	for w := range tc.wcods {
-		if w > 0 {
-			tc.wcods[w] = tc.wcods[0].clone()
-		}
-		tc.locals[w] = make(map[string]bool)
 	}
 	for i, a := range spec.Actions {
 		tc.names[i], tc.allActs[i], tc.actIndex[a.Name] = a.Name, i, i
@@ -299,8 +392,10 @@ func (tc *traceChecker[S]) run(trace []Observation[S], guided bool) (*TraceResul
 	}
 	res.Steps = 1
 	res.FrontierSizes = append(make([]int, 0, len(trace)), len(frontier))
+	tc.slab = nil
 	if len(trace) > 1 {
 		res.Explanations = make([][]string, 0, len(trace)-1)
+		tc.slab = make([]string, 0, len(trace)-1)
 	}
 
 	for i := 1; i < len(trace); i++ {
@@ -351,37 +446,27 @@ func (tc *traceChecker[S]) run(trace []Observation[S], guided bool) (*TraceResul
 	return res, nil
 }
 
-// initial returns the deduplicated initial states consistent with obs. Like
-// a later step's advance, it runs Init, obs.Matches and the encoding under
-// a guard and returns a panic in any of them instead of raising it.
+// initial returns the deduplicated initial states consistent with obs,
+// found like one chunk's matches on the calling goroutine. Like a later
+// step's advance, it runs Init, obs.Matches and the encoding under a guard
+// and returns a panic in any of them instead of raising it.
 func (tc *traceChecker[S]) initial(obs Observation[S]) (frontier []S, pi *panicInfo) {
-	var g specGuard
+	ch := &tc.chunks[0]
+	ch.reset()
 	defer func() {
 		if r := recover(); r != nil {
-			frontier, pi = nil, g.capture(r)
+			frontier, pi = nil, ch.g.capture(r)
 		}
 	}()
-	cod := tc.wcods[0]
-	clear(tc.seen)
-	g.enter(opInit, "", -1)
+	ch.g.enter(opInit, "", -1)
 	inits := tc.spec.Init()
-	g.exit()
+	ch.g.exit()
 	for _, s := range inits {
-		g.enter(opMatches, "", -1)
-		ok := obs.Matches(s)
-		g.exit()
-		if !ok {
-			continue
-		}
-		g.enter(opEncode, "", -1)
-		enc := cod.canonical(s)
-		g.exit()
-		if !tc.seen[string(enc)] {
-			tc.seen[string(enc)] = true
-			frontier = append(frontier, s)
+		if ch.matches(obs, s) {
+			ch.add(s, &tc.tables[0])
 		}
 	}
-	return frontier, nil
+	return slices.Clone(ch.states), nil
 }
 
 // tracePanic converts a panic captured at observation step into the
@@ -416,10 +501,10 @@ func (tc *traceChecker[S]) resolveHint(obs Observation[S]) []int {
 // are consistent with obs, and returns them with the sorted set of action
 // names that produced them. Chunks are merged in frontier order so the next
 // frontier is the same at any worker count; for the same reason a panic in
-// a spec callback or in obs.Matches is reported from the earliest chunk
-// that raised one, and ends the step.
+// a spec callback or in obs.Matches is reported as a sequential expansion
+// would meet it (see breakTies), and ends the step.
 func (tc *traceChecker[S]) advance(frontier []S, obs Observation[S], acts []int, next []S) ([]S, []string, *panicInfo) {
-	workers := len(tc.wcods)
+	workers := len(tc.tables)
 	if len(frontier) < inlineFrontier {
 		workers = 1
 	}
@@ -427,89 +512,127 @@ func (tc *traceChecker[S]) advance(frontier []S, obs Observation[S], acts []int,
 	for len(tc.chunks) < plan.nChunks {
 		tc.chunks = append(tc.chunks, frontierChunk[S]{acts: make([]bool, len(tc.names))})
 	}
-	plan.run(func(w, c, lo, hi int) {
-		tc.expand(tc.wcods[w], tc.locals[w], &tc.chunks[c], frontier[lo:hi], obs, acts)
-	})
-
 	chunks := tc.chunks[:plan.nChunks]
+	if len(chunks) == 1 {
+		tc.expand(&tc.tables[0], &chunks[0], frontier, obs, acts)
+	} else {
+		plan.run(func(w, c, lo, hi int) {
+			tc.expand(&tc.tables[w], &chunks[c], frontier[lo:hi], obs, acts)
+		})
+		tc.breakTies(plan, chunks)
+	}
 	for i := range chunks {
 		if chunks[i].pi != nil {
 			return next, nil, chunks[i].pi
 		}
 	}
-	if len(chunks) == 1 { // already deduplicated by its worker
-		next = append(next, chunks[0].states...)
-	} else {
-		clear(tc.seen)
-		for i := range chunks {
-			ch := &chunks[i]
-			for j, s := range ch.states {
-				if k := ch.keys[j]; !tc.seen[k] {
-					tc.seen[k] = true
-					next = append(next, s)
-				}
+	if next = tc.merge(chunks, next); len(next) == 0 {
+		return next, nil, nil
+	}
+	return next, tc.explain(chunks), nil
+}
+
+// breakTies encodes, in parallel, the lone match of each chunk when two
+// chunks or more matched, so that the merge can compare every match by its
+// encoding. Only the chunks up to the earliest one that panicked count, as
+// a sequential expansion stops there: it would have encoded every match
+// before the panic once there were two, so a panic in one of those
+// encodings comes first.
+func (tc *traceChecker[S]) breakTies(plan chunkPlan, chunks []frontierChunk[S]) {
+	last, matched := len(chunks), 0
+	for i := range chunks {
+		if len(chunks[i].states) > 0 {
+			matched++
+		}
+		if chunks[i].pi != nil {
+			last = i + 1
+			break
+		}
+	}
+	if matched < 2 {
+		return
+	}
+	plan.run(func(w, c, _, _ int) {
+		if c < last {
+			chunks[c].encodeLone(&tc.tables[w])
+		}
+	})
+}
+
+// merge appends to next the matches of chunks, in chunk order, each
+// distinct state once. A chunk's states are already distinct, so when one
+// chunk matched they are taken as they are; otherwise every match has its
+// encoding (breakTies), and the merge keeps a copy of each distinct one.
+func (tc *traceChecker[S]) merge(chunks []frontierChunk[S], next []S) []S {
+	var only []S
+	matched := 0
+	for i := range chunks {
+		if len(chunks[i].states) > 0 {
+			matched, only = matched+1, chunks[i].states
+		}
+	}
+	if matched < 2 {
+		return append(next, only...)
+	}
+	m := &tc.merged
+	m.misses, m.keys = m.misses[:0], m.keys[:0]
+	tc.seen.reset()
+	for i := range chunks {
+		ch := &chunks[i]
+		for j, s := range ch.states {
+			lo := len(m.keys)
+			m.keys = append(m.keys, missKey(ch.misses, ch.keys, j)...)
+			if m.keep(lo, ch.misses[j].fp, &tc.seen) {
+				next = append(next, s)
 			}
 		}
 	}
-	if len(next) == 0 {
-		return next, nil, nil
-	}
-	var explanation []string
-	for _, a := range tc.sorted {
-		hit := false
-		for i := range chunks {
-			hit = hit || chunks[i].acts[a]
-		}
-		if n := len(explanation); hit && (n == 0 || explanation[n-1] != tc.names[a]) {
-			explanation = append(explanation, tc.names[a])
-		}
-	}
-	return next, explanation, nil
+	return next
 }
 
-// expand fills ch with the matches of one contiguous part of the frontier.
-// Dedup is exact: the key is the state's full encoding, not a fingerprint.
-// A panic in a spec callback or in obs.Matches ends the chunk and is
-// recorded in ch.pi.
-func (tc *traceChecker[S]) expand(cod *codec[S], local map[string]bool, ch *frontierChunk[S], part []S, obs Observation[S], acts []int) {
-	clear(local)
-	clear(ch.acts)
-	ch.states, ch.keys, ch.pi = ch.states[:0], ch.keys[:0], nil
-	g := &ch.g
+// explain appends the sorted names of the actions that produced a match in
+// chunks to the run's slab and returns them, their capacity clamped so
+// that the next step's names cannot overwrite them.
+func (tc *traceChecker[S]) explain(chunks []frontierChunk[S]) []string {
+	lo := len(tc.slab)
+	for _, a := range tc.sorted {
+		for i := range chunks {
+			if !chunks[i].acts[a] {
+				continue
+			}
+			if n := len(tc.slab); n == lo || tc.slab[n-1] != tc.names[a] {
+				tc.slab = push(tc.slab, tc.names[a])
+			}
+			break
+		}
+	}
+	return tc.slab[lo:len(tc.slab):len(tc.slab)]
+}
+
+// expand fills ch with the matches of one contiguous part of the frontier,
+// each distinct state once (see frontierChunk). A panic in a spec callback
+// or in obs.Matches ends the chunk and is recorded in ch.pi.
+func (tc *traceChecker[S]) expand(t *missTable, ch *frontierChunk[S], part []S, obs Observation[S], acts []int) {
+	ch.reset()
 	defer func() {
 		if r := recover(); r != nil {
-			ch.pi = g.capture(r)
+			ch.pi = ch.g.capture(r)
 		}
 	}()
-	matches := func(s S) bool {
-		g.enter(opMatches, "", -1)
-		ok := obs.Matches(s)
-		g.exit()
-		return ok
-	}
-	add := func(s S, act int) {
-		ch.acts[act] = true
-		g.enter(opEncode, "", -1)
-		enc := cod.canonical(s)
-		g.exit()
-		if !local[string(enc)] { // no alloc on the duplicate path
-			k := string(enc)
-			local[k] = true
-			ch.states = append(ch.states, s)
-			ch.keys = append(ch.keys, k)
-		}
-	}
+	stutter := len(tc.names) - 1
 	for _, s := range part {
-		if tc.opts.Stuttering && matches(s) {
-			add(s, len(tc.names)-1)
+		if tc.opts.Stuttering && ch.matches(obs, s) {
+			ch.acts[stutter] = true
+			ch.add(s, t)
 		}
 		for _, a := range acts {
-			g.enter(opNext, tc.names[a], -1)
+			ch.g.enter(opNext, tc.names[a], -1)
 			succs := tc.spec.Actions[a].Next(s)
-			g.exit()
+			ch.g.exit()
 			for _, succ := range succs {
-				if matches(succ) {
-					add(succ, a)
+				if ch.matches(obs, succ) {
+					ch.acts[a] = true
+					ch.add(succ, t)
 				}
 			}
 		}
