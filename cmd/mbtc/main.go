@@ -26,7 +26,6 @@ import (
 	"repro/internal/cliobs"
 	"repro/internal/fuzzer"
 	"repro/internal/mbtc"
-	"repro/internal/raftmongo"
 	"repro/internal/replset"
 	"repro/internal/scenarios"
 	"repro/internal/tla"
@@ -63,16 +62,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, *scenarioName, *specVariant, *fuzz, *steps, *seed, *syncFirst, *flawed, *workers, *deadline, *progEvery); err != nil {
-		if !errors.Is(err, errFailed) {
+		if !errors.Is(err, mbtc.ErrFailed) { // a FAIL verdict is already printed
 			fmt.Fprintln(os.Stderr, "mbtc:", err)
 		}
 		os.Exit(1)
 	}
 }
-
-// errFailed marks a negative verdict: run returns it after printing the
-// report, and main exits 1 without repeating it.
-var errFailed = errors.New("negative verdict")
 
 func run(ctx context.Context, scenarioName, specVariant string, fuzz bool, steps int, seed int64, syncFirst, flawed bool, workers int, deadline, progEvery time.Duration) error {
 	if deadline > 0 {
@@ -133,36 +128,5 @@ func run(ctx context.Context, scenarioName, specVariant string, fuzz bool, steps
 		return fmt.Errorf("need -scenario or -fuzz")
 	}
 
-	if cfg.Nodes > raftmongo.MaxNodes {
-		return fmt.Errorf("%s has %d nodes; the RaftMongo specification checks at most %d (raftmongo.MaxNodes)", label, cfg.Nodes, raftmongo.MaxNodes)
-	}
-	ccfg := mbtc.CheckConfig(cfg.Nodes)
-	var spec *tla.Spec[raftmongo.State]
-	switch specVariant {
-	case "v1":
-		spec = raftmongo.SpecV1(ccfg)
-	case "v2":
-		spec = raftmongo.SpecV2(ccfg)
-	default:
-		return fmt.Errorf("unknown spec variant %q", specVariant)
-	}
-
-	rep, _, err := mbtc.PipelineOpts(cfg, workload, spec, topts)
-	if err != nil {
-		if rep != nil && rep.Interrupted && errors.Is(err, tla.ErrInterrupted) {
-			fmt.Printf("%s against RaftMongo %s: interrupted after matching %d of %d trace events (no divergence so far)\n",
-				label, specVariant, rep.Checked, rep.Events)
-			return nil
-		}
-		return err
-	}
-	fmt.Printf("%s against RaftMongo %s: %d trace events, %d oplog prefix fills, max frontier %d\n",
-		label, specVariant, rep.Events, rep.PrefixFills, rep.MaxFrontier)
-	fmt.Println(rep.GuidedSummary())
-	if rep.OK {
-		fmt.Println("MBTC PASS: the trace is a behaviour of the specification")
-		return nil
-	}
-	fmt.Printf("MBTC FAIL: trace diverges at step %d of %d (%s)\n", rep.FailedStep, rep.Events, rep.FailedEvent)
-	return errFailed
+	return mbtc.Run(os.Stdout, label, specVariant, cfg, workload, topts)
 }

@@ -4,8 +4,9 @@
 // one log file per node, as each mongod writes its own. With -check the
 // captured trace is additionally merged and model-based trace-checked
 // against the RaftMongo specification (the Figure 1 pipeline's checking
-// half, in-process), with the trace checker's knobs mbtc takes: -workers,
-// -deadline and -progress-every.
+// half, in-process) through mbtc's front end (mbtc.Run), so it prints the
+// verdict block mbtc -fuzz prints, with the trace checker's knobs mbtc
+// takes: -workers, -deadline and -progress-every.
 //
 // Usage:
 //
@@ -18,7 +19,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -33,10 +33,8 @@ import (
 	"repro/internal/cliobs"
 	"repro/internal/fuzzer"
 	"repro/internal/mbtc"
-	"repro/internal/raftmongo"
 	"repro/internal/replset"
 	"repro/internal/tla"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -59,18 +57,14 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, *steps, *seed, *nodes, *outDir, *flawed, *syncFirst, *check, *specVar, *workers, *deadline, *progEvery); err != nil {
-		if !errors.Is(err, errFailed) {
+		if !errors.Is(err, mbtc.ErrFailed) { // a FAIL verdict is already printed
 			fmt.Fprintln(os.Stderr, "rollback-fuzzer:", err)
 		}
 		os.Exit(1)
 	}
 }
 
-// errFailed marks a negative verdict: run returns it after printing the
-// report, and main exits 1 without repeating it.
-var errFailed = errors.New("negative verdict")
-
-func run(ctx context.Context, steps int, seed int64, nodes int, outDir string, flawed, syncFirst, check bool, specVar string, workers int, deadline, progEvery time.Duration) error {
+func run(ctx context.Context, steps int, seed int64, nodes int, outDir string, flawed, syncFirst, check bool, specVar string, workers int, deadline, progEvery time.Duration) (err error) {
 	if deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, deadline)
@@ -84,50 +78,29 @@ func run(ctx context.Context, steps int, seed int64, nodes int, outDir string, f
 	if err := topts.Validate(); err != nil {
 		return err
 	}
-	if check && nodes > raftmongo.MaxNodes {
-		return fmt.Errorf("-check -nodes %d: the RaftMongo specification checks at most %d nodes (raftmongo.MaxNodes)", nodes, raftmongo.MaxNodes)
-	}
 	cfg := replset.Config{
 		Nodes:                   nodes,
 		Seed:                    seed,
 		RecentOnlyInitialSync:   flawed,
 		FlawedInitialSyncQuorum: flawed,
 	}
-	var (
-		files []*os.File
-		bufs  []*bytes.Buffer
-	)
-	if outDir != "" || check {
-		sinks := make([]io.Writer, nodes)
-		if check {
-			bufs = make([]*bytes.Buffer, nodes)
-			for i := range bufs {
-				bufs[i] = &bytes.Buffer{}
-				sinks[i] = bufs[i]
-			}
+	if outDir != "" {
+		if err := os.MkdirAll(outDir, 0o755); err != nil {
+			return err
 		}
-		if outDir != "" {
-			if err := os.MkdirAll(outDir, 0o755); err != nil {
-				return err
+		cfg.TraceSinks = make([]io.Writer, nodes)
+		for i := range cfg.TraceSinks {
+			f, ferr := os.Create(filepath.Join(outDir, fmt.Sprintf("node%d.log", i)))
+			if ferr != nil {
+				return ferr
 			}
-			for i := 0; i < nodes; i++ {
-				f, err := os.Create(filepath.Join(outDir, fmt.Sprintf("node%d.log", i)))
-				if err != nil {
-					return err
+			defer func() {
+				if cerr := f.Close(); err == nil {
+					err = cerr
 				}
-				files = append(files, f)
-				if sinks[i] != nil {
-					sinks[i] = io.MultiWriter(f, sinks[i])
-				} else {
-					sinks[i] = f
-				}
-			}
+			}()
+			cfg.TraceSinks[i] = f
 		}
-		cfg.TraceSinks = sinks
-	}
-	c, err := replset.New(cfg)
-	if err != nil {
-		return err
 	}
 	fcfg := fuzzer.RollbackConfig{
 		Seed:             seed,
@@ -137,65 +110,26 @@ func run(ctx context.Context, steps int, seed int64, nodes int, outDir string, f
 		AllowRestarts:    true,
 		AllowElections:   true,
 	}
-	rep, err := fuzzer.FuzzRollback(fcfg, c)
-	for _, f := range files {
-		f.Close()
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("rollback_fuzzer: %d steps, %d writes, %d elections, %d partitions, %d restarts, %d trace events (paper run: 2,683 events)\n",
-		rep.Steps, rep.Writes, rep.Elections, rep.Partitions, rep.Restarts, c.EventCount())
-	if outDir != "" {
-		fmt.Printf("trace logs in %s\n", outDir)
-	}
-	if !check {
-		return nil
-	}
-	return checkTrace(nodes, bufs, specVar, topts)
-}
-
-// checkTrace merges the per-node logs and runs the trace checker — the
-// same path mbtc -fuzz takes, minus the second fuzzer run.
-func checkTrace(nodes int, bufs []*bytes.Buffer, specVar string, topts tla.TraceOptions) error {
-	streams := make([][]trace.Event, nodes)
-	for i, b := range bufs {
-		evs, err := trace.ReadEvents(bytes.NewReader(b.Bytes()))
+	workload := func(c *replset.Cluster) error {
+		rep, err := fuzzer.FuzzRollback(fcfg, c)
 		if err != nil {
 			return err
 		}
-		streams[i] = evs
-	}
-	merged, err := trace.Merge(streams)
-	if err != nil {
-		return err
-	}
-	ccfg := mbtc.CheckConfig(nodes)
-	var spec *tla.Spec[raftmongo.State]
-	switch specVar {
-	case "v1":
-		spec = raftmongo.SpecV1(ccfg)
-	case "v2":
-		spec = raftmongo.SpecV2(ccfg)
-	default:
-		return fmt.Errorf("unknown spec variant %q", specVar)
-	}
-	crep, err := mbtc.CheckEventsOpts(nodes, merged, spec, topts)
-	if err != nil {
-		if crep != nil && crep.Interrupted && errors.Is(err, tla.ErrInterrupted) {
-			fmt.Printf("trace check against RaftMongo %s: interrupted after matching %d of %d events (no divergence so far)\n",
-				specVar, crep.Checked, crep.Events)
-			return nil
+		fmt.Printf("rollback_fuzzer: %d steps, %d writes, %d elections, %d partitions, %d restarts, %d trace events (paper run: 2,683 events)\n",
+			rep.Steps, rep.Writes, rep.Elections, rep.Partitions, rep.Restarts, c.EventCount())
+		if outDir != "" {
+			fmt.Printf("trace logs in %s\n", outDir)
 		}
-		return err
-	}
-	fmt.Printf("trace check against RaftMongo %s: %d events, %d oplog prefix fills, max frontier %d\n",
-		specVar, crep.Events, crep.PrefixFills, crep.MaxFrontier)
-	fmt.Println(crep.GuidedSummary())
-	if crep.OK {
-		fmt.Println("MBTC PASS: the trace is a behaviour of the specification")
 		return nil
 	}
-	fmt.Printf("MBTC FAIL: trace diverges at step %d of %d (%s)\n", crep.FailedStep, crep.Events, crep.FailedEvent)
-	return errFailed
+	if check {
+		// The captured trace is merged and checked as mbtc -fuzz checks
+		// its own run.
+		return mbtc.Run(os.Stdout, "rollback_fuzzer", specVar, cfg, workload, topts)
+	}
+	c, err := replset.New(cfg)
+	if err != nil {
+		return err
+	}
+	return workload(c)
 }

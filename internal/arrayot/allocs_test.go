@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ot"
+	"repro/internal/race"
 	"repro/internal/tla"
 )
 
@@ -17,7 +18,7 @@ import (
 // array when the rebased batch is, and the logs: one allocation when
 // either batch is non-empty, the two logs sharing one block when both are.
 func TestNextAllocsPerSuccessor(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	cfg := DefaultConfig()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ot"
+	"repro/internal/race"
 	"repro/internal/tla"
 )
 
@@ -111,7 +112,7 @@ func TestKeyMatchesMarshalOnEdgeCases(t *testing.T) {
 // costs one allocation, the returned string — a getter that copied a log
 // or an array would add one per field.
 func TestKeyAllocsPerCall(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	s := walk([]byte{3, 5, 0, 0, 0, 0, 0})

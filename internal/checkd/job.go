@@ -128,21 +128,22 @@ type job struct {
 	// attempt and shared across retries so counters accumulate over the
 	// job's whole life. Scraped by Supervisor.WriteMetrics while running.
 	reg *obs.Registry
-	// progress bookkeeping: the latest engine snapshot plus the previous
-	// one's (distinct, time) for the states/sec derivative.
-	prog         tla.Progress
-	progAt       time.Time
-	prevDistinct int
-	prevAt       time.Time
+	// progress bookkeeping: the latest engine snapshot, when it was taken,
+	// and the states/sec derivative against the one before.
+	prog   tla.Progress
+	progAt time.Time
+	rate   obs.Rate
+	perSec float64
 }
 
 // observeProgress folds one engine snapshot into the job, computing the
-// states/sec derivative against the previous snapshot. Called from the
-// engine's merge goroutine.
+// states/sec derivative against the previous snapshot; a retry that
+// restarts below the failed attempt's Distinct starts a new baseline.
+// Called from the engine's merge goroutine.
 func (j *job) observeProgress(p tla.Progress, now time.Time) {
 	j.mu.Lock()
-	j.prevDistinct, j.prevAt = j.prog.Distinct, j.progAt
 	j.prog, j.progAt = p, now
+	j.perSec = j.rate.Observe(p.Distinct, now)
 	j.mu.Unlock()
 }
 
@@ -162,7 +163,7 @@ func (j *job) status() JobStatus {
 		Error:       j.errMsg,
 	}
 	if !j.progAt.IsZero() && j.state == JobRunning {
-		pi := &ProgressInfo{
+		st.Progress = &ProgressInfo{
 			Distinct:      j.prog.Distinct,
 			Transitions:   j.prog.Transitions,
 			Depth:         j.prog.Depth,
@@ -170,11 +171,8 @@ func (j *job) status() JobStatus {
 			Frontier:      j.prog.Frontier,
 			SpillBytes:    j.prog.SpillBytes,
 			ResidentBytes: j.prog.ResidentBytes,
+			StatesPerSec:  j.perSec,
 		}
-		if dt := j.progAt.Sub(j.prevAt).Seconds(); dt > 0 && !j.prevAt.IsZero() {
-			pi.StatesPerSec = float64(j.prog.Distinct-j.prevDistinct) / dt
-		}
-		st.Progress = pi
 	}
 	return st
 }

@@ -573,3 +573,27 @@ func TestCancelAndDrainDuringBackoffAreNotLost(t *testing.T) {
 		})
 	}
 }
+
+// TestStatesPerSecAfterRestart: a retry that restarts from scratch (or
+// from an older checkpoint) reports fewer distinct states than the failed
+// attempt's last snapshot. That snapshot is a new baseline: its
+// states_per_sec reads 0, never negative, and the next one's counts from
+// it.
+func TestStatesPerSecAfterRestart(t *testing.T) {
+	j := &job{state: JobRunning}
+	t0 := time.Unix(100, 0)
+	for i, tc := range []struct {
+		distinct int
+		want     float64
+	}{
+		{0, 0},     // the first snapshot has no earlier one
+		{500, 250}, // 500 states in 2 s
+		{100, 0},   // the retry starts again
+		{300, 100}, // 200 states in 2 s since the restart
+	} {
+		j.observeProgress(tla.Progress{Distinct: tc.distinct}, t0.Add(time.Duration(2*i)*time.Second))
+		if got := j.status().Progress.StatesPerSec; got != tc.want {
+			t.Fatalf("snapshot %d (distinct %d): states_per_sec %v, want %v", i, tc.distinct, got, tc.want)
+		}
+	}
+}

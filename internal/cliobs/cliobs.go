@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/tla"
 )
 
@@ -26,10 +27,9 @@ type Printer struct {
 	// includes the remaining headroom before the next spill.
 	budget int64
 
-	mu     sync.Mutex
-	prev   int       // previous snapshot's Distinct
-	prevAt time.Time // and when it was taken, for the states/sec derivative
-	now    func() time.Time
+	mu   sync.Mutex
+	rate obs.Rate // of Distinct, or of a trace check's Step
+	now  func() time.Time
 }
 
 // NewPrinter returns a Printer writing `tool: progress: ...` lines to w
@@ -39,16 +39,11 @@ func NewPrinter(w io.Writer, tool string, budget int64) *Printer {
 }
 
 // Observe renders one engine snapshot. States/sec is the derivative
-// against the previous observation, so the first line reports 0.
+// against the previous observation (obs.Rate), so the first line reports 0.
 func (p *Printer) Observe(prog tla.Progress) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	now := p.now()
-	var rate float64
-	if dt := now.Sub(p.prevAt).Seconds(); !p.prevAt.IsZero() && dt > 0 {
-		rate = float64(prog.Distinct-p.prev) / dt
-	}
-	p.prev, p.prevAt = prog.Distinct, now
+	rate := p.rate.Observe(prog.Distinct, p.now())
 
 	line := fmt.Sprintf("%s: progress: distinct=%d frontier=%d depth=%d states/s=%.0f spill=%s",
 		p.tool, prog.Distinct, prog.Frontier, prog.Depth, rate, Bytes(prog.SpillBytes))
@@ -63,17 +58,13 @@ func (p *Printer) Observe(prog tla.Progress) {
 }
 
 // ObserveTrace renders one trace-checker snapshot (TraceOptions.Progress).
+// A guided check that diverges checks the trace again from its start, so
+// Step can fall: the steps/s of that snapshot reads 0.
 func (p *Printer) ObserveTrace(tp tla.TraceProgress) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	now := p.now()
-	var rate float64
-	if dt := now.Sub(p.prevAt).Seconds(); !p.prevAt.IsZero() && dt > 0 {
-		rate = float64(tp.Step-p.prev) / dt
-	}
-	p.prev, p.prevAt = tp.Step, now
 	fmt.Fprintf(p.w, "%s: progress: step=%d/%d frontier=%d steps/s=%.0f\n",
-		p.tool, tp.Step, tp.Total, tp.Frontier, rate)
+		p.tool, tp.Step, tp.Total, tp.Frontier, p.rate.Observe(tp.Step, p.now()))
 }
 
 // Bytes renders a byte count compactly (4.0KiB, 1.2MiB); counts under a

@@ -74,6 +74,47 @@ func TestObserveTraceLine(t *testing.T) {
 	}
 }
 
+// TestRateRestartIsANewBaseline: a count that falls between two
+// snapshots — a checking run started again, or a guided trace check that
+// diverged and checks the trace again from its first observation —
+// reports 0 per second, not a negative rate, and the next snapshot counts
+// from the lower value.
+func TestRateRestartIsANewBaseline(t *testing.T) {
+	t0 := time.Unix(7, 0)
+	clock := func() func() time.Time {
+		return fixedClock(t0, t0.Add(time.Second), t0.Add(2*time.Second), t0.Add(3*time.Second))
+	}
+	var sb strings.Builder
+	p := NewPrinter(&sb, "minitlc", 0)
+	p.now = clock()
+	for _, d := range []int{100, 400, 50, 250} {
+		p.Observe(tla.Progress{Distinct: d})
+	}
+	var tr strings.Builder
+	q := NewPrinter(&tr, "mbtc", 0)
+	q.now = clock()
+	for _, step := range []int{10, 2000, 5, 35} {
+		q.ObserveTrace(tla.TraceProgress{Step: step, Total: 2440, Frontier: 1})
+	}
+	for _, tc := range []struct {
+		out  string
+		want []string
+	}{
+		{sb.String(), []string{"states/s=0 ", "states/s=300 ", "states/s=0 ", "states/s=200 "}},
+		{tr.String(), []string{"steps/s=0 ", "steps/s=1990 ", "steps/s=0 ", "steps/s=30 "}},
+	} {
+		lines := strings.Split(strings.TrimSuffix(tc.out, "\n"), "\n")
+		if len(lines) != len(tc.want) {
+			t.Fatalf("got %d lines, want %d:\n%s", len(lines), len(tc.want), tc.out)
+		}
+		for i, w := range tc.want {
+			if !strings.Contains(lines[i]+" ", w) {
+				t.Errorf("line %d = %q, want %q", i, lines[i], w)
+			}
+		}
+	}
+}
+
 func TestBytes(t *testing.T) {
 	cases := map[int64]string{
 		0:       "0B",

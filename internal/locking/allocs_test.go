@@ -3,6 +3,7 @@ package locking
 import (
 	"testing"
 
+	"repro/internal/race"
 	"repro/internal/tla"
 )
 
@@ -12,7 +13,7 @@ import (
 // of its parent inside that slice — no row slice of its own, no append
 // regrowth — and a retained successor pins only its own 25 bytes.
 func TestNextAllocsPerSuccessor(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	spec := Spec(SpecConfig{Actors: 3})

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/race"
 	"repro/internal/tla"
 )
 
@@ -128,7 +129,7 @@ func TestSpecThreeActors(t *testing.T) {
 // the deepest state's shortest path, not the depth it happened to be
 // discovered at.
 func TestDepthIsExact(t *testing.T) {
-	if testing.Short() || raceEnabled {
+	if testing.Short() || race.Enabled {
 		t.Skip("the five-actor space in -short mode or under the race detector")
 	}
 	for _, w := range []int{1, 2, 4} {

@@ -3,6 +3,7 @@ package mbtc
 import (
 	"testing"
 
+	"repro/internal/race"
 	"repro/internal/trace"
 )
 
@@ -11,7 +12,7 @@ import (
 // block of NodeObs its entries point into (the initial observation is an
 // int-sized value, which the runtime boxes without allocating).
 func TestObservationsAllocsPerCall(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	events := fuzzTrace(t, 7, 300, true)

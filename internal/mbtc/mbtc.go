@@ -166,12 +166,6 @@ type Report struct {
 	Interrupted bool
 }
 
-// GuidedSummary is the one-line account of the guidance the CLIs print
-// under their frontier line (and CI greps for).
-func (r *Report) GuidedSummary() string {
-	return fmt.Sprintf("guided: %d steps, %d hint fallbacks, rechecked=%v", r.GuidedSteps, r.HintFallbacks, r.Rechecked)
-}
-
 // CheckEventsOpts runs the post-processor and the trace checker over merged
 // events against the given specification variant. topts are the
 // trace-checker options — worker count, cancellation, progress; the zero
@@ -222,13 +216,20 @@ func checkObservations(events []trace.Event, processed *trace.ProcessResult, obs
 }
 
 // RunTraced constructs a traced cluster, runs the workload, and returns
-// the timestamp-merged trace events — the capture half of Figure 1.
+// the timestamp-merged trace events — the capture half of Figure 1. A node
+// whose cfg.TraceSinks entry is set writes its log there too.
 func RunTraced(cfg replset.Config, workload func(*replset.Cluster) error) ([]trace.Event, error) {
+	if cfg.TraceSinks != nil && len(cfg.TraceSinks) != cfg.Nodes {
+		return nil, fmt.Errorf("mbtc: %d trace sinks for %d nodes", len(cfg.TraceSinks), cfg.Nodes)
+	}
 	bufs := make([]*bytes.Buffer, cfg.Nodes)
 	sinks := make([]io.Writer, cfg.Nodes)
 	for i := range bufs {
 		bufs[i] = &bytes.Buffer{}
 		sinks[i] = bufs[i]
+		if cfg.TraceSinks != nil && cfg.TraceSinks[i] != nil {
+			sinks[i] = io.MultiWriter(cfg.TraceSinks[i], bufs[i])
+		}
 	}
 	cfg.TraceSinks = sinks
 	c, err := replset.New(cfg)
@@ -271,4 +272,57 @@ func PipelineOpts(cfg replset.Config, workload func(*replset.Cluster) error, spe
 // beyond the observed behaviour.
 func CheckConfig(nodes int) raftmongo.Config {
 	return raftmongo.Config{Nodes: nodes, MaxTerm: 100, MaxLogLen: 100}
+}
+
+// variantSpec returns the RaftMongo variant a trace of a nodes-node replica
+// set is checked against — "v1" (one global term) or "v2" (gossiped
+// terms) — under CheckConfig. A spec state holds at most
+// raftmongo.MaxNodes nodes.
+func variantSpec(variant string, nodes int) (*tla.Spec[raftmongo.State], error) {
+	if nodes > raftmongo.MaxNodes {
+		return nil, fmt.Errorf("%d-node replica set: the RaftMongo specification checks at most %d nodes (raftmongo.MaxNodes)", nodes, raftmongo.MaxNodes)
+	}
+	switch variant {
+	case "v1":
+		return raftmongo.SpecV1(CheckConfig(nodes)), nil
+	case "v2":
+		return raftmongo.SpecV2(CheckConfig(nodes)), nil
+	}
+	return nil, fmt.Errorf("unknown spec variant %q", variant)
+}
+
+// ErrFailed is what Run returns after printing an MBTC FAIL verdict, so
+// that a command can exit 1 without repeating the report.
+var ErrFailed = errors.New("mbtc: negative verdict")
+
+// Run is the trace-checking front end the mbtc and rollback-fuzzer
+// commands share: it looks up the spec variant, runs the workload on a
+// traced cluster, checks the merged trace (PipelineOpts) and prints the
+// verdict block to w — a summary line headed by label, the guided line,
+// then MBTC PASS or MBTC FAIL, or instead of all three the interrupted
+// line of a canceled check. It returns nil on a pass or a clean
+// interrupt, ErrFailed after a FAIL, and any other error unprinted.
+func Run(w io.Writer, label, variant string, cfg replset.Config, workload func(*replset.Cluster) error, topts tla.TraceOptions) error {
+	spec, err := variantSpec(variant, cfg.Nodes)
+	if err != nil {
+		return err
+	}
+	rep, _, err := PipelineOpts(cfg, workload, spec, topts)
+	if err != nil {
+		if rep != nil && rep.Interrupted && errors.Is(err, tla.ErrInterrupted) {
+			fmt.Fprintf(w, "%s against RaftMongo %s: interrupted after matching %d of %d trace events (no divergence so far)\n",
+				label, variant, rep.Checked, rep.Events)
+			return nil
+		}
+		return err
+	}
+	fmt.Fprintf(w, "%s against RaftMongo %s: %d trace events, %d oplog prefix fills, max frontier %d\n",
+		label, variant, rep.Events, rep.PrefixFills, rep.MaxFrontier)
+	fmt.Fprintf(w, "guided: %d steps, %d hint fallbacks, rechecked=%v\n", rep.GuidedSteps, rep.HintFallbacks, rep.Rechecked)
+	if rep.OK {
+		fmt.Fprintln(w, "MBTC PASS: the trace is a behaviour of the specification")
+		return nil
+	}
+	fmt.Fprintf(w, "MBTC FAIL: trace diverges at step %d of %d (%s)\n", rep.FailedStep, rep.Events, rep.FailedEvent)
+	return ErrFailed
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ot"
+	"repro/internal/race"
 )
 
 // recordingTransformer records every TransformLists call a Run makes, with
@@ -30,7 +31,7 @@ func (r *recordingTransformer) TransformLists(as, bs []ot.Op) ([]ot.Op, []ot.Op,
 // non-empty and one array when the rebased batch is. No log grows: each is
 // pre-sized to the case.
 func TestRunAllocsPerCase(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	tr := ot.NewTransformer(nil, false)

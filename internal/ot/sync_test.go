@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"repro/internal/race"
 )
 
 func TestNetworkBasicSync(t *testing.T) {
@@ -356,7 +358,7 @@ func TestInstrTypeStrings(t *testing.T) {
 // per-client slices), and NewNetwork is that block plus the one copy of
 // the initial array every peer shares.
 func TestNetworkAllocsPerCall(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	tr := NewTransformer(nil, false)

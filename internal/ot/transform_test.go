@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/coverage"
+	"repro/internal/race"
 )
 
 // enumOps enumerates every well-formed operation (excluding swap unless
@@ -349,7 +350,7 @@ func TestOpStringForms(t *testing.T) {
 // nothing; otherwise one block holds both results, whatever the rules
 // discard.
 func TestTransformListsAllocsPerCall(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	tr := NewTransformer(nil, false)

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/ot"
+	"repro/internal/race"
 )
 
 // enumOps mirrors the reference test enumeration: every well-formed
@@ -149,7 +150,7 @@ func TestBatchesMatchReferenceLists(t *testing.T) {
 // nothing with both sides empty, otherwise one block for both results —
 // with one side empty too, since the results never alias the inputs.
 func TestTransformBatchesAllocsPerCall(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	var eng Engine

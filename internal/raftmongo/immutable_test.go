@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/race"
 	"repro/internal/tla"
 )
 
@@ -167,7 +168,7 @@ func TestStateSize(t *testing.T) {
 // action never regrows its result however many successors a long gap
 // yields, and copies no oplog.
 func TestNextAllocsPerSuccessor(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	for _, spec := range bothSpecs(smallCfg()) {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/race"
 	"repro/internal/tla"
 )
 
@@ -257,7 +258,7 @@ func TestCompareUvarintMatchesBytes(t *testing.T) {
 // building the representative allocate nothing, for a state already in
 // order and for ones that are not, at three and at MaxNodes nodes.
 func TestNodeOrbitsDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	visit := NodeOrbits()

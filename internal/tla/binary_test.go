@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"repro/internal/race"
 )
 
 // binState is a two-counter state implementing BinaryState. The encoding
@@ -195,7 +197,7 @@ func ptrSwapOrbits() OrbitVisitor[*ptrState] {
 // its counters exceed 255) as for a pointer-shaped one. The codec calls
 // AppendBinary through the type constraint, never through an interface.
 func TestEncodeDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	s := binState{A: 300, B: 700}

@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/race"
 )
 
 // FuzzAppendDOTQuote pins the DOT writer's quoting to strconv.Quote byte
@@ -147,7 +149,7 @@ func (s constKeyState) AppendBinary(buf []byte) []byte {
 // appended into a reused buffer. The grid has 1,600 nodes and about twice
 // as many edges, so a node or an edge that allocated breaks the bound.
 func TestWriteDOTAllocsPerState(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	const side = 40

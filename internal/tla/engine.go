@@ -103,7 +103,8 @@ type chunkOut[S State] struct {
 // candidates, which the merge claims. A miss's first processed candidate
 // is the one that created it, so the routed misses in index order are in
 // merge order. The trace checker's frontier chunks (tracecheck.go) keep
-// their matches' encodings in the same shape, fp and end alone.
+// their encoded matches (two or more, or on a pooled step a lone one) in
+// the same shape, fp and end alone.
 type miss struct {
 	fp       uint64
 	end      int32
@@ -669,10 +670,10 @@ func (o *chunkOut[S]) addMiss(x *expander[S], t int, share bool) int {
 }
 
 // missTable indexes the shared misses of the chunk an expander is
-// expanding — and a trace check's matches, per chunk and across chunks —
-// open addressing over miss indices, probed by fingerprint and checked by
-// bytes. Each slot carries the generation of the chunk that
-// wrote it, so moving on to the next chunk clears nothing.
+// expanding — and a trace check's encoded matches, per chunk on its pool
+// goroutine and across chunks in the merge — open addressing over miss
+// indices, probed by fingerprint and checked by bytes. Each slot carries
+// the generation of the chunk that wrote it, so moving on clears nothing.
 type missTable struct {
 	slots []missSlot
 	gen   uint32

@@ -255,20 +255,37 @@ func TestSpecPanicInTraceCheck(t *testing.T) {
 	// chunk then panics in Matches, since one worker meets the tie first.
 	// Either way the first match's encoding panics, as at one worker. A
 	// Matches panic on lane 1 comes before lane 2's step makes a tie, so it
-	// is the step's panic, and lane 0's lone match is never encoded.
+	// is the step's panic, and lane 0's lone match is never encoded. With
+	// only lane 1's step panicking when encoded, the chunk that makes the
+	// tie also panics after it, in Matches on lane 11: one worker encodes
+	// that chunk's match on meeting the tie, so the encoding's panic, held
+	// by the chunk while its expansion went on, wins.
 	const encoding = "state encoding (Key/AppendBinary/SymmetryVisitor) at observation 1"
 	lanes := laneSpec([]int{0, 1, 2, 3, 4}, 1)
+	lane1 := laneSpec([]int{0, 1, 2, 3, 4}, -1)
+	for i := range lane1.Actions {
+		next := lane1.Actions[i].Next
+		lane1.Actions[i].Next = func(s laneState) []laneState {
+			succs := next(s)
+			for j := range succs {
+				succs[j].Boom = succs[j].L == 1
+			}
+			return succs
+		}
+	}
 	for _, tc := range []struct {
 		name      string
+		spec      *Spec[laneState]
 		obs       Observation[laneState]
 		op, value string
 	}{
-		{"EncodeTwoInOneChunk", laneObs{1, []int{0, 10}}, encoding, "AppendBinary bug at 1/0"},
-		{"EncodeOneInEachOfTwoChunks", laneObs{1, []int{0, 1}}, encoding, "AppendBinary bug at 1/0"},
-		{"EncodeBeforeALaterPanic", panicLaneObs{laneObs{1, []int{0, 1}}, 2}, encoding, "AppendBinary bug at 1/0"},
-		{"PanicBeforeATie", panicLaneObs{laneObs{1, []int{0, 2}}, 1}, "Observation.Matches at observation 1", "boom on lane 1"},
+		{"EncodeTwoInOneChunk", lanes, laneObs{1, []int{0, 10}}, encoding, "AppendBinary bug at 1/0"},
+		{"EncodeOneInEachOfTwoChunks", lanes, laneObs{1, []int{0, 1}}, encoding, "AppendBinary bug at 1/0"},
+		{"EncodeBeforeALaterPanic", lanes, panicLaneObs{laneObs{1, []int{0, 1}}, 2}, encoding, "AppendBinary bug at 1/0"},
+		{"PanicBeforeATie", lanes, panicLaneObs{laneObs{1, []int{0, 2}}, 1}, "Observation.Matches at observation 1", "boom on lane 1"},
+		{"HeldEncodeInThePanickingChunk", lane1, panicLaneObs{laneObs{1, []int{0, 1}}, 11}, encoding, "AppendBinary bug at 1/1"},
 	} {
-		tracePanicsAlike(t, tc.name, lanes, []Observation[laneState]{laneObs{0, nil}, tc.obs}, tc.op, tc.value, 1)
+		tracePanicsAlike(t, tc.name, tc.spec, []Observation[laneState]{laneObs{0, nil}, tc.obs}, tc.op, tc.value, 1)
 	}
 }
 

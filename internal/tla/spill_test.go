@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+
+	"repro/internal/race"
 )
 
 // TestOptionsValidate pins the named-error contract: nonsensical options
@@ -363,7 +365,7 @@ func FuzzSpillRun(f *testing.F) {
 // already present — nine successors in ten on a small-state spec — is
 // found without allocating, keyed or not.
 func TestClaimDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	for _, keyed := range []bool{false, true} {

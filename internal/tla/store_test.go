@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/race"
 )
 
 // resident counts the ids the shards hold.
@@ -228,7 +230,7 @@ func TestVisitedSetConcurrentClaims(t *testing.T) {
 // allocates nothing in either mode, and neither does the expansion's
 // batched probe once its buffers have grown to the batch.
 func TestProbeDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	for _, keyed := range []bool{false, true} {
@@ -549,7 +551,7 @@ func TestStoreFingerprintCollisions(t *testing.T) {
 // seal's reset of all 64 shards costs 64 generations. The records survive
 // every doubling.
 func TestTableDoublingAllocsPerCall(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	for _, keyed := range []bool{false, true} {
@@ -581,7 +583,7 @@ func TestTableDoublingAllocsPerCall(t *testing.T) {
 // allocates nothing beyond amortized table doubling and, keyed, key
 // storage blocks.
 func TestOwnDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	for _, keyed := range []bool{false, true} {

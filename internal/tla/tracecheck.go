@@ -150,15 +150,9 @@ type TraceProgress struct {
 }
 
 // Validate rejects nonsensical trace-checking options with
-// ErrInvalidOptions, mirroring Options.Validate.
+// ErrInvalidOptions, by Options.Validate's rules for the shared fields.
 func (o TraceOptions) Validate() error {
-	switch {
-	case o.Workers < 0:
-		return fmt.Errorf("%w: negative Workers %d (0 means GOMAXPROCS, 1 is sequential)", ErrInvalidOptions, o.Workers)
-	case o.ProgressEvery < 0:
-		return fmt.Errorf("%w: negative ProgressEvery %s", ErrInvalidOptions, o.ProgressEvery)
-	}
-	return nil
+	return Options{Workers: o.Workers, ProgressEvery: o.ProgressEvery}.Validate()
 }
 
 // stutterAction is the explanation recorded for a stuttering match.
@@ -201,11 +195,11 @@ func CheckTrace[S State](spec *Spec[S], trace []Observation[S]) (*TraceResult, e
 // (missTable) and compared byte for byte. It never applies
 // Spec.SymmetryVisitor: observations name concrete identifiers (this node,
 // that actor), so symmetric-but-distinct frontier states match different
-// future observations and must stay distinct. A state is encoded only to
-// break a tie: a step, or the initial observation, that matches a single
-// state (the usual case of a guided trace) encodes nothing, so
-// AppendBinary runs, and can panic, only when an observation matches two
-// states or more, where Check encodes every state it reaches.
+// future observations and must stay distinct. An encoding counts only to
+// break a tie: a narrow step, or the initial observation, that matches a
+// single state (the usual case of a guided trace) encodes nothing, and a
+// pooled step holds back a panic encoding a lone match, so an AppendBinary
+// panic surfaces only when an observation matches two states or more.
 func CheckTraceWith[S State](spec *Spec[S], trace []Observation[S], opts TraceOptions) (*TraceResult, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -229,8 +223,8 @@ func CheckTraceWith[S State](spec *Spec[S], trace []Observation[S], opts TraceOp
 // match is kept unencoded; a second one encodes both, and from then on
 // every match is encoded into keys, back to back, its (hash, end) record
 // appended to misses — so misses is empty or describes states entry for
-// entry — and indexed in the worker's missTable (engine.go). Its buffers
-// are reused from one observation to the next.
+// entry — and indexed in the worker's missTable (engine.go); a pooled step
+// encodes a lone match too. Its buffers are reused between observations.
 type frontierChunk[S State] struct {
 	states []S
 	misses []miss // fp (dedupHash) and end only
@@ -238,11 +232,12 @@ type frontierChunk[S State] struct {
 	acts   []bool     // indexed like traceChecker.names
 	g      specGuard  // the spec callback the chunk's expansion is inside
 	pi     *panicInfo // the panic that ended the chunk's expansion, if any
+	held   *panicInfo // a panic encoding the lone match, held back (firstPanic)
 }
 
 // reset empties the chunk for the next observation.
 func (ch *frontierChunk[S]) reset() {
-	ch.states, ch.misses, ch.keys, ch.pi = ch.states[:0], ch.misses[:0], ch.keys[:0], nil
+	ch.states, ch.misses, ch.keys, ch.pi, ch.held = ch.states[:0], ch.misses[:0], ch.keys[:0], nil, nil
 	clear(ch.acts)
 }
 
@@ -277,16 +272,15 @@ func (ch *frontierChunk[S]) encodeFirst(t *missTable) {
 	ch.keep(lo, fp, t)
 }
 
-// encodeLone encodes the chunk's lone match, if it has one, for the merge.
-// A panic in the encoding becomes the chunk's panic, replacing any its
-// expansion met after that match.
+// encodeLone encodes the chunk's lone match, if it has one, for the merge,
+// holding back a panic in the encoding.
 func (ch *frontierChunk[S]) encodeLone(t *missTable) {
 	if len(ch.states) != 1 || len(ch.misses) > 0 {
 		return
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			ch.pi = ch.g.capture(r)
+			ch.held = ch.g.capture(r)
 		}
 	}()
 	ch.encodeFirst(t)
@@ -502,7 +496,7 @@ func (tc *traceChecker[S]) resolveHint(obs Observation[S]) []int {
 // names that produced them. Chunks are merged in frontier order so the next
 // frontier is the same at any worker count; for the same reason a panic in
 // a spec callback or in obs.Matches is reported as a sequential expansion
-// would meet it (see breakTies), and ends the step.
+// would meet it (see firstPanic), and ends the step.
 func (tc *traceChecker[S]) advance(frontier []S, obs Observation[S], acts []int, next []S) ([]S, []string, *panicInfo) {
 	workers := len(tc.tables)
 	if len(frontier) < inlineFrontier {
@@ -514,17 +508,14 @@ func (tc *traceChecker[S]) advance(frontier []S, obs Observation[S], acts []int,
 	}
 	chunks := tc.chunks[:plan.nChunks]
 	if len(chunks) == 1 {
-		tc.expand(&tc.tables[0], &chunks[0], frontier, obs, acts)
+		tc.expand(&tc.tables[0], &chunks[0], frontier, obs, acts, false)
 	} else {
 		plan.run(func(w, c, lo, hi int) {
-			tc.expand(&tc.tables[w], &chunks[c], frontier[lo:hi], obs, acts)
+			tc.expand(&tc.tables[w], &chunks[c], frontier[lo:hi], obs, acts, true)
 		})
-		tc.breakTies(plan, chunks)
 	}
-	for i := range chunks {
-		if chunks[i].pi != nil {
-			return next, nil, chunks[i].pi
-		}
+	if pi := firstPanic(chunks); pi != nil {
+		return next, nil, pi
 	}
 	if next = tc.merge(chunks, next); len(next) == 0 {
 		return next, nil, nil
@@ -532,13 +523,13 @@ func (tc *traceChecker[S]) advance(frontier []S, obs Observation[S], acts []int,
 	return next, tc.explain(chunks), nil
 }
 
-// breakTies encodes, in parallel, the lone match of each chunk when two
-// chunks or more matched, so that the merge can compare every match by its
-// encoding. Only the chunks up to the earliest one that panicked count, as
-// a sequential expansion stops there: it would have encoded every match
-// before the panic once there were two, so a panic in one of those
-// encodings comes first.
-func (tc *traceChecker[S]) breakTies(plan chunkPlan, chunks []frontierChunk[S]) {
+// firstPanic returns the panic a sequential expansion of chunks would meet
+// first, or nil: the expansion panic of the first chunk that has one,
+// unless two chunks up to and including that one matched. A sequential
+// expansion would then have encoded every match before the panic on
+// meeting the second, so the first held panic of those chunks, which
+// comes before its own chunk's expansion panic, is met first.
+func firstPanic[S State](chunks []frontierChunk[S]) *panicInfo {
 	last, matched := len(chunks), 0
 	for i := range chunks {
 		if len(chunks[i].states) > 0 {
@@ -549,20 +540,21 @@ func (tc *traceChecker[S]) breakTies(plan chunkPlan, chunks []frontierChunk[S]) 
 			break
 		}
 	}
-	if matched < 2 {
-		return
-	}
-	plan.run(func(w, c, _, _ int) {
-		if c < last {
-			chunks[c].encodeLone(&tc.tables[w])
+	for i := range chunks[:last] {
+		if matched >= 2 && chunks[i].held != nil {
+			return chunks[i].held
 		}
-	})
+		if chunks[i].pi != nil {
+			return chunks[i].pi
+		}
+	}
+	return nil
 }
 
 // merge appends to next the matches of chunks, in chunk order, each
 // distinct state once. A chunk's states are already distinct, so when one
 // chunk matched they are taken as they are; otherwise every match has its
-// encoding (breakTies), and the merge keeps a copy of each distinct one.
+// encoding (expand), and the merge keeps a copy of each distinct one.
 func (tc *traceChecker[S]) merge(chunks []frontierChunk[S], next []S) []S {
 	var only []S
 	matched := 0
@@ -611,12 +603,17 @@ func (tc *traceChecker[S]) explain(chunks []frontierChunk[S]) []string {
 
 // expand fills ch with the matches of one contiguous part of the frontier,
 // each distinct state once (see frontierChunk). A panic in a spec callback
-// or in obs.Matches ends the chunk and is recorded in ch.pi.
-func (tc *traceChecker[S]) expand(t *missTable, ch *frontierChunk[S], part []S, obs Observation[S], acts []int) {
+// or in obs.Matches ends the chunk and is recorded in ch.pi. With lone set
+// (the step is cut into several chunks) it then encodes the chunk's lone
+// match, in case another chunk matched too (encodeLone).
+func (tc *traceChecker[S]) expand(t *missTable, ch *frontierChunk[S], part []S, obs Observation[S], acts []int, lone bool) {
 	ch.reset()
 	defer func() {
 		if r := recover(); r != nil {
 			ch.pi = ch.g.capture(r)
+		}
+		if lone {
+			ch.encodeLone(t)
 		}
 	}()
 	stutter := len(tc.names) - 1

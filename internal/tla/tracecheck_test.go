@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/race"
 )
 
 // laneState is a step count N on lane L. Boom makes its encoding panic, so
@@ -108,47 +111,85 @@ func TestTraceCheckEncodesOnlyToBreakATie(t *testing.T) {
 }
 
 // TestTraceCheckAllocsPerCall pins what a trace check allocates besides
-// the spec: nothing per observation, so a long trace costs the results of
-// its non-empty Next calls plus a per-run constant — the result and its
-// slices, the frontier buffers and the chunk table — whatever its length.
-// Every step matches two states, so each step encodes and dedups; the
-// frontier stays below inlineFrontier, the guided trace's usual width, so
-// four workers advance it inline too.
+// the spec: nothing per observation on a narrow frontier, so a long trace
+// costs the results of its non-empty Next calls plus a per-run constant —
+// the result and its slices, the frontier buffers and the chunk table —
+// whatever its length. In the narrow rows every step matches two states,
+// so each step encodes and dedups; the frontier stays below
+// inlineFrontier, the guided trace's usual width, so four workers advance
+// it inline too. In the wide row four workers cut every step into four
+// chunks, two of which match, so each step merges across chunks: it may
+// cost one pool start (the closure, its counter and wait group, a
+// goroutine each), never a second one to break the tie.
 func TestTraceCheckAllocsPerCall(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	const perRun = 32
-	spec := laneSpec([]int{0, 1}, -1)
-	var calls int
-	for i := range spec.Actions {
-		next := spec.Actions[i].Next
-		spec.Actions[i].Next = func(s laneState) []laneState {
-			calls++ // every call returns one successor
-			return next(s)
+	var calls atomic.Int64
+	counted := func(spec *Spec[laneState]) *Spec[laneState] {
+		for i := range spec.Actions {
+			next := spec.Actions[i].Next
+			spec.Actions[i].Next = func(s laneState) []laneState {
+				calls.Add(1) // every call returns one successor
+				return next(s)
+			}
+		}
+		return spec
+	}
+	narrow, wide := counted(laneSpec([]int{0, 1}, -1)), counted(crossSpec())
+	for _, tc := range []struct {
+		name    string
+		spec    *Spec[laneState]
+		lanes   []int
+		hinted  bool // every other observation names Step
+		workers int
+		perStep float64
+	}{
+		{"Narrow", narrow, []int{0, 1}, true, 1, 0},
+		{"Narrow", narrow, []int{0, 1}, true, 4, 0},
+		{"Wide", wide, []int{0, 1, 2, 3}, false, 4, 14},
+	} {
+		for _, n := range []int{500, 2000} {
+			trace := []Observation[laneState]{laneObs{0, tc.lanes}}
+			for k := 1; k <= n; k++ {
+				var o Observation[laneState] = laneObs{k, tc.lanes}
+				if tc.hinted && k%2 == 0 {
+					o = stepObs{laneObs{k, tc.lanes}}
+				}
+				trace = append(trace, o)
+			}
+			opts := TraceOptions{Workers: tc.workers}
+			calls.Store(0)
+			res, err := CheckTraceWith(tc.spec, trace, opts)
+			if err != nil || !res.OK || slices.Min(res.FrontierSizes) != len(tc.lanes) || slices.Max(res.FrontierSizes) != len(tc.lanes) {
+				t.Fatalf("%s n=%d workers=%d: %+v, %v; want a pass on a %d-state frontier", tc.name, n, tc.workers, res, err, len(tc.lanes))
+			}
+			results := calls.Load()
+			allocs := testing.AllocsPerRun(5, func() { CheckTraceWith(tc.spec, trace, opts) })
+			if extra, bound := allocs-float64(results), perRun+tc.perStep*float64(n); extra > bound {
+				t.Errorf("%s n=%d workers=%d: %.0f allocations for %d Next results, %.0f more, want at most %.0f", tc.name, n, tc.workers, allocs, results, extra, bound)
+			}
 		}
 	}
-	for _, n := range []int{500, 2000} {
-		trace := []Observation[laneState]{laneObs{0, []int{0, 1}}}
-		for k := 1; k <= n; k++ {
-			var o Observation[laneState] = laneObs{k, []int{0, 1}}
-			if k%2 == 0 {
-				o = stepObs{laneObs{k, []int{0, 1}}}
+}
+
+// crossSpec starts one state on each of lanes 0 to 3. From lanes 0 and 1,
+// Step stays on the lane and Cross moves two lanes up; from lanes 2 and 3
+// both leave lanes 0 to 3. An observation of lanes 0 to 3 therefore keeps
+// the four-state frontier, matched by two of its states, two matches each.
+func crossSpec() *Spec[laneState] {
+	next := func(near, far int) func(laneState) []laneState {
+		return func(s laneState) []laneState {
+			if s.L < 2 {
+				return []laneState{{N: s.N + 1, L: s.L + near}}
 			}
-			trace = append(trace, o)
+			return []laneState{{N: s.N + 1, L: s.L + far}}
 		}
-		for _, workers := range []int{1, 4} {
-			opts := TraceOptions{Workers: workers}
-			calls = 0
-			res, err := CheckTraceWith(spec, trace, opts)
-			if err != nil || !res.OK || slices.Max(res.FrontierSizes) != 2 {
-				t.Fatalf("n=%d workers=%d: %+v, %v; want a pass on a two-state frontier", n, workers, res, err)
-			}
-			results := calls
-			allocs := testing.AllocsPerRun(5, func() { CheckTraceWith(spec, trace, opts) })
-			if extra := allocs - float64(results); extra > perRun {
-				t.Errorf("n=%d workers=%d: %.0f allocations for %d Next results, %.0f more, want at most %d", n, workers, allocs, results, extra, perRun)
-			}
-		}
+	}
+	return &Spec[laneState]{
+		Name:    "Cross",
+		Init:    func() []laneState { return []laneState{{L: 0}, {L: 1}, {L: 2}, {L: 3}} },
+		Actions: []Action[laneState]{{Name: "Step", Next: next(0, 10)}, {Name: "Cross", Next: next(2, 20)}},
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+
+	"repro/internal/race"
 )
 
 // longTrace returns count events of a three-node replica set whose oplogs
@@ -85,7 +87,7 @@ func TestProcessNeverMutates(t *testing.T) {
 		t.Fatalf("processing mutated the events (%v)", err)
 	}
 
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	const count = 300
