@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/checkd"
 	"repro/internal/raftmongo"
+	"repro/internal/specs"
 	"repro/internal/tla"
 )
 
@@ -173,9 +174,9 @@ func TestKillDashNineRecoversToOracleVerdict(t *testing.T) {
 
 	// The oracle: the same spec checked uninterrupted, in process, with
 	// checkpoint-shaped options (same visited-store selection) at Workers=1.
-	oracle, err := checkd.RunSpec(
+	oracle, err := specs.Check(
 		raftmongo.SpecV2(raftmongo.Config{Nodes: 3, MaxTerm: 3, MaxLogLen: 2}),
-		tla.Options{Workers: 1, CheckpointDir: t.TempDir(), CheckpointEvery: 8})
+		tla.Options{Workers: 1, CheckpointDir: t.TempDir(), CheckpointEvery: 8}, specs.Checks{}, nil)
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}

@@ -10,18 +10,31 @@
 // uninterrupted run. -checkpoint-every N additionally seals a checkpoint
 // every N BFS levels, so even a killed process loses at most N levels.
 //
+// The specs, their params and their post-checks come from the spec
+// catalogue (internal/specs), which the checking service checkd reads too:
+// one params table, one rule and one refusal text for both front ends.
+// Zero means a param's default; a negative or over-bound value is a usage
+// error. The table (see README "Spec params"):
+//
+//	-nodes     raftmongo-v1/-v2   0 = 3   1..5 (raftmongo.MaxNodes)
+//	-max-term  raftmongo-v1/-v2   0 = 3   1..32767 (raftmongo.MaxValue)
+//	-max-log   raftmongo-v1/-v2   0 = 3   1..32767 (raftmongo.MaxValue)
+//	-actors    locking            0 = 2   1..8 (locking.MaxActors)
+//	-symmetry  raftmongo, locking         refused on arrayot
+//
 // A run does what its flags say or is refused before it explores anything:
 // -por on a spec that declares no transition independence and -liveness
 // with -por are errors, not warnings.
 //
 // Exit status: 0 when the run passes (or was interrupted cleanly), 1 on a
 // negative verdict (an invariant violation or a liveness failure, after the
-// report and any -dot dump) and on run errors, 2 on usage errors.
+// report and any -dot dump) and on run errors, 2 on usage errors (an
+// unknown spec and a refused param included).
 //
 // Usage:
 //
 //	minitlc -spec raftmongo-v1|raftmongo-v2|arrayot|locking \
-//	        [-nodes 3] [-max-term 3] [-max-log 3] [-actors 2] \
+//	        [-nodes N] [-max-term N] [-max-log N] [-actors N] \
 //	        [-dot out.dot] [-liveness] [-workers N] [-symmetry] [-por] [-mem-budget BYTES] \
 //	        [-checkpoint DIR] [-checkpoint-every N] [-resume DIR] [-deadline DUR] \
 //	        [-progress-every DUR] [-journal FILE]
@@ -36,84 +49,93 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/arrayot"
 	"repro/internal/cliobs"
-	"repro/internal/locking"
-	"repro/internal/raftmongo"
+	"repro/internal/specs"
 	"repro/internal/tla"
 )
 
-// specConfig is every flag that shapes the explored state space; a resumed
-// run must use the checkpointing run's values, so they round-trip through
-// the checkpoint's metadata blob.
-type specConfig struct {
-	specName string
-	nodes    int
-	maxTerm  int
-	maxLog   int
-	actors   int
-	symmetry bool
-	por      bool
+// config is minitlc's command line: the spec, its params, the post-checks
+// and the engine options the flags set. The spec, its params and
+// PartialOrder shape the explored state space; a resumed run must use the
+// checkpointing run's values, so they round-trip through the checkpoint's
+// metadata blob.
+type config struct {
+	spec      string
+	params    specs.Params
+	liveness  bool
+	dot       string
+	opts      tla.Options
+	deadline  time.Duration
+	progEvery time.Duration
+	journal   string
 }
 
-func (c specConfig) meta() map[string]string {
-	return map[string]string{
-		"spec":     c.specName,
-		"nodes":    strconv.Itoa(c.nodes),
-		"max-term": strconv.Itoa(c.maxTerm),
-		"max-log":  strconv.Itoa(c.maxLog),
-		"actors":   strconv.Itoa(c.actors),
-		"symmetry": strconv.FormatBool(c.symmetry),
-		"por":      strconv.FormatBool(c.por),
+// sizes returns the int params by their checkpoint metadata keys.
+func (c *config) sizes() map[string]*int {
+	return map[string]*int{"nodes": &c.params.Nodes, "max-term": &c.params.MaxTerm, "max-log": &c.params.MaxLog, "actors": &c.params.Actors}
+}
+
+func (c config) meta() map[string]string {
+	m := map[string]string{"spec": c.spec, "symmetry": strconv.FormatBool(c.params.Symmetry), "por": strconv.FormatBool(c.opts.PartialOrder)}
+	for key, v := range c.sizes() {
+		m[key] = strconv.Itoa(*v)
 	}
+	return m
 }
 
-func configFromMeta(meta map[string]string) (specConfig, error) {
-	var c specConfig
+// fromMeta restores the spec flags of a checkpointed run.
+func (c *config) fromMeta(meta map[string]string) error {
 	var ok bool
-	if c.specName, ok = meta["spec"]; !ok {
-		return c, errors.New("checkpoint metadata is missing the spec name (not written by minitlc?)")
+	if c.spec, ok = meta["spec"]; !ok {
+		return errors.New("checkpoint metadata is missing the spec name (not written by minitlc?)")
 	}
-	var err error
-	atoi := func(key string) int {
+	for key, v := range c.sizes() {
+		n, err := strconv.Atoi(meta[key])
 		if err != nil {
-			return 0
+			return fmt.Errorf("checkpoint metadata %s=%q: %v", key, meta[key], err)
 		}
-		v, aerr := strconv.Atoi(meta[key])
-		if aerr != nil {
-			err = fmt.Errorf("checkpoint metadata %s=%q: %v", key, meta[key], aerr)
-		}
-		return v
+		*v = n
 	}
-	c.nodes, c.maxTerm, c.maxLog, c.actors = atoi("nodes"), atoi("max-term"), atoi("max-log"), atoi("actors")
-	c.symmetry = meta["symmetry"] == "true"
-	c.por = meta["por"] == "true" // absent in pre-POR checkpoints: false
-	return c, err
+	c.params.Symmetry = meta["symmetry"] == "true"
+	c.opts.PartialOrder = meta["por"] == "true" // absent in pre-POR checkpoints: false
+	return nil
+}
+
+// resolve looks c's spec up in the catalogue and replaces c's params by
+// the ones the spec runs with; an unknown spec or a refused param is a
+// usage error.
+func (c *config) resolve() (*specs.Entry, error) {
+	e, err := specs.Lookup(c.spec)
+	if err != nil {
+		return nil, err
+	}
+	c.params, err = e.Resolve(c.params)
+	return e, err
 }
 
 func main() {
-	var (
-		specName  = flag.String("spec", "raftmongo-v1", "specification: raftmongo-v1, raftmongo-v2, arrayot, locking")
-		nodes     = flag.Int("nodes", 3, "replica-set size (raftmongo)")
-		maxTerm   = flag.Int("max-term", 3, "term bound (raftmongo)")
-		maxLog    = flag.Int("max-log", 3, "oplog length bound (raftmongo)")
-		actors    = flag.Int("actors", 2, "actor count (locking)")
-		dotPath   = flag.String("dot", "", "write the state graph as DOT to this file")
-		liveness  = flag.Bool("liveness", false, "check the commit-point-propagation liveness property (raftmongo)")
-		workers   = flag.Int("workers", 0, "checker worker goroutines (0 = GOMAXPROCS); a speed setting only: every count gives the same result")
-		symmetry  = flag.Bool("symmetry", false, "symmetry reduction over interchangeable identities (raftmongo nodes, locking actors; a usage error on arrayot)")
-		por       = flag.Bool("por", false, "ample-set partial-order reduction for specs that declare transition independence (raftmongo, locking; an error on arrayot and with -liveness); composes with -symmetry, -workers, -mem-budget and -checkpoint")
-		memBudget = flag.Int64("mem-budget", 0, "approximate visited-set bytes before the fingerprints spill to one sorted run on disk; a budget also keeps discovered states as encoded bytes in an arena whose segments spill past it (0 = fully resident, live values)")
-		ckDir     = flag.String("checkpoint", "", "write a resumable checkpoint to this directory on interrupt (and periodically with -checkpoint-every); retains states in the arena, as -mem-budget does")
-		ckEvery   = flag.Int("checkpoint-every", 0, "additionally checkpoint every N BFS levels (0 = only on interrupt; needs -checkpoint)")
-		resume    = flag.String("resume", "", "resume the run checkpointed in this directory (spec flags are restored from the checkpoint); retains states in the arena and, unless -checkpoint says otherwise, further checkpoints go to the same directory")
-		deadline  = flag.Duration("deadline", 0, "wall-clock bound on the run, e.g. 90s or 10m (0 = none); a run over the deadline stops like an interrupt — partial statistics, and a resumable checkpoint under -checkpoint")
-		progEvery = flag.Duration("progress-every", 0, "print a one-line status to stderr this often, e.g. 5s (0 = off)")
-		journal   = flag.String("journal", "", "append the run journal (JSONL, one event per level plus checkpoint/retry/degrade/verdict) to this file")
-	)
+	var c config
+	flag.StringVar(&c.spec, "spec", "raftmongo-v1", "specification: "+strings.Join(specs.Names(), ", "))
+	flag.IntVar(&c.params.Nodes, "nodes", 0, "replica-set size (raftmongo; 0 = the default)")
+	flag.IntVar(&c.params.MaxTerm, "max-term", 0, "term bound (raftmongo; 0 = the default)")
+	flag.IntVar(&c.params.MaxLog, "max-log", 0, "oplog length bound (raftmongo; 0 = the default)")
+	flag.IntVar(&c.params.Actors, "actors", 0, "actor count (locking; 0 = the default)")
+	flag.StringVar(&c.dot, "dot", "", "write the state graph as DOT to this file")
+	flag.BoolVar(&c.liveness, "liveness", false, "check the commit-point-propagation liveness property (raftmongo)")
+	flag.IntVar(&c.opts.Workers, "workers", 0, "checker worker goroutines (0 = GOMAXPROCS); a speed setting only: every count gives the same result")
+	flag.BoolVar(&c.params.Symmetry, "symmetry", false, "symmetry reduction over interchangeable identities (raftmongo nodes, locking actors; a usage error on arrayot)")
+	flag.BoolVar(&c.opts.PartialOrder, "por", false, "ample-set partial-order reduction for specs that declare transition independence (raftmongo, locking; an error on arrayot and with -liveness); composes with -symmetry, -workers, -mem-budget and -checkpoint")
+	flag.Int64Var(&c.opts.MemoryBudgetBytes, "mem-budget", 0, "approximate visited-set bytes before the fingerprints spill to one sorted run on disk; a budget also keeps discovered states as encoded bytes in an arena whose segments spill past it (0 = fully resident, live values)")
+	flag.StringVar(&c.opts.CheckpointDir, "checkpoint", "", "write a resumable checkpoint to this directory on interrupt (and periodically with -checkpoint-every); retains states in the arena, as -mem-budget does")
+	flag.IntVar(&c.opts.CheckpointEvery, "checkpoint-every", 0, "additionally checkpoint every N BFS levels (0 = only on interrupt; needs -checkpoint)")
+	flag.StringVar(&c.opts.ResumeFrom, "resume", "", "resume the run checkpointed in this directory (spec flags are restored from the checkpoint); retains states in the arena and, unless -checkpoint says otherwise, further checkpoints go to the same directory")
+	flag.DurationVar(&c.deadline, "deadline", 0, "wall-clock bound on the run, e.g. 90s or 10m (0 = none); a run over the deadline stops like an interrupt — partial statistics, and a resumable checkpoint under -checkpoint")
+	flag.DurationVar(&c.progEvery, "progress-every", 0, "print a one-line status to stderr this often, e.g. 5s (0 = off)")
+	flag.StringVar(&c.journal, "journal", "", "append the run journal (JSONL, one event per level plus checkpoint/retry/degrade/verdict) to this file")
 	flag.Parse()
 
 	// ^C / SIGTERM stop the checker cooperatively: the run winds down at
@@ -123,13 +145,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cfg := specConfig{specName: *specName, nodes: *nodes, maxTerm: *maxTerm, maxLog: *maxLog, actors: *actors, symmetry: *symmetry, por: *por}
-	if err := run(ctx, cfg, *dotPath, *liveness, *workers, *memBudget, *ckDir, *ckEvery, *resume, *deadline, *progEvery, *journal); err != nil {
+	if err := run(ctx, c); err != nil {
 		if errors.Is(err, errFailed) {
 			os.Exit(1) // the report is already on stdout
 		}
 		fmt.Fprintln(os.Stderr, "minitlc:", err)
-		if errors.Is(err, errUsage) {
+		if isUsage(err) {
 			flag.Usage()
 			os.Exit(2)
 		}
@@ -137,25 +158,21 @@ func main() {
 	}
 }
 
-// errUsage marks flag combinations minitlc refuses, which exit 2 like the
-// flag package's own usage errors.
+// errUsage marks flag combinations minitlc refuses.
 var errUsage = errors.New("usage")
+
+// isUsage reports whether err exits 2 like the flag package's own usage
+// errors: a refused flag combination, an unknown spec or a refused param.
+func isUsage(err error) bool {
+	return errors.Is(err, errUsage) || errors.Is(err, specs.ErrUnknownSpec) || errors.Is(err, specs.ErrParams)
+}
 
 // errFailed marks a negative verdict: run returns it after printing the
 // report and writing any -dot dump, and main exits 1 without repeating it.
 var errFailed = errors.New("negative verdict")
 
-// verdict is run's return for a completed check: dump's error, else
-// errFailed when the verdict is negative.
-func verdict(dumpErr error, failed bool) error {
-	if dumpErr == nil && failed {
-		return errFailed
-	}
-	return dumpErr
-}
-
-func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, workers int, memBudget int64, ckDir string, ckEvery int, resume string, deadline time.Duration, progEvery time.Duration, journal string) error {
-	if resume != "" {
+func run(ctx context.Context, c config) error {
+	if resume := c.opts.ResumeFrom; resume != "" {
 		// The checkpoint knows which state space it explored; the resumed
 		// run must rebuild the identical spec, so its metadata overrides
 		// the spec flags.
@@ -163,200 +180,112 @@ func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, wor
 		if err != nil {
 			return err
 		}
-		cfg, err = configFromMeta(info.Meta)
-		if err != nil {
+		if err := c.fromMeta(info.Meta); err != nil {
 			return err
 		}
-		if ckDir == "" {
-			ckDir = resume // keep checkpointing where the run left off
+		if c.opts.CheckpointDir == "" {
+			c.opts.CheckpointDir = resume // keep checkpointing where the run left off
 		}
 		fmt.Printf("resuming %s from %s: %d distinct states, %d transitions, depth %d, %d levels\n",
 			info.Spec, resume, info.Distinct, info.Transitions, info.Depth, info.Levels)
 	}
-	if cfg.por && liveness {
+	if c.opts.PartialOrder && c.liveness {
 		// CheckEventuallyWithin walks the recorded graph; POR records only
 		// the reduced edge set, which under-approximates reachability from
 		// intermediate states and can produce bogus liveness verdicts.
 		return fmt.Errorf("%w: -liveness needs the full state graph, which -por prunes; drop one of the two", errUsage)
 	}
-	if cfg.symmetry && cfg.specName == "arrayot" {
-		return fmt.Errorf("%w: -symmetry: array_ot has no symmetric identities (clients act in ID order)", errUsage)
+	spec, err := c.resolve()
+	if err != nil {
+		return err
 	}
-	if cfg.specName == "locking" && (cfg.actors < 0 || cfg.actors > locking.MaxActors) {
-		return fmt.Errorf("%w: -actors %d: the locking spec takes 0..%d actors", errUsage, cfg.actors, locking.MaxActors)
-	}
-	if (cfg.specName == "raftmongo-v1" || cfg.specName == "raftmongo-v2") && (cfg.nodes < 0 || cfg.nodes > raftmongo.MaxNodes) {
-		return fmt.Errorf("%w: -nodes %d: the raftmongo specs take 0..%d nodes", errUsage, cfg.nodes, raftmongo.MaxNodes)
-	}
-	if deadline > 0 {
+	if c.deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
+		ctx, cancel = context.WithTimeout(ctx, c.deadline)
 		defer cancel()
 	}
-	opts := tla.Options{
-		RecordGraph:       dotPath != "" || liveness,
-		Workers:           workers,
-		MemoryBudgetBytes: memBudget,
-		PartialOrder:      cfg.por,
-		Context:           ctx,
-		CheckpointDir:     ckDir,
-		CheckpointEvery:   ckEvery,
-		ResumeFrom:        resume,
-		CheckpointMeta:    cfg.meta(),
-	}
-	if progEvery > 0 {
+	c.opts.Context = ctx
+	c.opts.CheckpointMeta = c.meta()
+	if c.progEvery > 0 {
 		// Status goes to stderr only: stdout (verdict, DOT announcements)
 		// stays pipeable.
-		opts.Progress = cliobs.NewPrinter(os.Stderr, "minitlc", memBudget).Observe
-		opts.ProgressEvery = progEvery
+		c.opts.Progress = cliobs.NewPrinter(os.Stderr, "minitlc", c.opts.MemoryBudgetBytes).Observe
+		c.opts.ProgressEvery = c.progEvery
 	}
-	if journal != "" {
-		jf, err := os.OpenFile(journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if c.journal != "" {
+		jf, err := os.OpenFile(c.journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("opening journal: %w", err)
 		}
 		defer jf.Close()
-		opts.JournalWriter = jf
+		c.opts.JournalWriter = jf
 	}
-	if err := opts.Validate(); err != nil {
+	sum, err := spec.Run(c.params, c.opts, specs.Checks{Liveness: c.liveness, DOT: c.dot})
+	return report(c, sum, err)
+}
+
+// report prints a run's summary and returns run's result: nil for a pass
+// or a clean interrupt, errFailed for a negative verdict, else err.
+func report(c config, sum *specs.Summary, err error) error {
+	if sum == nil {
 		return err
 	}
-	switch cfg.specName {
-	case "raftmongo-v1", "raftmongo-v2":
-		rcfg := raftmongo.Config{Nodes: cfg.nodes, MaxTerm: cfg.maxTerm, MaxLogLen: cfg.maxLog, Symmetric: cfg.symmetry}
-		spec := raftmongo.SpecV1(rcfg)
-		if cfg.specName == "raftmongo-v2" {
-			spec = raftmongo.SpecV2(rcfg)
-		}
-		res, err := check(spec, opts)
-		if err != nil {
-			return err
-		}
-		if res.Interrupted {
-			return nil
-		}
-		failed := res.Violation != nil
-		if liveness {
-			w, err := tla.CheckEventuallyWithin(res.Graph, raftmongo.CommitPointsEqual, func(s raftmongo.State) bool {
-				return rcfg.Nodes == s.NumNodes() && withinBounds(rcfg, s)
-			})
-			if err != nil {
-				return fmt.Errorf("liveness: reading the state graph: %w", err)
-			}
-			if w == -1 {
-				fmt.Println("liveness: commit point is eventually propagated — OK")
-			} else {
-				fmt.Printf("liveness FAILED: state %q cannot reach agreement\n", res.Graph.KeyAt(w))
-				failed = true
-			}
-		}
-		return verdict(dump(res.Graph, dotPath, spec.Name), failed)
-	case "arrayot":
-		res, err := check(arrayot.Spec(arrayot.DefaultConfig()), opts)
-		if err != nil || res.Interrupted {
-			return err
-		}
-		if res.Graph != nil {
-			terminals, err := res.Graph.TerminalStates()
-			if err != nil {
-				return fmt.Errorf("reading the state graph: %w", err)
-			}
-			fmt.Printf("terminal states (generated test cases): %d\n", len(terminals))
-		}
-		return verdict(dump(res.Graph, dotPath, "array_ot"), res.Violation != nil)
-	case "locking":
-		res, err := check(locking.Spec(locking.SpecConfig{Actors: cfg.actors, Symmetric: cfg.symmetry}), opts)
-		if err != nil || res.Interrupted {
-			return err
-		}
-		return verdict(dump(res.Graph, dotPath, "Locking"), res.Violation != nil)
-	}
-	return fmt.Errorf("unknown spec %q", cfg.specName)
-}
-
-func withinBounds(cfg raftmongo.Config, s raftmongo.State) bool {
-	for i := 0; i < s.NumNodes(); i++ {
-		if int(s.Terms[i]) > cfg.MaxTerm || s.Oplogs[i].Len() > cfg.MaxLogLen {
-			return false
-		}
-	}
-	return true
-}
-
-func check[S tla.State](spec *tla.Spec[S], opts tla.Options) (*tla.Result[S], error) {
-	start := time.Now()
-	res, err := tla.Check(spec, opts)
-	elapsed := time.Since(start)
-	if res != nil && res.DegradedMemory {
+	if sum.DegradedMemory {
 		fmt.Fprintln(os.Stderr, "minitlc: warning: a persistent I/O failure disabled disk spilling; results are exact but -mem-budget was not honoured (DegradedMemory)")
 	}
-	if res != nil && opts.PartialOrder {
-		fmt.Printf("partial-order reduction: %d ample states, %d transitions deferred\n", res.AmpleStates, res.DeferredTransitions)
+	if c.opts.PartialOrder {
+		fmt.Printf("partial-order reduction: %d ample states, %d transitions deferred\n", sum.AmpleStates, sum.DeferredTransitions)
 	}
-	if err != nil {
-		switch {
-		case res != nil && res.Violation != nil:
-			v := res.Violation
-			fmt.Printf("%s: invariant %s VIOLATED: %v\n", spec.Name, v.Invariant, v.Err)
-			fmt.Printf("counterexample (%d steps):\n", len(v.Trace)-1)
-			for i, s := range v.Trace {
-				act := "<init>"
-				if i > 0 {
-					act = v.TraceActs[i-1]
-				}
-				fmt.Printf("  %2d %-45s %s\n", i, act, s.Key())
-			}
-			return res, nil
-		case res != nil && res.Interrupted && errors.Is(err, tla.ErrInterrupted):
-			// A clean interrupt is a successful partial run — unless a
-			// requested checkpoint could not be written, which the joined
-			// error reports and the missing CheckpointPath confirms.
-			if opts.CheckpointDir != "" && res.CheckpointPath == "" {
-				return nil, err
-			}
-			fmt.Printf("%s: interrupted after %d distinct states, %d transitions, depth %d (%.2fs)\n",
-				spec.Name, res.Distinct, res.Transitions, res.Depth, elapsed.Seconds())
-			if res.CheckpointPath != "" {
-				fmt.Printf("checkpoint written to %s — continue with: minitlc -resume %s\n", res.CheckpointPath, res.CheckpointPath)
-			}
-			return res, nil
-		default:
-			return nil, err
+	if sum.Verdict == "" {
+		// A clean interrupt is a successful partial run — unless a
+		// requested checkpoint could not be written, which the joined
+		// error reports and the missing CheckpointPath confirms.
+		if !sum.Interrupted || !errors.Is(err, tla.ErrInterrupted) || (c.opts.CheckpointDir != "" && sum.CheckpointPath == "") {
+			return err
 		}
-	}
-	fmt.Printf("%s: %d distinct states, %d transitions, depth %d, %d terminal (%.2fs)\n",
-		spec.Name, res.Distinct, res.Transitions, res.Depth, res.Terminal, elapsed.Seconds())
-	// The visited set trusts 64-bit fingerprints at every worker count, so
-	// print TLC's estimate of what that risks: N distinct states collide
-	// with probability about N²/2⁶⁵.
-	n := float64(res.Distinct)
-	fmt.Printf("fingerprint collision probability (optimistic): %.1e\n", n*n/math.Exp2(65))
-	return res, nil
-}
-
-// dump writes the state graph as DOT and closes it, releasing any arena
-// spill file backing the graph.
-func dump[S tla.State](g *tla.Graph[S], path, name string) error {
-	if g == nil {
+		fmt.Printf("%s: interrupted after %d distinct states, %d transitions, depth %d (%.2fs)\n",
+			sum.Spec, sum.Distinct, sum.Transitions, sum.Depth, sum.Elapsed.Seconds())
+		if sum.CheckpointPath != "" {
+			fmt.Printf("checkpoint written to %s — continue with: minitlc -resume %s\n", sum.CheckpointPath, sum.CheckpointPath)
+		}
 		return nil
 	}
-	defer g.Close()
-	if path == "" {
-		return nil
+	if v := sum.Violation; v != nil {
+		fmt.Printf("%s: invariant %s VIOLATED: %s\n", sum.Spec, v.Invariant, v.Error)
+		fmt.Printf("counterexample (%d steps):\n", len(v.Trace)-1)
+		for i, key := range v.Trace {
+			act := "<init>"
+			if i > 0 {
+				act = v.TraceActs[i-1]
+			}
+			fmt.Printf("  %2d %-45s %s\n", i, act, key)
+		}
+	} else {
+		fmt.Printf("%s: %d distinct states, %d transitions, depth %d, %d terminal (%.2fs)\n",
+			sum.Spec, sum.Distinct, sum.Transitions, sum.Depth, sum.Terminal, sum.Elapsed.Seconds())
+		// The visited set trusts 64-bit fingerprints at every worker
+		// count, so print TLC's estimate of what that risks: N distinct
+		// states collide with probability about N²/2⁶⁵.
+		n := float64(sum.Distinct)
+		fmt.Printf("fingerprint collision probability (optimistic): %.1e\n", n*n/math.Exp2(65))
 	}
-	f, err := os.Create(path)
+	switch sum.Liveness {
+	case "ok":
+		fmt.Println("liveness: commit point is eventually propagated — OK")
+	case "failed":
+		fmt.Printf("liveness FAILED: state %q cannot reach agreement\n", sum.Stuck)
+	}
+	if sum.Cases > 0 {
+		fmt.Printf("terminal states (generated test cases): %d\n", sum.Cases)
+	}
 	if err != nil {
 		return err
 	}
-	if err := g.WriteDOT(f, name); err != nil {
-		f.Close()
-		return err
+	if c.dot != "" {
+		fmt.Printf("state graph written to %s (%d nodes, %d edges)\n", c.dot, sum.GraphNodes, sum.GraphEdges)
 	}
-	// A write the OS deferred can fail at close (ENOSPC, quota): the file
-	// is truncated and must not be reported as written.
-	if err := f.Close(); err != nil {
-		return err
+	if sum.Violation != nil || sum.Liveness == "failed" {
+		return errFailed
 	}
-	fmt.Printf("state graph written to %s (%d nodes, %d edges)\n", path, g.Len(), g.NumEdges())
 	return nil
 }

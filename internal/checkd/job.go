@@ -61,8 +61,8 @@ func (r JobRequest) shapingOptions() tla.Options {
 
 // fingerprint is the verdict-cache key: spec name + canonical config +
 // the engine's own options fingerprint, hashed with the checker's FNV.
-// Params must be normalized first — normalizeParams is what makes `{}`
-// and an explicit default config collide here.
+// Params must be canonical first — lookupSpec is what makes `{}` and an
+// explicit default config collide here.
 func (r JobRequest) fingerprint() uint64 {
 	cfg, err := json.Marshal(r.Config)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 
+	"repro/internal/specs"
 	"repro/internal/tla"
 )
 
@@ -17,7 +18,7 @@ import (
 //	GET    /jobs/{id}        status + live progress
 //	GET    /jobs/{id}/result status + outcome (null until terminal)
 //	DELETE /jobs/{id}        cancel; 204
-//	GET    /specs            registered spec names
+//	GET    /specs            the spec catalogue's names
 //	GET    /metrics          Prometheus text exposition: process-level
 //	                         checkd_* families plus each running job's
 //	                         engine tla_* families, scoped by job="id"
@@ -78,7 +79,7 @@ func NewHandler(s *Supervisor) http.Handler {
 	})
 
 	mux.HandleFunc("GET /specs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSONBody(w, http.StatusOK, SpecNames())
+		writeJSONBody(w, http.StatusOK, specs.Names())
 	})
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {

@@ -367,10 +367,7 @@ func writeJSON(path string, v any) error {
 // canonical request. Every rejection wraps tla.ErrInvalidOptions or
 // ErrUnknownSpec for the server's 400 mapping.
 func (s *Supervisor) validateRequest(req JobRequest) (JobRequest, error) {
-	if _, err := lookupSpec(req.Spec); err != nil {
-		return req, err
-	}
-	cfg, err := normalizeParams(req.Spec, req.Config)
+	_, cfg, err := lookupSpec(req.Spec, req.Config)
 	if err != nil {
 		return req, err
 	}
@@ -695,12 +692,11 @@ func suffixIf(msg string) string {
 // runJob executes one job to a terminal (or parked) state: the attempt
 // loop applies the policy table at the top of this file.
 func (s *Supervisor) runJob(j *job) {
-	run, err := lookupSpec(j.req.Spec)
+	runner, _, err := lookupSpec(j.req.Spec, j.req.Config)
 	if err != nil {
 		s.complete(j, JobFailed, nil, err.Error())
 		return
 	}
-	runner := run(j.req.Config)
 
 	// One engine registry per job, shared across its attempts, scraped via
 	// WriteMetrics while the job runs.

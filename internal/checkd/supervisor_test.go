@@ -100,6 +100,34 @@ func TestVerdictCache(t *testing.T) {
 	}
 }
 
+// TestCacheKeysArePinned: the verdict-cache key of a canonical request is
+// a stable function of the spec name, its params' JSON and the shaping
+// options. A persisted cache entry is found again only under the same key,
+// so these values must not move when the params' definition does.
+func TestCacheKeysArePinned(t *testing.T) {
+	s := newTestSup(t, nil)
+	for _, tc := range []struct {
+		req  JobRequest
+		want uint64
+	}{
+		{JobRequest{Spec: "raftmongo-v2"}, 0x5e39022a36360118},
+		{JobRequest{Spec: "raftmongo-v2", Config: SpecParams{Nodes: 3, MaxTerm: 3, MaxLog: 3}}, 0x5e39022a36360118},
+		{JobRequest{Spec: "raftmongo-v1", Config: SpecParams{Nodes: 3, MaxTerm: 2, MaxLog: 2},
+			Options: JobOptions{PartialOrder: true, MaxStates: 1000}}, 0xd724e0650a49f7ea},
+		{JobRequest{Spec: "locking", Config: SpecParams{Actors: 3}}, 0x746b21950dcfe9d2},
+		{JobRequest{Spec: "locking", Config: SpecParams{Actors: 2, Symmetry: true, OmitCompatibilityCheck: true}}, 0x77b181332b5d3fda},
+		{JobRequest{Spec: "arrayot"}, 0xc90cb40ece0c5ce6},
+	} {
+		req, err := s.validateRequest(tc.req)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.req, err)
+		}
+		if got := req.fingerprint(); got != tc.want {
+			t.Errorf("%+v: key %016x, want %016x", tc.req, got, tc.want)
+		}
+	}
+}
+
 // TestPersistentFaultRetriesWithBackoff: a persistent fault on the
 // checkpoint manifest fails the attempt (the engine's internal retries
 // only absorb transient errors); the supervisor retries with backoff and

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/specs"
 	"repro/internal/tla"
 )
 
@@ -20,7 +21,7 @@ import (
 //	"panicky" a counter spec whose invariant panics at one state — the
 //	          spec-bug probe that must fail permanently.
 //
-// Test specs fall through normalizeParams verbatim, so Nodes/MaxTerm are
+// Test specs take their params verbatim, so Nodes/MaxTerm are
 // free knobs and distinct configurations get distinct cache fingerprints.
 
 // ctrState mirrors the tla package's toy counter state, decoder included:
@@ -97,7 +98,7 @@ func init() {
 	Register("slow", func(p SpecParams) RunFunc {
 		max, sleep := p.Nodes, time.Duration(p.MaxTerm)*time.Microsecond
 		return func(opts tla.Options) (*Outcome, error) {
-			return RunSpec(ctrSpec("slow", max, sleep), opts)
+			return specs.Check(ctrSpec("slow", max, sleep), opts, specs.Checks{}, nil)
 		}
 	})
 	Register("crashy", func(p SpecParams) RunFunc {
@@ -106,7 +107,7 @@ func init() {
 			if crashyRemaining.Add(-1) >= 0 {
 				panic("injected runner crash")
 			}
-			return RunSpec(ctrSpec("crashy", max, 0), opts)
+			return specs.Check(ctrSpec("crashy", max, 0), opts, specs.Checks{}, nil)
 		}
 	})
 	Register("panicky", func(p SpecParams) RunFunc {
@@ -122,7 +123,7 @@ func init() {
 					return nil
 				},
 			})
-			return RunSpec(spec, opts)
+			return specs.Check(spec, opts, specs.Checks{}, nil)
 		}
 	})
 }
@@ -132,15 +133,11 @@ func init() {
 // and returns the outcome the service must reproduce.
 func oracleOutcome(t *testing.T, spec string, p SpecParams) *Outcome {
 	t.Helper()
-	run, err := lookupSpec(spec)
+	run, _, err := lookupSpec(spec, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	norm, err := normalizeParams(spec, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := run(norm)(tla.Options{
+	out, err := run(tla.Options{
 		CheckpointDir:   t.TempDir(),
 		CheckpointEvery: 4,
 	})

@@ -103,3 +103,25 @@ func TestFuzzRollbackSyncBeforeWritesSeedsData(t *testing.T) {
 		}
 	}
 }
+
+// TestFuzzRollbackQuiesces: after the final heal, ReplicateAll must settle
+// the set. With each follower pulling from its first acceptable source by
+// id, these runs livelocked — two stale nodes syncing from each other,
+// neither rolling back from the node ahead of both — until the round
+// bound ran out with "replication did not quiesce".
+func TestFuzzRollbackQuiesces(t *testing.T) {
+	for _, tc := range []struct {
+		nodes int
+		seed  int64
+	}{{3, 58}, {6, 7}} {
+		cfg := DefaultRollbackConfig()
+		cfg.Nodes, cfg.Seed, cfg.Steps = tc.nodes, tc.seed, 50
+		c, err := replset.New(replset.Config{Nodes: cfg.Nodes, Seed: cfg.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := FuzzRollback(cfg, c); err != nil {
+			t.Errorf("%d nodes, seed %d: %v", tc.nodes, tc.seed, err)
+		}
+	}
+}

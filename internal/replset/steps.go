@@ -344,7 +344,7 @@ func (c *Cluster) ReplicateAll() error {
 	for rounds := 0; rounds < 3*len(c.nodes)*(maxLast+2)+20; rounds++ {
 		changed := false
 		for i := range c.nodes {
-			c.ChooseSyncSource(i)
+			c.furthestAheadSource(i)
 			did, err := c.Pull(i)
 			if err != nil {
 				return err
@@ -356,4 +356,28 @@ func (c *Cluster) ReplicateAll() error {
 		}
 	}
 	return fmt.Errorf("replset: replication did not quiesce")
+}
+
+// furthestAheadSource points follower j at the reachable source whose log
+// is furthest ahead by logAheadOf (last term, then last index), among those
+// ChooseSyncSource would accept. It is not ChooseSyncSource, whose first
+// acceptable source by id is the modelled pull step the traces record:
+// ReplicateAll is a quiesce helper for tests and scenarios, and under
+// first-by-id choice two stale nodes can keep syncing from each other,
+// never rolling back from the node ahead of both, until the rounds run out.
+func (c *Cluster) furthestAheadSource(j int) {
+	dst := c.nodes[j]
+	dst.SyncSource = -1
+	var best *Node
+	for _, src := range c.nodes {
+		if src.ID == j || src.Arbiter || !c.reachable(src.ID, j) {
+			continue
+		}
+		if (src.logAheadOf(dst) || (dst.InitialSyncing && src.LastIndex() > 0)) && (best == nil || src.logAheadOf(best)) {
+			best = src
+		}
+	}
+	if best != nil {
+		dst.SyncSource = best.ID
+	}
 }

@@ -202,7 +202,7 @@ func (p chunkPlan) run(fn func(worker, chunk, lo, hi int)) {
 	var wg sync.WaitGroup
 	for w := 0; w < p.workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for {
 				c := int(cursor.Add(1)) - 1
@@ -212,7 +212,7 @@ func (p chunkPlan) run(fn func(worker, chunk, lo, hi int)) {
 				lo, hi := p.bounds(c)
 				fn(w, c, lo, hi)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }
